@@ -53,7 +53,6 @@ pub mod dispatch;
 pub mod phases;
 pub mod schedule;
 pub mod simd;
-pub mod spmv;
 
 pub use dispatch::{
     masked_mxm, masked_mxm_with_bt, masked_mxm_with_opts, Algorithm, Error, MaskMode,

@@ -18,16 +18,12 @@
 
 pub mod app;
 pub mod bc;
-pub mod bfs;
 pub mod ktruss;
-pub mod msbfs;
 pub mod scheme;
 pub mod tricount;
 
 pub use app::App;
 pub use bc::{betweenness, BcResult};
-pub use bfs::{bfs, BfsResult, Direction};
 pub use ktruss::{k_truss, KtrussResult};
-pub use msbfs::{multi_source_bfs, MsBfsResult};
 pub use scheme::Scheme;
 pub use tricount::{triangle_count, TcResult};

@@ -7,46 +7,52 @@
 //! Unix-domain socket.
 
 use crate::json::{self, Json};
-use crate::protocol::{read_frame, Frame, MAX_REQUEST_BYTES};
-use std::io::{BufReader, Write};
+use crate::protocol::{read_frame, write_line, Frame, MAX_REQUEST_BYTES};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
 
-enum Conn {
-    Tcp(BufReader<TcpStream>, TcpStream),
-    #[cfg(unix)]
-    Unix(BufReader<UnixStream>, UnixStream),
-}
-
-/// One protocol connection.
+/// One protocol connection, over either transport.
 pub struct Client {
-    conn: Conn,
+    reader: Box<dyn BufRead + Send>,
+    writer: Box<dyn Write + Send>,
 }
 
 impl Client {
     /// Connect to a server at `addr` (`host:port` or `unix:/path`).
     pub fn connect(addr: &str) -> Result<Client, String> {
-        let conn = if let Some(path) = addr.strip_prefix("unix:") {
+        let failed = |e: std::io::Error| format!("connect {addr}: {e}");
+        if let Some(path) = addr.strip_prefix("unix:") {
             #[cfg(unix)]
             {
-                let stream =
-                    UnixStream::connect(path).map_err(|e| format!("connect {addr}: {e}"))?;
-                let reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-                Conn::Unix(reader, stream)
+                let stream = UnixStream::connect(path).map_err(failed)?;
+                Client::over(stream.try_clone(), stream)
             }
             #[cfg(not(unix))]
             {
-                return Err(format!(
+                Err(format!(
                     "connect {addr}: unix sockets are not supported on this platform"
-                ));
+                ))
             }
         } else {
-            let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-            let reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-            Conn::Tcp(reader, stream)
-        };
-        Ok(Client { conn })
+            let stream = TcpStream::connect(addr).map_err(failed)?;
+            // Requests are single small writes; with Nagle on, each would
+            // sit out the server's delayed ACK.
+            stream.set_nodelay(true).map_err(failed)?;
+            Client::over(stream.try_clone(), stream)
+        }
+    }
+
+    /// A client over any connected stream and its cloned read half.
+    fn over<S: Read + Write + Send + 'static>(
+        read_half: std::io::Result<S>,
+        stream: S,
+    ) -> Result<Client, String> {
+        Ok(Client {
+            reader: Box::new(BufReader::new(read_half.map_err(|e| e.to_string())?)),
+            writer: Box::new(stream),
+        })
     }
 
     /// Send one request object and block for its response object.
@@ -57,20 +63,8 @@ impl Client {
     /// Send one raw line (must be a complete JSON object) and block for
     /// the response. The escape hatch behind `mxm query raw`.
     pub fn request_line(&mut self, line: &str) -> Result<Json, String> {
-        let frame = match &mut self.conn {
-            Conn::Tcp(reader, writer) => {
-                writeln!(writer, "{line}").map_err(|e| format!("send: {e}"))?;
-                writer.flush().map_err(|e| format!("send: {e}"))?;
-                read_frame(reader, MAX_REQUEST_BYTES).map_err(|e| format!("recv: {e}"))?
-            }
-            #[cfg(unix)]
-            Conn::Unix(reader, writer) => {
-                writeln!(writer, "{line}").map_err(|e| format!("send: {e}"))?;
-                writer.flush().map_err(|e| format!("send: {e}"))?;
-                read_frame(reader, MAX_REQUEST_BYTES).map_err(|e| format!("recv: {e}"))?
-            }
-        };
-        match frame {
+        write_line(&mut self.writer, line.to_string()).map_err(|e| format!("send: {e}"))?;
+        match read_frame(&mut self.reader, MAX_REQUEST_BYTES).map_err(|e| format!("recv: {e}"))? {
             Frame::Line(resp) => json::parse(&resp).map_err(|e| format!("bad response: {e}")),
             Frame::Eof => Err("server closed the connection".into()),
             Frame::Oversized => Err("response exceeded the line cap".into()),
@@ -156,6 +150,47 @@ mod tests {
         assert_eq!(busy_retry_after(&other), None);
         let ok = crate::protocol::ok_response(vec![]);
         assert_eq!(busy_retry_after(&ok), None);
+    }
+
+    /// A loopback "socket": serves one canned response line and counts
+    /// the `write` calls the request took.
+    struct Loopback {
+        response: std::io::Cursor<Vec<u8>>,
+        writes: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl Read for Loopback {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.response.read(buf)
+        }
+    }
+
+    impl Write for Loopback {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_request_is_exactly_one_write() {
+        let writes = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let half = || Loopback {
+            response: std::io::Cursor::new(b"{\"ok\":true}\n".to_vec()),
+            writes: writes.clone(),
+        };
+        let mut client = Client::over(Ok(half()), half()).unwrap();
+        let resp = client.request_line(r#"{"op":"ping"}"#).unwrap();
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(
+            writes.load(std::sync::atomic::Ordering::Relaxed),
+            1,
+            "a request split across writes stalls on Nagle + delayed ACK"
+        );
     }
 
     #[test]

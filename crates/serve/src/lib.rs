@@ -15,12 +15,15 @@
 //!
 //! * [`json`] — self-contained JSON value/parser/serializer (std-only;
 //!   the build environment has no crates.io access).
-//! * [`protocol`] — framing, error codes, response shapes; the schema is
-//!   documented verb by verb in `docs/SERVE_PROTOCOL.md`.
+//! * [`protocol`] — framing, error codes, response shapes, and the
+//!   one-time decode of a request line into a typed request; the schema
+//!   is documented verb by verb in `docs/SERVE_PROTOCOL.md`.
 //! * [`registry`] — [`Registry`]/[`Dataset`]: named resident matrices
 //!   with derived operands, behind a `RwLock` (reads clone an `Arc`).
-//! * [`server`] — [`Server`]: listener, per-connection threads, request
-//!   handlers, cooperative shutdown.
+//! * [`server`] — [`Server`]: listener, per-connection threads, the
+//!   request lifecycle (decode → route → admit → execute → record →
+//!   write), cooperative shutdown.
+//! * `ops` (private) — what each verb computes and every response field.
 //! * `scheduler` (private) — the admission-controlled request scheduler:
 //!   a bounded queue (`--queue-depth`) feeding a fixed pool of executor
 //!   workers (`--max-inflight`). Connection threads park on a reply
@@ -55,6 +58,7 @@
 
 pub mod client;
 pub mod json;
+mod ops;
 pub mod protocol;
 pub mod registry;
 mod scheduler;

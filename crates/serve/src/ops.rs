@@ -1,0 +1,681 @@
+//! What each verb *does*: typed parameters in, response object out.
+//!
+//! Everything here runs after the request line was decoded
+//! ([`crate::protocol::decode`]) and routed ([`crate::server`]): the
+//! light verbs on the connection thread, [`execute`] — the one entry
+//! point of the three heavy verbs — on an executor worker, inside the
+//! server's single `catch_unwind`. No function in this module sees the
+//! request JSON, decides admission, or records request metrics; they
+//! only read the shared [`ServerState`] and render wire shapes, so a
+//! response field is spelled in exactly one place.
+
+use crate::json::Json;
+use crate::protocol::{
+    ok_response, AppParams, ErrorCode, HeavyRequest, LoadParams, MetricsFormat, MxmParams, Reject,
+    UpdateParams, Work,
+};
+use crate::registry::{Dataset, DatasetInfo, RegistryError, TcCache};
+use crate::server::ServerState;
+use masked_spgemm::{
+    masked_mxm_with_bt, masked_mxm_with_opts, Algorithm, ExecOpts, MaskMode, Phases, RowSchedule,
+};
+use mspgemm_graph::{bc, ktruss, tricount, App};
+use mspgemm_harness::{busy_spread, csr_fingerprint, gflops, mb_per_s, with_threads};
+use mspgemm_io::LoadOpts;
+use mspgemm_obs::{HistSnapshot, Series};
+use mspgemm_sparse::semiring::PlusTimesF64;
+use mspgemm_sparse::Csr;
+use std::time::Instant;
+
+pub(crate) type OpResult = Result<Json, Reject>;
+
+pub(crate) fn reg_err(e: RegistryError) -> Reject {
+    let code = match &e {
+        RegistryError::AlreadyLoaded(_) => ErrorCode::AlreadyLoaded,
+        RegistryError::NotFound(_) => ErrorCode::UnknownDataset,
+        RegistryError::Load(_) => ErrorCode::LoadFailed,
+        RegistryError::Quarantined(_) => ErrorCode::Quarantined,
+        RegistryError::Evicted(_) => ErrorCode::Evicted,
+        RegistryError::OverBudget(_) => ErrorCode::OverBudget,
+        RegistryError::OutOfBounds(_) => ErrorCode::OutOfBounds,
+    };
+    (code, e.to_string())
+}
+
+/// The residency block of a dataset descriptor, shared (in this order)
+/// by `load`, `list`, and `stats`.
+fn residency(ds: &Dataset) -> [(&'static str, Json); 5] {
+    [
+        ("mem_bytes", ds.mem_bytes().into()),
+        ("backend", Json::str(ds.backend().name())),
+        ("mapped_bytes", ds.mapped_bytes().into()),
+        ("pattern", ds.pattern().into()),
+        ("unit_bytes", ds.unit_bytes().into()),
+    ]
+}
+
+/// The health/update block of a dataset descriptor, closing the `list`
+/// and `stats` rows.
+fn health(info: &DatasetInfo) -> [(&'static str, Json); 5] {
+    [
+        ("version", info.version.into()),
+        ("delta_nnz", info.delta_nnz.into()),
+        ("pinned", info.pinned.into()),
+        ("quarantined", info.quarantined.into()),
+        ("panics", u64::from(info.panics).into()),
+    ]
+}
+
+/// A request's `"pool"` object: what it did to the shared workspace
+/// pool since `mark`, the `(hits, misses)` read before it ran.
+fn pool_since(state: &ServerState, mark: (u64, u64)) -> Json {
+    let misses = state.ws_pool.misses() - mark.1;
+    Json::obj(vec![
+        ("hits", (state.ws_pool.hits() - mark.0).into()),
+        ("misses", misses.into()),
+        ("warm", (misses == 0).into()),
+    ])
+}
+
+/// Kernel options of a served request: the server-wide workspace pool
+/// and busy-time recorder around the request's schedule and budget.
+fn exec_opts(
+    state: &ServerState,
+    schedule: RowSchedule,
+    deadline: Option<Instant>,
+) -> ExecOpts<'_> {
+    ExecOpts {
+        schedule,
+        ws_pool: Some(&state.ws_pool),
+        stats: Some(&state.exec_stats),
+        deadline,
+    }
+}
+
+/// Run `f` on a dedicated pool of `threads` workers, or — for `0`, the
+/// requests' default — on the process-wide pool.
+fn on_threads<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
+    if threads > 0 {
+        with_threads(threads, f)
+    } else {
+        f()
+    }
+}
+
+pub(crate) fn ping(state: &ServerState) -> OpResult {
+    Ok(ok_response(vec![
+        ("op", Json::str("ping")),
+        ("pong", true.into()),
+        ("version", Json::str(env!("CARGO_PKG_VERSION"))),
+        ("simd", Json::str(masked_spgemm::simd::level().name())),
+        ("uptime_s", state.started.elapsed().as_secs_f64().into()),
+        ("datasets", state.registry.len().into()),
+    ]))
+}
+
+/// `load`: returns the registry name the dataset landed under (the
+/// request may have left it to the path stem) next to the response.
+pub(crate) fn load(state: &ServerState, p: &LoadParams) -> Result<(String, Json), Reject> {
+    let config = &state.config;
+    let out = state
+        .registry
+        .load(
+            &p.path,
+            p.name.as_deref(),
+            &LoadOpts {
+                policy: p.cache.unwrap_or(config.cache),
+                parse_threads: p.parse_threads.unwrap_or(config.parse_threads),
+                mmap: p.mmap.unwrap_or(config.mmap),
+                pattern: p.pattern.unwrap_or(config.pattern),
+            },
+            p.pin,
+        )
+        .map_err(reg_err)?;
+    let m = &state.metrics;
+    m.counter("evictions_total", &[])
+        .add(out.evicted.len() as u64);
+    let ds = &out.ds;
+    let r = &ds.ingest;
+    // Absorb the IngestReport into the metrics registry: cumulative
+    // totals plus an ingest-latency histogram alongside the request one.
+    m.counter("ingest_bytes_total", &[]).add(r.bytes);
+    m.counter("ingest_entries_total", &[]).add(r.entries as u64);
+    m.histogram("ingest_latency_us", &[])
+        .record((r.seconds * 1e6) as u64);
+    let mut fields = vec![
+        ("op", Json::str("load")),
+        ("name", Json::str(&ds.name)),
+        ("path", Json::str(&ds.path)),
+        ("nrows", ds.matrix.nrows().into()),
+        ("ncols", ds.matrix.ncols().into()),
+        ("nnz", ds.matrix.nnz().into()),
+        ("adj_nnz", ds.adj.nnz().into()),
+    ];
+    fields.extend(residency(ds));
+    fields.extend([
+        ("pinned", p.pin.into()),
+        // Full disclosure: which datasets the memory budget pushed out
+        // to make room. Their next request gets a typed `evicted` error.
+        (
+            "evicted",
+            Json::Arr(out.evicted.iter().map(Json::str).collect()),
+        ),
+        (
+            "ingest",
+            Json::obj(vec![
+                ("outcome", Json::Str(format!("{:?}", r.outcome))),
+                ("bytes", r.bytes.into()),
+                ("entries", r.entries.into()),
+                ("seconds", r.seconds.into()),
+                ("mb_per_s", mb_per_s(r.bytes, r.seconds).into()),
+                ("pattern", r.pattern.into()),
+            ]),
+        ),
+    ]);
+    Ok((ds.name.clone(), ok_response(fields)))
+}
+
+pub(crate) fn list(state: &ServerState) -> OpResult {
+    let datasets: Vec<Json> = state
+        .registry
+        .list()
+        .iter()
+        .map(|info| {
+            let ds = &info.ds;
+            let mut row = vec![
+                ("name", Json::str(&ds.name)),
+                ("path", Json::str(&ds.path)),
+                ("nrows", ds.matrix.nrows().into()),
+                ("nnz", ds.matrix.nnz().into()),
+                ("adj_nnz", ds.adj.nnz().into()),
+            ];
+            row.extend(residency(ds));
+            row.push(("age_seconds", ds.loaded_at.elapsed().as_secs_f64().into()));
+            row.extend(health(info));
+            Json::obj(row)
+        })
+        .collect();
+    Ok(ok_response(vec![
+        ("op", Json::str("list")),
+        ("count", datasets.len().into()),
+        ("datasets", Json::Arr(datasets)),
+    ]))
+}
+
+pub(crate) fn unload(state: &ServerState, name: &str) -> OpResult {
+    state.registry.unload(name).map_err(reg_err)?;
+    Ok(ok_response(vec![
+        ("op", Json::str("unload")),
+        ("name", Json::str(name)),
+    ]))
+}
+
+/// Execute one decoded heavy request — the only way `mxm`, `app`, and
+/// `update` run. `deadline` and `fused_group` describe the kernel pass
+/// the request rides (for `mxm`: the loosest deadline among the riders
+/// and how many share the pass).
+pub(crate) fn execute(
+    state: &ServerState,
+    req: &HeavyRequest,
+    deadline: Option<Instant>,
+    fused_group: usize,
+) -> OpResult {
+    match &req.work {
+        Work::Mxm(p) => mxm(state, &req.dataset, p, deadline, fused_group),
+        Work::App(p) => app(state, &req.dataset, p),
+        Work::Update(p) => update(state, &req.dataset, p),
+    }
+}
+
+fn mxm(
+    state: &ServerState,
+    name: &str,
+    p: &MxmParams,
+    deadline: Option<Instant>,
+    fused_group: usize,
+) -> OpResult {
+    let ds = state.registry.get(name).map_err(reg_err)?;
+    let schedule = p.schedule.unwrap_or(state.config.schedule);
+    let opts = exec_opts(state, schedule, deadline);
+    let is_pull = p.algo == Algorithm::Inner;
+    let pool_mark = (state.ws_pool.hits(), state.ws_pool.misses());
+    let run_one = || -> Result<Csr<f64>, masked_spgemm::Error> {
+        if is_pull {
+            // The registry's pre-transposed operand: the pull scheme
+            // skips the per-call transpose entirely. (It has no row
+            // drive, so no phase-boundary deadline checks either — the
+            // budget is still enforced at admission and dequeue.)
+            masked_mxm_with_bt::<PlusTimesF64, ()>(
+                &ds.mask,
+                &ds.matrix,
+                &ds.matrix_t,
+                p.mode,
+                p.phases,
+            )
+        } else {
+            masked_mxm_with_opts::<PlusTimesF64, ()>(
+                &ds.mask, &ds.matrix, &ds.matrix, p.algo, p.mode, p.phases, &opts,
+            )
+        }
+    };
+    // Exactly `reps` kernel runs (decode clamps `reps >= 1`), no warm-up:
+    // a request costs what it asked for, and reports its best run.
+    let (secs, c) = on_threads(p.threads, || {
+        let mut best = f64::INFINITY;
+        let mut out = None;
+        for _ in 0..p.reps {
+            let t0 = Instant::now();
+            out = Some(run_one()?);
+            best = best.min(t0.elapsed().as_secs_f64());
+        }
+        Ok((best, out.expect("reps >= 1")))
+    })
+    .map_err(|e: masked_spgemm::Error| match e {
+        masked_spgemm::Error::DeadlineExceeded => (ErrorCode::DeadlineExceeded, e.to_string()),
+        other => (ErrorCode::ExecFailed, other.to_string()),
+    })?;
+    // The explicit pull path has no row drive and leases no workspaces;
+    // echoing a schedule or claiming a warm pool would be fiction.
+    let (schedule_echo, pool_echo) = if is_pull {
+        (Json::Null, Json::Null)
+    } else {
+        (Json::str(schedule.name()), pool_since(state, pool_mark))
+    };
+    Ok(ok_response(vec![
+        ("op", Json::str("mxm")),
+        ("dataset", Json::str(&ds.name)),
+        ("algo", Json::str(p.algo.name())),
+        (
+            "mask",
+            Json::str(match p.mode {
+                MaskMode::Mask => "normal",
+                MaskMode::Complement => "complement",
+            }),
+        ),
+        (
+            "phases",
+            Json::str(if p.phases == Phases::One { "1" } else { "2" }),
+        ),
+        ("schedule", schedule_echo),
+        ("threads", p.threads.into()),
+        ("reps", p.reps.into()),
+        ("seconds", secs.into()),
+        ("gflops", gflops(ds.mxm_flops, secs).into()),
+        ("nnz", c.nnz().into()),
+        (
+            "fingerprint",
+            Json::Str(format!("{:016x}", csr_fingerprint(&c))),
+        ),
+        // `fused_group` is how many requests shared the kernel pass;
+        // `fused` is the flag a client can switch on without comparing
+        // counts.
+        ("fused", (fused_group > 1).into()),
+        ("fused_group", fused_group.into()),
+        ("pool", pool_echo),
+    ]))
+}
+
+fn app(state: &ServerState, name: &str, p: &AppParams) -> OpResult {
+    let ds = state.registry.get(name).map_err(reg_err)?;
+    let schedule = p.schedule.unwrap_or(state.config.schedule);
+    // Apps run many chained passes and map kernel errors to panics
+    // (caught, like every executor panic, by the server's one
+    // `catch_unwind`); their deadline is enforced at admission and
+    // dequeue only.
+    let opts = exec_opts(state, schedule, None);
+    let pool_mark = (state.ws_pool.hits(), state.ws_pool.misses());
+    let run = || -> Result<Vec<(&'static str, Json)>, Reject> {
+        match p.app {
+            App::Tc => {
+                // Snapshot the dataset *with* its update bookkeeping: when
+                // cached per-row counts exist and the dataset has moved
+                // past them by a known edge batch, the masked-SpGEMM pass
+                // shrinks to the affected rows and patches the cache;
+                // otherwise (first request, or the edge log overflowed)
+                // every row is recounted and the cache stored fresh.
+                let snap = state.registry.tc_snapshot(name).map_err(reg_err)?;
+                let (perm, counts, secs, flops, patched) = match snap.cache {
+                    Some(cache) if cache.version < snap.version => {
+                        // Replay the *cached* relabeling against the
+                        // updated adjacency so the per-row counts stay
+                        // comparable across versions.
+                        let ops = tricount::prepare_with_perm(&snap.ds.adj, cache.perm);
+                        let rows = tricount::affected_rows(&ops, &snap.changed);
+                        let (patch, secs) =
+                            tricount::recount_rows_with(&ops, &rows, p.scheme, &opts);
+                        let mut counts = cache.counts;
+                        for &i in &rows {
+                            counts[i] = patch[i];
+                        }
+                        // A row-subset pass has no honest full-count FLOP
+                        // denominator.
+                        (ops.perm, counts, secs, None, Some(rows.len()))
+                    }
+                    _ => {
+                        let ops = snap.ds.tc_operands();
+                        let (counts, secs) =
+                            tricount::count_prepared_rows_with(&ops, p.scheme, &opts);
+                        (ops.perm.clone(), counts, secs, Some(ops.flops), None)
+                    }
+                };
+                let total: u64 = counts.iter().sum();
+                // The store is refused if another update landed while we
+                // counted; the response is still correct for the version
+                // we snapshotted.
+                let stored = state.registry.store_tc_cache(
+                    name,
+                    TcCache {
+                        perm,
+                        counts,
+                        total,
+                        version: snap.version,
+                    },
+                );
+                let mut fields = vec![
+                    ("triangles", total.into()),
+                    ("mxm_seconds", secs.into()),
+                    (
+                        "gflops",
+                        flops.map_or(Json::Null, |f| gflops(f, secs).into()),
+                    ),
+                    ("incremental", patched.is_some().into()),
+                ];
+                fields.extend(patched.map(|rows| ("patched_rows", rows.into())));
+                fields.push(("cached", stored.into()));
+                Ok(fields)
+            }
+            App::Ktruss => {
+                let r = ktruss::k_truss_with(&ds.adj, p.k, p.scheme, &opts);
+                Ok(vec![
+                    ("k", p.k.into()),
+                    ("iterations", r.iterations.into()),
+                    ("edges", r.truss.nnz().into()),
+                    ("mxm_seconds", r.mxm_seconds.into()),
+                    // k-truss has no incremental path: every request runs
+                    // against the live matrix from scratch.
+                    ("incremental", false.into()),
+                ])
+            }
+            App::Bc => {
+                let sources: Vec<usize> = (0..p.batch.min(ds.adj.nrows())).collect();
+                let r = bc::betweenness_with(&ds.adj, &sources, p.scheme, &opts);
+                Ok(vec![
+                    ("batch", sources.len().into()),
+                    ("depth", r.depth.into()),
+                    ("mxm_seconds", r.mxm_seconds.into()),
+                    ("total_seconds", r.total_seconds.into()),
+                    ("scores_sum", r.scores.iter().sum::<f64>().into()),
+                    // BC always recomputes in full, like k-truss.
+                    ("incremental", false.into()),
+                ])
+            }
+        }
+    };
+    let fields = on_threads(p.threads, run)?;
+    let mut out = vec![
+        ("op", Json::str("app")),
+        ("app", Json::str(p.app.name())),
+        ("dataset", Json::str(&ds.name)),
+        ("scheme", Json::Str(p.scheme.name())),
+        ("schedule", Json::str(schedule.name())),
+    ];
+    out.extend(fields);
+    out.push(("pool", pool_since(state, pool_mark)));
+    Ok(ok_response(out))
+}
+
+fn update(state: &ServerState, name: &str, p: &UpdateParams) -> OpResult {
+    let t0 = Instant::now();
+    let out = state
+        .registry
+        .update(name, &p.ops, p.compact, state.config.compact_after_nnz)
+        .map_err(reg_err)?;
+    let secs = t0.elapsed().as_secs_f64();
+    let ds = &out.ds;
+    let m = &state.metrics;
+    m.counter("updates_total", &[]).inc();
+    m.counter("updates_total", &[("dataset", &ds.name)]).inc();
+    if out.compacted {
+        m.counter("compactions_total", &[]).inc();
+    }
+    m.histogram("update_latency_us", &[])
+        .record((secs * 1e6) as u64);
+    Ok(ok_response(vec![
+        ("op", Json::str("update")),
+        ("dataset", Json::str(&ds.name)),
+        ("version", out.version.into()),
+        ("applied", out.applied.into()),
+        ("delta_nnz", out.delta_nnz.into()),
+        ("compacted", out.compacted.into()),
+        ("nrows", ds.matrix.nrows().into()),
+        ("nnz", ds.matrix.nnz().into()),
+        ("backend", Json::str(ds.backend().name())),
+        ("mapped_bytes", ds.mapped_bytes().into()),
+        ("seconds", secs.into()),
+    ]))
+}
+
+/// One reading of the state owned by other subsystems (registry
+/// residency over `resident`, `WsPool` counters, `ExecStats` busy spread,
+/// the admission queue), as named values. This table is the single
+/// source behind both the gauges a `metrics` scrape publishes — under
+/// these names — and the totals in a `stats` response, so the two never
+/// disagree about what they sample or how.
+fn readings(state: &ServerState, resident: &[DatasetInfo]) -> Vec<(&'static str, f64)> {
+    let sum = |f: fn(&DatasetInfo) -> u64| resident.iter().map(f).sum::<u64>() as f64;
+    let mut readings = vec![
+        ("uptime_seconds", state.started.elapsed().as_secs_f64()),
+        ("ws_pool_hits", state.ws_pool.hits() as f64),
+        ("ws_pool_misses", state.ws_pool.misses() as f64),
+        ("ws_pool_retained", state.ws_pool.retained() as f64),
+        ("scheduler_queued", state.scheduler.queued() as f64),
+        ("datasets_resident", resident.len() as f64),
+        ("resident_bytes", sum(|i| i.ds.mem_bytes())),
+        ("mapped_bytes", sum(|i| i.ds.mapped_bytes())),
+        // The unit arena is one process-wide allocation every pattern
+        // dataset views, so its resident cost is reported once, not
+        // summed per dataset (the per-dataset `unit_bytes` are view
+        // lengths).
+        (
+            "unit_arena_bytes",
+            mspgemm_sparse::unit_arena_bytes() as f64,
+        ),
+        ("datasets_quarantined", sum(|i| u64::from(i.quarantined))),
+        ("delta_nnz", sum(|i| i.delta_nnz as u64)),
+    ];
+    if let Some(sp) = busy_spread(&state.exec_stats.busy_seconds()) {
+        readings.push(("busy_threads", sp.threads as f64));
+        readings.push(("busy_max_over_mean", sp.ratio()));
+    }
+    readings
+}
+
+pub(crate) fn stats(state: &ServerState) -> OpResult {
+    // One registry listing for the rows AND the totals, so they always
+    // agree even when loads/unloads race this request.
+    let resident = state.registry.list();
+    let readings = readings(state, &resident);
+    let value = |name: &str| readings.iter().find(|(n, _)| *n == name).map(|r| r.1);
+    let read = |name: &str| value(name).map_or(Json::Null, Json::from);
+    let datasets: Vec<Json> = resident
+        .iter()
+        .map(|info| {
+            let mut row = vec![("name", Json::str(&info.ds.name))];
+            row.extend(residency(&info.ds));
+            row.extend(health(info));
+            Json::obj(row)
+        })
+        .collect();
+    // Active failpoints: empty in production, the injected-fault table
+    // under `--fail`/`MXM_FAILPOINTS` — so an operator puzzled by a
+    // misbehaving server can ask it whether the faults are intentional.
+    let failpoints: Vec<Json> = mspgemm_fault::active()
+        .into_iter()
+        .map(|(name, task)| Json::obj(vec![("name", Json::Str(name)), ("task", Json::Str(task))]))
+        .collect();
+    // Overall request-latency quantiles from the unlabeled histogram
+    // (the `metrics` verb has the per-verb and per-dataset series).
+    let lat = state
+        .metrics
+        .histogram("request_latency_us", &[])
+        .snapshot();
+    let total = |name| state.metrics.counter(name, &[]).get();
+    Ok(ok_response(vec![
+        ("op", Json::str("stats")),
+        ("uptime_seconds", read("uptime_seconds")),
+        ("requests", state.requests().into()),
+        ("requests_total", total("requests_total").into()),
+        ("errors_total", total("errors_total").into()),
+        (
+            "latency",
+            Json::obj(vec![
+                ("p50", (lat.quantile(0.50) as f64 / 1e6).into()),
+                ("p95", (lat.quantile(0.95) as f64 / 1e6).into()),
+                ("p99", (lat.quantile(0.99) as f64 / 1e6).into()),
+                ("count", lat.count.into()),
+            ]),
+        ),
+        ("simd", Json::str(masked_spgemm::simd::level().name())),
+        ("datasets", Json::Arr(datasets)),
+        ("total_mem_bytes", read("resident_bytes")),
+        ("total_mapped_bytes", read("mapped_bytes")),
+        ("unit_arena_bytes", read("unit_arena_bytes")),
+        (
+            "max_resident_bytes",
+            state.registry.max_resident_bytes().into(),
+        ),
+        ("failpoints", Json::Arr(failpoints)),
+        (
+            "scheduler",
+            Json::obj(vec![
+                ("workers", state.scheduler.workers().into()),
+                ("queue_depth", state.scheduler.depth().into()),
+                ("queued", read("scheduler_queued")),
+            ]),
+        ),
+        (
+            "pool",
+            Json::obj(vec![
+                ("hits", read("ws_pool_hits")),
+                ("misses", read("ws_pool_misses")),
+                ("retained", read("ws_pool_retained")),
+                (
+                    "hit_rate",
+                    match (value("ws_pool_hits"), value("ws_pool_misses")) {
+                        (Some(hits), Some(misses)) if hits + misses > 0.0 => {
+                            (hits / (hits + misses)).into()
+                        }
+                        _ => Json::Null,
+                    },
+                ),
+            ]),
+        ),
+        (
+            "busy",
+            match read("busy_threads") {
+                Json::Null => Json::Null,
+                threads => Json::obj(vec![
+                    ("threads", threads),
+                    ("max_over_mean", read("busy_max_over_mean")),
+                ]),
+            },
+        ),
+    ]))
+}
+
+/// Refresh the gauges that mirror state owned elsewhere, so every
+/// snapshot the `metrics` verb serves is current without those
+/// subsystems having to push on each change.
+pub(crate) fn publish_gauges(state: &ServerState) {
+    for (name, value) in readings(state, &state.registry.list()) {
+        state.metrics.gauge(name, &[]).set(value);
+    }
+    // SIMD level as an ordinal (0 = scalar, 1 = sse4.2, 2 = avx2), with
+    // the level name on the label so dashboards can show either form.
+    let simd = masked_spgemm::simd::level();
+    state
+        .metrics
+        .gauge("simd_level", &[("level", simd.name())])
+        .set(simd as u8 as f64);
+}
+
+fn series_fields(series: &Series) -> Vec<(&'static str, Json)> {
+    vec![
+        ("name", Json::str(&series.name)),
+        (
+            "labels",
+            Json::Obj(
+                series
+                    .labels
+                    .iter()
+                    .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
+                    .collect(),
+            ),
+        ),
+    ]
+}
+
+/// A counter or gauge entry: the series identity plus its `value`.
+fn scalar_json<V: Copy + Into<Json>>(entries: &[(Series, V)]) -> Json {
+    Json::Arr(
+        entries
+            .iter()
+            .map(|(series, value)| {
+                let mut fields = series_fields(series);
+                fields.push(("value", (*value).into()));
+                Json::obj(fields)
+            })
+            .collect(),
+    )
+}
+
+fn hist_json(series: &Series, h: &HistSnapshot) -> Json {
+    let mut fields = series_fields(series);
+    fields.extend([
+        ("count", h.count.into()),
+        ("sum", h.sum.into()),
+        ("max", h.max.into()),
+        ("mean", h.mean().into()),
+        ("p50", h.quantile(0.50).into()),
+        ("p95", h.quantile(0.95).into()),
+        ("p99", h.quantile(0.99).into()),
+        (
+            "buckets",
+            Json::Arr(
+                h.nonzero()
+                    .into_iter()
+                    .map(|(le, n)| Json::obj(vec![("le", le.into()), ("count", n.into())]))
+                    .collect(),
+            ),
+        ),
+    ]);
+    Json::obj(fields)
+}
+
+pub(crate) fn metrics(state: &ServerState, format: MetricsFormat) -> OpResult {
+    publish_gauges(state);
+    let snap = state.metrics.snapshot();
+    Ok(ok_response(match format {
+        MetricsFormat::Prometheus => vec![
+            ("op", Json::str("metrics")),
+            ("format", Json::str("prometheus")),
+            ("content_type", Json::str("text/plain; version=0.0.4")),
+            ("text", Json::Str(snap.to_prometheus())),
+        ],
+        MetricsFormat::Json => vec![
+            ("op", Json::str("metrics")),
+            ("format", Json::str("json")),
+            ("counters", scalar_json(&snap.counters)),
+            ("gauges", scalar_json(&snap.gauges)),
+            (
+                "histograms",
+                Json::Arr(
+                    snap.histograms
+                        .iter()
+                        .map(|(s, h)| hist_json(s, h))
+                        .collect(),
+                ),
+            ),
+        ],
+    }))
+}

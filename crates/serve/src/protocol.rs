@@ -17,8 +17,13 @@
 //! line cannot be resynchronized safely). Malformed JSON or a
 //! non-object request gets `bad_request` and the connection stays open.
 
-use crate::json::Json;
-use std::io::{BufRead, Read};
+use crate::json::{self, Json};
+use masked_spgemm::{Algorithm, MaskMode, Phases, RowSchedule};
+use mspgemm_graph::{App, Scheme};
+use mspgemm_io::CachePolicy;
+use mspgemm_sparse::overlay::DeltaOp;
+use mspgemm_sparse::Idx;
+use std::io::{BufRead, Read, Write};
 
 /// Upper bound on one request line, newline included. Every defined verb
 /// fits in well under a kilobyte; the megabyte of headroom is for long
@@ -90,6 +95,21 @@ impl ErrorCode {
     }
 }
 
+/// Why a request was refused: the typed code plus the human message.
+pub(crate) type Reject = (ErrorCode, String);
+
+fn bad(message: String) -> Reject {
+    (ErrorCode::BadRequest, message)
+}
+
+/// The refusal every request gets once shutdown has begun.
+pub(crate) fn shutting_down() -> Reject {
+    (
+        ErrorCode::ShuttingDown,
+        "server is shutting down".to_string(),
+    )
+}
+
 /// A successful response: `{"ok":true, ...fields}`.
 pub fn ok_response(fields: Vec<(&str, Json)>) -> Json {
     let mut pairs = vec![("ok", Json::Bool(true))];
@@ -158,44 +178,357 @@ pub fn read_frame(reader: &mut impl BufRead, cap: usize) -> std::io::Result<Fram
     }
 }
 
-/// Required string field of a request object, with `bad_request`-shaped
-/// error text when absent.
-pub fn req_str<'a>(req: &'a Json, field: &str) -> Result<&'a str, String> {
-    req.get(field)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("'{field}' must be a string"))
+/// Write one line — request or response — as a **single** `write_all` of
+/// `line + "\n"`, then flush. Every framed write in the crate goes
+/// through here: splitting the newline into its own write leaves a
+/// one-byte segment that Nagle's algorithm holds back until the peer's
+/// delayed ACK (~40 ms per exchange on an otherwise idle connection).
+pub(crate) fn write_line(writer: &mut impl Write, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
+    writer.flush()
 }
 
-/// Optional string field; `Err` when present with the wrong type.
-pub fn opt_str<'a>(req: &'a Json, field: &str) -> Result<Option<&'a str>, String> {
+/// Optional field of a request object, read through one of the `Json`
+/// `as_*` accessors: `None` when absent or `null`, `bad_request` naming
+/// the expected type when present with the wrong one.
+fn opt<'a, T>(
+    req: &'a Json,
+    field: &str,
+    get: impl Fn(&'a Json) -> Option<T>,
+    expected: &str,
+) -> Result<Option<T>, Reject> {
     match req.get(field) {
         None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_str()
+        Some(v) => get(v)
             .map(Some)
-            .ok_or_else(|| format!("'{field}' must be a string")),
+            .ok_or_else(|| bad(format!("'{field}' must be {expected}"))),
     }
 }
 
-/// Optional boolean field with a default; `Err` when present with the
-/// wrong type.
-pub fn opt_bool(req: &Json, field: &str, default: bool) -> Result<bool, String> {
-    match req.get(field) {
-        None | Some(Json::Null) => Ok(default),
-        Some(v) => v
-            .as_bool()
-            .ok_or_else(|| format!("'{field}' must be a boolean")),
+fn opt_str<'a>(req: &'a Json, field: &str) -> Result<Option<&'a str>, Reject> {
+    opt(req, field, Json::as_str, "a string")
+}
+
+fn req_str<'a>(req: &'a Json, field: &str) -> Result<&'a str, Reject> {
+    opt_str(req, field)?.ok_or_else(|| bad(format!("'{field}' must be a string")))
+}
+
+fn opt_bool(req: &Json, field: &str) -> Result<Option<bool>, Reject> {
+    opt(req, field, Json::as_bool, "a boolean")
+}
+
+fn opt_u64(req: &Json, field: &str, default: u64) -> Result<u64, Reject> {
+    Ok(opt(req, field, Json::as_u64, "a non-negative integer")?.unwrap_or(default))
+}
+
+/// Optional field parsed into any `FromStr` type, accepting both the
+/// string spelling and (for convenience) an integral number — so
+/// `"phases": 2` and `"phases": "2"` both work.
+fn opt_parse<T: std::str::FromStr<Err = String>>(
+    req: &Json,
+    field: &str,
+) -> Result<Option<T>, Reject> {
+    let parsed = match req.get(field) {
+        None | Some(Json::Null) => return Ok(None),
+        Some(Json::Str(s)) => s.parse(),
+        Some(v) => match v.as_u64() {
+            Some(n) => n.to_string().parse(),
+            None => return Err(bad(format!("'{field}' must be a string or integer"))),
+        },
+    };
+    parsed.map(Some).map_err(|e| bad(format!("'{field}': {e}")))
+}
+
+/// One request line, decoded once at the edge. Every layer behind the
+/// decode — routing, admission, the queue, the executors — works on
+/// these types; none of them sees the JSON again. Fields a request may
+/// leave to the server's configuration are `Option`s resolved where the
+/// verb executes.
+pub(crate) enum Request {
+    Ping,
+    Load(LoadParams),
+    List,
+    Unload(String),
+    /// `mxm` / `app` / `update`: kernel-sized work that goes through
+    /// admission.
+    Heavy(HeavyRequest),
+    Stats,
+    Metrics(MetricsFormat),
+    Shutdown,
+}
+
+pub(crate) struct LoadParams {
+    pub path: String,
+    pub name: Option<String>,
+    pub parse_threads: Option<usize>,
+    pub cache: Option<CachePolicy>,
+    pub mmap: Option<bool>,
+    pub pattern: Option<bool>,
+    pub pin: bool,
+}
+
+pub(crate) enum MetricsFormat {
+    Json,
+    Prometheus,
+}
+
+/// What the three heavy verbs share — the dataset they address and their
+/// execution budget — around the verb-specific [`Work`].
+pub(crate) struct HeavyRequest {
+    pub dataset: String,
+    /// `0` = no deadline.
+    pub deadline_ms: u64,
+    pub work: Work,
+}
+
+pub(crate) enum Work {
+    Mxm(MxmParams),
+    App(AppParams),
+    Update(UpdateParams),
+}
+
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) struct MxmParams {
+    pub algo: Algorithm,
+    pub mode: MaskMode,
+    pub phases: Phases,
+    pub schedule: Option<RowSchedule>,
+    pub threads: usize,
+    pub reps: usize,
+}
+
+pub(crate) struct AppParams {
+    pub app: App,
+    pub scheme: Scheme,
+    pub schedule: Option<RowSchedule>,
+    pub threads: usize,
+    pub k: usize,
+    pub batch: usize,
+}
+
+pub(crate) struct UpdateParams {
+    /// Inserts first, then deletes — a position named in both ends
+    /// deleted (last write wins in the overlay).
+    pub ops: Vec<DeltaOp<f64>>,
+    pub compact: bool,
+}
+
+impl HeavyRequest {
+    /// The metric label / wire name of the verb.
+    pub fn verb(&self) -> &'static str {
+        match self.work {
+            Work::Mxm(_) => "mxm",
+            Work::App(_) => "app",
+            Work::Update(_) => "update",
+        }
+    }
+
+    /// Fusion compatibility: two queued `mxm` requests ride one batch
+    /// when everything that shapes the kernel pass *except* the mask
+    /// mode agrees (the batch is partitioned by mode at execution, see
+    /// [`HeavyRequest::same_pass`]). `app` and `update` never fuse.
+    pub fn fuses_with(&self, other: &HeavyRequest) -> bool {
+        self.dataset == other.dataset
+            && matches!((&self.work, &other.work), (Work::Mxm(a), Work::Mxm(b))
+                if *a == MxmParams { mode: a.mode, ..*b })
+    }
+
+    /// Whether two requests are answered by the very same kernel pass:
+    /// fuse-compatible *and* agreeing on the mask mode.
+    pub fn same_pass(&self, other: &HeavyRequest) -> bool {
+        self.dataset == other.dataset
+            && matches!((&self.work, &other.work), (Work::Mxm(a), Work::Mxm(b)) if a == b)
     }
 }
 
-/// Optional non-negative integer field with a default.
-pub fn opt_u64(req: &Json, field: &str, default: u64) -> Result<u64, String> {
-    match req.get(field) {
-        None | Some(Json::Null) => Ok(default),
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| format!("'{field}' must be a non-negative integer")),
+/// Parse one request line into its JSON object — the crate's only
+/// `json::parse` of client input.
+pub(crate) fn parse_object(line: &str) -> Result<Json, Reject> {
+    match json::parse(line) {
+        Ok(v @ Json::Obj(_)) => Ok(v),
+        Ok(_) => Err(bad("request must be a JSON object".to_string())),
+        Err(e) => Err(bad(format!("invalid JSON: {e}"))),
     }
+}
+
+/// Decode a request object into its typed [`Request`], validating every
+/// field that can be judged without server state. Returns the verb label
+/// for the metrics (`"invalid"` without a usable `op`, `"unknown"` for
+/// an unrecognized one) alongside the verdict, so rejected requests are
+/// still counted under the verb they named.
+pub(crate) fn decode(req: &Json) -> (&'static str, Result<Request, Reject>) {
+    let Some(op) = req.get("op").and_then(Json::as_str) else {
+        return ("invalid", Err(bad("'op' must be a string".to_string())));
+    };
+    let heavy = |work: Result<Work, Reject>| -> Result<Request, Reject> {
+        Ok(Request::Heavy(HeavyRequest {
+            dataset: req_str(req, "dataset")?.to_string(),
+            deadline_ms: opt_u64(req, "deadline_ms", 0)?,
+            work: work?,
+        }))
+    };
+    match op {
+        "ping" => ("ping", Ok(Request::Ping)),
+        "load" => ("load", decode_load(req).map(Request::Load)),
+        "list" => ("list", Ok(Request::List)),
+        "unload" => (
+            "unload",
+            req_str(req, "name").map(|name| Request::Unload(name.to_string())),
+        ),
+        "mxm" => ("mxm", heavy(decode_mxm(req).map(Work::Mxm))),
+        "app" => ("app", heavy(decode_app(req).map(Work::App))),
+        "update" => ("update", heavy(decode_update(req).map(Work::Update))),
+        "stats" => ("stats", Ok(Request::Stats)),
+        "metrics" => ("metrics", decode_metrics(req).map(Request::Metrics)),
+        "shutdown" => ("shutdown", Ok(Request::Shutdown)),
+        other => (
+            "unknown",
+            Err((
+                ErrorCode::UnknownOp,
+                format!(
+                    "unknown op '{other}' (expected ping|load|list|unload|mxm|app|update|stats|metrics|shutdown)"
+                ),
+            )),
+        ),
+    }
+}
+
+fn decode_load(req: &Json) -> Result<LoadParams, Reject> {
+    Ok(LoadParams {
+        path: req_str(req, "path")?.to_string(),
+        name: opt_str(req, "name")?.map(str::to_string),
+        parse_threads: opt(req, "parse_threads", Json::as_u64, "a non-negative integer")?
+            .map(|n| n as usize),
+        cache: match opt_str(req, "cache")? {
+            None => None,
+            Some("readwrite") => Some(CachePolicy::ReadWrite),
+            Some("readonly") => Some(CachePolicy::ReadOnly),
+            Some("off") => Some(CachePolicy::Off),
+            Some(other) => {
+                return Err(bad(format!(
+                    "'cache' must be readwrite|readonly|off, got '{other}'"
+                )))
+            }
+        },
+        mmap: opt_bool(req, "mmap")?,
+        pattern: opt_bool(req, "pattern")?,
+        pin: opt_bool(req, "pin")?.unwrap_or(false),
+    })
+}
+
+fn decode_metrics(req: &Json) -> Result<MetricsFormat, Reject> {
+    match opt_str(req, "format")? {
+        None | Some("json") => Ok(MetricsFormat::Json),
+        Some("prometheus") => Ok(MetricsFormat::Prometheus),
+        Some(other) => Err(bad(format!(
+            "'format' must be json|prometheus, got '{other}'"
+        ))),
+    }
+}
+
+fn decode_mxm(req: &Json) -> Result<MxmParams, Reject> {
+    Ok(MxmParams {
+        algo: opt_parse(req, "algo")?.unwrap_or(Algorithm::Auto),
+        mode: opt_parse(req, "mask")?.unwrap_or(MaskMode::Mask),
+        phases: opt_parse(req, "phases")?.unwrap_or(Phases::One),
+        schedule: opt_parse(req, "schedule")?,
+        threads: opt_u64(req, "threads", 0)? as usize,
+        reps: opt_u64(req, "reps", 1)?.max(1) as usize,
+    })
+}
+
+fn decode_app(req: &Json) -> Result<AppParams, Reject> {
+    let p = AppParams {
+        app: opt_parse(req, "app")?.unwrap_or(App::Tc),
+        scheme: opt_parse(req, "scheme")?.unwrap_or(Scheme::Ours(Algorithm::Auto, Phases::One)),
+        schedule: opt_parse(req, "schedule")?,
+        threads: opt_u64(req, "threads", 0)? as usize,
+        k: opt_u64(req, "k", 4)? as usize,
+        batch: opt_u64(req, "batch", 16)? as usize,
+    };
+    if p.app == App::Ktruss && p.k < 3 {
+        return Err(bad(format!("k-truss needs k >= 3, got {}", p.k)));
+    }
+    if p.app == App::Bc && !p.scheme.supports_complement() {
+        return Err((
+            ErrorCode::ExecFailed,
+            format!(
+                "scheme {} cannot run BC (no complemented-mask support)",
+                p.scheme.name()
+            ),
+        ));
+    }
+    Ok(p)
+}
+
+/// The entries of an `update` request's `field` array, each checked to
+/// be an array of an accepted length (`shape` spells it for the error).
+fn tuples<'a>(
+    req: &'a Json,
+    field: &str,
+    lens: std::ops::RangeInclusive<usize>,
+    shape: &str,
+) -> Result<Vec<&'a [Json]>, Reject> {
+    let Some(v) = req.get(field) else {
+        return Ok(Vec::new());
+    };
+    let arr = v
+        .as_arr()
+        .ok_or_else(|| bad(format!("'{field}' must be an array of {shape}")))?;
+    arr.iter()
+        .enumerate()
+        .map(|(k, e)| {
+            e.as_arr()
+                .filter(|t| lens.contains(&t.len()))
+                .ok_or_else(|| bad(format!("'{field}'[{k}] must be {shape}")))
+        })
+        .collect()
+}
+
+/// The `"insert"` / `"delete"` arrays of an `update` request as one op
+/// batch, plus the `compact` flag.
+fn decode_update(req: &Json) -> Result<UpdateParams, Reject> {
+    fn idx(v: &Json, what: &str, k: usize) -> Result<Idx, Reject> {
+        v.as_u64()
+            .and_then(|n| Idx::try_from(n).ok())
+            .ok_or_else(|| {
+                bad(format!(
+                    "'{what}'[{k}] indices must be 32-bit integers >= 0"
+                ))
+            })
+    }
+    let compact = opt_bool(req, "compact")?.unwrap_or(false);
+    let mut ops = Vec::new();
+    let inserts = tuples(req, "insert", 2..=3, "[row, col] or [row, col, value]")?;
+    for (k, t) in inserts.into_iter().enumerate() {
+        let val = match t.get(2) {
+            None => 1.0,
+            Some(v) => v
+                .as_f64()
+                .ok_or_else(|| bad(format!("'insert'[{k}] value must be a number")))?,
+        };
+        ops.push(DeltaOp::Upsert {
+            row: idx(&t[0], "insert", k)?,
+            col: idx(&t[1], "insert", k)?,
+            val,
+        });
+    }
+    for (k, t) in tuples(req, "delete", 2..=2, "[row, col]")?
+        .into_iter()
+        .enumerate()
+    {
+        ops.push(DeltaOp::Delete {
+            row: idx(&t[0], "delete", k)?,
+            col: idx(&t[1], "delete", k)?,
+        });
+    }
+    if ops.is_empty() && !compact {
+        return Err(bad(
+            "'update' needs 'insert' and/or 'delete' ops (or 'compact': true)".to_string(),
+        ));
+    }
+    Ok(UpdateParams { ops, compact })
 }
 
 #[cfg(test)]
@@ -237,6 +570,23 @@ mod tests {
         exact.push(b'\n');
         let mut r = BufReader::new(&exact[..]);
         assert!(matches!(read_frame(&mut r, 100).unwrap(), Frame::Line(_)));
+    }
+
+    #[test]
+    fn fusion_ignores_the_mask_mode_and_nothing_else() {
+        let heavy = |line: &str| match decode(&parse_object(line).unwrap()).1 {
+            Ok(Request::Heavy(h)) => h,
+            _ => panic!("{line} must decode as a heavy request"),
+        };
+        let normal = heavy(r#"{"op":"mxm","dataset":"g","algo":"hash"}"#);
+        let comp = heavy(r#"{"op":"mxm","dataset":"g","algo":"hash","mask":"complement"}"#);
+        assert!(normal.fuses_with(&comp) && !normal.same_pass(&comp));
+        assert!(normal.same_pass(&heavy(r#"{"op":"mxm","dataset":"g","algo":"hash"}"#)));
+        assert!(!normal.fuses_with(&heavy(r#"{"op":"mxm","dataset":"h","algo":"hash"}"#)));
+        assert!(!normal.fuses_with(&heavy(r#"{"op":"mxm","dataset":"g","algo":"msa"}"#)));
+        assert!(!normal.fuses_with(&heavy(r#"{"op":"mxm","dataset":"g","reps":2}"#)));
+        let tc = heavy(r#"{"op":"app","dataset":"g"}"#);
+        assert!(!tc.fuses_with(&heavy(r#"{"op":"app","dataset":"g"}"#)));
     }
 
     #[test]

@@ -54,11 +54,9 @@
 //! loses cleanly: the removed entry stays removed and the caller gets
 //! [`RegistryError::NotFound`].
 
-use masked_spgemm::Error as MxmError;
 use mspgemm_graph::tricount::{self, TcOperands};
 use mspgemm_io::{
-    dataset_name, load_matrix_opts, to_adjacency, AdjacencyStats, IngestReport, LoadOpts,
-    MsbBackend,
+    dataset_name, load_matrix_opts, to_adjacency, IngestReport, LoadOpts, MsbBackend,
 };
 use mspgemm_sparse::overlay::{DeltaOp, Overlay};
 use mspgemm_sparse::{transpose, Csr, Idx};
@@ -68,14 +66,6 @@ use std::sync::{
     Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
 use std::time::Instant;
-
-/// Approximate resident bytes of one CSR: row pointers (`usize`), column
-/// indices (`u32`), and values.
-pub fn csr_mem_bytes<T>(a: &Csr<T>) -> u64 {
-    (std::mem::size_of_val(a.rowptr())
-        + std::mem::size_of_val(a.colidx())
-        + std::mem::size_of_val(a.values())) as u64
-}
 
 /// One resident dataset: the loaded matrix plus every derived operand the
 /// request handlers reuse across calls.
@@ -95,8 +85,6 @@ pub struct Dataset {
     /// Normalized simple undirected adjacency (symmetric pattern, no
     /// self-loops, unit weights) — the application operand.
     pub adj: Csr<f64>,
-    /// What [`to_adjacency`] changed while normalizing.
-    pub adj_stats: AdjacencyStats,
     /// FLOP count (2 × multiplies) of the unmasked `matrix·matrix`
     /// product — the `mxm` verb's GFLOPS denominator, computed once here
     /// rather than per request (it is a constant of the dataset).
@@ -149,7 +137,7 @@ impl Dataset {
     ) -> Dataset {
         let mask = matrix.pattern();
         let mut matrix_t = transpose(&matrix);
-        let (mut adj, adj_stats) = to_adjacency(&matrix);
+        let (mut adj, _) = to_adjacency(&matrix);
         if matrix.values_unit_shared() {
             // Pattern-loaded base: the transpose and the normalized
             // adjacency are all-ones too, so point their value sections at
@@ -166,7 +154,6 @@ impl Dataset {
             mask,
             matrix_t,
             adj,
-            adj_stats,
             mxm_flops,
             ingest,
             loaded_at,
@@ -296,11 +283,6 @@ impl std::fmt::Display for RegistryError {
             RegistryError::OutOfBounds(msg) => write!(f, "{msg}"),
         }
     }
-}
-
-/// Convert a kernel-layer error for protocol reporting.
-pub fn mxm_error_message(e: MxmError) -> String {
-    e.to_string()
 }
 
 /// One registry slot: the dataset plus its health and usage state. The
@@ -490,7 +472,7 @@ fn write_map(l: &RwLock<HashMap<String, Entry>>) -> RwLockWriteGuard<'_, HashMap
     l.write().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn lock_dyn(m: &Mutex<DynState>) -> MutexGuard<'_, DynState> {
+fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -515,12 +497,6 @@ impl Registry {
 
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
-    }
-
-    fn lock_tombstones(&self) -> MutexGuard<'_, HashSet<String>> {
-        self.tombstones
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Load a dataset and insert it under its name, evicting
@@ -566,7 +542,7 @@ impl Registry {
             },
         );
         drop(map);
-        let mut tombs = self.lock_tombstones();
+        let mut tombs = relock(&self.tombstones);
         tombs.remove(&key);
         for name in &evicted {
             tombs.insert(name.clone());
@@ -613,42 +589,32 @@ impl Registry {
         }
     }
 
-    /// Look up a resident dataset, refreshing its LRU stamp. Quarantined
-    /// and evicted datasets answer their typed errors.
-    pub fn get(&self, name: &str) -> Result<Arc<Dataset>, RegistryError> {
-        {
-            let map = read_map(&self.map);
-            if let Some(e) = map.get(name) {
-                if e.quarantined.load(Ordering::Relaxed) {
-                    return Err(RegistryError::Quarantined(name.to_string()));
-                }
-                e.last_used.store(self.now_ns(), Ordering::Relaxed);
-                return Ok(e.ds.clone());
+    /// Resolve a live entry, refreshing its LRU stamp. Quarantined and
+    /// evicted datasets answer their typed errors.
+    fn resolve<T>(&self, name: &str, pick: impl FnOnce(&Entry) -> T) -> Result<T, RegistryError> {
+        if let Some(e) = read_map(&self.map).get(name) {
+            if e.quarantined.load(Ordering::Relaxed) {
+                return Err(RegistryError::Quarantined(name.to_string()));
             }
+            e.last_used.store(self.now_ns(), Ordering::Relaxed);
+            return Ok(pick(e));
         }
-        if self.lock_tombstones().contains(name) {
+        if relock(&self.tombstones).contains(name) {
             return Err(RegistryError::Evicted(name.to_string()));
         }
         Err(RegistryError::NotFound(name.to_string()))
     }
 
+    /// Look up a resident dataset, refreshing its LRU stamp. Quarantined
+    /// and evicted datasets answer their typed errors.
+    pub fn get(&self, name: &str) -> Result<Arc<Dataset>, RegistryError> {
+        self.resolve(name, |e| e.ds.clone())
+    }
+
     /// Fetch a dataset's dynamic state for an update-path operation,
     /// answering the same typed errors as [`Registry::get`].
     fn dynamics_of(&self, name: &str) -> Result<Arc<Mutex<DynState>>, RegistryError> {
-        {
-            let map = read_map(&self.map);
-            if let Some(e) = map.get(name) {
-                if e.quarantined.load(Ordering::Relaxed) {
-                    return Err(RegistryError::Quarantined(name.to_string()));
-                }
-                e.last_used.store(self.now_ns(), Ordering::Relaxed);
-                return Ok(e.dynamics.clone());
-            }
-        }
-        if self.lock_tombstones().contains(name) {
-            return Err(RegistryError::Evicted(name.to_string()));
-        }
-        Err(RegistryError::NotFound(name.to_string()))
+        self.resolve(name, |e| e.dynamics.clone())
     }
 
     /// Apply an edge batch to a resident dataset.
@@ -678,7 +644,7 @@ impl Registry {
         compact_after_nnz: u64,
     ) -> Result<UpdateOutcome, RegistryError> {
         let dynamics = self.dynamics_of(name)?;
-        let mut st = lock_dyn(&dynamics);
+        let mut st = relock(&dynamics);
         st.overlay
             .apply_batch(ops)
             .map_err(RegistryError::OutOfBounds)?;
@@ -735,7 +701,7 @@ impl Registry {
         // Lock dynamics *before* fetching the dataset (dynamics → map is
         // the established order): no update can swap a newer matrix in
         // between reading `ds` and reading `version`.
-        let st = lock_dyn(&dynamics);
+        let st = relock(&dynamics);
         let ds = self.get(name)?;
         let usable = !st.log_overflow
             && st
@@ -763,7 +729,7 @@ impl Registry {
         let Ok(dynamics) = self.dynamics_of(name) else {
             return false;
         };
-        let mut st = lock_dyn(&dynamics);
+        let mut st = relock(&dynamics);
         if st.version != cache.version {
             return false;
         }
@@ -799,10 +765,10 @@ impl Registry {
     /// an `evicted` tombstone (the name reverts to `unknown_dataset`).
     pub fn unload(&self, name: &str) -> Result<(), RegistryError> {
         if write_map(&self.map).remove(name).is_some() {
-            self.lock_tombstones().remove(name);
+            relock(&self.tombstones).remove(name);
             return Ok(());
         }
-        if self.lock_tombstones().remove(name) {
+        if relock(&self.tombstones).remove(name) {
             return Ok(());
         }
         Err(RegistryError::NotFound(name.to_string()))
@@ -829,7 +795,7 @@ impl Registry {
         let mut v: Vec<DatasetInfo> = snap
             .into_iter()
             .map(|(ds, dynamics, pinned, quarantined, panics)| {
-                let dy = lock_dyn(&dynamics);
+                let dy = relock(&dynamics);
                 DatasetInfo {
                     ds,
                     pinned,
@@ -1195,52 +1161,6 @@ mod tests {
         ));
         let snap = reg.tc_snapshot("t").unwrap();
         assert!(snap.changed.is_empty());
-        std::fs::remove_file(&mtx).ok();
-    }
-
-    #[test]
-    fn unload_racing_update_swap_leaves_registry_consistent() {
-        // The registry-level half of the race regression: unload lands in
-        // the window between an update's rebuild and its swap. The typed
-        // failure and the absent entry are the contract; the live-socket
-        // version drives the same window through the server.
-        let dir = fixture_dir();
-        let mtx = dir.join("race.mtx");
-        write_graph(&mtx);
-        let reg = Arc::new(Registry::new());
-        reg.load(mtx.to_str().unwrap(), Some("r"), &off_opts(), false)
-            .unwrap();
-        let reg2 = reg.clone();
-        std::thread::scope(|s| {
-            let updater = s.spawn(move || {
-                // Delay in the swap window so the unload below wins.
-                mspgemm_fault::configure("serve.update.swap=1*delay(150)").unwrap();
-                reg2.update(
-                    "r",
-                    &[DeltaOp::Upsert {
-                        row: 1,
-                        col: 2,
-                        val: 1.0,
-                    }],
-                    true,
-                    0,
-                )
-            });
-            std::thread::sleep(std::time::Duration::from_millis(50));
-            reg.unload("r").unwrap();
-            let res = updater.join().unwrap();
-            assert!(
-                matches!(res, Err(RegistryError::NotFound(_))),
-                "late swap must lose: {res:?}"
-            );
-        });
-        mspgemm_fault::clear();
-        assert!(reg.is_empty(), "unload is not resurrected by the late swap");
-        assert!(matches!(reg.get("r"), Err(RegistryError::NotFound(_))));
-        // The name is immediately reloadable and healthy.
-        reg.load(mtx.to_str().unwrap(), Some("r"), &off_opts(), false)
-            .unwrap();
-        assert_eq!(reg.list()[0].version, 0);
         std::fs::remove_file(&mtx).ok();
     }
 

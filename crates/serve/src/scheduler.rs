@@ -13,11 +13,12 @@
 //! instead of stacking unbounded work behind a shared thread pool.
 //!
 //! The waiting room is also where **fusion** happens: when a worker pops
-//! a `mxm` job it drains every queued job with the same fuse key (same
-//! dataset, algorithm, phases, schedule, threads, reps — everything but
-//! the mask mode) and executes them as one batch, sharing a single
-//! kernel pass per distinct mask mode. The batch assembly lives here;
-//! the execution and fan-out live in [`crate::server`].
+//! a `mxm` job it drains every queued job it fuses with (same dataset,
+//! algorithm, phases, schedule, threads, reps — everything but the mask
+//! mode, see [`HeavyRequest::fuses_with`]) and executes them as one
+//! batch, sharing a single kernel pass per distinct mask mode. The batch
+//! assembly lives here; the execution and fan-out live in
+//! [`crate::server`].
 //!
 //! Workers hold a `Weak` reference to the shared [`ServerState`], so
 //! dropping the last server handle tears the scheduler down: `Drop`
@@ -34,7 +35,7 @@
 //! for the rest of the process lifetime.
 
 use crate::json::Json;
-use crate::protocol::{err_response, ErrorCode};
+use crate::protocol::{err_response, shutting_down, HeavyRequest};
 use crate::server::ServerState;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,15 +52,8 @@ const RETRY_AFTER_MS: (u64, u64) = (10, 5_000);
 /// One admitted unit of heavy work, parked in the queue until an
 /// executor worker claims it.
 pub(crate) struct Job {
-    /// Metric label: `"mxm"` or `"app"`.
-    pub verb: &'static str,
-    /// The full request object (the `app` path re-reads its fields).
-    pub req: Json,
-    /// Fusion compatibility key for `mxm` jobs (everything but the mask
-    /// mode); `None` never fuses.
-    pub fuse_key: Option<String>,
-    /// Dataset label for the per-dataset latency series.
-    pub dataset: Option<String>,
+    /// The decoded request: verb, dataset, and typed parameters.
+    pub request: HeavyRequest,
     /// When the request line was read off the socket; the worker charges
     /// `received → execution start` to the `queue_wait_us` histogram.
     pub received: Instant,
@@ -75,6 +69,14 @@ impl Job {
     /// Whether the job's deadline has already passed.
     pub fn expired(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)
+    }
+
+    /// Answer a job that will never run: the queue closed under it.
+    /// Every job gets its one response, so no connection thread is left
+    /// parked on its reply channel.
+    fn refuse(self) {
+        let (code, message) = shutting_down();
+        let _ = self.reply.send(err_response(code, message));
     }
 }
 
@@ -217,33 +219,24 @@ impl Drop for Scheduler {
             q.jobs.drain(..).collect()
         };
         self.shared.cv.notify_all();
-        // Every queued job still gets its one response; a connection
-        // thread parked on the reply channel wakes instead of hanging.
-        for job in leftovers {
-            let _ = job.reply.send(err_response(
-                ErrorCode::ShuttingDown,
-                "server is shutting down",
-            ));
-        }
+        leftovers.into_iter().for_each(Job::refuse);
     }
 }
 
 /// Claim the next batch: the queue's front job plus every queued job
-/// sharing its fuse key (capped at [`MAX_FUSE`]). Returns `None` when
-/// the queue closed.
+/// that fuses with it (capped at [`MAX_FUSE`]). Returns `None` when the
+/// queue closed.
 fn next_batch(shared: &Shared) -> Option<Vec<Job>> {
     let mut q = lock_queue(shared);
     loop {
         if let Some(first) = q.jobs.pop_front() {
             let mut batch = vec![first];
-            if let Some(key) = batch[0].fuse_key.clone() {
-                let mut i = 0;
-                while i < q.jobs.len() && batch.len() < MAX_FUSE {
-                    if q.jobs[i].fuse_key.as_deref() == Some(key.as_str()) {
-                        batch.push(q.jobs.remove(i).expect("index in bounds"));
-                    } else {
-                        i += 1;
-                    }
+            let mut i = 0;
+            while i < q.jobs.len() && batch.len() < MAX_FUSE {
+                if batch[0].request.fuses_with(&q.jobs[i].request) {
+                    batch.push(q.jobs.remove(i).expect("index in bounds"));
+                } else {
+                    i += 1;
                 }
             }
             return Some(batch);
@@ -300,12 +293,7 @@ fn worker_loop(shared: Arc<Shared>, state: Weak<ServerState>) {
     while let Some(batch) = next_batch(&shared) {
         let Some(st) = state.upgrade() else {
             // The server is gone mid-teardown; answer rather than drop.
-            for job in batch {
-                let _ = job.reply.send(err_response(
-                    ErrorCode::ShuttingDown,
-                    "server is shutting down",
-                ));
-            }
+            batch.into_iter().for_each(Job::refuse);
             return;
         };
         // Failpoint `serve.exec.delay`: a slow executor (chaos suites
@@ -320,15 +308,22 @@ fn worker_loop(shared: Arc<Shared>, state: Weak<ServerState>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{decode, parse_object, Request, Work};
 
+    /// A `mxm` job against dataset `key` (jobs sharing it fuse), or —
+    /// for `None` — an `app` job, which never fuses.
     fn job(key: Option<&str>) -> (Job, mpsc::Receiver<Json>) {
+        let line = match key {
+            Some(ds) => format!(r#"{{"op":"mxm","dataset":"{ds}"}}"#),
+            None => r#"{"op":"app","dataset":"g"}"#.to_string(),
+        };
+        let Ok(Request::Heavy(request)) = decode(&parse_object(&line).unwrap()).1 else {
+            panic!("{line} must decode as a heavy request");
+        };
         let (tx, rx) = mpsc::channel();
         (
             Job {
-                verb: "mxm",
-                req: Json::obj(vec![]),
-                fuse_key: key.map(str::to_string),
-                dataset: None,
+                request,
                 received: Instant::now(),
                 deadline: None,
                 reply: tx,
@@ -373,12 +368,12 @@ mod tests {
         assert!(matches!(s.submit(none), Admission::Enqueued));
         let batch = next_batch(&s.shared).unwrap();
         assert_eq!(batch.len(), 2, "both k1 jobs fuse");
-        assert!(batch.iter().all(|j| j.fuse_key.as_deref() == Some("k1")));
+        assert!(batch.iter().all(|j| j.request.dataset == "k1"));
         let batch = next_batch(&s.shared).unwrap();
         assert_eq!(batch.len(), 1, "k2 stays alone");
         let batch = next_batch(&s.shared).unwrap();
         assert_eq!(batch.len(), 1, "keyless jobs never fuse");
-        assert!(batch[0].fuse_key.is_none());
+        assert!(matches!(batch[0].request.work, Work::App(_)));
     }
 
     #[test]

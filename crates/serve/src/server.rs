@@ -1,5 +1,5 @@
 //! The server: listener setup, per-connection threads, and the request
-//! handlers that execute protocol verbs against the shared state.
+//! lifecycle — **decode → route → admit → execute → record → write**.
 //!
 //! One [`ServerState`] is shared by every connection: the dataset
 //! [`Registry`] behind its `RwLock`, one [`WsPool`] so accumulator
@@ -9,43 +9,38 @@
 //! the process-wide persistent worker pool (the rayon layer), so steady
 //! state spawns no threads either.
 //!
-//! The accept loop runs on its own thread; each accepted connection gets
-//! a handler thread that loops over request lines until EOF, an oversized
-//! payload, or `shutdown`. Connection threads do **not** execute heavy
-//! verbs themselves: `mxm`, `app`, and `update` requests are validated at
-//! admission
-//! and handed to the scheduler's bounded queue, where a fixed
-//! pool of executor workers (`--max-inflight`) drains them — so
-//! concurrency is a policy knob, overload is answered with a typed
-//! `busy` + `retry_after_ms` instead of unbounded queueing, queued
-//! requests that differ only by mask mode fuse into one kernel pass, and
-//! `deadline_ms` budgets cancel expired work before its numeric phase.
-//! Light verbs (ping, list, stats, metrics, load, …) still run inline on
-//! the connection thread.
+//! The accept loop runs on its own thread; each accepted connection — TCP
+//! or Unix, one generic body — gets a handler thread that loops over
+//! request lines until EOF, an oversized payload, or `shutdown`. Each
+//! line is decoded **once** into a typed `Request` ([`crate::protocol`]);
+//! light verbs (ping, list, stats, metrics, load, …) then run inline on
+//! the connection thread, while the heavy verbs (`mxm`, `app`, `update`)
+//! are resolved against the registry and handed to the scheduler's
+//! bounded queue, where a fixed pool of executor workers
+//! (`--max-inflight`) drains them — so concurrency is a policy knob,
+//! overload is answered with a typed `busy` + `retry_after_ms` instead of
+//! unbounded queueing, queued requests that differ only by mask mode fuse
+//! into one kernel pass, and `deadline_ms` budgets cancel expired work
+//! before its numeric phase. All three heavy verbs share one execute path
+//! (`execute_batch`) holding the crate's only `catch_unwind`; what each
+//! verb computes lives in `crate::ops`.
 //!
 //! Shutdown is cooperative: the flag flips, the accept loop is woken by
 //! a self-connection, and in-flight requests finish their response
 //! before the process exits.
 
-use crate::json::{self, Json};
+use crate::json::Json;
+use crate::ops::{self, reg_err, OpResult};
 use crate::protocol::{
-    err_response, err_response_with, ok_response, opt_bool, opt_str, opt_u64, read_frame, req_str,
-    ErrorCode, Frame, MAX_REQUEST_BYTES,
+    self, err_response, err_response_with, read_frame, write_line, ErrorCode, Frame, HeavyRequest,
+    Request, MAX_REQUEST_BYTES,
 };
-use crate::registry::{Dataset, Registry, RegistryError, TcCache};
+use crate::registry::Registry;
 use crate::scheduler::{Admission, Job, Scheduler};
-use masked_spgemm::{
-    masked_mxm_with_bt, masked_mxm_with_opts, Algorithm, ExecOpts, ExecStats, MaskMode, Phases,
-    RowSchedule, WsPool,
-};
-use mspgemm_graph::{bc, ktruss, tricount, App, Scheme};
-use mspgemm_harness::{busy_spread, csr_fingerprint, gflops, mb_per_s, time_best, with_threads};
+use masked_spgemm::{ExecStats, RowSchedule, WsPool};
 use mspgemm_io::{CachePolicy, LoadOpts};
-use mspgemm_obs::{HistSnapshot, MetricsRegistry, Series};
-use mspgemm_sparse::overlay::DeltaOp;
-use mspgemm_sparse::semiring::PlusTimesF64;
-use mspgemm_sparse::{Csr, Idx};
-use std::io::{BufRead, BufReader, Write};
+use mspgemm_obs::MetricsRegistry;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -139,8 +134,8 @@ pub struct ServerState {
     /// The admission queue feeding the executor workers; heavy verbs go
     /// through here, light verbs bypass it.
     pub(crate) scheduler: Scheduler,
-    config: ServeConfig,
-    started: Instant,
+    pub(crate) config: ServeConfig,
+    pub(crate) started: Instant,
     requests: AtomicU64,
     /// Requests currently between line-read and response-flush; shutdown
     /// drains this to zero before the process exits.
@@ -189,11 +184,20 @@ impl ServerState {
         self.shutting_down.load(Ordering::SeqCst)
     }
 
+    /// Flip the shutdown flag and poke the listener so a blocked `accept`
+    /// observes it.
     fn begin_shutdown(&self) {
         self.shutting_down.store(true, Ordering::SeqCst);
+        let Some(addr) = self.addr.get() else { return };
+        match addr.strip_prefix("unix:") {
+            #[cfg(unix)]
+            Some(path) => drop(UnixStream::connect(path)),
+            _ => drop(TcpStream::connect(addr)),
+        }
     }
 
-    /// Requests handled so far (including ones answered with an error).
+    /// Valid JSON requests handled so far (including ones answered with
+    /// an error).
     pub fn requests(&self) -> u64 {
         self.requests.load(Ordering::Relaxed)
     }
@@ -207,40 +211,53 @@ pub struct Server {
     accept: Option<std::thread::JoinHandle<()>>,
 }
 
-enum Binding {
-    Tcp(TcpListener),
-    #[cfg(unix)]
-    Unix(UnixListener, std::path::PathBuf),
-}
-
 impl Server {
     /// Bind `listen` and start accepting. `listen` is either a TCP
     /// address (`127.0.0.1:7654`, port `0` picks a free one) or
     /// `unix:/path/to.sock`.
     pub fn start(listen: &str, config: ServeConfig) -> Result<Server, String> {
         let state = ServerState::new(config);
-        let (binding, addr) = if let Some(path) = listen.strip_prefix("unix:") {
-            #[cfg(unix)]
-            {
-                let l = UnixListener::bind(path).map_err(|e| format!("bind {listen}: {e}"))?;
-                (Binding::Unix(l, path.into()), listen.to_string())
-            }
-            #[cfg(not(unix))]
-            {
-                return Err(format!(
-                    "bind {listen}: unix sockets are not supported on this platform"
-                ));
-            }
-        } else {
-            let l = TcpListener::bind(listen).map_err(|e| format!("bind {listen}: {e}"))?;
-            let local = l.local_addr().map_err(|e| e.to_string())?;
-            (Binding::Tcp(l), local.to_string())
-        };
-        state.addr.set(addr).unwrap();
         let st = state.clone();
+        let bind_err = |e: std::io::Error| format!("bind {listen}: {e}");
+        // Bind here (errors go to the caller); the returned closure is the
+        // accept thread's body.
+        let (addr, serve): (String, Box<dyn FnOnce() + Send>) =
+            if let Some(path) = listen.strip_prefix("unix:") {
+                #[cfg(unix)]
+                {
+                    let l = UnixListener::bind(path).map_err(bind_err)?;
+                    let path = std::path::PathBuf::from(path);
+                    let serve = move || {
+                        accept_loop(&st, || l.accept().map(|(stream, _)| stream));
+                        std::fs::remove_file(&path).ok();
+                    };
+                    (listen.to_string(), Box::new(serve))
+                }
+                #[cfg(not(unix))]
+                {
+                    return Err(format!(
+                        "bind {listen}: unix sockets are not supported on this platform"
+                    ));
+                }
+            } else {
+                let l = TcpListener::bind(listen).map_err(bind_err)?;
+                let local = l.local_addr().map_err(bind_err)?;
+                // Responses are single small writes; with Nagle on, each
+                // would sit out the peer's delayed ACK.
+                let accept = move || {
+                    let (stream, _) = l.accept()?;
+                    stream.set_nodelay(true)?;
+                    Ok(stream)
+                };
+                (
+                    local.to_string(),
+                    Box::new(move || accept_loop(&st, accept)),
+                )
+            };
+        state.addr.set(addr).unwrap();
         let accept = std::thread::Builder::new()
             .name("mxm-serve-accept".into())
-            .spawn(move || accept_loop(st, binding))
+            .spawn(serve)
             .map_err(|e| e.to_string())?;
         Ok(Server {
             state,
@@ -264,22 +281,19 @@ impl Server {
     /// operator named them on the command line, so the memory budget
     /// never evicts them in favor of an ad-hoc `load`.
     pub fn preload(&self, paths: &[String]) -> Result<Vec<String>, String> {
+        let config = &self.state.config;
+        let opts = LoadOpts {
+            policy: config.cache,
+            parse_threads: config.parse_threads,
+            mmap: config.mmap,
+            pattern: config.pattern,
+        };
         paths
             .iter()
             .map(|p| {
                 self.state
                     .registry
-                    .load(
-                        p,
-                        None,
-                        &LoadOpts {
-                            policy: self.state.config.cache,
-                            parse_threads: self.state.config.parse_threads,
-                            mmap: self.state.config.mmap,
-                            pattern: self.state.config.pattern,
-                        },
-                        true,
-                    )
+                    .load(p, None, &opts, true)
                     .map(|out| out.ds.name.clone())
                     .map_err(|e| e.to_string())
             })
@@ -290,33 +304,28 @@ impl Server {
     /// requests. Idempotent.
     pub fn shutdown(&mut self) {
         self.state.begin_shutdown();
-        if let Some(addr) = self.state.addr.get() {
-            wake(addr);
-        }
-        if let Some(h) = self.accept.take() {
-            h.join().ok();
-        }
-        drain_in_flight(&self.state);
+        self.join();
     }
 
     /// Block until a `shutdown` request stops the server, then until
     /// every in-flight request has flushed its response.
     pub fn wait(mut self) {
+        self.join();
+    }
+
+    /// Join the accept thread, then drain. Connection handler threads
+    /// are detached (an idle connection parked on a read would block a
+    /// join forever), so shutdown instead waits for the *requests*
+    /// currently executing — kernels always terminate — and lets idle
+    /// connections die with the process, their responses long since
+    /// flushed.
+    fn join(&mut self) {
         if let Some(h) = self.accept.take() {
             h.join().ok();
         }
-        drain_in_flight(&self.state);
-    }
-}
-
-/// Connection handler threads are detached (an idle connection parked on
-/// a read would block a join forever), so shutdown instead waits for the
-/// *requests* currently executing — kernels always terminate — and lets
-/// idle connections die with the process, their responses long since
-/// flushed.
-fn drain_in_flight(state: &ServerState) {
-    while state.active.load(Ordering::SeqCst) > 0 {
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        while self.state.active.load(Ordering::SeqCst) > 0 {
+            std::thread::sleep(Duration::from_millis(2));
+        }
     }
 }
 
@@ -326,63 +335,29 @@ impl Drop for Server {
     }
 }
 
-/// Poke the listener so a blocked `accept` observes the shutdown flag.
-fn wake(addr: &str) {
-    if let Some(_path) = addr.strip_prefix("unix:") {
-        #[cfg(unix)]
-        {
-            let _ = UnixStream::connect(_path);
+/// The accept loop of either transport: `accept` yields the next
+/// connection's stream, which is both halves of the conversation
+/// (`&TcpStream` / `&UnixStream` read and write).
+fn accept_loop<S>(state: &Arc<ServerState>, accept: impl Fn() -> std::io::Result<S>)
+where
+    S: Send + 'static,
+    for<'a> &'a S: Read + Write,
+{
+    loop {
+        let conn = accept();
+        if state.is_shutting_down() {
+            break;
         }
-    } else {
-        let _ = TcpStream::connect(addr);
-    }
-}
-
-fn accept_loop(state: Arc<ServerState>, binding: Binding) {
-    match binding {
-        Binding::Tcp(listener) => loop {
-            let conn = listener.accept();
-            if state.is_shutting_down() {
-                break;
+        match conn {
+            Ok(stream) => {
+                let st = state.clone();
+                std::thread::spawn(move || {
+                    let _ = serve_connection(&st, BufReader::new(&stream), &stream);
+                });
             }
-            match conn {
-                Ok((stream, _)) => {
-                    let st = state.clone();
-                    std::thread::spawn(move || {
-                        let reader = match stream.try_clone() {
-                            Ok(r) => BufReader::new(r),
-                            Err(_) => return,
-                        };
-                        let _ = serve_connection(&st, reader, stream);
-                    });
-                }
-                // Transient errors (EMFILE under fd exhaustion, ECONNABORTED)
-                // return immediately; back off instead of spinning a core.
-                Err(_) => std::thread::sleep(std::time::Duration::from_millis(10)),
-            }
-        },
-        #[cfg(unix)]
-        Binding::Unix(listener, path) => {
-            loop {
-                let conn = listener.accept();
-                if state.is_shutting_down() {
-                    break;
-                }
-                match conn {
-                    Ok((stream, _)) => {
-                        let st = state.clone();
-                        std::thread::spawn(move || {
-                            let reader = match stream.try_clone() {
-                                Ok(r) => BufReader::new(r),
-                                Err(_) => return,
-                            };
-                            let _ = serve_connection(&st, reader, stream);
-                        });
-                    }
-                    Err(_) => std::thread::sleep(std::time::Duration::from_millis(10)),
-                }
-            }
-            std::fs::remove_file(&path).ok();
+            // Transient errors (EMFILE under fd exhaustion, ECONNABORTED)
+            // return immediately; back off instead of spinning a core.
+            Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
 }
@@ -402,13 +377,14 @@ pub fn serve_connection(
                     ErrorCode::PayloadTooLarge,
                     format!("request line exceeds {MAX_REQUEST_BYTES} bytes"),
                 );
-                writeln!(writer, "{}", resp.to_line())?;
-                writer.flush()?;
+                write_line(&mut writer, resp.to_line())?;
                 // Swallow the rest of the oversized line (constant
-                // memory) before closing: dropping the socket with
-                // unread bytes queued would RST the connection and race
-                // the error response out of the peer's receive buffer.
-                drain_line(&mut reader).ok();
+                // memory, at most `DRAIN_CAP_BYTES`) before closing:
+                // dropping the socket with unread bytes queued would RST
+                // the connection and race the error response out of the
+                // peer's receive buffer.
+                let mut rest = (&mut reader).take(DRAIN_CAP_BYTES as u64);
+                rest.skip_until(b'\n').ok();
                 return Ok(());
             }
             Frame::Line(line) => {
@@ -429,14 +405,10 @@ pub fn serve_connection(
                 if mspgemm_fault::fire("serve.conn.drop").is_some() {
                     return Ok(());
                 }
-                writeln!(writer, "{}", resp.to_line())?;
-                writer.flush()?;
+                write_line(&mut writer, resp.to_line())?;
                 drop(guard);
                 if stop {
                     state.begin_shutdown();
-                    if let Some(addr) = state.addr.get() {
-                        wake(addr);
-                    }
                     return Ok(());
                 }
             }
@@ -468,111 +440,40 @@ impl<'a> ActiveGuard<'a> {
 /// the connection thread (and the socket) forever.
 const DRAIN_CAP_BYTES: usize = 8 * MAX_REQUEST_BYTES;
 
-/// Discard input up to and including the next newline (or EOF), in
-/// constant memory, giving up after [`DRAIN_CAP_BYTES`].
-fn drain_line(reader: &mut impl BufRead) -> std::io::Result<()> {
-    let mut drained = 0usize;
-    loop {
-        let buf = reader.fill_buf()?;
-        if buf.is_empty() {
-            return Ok(());
-        }
-        match buf.iter().position(|&b| b == b'\n') {
-            Some(i) => {
-                reader.consume(i + 1);
-                return Ok(());
-            }
-            None => {
-                let n = buf.len();
-                drained += n;
-                reader.consume(n);
-                if drained >= DRAIN_CAP_BYTES {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "oversized line exceeded the drain cap",
-                    ));
-                }
-            }
-        }
-    }
-}
-
-type OpResult = Result<Json, (ErrorCode, String)>;
-
-fn bad(msg: String) -> (ErrorCode, String) {
-    (ErrorCode::BadRequest, msg)
-}
-
-fn reg_err(e: RegistryError) -> (ErrorCode, String) {
-    let code = match &e {
-        RegistryError::AlreadyLoaded(_) => ErrorCode::AlreadyLoaded,
-        RegistryError::NotFound(_) => ErrorCode::UnknownDataset,
-        RegistryError::Load(_) => ErrorCode::LoadFailed,
-        RegistryError::Quarantined(_) => ErrorCode::Quarantined,
-        RegistryError::Evicted(_) => ErrorCode::Evicted,
-        RegistryError::OverBudget(_) => ErrorCode::OverBudget,
-        RegistryError::OutOfBounds(_) => ErrorCode::OutOfBounds,
-    };
-    (code, e.to_string())
-}
-
-/// Parse an optional field into any `FromStr` type, accepting both the
-/// string spelling and (for convenience) an integral number — so
-/// `"phases": 2` and `"phases": "2"` both work.
-fn opt_parse<T: std::str::FromStr<Err = String>>(
-    req: &Json,
-    field: &str,
-    default: &str,
-) -> Result<T, (ErrorCode, String)> {
-    let spelled = match req.get(field) {
-        None | Some(Json::Null) => default.to_string(),
-        Some(Json::Str(s)) => s.clone(),
-        Some(v @ Json::Num(_)) => match v.as_u64() {
-            Some(n) => n.to_string(),
-            None => return Err(bad(format!("'{field}' must be a string or integer"))),
-        },
-        Some(_) => return Err(bad(format!("'{field}' must be a string or integer"))),
-    };
-    spelled.parse().map_err(|e| bad(format!("'{field}': {e}")))
-}
-
-fn mask_name(mode: MaskMode) -> &'static str {
-    match mode {
-        MaskMode::Mask => "normal",
-        MaskMode::Complement => "complement",
-    }
-}
-
 /// Dispatch one request line. Returns the response and whether the server
 /// should stop accepting (the `shutdown` verb).
 pub fn handle_request(state: &ServerState, line: &str) -> (Json, bool) {
     handle_request_at(state, line, Instant::now())
 }
 
-/// Where a parsed request line was sent.
-enum Routed {
-    /// Executed (or rejected) synchronously on the connection thread.
-    Inline {
-        verb: &'static str,
-        dataset: Option<String>,
-        result: OpResult,
-        stop: bool,
-    },
-    /// Admitted to the scheduler; the reply channel produces the one
-    /// response, and the executor worker records its metrics.
-    Queued {
-        verb: &'static str,
-        dataset: Option<String>,
-        rx: mpsc::Receiver<Json>,
-    },
+/// Where a decoded request line was sent.
+struct Routed {
+    /// Metric label: the verb, or `"invalid"` / `"unknown"` /
+    /// `"rejected"` for lines that never named a runnable one.
+    verb: &'static str,
+    /// The dataset's name **as the registry resolved it** — the only
+    /// source of per-dataset metric labels, so a request naming a
+    /// dataset that does not exist cannot mint a series.
+    dataset: Option<String>,
+    reply: Reply,
+    /// The `shutdown` verb: stop accepting after this response.
+    stop: bool,
 }
 
-fn inline(verb: &'static str, dataset: Option<String>, result: OpResult, stop: bool) -> Routed {
-    Routed::Inline {
+enum Reply {
+    /// Executed (or rejected) synchronously on the connection thread.
+    Inline(OpResult),
+    /// Admitted to the scheduler; the channel produces the one response,
+    /// and the executor worker records its metrics.
+    Queued(mpsc::Receiver<Json>),
+}
+
+fn inline(verb: &'static str, dataset: Option<String>, result: OpResult) -> Routed {
+    Routed {
         verb,
         dataset,
-        result,
-        stop,
+        reply: Reply::Inline(result),
+        stop: false,
     }
 }
 
@@ -582,50 +483,45 @@ fn inline(verb: &'static str, dataset: Option<String>, result: OpResult, stop: b
 /// here on the connection thread with a near-zero wait.
 fn handle_request_at(state: &ServerState, line: &str, received: Instant) -> (Json, bool) {
     let exec_start = Instant::now();
-    match route_request(state, line, received) {
-        Routed::Inline {
-            verb,
-            dataset,
-            result,
-            stop,
-        } => {
-            let resp = match result {
-                Ok(resp) => resp,
-                Err((code, msg)) => err_response(code, msg),
-            };
-            let latency_us = exec_start.elapsed().as_micros() as u64;
-            let queue_us = exec_start.saturating_duration_since(received).as_micros() as u64;
-            record_request(state, verb, dataset.as_deref(), &resp, latency_us, queue_us);
-            (resp, stop)
-        }
-        Routed::Queued { verb, dataset, rx } => match rx.recv() {
+    let routed = route_request(state, line, received);
+    let (resp, waited_since) = match routed.reply {
+        Reply::Inline(result) => (
+            result.unwrap_or_else(|(code, msg)| err_response(code, msg)),
+            received,
+        ),
+        Reply::Queued(rx) => match rx.recv() {
             // The worker recorded this request before replying.
-            Ok(resp) => (resp, false),
-            // The sender was dropped without an answer — a worker panic.
-            // Answer (and record) here so the connection never hangs.
-            Err(_) => {
-                let resp = err_response(ErrorCode::ExecFailed, "executor dropped the request");
-                let latency_us = exec_start.elapsed().as_micros() as u64;
-                record_request(state, verb, dataset.as_deref(), &resp, latency_us, 0);
-                (resp, false)
-            }
+            Ok(resp) => return (resp, false),
+            // The sender was dropped without an answer — a worker panic
+            // unwinding past this job. Answer (and record, with no queue
+            // wait to report) here so the connection never hangs.
+            Err(_) => (
+                err_response(ErrorCode::ExecFailed, "executor dropped the request"),
+                exec_start,
+            ),
         },
-    }
+    };
+    let dataset = routed.dataset.as_deref();
+    record_request(state, routed.verb, dataset, &resp, waited_since, exec_start);
+    (resp, routed.stop)
 }
 
 /// Fold one finished request into the metrics registry — the single
 /// recording point shared by the inline path and the executor workers,
 /// so the exact-count invariants (a `metrics` scrape reports precisely
 /// the requests answered before it) hold regardless of which side
-/// answered.
+/// answered. Latency runs from `exec_start` to now; the queue wait from
+/// `received` to `exec_start`.
 fn record_request(
     state: &ServerState,
     verb: &'static str,
     dataset: Option<&str>,
     resp: &Json,
-    latency_us: u64,
-    queue_us: u64,
+    received: Instant,
+    exec_start: Instant,
 ) {
+    let latency_us = exec_start.elapsed().as_micros() as u64;
+    let queue_us = exec_start.saturating_duration_since(received).as_micros() as u64;
     let m = &state.metrics;
     m.counter("requests_total", &[]).inc();
     m.counter("requests_total", &[("verb", verb)]).inc();
@@ -644,164 +540,87 @@ fn record_request(
     }
 }
 
-/// Parse, validate, and route one request line: light verbs execute
-/// inline, heavy verbs (`mxm`, `app`, `update`) go through scheduler
-/// admission.
+/// Decode one request line and route it: light verbs execute inline,
+/// heavy verbs (`mxm`, `app`, `update`) go through [`admit`].
 fn route_request(state: &ServerState, line: &str, received: Instant) -> Routed {
     if state.is_shutting_down() {
-        return inline(
-            "rejected",
-            None,
-            Err((
-                ErrorCode::ShuttingDown,
-                "server is shutting down".to_string(),
-            )),
-            false,
-        );
+        return inline("rejected", None, Err(protocol::shutting_down()));
     }
-    let req = match json::parse(line) {
-        Ok(v @ Json::Obj(_)) => v,
-        Ok(_) => {
-            return inline(
-                "invalid",
-                None,
-                Err((
-                    ErrorCode::BadRequest,
-                    "request must be a JSON object".to_string(),
-                )),
-                false,
-            )
-        }
-        Err(e) => {
-            return inline(
-                "invalid",
-                None,
-                Err((ErrorCode::BadRequest, format!("invalid JSON: {e}"))),
-                false,
-            )
-        }
+    let object = match protocol::parse_object(line) {
+        Ok(object) => object,
+        Err(e) => return inline("invalid", None, Err(e)),
     };
     state.requests.fetch_add(1, Ordering::Relaxed);
-    let op = match req.get("op").and_then(Json::as_str) {
-        Some(s) => s.to_string(),
-        None => {
-            return inline(
-                "invalid",
+    let (verb, decoded) = protocol::decode(&object);
+    match decoded {
+        Err(e) => inline(verb, None, Err(e)),
+        Ok(Request::Ping) => inline(verb, None, ops::ping(state)),
+        Ok(Request::Load(p)) => match ops::load(state, &p) {
+            Ok((name, resp)) => inline(verb, Some(name), Ok(resp)),
+            Err(e) => inline(verb, None, Err(e)),
+        },
+        Ok(Request::List) => inline(verb, None, ops::list(state)),
+        Ok(Request::Unload(name)) => {
+            let result = ops::unload(state, &name);
+            inline(verb, result.is_ok().then_some(name), result)
+        }
+        Ok(Request::Heavy(request)) => admit(state, request, received),
+        Ok(Request::Stats) => inline(verb, None, ops::stats(state)),
+        Ok(Request::Metrics(format)) => inline(verb, None, ops::metrics(state, format)),
+        Ok(Request::Shutdown) => Routed {
+            stop: true,
+            ..inline(
+                verb,
                 None,
-                Err((ErrorCode::BadRequest, "'op' must be a string".to_string())),
-                false,
+                Ok(protocol::ok_response(vec![
+                    ("op", Json::str("shutdown")),
+                    ("stopping", true.into()),
+                ])),
             )
-        }
-    };
-    // The dataset label for per-dataset latency series: `mxm`/`app`
-    // address one via "dataset"; `load`/`unload` via "name".
-    let dataset = req
-        .get("dataset")
-        .or_else(|| req.get("name"))
-        .and_then(Json::as_str)
-        .map(str::to_string);
-    if op == "shutdown" {
-        return inline(
-            "shutdown",
-            dataset,
-            Ok(ok_response(vec![
-                ("op", Json::str("shutdown")),
-                ("stopping", true.into()),
-            ])),
-            true,
-        );
-    }
-    match op.as_str() {
-        "ping" => inline("ping", dataset, op_ping(state), false),
-        "load" => {
-            let r = op_load(state, &req);
-            inline("load", dataset, r, false)
-        }
-        "list" => inline("list", dataset, op_list(state), false),
-        "unload" => {
-            let r = op_unload(state, &req);
-            inline("unload", dataset, r, false)
-        }
-        "mxm" => schedule_heavy(state, "mxm", req, dataset, received),
-        "app" => schedule_heavy(state, "app", req, dataset, received),
-        // Updates are heavy verbs: the merge/rebuild is kernel-sized
-        // work, so they drain through admission like `mxm`/`app` (and
-        // are answered `busy` under overload instead of piling up).
-        "update" => schedule_heavy(state, "update", req, dataset, received),
-        "stats" => inline("stats", dataset, op_stats(state), false),
-        "metrics" => {
-            let r = op_metrics(state, &req);
-            inline("metrics", dataset, r, false)
-        }
-        other => inline(
-            "unknown",
-            dataset,
-            Err((
-                ErrorCode::UnknownOp,
-                format!(
-                "unknown op '{other}' (expected ping|load|list|unload|mxm|app|update|stats|metrics|shutdown)"
-            ),
-            )),
-            false,
-        ),
+        },
     }
 }
 
-/// Admit one heavy verb into the scheduler, or answer inline when it
-/// cannot be queued: malformed (`bad_request` before a slot is wasted),
-/// already past its deadline, or rejected by a full queue (`busy` with a
+/// Admit one decoded heavy request into the scheduler, or answer inline
+/// when it cannot be queued: its dataset does not resolve
+/// (`unknown_dataset` / `quarantined` / `evicted` before a slot is
+/// wasted — field validation already happened at decode), it is already
+/// past its deadline, or the queue is full (`busy` with a
 /// `retry_after_ms` hint).
-fn schedule_heavy(
-    state: &ServerState,
-    verb: &'static str,
-    req: Json,
-    dataset: Option<String>,
-    received: Instant,
-) -> Routed {
+fn admit(state: &ServerState, request: HeavyRequest, received: Instant) -> Routed {
+    let verb = request.verb();
+    // Execution resolves again: the dataset may be unloaded meanwhile.
+    if let Err(e) = state.registry.get(&request.dataset) {
+        return inline(verb, None, Err(reg_err(e)));
+    }
+    let dataset = Some(request.dataset.clone());
     // The execution budget counts from arrival, so time spent queued
     // spends it too — that is the point: a client that gave up by its
     // deadline should not have stale work run on its behalf.
-    let deadline_ms = match opt_u64(&req, "deadline_ms", 0) {
-        Ok(ms) => ms,
-        Err(msg) => return inline(verb, dataset, Err(bad(msg)), false),
-    };
+    let deadline_ms = request.deadline_ms;
     let deadline = (deadline_ms > 0).then(|| received + Duration::from_millis(deadline_ms));
-    // Validate `mxm` fully at admission: an unknown dataset or a bad
-    // parameter never occupies a queue slot, and the fuse key needs the
-    // parsed, defaulted parameters anyway. (`app` validates on the
-    // worker; its errors still come back on the reply channel.)
-    let fuse_key = if verb == "mxm" {
-        match parse_mxm(state, &req) {
-            Ok(p) => Some(p.fuse_key()),
-            Err(e) => return inline(verb, dataset, Err(e), false),
-        }
-    } else {
-        None
-    };
     if deadline.is_some_and(|d| Instant::now() >= d) {
         state.metrics.counter("deadline_exceeded_total", &[]).inc();
-        return inline(
-            verb,
-            dataset,
-            Err((
-                ErrorCode::DeadlineExceeded,
-                format!("deadline of {deadline_ms} ms expired before admission"),
-            )),
-            false,
+        let expired = (
+            ErrorCode::DeadlineExceeded,
+            format!("deadline of {deadline_ms} ms expired before admission"),
         );
+        return inline(verb, dataset, Err(expired));
     }
     let (tx, rx) = mpsc::channel();
     let job = Job {
-        verb,
-        req,
-        fuse_key,
-        dataset: dataset.clone(),
+        request,
         received,
         deadline,
         reply: tx,
     };
     match state.scheduler.submit(job) {
-        Admission::Enqueued => Routed::Queued { verb, dataset, rx },
+        Admission::Enqueued => Routed {
+            verb,
+            dataset,
+            reply: Reply::Queued(rx),
+            stop: false,
+        },
         Admission::Busy {
             retry_after_ms,
             queued,
@@ -816,326 +635,21 @@ fn schedule_heavy(
                 format!("admission queue full ({queued} waiting); retry in ~{retry_after_ms} ms"),
                 vec![("retry_after_ms", retry_after_ms.into())],
             );
-            inline(verb, dataset, Ok(resp), false)
+            inline(verb, dataset, Ok(resp))
         }
-        Admission::Closed => inline(
-            verb,
-            dataset,
-            Err((
-                ErrorCode::ShuttingDown,
-                "server is shutting down".to_string(),
-            )),
-            false,
-        ),
+        Admission::Closed => inline(verb, dataset, Err(protocol::shutting_down())),
     }
 }
 
-fn op_ping(state: &ServerState) -> OpResult {
-    Ok(ok_response(vec![
-        ("op", Json::str("ping")),
-        ("pong", true.into()),
-        ("version", Json::str(env!("CARGO_PKG_VERSION"))),
-        ("simd", Json::str(masked_spgemm::simd::level().name())),
-        ("uptime_s", state.started.elapsed().as_secs_f64().into()),
-        ("datasets", state.registry.len().into()),
-    ]))
-}
-
-fn op_load(state: &ServerState, req: &Json) -> OpResult {
-    let path = req_str(req, "path").map_err(bad)?;
-    let name = opt_str(req, "name").map_err(bad)?;
-    let parse_threads =
-        opt_u64(req, "parse_threads", state.config.parse_threads as u64).map_err(bad)? as usize;
-    let cache = match opt_str(req, "cache").map_err(bad)? {
-        None => state.config.cache,
-        Some("readwrite") => CachePolicy::ReadWrite,
-        Some("readonly") => CachePolicy::ReadOnly,
-        Some("off") => CachePolicy::Off,
-        Some(other) => {
-            return Err(bad(format!(
-                "'cache' must be readwrite|readonly|off, got '{other}'"
-            )))
-        }
-    };
-    let mmap = opt_bool(req, "mmap", state.config.mmap).map_err(bad)?;
-    let pattern = opt_bool(req, "pattern", state.config.pattern).map_err(bad)?;
-    let pin = opt_bool(req, "pin", false).map_err(bad)?;
-    let out = state
-        .registry
-        .load(
-            path,
-            name,
-            &LoadOpts {
-                policy: cache,
-                parse_threads,
-                mmap,
-                pattern,
-            },
-            pin,
-        )
-        .map_err(reg_err)?;
-    if !out.evicted.is_empty() {
-        state
-            .metrics
-            .counter("evictions_total", &[])
-            .add(out.evicted.len() as u64);
-    }
-    let ds = &out.ds;
-    let r = &ds.ingest;
-    // Absorb the IngestReport into the metrics registry: cumulative
-    // totals plus an ingest-latency histogram alongside the request one.
-    let m = &state.metrics;
-    m.counter("ingest_bytes_total", &[]).add(r.bytes);
-    m.counter("ingest_entries_total", &[]).add(r.entries as u64);
-    m.histogram("ingest_latency_us", &[])
-        .record((r.seconds * 1e6) as u64);
-    Ok(ok_response(vec![
-        ("op", Json::str("load")),
-        ("name", Json::str(&ds.name)),
-        ("path", Json::str(&ds.path)),
-        ("nrows", ds.matrix.nrows().into()),
-        ("ncols", ds.matrix.ncols().into()),
-        ("nnz", ds.matrix.nnz().into()),
-        ("adj_nnz", ds.adj.nnz().into()),
-        ("mem_bytes", ds.mem_bytes().into()),
-        ("backend", Json::str(ds.backend().name())),
-        ("mapped_bytes", ds.mapped_bytes().into()),
-        ("pattern", ds.pattern().into()),
-        ("unit_bytes", ds.unit_bytes().into()),
-        ("pinned", pin.into()),
-        // Full disclosure: which datasets the memory budget pushed out
-        // to make room. Their next request gets a typed `evicted` error.
-        (
-            "evicted",
-            Json::Arr(out.evicted.iter().map(Json::str).collect()),
-        ),
-        (
-            "ingest",
-            Json::obj(vec![
-                ("outcome", Json::Str(format!("{:?}", r.outcome))),
-                ("bytes", r.bytes.into()),
-                ("entries", r.entries.into()),
-                ("seconds", r.seconds.into()),
-                ("mb_per_s", mb_per_s(r.bytes, r.seconds).into()),
-                ("pattern", r.pattern.into()),
-            ]),
-        ),
-    ]))
-}
-
-fn op_list(state: &ServerState) -> OpResult {
-    let datasets: Vec<Json> = state
-        .registry
-        .list()
-        .iter()
-        .map(|info| {
-            let ds = &info.ds;
-            Json::obj(vec![
-                ("name", Json::str(&ds.name)),
-                ("path", Json::str(&ds.path)),
-                ("nrows", ds.matrix.nrows().into()),
-                ("nnz", ds.matrix.nnz().into()),
-                ("adj_nnz", ds.adj.nnz().into()),
-                ("mem_bytes", ds.mem_bytes().into()),
-                ("backend", Json::str(ds.backend().name())),
-                ("mapped_bytes", ds.mapped_bytes().into()),
-                ("pattern", ds.pattern().into()),
-                ("unit_bytes", ds.unit_bytes().into()),
-                ("age_seconds", ds.loaded_at.elapsed().as_secs_f64().into()),
-                ("version", info.version.into()),
-                ("delta_nnz", info.delta_nnz.into()),
-                ("pinned", info.pinned.into()),
-                ("quarantined", info.quarantined.into()),
-                ("panics", u64::from(info.panics).into()),
-            ])
-        })
-        .collect();
-    Ok(ok_response(vec![
-        ("op", Json::str("list")),
-        ("count", datasets.len().into()),
-        ("datasets", Json::Arr(datasets)),
-    ]))
-}
-
-fn op_unload(state: &ServerState, req: &Json) -> OpResult {
-    let name = req_str(req, "name").map_err(bad)?;
-    state.registry.unload(name).map_err(reg_err)?;
-    Ok(ok_response(vec![
-        ("op", Json::str("unload")),
-        ("name", Json::str(name)),
-    ]))
-}
-
-/// A fully parsed and validated `mxm` request, ready to execute.
-struct MxmParams {
-    dataset: String,
-    algo: Algorithm,
-    mode: MaskMode,
-    phases: Phases,
-    schedule: RowSchedule,
-    threads: usize,
-    reps: usize,
-}
-
-impl MxmParams {
-    /// Fusion compatibility key: everything that shapes the kernel pass
-    /// *except* the mask mode. Jobs sharing a key ride one batch and are
-    /// partitioned by mode at execution, so normal and complemented
-    /// queries against the same dataset still fuse among themselves.
-    fn fuse_key(&self) -> String {
-        format!(
-            "{}|{}|{}|{}|{}|{}",
-            self.dataset,
-            self.algo.name(),
-            if self.phases == Phases::One { "1" } else { "2" },
-            self.schedule.name(),
-            self.threads,
-            self.reps
-        )
-    }
-}
-
-fn parse_mxm(state: &ServerState, req: &Json) -> Result<MxmParams, (ErrorCode, String)> {
-    let name = req_str(req, "dataset").map_err(bad)?;
-    // Resolve the dataset now so an unknown name is rejected at
-    // admission instead of occupying a queue slot; execution resolves
-    // again (the dataset may be unloaded while the job waits).
-    let ds = state.registry.get(name).map_err(reg_err)?;
-    let algo: Algorithm = opt_parse(req, "algo", "auto")?;
-    let mode: MaskMode = opt_parse(req, "mask", "normal")?;
-    let phases: Phases = opt_parse(req, "phases", "1")?;
-    let schedule: RowSchedule = opt_parse(req, "schedule", state.config.schedule.name())?;
-    let threads = opt_u64(req, "threads", 0).map_err(bad)? as usize;
-    let reps = opt_u64(req, "reps", 1).map_err(bad)?.max(1) as usize;
-    Ok(MxmParams {
-        dataset: ds.name.clone(),
-        algo,
-        mode,
-        phases,
-        schedule,
-        threads,
-        reps,
-    })
-}
-
-/// What one kernel pass produced — shared by every rider in a fused
-/// group; the per-job response is layered on by [`mxm_response`].
-struct PassOut {
-    secs: f64,
-    nnz: usize,
-    fingerprint: String,
-    hits: u64,
-    misses: u64,
-    is_pull: bool,
-}
-
-fn run_mxm_pass(
-    state: &ServerState,
-    ds: &Dataset,
-    p: &MxmParams,
-    mode: MaskMode,
-    deadline: Option<Instant>,
-) -> Result<PassOut, (ErrorCode, String)> {
-    let a = &ds.matrix;
-    let mask = &ds.mask;
-    let opts = ExecOpts {
-        schedule: p.schedule,
-        ws_pool: Some(&state.ws_pool),
-        stats: Some(&state.exec_stats),
-        deadline,
-    };
-    let hits0 = state.ws_pool.hits();
-    let misses0 = state.ws_pool.misses();
-    let run_one = || -> Result<Csr<f64>, masked_spgemm::Error> {
-        if p.algo == Algorithm::Inner {
-            // The registry's pre-transposed operand: the pull scheme
-            // skips the per-call transpose entirely. (It has no row
-            // drive, so no phase-boundary deadline checks either — the
-            // budget is still enforced at admission and dequeue.)
-            masked_mxm_with_bt::<PlusTimesF64, ()>(mask, a, &ds.matrix_t, mode, p.phases)
-        } else {
-            masked_mxm_with_opts::<PlusTimesF64, ()>(mask, a, a, p.algo, mode, p.phases, &opts)
-        }
-    };
-    let work = || time_best(p.reps, run_one);
-    let (secs, c) = if p.threads > 0 {
-        with_threads(p.threads, work)
-    } else {
-        work()
-    };
-    let c = c.map_err(|e| match e {
-        masked_spgemm::Error::DeadlineExceeded => (ErrorCode::DeadlineExceeded, e.to_string()),
-        other => (ErrorCode::ExecFailed, other.to_string()),
-    })?;
-    Ok(PassOut {
-        secs,
-        nnz: c.nnz(),
-        fingerprint: format!("{:016x}", csr_fingerprint(&c)),
-        hits: state.ws_pool.hits() - hits0,
-        misses: state.ws_pool.misses() - misses0,
-        // The explicit pull path has no row drive and leases no
-        // workspaces; echoing a schedule or claiming a warm pool would
-        // be fiction.
-        is_pull: p.algo == Algorithm::Inner,
-    })
-}
-
-/// One rider's view of a (possibly fused) pass: `fused_group` is how
-/// many requests shared the kernel execution; `fused` is the flag a
-/// client can switch on without comparing counts.
-fn mxm_response(
-    ds: &Dataset,
-    p: &MxmParams,
-    mode: MaskMode,
-    pass: &PassOut,
-    fused_group: usize,
-) -> Json {
-    ok_response(vec![
-        ("op", Json::str("mxm")),
-        ("dataset", Json::str(&ds.name)),
-        ("algo", Json::str(p.algo.name())),
-        ("mask", Json::str(mask_name(mode))),
-        (
-            "phases",
-            Json::str(if p.phases == Phases::One { "1" } else { "2" }),
-        ),
-        (
-            "schedule",
-            if pass.is_pull {
-                Json::Null
-            } else {
-                Json::str(p.schedule.name())
-            },
-        ),
-        ("threads", p.threads.into()),
-        ("reps", p.reps.into()),
-        ("seconds", pass.secs.into()),
-        ("gflops", gflops(ds.mxm_flops, pass.secs).into()),
-        ("nnz", pass.nnz.into()),
-        ("fingerprint", Json::Str(pass.fingerprint.clone())),
-        ("fused", (fused_group > 1).into()),
-        ("fused_group", fused_group.into()),
-        (
-            "pool",
-            if pass.is_pull {
-                Json::Null
-            } else {
-                Json::obj(vec![
-                    ("hits", pass.hits.into()),
-                    ("misses", pass.misses.into()),
-                    ("warm", (pass.misses == 0).into()),
-                ])
-            },
-        ),
-    ])
-}
-
-/// Execute one scheduler batch on an executor worker: jobs whose
-/// deadline expired while queued are answered without running, `app`
-/// jobs run singly, and `mxm` jobs — batched by the scheduler only when
-/// their fuse keys match — share one kernel pass per mask mode.
+/// Execute one scheduler batch on an executor worker — the one path all
+/// three heavy verbs take from the queue to their reply. Jobs whose
+/// deadline expired while queued are answered without running; the rest
+/// are grouped into kernel passes (fused `mxm` riders sharing a mask
+/// mode ride one pass; everything else is a pass of one) and each pass
+/// goes through [`run_pass`].
 pub(crate) fn execute_batch(state: &Arc<ServerState>, batch: Vec<Job>) {
-    let mut mxm = Vec::new();
+    let exec_start = Instant::now();
+    let mut passes: Vec<Vec<Job>> = Vec::new();
     for job in batch {
         if job.expired() {
             state.metrics.counter("deadline_exceeded_total", &[]).inc();
@@ -1143,421 +657,84 @@ pub(crate) fn execute_batch(state: &Arc<ServerState>, batch: Vec<Job>) {
                 ErrorCode::DeadlineExceeded,
                 "deadline expired while the request was queued",
             );
-            finish_job(state, job, resp, Instant::now());
+            finish_job(state, job, resp, exec_start);
             continue;
         }
-        match job.verb {
-            "app" => {
-                let exec_start = Instant::now();
-                let resp = match op_app(state, &job.req) {
-                    Ok(resp) => resp,
-                    Err((code, msg)) => err_response(code, msg),
-                };
-                finish_job(state, job, resp, exec_start);
-            }
-            // Updates never fuse (each batch mutates state), so they run
-            // singly like `app` — but still on an executor slot.
-            "update" => {
-                let exec_start = Instant::now();
-                let resp = match op_update(state, &job.req) {
-                    Ok(resp) => resp,
-                    Err((code, msg)) => err_response(code, msg),
-                };
-                finish_job(state, job, resp, exec_start);
-            }
-            _ => mxm.push(job),
+        match passes
+            .iter_mut()
+            .find(|riders| riders[0].request.same_pass(&job.request))
+        {
+            Some(riders) => riders.push(job),
+            None => passes.push(vec![job]),
         }
     }
-    if !mxm.is_empty() {
-        exec_mxm_group(state, mxm);
+    for riders in passes {
+        run_pass(state, riders, exec_start);
     }
 }
 
-/// Run a group of fuse-compatible `mxm` jobs: one kernel pass per
-/// distinct mask mode, the output fanned back to every rider with its
-/// own fingerprint and timing.
-fn exec_mxm_group(state: &ServerState, jobs: Vec<Job>) {
-    let exec_start = Instant::now();
-    // Re-parse on the worker: parsing is deterministic (admission
-    // already vetted it), but the dataset must be resolved fresh — it
-    // may have been unloaded while the job waited.
-    let mut by_mode: Vec<(MaskMode, Vec<(Job, MxmParams)>)> = Vec::new();
-    for job in jobs {
-        match parse_mxm(state, &job.req) {
-            Ok(p) => match by_mode.iter_mut().find(|(m, _)| *m == p.mode) {
-                Some((_, group)) => group.push((job, p)),
-                None => by_mode.push((p.mode, vec![(job, p)])),
-            },
-            Err((code, msg)) => {
-                finish_job(state, job, err_response(code, msg), exec_start);
-            }
-        }
+/// Execute one pass and answer every rider: execute → record → reply,
+/// under the crate's single panic policy.
+fn run_pass(state: &ServerState, riders: Vec<Job>, exec_start: Instant) {
+    let k = riders.len();
+    if k > 1 {
+        // k requests shared one pass: k-1 kernel executions saved.
+        state
+            .metrics
+            .counter("fused_requests_total", &[])
+            .add((k - 1) as u64);
     }
-    for (mode, group) in by_mode {
-        let k = group.len();
-        if k > 1 {
-            // k requests shared one pass: k-1 kernel executions saved.
-            state
-                .metrics
-                .counter("fused_requests_total", &[])
-                .add((k - 1) as u64);
-        }
-        // The pass runs once for everyone, so it gets the *loosest*
-        // deadline in the group: by the time that one expires, every
-        // earlier deadline has expired too. Any rider without a budget
-        // disables kernel cancellation for the whole pass.
-        let deadline = if group.iter().all(|(job, _)| job.deadline.is_some()) {
-            group.iter().filter_map(|(job, _)| job.deadline).max()
-        } else {
-            None
-        };
-        let p = &group[0].1;
-        let outcome = match state.registry.get(&p.dataset) {
-            Ok(ds) => {
-                match catch_unwind(AssertUnwindSafe(|| {
-                    run_mxm_pass(state, &ds, p, mode, deadline)
-                })) {
-                    Ok(r) => r.map(|pass| (ds, pass)),
-                    Err(payload) => {
-                        // A kernel panic. Attribute it to the dataset
-                        // (repeat offenders get quarantined), answer every
-                        // rider with a typed error, then re-raise: the
-                        // worker thread dies and its sentinel respawns a
-                        // replacement, so the panic costs one thread spawn
-                        // instead of an executor slot. Any *other* mode
-                        // groups in this batch have their reply senders
-                        // dropped by the unwind; the connection side's
-                        // recv-error path answers (and records) those.
-                        let msg = panic_msg(payload);
-                        let verdict = state.registry.note_panic(&p.dataset);
-                        if verdict.newly_quarantined {
-                            state.metrics.counter("quarantined_total", &[]).inc();
-                        }
-                        let text = format!("kernel panicked on dataset '{}': {msg}", p.dataset);
-                        for (job, _) in group {
-                            finish_job(
-                                state,
-                                job,
-                                err_response(ErrorCode::ExecFailed, text.clone()),
-                                exec_start,
-                            );
-                        }
-                        std::panic::resume_unwind(Box::new(msg));
-                    }
-                }
-            }
-            Err(e) => Err(reg_err(e)),
-        };
-        match outcome {
-            Ok((ds, pass)) => {
-                for (job, p) in group {
-                    let resp = mxm_response(&ds, &p, mode, &pass, k);
-                    finish_job(state, job, resp, exec_start);
-                }
-            }
-            Err((code, msg)) => {
-                if code == ErrorCode::DeadlineExceeded {
-                    state
-                        .metrics
-                        .counter("deadline_exceeded_total", &[])
-                        .add(k as u64);
-                }
-                for (job, _) in group {
-                    finish_job(state, job, err_response(code, msg.clone()), exec_start);
-                }
-            }
-        }
-    }
-}
-
-/// Record one queued job's metrics and send its response. Recording
-/// happens *before* the reply, so a client that scrapes `metrics`
-/// right after its answer sees its own request already counted — the
-/// same exact-count invariant the inline path provides.
-fn finish_job(state: &ServerState, job: Job, resp: Json, exec_start: Instant) {
-    let latency_us = exec_start.elapsed().as_micros() as u64;
-    let queue_us = exec_start
-        .saturating_duration_since(job.received)
-        .as_micros() as u64;
-    record_request(
-        state,
-        job.verb,
-        job.dataset.as_deref(),
-        &resp,
-        latency_us,
-        queue_us,
-    );
-    let _ = job.reply.send(resp);
-}
-
-fn op_app(state: &ServerState, req: &Json) -> OpResult {
-    let name = req_str(req, "dataset").map_err(bad)?;
-    let ds = state.registry.get(name).map_err(reg_err)?;
-    let app: App = opt_parse(req, "app", "tc")?;
-    let scheme: Scheme = opt_parse(req, "scheme", "auto")?;
-    let schedule: RowSchedule = opt_parse(req, "schedule", state.config.schedule.name())?;
-    let threads = opt_u64(req, "threads", 0).map_err(bad)? as usize;
-    let k = opt_u64(req, "k", 4).map_err(bad)? as usize;
-    let batch = opt_u64(req, "batch", 16).map_err(bad)? as usize;
-    if app == App::Ktruss && k < 3 {
-        return Err(bad(format!("k-truss needs k >= 3, got {k}")));
-    }
-    if app == App::Bc && !scheme.supports_complement() {
-        return Err((
-            ErrorCode::ExecFailed,
-            format!(
-                "scheme {} cannot run BC (no complemented-mask support)",
-                scheme.name()
-            ),
-        ));
-    }
-    let opts = ExecOpts {
-        schedule,
-        ws_pool: Some(&state.ws_pool),
-        stats: Some(&state.exec_stats),
-        // Apps run many chained passes and map kernel errors to panics;
-        // their deadline is enforced at admission and dequeue only.
-        deadline: None,
-    };
-    let hits0 = state.ws_pool.hits();
-    let misses0 = state.ws_pool.misses();
-    // The application layer asserts/expects on kernel errors rather than
-    // returning them; a panic must become a protocol error, not a dead
-    // connection with no response.
-    let run = || -> Result<Vec<(&'static str, Json)>, String> {
-        match app {
-            App::Tc => {
-                // Snapshot the dataset *with* its update bookkeeping: when
-                // cached per-row counts exist and the dataset has moved
-                // past them by a known edge batch, the masked-SpGEMM pass
-                // shrinks to the affected rows and patches the cache;
-                // otherwise (first request, or the edge log overflowed)
-                // every row is recounted and the cache stored fresh.
-                let snap = state
-                    .registry
-                    .tc_snapshot(name)
-                    .map_err(|e| e.to_string())?;
-                match snap.cache {
-                    Some(cache) if cache.version < snap.version => {
-                        let (rows, patch, perm, secs) = catch_unwind(AssertUnwindSafe(|| {
-                            // Replay the *cached* relabeling against the
-                            // updated adjacency so the per-row counts stay
-                            // comparable across versions.
-                            let ops = tricount::prepare_with_perm(&snap.ds.adj, cache.perm.clone());
-                            let rows = tricount::affected_rows(&ops, &snap.changed);
-                            let (patch, secs) =
-                                tricount::recount_rows_with(&ops, &rows, scheme, &opts);
-                            (rows, patch, ops.perm, secs)
-                        }))
-                        .map_err(panic_msg)?;
-                        let mut counts = cache.counts;
-                        for &i in &rows {
-                            counts[i] = patch[i];
-                        }
-                        let total: u64 = counts.iter().sum();
-                        let patched = rows.len();
-                        // The store is refused if another update landed
-                        // while we counted; the response is still correct
-                        // for the version we snapshotted.
-                        let stored = state.registry.store_tc_cache(
-                            name,
-                            TcCache {
-                                perm,
-                                counts,
-                                total,
-                                version: snap.version,
-                            },
-                        );
-                        Ok(vec![
-                            ("triangles", total.into()),
-                            ("mxm_seconds", secs.into()),
-                            // A row-subset pass has no honest full-count
-                            // FLOP denominator.
-                            ("gflops", Json::Null),
-                            ("incremental", true.into()),
-                            ("patched_rows", patched.into()),
-                            ("cached", stored.into()),
-                        ])
-                    }
-                    _ => {
-                        let ops = snap.ds.tc_operands();
-                        let (counts, secs) = catch_unwind(AssertUnwindSafe(|| {
-                            tricount::count_prepared_rows_with(&ops, scheme, &opts)
-                        }))
-                        .map_err(panic_msg)?;
-                        let total: u64 = counts.iter().sum();
-                        let stored = state.registry.store_tc_cache(
-                            name,
-                            TcCache {
-                                perm: ops.perm.clone(),
-                                counts,
-                                total,
-                                version: snap.version,
-                            },
-                        );
-                        Ok(vec![
-                            ("triangles", total.into()),
-                            ("mxm_seconds", secs.into()),
-                            ("gflops", gflops(ops.flops, secs).into()),
-                            ("incremental", false.into()),
-                            ("cached", stored.into()),
-                        ])
-                    }
-                }
-            }
-            App::Ktruss => {
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    ktruss::k_truss_with(&ds.adj, k, scheme, &opts)
-                }))
-                .map_err(panic_msg)?;
-                Ok(vec![
-                    ("k", k.into()),
-                    ("iterations", r.iterations.into()),
-                    ("edges", r.truss.nnz().into()),
-                    ("mxm_seconds", r.mxm_seconds.into()),
-                    // k-truss has no incremental path: every request runs
-                    // against the live matrix from scratch.
-                    ("incremental", false.into()),
-                ])
-            }
-            App::Bc => {
-                let n = ds.adj.nrows();
-                let sources: Vec<usize> = (0..batch.min(n)).collect();
-                let nsrc = sources.len();
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    bc::betweenness_with(&ds.adj, &sources, scheme, &opts)
-                }))
-                .map_err(panic_msg)?;
-                Ok(vec![
-                    ("batch", nsrc.into()),
-                    ("depth", r.depth.into()),
-                    ("mxm_seconds", r.mxm_seconds.into()),
-                    ("total_seconds", r.total_seconds.into()),
-                    ("scores_sum", r.scores.iter().sum::<f64>().into()),
-                    // BC always recomputes in full, like k-truss.
-                    ("incremental", false.into()),
-                ])
-            }
-        }
-    };
-    let fields = if threads > 0 {
-        with_threads(threads, run)
+    // The pass runs once for everyone, so it gets the *loosest* deadline
+    // among its riders: by the time that one expires, every earlier
+    // deadline has expired too. Any rider without a budget disables
+    // kernel cancellation for the whole pass.
+    let deadline = if riders.iter().all(|job| job.deadline.is_some()) {
+        riders.iter().filter_map(|job| job.deadline).max()
     } else {
-        run()
-    }
-    .map_err(|msg| (ErrorCode::ExecFailed, msg))?;
-    let hits = state.ws_pool.hits() - hits0;
-    let misses = state.ws_pool.misses() - misses0;
-    let mut out = vec![
-        ("op", Json::str("app")),
-        ("app", Json::str(app.name())),
-        ("dataset", Json::str(&ds.name)),
-        ("scheme", Json::Str(scheme.name())),
-        ("schedule", Json::str(schedule.name())),
-    ];
-    out.extend(fields);
-    out.push((
-        "pool",
-        Json::obj(vec![
-            ("hits", hits.into()),
-            ("misses", misses.into()),
-            ("warm", (misses == 0).into()),
-        ]),
-    ));
-    Ok(ok_response(out))
-}
-
-/// Parse the `"insert"` / `"delete"` arrays of an `update` request into
-/// one op batch. Inserts come first, then deletes — a position named in
-/// both ends deleted (last write wins in the overlay).
-fn parse_update_ops(req: &Json) -> Result<Vec<DeltaOp<f64>>, (ErrorCode, String)> {
-    fn idx(v: &Json, what: &str, k: usize) -> Result<Idx, (ErrorCode, String)> {
-        v.as_u64()
-            .and_then(|n| Idx::try_from(n).ok())
-            .ok_or_else(|| bad(format!("{what}[{k}] indices must be 32-bit integers >= 0")))
-    }
-    let mut ops = Vec::new();
-    if let Some(v) = req.get("insert") {
-        let arr = v
-            .as_arr()
-            .ok_or_else(|| bad("'insert' must be an array of [row, col, value] triples".into()))?;
-        for (k, e) in arr.iter().enumerate() {
-            let t = e
-                .as_arr()
-                .filter(|t| t.len() == 2 || t.len() == 3)
-                .ok_or_else(|| {
-                    bad(format!(
-                        "'insert'[{k}] must be [row, col] or [row, col, value]"
-                    ))
-                })?;
-            let val = match t.get(2) {
-                None => 1.0,
-                Some(v) => v
-                    .as_f64()
-                    .ok_or_else(|| bad(format!("'insert'[{k}] value must be a number")))?,
-            };
-            ops.push(DeltaOp::Upsert {
-                row: idx(&t[0], "'insert'", k)?,
-                col: idx(&t[1], "'insert'", k)?,
-                val,
-            });
+        None
+    };
+    let request = &riders[0].request;
+    let resp = match catch_unwind(AssertUnwindSafe(|| {
+        ops::execute(state, request, deadline, k)
+    })) {
+        Ok(Ok(resp)) => resp,
+        Ok(Err((code, msg))) => {
+            if code == ErrorCode::DeadlineExceeded {
+                state
+                    .metrics
+                    .counter("deadline_exceeded_total", &[])
+                    .add(k as u64);
+            }
+            err_response(code, msg)
         }
-    }
-    if let Some(v) = req.get("delete") {
-        let arr = v
-            .as_arr()
-            .ok_or_else(|| bad("'delete' must be an array of [row, col] pairs".into()))?;
-        for (k, e) in arr.iter().enumerate() {
-            let t = e
-                .as_arr()
-                .filter(|t| t.len() == 2)
-                .ok_or_else(|| bad(format!("'delete'[{k}] must be [row, col]")))?;
-            ops.push(DeltaOp::Delete {
-                row: idx(&t[0], "'delete'", k)?,
-                col: idx(&t[1], "'delete'", k)?,
-            });
+        Err(payload) => {
+            // A kernel panic, whatever the verb. Attribute it to the
+            // dataset (repeat offenders get quarantined), answer every
+            // rider with a typed error, then re-raise: the worker thread
+            // dies and its sentinel respawns a replacement, so the panic
+            // costs one thread spawn instead of an executor slot. Any
+            // *other* passes in this batch have their reply senders
+            // dropped by the unwind; the connection side's recv-error
+            // path answers (and records) those.
+            let msg = panic_msg(payload);
+            if state
+                .registry
+                .note_panic(&request.dataset)
+                .newly_quarantined
+            {
+                state.metrics.counter("quarantined_total", &[]).inc();
+            }
+            let text = format!("kernel panicked on dataset '{}': {msg}", request.dataset);
+            let resp = err_response(ErrorCode::ExecFailed, text);
+            for job in riders {
+                finish_job(state, job, resp.clone(), exec_start);
+            }
+            std::panic::resume_unwind(Box::new(msg));
         }
+    };
+    for job in riders {
+        finish_job(state, job, resp.clone(), exec_start);
     }
-    Ok(ops)
-}
-
-fn op_update(state: &ServerState, req: &Json) -> OpResult {
-    let name = req_str(req, "dataset").map_err(bad)?;
-    let compact = opt_bool(req, "compact", false).map_err(bad)?;
-    let ops = parse_update_ops(req)?;
-    if ops.is_empty() && !compact {
-        return Err(bad(
-            "'update' needs 'insert' and/or 'delete' ops (or 'compact': true)".to_string(),
-        ));
-    }
-    let t0 = Instant::now();
-    let out = state
-        .registry
-        .update(name, &ops, compact, state.config.compact_after_nnz)
-        .map_err(reg_err)?;
-    let secs = t0.elapsed().as_secs_f64();
-    let m = &state.metrics;
-    m.counter("updates_total", &[]).inc();
-    m.counter("updates_total", &[("dataset", name)]).inc();
-    if out.compacted {
-        m.counter("compactions_total", &[]).inc();
-    }
-    m.histogram("update_latency_us", &[])
-        .record((secs * 1e6) as u64);
-    let ds = &out.ds;
-    Ok(ok_response(vec![
-        ("op", Json::str("update")),
-        ("dataset", Json::str(&ds.name)),
-        ("version", out.version.into()),
-        ("applied", out.applied.into()),
-        ("delta_nnz", out.delta_nnz.into()),
-        ("compacted", out.compacted.into()),
-        ("nrows", ds.matrix.nrows().into()),
-        ("nnz", ds.matrix.nnz().into()),
-        ("backend", Json::str(ds.backend().name())),
-        ("mapped_bytes", ds.mapped_bytes().into()),
-        ("seconds", secs.into()),
-    ]))
 }
 
 fn panic_msg(e: Box<dyn std::any::Any + Send>) -> String {
@@ -1570,249 +747,20 @@ fn panic_msg(e: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn op_stats(state: &ServerState) -> OpResult {
-    // One registry snapshot for the array AND the totals, so they always
-    // agree even when loads/unloads race this request.
-    let resident = state.registry.list();
-    let datasets: Vec<Json> = resident
-        .iter()
-        .map(|info| {
-            let ds = &info.ds;
-            Json::obj(vec![
-                ("name", Json::str(&ds.name)),
-                ("mem_bytes", ds.mem_bytes().into()),
-                ("backend", Json::str(ds.backend().name())),
-                ("mapped_bytes", ds.mapped_bytes().into()),
-                ("pattern", ds.pattern().into()),
-                ("unit_bytes", ds.unit_bytes().into()),
-                ("version", info.version.into()),
-                ("delta_nnz", info.delta_nnz.into()),
-                ("pinned", info.pinned.into()),
-                ("quarantined", info.quarantined.into()),
-                ("panics", u64::from(info.panics).into()),
-            ])
-        })
-        .collect();
-    let total_mem: u64 = resident.iter().map(|i| i.ds.mem_bytes()).sum();
-    let total_mapped: u64 = resident.iter().map(|i| i.ds.mapped_bytes()).sum();
-    // The unit arena is one process-wide allocation every pattern dataset
-    // views, so its resident cost is reported once, not summed per
-    // dataset (the per-dataset `unit_bytes` are view lengths).
-    let unit_arena = mspgemm_sparse::unit_arena_bytes() as u64;
-    // Active failpoints: empty in production, the injected-fault table
-    // under `--fail`/`MXM_FAILPOINTS` — so an operator puzzled by a
-    // misbehaving server can ask it whether the faults are intentional.
-    let failpoints: Vec<Json> = mspgemm_fault::active()
-        .into_iter()
-        .map(|(name, task)| Json::obj(vec![("name", Json::Str(name)), ("task", Json::Str(task))]))
-        .collect();
-    let hits = state.ws_pool.hits();
-    let misses = state.ws_pool.misses();
-    let takes = hits + misses;
-    let busy = match busy_spread(&state.exec_stats.busy_seconds()) {
-        Some(sp) => Json::obj(vec![
-            ("threads", sp.threads.into()),
-            ("max_over_mean", sp.ratio().into()),
-        ]),
-        None => Json::Null,
-    };
-    // Overall request-latency quantiles from the unlabeled histogram
-    // (the `metrics` verb has the per-verb and per-dataset series).
-    let lat = state
-        .metrics
-        .histogram("request_latency_us", &[])
-        .snapshot();
-    Ok(ok_response(vec![
-        ("op", Json::str("stats")),
-        (
-            "uptime_seconds",
-            state.started.elapsed().as_secs_f64().into(),
-        ),
-        ("requests", state.requests().into()),
-        (
-            "requests_total",
-            state.metrics.counter("requests_total", &[]).get().into(),
-        ),
-        (
-            "errors_total",
-            state.metrics.counter("errors_total", &[]).get().into(),
-        ),
-        (
-            "latency",
-            Json::obj(vec![
-                ("p50", (lat.quantile(0.50) as f64 / 1e6).into()),
-                ("p95", (lat.quantile(0.95) as f64 / 1e6).into()),
-                ("p99", (lat.quantile(0.99) as f64 / 1e6).into()),
-                ("count", lat.count.into()),
-            ]),
-        ),
-        ("simd", Json::str(masked_spgemm::simd::level().name())),
-        ("datasets", Json::Arr(datasets)),
-        ("total_mem_bytes", total_mem.into()),
-        ("total_mapped_bytes", total_mapped.into()),
-        ("unit_arena_bytes", unit_arena.into()),
-        (
-            "max_resident_bytes",
-            state.registry.max_resident_bytes().into(),
-        ),
-        ("failpoints", Json::Arr(failpoints)),
-        (
-            "scheduler",
-            Json::obj(vec![
-                ("workers", state.scheduler.workers().into()),
-                ("queue_depth", state.scheduler.depth().into()),
-                ("queued", state.scheduler.queued().into()),
-            ]),
-        ),
-        (
-            "pool",
-            Json::obj(vec![
-                ("hits", hits.into()),
-                ("misses", misses.into()),
-                ("retained", state.ws_pool.retained().into()),
-                (
-                    "hit_rate",
-                    if takes > 0 {
-                        (hits as f64 / takes as f64).into()
-                    } else {
-                        Json::Null
-                    },
-                ),
-            ]),
-        ),
-        ("busy", busy),
-    ]))
-}
-
-/// Refresh the gauges that mirror state owned elsewhere (`WsPool`
-/// counters, `ExecStats` busy spread, registry residency), so every
-/// snapshot the `metrics` verb serves is current without those
-/// subsystems having to push on each change.
-fn publish_gauges(state: &ServerState) {
-    let m = &state.metrics;
-    m.gauge("uptime_seconds", &[])
-        .set(state.started.elapsed().as_secs_f64());
-    // SIMD level as an ordinal (0 = scalar, 1 = sse4.2, 2 = avx2), with
-    // the level name on the label so dashboards can show either form.
-    let simd = masked_spgemm::simd::level();
-    m.gauge("simd_level", &[("level", simd.name())])
-        .set(simd as u8 as f64);
-    m.gauge("ws_pool_hits", &[])
-        .set(state.ws_pool.hits() as f64);
-    m.gauge("ws_pool_misses", &[])
-        .set(state.ws_pool.misses() as f64);
-    m.gauge("ws_pool_retained", &[])
-        .set(state.ws_pool.retained() as f64);
-    if let Some(sp) = busy_spread(&state.exec_stats.busy_seconds()) {
-        m.gauge("busy_threads", &[]).set(sp.threads as f64);
-        m.gauge("busy_max_over_mean", &[]).set(sp.ratio());
-    }
-    m.gauge("scheduler_queued", &[])
-        .set(state.scheduler.queued() as f64);
-    let resident = state.registry.list();
-    m.gauge("datasets_resident", &[]).set(resident.len() as f64);
-    m.gauge("resident_bytes", &[])
-        .set(resident.iter().map(|i| i.ds.mem_bytes()).sum::<u64>() as f64);
-    m.gauge("mapped_bytes", &[])
-        .set(resident.iter().map(|i| i.ds.mapped_bytes()).sum::<u64>() as f64);
-    m.gauge("unit_arena_bytes", &[])
-        .set(mspgemm_sparse::unit_arena_bytes() as f64);
-    m.gauge("datasets_quarantined", &[])
-        .set(resident.iter().filter(|i| i.quarantined).count() as f64);
-    m.gauge("delta_nnz", &[])
-        .set(resident.iter().map(|i| i.delta_nnz as u64).sum::<u64>() as f64);
-}
-
-fn series_fields(series: &Series) -> Vec<(&'static str, Json)> {
-    vec![
-        ("name", Json::str(&series.name)),
-        (
-            "labels",
-            Json::Obj(
-                series
-                    .labels
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                    .collect(),
-            ),
-        ),
-    ]
-}
-
-fn hist_json(series: &Series, h: &HistSnapshot) -> Json {
-    let mut fields = series_fields(series);
-    fields.extend([
-        ("count", h.count.into()),
-        ("sum", h.sum.into()),
-        ("max", h.max.into()),
-        ("mean", h.mean().into()),
-        ("p50", h.quantile(0.50).into()),
-        ("p95", h.quantile(0.95).into()),
-        ("p99", h.quantile(0.99).into()),
-        (
-            "buckets",
-            Json::Arr(
-                h.nonzero()
-                    .into_iter()
-                    .map(|(le, n)| Json::obj(vec![("le", le.into()), ("count", n.into())]))
-                    .collect(),
-            ),
-        ),
-    ]);
-    Json::obj(fields)
-}
-
-fn op_metrics(state: &ServerState, req: &Json) -> OpResult {
-    publish_gauges(state);
-    let snap = state.metrics.snapshot();
-    match opt_str(req, "format").map_err(bad)?.unwrap_or("json") {
-        "prometheus" => Ok(ok_response(vec![
-            ("op", Json::str("metrics")),
-            ("format", Json::str("prometheus")),
-            ("content_type", Json::str("text/plain; version=0.0.4")),
-            ("text", Json::Str(snap.to_prometheus())),
-        ])),
-        "json" => {
-            let counters: Vec<Json> = snap
-                .counters
-                .iter()
-                .map(|(s, v)| {
-                    let mut f = series_fields(s);
-                    f.push(("value", (*v).into()));
-                    Json::obj(f)
-                })
-                .collect();
-            let gauges: Vec<Json> = snap
-                .gauges
-                .iter()
-                .map(|(s, v)| {
-                    let mut f = series_fields(s);
-                    f.push(("value", (*v).into()));
-                    Json::obj(f)
-                })
-                .collect();
-            let histograms: Vec<Json> = snap
-                .histograms
-                .iter()
-                .map(|(s, h)| hist_json(s, h))
-                .collect();
-            Ok(ok_response(vec![
-                ("op", Json::str("metrics")),
-                ("format", Json::str("json")),
-                ("counters", Json::Arr(counters)),
-                ("gauges", Json::Arr(gauges)),
-                ("histograms", Json::Arr(histograms)),
-            ]))
-        }
-        other => Err(bad(format!(
-            "'format' must be json|prometheus, got '{other}'"
-        ))),
-    }
+/// Record one queued job's metrics and send its response. Recording
+/// happens *before* the reply, so a client that scrapes `metrics`
+/// right after its answer sees its own request already counted — the
+/// same exact-count invariant the inline path provides.
+fn finish_job(state: &ServerState, job: Job, resp: Json, exec_start: Instant) {
+    let (verb, dataset) = (job.request.verb(), Some(&*job.request.dataset));
+    record_request(state, verb, dataset, &resp, job.received, exec_start);
+    let _ = job.reply.send(resp);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::publish_gauges;
 
     fn state_with(dir_tag: &str, n: usize) -> (Arc<ServerState>, String) {
         let dir = std::env::temp_dir().join(format!("mspgemm_serve_server_{dir_tag}"));
@@ -2119,13 +1067,15 @@ mod tests {
         // Hand-build a fused batch (two normal riders + one complement)
         // and run it exactly as an executor worker would.
         let mk = |line: &str| {
+            let Ok(Request::Heavy(request)) =
+                protocol::decode(&protocol::parse_object(line).unwrap()).1
+            else {
+                panic!("{line} must decode as a heavy request");
+            };
             let (tx, rx) = mpsc::channel();
             (
                 Job {
-                    verb: "mxm",
-                    req: json::parse(line).unwrap(),
-                    fuse_key: Some("k".to_string()),
-                    dataset: Some("g".to_string()),
+                    request,
                     received: Instant::now(),
                     deadline: None,
                     reply: tx,
@@ -2446,6 +1396,72 @@ mod tests {
             stats.to_line()
         );
         assert_eq!(stats.get("max_resident_bytes").unwrap().as_u64(), Some(0));
+    }
+
+    /// A `Write` that counts `write` calls: one call is one segment on an
+    /// unbuffered socket.
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_is_exactly_one_write() {
+        let (state, _) = state_with("one_write", 40);
+        let input = b"{\"op\":\"ping\"}\n{\"op\":\"frobnicate\"}\n{\"op\":\"stats\"}\n";
+        let mut out = CountingWriter {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        serve_connection(&state, BufReader::new(&input[..]), &mut out).unwrap();
+        let text = String::from_utf8(out.bytes).unwrap();
+        assert_eq!(text.lines().count(), 3, "{text}");
+        assert_eq!(
+            out.writes, 3,
+            "a response split across writes stalls on Nagle + delayed ACK"
+        );
+    }
+
+    #[test]
+    fn unknown_dataset_names_mint_no_metric_series() {
+        let (state, _) = state_with("series_bound", 40);
+        let series = |state: &ServerState| {
+            let m = ok(state, r#"{"op":"metrics"}"#);
+            ["counters", "gauges", "histograms"]
+                .iter()
+                .map(|kind| m.get(kind).unwrap().as_arr().unwrap().len())
+                .sum::<usize>()
+        };
+        // `i = 0` touches every verb/outcome series the loop produces,
+        // so all a later name could add is a per-dataset series.
+        let mut before = 0;
+        for i in 0..=100 {
+            ok(&state, &format!(r#"{{"op":"ping","dataset":"ghost-{i}"}}"#));
+            for verb in ["mxm", "app", "unload"] {
+                let line = format!(r#"{{"op":"{verb}","dataset":"ghost-{i}","name":"ghost-{i}"}}"#);
+                assert_eq!(err_code(&state, &line), "unknown_dataset");
+            }
+            if i == 0 {
+                series(&state);
+                before = series(&state);
+            }
+        }
+        assert_eq!(
+            series(&state),
+            before,
+            "per-dataset series are labeled only from registry-resolved names"
+        );
     }
 
     #[test]

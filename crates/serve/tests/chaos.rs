@@ -178,6 +178,83 @@ fn worker_panic_is_answered_typed_and_the_worker_respawns() {
     mspgemm_fault::clear();
 }
 
+/// The single panic policy covers every heavy verb: a kernel panic under
+/// `app tc` is attributed to the dataset (`panics` in `list`), answered
+/// with the same typed `exec_failed`, and costs the worker — respawned
+/// and counted — exactly like one under `mxm`.
+#[test]
+fn app_panic_follows_the_same_policy_as_mxm() {
+    let _g = guard();
+    mspgemm_fault::clear();
+    let mtx = fixture("apppanic", "g.mtx", 100, 13);
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
+    server
+        .preload(&[mtx.to_str().unwrap().to_string()])
+        .unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let tc = req(vec![
+        ("op", Json::str("app")),
+        ("dataset", Json::str("g")),
+        ("app", Json::str("tc")),
+    ]);
+    let reference = client::expect_ok(c.request(&tc).unwrap()).unwrap();
+
+    mspgemm_fault::configure("kernel.numeric=1*err(x)").unwrap();
+    let resp = c.request(&tc).unwrap();
+    assert_eq!(err_code(&resp), "exec_failed", "{}", resp.to_line());
+    let msg = resp.get("error").unwrap().get("message").unwrap();
+    assert!(
+        msg.as_str()
+            .unwrap()
+            .contains("kernel panicked on dataset 'g'"),
+        "{}",
+        resp.to_line()
+    );
+    let list =
+        client::expect_ok(c.request(&req(vec![("op", Json::str("list"))])).unwrap()).unwrap();
+    let entry = &list.get("datasets").unwrap().as_arr().unwrap()[0];
+    assert_eq!(entry.get("panics").unwrap().as_u64(), Some(1));
+    assert_eq!(entry.get("quarantined").unwrap().as_bool(), Some(false));
+    let _ = await_counter(&mut c, "worker_restarts_total", 1);
+    // Fresh worker, same answer as before the fault.
+    let after = client::expect_ok(c.request(&tc).unwrap()).unwrap();
+    assert_eq!(after.get("triangles"), reference.get("triangles"));
+    mspgemm_fault::clear();
+}
+
+/// The `mxm` verb runs the kernel exactly `reps` times — no hidden
+/// warm-up pass: the first request on a cold server fires the numeric
+/// phase once and cannot have hit the (empty) workspace pool.
+#[test]
+fn mxm_runs_the_kernel_exactly_reps_times() {
+    let _g = guard();
+    mspgemm_fault::clear();
+    let mtx = fixture("reps", "g.mtx", 100, 19);
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
+    server
+        .preload(&[mtx.to_str().unwrap().to_string()])
+        .unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    // A zero-length stall: the failpoint only counts its fires.
+    mspgemm_fault::configure("kernel.numeric=delay(0)").unwrap();
+    let cold = client::expect_ok(c.request(&mxm_req("g", "hash", "normal")).unwrap()).unwrap();
+    assert_eq!(mspgemm_fault::hits("kernel.numeric"), 1);
+    let pool = cold.get("pool").unwrap();
+    assert_eq!(
+        pool.get("hits").unwrap().as_u64(),
+        Some(0),
+        "{}",
+        cold.to_line()
+    );
+    let mut three = mxm_req("g", "hash", "normal");
+    if let Json::Obj(pairs) = &mut three {
+        pairs.push(("reps".to_string(), 3u64.into()));
+    }
+    client::expect_ok(c.request(&three).unwrap()).unwrap();
+    assert_eq!(mspgemm_fault::hits("kernel.numeric"), 1 + 3);
+    mspgemm_fault::clear();
+}
+
 /// K panics attributed to one dataset flip it to quarantined — typed
 /// rejections at admission — while every other dataset keeps serving.
 /// `unload` + `load` clears the verdict.
@@ -358,12 +435,12 @@ fn unload_races_an_in_flight_fused_group() {
     let reference =
         fingerprint(&client::query_once(&addr, &mxm_req("g", "hash", "normal")).unwrap());
 
-    // Each pass runs the kernel twice (time_best's warm-up + the timed
-    // rep), so four shots cover exactly two passes: the blocker's pass
-    // (~600ms, letting the riders pile up behind it and fuse) and the
-    // riders' own pass (~600ms more, so the unload lands mid-kernel,
-    // after the batch resolved its Arc'd views).
-    mspgemm_fault::configure("kernel.numeric=4*delay(300)").unwrap();
+    // Each pass runs the kernel exactly once (`reps` defaults to 1), so
+    // two shots cover exactly two passes: the blocker's pass (~600ms,
+    // letting the riders pile up behind it and fuse) and the riders' own
+    // pass (~600ms more, so the unload lands mid-kernel, after the batch
+    // resolved its Arc'd views).
+    mspgemm_fault::configure("kernel.numeric=2*delay(600)").unwrap();
     std::thread::scope(|scope| {
         let blocker =
             scope.spawn(|| client::query_once(&addr, &mxm_req("block", "hash", "normal")).unwrap());

@@ -41,7 +41,6 @@ pub mod semiring;
 pub mod storage;
 pub mod transpose;
 pub mod util;
-pub mod vec;
 pub mod view;
 
 /// Column/row index type. 32 bits halves the memory traffic of the index
@@ -57,5 +56,4 @@ pub use storage::{
     is_shared_ones, shared_ones, unit_arena_bytes, SectionOwner, SharedSlice, Storage,
 };
 pub use transpose::transpose;
-pub use vec::SparseVec;
 pub use view::CsrRef;
