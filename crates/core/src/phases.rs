@@ -29,7 +29,6 @@ use mspgemm_sparse::{Csr, CsrRef, Idx};
 use rayon::prelude::*;
 use std::any::Any;
 use std::ops::Range;
-use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Execution strategy (§6): with (`Two`) or without (`One`) a symbolic
@@ -195,12 +194,6 @@ impl<W: Any + Send> Drop for WsLease<'_, W> {
 /// unit — the drive must not re-group the work partition the policy
 /// computed. Records per-executor busy time (rank-folded at drive end)
 /// when `opts.stats` is set.
-///
-/// With a [`WsPool`], one workspace per executor slot is leased *before*
-/// the drive fans out, so what a drive takes from (and parks in) the pool
-/// depends on the thread count and the chunking, not on how many
-/// executors happened to win a chunk: the second call through a pool is
-/// guaranteed — not merely likely — to allocate nothing.
 fn run_rows<S, K>(
     chunks: &[Range<usize>],
     opts: &ExecOpts<'_>,
@@ -217,20 +210,11 @@ fn run_rows<S, K>(
     } else {
         0
     };
-    let lease = || {
-        WsLease::new(opts.ws_pool, opts.stats, kernel.ws_tag(), key_ncols, || {
-            kernel.make_ws(ncols)
-        })
-    };
-    let slots = rayon::current_num_threads().clamp(1, chunks.len().max(1));
-    let executors = opts.ws_pool.map_or(0, |_| slots);
-    let leased = Mutex::new((0..executors).map(|_| lease()).collect::<Vec<_>>());
     chunks.par_iter().with_max_len(1).for_each_init(
-        // An executor beyond the pre-leased slots (no pool, or a driver
-        // that builds more workspaces than threads) leases its own.
         || {
-            let parked = leased.lock().unwrap_or_else(PoisonError::into_inner).pop();
-            parked.unwrap_or_else(lease)
+            WsLease::new(opts.ws_pool, opts.stats, kernel.ws_tag(), key_ncols, || {
+                kernel.make_ws(ncols)
+            })
         },
         |lease, range| {
             let t0 = lease.stats.map(|_| Instant::now());

@@ -69,3 +69,13 @@ pub use json::Json;
 pub use protocol::{ErrorCode, MAX_REQUEST_BYTES};
 pub use registry::{Dataset, Registry};
 pub use server::{ServeConfig, Server, ServerState};
+
+/// Failpoint state is process-global. The lib tests that arm a failpoint,
+/// read the armed table, or fire the armed name serialize here, as the
+/// integration suites do with their own `guard()`.
+#[cfg(test)]
+pub(crate) fn failpoint_guard() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -20,7 +20,7 @@ use masked_spgemm::{
     masked_mxm_with_bt, masked_mxm_with_opts, Algorithm, ExecOpts, MaskMode, Phases, RowSchedule,
 };
 use mspgemm_graph::{bc, ktruss, tricount, App};
-use mspgemm_harness::{busy_spread, csr_fingerprint, gflops, mb_per_s, with_threads};
+use mspgemm_harness::{busy_spread, csr_fingerprint, gflops, mb_per_s, with_threads, BusySpread};
 use mspgemm_io::LoadOpts;
 use mspgemm_obs::{HistSnapshot, Series};
 use mspgemm_sparse::semiring::PlusTimesF64;
@@ -235,8 +235,7 @@ fn mxm(
     fused_group: usize,
 ) -> OpResult {
     let ds = state.registry.get(name).map_err(reg_err)?;
-    let schedule = p.schedule.unwrap_or(state.config.schedule);
-    let opts = exec_opts(state, schedule, deadline);
+    let opts = exec_opts(state, p.schedule, deadline);
     let is_pull = p.algo == Algorithm::Inner;
     let pool_mark = (state.ws_pool.hits(), state.ws_pool.misses());
     let run_one = || -> Result<Csr<f64>, masked_spgemm::Error> {
@@ -279,7 +278,7 @@ fn mxm(
     let (schedule_echo, pool_echo) = if is_pull {
         (Json::Null, Json::Null)
     } else {
-        (Json::str(schedule.name()), pool_since(state, pool_mark))
+        (Json::str(p.schedule.name()), pool_since(state, pool_mark))
     };
     Ok(ok_response(vec![
         ("op", Json::str("mxm")),
@@ -317,12 +316,11 @@ fn mxm(
 
 fn app(state: &ServerState, name: &str, p: &AppParams) -> OpResult {
     let ds = state.registry.get(name).map_err(reg_err)?;
-    let schedule = p.schedule.unwrap_or(state.config.schedule);
     // Apps run many chained passes and map kernel errors to panics
     // (caught, like every executor panic, by the server's one
     // `catch_unwind`); their deadline is enforced at admission and
     // dequeue only.
-    let opts = exec_opts(state, schedule, None);
+    let opts = exec_opts(state, p.schedule, None);
     let pool_mark = (state.ws_pool.hits(), state.ws_pool.misses());
     let run = || -> Result<Vec<(&'static str, Json)>, Reject> {
         match p.app {
@@ -417,7 +415,7 @@ fn app(state: &ServerState, name: &str, p: &AppParams) -> OpResult {
         ("app", Json::str(p.app.name())),
         ("dataset", Json::str(&ds.name)),
         ("scheme", Json::Str(p.scheme.name())),
-        ("schedule", Json::str(schedule.name())),
+        ("schedule", Json::str(p.schedule.name())),
     ];
     out.extend(fields);
     out.push(("pool", pool_since(state, pool_mark)));
@@ -455,48 +453,79 @@ fn update(state: &ServerState, name: &str, p: &UpdateParams) -> OpResult {
     ]))
 }
 
-/// One reading of the state owned by other subsystems (registry
+/// One snapshot of the state owned by other subsystems (registry
 /// residency over `resident`, `WsPool` counters, `ExecStats` busy spread,
-/// the admission queue), as named values. This table is the single
-/// source behind both the gauges a `metrics` scrape publishes — under
-/// these names — and the totals in a `stats` response, so the two never
-/// disagree about what they sample or how.
-fn readings(state: &ServerState, resident: &[DatasetInfo]) -> Vec<(&'static str, f64)> {
-    let sum = |f: fn(&DatasetInfo) -> u64| resident.iter().map(f).sum::<u64>() as f64;
-    let mut readings = vec![
-        ("uptime_seconds", state.started.elapsed().as_secs_f64()),
-        ("ws_pool_hits", state.ws_pool.hits() as f64),
-        ("ws_pool_misses", state.ws_pool.misses() as f64),
-        ("ws_pool_retained", state.ws_pool.retained() as f64),
-        ("scheduler_queued", state.scheduler.queued() as f64),
-        ("datasets_resident", resident.len() as f64),
-        ("resident_bytes", sum(|i| i.ds.mem_bytes())),
-        ("mapped_bytes", sum(|i| i.ds.mapped_bytes())),
-        // The unit arena is one process-wide allocation every pattern
-        // dataset views, so its resident cost is reported once, not
-        // summed per dataset (the per-dataset `unit_bytes` are view
-        // lengths).
-        (
-            "unit_arena_bytes",
-            mspgemm_sparse::unit_arena_bytes() as f64,
-        ),
-        ("datasets_quarantined", sum(|i| u64::from(i.quarantined))),
-        ("delta_nnz", sum(|i| i.delta_nnz as u64)),
-    ];
-    if let Some(sp) = busy_spread(&state.exec_stats.busy_seconds()) {
-        readings.push(("busy_threads", sp.threads as f64));
-        readings.push(("busy_max_over_mean", sp.ratio()));
+/// the admission queue). It is the single source behind both the totals
+/// in a `stats` response and the gauges a `metrics` scrape publishes, so
+/// the two never disagree about what they sample or how.
+struct Snapshot {
+    uptime_seconds: f64,
+    ws_pool_hits: u64,
+    ws_pool_misses: u64,
+    ws_pool_retained: u64,
+    scheduler_queued: u64,
+    datasets_resident: u64,
+    resident_bytes: u64,
+    mapped_bytes: u64,
+    unit_arena_bytes: u64,
+    datasets_quarantined: u64,
+    delta_nnz: u64,
+    busy: Option<BusySpread>,
+}
+
+impl Snapshot {
+    fn take(state: &ServerState, resident: &[DatasetInfo]) -> Snapshot {
+        let sum = |f: fn(&DatasetInfo) -> u64| resident.iter().map(f).sum::<u64>();
+        Snapshot {
+            uptime_seconds: state.started.elapsed().as_secs_f64(),
+            ws_pool_hits: state.ws_pool.hits(),
+            ws_pool_misses: state.ws_pool.misses(),
+            ws_pool_retained: state.ws_pool.retained() as u64,
+            scheduler_queued: state.scheduler.queued() as u64,
+            datasets_resident: resident.len() as u64,
+            resident_bytes: sum(|i| i.ds.mem_bytes()),
+            mapped_bytes: sum(|i| i.ds.mapped_bytes()),
+            // The unit arena is one process-wide allocation every pattern
+            // dataset views, so its resident cost is reported once, not
+            // summed per dataset (the per-dataset `unit_bytes` are view
+            // lengths).
+            unit_arena_bytes: mspgemm_sparse::unit_arena_bytes() as u64,
+            datasets_quarantined: sum(|i| u64::from(i.quarantined)),
+            delta_nnz: sum(|i| i.delta_nnz as u64),
+            busy: busy_spread(&state.exec_stats.busy_seconds()),
+        }
     }
-    readings
+
+    /// The gauges this snapshot publishes, under their metric names.
+    fn gauges(&self) -> Vec<(&'static str, f64)> {
+        let mut gauges = vec![
+            ("uptime_seconds", self.uptime_seconds),
+            ("ws_pool_hits", self.ws_pool_hits as f64),
+            ("ws_pool_misses", self.ws_pool_misses as f64),
+            ("ws_pool_retained", self.ws_pool_retained as f64),
+            ("scheduler_queued", self.scheduler_queued as f64),
+            ("datasets_resident", self.datasets_resident as f64),
+            ("resident_bytes", self.resident_bytes as f64),
+            ("mapped_bytes", self.mapped_bytes as f64),
+            ("unit_arena_bytes", self.unit_arena_bytes as f64),
+            ("datasets_quarantined", self.datasets_quarantined as f64),
+            ("delta_nnz", self.delta_nnz as f64),
+        ];
+        if let Some(sp) = self.busy {
+            gauges.push(("busy_threads", sp.threads as f64));
+            gauges.push(("busy_max_over_mean", sp.ratio()));
+        }
+        gauges
+    }
 }
 
 pub(crate) fn stats(state: &ServerState) -> OpResult {
     // One registry listing for the rows AND the totals, so they always
     // agree even when loads/unloads race this request.
     let resident = state.registry.list();
-    let readings = readings(state, &resident);
-    let value = |name: &str| readings.iter().find(|(n, _)| *n == name).map(|r| r.1);
-    let read = |name: &str| value(name).map_or(Json::Null, Json::from);
+    let snap = Snapshot::take(state, &resident);
+    let takes = snap.ws_pool_hits + snap.ws_pool_misses;
+    let hit_rate = (takes > 0).then(|| snap.ws_pool_hits as f64 / takes as f64);
     let datasets: Vec<Json> = resident
         .iter()
         .map(|info| {
@@ -522,7 +551,7 @@ pub(crate) fn stats(state: &ServerState) -> OpResult {
     let total = |name| state.metrics.counter(name, &[]).get();
     Ok(ok_response(vec![
         ("op", Json::str("stats")),
-        ("uptime_seconds", read("uptime_seconds")),
+        ("uptime_seconds", snap.uptime_seconds.into()),
         ("requests", state.requests().into()),
         ("requests_total", total("requests_total").into()),
         ("errors_total", total("errors_total").into()),
@@ -537,9 +566,9 @@ pub(crate) fn stats(state: &ServerState) -> OpResult {
         ),
         ("simd", Json::str(masked_spgemm::simd::level().name())),
         ("datasets", Json::Arr(datasets)),
-        ("total_mem_bytes", read("resident_bytes")),
-        ("total_mapped_bytes", read("mapped_bytes")),
-        ("unit_arena_bytes", read("unit_arena_bytes")),
+        ("total_mem_bytes", snap.resident_bytes.into()),
+        ("total_mapped_bytes", snap.mapped_bytes.into()),
+        ("unit_arena_bytes", snap.unit_arena_bytes.into()),
         (
             "max_resident_bytes",
             state.registry.max_resident_bytes().into(),
@@ -550,35 +579,26 @@ pub(crate) fn stats(state: &ServerState) -> OpResult {
             Json::obj(vec![
                 ("workers", state.scheduler.workers().into()),
                 ("queue_depth", state.scheduler.depth().into()),
-                ("queued", read("scheduler_queued")),
+                ("queued", snap.scheduler_queued.into()),
             ]),
         ),
         (
             "pool",
             Json::obj(vec![
-                ("hits", read("ws_pool_hits")),
-                ("misses", read("ws_pool_misses")),
-                ("retained", read("ws_pool_retained")),
-                (
-                    "hit_rate",
-                    match (value("ws_pool_hits"), value("ws_pool_misses")) {
-                        (Some(hits), Some(misses)) if hits + misses > 0.0 => {
-                            (hits / (hits + misses)).into()
-                        }
-                        _ => Json::Null,
-                    },
-                ),
+                ("hits", snap.ws_pool_hits.into()),
+                ("misses", snap.ws_pool_misses.into()),
+                ("retained", snap.ws_pool_retained.into()),
+                ("hit_rate", hit_rate.map_or(Json::Null, Json::from)),
             ]),
         ),
         (
             "busy",
-            match read("busy_threads") {
-                Json::Null => Json::Null,
-                threads => Json::obj(vec![
-                    ("threads", threads),
-                    ("max_over_mean", read("busy_max_over_mean")),
-                ]),
-            },
+            snap.busy.map_or(Json::Null, |sp| {
+                Json::obj(vec![
+                    ("threads", sp.threads.into()),
+                    ("max_over_mean", sp.ratio().into()),
+                ])
+            }),
         ),
     ]))
 }
@@ -587,7 +607,7 @@ pub(crate) fn stats(state: &ServerState) -> OpResult {
 /// snapshot the `metrics` verb serves is current without those
 /// subsystems having to push on each change.
 pub(crate) fn publish_gauges(state: &ServerState) {
-    for (name, value) in readings(state, &state.registry.list()) {
+    for (name, value) in Snapshot::take(state, &state.registry.list()).gauges() {
         state.metrics.gauge(name, &[]).set(value);
     }
     // SIMD level as an ordinal (0 = scalar, 1 = sse4.2, 2 = avx2), with

@@ -242,9 +242,8 @@ fn opt_parse<T: std::str::FromStr<Err = String>>(
 
 /// One request line, decoded once at the edge. Every layer behind the
 /// decode — routing, admission, the queue, the executors — works on
-/// these types; none of them sees the JSON again. Fields a request may
-/// leave to the server's configuration are `Option`s resolved where the
-/// verb executes.
+/// these types; none of them sees the JSON again. `load` fields a request
+/// may leave to the server's configuration stay `Option`s.
 pub(crate) enum Request {
     Ping,
     Load(LoadParams),
@@ -293,7 +292,7 @@ pub(crate) struct MxmParams {
     pub algo: Algorithm,
     pub mode: MaskMode,
     pub phases: Phases,
-    pub schedule: Option<RowSchedule>,
+    pub schedule: RowSchedule,
     pub threads: usize,
     pub reps: usize,
 }
@@ -301,7 +300,7 @@ pub(crate) struct MxmParams {
 pub(crate) struct AppParams {
     pub app: App,
     pub scheme: Scheme,
-    pub schedule: Option<RowSchedule>,
+    pub schedule: RowSchedule,
     pub threads: usize,
     pub k: usize,
     pub batch: usize,
@@ -353,11 +352,14 @@ pub(crate) fn parse_object(line: &str) -> Result<Json, Reject> {
 }
 
 /// Decode a request object into its typed [`Request`], validating every
-/// field that can be judged without server state. Returns the verb label
-/// for the metrics (`"invalid"` without a usable `op`, `"unknown"` for
-/// an unrecognized one) alongside the verdict, so rejected requests are
-/// still counted under the verb they named.
-pub(crate) fn decode(req: &Json) -> (&'static str, Result<Request, Reject>) {
+/// field that can be judged without server state. `schedule` is the
+/// server's default row schedule: an omitted `"schedule"` decodes to it,
+/// so a request spelling the default out fuses with one that leaves it
+/// off. Returns the verb label for the metrics (`"invalid"` without a
+/// usable `op`, `"unknown"` for an unrecognized one) alongside the
+/// verdict, so rejected requests are still counted under the verb they
+/// named.
+pub(crate) fn decode(req: &Json, schedule: RowSchedule) -> (&'static str, Result<Request, Reject>) {
     let Some(op) = req.get("op").and_then(Json::as_str) else {
         return ("invalid", Err(bad("'op' must be a string".to_string())));
     };
@@ -376,8 +378,8 @@ pub(crate) fn decode(req: &Json) -> (&'static str, Result<Request, Reject>) {
             "unload",
             req_str(req, "name").map(|name| Request::Unload(name.to_string())),
         ),
-        "mxm" => ("mxm", heavy(decode_mxm(req).map(Work::Mxm))),
-        "app" => ("app", heavy(decode_app(req).map(Work::App))),
+        "mxm" => ("mxm", heavy(decode_mxm(req, schedule).map(Work::Mxm))),
+        "app" => ("app", heavy(decode_app(req, schedule).map(Work::App))),
         "update" => ("update", heavy(decode_update(req).map(Work::Update))),
         "stats" => ("stats", Ok(Request::Stats)),
         "metrics" => ("metrics", decode_metrics(req).map(Request::Metrics)),
@@ -427,22 +429,22 @@ fn decode_metrics(req: &Json) -> Result<MetricsFormat, Reject> {
     }
 }
 
-fn decode_mxm(req: &Json) -> Result<MxmParams, Reject> {
+fn decode_mxm(req: &Json, schedule: RowSchedule) -> Result<MxmParams, Reject> {
     Ok(MxmParams {
         algo: opt_parse(req, "algo")?.unwrap_or(Algorithm::Auto),
         mode: opt_parse(req, "mask")?.unwrap_or(MaskMode::Mask),
         phases: opt_parse(req, "phases")?.unwrap_or(Phases::One),
-        schedule: opt_parse(req, "schedule")?,
+        schedule: opt_parse(req, "schedule")?.unwrap_or(schedule),
         threads: opt_u64(req, "threads", 0)? as usize,
         reps: opt_u64(req, "reps", 1)?.max(1) as usize,
     })
 }
 
-fn decode_app(req: &Json) -> Result<AppParams, Reject> {
+fn decode_app(req: &Json, schedule: RowSchedule) -> Result<AppParams, Reject> {
     let p = AppParams {
         app: opt_parse(req, "app")?.unwrap_or(App::Tc),
         scheme: opt_parse(req, "scheme")?.unwrap_or(Scheme::Ours(Algorithm::Auto, Phases::One)),
-        schedule: opt_parse(req, "schedule")?,
+        schedule: opt_parse(req, "schedule")?.unwrap_or(schedule),
         threads: opt_u64(req, "threads", 0)? as usize,
         k: opt_u64(req, "k", 4)? as usize,
         batch: opt_u64(req, "batch", 16)? as usize,
@@ -574,7 +576,8 @@ mod tests {
 
     #[test]
     fn fusion_ignores_the_mask_mode_and_nothing_else() {
-        let heavy = |line: &str| match decode(&parse_object(line).unwrap()).1 {
+        let default = RowSchedule::default();
+        let heavy = |line: &str| match decode(&parse_object(line).unwrap(), default).1 {
             Ok(Request::Heavy(h)) => h,
             _ => panic!("{line} must decode as a heavy request"),
         };
@@ -585,6 +588,12 @@ mod tests {
         assert!(!normal.fuses_with(&heavy(r#"{"op":"mxm","dataset":"h","algo":"hash"}"#)));
         assert!(!normal.fuses_with(&heavy(r#"{"op":"mxm","dataset":"g","algo":"msa"}"#)));
         assert!(!normal.fuses_with(&heavy(r#"{"op":"mxm","dataset":"g","reps":2}"#)));
+        // Spelling out the server default is the same pass as omitting it.
+        let spelled = format!(
+            r#"{{"op":"mxm","dataset":"g","algo":"hash","schedule":"{}"}}"#,
+            default.name()
+        );
+        assert!(normal.same_pass(&heavy(&spelled)));
         let tc = heavy(r#"{"op":"app","dataset":"g"}"#);
         assert!(!tc.fuses_with(&heavy(r#"{"op":"app","dataset":"g"}"#)));
     }

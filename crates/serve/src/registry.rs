@@ -999,6 +999,9 @@ mod tests {
 
     #[test]
     fn update_bumps_version_merges_and_compacts() {
+        // Fires `serve.update.swap`: must not consume the race test's
+        // armed delay.
+        let _g = crate::failpoint_guard();
         let dir = fixture_dir();
         let mtx = dir.join("upd.mtx");
         write_graph(&mtx);
@@ -1085,6 +1088,9 @@ mod tests {
 
     #[test]
     fn update_flips_backend_to_heap_and_tc_cache_tracks_versions() {
+        // Fires `serve.update.swap`: must not consume the race test's
+        // armed delay.
+        let _g = crate::failpoint_guard();
         let dir = fixture_dir();
         let mtx = dir.join("updtc.mtx");
         write_graph(&mtx);
@@ -1161,6 +1167,53 @@ mod tests {
         ));
         let snap = reg.tc_snapshot("t").unwrap();
         assert!(snap.changed.is_empty());
+        std::fs::remove_file(&mtx).ok();
+    }
+
+    #[test]
+    fn unload_racing_update_swap_leaves_registry_consistent() {
+        // The registry-level half of the race regression: unload lands in
+        // the window between an update's rebuild and its swap. The typed
+        // failure and the absent entry are the contract; the live-socket
+        // version drives the same window through the server.
+        let _g = crate::failpoint_guard();
+        let dir = fixture_dir();
+        let mtx = dir.join("race.mtx");
+        write_graph(&mtx);
+        let reg = Arc::new(Registry::new());
+        reg.load(mtx.to_str().unwrap(), Some("r"), &off_opts(), false)
+            .unwrap();
+        let reg2 = reg.clone();
+        std::thread::scope(|s| {
+            let updater = s.spawn(move || {
+                // Delay in the swap window so the unload below wins.
+                mspgemm_fault::configure("serve.update.swap=1*delay(150)").unwrap();
+                reg2.update(
+                    "r",
+                    &[DeltaOp::Upsert {
+                        row: 1,
+                        col: 2,
+                        val: 1.0,
+                    }],
+                    true,
+                    0,
+                )
+            });
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            reg.unload("r").unwrap();
+            let res = updater.join().unwrap();
+            assert!(
+                matches!(res, Err(RegistryError::NotFound(_))),
+                "late swap must lose: {res:?}"
+            );
+        });
+        mspgemm_fault::clear();
+        assert!(reg.is_empty(), "unload is not resurrected by the late swap");
+        assert!(matches!(reg.get("r"), Err(RegistryError::NotFound(_))));
+        // The name is immediately reloadable and healthy.
+        reg.load(mtx.to_str().unwrap(), Some("r"), &off_opts(), false)
+            .unwrap();
+        assert_eq!(reg.list()[0].version, 0);
         std::fs::remove_file(&mtx).ok();
     }
 

@@ -317,7 +317,9 @@ mod tests {
             Some(ds) => format!(r#"{{"op":"mxm","dataset":"{ds}"}}"#),
             None => r#"{"op":"app","dataset":"g"}"#.to_string(),
         };
-        let Ok(Request::Heavy(request)) = decode(&parse_object(&line).unwrap()).1 else {
+        let Ok(Request::Heavy(request)) =
+            decode(&parse_object(&line).unwrap(), Default::default()).1
+        else {
             panic!("{line} must decode as a heavy request");
         };
         let (tx, rx) = mpsc::channel();

@@ -35,7 +35,7 @@ use crate::protocol::{
     self, err_response, err_response_with, read_frame, write_line, ErrorCode, Frame, HeavyRequest,
     Request, MAX_REQUEST_BYTES,
 };
-use crate::registry::Registry;
+use crate::registry::{Registry, RegistryError};
 use crate::scheduler::{Admission, Job, Scheduler};
 use masked_spgemm::{ExecStats, RowSchedule, WsPool};
 use mspgemm_io::{CachePolicy, LoadOpts};
@@ -551,7 +551,7 @@ fn route_request(state: &ServerState, line: &str, received: Instant) -> Routed {
         Err(e) => return inline("invalid", None, Err(e)),
     };
     state.requests.fetch_add(1, Ordering::Relaxed);
-    let (verb, decoded) = protocol::decode(&object);
+    let (verb, decoded) = protocol::decode(&object, state.config.schedule);
     match decoded {
         Err(e) => inline(verb, None, Err(e)),
         Ok(Request::Ping) => inline(verb, None, ops::ping(state)),
@@ -591,7 +591,11 @@ fn admit(state: &ServerState, request: HeavyRequest, received: Instant) -> Route
     let verb = request.verb();
     // Execution resolves again: the dataset may be unloaded meanwhile.
     if let Err(e) = state.registry.get(&request.dataset) {
-        return inline(verb, None, Err(reg_err(e)));
+        // A quarantined or evicted name is one the registry still knows
+        // (a resident entry or a tombstone), so its series stays bounded;
+        // an unknown name is client-chosen and gets no per-dataset label.
+        let known = !matches!(e, RegistryError::NotFound(_));
+        return inline(verb, known.then_some(request.dataset), Err(reg_err(e)));
     }
     let dataset = Some(request.dataset.clone());
     // The execution budget counts from arrival, so time spent queued
@@ -814,7 +818,9 @@ mod tests {
         );
         assert_eq!(resp.get("name").unwrap().as_str(), Some("g"));
 
-        let q = r#"{"op":"mxm","dataset":"g","algo":"hash","phases":2,"reps":1}"#;
+        // One executor: the first request parks exactly the workspaces
+        // the second one leases, whatever the machine's core count.
+        let q = r#"{"op":"mxm","dataset":"g","algo":"hash","phases":2,"threads":1,"reps":1}"#;
         let first = ok(&state, q);
         let second = ok(&state, q);
         assert_eq!(
@@ -889,15 +895,12 @@ mod tests {
             &state,
             &format!(r#"{{"op":"load","path":"{path}","name":"g"}}"#),
         );
-        let tc = ok(
-            &state,
-            r#"{"op":"app","dataset":"g","app":"tc","scheme":"hash-1p"}"#,
-        );
+        // One executor, so the second run leases exactly what the first
+        // parked.
+        let q = r#"{"op":"app","dataset":"g","app":"tc","scheme":"hash-1p","threads":1}"#;
+        let tc = ok(&state, q);
         assert!(tc.get("triangles").unwrap().as_u64().is_some());
-        let tc2 = ok(
-            &state,
-            r#"{"op":"app","dataset":"g","app":"tc","scheme":"hash-1p"}"#,
-        );
+        let tc2 = ok(&state, q);
         assert_eq!(tc.get("triangles"), tc2.get("triangles"));
         assert_eq!(
             tc2.get("pool").unwrap().get("misses").unwrap().as_u64(),
@@ -1067,8 +1070,11 @@ mod tests {
         // Hand-build a fused batch (two normal riders + one complement)
         // and run it exactly as an executor worker would.
         let mk = |line: &str| {
-            let Ok(Request::Heavy(request)) =
-                protocol::decode(&protocol::parse_object(line).unwrap()).1
+            let Ok(Request::Heavy(request)) = protocol::decode(
+                &protocol::parse_object(line).unwrap(),
+                state.config.schedule,
+            )
+            .1
             else {
                 panic!("{line} must decode as a heavy request");
             };
@@ -1385,10 +1391,12 @@ mod tests {
 
     #[test]
     fn stats_reports_failpoints_and_budget() {
+        // The one lib test that arms a failpoint (the registry's unload
+        // race) holds this guard; outside it the table is empty, and the
+        // field must still exist.
+        let _g = crate::failpoint_guard();
         let (state, _) = state_with("stats_fail", 40);
         let stats = ok(&state, r#"{"op":"stats"}"#);
-        // No failpoints armed in lib tests (the chaos suite owns the
-        // global table); the field must still exist, empty.
         assert_eq!(
             stats.get("failpoints").unwrap().as_arr().unwrap().len(),
             0,
@@ -1435,7 +1443,7 @@ mod tests {
 
     #[test]
     fn unknown_dataset_names_mint_no_metric_series() {
-        let (state, _) = state_with("series_bound", 40);
+        let (state, path) = state_with("series_bound", 40);
         let series = |state: &ServerState| {
             let m = ok(state, r#"{"op":"metrics"}"#);
             ["counters", "gauges", "histograms"]
@@ -1462,6 +1470,27 @@ mod tests {
             before,
             "per-dataset series are labeled only from registry-resolved names"
         );
+        // A name the registry knows but refuses (quarantined) is bounded
+        // by residency, so its rejections stay in its series.
+        ok(
+            &state,
+            &format!(r#"{{"op":"load","path":"{path}","name":"g"}}"#),
+        );
+        let dataset_count = |state: &ServerState| {
+            let m = ok(state, r#"{"op":"metrics"}"#);
+            let hists = m.get("histograms").unwrap();
+            find_series(hists, "dataset_request_latency_us", &[("dataset", "g")])
+                .and_then(|h| h.get("count").unwrap().as_u64())
+        };
+        assert_eq!(dataset_count(&state), Some(1), "the load itself");
+        for _ in 0..3 {
+            state.registry.note_panic("g");
+        }
+        assert_eq!(
+            err_code(&state, r#"{"op":"mxm","dataset":"g"}"#),
+            "quarantined"
+        );
+        assert_eq!(dataset_count(&state), Some(2));
     }
 
     #[test]

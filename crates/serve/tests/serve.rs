@@ -52,11 +52,14 @@ fn tcp_end_to_end_session() {
     assert!(ds.get("mem_bytes").unwrap().as_u64().unwrap() > 0);
 
     // Two identical queries: identical fingerprints, second one warm.
+    // One executor, so the second request leases exactly what the first
+    // parked regardless of which executors won chunks.
     let q = req(vec![
         ("op", Json::str("mxm")),
         ("dataset", Json::str("g")),
         ("algo", Json::str("hash")),
         ("phases", Json::str("2")),
+        ("threads", 1u64.into()),
     ]);
     let first = client::expect_ok(c.request(&q).unwrap()).unwrap();
     let second = client::expect_ok(c.request(&q).unwrap()).unwrap();
