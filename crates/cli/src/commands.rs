@@ -175,6 +175,26 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
         None => writeln!(out, "schedule : {} (no push drives timed)", schedule.name()),
     }
     .map_err(|e| e.to_string())?;
+    // The paper's wasted-work figure, from the MSA row entry's own counts
+    // (the hybrid kernel reports the rows it gave to MSA; other kernels
+    // record nothing): how much of what the push kernel formed the mask
+    // threw away.
+    let products = stats.products();
+    if products.formed > 0 {
+        writeln!(
+            out,
+            "products : {:.1}% wasted ({} formed, {} admitted by the mask; all runs{})",
+            100.0 * products.wasted_ratio(),
+            products.formed,
+            products.admitted,
+            if algo == Algorithm::Hybrid {
+                ", MSA rows only"
+            } else {
+                ""
+            },
+        )
+        .map_err(|e| e.to_string())?;
+    }
     writeln!(out, "{}", simd_line()).map_err(|e| e.to_string())?;
     writeln!(
         out,
@@ -571,6 +591,37 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Whether `mxm run --algo <algo> --reps 1` prints a well-formed
+    /// `products :` line (formed = twice the one-run flop count, since the
+    /// warm-up counts too).
+    fn run_prints_products_line(mtx: &std::path::Path, algo: &str) -> bool {
+        let p = parse(
+            &sv(&[
+                "--algo",
+                algo,
+                "--reps",
+                "1",
+                "--no-cache",
+                mtx.to_str().unwrap(),
+            ]),
+            &["algo", "reps"],
+        )
+        .unwrap();
+        let mut out = Vec::new();
+        cmd_run(&p, &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let Some(line) = text.lines().find(|l| l.starts_with("products :")) else {
+            return false;
+        };
+        let a = load_matrix_opts(mtx.to_str().unwrap(), &LoadOpts::default())
+            .unwrap()
+            .0;
+        let formed = 2 * a.flops_with(&a);
+        assert!(line.contains(&format!("({formed} formed, ")), "{line}");
+        assert!(line.contains("% wasted"), "{line}");
+        true
+    }
+
     #[test]
     fn run_reports_schedule_and_balance() {
         let dir = tempdir("run_sched");
@@ -598,6 +649,11 @@ mod tests {
             assert!(text.contains("busy max/mean"), "{text}");
             assert!(text.contains("pool hits"), "{text}");
         }
+        // Hash records no product counts, so the line is absent above;
+        // MSA reports what it formed and what the mask admitted, over the
+        // warm-up and the one timed run.
+        assert!(!run_prints_products_line(&mtx, "hash"));
+        assert!(run_prints_products_line(&mtx, "msa"));
         // A typo'd schedule is rejected up front.
         let p = parse(
             &sv(&["--schedule", "dynamic", mtx.to_str().unwrap()]),

@@ -18,6 +18,16 @@ const EMPTY: Idx = Idx::MAX;
 /// two). `abl_hash_load` sweeps this choice.
 pub const DEFAULT_CAPACITY_FACTOR: usize = 4;
 
+/// Probe `keys[..cap]` for `key`, starting at its Fibonacci
+/// multiplicative hash (`shift = 32 − log₂ cap`). A free function over the
+/// table fields so the row entry can probe while it holds its scratch
+/// mutably.
+#[inline(always)]
+fn probe_table(keys: &[Idx], cap: usize, shift: u32, lvl: SimdLevel, key: Idx) -> usize {
+    let start = (key.wrapping_mul(2654435761) >> shift) as usize & (cap - 1);
+    simd::hash_probe(lvl, keys, cap, start, key)
+}
+
 /// Open-addressing hash accumulator with linear probing.
 pub struct HashAccum<V> {
     keys: Vec<Idx>,
@@ -32,6 +42,9 @@ pub struct HashAccum<V> {
     /// Effective SIMD level for the probe loop, re-read at each
     /// `begin_row` so pooled accumulators follow runtime level changes.
     simd: SimdLevel,
+    /// Stage-1 output of [`HashAccum::accumulate_row`]: `(slot, position)`
+    /// of every product of the current B row whose key the table holds.
+    admitted: Vec<(u32, u32)>,
 }
 
 impl<V: Copy + Default> HashAccum<V> {
@@ -53,6 +66,7 @@ impl<V: Copy + Default> HashAccum<V> {
             inserted: Vec::new(),
             capacity_factor: factor,
             simd: simd::level(),
+            admitted: Vec::new(),
         }
     }
 
@@ -69,6 +83,9 @@ impl<V: Copy + Default> HashAccum<V> {
             self.states.resize(want, State::NotAllowed);
             self.values.resize(want, V::default());
         }
+        // `accumulate_row` parks slots as `u32` (`Idx`-keyed tables are
+        // far below this; the check keeps the narrowing honest).
+        assert!(u32::try_from(want - 1).is_ok(), "hash table too large");
         self.cap = want;
         self.shift = 32 - want.trailing_zeros();
         self.keys[..want].fill(EMPTY);
@@ -76,19 +93,12 @@ impl<V: Copy + Default> HashAccum<V> {
         self.simd = simd::level();
     }
 
-    /// Fibonacci multiplicative hash into the table's index range.
-    #[inline(always)]
-    fn slot(&self, key: Idx) -> usize {
-        ((key.wrapping_mul(2654435761)) >> self.shift) as usize
-    }
-
     /// Find `key`'s slot, or the empty slot where it would be inserted.
     /// Probes in clusters of 8/4 keys on AVX2/SSE4.2 — identical slot
     /// choice to the scalar walk (see [`crate::simd`]).
     #[inline(always)]
     fn probe(&self, key: Idx) -> usize {
-        let s = self.slot(key) & (self.cap - 1);
-        simd::hash_probe(self.simd, &self.keys, self.cap, s, key)
+        probe_table(&self.keys, self.cap, self.shift, self.simd, key)
     }
 
     /// Mark `key` allowed (normal-mode mask load). Inserts the key with
@@ -112,40 +122,55 @@ impl<V: Copy + Default> HashAccum<V> {
         }
     }
 
-    /// Normal-mode accumulate: keys absent from the table were never
-    /// allowed, so the product is discarded.
-    #[inline(always)]
-    pub fn accumulate(&mut self, key: Idx, value: V, add: impl FnOnce(V, V) -> V) {
-        let s = self.probe(key);
-        if self.keys[s] == EMPTY {
-            return; // not allowed: mask never admitted this column
+    /// Numeric row entry for normal-mode tables — the filter-then-accumulate
+    /// split of `Msa::accumulate_row` over the probe: **(1)** probe every
+    /// key of the B row (`cols`, `vals`), writing `(slot, position)` into
+    /// the `admitted` scratch and advancing the cursor by
+    /// `(keys[slot] != EMPTY) as usize`, so "is this column in the mask"
+    /// never reaches the branch predictor; **(2)** run `mul` and `add`
+    /// over the kept products only, in B-row order.
+    ///
+    /// Product for product, and in the same order, this is
+    /// [`Accumulator::insert_with`] on each `(cols[p], || mul(vals[p]))`.
+    /// Complement-mode rows keep [`HashAccum::insert_complement_with`]:
+    /// there an admitted product *claims* its slot, so probes cannot run
+    /// ahead of inserts.
+    #[inline]
+    pub fn accumulate_row<R: Copy>(
+        &mut self,
+        cols: &[Idx],
+        vals: &[R],
+        mul: impl Fn(R) -> V,
+        add: impl Fn(V, V) -> V,
+    ) {
+        assert_eq!(cols.len(), vals.len(), "one value per column index");
+        debug_assert!(u32::try_from(cols.len()).is_ok(), "positions fit u32");
+        // Sized by the B row, not by the table: a pooled table that served
+        // a narrow product grows here when a wider one reuses it.
+        if self.admitted.len() < cols.len() {
+            self.admitted.resize(cols.len(), (0, 0));
         }
-        match self.states[s] {
-            State::NotAllowed => {}
-            State::Allowed => {
-                self.values[s] = value;
-                self.states[s] = State::Set;
+        let admitted = &mut self.admitted[..cols.len()];
+        let mut n = 0;
+        for (p, &j) in cols.iter().enumerate() {
+            let s = probe_table(&self.keys, self.cap, self.shift, self.simd, j);
+            admitted[n] = (s as u32, p as u32);
+            n += (self.keys[s] != EMPTY) as usize;
+        }
+        for &(s, p) in &admitted[..n] {
+            let s = s as usize;
+            match self.states[s] {
+                // Only a complement-marked key; never taken on the
+                // normal-mode tables the Hash kernel drives through here.
+                State::NotAllowed => {}
+                State::Allowed => {
+                    self.values[s] = mul(vals[p as usize]);
+                    self.states[s] = State::Set;
+                }
+                State::Set => {
+                    self.values[s] = add(self.values[s], mul(vals[p as usize]));
+                }
             }
-            State::Set => self.values[s] = add(self.values[s], value),
-        }
-    }
-
-    /// Complement-mode accumulate: mask keys sit in the table as
-    /// NOTALLOWED; any other key is admitted, claiming an empty slot.
-    #[inline(always)]
-    pub fn accumulate_complement(&mut self, key: Idx, value: V, add: impl FnOnce(V, V) -> V) {
-        let s = self.probe(key);
-        if self.keys[s] == EMPTY {
-            self.keys[s] = key;
-            self.states[s] = State::Set;
-            self.values[s] = value;
-            self.inserted.push(key);
-            return;
-        }
-        match self.states[s] {
-            State::NotAllowed => {}
-            State::Allowed => unreachable!("complement mode never marks ALLOWED"),
-            State::Set => self.values[s] = add(self.values[s], value),
         }
     }
 
@@ -307,6 +332,17 @@ impl<V: Copy + Default> Accumulator<V> for HashAccum<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accumulator::test_rows::*;
+    use proptest::prelude::*;
+
+    /// Column stride of the property's rows: spread so keys collide in
+    /// the table.
+    const SPREAD: Idx = 1024;
+
+    /// One single-product B row: the row entry as a per-product insert.
+    fn put(h: &mut HashAccum<i64>, key: Idx, value: i64) {
+        h.accumulate_row(&[key], &[value], |v| v, |a, b| a + b);
+    }
 
     #[test]
     fn normal_flow() {
@@ -315,10 +351,10 @@ mod tests {
         for &j in &[10, 20, 30] {
             h.mark_allowed(j);
         }
-        h.accumulate(10, 5, |a, b| a + b);
-        h.accumulate(10, 7, |a, b| a + b);
-        h.accumulate(30, 1, |a, b| a + b);
-        h.accumulate(99, 100, |a, b| a + b); // never allowed
+        put(&mut h, 10, 5);
+        put(&mut h, 10, 7);
+        put(&mut h, 30, 1);
+        put(&mut h, 99, 100); // never allowed
         let mut cols = [0 as Idx; 3];
         let mut vals = [0i64; 3];
         let n = h.gather_into(&[10, 20, 30], &mut cols, &mut vals);
@@ -334,10 +370,10 @@ mod tests {
         for &j in &[3, 6] {
             h.mark_not_allowed(j);
         }
-        h.accumulate_complement(3, 5, |a, b| a + b); // masked out
-        h.accumulate_complement(9, 1, |a, b| a + b);
-        h.accumulate_complement(2, 4, |a, b| a + b);
-        h.accumulate_complement(9, 2, |a, b| a + b);
+        h.insert_complement_with(3, || 5, |a, b| a + b); // masked out
+        h.insert_complement_with(9, || 1, |a, b| a + b);
+        h.insert_complement_with(2, || 4, |a, b| a + b);
+        h.insert_complement_with(9, || 2, |a, b| a + b);
         let mut cols = [0 as Idx; 8];
         let mut vals = [0i64; 8];
         let n = h.gather_complement_into(&mut cols, &mut vals);
@@ -352,7 +388,7 @@ mod tests {
         for round in 0..5 {
             h.begin_row(2);
             h.mark_allowed(round);
-            h.accumulate(round, round as i64, |a, b| a + b);
+            put(&mut h, round, round as i64);
             let mut cols = [0 as Idx; 2];
             let mut vals = [0i64; 2];
             let n = h.gather_into(&[round], &mut cols, &mut vals);
@@ -372,7 +408,7 @@ mod tests {
             h.mark_allowed(k);
         }
         for &k in &keys {
-            h.accumulate(k, k as i64, |a, b| a + b);
+            put(&mut h, k, k as i64);
         }
         let mut cols = vec![0 as Idx; keys.len()];
         let mut vals = vec![0i64; keys.len()];
@@ -393,10 +429,113 @@ mod tests {
             h.mark_allowed(k);
         }
         for &k in &keys {
-            h.accumulate(k, 1, |a, b| a + b);
+            put(&mut h, k, 1);
         }
         let mut cols = vec![0 as Idx; 8];
         let mut vals = vec![0i64; 8];
         assert_eq!(h.gather_into(&keys, &mut cols, &mut vals), 8);
+    }
+
+    /// One normal-mode output row both ways — B rows through the row
+    /// entry, the same products one at a time through the §5.1 reference
+    /// `insert_with` — compared on the gathered row (bit for bit) and on
+    /// how often `mul` ran.
+    fn assert_row_entry_matches_reference(factor: usize, mask: &[Idx], b_rows: &[BRow]) {
+        let make = || {
+            let mut h: HashAccum<f64> = HashAccum::with_capacity_factor(factor);
+            h.begin_row(mask.len());
+            for &j in mask {
+                h.mark_allowed(j);
+            }
+            h
+        };
+        let muls = std::cell::Cell::new(0u64);
+        let mul = |v: f64| {
+            muls.set(muls.get() + 1);
+            3.0 * v
+        };
+        let mut want = make();
+        let mut admitted = 0u64;
+        for (cols, vals) in b_rows {
+            for (&j, &v) in cols.iter().zip(vals) {
+                admitted += want.insert_with(j, || mul(v), |a, b| a + b) as u64;
+            }
+        }
+        muls.set(0);
+        let mut got = make();
+        for (cols, vals) in b_rows {
+            got.accumulate_row(cols, vals, mul, |a, b| a + b);
+        }
+        assert_eq!(muls.get(), admitted, "`mul` must run for admitted only");
+        let gather = |h: &mut HashAccum<f64>| {
+            let mut cols = vec![0 as Idx; mask.len()];
+            let mut vals = vec![0f64; mask.len()];
+            let n = h.gather_into(mask, &mut cols, &mut vals);
+            let bits: Vec<u64> = vals[..n].iter().map(|v| v.to_bits()).collect();
+            (cols[..n].to_vec(), bits)
+        };
+        assert_eq!(gather(&mut got), gather(&mut want));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn row_entry_matches_per_product_reference(
+            // Admitted ratios 0 %, ~10 %, 100 %; B rows empty, typical,
+            // and as long as the matrix is wide; load factors 0.25 and 1.
+            mask_density in 0usize..3,
+            mask_cells in proptest::collection::vec(0u32..1_000_000, 40),
+            b_densities in proptest::collection::vec(0usize..3, 6),
+            b_cells in proptest::collection::vec(
+                proptest::collection::vec(0u32..1_000_000, 40),
+                0..=6,
+            ),
+        ) {
+            let (mask, _) = sparse_row(&mask_cells, MASK_PER_MILLE[mask_density], SPREAD);
+            let b_rows: Vec<_> = b_cells
+                .iter()
+                .zip(&b_densities)
+                .map(|(cells, &d)| sparse_row(cells, B_ROW_PER_MILLE[d], SPREAD))
+                .collect();
+            for factor in [DEFAULT_CAPACITY_FACTOR, 1] {
+                assert_row_entry_matches_reference(factor, &mask, &b_rows);
+            }
+        }
+    }
+
+    #[test]
+    fn accumulation_order_is_pinned_bit_for_bit() {
+        let b_rows = order_sensitive_rows();
+        assert_row_entry_matches_reference(DEFAULT_CAPACITY_FACTOR, &[3, 5], &b_rows);
+        let mut h: HashAccum<f64> = HashAccum::new();
+        h.begin_row(2);
+        h.mark_allowed(3);
+        h.mark_allowed(5);
+        for (cols, vals) in &b_rows {
+            h.accumulate_row(cols, vals, |v| v, |a, b| a + b);
+        }
+        let (mut cols, mut vals) = ([0 as Idx; 2], [0f64; 2]);
+        assert_eq!(h.gather_into(&[3, 5], &mut cols, &mut vals), 2);
+        assert_eq!((cols, vals), ([3, 5], [0.0, 1.0]));
+    }
+
+    #[test]
+    fn scratch_follows_the_b_row_not_the_table() {
+        // The table is sized by the mask row (2 keys → 16 slots); the
+        // scratch must follow the B row, however long, and keep its size
+        // when the table is re-begun for the next row.
+        let mut h: HashAccum<i64> = HashAccum::new();
+        h.begin_row(2);
+        h.mark_allowed(7);
+        h.mark_allowed(400);
+        h.accumulate_row(&[7], &[1], |v| v, |a, b| a + b);
+        let wide: Vec<Idx> = (0..1000).collect();
+        h.accumulate_row(&wide, &vec![1; 1000], |v| v, |a, b| a + b);
+        let (mut cols, mut vals) = ([0 as Idx; 2], [0i64; 2]);
+        assert_eq!(h.gather_into(&[7, 400], &mut cols, &mut vals), 2);
+        assert_eq!(vals, [2, 1]);
+        h.begin_row(1);
+        assert_eq!(h.admitted.len(), 1000);
     }
 }

@@ -63,6 +63,49 @@ pub trait Accumulator<V: Copy> {
     fn remove(&mut self, key: Idx) -> Option<V>;
 }
 
+/// Fixtures shared by the MSA and Hash row-entry tests.
+#[cfg(test)]
+pub(crate) mod test_rows {
+    use mspgemm_sparse::Idx;
+
+    /// One B row: sorted distinct columns and their values.
+    pub(crate) type BRow = (Vec<Idx>, Vec<f64>);
+
+    /// Per-mille densities the row-entry properties sweep: nothing, a
+    /// typical sparse row, everything. For the mask these are the admitted
+    /// ratios 0 %, ~10 %, 100 % in normal mode (mirrored in complement
+    /// mode); for a B row they give the empty row and the row of length
+    /// `ncols`.
+    pub(crate) const MASK_PER_MILLE: [u32; 3] = [0, 100, 1000];
+    pub(crate) const B_ROW_PER_MILLE: [u32; 3] = [0, 300, 1000];
+
+    /// Sorted distinct columns `j · stride`: `j` is kept when the low
+    /// three digits of `cells[j]` fall under `per_mille`; the rest of the
+    /// cell is its (non-integral, so a reordered sum shows in the bits)
+    /// value.
+    pub(crate) fn sparse_row(cells: &[u32], per_mille: u32, stride: Idx) -> BRow {
+        cells
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c % 1000 < per_mille)
+            .map(|(j, &c)| (j as Idx * stride, (f64::from(c / 1000) - 500.0) / 7.0))
+            .unzip()
+    }
+
+    /// Three B rows that land 1e16, 1.0, -1e16 on column 3, in that order:
+    /// (1e16 + 1.0) + -1e16 == 0.0 in f64 (the 1.0 is absorbed), while
+    /// column 5 takes the same terms as (1e16 + -1e16) + 1.0 == 1.0 — so a
+    /// kernel that visited B rows in any other order would show. Column 1
+    /// is there for a complemented mask to block.
+    pub(crate) fn order_sensitive_rows() -> Vec<BRow> {
+        vec![
+            (vec![3, 5], vec![1e16, 1e16]),
+            (vec![3, 5], vec![1.0, -1e16]),
+            (vec![1, 3, 5], vec![4.0, -1e16, 1.0]),
+        ]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::hash::HashAccum;

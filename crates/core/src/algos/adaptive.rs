@@ -20,6 +20,7 @@ use crate::algos::heap::HeapKernel;
 use crate::algos::mca::McaKernel;
 use crate::algos::msa::MsaKernel;
 use crate::phases::{PushKernel, RowCtx};
+use crate::schedule::ProductCounts;
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::Idx;
 
@@ -101,6 +102,12 @@ impl<S: Semiring> PushKernel<S> for AdaptiveKernel {
         }
     }
 
+    /// The inner MSA's counts: the rows the cost model gave to MSA only
+    /// (MCA and Heap rows form products too, but count nothing).
+    fn take_product_counts(ws: &mut Self::Ws) -> ProductCounts {
+        ws.msa.take_product_counts()
+    }
+
     fn row_symbolic(&self, ws: &mut Self::Ws, ctx: RowCtx<'_, S>) -> usize {
         match self.pick(&ctx) {
             Pick::Msa => self.msa.row_symbolic(&mut ws.msa, ctx),
@@ -129,7 +136,8 @@ impl<S: Semiring> PushKernel<S> for AdaptiveKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phases::{run_push, Phases};
+    use crate::phases::{run_push, run_push_with, Phases};
+    use crate::schedule::{ExecOpts, ExecStats};
     use mspgemm_sparse::semiring::PlusTimesI64;
     use mspgemm_sparse::Csr;
 
@@ -226,5 +234,38 @@ mod tests {
             );
             assert_eq!(hybrid, msa, "{phases:?}");
         }
+    }
+
+    #[test]
+    fn hybrid_reports_the_products_of_its_msa_rows() {
+        // Full mask, every A row 32 long: the cost model gives every row
+        // to MSA (`pick_prefers_msa_for_broad_masks_and_many_merges`), so
+        // the hybrid's counts are the whole product's.
+        let b = dense(64);
+        let a = crate::algos::test_grid(64, |_, j| j < 32);
+        let mask = b.pattern();
+        let stats = ExecStats::new();
+        let opts = ExecOpts {
+            stats: Some(&stats),
+            ..ExecOpts::default()
+        };
+        run_push_with::<PlusTimesI64, _, ()>(
+            &mask,
+            &a,
+            &b,
+            false,
+            Phases::One,
+            &AdaptiveKernel::new(),
+            &opts,
+        )
+        .unwrap();
+        let formed = a.flops_with(&b);
+        assert_eq!(
+            stats.products(),
+            ProductCounts {
+                formed,
+                admitted: formed
+            }
+        );
     }
 }

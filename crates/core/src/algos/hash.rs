@@ -3,7 +3,6 @@
 //! cost per access.
 
 use crate::accumulator::hash::HashAccum;
-use crate::accumulator::Accumulator;
 use crate::phases::{PushKernel, RowCtx};
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::Idx;
@@ -119,11 +118,48 @@ impl<S: Semiring> PushKernel<S> for HashKernel {
                     ctx.prefetch_ahead(i);
                 }
                 let (bc, bv) = ctx.b.row(k as usize);
-                for (&j, &bvv) in bc.iter().zip(bv) {
-                    ws.insert_with(j, || S::mul(av, bvv), S::add);
-                }
+                ws.accumulate_row(bc, bv, |bvv| S::mul(av, bvv), S::add);
             }
             ws.gather_into(ctx.mask_cols, out_cols, out_vals)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::algos::test_grid as grid;
+    use crate::phases::{run_push_with, Phases};
+    use crate::schedule::{ExecOpts, WsPool};
+    use mspgemm_sparse::semiring::PlusTimesI64;
+
+    #[test]
+    fn pooled_workspace_from_a_narrow_product_serves_a_wider_one() {
+        // Hash workspaces share one pool shelf across output widths
+        // (`ws_depends_on_ncols` is false), so the table and the row-entry
+        // scratch a 6-column product parked are what the 96-column product
+        // leases: both must grow, and the result must match a cold run.
+        let pool = WsPool::new();
+        let pooled = ExecOpts {
+            ws_pool: Some(&pool),
+            ..ExecOpts::default()
+        };
+        let kernel = HashKernel::new(false);
+        for n in [6, 96] {
+            // Dense B rows (as long as the matrix is wide) under a sparse
+            // mask: the scratch outgrows the mask-sized table.
+            let a = grid(n, |_, _| true);
+            let mask = grid(n, |i, j| (i + j) % 5 == 0).pattern();
+            for phases in [Phases::One, Phases::Two] {
+                let run = |opts: &ExecOpts<'_>| {
+                    run_push_with::<PlusTimesI64, _, ()>(
+                        &mask, &a, &a, false, phases, &kernel, opts,
+                    )
+                    .unwrap()
+                };
+                assert_eq!(run(&pooled), run(&ExecOpts::default()), "n={n} {phases:?}");
+            }
+        }
+        assert!(pool.hits() > 0, "the wider product reused parked tables");
     }
 }

@@ -3,8 +3,8 @@
 //! gather in mask order.
 
 use crate::accumulator::msa::Msa;
-use crate::accumulator::Accumulator;
 use crate::phases::{PushKernel, RowCtx};
+use crate::schedule::ProductCounts;
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::Idx;
 
@@ -30,6 +30,10 @@ impl<S: Semiring> PushKernel<S> for MsaKernel {
         // Normal and complemented MSAs share a type but hold opposite
         // dense default states — never interchangeable in a pool.
         self.complement as u64
+    }
+
+    fn take_product_counts(ws: &mut Self::Ws) -> ProductCounts {
+        ws.take_product_counts()
     }
 
     fn row_symbolic(&self, ws: &mut Self::Ws, ctx: RowCtx<'_, S>) -> usize {
@@ -66,15 +70,76 @@ impl<S: Semiring> PushKernel<S> for MsaKernel {
                 ctx.prefetch_ahead(i);
             }
             let (bc, bv) = ctx.b.row(k as usize);
-            for (&j, &bvv) in bc.iter().zip(bv) {
-                // Lazy value: `S::mul` runs only if the mask admits `j`.
-                ws.insert_with(j, || S::mul(av, bvv), S::add);
-            }
+            // Filter, then accumulate: `S::mul` runs only for the
+            // products the mask admits.
+            ws.accumulate_row(bc, bv, |bvv| S::mul(av, bvv), S::add);
         }
         if self.complement {
             ws.gather_complement_into(ctx.mask_cols, out_cols, out_vals)
         } else {
             ws.gather_into(ctx.mask_cols, out_cols, out_vals)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::algos::test_grid as grid;
+    use crate::phases::{run_push_with, Phases};
+    use crate::schedule::{ExecOpts, ExecStats, WsPool};
+    use mspgemm_sparse::semiring::PlusTimesI64;
+
+    #[test]
+    fn lease_end_folds_products_formed_and_admitted_into_exec_stats() {
+        let n = 24;
+        let a = grid(n, |i, j| (i * 7 + j * 3) % 4 == 0);
+        let mask = grid(n, |i, j| (i + j) % 3 == 0).pattern();
+        let formed = a.flops_with(&a);
+        // Brute force: products a_ik·a_kj whose (i, j) the mask holds.
+        let in_mask: u64 = (0..n)
+            .flat_map(|i| a.row_cols(i).iter().map(move |&k| (i, k as usize)))
+            .flat_map(|(i, k)| a.row_cols(k).iter().map(move |&j| (i, j)))
+            .filter(|&(i, j)| mask.get(i, j).is_some())
+            .count() as u64;
+        let pool = WsPool::new();
+        for (complement, admitted) in [(false, in_mask), (true, formed - in_mask)] {
+            let kernel = MsaKernel { complement };
+            // An unrecorded drive first: its counts must not leak out of
+            // the pooled workspace into the recorded drives below.
+            let quiet = ExecOpts {
+                ws_pool: Some(&pool),
+                ..ExecOpts::default()
+            };
+            run_push_with::<PlusTimesI64, _, ()>(
+                &mask,
+                &a,
+                &a,
+                complement,
+                Phases::One,
+                &kernel,
+                &quiet,
+            )
+            .unwrap();
+            for phases in [Phases::One, Phases::Two] {
+                let stats = ExecStats::new();
+                let opts = ExecOpts {
+                    stats: Some(&stats),
+                    ..quiet
+                };
+                run_push_with::<PlusTimesI64, _, ()>(
+                    &mask, &a, &a, complement, phases, &kernel, &opts,
+                )
+                .unwrap();
+                // The symbolic pass of a two-phase run forms no products.
+                assert_eq!(
+                    stats.products(),
+                    ProductCounts { formed, admitted },
+                    "complement={complement} {phases:?}"
+                );
+                stats.reset();
+                assert_eq!(stats.products(), ProductCounts::default());
+            }
         }
     }
 }

@@ -58,5 +58,5 @@ pub use dispatch::{
     masked_mxm, masked_mxm_with_bt, masked_mxm_with_opts, Algorithm, Error, MaskMode,
 };
 pub use phases::Phases;
-pub use schedule::{ExecOpts, ExecStats, RowSchedule, WsPool};
+pub use schedule::{ExecOpts, ExecStats, ProductCounts, RowSchedule, WsPool};
 pub use simd::SimdLevel;

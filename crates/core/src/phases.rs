@@ -22,7 +22,7 @@
 //! across schedules and thread counts.
 
 use crate::dispatch::Error;
-use crate::schedule::{row_chunks, ExecOpts, WsPool};
+use crate::schedule::{row_chunks, ExecOpts, ProductCounts, WsPool};
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::util::{par_exclusive_prefix_sum, UnsafeSlice};
 use mspgemm_sparse::{Csr, CsrRef, Idx};
@@ -115,6 +115,13 @@ pub trait PushKernel<S: Semiring>: Sync {
         true
     }
 
+    /// Hand over (and zero) the products the workspace counted since the
+    /// last call — see [`ProductCounts`]. Kernels that do not count
+    /// report nothing.
+    fn take_product_counts(_ws: &mut Self::Ws) -> ProductCounts {
+        ProductCounts::default()
+    }
+
     /// Symbolic pass: the exact number of entries row `i` will produce.
     fn row_symbolic(&self, ws: &mut Self::Ws, ctx: RowCtx<'_, S>) -> usize;
 
@@ -133,7 +140,8 @@ pub trait PushKernel<S: Semiring>: Sync {
 /// A leased workspace: taken from the pool (or freshly built) when an
 /// executor starts claiming chunks, returned to the pool on drop. Also
 /// accumulates the executor's busy seconds locally, reporting the total
-/// once at lease end so no shared state sits inside the timed region.
+/// — and the products the workspace counted — once at lease end so no
+/// shared state sits inside the timed region.
 struct WsLease<'a, W: Any + Send> {
     ws: Option<W>,
     pool: Option<&'a WsPool>,
@@ -141,6 +149,7 @@ struct WsLease<'a, W: Any + Send> {
     busy: f64,
     tag: u64,
     ncols: usize,
+    take_counts: fn(&mut W) -> ProductCounts,
 }
 
 impl<'a, W: Any + Send> WsLease<'a, W> {
@@ -149,6 +158,7 @@ impl<'a, W: Any + Send> WsLease<'a, W> {
         stats: Option<&'a crate::schedule::ExecStats>,
         tag: u64,
         ncols: usize,
+        take_counts: fn(&mut W) -> ProductCounts,
         make: impl FnOnce() -> W,
     ) -> Self {
         let ws = match pool {
@@ -162,6 +172,7 @@ impl<'a, W: Any + Send> WsLease<'a, W> {
             busy: 0.0,
             tag,
             ncols,
+            take_counts,
         }
     }
 
@@ -178,13 +189,20 @@ impl<W: Any + Send> Drop for WsLease<'_, W> {
         if std::thread::panicking() {
             return;
         }
-        if let (Some(pool), Some(ws)) = (self.pool, self.ws.take()) {
+        let Some(mut ws) = self.ws.take() else {
+            return;
+        };
+        // Drained even when nobody records: a parked workspace must not
+        // carry this drive's counts into the next one's report.
+        let counts = (self.take_counts)(&mut ws);
+        if let Some(pool) = self.pool {
             pool.put(self.tag, self.ncols, ws);
         }
         if let Some(stats) = self.stats {
             if self.busy > 0.0 {
                 stats.record(self.busy);
             }
+            stats.record_products(counts);
         }
     }
 }
@@ -212,9 +230,14 @@ fn run_rows<S, K>(
     };
     chunks.par_iter().with_max_len(1).for_each_init(
         || {
-            WsLease::new(opts.ws_pool, opts.stats, kernel.ws_tag(), key_ncols, || {
-                kernel.make_ws(ncols)
-            })
+            WsLease::new(
+                opts.ws_pool,
+                opts.stats,
+                kernel.ws_tag(),
+                key_ncols,
+                K::take_product_counts,
+                || kernel.make_ws(ncols),
+            )
         },
         |lease, range| {
             let t0 = lease.stats.map(|_| Instant::now());

@@ -39,7 +39,9 @@
 //! leases a workspace at drive start and returns it at drive end.
 //!
 //! [`ExecStats`] records per-thread busy seconds inside the row loops, the
-//! raw material for the load-imbalance (max/mean) figure the CLI reports.
+//! raw material for the load-imbalance (max/mean) figure the CLI reports,
+//! and the [`ProductCounts`] the MSA row entry keeps (products formed vs.
+//! admitted by the mask — the paper's wasted-work figure).
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -271,6 +273,32 @@ impl WsPool {
     }
 }
 
+/// The paper's wasted-work pair for one stretch of numeric rows: how many
+/// products `a_ik · b_kj` the push kernel formed (walked in `B`) and how
+/// many of those the mask admitted into the accumulator. Their gap is the
+/// work a masked product throws away. Counted by the MSA row entry (once
+/// per B row, inside the workspace) and folded into [`ExecStats`] when the
+/// executor's lease ends.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ProductCounts {
+    /// Products formed: `Σ nnz(B_k*)` over the `A` entries visited.
+    pub formed: u64,
+    /// Products whose column the mask admitted.
+    pub admitted: u64,
+}
+
+impl ProductCounts {
+    /// Share of formed products the mask discarded (`0.0` when nothing
+    /// was formed).
+    pub fn wasted_ratio(&self) -> f64 {
+        if self.formed == 0 {
+            0.0
+        } else {
+            1.0 - self.admitted as f64 / self.formed as f64
+        }
+    }
+}
+
 /// Per-executor busy-time accounting for the row loops.
 ///
 /// Each executor workspace lease accumulates the wall-clock seconds its
@@ -288,6 +316,9 @@ pub struct ExecStats {
     current: Mutex<Vec<f64>>,
     /// Rank-folded totals across completed drives (rank 0 = busiest).
     ranks: Mutex<Vec<f64>>,
+    /// Products formed / admitted, summed over every lease reported.
+    formed: AtomicU64,
+    admitted: AtomicU64,
 }
 
 impl ExecStats {
@@ -300,6 +331,22 @@ impl ExecStats {
     /// flight.
     pub(crate) fn record(&self, seconds: f64) {
         relock(&self.current).push(seconds);
+    }
+
+    /// Report the products one executor lease formed and admitted.
+    pub(crate) fn record_products(&self, counts: ProductCounts) {
+        self.formed.fetch_add(counts.formed, Ordering::Relaxed);
+        self.admitted.fetch_add(counts.admitted, Ordering::Relaxed);
+    }
+
+    /// Products formed and admitted across every drive recorded so far
+    /// (numeric passes of the MSA kernel, and of the rows the hybrid
+    /// kernel gave to MSA; other kernels report nothing).
+    pub fn products(&self) -> ProductCounts {
+        ProductCounts {
+            formed: self.formed.load(Ordering::Relaxed),
+            admitted: self.admitted.load(Ordering::Relaxed),
+        }
     }
 
     /// Close the drive in flight: rank-fold its per-lease spans into the
@@ -330,6 +377,8 @@ impl ExecStats {
     pub fn reset(&self) {
         relock(&self.current).clear();
         relock(&self.ranks).clear();
+        self.formed.store(0, Ordering::Relaxed);
+        self.admitted.store(0, Ordering::Relaxed);
     }
 }
 

@@ -8,10 +8,13 @@
 //! mutex and restores the cap through a drop guard (a failing assertion
 //! must not leak a cap into a sibling test).
 
+use masked_spgemm::accumulator::hash::HashAccum;
+use masked_spgemm::accumulator::msa::Msa;
+use masked_spgemm::accumulator::Accumulator;
 use masked_spgemm::simd::{detected_level, set_level_cap, SimdLevel};
 use masked_spgemm::{masked_mxm, Algorithm, MaskMode, Phases};
 use mspgemm_sparse::semiring::PlusTimesF64;
-use mspgemm_sparse::Csr;
+use mspgemm_sparse::{Csr, Idx};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -50,8 +53,108 @@ fn csr_strategy(n: usize, fill: f64) -> impl Strategy<Value = Csr<f64>> {
     .prop_map(move |d| Csr::from_dense(&d, n))
 }
 
+/// The three accumulator configurations whose numeric loop filters, then
+/// accumulates.
+#[derive(Clone, Copy, Debug)]
+enum RowEntry {
+    Msa,
+    MsaComplement,
+    Hash,
+}
+
+/// One output row `mask ⊙ Σ_k b_k` (or its complement), with the B rows
+/// driven either through the two-stage loop or — the §5.1 reference — one
+/// product at a time through `Accumulator::insert_with`. Returns the
+/// gathered columns and the value bits.
+fn accumulate_one_row(
+    which: RowEntry,
+    by_row: bool,
+    mask: &[Idx],
+    b: &Csr<f64>,
+) -> (Vec<Idx>, Vec<u64>) {
+    fn drive<A: Accumulator<f64>>(
+        acc: &mut A,
+        b: &Csr<f64>,
+        row_entry: Option<impl Fn(&mut A, &[Idx], &[f64])>,
+    ) {
+        for k in 0..b.nrows() {
+            let (cols, vals) = (b.row_cols(k), b.row_vals(k));
+            match &row_entry {
+                Some(entry) => entry(acc, cols, vals),
+                None => {
+                    for (&j, &v) in cols.iter().zip(vals) {
+                        acc.insert_with(j, || v / 7.0, |x, y| x + y);
+                    }
+                }
+            }
+        }
+    }
+    let n = b.ncols();
+    let (mut cols, mut vals) = (vec![0 as Idx; n], vec![0f64; n]);
+    let len = match which {
+        RowEntry::Msa | RowEntry::MsaComplement => {
+            let complement = matches!(which, RowEntry::MsaComplement);
+            let mut acc = if complement {
+                Msa::new_complement(n)
+            } else {
+                Msa::new(n)
+            };
+            acc.begin_row();
+            acc.load_mask(mask);
+            let entry = |a: &mut Msa<f64>, c: &[Idx], v: &[f64]| {
+                a.accumulate_row(c, v, |x| x / 7.0, |x, y| x + y)
+            };
+            drive(&mut acc, b, by_row.then_some(entry));
+            if complement {
+                acc.gather_complement_into(mask, &mut cols, &mut vals)
+            } else {
+                acc.gather_into(mask, &mut cols, &mut vals)
+            }
+        }
+        RowEntry::Hash => {
+            let mut acc = HashAccum::new();
+            acc.begin_row(mask.len());
+            for &j in mask {
+                acc.mark_allowed(j);
+            }
+            let entry = |a: &mut HashAccum<f64>, c: &[Idx], v: &[f64]| {
+                a.accumulate_row(c, v, |x| x / 7.0, |x, y| x + y)
+            };
+            drive(&mut acc, b, by_row.then_some(entry));
+            acc.gather_into(mask, &mut cols, &mut vals)
+        }
+    };
+    cols.truncate(len);
+    (cols, vals[..len].iter().map(|v| v.to_bits()).collect())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn row_entry_matches_per_product_reference_at_every_level(
+        // Every row of `b` is one scaled B row; sevenths make the sums
+        // inexact, so a reordered accumulation would change the bits.
+        b in csr_strategy(24, 0.4),
+        mask in csr_strategy(24, 0.3),
+    ) {
+        let guard = CapGuard::new();
+        for which in [RowEntry::Msa, RowEntry::MsaComplement, RowEntry::Hash] {
+            for i in [0, 1] {
+                let mask_row = mask.row_cols(i);
+                guard.cap(SimdLevel::Scalar);
+                let want = accumulate_one_row(which, false, mask_row, &b);
+                for level in SimdLevel::ALL {
+                    if level > detected_level() {
+                        continue;
+                    }
+                    guard.cap(level);
+                    let got = accumulate_one_row(which, true, mask_row, &b);
+                    prop_assert_eq!(&got, &want, "{:?} at {}", which, level.name());
+                }
+            }
+        }
+    }
 
     #[test]
     fn every_simd_level_matches_scalar(
