@@ -1,15 +1,16 @@
-//! Row-schedule ablation: static vs guided vs flop-balanced row
-//! distribution on an adversarially skewed R-MAT, across a scale sweep and
-//! a thread sweep. This is the load-imbalance experiment behind the
-//! `--schedule` flag: power-law inputs concentrate the flops in a few hub
-//! rows, and after a degree-descending relabeling those hubs sit in the
-//! *first* contiguous block — the worst case for static chunking, the
-//! intended case for guided/flop-balanced claiming.
+//! Row-schedule ablation: guided vs flop-balanced row distribution on an
+//! adversarially skewed R-MAT, across a scale sweep and a thread sweep.
+//! This is the load-imbalance experiment behind the `--schedule` flag:
+//! power-law inputs concentrate the flops in a few hub rows, and after a
+//! degree-descending relabeling those hubs sit in the *first* contiguous
+//! block — the worst case for equal-row chunking, the intended case for
+//! guided/flop-balanced claiming.
 //!
 //! Every timed product is cross-checked for CSR equality against the
-//! static-schedule output (schedules must never change results). Per-run
-//! output includes the per-thread busy-time spread (max/mean) and the
-//! wall-clock speedup over the static schedule at the same thread count.
+//! one-thread single-chunk output (schedules must never change results).
+//! Per-run output includes the per-thread busy-time spread (max/mean) and
+//! the wall-clock speedup over the guided schedule at the same thread
+//! count.
 //! Emits CSV on stdout, an aligned table on stderr, and — for the CI perf
 //! lane — a JSON report at `MSPGEMM_SCHED_JSON`.
 //!
@@ -40,14 +41,14 @@ struct Row {
     threads: usize,
     schedule: &'static str,
     seconds: f64,
-    speedup_vs_static: f64,
+    speedup_vs_guided: f64,
     busy_ratio: f64,
     busy_threads: usize,
 }
 
 /// A skewed test input: R-MAT with boosted top-left quadrant probability,
 /// relabeled in degree-descending order so the hub rows occupy one
-/// contiguous prefix — the static schedule's adversary.
+/// contiguous prefix — equal-row chunking's adversary.
 fn skewed_rmat(scale: u32) -> Csr<()> {
     let params = RmatParams {
         a: 0.65,
@@ -63,7 +64,7 @@ fn skewed_rmat(scale: u32) -> Csr<()> {
 fn main() {
     banner(
         "abl_schedule",
-        "static vs guided vs flop-balanced row scheduling on skewed R-MAT",
+        "guided vs flop-balanced row scheduling on skewed R-MAT",
     );
     let reps = env_usize("MSPGEMM_REPS", 3).max(1);
     let scales = env_usize_list("MSPGEMM_SCHED_SCALES", "11,12,13");
@@ -87,9 +88,9 @@ fn main() {
             )
             .expect("masked product failed")
         };
-        let reference = run(&ExecOpts::with_schedule(RowSchedule::Static));
+        let reference = with_threads(1, || run(&ExecOpts::default()));
         for &t in &threads_list {
-            let mut static_secs = f64::NAN;
+            let mut guided_secs = f64::NAN;
             for sched in RowSchedule::ALL {
                 let pool = WsPool::new();
                 let stats = ExecStats::new();
@@ -103,11 +104,11 @@ fn main() {
                 assert_eq!(
                     c,
                     reference,
-                    "rmat{scale}@{t}t: {} CSR diverged from static",
+                    "rmat{scale}@{t}t: {} CSR diverged from the single chunk",
                     sched.name()
                 );
-                if sched == RowSchedule::Static {
-                    static_secs = secs;
+                if sched == RowSchedule::Guided {
+                    guided_secs = secs;
                 }
                 let sp = busy_spread(&stats.busy_seconds());
                 rows.push(Row {
@@ -117,7 +118,7 @@ fn main() {
                     threads: t,
                     schedule: sched.name(),
                     seconds: secs,
-                    speedup_vs_static: static_secs / secs.max(1e-12),
+                    speedup_vs_guided: guided_secs / secs.max(1e-12),
                     busy_ratio: sp.as_ref().map_or(1.0, |s| s.ratio()),
                     busy_threads: sp.as_ref().map_or(0, |s| s.threads),
                 });
@@ -132,7 +133,7 @@ fn main() {
         "threads",
         "schedule",
         "seconds",
-        "speedup_vs_static",
+        "speedup_vs_guided",
         "busy_max_over_mean",
         "busy_threads",
     ];
@@ -145,7 +146,7 @@ fn main() {
             r.threads.to_string(),
             r.schedule.to_string(),
             format!("{:.6}", r.seconds),
-            format!("{:.2}", r.speedup_vs_static),
+            format!("{:.2}", r.speedup_vs_guided),
             format!("{:.2}", r.busy_ratio),
             r.busy_threads.to_string(),
         ]);
@@ -364,7 +365,7 @@ fn report_json(rows: &[Row], obs: &ObsOverhead, fault: &FaultOverhead) -> String
         out.push_str(&format!(
             "    {{\"dataset\": \"rmat{}\", \"nrows\": {}, \"nnz\": {}, \
              \"threads\": {}, \"schedule\": \"{}\", \"seconds\": {:.9}, \
-             \"speedup_vs_static\": {:.3}, \"busy_max_over_mean\": {:.3}, \
+             \"speedup_vs_guided\": {:.3}, \"busy_max_over_mean\": {:.3}, \
              \"busy_threads\": {}}}{}\n",
             r.scale,
             r.nrows,
@@ -372,7 +373,7 @@ fn report_json(rows: &[Row], obs: &ObsOverhead, fault: &FaultOverhead) -> String
             r.threads,
             json_escape(r.schedule),
             r.seconds,
-            r.speedup_vs_static,
+            r.speedup_vs_guided,
             r.busy_ratio,
             r.busy_threads,
             if i + 1 < rows.len() { "," } else { "" }

@@ -68,13 +68,13 @@ fn ingest_line(r: &IngestReport) -> String {
     )
 }
 
-/// The kernel SIMD disclosure line shared by `run` (the serve `ping` and
-/// `stats` carry the same field): what the probe/accumulate inner loops
-/// actually ran at on this machine.
+/// The kernel SIMD disclosure line of `run` (the serve `ping` and `stats`
+/// carry the same field): the hash-probe path this binary was compiled
+/// with.
 fn simd_line() -> String {
     format!(
-        "simd     : {} (runtime-detected; MXM_NO_SIMD=1 forces scalar)",
-        masked_spgemm::simd::level().name()
+        "simd     : {} (hash-probe path, fixed at compile time)",
+        masked_spgemm::simd::COMPILED_PATH
     )
 }
 
@@ -84,7 +84,7 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     let path = p
         .positional
         .first()
-        .ok_or("usage: mxm run [--algo A] [--mask normal|complement] [--phases 1|2] [--schedule static|guided|flops] [--threads N] [--parse-threads N] [--reps R] [--mmap] <matrix.mtx|.msb>")?;
+        .ok_or("usage: mxm run [--algo A] [--mask normal|complement] [--phases 1|2] [--schedule guided|flops] [--threads N] [--parse-threads N] [--reps R] [--mmap] <matrix.mtx|.msb>")?;
     let algo: Algorithm = p.flag("algo").unwrap_or("auto").parse()?;
     let mode: MaskMode = p.flag("mask").unwrap_or("normal").parse()?;
     let phases: Phases = p.flag("phases").unwrap_or("1").parse()?;
@@ -323,7 +323,7 @@ pub fn cmd_suite(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
         busy_threads: sp.threads,
         pool_hits: pool.hits(),
         pool_misses: pool.misses(),
-        simd: masked_spgemm::simd::level().name().to_string(),
+        simd: masked_spgemm::simd::COMPILED_PATH.to_string(),
     });
     if let Some(e) = &exec {
         writeln!(
@@ -627,7 +627,7 @@ mod tests {
         let dir = tempdir("run_sched");
         let mtx = dir.join("g.mtx");
         write_small_graph(&mtx);
-        for sched in ["static", "guided", "flops"] {
+        for sched in ["guided", "flops"] {
             let p = parse(
                 &sv(&[
                     "--algo",

@@ -29,15 +29,15 @@ mxm — masked sparse matrix-matrix product experiment driver
 USAGE:
     mxm run [--algo msa|hash|mca|heap|heapdot|inner|auto|hybrid]
             [--mask normal|complement] [--phases 1|2]
-            [--schedule static|guided|flops]
+            [--schedule guided|flops]
             [--threads N] [--parse-threads N] [--reps R] [--no-cache]
             [--mmap] [--pattern] [--trace out.json] <matrix.mtx|.msb>
         One masked product C = M (.*) A*A with M = pattern(A). The run
         report includes the ingest throughput (MB/s, entries/s), the
         load backend (heap vs zero-copy mmap), the row schedule, the
-        kernel SIMD level (runtime-detected scalar/sse4.2/avx2;
-        MXM_NO_SIMD=1 forces scalar), and the per-thread busy-time
-        spread (max/mean). --mmap memory-maps a v2 .msb input (or fresh
+        hash-probe path the binary was compiled with (sse2 on x86_64,
+        scalar elsewhere), and the per-thread busy-time spread
+        (max/mean). --mmap memory-maps a v2 .msb input (or fresh
         sidecar) instead of heap-copying it. --pattern drops values at
         load: unit values come from a process-wide shared arena and
         sidecars are written values-less (~half the bytes).
@@ -48,21 +48,21 @@ USAGE:
 
     mxm suite [--app tc|ktruss|bc] [--source synthetic|synthetic-full|DIR|FILE]
               [--schemes msa-1p,hash-2p,...] [--no-baselines]
-              [--schedule static|guided|flops]
+              [--schedule guided|flops]
               [--reps R] [--threads N] [--parse-threads N] [--k K]
               [--batch B] [--tau-max X] [--json out.json] [--no-cache]
               [--mmap] [--pattern]
         Sweep an application over datasets x schemes; print the per-case
         table and Dolan-More profile, optionally write a JSON report
-        (its exec block records the kernel SIMD level). A warm
+        (its exec block records the compiled hash-probe path). A warm
         accumulator pool spans the whole sweep. --pattern loads on-disk
         datasets values-less (TC/k-truss/BC never read weights).
 
-    Row schedules (--schedule, default guided): 'static' hands each thread
-    one contiguous equal-row block; 'guided' lets threads claim decreasing
-    chunks from a shared cursor; 'flops' places chunk boundaries by a
-    prefix sum of per-row flops so each chunk carries near-equal work
-    (best for power-law graphs). Output is identical across schedules.
+    Row schedules (--schedule, default guided): 'guided' lets threads
+    claim decreasing chunks from a shared cursor; 'flops' places chunk
+    boundaries by a prefix sum of per-row flops so each chunk carries
+    near-equal work (best for power-law graphs). Output is identical
+    across schedules.
 
     mxm convert [--parse-threads N] [--pattern] <in.mtx|.msb> <out.mtx|.msb>
         Convert between Matrix Market text and the .msb binary cache
@@ -76,7 +76,7 @@ USAGE:
     mxm check
         Generator/kernel self-check (used by CI).
 
-    mxm serve [--listen ADDR] [--schedule static|guided|flops]
+    mxm serve [--listen ADDR] [--schedule guided|flops]
               [--parse-threads N] [--max-inflight N] [--queue-depth N]
               [--max-resident-bytes B] [--quarantine-after K]
               [--compact-after-nnz NNZ]

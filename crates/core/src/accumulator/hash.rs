@@ -8,7 +8,7 @@
 //! factor is 0.25.
 
 use super::{Accumulator, State};
-use crate::simd::{self, SimdLevel};
+use crate::simd;
 use mspgemm_sparse::Idx;
 
 const EMPTY: Idx = Idx::MAX;
@@ -18,14 +18,19 @@ const EMPTY: Idx = Idx::MAX;
 /// two). `abl_hash_load` sweeps this choice.
 pub const DEFAULT_CAPACITY_FACTOR: usize = 4;
 
-/// Probe `keys[..cap]` for `key`, starting at its Fibonacci
-/// multiplicative hash (`shift = 32 − log₂ cap`). A free function over the
-/// table fields so the row entry can probe while it holds its scratch
-/// mutably.
+/// `key`'s home slot: its Fibonacci multiplicative hash
+/// (`shift = 32 − log₂ cap`).
 #[inline(always)]
-fn probe_table(keys: &[Idx], cap: usize, shift: u32, lvl: SimdLevel, key: Idx) -> usize {
-    let start = (key.wrapping_mul(2654435761) >> shift) as usize & (cap - 1);
-    simd::hash_probe(lvl, keys, cap, start, key)
+fn home_slot(key: Idx, cap: usize, shift: u32) -> usize {
+    (key.wrapping_mul(2654435761) >> shift) as usize & (cap - 1)
+}
+
+/// Cluster-probe `keys[..cap]` for `key` (see [`crate::simd`]). A free
+/// function over the table fields so the row entry can probe while it
+/// holds its scratch mutably.
+#[inline(always)]
+fn probe_table(keys: &[Idx], cap: usize, shift: u32, key: Idx) -> usize {
+    simd::hash_probe(keys, cap, home_slot(key, cap, shift), key)
 }
 
 /// Open-addressing hash accumulator with linear probing.
@@ -39,9 +44,6 @@ pub struct HashAccum<V> {
     /// Keys inserted this row, for complemented gathers.
     inserted: Vec<Idx>,
     capacity_factor: usize,
-    /// Effective SIMD level for the probe loop, re-read at each
-    /// `begin_row` so pooled accumulators follow runtime level changes.
-    simd: SimdLevel,
     /// Stage-1 output of [`HashAccum::accumulate_row`]: `(slot, position)`
     /// of every product of the current B row whose key the table holds.
     admitted: Vec<(u32, u32)>,
@@ -65,7 +67,6 @@ impl<V: Copy + Default> HashAccum<V> {
             shift: 32,
             inserted: Vec::new(),
             capacity_factor: factor,
-            simd: simd::level(),
             admitted: Vec::new(),
         }
     }
@@ -90,15 +91,21 @@ impl<V: Copy + Default> HashAccum<V> {
         self.shift = 32 - want.trailing_zeros();
         self.keys[..want].fill(EMPTY);
         self.inserted.clear();
-        self.simd = simd::level();
     }
 
     /// Find `key`'s slot, or the empty slot where it would be inserted.
-    /// Probes in clusters of 8/4 keys on AVX2/SSE4.2 — identical slot
-    /// choice to the scalar walk (see [`crate::simd`]).
     #[inline(always)]
     fn probe(&self, key: Idx) -> usize {
-        probe_table(&self.keys, self.cap, self.shift, self.simd, key)
+        probe_table(&self.keys, self.cap, self.shift, key)
+    }
+
+    /// [`HashAccum::probe`] for the complement-mode methods: the same
+    /// slot by the one-slot-per-step walk, which measured faster on
+    /// complement tables (`docs/DECISIONS.md`).
+    #[inline(always)]
+    fn probe_complement(&self, key: Idx) -> usize {
+        let start = home_slot(key, self.cap, self.shift);
+        simd::hash_probe_scalar(&self.keys, self.cap, start, key)
     }
 
     /// Mark `key` allowed (normal-mode mask load). Inserts the key with
@@ -115,7 +122,7 @@ impl<V: Copy + Default> HashAccum<V> {
     /// Mark `key` not-allowed (complement-mode mask load).
     #[inline(always)]
     pub fn mark_not_allowed(&mut self, key: Idx) {
-        let s = self.probe(key);
+        let s = self.probe_complement(key);
         if self.keys[s] == EMPTY {
             self.keys[s] = key;
             self.states[s] = State::NotAllowed;
@@ -153,7 +160,7 @@ impl<V: Copy + Default> HashAccum<V> {
         let admitted = &mut self.admitted[..cols.len()];
         let mut n = 0;
         for (p, &j) in cols.iter().enumerate() {
-            let s = probe_table(&self.keys, self.cap, self.shift, self.simd, j);
+            let s = probe_table(&self.keys, self.cap, self.shift, j);
             admitted[n] = (s as u32, p as u32);
             n += (self.keys[s] != EMPTY) as usize;
         }
@@ -183,7 +190,7 @@ impl<V: Copy + Default> HashAccum<V> {
         value: impl FnOnce() -> V,
         add: impl FnOnce(V, V) -> V,
     ) {
-        let s = self.probe(key);
+        let s = self.probe_complement(key);
         if self.keys[s] == EMPTY {
             self.keys[s] = key;
             self.states[s] = State::Set;
@@ -220,7 +227,7 @@ impl<V: Copy + Default> HashAccum<V> {
     /// Symbolic accumulate (complement mode).
     #[inline(always)]
     pub fn accumulate_symbolic_complement(&mut self, key: Idx) -> bool {
-        let s = self.probe(key);
+        let s = self.probe_complement(key);
         if self.keys[s] == EMPTY {
             self.keys[s] = key;
             self.states[s] = State::Set;
@@ -268,7 +275,7 @@ impl<V: Copy + Default> HashAccum<V> {
     pub fn gather_complement_into(&mut self, out_cols: &mut [Idx], out_vals: &mut [V]) -> usize {
         self.inserted.sort_unstable();
         for (w, &j) in self.inserted.iter().enumerate() {
-            let s = self.probe(j);
+            let s = self.probe_complement(j);
             debug_assert_eq!(self.states[s], State::Set);
             out_cols[w] = j;
             out_vals[w] = self.values[s];

@@ -9,7 +9,6 @@
 
 use super::{Accumulator, State};
 use crate::schedule::ProductCounts;
-use crate::simd;
 use mspgemm_sparse::Idx;
 
 /// Dense masked sparse accumulator. `default_state` distinguishes the
@@ -36,14 +35,9 @@ pub struct Msa<V> {
 
 impl<V: Copy + Default> Msa<V> {
     /// A normal-mode MSA over `ncols` columns (default state NOTALLOWED).
-    ///
-    /// The state array is over-allocated by a few entries
-    /// (`simd::MSA_STATE_PAD`) so the vectorized mask-test gathers can
-    /// load a full 32-bit lane at any valid column without reading out
-    /// of bounds; the pad is never addressed logically.
     pub fn new(ncols: usize) -> Self {
         Self {
-            states: vec![State::NotAllowed; ncols + simd::MSA_STATE_PAD],
+            states: vec![State::NotAllowed; ncols],
             values: vec![V::default(); ncols],
             default_state: State::NotAllowed,
             inserted: Vec::new(),
@@ -59,7 +53,7 @@ impl<V: Copy + Default> Msa<V> {
     /// were inserted").
     pub fn new_complement(ncols: usize) -> Self {
         Self {
-            states: vec![State::Allowed; ncols + simd::MSA_STATE_PAD],
+            states: vec![State::Allowed; ncols],
             values: vec![V::default(); ncols],
             default_state: State::Allowed,
             inserted: Vec::new(),
@@ -173,11 +167,6 @@ impl<V: Copy + Default> Msa<V> {
     /// (sorted and stable by construction — §5.2), and restore every
     /// touched state to NOTALLOWED.
     ///
-    /// On AVX2/SSE4.2 the SET test runs 8 mask columns per step
-    /// (`simd::set_lanes8`) and the emit loop walks only the set bits,
-    /// so clusters with no output cost one compare instead of eight
-    /// branches. Output is identical to the scalar walk.
-    ///
     /// Returns the number of entries written.
     pub fn gather_into(
         &mut self,
@@ -187,31 +176,7 @@ impl<V: Copy + Default> Msa<V> {
     ) -> usize {
         debug_assert_eq!(self.default_state, State::NotAllowed);
         let mut w = 0;
-        let mut i = 0;
-        let lvl = simd::level();
-        if simd::msa_lanes_usable(lvl, self.values.len()) {
-            while i + 8 <= mask_cols.len() {
-                let chunk = &mask_cols[i..i + 8];
-                // Re-derived each cluster: the reset writes below retire
-                // any pointer taken before them.
-                let states = self.states.as_ptr() as *const u8;
-                // SAFETY: every mask column is < ncols and the state
-                // array carries MSA_STATE_PAD entries past ncols.
-                let mut m = unsafe { simd::set_lanes8(lvl, states, chunk, State::Set as u8) };
-                while m != 0 {
-                    let j = chunk[m.trailing_zeros() as usize];
-                    out_cols[w] = j;
-                    out_vals[w] = self.values[j as usize];
-                    w += 1;
-                    m &= m - 1;
-                }
-                for &j in chunk {
-                    self.states[j as usize] = State::NotAllowed;
-                }
-                i += 8;
-            }
-        }
-        for &j in &mask_cols[i..] {
+        for &j in mask_cols {
             let k = j as usize;
             if self.states[k] == State::Set {
                 out_cols[w] = j;
@@ -223,29 +188,11 @@ impl<V: Copy + Default> Msa<V> {
         w
     }
 
-    /// Normal-mode symbolic gather: count SET entries and reset. The
-    /// compaction count runs 8 mask columns per step on AVX2/SSE4.2
-    /// (popcount of the SET lane mask); identical to the scalar count.
+    /// Normal-mode symbolic gather: count SET entries and reset.
     pub fn count_and_reset(&mut self, mask_cols: &[Idx]) -> usize {
         debug_assert_eq!(self.default_state, State::NotAllowed);
         let mut n = 0;
-        let mut i = 0;
-        let lvl = simd::level();
-        if simd::msa_lanes_usable(lvl, self.values.len()) {
-            while i + 8 <= mask_cols.len() {
-                let chunk = &mask_cols[i..i + 8];
-                let states = self.states.as_ptr() as *const u8;
-                // SAFETY: as in `gather_into` — indices < ncols, padded
-                // state array.
-                let m = unsafe { simd::set_lanes8(lvl, states, chunk, State::Set as u8) };
-                n += m.count_ones() as usize;
-                for &j in chunk {
-                    self.states[j as usize] = State::NotAllowed;
-                }
-                i += 8;
-            }
-        }
-        for &j in &mask_cols[i..] {
+        for &j in mask_cols {
             let k = j as usize;
             if self.states[k] == State::Set {
                 n += 1;

@@ -56,15 +56,12 @@ impl<S: Semiring> PushKernel<S> for HashKernel {
 
     fn row_symbolic(&self, ws: &mut Self::Ws, ctx: RowCtx<'_, S>) -> usize {
         ws.begin_row(self.row_capacity(&ctx));
-        let pf = crate::simd::prefetch_enabled();
         if self.complement {
             for &j in ctx.mask_cols {
                 ws.mark_not_allowed(j);
             }
             for (i, &k) in ctx.a_cols.iter().enumerate() {
-                if pf {
-                    ctx.prefetch_ahead(i);
-                }
+                ctx.prefetch_ahead(i);
                 for &j in ctx.b.row_cols(k as usize) {
                     ws.accumulate_symbolic_complement(j);
                 }
@@ -75,9 +72,7 @@ impl<S: Semiring> PushKernel<S> for HashKernel {
                 ws.mark_allowed(j);
             }
             for (i, &k) in ctx.a_cols.iter().enumerate() {
-                if pf {
-                    ctx.prefetch_ahead(i);
-                }
+                ctx.prefetch_ahead(i);
                 for &j in ctx.b.row_cols(k as usize) {
                     ws.accumulate_symbolic(j);
                 }
@@ -94,15 +89,12 @@ impl<S: Semiring> PushKernel<S> for HashKernel {
         out_vals: &mut [S::Out],
     ) -> usize {
         ws.begin_row(self.row_capacity(&ctx));
-        let pf = crate::simd::prefetch_enabled();
         if self.complement {
             for &j in ctx.mask_cols {
                 ws.mark_not_allowed(j);
             }
             for (i, (&k, &av)) in ctx.a_cols.iter().zip(ctx.a_vals).enumerate() {
-                if pf {
-                    ctx.prefetch_ahead(i);
-                }
+                ctx.prefetch_ahead(i);
                 let (bc, bv) = ctx.b.row(k as usize);
                 for (&j, &bvv) in bc.iter().zip(bv) {
                     ws.insert_complement_with(j, || S::mul(av, bvv), S::add);
@@ -114,9 +106,7 @@ impl<S: Semiring> PushKernel<S> for HashKernel {
                 ws.mark_allowed(j);
             }
             for (i, (&k, &av)) in ctx.a_cols.iter().zip(ctx.a_vals).enumerate() {
-                if pf {
-                    ctx.prefetch_ahead(i);
-                }
+                ctx.prefetch_ahead(i);
                 let (bc, bv) = ctx.b.row(k as usize);
                 ws.accumulate_row(bc, bv, |bvv| S::mul(av, bvv), S::add);
             }

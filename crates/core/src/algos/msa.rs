@@ -39,11 +39,8 @@ impl<S: Semiring> PushKernel<S> for MsaKernel {
     fn row_symbolic(&self, ws: &mut Self::Ws, ctx: RowCtx<'_, S>) -> usize {
         ws.begin_row();
         ws.load_mask(ctx.mask_cols);
-        let pf = crate::simd::prefetch_enabled();
         for (i, &k) in ctx.a_cols.iter().enumerate() {
-            if pf {
-                ctx.prefetch_ahead(i);
-            }
+            ctx.prefetch_ahead(i);
             for &j in ctx.b.row_cols(k as usize) {
                 ws.accumulate_symbolic(j);
             }
@@ -64,11 +61,8 @@ impl<S: Semiring> PushKernel<S> for MsaKernel {
     ) -> usize {
         ws.begin_row();
         ws.load_mask(ctx.mask_cols);
-        let pf = crate::simd::prefetch_enabled();
         for (i, (&k, &av)) in ctx.a_cols.iter().zip(ctx.a_vals).enumerate() {
-            if pf {
-                ctx.prefetch_ahead(i);
-            }
+            ctx.prefetch_ahead(i);
             let (bc, bv) = ctx.b.row(k as usize);
             // Filter, then accumulate: `S::mul` runs only for the
             // products the mask admits.

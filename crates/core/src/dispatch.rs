@@ -345,7 +345,7 @@ where
 /// pool spins up. The per-iteration prefetches inside the kernels
 /// ([`crate::phases::RowCtx::prefetch_ahead`]) take over from there.
 fn warm_gather_stream<L, R>(a: &Csr<L>, b: &Csr<R>) {
-    if a.nrows() == 0 || !crate::simd::prefetch_enabled() {
+    if a.nrows() == 0 || !crate::simd::PREFETCH {
         return;
     }
     let bv = b.view();

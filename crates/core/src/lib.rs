@@ -59,4 +59,3 @@ pub use dispatch::{
 };
 pub use phases::Phases;
 pub use schedule::{ExecOpts, ExecStats, ProductCounts, RowSchedule, WsPool};
-pub use simd::SimdLevel;

@@ -74,10 +74,13 @@ impl<'a, S: Semiring> RowCtx<'a, S> {
     /// `i` in the gather stream: the row pointer at
     /// [`crate::simd::PREFETCH_PTR_DIST`] and the column/value data at
     /// [`crate::simd::PREFETCH_ROW_DIST`] (whose rowptr entry the
-    /// earlier prefetch already pulled in). Callers gate on
-    /// [`crate::simd::prefetch_enabled`] once per row.
+    /// earlier prefetch already pulled in). Compiles to nothing where
+    /// [`crate::simd::PREFETCH`] is off.
     #[inline(always)]
     pub fn prefetch_ahead(&self, i: usize) {
+        if !crate::simd::PREFETCH {
+            return;
+        }
         if let Some(&kf) = self.a_cols.get(i + crate::simd::PREFETCH_PTR_DIST) {
             crate::simd::prefetch_b_rowptr(&self.b, kf as usize);
         }

@@ -8,13 +8,9 @@
 //! threads decides whether the paper's "plenty of coarse-grained
 //! parallelism across rows" (§3) actually materializes:
 //!
-//! * [`RowSchedule::Static`] — one contiguous equal-**row** block per
-//!   thread. Zero scheduling overhead, perfect for uniform degree
-//!   distributions; on skewed inputs the thread that drew the hub rows
-//!   runs long while the rest idle.
 //! * [`RowSchedule::Guided`] — contiguous chunks of geometrically
 //!   decreasing size claimed from an atomic cursor (guided
-//!   self-scheduling). Heavy early chunks stop pinning a whole thread's
+//!   self-scheduling). Heavy early chunks do not pin a whole thread's
 //!   share, at the cost of one `fetch_add` per chunk. Needs no input
 //!   analysis, so it is the default.
 //! * [`RowSchedule::FlopBalanced`] — chunk boundaries placed by a prefix
@@ -52,9 +48,6 @@ use std::sync::Mutex;
 /// How the row loop distributes rows over threads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum RowSchedule {
-    /// One contiguous equal-row block per thread (the pre-policy
-    /// behaviour): no scheduling overhead, no load balancing.
-    Static,
     /// Decreasing-size chunks claimed dynamically from a shared cursor
     /// (guided self-scheduling). Robust default for unknown inputs.
     #[default]
@@ -69,32 +62,26 @@ impl RowSchedule {
     /// The name the CLI and reports print.
     pub fn name(&self) -> &'static str {
         match self {
-            RowSchedule::Static => "static",
             RowSchedule::Guided => "guided",
             RowSchedule::FlopBalanced => "flops",
         }
     }
 
     /// All policies, in sweep order.
-    pub const ALL: [RowSchedule; 3] = [
-        RowSchedule::Static,
-        RowSchedule::Guided,
-        RowSchedule::FlopBalanced,
-    ];
+    pub const ALL: [RowSchedule; 2] = [RowSchedule::Guided, RowSchedule::FlopBalanced];
 }
 
 impl std::str::FromStr for RowSchedule {
     type Err = String;
 
     /// Parse a schedule as the CLI spells it (case-insensitive):
-    /// `static`, `guided`, or `flops` (aliases `flop`, `flop-balanced`).
+    /// `guided` or `flops` (aliases `flop`, `flop-balanced`).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
-            "static" => Ok(RowSchedule::Static),
             "guided" => Ok(RowSchedule::Guided),
             "flops" | "flop" | "flop-balanced" | "flopbalanced" => Ok(RowSchedule::FlopBalanced),
             other => Err(format!(
-                "unknown schedule '{other}' (expected static|guided|flops)"
+                "unknown schedule '{other}' (expected guided|flops)"
             )),
         }
     }
@@ -129,7 +116,6 @@ pub(crate) fn row_chunks(
         return std::iter::once(0..nrows).collect();
     }
     match schedule {
-        RowSchedule::Static => mspgemm_sparse::util::split_ranges(nrows, threads),
         RowSchedule::Guided => {
             // Textbook guided self-scheduling hands out `remaining / 2T`
             // rows per claim, but its biggest chunk comes *first* — the
@@ -428,21 +414,10 @@ mod tests {
     }
 
     #[test]
-    fn static_chunks_partition() {
-        for nrows in [1usize, 7, 100, 1000] {
-            for threads in [1usize, 2, 4, 8] {
-                let chunks = row_chunks(RowSchedule::Static, nrows, threads, None);
-                assert_partition(&chunks, nrows);
-                assert!(chunks.len() <= threads.max(1));
-            }
-        }
-        assert!(row_chunks(RowSchedule::Static, 0, 4, None).is_empty());
-    }
-
-    #[test]
     fn guided_chunks_decrease_and_partition() {
         let chunks = row_chunks(RowSchedule::Guided, 10_000, 4, None);
         assert_partition(&chunks, 10_000);
+        assert!(row_chunks(RowSchedule::Guided, 0, 4, None).is_empty());
         assert!(chunks.len() > 4, "guided must oversubscribe");
         // Sizes are non-increasing until the minimum chunk floor.
         let sizes: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
@@ -484,7 +459,6 @@ mod tests {
 
     #[test]
     fn schedule_parses() {
-        assert_eq!("static".parse::<RowSchedule>(), Ok(RowSchedule::Static));
         assert_eq!("GUIDED".parse::<RowSchedule>(), Ok(RowSchedule::Guided));
         assert_eq!(
             "flops".parse::<RowSchedule>(),
@@ -495,6 +469,7 @@ mod tests {
             Ok(RowSchedule::FlopBalanced)
         );
         assert!("dynamic".parse::<RowSchedule>().is_err());
+        assert!("static".parse::<RowSchedule>().is_err());
         assert_eq!(RowSchedule::default(), RowSchedule::Guided);
     }
 

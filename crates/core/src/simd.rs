@@ -1,192 +1,55 @@
-//! Runtime-dispatched SIMD paths for the accumulator inner loops.
+//! The hash accumulator's cluster probe and the push drives' software
+//! prefetch — the two places the kernels step below plain Rust loops.
 //!
-//! The paper attributes masked-SpGEMM runtime almost entirely to two
-//! loops: the hash accumulator's linear probe (§5.3) and the MSA's
-//! dense-array scans (§5.2). Both are data-parallel over small fixed
-//! windows, so this module provides:
-//!
-//! * **Hash probing** — `hash_probe` compares 8 (AVX2) or 4 (SSE4.2)
-//!   consecutive table keys per step against the probe key and the EMPTY
-//!   sentinel, replacing one branch per slot with one movemask per
-//!   cluster. Probe order is preserved exactly, so the returned slot —
-//!   and therefore every downstream CSR — is identical to the scalar
-//!   walk's.
-//! * **MSA mask tests** — `set_lanes8` gathers the states of 8 mask
-//!   columns and compares them against `SET` in one shot; the gather
-//!   loops consume the resulting bitmask with `trailing_zeros`, so rows
-//!   whose output is much sparser than their mask skip whole clusters
-//!   without per-column branches.
-//! * **Software prefetch** — [`prefetch_read`] (`_mm_prefetch`) for the
-//!   B-row gather stream of the push drives: the row-ahead column
-//!   indices are known from `A`'s row, so the kernels hide the
-//!   rowptr/colidx misses of row `k+d` behind the arithmetic of row `k`.
-//!
-//! ## Dispatch and fallback policy
-//!
-//! The level is detected once per process with
-//! `is_x86_feature_detected!` and cached; [`level`] returns the
-//! *effective* level, which is the detected one clamped by the
-//! `MXM_NO_SIMD` environment variable (any non-empty value other than
-//! `0` forces scalar) and by [`set_level_cap`] (the ablation-bench and
-//! differential-test hook). On non-x86_64 targets, or when the
-//! default-on `simd` cargo feature is disabled
-//! (`--no-default-features`), the scalar path is the only path and this
-//! module compiles to the plain loops. Scalar and SIMD paths are
-//! byte-identical by construction and fingerprint-asserted in the
-//! differential tests.
+//! * **Hash probing** — `hash_probe` compares 4 consecutive table keys
+//!   per step against the probe key and EMPTY (paper §5.3's linear probe,
+//!   one movemask per cluster instead of one branch per slot) and keeps
+//!   probe order, so it returns the slot `hash_probe_scalar` returns. The
+//!   compare is SSE2, the x86_64 baseline: compiled there, the scalar
+//!   walk elsewhere, nothing to detect or dispatch. Complement-mode
+//!   tables, where it measured slower, use the scalar walk
+//!   (`docs/DECISIONS.md`).
+//! * **Software prefetch** — [`prefetch_read`] for the push drives' B-row
+//!   gather stream: the rows ahead are known from `A`'s row, so the
+//!   misses of row `k+d` hide behind the arithmetic of row `k`.
 
 use mspgemm_sparse::Idx;
-use std::sync::atomic::{AtomicU8, Ordering};
 
-/// The EMPTY key sentinel of the open-addressing hash table (matches
-/// `accumulator::hash`).
+/// The hash table's EMPTY key sentinel (matches `accumulator::hash`).
 const EMPTY: Idx = Idx::MAX;
 
-/// An instruction-set level the kernels can dispatch to, ordered from
-/// weakest to strongest.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
-pub enum SimdLevel {
-    /// Plain Rust loops — the reference semantics, and the only path on
-    /// non-x86_64 targets or with the `simd` feature disabled.
-    Scalar = 0,
-    /// 4-wide `__m128i` key/state comparisons.
-    Sse42 = 1,
-    /// 8-wide `__m256i` comparisons plus `vpgatherdd` state gathers.
-    Avx2 = 2,
-}
+/// The probe path this build compiled (`sse2` on x86_64, `scalar`
+/// elsewhere) — what `mxm run`, `ping`/`stats` and suite reports print.
+#[cfg(target_arch = "x86_64")]
+pub const COMPILED_PATH: &str = "sse2";
+#[cfg(not(target_arch = "x86_64"))]
+pub const COMPILED_PATH: &str = "scalar";
 
-impl SimdLevel {
-    /// The name reports print (`scalar`, `sse4.2`, `avx2`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            SimdLevel::Scalar => "scalar",
-            SimdLevel::Sse42 => "sse4.2",
-            SimdLevel::Avx2 => "avx2",
-        }
-    }
+/// Whether the push drives emit software prefetches: where
+/// [`prefetch_read`] is an instruction rather than a no-op.
+pub const PREFETCH: bool = cfg!(target_arch = "x86_64");
 
-    /// All levels, weakest first (the ablation sweep order).
-    pub const ALL: [SimdLevel; 3] = [SimdLevel::Scalar, SimdLevel::Sse42, SimdLevel::Avx2];
-
-    fn from_u8(v: u8) -> SimdLevel {
-        match v {
-            2 => SimdLevel::Avx2,
-            1 => SimdLevel::Sse42,
-            _ => SimdLevel::Scalar,
-        }
-    }
-}
-
-impl std::str::FromStr for SimdLevel {
-    type Err = String;
-
-    /// Parse a level name (case-insensitive): `scalar`, `sse4.2`/`sse42`,
-    /// `avx2`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "scalar" | "none" => Ok(SimdLevel::Scalar),
-            "sse4.2" | "sse42" => Ok(SimdLevel::Sse42),
-            "avx2" => Ok(SimdLevel::Avx2),
-            other => Err(format!(
-                "unknown SIMD level '{other}' (expected scalar|sse4.2|avx2)"
-            )),
-        }
-    }
-}
-
-/// Sentinel for "not yet computed" in the cached-level atomics.
-const UNINIT: u8 = u8::MAX;
-
-/// Hardware capability, detected once (after the `MXM_NO_SIMD` gate).
-static DETECTED: AtomicU8 = AtomicU8::new(UNINIT);
-/// Cap applied on top of detection ([`set_level_cap`]); `UNINIT` = none.
-static CAP: AtomicU8 = AtomicU8::new(UNINIT);
-
-/// What the CPU (and build) supports, before any cap: `Avx2`, `Sse42`,
-/// or `Scalar`. `MXM_NO_SIMD` (non-empty, not `"0"`) pins this to
-/// `Scalar` for the whole process — the runtime escape hatch the CI
-/// forced-scalar lane uses.
-pub fn detected_level() -> SimdLevel {
-    match DETECTED.load(Ordering::Relaxed) {
-        UNINIT => {
-            let lvl = detect();
-            DETECTED.store(lvl as u8, Ordering::Relaxed);
-            lvl
-        }
-        v => SimdLevel::from_u8(v),
-    }
-}
-
-fn detect() -> SimdLevel {
-    if std::env::var("MXM_NO_SIMD").is_ok_and(|v| !v.is_empty() && v != "0") {
-        return SimdLevel::Scalar;
-    }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        if is_x86_feature_detected!("avx2") {
-            return SimdLevel::Avx2;
-        }
-        if is_x86_feature_detected!("sse4.2") {
-            return SimdLevel::Sse42;
-        }
-    }
-    SimdLevel::Scalar
-}
-
-/// The effective level the kernels dispatch on: [`detected_level`]
-/// clamped by [`set_level_cap`].
-#[inline]
-pub fn level() -> SimdLevel {
-    let detected = detected_level();
-    match CAP.load(Ordering::Relaxed) {
-        UNINIT => detected,
-        cap => detected.min(SimdLevel::from_u8(cap)),
-    }
-}
-
-/// Cap the effective level below the detected one (`None` removes the
-/// cap). Process-global; meant for ablation benches and differential
-/// tests that compare levels within one process — callers that race it
-/// across threads get whichever level a kernel happened to read at row
-/// start, which is still a valid level (results are identical across
-/// all of them by construction).
-pub fn set_level_cap(cap: Option<SimdLevel>) {
-    CAP.store(cap.map_or(UNINIT, |l| l as u8), Ordering::Relaxed);
-}
-
-/// `true` when the effective level emits software prefetches (any
-/// non-scalar level on x86_64 with the `simd` feature on).
-#[inline]
-pub fn prefetch_enabled() -> bool {
-    cfg!(all(feature = "simd", target_arch = "x86_64")) && level() != SimdLevel::Scalar
-}
-
-/// Prefetch the cache line holding `p` for reading (T0 hint). No-op on
-/// non-x86_64 targets or with the `simd` feature off. The address need
-/// not be dereferenceable — prefetch never faults — but callers keep it
-/// in-bounds anyway so the hint is useful.
+/// Prefetch the cache line holding `p` for reading (T0 hint; no-op off
+/// x86_64). The address need not be dereferenceable — prefetch never
+/// faults — but callers keep it in-bounds so the hint is useful.
 #[inline(always)]
 pub fn prefetch_read<T>(p: *const T) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     // SAFETY: `_mm_prefetch` is architecturally a hint; it cannot fault
     // and has no observable effect on program state.
     unsafe {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
         _mm_prefetch::<_MM_HINT_T0>(p as *const i8);
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        let _ = p;
-    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
 }
 
 /// How many `A`-row entries ahead the push kernels prefetch the *row
 /// pointer* of the upcoming B row (the first-level miss).
 pub const PREFETCH_PTR_DIST: usize = 8;
 /// How many entries ahead they prefetch the B row's *column/value data*
-/// (its rowptr entry is already resident thanks to
-/// [`PREFETCH_PTR_DIST`]).
+/// (its rowptr entry is resident thanks to [`PREFETCH_PTR_DIST`]).
 pub const PREFETCH_ROW_DIST: usize = 2;
 
 /// Prefetch `b`'s rowptr entry for row `k` — issued
@@ -208,35 +71,12 @@ pub fn prefetch_b_row<T>(b: &mspgemm_sparse::CsrRef<'_, T>, k: usize) {
     }
 }
 
-/// Find the first slot in probe order (starting at `start`, wrapping at
-/// `cap`) whose key is `key` or EMPTY. `cap` is a power of two with
-/// `cap <= keys.len()`, and the table holds at least one EMPTY slot in
-/// `keys[..cap]` so the probe terminates. Returns exactly what the
-/// scalar linear probe returns.
+/// The reference probe, one slot per step: the first slot in probe order
+/// (starting at `start`, wrapping at `cap`) whose key is `key` or EMPTY.
+/// `cap` is a power of two with `cap <= keys.len()`, and `keys[..cap]`
+/// holds at least one EMPTY slot so the probe terminates.
 #[inline(always)]
-pub(crate) fn hash_probe(
-    lvl: SimdLevel,
-    keys: &[Idx],
-    cap: usize,
-    start: usize,
-    key: Idx,
-) -> usize {
-    debug_assert!(cap.is_power_of_two() && cap <= keys.len() && start < cap);
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    match lvl {
-        // SAFETY: the callee requires AVX2/SSE4.2, guaranteed by `lvl`
-        // (clamped to the detected capability).
-        SimdLevel::Avx2 => return unsafe { hash_probe_avx2(keys, cap, start, key) },
-        SimdLevel::Sse42 => return unsafe { hash_probe_sse42(keys, cap, start, key) },
-        SimdLevel::Scalar => {}
-    }
-    let _ = lvl;
-    hash_probe_scalar(keys, cap, start, key)
-}
-
-/// The reference probe: one slot per step.
-#[inline(always)]
-fn hash_probe_scalar(keys: &[Idx], cap: usize, start: usize, key: Idx) -> usize {
+pub(crate) fn hash_probe_scalar(keys: &[Idx], cap: usize, start: usize, key: Idx) -> usize {
     let mask = cap - 1;
     let mut s = start;
     loop {
@@ -248,180 +88,67 @@ fn hash_probe_scalar(keys: &[Idx], cap: usize, start: usize, key: Idx) -> usize 
     }
 }
 
-/// 8-wide probe clusters: load 8 consecutive keys, compare against the
-/// probe key and EMPTY at once, and return the lowest matching lane —
-/// the same slot the scalar walk finds. Falls to scalar stepping for the
-/// (rare) tail where a cluster would cross the wraparound boundary.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn hash_probe_avx2(keys: &[Idx], cap: usize, start: usize, key: Idx) -> usize {
-    use std::arch::x86_64::*;
-    let vkey = _mm256_set1_epi32(key as i32);
-    let vempty = _mm256_set1_epi32(EMPTY as i32);
-    let ptr = keys.as_ptr();
+/// [`hash_probe_scalar`]'s contract and result, 4 slots per step: the
+/// lowest hit lane of a cluster is the slot the scalar walk stops at. The
+/// fewer-than-4 slots before the wraparound are walked one by one.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+pub(crate) fn hash_probe(keys: &[Idx], cap: usize, start: usize, key: Idx) -> usize {
+    debug_assert!(cap.is_power_of_two() && start < cap);
+    let keys = &keys[..cap];
     let mut s = start;
     loop {
-        if s + 8 <= cap {
-            // SAFETY: s + 8 <= cap <= keys.len(), so the unaligned load
-            // stays inside the table.
-            let v = unsafe { _mm256_loadu_si256(ptr.add(s) as *const __m256i) };
-            let hit = _mm256_or_si256(_mm256_cmpeq_epi32(v, vkey), _mm256_cmpeq_epi32(v, vempty));
-            let m = _mm256_movemask_epi8(hit) as u32;
-            if m != 0 {
-                return s + m.trailing_zeros() as usize / 4;
-            }
-            s = (s + 8) & (cap - 1);
-        } else {
-            // SAFETY: s stays < cap <= keys.len() in this tail walk.
-            while s < cap {
-                let k = unsafe { *ptr.add(s) };
-                if k == key || k == EMPTY {
-                    return s;
-                }
-                s += 1;
-            }
-            s = 0;
-        }
-    }
-}
-
-/// 4-wide probe clusters (the SSE4.2 analogue of [`hash_probe_avx2`]).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "sse4.2")]
-unsafe fn hash_probe_sse42(keys: &[Idx], cap: usize, start: usize, key: Idx) -> usize {
-    use std::arch::x86_64::*;
-    let vkey = _mm_set1_epi32(key as i32);
-    let vempty = _mm_set1_epi32(EMPTY as i32);
-    let ptr = keys.as_ptr();
-    let mut s = start;
-    loop {
-        if s + 4 <= cap {
-            // SAFETY: s + 4 <= cap <= keys.len().
-            let v = unsafe { _mm_loadu_si128(ptr.add(s) as *const __m128i) };
-            let hit = _mm_or_si128(_mm_cmpeq_epi32(v, vkey), _mm_cmpeq_epi32(v, vempty));
-            let m = _mm_movemask_epi8(hit) as u32;
-            if m != 0 {
-                return s + m.trailing_zeros() as usize / 4;
+        if let Some(cluster) = keys[s..].first_chunk::<4>() {
+            let hits = cluster_hits(cluster, key);
+            if hits != 0 {
+                return s + hits.trailing_zeros() as usize;
             }
             s = (s + 4) & (cap - 1);
         } else {
-            // SAFETY: s stays < cap <= keys.len().
-            while s < cap {
-                let k = unsafe { *ptr.add(s) };
-                if k == key || k == EMPTY {
-                    return s;
-                }
-                s += 1;
+            if let Some(i) = keys[s..].iter().position(|&k| k == key || k == EMPTY) {
+                return s + i;
             }
             s = 0;
         }
     }
 }
 
-/// Extra `states` entries the MSA allocates past `ncols` so the AVX2
-/// 4-byte-per-lane state gathers never read out of bounds (each lane
-/// loads 32 bits at `states + j` and keeps the low byte).
-pub(crate) const MSA_STATE_PAD: usize = 4;
-
-/// Whether the MSA scans may use the vector state test: needs a
-/// non-scalar level and indices that fit the signed-32-bit gather form.
-#[inline]
-pub(crate) fn msa_lanes_usable(lvl: SimdLevel, ncols: usize) -> bool {
-    cfg!(all(feature = "simd", target_arch = "x86_64"))
-        && lvl != SimdLevel::Scalar
-        && ncols <= i32::MAX as usize
-}
-
-/// Test 8 mask columns at once: bit `i` of the result is set iff
-/// `states[idx[i]] == set_state`. `states` points at the MSA state array
-/// (`repr(u8)`), over-allocated by [`MSA_STATE_PAD`] so lane loads stay
-/// in bounds; every index is `< ncols <= i32::MAX`.
-///
-/// # Safety
-/// `states` must be valid for reads of `idx[i] + 4` bytes for each of
-/// the 8 indices, and `lvl` must not exceed the detected capability.
+/// Bit `i` is set iff `cluster[i]` is `key` or EMPTY.
+#[cfg(target_arch = "x86_64")]
 #[inline(always)]
-pub(crate) unsafe fn set_lanes8(
-    lvl: SimdLevel,
-    states: *const u8,
-    idx: &[Idx],
-    set_state: u8,
-) -> u32 {
-    debug_assert_eq!(idx.len(), 8);
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    match lvl {
-        // SAFETY: forwarded contract; `lvl` guarantees the feature.
-        SimdLevel::Avx2 => return unsafe { set_lanes8_avx2(states, idx, set_state) },
-        SimdLevel::Sse42 => return unsafe { set_lanes8_sse42(states, idx, set_state) },
-        SimdLevel::Scalar => {}
+fn cluster_hits(cluster: &[Idx; 4], key: Idx) -> u32 {
+    use std::arch::x86_64::*;
+    // SAFETY: every intrinsic here is SSE/SSE2, which each x86_64 CPU
+    // implements (the x86_64 targets enable both unconditionally), and
+    // the unaligned load reads exactly the 16 bytes of `cluster`.
+    unsafe {
+        let v = _mm_loadu_si128(cluster.as_ptr() as *const __m128i);
+        let hit = _mm_or_si128(
+            _mm_cmpeq_epi32(v, _mm_set1_epi32(key as i32)),
+            _mm_cmpeq_epi32(v, _mm_set1_epi32(EMPTY as i32)),
+        );
+        _mm_movemask_ps(_mm_castsi128_ps(hit)) as u32
     }
-    let _ = lvl;
-    let mut m = 0u32;
-    for (i, &j) in idx.iter().enumerate() {
-        // SAFETY: caller guarantees the index is readable.
-        if unsafe { *states.add(j as usize) } == set_state {
-            m |= 1 << i;
-        }
-    }
-    m
 }
 
-/// AVX2 path: one `vpgatherdd` over the state bytes, mask to the low
-/// byte, one compare, one movemask.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn set_lanes8_avx2(states: *const u8, idx: &[Idx], set_state: u8) -> u32 {
-    use std::arch::x86_64::*;
-    // SAFETY: idx has 8 u32 entries (caller contract).
-    let vi = unsafe { _mm256_loadu_si256(idx.as_ptr() as *const __m256i) };
-    // SAFETY: each lane reads 4 bytes at states + idx[i]; the caller
-    // guarantees those reads are in bounds (MSA_STATE_PAD).
-    let g = unsafe { _mm256_i32gather_epi32::<1>(states as *const i32, vi) };
-    let lo = _mm256_and_si256(g, _mm256_set1_epi32(0xFF));
-    let hit = _mm256_cmpeq_epi32(lo, _mm256_set1_epi32(set_state as i32));
-    _mm256_movemask_ps(_mm256_castsi256_ps(hit)) as u32 & 0xFF
-}
-
-/// SSE4.2 path: no gather instruction, so lanes are loaded by scalar
-/// byte reads and compared 4 at a time — still one branch per cluster
-/// instead of one per column.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "sse4.2")]
-unsafe fn set_lanes8_sse42(states: *const u8, idx: &[Idx], set_state: u8) -> u32 {
-    use std::arch::x86_64::*;
-    // SAFETY: single-byte reads at each index (caller contract).
-    let lane = |i: usize| unsafe { *states.add(idx[i] as usize) as i32 };
-    let vset = _mm_set1_epi32(set_state as i32);
-    let lo = _mm_set_epi32(lane(3), lane(2), lane(1), lane(0));
-    let hi = _mm_set_epi32(lane(7), lane(6), lane(5), lane(4));
-    let mlo = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(lo, vset))) as u32;
-    let mhi = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(hi, vset))) as u32;
-    mlo | (mhi << 4)
-}
+/// Other architectures probe with the reference walk.
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) use hash_probe_scalar as hash_probe;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn table(cap: usize, filled: &[(usize, Idx)]) -> Vec<Idx> {
-        let mut t = vec![EMPTY; cap];
-        for &(s, k) in filled {
-            t[s] = k;
-        }
-        t
-    }
-
-    fn levels() -> Vec<SimdLevel> {
-        SimdLevel::ALL
-            .iter()
-            .copied()
-            .filter(|&l| l <= detected_level())
-            .collect()
-    }
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
-    fn probe_matches_scalar_on_every_level() {
-        // Clusters, wraparound, and immediate hits.
+    fn probe_matches_scalar() {
+        let check = |keys: &[Idx], cap: usize, start: usize, key: Idx| {
+            let want = hash_probe_scalar(keys, cap, start, key);
+            let got = hash_probe(keys, cap, start, key);
+            assert_eq!(got, want, "start={start} key={key} keys={:?}", &keys[..cap]);
+        };
+        // Hand cases: clusters, wraparound, immediate hits, empty table.
         type Case = (usize, Vec<(usize, Idx)>, usize, Idx);
         let cases: Vec<Case> = vec![
             (8, vec![(0, 10), (1, 20), (2, 30)], 0, 20),
@@ -433,63 +160,41 @@ mod tests {
             (8, vec![], 5, 42),
         ];
         for (cap, fill, start, key) in cases {
-            let keys = table(cap, &fill);
-            let want = hash_probe_scalar(&keys, cap, start, key);
-            for lvl in levels() {
-                assert_eq!(
-                    hash_probe(lvl, &keys, cap, start, key),
-                    want,
-                    "cap={cap} start={start} key={key} lvl={}",
-                    lvl.name()
-                );
+            let mut keys = vec![EMPTY; cap];
+            for (s, k) in fill {
+                keys[s] = k;
+            }
+            check(&keys, cap, start, key);
+        }
+        // Seeded sweep: fills up to one free slot, every start (clusters
+        // straddle the wrap), present and absent keys, stale keys past `cap`.
+        let mut rng = StdRng::seed_from_u64(0x5EED_CAFE);
+        for cap in [8usize, 16, 32, 64, 128, 256] {
+            for _ in 0..12 {
+                let filled = rng.gen_range(0..cap);
+                let mut keys = vec![7; cap + 8];
+                keys[..cap].fill(EMPTY);
+                for k in 0..filled {
+                    let home = rng.gen_range(0..cap);
+                    let s = hash_probe_scalar(&keys, cap, home, EMPTY);
+                    keys[s] = 1000 + k as Idx;
+                }
+                let filled = filled as Idx;
+                for start in 0..cap {
+                    for key in [7, 999, 1000, 1000 + filled / 2, 1000 + filled] {
+                        check(&keys, cap, start, key);
+                    }
+                }
             }
         }
     }
 
     #[test]
-    fn set_lanes_match_scalar_on_every_level() {
-        let mut states = [0u8; 64 + MSA_STATE_PAD];
-        for j in [3usize, 8, 9, 31, 60, 63] {
-            states[j] = 2;
-        }
-        let idx: Vec<Idx> = vec![0, 3, 8, 10, 31, 59, 60, 63];
-        // SAFETY: all indices < 64 and the array carries the pad.
-        let want = unsafe { set_lanes8(SimdLevel::Scalar, states.as_ptr(), &idx, 2) };
-        assert_eq!(want, 0b1101_0110);
-        for lvl in levels() {
-            let got = unsafe { set_lanes8(lvl, states.as_ptr(), &idx, 2) };
-            assert_eq!(got, want, "lvl={}", lvl.name());
-        }
-    }
-
-    #[test]
-    fn level_cap_clamps_and_clears() {
-        let detected = detected_level();
-        assert_eq!(level(), detected);
-        set_level_cap(Some(SimdLevel::Scalar));
-        assert_eq!(level(), SimdLevel::Scalar);
-        set_level_cap(Some(SimdLevel::Avx2));
-        assert_eq!(level(), detected, "cap above detection is a no-op");
-        set_level_cap(None);
-        assert_eq!(level(), detected);
-    }
-
-    #[test]
-    fn level_names_parse_back() {
-        for lvl in SimdLevel::ALL {
-            assert_eq!(lvl.name().parse::<SimdLevel>().unwrap(), lvl);
-        }
-        assert!("sse9".parse::<SimdLevel>().is_err());
-    }
-
-    #[test]
     fn prefetch_is_harmless() {
         // Prefetch has no observable semantics; just exercise the paths.
-        let v = [1u32, 2, 3];
-        prefetch_read(v.as_ptr());
+        prefetch_read([1u32, 2, 3].as_ptr());
         let a = mspgemm_sparse::Csr::<f64>::diagonal(4, 1.0);
         prefetch_b_rowptr(&a.view(), 2);
         prefetch_b_row(&a.view(), 2);
-        let _ = prefetch_enabled();
     }
 }

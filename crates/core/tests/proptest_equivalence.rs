@@ -1,7 +1,11 @@
 //! Property-based tests: for *arbitrary* sparse matrices, every algorithm
-//! variant must agree with a dense reference, and the phase strategies must
-//! agree with each other.
+//! variant must agree with a dense reference, the phase strategies must
+//! agree with each other, and the accumulators' numeric row entry must
+//! agree with the per-product reference insert.
 
+use masked_spgemm::accumulator::hash::HashAccum;
+use masked_spgemm::accumulator::msa::Msa;
+use masked_spgemm::accumulator::Accumulator;
 use masked_spgemm::{masked_mxm, Algorithm, MaskMode, Phases};
 use mspgemm_sparse::semiring::{PlusTimesI64, Semiring};
 use mspgemm_sparse::{Csr, Idx};
@@ -42,8 +46,101 @@ fn reference(mask: &Csr<()>, a: &Csr<i64>, b: &Csr<i64>, complement: bool) -> Cs
     Csr::from_dense(&acc, n)
 }
 
+/// The three accumulator configurations whose numeric loop filters, then
+/// accumulates.
+#[derive(Clone, Copy, Debug)]
+enum RowEntry {
+    Msa,
+    MsaComplement,
+    Hash,
+}
+
+/// One output row `mask ⊙ Σ_k b_k` (or its complement), with the B rows
+/// driven either through the two-stage loop or — the §5.1 reference — one
+/// product at a time through `Accumulator::insert_with`. Returns the
+/// gathered columns and the value bits.
+fn accumulate_one_row(
+    which: RowEntry,
+    by_row: bool,
+    mask: &[Idx],
+    b: &Csr<f64>,
+) -> (Vec<Idx>, Vec<u64>) {
+    fn drive<A: Accumulator<f64>>(
+        acc: &mut A,
+        b: &Csr<f64>,
+        row_entry: Option<impl Fn(&mut A, &[Idx], &[f64])>,
+    ) {
+        for k in 0..b.nrows() {
+            let (cols, vals) = (b.row_cols(k), b.row_vals(k));
+            match &row_entry {
+                Some(entry) => entry(acc, cols, vals),
+                None => {
+                    for (&j, &v) in cols.iter().zip(vals) {
+                        acc.insert_with(j, || v / 7.0, |x, y| x + y);
+                    }
+                }
+            }
+        }
+    }
+    let n = b.ncols();
+    let (mut cols, mut vals) = (vec![0 as Idx; n], vec![0f64; n]);
+    let len = match which {
+        RowEntry::Msa | RowEntry::MsaComplement => {
+            let complement = matches!(which, RowEntry::MsaComplement);
+            let mut acc = if complement {
+                Msa::new_complement(n)
+            } else {
+                Msa::new(n)
+            };
+            acc.begin_row();
+            acc.load_mask(mask);
+            let entry = |a: &mut Msa<f64>, c: &[Idx], v: &[f64]| {
+                a.accumulate_row(c, v, |x| x / 7.0, |x, y| x + y)
+            };
+            drive(&mut acc, b, by_row.then_some(entry));
+            if complement {
+                acc.gather_complement_into(mask, &mut cols, &mut vals)
+            } else {
+                acc.gather_into(mask, &mut cols, &mut vals)
+            }
+        }
+        RowEntry::Hash => {
+            let mut acc = HashAccum::new();
+            acc.begin_row(mask.len());
+            for &j in mask {
+                acc.mark_allowed(j);
+            }
+            let entry = |a: &mut HashAccum<f64>, c: &[Idx], v: &[f64]| {
+                a.accumulate_row(c, v, |x| x / 7.0, |x, y| x + y)
+            };
+            drive(&mut acc, b, by_row.then_some(entry));
+            acc.gather_into(mask, &mut cols, &mut vals)
+        }
+    };
+    cols.truncate(len);
+    (cols, vals[..len].iter().map(|v| v.to_bits()).collect())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn row_entry_matches_per_product_reference(
+        // Every row of `b` is one scaled B row; sevenths make the sums
+        // inexact, so a reordered accumulation would change the bits.
+        b in csr_strategy(24, 24, 0.4),
+        mask in csr_strategy(24, 24, 0.3),
+    ) {
+        let b = b.map(|&v| v as f64);
+        for which in [RowEntry::Msa, RowEntry::MsaComplement, RowEntry::Hash] {
+            for i in [0, 1] {
+                let mask_row = mask.row_cols(i);
+                let want = accumulate_one_row(which, false, mask_row, &b);
+                let got = accumulate_one_row(which, true, mask_row, &b);
+                prop_assert_eq!(&got, &want, "{:?}", which);
+            }
+        }
+    }
 
     #[test]
     fn every_algorithm_matches_reference_square(

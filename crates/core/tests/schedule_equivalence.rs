@@ -1,7 +1,8 @@
 //! Scheduling and workspace-pooling invariants: the row schedule and the
 //! cross-call workspace pool are pure execution policies — the output CSR
-//! must be **byte-identical** to the static schedule for every algorithm,
-//! mask mode, phase strategy, thread count, and input skew; and a warm
+//! must be **byte-identical** to the single-chunk partition (what every
+//! schedule yields on one thread) for every algorithm, mask mode, phase
+//! strategy, thread count, and input skew; and a warm
 //! [`WsPool`] must serve steady-state drives without a single fresh
 //! accumulator allocation (every take a hit).
 
@@ -65,6 +66,15 @@ fn run_sched(
     masked_mxm_with_opts::<PlusTimesI64, ()>(mask, a, a, algo, mode, phases, opts).unwrap()
 }
 
+/// The reference partition: on a one-thread pool every schedule hands out
+/// all rows as one chunk.
+fn single_chunk_pool() -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap()
+}
+
 #[test]
 fn schedules_identical_on_single_heavy_row() {
     let a = single_heavy_row(300);
@@ -75,20 +85,16 @@ fn schedules_identical_on_single_heavy_row() {
         .num_threads(4)
         .build()
         .unwrap();
-    pool.install(|| {
-        for combo in all_push_combos() {
-            let baseline = run_sched(
-                &mask,
-                &a,
-                combo,
-                &ExecOpts::with_schedule(RowSchedule::Static),
-            );
-            for sched in [RowSchedule::Guided, RowSchedule::FlopBalanced] {
+    let one = single_chunk_pool();
+    for combo in all_push_combos() {
+        let baseline = one.install(|| run_sched(&mask, &a, combo, &ExecOpts::default()));
+        pool.install(|| {
+            for sched in RowSchedule::ALL {
                 let got = run_sched(&mask, &a, combo, &ExecOpts::with_schedule(sched));
                 assert_eq!(got, baseline, "{combo:?} diverged under {}", sched.name());
             }
-        }
-    });
+        });
+    }
 }
 
 #[test]
@@ -244,7 +250,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random rectangular inputs: every schedule must reproduce the
-    /// static-schedule CSR bit-for-bit across masks, modes, phases, and
+    /// single-chunk CSR bit-for-bit across masks, modes, phases, and
     /// algorithms — with and without a shared workspace pool.
     #[test]
     fn schedules_and_pool_are_result_invariant(
@@ -253,13 +259,14 @@ proptest! {
     ) {
         let mask = mask.pattern();
         let shared_pool = WsPool::new();
+        let one = single_chunk_pool();
         for combo in all_push_combos() {
-            let baseline = run_sched(&mask, &a, combo, &ExecOpts::with_schedule(RowSchedule::Static));
+            let baseline = one.install(|| run_sched(&mask, &a, combo, &ExecOpts::default()));
             // Sanity: the default entry point agrees too.
             let (algo, mode, phases) = combo;
             let plain = masked_mxm::<PlusTimesI64, ()>(&mask, &a, &a, algo, mode, phases).unwrap();
             prop_assert_eq!(&plain, &baseline);
-            for sched in [RowSchedule::Guided, RowSchedule::FlopBalanced] {
+            for sched in RowSchedule::ALL {
                 let unpooled = run_sched(&mask, &a, combo, &ExecOpts::with_schedule(sched));
                 prop_assert_eq!(&unpooled, &baseline, "{:?} under {}", combo, sched.name());
                 let opts = ExecOpts { schedule: sched, ws_pool: Some(&shared_pool), stats: None, deadline: None };

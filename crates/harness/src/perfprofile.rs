@@ -5,8 +5,8 @@
 //!
 //! Also home to the per-thread **busy-time spread** ([`BusySpread`]): the
 //! max/mean figure over per-thread busy seconds that quantifies how well a
-//! row schedule balanced the load (1.0 = perfect; the static schedule on a
-//! skewed input approaches the thread count).
+//! row schedule balanced the load (1.0 = perfect; one equal-row block per
+//! thread on a skewed input approaches the thread count).
 
 /// One scheme's runtimes across a common set of test cases.
 #[derive(Clone, Debug)]

@@ -126,9 +126,8 @@ pub struct ExecSummary {
     pub pool_hits: u64,
     /// Workspace-pool takes that had to allocate fresh.
     pub pool_misses: u64,
-    /// The SIMD level the kernels ran at (`scalar` / `sse4.2` / `avx2`),
-    /// as runtime-detected (or capped by `MXM_NO_SIMD` / a build without
-    /// the `simd` feature).
+    /// The hash-probe path the kernels were compiled with (`sse2` on
+    /// x86_64, `scalar` elsewhere).
     pub simd: String,
 }
 
@@ -270,7 +269,7 @@ mod tests {
                 busy_threads: 8,
                 pool_hits: 30,
                 pool_misses: 10,
-                simd: "avx2".into(),
+                simd: "sse2".into(),
             }),
             datasets: vec![
                 DatasetInfo {

@@ -37,7 +37,7 @@ pub use load::{
 };
 pub use msb::{
     read_msb, read_msb_file, read_msb_file_auto, read_msb_header, write_msb, write_msb_file,
-    write_msb_pattern, write_msb_pattern_file, write_msb_version, MsbBackend, MsbHeader,
+    write_msb_pattern, write_msb_pattern_file, MsbBackend, MsbHeader,
 };
 pub use mtx::{
     read_mtx, read_mtx_bytes, read_mtx_file, read_mtx_file_parallel, write_mtx, write_mtx_file,

@@ -180,9 +180,9 @@ pub struct LoadOpts {
     pub policy: CachePolicy,
     /// Text parse fan-out (`0` = rayon default).
     pub parse_threads: usize,
-    /// Prefer the zero-copy mmap path for v2 `.msb` files. v1 files,
-    /// non-`mmap` builds, and unsupported targets fall back to heap
-    /// copies — the report's `backend` field says what happened.
+    /// Prefer the zero-copy mmap path for `.msb` files. Non-`mmap`
+    /// builds and unsupported targets fall back to heap copies — the
+    /// report's `backend` field says what happened.
     pub mmap: bool,
     /// Load as a structural pattern: values are discarded and served as
     /// unit `1.0` views of the process-wide arena, and text-parse

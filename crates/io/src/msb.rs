@@ -2,14 +2,14 @@
 //!
 //! Text `.mtx` parsing dominates experiment start-up on large inputs
 //! (float parsing is serial and branchy); `.msb` stores the canonical CSR
-//! directly so repeat runs deserialize at memcpy speed — or, for v2
-//! files on the mmap path, at **no copy at all**. Layout (all
+//! directly so repeat runs deserialize at memcpy speed — or, on the
+//! mmap path, at **no copy at all**. Layout (all
 //! little-endian):
 //!
 //! ```text
 //! offset  size            field
 //! 0       4               magic  b"MSB\x01"
-//! 4       4               version (u32; 1 or 2)
+//! 4       4               version (u32; 2)
 //! 8       4               flags   (u32; bit 0 = pattern, no values section)
 //! 12      4               reserved (u32, zero)
 //! 16      8               nrows (u64)
@@ -17,20 +17,20 @@
 //! 32      8               nnz   (u64)
 //! 40      8*(nrows+1)     rowptr (u64 each)
 //! ...     4*nnz           colidx (u32 each)
-//! ...     0 or 4          v2 only: zero padding to an 8-byte boundary
+//! ...     0 or 4          zero padding to an 8-byte boundary
 //! ...     8*nnz           values (f64 each; absent when pattern flag set)
 //! ```
 //!
-//! **v2 = v1 + the alignment contract.** The 40-byte header and the
-//! 8-byte rowptr entries already place every v1 section at an 8-aligned
-//! offset except `values`, which drifts by 4 whenever `nnz` is odd; v2
+//! **The alignment contract.** The 40-byte header and the 8-byte rowptr
+//! entries already place every section at an 8-aligned offset except
+//! `values`, which would drift by 4 whenever `nnz` is odd; the stream
 //! zero-pads after `colidx` so that *every* section starts 8-aligned.
 //! Because an mmap is page-aligned, in-file alignment equals in-memory
-//! alignment — a mapped v2 file can back a [`Csr`] directly via
+//! alignment — a mapped file can back a [`Csr`] directly via
 //! `Arc`-shared sections
 //! ([`map_msb_file`]), making dataset residency ~free at any scale.
-//! Writers emit v2; readers accept both versions (v1 via the copying
-//! path only).
+//! Version 1 (the same layout without the padding) is no longer read:
+//! both readers reject it and name `mxm convert` as the way forward.
 //!
 //! Readers fully validate the header, section lengths, and the CSR
 //! invariants (monotone rowptr, strictly sorted in-bounds rows) before
@@ -46,10 +46,9 @@ use std::path::Path;
 
 /// First 4 bytes of every `.msb` stream.
 pub const MSB_MAGIC: [u8; 4] = *b"MSB\x01";
-/// Version written by this build: the 8-byte-aligned, mmap-able layout.
+/// The one version this build writes and reads: the 8-byte-aligned,
+/// mmap-able layout.
 pub const MSB_VERSION: u32 = 2;
-/// Oldest version this build still reads (unaligned; copying path only).
-pub const MSB_VERSION_V1: u32 = 1;
 /// Flag bit: the stream stores no values section (structural pattern).
 pub const MSB_FLAG_PATTERN: u32 = 1;
 /// Fixed header size; also the (8-aligned) offset of the rowptr section.
@@ -76,27 +75,22 @@ impl MsbHeader {
         self.flags & MSB_FLAG_PATTERN != 0
     }
 
-    /// Bytes of zero padding between `colidx` and `values` (v2 keeps
-    /// every section 8-aligned; v1 has none).
+    /// Bytes of zero padding between `colidx` and `values` (every
+    /// section stays 8-aligned).
     pub fn colidx_pad(&self) -> usize {
-        if self.version >= MSB_VERSION {
-            (8 - (4 * self.nnz) % 8) % 8
-        } else {
-            0
-        }
+        (8 - (4 * self.nnz) % 8) % 8
     }
 }
 
 fn write_header<W: Write>(
     w: &mut W,
-    version: u32,
     flags: u32,
     nrows: usize,
     ncols: usize,
     nnz: usize,
 ) -> Result<(), IoError> {
     w.write_all(&MSB_MAGIC)?;
-    w.write_all(&version.to_le_bytes())?;
+    w.write_all(&MSB_VERSION.to_le_bytes())?;
     w.write_all(&flags.to_le_bytes())?;
     w.write_all(&0u32.to_le_bytes())?;
     w.write_all(&(nrows as u64).to_le_bytes())?;
@@ -125,21 +119,19 @@ pub fn read_msb_header<R: Read>(r: &mut R) -> Result<MsbHeader, IoError> {
     let u32_at = |o: usize| u32::from_le_bytes(fixed[o..o + 4].try_into().unwrap());
     let u64_at = |o: usize| u64::from_le_bytes(fixed[o..o + 8].try_into().unwrap());
     let version = u32_at(4);
-    if version != MSB_VERSION && version != MSB_VERSION_V1 {
+    if version != MSB_VERSION {
+        let hint = if version == 1 {
+            "; re-run `mxm convert` on the source matrix"
+        } else {
+            ""
+        };
         return Err(IoError::Format(format!(
-            "unsupported version {version} (this build reads {MSB_VERSION_V1} and {MSB_VERSION})"
+            "unsupported version {version} (this build reads {MSB_VERSION}){hint}"
         )));
     }
     let flags = u32_at(8);
     if flags & !MSB_FLAG_PATTERN != 0 {
         return Err(IoError::Format(format!("unknown flag bits: {flags:#x}")));
-    }
-    if version == MSB_VERSION_V1 && flags & MSB_FLAG_PATTERN != 0 {
-        // No v1 writer ever set the pattern bit; a stream claiming both
-        // is corrupt (or forged), not legacy.
-        return Err(IoError::Format(
-            "v1 streams predate the pattern flag; a v1 pattern stream is corrupt".into(),
-        ));
     }
     let (nrows, ncols, nnz) = (u64_at(16), u64_at(24), u64_at(32));
     let max = usize::MAX as u64;
@@ -217,7 +209,7 @@ fn read_sections<R: Read>(r: &mut R, h: &MsbHeader) -> Result<Sections, IoError>
         .map(|c| Idx::from_le_bytes(c.try_into().unwrap()))
         .collect();
 
-    // v2: zero padding keeps the values section 8-aligned.
+    // Zero padding keeps the values section 8-aligned.
     let pad = read_bytes_checked(r, h.colidx_pad(), "alignment padding")?;
     if pad.iter().any(|&b| b != 0) {
         return Err(IoError::Format(
@@ -246,34 +238,26 @@ fn read_sections<R: Read>(r: &mut R, h: &MsbHeader) -> Result<Sections, IoError>
     }
 }
 
-/// The colidx→values padding a writer of `version` must emit for `nnz`
-/// stored entries.
-fn write_pad(version: u32, nnz: usize) -> &'static [u8] {
-    if version >= MSB_VERSION && !(4 * nnz).is_multiple_of(8) {
+/// The colidx→values padding a writer must emit for `nnz` stored entries.
+fn write_pad(nnz: usize) -> &'static [u8] {
+    if !(4 * nnz).is_multiple_of(8) {
         &[0u8; 4]
     } else {
         &[]
     }
 }
 
-/// Write `a` (values included) as an `.msb` stream in the current
-/// (v2, 8-byte-aligned) layout.
+/// Write `a` (values included) as an `.msb` stream.
 pub fn write_msb<W: Write>(w: W, a: &Csr<f64>) -> Result<(), IoError> {
-    write_msb_version(w, a, MSB_VERSION)
-}
-
-/// [`write_msb`] pinned to a specific format version (v1 emits the
-/// legacy unaligned layout — for round-trip tests and old consumers).
-pub fn write_msb_version<W: Write>(w: W, a: &Csr<f64>, version: u32) -> Result<(), IoError> {
     let mut w = BufWriter::new(w);
-    write_header(&mut w, version, 0, a.nrows(), a.ncols(), a.nnz())?;
+    write_header(&mut w, 0, a.nrows(), a.ncols(), a.nnz())?;
     for &p in a.rowptr() {
         w.write_all(&(p as u64).to_le_bytes())?;
     }
     for &j in a.colidx() {
         w.write_all(&j.to_le_bytes())?;
     }
-    w.write_all(write_pad(version, a.nnz()))?;
+    w.write_all(write_pad(a.nnz()))?;
     for &v in a.values() {
         w.write_all(&v.to_le_bytes())?;
     }
@@ -284,21 +268,14 @@ pub fn write_msb_version<W: Write>(w: W, a: &Csr<f64>, version: u32) -> Result<(
 /// Write the pattern of `a` (no values section), current version.
 pub fn write_msb_pattern<W: Write, T>(w: W, a: &Csr<T>) -> Result<(), IoError> {
     let mut w = BufWriter::new(w);
-    write_header(
-        &mut w,
-        MSB_VERSION,
-        MSB_FLAG_PATTERN,
-        a.nrows(),
-        a.ncols(),
-        a.nnz(),
-    )?;
+    write_header(&mut w, MSB_FLAG_PATTERN, a.nrows(), a.ncols(), a.nnz())?;
     for &p in a.rowptr() {
         w.write_all(&(p as u64).to_le_bytes())?;
     }
     for &j in a.colidx() {
         w.write_all(&j.to_le_bytes())?;
     }
-    w.write_all(write_pad(MSB_VERSION, a.nnz()))?;
+    w.write_all(write_pad(a.nnz()))?;
     w.flush()?;
     Ok(())
 }
@@ -348,8 +325,8 @@ pub fn read_msb_file(path: impl AsRef<Path>) -> Result<Csr<f64>, IoError> {
 /// How a loaded `.msb` matrix is resident in memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MsbBackend {
-    /// Sections copied into heap-owned vectors (the only option for v1
-    /// files, non-`mmap` builds, and targets that cannot reinterpret the
+    /// Sections copied into heap-owned vectors (the only option for
+    /// non-`mmap` builds and targets that cannot reinterpret the
     /// little-endian sections in place).
     Heap,
     /// Sections are `Arc`-shared views into a read-only file mapping —
@@ -414,7 +391,7 @@ mod zero_copy {
         })
     }
 
-    /// Map a v2 `.msb` file and back a [`Csr`] directly by its sections —
+    /// Map an `.msb` file and back a [`Csr`] directly by its sections —
     /// **zero-copy**: `rowptr`/`colidx`/`values` are never duplicated on
     /// the heap; the mapping lives as long as any section (or clone of
     /// one, e.g. a derived pattern mask) does.
@@ -424,9 +401,9 @@ mod zero_copy {
     /// structural invariants (monotone rowptr, sorted in-bounds rows).
     ///
     /// # Errors
-    /// [`IoError::Format`] for v1 files (unaligned — use the copying
-    /// reader or rewrite with `mxm convert`), for any validation failure,
-    /// and [`IoError::Io`] for mapping failures.
+    /// [`IoError::Format`] for any validation failure (a version-1
+    /// header included, exactly as the copying reader reports it), and
+    /// [`IoError::Io`] for mapping failures.
     pub fn map_msb_file(path: impl AsRef<Path>) -> Result<Csr<f64>, IoError> {
         let file = std::fs::File::open(path)?;
         // SAFETY (Mmap::map contract): the mapping is read-only and every
@@ -442,13 +419,6 @@ mod zero_copy {
         map.advise(memmap2::Advice::Sequential).ok();
         let bytes: &[u8] = map.as_slice();
         let h = read_msb_header(&mut &bytes[..])?;
-        if h.version < MSB_VERSION {
-            return Err(IoError::Format(format!(
-                "v{} .msb is unaligned and cannot back a zero-copy load; \
-                 rewrite it with `mxm convert` for the v2 layout",
-                h.version
-            )));
-        }
         let add = |a: usize, b: usize| {
             a.checked_add(b)
                 .ok_or_else(|| IoError::Format("section offset overflows".into()))
@@ -519,10 +489,10 @@ mod zero_copy {
 pub use zero_copy::map_msb_file;
 
 /// Read an `.msb` file, preferring the zero-copy mmap path when asked
-/// (and built with the `mmap` feature): v2 files come back
-/// [`MsbBackend::Mmap`] with `Arc`-shared sections; v1 files, non-mmap
-/// builds, and unsupported targets silently fall back to the copying
-/// reader. A corrupt file errors through whichever path reports it.
+/// (and built with the `mmap` feature): files come back
+/// [`MsbBackend::Mmap`] with `Arc`-shared sections; non-mmap builds and
+/// unsupported targets silently fall back to the copying reader, which
+/// also reports the error for a file the mapped path rejected.
 pub fn read_msb_file_auto(
     path: impl AsRef<Path>,
     prefer_mmap: bool,
@@ -532,8 +502,8 @@ pub fn read_msb_file_auto(
         if let Ok(a) = map_msb_file(&path) {
             return Ok((a, MsbBackend::Mmap));
         }
-        // Fall through: the heap reader either loads the file (v1 /
-        // platform limits) or produces the canonical error for it.
+        // Fall through: the heap reader either loads the file (platform
+        // limits) or produces the canonical error for it.
     }
     let _ = prefer_mmap;
     Ok((read_msb_file(path)?, MsbBackend::Heap))
@@ -583,7 +553,7 @@ mod tests {
     }
 
     #[test]
-    fn pattern_stream_rejects_truncation_and_v1() {
+    fn pattern_stream_rejects_truncation_and_trailing_bytes() {
         let a = sample_odd();
         let mut buf = Vec::new();
         write_msb_pattern(&mut buf, &a).unwrap();
@@ -603,15 +573,6 @@ mod tests {
             read_msb(trailing.as_slice()),
             Err(IoError::Format(_))
         ));
-        // The pattern flag on a v1 stream is rejected outright — no v1
-        // writer ever produced one.
-        let mut v1pat = buf.clone();
-        v1pat[4] = 1; // version = 1
-        assert!(matches!(
-            read_msb(v1pat.as_slice()),
-            Err(IoError::Format(_))
-        ));
-        assert!(read_msb_header(&mut v1pat.as_slice()).is_err());
     }
 
     #[test]
@@ -719,7 +680,7 @@ mod tests {
         assert!(read_msb(bad.as_slice()).is_err());
     }
 
-    /// A sample with odd nnz, so the v2 alignment pad is actually present.
+    /// A sample with odd nnz, so the alignment pad is actually present.
     fn sample_odd() -> Csr<f64> {
         Csr::from_dense(
             &[
@@ -729,19 +690,6 @@ mod tests {
             ],
             3,
         )
-    }
-
-    #[test]
-    fn v1_streams_still_read() {
-        for a in [sample(), sample_odd(), Csr::empty(4, 4)] {
-            let mut buf = Vec::new();
-            write_msb_version(&mut buf, &a, MSB_VERSION_V1).unwrap();
-            assert_eq!(buf[4], 1, "version byte");
-            let h = read_msb_header(&mut buf.as_slice()).unwrap();
-            assert_eq!(h.version, MSB_VERSION_V1);
-            assert_eq!(h.colidx_pad(), 0, "v1 has no alignment pad");
-            assert_eq!(read_msb(buf.as_slice()).unwrap(), a);
-        }
     }
 
     #[test]
@@ -838,16 +786,33 @@ mod tests {
         }
 
         #[test]
-        fn v1_files_fall_back_to_heap() {
-            let a = sample();
-            let path = msb_file("v1", |buf| {
-                write_msb_version(&mut *buf, &a, MSB_VERSION_V1).unwrap()
-            });
-            assert!(matches!(map_msb_file(&path), Err(IoError::Format(_))));
-            let (m, backend) = read_msb_file_auto(&path, true).unwrap();
-            assert_eq!(backend, MsbBackend::Heap);
-            assert_eq!(m, a);
-            std::fs::remove_file(&path).ok();
+        fn version_1_is_rejected_identically_by_both_readers() {
+            // Value and pattern streams alike: a valid stream whose
+            // version byte says 1 names the version and the way forward.
+            let a = sample_odd();
+            for pattern in [false, true] {
+                let path = msb_file("v1", |buf| {
+                    if pattern {
+                        write_msb_pattern(&mut *buf, &a).unwrap();
+                    } else {
+                        write_msb(&mut *buf, &a).unwrap();
+                    }
+                    buf[4] = 1;
+                });
+                let message = |e: IoError| match e {
+                    IoError::Format(m) => m,
+                    other => panic!("expected a format error, got {other:?}"),
+                };
+                let heap = message(read_msb_file(&path).unwrap_err());
+                assert!(heap.contains("version 1"), "{heap}");
+                assert!(heap.contains("mxm convert"), "{heap}");
+                assert_eq!(message(map_msb_file(&path).unwrap_err()), heap);
+                for prefer_mmap in [false, true] {
+                    let auto = read_msb_file_auto(&path, prefer_mmap).unwrap_err();
+                    assert_eq!(message(auto), heap);
+                }
+                std::fs::remove_file(&path).ok();
+            }
         }
 
         #[test]

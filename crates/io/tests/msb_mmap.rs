@@ -1,15 +1,12 @@
 //! Property tests for the `.msb` v2 layout and the zero-copy mmap
-//! loader: v1↔v2 round-trips, mmap-backed vs heap-backed equality (as
+//! loader: round-trips, mmap-backed vs heap-backed equality (as
 //! matrices and as kernel operands, across algorithms × masks × phases,
 //! checked by `csr_fingerprint`), and rejection of corrupt, truncated,
 //! or misaligned v2 files without UB.
 
 use masked_spgemm::{masked_mxm, Algorithm, MaskMode, Phases};
 use mspgemm_harness::csr_fingerprint;
-use mspgemm_io::msb::{
-    read_msb, read_msb_file_auto, write_msb, write_msb_version, MsbBackend, MSB_HEADER_LEN,
-    MSB_VERSION_V1,
-};
+use mspgemm_io::msb::{read_msb_file_auto, write_msb, MsbBackend, MSB_HEADER_LEN};
 use mspgemm_sparse::semiring::PlusTimesF64;
 use mspgemm_sparse::Csr;
 use proptest::prelude::*;
@@ -46,21 +43,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn v1_and_v2_streams_decode_identically(a in csr_strategy(19, 23, 0.25)) {
-        let mut v1 = Vec::new();
-        write_msb_version(&mut v1, &a, MSB_VERSION_V1).unwrap();
-        let mut v2 = Vec::new();
-        write_msb(&mut v2, &a).unwrap();
-        let from_v1 = read_msb(v1.as_slice()).unwrap();
-        let from_v2 = read_msb(v2.as_slice()).unwrap();
-        prop_assert_eq!(&from_v1, &a);
-        prop_assert_eq!(&from_v2, &a);
-        // The only byte-level difference is the version word + pad.
-        let pad = (8 - (4 * a.nnz()) % 8) % 8;
-        prop_assert_eq!(v2.len(), v1.len() + pad);
-    }
-
-    #[test]
     fn mmap_backed_equals_heap_backed(a in csr_strategy(17, 17, 0.3)) {
         let mut buf = Vec::new();
         write_msb(&mut buf, &a).unwrap();
@@ -68,6 +50,7 @@ proptest! {
         let (mapped, _) = load_mapped(&path);
         let (heap, backend) = read_msb_file_auto(&path, false).unwrap();
         prop_assert_eq!(backend, MsbBackend::Heap);
+        prop_assert_eq!(&heap, &a, "the stream round-trips the matrix");
         prop_assert_eq!(&mapped, &heap);
         prop_assert_eq!(csr_fingerprint(&mapped), csr_fingerprint(&heap));
         std::fs::remove_file(&path).ok();
@@ -166,13 +149,13 @@ fn misaligned_v2_rejected_without_ub() {
         3,
     );
     assert_eq!(a.nnz() % 2, 1, "need odd nnz to exercise the pad");
-    let mut v1 = Vec::new();
-    write_msb_version(&mut v1, &a, MSB_VERSION_V1).unwrap();
-    // Rewrite the version word to claim v2 while keeping the unpadded v1
-    // body: the reader now expects 4 pad bytes that are actually the
-    // first half of a value — decode must fail, not misinterpret.
-    let mut fake_v2 = v1.clone();
-    fake_v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+    // Cut the 4 pad bytes out of a valid stream: the reader still
+    // expects them, and what sits there is now the first half of a value
+    // — decode must fail, not misinterpret.
+    let mut fake_v2 = Vec::new();
+    write_msb(&mut fake_v2, &a).unwrap();
+    let pad_off = MSB_HEADER_LEN + 8 * (a.nrows() + 1) + 4 * a.nnz();
+    fake_v2.drain(pad_off..pad_off + 4);
     let path_stream = std::env::temp_dir().join("mspgemm_io_misaligned_stream.msb");
     std::fs::write(&path_stream, &fake_v2).unwrap();
     assert!(
@@ -187,7 +170,7 @@ fn misaligned_v2_rejected_without_ub() {
 }
 
 #[test]
-fn sidecar_cache_serves_mmap_for_v2_and_heap_for_v1() {
+fn sidecar_cache_serves_mmap_and_rewrites_a_v1_sidecar() {
     use mspgemm_io::{load_matrix_opts, sidecar_path, CacheOutcome, CachePolicy, LoadOpts};
     let dir = std::env::temp_dir().join("mspgemm_io_mmap_sidecar");
     std::fs::remove_dir_all(&dir).ok();
@@ -229,14 +212,15 @@ fn sidecar_cache_serves_mmap_for_v2_and_heap_for_v1() {
     assert_eq!(b, g);
     assert_eq!(csr_fingerprint(&a), csr_fingerprint(&b));
 
-    // Replace the sidecar with a v1 file: still served, but heap-backed.
+    // A sidecar claiming version 1 is unreadable like any corrupt one:
+    // the text is parsed again and the sidecar rewritten as v2.
     let sidecar = sidecar_path(&mtx);
-    let mut v1 = Vec::new();
-    write_msb_version(&mut v1, &g, MSB_VERSION_V1).unwrap();
+    let mut v1 = std::fs::read(&sidecar).unwrap();
+    v1[4] = 1;
     std::fs::write(&sidecar, &v1).unwrap();
     let (c, r) = load_matrix_opts(&mtx, &opts).unwrap();
-    assert_eq!(r.outcome, CacheOutcome::Hit);
-    assert_eq!(r.backend, MsbBackend::Heap);
+    assert_eq!(r.outcome, CacheOutcome::Written);
     assert_eq!(c, g);
+    assert_eq!(std::fs::read(&sidecar).unwrap()[4], 2);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -107,7 +107,7 @@ pub(crate) fn ping(state: &ServerState) -> OpResult {
         ("op", Json::str("ping")),
         ("pong", true.into()),
         ("version", Json::str(env!("CARGO_PKG_VERSION"))),
-        ("simd", Json::str(masked_spgemm::simd::level().name())),
+        ("simd", Json::str(masked_spgemm::simd::COMPILED_PATH)),
         ("uptime_s", state.started.elapsed().as_secs_f64().into()),
         ("datasets", state.registry.len().into()),
     ]))
@@ -564,7 +564,7 @@ pub(crate) fn stats(state: &ServerState) -> OpResult {
                 ("count", lat.count.into()),
             ]),
         ),
-        ("simd", Json::str(masked_spgemm::simd::level().name())),
+        ("simd", Json::str(masked_spgemm::simd::COMPILED_PATH)),
         ("datasets", Json::Arr(datasets)),
         ("total_mem_bytes", snap.resident_bytes.into()),
         ("total_mapped_bytes", snap.mapped_bytes.into()),
@@ -610,13 +610,6 @@ pub(crate) fn publish_gauges(state: &ServerState) {
     for (name, value) in Snapshot::take(state, &state.registry.list()).gauges() {
         state.metrics.gauge(name, &[]).set(value);
     }
-    // SIMD level as an ordinal (0 = scalar, 1 = sse4.2, 2 = avx2), with
-    // the level name on the label so dashboards can show either form.
-    let simd = masked_spgemm::simd::level();
-    state
-        .metrics
-        .gauge("simd_level", &[("level", simd.name())])
-        .set(simd as u8 as f64);
 }
 
 fn series_fields(series: &Series) -> Vec<(&'static str, Json)> {

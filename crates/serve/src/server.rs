@@ -993,15 +993,13 @@ mod tests {
         // The mxm verb still runs against arena-backed values.
         ok(&state, r#"{"op":"mxm","dataset":"p","algo":"hash"}"#);
 
-        // Disclosure: ping/stats carry the SIMD level, stats carries the
+        // Disclosure: ping/stats carry the probe path, stats carries the
         // per-dataset pattern flags and the once-per-process arena bytes.
         let ping = ok(&state, r#"{"op":"ping"}"#);
-        assert!(ping.get("simd").unwrap().as_str().is_some());
+        let compiled = Some(masked_spgemm::simd::COMPILED_PATH);
+        assert_eq!(ping.get("simd").unwrap().as_str(), compiled);
         let stats = ok(&state, r#"{"op":"stats"}"#);
-        assert_eq!(
-            stats.get("simd").unwrap().as_str(),
-            Some(masked_spgemm::simd::level().name())
-        );
+        assert_eq!(stats.get("simd").unwrap().as_str(), compiled);
         assert!(stats.get("unit_arena_bytes").unwrap().as_u64().unwrap() > 0);
         let rows = match stats.get("datasets").unwrap() {
             Json::Arr(rows) => rows,
