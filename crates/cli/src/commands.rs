@@ -18,8 +18,8 @@ use mspgemm_harness::{
     with_threads,
 };
 use mspgemm_io::{
-    load_matrix_opts, load_matrix_with, save_matrix, save_matrix_pattern, CachePolicy,
-    DatasetSource, Format, IngestReport, LoadOpts,
+    load_matrix, save_matrix, save_matrix_pattern, CachePolicy, DatasetSource, Format,
+    IngestReport, LoadOpts,
 };
 use mspgemm_sparse::semiring::PlusTimesF64;
 use std::io::Write;
@@ -104,7 +104,7 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
         TracerOff
     });
 
-    let (a, ingest) = load_matrix_opts(path, &load_opts(p)?).map_err(|e| e.to_string())?;
+    let (a, ingest) = load_matrix(path, &load_opts(p)?).map_err(|e| e.to_string())?;
     if a.nrows() != a.ncols() {
         return Err(format!(
             "mxm run squares its input (C = M ⊙ A·A); {path} is {}x{}",
@@ -176,22 +176,16 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     }
     .map_err(|e| e.to_string())?;
     // The paper's wasted-work figure, from the MSA row entry's own counts
-    // (the hybrid kernel reports the rows it gave to MSA; other kernels
-    // record nothing): how much of what the push kernel formed the mask
-    // threw away.
+    // (other kernels record nothing): how much of what the push kernel
+    // formed the mask threw away.
     let products = stats.products();
     if products.formed > 0 {
         writeln!(
             out,
-            "products : {:.1}% wasted ({} formed, {} admitted by the mask; all runs{})",
+            "products : {:.1}% wasted ({} formed, {} admitted by the mask; all runs)",
             100.0 * products.wasted_ratio(),
             products.formed,
             products.admitted,
-            if algo == Algorithm::Hybrid {
-                ", MSA rows only"
-            } else {
-                ""
-            },
         )
         .map_err(|e| e.to_string())?;
     }
@@ -282,9 +276,7 @@ pub fn cmd_suite(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     let batch = p.flag_parse("batch", 16usize)?;
     let tau_max = p.flag_parse("tau-max", 2.4f64)?;
 
-    let graphs = source
-        .load_opts(&load_opts(p)?)
-        .map_err(|e| e.to_string())?;
+    let graphs = source.load(&load_opts(p)?).map_err(|e| e.to_string())?;
     let schemes = scheme_list(p, app)?;
     writeln!(
         out,
@@ -444,9 +436,14 @@ pub fn cmd_convert(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
                 .into(),
         );
     };
-    let parse_threads = p.flag_parse("parse-threads", 0usize)?;
     let pattern = p.switch("pattern");
-    let a = load_matrix_with(src, parse_threads).map_err(|e| format!("{src}: {e}"))?;
+    // A conversion reads the file it was given, never a sidecar of it.
+    let opts = LoadOpts {
+        policy: CachePolicy::Off,
+        parse_threads: p.flag_parse("parse-threads", 0usize)?,
+        ..LoadOpts::default()
+    };
+    let (a, _) = load_matrix(src, &opts).map_err(|e| format!("{src}: {e}"))?;
     if pattern {
         save_matrix_pattern(dst, &a).map_err(|e| format!("{dst}: {e}"))?;
     } else {
@@ -613,7 +610,7 @@ mod tests {
         let Some(line) = text.lines().find(|l| l.starts_with("products :")) else {
             return false;
         };
-        let a = load_matrix_opts(mtx.to_str().unwrap(), &LoadOpts::default())
+        let a = load_matrix(mtx.to_str().unwrap(), &LoadOpts::default())
             .unwrap()
             .0;
         let formed = 2 * a.flops_with(&a);
@@ -859,11 +856,13 @@ mod tests {
         let p = parse(&sv(&[msb.to_str().unwrap(), back.to_str().unwrap()]), flags).unwrap();
         cmd_convert(&p, &mut Vec::new()).unwrap();
 
-        let a = mspgemm_io::load_matrix(&mtx).unwrap();
-        let b = mspgemm_io::load_matrix(&msb).unwrap();
-        let c = mspgemm_io::load_matrix(&back).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a, c);
+        let off = LoadOpts {
+            policy: CachePolicy::Off,
+            ..LoadOpts::default()
+        };
+        let a = load_matrix(&mtx, &off).unwrap().0;
+        assert_eq!(a, load_matrix(&msb, &off).unwrap().0);
+        assert_eq!(a, load_matrix(&back, &off).unwrap().0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -27,7 +27,7 @@ pub const USAGE: &str = "\
 mxm — masked sparse matrix-matrix product experiment driver
 
 USAGE:
-    mxm run [--algo msa|hash|mca|heap|heapdot|inner|auto|hybrid]
+    mxm run [--algo msa|hash|mca|heap|heapdot|inner|auto]
             [--mask normal|complement] [--phases 1|2]
             [--schedule guided|flops]
             [--threads N] [--parse-threads N] [--reps R] [--no-cache]
@@ -79,7 +79,6 @@ USAGE:
     mxm serve [--listen ADDR] [--schedule guided|flops]
               [--parse-threads N] [--max-inflight N] [--queue-depth N]
               [--max-resident-bytes B] [--quarantine-after K]
-              [--compact-after-nnz NNZ]
               [--fail SPEC] [--no-cache] [--mmap] [--pattern]
               [preload.mtx ...]
         Long-lived server (default 127.0.0.1:7654; 'unix:/path' for a
@@ -102,11 +101,10 @@ USAGE:
         unload+load; --max-resident-bytes B evicts least-recently-used
         un-pinned datasets at load time (preloads are pinned; 0 =
         unlimited). Resident datasets are dynamic: the 'update' verb
-        applies edge insert/delete batches into a delta overlay, and
-        once the overlay outgrows --compact-after-nnz pending entries
-        (default 4096) the next update compacts it into fresh CSR
-        sections swapped in atomically (in-flight readers keep their
-        snapshot; see docs/DYNAMIC_GRAPHS.md).
+        merges each edge insert/delete batch into fresh CSR sections
+        swapped in atomically (in-flight readers keep their snapshot;
+        a failed update leaves the dataset as it was; see
+        docs/DYNAMIC_GRAPHS.md).
         --fail SPEC (or MXM_FAILPOINTS) arms named fault
         injection points for chaos drills, e.g.
         'kernel.numeric=10%err;serve.conn.drop=5%err' — armed points
@@ -131,9 +129,10 @@ USAGE:
         `update` edits a resident dataset in place: --insert/--delete
         take ;-separated 0-based edge lists, --from-file reads one op
         per line ('+ i j [v]' inserts, '- i j' deletes, '#' comments),
-        and --compact forces the delta overlay into fresh CSR sections
-        now. Within one batch a delete of a position beats an insert of
-        the same position. After an update, `app tc` patches only the
+        and --compact makes a request without ops valid (it rebuilds
+        and bumps the version like any batch). Within one batch a
+        delete of a position beats an insert of the same position.
+        After an update, `app tc` patches only the
         affected rows of its cached counts (the response says
         \"incremental\": true); k-truss and BC recompute fully.
         --retry N retries failed connects (every 500 ms) AND typed
@@ -186,7 +185,6 @@ fn value_flags(cmd: &str) -> &'static [&'static str] {
             "queue-depth",
             "max-resident-bytes",
             "quarantine-after",
-            "compact-after-nnz",
             "fail",
         ],
         "query" => QUERY_VALUE_FLAGS,
@@ -374,7 +372,7 @@ mod tests {
             &mut out,
         )
         .unwrap();
-        assert_eq!(mspgemm_io::load_matrix(&msb).unwrap(), g);
+        assert_eq!(mspgemm_io::read_msb_file(&msb).unwrap(), g);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -31,7 +31,6 @@ pub fn cmd_serve(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     let queue_depth = p.flag_parse("queue-depth", defaults.queue_depth)?;
     let max_resident_bytes = p.flag_parse("max-resident-bytes", defaults.max_resident_bytes)?;
     let quarantine_after = p.flag_parse("quarantine-after", defaults.quarantine_after)?;
-    let compact_after_nnz = p.flag_parse("compact-after-nnz", defaults.compact_after_nnz)?;
     // Fault injection for chaos drills: `--fail` wins over the
     // `MXM_FAILPOINTS` environment; both use the same spec grammar
     // (`name=[P%][N*]kind[(arg)];...`). The `stats` verb lists whatever
@@ -58,7 +57,6 @@ pub fn cmd_serve(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
             queue_depth,
             max_resident_bytes,
             quarantine_after,
-            compact_after_nnz,
         },
     )?;
     for (path, name) in p.positional.iter().zip(server.preload(&p.positional)?) {
@@ -83,7 +81,7 @@ const QUERY_USAGE: &str = "usage: mxm query [--connect ADDR] [--retry N] <op> [o
          raw --json '{...}'\n\
     update edits a resident dataset: 0-based ;-separated edge lists, or\n\
     --from-file with one op per line ('+ i j [v]' / '- i j'); --compact\n\
-    forces the delta overlay into fresh CSR sections now\n\
+    makes a request without ops valid (a rebuild and a version bump)\n\
     stats/metrics/list print tables; --json prints the raw response line\n\
     --retry N retries both failed connects (every 500 ms) and typed 'busy'\n\
     overload responses, backing off from the server's retry_after_ms hint\n\
@@ -637,7 +635,7 @@ mod tests {
             build_request("update", &p).unwrap().to_line(),
             r#"{"op":"update","dataset":"g","insert":[[0,1,2.5],[3,4]],"delete":[[5,6]]}"#
         );
-        // --compact alone is a valid request (flush the overlay now).
+        // --compact alone is a valid request.
         let mut p = parsed(&["update", "--dataset", "g"]);
         p.switches.insert("compact".into());
         assert_eq!(

@@ -2,7 +2,6 @@
 //! MSA/Hash/MCA/Heap kernels plug into the [`crate::phases`] driver; the
 //! pull-based Inner algorithm has its own drivers.
 
-pub mod adaptive;
 pub mod hash;
 pub mod heap;
 pub mod inner;

@@ -30,9 +30,6 @@ pub enum Algorithm {
     Inner,
     /// Pick per the Fig 7 density heuristic, once for the whole call.
     Auto,
-    /// Per-row hybrid (§9 future work): each row picks MSA, MCA or Heap
-    /// by the §5 cost models. Non-complemented masks only.
-    Hybrid,
 }
 
 impl Algorithm {
@@ -56,34 +53,21 @@ impl Algorithm {
             Algorithm::HeapDot => "HeapDot",
             Algorithm::Inner => "Inner",
             Algorithm::Auto => "Auto",
-            Algorithm::Hybrid => "Hybrid",
         }
     }
 
     /// Whether the algorithm supports complemented masks (§8.4: MCA does
-    /// not; the per-row Hybrid is defined for plain masks only).
+    /// not).
     pub fn supports_complement(&self) -> bool {
-        !matches!(self, Algorithm::Mca | Algorithm::Hybrid)
+        !matches!(self, Algorithm::Mca)
     }
-
-    /// [`Algorithm::ALL`] plus the extensions that go beyond the paper's
-    /// evaluated set ([`Algorithm::Hybrid`]).
-    pub const ALL_EXTENDED: [Algorithm; 7] = [
-        Algorithm::Msa,
-        Algorithm::Hash,
-        Algorithm::Mca,
-        Algorithm::Heap,
-        Algorithm::HeapDot,
-        Algorithm::Inner,
-        Algorithm::Hybrid,
-    ];
 }
 
 impl std::str::FromStr for Algorithm {
     type Err = String;
 
     /// Parse a scheme name as the CLI spells it (case-insensitive):
-    /// `msa`, `hash`, `mca`, `heap`, `heapdot`, `inner`, `auto`, `hybrid`.
+    /// `msa`, `hash`, `mca`, `heap`, `heapdot`, `inner`, `auto`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "msa" => Ok(Algorithm::Msa),
@@ -93,9 +77,8 @@ impl std::str::FromStr for Algorithm {
             "heapdot" | "heap-dot" => Ok(Algorithm::HeapDot),
             "inner" | "dot" => Ok(Algorithm::Inner),
             "auto" => Ok(Algorithm::Auto),
-            "hybrid" | "adaptive" => Ok(Algorithm::Hybrid),
             other => Err(format!(
-                "unknown algorithm '{other}' (expected msa|hash|mca|heap|heapdot|inner|auto|hybrid)"
+                "unknown algorithm '{other}' (expected msa|hash|mca|heap|heapdot|inner|auto)"
             )),
         }
     }
@@ -221,12 +204,9 @@ where
     check_dims::<S, M>(mask, a, b)?;
     let complement = mode == MaskMode::Complement;
     if complement && !algo.supports_complement() {
-        return Err(match algo {
-            Algorithm::Mca => {
-                Error::Unsupported("MCA does not support complemented masks (paper §8.4)")
-            }
-            _ => Error::Unsupported("the per-row Hybrid supports plain masks only"),
-        });
+        return Err(Error::Unsupported(
+            "MCA does not support complemented masks (paper §8.4)",
+        ));
     }
     let algo = match algo {
         Algorithm::Auto => auto_select(mask, a, b, complement),
@@ -284,15 +264,6 @@ where
                 inner_masked_mxm::<S, M>(mask.view(), a.view(), bt.view(), phases)
             })
         }
-        Algorithm::Hybrid => run_push_with::<S, _, M>(
-            mask,
-            a,
-            b,
-            complement,
-            phases,
-            &crate::algos::adaptive::AdaptiveKernel::new(),
-            opts,
-        ),
         Algorithm::Auto => unreachable!("Auto resolved above"),
     }
 }

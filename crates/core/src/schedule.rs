@@ -326,8 +326,7 @@ impl ExecStats {
     }
 
     /// Products formed and admitted across every drive recorded so far
-    /// (numeric passes of the MSA kernel, and of the rows the hybrid
-    /// kernel gave to MSA; other kernels report nothing).
+    /// (numeric passes of the MSA kernel; other kernels report nothing).
     pub fn products(&self) -> ProductCounts {
         ProductCounts {
             formed: self.formed.load(Ordering::Relaxed),

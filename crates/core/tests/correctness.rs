@@ -336,41 +336,6 @@ fn masked_mxm_with_bt_matches() {
 }
 
 #[test]
-fn hybrid_matches_reference_across_densities() {
-    let mut rng = StdRng::seed_from_u64(31);
-    for (da, dm) in [(0.5, 0.05), (0.05, 0.5), (0.25, 0.25), (0.02, 0.02)] {
-        let a = random_csr(36, 36, da, &mut rng);
-        let b = random_csr(36, 36, da, &mut rng);
-        let mask = random_csr(36, 36, dm, &mut rng).pattern();
-        let want = reference::<PlusTimesI64>(&mask, &a, &b, false);
-        for phases in [Phases::One, Phases::Two] {
-            let got = masked_mxm::<PlusTimesI64, ()>(
-                &mask,
-                &a,
-                &b,
-                Algorithm::Hybrid,
-                MaskMode::Mask,
-                phases,
-            )
-            .unwrap();
-            assert_eq!(got, want, "Hybrid/{phases:?} da={da} dm={dm}");
-        }
-    }
-    // Hybrid rejects complemented masks.
-    let a = random_csr(6, 6, 0.5, &mut rng);
-    let m = a.pattern();
-    let r = masked_mxm::<PlusTimesI64, ()>(
-        &m,
-        &a,
-        &a,
-        Algorithm::Hybrid,
-        MaskMode::Complement,
-        Phases::One,
-    );
-    assert!(matches!(r, Err(masked_spgemm::Error::Unsupported(_))));
-}
-
-#[test]
 #[allow(clippy::needless_range_loop)]
 fn skewed_rows_one_dense_row() {
     // One hub row (all columns) among empty ones: stresses bounds and the

@@ -40,7 +40,7 @@ fn single_heavy_row(n: usize) -> Csr<i64> {
 /// Every (algorithm × mode × phases) combination the dispatcher accepts.
 fn all_push_combos() -> Vec<(Algorithm, MaskMode, Phases)> {
     let mut combos = Vec::new();
-    for algo in Algorithm::ALL_EXTENDED {
+    for algo in Algorithm::ALL {
         if algo == Algorithm::Inner {
             continue; // pull path: no row-push schedule to vary
         }

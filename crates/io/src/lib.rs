@@ -14,8 +14,8 @@
 //!   version, dims, nnz header + raw CSR sections, so repeat experiment
 //!   runs skip text parsing entirely.
 //! * [`load`] — extension dispatch, the transparent `.msb` sidecar cache,
-//!   and graph normalization (symmetrize, strip self-loops, triangle
-//!   extraction) matching the synthetic suite's conventions.
+//!   and graph normalization (symmetrize, strip self-loops) matching the
+//!   synthetic suite's conventions.
 //! * [`source`] — [`DatasetSource`]: one abstraction over "the synthetic
 //!   suite" and "a directory of real matrices", feeding the harness
 //!   runners and the `mxm` CLI.
@@ -30,10 +30,8 @@ pub mod source;
 
 pub use error::IoError;
 pub use load::{
-    load_graph, load_graph_opts, load_graph_with, load_matrix, load_matrix_cached,
-    load_matrix_opts, load_matrix_report, load_matrix_with, pattern_sidecar_path, save_matrix,
-    save_matrix_pattern, sidecar_path, to_adjacency, AdjacencyStats, CacheOutcome, CachePolicy,
-    Format, IngestReport, LoadOpts,
+    load_graph, load_matrix, pattern_sidecar_path, save_matrix, save_matrix_pattern, sidecar_path,
+    to_adjacency, AdjacencyStats, CacheOutcome, CachePolicy, Format, IngestReport, LoadOpts,
 };
 pub use msb::{
     read_msb, read_msb_file, read_msb_file_auto, read_msb_header, write_msb, write_msb_file,

@@ -6,7 +6,7 @@ use crate::error::IoError;
 use crate::msb::{read_msb_file_auto, write_msb_file, MsbBackend};
 use crate::mtx::{read_mtx_file_parallel, write_mtx_file};
 use mspgemm_sparse::ops::ewise::ewise_add;
-use mspgemm_sparse::ops::select::{remove_diagonal, tril_strict, triu_strict};
+use mspgemm_sparse::ops::select::remove_diagonal;
 use mspgemm_sparse::{transpose, Csr};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -32,22 +32,6 @@ impl Format {
             Some(e) if e == "msb" => Ok(Format::Msb),
             _ => Err(IoError::UnknownFormat(path.to_path_buf())),
         }
-    }
-}
-
-/// Load a matrix, dispatching on the extension (`.mtx`/`.mm` or `.msb`).
-/// Text parses with the parallel reader at the rayon thread count; use
-/// [`load_matrix_with`] to pin the parse fan-out.
-pub fn load_matrix(path: impl AsRef<Path>) -> Result<Csr<f64>, IoError> {
-    load_matrix_with(path, 0)
-}
-
-/// [`load_matrix`] with an explicit parse fan-out (`0` = rayon default).
-pub fn load_matrix_with(path: impl AsRef<Path>, parse_threads: usize) -> Result<Csr<f64>, IoError> {
-    let path = path.as_ref();
-    match Format::from_path(path)? {
-        Format::Mtx => Ok(read_mtx_file_parallel(path, parse_threads)?.1),
-        Format::Msb => Ok(read_msb_file_auto(path, false)?.0),
     }
 }
 
@@ -101,7 +85,7 @@ pub fn save_matrix_pattern(path: impl AsRef<Path>, a: &Csr<f64>) -> Result<(), I
     }
 }
 
-/// Sidecar-cache behaviour for [`load_matrix_cached`].
+/// Sidecar-cache behaviour for [`load_matrix`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CachePolicy {
     /// Read a fresh sidecar if present; write one after parsing text.
@@ -113,7 +97,7 @@ pub enum CachePolicy {
     Off,
 }
 
-/// What [`load_matrix_cached`] actually did.
+/// What [`load_matrix`] actually did with the sidecar cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CacheOutcome {
     /// Parsed the text file; no cache involved.
@@ -171,7 +155,7 @@ pub struct IngestReport {
     pub pattern: bool,
 }
 
-/// Everything [`load_matrix_opts`] lets a caller pin: the sidecar cache
+/// Everything [`load_matrix`] lets a caller pin: the sidecar cache
 /// policy, the text-parse fan-out, and whether `.msb` inputs/sidecars
 /// should be memory-mapped zero-copy instead of heap-copied.
 #[derive(Clone, Copy, Debug, Default)]
@@ -197,36 +181,23 @@ fn file_len(path: &Path) -> u64 {
     std::fs::metadata(path).map(|m| m.len()).unwrap_or(0)
 }
 
-/// Load `path`, transparently using an `.msb` sidecar to skip text
-/// parsing on repeat runs.
+/// Load `path`, dispatching on the extension (`.mtx`/`.mm` or `.msb`)
+/// and transparently using an `.msb` sidecar to skip text parsing on
+/// repeat runs.
 ///
 /// * `.msb` input: read directly (the cache *is* the input).
-/// * `.mtx` input: if a sidecar exists and is at least as new as the text
-///   file, read it instead; otherwise parse the text (parallel, with
-///   `parse_threads` fan-out; `0` = rayon default) and (under
+/// * `.mtx` input: unless the policy is [`CachePolicy::Off`], if a
+///   sidecar exists and is at least as new as the text file, read it
+///   instead; otherwise parse the text (parallel, with
+///   `opts.parse_threads` fan-out; `0` = rayon default) and (under
 ///   [`CachePolicy::ReadWrite`]) write the sidecar — atomically, so an
 ///   interrupted run cannot plant a truncated cache. A stale or corrupt
 ///   sidecar falls back to the text file rather than failing the load.
-pub fn load_matrix_report(
-    path: impl AsRef<Path>,
-    policy: CachePolicy,
-    parse_threads: usize,
-) -> Result<(Csr<f64>, IngestReport), IoError> {
-    load_matrix_opts(
-        path,
-        &LoadOpts {
-            policy,
-            parse_threads,
-            ..LoadOpts::default()
-        },
-    )
-}
-
-/// [`load_matrix_report`] with full [`LoadOpts`] — in particular the
-/// zero-copy mmap preference: with `opts.mmap` set, a v2 `.msb` input
-/// (or fresh sidecar) backs the matrix directly by the mapped file, so
-/// residency costs no per-section heap copy of `colidx`/`values`.
-pub fn load_matrix_opts(
+///
+/// With `opts.mmap` set, a v2 `.msb` input (or fresh sidecar) backs the
+/// matrix directly by the mapped file, so residency costs no per-section
+/// heap copy of `colidx`/`values`.
+pub fn load_matrix(
     path: impl AsRef<Path>,
     opts: &LoadOpts,
 ) -> Result<(Csr<f64>, IngestReport), IoError> {
@@ -326,15 +297,6 @@ pub fn load_matrix_opts(
     Ok((a, r))
 }
 
-/// [`load_matrix_report`] without the throughput stats.
-pub fn load_matrix_cached(
-    path: impl AsRef<Path>,
-    policy: CachePolicy,
-) -> Result<(Csr<f64>, CacheOutcome), IoError> {
-    let (a, r) = load_matrix_report(path, policy, 0)?;
-    Ok((a, r.outcome))
-}
-
 /// Summary of what [`to_adjacency`] changed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AdjacencyStats {
@@ -368,38 +330,15 @@ pub fn to_adjacency(a: &Csr<f64>) -> (Csr<f64>, AdjacencyStats) {
     )
 }
 
-/// Load a file and normalize it with [`to_adjacency`] (cache-aware).
+/// [`load_matrix`] a file and normalize it with [`to_adjacency`]. The
+/// normalized adjacency is a derived (owned) matrix either way; the mmap
+/// preference still saves the intermediate heap copy of the raw operand
+/// while normalizing.
 pub fn load_graph(
-    path: impl AsRef<Path>,
-    policy: CachePolicy,
-) -> Result<(Csr<f64>, AdjacencyStats), IoError> {
-    load_graph_with(path, policy, 0)
-}
-
-/// [`load_graph`] with an explicit parse fan-out (`0` = rayon default).
-pub fn load_graph_with(
-    path: impl AsRef<Path>,
-    policy: CachePolicy,
-    parse_threads: usize,
-) -> Result<(Csr<f64>, AdjacencyStats), IoError> {
-    load_graph_opts(
-        path,
-        &LoadOpts {
-            policy,
-            parse_threads,
-            ..LoadOpts::default()
-        },
-    )
-}
-
-/// [`load_graph`] with full [`LoadOpts`]. The normalized adjacency is a
-/// derived (owned) matrix either way; the mmap preference still saves
-/// the intermediate heap copy of the raw operand while normalizing.
-pub fn load_graph_opts(
     path: impl AsRef<Path>,
     opts: &LoadOpts,
 ) -> Result<(Csr<f64>, AdjacencyStats), IoError> {
-    let (a, _) = load_matrix_opts(path, opts)?;
+    let (a, _) = load_matrix(path, opts)?;
     if a.nrows() != a.ncols() {
         return Err(IoError::Format(format!(
             "graph loading needs a square matrix, got {}x{}",
@@ -410,16 +349,13 @@ pub fn load_graph_opts(
     Ok(to_adjacency(&a))
 }
 
-/// Strict lower triangle of an adjacency matrix — the TC operand
-/// convention (`tricount` relabels first; this is the raw variant for
-/// callers composing their own pipelines).
-pub fn lower_triangle(a: &Csr<f64>) -> Csr<f64> {
-    tril_strict(a)
-}
-
-/// Strict upper triangle, the mirror convention.
-pub fn upper_triangle(a: &Csr<f64>) -> Csr<f64> {
-    triu_strict(a)
+/// Default options under `policy` — the shape most I/O tests load with.
+#[cfg(test)]
+pub(crate) fn policy(policy: CachePolicy) -> LoadOpts {
+    LoadOpts {
+        policy,
+        ..LoadOpts::default()
+    }
 }
 
 #[cfg(test)]
@@ -492,16 +428,16 @@ mod tests {
         crate::mtx::write_mtx_file(&mtx, &directed_sample()).unwrap();
 
         // First load parses and writes the sidecar.
-        let (a, outcome) = load_matrix_cached(&mtx, CachePolicy::ReadWrite).unwrap();
-        assert_eq!(outcome, CacheOutcome::Written);
+        let (a, r) = load_matrix(&mtx, &policy(CachePolicy::ReadWrite)).unwrap();
+        assert_eq!(r.outcome, CacheOutcome::Written);
         assert!(msb.exists());
         // Second load hits the sidecar and agrees.
-        let (b, outcome) = load_matrix_cached(&mtx, CachePolicy::ReadWrite).unwrap();
-        assert_eq!(outcome, CacheOutcome::Hit);
+        let (b, r) = load_matrix(&mtx, &policy(CachePolicy::ReadWrite)).unwrap();
+        assert_eq!(r.outcome, CacheOutcome::Hit);
         assert_eq!(a, b);
         // Off policy re-parses.
-        let (_, outcome) = load_matrix_cached(&mtx, CachePolicy::Off).unwrap();
-        assert_eq!(outcome, CacheOutcome::Parsed);
+        let (_, r) = load_matrix(&mtx, &policy(CachePolicy::Off)).unwrap();
+        assert_eq!(r.outcome, CacheOutcome::Parsed);
         std::fs::remove_file(&mtx).ok();
         std::fs::remove_file(&msb).ok();
     }
@@ -515,7 +451,7 @@ mod tests {
         std::fs::write(&msb, b"not an msb file").unwrap();
         // Ensure the sidecar is "fresh" so the fallback path is what's
         // exercised (not staleness).
-        let (a, _) = load_matrix_cached(&mtx, CachePolicy::ReadOnly).unwrap();
+        let (a, _) = load_matrix(&mtx, &policy(CachePolicy::ReadOnly)).unwrap();
         assert_eq!(a, directed_sample());
         std::fs::remove_file(&mtx).ok();
         std::fs::remove_file(&msb).ok();
@@ -570,13 +506,17 @@ mod tests {
         std::fs::remove_file(&msb).ok();
         crate::mtx::write_mtx_file(&mtx, &directed_sample()).unwrap();
 
-        let (_, r) = load_matrix_report(&mtx, CachePolicy::ReadWrite, 2).unwrap();
+        let opts = LoadOpts {
+            parse_threads: 2,
+            ..policy(CachePolicy::ReadWrite)
+        };
+        let (_, r) = load_matrix(&mtx, &opts).unwrap();
         assert_eq!(r.outcome, CacheOutcome::Written);
         assert_eq!(r.bytes, std::fs::metadata(&mtx).unwrap().len());
         assert_eq!(r.entries, 4, "declared stored entries");
         assert!(r.seconds >= 0.0);
 
-        let (_, r) = load_matrix_report(&mtx, CachePolicy::ReadWrite, 2).unwrap();
+        let (_, r) = load_matrix(&mtx, &opts).unwrap();
         assert_eq!(r.outcome, CacheOutcome::Hit);
         assert_eq!(
             r.bytes,
@@ -598,13 +538,12 @@ mod tests {
         crate::mtx::write_mtx_file(&mtx, &directed_sample()).unwrap();
 
         let popts = LoadOpts {
-            policy: CachePolicy::ReadWrite,
             pattern: true,
-            ..LoadOpts::default()
+            ..policy(CachePolicy::ReadWrite)
         };
         // First pattern load parses, writes the values-less sidecar, and
         // serves unit values from the arena.
-        let (p, r) = load_matrix_opts(&mtx, &popts).unwrap();
+        let (p, r) = load_matrix(&mtx, &popts).unwrap();
         assert_eq!(r.outcome, CacheOutcome::Written);
         assert!(r.pattern);
         assert!(p.values_unit_shared());
@@ -621,7 +560,7 @@ mod tests {
         assert!(header.is_pattern(), "sidecar stream is values-less");
 
         // Second pattern load hits the pattern sidecar.
-        let (p2, r2) = load_matrix_opts(&mtx, &popts).unwrap();
+        let (p2, r2) = load_matrix(&mtx, &popts).unwrap();
         assert_eq!(r2.outcome, CacheOutcome::Hit);
         assert!(r2.pattern && p2.values_unit_shared());
         assert!(
@@ -632,21 +571,14 @@ mod tests {
 
         // A value load of the same file is untouched by the pattern cache:
         // it parses (or writes its own sidecar) and keeps real weights.
-        let (v, rv) = load_matrix_opts(
-            &mtx,
-            &LoadOpts {
-                policy: CachePolicy::ReadWrite,
-                ..LoadOpts::default()
-            },
-        )
-        .unwrap();
+        let (v, rv) = load_matrix(&mtx, &policy(CachePolicy::ReadWrite)).unwrap();
         assert!(!rv.pattern);
         assert_eq!(v, directed_sample());
 
         // A pattern load of a values .msb discards weights in memory only.
         let msb = dir.join("w.msb");
         save_matrix(&msb, &directed_sample()).unwrap();
-        let (pm, rm) = load_matrix_opts(&msb, &popts).unwrap();
+        let (pm, rm) = load_matrix(&msb, &popts).unwrap();
         assert!(rm.pattern && pm.values_unit_shared());
         assert_eq!(pm.pattern(), directed_sample().pattern());
         assert_eq!(
@@ -665,20 +597,7 @@ mod tests {
         let mtx = dir.join("r.mtx");
         let rect = Csr::from_dense(&[vec![Some(1.0), None, None]], 3);
         crate::mtx::write_mtx_file(&mtx, &rect).unwrap();
-        assert!(load_graph(&mtx, CachePolicy::Off).is_err());
+        assert!(load_graph(&mtx, &policy(CachePolicy::Off)).is_err());
         std::fs::remove_file(&mtx).ok();
-    }
-
-    #[test]
-    fn triangles_partition_off_diagonal() {
-        let g = mspgemm_gen::er_symmetric(50, 4, 9);
-        let lo = lower_triangle(&g);
-        let hi = upper_triangle(&g);
-        assert_eq!(
-            lo.nnz() + hi.nnz(),
-            g.nnz(),
-            "loop-free graph splits evenly"
-        );
-        assert_eq!(lo.nnz(), hi.nnz());
     }
 }

@@ -7,7 +7,7 @@
 //! stand-ins" identically.
 
 use crate::error::IoError;
-use crate::load::{load_graph_opts, CachePolicy, Format, LoadOpts};
+use crate::load::{load_graph, Format, LoadOpts};
 use mspgemm_gen::{build_suite, SuiteGraph, SuiteSize};
 use std::path::{Path, PathBuf};
 
@@ -40,29 +40,10 @@ impl DatasetSource {
         }
     }
 
-    /// Materialize the graphs: generate or load + normalize every
-    /// dataset, returning them with their names.
-    pub fn load(&self, policy: CachePolicy) -> Result<Vec<SuiteGraph>, IoError> {
-        self.load_with(policy, 0)
-    }
-
-    /// [`DatasetSource::load`] with an explicit text-parse fan-out
-    /// (`0` = rayon default).
-    pub fn load_with(
-        &self,
-        policy: CachePolicy,
-        parse_threads: usize,
-    ) -> Result<Vec<SuiteGraph>, IoError> {
-        self.load_opts(&LoadOpts {
-            policy,
-            parse_threads,
-            ..LoadOpts::default()
-        })
-    }
-
-    /// [`DatasetSource::load`] with full [`LoadOpts`] (cache policy,
-    /// parse fan-out, zero-copy mmap preference for `.msb` datasets).
-    pub fn load_opts(&self, opts: &LoadOpts) -> Result<Vec<SuiteGraph>, IoError> {
+    /// Materialize the graphs: generate, or load + normalize every
+    /// dataset under `opts` (cache policy, parse fan-out, zero-copy mmap
+    /// preference for `.msb` datasets), returning them with their names.
+    pub fn load(&self, opts: &LoadOpts) -> Result<Vec<SuiteGraph>, IoError> {
         match self {
             DatasetSource::Synthetic(size) => Ok(build_suite(*size)),
             DatasetSource::Dir(dir) => {
@@ -112,7 +93,7 @@ fn load_files(files: &[PathBuf], opts: &LoadOpts) -> Result<Vec<SuiteGraph>, IoE
     files
         .iter()
         .map(|p| {
-            let (adj, _) = load_graph_opts(p, opts).map_err(|e| match e {
+            let (adj, _) = load_graph(p, opts).map_err(|e| match e {
                 IoError::Parse { line, msg } => IoError::Parse {
                     line,
                     msg: format!("{}: {msg}", p.display()),
@@ -127,6 +108,7 @@ fn load_files(files: &[PathBuf], opts: &LoadOpts) -> Result<Vec<SuiteGraph>, IoE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::load::{policy, CachePolicy};
     use mspgemm_sparse::Coo;
 
     fn write_cycle(path: &Path, n: usize) {
@@ -142,7 +124,7 @@ mod tests {
     fn synthetic_source_matches_gen() {
         let s = DatasetSource::parse("synthetic");
         assert_eq!(s, DatasetSource::Synthetic(SuiteSize::Small));
-        let graphs = s.load(CachePolicy::Off).unwrap();
+        let graphs = s.load(&policy(CachePolicy::Off)).unwrap();
         assert_eq!(graphs.len(), build_suite(SuiteSize::Small).len());
     }
 
@@ -156,7 +138,7 @@ mod tests {
         std::fs::write(dir.join("notes.txt"), "ignored").unwrap();
 
         let graphs = DatasetSource::parse(dir.to_str().unwrap())
-            .load(CachePolicy::Off)
+            .load(&policy(CachePolicy::Off))
             .unwrap();
         let names: Vec<&str> = graphs.iter().map(|g| g.name.as_str()).collect();
         assert_eq!(names, ["a_ring", "b_ring"]);
@@ -174,13 +156,13 @@ mod tests {
         write_cycle(&dir.join("ring.mtx"), 5);
         // Warm the cache, creating ring.msb next to ring.mtx.
         let graphs = DatasetSource::Dir(dir.clone())
-            .load(CachePolicy::ReadWrite)
+            .load(&LoadOpts::default())
             .unwrap();
         assert_eq!(graphs.len(), 1);
         assert!(dir.join("ring.msb").exists());
         // Second scan still sees ONE dataset, not two.
         let graphs = DatasetSource::Dir(dir.clone())
-            .load(CachePolicy::ReadWrite)
+            .load(&LoadOpts::default())
             .unwrap();
         assert_eq!(graphs.len(), 1, "sidecar must not duplicate its dataset");
         std::fs::remove_dir_all(&dir).ok();
@@ -197,7 +179,7 @@ mod tests {
         let mtx = dir.join("g.mtx");
         write_cycle(&mtx, 3);
         let graphs = DatasetSource::Dir(dir.clone())
-            .load(CachePolicy::ReadWrite)
+            .load(&LoadOpts::default())
             .unwrap();
         assert_eq!(graphs[0].adj.nrows(), 3);
         assert!(dir.join("g.msb").exists());
@@ -207,7 +189,7 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         write_cycle(&mtx, 4);
         let graphs = DatasetSource::Dir(dir.clone())
-            .load(CachePolicy::ReadWrite)
+            .load(&LoadOpts::default())
             .unwrap();
         assert_eq!(graphs.len(), 1);
         assert_eq!(
@@ -224,7 +206,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         assert!(DatasetSource::Dir(dir.clone())
-            .load(CachePolicy::Off)
+            .load(&policy(CachePolicy::Off))
             .is_err());
         std::fs::remove_dir_all(&dir).ok();
     }

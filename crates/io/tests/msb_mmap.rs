@@ -171,7 +171,7 @@ fn misaligned_v2_rejected_without_ub() {
 
 #[test]
 fn sidecar_cache_serves_mmap_and_rewrites_a_v1_sidecar() {
-    use mspgemm_io::{load_matrix_opts, sidecar_path, CacheOutcome, CachePolicy, LoadOpts};
+    use mspgemm_io::{load_matrix, sidecar_path, CacheOutcome, CachePolicy, LoadOpts};
     let dir = std::env::temp_dir().join("mspgemm_io_mmap_sidecar");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
@@ -187,7 +187,7 @@ fn sidecar_cache_serves_mmap_and_rewrites_a_v1_sidecar() {
 
     // First load parses, writes the v2 sidecar, and (mmap preferred)
     // returns the mapped copy of it.
-    let (a, r) = load_matrix_opts(&mtx, &opts).unwrap();
+    let (a, r) = load_matrix(&mtx, &opts).unwrap();
     assert_eq!(r.outcome, CacheOutcome::Written);
     if cfg!(all(
         feature = "mmap",
@@ -200,7 +200,7 @@ fn sidecar_cache_serves_mmap_and_rewrites_a_v1_sidecar() {
     assert_eq!(a, g);
 
     // Second load hits the sidecar via the mapping.
-    let (b, r) = load_matrix_opts(&mtx, &opts).unwrap();
+    let (b, r) = load_matrix(&mtx, &opts).unwrap();
     assert_eq!(r.outcome, CacheOutcome::Hit);
     if cfg!(all(
         feature = "mmap",
@@ -218,7 +218,7 @@ fn sidecar_cache_serves_mmap_and_rewrites_a_v1_sidecar() {
     let mut v1 = std::fs::read(&sidecar).unwrap();
     v1[4] = 1;
     std::fs::write(&sidecar, &v1).unwrap();
-    let (c, r) = load_matrix_opts(&mtx, &opts).unwrap();
+    let (c, r) = load_matrix(&mtx, &opts).unwrap();
     assert_eq!(r.outcome, CacheOutcome::Written);
     assert_eq!(c, g);
     assert_eq!(std::fs::read(&sidecar).unwrap()[4], 2);

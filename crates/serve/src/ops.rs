@@ -56,10 +56,9 @@ fn residency(ds: &Dataset) -> [(&'static str, Json); 5] {
 
 /// The health/update block of a dataset descriptor, closing the `list`
 /// and `stats` rows.
-fn health(info: &DatasetInfo) -> [(&'static str, Json); 5] {
+fn health(info: &DatasetInfo) -> [(&'static str, Json); 4] {
     [
         ("version", info.version.into()),
-        ("delta_nnz", info.delta_nnz.into()),
         ("pinned", info.pinned.into()),
         ("quarantined", info.quarantined.into()),
         ("panics", u64::from(info.panics).into()),
@@ -424,18 +423,12 @@ fn app(state: &ServerState, name: &str, p: &AppParams) -> OpResult {
 
 fn update(state: &ServerState, name: &str, p: &UpdateParams) -> OpResult {
     let t0 = Instant::now();
-    let out = state
-        .registry
-        .update(name, &p.ops, p.compact, state.config.compact_after_nnz)
-        .map_err(reg_err)?;
+    let out = state.registry.update(name, &p.ops).map_err(reg_err)?;
     let secs = t0.elapsed().as_secs_f64();
     let ds = &out.ds;
     let m = &state.metrics;
     m.counter("updates_total", &[]).inc();
     m.counter("updates_total", &[("dataset", &ds.name)]).inc();
-    if out.compacted {
-        m.counter("compactions_total", &[]).inc();
-    }
     m.histogram("update_latency_us", &[])
         .record((secs * 1e6) as u64);
     Ok(ok_response(vec![
@@ -443,8 +436,10 @@ fn update(state: &ServerState, name: &str, p: &UpdateParams) -> OpResult {
         ("dataset", Json::str(&ds.name)),
         ("version", out.version.into()),
         ("applied", out.applied.into()),
-        ("delta_nnz", out.delta_nnz.into()),
-        ("compacted", out.compacted.into()),
+        // Every update rebuilds the live matrix outright; the two keys
+        // stay for clients that read them and are constants.
+        ("delta_nnz", 0u64.into()),
+        ("compacted", true.into()),
         ("nrows", ds.matrix.nrows().into()),
         ("nnz", ds.matrix.nnz().into()),
         ("backend", Json::str(ds.backend().name())),
@@ -469,7 +464,6 @@ struct Snapshot {
     mapped_bytes: u64,
     unit_arena_bytes: u64,
     datasets_quarantined: u64,
-    delta_nnz: u64,
     busy: Option<BusySpread>,
 }
 
@@ -491,7 +485,6 @@ impl Snapshot {
             // lengths).
             unit_arena_bytes: mspgemm_sparse::unit_arena_bytes() as u64,
             datasets_quarantined: sum(|i| u64::from(i.quarantined)),
-            delta_nnz: sum(|i| i.delta_nnz as u64),
             busy: busy_spread(&state.exec_stats.busy_seconds()),
         }
     }
@@ -509,7 +502,6 @@ impl Snapshot {
             ("mapped_bytes", self.mapped_bytes as f64),
             ("unit_arena_bytes", self.unit_arena_bytes as f64),
             ("datasets_quarantined", self.datasets_quarantined as f64),
-            ("delta_nnz", self.delta_nnz as f64),
         ];
         if let Some(sp) = self.busy {
             gauges.push(("busy_threads", sp.threads as f64));

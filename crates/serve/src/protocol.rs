@@ -308,9 +308,8 @@ pub(crate) struct AppParams {
 
 pub(crate) struct UpdateParams {
     /// Inserts first, then deletes — a position named in both ends
-    /// deleted (last write wins in the overlay).
+    /// deleted (last write wins in the batch).
     pub ops: Vec<DeltaOp<f64>>,
-    pub compact: bool,
 }
 
 impl HeavyRequest {
@@ -489,7 +488,9 @@ fn tuples<'a>(
 }
 
 /// The `"insert"` / `"delete"` arrays of an `update` request as one op
-/// batch, plus the `compact` flag.
+/// batch. `"compact": true` is what makes an op-free request valid (it
+/// rebuilds and bumps the version like any batch); it has no other
+/// effect.
 fn decode_update(req: &Json) -> Result<UpdateParams, Reject> {
     fn idx(v: &Json, what: &str, k: usize) -> Result<Idx, Reject> {
         v.as_u64()
@@ -530,7 +531,7 @@ fn decode_update(req: &Json) -> Result<UpdateParams, Reject> {
             "'update' needs 'insert' and/or 'delete' ops (or 'compact': true)".to_string(),
         ));
     }
-    Ok(UpdateParams { ops, compact })
+    Ok(UpdateParams { ops })
 }
 
 #[cfg(test)]

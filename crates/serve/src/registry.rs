@@ -40,24 +40,21 @@
 //!
 //! ## Dynamic updates
 //!
-//! The `update` verb mutates a resident dataset through a per-entry
-//! [`Overlay`]: edge upserts/deletes accumulate against the last
-//! *compacted base*, every batch produces a fresh merged [`Dataset`]
-//! (derived operands rebuilt, sections heap-owned — mutating never
-//! touches an mmap'd base), and the new `Arc` swaps into the entry under
-//! the write lock while in-flight readers keep the old views. Past the
-//! compaction threshold (or on request) the merged dataset is promoted
-//! to the new base and the overlay clears. Each entry carries a monotone
-//! `version` (bumped once per successful update) plus the edge log and
-//! cached per-row triangle counts the incremental `app tc` path patches.
-//! The swap re-checks entry identity, so an `update` racing an `unload`
-//! loses cleanly: the removed entry stays removed and the caller gets
+//! The `update` verb folds each edge batch through a transient
+//! [`Overlay`] into the *live* matrix: the batch is validated, merged
+//! into a fresh [`Dataset`] (derived operands rebuilt, sections
+//! heap-owned — mutating never touches an mmap'd load), and the new `Arc`
+//! swaps into the entry under the write lock while in-flight readers
+//! keep the old views. The swap is the commit point: only after it does
+//! the entry's monotone `version` bump and the batch join the edge log
+//! the incremental `app tc` path patches from, so a failed update leaves
+//! no trace. The live dataset is the only one an entry retains. The swap
+//! re-checks entry identity, so an `update` racing an `unload` loses
+//! cleanly: the removed entry stays removed and the caller gets
 //! [`RegistryError::NotFound`].
 
 use mspgemm_graph::tricount::{self, TcOperands};
-use mspgemm_io::{
-    dataset_name, load_matrix_opts, to_adjacency, IngestReport, LoadOpts, MsbBackend,
-};
+use mspgemm_io::{dataset_name, load_matrix, to_adjacency, IngestReport, LoadOpts, MsbBackend};
 use mspgemm_sparse::overlay::{DeltaOp, Overlay};
 use mspgemm_sparse::{transpose, Csr, Idx};
 use std::collections::{HashMap, HashSet};
@@ -103,7 +100,7 @@ impl Dataset {
     /// matrix (and its pattern mask, which shares `rowptr`/`colidx`)
     /// zero-copy by the mapped file.
     pub fn load(path: &str, name: Option<&str>, opts: &LoadOpts) -> Result<Dataset, String> {
-        let (matrix, ingest) = load_matrix_opts(path, opts).map_err(|e| format!("{path}: {e}"))?;
+        let (matrix, ingest) = load_matrix(path, opts).map_err(|e| format!("{path}: {e}"))?;
         if matrix.nrows() != matrix.ncols() {
             return Err(format!(
                 "{path}: the server holds square matrices (graphs); got {}x{}",
@@ -166,7 +163,7 @@ impl Dataset {
     /// and the ingest report flips to the heap backend — merged sections
     /// are always heap-owned, so an update copies-on-write away from any
     /// mmap backing (the mapping itself stays untouched and alive only as
-    /// long as something still references the previous base).
+    /// long as an in-flight reader still holds the previous dataset).
     pub fn rebuilt(prev: &Dataset, matrix: Csr<f64>) -> Dataset {
         debug_assert!(!matrix.has_shared_storage(), "rebuilds must be heap-owned");
         let ingest = IngestReport {
@@ -293,7 +290,7 @@ struct Entry {
     /// The entry's dynamic-update state, shared by `Arc` so the expensive
     /// merge/rebuild runs outside the map locks while still serializing
     /// updates per dataset. The `Arc` identity doubles as the swap guard:
-    /// a compaction only lands if the entry still holds the same state it
+    /// an update only lands if the entry still holds the same state it
     /// started from (an interleaved `unload`, or unload + reload, changes
     /// the identity and the late swap is refused).
     dynamics: Arc<Mutex<DynState>>,
@@ -315,14 +312,11 @@ struct Entry {
 /// log is dropped and the next `app tc` recomputes from scratch.
 const DELTA_LOG_CAP: usize = 1 << 16;
 
-/// Per-entry dynamic-update state: the compacted base, the pending delta
-/// overlay, the monotone version, and the incremental-TC bookkeeping.
+/// Per-entry dynamic-update state: the monotone version and the
+/// incremental-TC bookkeeping. Everything here changes only after an
+/// update's swap has landed.
+#[derive(Default)]
 struct DynState {
-    /// The last compacted dataset — what the overlay merges against.
-    /// Initially the dataset as loaded (possibly mmap-backed).
-    base: Arc<Dataset>,
-    /// Pending ops since `base`.
-    overlay: Overlay<f64>,
     /// Bumped once per successful update; never reset while resident.
     version: u64,
     /// Positions changed since `tc_cache` was last stored.
@@ -332,20 +326,6 @@ struct DynState {
     log_overflow: bool,
     /// Per-row triangle counts from the last full or patched count.
     tc_cache: Option<TcCache>,
-}
-
-impl DynState {
-    fn new(base: Arc<Dataset>) -> Self {
-        let (nrows, ncols) = (base.matrix.nrows(), base.matrix.ncols());
-        DynState {
-            base,
-            overlay: Overlay::new(nrows, ncols),
-            version: 0,
-            delta_log: Vec::new(),
-            log_overflow: false,
-            tc_cache: None,
-        }
-    }
 }
 
 /// Cached per-row triangle counts, patchable by the incremental path.
@@ -383,11 +363,6 @@ pub struct UpdateOutcome {
     pub ds: Arc<Dataset>,
     /// Dataset version after this update (monotone per dataset).
     pub version: u64,
-    /// Pending overlay positions after this update (0 right after a
-    /// compaction).
-    pub delta_nnz: usize,
-    /// Whether this update compacted the overlay into a fresh base.
-    pub compacted: bool,
     /// Ops applied (inserts + deletes, as submitted).
     pub applied: usize,
 }
@@ -397,8 +372,6 @@ impl std::fmt::Debug for UpdateOutcome {
         f.debug_struct("UpdateOutcome")
             .field("dataset", &self.ds.name)
             .field("version", &self.version)
-            .field("delta_nnz", &self.delta_nnz)
-            .field("compacted", &self.compacted)
             .field("applied", &self.applied)
             .finish()
     }
@@ -417,8 +390,6 @@ pub struct DatasetInfo {
     pub panics: u32,
     /// Dataset version (0 = never updated).
     pub version: u64,
-    /// Pending overlay positions awaiting compaction.
-    pub delta_nnz: usize,
 }
 
 /// What [`Registry::note_panic`] concluded.
@@ -534,7 +505,7 @@ impl Registry {
             key.clone(),
             Entry {
                 ds: ds.clone(),
-                dynamics: Arc::new(Mutex::new(DynState::new(ds.clone()))),
+                dynamics: Arc::default(),
                 pinned: pin,
                 last_used: AtomicU64::new(self.now_ns()),
                 panics: AtomicU32::new(0),
@@ -619,52 +590,34 @@ impl Registry {
 
     /// Apply an edge batch to a resident dataset.
     ///
-    /// The batch lands in the entry's delta overlay (atomically: any
-    /// out-of-bounds op rejects the whole batch untouched), the merged
-    /// matrix is rebuilt into a fresh heap-owned [`Dataset`] outside the
-    /// map locks, and the new `Arc` swaps into the registry — in-flight
-    /// readers keep their old views; no stop-the-world. When the overlay
-    /// reaches `compact_after_nnz` pending positions (0 = never) or the
-    /// request asks for it, the merged dataset is promoted to the new
-    /// compacted base and the overlay clears.
+    /// The batch is folded through a transient overlay (atomically: any
+    /// out-of-bounds op rejects the whole batch), merged against the live
+    /// matrix into a fresh heap-owned [`Dataset`] outside the map locks,
+    /// and the new `Arc` swaps into the registry — in-flight readers keep
+    /// their old views; no stop-the-world. The swap is the commit point:
+    /// the version bump and the edge log follow it, so an update that
+    /// fails (or panics) anywhere before leaves the entry as it was.
     ///
     /// Updates to the same dataset serialize on its dynamics mutex; the
-    /// final swap re-checks that the entry still holds the same dynamic
-    /// state, so an `unload` (or unload + reload) racing the rebuild wins
+    /// swap re-checks that the entry still holds the same dynamic state,
+    /// so an `unload` (or unload + reload) racing the rebuild wins
     /// cleanly and this update reports [`RegistryError::NotFound`].
     ///
     /// # Errors
     /// Typed registry errors: unknown/evicted/quarantined dataset,
     /// out-of-bounds ops, or the dataset disappearing mid-update.
-    pub fn update(
-        &self,
-        name: &str,
-        ops: &[DeltaOp<f64>],
-        compact_request: bool,
-        compact_after_nnz: u64,
-    ) -> Result<UpdateOutcome, RegistryError> {
+    pub fn update(&self, name: &str, ops: &[DeltaOp<f64>]) -> Result<UpdateOutcome, RegistryError> {
         let dynamics = self.dynamics_of(name)?;
+        // Dynamics before the dataset, as in `tc_snapshot`: no other
+        // update can swap a newer matrix in under this one.
         let mut st = relock(&dynamics);
-        st.overlay
-            .apply_batch(ops)
-            .map_err(RegistryError::OutOfBounds)?;
-        st.version += 1;
-        if st.delta_log.len() + ops.len() > DELTA_LOG_CAP {
-            st.delta_log.clear();
-            st.log_overflow = true;
-        } else {
-            st.delta_log.extend(ops.iter().map(DeltaOp::key));
-        }
+        let live = self.get(name)?;
+        let n = live.matrix.nrows();
+        let mut batch = Overlay::new(n, n);
+        batch.apply_batch(ops).map_err(RegistryError::OutOfBounds)?;
         // Rebuild outside the map locks: only other updates to this
         // dataset wait; readers and other verbs proceed on the old Arc.
-        let merged = st.overlay.merged(st.base.matrix.view());
-        let new_ds = Arc::new(Dataset::rebuilt(&st.base, merged));
-        let compact = compact_request
-            || (compact_after_nnz > 0 && st.overlay.delta_nnz() as u64 >= compact_after_nnz);
-        if compact {
-            st.base = new_ds.clone();
-            st.overlay.clear();
-        }
+        let new_ds = Arc::new(Dataset::rebuilt(&live, batch.merged(live.matrix.view())));
         // Failpoint `serve.update.swap`: widen (or fail) the window
         // between the rebuild and the registry swap — the unload-race
         // regression tests arm this.
@@ -673,22 +626,23 @@ impl Registry {
                 "failpoint serve.update.swap: {msg}"
             )));
         }
-        let mut map = write_map(&self.map);
-        match map.get_mut(name) {
-            Some(e) if Arc::ptr_eq(&e.dynamics, &dynamics) => {
-                e.ds = new_ds.clone();
-            }
+        match write_map(&self.map).get_mut(name) {
+            Some(e) if Arc::ptr_eq(&e.dynamics, &dynamics) => e.ds = new_ds.clone(),
             // Unloaded (or unloaded and reloaded as a different entry)
             // while we were rebuilding: drop our work on the floor and
             // leave the registry exactly as the unload left it.
             _ => return Err(RegistryError::NotFound(name.to_string())),
         }
-        drop(map);
+        st.version += 1;
+        if st.delta_log.len() + ops.len() > DELTA_LOG_CAP {
+            st.delta_log.clear();
+            st.log_overflow = true;
+        } else {
+            st.delta_log.extend(ops.iter().map(DeltaOp::key));
+        }
         Ok(UpdateOutcome {
             ds: new_ds,
             version: st.version,
-            delta_nnz: st.overlay.delta_nnz(),
-            compacted: compact,
             applied: ops.len(),
         })
     }
@@ -794,16 +748,12 @@ impl Registry {
             .collect();
         let mut v: Vec<DatasetInfo> = snap
             .into_iter()
-            .map(|(ds, dynamics, pinned, quarantined, panics)| {
-                let dy = relock(&dynamics);
-                DatasetInfo {
-                    ds,
-                    pinned,
-                    quarantined,
-                    panics,
-                    version: dy.version,
-                    delta_nnz: dy.overlay.delta_nnz(),
-                }
+            .map(|(ds, dynamics, pinned, quarantined, panics)| DatasetInfo {
+                ds,
+                pinned,
+                quarantined,
+                panics,
+                version: relock(&dynamics).version,
             })
             .collect();
         v.sort_by(|a, b| a.ds.name.cmp(&b.ds.name));
@@ -998,7 +948,7 @@ mod tests {
     }
 
     #[test]
-    fn update_bumps_version_merges_and_compacts() {
+    fn update_bumps_version_and_merges() {
         // Fires `serve.update.swap`: must not consume the race test's
         // armed delay.
         let _g = crate::failpoint_guard();
@@ -1027,13 +977,9 @@ mod tests {
                         val: 1.0,
                     },
                 ],
-                false,
-                0,
             )
             .unwrap();
         assert_eq!(out.version, 1);
-        assert!(!out.compacted);
-        assert_eq!(out.delta_nnz, 2, "last-write-wins collapses positions");
         assert_eq!(out.applied, 3);
         let live = reg.get("u").unwrap();
         assert!(!Arc::ptr_eq(&before, &live), "live Arc swapped");
@@ -1045,13 +991,10 @@ mod tests {
         assert_eq!(live.mask.nnz(), live.matrix.nnz());
         assert_eq!(live.matrix_t.get(4, 3), Some(&1.0));
 
-        // Threshold compaction: delta_nnz >= 1 forces it.
         let out = reg
-            .update("u", &[DeltaOp::Delete { row: 3, col: 4 }], false, 1)
+            .update("u", &[DeltaOp::Delete { row: 3, col: 4 }])
             .unwrap();
         assert_eq!(out.version, 2);
-        assert!(out.compacted);
-        assert_eq!(out.delta_nnz, 0);
         assert_eq!(reg.get("u").unwrap().matrix.get(3, 4), None);
         assert_eq!(reg.list()[0].version, 2);
 
@@ -1071,8 +1014,6 @@ mod tests {
                         val: 9.0,
                     },
                 ],
-                false,
-                0,
             )
             .unwrap_err();
         assert!(matches!(err, RegistryError::OutOfBounds(_)), "{err:?}");
@@ -1080,7 +1021,7 @@ mod tests {
         assert_eq!(reg.get("u").unwrap().matrix.get(1, 1), None);
 
         assert!(matches!(
-            reg.update("ghost", &[], false, 0),
+            reg.update("ghost", &[]),
             Err(RegistryError::NotFound(_))
         ));
         std::fs::remove_file(&mtx).ok();
@@ -1131,8 +1072,6 @@ mod tests {
                 col: 9,
                 val: 1.0,
             }],
-            false,
-            0,
         )
         .unwrap();
         let snap = reg.tc_snapshot("t").unwrap();
@@ -1171,6 +1110,70 @@ mod tests {
     }
 
     #[test]
+    fn failed_update_leaves_no_trace() {
+        let _g = crate::failpoint_guard();
+        let dir = fixture_dir();
+        let mtx = dir.join("updfail.mtx");
+        write_graph(&mtx);
+        let reg = Registry::new();
+        reg.load(mtx.to_str().unwrap(), Some("f"), &off_opts(), false)
+            .unwrap();
+        let loaded = reg.get("f").unwrap();
+        assert_eq!(loaded.matrix.get(7, 70), None, "fixture has no (7,70)");
+
+        mspgemm_fault::configure("serve.update.swap=1*err(boom)").unwrap();
+        let res = reg.update(
+            "f",
+            &[DeltaOp::Upsert {
+                row: 7,
+                col: 70,
+                val: 9.0,
+            }],
+        );
+        mspgemm_fault::clear();
+        assert!(matches!(res, Err(RegistryError::Load(_))), "{res:?}");
+        assert_eq!(reg.list()[0].version, 0, "a failed update bumps nothing");
+
+        let accepted = [DeltaOp::Upsert {
+            row: 3,
+            col: 4,
+            val: 1.0,
+        }];
+        let out = reg.update("f", &accepted).unwrap();
+        assert_eq!(out.version, 1, "versions count successful updates only");
+        // The live matrix is the accepted ops alone over the loaded one:
+        // the failed batch does not resurface.
+        let mut only_accepted = Overlay::new(80, 80);
+        only_accepted.apply_batch(&accepted).unwrap();
+        let live = reg.get("f").unwrap();
+        assert_eq!(live.matrix.get(7, 70), None);
+        assert_eq!(live.matrix, only_accepted.merged(loaded.matrix.view()));
+        std::fs::remove_file(&mtx).ok();
+    }
+
+    #[test]
+    fn update_releases_the_previous_dataset() {
+        let _g = crate::failpoint_guard();
+        let dir = fixture_dir();
+        let mtx = dir.join("updrel.mtx");
+        write_graph(&mtx);
+        let reg = Registry::new();
+        reg.load(mtx.to_str().unwrap(), Some("w"), &off_opts(), false)
+            .unwrap();
+        let before = reg.get("w").unwrap();
+        let weak = Arc::downgrade(&before);
+        reg.update("w", &[DeltaOp::Delete { row: 0, col: 1 }])
+            .unwrap();
+        assert!(weak.upgrade().is_some(), "an in-flight reader keeps it");
+        drop(before);
+        assert!(
+            weak.upgrade().is_none(),
+            "the registry retains only the live dataset"
+        );
+        std::fs::remove_file(&mtx).ok();
+    }
+
+    #[test]
     fn unload_racing_update_swap_leaves_registry_consistent() {
         // The registry-level half of the race regression: unload lands in
         // the window between an update's rebuild and its swap. The typed
@@ -1195,8 +1198,6 @@ mod tests {
                         col: 2,
                         val: 1.0,
                     }],
-                    true,
-                    0,
                 )
             });
             std::thread::sleep(std::time::Duration::from_millis(50));

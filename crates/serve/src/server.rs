@@ -83,11 +83,6 @@ pub struct ServeConfig {
     /// Kernel panics attributed to one dataset before it is quarantined
     /// (`mxm serve --quarantine-after`). Clamped to at least 1.
     pub quarantine_after: u32,
-    /// Pending overlay positions that trigger automatic compaction on the
-    /// next `update` (`mxm serve --compact-after-nnz`). `0` disables the
-    /// threshold — compaction then happens only when a request asks with
-    /// `"compact": true`.
-    pub compact_after_nnz: u64,
 }
 
 impl Default for ServeConfig {
@@ -108,11 +103,6 @@ impl Default for ServeConfig {
             // Three strikes: one panic may be cosmic-ray bad luck, three
             // against the same dataset is a pattern worth fencing off.
             quarantine_after: 3,
-            // 4096 pending positions before the overlay folds into a
-            // fresh base: small enough that incremental-TC edge logs stay
-            // cheap to replay, large enough that single-edge drip feeds
-            // do not compact every batch.
-            compact_after_nnz: 4096,
         }
     }
 }
@@ -171,7 +161,6 @@ impl ServerState {
             "quarantined_total",
             "evictions_total",
             "updates_total",
-            "compactions_total",
         ] {
             let _ = state.metrics.counter(name, &[]);
         }

@@ -2,23 +2,22 @@
 //! indistinguishable from a from-scratch rebuild of the final edge set.
 //!
 //! The headline test drives seeded insert/delete batch schedules against
-//! a live server — with compaction forced at two distinct points per
-//! schedule — and after **every** batch asserts fingerprint parity
-//! between (a) reads through the overlay-merged live dataset,
-//! (b) reads right after a compaction, and (c) a freshly loaded dataset
-//! built from the final edge set, swept across three algorithms × both
+//! a live server — with `"compact": true` sent at two distinct points
+//! per schedule — and after **every** batch asserts fingerprint parity
+//! between (a) reads through the merged live dataset and (b) a freshly
+//! loaded dataset built from the final edge set, swept across three algorithms × both
 //! mask modes × both phase counts × both residency backends. The
 //! triangle-count application rides the same schedules: the incremental
 //! patched path must report exactly what a full recompute (and the
 //! fresh twin) reports.
 //!
 //! The storm test adds concurrency: updaters (disjoint row ranges)
-//! racing queriers racing compactions under seeded failpoints, asserting
+//! racing queriers under seeded failpoints, asserting
 //! typed errors only, per-client monotone dataset versions, and
 //! end-state parity once the storm clears.
 //!
 //! The remaining tests pin the two regression satellites: an `unload`
-//! racing a compaction swap leaves the registry consistent, and updating
+//! racing an update's swap leaves the registry consistent, and updating
 //! an mmap-backed dataset copies-on-write away from the mapping.
 //!
 //! Failpoint state is process-global; every test serializes on the
@@ -286,7 +285,7 @@ fn assert_parity(
 }
 
 /// The headline differential harness: seeded batch schedules with two
-/// forced compaction points, checked for full parity against a
+/// `"compact": true` points, checked for full parity against a
 /// from-scratch rebuild after **every** batch, across both residency
 /// backends. The incremental TC path must fire (and agree) once a cache
 /// exists and versions advance.
@@ -308,7 +307,7 @@ fn differential_schedules_prove_incremental_equals_recompute() {
     let mut c = Client::connect(server.addr()).unwrap();
 
     const BATCHES: usize = 6;
-    // (name, path, mmap, seed, two forced compaction points): the points
+    // (name, path, mmap, seed, two `"compact": true` points): the points
     // differ between the lanes, so the sweep covers distinct schedule
     // positions, early and late.
     let lanes = [
@@ -333,18 +332,16 @@ fn differential_schedules_prove_incremental_equals_recompute() {
             mirror_batch(&mut model, &ins, &del);
             assert_eq!(u64_field(&resp, "version"), k as u64, "{}", resp.to_line());
             assert_eq!(u64_field(&resp, "applied"), (ins.len() + del.len()) as u64);
-            assert_eq!(bool_field(&resp, "compacted"), compact);
-            if compact {
-                assert_eq!(u64_field(&resp, "delta_nnz"), 0, "{}", resp.to_line());
-            }
+            // Every update rebuilds outright, flag or no flag.
+            assert!(bool_field(&resp, "compacted"));
+            assert_eq!(u64_field(&resp, "delta_nnz"), 0, "{}", resp.to_line());
             // Updated datasets are always heap-resident (COW away from
             // any mapping) and exactly match the model's entry count.
             assert_eq!(str_field(&resp, "backend"), "heap");
             assert_eq!(u64_field(&resp, "mapped_bytes"), 0);
             assert_eq!(u64_field(&resp, "nnz"), model.len() as u64);
-            // (a)/(b)/(c) parity: overlay reads (and, right after the
-            // forced points, post-compaction reads) against the fresh
-            // rebuild — the whole grid, every batch.
+            // (a)/(b) parity: live reads against the fresh rebuild — the
+            // whole grid, every batch.
             incremental_seen += assert_parity(&mut c, &dir, name, "fresh", n, &model);
             let entry = list_entry(&mut c, name).unwrap();
             assert_eq!(entry.get("version").unwrap().as_u64(), Some(k as u64));
@@ -355,11 +352,10 @@ fn differential_schedules_prove_incremental_equals_recompute() {
         incremental_seen >= BATCHES,
         "the incremental TC path must carry the schedule, got {incremental_seen}"
     );
-    // The server counted every update and both forced compactions.
+    // The server counted every update.
     let m =
         client::expect_ok(c.request(&req(vec![("op", Json::str("metrics"))])).unwrap()).unwrap();
     assert_eq!(total_counter(&m, "updates_total"), 2 * BATCHES as u64);
-    assert_eq!(total_counter(&m, "compactions_total"), 4);
 }
 
 /// Typed protocol surface of the `update` verb: malformed batches are
@@ -409,7 +405,6 @@ fn update_verb_lifecycle_and_typed_errors() {
     assert_eq!(err_code(&resp), "unknown_dataset");
     let entry = list_entry(&mut c, "g").unwrap();
     assert_eq!(entry.get("version").unwrap().as_u64(), Some(0));
-    assert_eq!(entry.get("delta_nnz").unwrap().as_u64(), Some(0));
 
     // Full TC, then an update, then the incremental patch: totals agree
     // with the full recompute that follows it.
@@ -428,8 +423,8 @@ fn update_verb_lifecycle_and_typed_errors() {
     .unwrap();
     assert_eq!(u64_field(&resp, "version"), 1);
     assert_eq!(u64_field(&resp, "applied"), 4);
-    assert!(!bool_field(&resp, "compacted"));
-    assert!(u64_field(&resp, "delta_nnz") > 0);
+    assert!(bool_field(&resp, "compacted"));
+    assert_eq!(u64_field(&resp, "delta_nnz"), 0);
     let inc = client::expect_ok(c.request(&tc_req("g", "hash-1p")).unwrap()).unwrap();
     assert!(bool_field(&inc, "incremental"), "{}", inc.to_line());
     assert!(u64_field(&inc, "patched_rows") >= 1);
@@ -453,7 +448,7 @@ fn update_verb_lifecycle_and_typed_errors() {
     .unwrap();
     assert!(!bool_field(&kt, "incremental"));
 
-    // Compact-only update: version bumps, overlay empties.
+    // Compact-only update: a rebuild and a version bump like any batch.
     let resp = client::expect_ok(c.request(&update_req("g", &[], &[], true)).unwrap()).unwrap();
     assert_eq!(u64_field(&resp, "version"), 2);
     assert!(bool_field(&resp, "compacted"));
@@ -461,14 +456,12 @@ fn update_verb_lifecycle_and_typed_errors() {
     assert_eq!(u64_field(&resp, "applied"), 0);
     let entry = list_entry(&mut c, "g").unwrap();
     assert_eq!(entry.get("version").unwrap().as_u64(), Some(2));
-    assert_eq!(entry.get("delta_nnz").unwrap().as_u64(), Some(0));
 
-    // Exact metric accounting: two successful updates, one compaction,
-    // and a latency histogram carrying both.
+    // Exact metric accounting: two successful updates and a latency
+    // histogram carrying both.
     let m =
         client::expect_ok(c.request(&req(vec![("op", Json::str("metrics"))])).unwrap()).unwrap();
     assert_eq!(total_counter(&m, "updates_total"), 2);
-    assert_eq!(total_counter(&m, "compactions_total"), 1);
     let hist = m
         .get("histograms")
         .unwrap()
@@ -612,8 +605,8 @@ const STORM_BATCHES: usize = 12;
 
 /// One storm updater: seeded batches over its own disjoint row range,
 /// retried on `busy`. Returns (its final word per touched position —
-/// `None` is a delete tombstone —, versions observed, compactions
-/// confirmed, successful updates, anomalies).
+/// `None` is a delete tombstone —, versions observed, successful
+/// updates, anomalies).
 #[allow(clippy::type_complexity)]
 fn storm_updater(
     u: usize,
@@ -623,7 +616,6 @@ fn storm_updater(
     BTreeMap<(Idx, Idx), Option<f64>>,
     Vec<u64>,
     u64,
-    u64,
     Vec<String>,
 ) {
     let rows = n / STORM_UPDATERS;
@@ -631,7 +623,6 @@ fn storm_updater(
     let mut rng = 0xdead_beef_u64 ^ (u as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     let mut mine: BTreeMap<(Idx, Idx), Option<f64>> = BTreeMap::new();
     let mut versions = Vec::new();
-    let mut compactions = 0u64;
     let mut successes = 0u64;
     let mut anomalies = Vec::new();
     let mut c = match Client::connect(addr) {
@@ -640,7 +631,6 @@ fn storm_updater(
             return (
                 mine,
                 versions,
-                0,
                 0,
                 vec![format!("updater {u}: connect: {e}")],
             )
@@ -651,8 +641,8 @@ fn storm_updater(
         let (ins, del) = seeded_batch(&mut rng, count, lo, hi, n);
         let compact = b % 5 == 4;
         let q = update_req("storm", &ins, &del, compact);
-        // Retry the same batch on `busy` — re-applying an overlay batch
-        // is idempotent, but we only mirror it once, on success.
+        // Retry the same batch on `busy` — a shed request applied
+        // nothing, and we only mirror the batch once, on success.
         let mut attempts = 0;
         loop {
             let resp = match c.request(&q) {
@@ -665,9 +655,6 @@ fn storm_updater(
             if resp.get("ok") == Some(&Json::Bool(true)) {
                 successes += 1;
                 versions.push(u64_field(&resp, "version"));
-                if bool_field(&resp, "compacted") {
-                    compactions += 1;
-                }
                 for &(i, j, v) in &ins {
                     mine.insert((i, j), Some(v));
                 }
@@ -692,7 +679,7 @@ fn storm_updater(
             std::thread::sleep(Duration::from_millis(5));
         }
     }
-    (mine, versions, compactions, successes, anomalies)
+    (mine, versions, successes, anomalies)
 }
 
 /// One storm querier: a seeded mix of mxm / tc / list requests. Every
@@ -757,10 +744,10 @@ fn storm_querier(qi: usize, addr: &str) -> Vec<String> {
     anomalies
 }
 
-/// The update storm: updaters with disjoint row ranges racing queriers
-/// racing compactions, under seeded swap-window and executor delays plus
-/// kernel faults. Afterwards: typed errors only, strictly monotone
-/// versions per updater, exact update/compaction accounting, and the
+/// The update storm: updaters with disjoint row ranges racing queriers,
+/// under seeded swap-window and executor delays plus kernel faults.
+/// Afterwards: typed errors only, strictly monotone versions per
+/// updater, exact update accounting, and the
 /// drained end state bit-identical to a fresh load of the final edge
 /// set.
 #[test]
@@ -779,9 +766,6 @@ fn update_storm_converges_to_the_rebuilt_edge_set() {
             queue_depth: 16,
             // Kernel faults fire on purpose; quarantine is another test.
             quarantine_after: 1_000_000,
-            // Exercise the automatic threshold alongside the explicit
-            // compactions the updaters request.
-            compact_after_nnz: 24,
             ..ServeConfig::default()
         },
     )
@@ -805,7 +789,6 @@ fn update_storm_converges_to_the_rebuilt_edge_set() {
     type UpdaterOut = (
         BTreeMap<(Idx, Idx), Option<f64>>,
         Vec<u64>,
-        u64,
         u64,
         Vec<String>,
     );
@@ -833,15 +816,13 @@ fn update_storm_converges_to_the_rebuilt_edge_set() {
     let mut anomalies: Vec<String> = Vec::new();
     let mut model: Model = g.iter().map(|(i, j, &v)| ((i as Idx, j), v)).collect();
     let mut total_updates = 0u64;
-    let mut total_compactions = 0u64;
-    for (mine, versions, compactions, successes, anoms) in updater_out {
+    for (mine, versions, successes, anoms) in updater_out {
         anomalies.extend(anoms);
         assert!(
             versions.windows(2).all(|w| w[0] < w[1]),
             "per-updater versions must be strictly monotone: {versions:?}"
         );
         total_updates += successes;
-        total_compactions += compactions;
         // Disjoint row ranges: each updater's final word per position is
         // the global final word. `None` is a delete tombstone — it must
         // erase base-graph edges too.
@@ -860,23 +841,20 @@ fn update_storm_converges_to_the_rebuilt_edge_set() {
     );
     assert!(total_updates > 0, "the storm must land some updates");
 
-    // Drain: one clean compact-only update flushes every pending
-    // position into the base, then the live dataset must be
-    // bit-identical to a fresh load of the final edge set.
+    // Drain: one clean compact-only update, then the live dataset must
+    // be bit-identical to a fresh load of the final edge set.
     let resp = client::expect_ok(c.request(&update_req("storm", &[], &[], true)).unwrap()).unwrap();
     assert!(bool_field(&resp, "compacted"));
     assert_eq!(u64_field(&resp, "delta_nnz"), 0);
     assert_eq!(u64_field(&resp, "nnz"), model.len() as u64);
     total_updates += 1;
-    total_compactions += 1;
     assert_parity(&mut c, &dir, "storm", "storm-fresh", n, &model);
 
     // Exact accounting: the server counted precisely the successful
-    // updates and confirmed compactions the clients saw.
+    // updates the clients saw.
     let m =
         client::expect_ok(c.request(&req(vec![("op", Json::str("metrics"))])).unwrap()).unwrap();
     assert_eq!(total_counter(&m, "updates_total"), total_updates);
-    assert_eq!(total_counter(&m, "compactions_total"), total_compactions);
     let entry = list_entry(&mut c, "storm").unwrap();
     assert_eq!(entry.get("version").unwrap().as_u64(), Some(total_updates));
 }

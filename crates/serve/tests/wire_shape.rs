@@ -40,7 +40,6 @@ const DATASET_ROW: &[&str] = &[
     "unit_bytes",
     "age_seconds",
     "version",
-    "delta_nnz",
     "pinned",
     "quarantined",
     "panics",
@@ -403,7 +402,6 @@ fn every_verb_and_error_code_keeps_its_wire_shape() {
                             "pattern",
                             "unit_bytes",
                             "version",
-                            "delta_nnz",
                             "pinned",
                             "quarantined",
                             "panics",

@@ -2,24 +2,27 @@
 //!
 //! The paper's pipelines are batch-oriented: load a matrix, run masked
 //! products. Streaming workloads instead apply small edge batches to a
-//! resident matrix. Rebuilding CSR per batch is O(nnz); an [`Overlay`]
-//! makes the common case O(|delta| log |delta|): pending upserts and
-//! deletes land in a sorted delta map keyed by `(row, col)` with
-//! last-write-wins semantics, and readers obtain a merged, canonical
-//! [`Csr`] (sorted, duplicate-free rows — every invariant of a
-//! freshly-built matrix) via [`Overlay::merged`], a row-wise two-pointer
-//! merge that is O(nnz + |delta|) and copies untouched rows wholesale.
+//! resident matrix. An [`Overlay`] is how one batch is folded in: its
+//! upserts and deletes land in a sorted delta map keyed by `(row, col)`
+//! with last-write-wins semantics (O(|delta| log |delta|)), and
+//! [`Overlay::merged`] produces the canonical [`Csr`] (sorted,
+//! duplicate-free rows — every invariant of a freshly-built matrix) by a
+//! row-wise two-pointer merge against the base. The merge is
+//! O(nnz + |delta|) — untouched rows are copied wholesale, but they are
+//! copied: the kernels consume whole CSR operands, so every batch pays a
+//! full pass over the matrix.
 //!
-//! Compaction is the same merge: callers promote the merged matrix to the
-//! new base and [`Overlay::clear`] the delta. Because [`Overlay::merged`]
-//! always produces owned heap sections, merging also serves as the
-//! copy-on-write step away from `Arc`-shared (mmap-backed) storage —
-//! mutating a mapped matrix never touches the mapping.
+//! Because [`Overlay::merged`] always produces owned heap sections,
+//! merging also serves as the copy-on-write step away from `Arc`-shared
+//! (mmap-backed) storage — mutating a mapped matrix never touches the
+//! mapping.
 //!
 //! The correctness contract is differential: for any op sequence, the
 //! merged view must be structurally identical (same fingerprint) to a
-//! from-scratch rebuild of the final entry set. The proptests in
-//! `tests/proptest_overlay.rs` enforce exactly that.
+//! from-scratch rebuild of the final entry set, whether the sequence is
+//! absorbed by one overlay or folded batch by batch into a running
+//! matrix. The proptests in `tests/proptest_overlay.rs` enforce exactly
+//! that.
 
 use crate::csr::Csr;
 use crate::view::CsrRef;
@@ -40,8 +43,7 @@ pub enum DeltaOp<T> {
         val: T,
     },
     /// Remove entry `(row, col)`. Deleting an absent entry is a no-op in
-    /// the merged view (but still recorded, so a later compaction knows
-    /// the position was touched).
+    /// the merged view.
     Delete {
         /// Row index of the entry.
         row: Idx,
@@ -85,33 +87,11 @@ impl<T: Copy> Overlay<T> {
         }
     }
 
-    /// Number of rows of the base shape.
-    pub fn nrows(&self) -> usize {
-        self.nrows
-    }
-
-    /// Number of columns of the base shape.
-    pub fn ncols(&self) -> usize {
-        self.ncols
-    }
-
     /// Number of distinct `(row, col)` positions with a pending op.
     /// Superseded ops (a delete after an upsert of the same position, a
-    /// duplicate upsert) collapse — this is the compaction-pressure
-    /// metric, not an op counter.
+    /// duplicate upsert) collapse — this is not an op counter.
     pub fn delta_nnz(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Whether no ops are pending.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// Drop every pending op (after the caller promoted a merged matrix
-    /// to the new base).
-    pub fn clear(&mut self) {
-        self.pending.clear();
     }
 
     /// Validate one op against the base shape without applying it.
@@ -162,23 +142,6 @@ impl<T: Copy> Overlay<T> {
             self.apply(*op).expect("validated op must apply");
         }
         Ok(ops.len())
-    }
-
-    /// Iterate pending positions in `(row, col)` order: `Some(v)` is an
-    /// upsert, `None` a delete tombstone.
-    pub fn pending(&self) -> impl Iterator<Item = (Idx, Idx, Option<T>)> + '_ {
-        self.pending.iter().map(|(&(i, j), &op)| (i, j, op))
-    }
-
-    /// Distinct rows with at least one pending op, ascending.
-    pub fn touched_rows(&self) -> Vec<usize> {
-        let mut rows: Vec<usize> = Vec::new();
-        for &(i, _) in self.pending.keys() {
-            if rows.last() != Some(&(i as usize)) {
-                rows.push(i as usize);
-            }
-        }
-        rows
     }
 
     /// Materialize the merged matrix: base with every pending op applied.
@@ -258,7 +221,6 @@ mod tests {
     fn empty_overlay_round_trips_base() {
         let a = base();
         let ov: Overlay<f64> = Overlay::new(3, 3);
-        assert!(ov.is_empty());
         assert_eq!(ov.delta_nnz(), 0);
         assert_eq!(ov.merged(a.view()), a);
     }
@@ -336,27 +298,11 @@ mod tests {
             },
         ];
         assert!(ov.apply_batch(&ops).is_err());
-        assert!(ov.is_empty());
+        assert_eq!(ov.delta_nnz(), 0);
         assert!(ov
             .apply(DeltaOp::Delete { row: 0, col: 3 })
             .unwrap_err()
             .contains("out of bounds"));
-    }
-
-    #[test]
-    fn touched_rows_and_pending_are_sorted() {
-        let mut ov: Overlay<f64> = Overlay::new(4, 4);
-        for (i, j) in [(3u32, 1u32), (0, 2), (3, 0), (0, 1)] {
-            ov.apply(DeltaOp::Upsert {
-                row: i,
-                col: j,
-                val: 1.0,
-            })
-            .unwrap();
-        }
-        assert_eq!(ov.touched_rows(), vec![0, 3]);
-        let keys: Vec<(Idx, Idx)> = ov.pending().map(|(i, j, _)| (i, j)).collect();
-        assert_eq!(keys, vec![(0, 1), (0, 2), (3, 0), (3, 1)]);
     }
 
     #[test]

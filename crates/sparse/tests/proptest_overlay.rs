@@ -1,7 +1,7 @@
 //! Differential proptests for the delta-COO overlay: for any op schedule
-//! — including compactions at arbitrary points — the merged view must be
-//! structurally identical (and fingerprint-identical) to a from-scratch
-//! rebuild of the final entry set.
+//! — folded batch by batch into a running matrix, or absorbed whole — the
+//! merged view must be structurally identical (and fingerprint-identical)
+//! to a from-scratch rebuild of the final entry set.
 
 use mspgemm_harness::csr_fingerprint;
 use mspgemm_sparse::overlay::{DeltaOp, Overlay};
@@ -82,38 +82,48 @@ fn random_op(s: &mut u64, n: usize) -> DeltaOp<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random schedules with compaction forced at two distinct points:
-    /// merged ≡ rebuilt after every batch, across both compactions.
+    /// The `update` verb's composition: a fresh overlay per batch merged
+    /// into the running matrix ≡ one overlay absorbing every batch, merged
+    /// once against the original ≡ a from-scratch rebuild of the model.
+    /// Batch boundaries are random; the schedule always carries a position
+    /// upserted in one batch and deleted in the next, and a delete of a
+    /// base edge.
     #[test]
-    fn schedule_with_two_compaction_points_matches_rebuild(
+    fn per_batch_fold_matches_single_overlay_and_rebuild(
         base in base_strategy(14, 0.3),
         seed in 0u64..1_000_000,
-        nops in 9usize..60,
-        c1_num in 1usize..3,
+        nbatches in 3usize..12,
     ) {
         let n = 14;
-        // Two distinct compaction points strictly inside the schedule.
-        let c1 = (nops * c1_num / 5).max(1);
-        let c2 = (nops * 4 / 5).max(c1 + 1).min(nops);
-        prop_assert_ne!(c1, c2);
-        let mut model: Model = base.iter().map(|(i, j, &v)| ((i as Idx, j), v)).collect();
-        let mut current = base;
-        let mut ov = Overlay::new(n, n);
         let mut s = seed | 1;
-        for k in 0..nops {
-            mirror(&mut ov, &mut model, random_op(&mut s, n));
-            let merged = ov.merged(current.view());
-            assert_differential(&merged, &rebuild(n, n, &model))?;
-            if k + 1 == c1 || k + 1 == c2 {
-                // Compact: promote the merged matrix, clear the delta.
-                current = merged;
-                ov.clear();
-                prop_assert_eq!(ov.delta_nnz(), 0);
-                assert_differential(&current, &rebuild(n, n, &model))?;
-            }
+        let mut batches: Vec<Vec<DeltaOp<f64>>> = (0..nbatches)
+            .map(|_| {
+                let len = 1 + (next(&mut s) % 6) as usize;
+                (0..len).map(|_| random_op(&mut s, n)).collect()
+            })
+            .collect();
+        let k = (next(&mut s) % (nbatches as u64 - 1)) as usize;
+        let (row, col) = random_op(&mut s, n).key();
+        batches[k].push(DeltaOp::Upsert { row, col, val: 5.0 });
+        batches[k + 1].insert(0, DeltaOp::Delete { row, col });
+        if let Some((i, j, _)) = base.iter().nth((next(&mut s) % 8) as usize) {
+            let at = (next(&mut s) % nbatches as u64) as usize;
+            batches[at].push(DeltaOp::Delete { row: i as Idx, col: j });
         }
-        let final_merged = ov.merged(current.view());
-        assert_differential(&final_merged, &rebuild(n, n, &model))?;
+
+        let mut model: Model = base.iter().map(|(i, j, &v)| ((i as Idx, j), v)).collect();
+        let mut running = base.clone();
+        let mut whole = Overlay::new(n, n);
+        for batch in &batches {
+            let mut fresh = Overlay::new(n, n);
+            fresh.apply_batch(batch).expect("in-bounds batch");
+            running = fresh.merged(running.view());
+            for &op in batch {
+                mirror(&mut whole, &mut model, op);
+            }
+            assert_differential(&running, &rebuild(n, n, &model))?;
+        }
+        assert_differential(&whole.merged(base.view()), &running)?;
     }
 
     /// Insert-then-delete of the same position always ends absent, and
@@ -203,7 +213,6 @@ proptest! {
                 mirror(&mut ov, &mut model, op);
             }
         }
-        prop_assert!(ov.touched_rows().iter().all(|r| hubs.contains(r)));
         assert_differential(&ov.merged(g.view()), &rebuild(n, n, &model))?;
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example dataset_io`
 
-use mspgemm::io::{load_graph, load_matrix_cached, sidecar_path, CacheOutcome, CachePolicy};
+use mspgemm::io::{sidecar_path, CacheOutcome};
 use mspgemm::prelude::*;
 
 fn main() {
@@ -24,19 +24,24 @@ fn main() {
 
     // First load parses text and writes the sidecar; second load is the
     // fast path every repeat experiment takes.
-    let (_, outcome) = load_matrix_cached(&mtx, CachePolicy::ReadWrite).unwrap();
-    println!("first load : {outcome:?}");
-    let (a, outcome) = load_matrix_cached(&mtx, CachePolicy::ReadWrite).unwrap();
+    let (_, first) = load_matrix(&mtx, &LoadOpts::default()).unwrap();
+    println!("first load : {:?}", first.outcome);
+    let (a, second) = load_matrix(&mtx, &LoadOpts::default()).unwrap();
     println!(
-        "second load: {outcome:?} via {}",
+        "second load: {:?} via {}",
+        second.outcome,
         sidecar_path(&mtx).display()
     );
-    assert_eq!(outcome, CacheOutcome::Hit);
+    assert_eq!(second.outcome, CacheOutcome::Hit);
     assert_eq!(a, g);
 
     // Graph-oriented loading: arbitrary square matrices normalize into
     // the simple undirected adjacency the applications expect.
-    let (adj, stats) = load_graph(&mtx, CachePolicy::ReadOnly).unwrap();
+    let read_only = LoadOpts {
+        policy: CachePolicy::ReadOnly,
+        ..LoadOpts::default()
+    };
+    let (adj, stats) = load_graph(&mtx, &read_only).unwrap();
     println!("normalized : {stats:?}");
 
     let scheme = Scheme::Ours(Algorithm::Msa, Phases::One);

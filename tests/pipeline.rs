@@ -121,10 +121,10 @@ fn msb_cache_roundtrip_through_apps() {
     let g = gen::er_symmetric(200, 8, 23);
     mspgemm::io::mtx::write_mtx_file(&mtx, &g).unwrap();
 
-    let (a, first) = mspgemm::io::load_matrix_cached(&mtx, CachePolicy::ReadWrite).unwrap();
-    let (b, second) = mspgemm::io::load_matrix_cached(&mtx, CachePolicy::ReadWrite).unwrap();
-    assert_eq!(first, mspgemm::io::CacheOutcome::Written);
-    assert_eq!(second, mspgemm::io::CacheOutcome::Hit);
+    let (a, first) = load_matrix(&mtx, &LoadOpts::default()).unwrap();
+    let (b, second) = load_matrix(&mtx, &LoadOpts::default()).unwrap();
+    assert_eq!(first.outcome, mspgemm::io::CacheOutcome::Written);
+    assert_eq!(second.outcome, mspgemm::io::CacheOutcome::Hit);
     assert_eq!(a, b);
     assert_eq!(a, g);
 
@@ -146,7 +146,10 @@ fn dataset_source_feeds_runners() {
         mspgemm::io::mtx::write_mtx_file(dir.join(format!("{name}.mtx")), &g).unwrap();
     }
     let graphs = DatasetSource::parse(dir.to_str().unwrap())
-        .load(CachePolicy::Off)
+        .load(&LoadOpts {
+            policy: CachePolicy::Off,
+            ..LoadOpts::default()
+        })
         .unwrap();
     assert_eq!(graphs.len(), 2);
     let schemes = [
