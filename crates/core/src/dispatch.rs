@@ -335,12 +335,7 @@ fn warm_gather_stream<L, R>(a: &Csr<L>, b: &Csr<R>) {
 ///
 /// Complemented masks never choose `Inner`/`Heap` (the paper's BC results
 /// exclude them as prohibitively slow) — MSA/Hash by width.
-pub(crate) fn auto_select<M, L, R>(
-    mask: &Csr<M>,
-    a: &Csr<L>,
-    b: &Csr<R>,
-    complement: bool,
-) -> Algorithm {
+pub fn auto_select<M, L, R>(mask: &Csr<M>, a: &Csr<L>, b: &Csr<R>, complement: bool) -> Algorithm {
     let nrows = mask.nrows().max(1) as f64;
     let dm = mask.nnz() as f64 / nrows;
     let da = a.nnz() as f64 / a.nrows().max(1) as f64;

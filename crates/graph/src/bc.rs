@@ -1,21 +1,51 @@
 //! Batched multi-source Betweenness Centrality (paper §8.4): Brandes'
 //! two-stage algorithm \[8\] in the language of masked SpGEMM, after the
-//! GraphBLAS C API's BC batch formulation \[11\].
+//! GraphBLAS C API's BC batch formulation \[11\] — with the sweep state
+//! kept **per BFS level** instead of as full `s × n` matrices.
 //!
-//! * **Forward** (BFS wave counting shortest paths): the next frontier is
-//!   `F ← ⟨¬NumSP⟩ (F · A)` — a **complemented** masked SpGEMM where the
-//!   mask (`NumSP`, the paths-so-far matrix) filters out already-visited
-//!   vertices.
-//! * **Backward** (dependency accumulation): per depth,
-//!   `W ← ⟨σ_d⟩ (BCU ./ NumSP)`, then `W ← ⟨σ_{d-1}⟩ (W · Aᵀ)` — a
-//!   **plain** masked SpGEMM — then `BCU += W .* NumSP`.
+//! The C API listing carries three matrices through both sweeps: `NumSP`
+//! (shortest-path counts so far), the per-level patterns `σ_d`, and
+//! `BCU = 1 + δ` (the dependency update). Three invariants make all of
+//! them views of the frontiers `F_0 … F_{D−1}` the forward sweep already
+//! produces:
 //!
-//! Scores follow textbook Brandes (unnormalized, ordered pairs): the
-//! source's own dependency is not added to its score.
+//! 1. **The frontiers partition the visited set.** `F_d`'s pattern *is*
+//!    `σ_d`, the `σ_d` are pairwise disjoint, and their union is the
+//!    pattern of `NumSP`.
+//! 2. **A path count is final when its vertex is discovered:** `NumSP`
+//!    restricted to `σ_d` is `F_d`, values included.
+//! 3. **`BCU`'s pattern never changes**, and backward step `d` reads it
+//!    only on `σ_d` and writes it only on `σ_{d−1}`.
+//!
+//! So the driver keeps `levels[d] = F_d`, one pattern `visited = ∪ σ_d`
+//! for the complemented mask, and one vector `bcu` aligned with the
+//! entries of the level being read:
+//!
+//! * **Forward** (BFS wave counting shortest paths):
+//!   `F_{d+1} ← ⟨¬visited⟩ (F_d · A)` — a **complemented** masked SpGEMM
+//!   — then `visited ← visited ∪ σ_{d+1}`, one merge pass over two
+//!   row-wise disjoint patterns (the output row length is the sum of the
+//!   input row lengths; no values).
+//! * **Backward** (dependency accumulation), deepest level first with
+//!   `BCU = 1` there: `W_d = BCU_d ./ F_d` overwrites `F_d`'s values in
+//!   place (invariant 2 — `F_d` is dead afterwards), then
+//!   `W' ← ⟨F_{d−1}⟩ (W_d · Aᵀ)` — a **plain** masked SpGEMM whose
+//!   structural mask is the previous frontier itself — then, on the
+//!   entries `e` of `W' ⊆ σ_{d−1}`, `BCU_{d−1}[e] = 1 + W'[e] · F_{d−1}[e]`
+//!   and `scores[col(e)] += W'[e] · F_{d−1}[e]`, one subset walk per row.
+//!
+//! The glue is O(|visited|) per request plus one O(|visited|) union per
+//! level; everything else is the masked products.
+//!
+//! **One deliberate deviation from the C API listing:** the backward loop
+//! stops at `d = 2`. The `d = 1` product (mask `σ_0`, one entry per row)
+//! computes exactly each source's own dependency, and scores follow
+//! textbook Brandes (unnormalized, ordered pairs), where the source's own
+//! dependency is not added to its score — so that product's only output
+//! would be discarded.
 
 use crate::scheme::Scheme;
 use masked_spgemm::{ExecOpts, MaskMode, WsPool};
-use mspgemm_sparse::ops::ewise::{ewise_add, ewise_mult, mask_keep};
 use mspgemm_sparse::semiring::PlusTimesF64;
 use mspgemm_sparse::{transpose, Csr, Idx};
 use std::time::Instant;
@@ -29,7 +59,7 @@ pub struct BcResult {
     pub mxm_seconds: f64,
     /// Wall-clock seconds of the whole computation.
     pub total_seconds: f64,
-    /// BFS depth reached (number of frontier expansions).
+    /// Number of BFS levels, level 0 (the sources) included.
     pub depth: usize,
 }
 
@@ -49,6 +79,10 @@ pub fn betweenness(adj: &Csr<f64>, sources: &[usize], scheme: Scheme) -> BcResul
 
 /// [`betweenness`] with explicit execution options applied to every
 /// forward- and backward-sweep masked product.
+///
+/// # Panics
+/// If `adj` is not square, `scheme` cannot run a complemented mask, or a
+/// source is not a vertex of `adj`.
 pub fn betweenness_with(
     adj: &Csr<f64>,
     sources: &[usize],
@@ -62,6 +96,9 @@ pub fn betweenness_with(
     );
     let n = adj.nrows();
     let s = sources.len();
+    if let Some(bad) = sources.iter().find(|&&v| v >= n) {
+        panic!("BC source {bad} is out of range: the graph has {n} vertices");
+    }
     let t_total = Instant::now();
     let mut mxm_seconds = 0.0f64;
 
@@ -69,79 +106,125 @@ pub fn betweenness_with(
     // stage needs Bᵀ = Aᵀ and the backward needs (Aᵀ)ᵀ = A.
     let at = transpose(adj);
 
-    // Frontier / NumSP: s×n, row q starts at source q with 1 path.
-    let mut frontier = Csr::from_parts_unchecked(
+    // Level 0: s×n, row q holds source q with one (empty) path.
+    let level0 = Csr::from_parts_unchecked(
         s,
         n,
         (0..=s).collect(),
         sources.iter().map(|&v| v as Idx).collect(),
         vec![1.0f64; s],
     );
-    let mut num_sp = frontier.clone();
-    let mut sigmas: Vec<Csr<()>> = vec![frontier.pattern()];
+    let mut visited = level0.pattern();
+    let mut levels = vec![level0];
 
-    // Forward sweep.
+    // Forward sweep: each new frontier is kept as its level and joins the
+    // complemented mask.
     loop {
         let _span = mspgemm_obs::span("bc-forward-level");
         let t0 = Instant::now();
-        let f_new: Csr<f64> = scheme.run_with::<PlusTimesF64, f64>(
-            &num_sp,
-            &frontier,
+        let next: Csr<f64> = scheme.run_with::<PlusTimesF64, ()>(
+            &visited,
+            &levels[levels.len() - 1],
             adj,
             Some(&at),
             MaskMode::Complement,
             opts,
         );
         mxm_seconds += t0.elapsed().as_secs_f64();
-        if f_new.nnz() == 0 {
+        if next.nnz() == 0 {
             break;
         }
-        sigmas.push(f_new.pattern());
-        num_sp = ewise_add(&num_sp, &f_new, |a, b| a + b, |a| *a, |b| *b);
-        frontier = f_new;
+        visited = union_disjoint(&visited, &next);
+        levels.push(next);
     }
-    let depth = sigmas.len();
+    let depth = levels.len();
 
-    // Backward sweep: BCU = 1 + delta on the visited pattern.
-    let mut bcu: Csr<f64> = num_sp.map(|_| 1.0);
-    for d in (1..depth).rev() {
+    // Backward sweep, deepest level first. `bcu` is BCU = 1 + δ on σ_d,
+    // aligned with `levels[d]`'s entries; the deepest level has no
+    // successors, so δ = 0 there. Stops at d = 2: the d = 1 product would
+    // compute the sources' own dependencies, which the scores exclude.
+    let mut scores = vec![0.0f64; n];
+    let mut bcu = vec![1.0f64; levels[depth - 1].nnz()];
+    for d in (2..depth).rev() {
         let _span = mspgemm_obs::span("bc-backward-level");
-        // W = ⟨σ_d⟩ (BCU ./ NumSP)
-        let ratios = ewise_mult(&bcu, &num_sp, |b, ns| b / ns);
-        let w = mask_keep(&ratios, &sigmas[d]);
-        // W = ⟨σ_{d-1}⟩ (W · Aᵀ)  — plain masked SpGEMM.
+        // W_d = BCU_d ./ F_d, over F_d's own values.
+        for (f, b) in levels[d].values_mut().iter_mut().zip(&bcu) {
+            *f = b / *f;
+        }
+        // W' = ⟨σ_{d-1}⟩ (W_d · Aᵀ) — plain masked SpGEMM.
         let t0 = Instant::now();
-        let w2: Csr<f64> = scheme.run_with::<PlusTimesF64, ()>(
-            &sigmas[d - 1],
-            &w,
+        let w2: Csr<f64> = scheme.run_with::<PlusTimesF64, f64>(
+            &levels[d - 1],
+            &levels[d],
             &at,
             Some(adj),
             MaskMode::Mask,
             opts,
         );
         mxm_seconds += t0.elapsed().as_secs_f64();
-        // BCU += W .* NumSP
-        let update = ewise_mult(&w2, &num_sp, |w, ns| w * ns);
-        bcu = ewise_add(&bcu, &update, |a, b| a + b, |a| *a, |b| *b);
+        bcu = fold_dependencies(&levels[d - 1], &w2, &mut scores);
     }
 
-    // Scores: Σ_q delta_q[v] = Σ_q (BCU[q][v] − 1), excluding each source's
-    // own dependency (textbook Brandes sums over v ≠ s).
-    let mut scores = vec![0.0f64; n];
-    for (_, j, v) in bcu.iter() {
-        scores[j as usize] += v - 1.0;
-    }
-    for (q, &src) in sources.iter().enumerate() {
-        if let Some(&v) = bcu.get(q, src as Idx) {
-            scores[src] -= v - 1.0;
-        }
-    }
     BcResult {
         scores,
         mxm_seconds,
         total_seconds: t_total.elapsed().as_secs_f64(),
         depth,
     }
+}
+
+/// Row-wise union of two patterns that share no coordinate (a new
+/// frontier joining the visited set). Disjointness makes every output
+/// row exactly as long as its two input rows together, so rows merge
+/// straight into their final place: no intersection count, no compaction.
+fn union_disjoint<T: Send + Sync>(a: &Csr<()>, b: &Csr<T>) -> Csr<()> {
+    Csr::from_row_fill(
+        a.nrows(),
+        a.ncols(),
+        |i| a.row_nnz(i) + b.row_nnz(i),
+        |i, cols, _| {
+            let (ac, bc) = (a.row_cols(i), b.row_cols(i));
+            let (mut x, mut y, mut w) = (0usize, 0usize, 0usize);
+            while x < ac.len() && y < bc.len() {
+                debug_assert_ne!(ac[x], bc[y], "row {i}: column in both patterns");
+                let take_a = ac[x] < bc[y];
+                cols[w] = if take_a { ac[x] } else { bc[y] };
+                x += usize::from(take_a);
+                y += usize::from(!take_a);
+                w += 1;
+            }
+            let tail = if x < ac.len() { &ac[x..] } else { &bc[y..] };
+            cols[w..].copy_from_slice(tail);
+            cols.len()
+        },
+        (),
+    )
+}
+
+/// One backward step's fold: `BCU` on `prev`'s pattern (`σ_{d−1}`) from
+/// `w2 = ⟨σ_{d−1}⟩ (W_d · Aᵀ)` — `1 + w2 .* prev` where `w2` has an
+/// entry, `1` elsewhere — returned aligned with `prev`'s entries, and the
+/// dependencies `BCU − 1` added into `scores`. Rows are walked in order,
+/// so the sums never depend on schedule or thread count.
+fn fold_dependencies(prev: &Csr<f64>, w2: &Csr<f64>, scores: &mut [f64]) -> Vec<f64> {
+    let mut bcu = vec![1.0f64; prev.nnz()];
+    for q in 0..prev.nrows() {
+        let (pc, pv) = prev.row(q);
+        let out = &mut bcu[prev.rowptr()[q]..prev.rowptr()[q + 1]];
+        let (wc, wv) = w2.row(q);
+        let mut e = 0usize;
+        for (&j, &w) in wc.iter().zip(wv) {
+            // w2 ⊆ σ_{d-1} (it was computed under that mask): j is ahead.
+            while pc[e] != j {
+                e += 1;
+            }
+            let delta = w * pv[e];
+            out[e] = 1.0 + delta;
+            scores[j as usize] += delta;
+            e += 1;
+        }
+    }
+    bcu
 }
 
 #[cfg(test)]
@@ -330,5 +413,155 @@ mod tests {
         let g = graph_from_edges(3, &[(0, 1), (1, 2)]);
         let r = betweenness(&g, &[], Scheme::Ours(Algorithm::Msa, Phases::One));
         assert!(r.scores.iter().all(|&x| x == 0.0));
+    }
+
+    const MSA_1P: Scheme = Scheme::Ours(Algorithm::Msa, Phases::One);
+
+    #[test]
+    fn directed_graphs_match_reference() {
+        // Every graph above is symmetric, where A == Aᵀ would hide a
+        // swapped operand in either sweep.
+        let rmat = mspgemm_gen::rmat_directed(7, mspgemm_gen::RmatParams::default(), 5);
+        let er = mspgemm_gen::er(150, 150, 5, 23).map(|_| 1.0);
+        for (g, label) in [(rmat, "rmat-directed"), (er, "er-directed")] {
+            assert_ne!(g, transpose(&g), "{label} must not be symmetric");
+            let sources: Vec<usize> = (0..24).map(|i| i * 5).collect();
+            let want = brandes_reference(&g, &sources);
+            assert!(want.iter().any(|&x| x > 0.0), "{label}: trivial input");
+            for s in [
+                MSA_1P,
+                Scheme::Ours(Algorithm::Hash, Phases::Two),
+                Scheme::SsSaxpy,
+            ] {
+                let r = betweenness(&g, &sources, s);
+                assert_close(&r.scores, &want, &format!("{label} {}", s.name()));
+            }
+        }
+    }
+
+    #[test]
+    fn source_without_out_edges_stops_at_level_zero() {
+        // Directed 1 → 0 only: nothing is reachable from 0.
+        let g = Csr::from_dense(&[vec![None, None], vec![Some(1.0), None]], 2);
+        let r = betweenness(&g, &[0], MSA_1P);
+        assert_eq!(r.depth, 1);
+        assert_eq!(r.scores, vec![0.0, 0.0]);
+    }
+
+    #[test]
+    fn shallow_sweeps_match_reference() {
+        // Star from its hub: levels {hub}, {leaves} — depth 2, the whole
+        // backward sweep is the skipped σ_0 product. From a leaf: depth 3,
+        // exactly one backward product.
+        let g = graph_from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
+        for (sources, depth) in [(vec![0], 2), (vec![3], 3), (vec![0, 3], 3)] {
+            let r = betweenness(&g, &sources, MSA_1P);
+            assert_eq!(r.depth, depth, "sources {sources:?}");
+            assert_close(&r.scores, &brandes_reference(&g, &sources), "star");
+        }
+    }
+
+    #[test]
+    fn duplicate_sources_count_once_per_entry() {
+        let g = mspgemm_gen::er_symmetric(60, 5, 17);
+        let sources = vec![4, 9, 4, 4, 30, 9];
+        let want = brandes_reference(&g, &sources);
+        let r = betweenness(&g, &sources, Scheme::Ours(Algorithm::Hash, Phases::One));
+        assert_close(&r.scores, &want, "duplicate sources");
+    }
+
+    #[test]
+    fn sources_covering_a_whole_component() {
+        // Every vertex of the 4-cycle is a source; the path component has
+        // none. Level 0 alone already covers the first component's rows.
+        let g = graph_from_edges(7, &[(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6)]);
+        let sources = vec![0, 1, 2, 3];
+        let want = brandes_reference(&g, &sources);
+        let r = betweenness(&g, &sources, MSA_1P);
+        assert_close(&r.scores, &want, "whole component");
+        assert_eq!(&r.scores[4..], &[0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "BC source 9 is out of range: the graph has 4 vertices")]
+    fn out_of_range_source_is_named() {
+        let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        betweenness(&g, &[1, 9], MSA_1P);
+    }
+
+    #[test]
+    fn scores_are_bit_reproducible() {
+        use masked_spgemm::RowSchedule;
+        let g = mspgemm_gen::rmat_symmetric(8, mspgemm_gen::RmatParams::default(), 21);
+        let sources: Vec<usize> = (0..16).collect();
+        let bits = |r: BcResult| r.scores.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let want = bits(betweenness(&g, &sources, MSA_1P));
+        assert_eq!(bits(betweenness(&g, &sources, MSA_1P)), want, "second call");
+        for threads in [1usize, 2, 4] {
+            let workers = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            for sched in RowSchedule::ALL {
+                for pooled in [false, true] {
+                    let pool = WsPool::new();
+                    let opts = ExecOpts {
+                        ws_pool: pooled.then_some(&pool),
+                        ..ExecOpts::with_schedule(sched)
+                    };
+                    let r = workers.install(|| betweenness_with(&g, &sources, MSA_1P, &opts));
+                    assert_eq!(
+                        bits(r),
+                        want,
+                        "{} @ {threads} threads, pooled = {pooled}",
+                        sched.name()
+                    );
+                }
+            }
+        }
+    }
+
+    fn pattern_of_rows(rows: &[&[Idx]], ncols: usize) -> Csr<()> {
+        let mut rowptr = vec![0usize];
+        for r in rows {
+            rowptr.push(rowptr[rowptr.len() - 1] + r.len());
+        }
+        let colidx = rows.concat();
+        let nnz = colidx.len();
+        Csr::try_from_parts(rows.len(), ncols, rowptr, colidx, vec![(); nnz]).unwrap()
+    }
+
+    #[test]
+    fn union_of_disjoint_patterns() {
+        // Rows: interleaved, a only, b only, both empty, b entirely
+        // before a, a entirely before b.
+        let a = pattern_of_rows(&[&[0, 4, 5, 9], &[2, 3], &[], &[], &[7, 8], &[0]], 10);
+        let b = pattern_of_rows(&[&[1, 6, 7], &[], &[1, 9], &[], &[0, 6], &[5, 9]], 10);
+        let want = pattern_of_rows(
+            &[
+                &[0, 1, 4, 5, 6, 7, 9],
+                &[2, 3],
+                &[1, 9],
+                &[],
+                &[0, 6, 7, 8],
+                &[0, 5, 9],
+            ],
+            10,
+        );
+        assert_eq!(union_disjoint(&a, &b), want);
+        assert_eq!(union_disjoint(&b, &a), want);
+        let empty = Csr::<()>::empty(6, 10);
+        assert_eq!(union_disjoint(&a, &empty), a);
+        assert_eq!(union_disjoint(&empty, &a), a);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "column in both patterns")]
+    fn union_rejects_a_shared_column() {
+        union_disjoint(
+            &pattern_of_rows(&[&[1, 3]], 4),
+            &pattern_of_rows(&[&[0, 3]], 4),
+        );
     }
 }

@@ -1,6 +1,7 @@
 //! The evaluation "schemes" of §8: our 12 algorithm variants
 //! (6 algorithms × 1P/2P) plus the two SuiteSparse-modelled baselines.
 
+use masked_spgemm::dispatch::auto_select;
 use masked_spgemm::{
     baseline, masked_mxm, masked_mxm_with_bt, masked_mxm_with_opts, Algorithm, ExecOpts, MaskMode,
     Phases,
@@ -61,8 +62,9 @@ impl Scheme {
     }
 
     /// Execute the masked product. `bt` (`Bᵀ` in CSR) amortizes the
-    /// transpose for [`Algorithm::Inner`], mirroring the paper's Inner
-    /// setup; `SS:DOT` ignores it and re-transposes internally, mirroring
+    /// transpose for [`Algorithm::Inner`] — also when [`Algorithm::Auto`]
+    /// resolves to it — mirroring the paper's Inner setup; `SS:DOT`
+    /// ignores it and re-transposes internally, mirroring
     /// the library behaviour called out in §8.4.
     pub fn run<S, M>(
         &self,
@@ -96,7 +98,17 @@ impl Scheme {
         S: Semiring,
         M: Send + Sync,
     {
-        match *self {
+        // Resolve `Auto` here, not inside `masked_mxm_with_opts`: when it
+        // picks Inner the caller's `bt` must reach the pull kernel instead
+        // of `b` being transposed again per call.
+        let scheme = match *self {
+            Scheme::Ours(Algorithm::Auto, phases) => Scheme::Ours(
+                auto_select(mask, a, b, mode == MaskMode::Complement),
+                phases,
+            ),
+            other => other,
+        };
+        match scheme {
             Scheme::Ours(Algorithm::Inner, phases) => match bt {
                 Some(bt) => masked_mxm_with_bt::<S, M>(mask, a, bt, mode, phases)
                     .expect("inner masked mxm failed"),
@@ -176,6 +188,36 @@ mod tests {
         assert_eq!("ss:saxpy".parse::<Scheme>().unwrap(), Scheme::SsSaxpy);
         assert_eq!("SS:DOT".parse::<Scheme>().unwrap(), Scheme::SsDot);
         assert!("nope-3p".parse::<Scheme>().is_err());
+    }
+
+    #[test]
+    fn auto_resolving_to_inner_uses_the_supplied_bt() {
+        use mspgemm_sparse::semiring::PlusTimesI64;
+        // Dense inputs under a one-entry mask: Auto picks Inner. The
+        // supplied `bt` is deliberately *not* `bᵀ` (its values are
+        // doubled), so the result shows which operand the pull kernel read.
+        let n = 64usize;
+        let ones: Csr<i64> = Csr::from_dense(&vec![vec![Some(1); n]; n], n);
+        let twos = ones.map(|v| 2 * v);
+        let mut md = vec![vec![None; n]; n];
+        md[3][5] = Some(());
+        let mask = Csr::from_dense(&md, n);
+        let auto = Scheme::Ours(Algorithm::Auto, Phases::One);
+        let with_bt =
+            auto.run::<PlusTimesI64, ()>(&mask, &ones, &ones, Some(&twos), MaskMode::Mask);
+        let want = masked_mxm_with_bt::<PlusTimesI64, ()>(
+            &mask,
+            &ones,
+            &twos,
+            MaskMode::Mask,
+            Phases::One,
+        )
+        .unwrap();
+        assert_eq!(with_bt, want);
+        assert_eq!(with_bt.get(3, 5), Some(&(2 * n as i64)));
+        // Without a `bt` the same call is the product with `b`.
+        let without = auto.run::<PlusTimesI64, ()>(&mask, &ones, &ones, None, MaskMode::Mask);
+        assert_eq!(without.get(3, 5), Some(&(n as i64)));
     }
 
     #[test]

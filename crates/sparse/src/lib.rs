@@ -21,7 +21,7 @@
 //!   upserts/deletes over an immutable base with a merged read path.
 //! * [`transpose()`] — parallel scan-based transpose (CSC is represented as
 //!   the transpose stored in CSR).
-//! * [`ops`] — eWiseMult/eWiseAdd, masking, reductions, selection
+//! * [`ops`] — eWiseAdd, masking, reductions, selection
 //!   (tril/triu), symmetric permutation, degree relabeling.
 //! * [`semiring`] — `plus_times`, `plus_pair`, `or_and`, `min_plus`, …
 //! * [`util`] — parallel prefix sums and the disjoint-write slice used by

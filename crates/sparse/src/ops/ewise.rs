@@ -1,6 +1,6 @@
-//! Element-wise (Hadamard-style) operations: intersection (`eWiseMult`),
-//! union (`eWiseAdd`), and structural mask filtering. All row-parallel
-//! two-pass kernels (count, prefix-sum, fill) over sorted rows.
+//! Element-wise operations: pattern union (`eWiseAdd`) and structural
+//! mask filtering (keep / drop). All row-parallel two-pass kernels
+//! (count, prefix-sum, fill) over sorted rows.
 
 use crate::csr::Csr;
 use crate::Idx;
@@ -27,44 +27,6 @@ fn intersection_len(a: &[Idx], b: &[Idx]) -> usize {
 #[inline]
 fn union_len(a: &[Idx], b: &[Idx]) -> usize {
     a.len() + b.len() - intersection_len(a, b)
-}
-
-/// `C = A .* B` on the pattern intersection; values combined with `f`.
-///
-/// Entries appear in `C` exactly where both `A` and `B` store an entry.
-pub fn ewise_mult<T, U, V>(a: &Csr<T>, b: &Csr<U>, f: impl Fn(&T, &U) -> V + Sync) -> Csr<V>
-where
-    T: Copy + Send + Sync,
-    U: Copy + Send + Sync,
-    V: Copy + Send + Sync + Default,
-{
-    assert_eq!(a.nrows(), b.nrows(), "ewise_mult: row count mismatch");
-    assert_eq!(a.ncols(), b.ncols(), "ewise_mult: column count mismatch");
-    Csr::from_row_fill(
-        a.nrows(),
-        a.ncols(),
-        |i| intersection_len(a.row_cols(i), b.row_cols(i)),
-        |i, cols, vals| {
-            let (ac, av) = a.row(i);
-            let (bc, bv) = b.row(i);
-            let (mut x, mut y, mut w) = (0usize, 0usize, 0usize);
-            while x < ac.len() && y < bc.len() {
-                match ac[x].cmp(&bc[y]) {
-                    std::cmp::Ordering::Less => x += 1,
-                    std::cmp::Ordering::Greater => y += 1,
-                    std::cmp::Ordering::Equal => {
-                        cols[w] = ac[x];
-                        vals[w] = f(&av[x], &bv[y]);
-                        w += 1;
-                        x += 1;
-                        y += 1;
-                    }
-                }
-            }
-            w
-        },
-        V::default(),
-    )
 }
 
 /// `C = A + B` on the pattern union; overlapping entries combined with `f`,
@@ -214,16 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn mult_is_intersection() {
-        let c = ewise_mult(&a(), &b(), |x, y| x * y);
-        assert_eq!(c.nnz(), 3);
-        assert_eq!(c.get(0, 0), Some(&10));
-        assert_eq!(c.get(2, 0), Some(&200));
-        assert_eq!(c.get(2, 3), Some(&400));
-        assert_eq!(c.get(0, 2), None);
-    }
-
-    #[test]
     fn add_is_union() {
         let c = ewise_add(&a(), &b(), |x, y| x + y, |x| *x, |y| *y);
         assert_eq!(c.nnz(), 7);
@@ -253,9 +205,8 @@ mod tests {
     }
 
     #[test]
-    fn mult_with_empty_is_empty() {
+    fn add_with_empty_is_identity() {
         let e: Csr<i64> = Csr::empty(3, 4);
-        assert_eq!(ewise_mult(&a(), &e, |x, y| x * y).nnz(), 0);
         let u = ewise_add(&a(), &e, |x, _| *x, |x| *x, |y| *y);
         assert_eq!(u, a());
     }
@@ -263,7 +214,8 @@ mod tests {
     #[test]
     fn mixed_value_types() {
         let pat = a().pattern();
-        let c: Csr<u32> = ewise_mult(&pat, &a(), |_, y| *y as u32);
-        assert_eq!(c.get(2, 3), Some(&8u32));
+        let c: Csr<u32> = ewise_add(&pat, &b(), |_, y| *y as u32, |_| 0, |y| *y as u32);
+        assert_eq!(c.get(2, 3), Some(&50u32));
+        assert_eq!(c.get(2, 1), Some(&0u32));
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the sparse substrate: algebraic laws and
 //! format invariants on arbitrary matrices.
 
-use mspgemm_sparse::ops::ewise::{ewise_add, ewise_mult, mask_drop, mask_keep};
+use mspgemm_sparse::ops::ewise::{ewise_add, mask_drop, mask_keep};
 use mspgemm_sparse::ops::permute::{degree_descending_permutation, permute_symmetric};
 use mspgemm_sparse::ops::reduce::{col_nnz, reduce_all, reduce_rows};
 use mspgemm_sparse::ops::select::{tril_strict, triu_strict};
@@ -37,13 +37,6 @@ proptest! {
         for (i, j, v) in a.iter() {
             prop_assert_eq!(t.get(j as usize, i as Idx), Some(v));
         }
-    }
-
-    #[test]
-    fn ewise_mult_commutes(a in csr_strategy(9, 9, 0.4), b in csr_strategy(9, 9, 0.4)) {
-        let ab = ewise_mult(&a, &b, |x, y| x * y);
-        let ba = ewise_mult(&b, &a, |x, y| x * y);
-        prop_assert_eq!(ab, ba);
     }
 
     #[test]
