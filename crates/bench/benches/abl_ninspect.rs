@@ -4,7 +4,8 @@
 //! avoided heap operations; the paper evaluates 1 and ∞.
 
 use masked_spgemm::algos::heap::{HeapKernel, INSPECT_FULL};
-use masked_spgemm::phases::{run_push, Phases};
+use masked_spgemm::phases::{run_kernel, Phases};
+use masked_spgemm::ExecOpts;
 use mspgemm_bench::{banner, reps};
 use mspgemm_gen::{er, er_pattern};
 use mspgemm_harness::report::{fmt_secs, Table};
@@ -29,7 +30,9 @@ fn main() {
                 complement: false,
             };
             let (secs, c) = time_best(reps, || {
-                run_push::<PlusTimesF64, _, ()>(&mask, &a, &b, false, Phases::One, &kernel)
+                let opts = ExecOpts::default();
+                run_kernel::<PlusTimesF64, _, ()>(&mask, &a, &b, false, Phases::One, &kernel, &opts)
+                    .unwrap()
             });
             row.push(fmt_secs(secs));
             outputs.push(c);

@@ -3,7 +3,7 @@
 //! 1P usually beats 2P — the mask bounds the output tightly enough that
 //! the symbolic pass doesn't pay for itself.
 
-use masked_spgemm::{Algorithm, Phases};
+use masked_spgemm::{Algorithm, ExecOpts, Phases};
 use mspgemm_bench::{banner, reps, suite};
 use mspgemm_graph::scheme::Scheme;
 use mspgemm_graph::tricount;
@@ -14,6 +14,7 @@ fn main() {
     banner("Ablation §6", "1P vs 2P per algorithm (TC over the suite)");
     let suite = suite();
     let reps = reps();
+    let opts = ExecOpts::default();
     let mut table = Table::new(&["graph", "algorithm", "one_phase", "two_phase", "speedup_1p"]);
     let mut wins_1p = 0usize;
     let mut total = 0usize;
@@ -21,10 +22,10 @@ fn main() {
         let ops = tricount::prepare(&g.adj);
         for algo in Algorithm::ALL {
             let (s1, _) = time_best(reps, || {
-                tricount::count_prepared(&ops, Scheme::Ours(algo, Phases::One))
+                tricount::count_prepared_rows_with(&ops, Scheme::Ours(algo, Phases::One), &opts)
             });
             let (s2, _) = time_best(reps, || {
-                tricount::count_prepared(&ops, Scheme::Ours(algo, Phases::Two))
+                tricount::count_prepared_rows_with(&ops, Scheme::Ours(algo, Phases::Two), &opts)
             });
             table.row(&[
                 g.name.to_string(),

@@ -6,7 +6,7 @@
 //! Dimensions default to 2^12 (paper: 2^12–2^22; set `MSPGEMM_FIG7_DIMS`,
 //! e.g. `12,14,16`).
 
-use masked_spgemm::{masked_mxm, masked_mxm_with_bt, Algorithm, MaskMode, Phases};
+use masked_spgemm::{masked_mxm_with_bt, Algorithm, ExecOpts, MaskMode, Phases};
 use mspgemm_bench::{banner, reps};
 use mspgemm_gen::{er, er_pattern};
 use mspgemm_harness::ascii::{render_winner_grid, GridCell};
@@ -59,26 +59,17 @@ fn main() {
                 let mut best = (f64::INFINITY, "-");
                 for &algo in &algos {
                     let (secs, _) = time_best(reps, || {
-                        if algo == Algorithm::Inner {
-                            masked_mxm_with_bt::<PlusTimesF64, ()>(
-                                &mask,
-                                &a,
-                                &bt,
-                                MaskMode::Mask,
-                                Phases::One,
-                            )
-                            .unwrap()
-                        } else {
-                            masked_mxm::<PlusTimesF64, ()>(
-                                &mask,
-                                &a,
-                                &b,
-                                algo,
-                                MaskMode::Mask,
-                                Phases::One,
-                            )
-                            .unwrap()
-                        }
+                        masked_mxm_with_bt::<PlusTimesF64, ()>(
+                            &mask,
+                            &a,
+                            &b,
+                            Some(&bt),
+                            algo,
+                            MaskMode::Mask,
+                            Phases::One,
+                            &ExecOpts::default(),
+                        )
+                        .unwrap()
                     });
                     row.push(fmt_secs(secs));
                     if secs < best.0 {

@@ -3,6 +3,7 @@
 //!
 //! One CSV row per scale with each scheme's GFLOPS.
 
+use masked_spgemm::ExecOpts;
 use mspgemm_bench::{banner, max_scale, reps, tc_vs_ssgb_schemes};
 use mspgemm_gen::{rmat_symmetric, RmatParams};
 use mspgemm_graph::tricount;
@@ -13,6 +14,7 @@ fn main() {
     banner("Fig 10", "TC GFLOPS vs R-MAT scale");
     let schemes = tc_vs_ssgb_schemes();
     let reps = reps();
+    let opts = ExecOpts::default();
     let mut headers = vec!["scale".to_string()];
     headers.extend(schemes.iter().map(|s| s.name()));
     let headers_ref: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
@@ -23,8 +25,8 @@ fn main() {
         let ops = tricount::prepare(&g);
         let mut row = vec![scale.to_string()];
         for &s in &schemes {
-            let (secs, r) = time_best(reps, || tricount::count_prepared(&ops, s));
-            row.push(fmt_metric(gflops(r.flops, secs)));
+            let (secs, _) = time_best(reps, || tricount::count_prepared_rows_with(&ops, s, &opts));
+            row.push(fmt_metric(gflops(ops.flops, secs)));
         }
         table.row(&row);
     }

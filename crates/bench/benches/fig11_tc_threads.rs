@@ -2,6 +2,7 @@
 //! count on a fixed R-MAT graph (paper: scale 20 on up to 32/68 threads;
 //! default here `MSPGEMM_SCALE`, sweeping 1,2,4,… to all cores).
 
+use masked_spgemm::ExecOpts;
 use mspgemm_bench::{banner, max_scale, reps, tc_vs_ssgb_schemes};
 use mspgemm_gen::{rmat_symmetric, RmatParams};
 use mspgemm_graph::tricount;
@@ -14,6 +15,7 @@ fn main() {
     eprintln!("R-MAT scale {scale}");
     let schemes = tc_vs_ssgb_schemes();
     let reps = reps();
+    let opts = ExecOpts::default();
     let g = rmat_symmetric(scale, RmatParams::default(), 99);
     let ops = tricount::prepare(&g);
 
@@ -25,9 +27,10 @@ fn main() {
     for t in scaling_thread_counts() {
         let mut row = vec![t.to_string()];
         for &s in &schemes {
-            let (secs, r) =
-                with_threads(t, || time_best(reps, || tricount::count_prepared(&ops, s)));
-            row.push(fmt_metric(gflops(r.flops, secs)));
+            let (secs, _) = with_threads(t, || {
+                time_best(reps, || tricount::count_prepared_rows_with(&ops, s, &opts))
+            });
+            row.push(fmt_metric(gflops(ops.flops, secs)));
         }
         table.row(&row);
     }

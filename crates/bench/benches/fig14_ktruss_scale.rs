@@ -2,6 +2,7 @@
 //! masked-SpGEMM flops across pruning iterations divided by the total
 //! masked-SpGEMM time (§8.3).
 
+use masked_spgemm::ExecOpts;
 use mspgemm_bench::{banner, ktruss_vs_ssgb_schemes, max_scale, reps};
 use mspgemm_gen::{rmat_symmetric, RmatParams};
 use mspgemm_graph::ktruss;
@@ -21,7 +22,9 @@ fn main() {
         let g = rmat_symmetric(scale, RmatParams::default(), 7 + scale as u64);
         let mut row = vec![scale.to_string()];
         for &s in &schemes {
-            let (_, r) = time_best(reps, || ktruss::k_truss(&g, 5, s));
+            let (_, r) = time_best(reps, || {
+                ktruss::k_truss_with(&g, 5, s, &ExecOpts::default())
+            });
             row.push(fmt_metric(gflops(r.flops, r.mxm_seconds)));
         }
         table.row(&row);

@@ -19,6 +19,7 @@
 //! | `MSPGEMM_REPS` | timed runs per cell (the fastest is kept) | 2 |
 //! | `MSPGEMM_BC_JSON` | write the JSON report to this path | (none) |
 
+use masked_spgemm::ExecOpts;
 use mspgemm_bench::{banner, bc_batch, bc_schemes, max_scale, reps};
 use mspgemm_gen::{rmat_symmetric, RmatParams};
 use mspgemm_graph::bc::{self, BcResult};
@@ -64,11 +65,11 @@ fn main() {
         // `bc_schemes()` lists MSA-1P first: its scores are the reference.
         let mut reference: Option<Vec<f64>> = None;
         for &s in &schemes {
-            let checked = bc::betweenness(&g, &sources, s);
+            let checked = bc::betweenness_with(&g, &sources, s, &ExecOpts::default());
             let want = reference.get_or_insert_with(|| checked.scores.clone());
             assert_scores_agree(&checked.scores, want, scale, &s.name());
             let run = (0..reps)
-                .map(|_| bc::betweenness(&g, &sources, s))
+                .map(|_| bc::betweenness_with(&g, &sources, s, &ExecOpts::default()))
                 .min_by(|a, b| a.total_seconds.total_cmp(&b.total_seconds))
                 .expect("reps >= 1");
             assert_eq!(run.depth, checked.depth, "scale {scale} {}", s.name());

@@ -2,7 +2,7 @@
 //! a fixed ER workload — quick per-algorithm regressions tracking.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use masked_spgemm::{masked_mxm, Algorithm, MaskMode, Phases};
+use masked_spgemm::{masked_mxm_with_opts, Algorithm, ExecOpts, MaskMode, Phases};
 use mspgemm_gen::{er, er_pattern};
 use mspgemm_sparse::semiring::PlusTimesF64;
 
@@ -21,13 +21,14 @@ fn bench_kernels(c: &mut Criterion) {
             |bench, &algo| {
                 bench.iter(|| {
                     black_box(
-                        masked_mxm::<PlusTimesF64, ()>(
+                        masked_mxm_with_opts::<PlusTimesF64, ()>(
                             &mask,
                             &a,
                             &b,
                             algo,
                             MaskMode::Mask,
                             Phases::One,
+                            &ExecOpts::default(),
                         )
                         .unwrap(),
                     )
@@ -43,13 +44,14 @@ fn bench_kernels(c: &mut Criterion) {
             |bench, &algo| {
                 bench.iter(|| {
                     black_box(
-                        masked_mxm::<PlusTimesF64, ()>(
+                        masked_mxm_with_opts::<PlusTimesF64, ()>(
                             &mask,
                             &a,
                             &b,
                             algo,
                             MaskMode::Complement,
                             Phases::One,
+                            &ExecOpts::default(),
                         )
                         .unwrap(),
                     )

@@ -84,7 +84,7 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     let path = p
         .positional
         .first()
-        .ok_or("usage: mxm run [--algo A] [--mask normal|complement] [--phases 1|2] [--schedule guided|flops] [--threads N] [--parse-threads N] [--reps R] [--mmap] <matrix.mtx|.msb>")?;
+        .ok_or("usage: mxm run [--algo A] [--mask normal|complement] [--phases 1|2] [--schedule guided|flops] [--threads N] [--parse-threads N] [--reps R] [--no-cache] [--mmap] [--pattern] [--trace out.json] <matrix.mtx|.msb>")?;
     let algo: Algorithm = p.flag("algo").unwrap_or("auto").parse()?;
     let mode: MaskMode = p.flag("mask").unwrap_or("normal").parse()?;
     let phases: Phases = p.flag("phases").unwrap_or("1").parse()?;
@@ -122,7 +122,6 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
     writeln!(out, "{}", ingest_line(&ingest)).map_err(|e| e.to_string())?;
-    let mask = a.pattern();
     let flops = 2 * a.flops_with(&a);
 
     // Warm accumulator pool + busy-time recorder: steady-state reps reuse
@@ -135,11 +134,11 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
         stats: Some(&stats),
         deadline: None,
     };
+    // Masks are structural: `A` is its own pattern.
     let work = || {
-        let (secs, c) = time_best(reps, || {
-            masked_mxm_with_opts::<PlusTimesF64, ()>(&mask, &a, &a, algo, mode, phases, &opts)
-        });
-        (secs, c)
+        time_best(reps, || {
+            masked_mxm_with_opts::<PlusTimesF64, f64>(&a, &a, &a, algo, mode, phases, &opts)
+        })
     };
     let (secs, c) = if threads > 0 {
         with_threads(threads, work)
@@ -171,8 +170,8 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
             pool.hits(),
             pool.hits() + pool.misses(),
         ),
-        // Pull-based Inner records nothing — it has no row-push drive.
-        None => writeln!(out, "schedule : {} (no push drives timed)", schedule.name()),
+        // Only a matrix with no rows times nothing.
+        None => writeln!(out, "schedule : {} (no row drives timed)", schedule.name()),
     }
     .map_err(|e| e.to_string())?;
     // The paper's wasted-work figure, from the MSA row entry's own counts

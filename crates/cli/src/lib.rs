@@ -89,9 +89,9 @@ USAGE:
         (default 2); when --queue-depth requests are already waiting
         (default 64) new ones are answered with a typed 'busy' error
         carrying a retry_after_ms hint instead of queueing unboundedly.
-        Queued mxm requests that differ only by mask fuse into one
-        kernel pass. Preload positional files at startup; serves until a
-        'shutdown' request. --mmap keeps v2 .msb datasets resident
+        Identical queued mxm requests fuse into one kernel pass. Preload
+        positional files at startup; serves until a 'shutdown'
+        request. --mmap keeps v2 .msb datasets resident
         zero-copy (stats reports each dataset's backend and mapped
         bytes). --pattern loads every dataset values-less: unit values
         come from one process-wide arena and 'list'/'stats' flag the

@@ -15,8 +15,8 @@ const EMPTY: Idx = Idx::MAX;
 
 /// Inverse load factor. The paper fixes the load factor at 0.25, i.e. the
 /// table is sized at 4× the expected key count (rounded up to a power of
-/// two). `abl_hash_load` sweeps this choice.
-pub const DEFAULT_CAPACITY_FACTOR: usize = 4;
+/// two) — on the flat part of the measured curve (`docs/DECISIONS.md`).
+const CAPACITY_FACTOR: usize = 4;
 
 /// `key`'s home slot: its Fibonacci multiplicative hash
 /// (`shift = 32 − log₂ cap`).
@@ -43,7 +43,6 @@ pub struct HashAccum<V> {
     shift: u32,
     /// Keys inserted this row, for complemented gathers.
     inserted: Vec<Idx>,
-    capacity_factor: usize,
     /// Stage-1 output of [`HashAccum::accumulate_row`]: `(slot, position)`
     /// of every product of the current B row whose key the table holds.
     admitted: Vec<(u32, u32)>,
@@ -52,13 +51,6 @@ pub struct HashAccum<V> {
 impl<V: Copy + Default> HashAccum<V> {
     /// New accumulator with the paper's 0.25 load factor.
     pub fn new() -> Self {
-        Self::with_capacity_factor(DEFAULT_CAPACITY_FACTOR)
-    }
-
-    /// New accumulator with table size `factor × keys` (ablation knob;
-    /// `factor = 4` ⇔ load factor 0.25).
-    pub fn with_capacity_factor(factor: usize) -> Self {
-        assert!(factor >= 1, "capacity factor must be at least 1");
         Self {
             keys: Vec::new(),
             states: Vec::new(),
@@ -66,7 +58,6 @@ impl<V: Copy + Default> HashAccum<V> {
             cap: 0,
             shift: 32,
             inserted: Vec::new(),
-            capacity_factor: factor,
             admitted: Vec::new(),
         }
     }
@@ -74,9 +65,10 @@ impl<V: Copy + Default> HashAccum<V> {
     /// Prepare the table for a row expecting at most `expected_keys`
     /// distinct keys. Reuses the allocation; wipes only `cap` slots.
     pub fn begin_row(&mut self, expected_keys: usize) {
-        // `+ 1` guarantees at least one EMPTY slot even at load factor 1,
-        // so probes for absent keys always terminate.
-        let want = (self.capacity_factor * expected_keys.max(1) + 1)
+        // `+ 1` rounds an exact power of two up to the next one: the load
+        // factor stays strictly under 0.25, so probes for absent keys
+        // always reach an EMPTY slot.
+        let want = (CAPACITY_FACTOR * expected_keys.max(1) + 1)
             .next_power_of_two()
             .max(8);
         if self.keys.len() < want {
@@ -426,30 +418,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn capacity_factor_of_one_still_correct() {
-        // Load factor 1.0: the table is exactly full — worst case probing.
-        let mut h: HashAccum<i64> = HashAccum::with_capacity_factor(1);
-        let keys: Vec<Idx> = (0..8).collect();
-        h.begin_row(keys.len());
-        for &k in &keys {
-            h.mark_allowed(k);
-        }
-        for &k in &keys {
-            put(&mut h, k, 1);
-        }
-        let mut cols = vec![0 as Idx; 8];
-        let mut vals = vec![0i64; 8];
-        assert_eq!(h.gather_into(&keys, &mut cols, &mut vals), 8);
-    }
-
     /// One normal-mode output row both ways — B rows through the row
     /// entry, the same products one at a time through the §5.1 reference
     /// `insert_with` — compared on the gathered row (bit for bit) and on
     /// how often `mul` ran.
-    fn assert_row_entry_matches_reference(factor: usize, mask: &[Idx], b_rows: &[BRow]) {
+    fn assert_row_entry_matches_reference(mask: &[Idx], b_rows: &[BRow]) {
         let make = || {
-            let mut h: HashAccum<f64> = HashAccum::with_capacity_factor(factor);
+            let mut h: HashAccum<f64> = HashAccum::new();
             h.begin_row(mask.len());
             for &j in mask {
                 h.mark_allowed(j);
@@ -490,7 +465,7 @@ mod tests {
         #[test]
         fn row_entry_matches_per_product_reference(
             // Admitted ratios 0 %, ~10 %, 100 %; B rows empty, typical,
-            // and as long as the matrix is wide; load factors 0.25 and 1.
+            // and as long as the matrix is wide.
             mask_density in 0usize..3,
             mask_cells in proptest::collection::vec(0u32..1_000_000, 40),
             b_densities in proptest::collection::vec(0usize..3, 6),
@@ -505,16 +480,14 @@ mod tests {
                 .zip(&b_densities)
                 .map(|(cells, &d)| sparse_row(cells, B_ROW_PER_MILLE[d], SPREAD))
                 .collect();
-            for factor in [DEFAULT_CAPACITY_FACTOR, 1] {
-                assert_row_entry_matches_reference(factor, &mask, &b_rows);
-            }
+            assert_row_entry_matches_reference(&mask, &b_rows);
         }
     }
 
     #[test]
     fn accumulation_order_is_pinned_bit_for_bit() {
         let b_rows = order_sensitive_rows();
-        assert_row_entry_matches_reference(DEFAULT_CAPACITY_FACTOR, &[3, 5], &b_rows);
+        assert_row_entry_matches_reference(&[3, 5], &b_rows);
         let mut h: HashAccum<f64> = HashAccum::new();
         h.begin_row(2);
         h.mark_allowed(3);

@@ -3,27 +3,17 @@
 //! cost per access.
 
 use crate::accumulator::hash::HashAccum;
-use crate::phases::{PushKernel, RowCtx};
+use crate::phases::{RowCtx, RowKernel};
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::Idx;
 
-/// Kernel configuration.
+/// Kernel configuration: normal or complemented mask.
 pub struct HashKernel {
     /// Interpret the mask as its complement.
     pub complement: bool,
-    /// Table size multiplier (4 ⇔ the paper's 0.25 load factor).
-    pub capacity_factor: usize,
 }
 
 impl HashKernel {
-    /// The paper's configuration (load factor 0.25).
-    pub fn new(complement: bool) -> Self {
-        Self {
-            complement,
-            capacity_factor: crate::accumulator::hash::DEFAULT_CAPACITY_FACTOR,
-        }
-    }
-
     /// Expected distinct keys this row: the mask row size in normal mode;
     /// mask + admissible products in complement mode.
     fn row_capacity<S: Semiring>(&self, ctx: &RowCtx<'_, S>) -> usize {
@@ -37,17 +27,11 @@ impl HashKernel {
     }
 }
 
-impl<S: Semiring> PushKernel<S> for HashKernel {
+impl<S: Semiring> RowKernel<S> for HashKernel {
     type Ws = HashAccum<S::Out>;
 
     fn make_ws(&self, _ncols: usize) -> Self::Ws {
-        HashAccum::with_capacity_factor(self.capacity_factor)
-    }
-
-    fn ws_tag(&self) -> u64 {
-        // The capacity factor is baked into the accumulator at
-        // construction; pool shelves must not mix factors.
-        self.capacity_factor as u64
+        HashAccum::new()
     }
 
     fn ws_depends_on_ncols(&self) -> bool {
@@ -119,7 +103,7 @@ impl<S: Semiring> PushKernel<S> for HashKernel {
 mod tests {
     use super::*;
     use crate::algos::test_grid as grid;
-    use crate::phases::{run_push_with, Phases};
+    use crate::phases::{run_kernel, Phases};
     use crate::schedule::{ExecOpts, WsPool};
     use mspgemm_sparse::semiring::PlusTimesI64;
 
@@ -134,7 +118,7 @@ mod tests {
             ws_pool: Some(&pool),
             ..ExecOpts::default()
         };
-        let kernel = HashKernel::new(false);
+        let kernel = HashKernel { complement: false };
         for n in [6, 96] {
             // Dense B rows (as long as the matrix is wide) under a sparse
             // mask: the scratch outgrows the mask-sized table.
@@ -142,10 +126,8 @@ mod tests {
             let mask = grid(n, |i, j| (i + j) % 5 == 0).pattern();
             for phases in [Phases::One, Phases::Two] {
                 let run = |opts: &ExecOpts<'_>| {
-                    run_push_with::<PlusTimesI64, _, ()>(
-                        &mask, &a, &a, false, phases, &kernel, opts,
-                    )
-                    .unwrap()
+                    run_kernel::<PlusTimesI64, _, ()>(&mask, &a, &a, false, phases, &kernel, opts)
+                        .unwrap()
                 };
                 assert_eq!(run(&pooled), run(&ExecOpts::default()), "n={n} {phases:?}");
             }

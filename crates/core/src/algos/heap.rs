@@ -10,7 +10,7 @@
 //!   match, so only matching cursors ever enter the heap.
 
 use crate::accumulator::heap::{Cursor, RowHeap};
-use crate::phases::{PushKernel, RowCtx};
+use crate::phases::{RowCtx, RowKernel};
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::Idx;
 
@@ -146,7 +146,7 @@ impl HeapKernel {
     }
 }
 
-impl<S: Semiring> PushKernel<S> for HeapKernel {
+impl<S: Semiring> RowKernel<S> for HeapKernel {
     type Ws = RowHeap;
 
     fn make_ws(&self, _ncols: usize) -> Self::Ws {

@@ -1,23 +1,25 @@
-//! The pull-based Inner (dot-product) algorithm (paper §4.1): for every
+//! The pull-based Inner (dot-product) kernel (paper §4.1): for every
 //! unmasked output coordinate `(i, j)`, compute the sparse dot product
-//! `A_i* · B_*j`. Needs `B` in column-major order, supplied here as
-//! `Bᵀ` stored in CSR. Embarrassingly parallel over mask rows
-//! (`O(nnz(M))`-way parallelism).
+//! `A_i* · B_*j`. Needs `B` in column-major order, carried by the kernel
+//! as `Bᵀ` stored in CSR. A row kernel like the push ones, so the
+//! [`crate::phases`] driver runs it one- or two-phase under any schedule.
 //!
 //! The complemented variant must consider every *non*-mask column whose
 //! `Bᵀ` row is nonempty — inherently expensive (the paper reports it
-//! prohibitively slow for BC); it is implemented for completeness and
-//! always sizes rows exactly (internally two-phase) to avoid quadratic
-//! memory.
+//! prohibitively slow for BC); it is implemented for completeness. Its
+//! one-phase rows are bounded like every complemented push row, by
+//! `min(flops_i, ncols − nnz(m_i))`: an output entry needs at least one
+//! product.
 
-use crate::phases::Phases;
+use crate::phases::{RowCtx, RowKernel};
 use mspgemm_sparse::semiring::Semiring;
-use mspgemm_sparse::{Csr, CsrRef, Idx};
+use mspgemm_sparse::{CsrRef, Idx};
 
 /// Sparse dot product of two sorted index/value lists. Returns `None` when
 /// the patterns do not intersect (no output entry — GraphBLAS structural
-/// semantics).
-#[inline]
+/// semantics). `inline(always)`: left to the heuristic, the two call sites
+/// in [`InnerKernel`]'s numeric row read 5–8 % slower (`docs/DECISIONS.md`).
+#[inline(always)]
 pub fn sparse_dot<S: Semiring>(
     ac: &[Idx],
     av: &[S::Left],
@@ -58,131 +60,103 @@ pub fn patterns_intersect(ac: &[Idx], bc: &[Idx]) -> bool {
     false
 }
 
-/// Masked SpGEMM via dot products. `bt` is `Bᵀ` in CSR (i.e. `B` in CSC).
-/// Operands are [`CsrRef`] views — the read path is storage-agnostic.
-///
-/// One-phase allocates `nnz(m_i)` per row (the exact mask bound) and
-/// compacts; two-phase runs the early-exit symbolic dots first.
-pub fn inner_masked_mxm<S, M>(
-    mask: CsrRef<'_, M>,
-    a: CsrRef<'_, S::Left>,
-    bt: CsrRef<'_, S::Right>,
-    phases: Phases,
-) -> Csr<S::Out>
-where
-    S: Semiring,
-    M: Send + Sync,
-{
-    let count: Box<dyn Fn(usize) -> usize + Sync> = match phases {
-        // 1P: the mask row is the bound.
-        Phases::One => Box::new(|i: usize| mask.row_nnz(i)),
-        // 2P: exact symbolic sizing with early-exit intersection tests.
-        Phases::Two => Box::new(|i: usize| {
-            let ac = a.row_cols(i);
-            mask.row_cols(i)
-                .iter()
-                .filter(|&&j| patterns_intersect(ac, bt.row_cols(j as usize)))
+/// The pull kernel: `Bᵀ` in CSR (i.e. `B` in CSC) and the mask
+/// interpretation. Needs no per-thread scratch (`Ws = ()`); it ignores
+/// [`RowCtx::b`] and dots the `A` row against rows of its own `bt`.
+pub struct InnerKernel<'a, R> {
+    bt: CsrRef<'a, R>,
+    complement: bool,
+    /// Columns whose `Bᵀ` row is nonempty, sorted: the complemented
+    /// variant's candidates, computed once per product. Empty in normal
+    /// mode, where the mask row itself lists the candidates.
+    nonempty: Vec<Idx>,
+}
+
+impl<'a, R> InnerKernel<'a, R> {
+    /// The kernel over `bt = Bᵀ` (a borrowed view — storage-agnostic like
+    /// every operand), reading the mask as its complement or not.
+    pub fn new(bt: CsrRef<'a, R>, complement: bool) -> Self {
+        let nonempty = if complement {
+            (0..bt.nrows())
+                .filter(|&j| bt.row_nnz(j) > 0)
+                .map(|j| j as Idx)
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Self {
+            bt,
+            complement,
+            nonempty,
+        }
+    }
+}
+
+/// `cand \ mask`, both sorted — the columns a complemented row may emit —
+/// by one merge pass.
+fn non_mask<'a>(cand: &'a [Idx], mask: &'a [Idx]) -> impl Iterator<Item = Idx> + 'a {
+    let mut y = 0usize;
+    cand.iter().copied().filter(move |&j| {
+        while y < mask.len() && mask[y] < j {
+            y += 1;
+        }
+        mask.get(y) != Some(&j)
+    })
+}
+
+impl<S: Semiring> RowKernel<S> for InnerKernel<'_, S::Right> {
+    type Ws = ();
+
+    fn make_ws(&self, _ncols: usize) -> Self::Ws {}
+
+    fn ws_depends_on_ncols(&self) -> bool {
+        false
+    }
+
+    /// Early-exit intersection tests: the symbolic-phase dots.
+    fn row_symbolic(&self, _ws: &mut (), ctx: RowCtx<'_, S>) -> usize {
+        let ac = ctx.a_cols;
+        let hit = |j: Idx| patterns_intersect(ac, self.bt.row_cols(j as usize));
+        if self.complement {
+            non_mask(&self.nonempty, ctx.mask_cols)
+                .filter(|&j| hit(j))
                 .count()
-        }),
-    };
-    Csr::from_row_fill(
-        mask.nrows(),
-        bt.nrows(),
-        count,
-        |i, out_cols, out_vals| {
-            let (ac, av) = a.row(i);
-            let mut w = 0usize;
-            for &j in mask.row_cols(i) {
-                let (bc, bv) = bt.row(j as usize);
+        } else {
+            ctx.mask_cols.iter().filter(|&&j| hit(j)).count()
+        }
+    }
+
+    fn row_numeric(
+        &self,
+        _ws: &mut (),
+        ctx: RowCtx<'_, S>,
+        out_cols: &mut [Idx],
+        out_vals: &mut [S::Out],
+    ) -> usize {
+        let (ac, av) = (ctx.a_cols, ctx.a_vals);
+        let mut w = 0usize;
+        // One straight loop per mask mode: sharing the emit step through
+        // a closure measured slower (`docs/DECISIONS.md`).
+        if self.complement {
+            for j in non_mask(&self.nonempty, ctx.mask_cols) {
+                let (bc, bv) = self.bt.row(j as usize);
                 if let Some(v) = sparse_dot::<S>(ac, av, bc, bv) {
                     out_cols[w] = j;
                     out_vals[w] = v;
                     w += 1;
                 }
             }
-            w
-        },
-        S::Out::default(),
-    )
-}
-
-/// Complemented-mask dot-product algorithm: dot `A_i*` against every
-/// nonempty `Bᵀ` row whose column is *not* in the mask row. Always sizes
-/// exactly (internal symbolic pass) — see module docs.
-pub fn inner_masked_mxm_complement<S, M>(
-    mask: CsrRef<'_, M>,
-    a: CsrRef<'_, S::Left>,
-    bt: CsrRef<'_, S::Right>,
-) -> Csr<S::Out>
-where
-    S: Semiring,
-    M: Send + Sync,
-{
-    // Candidate columns: nonempty rows of Bᵀ (computed once).
-    let nonempty: Vec<Idx> = (0..bt.nrows())
-        .filter(|&j| bt.row_nnz(j) > 0)
-        .map(|j| j as Idx)
-        .collect();
-    let candidates = |i: usize| {
-        // nonempty \ mask_row, both sorted: merge-subtract.
-        let mc = mask.row_cols(i);
-        NonMask {
-            cand: &nonempty,
-            mask: mc,
-            x: 0,
-            y: 0,
-        }
-    };
-    Csr::from_row_fill(
-        mask.nrows(),
-        bt.nrows(),
-        |i| {
-            let ac = a.row_cols(i);
-            candidates(i)
-                .filter(|&j| patterns_intersect(ac, bt.row_cols(j as usize)))
-                .count()
-        },
-        |i, out_cols, out_vals| {
-            let (ac, av) = a.row(i);
-            let mut w = 0usize;
-            for j in candidates(i) {
-                let (bc, bv) = bt.row(j as usize);
+        } else {
+            for &j in ctx.mask_cols {
+                let (bc, bv) = self.bt.row(j as usize);
                 if let Some(v) = sparse_dot::<S>(ac, av, bc, bv) {
                     out_cols[w] = j;
                     out_vals[w] = v;
                     w += 1;
                 }
             }
-            w
-        },
-        S::Out::default(),
-    )
-}
-
-/// Sorted-merge iterator yielding `cand \ mask`.
-struct NonMask<'a> {
-    cand: &'a [Idx],
-    mask: &'a [Idx],
-    x: usize,
-    y: usize,
-}
-
-impl Iterator for NonMask<'_> {
-    type Item = Idx;
-
-    fn next(&mut self) -> Option<Idx> {
-        while self.x < self.cand.len() {
-            let j = self.cand[self.x];
-            while self.y < self.mask.len() && self.mask[self.y] < j {
-                self.y += 1;
-            }
-            self.x += 1;
-            if self.y < self.mask.len() && self.mask[self.y] == j {
-                continue; // masked out
-            }
-            return Some(j);
         }
-        None
+        w
     }
 }
 
@@ -224,13 +198,7 @@ mod tests {
     fn nonmask_iterator_subtracts() {
         let cand: &[Idx] = &[0, 2, 4, 6, 8];
         let mask: &[Idx] = &[2, 3, 8];
-        let got: Vec<Idx> = NonMask {
-            cand,
-            mask,
-            x: 0,
-            y: 0,
-        }
-        .collect();
+        let got: Vec<Idx> = non_mask(cand, mask).collect();
         assert_eq!(got, vec![0, 4, 6]);
     }
 }

@@ -7,14 +7,14 @@
 //! columns); the dispatcher rejects that combination.
 
 use crate::accumulator::mca::Mca;
-use crate::phases::{PushKernel, RowCtx};
+use crate::phases::{RowCtx, RowKernel};
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::Idx;
 
 /// Kernel marker (no configuration).
 pub struct McaKernel;
 
-impl<S: Semiring> PushKernel<S> for McaKernel {
+impl<S: Semiring> RowKernel<S> for McaKernel {
     type Ws = Mca<S::Out>;
 
     fn make_ws(&self, _ncols: usize) -> Self::Ws {

@@ -1,6 +1,6 @@
-//! Row kernels for each Masked SpGEMM algorithm family: the push-based
-//! MSA/Hash/MCA/Heap kernels plug into the [`crate::phases`] driver; the
-//! pull-based Inner algorithm has its own drivers.
+//! Row kernels for each Masked SpGEMM algorithm family — the push-based
+//! MSA/Hash/MCA/Heap kernels and the pull-based Inner kernel — all
+//! plugging into the one [`crate::phases`] driver.
 
 pub mod hash;
 pub mod heap;

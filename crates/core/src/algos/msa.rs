@@ -3,7 +3,7 @@
 //! gather in mask order.
 
 use crate::accumulator::msa::Msa;
-use crate::phases::{PushKernel, RowCtx};
+use crate::phases::{RowCtx, RowKernel};
 use crate::schedule::ProductCounts;
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::Idx;
@@ -15,7 +15,7 @@ pub struct MsaKernel {
     pub complement: bool,
 }
 
-impl<S: Semiring> PushKernel<S> for MsaKernel {
+impl<S: Semiring> RowKernel<S> for MsaKernel {
     type Ws = Msa<S::Out>;
 
     fn make_ws(&self, ncols: usize) -> Self::Ws {
@@ -80,7 +80,7 @@ impl<S: Semiring> PushKernel<S> for MsaKernel {
 mod tests {
     use super::*;
     use crate::algos::test_grid as grid;
-    use crate::phases::{run_push_with, Phases};
+    use crate::phases::{run_kernel, Phases};
     use crate::schedule::{ExecOpts, ExecStats, WsPool};
     use mspgemm_sparse::semiring::PlusTimesI64;
 
@@ -105,7 +105,7 @@ mod tests {
                 ws_pool: Some(&pool),
                 ..ExecOpts::default()
             };
-            run_push_with::<PlusTimesI64, _, ()>(
+            run_kernel::<PlusTimesI64, _, ()>(
                 &mask,
                 &a,
                 &a,
@@ -121,7 +121,7 @@ mod tests {
                     stats: Some(&stats),
                     ..quiet
                 };
-                run_push_with::<PlusTimesI64, _, ()>(
+                run_kernel::<PlusTimesI64, _, ()>(
                     &mask, &a, &a, complement, phases, &kernel, &opts,
                 )
                 .unwrap();

@@ -12,15 +12,13 @@
 //!
 //! These are algorithmic stand-ins, not bindings: see DESIGN.md §2.
 
-use crate::algos::inner::inner_masked_mxm;
-use crate::phases::Phases;
+use crate::schedule::ExecOpts;
+use crate::{masked_mxm_with_opts, Algorithm, MaskMode, Phases};
 use mspgemm_sparse::ops::ewise::{mask_drop, mask_keep};
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::util::UnsafeSlice;
-use mspgemm_sparse::{transpose, Csr, Idx};
+use mspgemm_sparse::{Csr, Idx};
 use rayon::prelude::*;
-
-use crate::MaskMode;
 
 /// Plain (unmasked) row-parallel Gustavson SpGEMM with a dense sparse
 /// accumulator (Algorithm 1). One-phase: per-row bound `min(flops_i,
@@ -187,16 +185,16 @@ where
     S: Semiring,
     M: Send + Sync,
 {
-    assert_eq!(a.ncols(), b.nrows(), "ss_dot_like: inner dimensions differ");
-    let bt = transpose(b);
-    match mode {
-        MaskMode::Mask => inner_masked_mxm::<S, M>(mask.view(), a.view(), bt.view(), Phases::Two),
-        MaskMode::Complement => crate::algos::inner::inner_masked_mxm_complement::<S, M>(
-            mask.view(),
-            a.view(),
-            bt.view(),
-        ),
-    }
+    masked_mxm_with_opts::<S, M>(
+        mask,
+        a,
+        b,
+        Algorithm::Inner,
+        mode,
+        Phases::Two,
+        &ExecOpts::default(),
+    )
+    .unwrap_or_else(|e| panic!("ss_dot_like: {e}"))
 }
 
 /// Plain dense sparse accumulator (Gilbert et al.) for the unmasked

@@ -4,10 +4,10 @@
 
 use crate::algos::hash::HashKernel;
 use crate::algos::heap::HeapKernel;
-use crate::algos::inner::{inner_masked_mxm, inner_masked_mxm_complement};
+use crate::algos::inner::InnerKernel;
 use crate::algos::mca::McaKernel;
 use crate::algos::msa::MsaKernel;
-use crate::phases::{run_push_with, Phases};
+use crate::phases::{run_kernel, Phases};
 use crate::schedule::ExecOpts;
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::{transpose, Csr};
@@ -26,7 +26,7 @@ pub enum Algorithm {
     /// Multiway-merge heap with `NInspect = ∞` (§5.5, `HeapDot`).
     HeapDot,
     /// Pull-based dot products (§4.1). Transposes `B` internally unless
-    /// [`masked_mxm_with_bt`] is used.
+    /// [`masked_mxm_with_bt`] is handed a `Bᵀ`.
     Inner,
     /// Pick per the Fig 7 density heuristic, once for the whole call.
     Auto,
@@ -117,7 +117,7 @@ pub enum Error {
     /// The requested combination is not defined by the paper.
     Unsupported(&'static str),
     /// [`ExecOpts::deadline`] passed at a phase boundary; the product was
-    /// abandoned before its next pass (see [`crate::phases::run_push_with`]).
+    /// abandoned before its next pass (see [`crate::phases::run_kernel`]).
     DeadlineExceeded,
 }
 
@@ -137,57 +137,39 @@ fn check_dims<S: Semiring, M>(
     mask: &Csr<M>,
     a: &Csr<S::Left>,
     b: &Csr<S::Right>,
+    bt: Option<&Csr<S::Right>>,
 ) -> Result<(), Error> {
-    if a.ncols() != b.nrows() {
-        return Err(Error::DimensionMismatch(format!(
-            "A is {}x{} but B is {}x{}",
-            a.nrows(),
-            a.ncols(),
-            b.nrows(),
-            b.ncols()
-        )));
-    }
-    if mask.nrows() != a.nrows() || mask.ncols() != b.ncols() {
-        return Err(Error::DimensionMismatch(format!(
-            "mask is {}x{} but A·B is {}x{}",
-            mask.nrows(),
-            mask.ncols(),
-            a.nrows(),
-            b.ncols()
-        )));
-    }
-    Ok(())
+    let show = |(rows, cols): (usize, usize)| format!("{rows}x{cols}");
+    let (am, ak) = (a.nrows(), a.ncols());
+    let (bk, bn) = (b.nrows(), b.ncols());
+    let mask = (mask.nrows(), mask.ncols());
+    let bad = if ak != bk {
+        format!("A is {} but B is {}", show((am, ak)), show((bk, bn)))
+    } else if mask != (am, bn) {
+        format!("mask is {} but A·B is {}", show(mask), show((am, bn)))
+    } else if let Some(bt) = bt.filter(|bt| (bt.nrows(), bt.ncols()) != (bn, bk)) {
+        // The pull kernel indexes `bt` by output column and its column
+        // ids by `A`'s: any other shape would be read out of bounds.
+        let bt = show((bt.nrows(), bt.ncols()));
+        format!("B is {} but the supplied Bᵀ is {bt}", show((bk, bn)))
+    } else {
+        return Ok(());
+    };
+    Err(Error::DimensionMismatch(bad))
 }
 
-/// Masked SpGEMM: `C = M ⊙ (A·B)` (or `¬M ⊙ (A·B)`) on semiring `S`.
+/// Masked SpGEMM: `C = M ⊙ (A·B)` (or `¬M ⊙ (A·B)`) on semiring `S`, under
+/// `opts` — row schedule, workspace pool, busy-time stats, deadline (see
+/// [`crate::schedule`]; `&ExecOpts::default()` for a one-shot call).
 ///
-/// The mask is structural — its values are never read (§2). For
-/// [`Algorithm::Inner`] the transpose of `B` is computed inside this call;
-/// use [`masked_mxm_with_bt`] to amortize a precomputed `Bᵀ`.
+/// The mask is structural — its values are never read (§2). When
+/// [`Algorithm::Inner`] runs, `B` is transposed inside this call; use
+/// [`masked_mxm_with_bt`] to amortize a precomputed `Bᵀ`.
 ///
 /// # Errors
 /// [`Error::DimensionMismatch`] for incompatible shapes,
-/// [`Error::Unsupported`] for MCA with a complemented mask.
-pub fn masked_mxm<S, M>(
-    mask: &Csr<M>,
-    a: &Csr<S::Left>,
-    b: &Csr<S::Right>,
-    algo: Algorithm,
-    mode: MaskMode,
-    phases: Phases,
-) -> Result<Csr<S::Out>, Error>
-where
-    S: Semiring,
-    M: Send + Sync,
-{
-    masked_mxm_with_opts::<S, M>(mask, a, b, algo, mode, phases, &ExecOpts::default())
-}
-
-/// [`masked_mxm`] with explicit execution options: row-scheduling policy,
-/// cross-call workspace pool, and busy-time stats (see
-/// [`crate::schedule`]). The options apply to the row-parallel push
-/// drives; [`Algorithm::Inner`]'s pull path ignores them.
-#[allow(clippy::too_many_arguments)]
+/// [`Error::Unsupported`] for MCA with a complemented mask,
+/// [`Error::DeadlineExceeded`] for a deadline passed at a phase boundary.
 pub fn masked_mxm_with_opts<S, M>(
     mask: &Csr<M>,
     a: &Csr<S::Left>,
@@ -201,7 +183,32 @@ where
     S: Semiring,
     M: Send + Sync,
 {
-    check_dims::<S, M>(mask, a, b)?;
+    masked_mxm_with_bt::<S, M>(mask, a, b, None, algo, mode, phases, opts)
+}
+
+/// [`masked_mxm_with_opts`] with an optional caller-provided `bt = Bᵀ`
+/// (`B` in CSC) — the one implementation behind every masked product.
+/// The pull kernel reads `bt` whenever it runs (named, or picked by
+/// [`Algorithm::Auto`]) instead of transposing `B`, so applications
+/// amortize the transpose across calls (the paper notes SuiteSparse's
+/// per-call transpose as an overhead of `SS:DOT`, §8.4); the push kernels
+/// ignore it. Its shape is checked; its values are trusted to be `B`'s.
+#[allow(clippy::too_many_arguments)]
+pub fn masked_mxm_with_bt<S, M>(
+    mask: &Csr<M>,
+    a: &Csr<S::Left>,
+    b: &Csr<S::Right>,
+    bt: Option<&Csr<S::Right>>,
+    algo: Algorithm,
+    mode: MaskMode,
+    phases: Phases,
+    opts: &ExecOpts<'_>,
+) -> Result<Csr<S::Out>, Error>
+where
+    S: Semiring,
+    M: Send + Sync,
+{
+    check_dims::<S, M>(mask, a, b, bt)?;
     let complement = mode == MaskMode::Complement;
     if complement && !algo.supports_complement() {
         return Err(Error::Unsupported(
@@ -214,7 +221,7 @@ where
     };
     warm_gather_stream(a, b);
     match algo {
-        Algorithm::Msa => run_push_with::<S, _, M>(
+        Algorithm::Msa => run_kernel::<S, _, M>(
             mask,
             a,
             b,
@@ -223,19 +230,17 @@ where
             &MsaKernel { complement },
             opts,
         ),
-        Algorithm::Hash => run_push_with::<S, _, M>(
+        Algorithm::Hash => run_kernel::<S, _, M>(
             mask,
             a,
             b,
             complement,
             phases,
-            &HashKernel::new(complement),
+            &HashKernel { complement },
             opts,
         ),
-        Algorithm::Mca => {
-            run_push_with::<S, _, M>(mask, a, b, complement, phases, &McaKernel, opts)
-        }
-        Algorithm::Heap => run_push_with::<S, _, M>(
+        Algorithm::Mca => run_kernel::<S, _, M>(mask, a, b, complement, phases, &McaKernel, opts),
+        Algorithm::Heap => run_kernel::<S, _, M>(
             mask,
             a,
             b,
@@ -244,7 +249,7 @@ where
             &HeapKernel::heap(complement),
             opts,
         ),
-        Algorithm::HeapDot => run_push_with::<S, _, M>(
+        Algorithm::HeapDot => run_kernel::<S, _, M>(
             mask,
             a,
             b,
@@ -254,63 +259,23 @@ where
             opts,
         ),
         Algorithm::Inner => {
-            let bt = {
-                let _span = mspgemm_obs::span("transpose");
-                transpose(b)
+            let transposed;
+            let bt = match bt {
+                Some(bt) => bt,
+                None => {
+                    let _span = mspgemm_obs::span("transpose");
+                    transposed = transpose(b);
+                    &transposed
+                }
             };
-            Ok(if complement {
-                inner_masked_mxm_complement::<S, M>(mask.view(), a.view(), bt.view())
-            } else {
-                inner_masked_mxm::<S, M>(mask.view(), a.view(), bt.view(), phases)
-            })
+            let kernel = InnerKernel::new(bt.view(), complement);
+            run_kernel::<S, _, M>(mask, a, b, complement, phases, &kernel, opts)
         }
         Algorithm::Auto => unreachable!("Auto resolved above"),
     }
 }
 
-/// [`masked_mxm`] for [`Algorithm::Inner`] with a caller-provided `Bᵀ`
-/// (`B` in CSC). Lets applications amortize the transpose across calls —
-/// the paper notes SuiteSparse's per-call transpose as an overhead of
-/// `SS:DOT` (§8.4).
-pub fn masked_mxm_with_bt<S, M>(
-    mask: &Csr<M>,
-    a: &Csr<S::Left>,
-    bt: &Csr<S::Right>,
-    mode: MaskMode,
-    phases: Phases,
-) -> Result<Csr<S::Out>, Error>
-where
-    S: Semiring,
-    M: Send + Sync,
-{
-    // bt is B transposed: B is bt.ncols() x bt.nrows().
-    if a.ncols() != bt.ncols() {
-        return Err(Error::DimensionMismatch(format!(
-            "A is {}x{} but Bᵀ is {}x{}",
-            a.nrows(),
-            a.ncols(),
-            bt.nrows(),
-            bt.ncols()
-        )));
-    }
-    if mask.nrows() != a.nrows() || mask.ncols() != bt.nrows() {
-        return Err(Error::DimensionMismatch(format!(
-            "mask is {}x{} but A·B is {}x{}",
-            mask.nrows(),
-            mask.ncols(),
-            a.nrows(),
-            bt.nrows()
-        )));
-    }
-    Ok(match mode {
-        MaskMode::Mask => inner_masked_mxm::<S, M>(mask.view(), a.view(), bt.view(), phases),
-        MaskMode::Complement => {
-            inner_masked_mxm_complement::<S, M>(mask.view(), a.view(), bt.view())
-        }
-    })
-}
-
-/// Prime the head of the push drives' B-row gather stream: the first
+/// Prime the head of the push kernels' B-row gather stream: the first
 /// rows of `B` that row 0 of `A` will fetch are known before any kernel
 /// runs, so their rowptr entries are prefetched here while the executor
 /// pool spins up. The per-iteration prefetches inside the kernels
@@ -335,7 +300,12 @@ fn warm_gather_stream<L, R>(a: &Csr<L>, b: &Csr<R>) {
 ///
 /// Complemented masks never choose `Inner`/`Heap` (the paper's BC results
 /// exclude them as prohibitively slow) — MSA/Hash by width.
-pub fn auto_select<M, L, R>(mask: &Csr<M>, a: &Csr<L>, b: &Csr<R>, complement: bool) -> Algorithm {
+pub(crate) fn auto_select<M, L, R>(
+    mask: &Csr<M>,
+    a: &Csr<L>,
+    b: &Csr<R>,
+    complement: bool,
+) -> Algorithm {
     let nrows = mask.nrows().max(1) as f64;
     let dm = mask.nnz() as f64 / nrows;
     let da = a.nnz() as f64 / a.nrows().max(1) as f64;
@@ -371,40 +341,69 @@ mod tests {
         Csr::from_dense(&d, n)
     }
 
+    /// `C = mode(M) ⊙ (A·B)` under default options.
+    fn mxm(
+        m: &Csr<()>,
+        a: &Csr<i64>,
+        b: &Csr<i64>,
+        algo: Algorithm,
+        mode: MaskMode,
+    ) -> Result<Csr<i64>, Error> {
+        let opts = ExecOpts::default();
+        masked_mxm_with_opts::<PlusTimesI64, ()>(m, a, b, algo, mode, Phases::One, &opts)
+    }
+
     #[test]
     fn dimension_checks() {
         let a = dense(3, 1);
         let b = dense(4, 1);
         let m = dense(3, 1).pattern();
-        let r =
-            masked_mxm::<PlusTimesI64, ()>(&m, &a, &b, Algorithm::Msa, MaskMode::Mask, Phases::One);
+        let r = mxm(&m, &a, &b, Algorithm::Msa, MaskMode::Mask);
         assert!(matches!(r, Err(Error::DimensionMismatch(_))));
 
         let b3 = dense(3, 1);
         let m_wrong = Csr::<()>::empty(2, 3);
-        let r = masked_mxm::<PlusTimesI64, ()>(
-            &m_wrong,
-            &a,
-            &b3,
-            Algorithm::Msa,
-            MaskMode::Mask,
-            Phases::One,
-        );
+        let r = mxm(&m_wrong, &a, &b3, Algorithm::Msa, MaskMode::Mask);
         assert!(matches!(r, Err(Error::DimensionMismatch(_))));
+    }
+
+    #[test]
+    fn supplied_bt_of_the_wrong_shape_is_a_dimension_mismatch() {
+        // B is 3x5, so Bᵀ is 5x3. Anything else must be refused before
+        // the pull kernel indexes it — whatever the algorithm asked for.
+        let a = dense(3, 1);
+        let b = Csr::from_dense(&vec![vec![Some(1i64); 5]; 3], 5);
+        let m = Csr::from_dense(&vec![vec![Some(()); 5]; 3], 5);
+        let opts = ExecOpts::default();
+        let run = |bt: &Csr<i64>, algo| {
+            masked_mxm_with_bt::<PlusTimesI64, ()>(
+                &m,
+                &a,
+                &b,
+                Some(bt),
+                algo,
+                MaskMode::Mask,
+                Phases::One,
+                &opts,
+            )
+        };
+        for algo in [Algorithm::Inner, Algorithm::Msa, Algorithm::Auto] {
+            for bad in [&b, &dense(3, 1), &dense(5, 1)] {
+                let r = run(bad, algo);
+                assert!(matches!(r, Err(Error::DimensionMismatch(_))), "{algo:?}");
+            }
+            assert_eq!(
+                run(&transpose(&b), algo),
+                mxm(&m, &a, &b, algo, MaskMode::Mask)
+            );
+        }
     }
 
     #[test]
     fn mca_complement_rejected() {
         let a = dense(3, 1);
         let m = a.pattern();
-        let r = masked_mxm::<PlusTimesI64, ()>(
-            &m,
-            &a,
-            &a,
-            Algorithm::Mca,
-            MaskMode::Complement,
-            Phases::One,
-        );
+        let r = mxm(&m, &a, &a, Algorithm::Mca, MaskMode::Complement);
         assert_eq!(
             r.unwrap_err(),
             Error::Unsupported("MCA does not support complemented masks (paper §8.4)")
@@ -451,17 +450,23 @@ mod tests {
             deadline: std::time::Instant::now().checked_sub(std::time::Duration::from_secs(1)),
             ..ExecOpts::default()
         };
-        for phases in [Phases::One, Phases::Two] {
-            let r = masked_mxm_with_opts::<PlusTimesI64, ()>(
-                &m,
-                &a,
-                &a,
-                Algorithm::Hash,
-                MaskMode::Mask,
-                phases,
-                &opts,
-            );
-            assert_eq!(r.unwrap_err(), Error::DeadlineExceeded);
+        for algo in Algorithm::ALL {
+            for phases in [Phases::One, Phases::Two] {
+                let r = masked_mxm_with_opts::<PlusTimesI64, ()>(
+                    &m,
+                    &a,
+                    &a,
+                    algo,
+                    MaskMode::Mask,
+                    phases,
+                    &opts,
+                );
+                assert_eq!(
+                    r.unwrap_err(),
+                    Error::DeadlineExceeded,
+                    "{algo:?} {phases:?}"
+                );
+            }
         }
         // No deadline (the default) still completes.
         let r = masked_mxm_with_opts::<PlusTimesI64, ()>(

@@ -19,12 +19,14 @@
 //! Every scheme runs [`Phases::One`] (mask-bounded allocation, no symbolic
 //! pass) or [`Phases::Two`] (symbolic + numeric), with normal or
 //! complemented structural masks — the full 14-variant matrix of the
-//! paper's §8 (MCA×complement excepted, as in the paper).
+//! paper's §8 (MCA×complement excepted, as in the paper) — as a row
+//! kernel on the one [`phases::run_kernel`] driver, so [`ExecOpts`]
+//! (schedule, workspace pool, stats, deadline) govern all six alike.
 //!
 //! ## Quick start
 //!
 //! ```
-//! use masked_spgemm::{masked_mxm, Algorithm, MaskMode, Phases};
+//! use masked_spgemm::{masked_mxm_with_opts, Algorithm, ExecOpts, MaskMode, Phases};
 //! use mspgemm_sparse::{Csr, semiring::PlusTimesF64};
 //!
 //! // A 2x2 all-ones matrix; mask keeps only the diagonal.
@@ -33,8 +35,8 @@
 //!     vec![Some(1.0), Some(1.0)],
 //! ], 2);
 //! let mask = Csr::<f64>::diagonal(2, 1.0);
-//! let c = masked_mxm::<PlusTimesF64, f64>(
-//!     &mask, &a, &a, Algorithm::Msa, MaskMode::Mask, Phases::One,
+//! let c = masked_mxm_with_opts::<PlusTimesF64, f64>(
+//!     &mask, &a, &a, Algorithm::Msa, MaskMode::Mask, Phases::One, &ExecOpts::default(),
 //! ).unwrap();
 //! assert_eq!(c.get(0, 0), Some(&2.0));
 //! assert_eq!(c.get(0, 1), None); // masked out — never computed
@@ -54,8 +56,6 @@ pub mod phases;
 pub mod schedule;
 pub mod simd;
 
-pub use dispatch::{
-    masked_mxm, masked_mxm_with_bt, masked_mxm_with_opts, Algorithm, Error, MaskMode,
-};
+pub use dispatch::{masked_mxm_with_bt, masked_mxm_with_opts, Algorithm, Error, MaskMode};
 pub use phases::Phases;
 pub use schedule::{ExecOpts, ExecStats, ProductCounts, RowSchedule, WsPool};

@@ -1,5 +1,6 @@
-//! One-phase / two-phase execution of the row-parallel push algorithms
-//! (paper §6).
+//! One-phase / two-phase execution of the row-parallel algorithms
+//! (paper §6) — the one driver all six schemes run through, the five push
+//! kernels and the pull-based Inner alike.
 //!
 //! * **Two-phase** first runs a *symbolic* pass computing the exact number
 //!   of output nonzeros per row, allocates the output tightly, then runs
@@ -90,10 +91,11 @@ impl<'a, S: Semiring> RowCtx<'a, S> {
     }
 }
 
-/// A push-based Masked SpGEVM kernel: computes one output row given one
-/// mask row and one `A` row (§5's row-by-row formulation,
-/// `c_i = m_i ⊙ Σ_k a_ik · B_k*`).
-pub trait PushKernel<S: Semiring>: Sync {
+/// A Masked SpGEVM kernel: computes one output row given one mask row and
+/// one `A` row (§5's row-by-row formulation, `c_i = m_i ⊙ Σ_k a_ik · B_k*`).
+/// The push kernels gather rows of [`RowCtx::b`]; the pull kernel
+/// ([`crate::algos::inner::InnerKernel`]) dots against its own `Bᵀ`.
+pub trait RowKernel<S: Semiring>: Sync {
     /// Per-thread reusable scratch (the accumulator). `'static` so it can
     /// be parked in a [`WsPool`] across calls.
     type Ws: Send + 'static;
@@ -223,7 +225,7 @@ fn run_rows<S, K>(
     row: impl Fn(&mut K::Ws, usize) + Sync,
 ) where
     S: Semiring,
-    K: PushKernel<S>,
+    K: RowKernel<S>,
 {
     // ncols-independent workspaces share one shelf across output widths.
     let key_ncols = if kernel.ws_depends_on_ncols() {
@@ -262,7 +264,7 @@ fn run_rows<S, K>(
 ///
 /// Normal mask: the output is a subset of the mask row. Complemented mask:
 /// at most one entry per product (`flops_i`, precomputed once in
-/// [`run_push_with`] and shared with the flop-balanced schedule) and at
+/// [`run_kernel`] and shared with the flop-balanced schedule) and at
 /// most the non-mask columns.
 pub(crate) fn one_phase_bounds<M: Send + Sync>(
     mask: &Csr<M>,
@@ -287,32 +289,14 @@ pub(crate) fn one_phase_bounds<M: Send + Sync>(
     }
 }
 
-/// Run a push kernel over all rows with the chosen phase strategy and
-/// default execution options (guided schedule, no workspace pool).
-pub fn run_push<S, K, M>(
-    mask: &Csr<M>,
-    a: &Csr<S::Left>,
-    b: &Csr<S::Right>,
-    complement: bool,
-    phases: Phases,
-    kernel: &K,
-) -> Csr<S::Out>
-where
-    S: Semiring,
-    K: PushKernel<S>,
-    M: Send + Sync,
-{
-    run_push_with(mask, a, b, complement, phases, kernel, &ExecOpts::default())
-        .expect("default ExecOpts carries no deadline")
-}
-
 /// Whether the options' cancellation deadline has passed.
 fn expired(opts: &ExecOpts<'_>) -> bool {
     opts.deadline.is_some_and(|d| Instant::now() >= d)
 }
 
-/// [`run_push`] with explicit execution options (row schedule, workspace
-/// pool, busy-time stats).
+/// Run a row kernel over all rows with the chosen phase strategy under
+/// the given execution options (row schedule, workspace pool, busy-time
+/// stats, deadline).
 ///
 /// The per-row flop count `flops_i = Σ_{A_ik≠0} nnz(B_k*)` is computed at
 /// most once here and shared between its two consumers: the complemented
@@ -323,7 +307,7 @@ fn expired(opts: &ExecOpts<'_>) -> bool {
 /// phase boundary — before any pass starts, or between the symbolic and
 /// numeric passes of a two-phase run. A drive never aborts mid-pass; the
 /// output, when produced, is always complete.
-pub fn run_push_with<S, K, M>(
+pub fn run_kernel<S, K, M>(
     mask: &Csr<M>,
     a: &Csr<S::Left>,
     b: &Csr<S::Right>,
@@ -334,7 +318,7 @@ pub fn run_push_with<S, K, M>(
 ) -> Result<Csr<S::Out>, Error>
 where
     S: Semiring,
-    K: PushKernel<S>,
+    K: RowKernel<S>,
     M: Send + Sync,
 {
     if expired(opts) {
@@ -376,7 +360,7 @@ fn run_one_phase<S, K, M>(
 ) -> Result<Csr<S::Out>, Error>
 where
     S: Semiring,
-    K: PushKernel<S>,
+    K: RowKernel<S>,
     M: Send + Sync,
 {
     let nrows = mask.nrows();
@@ -442,7 +426,7 @@ fn run_two_phase<S, K, M>(
 ) -> Result<Csr<S::Out>, Error>
 where
     S: Semiring,
-    K: PushKernel<S>,
+    K: RowKernel<S>,
     M: Send + Sync,
 {
     let nrows = mask.nrows();

@@ -1,5 +1,5 @@
 //! Row-scheduling policy, cross-call workspace pooling, and per-thread
-//! busy-time accounting for the row-parallel push drives.
+//! busy-time accounting for the row-parallel drives.
 //!
 //! ## Why scheduling is a policy
 //!
@@ -26,8 +26,8 @@
 //!
 //! ## Workspace pooling
 //!
-//! [`WsPool`] caches accumulator scratch (the `PushKernel::Ws` of each
-//! kernel — hash tables, dense MSA arrays, heaps) across `run_push`
+//! [`WsPool`] caches accumulator scratch (the `RowKernel::Ws` of each
+//! kernel — hash tables, dense MSA arrays, heaps) across `run_kernel`
 //! invocations, keyed by workspace type, kernel configuration tag, and
 //! `ncols`. Iterative applications (k-truss, BC) issue one masked product
 //! per convergence step; with a pool threaded through, steady-state
@@ -187,7 +187,7 @@ fn relock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// Thread-safe: executors `take` a workspace when a drive starts and `put`
 /// it back when the drive ends, so the shelf holds at most one workspace
 /// per executor that ever ran concurrently. After one warmup call, a
-/// steady-state `run_push` driven through the same pool allocates no
+/// steady-state `run_kernel` driven through the same pool allocates no
 /// accumulators at all — every `take` is a hit.
 #[derive(Default)]
 pub struct WsPool {
@@ -367,7 +367,7 @@ impl ExecStats {
     }
 }
 
-/// Execution options for the row-parallel push drives: scheduling policy,
+/// Execution options for the row-parallel drives: scheduling policy,
 /// optional cross-call workspace pool, optional busy-time recorder.
 ///
 /// `Default` is `Guided` scheduling with no pool and no stats — safe for

@@ -3,7 +3,7 @@
 //! which the paper excludes), across semirings, shapes, and thread counts.
 
 use masked_spgemm::baseline;
-use masked_spgemm::{masked_mxm, Algorithm, MaskMode, Phases};
+use masked_spgemm::{masked_mxm_with_opts, Algorithm, ExecOpts, MaskMode, Phases};
 use mspgemm_sparse::semiring::{PlusPairU64, PlusTimesI64, Semiring};
 use mspgemm_sparse::{Csr, Idx};
 use rand::rngs::StdRng;
@@ -74,8 +74,16 @@ fn all_variants() -> Vec<(Algorithm, MaskMode, Phases)> {
 fn check_all(mask: &Csr<()>, a: &Csr<i64>, b: &Csr<i64>, label: &str) {
     for (algo, mode, phases) in all_variants() {
         let want = reference::<PlusTimesI64>(mask, a, b, mode == MaskMode::Complement);
-        let got = masked_mxm::<PlusTimesI64, ()>(mask, a, b, algo, mode, phases)
-            .unwrap_or_else(|e| panic!("{label}: {algo:?}/{mode:?}/{phases:?} errored: {e}"));
+        let got = masked_mxm_with_opts::<PlusTimesI64, ()>(
+            mask,
+            a,
+            b,
+            algo,
+            mode,
+            phases,
+            &ExecOpts::default(),
+        )
+        .unwrap_or_else(|e| panic!("{label}: {algo:?}/{mode:?}/{phases:?} errored: {e}"));
         assert_eq!(
             got, want,
             "{label}: {algo:?}/{mode:?}/{phases:?} diverges from dense reference"
@@ -123,8 +131,16 @@ fn empty_mask_yields_empty_output() {
         .into_iter()
         .filter(|(_, m, _)| *m == MaskMode::Mask)
     {
-        let c =
-            masked_mxm::<PlusTimesI64, ()>(&mask, &a, &a, algo, MaskMode::Mask, phases).unwrap();
+        let c = masked_mxm_with_opts::<PlusTimesI64, ()>(
+            &mask,
+            &a,
+            &a,
+            algo,
+            MaskMode::Mask,
+            phases,
+            &ExecOpts::default(),
+        )
+        .unwrap();
         assert_eq!(c.nnz(), 0, "{algo:?}");
     }
 }
@@ -143,9 +159,16 @@ fn empty_mask_complement_is_full_product() {
         Algorithm::Inner,
     ] {
         for phases in [Phases::One, Phases::Two] {
-            let c =
-                masked_mxm::<PlusTimesI64, ()>(&mask, &a, &a, algo, MaskMode::Complement, phases)
-                    .unwrap();
+            let c = masked_mxm_with_opts::<PlusTimesI64, ()>(
+                &mask,
+                &a,
+                &a,
+                algo,
+                MaskMode::Complement,
+                phases,
+                &ExecOpts::default(),
+            )
+            .unwrap();
             assert_eq!(c, want, "{algo:?}/{phases:?}");
         }
     }
@@ -162,8 +185,16 @@ fn full_mask_equals_unmasked_product() {
         .into_iter()
         .filter(|(_, m, _)| *m == MaskMode::Mask)
     {
-        let c =
-            masked_mxm::<PlusTimesI64, ()>(&mask, &a, &a, algo, MaskMode::Mask, phases).unwrap();
+        let c = masked_mxm_with_opts::<PlusTimesI64, ()>(
+            &mask,
+            &a,
+            &a,
+            algo,
+            MaskMode::Mask,
+            phases,
+            &ExecOpts::default(),
+        )
+        .unwrap();
         assert_eq!(c, want, "{algo:?}/{phases:?}");
     }
 }
@@ -214,8 +245,16 @@ fn structural_zeros_are_kept() {
         .into_iter()
         .filter(|(_, m, _)| *m == MaskMode::Mask)
     {
-        let c =
-            masked_mxm::<PlusTimesI64, ()>(&mask, &a, &b, algo, MaskMode::Mask, phases).unwrap();
+        let c = masked_mxm_with_opts::<PlusTimesI64, ()>(
+            &mask,
+            &a,
+            &b,
+            algo,
+            MaskMode::Mask,
+            phases,
+            &ExecOpts::default(),
+        )
+        .unwrap();
         assert_eq!(
             c.nnz(),
             1,
@@ -233,8 +272,16 @@ fn plus_pair_semiring_counts_structural_hits() {
     let mask = random_csr(18, 18, 0.5, &mut rng).pattern();
     let want = reference::<PlusPairU64>(&mask, &a, &a, false);
     for algo in Algorithm::ALL {
-        let got = masked_mxm::<PlusPairU64, ()>(&mask, &a, &a, algo, MaskMode::Mask, Phases::One)
-            .unwrap();
+        let got = masked_mxm_with_opts::<PlusPairU64, ()>(
+            &mask,
+            &a,
+            &a,
+            algo,
+            MaskMode::Mask,
+            Phases::One,
+            &ExecOpts::default(),
+        )
+        .unwrap();
         assert_eq!(got, want, "{algo:?}");
     }
 }
@@ -247,7 +294,16 @@ fn results_independent_of_thread_count() {
     let baseline: Vec<Csr<i64>> = all_variants()
         .iter()
         .map(|&(algo, mode, phases)| {
-            masked_mxm::<PlusTimesI64, ()>(&mask, &a, &a, algo, mode, phases).unwrap()
+            masked_mxm_with_opts::<PlusTimesI64, ()>(
+                &mask,
+                &a,
+                &a,
+                algo,
+                mode,
+                phases,
+                &ExecOpts::default(),
+            )
+            .unwrap()
         })
         .collect();
     for threads in [1usize, 2, 7] {
@@ -257,8 +313,16 @@ fn results_independent_of_thread_count() {
             .unwrap();
         pool.install(|| {
             for (&(algo, mode, phases), want) in all_variants().iter().zip(&baseline) {
-                let got =
-                    masked_mxm::<PlusTimesI64, ()>(&mask, &a, &a, algo, mode, phases).unwrap();
+                let got = masked_mxm_with_opts::<PlusTimesI64, ()>(
+                    &mask,
+                    &a,
+                    &a,
+                    algo,
+                    mode,
+                    phases,
+                    &ExecOpts::default(),
+                )
+                .unwrap();
                 assert_eq!(
                     &got, want,
                     "{algo:?}/{mode:?}/{phases:?} with {threads} threads"
@@ -275,13 +339,14 @@ fn auto_matches_explicit_algorithms() {
         let a = random_csr(30, 30, da, &mut rng);
         let mask = random_csr(30, 30, dm, &mut rng).pattern();
         let want = reference::<PlusTimesI64>(&mask, &a, &a, false);
-        let got = masked_mxm::<PlusTimesI64, ()>(
+        let got = masked_mxm_with_opts::<PlusTimesI64, ()>(
             &mask,
             &a,
             &a,
             Algorithm::Auto,
             MaskMode::Mask,
             Phases::One,
+            &ExecOpts::default(),
         )
         .unwrap();
         assert_eq!(got, want, "Auto da={da} dm={dm}");
@@ -322,16 +387,21 @@ fn masked_mxm_with_bt_matches() {
     let mask = random_csr(20, 17, 0.4, &mut rng).pattern();
     let bt = mspgemm_sparse::transpose(&b);
     for mode in [MaskMode::Mask, MaskMode::Complement] {
-        let via_bt = masked_spgemm::masked_mxm_with_bt::<PlusTimesI64, ()>(
-            &mask,
-            &a,
-            &bt,
-            mode,
-            Phases::Two,
-        )
-        .unwrap();
         let want = reference::<PlusTimesI64>(&mask, &a, &b, mode == MaskMode::Complement);
-        assert_eq!(via_bt, want, "{mode:?}");
+        for phases in [Phases::One, Phases::Two] {
+            let via_bt = masked_spgemm::masked_mxm_with_bt::<PlusTimesI64, ()>(
+                &mask,
+                &a,
+                &b,
+                Some(&bt),
+                Algorithm::Inner,
+                mode,
+                phases,
+                &ExecOpts::default(),
+            )
+            .unwrap();
+            assert_eq!(via_bt, want, "{mode:?} {phases:?}");
+        }
     }
 }
 

@@ -3,7 +3,8 @@
 //! when cursors are admitted to the heap).
 
 use masked_spgemm::algos::heap::{HeapKernel, INSPECT_FULL};
-use masked_spgemm::phases::{run_push, Phases};
+use masked_spgemm::phases::{run_kernel, Phases};
+use masked_spgemm::ExecOpts;
 use mspgemm_sparse::semiring::PlusTimesI64;
 use mspgemm_sparse::Csr;
 use rand::rngs::StdRng;
@@ -35,7 +36,9 @@ fn ninspect_variants_agree_small_exhaustive() {
                     n_inspect: ni,
                     complement: false,
                 };
-                run_push::<PlusTimesI64, _, ()>(&mask, &a, &b, false, Phases::One, &kernel)
+                let opts = ExecOpts::default();
+                run_kernel::<PlusTimesI64, _, ()>(&mask, &a, &b, false, Phases::One, &kernel, &opts)
+                    .unwrap()
             })
             .collect();
         assert_eq!(

@@ -6,7 +6,7 @@
 use masked_spgemm::accumulator::hash::HashAccum;
 use masked_spgemm::accumulator::msa::Msa;
 use masked_spgemm::accumulator::Accumulator;
-use masked_spgemm::{masked_mxm, Algorithm, MaskMode, Phases};
+use masked_spgemm::{masked_mxm_with_opts, Algorithm, ExecOpts, MaskMode, Phases};
 use mspgemm_sparse::semiring::{PlusTimesI64, Semiring};
 use mspgemm_sparse::{Csr, Idx};
 use proptest::prelude::*;
@@ -156,7 +156,7 @@ proptest! {
                 }
                 for phases in [Phases::One, Phases::Two] {
                     let want = reference(&mask, &a, &b, mode == MaskMode::Complement);
-                    let got = masked_mxm::<PlusTimesI64, ()>(&mask, &a, &b, algo, mode, phases).unwrap();
+                    let got = masked_mxm_with_opts::<PlusTimesI64, ()>(&mask, &a, &b, algo, mode, phases, &ExecOpts::default()).unwrap();
                     prop_assert_eq!(&got, &want, "{:?}/{:?}/{:?}", algo, mode, phases);
                 }
             }
@@ -171,8 +171,8 @@ proptest! {
     ) {
         let mask = mask.pattern();
         for algo in Algorithm::ALL {
-            let one = masked_mxm::<PlusTimesI64, ()>(&mask, &a, &b, algo, MaskMode::Mask, Phases::One).unwrap();
-            let two = masked_mxm::<PlusTimesI64, ()>(&mask, &a, &b, algo, MaskMode::Mask, Phases::Two).unwrap();
+            let one = masked_mxm_with_opts::<PlusTimesI64, ()>(&mask, &a, &b, algo, MaskMode::Mask, Phases::One, &ExecOpts::default()).unwrap();
+            let two = masked_mxm_with_opts::<PlusTimesI64, ()>(&mask, &a, &b, algo, MaskMode::Mask, Phases::Two, &ExecOpts::default()).unwrap();
             prop_assert_eq!(&one, &two, "{:?}", algo);
         }
     }
@@ -183,11 +183,11 @@ proptest! {
         mask in csr_strategy(10, 10, 0.3),
     ) {
         let mask = mask.pattern();
-        let c = masked_mxm::<PlusTimesI64, ()>(&mask, &a, &a, Algorithm::Msa, MaskMode::Mask, Phases::One).unwrap();
+        let c = masked_mxm_with_opts::<PlusTimesI64, ()>(&mask, &a, &a, Algorithm::Msa, MaskMode::Mask, Phases::One, &ExecOpts::default()).unwrap();
         for (i, j, _) in c.iter() {
             prop_assert!(mask.get(i, j).is_some(), "({},{}) escaped the mask", i, j);
         }
-        let cc = masked_mxm::<PlusTimesI64, ()>(&mask, &a, &a, Algorithm::Msa, MaskMode::Complement, Phases::One).unwrap();
+        let cc = masked_mxm_with_opts::<PlusTimesI64, ()>(&mask, &a, &a, Algorithm::Msa, MaskMode::Complement, Phases::One, &ExecOpts::default()).unwrap();
         for (i, j, _) in cc.iter() {
             prop_assert!(mask.get(i, j).is_none(), "({},{}) violated the complement", i, j);
         }
@@ -200,7 +200,7 @@ proptest! {
     ) {
         let mask = mask.pattern();
         for algo in Algorithm::ALL {
-            let c = masked_mxm::<PlusTimesI64, ()>(&mask, &a, &a, algo, MaskMode::Mask, Phases::One).unwrap();
+            let c = masked_mxm_with_opts::<PlusTimesI64, ()>(&mask, &a, &a, algo, MaskMode::Mask, Phases::One, &ExecOpts::default()).unwrap();
             for i in 0..c.nrows() {
                 let cols = c.row_cols(i);
                 prop_assert!(cols.windows(2).all(|w| w[0] < w[1]), "{:?} row {} unsorted", algo, i);
@@ -216,8 +216,8 @@ proptest! {
         // nnz(M⊙AB) + nnz(¬M⊙AB) == nnz(AB)
         let mask = mask.pattern();
         let full = masked_spgemm::baseline::spgemm::<PlusTimesI64>(&a, &a);
-        let kept = masked_mxm::<PlusTimesI64, ()>(&mask, &a, &a, Algorithm::Hash, MaskMode::Mask, Phases::Two).unwrap();
-        let dropped = masked_mxm::<PlusTimesI64, ()>(&mask, &a, &a, Algorithm::Hash, MaskMode::Complement, Phases::Two).unwrap();
+        let kept = masked_mxm_with_opts::<PlusTimesI64, ()>(&mask, &a, &a, Algorithm::Hash, MaskMode::Mask, Phases::Two, &ExecOpts::default()).unwrap();
+        let dropped = masked_mxm_with_opts::<PlusTimesI64, ()>(&mask, &a, &a, Algorithm::Hash, MaskMode::Complement, Phases::Two, &ExecOpts::default()).unwrap();
         prop_assert_eq!(kept.nnz() + dropped.nnz(), full.nnz());
     }
 }

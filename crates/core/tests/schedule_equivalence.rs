@@ -7,8 +7,7 @@
 //! accumulator allocation (every take a hit).
 
 use masked_spgemm::{
-    masked_mxm, masked_mxm_with_opts, Algorithm, ExecOpts, ExecStats, MaskMode, Phases,
-    RowSchedule, WsPool,
+    masked_mxm_with_opts, Algorithm, ExecOpts, ExecStats, MaskMode, Phases, RowSchedule, WsPool,
 };
 use mspgemm_sparse::semiring::PlusTimesI64;
 use mspgemm_sparse::{Coo, Csr};
@@ -38,12 +37,9 @@ fn single_heavy_row(n: usize) -> Csr<i64> {
 }
 
 /// Every (algorithm × mode × phases) combination the dispatcher accepts.
-fn all_push_combos() -> Vec<(Algorithm, MaskMode, Phases)> {
+fn all_combos() -> Vec<(Algorithm, MaskMode, Phases)> {
     let mut combos = Vec::new();
     for algo in Algorithm::ALL {
-        if algo == Algorithm::Inner {
-            continue; // pull path: no row-push schedule to vary
-        }
         for mode in [MaskMode::Mask, MaskMode::Complement] {
             if mode == MaskMode::Complement && !algo.supports_complement() {
                 continue;
@@ -86,7 +82,7 @@ fn schedules_identical_on_single_heavy_row() {
         .build()
         .unwrap();
     let one = single_chunk_pool();
-    for combo in all_push_combos() {
+    for combo in all_combos() {
         let baseline = one.install(|| run_sched(&mask, &a, combo, &ExecOpts::default()));
         pool.install(|| {
             for sched in RowSchedule::ALL {
@@ -101,19 +97,34 @@ fn schedules_identical_on_single_heavy_row() {
 fn schedules_identical_across_thread_counts() {
     let a = single_heavy_row(200);
     let mask = a.pattern();
-    let combo = (Algorithm::Hash, MaskMode::Complement, Phases::One);
-    let reference = run_sched(&mask, &a, combo, &ExecOpts::default());
-    for threads in [1usize, 2, 3, 8] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
-        pool.install(|| {
-            for sched in RowSchedule::ALL {
-                let got = run_sched(&mask, &a, combo, &ExecOpts::with_schedule(sched));
-                assert_eq!(got, reference, "{}@{threads} threads", sched.name());
-            }
-        });
+    // One push combo, and the pull kernel in every mode × phases: it rides
+    // the same drive, so neither the schedule nor the pool may show.
+    let mut combos = vec![(Algorithm::Hash, MaskMode::Complement, Phases::One)];
+    combos.extend(all_combos().into_iter().filter(|c| c.0 == Algorithm::Inner));
+    let one = single_chunk_pool();
+    for combo in combos {
+        let reference = one.install(|| run_sched(&mask, &a, combo, &ExecOpts::default()));
+        for threads in [1usize, 2, 3, 4, 8] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let ws_pool = WsPool::new();
+            pool.install(|| {
+                for sched in RowSchedule::ALL {
+                    let unpooled = ExecOpts::with_schedule(sched);
+                    let pooled = ExecOpts {
+                        ws_pool: Some(&ws_pool),
+                        ..unpooled
+                    };
+                    for opts in [&unpooled, &pooled] {
+                        let got = run_sched(&mask, &a, combo, opts);
+                        let label = sched.name();
+                        assert_eq!(got, reference, "{combo:?} {label}@{threads} threads");
+                    }
+                }
+            });
+        }
     }
 }
 
@@ -175,7 +186,7 @@ fn ws_pool_is_safe_across_kernels_and_modes() {
         deadline: None,
     };
     for round in 0..3 {
-        for combo in all_push_combos() {
+        for combo in all_combos() {
             let want = run_sched(&mask, &a, combo, &ExecOpts::default());
             let got = run_sched(&mask, &a, combo, &opts);
             assert_eq!(got, want, "round {round}: {combo:?} corrupted by pooling");
@@ -240,7 +251,7 @@ fn exec_stats_record_busy_time() {
         &opts,
     );
     let busy = stats.busy_seconds();
-    assert!(!busy.is_empty(), "push drive must record busy time");
+    assert!(!busy.is_empty(), "the row drive must record busy time");
     assert!(busy.iter().all(|&s| s >= 0.0));
     stats.reset();
     assert!(stats.busy_seconds().is_empty());
@@ -260,12 +271,8 @@ proptest! {
         let mask = mask.pattern();
         let shared_pool = WsPool::new();
         let one = single_chunk_pool();
-        for combo in all_push_combos() {
+        for combo in all_combos() {
             let baseline = one.install(|| run_sched(&mask, &a, combo, &ExecOpts::default()));
-            // Sanity: the default entry point agrees too.
-            let (algo, mode, phases) = combo;
-            let plain = masked_mxm::<PlusTimesI64, ()>(&mask, &a, &a, algo, mode, phases).unwrap();
-            prop_assert_eq!(&plain, &baseline);
             for sched in RowSchedule::ALL {
                 let unpooled = run_sched(&mask, &a, combo, &ExecOpts::with_schedule(sched));
                 prop_assert_eq!(&unpooled, &baseline, "{:?} under {}", combo, sched.name());

@@ -63,22 +63,11 @@ pub struct BcResult {
     pub depth: usize,
 }
 
-/// Batched Brandes BC from `sources` (one batch row per source).
-///
-/// A local [`WsPool`] spans the forward and backward sweeps, so each
-/// masked product after the first reuses accumulator scratch instead of
-/// reallocating it per BFS level.
-pub fn betweenness(adj: &Csr<f64>, sources: &[usize], scheme: Scheme) -> BcResult {
-    let pool = WsPool::new();
-    let opts = ExecOpts {
-        ws_pool: Some(&pool),
-        ..ExecOpts::default()
-    };
-    betweenness_with(adj, sources, scheme, &opts)
-}
-
-/// [`betweenness`] with explicit execution options applied to every
-/// forward- and backward-sweep masked product.
+/// Batched Brandes BC from `sources` (one batch row per source); `opts`
+/// apply to every forward- and backward-sweep masked product. Without a
+/// [`WsPool`] in `opts`, a local one spans both sweeps, so each product
+/// after the first reuses accumulator scratch instead of reallocating it
+/// per BFS level.
 ///
 /// # Panics
 /// If `adj` is not square, `scheme` cannot run a complemented mask, or a
@@ -89,6 +78,11 @@ pub fn betweenness_with(
     scheme: Scheme,
     opts: &ExecOpts<'_>,
 ) -> BcResult {
+    let local = WsPool::new();
+    let opts = &ExecOpts {
+        ws_pool: opts.ws_pool.or(Some(&local)),
+        ..*opts
+    };
     assert_eq!(adj.nrows(), adj.ncols(), "adjacency must be square");
     assert!(
         scheme.supports_complement(),
@@ -234,6 +228,11 @@ mod tests {
     use mspgemm_sparse::Coo;
     use std::collections::VecDeque;
 
+    /// BC under default execution options.
+    fn run_bc(adj: &Csr<f64>, sources: &[usize], scheme: Scheme) -> BcResult {
+        betweenness_with(adj, sources, scheme, &ExecOpts::default())
+    }
+
     fn graph_from_edges(n: usize, edges: &[(u32, u32)]) -> Csr<f64> {
         let mut coo = Coo::new(n, n);
         for &(u, v) in edges {
@@ -299,7 +298,7 @@ mod tests {
         // P4: inner vertices each lie on 4 ordered shortest paths.
         let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let sources: Vec<usize> = (0..4).collect();
-        let r = betweenness(&g, &sources, Scheme::Ours(Algorithm::Msa, Phases::One));
+        let r = run_bc(&g, &sources, Scheme::Ours(Algorithm::Msa, Phases::One));
         assert_close(&r.scores, &[0.0, 4.0, 4.0, 0.0], "P4");
         assert_eq!(r.depth, 4, "P4 BFS from endpoints reaches depth 3");
     }
@@ -309,7 +308,7 @@ mod tests {
         // Star K1,4: hub on every pair of leaves: (n-1)(n-2) = 12 ordered.
         let g = graph_from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
         let sources: Vec<usize> = (0..5).collect();
-        let r = betweenness(&g, &sources, Scheme::Ours(Algorithm::Hash, Phases::One));
+        let r = run_bc(&g, &sources, Scheme::Ours(Algorithm::Hash, Phases::One));
         assert_close(&r.scores, &[12.0, 0.0, 0.0, 0.0, 0.0], "star");
     }
 
@@ -320,7 +319,7 @@ mod tests {
         let g = graph_from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
         let sources: Vec<usize> = (0..4).collect();
         let want = brandes_reference(&g, &sources);
-        let r = betweenness(&g, &sources, Scheme::Ours(Algorithm::Msa, Phases::Two));
+        let r = run_bc(&g, &sources, Scheme::Ours(Algorithm::Msa, Phases::Two));
         assert_close(&r.scores, &want, "diamond");
         assert!((r.scores[1] - 1.0).abs() < 1e-9, "split dependency");
     }
@@ -330,7 +329,7 @@ mod tests {
         let g = mspgemm_gen::er_symmetric(120, 6, 31);
         let sources: Vec<usize> = (0..20).map(|i| i * 5).collect();
         let want = brandes_reference(&g, &sources);
-        let r = betweenness(&g, &sources, Scheme::Ours(Algorithm::Msa, Phases::One));
+        let r = run_bc(&g, &sources, Scheme::Ours(Algorithm::Msa, Phases::One));
         assert_close(&r.scores, &want, "er batch");
     }
 
@@ -340,7 +339,7 @@ mod tests {
         let g = graph_from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
         let sources = vec![0, 3];
         let want = brandes_reference(&g, &sources);
-        let r = betweenness(&g, &sources, Scheme::Ours(Algorithm::Hash, Phases::Two));
+        let r = run_bc(&g, &sources, Scheme::Ours(Algorithm::Hash, Phases::Two));
         assert_close(&r.scores, &want, "disconnected");
     }
 
@@ -358,7 +357,7 @@ mod tests {
             Scheme::SsSaxpy,
         ];
         for s in schemes {
-            let r = betweenness(&g, &sources, s);
+            let r = run_bc(&g, &sources, s);
             assert_close(&r.scores, &want, &s.name());
         }
     }
@@ -375,7 +374,7 @@ mod tests {
             Scheme::Ours(Algorithm::Inner, Phases::One),
             Scheme::SsDot,
         ] {
-            let r = betweenness(&g, &sources, s);
+            let r = run_bc(&g, &sources, s);
             assert_close(&r.scores, &want, &s.name());
         }
     }
@@ -411,7 +410,7 @@ mod tests {
     #[test]
     fn empty_sources_gives_zero_scores() {
         let g = graph_from_edges(3, &[(0, 1), (1, 2)]);
-        let r = betweenness(&g, &[], Scheme::Ours(Algorithm::Msa, Phases::One));
+        let r = run_bc(&g, &[], Scheme::Ours(Algorithm::Msa, Phases::One));
         assert!(r.scores.iter().all(|&x| x == 0.0));
     }
 
@@ -433,7 +432,7 @@ mod tests {
                 Scheme::Ours(Algorithm::Hash, Phases::Two),
                 Scheme::SsSaxpy,
             ] {
-                let r = betweenness(&g, &sources, s);
+                let r = run_bc(&g, &sources, s);
                 assert_close(&r.scores, &want, &format!("{label} {}", s.name()));
             }
         }
@@ -443,7 +442,7 @@ mod tests {
     fn source_without_out_edges_stops_at_level_zero() {
         // Directed 1 → 0 only: nothing is reachable from 0.
         let g = Csr::from_dense(&[vec![None, None], vec![Some(1.0), None]], 2);
-        let r = betweenness(&g, &[0], MSA_1P);
+        let r = run_bc(&g, &[0], MSA_1P);
         assert_eq!(r.depth, 1);
         assert_eq!(r.scores, vec![0.0, 0.0]);
     }
@@ -455,7 +454,7 @@ mod tests {
         // exactly one backward product.
         let g = graph_from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
         for (sources, depth) in [(vec![0], 2), (vec![3], 3), (vec![0, 3], 3)] {
-            let r = betweenness(&g, &sources, MSA_1P);
+            let r = run_bc(&g, &sources, MSA_1P);
             assert_eq!(r.depth, depth, "sources {sources:?}");
             assert_close(&r.scores, &brandes_reference(&g, &sources), "star");
         }
@@ -466,7 +465,7 @@ mod tests {
         let g = mspgemm_gen::er_symmetric(60, 5, 17);
         let sources = vec![4, 9, 4, 4, 30, 9];
         let want = brandes_reference(&g, &sources);
-        let r = betweenness(&g, &sources, Scheme::Ours(Algorithm::Hash, Phases::One));
+        let r = run_bc(&g, &sources, Scheme::Ours(Algorithm::Hash, Phases::One));
         assert_close(&r.scores, &want, "duplicate sources");
     }
 
@@ -477,7 +476,7 @@ mod tests {
         let g = graph_from_edges(7, &[(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6)]);
         let sources = vec![0, 1, 2, 3];
         let want = brandes_reference(&g, &sources);
-        let r = betweenness(&g, &sources, MSA_1P);
+        let r = run_bc(&g, &sources, MSA_1P);
         assert_close(&r.scores, &want, "whole component");
         assert_eq!(&r.scores[4..], &[0.0, 0.0, 0.0]);
     }
@@ -486,7 +485,7 @@ mod tests {
     #[should_panic(expected = "BC source 9 is out of range: the graph has 4 vertices")]
     fn out_of_range_source_is_named() {
         let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        betweenness(&g, &[1, 9], MSA_1P);
+        run_bc(&g, &[1, 9], MSA_1P);
     }
 
     #[test]
@@ -495,8 +494,8 @@ mod tests {
         let g = mspgemm_gen::rmat_symmetric(8, mspgemm_gen::RmatParams::default(), 21);
         let sources: Vec<usize> = (0..16).collect();
         let bits = |r: BcResult| r.scores.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let want = bits(betweenness(&g, &sources, MSA_1P));
-        assert_eq!(bits(betweenness(&g, &sources, MSA_1P)), want, "second call");
+        let want = bits(run_bc(&g, &sources, MSA_1P));
+        assert_eq!(bits(run_bc(&g, &sources, MSA_1P)), want, "second call");
         for threads in [1usize, 2, 4] {
             let workers = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)

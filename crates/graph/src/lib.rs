@@ -23,7 +23,7 @@ pub mod scheme;
 pub mod tricount;
 
 pub use app::App;
-pub use bc::{betweenness, BcResult};
-pub use ktruss::{k_truss, KtrussResult};
+pub use bc::{betweenness_with, BcResult};
+pub use ktruss::{k_truss_with, KtrussResult};
 pub use scheme::Scheme;
 pub use tricount::{triangle_count, TcResult};

@@ -1,11 +1,7 @@
 //! The evaluation "schemes" of §8: our 12 algorithm variants
 //! (6 algorithms × 1P/2P) plus the two SuiteSparse-modelled baselines.
 
-use masked_spgemm::dispatch::auto_select;
-use masked_spgemm::{
-    baseline, masked_mxm, masked_mxm_with_bt, masked_mxm_with_opts, Algorithm, ExecOpts, MaskMode,
-    Phases,
-};
+use masked_spgemm::{baseline, masked_mxm_with_bt, Algorithm, ExecOpts, MaskMode, Phases};
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::Csr;
 
@@ -61,30 +57,17 @@ impl Scheme {
         }
     }
 
-    /// Execute the masked product. `bt` (`Bᵀ` in CSR) amortizes the
-    /// transpose for [`Algorithm::Inner`] — also when [`Algorithm::Auto`]
-    /// resolves to it — mirroring the paper's Inner setup; `SS:DOT`
-    /// ignores it and re-transposes internally, mirroring
-    /// the library behaviour called out in §8.4.
-    pub fn run<S, M>(
-        &self,
-        mask: &Csr<M>,
-        a: &Csr<S::Left>,
-        b: &Csr<S::Right>,
-        bt: Option<&Csr<S::Right>>,
-        mode: MaskMode,
-    ) -> Csr<S::Out>
-    where
-        S: Semiring,
-        M: Send + Sync,
-    {
-        self.run_with::<S, M>(mask, a, b, bt, mode, &ExecOpts::default())
-    }
-
-    /// [`Scheme::run`] with explicit execution options (row schedule,
-    /// cross-call workspace pool, busy-time stats). The options govern our
-    /// push schemes; the pull-based Inner path and the SuiteSparse-style
-    /// baselines ignore them, mirroring what the libraries expose.
+    /// Execute the masked product under `opts` (row schedule, workspace
+    /// pool, busy-time stats, deadline): they govern all of our schemes;
+    /// the SuiteSparse-style baselines ignore them, mirroring what the
+    /// libraries expose. `bt` (`Bᵀ` in CSR) amortizes the transpose
+    /// whenever our pull kernel runs — named, or picked by `Auto` —
+    /// mirroring the paper's Inner setup; `SS:DOT` ignores it and
+    /// re-transposes internally, the library behaviour §8.4 calls out.
+    ///
+    /// # Panics
+    /// On what the dispatch rejects: mismatched shapes, MCA under a
+    /// complemented mask, an expired [`ExecOpts::deadline`].
     pub fn run_with<S, M>(
         &self,
         mask: &Csr<M>,
@@ -98,25 +81,9 @@ impl Scheme {
         S: Semiring,
         M: Send + Sync,
     {
-        // Resolve `Auto` here, not inside `masked_mxm_with_opts`: when it
-        // picks Inner the caller's `bt` must reach the pull kernel instead
-        // of `b` being transposed again per call.
-        let scheme = match *self {
-            Scheme::Ours(Algorithm::Auto, phases) => Scheme::Ours(
-                auto_select(mask, a, b, mode == MaskMode::Complement),
-                phases,
-            ),
-            other => other,
-        };
-        match scheme {
-            Scheme::Ours(Algorithm::Inner, phases) => match bt {
-                Some(bt) => masked_mxm_with_bt::<S, M>(mask, a, bt, mode, phases)
-                    .expect("inner masked mxm failed"),
-                None => masked_mxm::<S, M>(mask, a, b, Algorithm::Inner, mode, phases)
-                    .expect("inner masked mxm failed"),
-            },
+        match *self {
             Scheme::Ours(algo, phases) => {
-                masked_mxm_with_opts::<S, M>(mask, a, b, algo, mode, phases, opts)
+                masked_mxm_with_bt::<S, M>(mask, a, b, bt, algo, mode, phases, opts)
                     .expect("masked mxm failed")
             }
             Scheme::SsSaxpy => baseline::ss_saxpy_like::<S, M>(mask, a, b, mode),
@@ -203,20 +170,31 @@ mod tests {
         md[3][5] = Some(());
         let mask = Csr::from_dense(&md, n);
         let auto = Scheme::Ours(Algorithm::Auto, Phases::One);
-        let with_bt =
-            auto.run::<PlusTimesI64, ()>(&mask, &ones, &ones, Some(&twos), MaskMode::Mask);
+        let opts = ExecOpts::default();
+        let with_bt = auto.run_with::<PlusTimesI64, ()>(
+            &mask,
+            &ones,
+            &ones,
+            Some(&twos),
+            MaskMode::Mask,
+            &opts,
+        );
         let want = masked_mxm_with_bt::<PlusTimesI64, ()>(
             &mask,
             &ones,
-            &twos,
+            &ones,
+            Some(&twos),
+            Algorithm::Inner,
             MaskMode::Mask,
             Phases::One,
+            &opts,
         )
         .unwrap();
         assert_eq!(with_bt, want);
         assert_eq!(with_bt.get(3, 5), Some(&(2 * n as i64)));
         // Without a `bt` the same call is the product with `b`.
-        let without = auto.run::<PlusTimesI64, ()>(&mask, &ones, &ones, None, MaskMode::Mask);
+        let without =
+            auto.run_with::<PlusTimesI64, ()>(&mask, &ones, &ones, None, MaskMode::Mask, &opts);
         assert_eq!(without.get(3, 5), Some(&(n as i64)));
     }
 

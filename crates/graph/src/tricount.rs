@@ -6,14 +6,14 @@
 use crate::scheme::Scheme;
 use masked_spgemm::{ExecOpts, MaskMode};
 use mspgemm_sparse::ops::permute::{degree_descending_permutation, permute_symmetric};
-use mspgemm_sparse::ops::reduce::{reduce_all, reduce_rows};
+use mspgemm_sparse::ops::reduce::reduce_rows;
 use mspgemm_sparse::ops::select::tril_strict;
 use mspgemm_sparse::semiring::PlusPairU64;
 use mspgemm_sparse::{transpose, Csr, Idx};
 use std::time::Instant;
 
 /// The prepared operand: relabeled strictly-lower-triangular pattern, plus
-/// its transpose for the pull-based schemes.
+/// its transpose for the pull-based scheme.
 pub struct TcOperands {
     /// `L`: strict lower triangle after degree-descending relabeling.
     pub l: Csr<()>,
@@ -61,36 +61,37 @@ pub struct TcResult {
     pub flops: u64,
 }
 
-/// Count triangles with the given scheme on prepared operands.
-pub fn count_prepared(ops: &TcOperands, scheme: Scheme) -> TcResult {
-    count_prepared_with(ops, scheme, &ExecOpts::default())
+/// Convenience: prepare + count + reduce, under default execution options.
+pub fn triangle_count(adj: &Csr<f64>, scheme: Scheme) -> TcResult {
+    let ops = prepare(adj);
+    let (rows, mxm_seconds) = count_prepared_rows_with(&ops, scheme, &ExecOpts::default());
+    TcResult {
+        triangles: rows.iter().sum(),
+        mxm_seconds,
+        flops: ops.flops,
+    }
 }
 
-/// [`count_prepared`] with explicit execution options, so sweeps can pin a
-/// row schedule and amortize accumulator scratch across repetitions
-/// through a shared [`masked_spgemm::WsPool`].
-pub fn count_prepared_with(ops: &TcOperands, scheme: Scheme, opts: &ExecOpts<'_>) -> TcResult {
+/// Row sums of `mask ⊙ (L·L)` plus the seconds of that one masked SpGEMM
+/// — the pass behind both the full count (`mask = L`) and the incremental
+/// recount (`mask = L` restricted to the affected rows).
+fn masked_rows(
+    ops: &TcOperands,
+    mask: &Csr<()>,
+    scheme: Scheme,
+    opts: &ExecOpts<'_>,
+) -> (Vec<u64>, f64) {
     let t0 = Instant::now();
     let c = scheme.run_with::<PlusPairU64, ()>(
-        &ops.l,
+        mask,
         &ops.l,
         &ops.l,
         Some(&ops.lt),
         MaskMode::Mask,
         opts,
     );
-    let mxm_seconds = t0.elapsed().as_secs_f64();
-    let triangles = reduce_all(&c, 0u64, |acc, v| acc + v, |x, y| x + y);
-    TcResult {
-        triangles,
-        mxm_seconds,
-        flops: ops.flops,
-    }
-}
-
-/// Convenience: prepare + count.
-pub fn triangle_count(adj: &Csr<f64>, scheme: Scheme) -> TcResult {
-    count_prepared(&prepare(adj), scheme)
+    let secs = t0.elapsed().as_secs_f64();
+    (reduce_rows(&c, 0u64, |acc, v| acc + v), secs)
 }
 
 /// Per-row triangle counts (row `i` = triangles whose largest-labeled
@@ -102,17 +103,7 @@ pub fn count_prepared_rows_with(
     scheme: Scheme,
     opts: &ExecOpts<'_>,
 ) -> (Vec<u64>, f64) {
-    let t0 = Instant::now();
-    let c = scheme.run_with::<PlusPairU64, ()>(
-        &ops.l,
-        &ops.l,
-        &ops.l,
-        Some(&ops.lt),
-        MaskMode::Mask,
-        opts,
-    );
-    let secs = t0.elapsed().as_secs_f64();
-    (reduce_rows(&c, 0u64, |acc, v| acc + v), secs)
+    masked_rows(ops, &ops.l, scheme, opts)
 }
 
 /// `L` restricted to the given (sorted, deduplicated) rows; every other
@@ -144,18 +135,7 @@ pub fn recount_rows_with(
     scheme: Scheme,
     opts: &ExecOpts<'_>,
 ) -> (Vec<u64>, f64) {
-    let mask = row_subset(&ops.l, rows);
-    let t0 = Instant::now();
-    let c = scheme.run_with::<PlusPairU64, ()>(
-        &mask,
-        &ops.l,
-        &ops.l,
-        Some(&ops.lt),
-        MaskMode::Mask,
-        opts,
-    );
-    let secs = t0.elapsed().as_secs_f64();
-    (reduce_rows(&c, 0u64, |acc, v| acc + v), secs)
+    masked_rows(ops, &row_subset(&ops.l, rows), scheme, opts)
 }
 
 /// The rows of `L` whose per-row triangle count may change when the given
@@ -275,8 +255,8 @@ mod tests {
         schemes.push(Scheme::SsSaxpy);
         schemes.push(Scheme::SsDot);
         for s in schemes {
-            let r = count_prepared(&ops, s);
-            assert_eq!(r.triangles, want, "{}", s.name());
+            let (rows, _) = count_prepared_rows_with(&ops, s, &ExecOpts::default());
+            assert_eq!(rows.iter().sum::<u64>(), want, "{}", s.name());
         }
     }
 

@@ -27,7 +27,8 @@ pub fn tc_runs(
             seconds: prepared
                 .iter()
                 .map(|ops| {
-                    let (secs, _) = time_best(reps, || tricount::count_prepared_with(ops, s, opts));
+                    let (secs, _) =
+                        time_best(reps, || tricount::count_prepared_rows_with(ops, s, opts));
                     Some(secs)
                 })
                 .collect(),

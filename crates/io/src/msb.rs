@@ -864,24 +864,26 @@ mod tests {
             let path = msb_file("kernel", |buf| write_msb(&mut *buf, &g).unwrap());
             let mapped = map_msb_file(&path).unwrap();
             assert!(mapped.has_shared_storage());
-            use masked_spgemm::{masked_mxm, Algorithm, MaskMode, Phases};
+            use masked_spgemm::{masked_mxm_with_opts, Algorithm, ExecOpts, MaskMode, Phases};
             use mspgemm_sparse::semiring::PlusTimesF64;
-            let heap_c = masked_mxm::<PlusTimesF64, ()>(
+            let heap_c = masked_mxm_with_opts::<PlusTimesF64, ()>(
                 &g.pattern(),
                 &g,
                 &g,
                 Algorithm::Hash,
                 MaskMode::Mask,
                 Phases::One,
+                &ExecOpts::default(),
             )
             .unwrap();
-            let map_c = masked_mxm::<PlusTimesF64, ()>(
+            let map_c = masked_mxm_with_opts::<PlusTimesF64, ()>(
                 &mapped.pattern(),
                 &mapped,
                 &mapped,
                 Algorithm::Hash,
                 MaskMode::Mask,
                 Phases::One,
+                &ExecOpts::default(),
             )
             .unwrap();
             assert_eq!(heap_c, map_c);

@@ -4,7 +4,7 @@
 //! checked by `csr_fingerprint`), and rejection of corrupt, truncated,
 //! or misaligned v2 files without UB.
 
-use masked_spgemm::{masked_mxm, Algorithm, MaskMode, Phases};
+use masked_spgemm::{masked_mxm_with_opts, Algorithm, ExecOpts, MaskMode, Phases};
 use mspgemm_harness::csr_fingerprint;
 use mspgemm_io::msb::{read_msb_file_auto, write_msb, MsbBackend, MSB_HEADER_LEN};
 use mspgemm_sparse::semiring::PlusTimesF64;
@@ -76,11 +76,13 @@ proptest! {
                     continue;
                 }
                 for phases in [Phases::One, Phases::Two] {
-                    let ch = masked_mxm::<PlusTimesF64, ()>(
+                    let ch = masked_mxm_with_opts::<PlusTimesF64, ()>(
                         &heap.pattern(), &heap, &heap, algo, mode, phases,
+                        &ExecOpts::default(),
                     ).unwrap();
-                    let cm = masked_mxm::<PlusTimesF64, ()>(
+                    let cm = masked_mxm_with_opts::<PlusTimesF64, ()>(
                         &mapped.pattern(), &mapped, &mapped, algo, mode, phases,
+                        &ExecOpts::default(),
                     ).unwrap();
                     prop_assert_eq!(&ch, &cm, "{:?}/{:?}/{:?}", algo, mode, phases);
                     prop_assert_eq!(

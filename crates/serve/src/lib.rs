@@ -29,10 +29,10 @@
 //!   workers (`--max-inflight`). Connection threads park on a reply
 //!   channel instead of executing heavy verbs themselves; under overload
 //!   the server answers a typed `busy` error with a `retry_after_ms`
-//!   hint instead of degrading unpredictably. Queued `mxm` requests that
-//!   differ only by mask mode are **fused** into one kernel pass, and
-//!   per-request `deadline_ms` budgets cancel expired work at phase
-//!   boundaries before its most expensive pass.
+//!   hint instead of degrading unpredictably. Identical queued `mxm`
+//!   requests are **fused** into one kernel pass, and per-request
+//!   `deadline_ms` budgets cancel expired work at phase boundaries before
+//!   its most expensive pass.
 //! * [`client`] — [`Client`]: the blocking client behind `mxm query`.
 //!
 //! ## In-process quick start

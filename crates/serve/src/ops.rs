@@ -16,9 +16,7 @@ use crate::protocol::{
 };
 use crate::registry::{Dataset, DatasetInfo, RegistryError, TcCache};
 use crate::server::ServerState;
-use masked_spgemm::{
-    masked_mxm_with_bt, masked_mxm_with_opts, Algorithm, ExecOpts, MaskMode, Phases, RowSchedule,
-};
+use masked_spgemm::{masked_mxm_with_bt, ExecOpts, MaskMode, Phases, RowSchedule};
 use mspgemm_graph::{bc, ktruss, tricount, App};
 use mspgemm_harness::{busy_spread, csr_fingerprint, gflops, mb_per_s, with_threads, BusySpread};
 use mspgemm_io::LoadOpts;
@@ -235,26 +233,20 @@ fn mxm(
 ) -> OpResult {
     let ds = state.registry.get(name).map_err(reg_err)?;
     let opts = exec_opts(state, p.schedule, deadline);
-    let is_pull = p.algo == Algorithm::Inner;
     let pool_mark = (state.ws_pool.hits(), state.ws_pool.misses());
+    // Masks are structural, so the matrix masks itself; the registry's
+    // `matrixᵀ` spares the pull kernel its transpose, named or `auto`-picked.
     let run_one = || -> Result<Csr<f64>, masked_spgemm::Error> {
-        if is_pull {
-            // The registry's pre-transposed operand: the pull scheme
-            // skips the per-call transpose entirely. (It has no row
-            // drive, so no phase-boundary deadline checks either — the
-            // budget is still enforced at admission and dequeue.)
-            masked_mxm_with_bt::<PlusTimesF64, ()>(
-                &ds.mask,
-                &ds.matrix,
-                &ds.matrix_t,
-                p.mode,
-                p.phases,
-            )
-        } else {
-            masked_mxm_with_opts::<PlusTimesF64, ()>(
-                &ds.mask, &ds.matrix, &ds.matrix, p.algo, p.mode, p.phases, &opts,
-            )
-        }
+        masked_mxm_with_bt::<PlusTimesF64, f64>(
+            &ds.matrix,
+            &ds.matrix,
+            &ds.matrix,
+            Some(&ds.matrix_t),
+            p.algo,
+            p.mode,
+            p.phases,
+            &opts,
+        )
     };
     // Exactly `reps` kernel runs (decode clamps `reps >= 1`), no warm-up:
     // a request costs what it asked for, and reports its best run.
@@ -272,13 +264,6 @@ fn mxm(
         masked_spgemm::Error::DeadlineExceeded => (ErrorCode::DeadlineExceeded, e.to_string()),
         other => (ErrorCode::ExecFailed, other.to_string()),
     })?;
-    // The explicit pull path has no row drive and leases no workspaces;
-    // echoing a schedule or claiming a warm pool would be fiction.
-    let (schedule_echo, pool_echo) = if is_pull {
-        (Json::Null, Json::Null)
-    } else {
-        (Json::str(p.schedule.name()), pool_since(state, pool_mark))
-    };
     Ok(ok_response(vec![
         ("op", Json::str("mxm")),
         ("dataset", Json::str(&ds.name)),
@@ -294,7 +279,7 @@ fn mxm(
             "phases",
             Json::str(if p.phases == Phases::One { "1" } else { "2" }),
         ),
-        ("schedule", schedule_echo),
+        ("schedule", Json::str(p.schedule.name())),
         ("threads", p.threads.into()),
         ("reps", p.reps.into()),
         ("seconds", secs.into()),
@@ -309,7 +294,7 @@ fn mxm(
         // counts.
         ("fused", (fused_group > 1).into()),
         ("fused_group", fused_group.into()),
-        ("pool", pool_echo),
+        ("pool", pool_since(state, pool_mark)),
     ]))
 }
 

@@ -322,18 +322,9 @@ impl HeavyRequest {
         }
     }
 
-    /// Fusion compatibility: two queued `mxm` requests ride one batch
-    /// when everything that shapes the kernel pass *except* the mask
-    /// mode agrees (the batch is partitioned by mode at execution, see
-    /// [`HeavyRequest::same_pass`]). `app` and `update` never fuse.
-    pub fn fuses_with(&self, other: &HeavyRequest) -> bool {
-        self.dataset == other.dataset
-            && matches!((&self.work, &other.work), (Work::Mxm(a), Work::Mxm(b))
-                if *a == MxmParams { mode: a.mode, ..*b })
-    }
-
-    /// Whether two requests are answered by the very same kernel pass:
-    /// fuse-compatible *and* agreeing on the mask mode.
+    /// Fusion: two queued requests are answered by the very same kernel
+    /// pass when they are `mxm` requests against one dataset agreeing on
+    /// every parameter. `app` and `update` never fuse.
     pub fn same_pass(&self, other: &HeavyRequest) -> bool {
         self.dataset == other.dataset
             && matches!((&self.work, &other.work), (Work::Mxm(a), Work::Mxm(b)) if a == b)
@@ -576,7 +567,7 @@ mod tests {
     }
 
     #[test]
-    fn fusion_ignores_the_mask_mode_and_nothing_else() {
+    fn fusion_needs_identical_mxm_requests() {
         let default = RowSchedule::default();
         let heavy = |line: &str| match decode(&parse_object(line).unwrap(), default).1 {
             Ok(Request::Heavy(h)) => h,
@@ -584,11 +575,11 @@ mod tests {
         };
         let normal = heavy(r#"{"op":"mxm","dataset":"g","algo":"hash"}"#);
         let comp = heavy(r#"{"op":"mxm","dataset":"g","algo":"hash","mask":"complement"}"#);
-        assert!(normal.fuses_with(&comp) && !normal.same_pass(&comp));
+        assert!(!normal.same_pass(&comp));
         assert!(normal.same_pass(&heavy(r#"{"op":"mxm","dataset":"g","algo":"hash"}"#)));
-        assert!(!normal.fuses_with(&heavy(r#"{"op":"mxm","dataset":"h","algo":"hash"}"#)));
-        assert!(!normal.fuses_with(&heavy(r#"{"op":"mxm","dataset":"g","algo":"msa"}"#)));
-        assert!(!normal.fuses_with(&heavy(r#"{"op":"mxm","dataset":"g","reps":2}"#)));
+        assert!(!normal.same_pass(&heavy(r#"{"op":"mxm","dataset":"h","algo":"hash"}"#)));
+        assert!(!normal.same_pass(&heavy(r#"{"op":"mxm","dataset":"g","algo":"msa"}"#)));
+        assert!(!normal.same_pass(&heavy(r#"{"op":"mxm","dataset":"g","reps":2}"#)));
         // Spelling out the server default is the same pass as omitting it.
         let spelled = format!(
             r#"{{"op":"mxm","dataset":"g","algo":"hash","schedule":"{}"}}"#,
@@ -596,7 +587,7 @@ mod tests {
         );
         assert!(normal.same_pass(&heavy(&spelled)));
         let tc = heavy(r#"{"op":"app","dataset":"g"}"#);
-        assert!(!tc.fuses_with(&heavy(r#"{"op":"app","dataset":"g"}"#)));
+        assert!(!tc.same_pass(&heavy(r#"{"op":"app","dataset":"g"}"#)));
     }
 
     #[test]

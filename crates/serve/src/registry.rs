@@ -5,9 +5,9 @@
 //! A [`Dataset`] holds everything a request needs so that no per-request
 //! ingest, normalization, or transposition happens on the hot path:
 //!
-//! * the raw matrix as loaded (the `mxm` verb squares it, mirroring
-//!   `mxm run`), its structural pattern (the mask), and its transpose
-//!   (the pre-computed `Bᵀ` that the pull-based Inner scheme consumes);
+//! * the raw matrix as loaded (the `mxm` verb squares it under its own
+//!   pattern as the mask, mirroring `mxm run`) and its transpose (the
+//!   pre-computed `Bᵀ` that the pull-based Inner scheme consumes);
 //! * the normalized undirected adjacency (what the TC / k-truss / BC
 //!   applications consume);
 //! * lazily, the relabeled triangle-counting operands — built on the
@@ -74,8 +74,6 @@ pub struct Dataset {
     /// The matrix as loaded from disk (square — the server rejects
     /// rectangular inputs at `load`, like `mxm run` does).
     pub matrix: Csr<f64>,
-    /// Structural pattern of `matrix` — the mask of the `mxm` verb.
-    pub mask: Csr<()>,
     /// `matrixᵀ`, pre-computed once so Inner-scheme requests skip the
     /// per-call transpose the paper charges to `SS:DOT` (§8.4).
     pub matrix_t: Csr<f64>,
@@ -97,8 +95,7 @@ pub struct Dataset {
 impl Dataset {
     /// Load a dataset from disk and derive the resident operands. With
     /// `opts.mmap`, a v2 `.msb` input or fresh sidecar backs the raw
-    /// matrix (and its pattern mask, which shares `rowptr`/`colidx`)
-    /// zero-copy by the mapped file.
+    /// matrix zero-copy by the mapped file.
     pub fn load(path: &str, name: Option<&str>, opts: &LoadOpts) -> Result<Dataset, String> {
         let (matrix, ingest) = load_matrix(path, opts).map_err(|e| format!("{path}: {e}"))?;
         if matrix.nrows() != matrix.ncols() {
@@ -132,7 +129,6 @@ impl Dataset {
         ingest: IngestReport,
         loaded_at: Instant,
     ) -> Dataset {
-        let mask = matrix.pattern();
         let mut matrix_t = transpose(&matrix);
         let (mut adj, _) = to_adjacency(&matrix);
         if matrix.values_unit_shared() {
@@ -148,7 +144,6 @@ impl Dataset {
             name,
             path,
             matrix,
-            mask,
             matrix_t,
             adj,
             mxm_flops,
@@ -219,7 +214,6 @@ impl Dataset {
             .map(|ops| f(&ops.l.storage_report()) + f(&ops.lt.storage_report()))
             .unwrap_or(0);
         f(&self.matrix.storage_report())
-            + f(&self.mask.storage_report())
             + f(&self.matrix_t.storage_report())
             + f(&self.adj.storage_report())
             + tc
@@ -231,9 +225,8 @@ impl Dataset {
     }
 
     /// Bytes of resident sections that are mmap-shared rather than
-    /// heap-owned, across every held operand (the raw matrix, its mask —
-    /// which shares the mapping — and the derived operands, which are
-    /// heap-built and contribute 0).
+    /// heap-owned, across every held operand (the raw matrix; the derived
+    /// operands are heap-built and contribute 0).
     pub fn mapped_bytes(&self) -> u64 {
         self.sum_reports(|r| r.shared_bytes as u64)
     }
@@ -818,7 +811,6 @@ mod tests {
         assert!(out.evicted.is_empty(), "no budget, no eviction");
         assert_eq!(ds.name, "cycle");
         assert_eq!(ds.matrix.nrows(), 80);
-        assert_eq!(ds.mask.nnz(), ds.matrix.nnz());
         assert_eq!(ds.matrix_t.nnz(), ds.matrix.nnz());
         assert!(ds.mem_bytes() > 0);
 
@@ -988,7 +980,6 @@ mod tests {
         // In-flight readers keep their old view.
         assert_eq!(before.matrix.get(3, 4), None);
         // Derived operands track the merged matrix.
-        assert_eq!(live.mask.nnz(), live.matrix.nnz());
         assert_eq!(live.matrix_t.get(4, 3), Some(&1.0));
 
         let out = reg

@@ -13,12 +13,11 @@
 //! instead of stacking unbounded work behind a shared thread pool.
 //!
 //! The waiting room is also where **fusion** happens: when a worker pops
-//! a `mxm` job it drains every queued job it fuses with (same dataset,
-//! algorithm, phases, schedule, threads, reps — everything but the mask
-//! mode, see [`HeavyRequest::fuses_with`]) and executes them as one
-//! batch, sharing a single kernel pass per distinct mask mode. The batch
-//! assembly lives here; the execution and fan-out live in
-//! [`crate::server`].
+//! a `mxm` job it drains every queued job identical to it (same dataset,
+//! algorithm, mask mode, phases, schedule, threads, reps — see
+//! [`HeavyRequest::same_pass`]) and executes them as one batch: a single
+//! kernel pass answers every rider. The batch assembly lives here; the
+//! execution and fan-out live in [`crate::server`].
 //!
 //! Workers hold a `Weak` reference to the shared [`ServerState`], so
 //! dropping the last server handle tears the scheduler down: `Drop`
@@ -224,8 +223,8 @@ impl Drop for Scheduler {
 }
 
 /// Claim the next batch: the queue's front job plus every queued job
-/// that fuses with it (capped at [`MAX_FUSE`]). Returns `None` when the
-/// queue closed.
+/// the same kernel pass answers (capped at [`MAX_FUSE`]). Returns `None`
+/// when the queue closed.
 fn next_batch(shared: &Shared) -> Option<Vec<Job>> {
     let mut q = lock_queue(shared);
     loop {
@@ -233,7 +232,7 @@ fn next_batch(shared: &Shared) -> Option<Vec<Job>> {
             let mut batch = vec![first];
             let mut i = 0;
             while i < q.jobs.len() && batch.len() < MAX_FUSE {
-                if batch[0].request.fuses_with(&q.jobs[i].request) {
+                if batch[0].request.same_pass(&q.jobs[i].request) {
                     batch.push(q.jobs.remove(i).expect("index in bounds"));
                 } else {
                     i += 1;
@@ -306,19 +305,25 @@ fn worker_loop(shared: Arc<Shared>, state: Weak<ServerState>) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::protocol::{decode, parse_object, Request, Work};
 
-    /// A `mxm` job against dataset `key` (jobs sharing it fuse), or —
-    /// for `None` — an `app` job, which never fuses.
-    fn job(key: Option<&str>) -> (Job, mpsc::Receiver<Json>) {
-        let line = match key {
-            Some(ds) => format!(r#"{{"op":"mxm","dataset":"{ds}"}}"#),
-            None => r#"{"op":"app","dataset":"g"}"#.to_string(),
-        };
+    impl Scheduler {
+        /// Claim the next batch as a worker would — for tests (here and in
+        /// `server`) that drive a worker-less queue by hand.
+        pub(crate) fn claim(&self) -> Option<Vec<Job>> {
+            next_batch(&self.shared)
+        }
+    }
+
+    /// An `app` job, which never fuses.
+    const APP: &str = r#"{"op":"app","dataset":"g"}"#;
+
+    /// The job of one heavy request line, and where its answer arrives.
+    pub(crate) fn job(line: &str) -> (Job, mpsc::Receiver<Json>) {
         let Ok(Request::Heavy(request)) =
-            decode(&parse_object(&line).unwrap(), Default::default()).1
+            decode(&parse_object(line).unwrap(), Default::default()).1
         else {
             panic!("{line} must decode as a heavy request");
         };
@@ -338,9 +343,9 @@ mod tests {
     fn admission_is_bounded_and_busy_carries_a_hint() {
         // No workers spawned: jobs stay queued, so the bound is exact.
         let s = Scheduler::new(1, 2);
-        let (j1, _r1) = job(None);
-        let (j2, _r2) = job(None);
-        let (j3, _r3) = job(None);
+        let (j1, _r1) = job(APP);
+        let (j2, _r2) = job(APP);
+        let (j3, _r3) = job(APP);
         assert!(matches!(s.submit(j1), Admission::Enqueued));
         assert!(matches!(s.submit(j2), Admission::Enqueued));
         match s.submit(j3) {
@@ -358,30 +363,42 @@ mod tests {
     }
 
     #[test]
-    fn batches_fuse_by_key_and_preserve_strangers() {
+    fn batches_fuse_identical_requests_and_preserve_strangers() {
         let s = Scheduler::new(1, 8);
-        let (a1, _r1) = job(Some("k1"));
-        let (b, _r2) = job(Some("k2"));
-        let (a2, _r3) = job(Some("k1"));
-        let (none, _r4) = job(None);
-        assert!(matches!(s.submit(a1), Admission::Enqueued));
-        assert!(matches!(s.submit(b), Admission::Enqueued));
-        assert!(matches!(s.submit(a2), Admission::Enqueued));
-        assert!(matches!(s.submit(none), Admission::Enqueued));
+        let k1 = r#"{"op":"mxm","dataset":"k1"}"#;
+        let lines = [
+            k1,
+            r#"{"op":"mxm","dataset":"k2"}"#,
+            r#"{"op":"mxm","dataset":"k1","mask":"complement"}"#,
+            k1,
+            APP,
+        ];
+        let _replies: Vec<_> = lines
+            .iter()
+            .map(|line| {
+                let (j, rx) = job(line);
+                assert!(matches!(s.submit(j), Admission::Enqueued));
+                rx
+            })
+            .collect();
         let batch = next_batch(&s.shared).unwrap();
-        assert_eq!(batch.len(), 2, "both k1 jobs fuse");
-        assert!(batch.iter().all(|j| j.request.dataset == "k1"));
+        assert_eq!(batch.len(), 2, "the two identical k1 jobs fuse");
+        assert!(batch.iter().all(|j| j.request.same_pass(&batch[0].request)));
         let batch = next_batch(&s.shared).unwrap();
+        assert_eq!(batch[0].request.dataset, "k2");
         assert_eq!(batch.len(), 1, "k2 stays alone");
         let batch = next_batch(&s.shared).unwrap();
-        assert_eq!(batch.len(), 1, "keyless jobs never fuse");
+        assert_eq!(batch[0].request.dataset, "k1");
+        assert_eq!(batch.len(), 1, "another mask mode is another pass");
+        let batch = next_batch(&s.shared).unwrap();
+        assert_eq!(batch.len(), 1, "apps never fuse");
         assert!(matches!(batch[0].request.work, Work::App(_)));
     }
 
     #[test]
     fn drop_answers_queued_jobs_with_shutting_down() {
         let s = Scheduler::new(1, 4);
-        let (j, rx) = job(None);
+        let (j, rx) = job(APP);
         assert!(matches!(s.submit(j), Admission::Enqueued));
         drop(s);
         let resp = rx.recv().expect("drop must answer queued jobs");
@@ -395,7 +412,7 @@ mod tests {
     fn closed_scheduler_rejects_new_work() {
         let s = Scheduler::new(1, 4);
         s.shared.queue.lock().unwrap().closed = true;
-        let (j, _rx) = job(None);
+        let (j, _rx) = job(APP);
         assert!(matches!(s.submit(j), Admission::Closed));
     }
 

@@ -19,9 +19,9 @@
 //! bounded queue, where a fixed pool of executor workers
 //! (`--max-inflight`) drains them — so concurrency is a policy knob,
 //! overload is answered with a typed `busy` + `retry_after_ms` instead of
-//! unbounded queueing, queued requests that differ only by mask mode fuse
-//! into one kernel pass, and `deadline_ms` budgets cancel expired work
-//! before its numeric phase. All three heavy verbs share one execute path
+//! unbounded queueing, identical queued `mxm` requests fuse into one
+//! kernel pass, and `deadline_ms` budgets cancel expired work before its
+//! numeric phase. All three heavy verbs share one execute path
 //! (`execute_batch`) holding the crate's only `catch_unwind`; what each
 //! verb computes lives in `crate::ops`.
 //!
@@ -637,38 +637,23 @@ fn admit(state: &ServerState, request: HeavyRequest, received: Instant) -> Route
 /// Execute one scheduler batch on an executor worker — the one path all
 /// three heavy verbs take from the queue to their reply. Jobs whose
 /// deadline expired while queued are answered without running; the rest
-/// are grouped into kernel passes (fused `mxm` riders sharing a mask
-/// mode ride one pass; everything else is a pass of one) and each pass
-/// goes through [`run_pass`].
+/// (identical `mxm` riders, or a single job of any verb — see
+/// [`HeavyRequest::same_pass`]) share one kernel pass: execute → record →
+/// reply, under the crate's single panic policy.
 pub(crate) fn execute_batch(state: &Arc<ServerState>, batch: Vec<Job>) {
     let exec_start = Instant::now();
-    let mut passes: Vec<Vec<Job>> = Vec::new();
-    for job in batch {
-        if job.expired() {
-            state.metrics.counter("deadline_exceeded_total", &[]).inc();
-            let resp = err_response(
-                ErrorCode::DeadlineExceeded,
-                "deadline expired while the request was queued",
-            );
-            finish_job(state, job, resp, exec_start);
-            continue;
-        }
-        match passes
-            .iter_mut()
-            .find(|riders| riders[0].request.same_pass(&job.request))
-        {
-            Some(riders) => riders.push(job),
-            None => passes.push(vec![job]),
-        }
+    let (expired, riders): (Vec<Job>, Vec<Job>) = batch.into_iter().partition(Job::expired);
+    for job in expired {
+        state.metrics.counter("deadline_exceeded_total", &[]).inc();
+        let resp = err_response(
+            ErrorCode::DeadlineExceeded,
+            "deadline expired while the request was queued",
+        );
+        finish_job(state, job, resp, exec_start);
     }
-    for riders in passes {
-        run_pass(state, riders, exec_start);
-    }
-}
-
-/// Execute one pass and answer every rider: execute → record → reply,
-/// under the crate's single panic policy.
-fn run_pass(state: &ServerState, riders: Vec<Job>, exec_start: Instant) {
+    let Some(first) = riders.first() else {
+        return;
+    };
     let k = riders.len();
     if k > 1 {
         // k requests shared one pass: k-1 kernel executions saved.
@@ -686,7 +671,7 @@ fn run_pass(state: &ServerState, riders: Vec<Job>, exec_start: Instant) {
     } else {
         None
     };
-    let request = &riders[0].request;
+    let request = &first.request;
     let resp = match catch_unwind(AssertUnwindSafe(|| {
         ops::execute(state, request, deadline, k)
     })) {
@@ -705,10 +690,7 @@ fn run_pass(state: &ServerState, riders: Vec<Job>, exec_start: Instant) {
             // dataset (repeat offenders get quarantined), answer every
             // rider with a typed error, then re-raise: the worker thread
             // dies and its sentinel respawns a replacement, so the panic
-            // costs one thread spawn instead of an executor slot. Any
-            // *other* passes in this batch have their reply senders
-            // dropped by the unwind; the connection side's recv-error
-            // path answers (and records) those.
+            // costs one thread spawn instead of an executor slot.
             let msg = panic_msg(payload);
             if state
                 .registry
@@ -826,20 +808,23 @@ mod tests {
     }
 
     #[test]
-    fn inner_reports_no_schedule_or_pool() {
-        let (state, path) = state_with("inner_null", 90);
+    fn inner_reports_its_schedule_and_pool() {
+        let (state, path) = state_with("inner_real", 90);
         ok(
             &state,
             &format!(r#"{{"op":"load","path":"{path}","name":"g"}}"#),
         );
-        let resp = ok(&state, r#"{"op":"mxm","dataset":"g","algo":"inner"}"#);
-        assert_eq!(
-            resp.get("schedule"),
-            Some(&Json::Null),
-            "{}",
-            resp.to_line()
-        );
-        assert_eq!(resp.get("pool"), Some(&Json::Null), "{}", resp.to_line());
+        // Inner runs on the shared row drive: the schedule it names is the
+        // one it ran under, and its (empty) workspaces go through the pool.
+        let q = r#"{"op":"mxm","dataset":"g","algo":"inner","schedule":"flops","threads":1}"#;
+        let resp = ok(&state, q);
+        assert_eq!(resp.get("schedule").unwrap().as_str(), Some("flops"));
+        let pool = resp.get("pool").unwrap();
+        assert_eq!(pool.get("misses").unwrap().as_u64(), Some(1));
+        assert_eq!(pool.get("warm").unwrap().as_bool(), Some(false));
+        let pool = ok(&state, q).get("pool").unwrap().clone();
+        assert_eq!(pool.get("hits").unwrap().as_u64(), Some(1));
+        assert_eq!(pool.get("warm").unwrap().as_bool(), Some(true));
     }
 
     #[test]
@@ -1039,57 +1024,51 @@ mod tests {
     }
 
     #[test]
-    fn fused_batch_matches_single_requests_per_mask() {
+    fn queued_requests_fuse_only_when_identical() {
         let (state, path) = state_with("fusion", 100);
         ok(
             &state,
             &format!(r#"{{"op":"load","path":"{path}","name":"g"}}"#),
         );
+        const NORMAL: &str = r#"{"op":"mxm","dataset":"g","algo":"hash"}"#;
+        const COMP: &str = r#"{"op":"mxm","dataset":"g","algo":"hash","mask":"complement"}"#;
         // Reference fingerprints from plain (unfused) requests.
-        let normal = ok(&state, r#"{"op":"mxm","dataset":"g","algo":"hash"}"#);
-        let comp = ok(
-            &state,
-            r#"{"op":"mxm","dataset":"g","algo":"hash","mask":"complement"}"#,
-        );
+        let normal = ok(&state, NORMAL);
+        let comp = ok(&state, COMP);
         assert_eq!(normal.get("fused").unwrap().as_bool(), Some(false));
         assert_eq!(normal.get("fused_group").unwrap().as_u64(), Some(1));
 
-        // Hand-build a fused batch (two normal riders + one complement)
-        // and run it exactly as an executor worker would.
-        let mk = |line: &str| {
-            let Ok(Request::Heavy(request)) = protocol::decode(
-                &protocol::parse_object(line).unwrap(),
-                state.config.schedule,
-            )
-            .1
-            else {
-                panic!("{line} must decode as a heavy request");
-            };
-            let (tx, rx) = mpsc::channel();
-            (
-                Job {
-                    request,
-                    received: Instant::now(),
-                    deadline: None,
-                    reply: tx,
-                },
-                rx,
-            )
+        // A worker-less queue: the lines wait in it together, then every
+        // batch is claimed and run right here, exactly as a worker would.
+        let queue = Scheduler::new(1, 8);
+        let run_queued = |lines: &[&str]| -> Vec<Json> {
+            let replies: Vec<_> = lines
+                .iter()
+                .map(|line| {
+                    let (job, rx) = crate::scheduler::tests::job(line);
+                    assert!(matches!(queue.submit(job), Admission::Enqueued));
+                    rx
+                })
+                .collect();
+            while queue.queued() > 0 {
+                execute_batch(&state, queue.claim().unwrap());
+            }
+            replies.iter().map(|rx| rx.recv().unwrap()).collect()
         };
-        let (j1, r1) = mk(r#"{"op":"mxm","dataset":"g","algo":"hash"}"#);
-        let (j2, r2) = mk(r#"{"op":"mxm","dataset":"g","algo":"hash"}"#);
-        let (j3, r3) = mk(r#"{"op":"mxm","dataset":"g","algo":"hash","mask":"complement"}"#);
-        execute_batch(&state, vec![j1, j2, j3]);
-        let a = r1.recv().unwrap();
-        let b = r2.recv().unwrap();
-        let c = r3.recv().unwrap();
-        for resp in [&a, &b] {
-            assert_eq!(
-                resp.get("ok"),
-                Some(&Json::Bool(true)),
-                "{}",
-                resp.to_line()
-            );
+        let fused_total = || state.metrics.counter("fused_requests_total", &[]).get();
+
+        // Differing only in the mask mode: two passes, nothing shared.
+        let apart = run_queued(&[NORMAL, COMP]);
+        for (resp, want) in apart.iter().zip([&normal, &comp]) {
+            assert_eq!(resp.get("fused").unwrap().as_bool(), Some(false));
+            assert_eq!(resp.get("fused_group").unwrap().as_u64(), Some(1));
+            assert_eq!(resp.get("fingerprint"), want.get("fingerprint"));
+        }
+        assert_eq!(fused_total(), 0);
+
+        // Identical: one pass answers both, around the stranger between.
+        let together = run_queued(&[NORMAL, COMP, NORMAL]);
+        for resp in [&together[0], &together[2]] {
             assert_eq!(resp.get("fused").unwrap().as_bool(), Some(true));
             assert_eq!(resp.get("fused_group").unwrap().as_u64(), Some(2));
             assert_eq!(resp.get("mask").unwrap().as_str(), Some("normal"));
@@ -1099,10 +1078,10 @@ mod tests {
                 "fused output must be bit-identical to the unfused one"
             );
         }
-        assert_eq!(c.get("fused_group").unwrap().as_u64(), Some(1));
-        assert_eq!(c.get("fingerprint"), comp.get("fingerprint"));
+        assert_eq!(together[1].get("fused_group").unwrap().as_u64(), Some(1));
+        assert_eq!(together[1].get("fingerprint"), comp.get("fingerprint"));
         assert_eq!(
-            state.metrics.counter("fused_requests_total", &[]).get(),
+            fused_total(),
             1,
             "two riders shared one pass: one kernel execution saved"
         );

@@ -178,6 +178,32 @@ fn worker_panic_is_answered_typed_and_the_worker_respawns() {
     mspgemm_fault::clear();
 }
 
+/// The pull scheme runs the shared row drive, so the kernel failpoints
+/// bind for it as for every push scheme: one armed `kernel.numeric` error
+/// answers `"algo":"inner"` with a typed `exec_failed`, once.
+#[test]
+fn kernel_failpoint_binds_for_inner() {
+    let _g = guard();
+    mspgemm_fault::clear();
+    let mtx = fixture("innerfp", "g.mtx", 100, 23);
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
+    server
+        .preload(&[mtx.to_str().unwrap().to_string()])
+        .unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let q = mxm_req("g", "inner", "normal");
+    let reference = fingerprint(&client::expect_ok(c.request(&q).unwrap()).unwrap());
+
+    mspgemm_fault::configure("kernel.numeric=1*err(x)").unwrap();
+    let resp = c.request(&q).unwrap();
+    assert_eq!(err_code(&resp), "exec_failed", "{}", resp.to_line());
+    assert_eq!(mspgemm_fault::hits("kernel.numeric"), 1);
+    let _ = await_counter(&mut c, "worker_restarts_total", 1);
+    let after = fingerprint(&client::expect_ok(c.request(&q).unwrap()).unwrap());
+    assert_eq!(after, reference);
+    mspgemm_fault::clear();
+}
+
 /// The single panic policy covers every heavy verb: a kernel panic under
 /// `app tc` is attributed to the dataset (`panics` in `list`), answered
 /// with the same typed `exec_failed`, and costs the worker — respawned

@@ -327,7 +327,7 @@ fn hundred_client_burst_sheds_load_with_typed_busy() {
                 let busy_seen = &busy_seen;
                 let barrier = &barrier;
                 scope.spawn(move || {
-                    // Alternate mask modes so fusion has to partition.
+                    // Alternate mask modes so fusion has two passes to tell apart.
                     let complement = ci % 2 == 1;
                     let request = req(vec![
                         ("op", Json::str("mxm")),

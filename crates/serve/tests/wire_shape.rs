@@ -215,10 +215,10 @@ fn every_verb_and_error_code_keeps_its_wire_shape() {
             r#"{"op":"mxm","dataset":"g","algo":"hash","phases":2}"#.into(),
             Want::Keys(MXM_KEYS, &[POOL]),
         ),
-        // The pull scheme echoes no schedule and no pool (both null).
+        // The pull scheme runs the same row drive: same keys, real pool.
         (
             r#"{"op":"mxm","dataset":"g","algo":"inner","mask":"complement"}"#.into(),
-            Want::Keys(MXM_KEYS, &[]),
+            Want::Keys(MXM_KEYS, &[POOL]),
         ),
         (
             r#"{"op":"mxm","dataset":"g","algo":"mca","mask":"complement"}"#.into(),

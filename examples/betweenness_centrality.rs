@@ -6,7 +6,7 @@
 
 use mspgemm::gen::rmat_symmetric;
 use mspgemm::gen::RmatParams;
-use mspgemm::graph::bc::betweenness;
+use mspgemm::graph::bc::betweenness_with;
 use mspgemm::harness::mteps;
 use mspgemm::prelude::*;
 
@@ -37,7 +37,7 @@ fn main() {
     ];
     let mut top_vertices = None;
     for s in schemes {
-        let r = betweenness(&g, &sources, s);
+        let r = betweenness_with(&g, &sources, s, &ExecOpts::default());
         println!(
             "{:<12} {:>12.6} {:>12.6} {:>10.2} {:>7}",
             s.name(),

@@ -51,10 +51,10 @@ fn main() {
         tc.triangles,
         tc.mxm_seconds * 1e3
     );
-    let kt = k_truss(&adj, 4, scheme);
+    let kt = k_truss_with(&adj, 4, scheme, &ExecOpts::default());
     println!("4-truss    : {} surviving entries", kt.truss.nnz());
     let sources: Vec<usize> = (0..8).collect();
-    let bc = betweenness(&adj, &sources, scheme);
+    let bc = betweenness_with(&adj, &sources, scheme, &ExecOpts::default());
     let top = bc.scores.iter().cloned().fold(f64::MIN, f64::max);
     println!("bc (8 src) : top score {top:.1}");
 

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example k_truss [k]`
 
 use mspgemm::gen::structured::community_blocks;
-use mspgemm::graph::ktruss::k_truss;
+use mspgemm::graph::ktruss::k_truss_with;
 use mspgemm::harness::gflops;
 use mspgemm::prelude::*;
 
@@ -23,7 +23,12 @@ fn main() {
         "k", "edges", "iters", "mxm seconds", "GFLOPS"
     );
     for &k in &ks {
-        let r = k_truss(&g, k, Scheme::Ours(Algorithm::Msa, Phases::One));
+        let r = k_truss_with(
+            &g,
+            k,
+            Scheme::Ours(Algorithm::Msa, Phases::One),
+            &ExecOpts::default(),
+        );
         println!(
             "{:>3} {:>10} {:>6} {:>12.6} {:>10.3}",
             k,
@@ -37,7 +42,12 @@ fn main() {
     // The k-trusses are nested: a (k+1)-truss is a subgraph of the k-truss.
     let mut prev = usize::MAX;
     for &k in &[3usize, 4, 5, 6] {
-        let r = k_truss(&g, k, Scheme::Ours(Algorithm::Hash, Phases::One));
+        let r = k_truss_with(
+            &g,
+            k,
+            Scheme::Ours(Algorithm::Hash, Phases::One),
+            &ExecOpts::default(),
+        );
         assert!(
             r.truss.nnz() <= prev,
             "{k}-truss larger than {}-truss",

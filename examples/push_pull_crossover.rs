@@ -25,21 +25,23 @@ fn main() {
     let mut push_won_somewhere = false;
     for mask_degree in [1usize, 2, 4, 8, 16, 32, 64, 128] {
         let mask = mspgemm::gen::er_pattern(n, n, mask_degree, 3);
-        let (push_s, push_c) = time_best(2, || {
-            masked_mxm::<PlusTimesF64, ()>(
-                &mask,
-                &a,
-                &b,
-                Algorithm::Msa,
-                MaskMode::Mask,
-                Phases::One,
-            )
-            .unwrap()
-        });
-        let (pull_s, pull_c) = time_best(2, || {
-            masked_mxm_with_bt::<PlusTimesF64, ()>(&mask, &a, &bt, MaskMode::Mask, Phases::One)
+        let run = |algo| {
+            time_best(2, || {
+                masked_mxm_with_bt::<PlusTimesF64, ()>(
+                    &mask,
+                    &a,
+                    &b,
+                    Some(&bt),
+                    algo,
+                    MaskMode::Mask,
+                    Phases::One,
+                    &ExecOpts::default(),
+                )
                 .unwrap()
-        });
+            })
+        };
+        let (push_s, push_c) = run(Algorithm::Msa);
+        let (pull_s, pull_c) = run(Algorithm::Inner);
         assert_eq!(
             push_c.pattern(),
             pull_c.pattern(),

@@ -42,8 +42,16 @@ fn main() {
     // C = M ⊙ (A·B) with each algorithm; all agree.
     let mut reference = None;
     for algo in Algorithm::ALL {
-        let c = masked_mxm::<PlusTimesF64, ()>(&mask, &a, &b, algo, MaskMode::Mask, Phases::One)
-            .expect("masked mxm failed");
+        let c = masked_mxm_with_opts::<PlusTimesF64, ()>(
+            &mask,
+            &a,
+            &b,
+            algo,
+            MaskMode::Mask,
+            Phases::One,
+            &ExecOpts::default(),
+        )
+        .expect("masked mxm failed");
         println!(
             "{:>8}: C has {} nonzeros (⊆ mask {})",
             algo.name(),
@@ -58,13 +66,14 @@ fn main() {
     }
 
     // The complemented form: C = ¬M ⊙ (A·B).
-    let cc = masked_mxm::<PlusTimesF64, ()>(
+    let cc = masked_mxm_with_opts::<PlusTimesF64, ()>(
         &mask,
         &a,
         &b,
         Algorithm::Msa,
         MaskMode::Complement,
         Phases::One,
+        &ExecOpts::default(),
     )
     .unwrap();
     println!(

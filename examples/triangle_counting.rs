@@ -34,15 +34,18 @@ fn main() {
     schemes.push(Scheme::SsDot);
     let mut counts = std::collections::HashSet::new();
     for s in schemes {
-        let (secs, r) = time_best(2, || tricount::count_prepared(&ops, s));
+        let (secs, (rows, _)) = time_best(2, || {
+            tricount::count_prepared_rows_with(&ops, s, &ExecOpts::default())
+        });
+        let triangles: u64 = rows.iter().sum();
         println!(
             "{:<12} {:>12} {:>12.6} {:>10.3}",
             s.name(),
-            r.triangles,
+            triangles,
             secs,
-            gflops(r.flops, secs)
+            gflops(ops.flops, secs)
         );
-        counts.insert(r.triangles);
+        counts.insert(triangles);
     }
     assert_eq!(counts.len(), 1, "all schemes must count the same triangles");
     println!("\nall schemes agree ✓");

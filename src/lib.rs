@@ -81,9 +81,11 @@ pub use mspgemm_sparse as sparse;
 
 /// One-stop imports for examples and quick experiments.
 pub mod prelude {
-    pub use masked_spgemm::{masked_mxm, masked_mxm_with_bt, Algorithm, MaskMode, Phases};
+    pub use masked_spgemm::{
+        masked_mxm_with_bt, masked_mxm_with_opts, Algorithm, ExecOpts, MaskMode, Phases,
+    };
     pub use mspgemm_graph::scheme::Scheme;
-    pub use mspgemm_graph::{betweenness, k_truss, triangle_count, App};
+    pub use mspgemm_graph::{betweenness_with, k_truss_with, triangle_count, App};
     pub use mspgemm_io::{load_graph, load_matrix, CachePolicy, DatasetSource, LoadOpts};
     pub use mspgemm_sparse::semiring::{
         OrAndBool, PlusPairU64, PlusTimesF64, PlusTimesI64, PlusTimesU64, Semiring,

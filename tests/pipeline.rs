@@ -17,9 +17,9 @@ fn full_tc_pipeline_on_rmat() {
         Scheme::Ours(Algorithm::Inner, Phases::One),
         Scheme::SsSaxpy,
     ] {
-        let r = tricount::count_prepared(&ops, s);
-        assert!(gflops(r.flops, r.mxm_seconds.max(1e-12)) >= 0.0);
-        counts.push(r.triangles);
+        let (rows, mxm_seconds) = tricount::count_prepared_rows_with(&ops, s, &ExecOpts::default());
+        assert!(gflops(ops.flops, mxm_seconds.max(1e-12)) >= 0.0);
+        counts.push(rows.iter().sum::<u64>());
     }
     counts.dedup();
     assert_eq!(counts.len(), 1, "schemes disagree on triangles");
@@ -29,8 +29,18 @@ fn full_tc_pipeline_on_rmat() {
 #[test]
 fn full_ktruss_pipeline_shrinks_graph() {
     let g = gen::structured::community_blocks(8, 60, 8, 1, 11);
-    let r3 = ktruss::k_truss(&g, 3, Scheme::Ours(Algorithm::Hash, Phases::One));
-    let r5 = ktruss::k_truss(&g, 5, Scheme::Ours(Algorithm::Hash, Phases::One));
+    let r3 = ktruss::k_truss_with(
+        &g,
+        3,
+        Scheme::Ours(Algorithm::Hash, Phases::One),
+        &ExecOpts::default(),
+    );
+    let r5 = ktruss::k_truss_with(
+        &g,
+        5,
+        Scheme::Ours(Algorithm::Hash, Phases::One),
+        &ExecOpts::default(),
+    );
     assert!(r5.truss.nnz() <= r3.truss.nnz(), "trusses must be nested");
     assert!(r3.truss.nnz() <= g.nnz());
     // Every surviving edge support must meet the threshold.
@@ -41,7 +51,12 @@ fn full_ktruss_pipeline_shrinks_graph() {
 fn full_bc_pipeline_produces_sane_scores() {
     let g = gen::er_symmetric(300, 8, 17);
     let sources: Vec<usize> = (0..32).collect();
-    let r = bc::betweenness(&g, &sources, Scheme::Ours(Algorithm::Msa, Phases::One));
+    let r = bc::betweenness_with(
+        &g,
+        &sources,
+        Scheme::Ours(Algorithm::Msa, Phases::One),
+        &ExecOpts::default(),
+    );
     assert_eq!(r.scores.len(), g.nrows());
     assert!(
         r.scores.iter().all(|&x| x >= -1e-9),
@@ -170,9 +185,16 @@ fn semirings_compose_with_apps() {
     let g = gen::er_symmetric(100, 6, 33);
     let gb = g.map(|_| true);
     let mask = g.pattern();
-    let two_hop =
-        masked_mxm::<OrAndBool, ()>(&mask, &gb, &gb, Algorithm::Msa, MaskMode::Mask, Phases::One)
-            .unwrap();
+    let two_hop = masked_mxm_with_opts::<OrAndBool, ()>(
+        &mask,
+        &gb,
+        &gb,
+        Algorithm::Msa,
+        MaskMode::Mask,
+        Phases::One,
+        &ExecOpts::default(),
+    )
+    .unwrap();
     // Every surviving coordinate is an edge that closes a triangle.
     for (i, j, &v) in two_hop.iter() {
         assert!(v, "or_and output values are true");
