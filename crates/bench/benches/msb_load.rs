@@ -4,8 +4,13 @@
 //! acceptance gauge for the mmap work: the mapped "resident load" must
 //! be near-zero-cost — it validates `rowptr` and casts, but performs no
 //! per-section heap copy of `colidx`/`values` (asserted via
-//! `storage_report`, not just timed). Emits CSV on stdout, an aligned
-//! table on stderr, and a JSON report for the CI perf artifact.
+//! `storage_report`, not just timed). Three ways to hold the R-MAT are
+//! compared — the value stream, a values-less pattern stream, and the
+//! value stream with its weights dropped at load (`LoadOpts::pattern`:
+//! the values range is neither read nor cast) — which is the evidence
+//! behind "one sidecar per input" in `docs/DECISIONS.md`. Emits CSV on
+//! stdout, an aligned table on stderr, and a JSON report for the CI perf
+//! artifact.
 //!
 //! mmap defers page faults to first use, so the honest comparison is
 //! load+touch (a checksum pass over every value and column index): the
@@ -27,13 +32,17 @@ use mspgemm_bench::banner;
 use mspgemm_gen::RmatParams;
 use mspgemm_harness::report::{json_escape, Table};
 use mspgemm_harness::{csr_fingerprint, env_usize, mb_per_s, time_best};
-use mspgemm_io::msb::{read_msb_file_auto, write_msb, MsbBackend};
+use mspgemm_io::msb::{write_msb, MsbBackend};
+use mspgemm_io::{load_matrix, CachePolicy, LoadOpts};
 use mspgemm_sparse::Csr;
 use std::path::PathBuf;
 
 struct Row {
     dataset: String,
+    /// Size of the file on disk.
     bytes: u64,
+    /// Bytes the load materialised (`IngestReport::bytes`).
+    read_bytes: u64,
     nnz: usize,
     backend: &'static str,
     phase: &'static str,
@@ -57,28 +66,34 @@ fn touch(a: &Csr<f64>) -> u64 {
     acc
 }
 
-fn bench_one(rows: &mut Vec<Row>, name: &str, path: &PathBuf, reps: usize) {
+/// One case: `path` loaded through both backends, keeping (`pattern:
+/// false`) or dropping (`true`) the weights at load.
+fn bench_one(rows: &mut Vec<Row>, name: &str, path: &PathBuf, pattern: bool, reps: usize) {
     let bytes = std::fs::metadata(path).unwrap().len();
     let mut fingerprints = Vec::new();
     for (backend_name, prefer_mmap) in [("heap", false), ("mmap", true)] {
+        let opts = LoadOpts {
+            policy: CachePolicy::Off,
+            mmap: prefer_mmap,
+            pattern,
+            ..LoadOpts::default()
+        };
+        let load = || load_matrix(path, &opts).unwrap();
         // Cold: a SINGLE timed load+touch, the first this process makes
         // through this backend (process-cold allocators, first mapping,
         // every page faulted in; the page cache itself stays warm — the
         // file was just written, and dropping the OS cache is not
         // portable). Warm: best-of-reps against the now-resident file.
         let t0 = std::time::Instant::now();
-        let (cold_a, backend) = read_msb_file_auto(path, prefer_mmap).unwrap();
+        let (cold_a, ingest) = load();
         let cold_load = t0.elapsed().as_secs_f64();
         std::hint::black_box(touch(&cold_a));
         let cold_total = t0.elapsed().as_secs_f64();
         drop(cold_a);
+        let backend = ingest.backend;
 
-        let (warm_load, (a, _)) =
-            time_best(reps, || read_msb_file_auto(path, prefer_mmap).unwrap());
-        let (warm_total, sum) = time_best(reps, || {
-            let (a, _) = read_msb_file_auto(path, prefer_mmap).unwrap();
-            touch(&a)
-        });
+        let (warm_load, (a, _)) = time_best(reps, load);
+        let (warm_total, sum) = time_best(reps, || touch(&load().0));
         std::hint::black_box(sum);
 
         let expect =
@@ -103,6 +118,7 @@ fn bench_one(rows: &mut Vec<Row>, name: &str, path: &PathBuf, reps: usize) {
             rows.push(Row {
                 dataset: name.to_string(),
                 bytes,
+                read_bytes: ingest.bytes,
                 nnz: a.nnz(),
                 backend: backend_name,
                 phase,
@@ -142,24 +158,31 @@ fn main() {
     }
     // The R-MAT (big enough that section copies dominate).
     let g = mspgemm_gen::rmat_symmetric(scale, RmatParams::default(), 5);
-    let p = dir.join(format!("rmat{scale}.msb"));
-    write_msb(std::fs::File::create(&p).unwrap(), &g).unwrap();
-    cases.push((format!("rmat{scale}"), p));
+    let values = format!("rmat{scale}");
+    let value_file = dir.join(format!("{values}.msb"));
+    write_msb(std::fs::File::create(&value_file).unwrap(), &g).unwrap();
+    cases.push((values.clone(), value_file.clone()));
     // The same structure as a values-less pattern stream: the value
     // section (8 bytes/entry) vanishes from the file and loads serve it
     // from the process-wide unit arena.
-    let pp = dir.join(format!("rmat{scale}.pattern.msb"));
+    let pp = dir.join(format!("rmat{scale}-pattern.msb"));
     mspgemm_io::msb::write_msb_pattern_file(&pp, &g).unwrap();
     cases.push((format!("rmat{scale}-pattern"), pp));
 
     let mut rows = Vec::new();
     for (name, path) in &cases {
-        bench_one(&mut rows, name, path, reps);
+        bench_one(&mut rows, name, path, false, reps);
     }
+    // The value file again, weights dropped at load: what a `--pattern`
+    // hit on the one value sidecar costs, next to the pattern stream a
+    // second sidecar would have held.
+    let dropped = format!("rmat{scale}-values-dropped");
+    bench_one(&mut rows, &dropped, &value_file, true, reps);
 
     let headers = [
         "dataset",
         "bytes",
+        "read_bytes",
         "nnz",
         "backend",
         "phase",
@@ -175,11 +198,12 @@ fn main() {
         table.row(&[
             r.dataset.clone(),
             r.bytes.to_string(),
+            r.read_bytes.to_string(),
             r.nnz.to_string(),
             r.backend.to_string(),
             r.phase.to_string(),
             format!("{:.9}", r.load_seconds),
-            format!("{:.1}", mb_per_s(r.bytes, r.load_seconds)),
+            format!("{:.1}", mb_per_s(r.read_bytes, r.load_seconds)),
             format!("{:.9}", r.total_seconds),
             r.heap_bytes.to_string(),
             r.mapped_bytes.to_string(),
@@ -189,30 +213,35 @@ fn main() {
     print!("{}", table.to_csv());
     eprint!("{}", table.to_text());
 
-    // Headline: pattern vs values — bytes off disk and warm load+touch.
+    // Headline: three ways to a unit-valued R-MAT — bytes on disk, bytes
+    // read, and warm load / load+touch per backend.
     {
-        let warm = |name: &str, backend: &str| {
-            rows.iter()
-                .find(|r| r.dataset == name && r.backend == backend && r.phase == "warm")
-        };
-        let values = format!("rmat{scale}");
         let pattern = format!("rmat{scale}-pattern");
-        if let (Some(v), Some(p)) = (warm(&values, "mmap"), warm(&pattern, "mmap")) {
-            assert!(
-                p.bytes < v.bytes,
-                "pattern stream must be smaller than the values stream"
-            );
-            eprintln!(
-                "{pattern}: {:.1}% fewer bytes than {values} ({} -> {}), \
-                 warm mapped load+touch {:.2}x ({:.9}s -> {:.9}s)",
-                100.0 * (1.0 - p.bytes as f64 / v.bytes as f64),
-                v.bytes,
-                p.bytes,
-                v.total_seconds / p.total_seconds.max(1e-12),
-                v.total_seconds,
-                p.total_seconds,
-            );
+        for name in [&values, &pattern, &dropped] {
+            for r in rows
+                .iter()
+                .filter(|r| r.dataset == *name && r.phase == "warm")
+            {
+                eprintln!(
+                    "{name} ({}): {} bytes on disk, {} read, warm load {:.9}s, load+touch {:.9}s",
+                    r.backend, r.bytes, r.read_bytes, r.load_seconds, r.total_seconds,
+                );
+            }
         }
+        let warm = |name: &str| {
+            rows.iter()
+                .find(|r| r.dataset == name && r.backend == "heap" && r.phase == "warm")
+                .unwrap()
+        };
+        assert!(
+            warm(&pattern).bytes < warm(&values).bytes,
+            "pattern stream must be smaller than the values stream"
+        );
+        assert_eq!(
+            warm(&dropped).read_bytes,
+            warm(&pattern).read_bytes,
+            "dropping the weights at load must read exactly what a pattern stream holds"
+        );
     }
 
     // Headline: how much cheaper resident (warm) loads got.
@@ -246,17 +275,18 @@ fn report_json(rows: &[Row]) -> String {
     let mut out = String::from("{\n  \"bench\": \"msb_load\",\n  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"dataset\": \"{}\", \"bytes\": {}, \"nnz\": {}, \
+            "    {{\"dataset\": \"{}\", \"bytes\": {}, \"read_bytes\": {}, \"nnz\": {}, \
              \"backend\": \"{}\", \"phase\": \"{}\", \"load_seconds\": {:.9}, \
              \"load_mb_per_s\": {:.3}, \"total_seconds\": {:.9}, \
              \"heap_bytes\": {}, \"mapped_bytes\": {}, \"unit_bytes\": {}}}{}\n",
             json_escape(&r.dataset),
             r.bytes,
+            r.read_bytes,
             r.nnz,
             r.backend,
             r.phase,
             r.load_seconds,
-            mb_per_s(r.bytes, r.load_seconds),
+            mb_per_s(r.read_bytes, r.load_seconds),
             r.total_seconds,
             r.heap_bytes,
             r.mapped_bytes,

@@ -42,7 +42,7 @@ fn cache_policy(p: &Parsed) -> CachePolicy {
 /// The full load options one command invocation pins: cache policy,
 /// parse fan-out, the `--mmap` zero-copy preference, and the
 /// `--pattern` values-less loading mode.
-fn load_opts(p: &Parsed) -> Result<LoadOpts, String> {
+pub(crate) fn load_opts(p: &Parsed) -> Result<LoadOpts, String> {
     Ok(LoadOpts {
         policy: cache_policy(p),
         parse_threads: p.flag_parse("parse-threads", 0usize)?,

@@ -39,8 +39,9 @@ USAGE:
         scalar elsewhere), and the per-thread busy-time spread
         (max/mean). --mmap memory-maps a v2 .msb input (or fresh
         sidecar) instead of heap-copying it. --pattern drops values at
-        load: unit values come from a process-wide shared arena and
-        sidecars are written values-less (~half the bytes).
+        load: unit values come from a process-wide shared arena, and
+        the values range of an .msb input or sidecar is skipped (not
+        read, not mapped); the sidecar itself keeps the weights.
         --trace records phase-scoped spans (ingest, flop-prefix,
         symbolic, numeric, compaction, ...) to a chrome://tracing JSON
         file and appends a per-phase breakdown table to the report
@@ -194,8 +195,8 @@ fn value_flags(cmd: &str) -> &'static [&'static str] {
 
 /// Value flags shared by every `mxm query` op. `--json` is NOT here: for
 /// every op but `raw` it is a bare switch (print the raw response line);
-/// only `raw` takes `--json '{...}'` as a value, which [`dispatch`]
-/// special-cases by op name before parsing.
+/// only `raw` takes `--json '{...}'` as a value, which [`dispatch`] adds
+/// after reading the op off the command line ([`query_op`]).
 const QUERY_VALUE_FLAGS: &[&str] = &[
     "connect",
     "retry",
@@ -220,32 +221,22 @@ const QUERY_VALUE_FLAGS: &[&str] = &[
     "from-file",
 ];
 
-/// [`QUERY_VALUE_FLAGS`] plus `json` — the flag set for `mxm query raw`,
-/// where `--json` carries the request body.
-const QUERY_RAW_VALUE_FLAGS: &[&str] = &[
-    "connect",
-    "retry",
-    "path",
-    "name",
-    "parse-threads",
-    "dataset",
-    "algo",
-    "mask",
-    "phases",
-    "schedule",
-    "threads",
-    "reps",
-    "app",
-    "scheme",
-    "k",
-    "batch",
-    "deadline-ms",
-    "format",
-    "insert",
-    "delete",
-    "from-file",
-    "json",
-];
+/// The op of an `mxm query` command line: its first positional — the
+/// first argument that is neither a flag nor the value of one of
+/// [`QUERY_VALUE_FLAGS`]. (A value such as `--dataset raw` is not the op.)
+fn query_op(rest: &[String]) -> Option<&str> {
+    let mut it = rest.iter();
+    while let Some(arg) = it.next() {
+        match arg.strip_prefix("--") {
+            None => return Some(arg),
+            Some(flag) if QUERY_VALUE_FLAGS.contains(&flag) => {
+                it.next();
+            }
+            Some(_) => {}
+        }
+    }
+    None
+}
 
 /// Bare switches per subcommand. Anything else is a typo'd flag — reject
 /// it rather than silently running without the intended option.
@@ -280,12 +271,11 @@ pub fn dispatch(argv: &[String], out: &mut impl Write) -> Result<(), String> {
     let rest = &argv[1..];
     // `query raw` is the one spot where --json takes a value (the request
     // body); everywhere else in `query` it is the raw-output switch.
-    let vflags = if cmd == "query" && rest.iter().any(|a| a == "raw") {
-        QUERY_RAW_VALUE_FLAGS
-    } else {
-        value_flags(cmd)
-    };
-    let parsed = args::parse(rest, vflags)?;
+    let mut vflags = value_flags(cmd).to_vec();
+    if cmd == "query" && query_op(rest) == Some("raw") {
+        vflags.push("json");
+    }
+    let parsed = args::parse(rest, &vflags)?;
     if matches!(
         cmd.as_str(),
         "run" | "suite" | "convert" | "check" | "serve" | "query"
@@ -374,6 +364,25 @@ mod tests {
         .unwrap();
         assert_eq!(mspgemm_io::read_msb_file(&msb).unwrap(), g);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn query_json_takes_a_value_only_for_the_raw_op() {
+        // Nothing listens on port 1, so a command line that parses fails
+        // at connect — and only there.
+        let query = |args: &[&str]| {
+            let argv = [&["query", "--connect", "127.0.0.1:1"], args].concat();
+            dispatch(&sv(&argv), &mut Vec::new()).unwrap_err()
+        };
+        // A dataset that happens to be named `raw` does not make this
+        // the raw op: --json stays the bare print-the-response switch.
+        let e = query(&["mxm", "--dataset", "raw", "--json"]);
+        assert!(e.contains("connect"), "{e}");
+        // The raw op still takes its request body from --json.
+        let e = query(&["raw", "--json", r#"{"op":"ping"}"#]);
+        assert!(e.contains("connect"), "{e}");
+        let e = query(&["raw", "--json"]);
+        assert!(e.contains("--json needs a value"), "{e}");
     }
 
     #[test]

@@ -2,16 +2,17 @@
 //! and `mxm query` (script one protocol request against it).
 //!
 //! `serve` binds the address, preloads any datasets named as positional
-//! arguments, prints one `listening on <addr>` line, and parks until a
-//! `shutdown` request arrives. `query` builds the request object from
-//! flags (so shell scripts never hand-assemble JSON), sends it, prints
-//! the response as one JSON line, and exits non-zero on a protocol
-//! error — which makes it usable directly in CI smoke tests.
+//! arguments, starts accepting, prints one `listening on <addr>` line,
+//! and parks until a `shutdown` request arrives. `query` builds the
+//! request object from flags (so shell scripts never hand-assemble
+//! JSON), sends it, prints the response as one JSON line, and exits
+//! non-zero on a protocol error — which makes it usable directly in CI
+//! smoke tests.
 
 use crate::args::Parsed;
+use crate::commands::load_opts;
 use masked_spgemm::RowSchedule;
 use mspgemm_harness::report::Table;
-use mspgemm_io::CachePolicy;
 use mspgemm_serve::{client, Client, Json, ServeConfig, Server};
 use std::io::Write;
 
@@ -20,12 +21,6 @@ use std::io::Write;
 pub fn cmd_serve(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     let listen = p.flag("listen").unwrap_or("127.0.0.1:7654");
     let schedule: RowSchedule = p.flag("schedule").unwrap_or("guided").parse()?;
-    let parse_threads = p.flag_parse("parse-threads", 0usize)?;
-    let cache = if p.switch("no-cache") {
-        CachePolicy::Off
-    } else {
-        CachePolicy::ReadWrite
-    };
     let defaults = ServeConfig::default();
     let max_inflight = p.flag_parse("max-inflight", defaults.max_inflight)?;
     let queue_depth = p.flag_parse("queue-depth", defaults.queue_depth)?;
@@ -45,21 +40,22 @@ pub fn cmd_serve(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
             writeln!(out, "failpoints armed: {spec}").map_err(|e| e.to_string())?;
         }
     }
-    let server = Server::start(
+    // Bound first, accepting last: a client that connects while the
+    // preloads run waits in the listen backlog instead of being told the
+    // datasets named on this command line do not exist.
+    let (server, names) = Server::start_preloaded(
         listen,
         ServeConfig {
             schedule,
-            parse_threads,
-            cache,
-            mmap: p.switch("mmap"),
-            pattern: p.switch("pattern"),
+            load: load_opts(p)?,
             max_inflight,
             queue_depth,
             max_resident_bytes,
             quarantine_after,
         },
+        &p.positional,
     )?;
-    for (path, name) in p.positional.iter().zip(server.preload(&p.positional)?) {
+    for (path, name) in p.positional.iter().zip(names) {
         writeln!(out, "preloaded {name} from {path}").map_err(|e| e.to_string())?;
     }
     writeln!(out, "listening on {}", server.addr()).map_err(|e| e.to_string())?;

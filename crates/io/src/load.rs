@@ -3,7 +3,7 @@
 //! undirected adjacency the TC / k-truss / BC applications consume.
 
 use crate::error::IoError;
-use crate::msb::{read_msb_file_auto, write_msb_file, MsbBackend};
+use crate::msb::{load_msb_file, write_msb_file, MsbBackend};
 use crate::mtx::{read_mtx_file_parallel, write_mtx_file};
 use mspgemm_sparse::ops::ewise::ewise_add;
 use mspgemm_sparse::ops::select::remove_diagonal;
@@ -108,16 +108,12 @@ pub enum CacheOutcome {
     Written,
 }
 
-/// The sidecar path: `graph.mtx` → `graph.msb`.
+/// The sidecar path: `graph.mtx` → `graph.msb` — the one cache file a
+/// text input has. It is always a faithful value stream; a
+/// [`LoadOpts::pattern`] load is served from it by skipping the values
+/// range, so pattern and plain loads share it in either order.
 pub fn sidecar_path(path: &Path) -> PathBuf {
     path.with_extension("msb")
-}
-
-/// The pattern-only sidecar path: `graph.mtx` → `graph.pattern.msb`.
-/// Kept distinct from [`sidecar_path`] so a pattern load can never poison
-/// a later value load (and vice versa) through the cache.
-pub fn pattern_sidecar_path(path: &Path) -> PathBuf {
-    path.with_extension("pattern.msb")
 }
 
 fn is_fresh(original: &Path, sidecar: &Path) -> bool {
@@ -131,9 +127,9 @@ fn is_fresh(original: &Path, sidecar: &Path) -> bool {
 }
 
 /// What one ingest actually moved, for throughput reporting: the bytes
-/// of the file served, the coordinate entries parsed (stored entries for
-/// text, nnz for binary), and the wall time of the read+parse (sidecar
-/// writing excluded — it is amortized, not ingest).
+/// read, the coordinate entries parsed (stored entries for text, nnz for
+/// binary), and the wall time of the read+parse (sidecar writing
+/// excluded — it is amortized, not ingest).
 #[derive(Clone, Copy, Debug)]
 pub struct IngestReport {
     /// How the matrix was obtained.
@@ -141,7 +137,9 @@ pub struct IngestReport {
     /// How the resident sections are backed (heap copies, or zero-copy
     /// `Arc`-shared views into an mmap'd v2 `.msb`).
     pub backend: MsbBackend,
-    /// Size of the file that was actually read.
+    /// Bytes actually read: the whole text file, or the `.msb` stream up
+    /// to the last section the load materialised (a pattern load of a
+    /// value stream stops before the values range).
     pub bytes: u64,
     /// Entries parsed (text: declared stored entries; binary: nnz).
     pub entries: usize,
@@ -151,7 +149,7 @@ pub struct IngestReport {
     /// (`1.0`) views into the process-wide arena
     /// ([`mspgemm_sparse::shared_ones`]) instead of an `8·nnz`-byte
     /// private section — either because the `.msb` stream carried no
-    /// values, or because [`LoadOpts::pattern`] discarded them.
+    /// values, or because [`LoadOpts::pattern`] left them on disk.
     pub pattern: bool,
 }
 
@@ -164,16 +162,16 @@ pub struct LoadOpts {
     pub policy: CachePolicy,
     /// Text parse fan-out (`0` = rayon default).
     pub parse_threads: usize,
-    /// Prefer the zero-copy mmap path for `.msb` files. Non-`mmap`
-    /// builds and unsupported targets fall back to heap copies — the
-    /// report's `backend` field says what happened.
+    /// Prefer the zero-copy mmap path for `.msb` files. Targets that
+    /// cannot map fall back to heap copies — the report's `backend`
+    /// field says what happened.
     pub mmap: bool,
-    /// Load as a structural pattern: values are discarded and served as
-    /// unit `1.0` views of the process-wide arena, and text-parse
-    /// sidecars are written values-less (`name.pattern.msb`, roughly half
-    /// the bytes of a value sidecar). Only for workloads that never read
-    /// weights (TC / k-truss / structural masks) — `.msb` inputs that DO
-    /// carry values lose them in memory (the file is untouched).
+    /// Load as a structural pattern: values are served as unit `1.0`
+    /// views of the process-wide arena, and the values range of an
+    /// `.msb` input or sidecar is not materialised (heap: never read;
+    /// mmap: never cast). Files are untouched — the sidecar a pattern
+    /// load writes still carries the weights. Only for workloads that
+    /// never read weights (TC / k-truss / structural masks).
     pub pattern: bool,
 }
 
@@ -196,7 +194,10 @@ fn file_len(path: &Path) -> u64 {
 ///
 /// With `opts.mmap` set, a v2 `.msb` input (or fresh sidecar) backs the
 /// matrix directly by the mapped file, so residency costs no per-section
-/// heap copy of `colidx`/`values`.
+/// heap copy of `colidx`/`values`. With `opts.pattern` set, whichever
+/// `.msb` is read has its values range skipped and a text parse drops
+/// its weights after the sidecar is written — the one sidecar serves
+/// plain and pattern loads alike.
 pub fn load_matrix(
     path: impl AsRef<Path>,
     opts: &LoadOpts,
@@ -212,22 +213,17 @@ pub fn load_matrix(
     // refusal this degrades gracefully to the heap-copying reader.
     let mmap = opts.mmap && mspgemm_fault::fire("io.mmap").is_none();
     let start = Instant::now();
-    let report = |outcome, backend, bytes, entries, pattern| IngestReport {
+    let report = |outcome, backend, bytes, entries, a: &Csr<f64>| IngestReport {
         outcome,
         backend,
         bytes,
         entries,
         seconds: start.elapsed().as_secs_f64(),
-        pattern,
+        pattern: a.values_unit_shared(),
     };
-    // Under `opts.pattern`, whatever came back gets its values rebound to
-    // the shared unit arena (a no-op byte-wise when the stream was
-    // already values-less).
-    let patternize = |a: &mut Csr<f64>| {
-        if opts.pattern && !a.values_unit_shared() {
-            a.set_unit_values();
-        }
-        a.values_unit_shared()
+    let hit = |(a, backend, bytes): (Csr<f64>, MsbBackend, u64)| {
+        let r = report(CacheOutcome::Hit, backend, bytes, a.nnz(), &a);
+        (a, r)
     };
     if Format::from_path(path)? == Format::Msb {
         // Failpoint `io.msb`: a truncated or corrupt binary input —
@@ -235,49 +231,33 @@ pub fn load_matrix(
         if let Some(msg) = mspgemm_fault::fire("io.msb") {
             return Err(IoError::Format(format!("failpoint io.msb: {msg}")));
         }
-        let (mut a, backend) = read_msb_file_auto(path, mmap)?;
-        let pat = patternize(&mut a);
-        let r = report(CacheOutcome::Hit, backend, file_len(path), a.nnz(), pat);
-        return Ok((a, r));
+        return load_msb_file(path, mmap, opts.pattern).map(hit);
     }
-    // Pattern loads cache under a distinct sidecar name — a values-less
-    // stream at roughly half the bytes — so the two cache flavours never
-    // serve each other's files.
-    let sidecar = if opts.pattern {
-        pattern_sidecar_path(path)
-    } else {
-        sidecar_path(path)
-    };
+    let sidecar = sidecar_path(path);
     if opts.policy != CachePolicy::Off
         && is_fresh(path, &sidecar)
         // Failpoint `io.msb` on a *sidecar* behaves like the corrupt
         // cache it simulates: skip it and fall back to the text parse.
         && mspgemm_fault::fire("io.msb").is_none()
     {
-        if let Ok((mut a, backend)) = read_msb_file_auto(&sidecar, mmap) {
-            let pat = patternize(&mut a);
-            let r = report(CacheOutcome::Hit, backend, file_len(&sidecar), a.nnz(), pat);
-            return Ok((a, r));
+        if let Ok(loaded) = load_msb_file(&sidecar, mmap, opts.pattern) {
+            return Ok(hit(loaded));
         }
         // Corrupt sidecar: fall through to the text parse.
     }
     let (h, mut a) = read_mtx_file_parallel(path, opts.parse_threads)?;
-    let write_sidecar = |tmp: &Path| {
-        if opts.pattern {
-            crate::msb::write_msb_pattern(std::fs::File::create(tmp)?, &a)
-        } else {
-            write_msb_file(tmp, &a)
-        }
-    };
+    // The sidecar keeps the weights whatever this load wants in memory.
     let wrote = opts.policy == CachePolicy::ReadWrite
-        && persist_atomically(&sidecar, write_sidecar).is_ok();
-    let pat = patternize(&mut a);
+        && persist_atomically(&sidecar, |tmp| write_msb_file(tmp, &a)).is_ok();
+    if opts.pattern {
+        a.set_unit_values();
+    }
     let mut r = report(
         CacheOutcome::Parsed,
         MsbBackend::Heap,
         file_len(path),
         h.stored_entries,
-        pat,
+        &a,
     );
     if wrote {
         r.outcome = CacheOutcome::Written;
@@ -285,8 +265,7 @@ pub fn load_matrix(
         // sidecar just written: first runs then match repeat runs in
         // backend, and the server's residency is zero-copy from load one.
         if mmap {
-            if let Ok((mut mapped, MsbBackend::Mmap)) = read_msb_file_auto(&sidecar, true) {
-                r.pattern = patternize(&mut mapped);
+            if let Ok((mapped, MsbBackend::Mmap, _)) = load_msb_file(&sidecar, true, opts.pattern) {
                 debug_assert_eq!(mapped, a, "sidecar must round-trip the parse");
                 r.backend = MsbBackend::Mmap;
                 return Ok((mapped, r));
@@ -528,56 +507,72 @@ mod tests {
     }
 
     #[test]
-    fn pattern_loads_cache_separately_and_share_unit_values() {
-        let dir = tempdir("pattern");
-        let mtx = dir.join("g.mtx");
-        let value_sc = sidecar_path(&mtx);
-        let pattern_sc = pattern_sidecar_path(&mtx);
-        std::fs::remove_file(&value_sc).ok();
-        std::fs::remove_file(&pattern_sc).ok();
-        crate::mtx::write_mtx_file(&mtx, &directed_sample()).unwrap();
+    fn pattern_and_plain_loads_share_the_one_value_sidecar() {
+        // Both load orders on one weighted text, heap and mmap: exactly
+        // one `.msb` lands beside it, the plain load always gets the
+        // original weights, the pattern load unit-arena values.
+        let w = directed_sample();
+        for (tag, pattern_first) in [("pattern_first", true), ("plain_first", false)] {
+            for mmap in [false, true] {
+                let dir = tempdir(&format!("{tag}_{mmap}"));
+                std::fs::remove_dir_all(&dir).ok();
+                std::fs::create_dir_all(&dir).unwrap();
+                let mtx = dir.join("g.mtx");
+                crate::mtx::write_mtx_file(&mtx, &w).unwrap();
+                let opts = |pattern| LoadOpts {
+                    mmap,
+                    pattern,
+                    ..policy(CachePolicy::ReadWrite)
+                };
+                let mut outcomes = Vec::new();
+                for pattern in [pattern_first, !pattern_first, pattern_first] {
+                    let (a, r) = load_matrix(&mtx, &opts(pattern)).unwrap();
+                    outcomes.push(r.outcome);
+                    assert_eq!(r.pattern, pattern);
+                    assert_eq!(a.values_unit_shared(), pattern);
+                    assert_eq!(a.pattern(), w.pattern());
+                    if pattern {
+                        assert!(a.values().iter().all(|&v| v == 1.0));
+                    } else {
+                        assert_eq!(a, w, "{tag}: the plain load keeps the weights");
+                    }
+                    if r.outcome == CacheOutcome::Hit {
+                        // A pattern hit stops before the values range.
+                        let whole = file_len(&sidecar_path(&mtx));
+                        let expect = whole - if pattern { 8 * w.nnz() as u64 } else { 0 };
+                        assert_eq!(r.bytes, expect, "{tag}: bytes read");
+                    }
+                }
+                assert_eq!(
+                    outcomes,
+                    [CacheOutcome::Written, CacheOutcome::Hit, CacheOutcome::Hit],
+                    "{tag}: the second flavour is served by the first one's sidecar"
+                );
+                let mut files: Vec<_> = std::fs::read_dir(&dir)
+                    .unwrap()
+                    .map(|e| e.unwrap().file_name().into_string().unwrap())
+                    .collect();
+                files.sort();
+                assert_eq!(files, ["g.msb", "g.mtx"], "{tag}: one cache file");
+                assert_eq!(
+                    crate::msb::read_msb_file(sidecar_path(&mtx)).unwrap(),
+                    w,
+                    "{tag}: the sidecar is a faithful value stream"
+                );
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
+    }
 
-        let popts = LoadOpts {
-            pattern: true,
-            ..policy(CachePolicy::ReadWrite)
-        };
-        // First pattern load parses, writes the values-less sidecar, and
-        // serves unit values from the arena.
-        let (p, r) = load_matrix(&mtx, &popts).unwrap();
-        assert_eq!(r.outcome, CacheOutcome::Written);
-        assert!(r.pattern);
-        assert!(p.values_unit_shared());
-        assert!(p.values().iter().all(|&v| v == 1.0));
-        assert_eq!(p.pattern(), directed_sample().pattern());
-        assert!(pattern_sc.exists());
-        assert!(
-            !value_sc.exists(),
-            "pattern load must not plant a value sidecar"
-        );
-        let header =
-            crate::msb::read_msb_header(&mut std::fs::read(&pattern_sc).unwrap().as_slice())
-                .unwrap();
-        assert!(header.is_pattern(), "sidecar stream is values-less");
-
-        // Second pattern load hits the pattern sidecar.
-        let (p2, r2) = load_matrix(&mtx, &popts).unwrap();
-        assert_eq!(r2.outcome, CacheOutcome::Hit);
-        assert!(r2.pattern && p2.values_unit_shared());
-        assert!(
-            r2.bytes < std::fs::metadata(&mtx).unwrap().len()
-                || r2.bytes == std::fs::metadata(&pattern_sc).unwrap().len(),
-            "pattern hit reads the values-less stream"
-        );
-
-        // A value load of the same file is untouched by the pattern cache:
-        // it parses (or writes its own sidecar) and keeps real weights.
-        let (v, rv) = load_matrix(&mtx, &policy(CachePolicy::ReadWrite)).unwrap();
-        assert!(!rv.pattern);
-        assert_eq!(v, directed_sample());
-
-        // A pattern load of a values .msb discards weights in memory only.
+    #[test]
+    fn pattern_load_of_a_value_msb_leaves_the_file_alone() {
+        let dir = tempdir("pattern_msb");
         let msb = dir.join("w.msb");
         save_matrix(&msb, &directed_sample()).unwrap();
+        let popts = LoadOpts {
+            pattern: true,
+            ..LoadOpts::default()
+        };
         let (pm, rm) = load_matrix(&msb, &popts).unwrap();
         assert!(rm.pattern && pm.values_unit_shared());
         assert_eq!(pm.pattern(), directed_sample().pattern());
@@ -586,9 +581,7 @@ mod tests {
             directed_sample(),
             "the on-disk values are untouched"
         );
-        for f in [&mtx, &value_sc, &pattern_sc, &msb] {
-            std::fs::remove_file(f).ok();
-        }
+        std::fs::remove_file(&msb).ok();
     }
 
     #[test]

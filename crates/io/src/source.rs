@@ -150,22 +150,25 @@ mod tests {
 
     #[test]
     fn sidecar_not_double_counted() {
-        let dir = std::env::temp_dir().join("mspgemm_io_source_sidecar");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        write_cycle(&dir.join("ring.mtx"), 5);
-        // Warm the cache, creating ring.msb next to ring.mtx.
-        let graphs = DatasetSource::Dir(dir.clone())
-            .load(&LoadOpts::default())
-            .unwrap();
-        assert_eq!(graphs.len(), 1);
-        assert!(dir.join("ring.msb").exists());
-        // Second scan still sees ONE dataset, not two.
-        let graphs = DatasetSource::Dir(dir.clone())
-            .load(&LoadOpts::default())
-            .unwrap();
-        assert_eq!(graphs.len(), 1, "sidecar must not duplicate its dataset");
-        std::fs::remove_dir_all(&dir).ok();
+        // Plain and pattern loads alike: whatever the first scan caches
+        // next to ring.mtx, the second scan still sees ONE dataset.
+        for pattern in [false, true] {
+            let dir = std::env::temp_dir().join(format!("mspgemm_io_source_sidecar_{pattern}"));
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(&dir).unwrap();
+            write_cycle(&dir.join("ring.mtx"), 5);
+            let opts = LoadOpts {
+                pattern,
+                ..LoadOpts::default()
+            };
+            for scan in ["cold", "warm"] {
+                let graphs = DatasetSource::Dir(dir.clone()).load(&opts).unwrap();
+                let names: Vec<&str> = graphs.iter().map(|g| g.name.as_str()).collect();
+                assert_eq!(names, ["ring"], "pattern={pattern}, {scan} scan");
+            }
+            assert!(dir.join("ring.msb").exists());
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -33,8 +33,8 @@ fn msb_file(tag: &str, bytes: &[u8]) -> PathBuf {
     path
 }
 
-/// Load via mmap when the build/target supports it; the heap fallback
-/// keeps the property meaningful (equality still must hold) elsewhere.
+/// Load via mmap where the target supports it; the heap fallback keeps
+/// the property meaningful (equality still must hold) elsewhere.
 fn load_mapped(path: &PathBuf) -> (Csr<f64>, MsbBackend) {
     read_msb_file_auto(path, true).unwrap()
 }
@@ -113,24 +113,32 @@ proptest! {
         std::fs::remove_file(&path).ok();
 
         // A corrupted structural byte (header dims or rowptr region) must
-        // never produce a matrix that violates CSR invariants. Value-
-        // section flips legitimately decode (they are just other floats),
-        // so flip only within the structural prefix.
+        // never produce a matrix that violates CSR invariants, and both
+        // loaders — one decoder behind them — must reach the same
+        // verdict. Value-section flips legitimately decode (they are just
+        // other floats), so flip only within the structural prefix.
         let structural = MSB_HEADER_LEN + 8 * (a.nrows() + 1);
         let pos = 8 + ((structural - 9) as f64 * flip_frac) as usize;
         let mut bad = buf.clone();
         bad[pos] ^= 0xff;
         let path = msb_file("flip", &bad);
-        if let Ok((m, _)) = read_msb_file_auto(&path, true) {
+        let mapped = read_msb_file_auto(&path, true).map(|(m, _)| m);
+        let heap = read_msb_file_auto(&path, false).map(|(m, _)| m);
+        match (mapped, heap) {
             // Accepted ⇒ the flip produced another *valid* stream
             // (e.g. a flags/nnz combination that still checks out).
             // Validation is what matters: invariants must hold.
-            prop_assert!(
-                Csr::try_from_parts(
-                    m.nrows(), m.ncols(),
-                    m.rowptr().to_vec(), m.colidx().to_vec(), m.values().to_vec(),
-                ).is_ok()
-            );
+            (Ok(m), Ok(h)) => {
+                prop_assert_eq!(&m, &h);
+                prop_assert!(
+                    Csr::try_from_parts(
+                        m.nrows(), m.ncols(),
+                        m.rowptr().to_vec(), m.colidx().to_vec(), m.values().to_vec(),
+                    ).is_ok()
+                );
+            }
+            (Err(m), Err(h)) => prop_assert_eq!(m.to_string(), h.to_string()),
+            (m, h) => prop_assert!(false, "loaders disagree: mapped {:?}, heap {:?}", m, h),
         }
         std::fs::remove_file(&path).ok();
     }
@@ -191,26 +199,14 @@ fn sidecar_cache_serves_mmap_and_rewrites_a_v1_sidecar() {
     // returns the mapped copy of it.
     let (a, r) = load_matrix(&mtx, &opts).unwrap();
     assert_eq!(r.outcome, CacheOutcome::Written);
-    if cfg!(all(
-        feature = "mmap",
-        target_endian = "little",
-        target_pointer_width = "64"
-    )) {
-        assert_eq!(r.backend, MsbBackend::Mmap);
-        assert!(a.has_shared_storage());
-    }
+    assert_eq!(r.backend, MsbBackend::Mmap);
+    assert!(a.has_shared_storage());
     assert_eq!(a, g);
 
     // Second load hits the sidecar via the mapping.
     let (b, r) = load_matrix(&mtx, &opts).unwrap();
     assert_eq!(r.outcome, CacheOutcome::Hit);
-    if cfg!(all(
-        feature = "mmap",
-        target_endian = "little",
-        target_pointer_width = "64"
-    )) {
-        assert_eq!(r.backend, MsbBackend::Mmap);
-    }
+    assert_eq!(r.backend, MsbBackend::Mmap);
     assert_eq!(b, g);
     assert_eq!(csr_fingerprint(&a), csr_fingerprint(&b));
 

@@ -4,7 +4,7 @@
 //! simple symmetric adjacencies from any square input.
 
 use mspgemm_io::load::to_adjacency;
-use mspgemm_io::msb::{read_msb, read_msb_pattern, write_msb, write_msb_pattern};
+use mspgemm_io::msb::{read_msb, write_msb, write_msb_pattern};
 use mspgemm_io::mtx::{read_mtx, write_mtx, write_mtx_symmetric, MtxField};
 use mspgemm_sparse::{Csr, Idx};
 use proptest::prelude::*;
@@ -39,8 +39,9 @@ proptest! {
     fn msb_pattern_roundtrips(a in csr_strategy(17, 19, 0.3)) {
         let mut buf = Vec::new();
         write_msb_pattern(&mut buf, &a.pattern()).unwrap();
-        let p = read_msb_pattern(buf.as_slice()).unwrap();
-        prop_assert_eq!(p, a.pattern());
+        let p = read_msb(buf.as_slice()).unwrap();
+        prop_assert_eq!(p.pattern(), a.pattern());
+        prop_assert!(p.values_unit_shared());
     }
 
     #[test]

@@ -113,17 +113,17 @@ pub(crate) fn ping(state: &ServerState) -> OpResult {
 /// `load`: returns the registry name the dataset landed under (the
 /// request may have left it to the path stem) next to the response.
 pub(crate) fn load(state: &ServerState, p: &LoadParams) -> Result<(String, Json), Reject> {
-    let config = &state.config;
+    let default = &state.config.load;
     let out = state
         .registry
         .load(
             &p.path,
             p.name.as_deref(),
             &LoadOpts {
-                policy: p.cache.unwrap_or(config.cache),
-                parse_threads: p.parse_threads.unwrap_or(config.parse_threads),
-                mmap: p.mmap.unwrap_or(config.mmap),
-                pattern: p.pattern.unwrap_or(config.pattern),
+                policy: p.cache.unwrap_or(default.policy),
+                parse_threads: p.parse_threads.unwrap_or(default.parse_threads),
+                mmap: p.mmap.unwrap_or(default.mmap),
+                pattern: p.pattern.unwrap_or(default.pattern),
             },
             p.pin,
         )

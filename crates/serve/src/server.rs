@@ -38,7 +38,7 @@ use crate::protocol::{
 use crate::registry::{Registry, RegistryError};
 use crate::scheduler::{Admission, Job, Scheduler};
 use masked_spgemm::{ExecStats, RowSchedule, WsPool};
-use mspgemm_io::{CachePolicy, LoadOpts};
+use mspgemm_io::LoadOpts;
 use mspgemm_obs::MetricsRegistry;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -54,20 +54,12 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Row schedule used when a request does not name one.
     pub schedule: RowSchedule,
-    /// Parse fan-out for `load` when the request does not pin one
-    /// (`0` = all cores).
-    pub parse_threads: usize,
-    /// Sidecar cache policy for `load` (default: read/write, so the
-    /// first text load warms the `.msb` sidecar).
-    pub cache: CachePolicy,
-    /// Prefer zero-copy mmap residency for v2 `.msb` inputs/sidecars
-    /// (`mxm serve --mmap`); requests can override per `load`.
-    pub mmap: bool,
-    /// Load datasets pattern-only by default (`mxm serve --pattern`):
-    /// weights are discarded at ingest and the value section becomes a
-    /// view of the process-wide unit arena. Requests can override per
-    /// `load`.
-    pub pattern: bool,
+    /// How `load` requests and preloads ingest when the request does not
+    /// say otherwise — the same [`LoadOpts`] `mxm run` / `mxm suite`
+    /// build from `--parse-threads`, `--no-cache`, `--mmap` and
+    /// `--pattern`. The default reads and writes the sidecar cache, so
+    /// the first text load warms the `.msb` next to it.
+    pub load: LoadOpts,
     /// Executor workers draining the admission queue — the number of
     /// heavy requests executing concurrently (`mxm serve
     /// --max-inflight`). Clamped to at least 1.
@@ -89,10 +81,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             schedule: RowSchedule::default(),
-            parse_threads: 0,
-            cache: CachePolicy::ReadWrite,
-            mmap: false,
-            pattern: false,
+            load: LoadOpts::default(),
             // Two executor slots keep a second core busy while one
             // request fills the other; 64 queued jobs is roughly a
             // second of backlog at interactive kernel sizes. Both are
@@ -205,6 +194,20 @@ impl Server {
     /// address (`127.0.0.1:7654`, port `0` picks a free one) or
     /// `unix:/path/to.sock`.
     pub fn start(listen: &str, config: ServeConfig) -> Result<Server, String> {
+        Self::start_preloaded(listen, config, &[]).map(|(server, _)| server)
+    }
+
+    /// Bind `listen` (so a bad address fails before any ingest), load
+    /// `paths` as [`Server::preload`] does, and only then start
+    /// accepting: a client that connects while the preloads run waits in
+    /// the listen backlog, and the first response it gets already sees
+    /// every preloaded dataset. Returns the registry names of `paths` in
+    /// input order.
+    pub fn start_preloaded(
+        listen: &str,
+        config: ServeConfig,
+        paths: &[String],
+    ) -> Result<(Server, Vec<String>), String> {
         let state = ServerState::new(config);
         let st = state.clone();
         let bind_err = |e: std::io::Error| format!("bind {listen}: {e}");
@@ -215,10 +218,13 @@ impl Server {
                 #[cfg(unix)]
                 {
                     let l = UnixListener::bind(path).map_err(bind_err)?;
-                    let path = std::path::PathBuf::from(path);
+                    // Owned by the closure, so the socket file goes when
+                    // the accept loop ends — or when a failed preload
+                    // drops the closure unrun.
+                    let unlink = UnlinkOnDrop(std::path::PathBuf::from(path));
                     let serve = move || {
+                        let _unlink = unlink;
                         accept_loop(&st, || l.accept().map(|(stream, _)| stream));
-                        std::fs::remove_file(&path).ok();
                     };
                     (listen.to_string(), Box::new(serve))
                 }
@@ -244,14 +250,17 @@ impl Server {
                 )
             };
         state.addr.set(addr).unwrap();
+        let mut server = Server {
+            state,
+            accept: None,
+        };
+        let names = server.preload(paths)?;
         let accept = std::thread::Builder::new()
             .name("mxm-serve-accept".into())
             .spawn(serve)
             .map_err(|e| e.to_string())?;
-        Ok(Server {
-            state,
-            accept: Some(accept),
-        })
+        server.accept = Some(accept);
+        Ok((server, names))
     }
 
     /// The resolved listen address (`host:port`, or `unix:/path`).
@@ -264,25 +273,20 @@ impl Server {
         &self.state
     }
 
-    /// Load datasets into the registry before (or while) serving, using
-    /// the server's default cache policy and parse fan-out. Returns the
-    /// registry names in input order. Preloads are **pinned**: the
+    /// Load datasets into the registry while serving, under the server's
+    /// default [`ServeConfig::load`] options (to have them resident
+    /// before the first request is answered, pass them to
+    /// [`Server::start_preloaded`]). Returns the registry names in input
+    /// order. Preloads are **pinned**: the
     /// operator named them on the command line, so the memory budget
     /// never evicts them in favor of an ad-hoc `load`.
     pub fn preload(&self, paths: &[String]) -> Result<Vec<String>, String> {
-        let config = &self.state.config;
-        let opts = LoadOpts {
-            policy: config.cache,
-            parse_threads: config.parse_threads,
-            mmap: config.mmap,
-            pattern: config.pattern,
-        };
         paths
             .iter()
             .map(|p| {
                 self.state
                     .registry
-                    .load(p, None, &opts, true)
+                    .load(p, None, &self.state.config.load, true)
                     .map(|out| out.ds.name.clone())
                     .map_err(|e| e.to_string())
             })
@@ -321,6 +325,17 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// Removes a Unix socket file when dropped.
+#[cfg(unix)]
+struct UnlinkOnDrop(std::path::PathBuf);
+
+#[cfg(unix)]
+impl Drop for UnlinkOnDrop {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.0).ok();
     }
 }
 
@@ -737,6 +752,14 @@ mod tests {
     use super::*;
     use crate::ops::publish_gauges;
 
+    /// Loads that neither read nor write a sidecar.
+    fn uncached() -> LoadOpts {
+        LoadOpts {
+            policy: mspgemm_io::CachePolicy::Off,
+            ..LoadOpts::default()
+        }
+    }
+
     fn state_with(dir_tag: &str, n: usize) -> (Arc<ServerState>, String) {
         let dir = std::env::temp_dir().join(format!("mspgemm_serve_server_{dir_tag}"));
         std::fs::create_dir_all(&dir).unwrap();
@@ -744,7 +767,7 @@ mod tests {
         let g = mspgemm_gen::er_symmetric(n, 6, 3);
         mspgemm_io::mtx::write_mtx_file(&mtx, &g).unwrap();
         let state = ServerState::new(ServeConfig {
-            cache: CachePolicy::Off,
+            load: uncached(),
             ..ServeConfig::default()
         });
         (state, mtx.to_str().unwrap().to_string())
@@ -921,7 +944,7 @@ mod tests {
         std::fs::write(&mtx, body).unwrap();
         let path = mtx.to_str().unwrap();
         let state = ServerState::new(ServeConfig {
-            cache: CachePolicy::Off,
+            load: uncached(),
             ..ServeConfig::default()
         });
 
@@ -1259,7 +1282,7 @@ mod tests {
 
         // A budget that fits two of these datasets but not three.
         let state = ServerState::new(ServeConfig {
-            cache: CachePolicy::Off,
+            load: uncached(),
             max_resident_bytes: 2 * one + one / 2,
             ..ServeConfig::default()
         });
@@ -1290,7 +1313,7 @@ mod tests {
 
         // A budget nothing fits: typed over_budget, nothing loaded.
         let tiny = ServerState::new(ServeConfig {
-            cache: CachePolicy::Off,
+            load: uncached(),
             max_resident_bytes: one / 2,
             ..ServeConfig::default()
         });
@@ -1306,7 +1329,7 @@ mod tests {
         // Pinned datasets are never evicted: a pinned load filling the
         // budget forces over_budget on the next one.
         let pinned = ServerState::new(ServeConfig {
-            cache: CachePolicy::Off,
+            load: uncached(),
             max_resident_bytes: one + one / 2,
             ..ServeConfig::default()
         });

@@ -544,10 +544,18 @@ fn unix_socket_transport() {
     let sock = std::env::temp_dir().join(format!("mspgemm_serve_{}.sock", std::process::id()));
     std::fs::remove_file(&sock).ok();
     let spec = format!("unix:{}", sock.display());
-    let server = Server::start(&spec, ServeConfig::default()).unwrap();
-    server
-        .preload(&[mtx.to_str().unwrap().to_string()])
-        .unwrap();
+    // A preload that fails fails the start, and the bound socket goes
+    // with it.
+    let missing = [mtx.with_file_name("missing.mtx").display().to_string()];
+    assert!(Server::start_preloaded(&spec, ServeConfig::default(), &missing).is_err());
+    assert!(!sock.exists(), "socket file left behind by a failed start");
+    let (server, names) = Server::start_preloaded(
+        &spec,
+        ServeConfig::default(),
+        &[mtx.to_str().unwrap().to_string()],
+    )
+    .unwrap();
+    assert_eq!(names, ["g"]);
     let resp = client::query_once(
         &spec,
         &req(vec![

@@ -131,7 +131,10 @@ fn start(config: ServeConfig) -> Server {
     Server::start(
         "127.0.0.1:0",
         ServeConfig {
-            cache: mspgemm_io::CachePolicy::Off,
+            load: mspgemm_io::LoadOpts {
+                policy: mspgemm_io::CachePolicy::Off,
+                ..config.load
+            },
             ..config
         },
     )
