@@ -14,8 +14,8 @@ use mspgemm_graph::{tricount, App};
 use mspgemm_harness::report::{DatasetInfo, ExecSummary, SuiteReport, Table};
 use mspgemm_harness::runner::{bc_runs, ktruss_runs, tc_runs};
 use mspgemm_harness::{
-    busy_spread, default_taus, entries_per_s, gflops, mb_per_s, performance_profile, time_best,
-    with_threads,
+    busy_spread, check_threads, default_taus, entries_per_s, gflops, mb_per_s, performance_profile,
+    time_best, with_threads,
 };
 use mspgemm_io::{
     load_matrix, save_matrix, save_matrix_pattern, CachePolicy, DatasetSource, Format,
@@ -89,7 +89,7 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     let mode: MaskMode = p.flag("mask").unwrap_or("normal").parse()?;
     let phases: Phases = p.flag("phases").unwrap_or("1").parse()?;
     let schedule: RowSchedule = p.flag("schedule").unwrap_or("guided").parse()?;
-    let threads = p.flag_parse("threads", 0usize)?;
+    let threads = check_threads(p.flag_parse("threads", 0usize)?)?;
     let reps = p.flag_parse("reps", 3usize)?.max(1);
 
     // --trace flips the process-global tracer on before the load, so the
@@ -270,7 +270,7 @@ pub fn cmd_suite(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     let source = DatasetSource::parse(p.flag("source").unwrap_or("synthetic"));
     let schedule: RowSchedule = p.flag("schedule").unwrap_or("guided").parse()?;
     let reps = p.flag_parse("reps", 1usize)?.max(1);
-    let threads = p.flag_parse("threads", 0usize)?;
+    let threads = check_threads(p.flag_parse("threads", 0usize)?)?;
     let k = p.flag_parse("k", 4usize)?;
     let batch = p.flag_parse("batch", 16usize)?;
     let tau_max = p.flag_parse("tau-max", 2.4f64)?;
@@ -779,6 +779,19 @@ mod tests {
         let err = cmd_run(&p, &mut out).unwrap_err();
         assert!(err.contains("complemented"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn run_and_suite_bound_threads_like_the_server() {
+        // Refused while parsing flags: no input is ever opened.
+        let p = parse(&sv(&["--threads", "100000", "absent.mtx"]), &["threads"]).unwrap();
+        let mut out = Vec::new();
+        for err in [
+            cmd_run(&p, &mut out).unwrap_err(),
+            cmd_suite(&p, &mut out).unwrap_err(),
+        ] {
+            assert_eq!(err, "threads must be at most 256, got 100000");
+        }
     }
 
     #[test]

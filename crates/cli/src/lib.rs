@@ -63,7 +63,8 @@ USAGE:
     claim decreasing chunks from a shared cursor; 'flops' places chunk
     boundaries by a prefix sum of per-row flops so each chunk carries
     near-equal work (best for power-law graphs). Output is identical
-    across schedules.
+    across schedules. --threads N runs on a dedicated pool of N workers
+    (0, the default, = the ambient pool; at most 256).
 
     mxm convert [--parse-threads N] [--pattern] <in.mtx|.msb> <out.mtx|.msb>
         Convert between Matrix Market text and the .msb binary cache

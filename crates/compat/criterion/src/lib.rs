@@ -1,15 +1,16 @@
 //! Offline stand-in for [criterion](https://crates.io/crates/criterion).
 //!
 //! Provides the API the workspace's microbenchmarks use — [`Criterion`],
-//! `benchmark_group`, `bench_with_input`, `bench_function`, [`Bencher::
-//! iter`], [`BenchmarkId`], [`black_box`], and the [`criterion_group!`] /
-//! [`criterion_main!`] macros — with a simple median-of-samples timing
+//! `benchmark_group`, `sample_size`, `bench_with_input`, [`Bencher::
+//! iter`], [`BenchmarkId::new`], [`black_box`], and the
+//! [`criterion_group!`] / [`criterion_main!`] macros, nothing they do not
+//! call — with a simple median-of-samples timing
 //! loop instead of criterion's statistical machinery. Good enough to spot
 //! order-of-magnitude regressions by eye; not a statistics package.
 
 #![warn(missing_docs)]
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 pub use std::hint::black_box;
 
@@ -29,40 +30,8 @@ impl BenchmarkId {
         }
     }
 
-    /// Parameter-only id.
-    pub fn from_parameter(parameter: impl std::fmt::Display) -> Self {
-        BenchmarkId {
-            name: String::new(),
-            parameter: parameter.to_string(),
-        }
-    }
-
     fn label(&self) -> String {
-        if self.name.is_empty() {
-            self.parameter.clone()
-        } else if self.parameter.is_empty() {
-            self.name.clone()
-        } else {
-            format!("{}/{}", self.name, self.parameter)
-        }
-    }
-}
-
-impl From<&str> for BenchmarkId {
-    fn from(s: &str) -> Self {
-        BenchmarkId {
-            name: s.to_string(),
-            parameter: String::new(),
-        }
-    }
-}
-
-impl From<String> for BenchmarkId {
-    fn from(s: String) -> Self {
-        BenchmarkId {
-            name: s,
-            parameter: String::new(),
-        }
+        format!("{}/{}", self.name, self.parameter)
     }
 }
 
@@ -140,27 +109,6 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Benchmark a closure with no explicit input.
-    pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let id = id.into();
-        let mut b = Bencher {
-            samples: self.sample_size,
-            last_estimate: f64::NAN,
-        };
-        f(&mut b);
-        println!(
-            "{}/{}: {} /iter (median of {})",
-            self.name,
-            id.label(),
-            human(b.last_estimate),
-            self.sample_size
-        );
-        self
-    }
-
     /// End the group (printing is immediate in this shim; kept for API
     /// compatibility).
     pub fn finish(&mut self) {}
@@ -183,25 +131,6 @@ impl Criterion {
             sample_size: 10,
             _parent: self,
         }
-    }
-
-    /// Benchmark a standalone function.
-    pub fn bench_function<F>(&mut self, name: &str, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let mut b = Bencher {
-            samples: 10,
-            last_estimate: f64::NAN,
-        };
-        f(&mut b);
-        println!("{}: {} /iter (median of 10)", name, human(b.last_estimate));
-        self
-    }
-
-    /// Measurement-time knob; accepted and ignored.
-    pub fn measurement_time(self, _d: Duration) -> Self {
-        self
     }
 }
 

@@ -72,17 +72,6 @@ where
     }
 }
 
-/// `Just`-style constant strategy.
-#[derive(Clone)]
-pub struct Just<T: Clone>(pub T);
-
-impl<T: Clone> Strategy for Just<T> {
-    type Value = T;
-    fn generate(&self, _rng: &mut TestRng) -> T {
-        self.0.clone()
-    }
-}
-
 macro_rules! impl_range_strategy {
     ($($t:ty),*) => {$(
         impl Strategy for std::ops::Range<$t> {
@@ -225,8 +214,8 @@ pub fn rng_for(test_name: &str, case: u32) -> TestRng {
 /// The common imports, mirroring `proptest::prelude::*`.
 pub mod prelude {
     pub use crate::{
-        prop_assert, prop_assert_eq, prop_assert_ne, proptest, ProptestConfig, Strategy,
-        TestCaseError, TestCaseResult,
+        prop_assert, prop_assert_eq, proptest, ProptestConfig, Strategy, TestCaseError,
+        TestCaseResult,
     };
 }
 
@@ -274,24 +263,6 @@ macro_rules! prop_assert_eq {
             return Err($crate::TestCaseError(format!(
                 "assertion failed: `{} == {}` ({})\n  left: {:?}\n right: {:?}\n at {}:{}",
                 stringify!($left), stringify!($right), format!($($fmt)*), l, r, file!(), line!()
-            )));
-        }
-    }};
-}
-
-/// Fallible inequality assertion for property bodies.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr) => {{
-        let (l, r) = (&$left, &$right);
-        if *l == *r {
-            return Err($crate::TestCaseError(format!(
-                "assertion failed: `{} != {}`\n  both: {:?}\n at {}:{}",
-                stringify!($left),
-                stringify!($right),
-                l,
-                file!(),
-                line!()
             )));
         }
     }};

@@ -358,22 +358,6 @@ impl<S: Source> ParIter<S> {
         });
     }
 
-    /// Transform each item with per-chunk scratch built by `init`. Only
-    /// `collect` is available on the result (the one use this workspace
-    /// has).
-    pub fn map_init<T, U, INIT, F>(self, init: INIT, f: F) -> MapInit<S, INIT, F>
-    where
-        INIT: Fn() -> T + Sync,
-        F: Fn(&mut T, S::Item) -> U + Sync,
-        U: Send,
-    {
-        MapInit {
-            inner: self,
-            init,
-            f,
-        }
-    }
-
     /// Map each item to a sequential iterator and flatten, preserving
     /// order. Only `collect` is available on the result.
     pub fn flat_map_iter<U, F>(self, f: F) -> FlatMapIter<S, F>
@@ -406,11 +390,6 @@ impl<S: Source> ParIter<S> {
         .sum()
     }
 
-    /// Count the items.
-    pub fn count(self) -> usize {
-        self.src.len()
-    }
-
     /// Reduce with an identity-producing closure and an associative op.
     pub fn reduce<ID, OP>(self, identity: ID, op: OP) -> S::Item
     where
@@ -427,74 +406,6 @@ impl<S: Source> ParIter<S> {
         })
         .into_iter()
         .fold(identity(), &op)
-    }
-
-    /// Minimum item, if any.
-    pub fn min(self) -> Option<S::Item>
-    where
-        S::Item: Ord,
-    {
-        self.drive(|range, src| range.map(|i| unsafe { src.get(i) }).min())
-            .into_iter()
-            .flatten()
-            .min()
-    }
-
-    /// Maximum item, if any.
-    pub fn max(self) -> Option<S::Item>
-    where
-        S::Item: Ord,
-    {
-        self.drive(|range, src| range.map(|i| unsafe { src.get(i) }).max())
-            .into_iter()
-            .flatten()
-            .max()
-    }
-
-    /// Whether `pred` holds for every item.
-    pub fn all<P>(self, pred: P) -> bool
-    where
-        P: Fn(S::Item) -> bool + Sync,
-    {
-        self.drive(|range, src| range.into_iter().all(|i| pred(unsafe { src.get(i) })))
-            .into_iter()
-            .all(|b| b)
-    }
-}
-
-/// `map_init` pipeline; terminal-only (supports `collect`).
-pub struct MapInit<S, INIT, F> {
-    inner: ParIter<S>,
-    init: INIT,
-    f: F,
-}
-
-impl<S, T, U, INIT, F> MapInit<S, INIT, F>
-where
-    S: Source,
-    INIT: Fn() -> T + Sync,
-    F: Fn(&mut T, S::Item) -> U + Sync,
-    U: Send,
-{
-    /// Collect transformed items in order.
-    pub fn collect<C>(self) -> C
-    where
-        C: From<Vec<U>>,
-    {
-        let MapInit { inner, init, f } = self;
-        let chunks = inner.drive_init(init, |ws, range, src| {
-            let mut out = Vec::with_capacity(range.len());
-            for i in range {
-                // SAFETY: disjoint ranges.
-                out.push(f(ws, unsafe { src.get(i) }));
-            }
-            out
-        });
-        let mut all = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-        for c in chunks {
-            all.extend(c);
-        }
-        C::from(all)
     }
 }
 
@@ -588,21 +499,8 @@ mod tests {
     }
 
     #[test]
-    fn map_init_collect() {
-        let v: Vec<usize> = (0..500usize)
-            .into_par_iter()
-            .with_min_len(16)
-            .map_init(|| 7usize, |state, i| i + *state)
-            .collect();
-        assert!(v.iter().enumerate().all(|(i, &x)| x == i + 7));
-    }
-
-    #[test]
-    fn reduce_and_minmax() {
+    fn reduce_folds_every_chunk() {
         let m = (0..100usize).into_par_iter().reduce(|| 0, |a, b| a.max(b));
         assert_eq!(m, 99);
-        assert_eq!((5..50u32).into_par_iter().min(), Some(5));
-        assert_eq!((5..50u32).into_par_iter().max(), Some(49));
-        assert_eq!((0..10usize).into_par_iter().count(), 10);
     }
 }

@@ -14,24 +14,27 @@
 //! through a shared atomic cursor — guided self-scheduling, the
 //! shared-memory cousin of work stealing — so imbalanced chunks migrate to
 //! whichever thread is free rather than pinning their original owner.
-//! `for_each_init` / `map_init` build one workspace per *executor* and
-//! reuse it across every chunk that executor claims.
+//! `for_each_init` builds one workspace per *executor* and reuses it
+//! across every chunk that executor claims.
 //!
 //! Supported surface:
 //!
 //! * `prelude::*` — [`iter::IntoParallelIterator`] for ranges,
 //!   [`slice::ParallelSlice`] / [`slice::ParallelSliceMut`] for `par_iter`,
 //!   `par_iter_mut`, `par_chunks`, `par_chunks_mut`;
-//! * combinators `map`, `map_init`, `enumerate`, `zip`, `with_min_len`;
+//! * combinators `map`, `flat_map_iter`, `enumerate`, `zip`,
+//!   `with_min_len`, `with_max_len`;
 //! * terminals `for_each`, `for_each_init`, `collect` (into `Vec`), `sum`,
-//!   `reduce`, `count`, `min`, `max`;
+//!   `reduce`;
 //! * [`scope`] with `Scope::spawn`;
 //! * [`ThreadPoolBuilder`] / [`ThreadPool::install`] /
 //!   [`current_num_threads`].
 //!
 //! Not a general rayon replacement: no task-granularity stealing (balance
-//! comes from chunk claiming), no parallel sorts; [`scope`] / [`join`]
-//! still use scoped threads (they are off the row-loop hot path).
+//! comes from chunk claiming), no parallel sorts, no `join`; [`scope`]
+//! still uses scoped threads (it is off the row-loop hot path). The
+//! surface is exactly what the workspace calls — an item nothing calls is
+//! deleted, not kept for parity with the real crate.
 
 #![warn(missing_docs)]
 
@@ -156,11 +159,6 @@ impl ThreadPool {
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
         with_override(self.num_threads, f)
     }
-
-    /// The pool's thread count.
-    pub fn current_num_threads(&self) -> usize {
-        self.num_threads
-    }
 }
 
 /// A scope for spawning borrowed tasks, mirroring `rayon::scope`.
@@ -198,25 +196,6 @@ where
     })
 }
 
-/// Run `a` and `b`, potentially in parallel, returning both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_num_threads() <= 1 {
-        return (a(), b());
-    }
-    let inherited = override_value();
-    std::thread::scope(|s| {
-        let hb = s.spawn(move || with_override(inherited, b));
-        let ra = a();
-        (ra, hb.join().expect("rayon-shim: joined task panicked"))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,13 +228,6 @@ mod tests {
             });
         }
         assert!(hits.iter().all(|&b| b));
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 2 + 2, || "ok");
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
     }
 
     #[test]

@@ -25,4 +25,4 @@ pub use metrics::{
 pub use perfprofile::{
     busy_spread, default_taus, performance_profile, BusySpread, PerfProfile, SchemeRuns,
 };
-pub use threads::{scaling_thread_counts, with_threads};
+pub use threads::{check_threads, scaling_thread_counts, with_threads, MAX_THREADS};

@@ -2,6 +2,24 @@
 //! the `MSPGEMM_THREADS` pinning knob (the paper pins with
 //! `GOMP_CPU_AFFINITY`; rayon pools give the equivalent isolation).
 
+/// Ceiling on a dedicated pool's size wherever the size comes from
+/// outside the program (`mxm run`/`suite --threads`, a serve request's
+/// `"threads"`): every parallel drive fans out that wide, and a real
+/// rayon pool spawns that many OS threads, so an absurd request must not
+/// translate into an absurd thread count.
+pub const MAX_THREADS: usize = 256;
+
+/// Check a requested dedicated-pool size (`0` = the ambient pool) against
+/// [`MAX_THREADS`]. The error text is shared by the CLI and the server.
+pub fn check_threads(threads: usize) -> Result<usize, String> {
+    if threads > MAX_THREADS {
+        return Err(format!(
+            "threads must be at most {MAX_THREADS}, got {threads}"
+        ));
+    }
+    Ok(threads)
+}
+
 /// Run `f` inside a dedicated pool of exactly `threads` workers.
 pub fn with_threads<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
     let pool = rayon::ThreadPoolBuilder::new()
@@ -42,6 +60,14 @@ mod tests {
     fn with_threads_uses_exactly_n() {
         let seen = with_threads(3, rayon::current_num_threads);
         assert_eq!(seen, 3);
+    }
+
+    #[test]
+    fn check_threads_bounds_the_pool_size() {
+        assert_eq!(check_threads(0), Ok(0));
+        assert_eq!(check_threads(MAX_THREADS), Ok(MAX_THREADS));
+        let err = check_threads(100_000).unwrap_err();
+        assert_eq!(err, "threads must be at most 256, got 100000");
     }
 
     #[test]

@@ -18,8 +18,10 @@
 //! * [`protocol`] — framing, error codes, response shapes, and the
 //!   one-time decode of a request line into a typed request; the schema
 //!   is documented verb by verb in `docs/SERVE_PROTOCOL.md`.
-//! * [`registry`] — [`Registry`]/[`Dataset`]: named resident matrices
-//!   with derived operands, behind a `RwLock` (reads clone an `Arc`).
+//! * [`dataset`] — [`Dataset`]: one immutable, versioned snapshot of a
+//!   resident matrix with its derived operands and triangle counts.
+//! * [`registry`] — [`Registry`]: which snapshot is live under each name,
+//!   behind a `RwLock` (reads clone an `Arc`), plus per-name health.
 //! * [`server`] — [`Server`]: listener, per-connection threads, the
 //!   request lifecycle (decode → route → admit → execute → record →
 //!   write), cooperative shutdown.
@@ -57,6 +59,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod dataset;
 pub mod json;
 mod ops;
 pub mod protocol;
@@ -65,9 +68,10 @@ mod scheduler;
 pub mod server;
 
 pub use client::Client;
+pub use dataset::Dataset;
 pub use json::Json;
 pub use protocol::{ErrorCode, MAX_REQUEST_BYTES};
-pub use registry::{Dataset, Registry};
+pub use registry::Registry;
 pub use server::{ServeConfig, Server, ServerState};
 
 /// Failpoint state is process-global. The lib tests that arm a failpoint,

@@ -9,15 +9,16 @@
 //! only read the shared [`ServerState`] and render wire shapes, so a
 //! response field is spelled in exactly one place.
 
+use crate::dataset::Dataset;
 use crate::json::Json;
 use crate::protocol::{
     ok_response, AppParams, ErrorCode, HeavyRequest, LoadParams, MetricsFormat, MxmParams, Reject,
     UpdateParams, Work,
 };
-use crate::registry::{Dataset, DatasetInfo, RegistryError, TcCache};
+use crate::registry::{DatasetInfo, RegistryError};
 use crate::server::ServerState;
 use masked_spgemm::{masked_mxm_with_bt, ExecOpts, MaskMode, Phases, RowSchedule};
-use mspgemm_graph::{bc, ktruss, tricount, App};
+use mspgemm_graph::{bc, ktruss, App};
 use mspgemm_harness::{busy_spread, csr_fingerprint, gflops, mb_per_s, with_threads, BusySpread};
 use mspgemm_io::LoadOpts;
 use mspgemm_obs::{HistSnapshot, Series};
@@ -56,7 +57,7 @@ fn residency(ds: &Dataset) -> [(&'static str, Json); 5] {
 /// and `stats` rows.
 fn health(info: &DatasetInfo) -> [(&'static str, Json); 4] {
     [
-        ("version", info.version.into()),
+        ("version", info.ds.version.into()),
         ("pinned", info.pinned.into()),
         ("quarantined", info.quarantined.into()),
         ("panics", u64::from(info.panics).into()),
@@ -306,69 +307,31 @@ fn app(state: &ServerState, name: &str, p: &AppParams) -> OpResult {
     // dequeue only.
     let opts = exec_opts(state, p.schedule, None);
     let pool_mark = (state.ws_pool.hits(), state.ws_pool.misses());
-    let run = || -> Result<Vec<(&'static str, Json)>, Reject> {
+    let run = || -> Vec<(&'static str, Json)> {
         match p.app {
             App::Tc => {
-                // Snapshot the dataset *with* its update bookkeeping: when
-                // cached per-row counts exist and the dataset has moved
-                // past them by a known edge batch, the masked-SpGEMM pass
-                // shrinks to the affected rows and patches the cache;
-                // otherwise (first request, or the edge log overflowed)
-                // every row is recounted and the cache stored fresh.
-                let snap = state.registry.tc_snapshot(name).map_err(reg_err)?;
-                let (perm, counts, secs, flops, patched) = match snap.cache {
-                    Some(cache) if cache.version < snap.version => {
-                        // Replay the *cached* relabeling against the
-                        // updated adjacency so the per-row counts stay
-                        // comparable across versions.
-                        let ops = tricount::prepare_with_perm(&snap.ds.adj, cache.perm);
-                        let rows = tricount::affected_rows(&ops, &snap.changed);
-                        let (patch, secs) =
-                            tricount::recount_rows_with(&ops, &rows, p.scheme, &opts);
-                        let mut counts = cache.counts;
-                        for &i in &rows {
-                            counts[i] = patch[i];
-                        }
-                        // A row-subset pass has no honest full-count FLOP
-                        // denominator.
-                        (ops.perm, counts, secs, None, Some(rows.len()))
-                    }
-                    _ => {
-                        let ops = snap.ds.tc_operands();
-                        let (counts, secs) =
-                            tricount::count_prepared_rows_with(&ops, p.scheme, &opts);
-                        (ops.perm.clone(), counts, secs, Some(ops.flops), None)
-                    }
-                };
-                let total: u64 = counts.iter().sum();
-                // The store is refused if another update landed while we
-                // counted; the response is still correct for the version
-                // we snapshotted.
-                let stored = state.registry.store_tc_cache(
-                    name,
-                    TcCache {
-                        perm,
-                        counts,
-                        total,
-                        version: snap.version,
-                    },
-                );
+                let tc = ds.triangle_count(p.scheme, &opts);
                 let mut fields = vec![
-                    ("triangles", total.into()),
-                    ("mxm_seconds", secs.into()),
+                    ("triangles", tc.triangles.into()),
+                    ("mxm_seconds", tc.mxm_seconds.into()),
                     (
                         "gflops",
-                        flops.map_or(Json::Null, |f| gflops(f, secs).into()),
+                        // A row-subset pass has no honest full-count FLOP
+                        // denominator.
+                        match tc.patched_rows {
+                            Some(_) => Json::Null,
+                            None => gflops(tc.flops, tc.mxm_seconds).into(),
+                        },
                     ),
-                    ("incremental", patched.is_some().into()),
+                    ("incremental", tc.patched_rows.is_some().into()),
                 ];
-                fields.extend(patched.map(|rows| ("patched_rows", rows.into())));
-                fields.push(("cached", stored.into()));
-                Ok(fields)
+                fields.extend(tc.patched_rows.map(|rows| ("patched_rows", rows.into())));
+                fields.push(("cached", tc.cached.into()));
+                fields
             }
             App::Ktruss => {
                 let r = ktruss::k_truss_with(&ds.adj, p.k, p.scheme, &opts);
-                Ok(vec![
+                vec![
                     ("k", p.k.into()),
                     ("iterations", r.iterations.into()),
                     ("edges", r.truss.nnz().into()),
@@ -376,12 +339,12 @@ fn app(state: &ServerState, name: &str, p: &AppParams) -> OpResult {
                     // k-truss has no incremental path: every request runs
                     // against the live matrix from scratch.
                     ("incremental", false.into()),
-                ])
+                ]
             }
             App::Bc => {
                 let sources: Vec<usize> = (0..p.batch.min(ds.adj.nrows())).collect();
                 let r = bc::betweenness_with(&ds.adj, &sources, p.scheme, &opts);
-                Ok(vec![
+                vec![
                     ("batch", sources.len().into()),
                     ("depth", r.depth.into()),
                     ("mxm_seconds", r.mxm_seconds.into()),
@@ -389,11 +352,11 @@ fn app(state: &ServerState, name: &str, p: &AppParams) -> OpResult {
                     ("scores_sum", r.scores.iter().sum::<f64>().into()),
                     // BC always recomputes in full, like k-truss.
                     ("incremental", false.into()),
-                ])
+                ]
             }
         }
     };
-    let fields = on_threads(p.threads, run)?;
+    let fields = on_threads(p.threads, run);
     let mut out = vec![
         ("op", Json::str("app")),
         ("app", Json::str(p.app.name())),
@@ -408,9 +371,8 @@ fn app(state: &ServerState, name: &str, p: &AppParams) -> OpResult {
 
 fn update(state: &ServerState, name: &str, p: &UpdateParams) -> OpResult {
     let t0 = Instant::now();
-    let out = state.registry.update(name, &p.ops).map_err(reg_err)?;
+    let ds = state.registry.update(name, &p.ops).map_err(reg_err)?;
     let secs = t0.elapsed().as_secs_f64();
-    let ds = &out.ds;
     let m = &state.metrics;
     m.counter("updates_total", &[]).inc();
     m.counter("updates_total", &[("dataset", &ds.name)]).inc();
@@ -419,8 +381,8 @@ fn update(state: &ServerState, name: &str, p: &UpdateParams) -> OpResult {
     Ok(ok_response(vec![
         ("op", Json::str("update")),
         ("dataset", Json::str(&ds.name)),
-        ("version", out.version.into()),
-        ("applied", out.applied.into()),
+        ("version", ds.version.into()),
+        ("applied", p.ops.len().into()),
         // Every update rebuilds the live matrix outright; the two keys
         // stay for clients that read them and are constants.
         ("delta_nnz", 0u64.into()),

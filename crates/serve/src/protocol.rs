@@ -20,6 +20,7 @@
 use crate::json::{self, Json};
 use masked_spgemm::{Algorithm, MaskMode, Phases, RowSchedule};
 use mspgemm_graph::{App, Scheme};
+use mspgemm_harness::check_threads;
 use mspgemm_io::CachePolicy;
 use mspgemm_sparse::overlay::DeltaOp;
 use mspgemm_sparse::Idx;
@@ -220,6 +221,14 @@ fn opt_bool(req: &Json, field: &str) -> Result<Option<bool>, Reject> {
 
 fn opt_u64(req: &Json, field: &str, default: u64) -> Result<u64, Reject> {
     Ok(opt(req, field, Json::as_u64, "a non-negative integer")?.unwrap_or(default))
+}
+
+/// The `threads` field of `mxm` / `app`: a dedicated pool size (0 = the
+/// ambient pool), bounded like the CLI's `--threads` — client input must
+/// not size a thread pool unchecked.
+fn opt_threads(req: &Json) -> Result<usize, Reject> {
+    let n = opt_u64(req, "threads", 0)?;
+    check_threads(usize::try_from(n).unwrap_or(usize::MAX)).map_err(bad)
 }
 
 /// Optional field parsed into any `FromStr` type, accepting both the
@@ -425,7 +434,7 @@ fn decode_mxm(req: &Json, schedule: RowSchedule) -> Result<MxmParams, Reject> {
         mode: opt_parse(req, "mask")?.unwrap_or(MaskMode::Mask),
         phases: opt_parse(req, "phases")?.unwrap_or(Phases::One),
         schedule: opt_parse(req, "schedule")?.unwrap_or(schedule),
-        threads: opt_u64(req, "threads", 0)? as usize,
+        threads: opt_threads(req)?,
         reps: opt_u64(req, "reps", 1)?.max(1) as usize,
     })
 }
@@ -435,7 +444,7 @@ fn decode_app(req: &Json, schedule: RowSchedule) -> Result<AppParams, Reject> {
         app: opt_parse(req, "app")?.unwrap_or(App::Tc),
         scheme: opt_parse(req, "scheme")?.unwrap_or(Scheme::Ours(Algorithm::Auto, Phases::One)),
         schedule: opt_parse(req, "schedule")?.unwrap_or(schedule),
-        threads: opt_u64(req, "threads", 0)? as usize,
+        threads: opt_threads(req)?,
         k: opt_u64(req, "k", 4)? as usize,
         batch: opt_u64(req, "batch", 16)? as usize,
     };

@@ -1,21 +1,8 @@
-//! The resident dataset registry: named matrices loaded once, kept in
-//! memory with pre-transposed operands, shared read-mostly across
-//! concurrent request threads.
-//!
-//! A [`Dataset`] holds everything a request needs so that no per-request
-//! ingest, normalization, or transposition happens on the hot path:
-//!
-//! * the raw matrix as loaded (the `mxm` verb squares it under its own
-//!   pattern as the mask, mirroring `mxm run`) and its transpose (the
-//!   pre-computed `Bᵀ` that the pull-based Inner scheme consumes);
-//! * the normalized undirected adjacency (what the TC / k-truss / BC
-//!   applications consume);
-//! * lazily, the relabeled triangle-counting operands — built on the
-//!   first `app tc` request against this dataset and reused afterwards.
-//!
-//! Loading goes through the `.msb` sidecar cache ([`mspgemm_io`]), so the
-//! first `load` of a text matrix warms the sidecar and every later server
-//! start deserializes the binary directly.
+//! The resident dataset registry: named [`Dataset`] snapshots loaded
+//! once, kept in memory, shared read-mostly across concurrent request
+//! threads. What a snapshot holds is [`crate::dataset`]'s business; the
+//! registry decides which one is live under a name, and how healthy the
+//! name is.
 //!
 //! ## Self-healing state
 //!
@@ -41,196 +28,26 @@
 //! ## Dynamic updates
 //!
 //! The `update` verb folds each edge batch through a transient
-//! [`Overlay`] into the *live* matrix: the batch is validated, merged
-//! into a fresh [`Dataset`] (derived operands rebuilt, sections
-//! heap-owned — mutating never touches an mmap'd load), and the new `Arc`
-//! swaps into the entry under the write lock while in-flight readers
-//! keep the old views. The swap is the commit point: only after it does
-//! the entry's monotone `version` bump and the batch join the edge log
-//! the incremental `app tc` path patches from, so a failed update leaves
-//! no trace. The live dataset is the only one an entry retains. The swap
-//! re-checks entry identity, so an `update` racing an `unload` loses
-//! cleanly: the removed entry stays removed and the caller gets
+//! [`Overlay`] and merges it against the *live* matrix into the successor
+//! snapshot ([`Dataset::rebuilt`]: derived operands rebuilt, sections
+//! heap-owned — mutating never touches an mmap'd load, version moved on
+//! by one), and the new `Arc` swaps into the entry under the write lock
+//! while in-flight readers keep the old views. The swap is the whole
+//! commit: everything an update changes is inside the snapshot it swaps
+//! in, so a failed update leaves no trace and nothing follows a
+//! successful one. The live snapshot is the only one an entry retains.
+//! The swap re-checks entry identity, so an `update` racing an `unload`
+//! loses cleanly: the removed entry stays removed and the caller gets
 //! [`RegistryError::NotFound`].
 
-use mspgemm_graph::tricount::{self, TcOperands};
-use mspgemm_io::{dataset_name, load_matrix, to_adjacency, IngestReport, LoadOpts, MsbBackend};
+use crate::dataset::Dataset;
+use mspgemm_io::{dataset_name, LoadOpts};
 use mspgemm_sparse::overlay::{DeltaOp, Overlay};
-use mspgemm_sparse::{transpose, Csr, Idx};
+use mspgemm_sparse::Idx;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{
-    Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
-
-/// One resident dataset: the loaded matrix plus every derived operand the
-/// request handlers reuse across calls.
-pub struct Dataset {
-    /// Registry name (defaults to the file stem).
-    pub name: String,
-    /// Path the matrix was loaded from.
-    pub path: String,
-    /// The matrix as loaded from disk (square — the server rejects
-    /// rectangular inputs at `load`, like `mxm run` does).
-    pub matrix: Csr<f64>,
-    /// `matrixᵀ`, pre-computed once so Inner-scheme requests skip the
-    /// per-call transpose the paper charges to `SS:DOT` (§8.4).
-    pub matrix_t: Csr<f64>,
-    /// Normalized simple undirected adjacency (symmetric pattern, no
-    /// self-loops, unit weights) — the application operand.
-    pub adj: Csr<f64>,
-    /// FLOP count (2 × multiplies) of the unmasked `matrix·matrix`
-    /// product — the `mxm` verb's GFLOPS denominator, computed once here
-    /// rather than per request (it is a constant of the dataset).
-    pub mxm_flops: u64,
-    /// Ingest throughput of the original load.
-    pub ingest: IngestReport,
-    /// When the dataset was loaded (for `stats` uptime-style reporting).
-    pub loaded_at: Instant,
-    /// Relabeled triangle-counting operands, built on first use.
-    tc_ops: OnceLock<Arc<TcOperands>>,
-}
-
-impl Dataset {
-    /// Load a dataset from disk and derive the resident operands. With
-    /// `opts.mmap`, a v2 `.msb` input or fresh sidecar backs the raw
-    /// matrix zero-copy by the mapped file.
-    pub fn load(path: &str, name: Option<&str>, opts: &LoadOpts) -> Result<Dataset, String> {
-        let (matrix, ingest) = load_matrix(path, opts).map_err(|e| format!("{path}: {e}"))?;
-        if matrix.nrows() != matrix.ncols() {
-            return Err(format!(
-                "{path}: the server holds square matrices (graphs); got {}x{}",
-                matrix.nrows(),
-                matrix.ncols()
-            ));
-        }
-        let name = name
-            .map(str::to_string)
-            .unwrap_or_else(|| dataset_name(std::path::Path::new(path)));
-        if name.is_empty() {
-            return Err(format!("{path}: dataset name must be non-empty"));
-        }
-        Ok(Self::derive(
-            name,
-            path.to_string(),
-            matrix,
-            ingest,
-            Instant::now(),
-        ))
-    }
-
-    /// Derive every resident operand from a raw square matrix — shared by
-    /// the disk loader and the update path's rebuilds.
-    fn derive(
-        name: String,
-        path: String,
-        matrix: Csr<f64>,
-        ingest: IngestReport,
-        loaded_at: Instant,
-    ) -> Dataset {
-        let mut matrix_t = transpose(&matrix);
-        let (mut adj, _) = to_adjacency(&matrix);
-        if matrix.values_unit_shared() {
-            // Pattern-loaded base: the transpose and the normalized
-            // adjacency are all-ones too, so point their value sections at
-            // the process-wide unit arena instead of keeping nnz private
-            // copies of the literal 1.0 each.
-            matrix_t.share_unit_values();
-            adj.share_unit_values();
-        }
-        let mxm_flops = 2 * matrix.flops_with(&matrix);
-        Dataset {
-            name,
-            path,
-            matrix,
-            matrix_t,
-            adj,
-            mxm_flops,
-            ingest,
-            loaded_at,
-            tc_ops: OnceLock::new(),
-        }
-    }
-
-    /// A fresh dataset carrying an updated matrix: identity (name, path,
-    /// load time) is inherited from `prev`, derived operands are rebuilt,
-    /// and the ingest report flips to the heap backend — merged sections
-    /// are always heap-owned, so an update copies-on-write away from any
-    /// mmap backing (the mapping itself stays untouched and alive only as
-    /// long as an in-flight reader still holds the previous dataset).
-    pub fn rebuilt(prev: &Dataset, matrix: Csr<f64>) -> Dataset {
-        debug_assert!(!matrix.has_shared_storage(), "rebuilds must be heap-owned");
-        let ingest = IngestReport {
-            backend: MsbBackend::Heap,
-            entries: matrix.nnz(),
-            ..prev.ingest
-        };
-        Self::derive(
-            prev.name.clone(),
-            prev.path.clone(),
-            matrix,
-            ingest,
-            prev.loaded_at,
-        )
-    }
-
-    /// The triangle-counting operands (degree-relabeled `L` and `Lᵀ`),
-    /// built once on first use and shared by every later `app tc`
-    /// request.
-    pub fn tc_operands(&self) -> Arc<TcOperands> {
-        self.tc_ops
-            .get_or_init(|| Arc::new(tricount::prepare(&self.adj)))
-            .clone()
-    }
-
-    /// Whether the raw matrix is resident pattern-only: its value section
-    /// is a view of the process-wide unit arena rather than per-dataset
-    /// storage (`load` with `"pattern": true`, or a pattern `.msb`).
-    pub fn pattern(&self) -> bool {
-        self.matrix.values_unit_shared()
-    }
-
-    /// Approximate resident bytes across all held operands. Unit-arena
-    /// value sections are excluded — they are one process-wide allocation
-    /// shared by every pattern dataset, disclosed via [`Self::unit_bytes`].
-    pub fn mem_bytes(&self) -> u64 {
-        self.sum_reports(|r| (r.heap_bytes + r.shared_bytes) as u64)
-    }
-
-    /// Bytes of value sections served by the shared unit arena across all
-    /// held operands (`0` for value-bearing datasets). These bytes are
-    /// *views*: the arena is resident once per process, not once per
-    /// dataset, so they are deliberately left out of [`Self::mem_bytes`]
-    /// and the eviction budget.
-    pub fn unit_bytes(&self) -> u64 {
-        self.sum_reports(|r| r.unit_bytes as u64)
-    }
-
-    fn sum_reports(&self, f: impl Fn(&mspgemm_sparse::StorageReport) -> u64) -> u64 {
-        let tc = self
-            .tc_ops
-            .get()
-            .map(|ops| f(&ops.l.storage_report()) + f(&ops.lt.storage_report()))
-            .unwrap_or(0);
-        f(&self.matrix.storage_report())
-            + f(&self.matrix_t.storage_report())
-            + f(&self.adj.storage_report())
-            + tc
-    }
-
-    /// How the raw matrix got resident (`heap` or zero-copy `mmap`).
-    pub fn backend(&self) -> MsbBackend {
-        self.ingest.backend
-    }
-
-    /// Bytes of resident sections that are mmap-shared rather than
-    /// heap-owned, across every held operand (the raw matrix; the derived
-    /// operands are heap-built and contribute 0).
-    pub fn mapped_bytes(&self) -> u64 {
-        self.sum_reports(|r| r.shared_bytes as u64)
-    }
-}
 
 /// Reasons a registry operation can fail, mapped to protocol error codes
 /// by the server layer.
@@ -280,13 +97,13 @@ impl std::fmt::Display for RegistryError {
 /// only the map's read lock.
 struct Entry {
     ds: Arc<Dataset>,
-    /// The entry's dynamic-update state, shared by `Arc` so the expensive
-    /// merge/rebuild runs outside the map locks while still serializing
-    /// updates per dataset. The `Arc` identity doubles as the swap guard:
-    /// an update only lands if the entry still holds the same state it
-    /// started from (an interleaved `unload`, or unload + reload, changes
-    /// the identity and the late swap is refused).
-    dynamics: Arc<Mutex<DynState>>,
+    /// Serializes updates to this entry. Shared by `Arc` so the expensive
+    /// merge/rebuild runs under it but outside the map locks; readers
+    /// never take it. The `Arc` identity doubles as the swap guard: an
+    /// update only lands if the entry still holds the mutex it locked (an
+    /// interleaved `unload`, or unload + reload, changes the identity and
+    /// the late swap is refused).
+    updates: Arc<Mutex<()>>,
     /// Pinned entries (preloads, `load` with `"pin": true`) are never
     /// evicted by the memory budget.
     pinned: bool,
@@ -300,76 +117,6 @@ struct Entry {
     quarantined: AtomicBool,
 }
 
-/// Cap on the accumulated edge log consumed by the incremental TC path.
-/// Past it, patching would approach full-recompute cost anyway, so the
-/// log is dropped and the next `app tc` recomputes from scratch.
-const DELTA_LOG_CAP: usize = 1 << 16;
-
-/// Per-entry dynamic-update state: the monotone version and the
-/// incremental-TC bookkeeping. Everything here changes only after an
-/// update's swap has landed.
-#[derive(Default)]
-struct DynState {
-    /// Bumped once per successful update; never reset while resident.
-    version: u64,
-    /// Positions changed since `tc_cache` was last stored.
-    delta_log: Vec<(Idx, Idx)>,
-    /// The log outgrew [`DELTA_LOG_CAP`] and was dropped: the next
-    /// `app tc` must do a full recompute.
-    log_overflow: bool,
-    /// Per-row triangle counts from the last full or patched count.
-    tc_cache: Option<TcCache>,
-}
-
-/// Cached per-row triangle counts, patchable by the incremental path.
-#[derive(Clone)]
-pub struct TcCache {
-    /// The relabeling the counts were computed under (`perm[old] = new`).
-    pub perm: Vec<Idx>,
-    /// Per-row counts (row `i` = triangles whose largest relabeled vertex
-    /// is `i`); summing gives `total`.
-    pub counts: Vec<u64>,
-    /// Total triangles at `version`.
-    pub total: u64,
-    /// The dataset version the counts describe.
-    pub version: u64,
-}
-
-/// What the incremental `app tc` path needs: the live dataset, its
-/// version, a usable cache (if any), and the positions changed since the
-/// cache was stored.
-pub struct TcSnapshot {
-    /// The live dataset.
-    pub ds: Arc<Dataset>,
-    /// Current dataset version.
-    pub version: u64,
-    /// The cached counts, absent when unusable (never stored, edge log
-    /// overflowed, or shape changed).
-    pub cache: Option<TcCache>,
-    /// Positions changed since `cache` — empty when `cache` is `None`.
-    pub changed: Vec<(Idx, Idx)>,
-}
-
-/// What a successful [`Registry::update`] did.
-pub struct UpdateOutcome {
-    /// The new live dataset (already swapped into the registry).
-    pub ds: Arc<Dataset>,
-    /// Dataset version after this update (monotone per dataset).
-    pub version: u64,
-    /// Ops applied (inserts + deletes, as submitted).
-    pub applied: usize,
-}
-
-impl std::fmt::Debug for UpdateOutcome {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("UpdateOutcome")
-            .field("dataset", &self.ds.name)
-            .field("version", &self.version)
-            .field("applied", &self.applied)
-            .finish()
-    }
-}
-
 /// A point-in-time view of one resident dataset plus its health state,
 /// as returned by [`Registry::list`].
 pub struct DatasetInfo {
@@ -381,8 +128,6 @@ pub struct DatasetInfo {
     pub quarantined: bool,
     /// Kernel panics attributed to this dataset so far.
     pub panics: u32,
-    /// Dataset version (0 = never updated).
-    pub version: u64,
 }
 
 /// What [`Registry::note_panic`] concluded.
@@ -498,7 +243,7 @@ impl Registry {
             key.clone(),
             Entry {
                 ds: ds.clone(),
-                dynamics: Arc::default(),
+                updates: Arc::default(),
                 pinned: pin,
                 last_used: AtomicU64::new(self.now_ns()),
                 panics: AtomicU32::new(0),
@@ -575,42 +320,42 @@ impl Registry {
         self.resolve(name, |e| e.ds.clone())
     }
 
-    /// Fetch a dataset's dynamic state for an update-path operation,
-    /// answering the same typed errors as [`Registry::get`].
-    fn dynamics_of(&self, name: &str) -> Result<Arc<Mutex<DynState>>, RegistryError> {
-        self.resolve(name, |e| e.dynamics.clone())
-    }
-
-    /// Apply an edge batch to a resident dataset.
+    /// Apply an edge batch to a resident dataset and return the new live
+    /// snapshot.
     ///
     /// The batch is folded through a transient overlay (atomically: any
     /// out-of-bounds op rejects the whole batch), merged against the live
-    /// matrix into a fresh heap-owned [`Dataset`] outside the map locks,
-    /// and the new `Arc` swaps into the registry — in-flight readers keep
-    /// their old views; no stop-the-world. The swap is the commit point:
-    /// the version bump and the edge log follow it, so an update that
-    /// fails (or panics) anywhere before leaves the entry as it was.
+    /// matrix into its successor ([`Dataset::rebuilt`]) outside the map
+    /// locks, and the new `Arc` swaps into the registry — in-flight
+    /// readers keep their old views; no stop-the-world. The swap is the
+    /// whole commit: an update that fails (or panics) anywhere before it
+    /// leaves the entry as it was, and nothing remains to do after it.
     ///
-    /// Updates to the same dataset serialize on its dynamics mutex; the
-    /// swap re-checks that the entry still holds the same dynamic state,
-    /// so an `unload` (or unload + reload) racing the rebuild wins
-    /// cleanly and this update reports [`RegistryError::NotFound`].
+    /// Updates to the same dataset serialize on the entry's update mutex;
+    /// the swap re-checks that the entry still holds that very mutex, so
+    /// an `unload` (or unload + reload) racing the rebuild wins cleanly
+    /// and this update reports [`RegistryError::NotFound`].
     ///
     /// # Errors
     /// Typed registry errors: unknown/evicted/quarantined dataset,
     /// out-of-bounds ops, or the dataset disappearing mid-update.
-    pub fn update(&self, name: &str, ops: &[DeltaOp<f64>]) -> Result<UpdateOutcome, RegistryError> {
-        let dynamics = self.dynamics_of(name)?;
-        // Dynamics before the dataset, as in `tc_snapshot`: no other
-        // update can swap a newer matrix in under this one.
-        let mut st = relock(&dynamics);
+    pub fn update(&self, name: &str, ops: &[DeltaOp<f64>]) -> Result<Arc<Dataset>, RegistryError> {
+        let updates = self.resolve(name, |e| e.updates.clone())?;
+        let _serialized = relock(&updates);
+        // Read the live snapshot only now: no other update can replace it
+        // before this one's swap.
         let live = self.get(name)?;
         let n = live.matrix.nrows();
         let mut batch = Overlay::new(n, n);
         batch.apply_batch(ops).map_err(RegistryError::OutOfBounds)?;
+        let changed: Vec<(Idx, Idx)> = ops.iter().map(DeltaOp::key).collect();
         // Rebuild outside the map locks: only other updates to this
         // dataset wait; readers and other verbs proceed on the old Arc.
-        let new_ds = Arc::new(Dataset::rebuilt(&live, batch.merged(live.matrix.view())));
+        let next = Arc::new(Dataset::rebuilt(
+            &live,
+            batch.merged(live.matrix.view()),
+            &changed,
+        ));
         // Failpoint `serve.update.swap`: widen (or fail) the window
         // between the rebuild and the registry swap — the unload-race
         // regression tests arm this.
@@ -619,71 +364,19 @@ impl Registry {
                 "failpoint serve.update.swap: {msg}"
             )));
         }
-        match write_map(&self.map).get_mut(name) {
-            Some(e) if Arc::ptr_eq(&e.dynamics, &dynamics) => e.ds = new_ds.clone(),
+        // Declared last, so released first: `live` — possibly the previous
+        // snapshot's final reference — is freed outside the write lock.
+        let mut map = write_map(&self.map);
+        match map.get_mut(name) {
+            Some(e) if Arc::ptr_eq(&e.updates, &updates) => {
+                e.ds = next.clone();
+                Ok(next)
+            }
             // Unloaded (or unloaded and reloaded as a different entry)
             // while we were rebuilding: drop our work on the floor and
             // leave the registry exactly as the unload left it.
-            _ => return Err(RegistryError::NotFound(name.to_string())),
+            _ => Err(RegistryError::NotFound(name.to_string())),
         }
-        st.version += 1;
-        if st.delta_log.len() + ops.len() > DELTA_LOG_CAP {
-            st.delta_log.clear();
-            st.log_overflow = true;
-        } else {
-            st.delta_log.extend(ops.iter().map(DeltaOp::key));
-        }
-        Ok(UpdateOutcome {
-            ds: new_ds,
-            version: st.version,
-            applied: ops.len(),
-        })
-    }
-
-    /// Snapshot what the incremental `app tc` path needs. The cache is
-    /// omitted (forcing a full recompute) when none was stored, the edge
-    /// log overflowed, or the cached shape no longer matches.
-    pub fn tc_snapshot(&self, name: &str) -> Result<TcSnapshot, RegistryError> {
-        let dynamics = self.dynamics_of(name)?;
-        // Lock dynamics *before* fetching the dataset (dynamics → map is
-        // the established order): no update can swap a newer matrix in
-        // between reading `ds` and reading `version`.
-        let st = relock(&dynamics);
-        let ds = self.get(name)?;
-        let usable = !st.log_overflow
-            && st
-                .tc_cache
-                .as_ref()
-                .is_some_and(|c| c.counts.len() == ds.matrix.nrows());
-        Ok(TcSnapshot {
-            ds,
-            version: st.version,
-            cache: if usable { st.tc_cache.clone() } else { None },
-            changed: if usable {
-                st.delta_log.clone()
-            } else {
-                Vec::new()
-            },
-        })
-    }
-
-    /// Store freshly computed triangle counts. The store is refused
-    /// (returning `false`) when the dataset has moved past
-    /// `cache.version` — a concurrent update landed between compute and
-    /// store, so the counts no longer describe the live matrix — or when
-    /// the dataset is gone.
-    pub fn store_tc_cache(&self, name: &str, cache: TcCache) -> bool {
-        let Ok(dynamics) = self.dynamics_of(name) else {
-            return false;
-        };
-        let mut st = relock(&dynamics);
-        if st.version != cache.version {
-            return false;
-        }
-        st.tc_cache = Some(cache);
-        st.delta_log.clear();
-        st.log_overflow = false;
-        true
     }
 
     /// Attribute one kernel panic to a dataset; after `quarantine_after`
@@ -723,30 +416,13 @@ impl Registry {
 
     /// All resident datasets with their health state, sorted by name.
     pub fn list(&self) -> Vec<DatasetInfo> {
-        // Lock order is dynamics → map (the update path's swap), so never
-        // acquire a dynamics mutex while holding the map lock: snapshot
-        // the entries first, then read each dynamic state.
-        type EntrySnap = (Arc<Dataset>, Arc<Mutex<DynState>>, bool, bool, u32);
-        let snap: Vec<EntrySnap> = read_map(&self.map)
+        let mut v: Vec<DatasetInfo> = read_map(&self.map)
             .values()
-            .map(|e| {
-                (
-                    e.ds.clone(),
-                    e.dynamics.clone(),
-                    e.pinned,
-                    e.quarantined.load(Ordering::Relaxed),
-                    e.panics.load(Ordering::Relaxed),
-                )
-            })
-            .collect();
-        let mut v: Vec<DatasetInfo> = snap
-            .into_iter()
-            .map(|(ds, dynamics, pinned, quarantined, panics)| DatasetInfo {
-                ds,
-                pinned,
-                quarantined,
-                panics,
-                version: relock(&dynamics).version,
+            .map(|e| DatasetInfo {
+                ds: e.ds.clone(),
+                pinned: e.pinned,
+                quarantined: e.quarantined.load(Ordering::Relaxed),
+                panics: e.panics.load(Ordering::Relaxed),
             })
             .collect();
         v.sort_by(|a, b| a.ds.name.cmp(&b.ds.name));
@@ -777,7 +453,11 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mspgemm_io::CachePolicy;
+    use crate::dataset::{TcAnswer, DELTA_LOG_CAP};
+    use masked_spgemm::{Algorithm, ExecOpts, Phases};
+    use mspgemm_graph::{tricount, Scheme};
+    use mspgemm_io::{CachePolicy, MsbBackend};
+    use mspgemm_sparse::Csr;
 
     fn off_opts() -> LoadOpts {
         LoadOpts {
@@ -796,6 +476,23 @@ mod tests {
     fn write_graph(path: &std::path::Path) {
         let g = mspgemm_gen::er_symmetric(80, 6, 11);
         mspgemm_io::mtx::write_mtx_file(path, &g).unwrap();
+    }
+
+    const SCHEME: Scheme = Scheme::Ours(Algorithm::Msa, Phases::One);
+
+    /// One `app tc` pass over a snapshot, as the verb runs it.
+    fn count(ds: &Dataset) -> TcAnswer {
+        ds.triangle_count(SCHEME, &ExecOpts::default())
+    }
+
+    /// Triangles of a snapshot's graph, counted from scratch outside it.
+    fn fresh_total(ds: &Dataset) -> u64 {
+        tricount::triangle_count(&ds.adj, SCHEME).triangles
+    }
+
+    /// Both directions of an undirected edge, as one update batch.
+    fn edge(u: Idx, v: Idx) -> [DeltaOp<f64>; 2] {
+        [(u, v), (v, u)].map(|(row, col)| DeltaOp::Upsert { row, col, val: 1.0 })
     }
 
     #[test]
@@ -951,7 +648,7 @@ mod tests {
         reg.load(mtx.to_str().unwrap(), Some("u"), &off_opts(), false)
             .unwrap();
         let before = reg.get("u").unwrap();
-        assert_eq!(reg.list()[0].version, 0);
+        assert_eq!(before.version, 0);
 
         let out = reg
             .update(
@@ -972,8 +669,8 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out.version, 1);
-        assert_eq!(out.applied, 3);
         let live = reg.get("u").unwrap();
+        assert!(Arc::ptr_eq(&out, &live), "update returns the live snapshot");
         assert!(!Arc::ptr_eq(&before, &live), "live Arc swapped");
         assert_eq!(live.matrix.get(3, 4), Some(&1.0));
         assert_eq!(live.matrix.get(0, 79), None);
@@ -987,7 +684,7 @@ mod tests {
             .unwrap();
         assert_eq!(out.version, 2);
         assert_eq!(reg.get("u").unwrap().matrix.get(3, 4), None);
-        assert_eq!(reg.list()[0].version, 2);
+        assert_eq!(reg.list()[0].ds.version, 2);
 
         // Out-of-bounds ops reject the batch atomically.
         let err = reg
@@ -1006,9 +703,14 @@ mod tests {
                     },
                 ],
             )
-            .unwrap_err();
+            .err()
+            .expect("an out-of-bounds op rejects the batch");
         assert!(matches!(err, RegistryError::OutOfBounds(_)), "{err:?}");
-        assert_eq!(reg.list()[0].version, 2, "rejected batch bumps nothing");
+        assert_eq!(
+            reg.get("u").unwrap().version,
+            2,
+            "rejected batch bumps nothing"
+        );
         assert_eq!(reg.get("u").unwrap().matrix.get(1, 1), None);
 
         assert!(matches!(
@@ -1029,74 +731,181 @@ mod tests {
         let reg = Registry::new();
         reg.load(mtx.to_str().unwrap(), Some("t"), &off_opts(), false)
             .unwrap();
-        // Store a cache at version 0, then update: the snapshot exposes
-        // the stale cache plus the changed positions.
-        let ds0 = reg.get("t").unwrap();
-        let ops0 = ds0.tc_operands();
-        let (counts, _) = tricount::count_prepared_rows_with(
-            &ops0,
-            mspgemm_graph::scheme::Scheme::Ours(
-                masked_spgemm::Algorithm::Msa,
-                masked_spgemm::Phases::One,
-            ),
-            &masked_spgemm::ExecOpts::default(),
-        );
-        let total: u64 = counts.iter().sum();
-        assert!(reg.store_tc_cache(
-            "t",
-            TcCache {
-                perm: ops0.perm.clone(),
-                counts: counts.clone(),
-                total,
-                version: 0,
-            }
-        ));
-        let snap = reg.tc_snapshot("t").unwrap();
-        assert_eq!(snap.version, 0);
-        assert_eq!(snap.cache.as_ref().unwrap().total, total);
-        assert!(snap.changed.is_empty());
+        // Count at version 0, then update: the successor carries those
+        // counts as its seed, plus the changed positions.
+        let v0 = reg.get("t").unwrap();
+        assert_eq!(v0.version, 0);
+        assert!(v0.tc_seed_changed().is_none(), "a load has no ancestor");
+        let full = count(&v0);
+        assert!(full.cached && full.patched_rows.is_none());
+        assert_eq!(full.triangles, fresh_total(&v0));
 
-        reg.update(
-            "t",
-            &[DeltaOp::Upsert {
-                row: 7,
-                col: 9,
-                val: 1.0,
-            }],
-        )
-        .unwrap();
-        let snap = reg.tc_snapshot("t").unwrap();
-        assert_eq!(snap.version, 1);
+        let v1 = reg
+            .update(
+                "t",
+                &[DeltaOp::Upsert {
+                    row: 7,
+                    col: 9,
+                    val: 1.0,
+                }],
+            )
+            .unwrap();
+        assert_eq!(v1.version, 1);
+        assert_eq!(
+            v1.tc_seed_changed(),
+            Some(&[(7, 9)][..]),
+            "the ancestor's counts stay usable for patching"
+        );
+        assert_eq!(v1.backend(), MsbBackend::Heap);
+        assert_eq!(v1.mapped_bytes(), 0);
+
+        // The patched count lands on v1, and the next snapshot's seed
+        // restarts from it: only the newer batch is left to patch.
+        let patched = count(&v1);
+        assert!(patched.cached && patched.patched_rows.is_some());
+        assert_eq!(patched.triangles, fresh_total(&v1));
+        let v2 = reg.update("t", &edge(20, 21)).unwrap();
+        assert_eq!(v2.tc_seed_changed(), Some(&[(20, 21), (21, 20)][..]));
+
+        // A snapshot's counts are written once: a repeat recounts every
+        // row (the patched total faces a full one) and keeps the first.
+        let again = count(&v1);
+        assert!(again.patched_rows.is_none() && !again.cached);
+        assert_eq!(again.triangles, patched.triangles);
+        std::fs::remove_file(&mtx).ok();
+    }
+
+    #[test]
+    fn counts_land_on_the_snapshot_they_ran_against() {
+        let _g = crate::failpoint_guard();
+        let dir = fixture_dir();
+        let mtx = dir.join("tcrace.mtx");
+        write_graph(&mtx);
+        let reg = Registry::new();
+        reg.load(mtx.to_str().unwrap(), Some("a"), &off_opts(), false)
+            .unwrap();
+        count(&reg.get("a").unwrap());
+        // An `app tc` holds v1 while the next update swaps v2 in: v2 is
+        // built before v1 has counts of its own.
+        let v1 = reg.update("a", &edge(2, 40)).unwrap();
+        let v2 = reg.update("a", &edge(3, 50)).unwrap();
+        let on_v1 = count(&v1);
+        assert!(on_v1.cached, "v1's counts are kept — on v1");
+        assert_eq!(on_v1.triangles, fresh_total(&v1));
+        assert!(Arc::ptr_eq(&v2, &reg.get("a").unwrap()));
+
+        // v2 never sees them: it patches the newest counts an ancestor had
+        // when it was built (v0's) across both batches.
+        assert_eq!(
+            v2.tc_seed_changed(),
+            Some(&[(2, 40), (40, 2), (3, 50), (50, 3)][..])
+        );
+        let on_v2 = count(&v2);
+        assert!(on_v2.cached && on_v2.patched_rows.is_some());
+        assert_eq!(on_v2.triangles, fresh_total(&v2));
+        std::fs::remove_file(&mtx).ok();
+    }
+
+    #[test]
+    fn seed_accumulates_until_a_count_and_is_dropped_past_the_cap() {
+        let _g = crate::failpoint_guard();
+        let dir = fixture_dir();
+        let mtx = dir.join("tcseed.mtx");
+        write_graph(&mtx);
+        let reg = Registry::new();
+        reg.load(mtx.to_str().unwrap(), Some("s"), &off_opts(), false)
+            .unwrap();
+        // No ancestor ever counted: updates have nothing to carry.
+        assert!(reg
+            .update("s", &edge(1, 30))
+            .unwrap()
+            .tc_seed_changed()
+            .is_none());
+        count(&reg.get("s").unwrap());
+
+        // Two updates with no `tc` between them accumulate one seed.
+        reg.update("s", &edge(2, 40)).unwrap();
+        let v3 = reg.update("s", &edge(3, 50)).unwrap();
+        assert_eq!(v3.version, 3);
+        assert_eq!(v3.tc_seed_changed().map(<[_]>::len), Some(4));
+
+        // Filled exactly to the cap the seed survives and still patches…
+        let fill = vec![DeltaOp::Delete { row: 5, col: 60 }; DELTA_LOG_CAP - 4];
+        let full = reg.update("s", &fill).unwrap();
+        assert_eq!(full.tc_seed_changed().map(<[_]>::len), Some(DELTA_LOG_CAP));
+        // …one position more and it is dropped: a full recount.
+        let over = reg
+            .update("s", &[DeltaOp::Delete { row: 5, col: 61 }])
+            .unwrap();
+        assert!(over.tc_seed_changed().is_none());
+        let recount = count(&over);
+        assert!(recount.patched_rows.is_none() && recount.cached);
+        assert_eq!(recount.triangles, fresh_total(&over));
+        // Its counts seed the next snapshot again.
+        let next = reg.update("s", &edge(4, 70)).unwrap();
+        assert_eq!(next.tc_seed_changed().map(<[_]>::len), Some(2));
+        let patched = count(&next);
+        assert!(patched.patched_rows.is_some());
+        assert_eq!(patched.triangles, fresh_total(&next));
+        std::fs::remove_file(&mtx).ok();
+    }
+
+    #[test]
+    fn reload_starts_at_version_zero_with_no_seed() {
+        let _g = crate::failpoint_guard();
+        let dir = fixture_dir();
+        let mtx = dir.join("tcreload.mtx");
+        write_graph(&mtx);
+        let reg = Registry::new();
+        reg.load(mtx.to_str().unwrap(), Some("e"), &off_opts(), false)
+            .unwrap();
+        count(&reg.get("e").unwrap());
+        let v1 = reg.update("e", &edge(2, 40)).unwrap();
+        assert!(v1.version == 1 && v1.tc_seed_changed().is_some());
+
+        reg.unload("e").unwrap();
+        reg.load(mtx.to_str().unwrap(), Some("e"), &off_opts(), false)
+            .unwrap();
+        let fresh = reg.get("e").unwrap();
+        assert_eq!(fresh.version, 0);
+        assert!(fresh.tc_seed_changed().is_none());
         assert!(
-            snap.cache.is_some(),
-            "stale cache still usable for patching"
+            count(&fresh).patched_rows.is_none(),
+            "nothing to patch from"
         );
-        assert_eq!(snap.changed, vec![(7, 9)]);
-        assert_eq!(snap.ds.backend(), MsbBackend::Heap);
-        assert_eq!(snap.ds.mapped_bytes(), 0);
+        std::fs::remove_file(&mtx).ok();
+    }
 
-        // A stale-stamped store is refused.
-        assert!(!reg.store_tc_cache(
-            "t",
-            TcCache {
-                perm: ops0.perm.clone(),
-                counts: counts.clone(),
-                total,
-                version: 0,
-            }
-        ));
-        // A current-stamped store lands and clears the log.
-        assert!(reg.store_tc_cache(
-            "t",
-            TcCache {
-                perm: ops0.perm.clone(),
-                counts,
-                total,
-                version: 1,
-            }
-        ));
-        let snap = reg.tc_snapshot("t").unwrap();
-        assert!(snap.changed.is_empty());
+    #[test]
+    fn triangle_state_counts_as_resident_bytes() {
+        let _g = crate::failpoint_guard();
+        let dir = fixture_dir();
+        let mtx = dir.join("tcmem.mtx");
+        write_graph(&mtx);
+        let reg = Registry::new();
+        reg.load(mtx.to_str().unwrap(), Some("m"), &off_opts(), false)
+            .unwrap();
+        let v0 = reg.get("m").unwrap();
+        let n = v0.matrix.nrows() as u64;
+        let loaded = v0.mem_bytes();
+        let operands = {
+            let ops = v0.tc_operands();
+            (ops.l.storage_report().heap_bytes + ops.lt.storage_report().heap_bytes) as u64
+        };
+        // Operands: L, Lᵀ and the 4-byte relabeling; counts: 8 bytes a row.
+        assert_eq!(v0.mem_bytes(), loaded + operands + 4 * n);
+        count(&v0);
+        assert_eq!(v0.mem_bytes(), loaded + operands + 4 * n + 8 * n);
+        assert_eq!(reg.resident_bytes(), v0.mem_bytes());
+
+        // The successor holds the seed (relabeling, counts, one changed
+        // position) and none of the previous snapshot's operands.
+        let v1 = reg
+            .update("m", &[DeltaOp::Delete { row: 0, col: 0 }])
+            .unwrap();
+        assert_eq!(v1.matrix, v0.matrix, "deleting an absent entry is a no-op");
+        assert_eq!(v1.mem_bytes(), loaded + (4 * n + 8 * n + 8));
+        assert_eq!(reg.resident_bytes(), v1.mem_bytes());
         std::fs::remove_file(&mtx).ok();
     }
 
@@ -1111,6 +920,7 @@ mod tests {
             .unwrap();
         let loaded = reg.get("f").unwrap();
         assert_eq!(loaded.matrix.get(7, 70), None, "fixture has no (7,70)");
+        count(&loaded);
 
         mspgemm_fault::configure("serve.update.swap=1*err(boom)").unwrap();
         let res = reg.update(
@@ -1122,8 +932,15 @@ mod tests {
             }],
         );
         mspgemm_fault::clear();
-        assert!(matches!(res, Err(RegistryError::Load(_))), "{res:?}");
-        assert_eq!(reg.list()[0].version, 0, "a failed update bumps nothing");
+        let err = res.err();
+        assert!(matches!(err, Some(RegistryError::Load(_))), "{err:?}");
+        let live = reg.get("f").unwrap();
+        assert!(
+            Arc::ptr_eq(&live, &loaded),
+            "the live snapshot is untouched"
+        );
+        assert_eq!(live.version, 0, "a failed update bumps nothing");
+        assert!(live.tc_seed_changed().is_none());
 
         let accepted = [DeltaOp::Upsert {
             row: 3,
@@ -1132,6 +949,11 @@ mod tests {
         }];
         let out = reg.update("f", &accepted).unwrap();
         assert_eq!(out.version, 1, "versions count successful updates only");
+        assert_eq!(
+            out.tc_seed_changed(),
+            Some(&[(3, 4)][..]),
+            "the failed batch is in no seed"
+        );
         // The live matrix is the accepted ops alone over the loaded one:
         // the failed batch does not resurface.
         let mut only_accepted = Overlay::new(80, 80);
@@ -1194,9 +1016,10 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(50));
             reg.unload("r").unwrap();
             let res = updater.join().unwrap();
+            let err = res.err();
             assert!(
-                matches!(res, Err(RegistryError::NotFound(_))),
-                "late swap must lose: {res:?}"
+                matches!(err, Some(RegistryError::NotFound(_))),
+                "late swap must lose: {err:?}"
             );
         });
         mspgemm_fault::clear();
@@ -1205,7 +1028,7 @@ mod tests {
         // The name is immediately reloadable and healthy.
         reg.load(mtx.to_str().unwrap(), Some("r"), &off_opts(), false)
             .unwrap();
-        assert_eq!(reg.list()[0].version, 0);
+        assert_eq!(reg.get("r").unwrap().version, 0);
         std::fs::remove_file(&mtx).ok();
     }
 

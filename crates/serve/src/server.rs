@@ -1175,6 +1175,15 @@ mod tests {
         })
     }
 
+    /// Requests attributed to dataset `g` so far: the count of its
+    /// per-dataset latency series, `None` while the series does not exist.
+    fn requests_on_g(state: &ServerState) -> Option<u64> {
+        let m = ok(state, r#"{"op":"metrics"}"#);
+        let hists = m.get("histograms").unwrap();
+        find_series(hists, "dataset_request_latency_us", &[("dataset", "g")])
+            .and_then(|h| h.get("count").unwrap().as_u64())
+    }
+
     #[test]
     fn ping_reports_version_and_uptime() {
         let (state, _) = state_with("ping_fields", 40);
@@ -1465,13 +1474,7 @@ mod tests {
             &state,
             &format!(r#"{{"op":"load","path":"{path}","name":"g"}}"#),
         );
-        let dataset_count = |state: &ServerState| {
-            let m = ok(state, r#"{"op":"metrics"}"#);
-            let hists = m.get("histograms").unwrap();
-            find_series(hists, "dataset_request_latency_us", &[("dataset", "g")])
-                .and_then(|h| h.get("count").unwrap().as_u64())
-        };
-        assert_eq!(dataset_count(&state), Some(1), "the load itself");
+        assert_eq!(requests_on_g(&state), Some(1), "the load itself");
         for _ in 0..3 {
             state.registry.note_panic("g");
         }
@@ -1479,7 +1482,43 @@ mod tests {
             err_code(&state, r#"{"op":"mxm","dataset":"g"}"#),
             "quarantined"
         );
-        assert_eq!(dataset_count(&state), Some(2));
+        assert_eq!(requests_on_g(&state), Some(2));
+    }
+
+    #[test]
+    fn absurd_threads_are_rejected_at_decode() {
+        let (state, path) = state_with("threads_bound", 40);
+        ok(
+            &state,
+            &format!(r#"{{"op":"load","path":"{path}","name":"g"}}"#),
+        );
+        assert_eq!(requests_on_g(&state), Some(1), "the load itself");
+        for verb in ["mxm", "app"] {
+            let (resp, _) = handle_request(
+                &state,
+                &format!(r#"{{"op":"{verb}","dataset":"g","threads":100000}}"#),
+            );
+            let error = resp.get("error").unwrap();
+            assert_eq!(error.get("code").unwrap().as_str(), Some("bad_request"));
+            assert_eq!(
+                error.get("message").unwrap().as_str(),
+                Some("threads must be at most 256, got 100000")
+            );
+        }
+        assert_eq!(
+            requests_on_g(&state),
+            Some(1),
+            "a request refused at decode is not attributed to the dataset"
+        );
+        // More threads than this machine has cores is still a fair ask.
+        for verb in ["mxm", "app"] {
+            let resp = ok(
+                &state,
+                &format!(r#"{{"op":"{verb}","dataset":"g","threads":8}}"#),
+            );
+            assert_eq!(resp.get("op").unwrap().as_str(), Some(verb));
+        }
+        assert_eq!(requests_on_g(&state), Some(3));
     }
 
     #[test]
