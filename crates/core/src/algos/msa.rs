@@ -136,4 +136,47 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn rows_the_mask_leaves_empty_form_no_products() {
+        // A normal mask on the even rows only: the drive skips the odd
+        // rows outright, so the products formed are the even rows' — in
+        // both phase strategies. The complement of the same mask admits
+        // products on every row and skips none.
+        let n = 24;
+        let a = grid(n, |i, j| (i * 7 + j * 3) % 4 == 0);
+        let mask = grid(n, |i, j| i % 2 == 0 && (i + j) % 3 == 0).pattern();
+        let row_flops = a.row_flops_with(&a);
+        let even: u64 = row_flops.iter().step_by(2).sum();
+        assert!(0 < even && even < a.flops_with(&a));
+        let want = run_kernel::<PlusTimesI64, _, ()>(
+            &mask,
+            &a,
+            &a,
+            false,
+            Phases::One,
+            &MsaKernel { complement: false },
+            &ExecOpts::default(),
+        )
+        .unwrap();
+        for (complement, formed) in [(false, even), (true, a.flops_with(&a))] {
+            for phases in [Phases::One, Phases::Two] {
+                let stats = ExecStats::new();
+                let opts = ExecOpts {
+                    stats: Some(&stats),
+                    ..ExecOpts::default()
+                };
+                let kernel = MsaKernel { complement };
+                let c = run_kernel::<PlusTimesI64, _, ()>(
+                    &mask, &a, &a, complement, phases, &kernel, &opts,
+                )
+                .unwrap();
+                assert_eq!(stats.products().formed, formed, "{complement} {phases:?}");
+                if !complement {
+                    assert_eq!(c, want, "{phases:?}");
+                    assert!((1..n).step_by(2).all(|i| c.row_nnz(i) == 0));
+                }
+            }
+        }
+    }
 }

@@ -289,6 +289,15 @@ pub(crate) fn one_phase_bounds<M: Send + Sync>(
     }
 }
 
+/// Whether row `i` emits nothing whatever `A·B` holds: under a normal
+/// mask, a row the mask leaves empty. Every pass skips such rows before
+/// forming a product, so a sparse mask (the recount passes of incremental
+/// triangle counting and k-truss) pays for the rows it touches only.
+#[inline]
+fn masked_out<M>(mask: &Csr<M>, complement: bool, i: usize) -> bool {
+    !complement && mask.row_nnz(i) == 0
+}
+
 /// Whether the options' cancellation deadline has passed.
 fn expired(opts: &ExecOpts<'_>) -> bool {
     opts.deadline.is_some_and(|d| Instant::now() >= d)
@@ -343,7 +352,7 @@ where
             &chunks,
             opts,
         ),
-        Phases::Two => run_two_phase(mask, a, b, kernel, &chunks, opts),
+        Phases::Two => run_two_phase(mask, a, b, complement, kernel, &chunks, opts),
     }
 }
 
@@ -389,6 +398,9 @@ where
         let vw = UnsafeSlice::new(&mut tmp_vals);
         let sw = UnsafeSlice::new(&mut sizes);
         run_rows::<S, K>(chunks, opts, kernel, ncols, |ws, i| {
+            if masked_out(mask, complement, i) {
+                return; // `sizes[i]` stays 0
+            }
             let ctx = RowCtx::<S> {
                 mask_cols: mask.row_cols(i),
                 a_cols: a.row_cols(i),
@@ -420,6 +432,7 @@ fn run_two_phase<S, K, M>(
     mask: &Csr<M>,
     a: &Csr<S::Left>,
     b: &Csr<S::Right>,
+    complement: bool,
     kernel: &K,
     chunks: &[Range<usize>],
     opts: &ExecOpts<'_>,
@@ -442,6 +455,9 @@ where
         let _span = mspgemm_obs::span("symbolic");
         let sw = UnsafeSlice::new(&mut sizes);
         run_rows::<S, K>(chunks, opts, kernel, ncols, |ws, i| {
+            if masked_out(mask, complement, i) {
+                return; // `sizes[i]` stays 0
+            }
             let ctx = RowCtx::<S> {
                 mask_cols: mask.row_cols(i),
                 a_cols: a.row_cols(i),
@@ -472,6 +488,9 @@ where
         let cw = UnsafeSlice::new(&mut colidx);
         let vw = UnsafeSlice::new(&mut values);
         run_rows::<S, K>(chunks, opts, kernel, ncols, |ws, i| {
+            if masked_out(mask, complement, i) {
+                return;
+            }
             let ctx = RowCtx::<S> {
                 mask_cols: mask.row_cols(i),
                 a_cols: a.row_cols(i),

@@ -7,7 +7,7 @@ use crate::scheme::Scheme;
 use masked_spgemm::{ExecOpts, MaskMode};
 use mspgemm_sparse::ops::permute::{degree_descending_permutation, permute_symmetric};
 use mspgemm_sparse::ops::reduce::reduce_rows;
-use mspgemm_sparse::ops::select::tril_strict;
+use mspgemm_sparse::ops::select::{restrict_rows, tril_strict};
 use mspgemm_sparse::semiring::PlusPairU64;
 use mspgemm_sparse::{transpose, Csr, Idx};
 use std::time::Instant;
@@ -106,25 +106,6 @@ pub fn count_prepared_rows_with(
     masked_rows(ops, &ops.l, scheme, opts)
 }
 
-/// `L` restricted to the given (sorted, deduplicated) rows; every other
-/// row is empty. Used as the mask of the incremental recount pass, so the
-/// product only materializes the rows being patched.
-fn row_subset(l: &Csr<()>, rows: &[usize]) -> Csr<()> {
-    let mut rowptr = Vec::with_capacity(l.nrows() + 1);
-    rowptr.push(0usize);
-    let mut colidx = Vec::new();
-    let mut it = rows.iter().peekable();
-    for i in 0..l.nrows() {
-        if it.peek() == Some(&&i) {
-            colidx.extend_from_slice(l.row_cols(i));
-            it.next();
-        }
-        rowptr.push(colidx.len());
-    }
-    let values = vec![(); colidx.len()];
-    Csr::from_parts_unchecked(l.nrows(), l.ncols(), rowptr, colidx, values)
-}
-
 /// Recount triangles for a subset of relabeled rows: one masked-SpGEMM
 /// pass whose mask is `L` restricted to `rows` (sorted, deduplicated).
 /// Returns a full-length per-row vector — entries are meaningful only at
@@ -135,7 +116,7 @@ pub fn recount_rows_with(
     scheme: Scheme,
     opts: &ExecOpts<'_>,
 ) -> (Vec<u64>, f64) {
-    masked_rows(ops, &row_subset(&ops.l, rows), scheme, opts)
+    masked_rows(ops, &restrict_rows(&ops.l, rows, |_| true), scheme, opts)
 }
 
 /// The rows of `L` whose per-row triangle count may change when the given

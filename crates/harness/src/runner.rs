@@ -36,7 +36,10 @@ pub fn tc_runs(
         .collect()
 }
 
-/// k-truss runtimes (sum of masked SpGEMM time across iterations, §8.3).
+/// k-truss runtimes: the masked SpGEMM time summed over the products a
+/// run executes — one full support count, then a restricted recount per
+/// prune that lowered a surviving support (§8.3). Every scheme runs the
+/// same products, so the seconds compare like with like.
 pub fn ktruss_runs(
     suite: &[SuiteGraph],
     schemes: &[Scheme],
@@ -53,7 +56,8 @@ pub fn ktruss_runs(
                 .map(|g| {
                     let (_, result) = time_best(reps, || ktruss::k_truss_with(&g.adj, k, s, opts));
                     // The benchmarked quantity is the masked-SpGEMM time,
-                    // not the whole loop (pruning excluded), per §8.3.
+                    // not the whole loop (pruning, marking the affected
+                    // edges and patching their supports excluded), per §8.3.
                     Some(result.mxm_seconds)
                 })
                 .collect(),

@@ -336,8 +336,9 @@ fn app(state: &ServerState, name: &str, p: &AppParams) -> OpResult {
                     ("iterations", r.iterations.into()),
                     ("edges", r.truss.nnz().into()),
                     ("mxm_seconds", r.mxm_seconds.into()),
-                    // k-truss has no incremental path: every request runs
-                    // against the live matrix from scratch.
+                    // k-truss keeps nothing across requests: each one runs
+                    // against the live matrix from scratch (`iterations`
+                    // counts the masked products that took).
                     ("incremental", false.into()),
                 ]
             }

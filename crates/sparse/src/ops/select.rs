@@ -30,6 +30,28 @@ where
     )
 }
 
+/// The pattern of `a` on the given rows (sorted, deduplicated), keeping
+/// only the storage positions `keep(p)` accepts (`p` indexes
+/// `a.colidx()`); every other row is empty. Serial, and its cost follows
+/// the listed rows, not `a`: it builds the sparse masks of the
+/// recount passes (incremental triangle counting restricts `L` to whole
+/// rows, k-truss to the edges a prune touched), so a masked product only
+/// materializes what is being patched.
+pub fn restrict_rows<T>(a: &Csr<T>, rows: &[usize], keep: impl Fn(usize) -> bool) -> Csr<()> {
+    let mut rowptr = vec![0usize; a.nrows() + 1];
+    let mut colidx = Vec::new();
+    let mut done = 0usize;
+    for &i in rows {
+        rowptr[done + 1..=i].fill(colidx.len());
+        let (lo, hi) = (a.rowptr()[i], a.rowptr()[i + 1]);
+        colidx.extend((lo..hi).filter(|&p| keep(p)).map(|p| a.colidx()[p]));
+        done = i;
+    }
+    rowptr[done + 1..].fill(colidx.len());
+    let values = vec![(); colidx.len()];
+    Csr::from_parts_unchecked(a.nrows(), a.ncols(), rowptr, colidx, values)
+}
+
 /// Strictly lower triangular part (`j < i`).
 pub fn tril_strict<T: Copy + Send + Sync + Default>(a: &Csr<T>) -> Csr<T> {
     select(a, |i, j, _| (j as usize) < i)
@@ -91,6 +113,22 @@ mod tests {
             let cols = s.row_cols(i);
             assert!(cols.windows(2).all(|w| w[0] < w[1]));
         }
+    }
+
+    #[test]
+    fn restrict_rows_keeps_listed_rows_and_accepted_positions() {
+        let a = full3();
+        // Whole rows 0 and 2; row 1 stays empty.
+        let r = restrict_rows(&a, &[0, 2], |_| true);
+        assert_eq!(r.rowptr(), &[0, 3, 3, 6]);
+        assert_eq!(r.colidx(), &[0, 1, 2, 0, 1, 2]);
+        // Positions are indices into `a.colidx()`: keep the odd ones of
+        // rows 1 and 2 (positions 3..6 and 6..9).
+        let r = restrict_rows(&a, &[1, 2], |p| p % 2 == 1);
+        assert_eq!(r.rowptr(), &[0, 0, 2, 3]);
+        assert_eq!(r.colidx(), &[0, 2, 1]);
+        assert_eq!(restrict_rows(&a, &[], |_| true).nnz(), 0);
+        assert_eq!(restrict_rows(&a, &[0, 1, 2], |_| true), a.pattern());
     }
 
     #[test]
