@@ -9,7 +9,7 @@ use mspgemm_sparse::ops::permute::{degree_descending_permutation, permute_symmet
 use mspgemm_sparse::ops::reduce::reduce_rows;
 use mspgemm_sparse::ops::select::{restrict_rows, tril_strict};
 use mspgemm_sparse::semiring::PlusPairU64;
-use mspgemm_sparse::{transpose, Csr, Idx};
+use mspgemm_sparse::{transpose, Csr, Idx, Overlay};
 use std::time::Instant;
 
 /// The prepared operand: relabeled strictly-lower-triangular pattern, plus
@@ -22,10 +22,43 @@ pub struct TcOperands {
     /// Push flops of the *unmasked* `L·L` (×2 = FLOP count for GFLOPS).
     pub flops: u64,
     /// The relabeling used (`perm[old] = new`). The incremental path
-    /// re-prepares an updated adjacency under the *same* permutation so
-    /// cached per-row counts stay aligned; any permutation is correct
+    /// keeps an updated adjacency's operands under the *same* permutation
+    /// so cached per-row counts stay aligned; any permutation is correct
     /// (degree order is only a performance heuristic).
     pub perm: Vec<Idx>,
+}
+
+impl TcOperands {
+    /// These operands carried forward after the adjacency changed at
+    /// `changed` (vertex pairs, either orientation, repeats allowed):
+    /// equal to [`prepare_with_perm`] of the updated `adj` under this
+    /// relabeling, at the cost of the touched rows plus one copy of each
+    /// section. A pair `{u, v}` is the `L` position `(max, min)` of its
+    /// relabeled endpoints — and the mirrored `Lᵀ` position — present iff
+    /// `adj` now holds the edge.
+    ///
+    /// # Panics
+    /// If `adj` is not the shape these operands were prepared for.
+    pub fn patched(&self, adj: &Csr<f64>, changed: &[(Idx, Idx)]) -> TcOperands {
+        let n = self.l.nrows();
+        assert_eq!((adj.nrows(), adj.ncols()), (n, n), "adjacency shape");
+        let (mut dl, mut dlt) = (Overlay::new(n, n), Overlay::new(n, n));
+        for &(u, v) in changed {
+            if u != v {
+                let (pu, pv) = (self.perm[u as usize], self.perm[v as usize]);
+                let edge = adj.get(u as usize, v).map(|_| ());
+                dl.set(pu.max(pv), pu.min(pv), edge);
+                dlt.set(pu.min(pv), pu.max(pv), edge);
+            }
+        }
+        let (l, lt) = (dl.merged(self.l.view()), dlt.merged(self.lt.view()));
+        TcOperands {
+            flops: 2 * lt.transposed_flops_with(&l),
+            l,
+            lt,
+            perm: self.perm.clone(),
+        }
+    }
 }
 
 /// Relabel + extract `L` (not timed as part of the masked SpGEMM, matching
@@ -278,10 +311,15 @@ mod tests {
         }
         let g1 = coo.to_csr(|a, _| a);
 
-        // Incremental: re-prepare under the cached permutation, recount
-        // only the affected rows, patch.
-        let ops1 = prepare_with_perm(&g1, ops0.perm.clone());
-        let changed: Vec<(Idx, Idx)> = dels.iter().chain(ins).copied().collect();
+        // Incremental: carry the operands forward under the cached
+        // permutation (the same ones a re-prepare builds), recount only
+        // the affected rows, patch. Pairs arrive in either orientation,
+        // with a self-loop and a repeat among them.
+        let mut changed: Vec<(Idx, Idx)> = dels.iter().chain(ins).copied().collect();
+        changed.extend([(7, 7), (64, 5), (5, 64)]);
+        let ops1 = ops0.patched(&g1, &changed);
+        let want = prepare_with_perm(&g1, ops0.perm.clone());
+        assert!(ops1.l == want.l && ops1.lt == want.lt && ops1.flops == want.flops);
         let rows = affected_rows(&ops1, &changed);
         assert!(!rows.is_empty() && rows.len() < 120);
         let (patch, _) = recount_rows_with(&ops1, &rows, scheme, &opts);

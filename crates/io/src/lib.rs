@@ -30,8 +30,8 @@ pub mod source;
 
 pub use error::IoError;
 pub use load::{
-    load_graph, load_matrix, save_matrix, save_matrix_pattern, sidecar_path, to_adjacency,
-    AdjacencyStats, CacheOutcome, CachePolicy, Format, IngestReport, LoadOpts,
+    adjacency_delta, load_graph, load_matrix, save_matrix, save_matrix_pattern, sidecar_path,
+    to_adjacency, AdjacencyStats, CacheOutcome, CachePolicy, Format, IngestReport, LoadOpts,
 };
 pub use msb::{
     read_msb, read_msb_file, read_msb_file_auto, read_msb_header, write_msb, write_msb_file,

@@ -7,7 +7,7 @@ use crate::msb::{load_msb_file, write_msb_file, MsbBackend};
 use crate::mtx::{read_mtx_file_parallel, write_mtx_file};
 use mspgemm_sparse::ops::ewise::ewise_add;
 use mspgemm_sparse::ops::select::remove_diagonal;
-use mspgemm_sparse::{transpose, Csr};
+use mspgemm_sparse::{transpose, Csr, Idx, Overlay};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -309,6 +309,29 @@ pub fn to_adjacency(a: &Csr<f64>) -> (Csr<f64>, AdjacencyStats) {
     )
 }
 
+/// The batch that carries a held [`to_adjacency`] result forward after
+/// `a` changed at `changed`: every off-diagonal position maps to both of
+/// its orientations, present (as `1.0`) iff the updated `a` stores
+/// `(i, j)` or `(j, i)`. An overwrite therefore leaves the adjacency
+/// alone, and removing one orientation of an edge keeps it while the
+/// other stays. Merging the result into the previous adjacency equals
+/// [`to_adjacency`] of the updated `a`.
+///
+/// # Panics
+/// If `a` is not square or a position is out of bounds for it.
+pub fn adjacency_delta(a: &Csr<f64>, changed: &[(Idx, Idx)]) -> Overlay<f64> {
+    assert_eq!(a.nrows(), a.ncols(), "adjacency requires a square matrix");
+    let mut delta = Overlay::new(a.nrows(), a.ncols());
+    for &(i, j) in changed {
+        if i != j {
+            let edge = a.get(i as usize, j).or(a.get(j as usize, i)).map(|_| 1.0);
+            delta.set(i, j, edge);
+            delta.set(j, i, edge);
+        }
+    }
+    delta
+}
+
 /// [`load_matrix`] a file and normalize it with [`to_adjacency`]. The
 /// normalized adjacency is a derived (owned) matrix either way; the mmap
 /// preference still saves the intermediate heap copy of the raw operand
@@ -387,6 +410,41 @@ mod tests {
                 adj.get(j as usize, i as u32).is_some(),
                 "({i},{j}) not mirrored"
             );
+        }
+    }
+
+    #[test]
+    fn adjacency_delta_carries_a_held_adjacency_forward() {
+        use mspgemm_sparse::DeltaOp::{Delete, Upsert};
+        let a = directed_sample();
+        let (adj, _) = to_adjacency(&a);
+        let up = |row, col| Upsert { row, col, val: 3.0 };
+        let batches: [&[_]; 4] = [
+            // An overwrite, a self-loop and a delete of an absent entry:
+            // the adjacency does not move.
+            &[up(0, 1), up(2, 2), Delete { row: 0, col: 2 }],
+            // The second orientation of 0–1 arrives, then the first one
+            // leaves: the edge stays throughout.
+            &[up(1, 0)],
+            &[Delete { row: 0, col: 1 }],
+            // The last orientation goes, and a new edge comes and goes
+            // within one batch.
+            &[
+                Delete { row: 1, col: 0 },
+                up(0, 2),
+                Delete { row: 0, col: 2 },
+            ],
+        ];
+        let edges = [3, 3, 3, 2];
+        let (mut a, mut adj) = (a, adj);
+        for (ops, edges) in batches.into_iter().zip(edges) {
+            let mut batch = Overlay::new(3, 3);
+            batch.apply_batch(ops).unwrap();
+            a = batch.merged(a.view());
+            let changed: Vec<(Idx, Idx)> = ops.iter().map(|op| op.key()).collect();
+            adj = adjacency_delta(&a, &changed).merged(adj.view());
+            assert_eq!(adj, to_adjacency(&a).0);
+            assert_eq!(adj.nnz(), 2 * edges);
         }
     }
 

@@ -20,23 +20,35 @@
 //!
 //! ## Versions and the triangle seed
 //!
-//! A loaded dataset is `version` 0. An `update` never mutates a snapshot:
-//! [`Dataset::rebuilt`] derives the successor (`version + 1`) from the
-//! merged matrix, and the registry swaps it in. What makes the
-//! successor's first `app tc` incremental travels with it as a **seed**:
-//! the newest per-row counts any ancestor had, the relabeling they were
-//! counted under, and the positions changed since. The seed shares those
-//! vectors by `Arc` and never references the ancestor itself, so a
-//! replaced snapshot is freed with its last in-flight reader. Counts are
-//! only ever stored in the snapshot they were computed against, so they
-//! cannot describe any other matrix — there is nothing to check at store
-//! time.
+//! A loaded dataset is `version` 0, its operands derived from the whole
+//! matrix once. An `update` never mutates a snapshot and never derives
+//! again: every resident operand is a canonical CSR and so a function of
+//! its entry set, which makes a batch of changed positions in the matrix
+//! a batch of changed positions in each operand. [`Dataset::rebuilt`]
+//! maps the batch (`transpose_delta`, `adjacency_delta`,
+//! `TcOperands::patched`) and merges it into the predecessor's sections,
+//! so the successor (`version + 1`) costs the rows it touched plus one
+//! copy of each section; the registry then swaps it in. Snapshots share
+//! no matrix storage with each other.
+//!
+//! What makes the successor's first `app tc` incremental travels with it
+//! as a **seed**: the newest per-row counts any ancestor had and the
+//! positions changed since. A seeded snapshot is built with its
+//! relabeled operands already patched forward under the relabeling those
+//! counts were taken in, so that first `app tc` is the affected-row
+//! recount and nothing else. The seed shares the counts by `Arc` and
+//! never references the ancestor itself, so a replaced snapshot is freed
+//! with its last in-flight reader. Counts are only ever stored in the
+//! snapshot they were computed against, so they cannot describe any
+//! other matrix — there is nothing to check at store time.
 
 use masked_spgemm::ExecOpts;
 use mspgemm_graph::tricount::{self, TcOperands};
 use mspgemm_graph::Scheme;
-use mspgemm_io::{dataset_name, load_matrix, to_adjacency, IngestReport, LoadOpts, MsbBackend};
-use mspgemm_sparse::{transpose, Csr, Idx, StorageReport};
+use mspgemm_io::{
+    adjacency_delta, dataset_name, load_matrix, to_adjacency, IngestReport, LoadOpts, MsbBackend,
+};
+use mspgemm_sparse::{transpose, transpose_delta, Csr, Idx, StorageReport};
 use std::mem::size_of_val;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -73,9 +85,10 @@ pub struct Dataset {
     /// Updates applied since the load: 0 as loaded, the predecessor's
     /// plus one in every [`Dataset::rebuilt`].
     pub version: u64,
-    /// Relabeled triangle-counting operands, built on first use — under
-    /// the seed's relabeling when there is a seed, so the seed's counts
-    /// and this snapshot's stay row-aligned.
+    /// Relabeled triangle-counting operands: built on first use, except
+    /// that a seeded snapshot is born with them — patched forward from
+    /// its predecessor's, so the seed's counts and this snapshot's stay
+    /// row-aligned.
     tc_ops: OnceLock<Arc<TcOperands>>,
     /// Per-row triangle counts of this snapshot (rows as relabeled by
     /// `tc_ops`), written by the first `app tc` that ran against it.
@@ -84,11 +97,10 @@ pub struct Dataset {
     tc_seed: Option<TcSeed>,
 }
 
-/// The newest per-row triangle counts any ancestor of a snapshot had,
-/// plus everything needed to patch them forward.
+/// The newest per-row triangle counts any ancestor of a snapshot had
+/// (rows as relabeled by the snapshot's own `tc_ops`), plus the positions
+/// to patch them across.
 struct TcSeed {
-    /// The relabeling the counts were computed under (`perm[old] = new`).
-    perm: Arc<[Idx]>,
     /// The ancestor's per-row counts.
     counts: Arc<[u64]>,
     /// Positions changed between that ancestor and this snapshot.
@@ -139,8 +151,8 @@ impl Dataset {
     }
 
     /// Derive every resident operand from a raw square matrix, as a
-    /// version-0 snapshot with no seed — shared by the disk loader and
-    /// the update path's rebuilds.
+    /// version-0 snapshot with no seed — the disk loader's half; updates
+    /// patch these operands forward instead ([`Dataset::rebuilt`]).
     fn derive(
         name: String,
         path: String,
@@ -176,64 +188,75 @@ impl Dataset {
     }
 
     /// The successor of `prev` carrying an updated matrix: identity (name,
-    /// path, load time) is inherited, the version moves on by one, derived
-    /// operands are rebuilt, and the ingest report flips to the heap
-    /// backend — merged sections are always heap-owned, so an update
-    /// copies-on-write away from any mmap backing (the mapping itself
-    /// stays untouched and alive only as long as an in-flight reader still
-    /// holds the previous dataset).
+    /// path, load time) is inherited, the version moves on by one, and the
+    /// ingest report flips to the heap backend — merged sections are
+    /// always heap-owned, so an update copies-on-write away from any mmap
+    /// or unit-arena backing (the mapping itself stays untouched and alive
+    /// only as long as an in-flight reader still holds the previous
+    /// dataset).
     ///
-    /// `changed` are the positions the update touched. They extend the
-    /// seed: `prev`'s own counts if it has any (then `changed` is all that
-    /// separates them from the new matrix), else `prev`'s seed with
-    /// `changed` appended. A seed grown past `DELTA_LOG_CAP` (2¹⁶ positions)
-    /// is dropped.
+    /// `changed` are the positions the update touched, and they are all
+    /// the derived operands are charged for: each is `prev`'s section with
+    /// the batch's image merged in, the states read back from `matrix`
+    /// (so last-write-wins, overwrites and deletes of absent entries need
+    /// no second rule), and the flop count follows from two row pointers.
+    ///
+    /// `changed` also extends the seed: `prev`'s own counts if it has any
+    /// (then `changed` is all that separates them from the new matrix),
+    /// else `prev`'s seed with `changed` appended. A seed grown past
+    /// `DELTA_LOG_CAP` (2¹⁶ positions) is dropped. A snapshot with counts
+    /// or a seed always has built operands, so a seeded successor gets
+    /// them patched too — same relabeling, the one the counts align with.
     pub fn rebuilt(prev: &Dataset, matrix: Csr<f64>, changed: &[(Idx, Idx)]) -> Dataset {
         debug_assert!(!matrix.has_shared_storage(), "rebuilds must be heap-owned");
-        let ingest = IngestReport {
-            backend: MsbBackend::Heap,
-            entries: matrix.nnz(),
-            ..prev.ingest
-        };
+        let matrix_t = transpose_delta(&matrix, changed).merged(prev.matrix_t.view());
+        let adj = adjacency_delta(&matrix, changed).merged(prev.adj.view());
         let tc_seed = match (prev.tc_counts.get(), &prev.tc_seed) {
             (Some(counts), _) => Some(TcSeed {
-                perm: prev.tc_operands().perm.as_slice().into(),
                 counts: counts.clone(),
                 changed: changed.to_vec(),
             }),
             (None, Some(seed)) => Some(TcSeed {
-                perm: seed.perm.clone(),
                 counts: seed.counts.clone(),
                 changed: [&seed.changed, changed].concat(),
             }),
             (None, None) => None,
+        }
+        .filter(|seed| seed.changed.len() <= DELTA_LOG_CAP);
+        let tc_ops = match &tc_seed {
+            Some(_) => {
+                let ops = prev.tc_ops.get().expect("counts or a seed imply operands");
+                OnceLock::from(Arc::new(ops.patched(&adj, changed)))
+            }
+            None => OnceLock::new(),
         };
         Dataset {
+            name: prev.name.clone(),
+            path: prev.path.clone(),
+            mxm_flops: 2 * matrix_t.transposed_flops_with(&matrix),
+            ingest: IngestReport {
+                backend: MsbBackend::Heap,
+                entries: matrix.nnz(),
+                ..prev.ingest
+            },
+            matrix,
+            matrix_t,
+            adj,
+            loaded_at: prev.loaded_at,
             version: prev.version + 1,
-            tc_seed: tc_seed.filter(|seed| seed.changed.len() <= DELTA_LOG_CAP),
-            ..Self::derive(
-                prev.name.clone(),
-                prev.path.clone(),
-                matrix,
-                ingest,
-                prev.loaded_at,
-            )
+            tc_ops,
+            tc_counts: OnceLock::new(),
+            tc_seed,
         }
     }
 
     /// The triangle-counting operands (degree-relabeled `L` and `Lᵀ`),
-    /// built once on first use and shared by every later `app tc`
-    /// request. A seeded snapshot replays the seed's relabeling instead of
-    /// ranking degrees afresh (any permutation counts correctly; degree
-    /// order is only a performance heuristic).
+    /// shared by every `app tc` request against this snapshot. A seeded
+    /// snapshot was built with them (see [`Dataset::rebuilt`]); any other
+    /// ranks degrees afresh on first use.
     pub fn tc_operands(&self) -> Arc<TcOperands> {
         self.tc_ops
-            .get_or_init(|| {
-                Arc::new(match &self.tc_seed {
-                    Some(seed) => tricount::prepare_with_perm(&self.adj, seed.perm.to_vec()),
-                    None => tricount::prepare(&self.adj),
-                })
-            })
+            .get_or_init(|| Arc::new(tricount::prepare(&self.adj)))
             .clone()
     }
 
@@ -306,7 +329,8 @@ impl Dataset {
     fn sum_reports(&self, f: impl Fn(&StorageReport) -> u64) -> u64 {
         // Beside the operand matrices the triangle state is plain heap
         // vectors: the relabeling, this snapshot's counts, and the seed
-        // (shared with ancestors no entry retains, so counted here).
+        // (counts shared with ancestors no entry retains, so counted
+        // here).
         let mut vectors = 0;
         let mut total = f(&self.matrix.storage_report())
             + f(&self.matrix_t.storage_report())
@@ -319,9 +343,7 @@ impl Dataset {
             vectors += size_of_val(&counts[..]);
         }
         if let Some(seed) = &self.tc_seed {
-            vectors += size_of_val(&seed.perm[..])
-                + size_of_val(&seed.counts[..])
-                + size_of_val(seed.changed.as_slice());
+            vectors += size_of_val(&seed.counts[..]) + size_of_val(seed.changed.as_slice());
         }
         total
             + f(&StorageReport {
@@ -340,5 +362,230 @@ impl Dataset {
     /// operands are heap-built and contribute 0).
     pub fn mapped_bytes(&self) -> u64 {
         self.sum_reports(|r| r.shared_bytes as u64)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use masked_spgemm::{Algorithm, Phases};
+    use mspgemm_io::CachePolicy;
+    use mspgemm_sparse::{DeltaOp, Overlay};
+    use proptest::prelude::*;
+
+    const SCHEME: Scheme = Scheme::Ours(Algorithm::Msa, Phases::One);
+    const N: usize = 14;
+
+    fn count(ds: &Dataset) -> TcAnswer {
+        ds.triangle_count(SCHEME, &ExecOpts::default())
+    }
+
+    /// A directed, valued base with self-loops and one-way edges.
+    fn base_strategy() -> impl Strategy<Value = Csr<f64>> {
+        proptest::collection::vec(
+            proptest::collection::vec(proptest::option::weighted(0.25, 1i32..=9), N),
+            N,
+        )
+        .prop_map(|d| {
+            let dd: Vec<Vec<Option<f64>>> = d
+                .into_iter()
+                .map(|r| r.into_iter().map(|c| c.map(f64::from)).collect())
+                .collect();
+            Csr::from_dense(&dd, N)
+        })
+    }
+
+    fn next(s: &mut u64) -> u64 {
+        *s ^= *s << 13;
+        *s ^= *s >> 7;
+        *s ^= *s << 17;
+        s.wrapping_mul(0x2545_f491_4f6c_dd1d)
+    }
+
+    fn upsert((row, col): (Idx, Idx), val: f64) -> DeltaOp<f64> {
+        DeltaOp::Upsert { row, col, val }
+    }
+
+    fn delete((row, col): (Idx, Idx)) -> DeltaOp<f64> {
+        DeltaOp::Delete { row, col }
+    }
+
+    /// One batch of 1–6 random ops plus, by `kind`, one of the shapes the
+    /// position maps must get right on their own.
+    fn batch(s: &mut u64, live: &Csr<f64>) -> Vec<DeltaOp<f64>> {
+        let pos = |s: &mut u64| {
+            let r = next(s);
+            (((r >> 8) % N as u64) as Idx, ((r >> 24) % N as u64) as Idx)
+        };
+        let stored = |s: &mut u64| {
+            let k = next(s) as usize % live.nnz().max(1);
+            live.iter().nth(k).map(|(i, j, _)| (i as Idx, j))
+        };
+        let mut ops: Vec<DeltaOp<f64>> = (0..1 + next(s) % 6)
+            .map(|_| match next(s) % 5 {
+                0 | 1 => delete(pos(s)),
+                r => upsert(pos(s), r as f64),
+            })
+            .collect();
+        match (next(s) % 6, stored(s)) {
+            // Overwrite a stored entry: only values move.
+            (0, Some(at)) => ops.push(upsert(at, -7.0)),
+            // One orientation of a stored edge goes; the other may stay.
+            (1, Some(at)) => ops.push(delete(at)),
+            // The same position twice, and an upsert the batch takes back.
+            (2, _) => {
+                let (twice, undone) = (pos(s), pos(s));
+                ops.extend([upsert(twice, 2.0), upsert(twice, 3.0)]);
+                ops.extend([upsert(undone, 4.0), delete(undone)]);
+            }
+            // A self-loop comes or goes.
+            (3, _) => {
+                let (i, _) = pos(s);
+                ops.push(if next(s).is_multiple_of(2) {
+                    upsert((i, i), 5.0)
+                } else {
+                    delete((i, i))
+                });
+            }
+            // A whole undirected edge arrives.
+            (4, _) => {
+                let (i, j) = pos(s);
+                ops.extend([upsert((i, j), 1.0), upsert((j, i), 1.0)]);
+            }
+            _ => {}
+        }
+        ops
+    }
+
+    /// `prev`'s successor under `ops`, built the way `Registry::update`
+    /// builds it.
+    fn updated(prev: &Dataset, ops: &[DeltaOp<f64>]) -> Dataset {
+        let n = prev.matrix.nrows();
+        let mut overlay = Overlay::new(n, n);
+        overlay.apply_batch(ops).unwrap();
+        let changed: Vec<(Idx, Idx)> = ops.iter().map(DeltaOp::key).collect();
+        Dataset::rebuilt(prev, overlay.merged(prev.matrix.view()), &changed)
+    }
+
+    /// `a == b` section by section, and `a` owns its storage.
+    fn assert_section<T: PartialEq + std::fmt::Debug>(
+        what: &str,
+        a: &Csr<T>,
+        b: &Csr<T>,
+    ) -> Result<(), TestCaseError> {
+        prop_assert!(a == b, "{what}: patched {a:?} != derived {b:?}");
+        prop_assert!(!a.has_shared_storage(), "{what} must be heap-owned");
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Folded batch by batch, every section of the patched successor
+        /// equals what `derive` / `prepare_with_perm` build from the
+        /// merged matrix — over a heap, an mmap and a unit-arena base,
+        /// with `app tc` landing on some snapshots and not others so all
+        /// three seed arms of `rebuilt` carry operands forward.
+        #[test]
+        fn patched_sections_equal_derive(
+            base in base_strategy(),
+            seed in 0u64..1_000_000,
+            nbatches in 2usize..9,
+        ) {
+            let dir = std::env::temp_dir().join("mspgemm_serve_patch");
+            std::fs::create_dir_all(&dir).unwrap();
+            let (mtx, msb) = (dir.join("b.mtx"), dir.join("b.msb"));
+            mspgemm_io::mtx::write_mtx_file(&mtx, &base).unwrap();
+            mspgemm_io::write_msb_file(&msb, &base).unwrap();
+            let off = LoadOpts { policy: CachePolicy::Off, parse_threads: 1, ..LoadOpts::default() };
+            let lanes = [
+                (&mtx, off),
+                (&msb, LoadOpts { mmap: true, ..off }),
+                (&mtx, LoadOpts { pattern: true, ..off }),
+            ];
+            for (lane, (path, opts)) in lanes.into_iter().enumerate() {
+                let mut s = (seed + lane as u64) | 1;
+                let mut ds = Dataset::load(path.to_str().unwrap(), Some("p"), &opts).unwrap();
+                prop_assert_eq!(ds.pattern(), opts.pattern);
+                if cfg!(all(target_endian = "little", target_pointer_width = "64")) {
+                    prop_assert_eq!(ds.matrix.has_shared_storage(), opts.mmap || opts.pattern);
+                }
+                for _ in 0..nbatches {
+                    if !next(&mut s).is_multiple_of(3) {
+                        count(&ds);
+                    }
+                    let next_ds = updated(&ds, &batch(&mut s, &ds.matrix));
+                    let want = Dataset::derive(
+                        ds.name.clone(),
+                        ds.path.clone(),
+                        next_ds.matrix.clone(),
+                        ds.ingest,
+                        ds.loaded_at,
+                    );
+                    assert_section("matrix_t", &next_ds.matrix_t, &want.matrix_t)?;
+                    assert_section("adj", &next_ds.adj, &want.adj)?;
+                    prop_assert_eq!(next_ds.mxm_flops, want.mxm_flops);
+                    match (&next_ds.tc_seed, next_ds.tc_ops.get()) {
+                        (Some(_), Some(ops)) => {
+                            let fresh = tricount::prepare_with_perm(&want.adj, ops.perm.clone());
+                            assert_section("L", &ops.l, &fresh.l)?;
+                            assert_section("Lt", &ops.lt, &fresh.lt)?;
+                            prop_assert_eq!(ops.flops, fresh.flops);
+                            prop_assert_eq!(&ops.perm, &ds.tc_operands().perm);
+                        }
+                        (None, None) => {}
+                        (seed, ops) => prop_assert!(
+                            false,
+                            "seed {} but operands {}",
+                            seed.is_some(),
+                            ops.is_some()
+                        ),
+                    }
+                    ds = next_ds;
+                }
+                prop_assert_eq!(count(&ds).triangles, count(&Dataset::derive(
+                    ds.name.clone(),
+                    ds.path.clone(),
+                    ds.matrix.clone(),
+                    ds.ingest,
+                    ds.loaded_at,
+                )).triangles);
+            }
+        }
+    }
+
+    /// The warm path of an update → `app tc` pair never ranks or relabels
+    /// the adjacency again: the successor is born with its operands, so
+    /// no `tc-relabel` span opens on this thread after the first count.
+    #[test]
+    fn seeded_successors_never_prepare() {
+        let dir = std::env::temp_dir().join("mspgemm_serve_patch");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mtx = dir.join("warm.mtx");
+        mspgemm_io::mtx::write_mtx_file(&mtx, &mspgemm_gen::er_symmetric(60, 6, 3)).unwrap();
+        let off = LoadOpts {
+            policy: CachePolicy::Off,
+            ..LoadOpts::default()
+        };
+        let v0 = Dataset::load(mtx.to_str().unwrap(), None, &off).unwrap();
+        let tracer = mspgemm_obs::trace::global();
+        tracer.set_enabled(true);
+        let relabels = || {
+            let here = mspgemm_obs::thread_index();
+            let events = tracer.drain();
+            let mine = events.iter().filter(|e| e.tid == here);
+            mine.filter(|e| e.name == "tc-relabel").count()
+        };
+        count(&v0);
+        assert_eq!(relabels(), 1, "the load path ranks degrees once");
+
+        // Counted predecessor, then an uncounted one: both seed arms.
+        let v1 = updated(&v0, &[upsert((3, 40), 1.0), upsert((40, 3), 1.0)]);
+        let v2 = updated(&v1, &[delete((3, 40)), delete((40, 3))]);
+        assert!(count(&v2).patched_rows.is_some());
+        let v3 = updated(&v2, &[upsert((5, 6), 2.0)]);
+        assert!(count(&v3).patched_rows.is_some());
+        assert_eq!(relabels(), 0, "updates carry the operands forward");
+        tracer.set_enabled(false);
     }
 }

@@ -29,9 +29,9 @@
 //!
 //! The `update` verb folds each edge batch through a transient
 //! [`Overlay`] and merges it against the *live* matrix into the successor
-//! snapshot ([`Dataset::rebuilt`]: derived operands rebuilt, sections
-//! heap-owned — mutating never touches an mmap'd load, version moved on
-//! by one), and the new `Arc` swaps into the entry under the write lock
+//! snapshot ([`Dataset::rebuilt`]: derived operands patched forward from
+//! the live snapshot's, sections heap-owned — mutating never touches an
+//! mmap'd load, version moved on by one), and the new `Arc` swaps into the entry under the write lock
 //! while in-flight readers keep the old views. The swap is the whole
 //! commit: everything an update changes is inside the snapshot it swaps
 //! in, so a failed update leaves no trace and nothing follows a
@@ -898,13 +898,15 @@ mod tests {
         assert_eq!(v0.mem_bytes(), loaded + operands + 4 * n + 8 * n);
         assert_eq!(reg.resident_bytes(), v0.mem_bytes());
 
-        // The successor holds the seed (relabeling, counts, one changed
-        // position) and none of the previous snapshot's operands.
+        // The successor is born with operands of its own — L, Lᵀ and the
+        // relabeling, patched forward from the previous snapshot's, equal
+        // in size here because the batch changes nothing — and holds the
+        // seed: the shared counts and one changed position.
         let v1 = reg
             .update("m", &[DeltaOp::Delete { row: 0, col: 0 }])
             .unwrap();
         assert_eq!(v1.matrix, v0.matrix, "deleting an absent entry is a no-op");
-        assert_eq!(v1.mem_bytes(), loaded + (4 * n + 8 * n + 8));
+        assert_eq!(v1.mem_bytes(), loaded + operands + 4 * n + (8 * n + 8));
         assert_eq!(reg.resident_bytes(), v1.mem_bytes());
         std::fs::remove_file(&mtx).ok();
     }

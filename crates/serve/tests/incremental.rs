@@ -5,11 +5,13 @@
 //! a live server — with `"compact": true` sent at two distinct points
 //! per schedule — and after **every** batch asserts fingerprint parity
 //! between (a) reads through the merged live dataset and (b) a freshly
-//! loaded dataset built from the final edge set, swept across three algorithms × both
+//! loaded dataset built from the final edge set, swept across four algorithms × both
 //! mask modes × both phase counts × both residency backends. The
 //! triangle-count application rides the same schedules: the incremental
 //! patched path must report exactly what a full recompute (and the
-//! fresh twin) reports.
+//! fresh twin) reports. Between them the grid reads every operand an
+//! update patches forward: `inner` consumes the resident transpose,
+//! k-truss and BC the adjacency, TC the relabeled triangle operands.
 //!
 //! The storm test adds concurrency: updaters (disjoint row ranges)
 //! racing queriers under seeded failpoints, asserting
@@ -87,13 +89,17 @@ fn mxm_req(ds: &str, algo: &str, mask: &str, phases: &str) -> Json {
     ])
 }
 
-fn tc_req(ds: &str, scheme: &str) -> Json {
+fn app_req(ds: &str, app: &str, scheme: &str) -> Json {
     req(vec![
         ("op", Json::str("app")),
         ("dataset", Json::str(ds)),
-        ("app", Json::str("tc")),
+        ("app", Json::str(app)),
         ("scheme", Json::str(scheme)),
     ])
+}
+
+fn tc_req(ds: &str, scheme: &str) -> Json {
+    app_req(ds, "tc", scheme)
 }
 
 fn update_req(
@@ -223,18 +229,19 @@ fn mirror_batch(model: &mut Model, ins: &[(Idx, Idx, f64)], del: &[(Idx, Idx)]) 
     }
 }
 
-/// The sweep grid: three algorithms (all complement-capable) × both mask
-/// modes × both phase counts.
-const ALGOS: [&str; 3] = ["hash", "msa", "heap"];
+/// The sweep grid: four algorithms (all complement-capable; `inner` is
+/// the one that reads the resident `matrixᵀ`) × both mask modes × both
+/// phase counts.
+const ALGOS: [&str; 4] = ["hash", "msa", "heap", "inner"];
 const MASKS: [&str; 2] = ["normal", "complement"];
 const PHASES: [&str; 2] = ["1", "2"];
 const TC_SCHEMES: [&str; 3] = ["hash-1p", "msa-2p", "heap-1p"];
 
 /// Assert full differential parity between the live (overlay-built)
 /// dataset and a freshly loaded twin of `model`: every point on the
-/// mxm grid fingerprint-identical, every TC scheme count-identical.
-/// Returns the number of incremental TC responses observed on the live
-/// side.
+/// mxm grid fingerprint-identical, every TC scheme count-identical, and
+/// the two adjacency-only apps (k-truss, BC) answering alike. Returns the
+/// number of incremental TC responses observed on the live side.
 fn assert_parity(
     c: &mut Client,
     dir: &Path,
@@ -280,6 +287,27 @@ fn assert_parity(
             incremental += 1;
         }
     }
+    let [kt_live, kt_fresh] = [live, fresh]
+        .map(|ds| client::expect_ok(c.request(&app_req(ds, "ktruss", "msa-1p")).unwrap()).unwrap());
+    for field in ["edges", "iterations"] {
+        assert_eq!(
+            u64_field(&kt_live, field),
+            u64_field(&kt_fresh, field),
+            "live {live} k-truss diverged from rebuilt {fresh}: {} vs {}",
+            kt_live.to_line(),
+            kt_fresh.to_line()
+        );
+    }
+    let [bc_live, bc_fresh] = [live, fresh]
+        .map(|ds| client::expect_ok(c.request(&app_req(ds, "bc", "msa-1p")).unwrap()).unwrap());
+    assert_eq!(u64_field(&bc_live, "depth"), u64_field(&bc_fresh, "depth"));
+    let [got, want] = [&bc_live, &bc_fresh].map(|r| r.get("scores_sum").unwrap().as_f64().unwrap());
+    assert!(
+        (got - want).abs() <= 1e-9 * want.abs().max(1.0),
+        "live {live} BC diverged from rebuilt {fresh}: {} vs {}",
+        bc_live.to_line(),
+        bc_fresh.to_line()
+    );
     client::expect_ok(c.request(&unload_req(fresh)).unwrap()).unwrap();
     incremental
 }

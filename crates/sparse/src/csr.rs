@@ -325,6 +325,20 @@ impl<T> Csr<T> {
         self.view().flops_with(b.view())
     }
 
+    /// [`Csr::flops_with`] of `A·b` when the left operand is at hand as
+    /// `self = Aᵀ`: column `k` of `A` is row `k` here, so
+    /// `flops = Σ_k nnz(Aᵀ_k*)·nnz(B_k*)` — O(rows) over the two row
+    /// pointers, no pass over the entries.
+    pub fn transposed_flops_with<U>(&self, b: &Csr<U>) -> u64 {
+        assert_eq!(
+            self.nrows, b.nrows,
+            "transposed_flops_with: inner dimensions differ"
+        );
+        (0..self.nrows)
+            .map(|k| (self.row_nnz(k) * b.row_nnz(k)) as u64)
+            .sum()
+    }
+
     /// Per-row multiply counts of the push product `self·b` (no 2× factor).
     pub fn row_flops_with<U>(&self, b: &Csr<U>) -> Vec<u64>
     where
@@ -663,6 +677,8 @@ mod tests {
         // row0 hits rows {0,2} of B: 2 + 2 = 4; row2 hits rows {0,1}: 2 + 0 = 2.
         assert_eq!(a.flops_with(&a), 6);
         assert_eq!(a.row_flops_with(&a), vec![4, 0, 2]);
+        // The same count from the transposed left operand's row lengths.
+        assert_eq!(crate::transpose(&a).transposed_flops_with(&a), 6);
     }
 
     #[test]

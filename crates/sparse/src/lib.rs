@@ -55,5 +55,5 @@ pub use semiring::Semiring;
 pub use storage::{
     is_shared_ones, shared_ones, unit_arena_bytes, SectionOwner, SharedSlice, Storage,
 };
-pub use transpose::transpose;
+pub use transpose::{transpose, transpose_delta};
 pub use view::CsrRef;

@@ -7,10 +7,18 @@
 //! with last-write-wins semantics (O(|delta| log |delta|)), and
 //! [`Overlay::merged`] produces the canonical [`Csr`] (sorted,
 //! duplicate-free rows — every invariant of a freshly-built matrix) by a
-//! row-wise two-pointer merge against the base. The merge is
-//! O(nnz + |delta|) — untouched rows are copied wholesale, but they are
-//! copied: the kernels consume whole CSR operands, so every batch pays a
-//! full pass over the matrix.
+//! two-pointer merge of the touched rows against the base; each run of
+//! untouched rows between them moves with one slice copy per section. The
+//! rows are copied, not shared — the kernels consume whole CSR operands —
+//! so a batch costs its touched rows plus one copy of the matrix.
+//!
+//! The same holds for anything derived from the matrix. A canonical CSR
+//! is a function of its entry set, so a batch of changed positions in a
+//! matrix is a batch of changed positions in its transpose, its
+//! normalized adjacency, its relabeled triangle — and [`Overlay::set`] +
+//! [`Overlay::merged`] carry such an operand forward from its previous
+//! value instead of re-deriving it (see [`crate::transpose_delta`] for
+//! the simplest of those maps).
 //!
 //! Because [`Overlay::merged`] always produces owned heap sections,
 //! merging also serves as the copy-on-write step away from `Arc`-shared
@@ -127,6 +135,22 @@ impl<T: Copy> Overlay<T> {
         Ok(())
     }
 
+    /// Record the final state of `(row, col)` directly: `Some(v)` is an
+    /// upsert of `v`, `None` a delete. This is how a batch for a derived
+    /// operand is written down — its positions are images of positions
+    /// the base batch already validated, and their states are read back
+    /// from the merged base rather than replayed op by op.
+    ///
+    /// # Panics
+    /// If the position is out of bounds.
+    pub fn set(&mut self, row: Idx, col: Idx, state: Option<T>) {
+        let op = match state {
+            Some(val) => DeltaOp::Upsert { row, col, val },
+            None => DeltaOp::Delete { row, col },
+        };
+        self.apply(op).unwrap_or_else(|e| panic!("{e}"));
+    }
+
     /// Apply a batch atomically: every op is bounds-checked **before** any
     /// is applied, so a rejected batch leaves the overlay untouched.
     /// Returns the number of ops applied.
@@ -146,9 +170,10 @@ impl<T: Copy> Overlay<T> {
 
     /// Materialize the merged matrix: base with every pending op applied.
     ///
-    /// Row-wise two-pointer merge — untouched rows are copied wholesale,
-    /// touched rows interleave base entries with pending upserts and skip
-    /// base entries shadowed by a tombstone or a replacing upsert. The
+    /// Runs of untouched rows are copied wholesale (one slice copy per
+    /// section, row pointers shifted); touched rows interleave base
+    /// entries with pending upserts and skip base entries shadowed by a
+    /// tombstone or a replacing upsert. The
     /// result is a canonical owned [`Csr`] (sorted, duplicate-free rows,
     /// heap sections), structurally identical to rebuilding the final
     /// entry set from scratch.
@@ -164,21 +189,33 @@ impl<T: Copy> Overlay<T> {
         if self.pending.is_empty() {
             return base.to_csr();
         }
+        let (brp, bcols, bvals) = (base.rowptr(), base.colidx(), base.values());
         let mut rowptr = Vec::with_capacity(self.nrows + 1);
         let mut colidx: Vec<Idx> = Vec::with_capacity(base.nnz() + self.pending.len());
         let mut values: Vec<T> = Vec::with_capacity(base.nnz() + self.pending.len());
         rowptr.push(0);
         let mut pend = self.pending.iter().peekable();
-        for i in 0..self.nrows {
-            let (cols, vals) = base.row(i);
+        loop {
+            // The run of untouched rows up to the next touched one (or the
+            // end) is one slice copy per section, its row pointers shifted
+            // by what the touched rows so far gained or lost.
+            let lo = rowptr.len() - 1;
+            let hi = pend.peek().map_or(self.nrows, |(&(pi, _), _)| pi as usize);
+            let at = colidx.len();
+            colidx.extend_from_slice(&bcols[brp[lo]..brp[hi]]);
+            values.extend_from_slice(&bvals[brp[lo]..brp[hi]]);
+            rowptr.extend(brp[lo + 1..=hi].iter().map(|&p| p - brp[lo] + at));
+            if hi == self.nrows {
+                break;
+            }
+            let (cols, vals) = base.row(hi);
             let mut b = 0usize;
-            loop {
-                // Copy the next pending op out of the peek so the
-                // iterator can advance while we hold the data.
-                let (pj, op) = match pend.peek() {
-                    Some(&(&(pi, pj), &op)) if pi as usize == i => (pj, op),
-                    _ => break,
-                };
+            // Copy each pending op out of the peek so the iterator can
+            // advance while we hold the data.
+            while let Some(&(&(pi, pj), &op)) = pend.peek() {
+                if pi as usize != hi {
+                    break;
+                }
                 while b < cols.len() && cols[b] < pj {
                     colidx.push(cols[b]);
                     values.push(vals[b]);

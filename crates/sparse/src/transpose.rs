@@ -10,6 +10,7 @@
 //! the CSR invariant is preserved without a sort pass.
 
 use crate::csr::Csr;
+use crate::overlay::Overlay;
 use crate::util::{exclusive_prefix_sum, split_ranges, UnsafeSlice};
 use crate::Idx;
 use rayon::prelude::*;
@@ -29,6 +30,23 @@ pub fn transpose<T: Copy + Send + Sync>(a: &Csr<T>) -> Csr<T> {
     } else {
         transpose_par(a, chunks)
     }
+}
+
+/// The batch that carries a held `Aᵀ` forward after `a` changed at
+/// `changed`: position `(i, j)` maps to `(j, i)`, and its state is read
+/// back from the updated `a` — a stored value is an upsert, an absent
+/// entry a delete — so overwrites, repeated positions and deletes of
+/// absent entries need no rule of their own. Merging the result into the
+/// previous transpose equals [`transpose`] of the updated `a`.
+///
+/// # Panics
+/// If a position is out of bounds for `a`.
+pub fn transpose_delta<T: Copy>(a: &Csr<T>, changed: &[(Idx, Idx)]) -> Overlay<T> {
+    let mut delta = Overlay::new(a.ncols(), a.nrows());
+    for &(i, j) in changed {
+        delta.set(j, i, a.get(i as usize, j).copied());
+    }
+    delta
 }
 
 /// Sequential transpose: counting sort by column. O(nnz + nrows + ncols).
@@ -199,6 +217,45 @@ mod tests {
         assert_eq!(transpose(&wide), naive_transpose(&wide));
         let tall = sample(1000, 4, 3, 5);
         assert_eq!(transpose(&tall), naive_transpose(&tall));
+    }
+
+    #[test]
+    fn delta_carries_a_held_transpose_forward() {
+        use crate::overlay::DeltaOp::{Delete, Upsert};
+        let a = sample(9, 6, 5, 40);
+        let at = transpose(&a);
+        let hit = a.iter().next().map(|(i, j, _)| (i as Idx, j)).unwrap();
+        let mut absent = (0..9 as Idx)
+            .flat_map(|i| (0..6 as Idx).map(move |j| (i, j)))
+            .filter(|&(i, j)| a.get(i as usize, j).is_none());
+        let [gone, new, undone] = [(); 3].map(|()| absent.next().unwrap());
+        let at_pos = |(row, col), val| Upsert { row, col, val };
+        let ops = [
+            // Overwrite: only the value moves, and the last write wins.
+            at_pos(hit, -1),
+            at_pos(hit, -2),
+            // A delete of an absent entry, an insert, and an insert that
+            // the same batch takes back.
+            Delete {
+                row: gone.0,
+                col: gone.1,
+            },
+            at_pos(new, -3),
+            at_pos(undone, -4),
+            Delete {
+                row: undone.0,
+                col: undone.1,
+            },
+        ];
+        let mut batch = Overlay::new(9, 6);
+        batch.apply_batch(&ops).unwrap();
+        let a1 = batch.merged(a.view());
+        let changed: Vec<(Idx, Idx)> = ops.iter().map(|op| op.key()).collect();
+        let at1 = transpose_delta(&a1, &changed).merged(at.view());
+        assert_eq!(at1, transpose(&a1));
+        assert_eq!(at1.get(hit.1 as usize, hit.0), Some(&-2));
+        assert_eq!(at1.get(new.1 as usize, new.0), Some(&-3));
+        assert_eq!(at1.nnz(), at.nnz() + 1);
     }
 
     #[test]
