@@ -31,8 +31,17 @@ fn main() {
             };
             let (secs, c) = time_best(reps, || {
                 let opts = ExecOpts::default();
-                run_kernel::<PlusTimesF64, _, ()>(&mask, &a, &b, false, Phases::One, &kernel, &opts)
-                    .unwrap()
+                run_kernel::<PlusTimesF64, _, ()>(
+                    &mask,
+                    &a,
+                    &b,
+                    false,
+                    Phases::One,
+                    &kernel,
+                    None,
+                    &opts,
+                )
+                .unwrap()
             });
             row.push(fmt_secs(secs));
             outputs.push(c);

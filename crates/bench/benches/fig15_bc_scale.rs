@@ -7,7 +7,10 @@
 //! Because the metric divides by **total** time, the bench also asserts
 //! that at the largest scale MSA-1P spends at least
 //! [`MIN_MXM_SHARE`] of a run inside its masked products — a ratio
-//! within one process, so host speed cancels.
+//! within one process, so host speed cancels. Two more columns carry §4.3
+//! into BC: `Inner-1P` pulls every level (the paper's "prohibitively
+//! slow"), `Auto-1P` picks push or pull per level from counted work, and
+//! at the largest scale its products must cost no more than either's.
 //!
 //! Emits CSV on stdout, an aligned table on stderr, and — for the CI
 //! perf lane — a JSON report at `MSPGEMM_BC_JSON`.
@@ -31,6 +34,10 @@ use mspgemm_harness::report::{fmt_metric, json_escape, Table};
 /// them (0.85 with level-aligned sweep state; 0.47 with the full-matrix
 /// element-wise state it replaced).
 const MIN_MXM_SHARE: f64 = 0.7;
+
+/// Ceiling on `Auto-1P`'s product seconds over MSA-1P's at the largest
+/// scale.
+const AUTO_VS_PUSH_SLACK: f64 = 1.05;
 
 struct Row {
     scale: u32,
@@ -93,10 +100,12 @@ fn main() {
         eprintln!("json report: {json_path}");
     }
 
-    let top = rows
-        .iter()
-        .rfind(|r| r.scheme == "MSA-1P")
-        .expect("bc_schemes() includes MSA-1P");
+    let last = |scheme: &str| {
+        rows.iter()
+            .rfind(|r| r.scheme == scheme)
+            .unwrap_or_else(|| panic!("bc_schemes() includes {scheme}"))
+    };
+    let top = last("MSA-1P");
     eprintln!(
         "MSA-1P at scale {}: {:.4} s total, {:.4} s in masked products ({:.2})",
         top.scale,
@@ -109,6 +118,25 @@ fn main() {
         "MSA-1P at scale {} spends {:.2} of its time in masked products, under {MIN_MXM_SHARE}",
         top.scale,
         top.mxm_share()
+    );
+    // The cheaper direction per level beats both fixed directions (5 %
+    // slack against all-push: early scales' levels are all push anyway).
+    let (auto, pull) = (last("Auto-1P"), last("Inner-1P"));
+    eprintln!(
+        "products at scale {}: MSA-1P {:.4} s, Inner-1P {:.4} s, Auto-1P {:.4} s",
+        top.scale, top.run.mxm_seconds, pull.run.mxm_seconds, auto.run.mxm_seconds
+    );
+    assert!(
+        auto.run.mxm_seconds <= top.run.mxm_seconds * AUTO_VS_PUSH_SLACK,
+        "Auto-1P's products ({:.4} s) cost more than MSA-1P's ({:.4} s)",
+        auto.run.mxm_seconds,
+        top.run.mxm_seconds
+    );
+    assert!(
+        auto.run.mxm_seconds <= pull.run.mxm_seconds,
+        "Auto-1P's products ({:.4} s) cost more than Inner-1P's ({:.4} s)",
+        auto.run.mxm_seconds,
+        pull.run.mxm_seconds
     );
 }
 

@@ -1,7 +1,8 @@
 //! **Figure 16**: Betweenness Centrality performance profiles — MSA/Hash
 //! × 1P/2P vs SS:SAXPY over the suite (the paper excludes Heap, Inner and
 //! SS:DOT as prohibitively slow, and MCA does not support the complemented
-//! masks BC needs).
+//! masks BC needs), plus `Inner-1P` and the per-level push/pull mix
+//! `Auto-1P` (see `mspgemm_bench::bc_schemes`).
 
 use mspgemm_bench::{banner, bc_batch, bc_schemes, reps, suite};
 use mspgemm_harness::runner::bc_runs;

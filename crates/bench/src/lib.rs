@@ -69,14 +69,19 @@ pub fn ktruss_vs_ssgb_schemes() -> Vec<Scheme> {
     ]
 }
 
-/// Fig 16's scheme set: MSA/Hash × 1P/2P + SS:SAXPY (the paper excludes
-/// Heap, Inner, SS:DOT as prohibitively slow, and MCA cannot run BC).
+/// Figs 15–16's scheme set: the paper's MSA/Hash × 1P/2P + SS:SAXPY (it
+/// excludes Heap, SS:DOT and Inner as prohibitively slow, and MCA cannot
+/// run BC), plus the two columns that show why: `Inner-1P` pulls every
+/// level, `Auto-1P` the levels where pulling is cheaper. MSA-1P comes
+/// first — Fig 15 checks every other scheme's scores against it.
 pub fn bc_schemes() -> Vec<Scheme> {
     vec![
         Scheme::Ours(Algorithm::Msa, Phases::One),
         Scheme::Ours(Algorithm::Hash, Phases::One),
         Scheme::Ours(Algorithm::Msa, Phases::Two),
         Scheme::Ours(Algorithm::Hash, Phases::Two),
+        Scheme::Ours(Algorithm::Auto, Phases::One),
+        Scheme::Ours(Algorithm::Inner, Phases::One),
         Scheme::SsSaxpy,
     ]
 }
@@ -89,7 +94,8 @@ mod tests {
     fn scheme_sets_have_expected_sizes() {
         assert_eq!(tc_vs_ssgb_schemes().len(), 5);
         assert_eq!(ktruss_vs_ssgb_schemes().len(), 6);
-        assert_eq!(bc_schemes().len(), 5);
+        assert_eq!(bc_schemes().len(), 7);
+        assert_eq!(bc_schemes()[0].name(), "MSA-1P");
         assert!(bc_schemes().iter().all(|s| s.supports_complement()));
     }
 

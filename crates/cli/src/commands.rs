@@ -147,9 +147,27 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     };
     let c = c.map_err(|e| e.to_string())?;
 
+    // What `auto` resolved to, and the counted work it compared. The
+    // side that lost stops counting once it cannot win: a lower bound.
+    let (resolved, counted) = match stats.auto_choice() {
+        Some(c) => {
+            let (push, pull) = match c.algo {
+                Algorithm::Inner => ("≥ ", ""),
+                _ => ("", "≥ "),
+            };
+            (
+                format!("→{}", c.algo.name()),
+                format!(
+                    " (push {push}{} products, pull {pull}{} probes)",
+                    c.work.push, c.work.pull
+                ),
+            )
+        }
+        None => Default::default(),
+    };
     writeln!(
         out,
-        "scheme   : {} / {:?} / {:?}{}",
+        "scheme   : {}{resolved} / {:?} / {:?}{}{counted}",
         algo.name(),
         mode,
         phases,
@@ -584,6 +602,41 @@ mod tests {
         assert!(text.contains("MB/s"), "{text}");
         assert!(text.contains("entries/s"), "{text}");
         assert!(text.contains("Parsed"), "{text}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn run_says_what_auto_resolved_to() {
+        let dir = tempdir("run_auto");
+        let mtx = dir.join("g.mtx");
+        write_small_graph(&mtx);
+        let scheme_line = |algo: &str| {
+            let p = parse(
+                &sv(&["--algo", algo, "--no-cache", mtx.to_str().unwrap()]),
+                &["algo"],
+            )
+            .unwrap();
+            let mut out = Vec::new();
+            cmd_run(&p, &mut out).unwrap();
+            let text = String::from_utf8(out).unwrap();
+            let line = text.lines().find(|l| l.starts_with("scheme   :"));
+            line.expect("a scheme line").to_string()
+        };
+        // The graph masks itself without being symmetric, so the two
+        // counts are whatever they are — but they are there, after the
+        // algorithm `auto` picked; a named algorithm prints neither.
+        let auto = scheme_line("auto");
+        let (head, counts) = auto.split_once(" (push ").expect(&auto);
+        assert!(head.starts_with("scheme   : Auto→"), "{auto}");
+        assert!(head.ends_with(" / Mask / One"), "{auto}");
+        let (push, rest) = counts.split_once(" products, pull ").expect(&auto);
+        let pull = rest.strip_suffix(" probes)").expect(&auto);
+        // The side that lost is marked as the lower bound it may be.
+        let count = |s: &str| s.trim_start_matches("≥ ").parse::<u64>().is_ok();
+        assert!(count(push) && count(pull), "{auto}");
+        assert_eq!(push.starts_with('≥'), head.contains("→Inner"), "{auto}");
+        assert_ne!(push.starts_with('≥'), pull.starts_with('≥'), "{auto}");
+        assert_eq!(scheme_line("msa"), "scheme   : MSA / Mask / One");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -36,8 +36,10 @@ USAGE:
         report includes the ingest throughput (MB/s, entries/s), the
         load backend (heap vs zero-copy mmap), the row schedule, the
         hash-probe path the binary was compiled with (sse2 on x86_64,
-        scalar elsewhere), and the per-thread busy-time spread
-        (max/mean). --mmap memory-maps a v2 .msb input (or fresh
+        scalar elsewhere), the per-thread busy-time spread (max/mean)
+        and, under --algo auto, what it resolved to with the push
+        products and pull probes it counted (the side that lost stops
+        counting once it cannot win, and is printed as a lower bound). --mmap memory-maps a v2 .msb input (or fresh
         sidecar) instead of heap-copying it. --pattern drops values at
         load: unit values come from a process-wide shared arena, and
         the values range of an .msb input or sidecar is skipped (not

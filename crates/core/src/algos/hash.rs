@@ -126,8 +126,10 @@ mod tests {
             let mask = grid(n, |i, j| (i + j) % 5 == 0).pattern();
             for phases in [Phases::One, Phases::Two] {
                 let run = |opts: &ExecOpts<'_>| {
-                    run_kernel::<PlusTimesI64, _, ()>(&mask, &a, &a, false, phases, &kernel, opts)
-                        .unwrap()
+                    run_kernel::<PlusTimesI64, _, ()>(
+                        &mask, &a, &a, false, phases, &kernel, None, opts,
+                    )
+                    .unwrap()
                 };
                 assert_eq!(run(&pooled), run(&ExecOpts::default()), "n={n} {phases:?}");
             }

@@ -112,6 +112,7 @@ mod tests {
                 complement,
                 Phases::One,
                 &kernel,
+                None,
                 &quiet,
             )
             .unwrap();
@@ -122,7 +123,7 @@ mod tests {
                     ..quiet
                 };
                 run_kernel::<PlusTimesI64, _, ()>(
-                    &mask, &a, &a, complement, phases, &kernel, &opts,
+                    &mask, &a, &a, complement, phases, &kernel, None, &opts,
                 )
                 .unwrap();
                 // The symbolic pass of a two-phase run forms no products.
@@ -156,6 +157,7 @@ mod tests {
             false,
             Phases::One,
             &MsaKernel { complement: false },
+            None,
             &ExecOpts::default(),
         )
         .unwrap();
@@ -168,7 +170,7 @@ mod tests {
                 };
                 let kernel = MsaKernel { complement };
                 let c = run_kernel::<PlusTimesI64, _, ()>(
-                    &mask, &a, &a, complement, phases, &kernel, &opts,
+                    &mask, &a, &a, complement, phases, &kernel, None, &opts,
                 )
                 .unwrap();
                 assert_eq!(stats.products().formed, formed, "{complement} {phases:?}");

@@ -56,6 +56,8 @@ pub mod phases;
 pub mod schedule;
 pub mod simd;
 
-pub use dispatch::{masked_mxm_with_bt, masked_mxm_with_opts, Algorithm, Error, MaskMode};
+pub use dispatch::{
+    masked_mxm_with_bt, masked_mxm_with_opts, Algorithm, DirectionWork, Error, MaskMode,
+};
 pub use phases::Phases;
-pub use schedule::{ExecOpts, ExecStats, ProductCounts, RowSchedule, WsPool};
+pub use schedule::{AutoChoice, ExecOpts, ExecStats, ProductCounts, RowSchedule, WsPool};

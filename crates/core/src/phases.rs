@@ -23,7 +23,7 @@
 //! across schedules and thread counts.
 
 use crate::dispatch::Error;
-use crate::schedule::{row_chunks, ExecOpts, ProductCounts, WsPool};
+use crate::schedule::{row_chunks, ExecOpts, ProductCounts, RowSchedule, WsPool};
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::util::{par_exclusive_prefix_sum, UnsafeSlice};
 use mspgemm_sparse::{Csr, CsrRef, Idx};
@@ -294,8 +294,52 @@ pub(crate) fn one_phase_bounds<M: Send + Sync>(
 /// forming a product, so a sparse mask (the recount passes of incremental
 /// triangle counting and k-truss) pays for the rows it touches only.
 #[inline]
-fn masked_out<M>(mask: &Csr<M>, complement: bool, i: usize) -> bool {
+pub(crate) fn masked_out<M>(mask: &Csr<M>, complement: bool, i: usize) -> bool {
     !complement && mask.row_nnz(i) == 0
+}
+
+/// `flops_i = Σ_{A_ik≠0} nnz(B_k*)` of row `i` as the drive will run it:
+/// `0` for a row it skips ([`masked_out`]), whose `A` row is not even
+/// walked.
+#[inline]
+pub(crate) fn driven_flops<M, L, R>(
+    mask: &Csr<M>,
+    a: &Csr<L>,
+    b: &Csr<R>,
+    complement: bool,
+    i: usize,
+) -> u64 {
+    if masked_out(mask, complement, i) {
+        return 0;
+    }
+    let cols = a.row_cols(i).iter();
+    cols.map(|&k| b.row_nnz(k as usize) as u64).sum()
+}
+
+/// [`driven_flops`] of every row; their sum is the products a push kernel
+/// forms.
+pub(crate) fn driven_row_flops<M, L, R>(
+    mask: &Csr<M>,
+    a: &Csr<L>,
+    b: &Csr<R>,
+    complement: bool,
+) -> Vec<u64>
+where
+    M: Send + Sync,
+    L: Send + Sync,
+    R: Send + Sync,
+{
+    (0..mask.nrows())
+        .into_par_iter()
+        .map(|i| driven_flops(mask, a, b, complement, i))
+        .collect()
+}
+
+/// Whether a drive consumes per-row flops: the flop-balanced schedule
+/// places its chunk boundaries by them, and a complemented one-phase pass
+/// bounds its rows by them.
+pub(crate) fn needs_row_flops(schedule: RowSchedule, phases: Phases, complement: bool) -> bool {
+    schedule == RowSchedule::FlopBalanced || (phases == Phases::One && complement)
 }
 
 /// Whether the options' cancellation deadline has passed.
@@ -308,14 +352,17 @@ fn expired(opts: &ExecOpts<'_>) -> bool {
 /// stats, deadline).
 ///
 /// The per-row flop count `flops_i = Σ_{A_ik≠0} nnz(B_k*)` is computed at
-/// most once here and shared between its two consumers: the complemented
-/// one-phase bound and the flop-balanced chunk boundaries.
+/// most once per product: `row_flops` hands it in when the caller already
+/// counted it (the dispatch's `Auto` decision does); otherwise it is
+/// counted here if one of its two consumers — the complemented one-phase
+/// bound, the flop-balanced chunk boundaries — needs it.
 ///
 /// # Errors
 /// [`Error::DeadlineExceeded`] when [`ExecOpts::deadline`] has passed at a
 /// phase boundary — before any pass starts, or between the symbolic and
 /// numeric passes of a two-phase run. A drive never aborts mid-pass; the
 /// output, when produced, is always complete.
+#[allow(clippy::too_many_arguments)]
 pub fn run_kernel<S, K, M>(
     mask: &Csr<M>,
     a: &Csr<S::Left>,
@@ -323,6 +370,7 @@ pub fn run_kernel<S, K, M>(
     complement: bool,
     phases: Phases,
     kernel: &K,
+    row_flops: Option<Vec<u64>>,
     opts: &ExecOpts<'_>,
 ) -> Result<Csr<S::Out>, Error>
 where
@@ -334,11 +382,11 @@ where
         return Err(Error::DeadlineExceeded);
     }
     let threads = rayon::current_num_threads().max(1);
-    let need_flops = opts.schedule == crate::schedule::RowSchedule::FlopBalanced
-        || (phases == Phases::One && complement);
-    let flops = need_flops.then(|| {
-        let _span = mspgemm_obs::span("flop-prefix");
-        a.row_flops_with(b)
+    let flops = row_flops.or_else(|| {
+        needs_row_flops(opts.schedule, phases, complement).then(|| {
+            let _span = mspgemm_obs::span("flop-prefix");
+            driven_row_flops(mask, a, b, complement)
+        })
     });
     let chunks = row_chunks(opts.schedule, mask.nrows(), threads, flops.as_deref());
     match phases {

@@ -39,6 +39,7 @@
 //! and the [`ProductCounts`] the MSA row entry keeps (products formed vs.
 //! admitted by the mask — the paper's wasted-work figure).
 
+use crate::dispatch::{Algorithm, DirectionWork};
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -285,6 +286,16 @@ impl ProductCounts {
     }
 }
 
+/// What [`Algorithm::Auto`] resolved to for one product, with the counted
+/// work it compared.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AutoChoice {
+    /// The concrete algorithm that ran.
+    pub algo: Algorithm,
+    /// Push products against pull probes, as counted for the decision.
+    pub work: DirectionWork,
+}
+
 /// Per-executor busy-time accounting for the row loops.
 ///
 /// Each executor workspace lease accumulates the wall-clock seconds its
@@ -305,6 +316,8 @@ pub struct ExecStats {
     /// Products formed / admitted, summed over every lease reported.
     formed: AtomicU64,
     admitted: AtomicU64,
+    /// The latest `Auto` resolution recorded.
+    auto: Mutex<Option<AutoChoice>>,
 }
 
 impl ExecStats {
@@ -332,6 +345,17 @@ impl ExecStats {
             formed: self.formed.load(Ordering::Relaxed),
             admitted: self.admitted.load(Ordering::Relaxed),
         }
+    }
+
+    /// Report what `Auto` resolved to for the product about to run.
+    pub(crate) fn record_auto(&self, choice: AutoChoice) {
+        *relock(&self.auto) = Some(choice);
+    }
+
+    /// The most recent product's `Auto` resolution; `None` when no
+    /// recorded product asked for [`Algorithm::Auto`].
+    pub fn auto_choice(&self) -> Option<AutoChoice> {
+        *relock(&self.auto)
     }
 
     /// Close the drive in flight: rank-fold its per-lease spans into the
@@ -364,6 +388,7 @@ impl ExecStats {
         relock(&self.ranks).clear();
         self.formed.store(0, Ordering::Relaxed);
         self.admitted.store(0, Ordering::Relaxed);
+        *relock(&self.auto) = None;
     }
 }
 

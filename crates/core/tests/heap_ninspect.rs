@@ -37,8 +37,17 @@ fn ninspect_variants_agree_small_exhaustive() {
                     complement: false,
                 };
                 let opts = ExecOpts::default();
-                run_kernel::<PlusTimesI64, _, ()>(&mask, &a, &b, false, Phases::One, &kernel, &opts)
-                    .unwrap()
+                run_kernel::<PlusTimesI64, _, ()>(
+                    &mask,
+                    &a,
+                    &b,
+                    false,
+                    Phases::One,
+                    &kernel,
+                    None,
+                    &opts,
+                )
+                .unwrap()
             })
             .collect();
         assert_eq!(

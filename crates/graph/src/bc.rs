@@ -63,17 +63,40 @@ pub struct BcResult {
     pub depth: usize,
 }
 
-/// Batched Brandes BC from `sources` (one batch row per source); `opts`
-/// apply to every forward- and backward-sweep masked product. Without a
-/// [`WsPool`] in `opts`, a local one spans both sweeps, so each product
-/// after the first reuses accumulator scratch instead of reallocating it
-/// per BFS level.
+/// Batched Brandes BC from `sources` (one batch row per source) on a
+/// possibly directed graph: transposes `adj` (charged to
+/// [`BcResult::total_seconds`]) and runs [`betweenness_with_transpose`].
 ///
 /// # Panics
-/// If `adj` is not square, `scheme` cannot run a complemented mask, or a
-/// source is not a vertex of `adj`.
+/// As [`betweenness_with_transpose`].
 pub fn betweenness_with(
     adj: &Csr<f64>,
+    sources: &[usize],
+    scheme: Scheme,
+    opts: &ExecOpts<'_>,
+) -> BcResult {
+    let t_total = Instant::now();
+    let adj_t = transpose(adj);
+    let mut r = betweenness_with_transpose(adj, &adj_t, sources, scheme, opts);
+    r.total_seconds = t_total.elapsed().as_secs_f64();
+    r
+}
+
+/// The BC sweep over `adj` and `adj_t = adjᵀ` — which a caller vouching
+/// for a symmetric `adj` (values included) passes twice. `opts` apply to
+/// every forward- and backward-sweep masked product; each product is
+/// handed the other operand as its `Bᵀ`, so a level the pull kernel runs
+/// — named, or picked by `Auto` where the frontier is long and few columns
+/// are left unvisited — transposes nothing. Without a [`WsPool`] in
+/// `opts`, a local one spans both sweeps, so each product after the first
+/// reuses accumulator scratch instead of reallocating it per BFS level.
+///
+/// # Panics
+/// If `adj` is not square, `adj_t` is not `adj`'s shape, `scheme` cannot
+/// run a complemented mask, or a source is not a vertex of `adj`.
+pub fn betweenness_with_transpose(
+    adj: &Csr<f64>,
+    adj_t: &Csr<f64>,
     sources: &[usize],
     scheme: Scheme,
     opts: &ExecOpts<'_>,
@@ -84,6 +107,11 @@ pub fn betweenness_with(
         ..*opts
     };
     assert_eq!(adj.nrows(), adj.ncols(), "adjacency must be square");
+    assert_eq!(
+        (adj_t.nrows(), adj_t.ncols()),
+        (adj.nrows(), adj.ncols()),
+        "the transpose must have the adjacency's shape"
+    );
     assert!(
         scheme.supports_complement(),
         "BC needs complemented masks (MCA unsupported)"
@@ -95,10 +123,6 @@ pub fn betweenness_with(
     }
     let t_total = Instant::now();
     let mut mxm_seconds = 0.0f64;
-
-    // Aᵀ once: the backward stage multiplies by Aᵀ; for Inner, the forward
-    // stage needs Bᵀ = Aᵀ and the backward needs (Aᵀ)ᵀ = A.
-    let at = transpose(adj);
 
     // Level 0: s×n, row q holds source q with one (empty) path.
     let level0 = Csr::from_parts_unchecked(
@@ -120,7 +144,7 @@ pub fn betweenness_with(
             &visited,
             &levels[levels.len() - 1],
             adj,
-            Some(&at),
+            Some(adj_t), // a pull level reads Bᵀ = Aᵀ
             MaskMode::Complement,
             opts,
         );
@@ -150,8 +174,8 @@ pub fn betweenness_with(
         let w2: Csr<f64> = scheme.run_with::<PlusTimesF64, f64>(
             &levels[d - 1],
             &levels[d],
-            &at,
-            Some(adj),
+            adj_t,
+            Some(adj), // (Aᵀ)ᵀ
             MaskMode::Mask,
             opts,
         );
@@ -518,6 +542,53 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn push_pull_and_the_per_level_mix_agree_by_bits() {
+        // Every product is bit-identical across kernels and the fold is
+        // serial, so all-push, all-pull and `Auto`'s per-level choice of
+        // direction must produce the same score bits — whatever the
+        // schedule and thread count.
+        use masked_spgemm::RowSchedule;
+        let g = mspgemm_gen::er_symmetric(64, 10, 21);
+        // The one kernel that sums a column's products in another order is
+        // the heap; `Auto` reaches it only under a mask 8× denser than the
+        // inputs, which an average degree above n/8 rules out.
+        assert!(g.nnz() * 8 > g.nrows() * g.ncols());
+        let sources: Vec<usize> = (0..16).collect();
+        let bits = |r: &BcResult| r.scores.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let want = run_bc(&g, &sources, MSA_1P);
+        // Early levels push, late ones pull: 10 products against hundreds
+        // of probes from a source, the reverse once few columns are left.
+        assert!(want.depth > 3, "needs levels on both sides of the choice");
+        for threads in [1usize, 2, 4] {
+            let workers = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            for sched in RowSchedule::ALL {
+                for algo in [Algorithm::Auto, Algorithm::Msa, Algorithm::Inner] {
+                    let scheme = Scheme::Ours(algo, Phases::One);
+                    let opts = ExecOpts::with_schedule(sched);
+                    let r = workers.install(|| betweenness_with(&g, &sources, scheme, &opts));
+                    let label = format!("{} {} @ {threads}", scheme.name(), sched.name());
+                    assert_eq!(bits(&r), bits(&want), "{label}");
+                    assert_eq!(r.depth, want.depth, "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn symmetric_adjacency_serves_as_its_own_transpose() {
+        let g = mspgemm_gen::er_symmetric(90, 6, 29);
+        let sources: Vec<usize> = (0..10).collect();
+        let opts = ExecOpts::default();
+        let want = run_bc(&g, &sources, MSA_1P);
+        let got = betweenness_with_transpose(&g, &g, &sources, MSA_1P, &opts);
+        assert_eq!(got.scores, want.scores);
+        assert_eq!(got.depth, want.depth);
     }
 
     fn pattern_of_rows(rows: &[&[Idx]], ncols: usize) -> Csr<()> {

@@ -41,19 +41,21 @@ pub struct KtrussResult {
 /// Compute the `k`-truss of a simple undirected graph; `opts` (row
 /// schedule, workspace pool, busy-time stats) apply to every round's
 /// masked product. Without a [`WsPool`] in `opts`, a local one is held
-/// across the rounds, so a later product reuses the accumulator scratch
-/// of an earlier one that ran the same kernel (`Auto` may switch to the
-/// pull kernel, which has none, once the recount masks turn sparse).
+/// across the rounds, so a later product reuses the scratch of an
+/// earlier one that ran the same kernel (`Auto` may switch to the pull
+/// kernel once the recount masks turn sparse).
 ///
 /// `adj` must be square with a symmetric pattern and an empty diagonal:
 /// the affected-edge marking visits each undirected edge from its lower
 /// endpoint and looks the mirrored entry up in the other row.
 ///
 /// The graph keeps changing as edges are pruned (§8.3: "using Masked
-/// SpGEMM in an iterative manner"), so the pull-based schemes re-transpose
-/// the pruned adjacency inside each round's product — that cost is
-/// charged to the scheme, mirroring how the paper's library baselines
-/// behave.
+/// SpGEMM in an iterative manner"), but a prune keeps it symmetric, so
+/// every round hands the pruned adjacency to the product as its own
+/// transpose: our pull kernel — named, or picked by `Auto` — transposes
+/// nothing. Only the `SS:DOT` stand-in still re-transposes inside each
+/// round's product, charged to the scheme the way the paper's library
+/// baseline behaves.
 pub fn k_truss_with(adj: &Csr<f64>, k: usize, scheme: Scheme, opts: &ExecOpts<'_>) -> KtrussResult {
     let local = WsPool::new();
     let opts = &ExecOpts {
@@ -90,7 +92,7 @@ pub fn k_truss_with(adj: &Csr<f64>, k: usize, scheme: Scheme, opts: &ExecOpts<'_
         }
         let t0 = Instant::now();
         let counted: Csr<u64> =
-            scheme.run_with::<PlusPairU64, ()>(mask, &a, &a, None, MaskMode::Mask, opts);
+            scheme.run_with::<PlusPairU64, ()>(mask, &a, &a, Some(&a), MaskMode::Mask, opts);
         mxm_seconds += t0.elapsed().as_secs_f64();
         // An edge the first count leaves out closes no triangle: dropping
         // it moves no support, so the count itself is the first state.

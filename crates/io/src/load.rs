@@ -414,6 +414,18 @@ mod tests {
     }
 
     #[test]
+    fn to_adjacency_output_is_its_own_transpose() {
+        // Values included: what lets a BC request pass the adjacency as
+        // both operands instead of transposing it.
+        let weighted = mspgemm_gen::er(60, 60, 4, 9);
+        for a in [directed_sample(), weighted] {
+            let (adj, _) = to_adjacency(&a);
+            assert!(adj.nnz() > 0);
+            assert!(adj == transpose(&adj));
+        }
+    }
+
+    #[test]
     fn adjacency_delta_carries_a_held_adjacency_forward() {
         use mspgemm_sparse::DeltaOp::{Delete, Upsert};
         let a = directed_sample();

@@ -72,7 +72,9 @@ pub struct Dataset {
     /// per-call transpose the paper charges to `SS:DOT` (§8.4).
     pub matrix_t: Csr<f64>,
     /// Normalized simple undirected adjacency (symmetric pattern, no
-    /// self-loops, unit weights) — the application operand.
+    /// self-loops, unit weights) — the application operand, and its own
+    /// transpose: checked (debug builds) where a snapshot is built, relied
+    /// on by every `app bc` request.
     pub adj: Csr<f64>,
     /// FLOP count (2 × multiplies) of the unmasked `matrix·matrix`
     /// product — the `mxm` verb's GFLOPS denominator, computed once here
@@ -170,6 +172,7 @@ impl Dataset {
             matrix_t.share_unit_values();
             adj.share_unit_values();
         }
+        debug_assert!(adj == transpose(&adj), "adj must be its own transpose");
         let mxm_flops = 2 * matrix.flops_with(&matrix);
         Dataset {
             name,
@@ -211,6 +214,7 @@ impl Dataset {
         debug_assert!(!matrix.has_shared_storage(), "rebuilds must be heap-owned");
         let matrix_t = transpose_delta(&matrix, changed).merged(prev.matrix_t.view());
         let adj = adjacency_delta(&matrix, changed).merged(prev.adj.view());
+        debug_assert!(adj == transpose(&adj), "adj must be its own transpose");
         let tc_seed = match (prev.tc_counts.get(), &prev.tc_seed) {
             (Some(counts), _) => Some(TcSeed {
                 counts: counts.clone(),

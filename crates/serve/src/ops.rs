@@ -344,7 +344,8 @@ fn app(state: &ServerState, name: &str, p: &AppParams) -> OpResult {
             }
             App::Bc => {
                 let sources: Vec<usize> = (0..p.batch.min(ds.adj.nrows())).collect();
-                let r = bc::betweenness_with(&ds.adj, &sources, p.scheme, &opts);
+                // `ds.adj` is symmetric with unit weights: its own transpose.
+                let r = bc::betweenness_with_transpose(&ds.adj, &ds.adj, &sources, p.scheme, &opts);
                 vec![
                     ("batch", sources.len().into()),
                     ("depth", r.depth.into()),
