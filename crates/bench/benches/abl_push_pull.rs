@@ -6,18 +6,26 @@
 //! far corners of the `d_input = 32` sweep once every cell is timed, with
 //! `Auto` within [`AUTO_SLACK`] of the faster direction on every cell of
 //! that sweep (the grid that fixes `dispatch::PULL_PROBE_COST`).
+//!
+//! A second section times the symmetric self-product `A ⊙ (A·A)` — the
+//! `mxm` verb, k-truss's support product — three ways: push, pull, and
+//! the oriented pull over half the mask, mirrored, which `Auto` may pick
+//! when all four operands are one object. `Auto` must sit within
+//! [`AUTO_SLACK`] of the fastest of the three on every row: the grid that
+//! fixes `dispatch::{MIRROR_COST, ORIENTED_FIXED_COST}`.
 
-use masked_spgemm::{masked_mxm_with_bt, Algorithm, ExecOpts, MaskMode, Phases};
+use masked_spgemm::dispatch::oriented_self_product;
+use masked_spgemm::{masked_mxm_with_bt, Algorithm, ExecOpts, ExecStats, MaskMode, Phases};
 use mspgemm_bench::{banner, reps};
-use mspgemm_gen::{er, er_pattern};
+use mspgemm_gen::{er, er_pattern, er_symmetric, rmat_symmetric, RmatParams};
 use mspgemm_harness::report::{fmt_secs, Table};
 use mspgemm_harness::time_best;
 use mspgemm_sparse::semiring::PlusTimesF64;
-use mspgemm_sparse::transpose;
+use mspgemm_sparse::{transpose, Csr};
 
-/// How far `Auto` may sit above the faster of push and pull on a
-/// `d_input = 32` cell: the decision's two counting passes plus timer
-/// noise, not a wrong direction (the nearest miss costs 1.2×).
+/// How far `Auto` may sit above the fastest direction on an asserted
+/// cell: the decision's counting passes plus timer noise, not a wrong
+/// direction (the nearest miss costs 1.2×).
 const AUTO_SLACK: f64 = 1.15;
 
 /// Fewest timing rounds per cell, whatever `MSPGEMM_REPS` says — a single
@@ -25,6 +33,128 @@ const AUTO_SLACK: f64 = 1.15;
 /// most a cell over the slack is given to settle.
 const MIN_ROUNDS: usize = 5;
 const MAX_ROUNDS: usize = 40;
+
+/// Interleaved rounds over `runs`, the fastest time per column kept: a
+/// slow stretch of the host hits every column alike. A cell that `missed`
+/// its assertion keeps timing — the minima only converge on the
+/// undisturbed figures.
+fn race<const K: usize>(
+    runs: [&dyn Fn(); K],
+    rounds: usize,
+    missed: impl Fn([f64; K]) -> bool,
+) -> [f64; K] {
+    let mut best = [f64::INFINITY; K];
+    for round in 1..=MAX_ROUNDS {
+        for (best, run) in best.iter_mut().zip(runs) {
+            *best = best.min(time_best(1, run).0);
+        }
+        if round >= rounds.max(MIN_ROUNDS) && !missed(best) {
+            break;
+        }
+    }
+    best
+}
+
+/// A CSR's sections, the values by bits.
+fn sections(c: &Csr<f64>) -> (&[usize], &[u32], Vec<u64>) {
+    let bits = c.values().iter().map(|v| v.to_bits()).collect();
+    (c.rowptr(), c.colidx(), bits)
+}
+
+/// `A ⊙ (A·A)` on symmetric graphs, every operand the same object:
+/// push / pull / oriented / what `Auto` makes of the three counts.
+fn symmetric_self_products(rounds: usize) -> Vec<String> {
+    let opts = ExecOpts::default();
+    let mut table = Table::new(&[
+        "graph",
+        "nnz",
+        "push_products",
+        "oriented_probes",
+        "push_MSA",
+        "pull_Inner",
+        "oriented",
+        "auto",
+        "auto_ran",
+    ]);
+    let rmat = |scale| {
+        let g = rmat_symmetric(scale, RmatParams::default(), 1);
+        (format!("rmat{scale}"), g)
+    };
+    let er = |n, d| (format!("er{n}x{d}"), er_symmetric(n, d, 1));
+    let graphs = [
+        rmat(10),
+        rmat(11),
+        rmat(12),
+        rmat(13),
+        er(8192, 8),
+        er(8192, 24),
+        er(8192, 64),
+        er(16384, 8),
+        // The sparsest row: 4.5 products per stored entry, where the
+        // oriented plan only ties on two threads.
+        er(32768, 4),
+    ];
+    let mut misses = Vec::new();
+    for (name, a) in &graphs {
+        let run = |algo, opts: &ExecOpts<'_>| {
+            let (mode, phases) = (MaskMode::Mask, Phases::One);
+            masked_mxm_with_bt::<PlusTimesF64, f64>(a, a, a, Some(a), algo, mode, phases, opts)
+                .unwrap()
+        };
+        let oriented = || oriented_self_product::<PlusTimesF64>(a, a, Phases::One, &opts).unwrap();
+        let stats = ExecStats::new();
+        let recorded = ExecOpts {
+            stats: Some(&stats),
+            ..opts
+        };
+        let want = run(Algorithm::Msa, &opts);
+        for (label, got) in [
+            ("pull", run(Algorithm::Inner, &opts)),
+            ("oriented", oriented()),
+            ("auto", run(Algorithm::Auto, &recorded)),
+        ] {
+            assert!(sections(&got) == sections(&want), "{name}: {label} != push");
+        }
+        let choice = stats.auto_choice().expect("Auto ran");
+        let missed = |[push_s, pull_s, oriented_s, auto_s]: [f64; 4]| {
+            auto_s > AUTO_SLACK * push_s.min(pull_s).min(oriented_s)
+        };
+        let best = race(
+            [
+                &|| drop(run(Algorithm::Msa, &opts)),
+                &|| drop(run(Algorithm::Inner, &opts)),
+                &|| drop(oriented()),
+                &|| drop(run(Algorithm::Auto, &opts)),
+            ],
+            rounds,
+            missed,
+        );
+        let probes = choice.work.oriented;
+        let ran = match probes {
+            Some(_) => "oriented",
+            None => choice.algo.name(),
+        };
+        if missed(best) {
+            misses.push(format!(
+                "{name}: auto ran {ran}, push/pull/oriented/auto {best:?} s"
+            ));
+        }
+        table.row(&[
+            name.clone(),
+            a.nnz().to_string(),
+            choice.work.push.to_string(),
+            probes.map_or("-".to_string(), |p| p.to_string()),
+            fmt_secs(best[0]),
+            fmt_secs(best[1]),
+            fmt_secs(best[2]),
+            fmt_secs(best[3]),
+            ran.to_string(),
+        ]);
+    }
+    println!("{}", table.to_csv());
+    eprintln!("{}", table.to_text());
+    misses
+}
 
 fn main() {
     banner(
@@ -63,24 +193,19 @@ fn main() {
                 )
                 .unwrap()
             };
-            // Interleaved rounds, the fastest run per scheme kept: a slow
-            // stretch of the host hits all three columns alike. A cell
-            // whose `auto` column sits over the slack keeps timing — the
-            // minima only converge on the undisturbed figures.
             let algos = [Algorithm::Msa, Algorithm::Inner, Algorithm::Auto];
             let [push_c, pull_c, auto_c] = algos.map(run);
-            let mut best = [f64::INFINITY; 3];
             let auto_missed = |[push_s, pull_s, auto_s]: [f64; 3]| {
                 d_input == 32 && auto_s > AUTO_SLACK * push_s.min(pull_s)
             };
-            for round in 1..=MAX_ROUNDS {
-                for (best, algo) in best.iter_mut().zip(algos) {
-                    *best = best.min(time_best(1, || run(algo)).0);
-                }
-                if round >= reps.max(MIN_ROUNDS) && !auto_missed(best) {
-                    break;
-                }
-            }
+            let best = race(
+                algos
+                    .map(|algo| move || drop(run(algo)))
+                    .each_ref()
+                    .map(|f| f as &dyn Fn()),
+                reps,
+                auto_missed,
+            );
             let [push_s, pull_s, auto_s] = best;
             for (c, label) in [(&push_c, "push"), (&auto_c, "auto")] {
                 assert_eq!(c.pattern(), pull_c.pattern(), "{label}/pull patterns");
@@ -110,6 +235,7 @@ fn main() {
     }
     println!("{}", table.to_csv());
     eprintln!("{}", table.to_text());
+    let symmetric_misses = symmetric_self_products(reps);
     // §4.3's shape, at the corners where the gap is widest: a mask 32×
     // sparser than the inputs is pull's, one 8× denser is push's.
     assert_eq!(winners[&(32, 1)], "pull", "d_input 32 / d_mask 1");
@@ -117,5 +243,9 @@ fn main() {
     assert!(
         auto_misses.is_empty(),
         "Auto over {AUTO_SLACK}× the faster direction at d_input 32: {auto_misses:#?}"
+    );
+    assert!(
+        symmetric_misses.is_empty(),
+        "Auto over {AUTO_SLACK}× the fastest of push / pull / oriented: {symmetric_misses:#?}"
     );
 }

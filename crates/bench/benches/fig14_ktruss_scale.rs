@@ -7,12 +7,15 @@
 //! recounts). Every scheme runs the same products under the same masks, so
 //! the numerator is one number per scale and the columns compare time.
 //!
-//! Two assertions close the run: per scale every scheme reports the same
-//! `(truss nnz, products, flops)`, and at the largest scale the best of our four
+//! Three assertions close the run: per scale every scheme reports the same
+//! `(truss nnz, products, flops)`; at the largest scale the best of our
 //! schemes spends no longer inside its products than `SS:SAXPY` (the
-//! paper's fig13 / fig14 claim, asserted at 1.0×).
+//! paper's fig13 / fig14 claim, asserted at 1.0×); and there `Auto-1P` —
+//! whose first product, `A ⊙ (A·A)` of the symmetric adjacency, runs once
+//! per edge and mirrored — spends no longer than `MSA-1P`, which forms
+//! every product of it.
 
-use masked_spgemm::ExecOpts;
+use masked_spgemm::{Algorithm, ExecOpts, Phases};
 use mspgemm_bench::{banner, ktruss_vs_ssgb_schemes, max_scale, reps};
 use mspgemm_gen::{rmat_symmetric, RmatParams};
 use mspgemm_graph::{ktruss, Scheme};
@@ -21,7 +24,10 @@ use mspgemm_harness::report::{fmt_metric, Table};
 
 fn main() {
     banner("Fig 14", "k-truss (k=5) GFLOPS vs R-MAT scale");
-    let schemes = ktruss_vs_ssgb_schemes();
+    let msa = Scheme::Ours(Algorithm::Msa, Phases::One);
+    let auto = Scheme::Ours(Algorithm::Auto, Phases::One);
+    let mut schemes = ktruss_vs_ssgb_schemes();
+    schemes.push(auto);
     let reps = reps();
     let mut headers = vec!["scale".to_string()];
     headers.extend(schemes.iter().map(|s| s.name()));
@@ -78,6 +84,20 @@ fn main() {
             assert!(
                 ours <= saxpy,
                 "scale {scale}: SS:SAXPY ({saxpy:.6} s) beat every one of our schemes ({ours:.6} s)"
+            );
+            let seconds = |scheme| {
+                let at = schemes.iter().position(|&s| s == scheme);
+                runs[at.expect("in the scheme list")].mxm_seconds
+            };
+            eprintln!(
+                "scale {scale}: Auto-1P {:.3} ms, MSA-1P {:.3} ms ({:.2}x)",
+                seconds(auto) * 1e3,
+                seconds(msa) * 1e3,
+                seconds(msa) / seconds(auto)
+            );
+            assert!(
+                seconds(auto) <= seconds(msa),
+                "scale {scale}: Auto-1P's products took longer than MSA-1P's"
             );
         }
     }

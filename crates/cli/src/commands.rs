@@ -6,7 +6,8 @@
 
 use crate::args::Parsed;
 use masked_spgemm::{
-    masked_mxm_with_opts, Algorithm, ExecOpts, ExecStats, MaskMode, Phases, RowSchedule, WsPool,
+    masked_mxm_with_opts, Algorithm, AutoChoice, ExecOpts, ExecStats, MaskMode, Phases,
+    RowSchedule, WsPool,
 };
 use mspgemm_gen::SuiteGraph;
 use mspgemm_graph::scheme::Scheme;
@@ -65,6 +66,28 @@ fn ingest_line(r: &IngestReport) -> String {
         r.outcome,
         r.backend.name(),
         if r.pattern { ", pattern" } else { "" }
+    )
+}
+
+/// What `auto` resolved to and the counted work it compared, as the two
+/// inserts of the `scheme   :` line. Of push and pull the side that lost
+/// stops counting once it cannot win — a lower bound; a symmetric
+/// self-product that ran oriented names that count in pull's place.
+fn auto_note(c: AutoChoice) -> (String, String) {
+    if let Some(probes) = c.work.oriented {
+        let counted = format!(" (push {} products, oriented {probes} probes)", c.work.push);
+        return ("→oriented pull".to_string(), counted);
+    }
+    let (push, pull) = match c.algo {
+        Algorithm::Inner => ("≥ ", ""),
+        _ => ("", "≥ "),
+    };
+    (
+        format!("→{}", c.algo.name()),
+        format!(
+            " (push {push}{} products, pull {pull}{} probes)",
+            c.work.push, c.work.pull
+        ),
     )
 }
 
@@ -147,24 +170,7 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     };
     let c = c.map_err(|e| e.to_string())?;
 
-    // What `auto` resolved to, and the counted work it compared. The
-    // side that lost stops counting once it cannot win: a lower bound.
-    let (resolved, counted) = match stats.auto_choice() {
-        Some(c) => {
-            let (push, pull) = match c.algo {
-                Algorithm::Inner => ("≥ ", ""),
-                _ => ("", "≥ "),
-            };
-            (
-                format!("→{}", c.algo.name()),
-                format!(
-                    " (push {push}{} products, pull {pull}{} probes)",
-                    c.work.push, c.work.pull
-                ),
-            )
-        }
-        None => Default::default(),
-    };
+    let (resolved, counted) = stats.auto_choice().map(auto_note).unwrap_or_default();
     writeln!(
         out,
         "scheme   : {}{resolved} / {:?} / {:?}{}{counted}",
@@ -546,6 +552,28 @@ mod tests {
         );
         assert_eq!(parse_scheme("ss:saxpy").unwrap(), Scheme::SsSaxpy);
         assert!(parse_scheme("nope-3p").is_err());
+    }
+
+    #[test]
+    fn scheme_line_names_the_count_that_decided() {
+        use masked_spgemm::DirectionWork;
+        let choice = |algo, probes| AutoChoice {
+            algo,
+            work: DirectionWork {
+                push: 54_271_744,
+                pull: 54_476_034,
+                oriented: probes,
+            },
+        };
+        let (resolved, counted) = auto_note(choice(Algorithm::Inner, Some(8_989_020)));
+        assert_eq!(
+            format!("Auto{resolved} / Mask / One{counted}"),
+            "Auto→oriented pull / Mask / One (push 54271744 products, oriented 8989020 probes)"
+        );
+        // Any other product reads as it always did.
+        let (resolved, counted) = auto_note(choice(Algorithm::Msa, None));
+        assert_eq!(resolved, "→MSA");
+        assert_eq!(counted, " (push 54271744 products, pull ≥ 54476034 probes)");
     }
 
     #[test]

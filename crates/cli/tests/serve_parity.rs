@@ -129,3 +129,78 @@ fn second_query_against_resident_dataset_reports_warm_pool() {
     );
     assert!(second.contains("\"warm\":true"), "{second}");
 }
+
+/// `auto` on the resident path may run a symmetric dataset's self-product
+/// once per edge and mirrored; `mxm run` never does (it hands the dispatch
+/// no `Bᵀ`). Whatever the server picks, the fingerprints must agree — on
+/// a symmetric dataset, across an update that breaks the symmetry and
+/// one that restores it, and on a directed dataset.
+#[test]
+fn oriented_self_product_answers_what_run_answers() {
+    let dir = std::env::temp_dir().join("mxm_parity_oriented");
+    std::fs::create_dir_all(&dir).unwrap();
+    let write = |name: &str, g: &mspgemm_sparse::Csr<f64>| {
+        let path = dir.join(name);
+        mspgemm_io::mtx::write_mtx_file(&path, g).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let g = mspgemm_gen::rmat_symmetric(8, mspgemm_gen::RmatParams::default(), 5);
+    // An absent edge between two vertices that have neighbours.
+    let (u, v) = (0..g.nrows() as u32)
+        .flat_map(|u| (0..u).map(move |v| (u, v)))
+        .find(|&(u, v)| {
+            g.get(u as usize, v).is_none() && g.row_nnz(u as usize) > 2 && g.row_nnz(v as usize) > 2
+        })
+        .expect("R-MAT 8 is not complete");
+    let with = |edges: &[(u32, u32)]| {
+        let mut coo = mspgemm_sparse::Coo::new(g.nrows(), g.ncols());
+        for (i, j, &x) in g.iter() {
+            coo.push(i as u32, j, x);
+        }
+        for &(i, j) in edges {
+            coo.push(i, j, 1.0);
+        }
+        coo.to_csr(|x, _| x)
+    };
+    let symmetric = write("g.mtx", &g);
+    let one_way = write("one_way.mtx", &with(&[(u, v)]));
+    let both_ways = write("both_ways.mtx", &with(&[(u, v), (v, u)]));
+    let directed_graph = mspgemm_gen::rmat_directed(8, mspgemm_gen::RmatParams::default(), 5);
+    let directed = write("d.mtx", &directed_graph);
+
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
+    server
+        .preload(&[symmetric.clone(), directed.clone()])
+        .unwrap();
+    let addr = server.addr().to_string();
+    let run = |path: &str, algo: &str| {
+        let text = dispatch(&["run", "--algo", algo, "--reps", "1", "--no-cache", path]).unwrap();
+        run_fingerprint(&text).to_string()
+    };
+    // The served fingerprint under `auto`, and whether it ran oriented —
+    // on two executors whatever the host has: the plan's serial passes are
+    // charged per thread.
+    let served = |dataset: &str| {
+        let q = ["query", "--connect", &addr, "mxm", "--threads", "2"];
+        let q = [&q[..], &["--dataset", dataset]].concat();
+        let auto = dispatch(&[&q[..], &["--algo", "auto"]].concat()).unwrap();
+        let choice = server.state().exec_stats.auto_choice().expect("auto ran");
+        let msa = dispatch(&[&q[..], &["--algo", "msa"]].concat()).unwrap();
+        let fingerprint = query_field(&auto, "fingerprint").to_string();
+        assert_eq!(fingerprint, query_field(&msa, "fingerprint"), "{dataset}");
+        (fingerprint, choice.work.oriented.is_some())
+    };
+    let update = |edge: (u32, u32)| {
+        let insert = format!("{},{}", edge.0, edge.1);
+        let q = ["query", "--connect", &addr, "update", "--dataset", "g"];
+        dispatch(&[&q[..], &["--insert", &insert]].concat()).unwrap();
+    };
+
+    assert_eq!(served("g"), (run(&symmetric, "auto"), true));
+    update((u, v));
+    assert_eq!(served("g"), (run(&one_way, "auto"), false));
+    update((v, u));
+    assert_eq!(served("g"), (run(&both_ways, "auto"), true));
+    assert_eq!(served("d"), (run(&directed, "auto"), false));
+    assert_eq!(run(&symmetric, "auto"), run(&symmetric, "msa"));
+}

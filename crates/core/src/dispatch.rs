@@ -1,7 +1,9 @@
 //! Public entry point: algorithm / mask-mode / phase selection and
-//! validation, plus `Auto`: the push/pull direction decided per product
-//! from counted work (§4.3's argument, evaluated instead of assumed), the
-//! accumulator by the paper's Fig 7 / §8.1 shape rules.
+//! validation, plus `Auto`: the direction decided per product from counted
+//! work (§4.3's argument, evaluated instead of assumed) — push, pull, or,
+//! for a symmetric self-product `A ⊙ (A·A)`, the pull over half the mask
+//! mirrored ([`oriented_self_product`]) — and the push accumulator by the
+//! output width (§8.1).
 
 use crate::algos::hash::HashKernel;
 use crate::algos::heap::HeapKernel;
@@ -13,7 +15,8 @@ use crate::phases::{
 };
 use crate::schedule::{AutoChoice, ExecOpts};
 use mspgemm_sparse::semiring::Semiring;
-use mspgemm_sparse::{transpose, Csr};
+use mspgemm_sparse::util::exclusive_prefix_sum;
+use mspgemm_sparse::{transpose, Csr, Idx};
 use rayon::prelude::*;
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -34,9 +37,11 @@ pub enum Algorithm {
     /// Pull-based dot products (§4.1). Transposes `B` internally unless
     /// [`masked_mxm_with_bt`] is handed a `Bᵀ`.
     Inner,
-    /// Pick once for the whole call: the cheaper direction by counted
-    /// work (push products vs pull probes, see [`DirectionWork`]), then —
-    /// when push it is — the accumulator by input shape.
+    /// Pick once for the whole call: the cheapest direction by counted
+    /// work (push products vs pull probes, see [`DirectionWork`]; a
+    /// symmetric self-product may also run as
+    /// [`oriented_self_product`]), then — when push it is — the
+    /// accumulator by the output width.
     Auto,
 }
 
@@ -201,6 +206,14 @@ where
 /// amortize the transpose across calls (the paper notes SuiteSparse's
 /// per-call transpose as an overhead of `SS:DOT`, §8.4); the push kernels
 /// ignore it. Its shape is checked; its values are trusted to be `B`'s.
+///
+/// **Identity is load-bearing.** Handing `b` itself as `bt` declares
+/// `B = Bᵀ`. When `mask`, `a`, `b` and `bt` are all one object (compared
+/// by address, never by content), the mask is normal and
+/// [`Semiring::MUL_COMMUTES`], the product is `A ⊙ (A·A)` of a symmetric
+/// `A` and so symmetric itself, and `Auto` may compute each unordered
+/// edge once ([`oriented_self_product`]). An equal but distinct object
+/// never takes that path: pass the same reference to opt in.
 #[allow(clippy::too_many_arguments)]
 pub fn masked_mxm_with_bt<S, M>(
     mask: &Csr<M>,
@@ -227,13 +240,28 @@ where
     let mut row_flops = None;
     let algo = match algo {
         Algorithm::Auto => {
-            let _span = mspgemm_obs::span("auto-select");
+            let span = mspgemm_obs::span("auto-select");
+            let symmetric =
+                bt.filter(|&bt| !complement && S::MUL_COMMUTES && is_self_product(mask, a, b, bt));
             let keep = needs_row_flops(opts.schedule, phases, complement);
-            let (flops, work) = direction_work(mask, a, b, bt, complement, keep);
-            row_flops = flops;
-            let algo = auto_select(mask, a, b, complement, work);
+            let (work, half) = match symmetric {
+                Some(_) => self_product_plan(a, keep),
+                None => {
+                    let (flops, work) = direction_work(mask, a, b, bt, complement, keep);
+                    row_flops = flops;
+                    (work, None)
+                }
+            };
+            let algo = match half {
+                Some(_) => Algorithm::Inner,
+                None => auto_select(b.ncols(), work),
+            };
             if let Some(stats) = opts.stats {
                 stats.record_auto(AutoChoice { algo, work });
+            }
+            drop(span);
+            if let (Some(at), Some(half)) = (symmetric, half) {
+                return mirrored_half_product::<S>(half, a, at, phases, opts);
             }
             algo
         }
@@ -331,6 +359,25 @@ pub struct DirectionWork {
     /// mask — plus [`TRANSPOSE_PROBES_PER_ENTRY`]` · nnz(B)` for the
     /// transpose when no `Bᵀ` was supplied.
     pub pull: u64,
+    /// Probes [`oriented_self_product`] makes, `Σ d_j` over the entries
+    /// `(i, j)` of `A` with `(d_j, j) ≤ (d_i, i)`: one dot per unordered
+    /// edge, the shorter row probed into the longer one —
+    /// `Σ_{edges} min(d_i, d_j)`, the orientation bound of Chiba &
+    /// Nishizeki. Counted while the half mask is built, so `Some` exactly
+    /// when the product ran that way; for any symmetric self-product (see
+    /// [`masked_mxm_with_bt`]) `push` and `pull` are exact and cost `O(n)`.
+    pub oriented: Option<u64>,
+}
+
+impl DirectionWork {
+    /// The two counts of a product that is not a symmetric self-product.
+    fn of(push: u64, pull: u64) -> Self {
+        DirectionWork {
+            push,
+            pull,
+            oriented: None,
+        }
+    }
 }
 
 /// What one pull probe costs in push products: pull runs when
@@ -341,6 +388,25 @@ pub struct DirectionWork {
 /// cell) and BC's per-level counts — both in `docs/DECISIONS.md`. An exact
 /// tie (every symmetric self-mask) stays push.
 pub const PULL_PROBE_COST: f64 = 1.5;
+
+/// What the passes around an oriented product are charged per stored
+/// entry of `A` **and per thread**, in push products: selecting the half
+/// mask before it and mirroring the half product after it are serial
+/// `O(nnz)` passes, so against a product that spreads over `T` threads
+/// each entry weighs `T` times as much. With [`ORIENTED_FIXED_COST`] it is
+/// all that stands between a symmetric self-product and the oriented plan
+/// (see `oriented_is_cheaper`), and both are fitted to `abl_push_pull`'s
+/// symmetric section, not derived: on two threads oriented wins wherever
+/// a graph forms more than ≈ 4 products per stored entry (every R-MAT row
+/// by 1.4–1.8×, `er_symmetric(8192, 8 … 64)` by 1.3–1.6×) and ties at
+/// `er_symmetric(32768, 4)` (4.5 per entry), which it wins 1.5× on one
+/// thread — `docs/DECISIONS.md`.
+pub const MIRROR_COST: f64 = 0.5;
+
+/// Push products the oriented plan must save before anything else, which
+/// keeps karate-sized products — ≈ 100 µs either way, most of it waking
+/// the pool — on the path they have always run.
+pub const ORIENTED_FIXED_COST: u64 = 1 << 12;
 
 /// What transposing one entry of `B` costs in pull probes, charged to the
 /// pull side when the caller supplied no `Bᵀ`: `sparse::transpose` takes
@@ -461,15 +527,15 @@ where
             (None, sum_rows(0..a.nrows(), a.nnz(), push_row))
         };
         let pull = sum_until(mask, transpose_cost, pull_row, |pull| {
-            !pull_is_cheaper(DirectionWork { push, pull })
+            !pull_is_cheaper(DirectionWork::of(push, pull))
         });
-        (flops, DirectionWork { push, pull })
+        (flops, DirectionWork::of(push, pull))
     } else {
         let pull = transpose_cost + sum_rows(0..mask.nrows(), mask.nnz(), pull_row);
         let push = sum_until(a, 0, push_row, |push| {
-            pull_is_cheaper(DirectionWork { push, pull })
+            pull_is_cheaper(DirectionWork::of(push, pull))
         });
-        (None, DirectionWork { push, pull })
+        (None, DirectionWork::of(push, pull))
     }
 }
 
@@ -479,35 +545,226 @@ fn pull_is_cheaper(work: DirectionWork) -> bool {
     work.pull as f64 * PULL_PROBE_COST < work.push as f64
 }
 
-/// `Auto`'s choice for one product:
+/// Whether `mask`, `a`, `b` and the supplied `bt` are one object — the
+/// caller's declaration that the product is `A ⊙ (A·A)` with `A = Aᵀ`.
+/// Addresses only: equal contents in distinct objects say nothing here.
+fn is_self_product<M, L, R>(mask: &Csr<M>, a: &Csr<L>, b: &Csr<R>, bt: &Csr<R>) -> bool {
+    std::ptr::addr_eq(mask, a) && std::ptr::addr_eq(b, a) && std::ptr::addr_eq(bt, a)
+}
+
+/// The counts of a symmetric self-product, none of them by walking a
+/// product: `push = Σ d_i²` and `pull = push + nnz` off the row pointers.
+/// When the oriented plan wins on those alone ([`oriented_is_cheaper`]),
+/// its half mask is built — one pass over the column indices, which also
+/// yields the exact `oriented` count.
+fn self_product_plan<T>(a: &Csr<T>, keep_row_probes: bool) -> (DirectionWork, Option<HalfMask>) {
+    // `A` is its own transpose: column `k` of it is row `k`.
+    let push = a.transposed_flops_with(a);
+    let mut work = DirectionWork::of(push, push + a.nnz() as u64);
+    let half = oriented_is_cheaper(push, a.nnz()).then(|| half_mask(a, keep_row_probes));
+    work.oriented = half.as_ref().map(|half| half.probes);
+    (work, half)
+}
+
+/// The third direction's rule, decided before an entry is walked: an
+/// edge's dot makes `min(d_i, d_j) ≤ (d_i + d_j) / 2` probes, so the
+/// oriented plan makes at most `push / 2`, and it runs when even that many
+/// — priced like any pull probe — plus its own serial passes undercut
+/// push: `push/2 · PULL_PROBE_COST + nnz · threads · MIRROR_COST +
+/// ORIENTED_FIXED_COST < push`. A product that pushes has paid `O(n)` for
+/// the verdict.
+fn oriented_is_cheaper(push: u64, nnz: usize) -> bool {
+    let at_most = push as f64 / 2.0 * PULL_PROBE_COST;
+    let passes = (nnz * rayon::current_num_threads().max(1)) as f64 * MIRROR_COST;
+    at_most + passes + (ORIENTED_FIXED_COST as f64) < push as f64
+}
+
+/// `A ⊙ (A·A)` for a symmetric `A` (`at` is `A` again, as its own
+/// transpose — [`masked_mxm_with_bt`] passes the same object twice) on a
+/// semiring whose `mul` commutes, computed once per unordered edge: the
+/// existing pull kernel over the half mask `{(i, j) ∈ A : (d_j, j) ≤
+/// (d_i, i)}` — each edge's dot taken where the longer row is the
+/// scattered one and the shorter the probed — then `C[j, i] := C[i, j]`.
+/// Bit-identical to every other scheme: both kernels sum a coordinate's
+/// products in ascending `k`, and `a_ik · a_kj`, `a_jk · a_ki` are the
+/// same two numbers. `Auto` runs it when its worst case undercuts push
+/// ([`MIRROR_COST`]); it is public so a benchmark can time it where `Auto`
+/// would not.
+///
+/// The half product runs on [`run_kernel`] under the caller's `phases`
+/// and `opts` (schedule, pool, stats, deadline); a flop-balanced schedule
+/// weighs rows by the probes they make here, not by push flops. The two
+/// passes around it are serial and `O(nnz)`, under one span name,
+/// `oriented-mirror` (`Auto` builds the half mask inside `auto-select`:
+/// it is how the decision's third count is made).
+///
+/// # Errors
+/// [`Error::DimensionMismatch`] unless both operands are square and of
+/// one size; [`Error::DeadlineExceeded`] as [`masked_mxm_with_opts`].
+pub fn oriented_self_product<S: Semiring>(
+    a: &Csr<S::Left>,
+    at: &Csr<S::Right>,
+    phases: Phases,
+    opts: &ExecOpts<'_>,
+) -> Result<Csr<S::Out>, Error> {
+    let n = a.nrows();
+    if (a.ncols(), at.nrows(), at.ncols()) != (n, n, n) {
+        return Err(Error::DimensionMismatch(format!(
+            "a symmetric self-product needs one square size; A is {n}x{}, Aᵀ is {}x{}",
+            a.ncols(),
+            at.nrows(),
+            at.ncols()
+        )));
+    }
+    let half = {
+        let _span = mspgemm_obs::span("oriented-mirror");
+        half_mask(a, needs_row_flops(opts.schedule, phases, false))
+    };
+    mirrored_half_product::<S>(half, a, at, phases, opts)
+}
+
+/// [`oriented_self_product`] once its half mask is built.
+fn mirrored_half_product<S: Semiring>(
+    half: HalfMask,
+    a: &Csr<S::Left>,
+    at: &Csr<S::Right>,
+    phases: Phases,
+    opts: &ExecOpts<'_>,
+) -> Result<Csr<S::Out>, Error> {
+    let HalfMask {
+        mask, row_probes, ..
+    } = half;
+    let kernel = InnerKernel::new(at.view(), false);
+    let lower = run_kernel::<S, _, ()>(&mask, a, at, false, phases, &kernel, row_probes, opts)?;
+    drop(mask);
+    let _span = mspgemm_obs::span("oriented-mirror");
+    Ok(mirror(&lower))
+}
+
+/// What [`oriented_self_product`] drives the pull kernel over.
+struct HalfMask {
+    /// `{(i, j) ∈ A : (d_j, j) ≤ (d_i, i)}`: every unordered edge once, in
+    /// the row with the longer — scattered — side, and the diagonal.
+    mask: Csr<()>,
+    /// `Σ d_j` over the mask's entries: the probes its product makes.
+    probes: u64,
+    /// Per row, the probes it makes plus the scatter of the row itself —
+    /// the weights a flop-balanced schedule is handed; `None` unless asked.
+    row_probes: Option<Vec<u64>>,
+}
+
+/// One serial pass over `a`'s column indices: the half mask, the probes
+/// its product will make, and (when `keep_row_probes`) each row's share.
+fn half_mask<T>(a: &Csr<T>, keep_row_probes: bool) -> HalfMask {
+    let (n, rowptr, colidx) = (a.nrows(), a.rowptr(), a.colidx());
+    // `(degree, index)` packed into one integer: one load and one
+    // comparison order two rows.
+    let degrees = rowptr.windows(2).map(|w| (w[1] - w[0]) as u64);
+    let keys: Vec<u64> = degrees
+        .enumerate()
+        .map(|(i, d)| d << 32 | i as u64)
+        .collect();
+    let mut half_ptr = Vec::with_capacity(n + 1);
+    // Written branch-free at the full size, cut to what was kept.
+    let mut half_cols = vec![0 as Idx; a.nnz()];
+    let mut row_probes = keep_row_probes.then(|| Vec::with_capacity(n));
+    let (mut kept, mut probes) = (0usize, 0u64);
+    half_ptr.push(0);
+    for i in 0..n {
+        let before = probes;
+        for &j in &colidx[rowptr[i]..rowptr[i + 1]] {
+            let key = keys[j as usize];
+            let below = key <= keys[i];
+            half_cols[kept] = j;
+            kept += usize::from(below);
+            probes += if below { key >> 32 } else { 0 };
+        }
+        half_ptr.push(kept);
+        if let Some(row_probes) = &mut row_probes {
+            row_probes.push(probes - before + (keys[i] >> 32));
+        }
+    }
+    // Give the unused half back before the product allocates its output.
+    half_cols.truncate(kept);
+    half_cols.shrink_to_fit();
+    let values = vec![(); kept];
+    HalfMask {
+        mask: Csr::from_parts_unchecked(n, a.ncols(), half_ptr, half_cols, values),
+        probes,
+        row_probes,
+    }
+}
+
+/// `lower ∪ lowerᵀ` for a square `lower` whose off-diagonal entries all
+/// lack their mirror image: row `i` of the result holds row `i` and
+/// column `i` of `lower`, merged by column, in an output allocated at its
+/// exact size.
+fn mirror<T: Copy + Default>(lower: &Csr<T>) -> Csr<T> {
+    let n = lower.nrows();
+    let (lp, lc, lv) = (lower.rowptr(), lower.colidx(), lower.values());
+    let mut len = lower.row_degrees();
+    for i in 0..n {
+        for &j in &lc[lp[i]..lp[i + 1]] {
+            len[j as usize] += usize::from(j as usize != i);
+        }
+    }
+    let rowptr = exclusive_prefix_sum(&len);
+    let mut colidx = vec![0 as Idx; rowptr[n]];
+    let mut values = vec![T::default(); rowptr[n]];
+    // Column `i` goes to the front of row `i`; visiting the source rows in
+    // order leaves it sorted. `len` is reused as the write cursors.
+    let mut end = len;
+    end.copy_from_slice(&rowptr[..n]);
+    for i in 0..n {
+        for p in lp[i]..lp[i + 1] {
+            let j = lc[p] as usize;
+            if j != i {
+                (colidx[end[j]], values[end[j]]) = (i as Idx, lv[p]);
+                end[j] += 1;
+            }
+        }
+    }
+    // Row `i` is merged in from the back, into the room left behind it.
+    for i in 0..n {
+        let (own_cols, own_vals) = (&lc[lp[i]..lp[i + 1]], &lv[lp[i]..lp[i + 1]]);
+        let base = rowptr[i];
+        let (mut mirrored, mut own) = (end[i] - base, own_cols.len());
+        let (cols, vals) = (&mut colidx[base..], &mut values[base..]);
+        while own > 0 {
+            let w = mirrored + own - 1;
+            if mirrored > 0 && cols[mirrored - 1] > own_cols[own - 1] {
+                mirrored -= 1;
+                (cols[w], vals[w]) = (cols[mirrored], vals[mirrored]);
+            } else {
+                own -= 1;
+                (cols[w], vals[w]) = (own_cols[own], own_vals[own]);
+            }
+        }
+    }
+    Csr::from_parts_unchecked(n, lower.ncols(), rowptr, colidx, values)
+}
+
+/// `Auto`'s choice for one product that is not run oriented:
 ///
 /// * pull cheaper than push by counted work ([`PULL_PROBE_COST`]) →
 ///   `Inner`, under either mask mode (§4.3: neither direction wins
 ///   everywhere — a mask asymptotically sparser than the inputs is
 ///   pull's, and so is a late BFS level of BC, whose complemented mask
 ///   leaves few columns under long `A` rows);
-/// * inputs much sparser than a normal mask → `Heap`;
-/// * otherwise `MSA` on narrow matrices (accumulator fits cache),
-///   `Hash` on wide ones (§8.1: "MSA performing better on smaller
-///   matrices and Hash on larger ones").
-pub(crate) fn auto_select<M, L, R>(
-    mask: &Csr<M>,
-    a: &Csr<L>,
-    b: &Csr<R>,
-    complement: bool,
-    work: DirectionWork,
-) -> Algorithm {
+/// * otherwise `MSA` on narrow outputs (accumulator fits cache), `Hash`
+///   on wide ones (§8.1: "MSA performing better on smaller matrices and
+///   Hash on larger ones").
+///
+/// No shape rule picks `Heap` any more: "inputs 8× sparser than a normal
+/// mask" cost 10–16 ms where MSA took 2.6–3.7 (`abl_push_pull`, `d_input
+/// 8`, `d_mask ≥ 128`) and summed BC's columns in heap order instead of
+/// `k` order — `docs/DECISIONS.md`. `heap` stays nameable.
+pub(crate) fn auto_select(out_cols: usize, work: DirectionWork) -> Algorithm {
     /// Matrices narrower than this keep a dense MSA row resident in cache.
     const MSA_WIDTH_LIMIT: usize = 1 << 16;
     if pull_is_cheaper(work) {
-        return Algorithm::Inner;
-    }
-    let dm = mask.nnz() as f64 / mask.nrows().max(1) as f64;
-    let da = a.nnz() as f64 / a.nrows().max(1) as f64;
-    let db = b.nnz() as f64 / b.nrows().max(1) as f64;
-    if !complement && da.max(db) * 8.0 <= dm {
-        Algorithm::Heap
-    } else if b.ncols() <= MSA_WIDTH_LIMIT {
+        Algorithm::Inner
+    } else if out_cols <= MSA_WIDTH_LIMIT {
         Algorithm::Msa
     } else {
         Algorithm::Hash
@@ -517,7 +774,57 @@ pub(crate) fn auto_select<M, L, R>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mspgemm_sparse::semiring::PlusTimesI64;
+    use crate::schedule::{ExecStats, RowSchedule, WsPool};
+    use mspgemm_sparse::semiring::{PlusTimesF64, PlusTimesI64};
+
+    /// A symmetric 640-vertex graph skewed enough for the oriented plan to
+    /// win: vertices 0–7 are adjacent to every vertex that has an edge at
+    /// all, the rest sparsely to each other; every 97th vertex is isolated
+    /// (an empty row and column) and every 41st carries a self-loop.
+    /// `value(u, v)` is called with `u ≤ v`, so the values are symmetric.
+    fn skewed<T: Copy + Send + Sync>(value: impl Fn(usize, usize) -> T) -> Csr<T> {
+        const N: usize = 640;
+        let isolated = |x: usize| x % 97 == 13;
+        let edge = |u: usize, v: usize| match (isolated(u) || isolated(v), u == v) {
+            (true, _) => false,
+            (_, true) => u.is_multiple_of(41),
+            _ => u < 8 || (u * 31 + v * 17).is_multiple_of(53),
+        };
+        let d: Vec<Vec<Option<T>>> = (0..N)
+            .map(|i| {
+                let cell = |j: usize| (i.min(j), i.max(j));
+                (0..N)
+                    .map(|j| edge(cell(j).0, cell(j).1).then(|| value(cell(j).0, cell(j).1)))
+                    .collect()
+            })
+            .collect();
+        Csr::from_dense(&d, N)
+    }
+
+    fn hubs_and_leaves() -> Csr<i64> {
+        skewed(|u, v| ((u + 2 * v) % 5) as i64 + 1)
+    }
+
+    /// [`skewed`] with values whose products span 32 orders of magnitude,
+    /// so a coordinate's sum depends on the order its terms are added in.
+    fn order_sensitive() -> Csr<f64> {
+        const VALUES: [f64; 6] = [1e8, 1.0, -1e8, 3.0, 0.5, -1.0];
+        skewed(|u, v| VALUES[((u + v) * 7 + u * v) % 6])
+    }
+
+    /// `f` on a pool of two workers: the oriented rule charges its serial
+    /// passes per thread, so a test of the decision pins the thread count
+    /// instead of inheriting the host's.
+    fn on_two_threads<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+        let workers = rayon::ThreadPoolBuilder::new().num_threads(2).build();
+        workers.unwrap().install(f)
+    }
+
+    /// A CSR's three sections, the values by bits.
+    fn sections(c: &Csr<f64>) -> (Vec<usize>, Vec<Idx>, Vec<u64>) {
+        let bits = c.values().iter().map(|v| v.to_bits()).collect();
+        (c.rowptr().to_vec(), c.colidx().to_vec(), bits)
+    }
 
     fn dense(n: usize, v: i64) -> Csr<i64> {
         let d: Vec<Vec<Option<i64>>> = (0..n).map(|_| vec![Some(v); n]).collect();
@@ -602,7 +909,7 @@ mod tests {
         complement: bool,
     ) -> (Algorithm, DirectionWork) {
         let (_, work) = direction_work(m, a, b, bt, complement, true);
-        (auto_select(m, a, b, complement, work), work)
+        (auto_select(b.ncols(), work), work)
     }
 
     #[test]
@@ -619,14 +926,15 @@ mod tests {
     }
 
     #[test]
-    fn auto_picks_heap_for_sparse_inputs() {
-        // One product per row against a probe per mask entry: push, and
-        // inputs this much sparser than the mask are the heap's.
+    fn sparse_inputs_under_a_dense_mask_stay_msa() {
+        // One product per row against a probe per mask entry: push. Inputs
+        // 8× sparser than the mask used to be the heap's — a measured
+        // regret (`docs/DECISIONS.md`), so no shape rule names it now.
         let m = dense(64, 1).pattern();
         let a = Csr::<i64>::diagonal(64, 1);
         let (algo, work) = auto(&m, &a, &a, Some(&a), false);
         assert_eq!((work.push, work.pull), (64, 64 + 64 * 64));
-        assert_eq!(algo, Algorithm::Heap);
+        assert_eq!(algo, Algorithm::Msa);
     }
 
     #[test]
@@ -637,20 +945,50 @@ mod tests {
     }
 
     #[test]
-    fn symmetric_self_mask_is_a_tie_and_stays_push() {
-        // M = A = B = Bᵀ: every product `a_ik·b_kj` has its probe, so the
-        // two sides differ by the scatter of the `A` rows alone — the
-        // `mxm` verb, `mxm run`, k-truss's full product.
-        let n = 40usize;
-        let d: Vec<Vec<Option<i64>>> = (0..n)
-            .map(|i| (0..n).map(|j| ((i * j) % 3 == 1).then_some(1)).collect())
-            .collect();
-        let a = Csr::from_dense(&d, n);
+    fn symmetric_self_mask_counts_three_directions_off_the_row_pointers() {
+        // M = A = B = Bᵀ, one object: every product `a_ik·b_kj` has its
+        // probe, so push and pull differ by the scatter of the `A` rows
+        // alone and stay a tie that push wins — the `mxm` verb, k-truss's
+        // full product. The oriented count is what can beat both.
+        let a = hubs_and_leaves();
         assert_eq!(a, transpose(&a));
-        let (algo, work) = auto(&a, &a, &a, Some(&a), false);
+        let (work, half) = on_two_threads(|| self_product_plan(&a, true));
         assert_eq!(work.push, a.flops_with(&a));
         assert_eq!(work.pull, work.push + a.nnz() as u64);
-        assert_eq!(algo, Algorithm::Msa);
+        // One dot per unordered edge (and per self-loop), `min(d_i, d_j)`
+        // probes each — the diagonal probes its own row.
+        let degree = a.row_degrees();
+        let edges = a.iter().filter(|&(i, j, _)| j as usize <= i);
+        let bound: usize = edges
+            .map(|(i, j, _)| degree[i].min(degree[j as usize]))
+            .sum();
+        assert_eq!(work.oriented, Some(bound as u64));
+        assert!(
+            bound as u64 <= work.push / 2,
+            "the bound the decision rests on"
+        );
+        assert!(!pull_is_cheaper(work));
+        // The plan that won comes with its half mask: each edge in the row
+        // of its higher `(degree, index)` end, and the rows' own weights.
+        let half = half.expect("the oriented plan wins here");
+        assert_eq!(half.probes, bound as u64);
+        assert_eq!(
+            2 * half.mask.nnz(),
+            a.nnz() + a.iter().filter(|&(i, j, _)| i == j as usize).count()
+        );
+        assert!(half
+            .mask
+            .iter()
+            .all(|(i, j, _)| (degree[j as usize], j as usize) <= (degree[i], i)));
+        let weights = half.row_probes.expect("asked for");
+        assert_eq!(weights.iter().sum::<u64>(), half.probes + a.nnz() as u64);
+        // The walked counts — what a distinct-but-equal `bt` gets — agree
+        // on push, stop counting pull once it has lost, and do not know
+        // the third.
+        let (_, walked) = direction_work(&a, &a, &a, Some(&a.clone()), false, true);
+        assert_eq!((walked.push, walked.oriented), (work.push, None));
+        assert!(walked.pull <= work.pull && !pull_is_cheaper(walked));
+        assert_eq!(auto_select(a.ncols(), walked), Algorithm::Msa);
     }
 
     /// One BFS level of BC over `n` vertices and 4 batch rows: a frontier
@@ -745,7 +1083,7 @@ mod tests {
         assert_eq!(flops, Some(vec![64; 3000]));
         assert_eq!((full.push, full.pull), (3000 * 64, cut.pull));
         for work in [cut, full] {
-            assert_eq!(auto_select(&m, &a, &b, false, work), Algorithm::Inner);
+            assert_eq!(auto_select(b.ncols(), work), Algorithm::Inner);
         }
         // One-entry `A` rows under a full mask: push's pass is the short
         // one — 8 products a row — and pull's 1 + 8 · 8 probes a row are
@@ -755,7 +1093,7 @@ mod tests {
         assert_eq!(cut.push, 3000 * 8);
         assert!(16_000 < cut.pull && cut.pull < 3000 * 65, "{cut:?}");
         assert_eq!(cut.pull % 65, 0, "whole rows");
-        assert_eq!(auto_select(&m, &a, &b, false, cut), Algorithm::Msa);
+        assert_eq!(auto_select(b.ncols(), cut), Algorithm::Msa);
     }
 
     #[test]
@@ -785,7 +1123,10 @@ mod tests {
         assert_eq!(stats.auto_choice(), None);
         run(Algorithm::Auto);
         let choice = stats.auto_choice().expect("Auto ran");
-        assert_eq!(choice.algo, Algorithm::Inner);
+        assert_eq!(
+            (choice.algo, choice.work.oriented),
+            (Algorithm::Inner, None)
+        );
         assert_eq!(choice.work.push, 4 * 48 * 64);
         stats.reset();
         assert_eq!(stats.auto_choice(), None);
@@ -797,6 +1138,238 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), Algorithm::ALL.len());
+    }
+
+    /// `mode(mask) ⊙ (a·b)` on `S` with `bt` supplied, and what `Auto`
+    /// recorded for it (`None` for a named algorithm).
+    #[allow(clippy::too_many_arguments)]
+    fn product<S: Semiring<Left = f64, Right = f64, Out = f64>>(
+        mask: &Csr<f64>,
+        a: &Csr<f64>,
+        b: &Csr<f64>,
+        bt: &Csr<f64>,
+        algo: Algorithm,
+        mode: MaskMode,
+        phases: Phases,
+        opts: &ExecOpts<'_>,
+    ) -> (Csr<f64>, Option<AutoChoice>) {
+        let stats = ExecStats::new();
+        let opts = ExecOpts {
+            stats: Some(&stats),
+            ..*opts
+        };
+        let c = masked_mxm_with_bt::<S, f64>(mask, a, b, Some(bt), algo, mode, phases, &opts);
+        (c.unwrap(), stats.auto_choice())
+    }
+
+    #[test]
+    fn oriented_self_product_equals_msa_and_inner_by_bits() {
+        let a = order_sensitive();
+        assert_eq!(a, transpose(&a));
+        assert!((0..8).all(|hub| a.row_nnz(hub) >= 630) && a.row_nnz(13) == 0);
+        assert!(a.get(41, 41).is_some(), "a self-loop");
+        let default = ExecOpts::default();
+        let named = |algo| {
+            let (c, choice) = product::<PlusTimesF64>(
+                &a,
+                &a,
+                &a,
+                &a,
+                algo,
+                MaskMode::Mask,
+                Phases::One,
+                &default,
+            );
+            assert_eq!(choice, None);
+            sections(&c)
+        };
+        let want = named(Algorithm::Msa);
+        assert_eq!(named(Algorithm::Inner), want);
+        // The values really are order-sensitive: summed in descending `k`
+        // some coordinate comes out different.
+        let descending = |i: usize, j: Idx| {
+            let (row, vals) = a.row(i);
+            let terms = row.iter().zip(vals).rev();
+            terms
+                .filter_map(|(&k, &x)| a.get(k as usize, j).map(|&y| x * y))
+                .reduce(|acc, t| acc + t)
+        };
+        let c = masked_mxm_with_opts::<PlusTimesF64, f64>(
+            &a,
+            &a,
+            &a,
+            Algorithm::Msa,
+            MaskMode::Mask,
+            Phases::One,
+            &default,
+        )
+        .unwrap();
+        assert!(
+            c.iter()
+                .any(|(i, j, v)| descending(i, j).map(f64::to_bits) != Some(v.to_bits())),
+            "test values must tell summation orders apart"
+        );
+
+        let pool = WsPool::new();
+        for threads in [1usize, 2, 4] {
+            let workers = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            for phases in [Phases::One, Phases::Two] {
+                for schedule in RowSchedule::ALL {
+                    for ws_pool in [None, Some(&pool)] {
+                        let opts = ExecOpts {
+                            schedule,
+                            ws_pool,
+                            ..ExecOpts::default()
+                        };
+                        let (c, choice) = workers.install(|| {
+                            product::<PlusTimesF64>(
+                                &a,
+                                &a,
+                                &a,
+                                &a,
+                                Algorithm::Auto,
+                                MaskMode::Mask,
+                                phases,
+                                &opts,
+                            )
+                        });
+                        let what = format!(
+                            "{threads} threads {phases:?} {schedule:?} pooled={}",
+                            ws_pool.is_some()
+                        );
+                        let choice = choice.expect("Auto ran");
+                        assert_eq!(choice.algo, Algorithm::Inner, "{what}");
+                        assert_eq!(choice.work, self_product_plan(&a, false).0, "{what}");
+                        assert_eq!(sections(&c), want, "{what}");
+                    }
+                }
+            }
+        }
+        assert!(pool.hits() > 0, "the half products share the pull scratch");
+    }
+
+    /// `mul(x, y) = x − y`: one operand type, but not symmetric in them.
+    #[derive(Clone, Copy)]
+    struct PlusMinusF64;
+
+    impl Semiring for PlusMinusF64 {
+        type Left = f64;
+        type Right = f64;
+        type Out = f64;
+        const ZERO: f64 = 0.0;
+        fn mul(x: f64, y: f64) -> f64 {
+            x - y
+        }
+        fn add(x: f64, y: f64) -> f64 {
+            x + y
+        }
+    }
+
+    #[test]
+    fn every_guard_keeps_a_product_off_the_oriented_path() {
+        on_two_threads(|| {
+            let a = order_sensitive();
+            let twin = a.clone();
+            let opts = ExecOpts::default();
+            // What `Auto` did with one product, checked against MSA's answer.
+            fn judged<S: Semiring<Left = f64, Right = f64, Out = f64>>(
+                mask: &Csr<f64>,
+                a: &Csr<f64>,
+                bt: &Csr<f64>,
+                mode: MaskMode,
+                opts: &ExecOpts<'_>,
+            ) -> AutoChoice {
+                let run = |algo| product::<S>(mask, a, a, bt, algo, mode, Phases::One, opts);
+                let (got, choice) = run(Algorithm::Auto);
+                assert_eq!(sections(&got), sections(&run(Algorithm::Msa).0));
+                choice.expect("Auto ran")
+            }
+            let taken = judged::<PlusTimesF64>(&a, &a, &a, MaskMode::Mask, &opts);
+            assert!(taken.work.oriented.is_some());
+            // An equal `bt`, or an equal mask, that is another object.
+            for choice in [
+                judged::<PlusTimesF64>(&a, &a, &twin, MaskMode::Mask, &opts),
+                judged::<PlusTimesF64>(&twin, &a, &a, MaskMode::Mask, &opts),
+            ] {
+                assert!(choice.work.oriented.is_none());
+                assert_eq!(choice.work.push, taken.work.push);
+            }
+            // The complement of a symmetric mask is symmetric too, but the
+            // half mask has no complemented reading.
+            let choice = judged::<PlusTimesF64>(&a, &a, &a, MaskMode::Complement, &opts);
+            assert!(choice.work.oriented.is_none());
+            // `a_ik − a_kj` is not `a_jk − a_ki`.
+            let choice = judged::<PlusMinusF64>(&a, &a, &a, MaskMode::Mask, &opts);
+            assert!(choice.work.oriented.is_none());
+            // A karate-sized product sits under the fixed charge, a long thin
+            // ring under the per-entry one: neither is walked, both push.
+            let circulant = |n: usize, steps: &[usize]| {
+                let mut coo = mspgemm_sparse::Coo::new(n, n);
+                for i in 0..n {
+                    for &step in steps {
+                        coo.push(i as Idx, ((i + step) % n) as Idx, 2.0);
+                        coo.push(((i + step) % n) as Idx, i as Idx, 2.0);
+                    }
+                }
+                coo.to_csr(|x, _| x)
+            };
+            for (graph, under_fixed) in [
+                (circulant(34, &[1, 2, 5]), true),
+                (circulant(30_000, &[1]), false),
+            ] {
+                let choice = judged::<PlusTimesF64>(&graph, &graph, &graph, MaskMode::Mask, &opts);
+                assert_eq!(choice.work.push / 4 < ORIENTED_FIXED_COST, under_fixed);
+                assert_eq!((choice.algo, choice.work.oriented), (Algorithm::Msa, None));
+            }
+        })
+    }
+
+    #[test]
+    fn oriented_self_product_checks_its_shapes_and_deadline() {
+        let a = hubs_and_leaves();
+        let wide = Csr::<i64>::empty(640, 641);
+        let opts = ExecOpts::default();
+        for (x, y) in [(&a, &wide), (&wide, &a), (&wide, &wide)] {
+            let r = oriented_self_product::<PlusTimesI64>(x, y, Phases::One, &opts);
+            assert!(matches!(r, Err(Error::DimensionMismatch(_))));
+        }
+        let forced = oriented_self_product::<PlusTimesI64>(&a, &a, Phases::Two, &opts);
+        assert_eq!(
+            forced,
+            mxm(&a.pattern(), &a, &a, Algorithm::Msa, MaskMode::Mask)
+        );
+        let late = ExecOpts {
+            deadline: std::time::Instant::now().checked_sub(std::time::Duration::from_secs(1)),
+            ..opts
+        };
+        let r = oriented_self_product::<PlusTimesI64>(&a, &a, Phases::One, &late);
+        assert_eq!(r.unwrap_err(), Error::DeadlineExceeded);
+    }
+
+    #[test]
+    fn mirror_merges_rows_with_columns() {
+        // Row 2 holds columns on both sides of its mirrored entries, row 0
+        // only receives, row 3 is empty both ways, (1, 1) is a diagonal.
+        let lower = Csr::from_dense(
+            &[
+                vec![None; 5],
+                vec![Some(10), Some(11), None, None, None],
+                vec![Some(20), None, None, None, Some(24)],
+                vec![None; 5],
+                vec![Some(40), Some(41), None, None, None],
+            ],
+            5,
+        );
+        let full = mirror(&lower);
+        assert_eq!(full, transpose(&full));
+        assert_eq!(full.nnz(), 2 * lower.nnz() - 1);
+        for (i, j, v) in lower.iter() {
+            assert_eq!(full.get(i, j), Some(v));
+        }
+        assert_eq!(mirror(&Csr::<i64>::empty(3, 3)), Csr::empty(3, 3));
     }
 
     #[test]

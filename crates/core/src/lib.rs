@@ -22,6 +22,9 @@
 //! paper's §8 (MCA×complement excepted, as in the paper) — as a row
 //! kernel on the one [`phases::run_kernel`] driver, so [`ExecOpts`]
 //! (schedule, workspace pool, stats, deadline) govern all six alike.
+//! [`Algorithm::Auto`] picks per product from counted work — push, pull,
+//! or, for a symmetric self-product `A ⊙ (A·A)`, the pull kernel over
+//! half the mask, mirrored ([`dispatch::oriented_self_product`]).
 //!
 //! ## Quick start
 //!

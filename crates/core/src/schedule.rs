@@ -292,7 +292,11 @@ impl ProductCounts {
 pub struct AutoChoice {
     /// The concrete algorithm that ran.
     pub algo: Algorithm,
-    /// Push products against pull probes, as counted for the decision.
+    /// Push products against pull probes, as counted for the decision. A
+    /// product that ran as
+    /// [`oriented_self_product`](crate::dispatch::oriented_self_product)
+    /// — `algo` is then the pull kernel, over half the mask — carries its
+    /// third count, [`DirectionWork::oriented`]; no other product does.
     pub work: DirectionWork,
 }
 

@@ -551,30 +551,34 @@ mod tests {
         // direction must produce the same score bits — whatever the
         // schedule and thread count.
         use masked_spgemm::RowSchedule;
-        let g = mspgemm_gen::er_symmetric(64, 10, 21);
-        // The one kernel that sums a column's products in another order is
-        // the heap; `Auto` reaches it only under a mask 8× denser than the
-        // inputs, which an average degree above n/8 rules out.
-        assert!(g.nnz() * 8 > g.nrows() * g.ncols());
-        let sources: Vec<usize> = (0..16).collect();
-        let bits = |r: &BcResult| r.scores.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let want = run_bc(&g, &sources, MSA_1P);
-        // Early levels push, late ones pull: 10 products against hundreds
-        // of probes from a source, the reverse once few columns are left.
-        assert!(want.depth > 3, "needs levels on both sides of the choice");
-        for threads in [1usize, 2, 4] {
-            let workers = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            for sched in RowSchedule::ALL {
-                for algo in [Algorithm::Auto, Algorithm::Msa, Algorithm::Inner] {
-                    let scheme = Scheme::Ours(algo, Phases::One);
-                    let opts = ExecOpts::with_schedule(sched);
-                    let r = workers.install(|| betweenness_with(&g, &sources, scheme, &opts));
-                    let label = format!("{} {} @ {threads}", scheme.name(), sched.name());
-                    assert_eq!(bits(&r), bits(&want), "{label}");
-                    assert_eq!(r.depth, want.depth, "{label}");
+        // The second graph is the one this test used to avoid: a backward
+        // level of R-MAT 8 has inputs 8× sparser than its mask, which
+        // `Auto` once handed to the heap — the one kernel that sums a
+        // column's products in heap order, not `k` order. No shape rule
+        // picks the heap any more.
+        let rmat = mspgemm_gen::rmat_symmetric(8, mspgemm_gen::RmatParams::default(), 1);
+        for g in [mspgemm_gen::er_symmetric(64, 10, 21), rmat] {
+            let sources: Vec<usize> = (0..16).collect();
+            let bits = |r: &BcResult| r.scores.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let want = run_bc(&g, &sources, MSA_1P);
+            // Early levels push, late ones pull: 10 products against
+            // hundreds of probes from a source, the reverse once few
+            // columns are left.
+            assert!(want.depth > 3, "needs levels on both sides of the choice");
+            for threads in [1usize, 2, 4] {
+                let workers = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                for sched in RowSchedule::ALL {
+                    for algo in [Algorithm::Auto, Algorithm::Msa, Algorithm::Inner] {
+                        let scheme = Scheme::Ours(algo, Phases::One);
+                        let opts = ExecOpts::with_schedule(sched);
+                        let r = workers.install(|| betweenness_with(&g, &sources, scheme, &opts));
+                        let label = format!("{} {} @ {threads}", scheme.name(), sched.name());
+                        assert_eq!(bits(&r), bits(&want), "{label}");
+                        assert_eq!(r.depth, want.depth, "{label}");
+                    }
                 }
             }
         }

@@ -7,7 +7,10 @@
 //!
 //! * the raw matrix as loaded (the `mxm` verb squares it under its own
 //!   pattern as the mask, mirroring `mxm run`) and its transpose (the
-//!   pre-computed `Bᵀ` that the pull-based Inner scheme consumes);
+//!   pre-computed `Bᵀ` that the pull-based Inner scheme consumes) — which
+//!   a symmetric matrix is itself, so a symmetric snapshot stores none
+//!   and [`Dataset::bt`] hands out the matrix: the identity that lets
+//!   `Auto` compute the self-product once per edge;
 //! * the normalized undirected adjacency (what the TC / k-truss / BC
 //!   applications consume);
 //! * lazily, the relabeled triangle-counting operands and the per-row
@@ -68,9 +71,11 @@ pub struct Dataset {
     /// The matrix as loaded from disk (square — the server rejects
     /// rectangular inputs at `load`, like `mxm run` does).
     pub matrix: Csr<f64>,
-    /// `matrixᵀ`, pre-computed once so Inner-scheme requests skip the
-    /// per-call transpose the paper charges to `SS:DOT` (§8.4).
-    pub matrix_t: Csr<f64>,
+    /// `matrixᵀ` where it differs from `matrix` (pattern, or values by
+    /// bits), pre-computed once so Inner-scheme requests skip the per-call
+    /// transpose the paper charges to `SS:DOT` (§8.4). `None` for a
+    /// symmetric matrix — read it through [`Dataset::bt`].
+    matrix_t: Option<Csr<f64>>,
     /// Normalized simple undirected adjacency (symmetric pattern, no
     /// self-loops, unit weights) — the application operand, and its own
     /// transpose: checked (debug builds) where a snapshot is built, relied
@@ -162,14 +167,16 @@ impl Dataset {
         ingest: IngestReport,
         loaded_at: Instant,
     ) -> Dataset {
-        let mut matrix_t = transpose(&matrix);
+        let mut matrix_t = distinct_transpose(&matrix, transpose(&matrix));
         let (mut adj, _) = to_adjacency(&matrix);
         if matrix.values_unit_shared() {
             // Pattern-loaded base: the transpose and the normalized
             // adjacency are all-ones too, so point their value sections at
             // the process-wide unit arena instead of keeping nnz private
             // copies of the literal 1.0 each.
-            matrix_t.share_unit_values();
+            if let Some(t) = &mut matrix_t {
+                t.share_unit_values();
+            }
             adj.share_unit_values();
         }
         debug_assert!(adj == transpose(&adj), "adj must be its own transpose");
@@ -204,6 +211,11 @@ impl Dataset {
     /// (so last-write-wins, overwrites and deletes of absent entries need
     /// no second rule), and the flop count follows from two row pointers.
     ///
+    /// Symmetry is carried forward the same way: a symmetric `prev` whose
+    /// every changed position ends up equal to its mirror image has a
+    /// symmetric successor, decided in `O(batch)` with no transpose built;
+    /// otherwise the patched transpose is compared with the matrix once.
+    ///
     /// `changed` also extends the seed: `prev`'s own counts if it has any
     /// (then `changed` is all that separates them from the new matrix),
     /// else `prev`'s seed with `changed` appended. A seed grown past
@@ -212,7 +224,12 @@ impl Dataset {
     /// them patched too — same relabeling, the one the counts align with.
     pub fn rebuilt(prev: &Dataset, matrix: Csr<f64>, changed: &[(Idx, Idx)]) -> Dataset {
         debug_assert!(!matrix.has_shared_storage(), "rebuilds must be heap-owned");
-        let matrix_t = transpose_delta(&matrix, changed).merged(prev.matrix_t.view());
+        let matrix_t = if prev.symmetric() && mirrors_itself(&matrix, changed) {
+            None
+        } else {
+            let patched = transpose_delta(&matrix, changed).merged(prev.bt().view());
+            distinct_transpose(&matrix, patched)
+        };
         let adj = adjacency_delta(&matrix, changed).merged(prev.adj.view());
         debug_assert!(adj == transpose(&adj), "adj must be its own transpose");
         let tc_seed = match (prev.tc_counts.get(), &prev.tc_seed) {
@@ -237,7 +254,10 @@ impl Dataset {
         Dataset {
             name: prev.name.clone(),
             path: prev.path.clone(),
-            mxm_flops: 2 * matrix_t.transposed_flops_with(&matrix),
+            mxm_flops: 2 * matrix_t
+                .as_ref()
+                .unwrap_or(&matrix)
+                .transposed_flops_with(&matrix),
             ingest: IngestReport {
                 backend: MsbBackend::Heap,
                 entries: matrix.nnz(),
@@ -252,6 +272,19 @@ impl Dataset {
             tc_counts: OnceLock::new(),
             tc_seed,
         }
+    }
+
+    /// `matrixᵀ` in CSR — the `Bᵀ` of the `mxm` verb. For a symmetric
+    /// snapshot this *is* [`Self::matrix`], the same object: the identity
+    /// `masked_mxm_with_bt` reads as `A = Aᵀ`.
+    pub fn bt(&self) -> &Csr<f64> {
+        self.matrix_t.as_ref().unwrap_or(&self.matrix)
+    }
+
+    /// Whether the matrix equals its transpose, pattern and values (by
+    /// bits) — known since the snapshot was built.
+    pub fn symmetric(&self) -> bool {
+        self.matrix_t.is_none()
     }
 
     /// The triangle-counting operands (degree-relabeled `L` and `Lᵀ`),
@@ -336,9 +369,10 @@ impl Dataset {
         // (counts shared with ancestors no entry retains, so counted
         // here).
         let mut vectors = 0;
-        let mut total = f(&self.matrix.storage_report())
-            + f(&self.matrix_t.storage_report())
-            + f(&self.adj.storage_report());
+        let mut total = f(&self.matrix.storage_report()) + f(&self.adj.storage_report());
+        if let Some(t) = &self.matrix_t {
+            total += f(&t.storage_report());
+        }
         if let Some(ops) = self.tc_ops.get() {
             total += f(&ops.l.storage_report()) + f(&ops.lt.storage_report());
             vectors += size_of_val(ops.perm.as_slice());
@@ -367,6 +401,28 @@ impl Dataset {
     pub fn mapped_bytes(&self) -> u64 {
         self.sum_reports(|r| r.shared_bytes as u64)
     }
+}
+
+/// `transposed` (= `matrixᵀ`) unless it is `matrix` over again — same
+/// pattern, same values bit for bit (`-0.0` is not `0.0` here: the `mxm`
+/// verb's fingerprint hashes bits).
+fn distinct_transpose(matrix: &Csr<f64>, transposed: Csr<f64>) -> Option<Csr<f64>> {
+    let same = matrix.rowptr() == transposed.rowptr()
+        && matrix.colidx() == transposed.colidx()
+        && matrix
+            .values()
+            .iter()
+            .map(|v| v.to_bits())
+            .eq(transposed.values().iter().map(|v| v.to_bits()));
+    (!same).then_some(transposed)
+}
+
+/// Whether every position in `changed` now holds what its mirror image
+/// holds — which keeps a matrix that was symmetric before the batch
+/// symmetric after it.
+fn mirrors_itself(matrix: &Csr<f64>, changed: &[(Idx, Idx)]) -> bool {
+    let bits = |i: Idx, j: Idx| matrix.get(i as usize, j).map(|v| v.to_bits());
+    changed.iter().all(|&(i, j)| bits(i, j) == bits(j, i))
 }
 
 #[cfg(test)]
@@ -456,6 +512,23 @@ mod tests {
                 let (i, j) = pos(s);
                 ops.extend([upsert((i, j), 1.0), upsert((j, i), 1.0)]);
             }
+            // Every op lands above the diagonal and arrives with its mirror
+            // image: a symmetric matrix stays symmetric, and no transpose
+            // is built to find that out.
+            (5, _) => {
+                let at = |(i, j): (Idx, Idx), flip: bool| match flip {
+                    true => (i.max(j), i.min(j)),
+                    false => (i.min(j), i.max(j)),
+                };
+                let side = |flip: bool| {
+                    let ops = ops.iter().map(move |op| match *op {
+                        DeltaOp::Upsert { row, col, val } => upsert(at((row, col), flip), val),
+                        DeltaOp::Delete { row, col } => delete(at((row, col), flip)),
+                    });
+                    ops.collect::<Vec<_>>()
+                };
+                ops = [side(false), side(true)].concat();
+            }
             _ => {}
         }
         ops
@@ -496,6 +569,17 @@ mod tests {
             seed in 0u64..1_000_000,
             nbatches in 2usize..9,
         ) {
+            // Every other case starts symmetric (the upper triangle
+            // mirrored), so the snapshots that store no transpose and the
+            // batches that keep or break that are walked too.
+            let base = if seed % 2 == 0 {
+                let d = base.to_dense();
+                let cell = |i: usize, j: usize| d[i.min(j)][i.max(j)];
+                let dd: Vec<Vec<_>> = (0..N).map(|i| (0..N).map(|j| cell(i, j)).collect()).collect();
+                Csr::from_dense(&dd, N)
+            } else {
+                base
+            };
             let dir = std::env::temp_dir().join("mspgemm_serve_patch");
             std::fs::create_dir_all(&dir).unwrap();
             let (mtx, msb) = (dir.join("b.mtx"), dir.join("b.msb"));
@@ -526,7 +610,11 @@ mod tests {
                         ds.ingest,
                         ds.loaded_at,
                     );
-                    assert_section("matrix_t", &next_ds.matrix_t, &want.matrix_t)?;
+                    prop_assert_eq!(next_ds.symmetric(), want.symmetric());
+                    prop_assert_eq!(next_ds.symmetric(), next_ds.matrix == transpose(&next_ds.matrix));
+                    if let (Some(t), Some(want_t)) = (&next_ds.matrix_t, &want.matrix_t) {
+                        assert_section("matrix_t", t, want_t)?;
+                    }
                     assert_section("adj", &next_ds.adj, &want.adj)?;
                     prop_assert_eq!(next_ds.mxm_flops, want.mxm_flops);
                     match (&next_ds.tc_seed, next_ds.tc_ops.get()) {
@@ -556,6 +644,48 @@ mod tests {
                 )).triangles);
             }
         }
+    }
+
+    /// A snapshot stores a transpose exactly while its matrix differs from
+    /// it, and `bt()` is the matrix itself — the same object — otherwise.
+    #[test]
+    fn symmetry_is_carried_by_identity_across_updates() {
+        let dir = std::env::temp_dir().join("mspgemm_serve_patch");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mtx = dir.join("sym.mtx");
+        mspgemm_io::mtx::write_mtx_file(&mtx, &mspgemm_gen::er_symmetric(60, 6, 3)).unwrap();
+        let off = LoadOpts {
+            policy: CachePolicy::Off,
+            ..LoadOpts::default()
+        };
+        let own_transpose = |ds: &Dataset| {
+            assert_eq!(ds.bt(), &transpose(&ds.matrix));
+            assert_eq!(ds.symmetric(), std::ptr::eq(ds.bt(), &ds.matrix));
+            ds.symmetric()
+        };
+        let v0 = Dataset::load(mtx.to_str().unwrap(), None, &off).unwrap();
+        assert!(own_transpose(&v0));
+        let held = v0.mem_bytes();
+        // One direction of a new edge: the transpose has to be stored.
+        let v1 = updated(&v0, &[upsert((3, 40), 1.0)]);
+        assert!(!own_transpose(&v1));
+        assert!(v1.mem_bytes() > held + 8 * v0.matrix.nnz() as u64);
+        // The other direction with another value: still not symmetric.
+        let v2 = updated(&v1, &[upsert((40, 3), 2.0)]);
+        assert!(!own_transpose(&v2));
+        // Equal values restore it, and the stored transpose goes.
+        let v3 = updated(&v2, &[upsert((40, 3), 1.0)]);
+        assert!(own_transpose(&v3));
+        assert!(v3.mem_bytes() < v2.mem_bytes() - 8 * v0.matrix.nnz() as u64);
+        // A batch that mirrors itself keeps it; -0.0 is not 0.0.
+        let v4 = updated(
+            &v3,
+            &[delete((3, 40)), delete((40, 3)), upsert((7, 7), 5.0)],
+        );
+        assert!(own_transpose(&v4));
+        let v5 = updated(&v4, &[upsert((1, 2), 0.0), upsert((2, 1), -0.0)]);
+        assert!(!own_transpose(&v5));
+        assert_eq!(v5.matrix, transpose(&v5.matrix), "equal by ==, not by bits");
     }
 
     /// The warm path of an update → `app tc` pair never ranks or relabels

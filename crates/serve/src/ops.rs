@@ -235,14 +235,16 @@ fn mxm(
     let ds = state.registry.get(name).map_err(reg_err)?;
     let opts = exec_opts(state, p.schedule, deadline);
     let pool_mark = (state.ws_pool.hits(), state.ws_pool.misses());
-    // Masks are structural, so the matrix masks itself; the registry's
-    // `matrixᵀ` spares the pull kernel its transpose, named or `auto`-picked.
+    // Masks are structural, so the matrix masks itself; the snapshot's
+    // `Bᵀ` spares the pull kernel its transpose, named or `auto`-picked —
+    // and is `ds.matrix` itself when that is symmetric, which is how
+    // `auto` learns it may compute each edge of the product once.
     let run_one = || -> Result<Csr<f64>, masked_spgemm::Error> {
         masked_mxm_with_bt::<PlusTimesF64, f64>(
             &ds.matrix,
             &ds.matrix,
             &ds.matrix,
-            Some(&ds.matrix_t),
+            Some(ds.bt()),
             p.algo,
             p.mode,
             p.phases,

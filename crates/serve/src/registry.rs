@@ -508,7 +508,7 @@ mod tests {
         assert!(out.evicted.is_empty(), "no budget, no eviction");
         assert_eq!(ds.name, "cycle");
         assert_eq!(ds.matrix.nrows(), 80);
-        assert_eq!(ds.matrix_t.nnz(), ds.matrix.nnz());
+        assert_eq!(ds.bt().nnz(), ds.matrix.nnz());
         assert!(ds.mem_bytes() > 0);
 
         assert!(matches!(
@@ -677,7 +677,7 @@ mod tests {
         // In-flight readers keep their old view.
         assert_eq!(before.matrix.get(3, 4), None);
         // Derived operands track the merged matrix.
-        assert_eq!(live.matrix_t.get(4, 3), Some(&1.0));
+        assert_eq!(live.bt().get(4, 3), Some(&1.0));
 
         let out = reg
             .update("u", &[DeltaOp::Delete { row: 3, col: 4 }])

@@ -26,6 +26,13 @@ pub trait Semiring: Copy + Send + Sync + 'static {
     /// Identity of `add`.
     const ZERO: Self::Out;
 
+    /// Whether `Left` and `Right` are one type and `mul(x, y) == mul(y, x)`
+    /// bit for bit. With `A = Aᵀ` this makes `A·A` symmetric, term by term
+    /// (`a_ik · a_kj` and `a_jk · a_ki` are the same two numbers), which is
+    /// what lets `masked_spgemm`'s `Auto` compute a symmetric self-product
+    /// once per edge. `false` unless an implementation says otherwise.
+    const MUL_COMMUTES: bool = false;
+
     /// The multiplicative combine.
     fn mul(a: Self::Left, b: Self::Right) -> Self::Out;
 
@@ -43,6 +50,7 @@ impl Semiring for PlusTimesF64 {
     type Right = f64;
     type Out = f64;
     const ZERO: f64 = 0.0;
+    const MUL_COMMUTES: bool = true;
     #[inline(always)]
     fn mul(a: f64, b: f64) -> f64 {
         a * b
@@ -62,6 +70,7 @@ impl Semiring for PlusTimesU64 {
     type Right = u64;
     type Out = u64;
     const ZERO: u64 = 0;
+    const MUL_COMMUTES: bool = true;
     #[inline(always)]
     fn mul(a: u64, b: u64) -> u64 {
         a * b
@@ -81,6 +90,7 @@ impl Semiring for PlusTimesI64 {
     type Right = i64;
     type Out = i64;
     const ZERO: i64 = 0;
+    const MUL_COMMUTES: bool = true;
     #[inline(always)]
     fn mul(a: i64, b: i64) -> i64 {
         a * b
@@ -103,6 +113,7 @@ impl Semiring for PlusPairU64 {
     type Right = ();
     type Out = u64;
     const ZERO: u64 = 0;
+    const MUL_COMMUTES: bool = true;
     #[inline(always)]
     fn mul(_: (), _: ()) -> u64 {
         1
@@ -161,6 +172,7 @@ impl Semiring for OrAndBool {
     type Right = bool;
     type Out = bool;
     const ZERO: bool = false;
+    const MUL_COMMUTES: bool = true;
     #[inline(always)]
     fn mul(a: bool, b: bool) -> bool {
         a && b
@@ -181,6 +193,7 @@ impl Semiring for MinPlusF64 {
     type Right = f64;
     type Out = f64;
     const ZERO: f64 = f64::INFINITY;
+    const MUL_COMMUTES: bool = true;
     #[inline(always)]
     fn mul(a: f64, b: f64) -> f64 {
         a + b
@@ -225,6 +238,27 @@ mod tests {
     #[test]
     fn min_plus_monoid_laws() {
         check_monoid::<MinPlusF64>(&[0.0, 1.5, 7.0, f64::INFINITY]);
+    }
+
+    #[test]
+    fn declared_commuting_muls_commute() {
+        fn check<S: Semiring<Right = <S as Semiring>::Left>>(samples: &[S::Left]) {
+            const { assert!(S::MUL_COMMUTES) };
+            for &x in samples {
+                for &y in samples {
+                    assert_eq!(S::mul(x, y), S::mul(y, x));
+                }
+            }
+        }
+        let floats = [0.0, -0.0, 1.5, -7.0, 1e16, 1e-300, f64::INFINITY];
+        check::<PlusTimesF64>(&floats[..6]); // 0 · ∞ is NaN, equal to nothing
+        check::<MinPlusF64>(&floats);
+        check::<PlusTimesU64>(&[0, 1, 17, 1 << 31]);
+        check::<PlusTimesI64>(&[0, -1, 17, -(1 << 31)]);
+        check::<OrAndBool>(&[false, true]);
+        check::<PlusPairU64>(&[()]);
+        // The projections are not symmetric in their operands.
+        const { assert!(!PlusFirstF64::MUL_COMMUTES && !PlusSecondF64::MUL_COMMUTES) };
     }
 
     #[test]
