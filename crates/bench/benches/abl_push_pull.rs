@@ -12,7 +12,10 @@
 //! the oriented pull over half the mask, mirrored, which `Auto` may pick
 //! when all four operands are one object. `Auto` must sit within
 //! [`AUTO_SLACK`] of the fastest of the three on every row: the grid that
-//! fixes `dispatch::{MIRROR_COST, ORIENTED_FIXED_COST}`.
+//! fixes `dispatch::{MIRROR_COST, ORIENTED_FIXED_COST}`. On the larger
+//! R-MAT rows, where ≈ 40 % of the oriented plan's probes hit, it must also
+//! beat push by [`ORIENTED_OVER_PUSH`] — what the pull kernel's
+//! branch-free probe pass is for.
 
 use masked_spgemm::dispatch::oriented_self_product;
 use masked_spgemm::{masked_mxm_with_bt, Algorithm, ExecOpts, ExecStats, MaskMode, Phases};
@@ -27,6 +30,14 @@ use mspgemm_sparse::{transpose, Csr};
 /// cell: the decision's counting passes plus timer noise, not a wrong
 /// direction (the nearest miss costs 1.2×).
 const AUTO_SLACK: f64 = 1.15;
+
+/// The most the oriented plan may take of push's time on [`DENSE_HIT_ROWS`]:
+/// ≈ 0.3 with the branch-free probe pass, ≈ 0.6 with the branchy loop
+/// alone, so a probe loop that regresses to mispredicting fails here.
+const ORIENTED_OVER_PUSH: f64 = 0.5;
+
+/// The symmetric rows [`ORIENTED_OVER_PUSH`] holds on.
+const DENSE_HIT_ROWS: [&str; 2] = ["rmat12", "rmat13"];
 
 /// Fewest timing rounds per cell, whatever `MSPGEMM_REPS` says — a single
 /// sample of a millisecond product cannot carry a 15 % assert — and the
@@ -116,8 +127,10 @@ fn symmetric_self_products(rounds: usize) -> Vec<String> {
             assert!(sections(&got) == sections(&want), "{name}: {label} != push");
         }
         let choice = stats.auto_choice().expect("Auto ran");
+        let dense_hits = DENSE_HIT_ROWS.contains(&name.as_str());
         let missed = |[push_s, pull_s, oriented_s, auto_s]: [f64; 4]| {
             auto_s > AUTO_SLACK * push_s.min(pull_s).min(oriented_s)
+                || (dense_hits && oriented_s > ORIENTED_OVER_PUSH * push_s)
         };
         let best = race(
             [
@@ -246,6 +259,7 @@ fn main() {
     );
     assert!(
         symmetric_misses.is_empty(),
-        "Auto over {AUTO_SLACK}× the fastest of push / pull / oriented: {symmetric_misses:#?}"
+        "Auto over {AUTO_SLACK}× the fastest of push / pull / oriented, or oriented over \
+         {ORIENTED_OVER_PUSH}× push on {DENSE_HIT_ROWS:?}: {symmetric_misses:#?}"
     );
 }

@@ -212,6 +212,19 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
         )
         .map_err(|e| e.to_string())?;
     }
+    // The pull kernel's counterpart: how many of its probes of the
+    // scattered `A` row found an entry (what picks its probe loop).
+    let probes = stats.probes();
+    if probes.probes > 0 {
+        writeln!(
+            out,
+            "probes   : {:.1}% hit ({} probes, {} hits; all runs)",
+            100.0 * probes.hit_ratio(),
+            probes.probes,
+            probes.hits,
+        )
+        .map_err(|e| e.to_string())?;
+    }
     writeln!(out, "{}", simd_line()).map_err(|e| e.to_string())?;
     writeln!(
         out,
@@ -731,6 +744,32 @@ mod tests {
         // warm-up and the one timed run.
         assert!(!run_prints_products_line(&mtx, "hash"));
         assert!(run_prints_products_line(&mtx, "msa"));
+        // The pull kernel reports its probes beside them: a hit is a
+        // product whose coordinate the mask admits, so Inner's hits are
+        // MSA's admitted products, and only Inner prints the line.
+        let counted = |algo: &str, line: &str, after: &str, before: &str| {
+            let path = mtx.to_str().unwrap();
+            let args = sv(&["--algo", algo, "--reps", "1", "--no-cache", path]);
+            let p = parse(&args, &["algo", "reps"]).unwrap();
+            let mut out = Vec::new();
+            cmd_run(&p, &mut out).unwrap();
+            let text = String::from_utf8(out).unwrap();
+            let line = text.lines().find(|l| l.starts_with(line))?;
+            let (_, tail) = line.split_once(after).expect(line);
+            Some(
+                tail.split_once(before)
+                    .expect(line)
+                    .0
+                    .parse::<u64>()
+                    .unwrap(),
+            )
+        };
+        let admitted = counted("msa", "products :", "formed, ", " admitted");
+        let hits = counted("inner", "probes   :", "probes, ", " hits");
+        assert!(admitted.is_some_and(|n| n > 0));
+        assert_eq!(hits, admitted);
+        assert!(counted("inner", "probes   :", "(", " probes").unwrap() > hits.unwrap());
+        assert_eq!(counted("msa", "probes   :", "(", " probes"), None);
         // A typo'd schedule is rejected up front.
         let p = parse(
             &sv(&["--schedule", "dynamic", mtx.to_str().unwrap()]),

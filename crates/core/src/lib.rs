@@ -63,4 +63,6 @@ pub use dispatch::{
     masked_mxm_with_bt, masked_mxm_with_opts, Algorithm, DirectionWork, Error, MaskMode,
 };
 pub use phases::Phases;
-pub use schedule::{AutoChoice, ExecOpts, ExecStats, ProductCounts, RowSchedule, WsPool};
+pub use schedule::{
+    AutoChoice, ExecOpts, ExecStats, ProbeCounts, ProductCounts, RowSchedule, WsPool,
+};

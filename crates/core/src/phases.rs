@@ -23,7 +23,7 @@
 //! across schedules and thread counts.
 
 use crate::dispatch::Error;
-use crate::schedule::{row_chunks, ExecOpts, ProductCounts, RowSchedule, WsPool};
+use crate::schedule::{row_chunks, ExecOpts, ProbeCounts, ProductCounts, RowSchedule, WsPool};
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::util::{par_exclusive_prefix_sum, UnsafeSlice};
 use mspgemm_sparse::{Csr, CsrRef, Idx};
@@ -127,6 +127,13 @@ pub trait RowKernel<S: Semiring>: Sync {
         ProductCounts::default()
     }
 
+    /// Hand over (and zero) the probes the workspace counted since the
+    /// last call — see [`ProbeCounts`]; the pull kernel's counterpart of
+    /// [`take_product_counts`](Self::take_product_counts).
+    fn take_probe_counts(_ws: &mut Self::Ws) -> ProbeCounts {
+        ProbeCounts::default()
+    }
+
     /// Symbolic pass: the exact number of entries row `i` will produce.
     fn row_symbolic(&self, ws: &mut Self::Ws, ctx: RowCtx<'_, S>) -> usize;
 
@@ -145,8 +152,8 @@ pub trait RowKernel<S: Semiring>: Sync {
 /// A leased workspace: taken from the pool (or freshly built) when an
 /// executor starts claiming chunks, returned to the pool on drop. Also
 /// accumulates the executor's busy seconds locally, reporting the total
-/// — and the products the workspace counted — once at lease end so no
-/// shared state sits inside the timed region.
+/// — and the products and probes the workspace counted — once at lease
+/// end so no shared state sits inside the timed region.
 struct WsLease<'a, W: Any + Send> {
     ws: Option<W>,
     pool: Option<&'a WsPool>,
@@ -154,8 +161,12 @@ struct WsLease<'a, W: Any + Send> {
     busy: f64,
     tag: u64,
     ncols: usize,
-    take_counts: fn(&mut W) -> ProductCounts,
+    take_counts: TakeCounts<W>,
 }
+
+/// Drains a workspace's counters: [`RowKernel::take_product_counts`] and
+/// [`RowKernel::take_probe_counts`] of its kernel.
+type TakeCounts<W> = fn(&mut W) -> (ProductCounts, ProbeCounts);
 
 impl<'a, W: Any + Send> WsLease<'a, W> {
     fn new(
@@ -163,7 +174,7 @@ impl<'a, W: Any + Send> WsLease<'a, W> {
         stats: Option<&'a crate::schedule::ExecStats>,
         tag: u64,
         ncols: usize,
-        take_counts: fn(&mut W) -> ProductCounts,
+        take_counts: TakeCounts<W>,
         make: impl FnOnce() -> W,
     ) -> Self {
         let ws = match pool {
@@ -199,7 +210,7 @@ impl<W: Any + Send> Drop for WsLease<'_, W> {
         };
         // Drained even when nobody records: a parked workspace must not
         // carry this drive's counts into the next one's report.
-        let counts = (self.take_counts)(&mut ws);
+        let (products, probes) = (self.take_counts)(&mut ws);
         if let Some(pool) = self.pool {
             pool.put(self.tag, self.ncols, ws);
         }
@@ -207,7 +218,7 @@ impl<W: Any + Send> Drop for WsLease<'_, W> {
             if self.busy > 0.0 {
                 stats.record(self.busy);
             }
-            stats.record_products(counts);
+            stats.record_counts(products, probes);
         }
     }
 }
@@ -240,7 +251,7 @@ fn run_rows<S, K>(
                 opts.stats,
                 kernel.ws_tag(),
                 key_ncols,
-                K::take_product_counts,
+                |ws| (K::take_product_counts(ws), K::take_probe_counts(ws)),
                 || kernel.make_ws(ncols),
             )
         },

@@ -37,7 +37,8 @@
 //! [`ExecStats`] records per-thread busy seconds inside the row loops, the
 //! raw material for the load-imbalance (max/mean) figure the CLI reports,
 //! and the [`ProductCounts`] the MSA row entry keeps (products formed vs.
-//! admitted by the mask — the paper's wasted-work figure).
+//! admitted by the mask — the paper's wasted-work figure) beside the
+//! [`ProbeCounts`] the pull kernel keeps (probes made vs. hit).
 
 use crate::dispatch::{Algorithm, DirectionWork};
 use std::any::{Any, TypeId};
@@ -286,6 +287,31 @@ impl ProductCounts {
     }
 }
 
+/// The pull kernel's pair for one stretch of numeric rows: how many probes
+/// of the scattered `A` row its dots made (`Σ |Bᵀ_j|` over the candidates)
+/// and how many of them hit an `A` entry, i.e. formed a product. Their
+/// ratio is what the kernel picks its probe loop by. Counted in the pull
+/// kernel's workspace and folded into [`ExecStats`] when the executor's
+/// lease ends, like [`ProductCounts`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ProbeCounts {
+    /// Probes made: one per entry of every candidate `Bᵀ` row walked.
+    pub probes: u64,
+    /// Probes that found an `A` entry.
+    pub hits: u64,
+}
+
+impl ProbeCounts {
+    /// Share of probes that hit (`0.0` when none was made).
+    pub fn hit_ratio(&self) -> f64 {
+        if self.probes == 0 {
+            0.0
+        } else {
+            self.hits as f64 / self.probes as f64
+        }
+    }
+}
+
 /// What [`Algorithm::Auto`] resolved to for one product, with the counted
 /// work it compared.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -320,6 +346,9 @@ pub struct ExecStats {
     /// Products formed / admitted, summed over every lease reported.
     formed: AtomicU64,
     admitted: AtomicU64,
+    /// Pull probes made / hit, summed over every lease reported.
+    probes: AtomicU64,
+    hits: AtomicU64,
     /// The latest `Auto` resolution recorded.
     auto: Mutex<Option<AutoChoice>>,
 }
@@ -336,10 +365,14 @@ impl ExecStats {
         relock(&self.current).push(seconds);
     }
 
-    /// Report the products one executor lease formed and admitted.
-    pub(crate) fn record_products(&self, counts: ProductCounts) {
-        self.formed.fetch_add(counts.formed, Ordering::Relaxed);
-        self.admitted.fetch_add(counts.admitted, Ordering::Relaxed);
+    /// Report the products one executor lease formed and admitted, and the
+    /// probes it made and hit.
+    pub(crate) fn record_counts(&self, products: ProductCounts, probes: ProbeCounts) {
+        self.formed.fetch_add(products.formed, Ordering::Relaxed);
+        self.admitted
+            .fetch_add(products.admitted, Ordering::Relaxed);
+        self.probes.fetch_add(probes.probes, Ordering::Relaxed);
+        self.hits.fetch_add(probes.hits, Ordering::Relaxed);
     }
 
     /// Products formed and admitted across every drive recorded so far
@@ -348,6 +381,15 @@ impl ExecStats {
         ProductCounts {
             formed: self.formed.load(Ordering::Relaxed),
             admitted: self.admitted.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Probes made and hit across every drive recorded so far (numeric
+    /// passes of the pull kernel; other kernels report nothing).
+    pub fn probes(&self) -> ProbeCounts {
+        ProbeCounts {
+            probes: self.probes.load(Ordering::Relaxed),
+            hits: self.hits.load(Ordering::Relaxed),
         }
     }
 
@@ -392,6 +434,8 @@ impl ExecStats {
         relock(&self.ranks).clear();
         self.formed.store(0, Ordering::Relaxed);
         self.admitted.store(0, Ordering::Relaxed);
+        self.probes.store(0, Ordering::Relaxed);
+        self.hits.store(0, Ordering::Relaxed);
         *relock(&self.auto) = None;
     }
 }
