@@ -5,7 +5,11 @@
 //! mask is asymptotically sparser than the inputs — asserted at the two
 //! far corners of the `d_input = 32` sweep once every cell is timed, with
 //! `Auto` within [`AUTO_SLACK`] of the faster direction on every cell of
-//! that sweep (the grid that fixes `dispatch::PULL_PROBE_COST`).
+//! that sweep (the grid that fixes `dispatch::PULL_PROBE_COST`). A cell
+//! whose fastest rounds miss the slack is judged the way `mxm-bench diff`
+//! judges a change: it fails only when `Auto`'s median round is over the
+//! slack *and* over the wider of the two columns' interquartile spreads
+//! ([`auto_against_faster`]); any other miss prints as `unresolved`.
 //!
 //! A second section times the symmetric self-product `A ⊙ (A·A)` — the
 //! `mxm` verb, k-truss's support product — three ways: push, pull, and
@@ -45,25 +49,63 @@ const DENSE_HIT_ROWS: [&str; 2] = ["rmat12", "rmat13"];
 const MIN_ROUNDS: usize = 5;
 const MAX_ROUNDS: usize = 40;
 
-/// Interleaved rounds over `runs`, the fastest time per column kept: a
-/// slow stretch of the host hits every column alike. A cell that `missed`
-/// its assertion keeps timing — the minima only converge on the
-/// undisturbed figures.
+/// Interleaved rounds over `runs`, every round's time kept per column: a
+/// slow stretch of the host hits every column alike. A cell whose fastest
+/// times `missed` its assertion keeps timing — the minima only converge
+/// on the undisturbed figures.
 fn race<const K: usize>(
     runs: [&dyn Fn(); K],
     rounds: usize,
     missed: impl Fn([f64; K]) -> bool,
-) -> [f64; K] {
-    let mut best = [f64::INFINITY; K];
+) -> [Vec<f64>; K] {
+    let mut times: [Vec<f64>; K] = std::array::from_fn(|_| Vec::new());
     for round in 1..=MAX_ROUNDS {
-        for (best, run) in best.iter_mut().zip(runs) {
-            *best = best.min(time_best(1, run).0);
+        for (times, run) in times.iter_mut().zip(runs) {
+            times.push(time_best(1, run).0);
         }
-        if round >= rounds.max(MIN_ROUNDS) && !missed(best) {
+        if round >= rounds.max(MIN_ROUNDS) && !missed(fastest(&times)) {
             break;
         }
     }
-    best
+    times
+}
+
+/// The fastest round of each column.
+fn fastest<const K: usize>(times: &[Vec<f64>; K]) -> [f64; K] {
+    times
+        .each_ref()
+        .map(|t| t.iter().copied().fold(f64::INFINITY, f64::min))
+}
+
+/// Median and interquartile spread (`(q3 − q1) / median`, quartiles by
+/// Python's exclusive method) of one column's rounds — what `mxm-bench
+/// diff` judges a change by. Needs two rounds; [`race`] runs at least
+/// [`MIN_ROUNDS`].
+fn median_spread(times: &[f64]) -> (f64, f64) {
+    let mut v = times.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    let median = (v[(n - 1) / 2] + v[n / 2]) / 2.0;
+    let quartile = |i: usize| {
+        let j = (i * (n + 1) / 4).clamp(1, n - 1);
+        let delta = (i * (n + 1)) as f64 - (j * 4) as f64;
+        (v[j - 1] * (4.0 - delta) + v[j] * delta) / 4.0
+    };
+    (median, (quartile(3) - quartile(1)) / median)
+}
+
+/// `mxm-bench diff`'s figures for a cell that missed [`AUTO_SLACK`]: how
+/// far `auto`'s median sits above the faster column's (by median), and the
+/// wider of the two columns' spreads. `auto` is worse only when that gap
+/// is over the slack and over the spread — otherwise the host's noise
+/// cannot tell the two apart.
+fn auto_against_faster(auto: &[f64], push: &[f64], pull: &[f64]) -> (f64, f64) {
+    let (auto_m, auto_spread) = median_spread(auto);
+    let (faster_m, faster_spread) = [median_spread(push), median_spread(pull)]
+        .into_iter()
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .unwrap();
+    (auto_m / faster_m - 1.0, auto_spread.max(faster_spread))
 }
 
 /// A CSR's sections, the values by bits.
@@ -132,7 +174,7 @@ fn symmetric_self_products(rounds: usize) -> Vec<String> {
             auto_s > AUTO_SLACK * push_s.min(pull_s).min(oriented_s)
                 || (dense_hits && oriented_s > ORIENTED_OVER_PUSH * push_s)
         };
-        let best = race(
+        let best = fastest(&race(
             [
                 &|| drop(run(Algorithm::Msa, &opts)),
                 &|| drop(run(Algorithm::Inner, &opts)),
@@ -141,7 +183,7 @@ fn symmetric_self_products(rounds: usize) -> Vec<String> {
             ],
             rounds,
             missed,
-        );
+        ));
         let probes = choice.work.oriented;
         let ran = match probes {
             Some(_) => "oriented",
@@ -186,7 +228,7 @@ fn main() {
         "winner",
     ]);
     let mut winners = std::collections::HashMap::new();
-    let mut auto_misses = Vec::new();
+    let (mut auto_misses, mut unresolved) = (Vec::new(), Vec::new());
     for d_input in [8usize, 32] {
         let a = er(n, n, d_input, 1);
         let b = er(n, n, d_input, 2);
@@ -211,7 +253,7 @@ fn main() {
             let auto_missed = |[push_s, pull_s, auto_s]: [f64; 3]| {
                 d_input == 32 && auto_s > AUTO_SLACK * push_s.min(pull_s)
             };
-            let best = race(
+            let times = race(
                 algos
                     .map(|algo| move || drop(run(algo)))
                     .each_ref()
@@ -219,6 +261,7 @@ fn main() {
                 reps,
                 auto_missed,
             );
+            let best = fastest(&times);
             let [push_s, pull_s, auto_s] = best;
             for (c, label) in [(&push_c, "push"), (&auto_c, "auto")] {
                 assert_eq!(c.pattern(), pull_c.pattern(), "{label}/pull patterns");
@@ -232,9 +275,20 @@ fn main() {
             let winner = if pull_s < push_s { "pull" } else { "push" };
             winners.insert((d_input, d_mask), winner);
             if auto_missed(best) {
-                auto_misses.push(format!(
-                    "d_mask {d_mask}: auto {auto_s:.6} s, push {push_s:.6} s, pull {pull_s:.6} s"
-                ));
+                let [push_t, pull_t, auto_t] = &times;
+                let (worse_by, spread) = auto_against_faster(auto_t, push_t, pull_t);
+                let miss = format!(
+                    "d_mask {d_mask}: auto {auto_s:.6} s, push {push_s:.6} s, pull {pull_s:.6} s \
+                     (fastest of {} rounds); by median auto {:+.1} % against a spread of {:.1} %",
+                    auto_t.len(),
+                    100.0 * worse_by,
+                    100.0 * spread
+                );
+                if worse_by > AUTO_SLACK - 1.0 && worse_by > spread {
+                    auto_misses.push(miss);
+                } else {
+                    unresolved.push(miss);
+                }
             }
             table.row(&[
                 d_input.to_string(),
@@ -248,6 +302,9 @@ fn main() {
     }
     println!("{}", table.to_csv());
     eprintln!("{}", table.to_text());
+    for miss in &unresolved {
+        eprintln!("unresolved: Auto over {AUTO_SLACK}× the faster direction at d_input 32, {miss}");
+    }
     let symmetric_misses = symmetric_self_products(reps);
     // §4.3's shape, at the corners where the gap is widest: a mask 32×
     // sparser than the inputs is pull's, one 8× denser is push's.
@@ -255,7 +312,8 @@ fn main() {
     assert_eq!(winners[&(32, 256)], "push", "d_input 32 / d_mask 256");
     assert!(
         auto_misses.is_empty(),
-        "Auto over {AUTO_SLACK}× the faster direction at d_input 32: {auto_misses:#?}"
+        "Auto worse than the faster direction at d_input 32 (over {AUTO_SLACK}× and the \
+         interquartile spread, by median): {auto_misses:#?}"
     );
     assert!(
         symmetric_misses.is_empty(),

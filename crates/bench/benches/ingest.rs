@@ -1,16 +1,17 @@
-//! Ingest microbenchmark: the serial streaming `.mtx` reader vs the
-//! chunked parallel byte parser, on a generated R-MAT matrix (plus any
-//! real file named by `MSPGEMM_INGEST_FILE`). Emits CSV on stdout, an
-//! aligned table on stderr, and — for the CI perf lane — a JSON report
-//! at `MSPGEMM_INGEST_JSON`. Every parallel parse is cross-checked
-//! against the serial CSR before its timing counts.
+//! Ingest microbenchmark: the chunked `.mtx` byte parser at each parse
+//! fan-out, on a generated R-MAT matrix (plus any real file named by
+//! `MSPGEMM_INGEST_FILE`). Emits CSV on stdout, an aligned table on
+//! stderr, and — for the CI perf lane — a JSON report at
+//! `MSPGEMM_INGEST_JSON`. The base row is fan-out 1 (one chunk, parsed on
+//! the calling thread), checked against the generated matrix; every other
+//! fan-out is cross-checked against it before its timing counts.
 //!
 //! Environment knobs (defaults keep the run CI-sized):
 //!
 //! | Variable | Meaning | Default |
 //! |---|---|---|
 //! | `MSPGEMM_INGEST_SCALE` | R-MAT scale of the generated matrix | 13 |
-//! | `MSPGEMM_INGEST_THREADS` | comma list of parse fan-outs | 1,2,4,8 |
+//! | `MSPGEMM_INGEST_THREADS` | comma list of parse fan-outs beside 1 | 2,4,8 |
 //! | `MSPGEMM_INGEST_FILE` | extra `.mtx` file to include | (none) |
 //! | `MSPGEMM_INGEST_JSON` | write the JSON report to this path | (none) |
 //! | `MSPGEMM_REPS` | timing repetitions (best-of) | 3 |
@@ -19,32 +20,33 @@ use mspgemm_bench::banner;
 use mspgemm_gen::RmatParams;
 use mspgemm_harness::report::{json_escape, Table};
 use mspgemm_harness::{entries_per_s, env_usize, env_usize_list, mb_per_s, time_best};
-use mspgemm_io::mtx::{read_mtx, read_mtx_bytes, write_mtx, MtxField};
+use mspgemm_io::mtx::{read_mtx_bytes, write_mtx, MtxField};
+use mspgemm_sparse::Csr;
 
 struct Row {
     dataset: String,
     bytes: usize,
     entries: usize,
-    mode: &'static str,
     threads: usize,
     seconds: f64,
     speedup: f64,
 }
 
 fn thread_list() -> Vec<usize> {
-    env_usize_list("MSPGEMM_INGEST_THREADS", "1,2,4,8")
+    env_usize_list("MSPGEMM_INGEST_THREADS", "2,4,8")
 }
 
 fn main() {
     banner(
         "ingest",
-        "serial streaming vs chunked parallel .mtx parse (MB/s, entries/s)",
+        "chunked .mtx parse by fan-out, against one chunk (MB/s, entries/s)",
     );
     let reps = env_usize("MSPGEMM_REPS", 3).max(1);
     let scale = env_usize("MSPGEMM_INGEST_SCALE", 13) as u32;
     let threads = thread_list();
 
-    let mut datasets: Vec<(String, Vec<u8>)> = Vec::new();
+    // The matrix each text must parse to, where the bench generated it.
+    let mut datasets: Vec<(String, Vec<u8>, Option<Csr<f64>>)> = Vec::new();
     if let Ok(path) = std::env::var("MSPGEMM_INGEST_FILE") {
         let name = std::path::Path::new(&path)
             .file_stem()
@@ -61,40 +63,40 @@ fn main() {
                 )
             })
             .unwrap_or_else(|e| panic!("MSPGEMM_INGEST_FILE {path}: {e}"));
-        datasets.push((name, bytes));
+        datasets.push((name, bytes, None));
     }
     let g = mspgemm_gen::rmat_symmetric(scale, RmatParams::default(), 5);
     let mut buf = Vec::new();
     write_mtx(&mut buf, &g, MtxField::Real).unwrap();
-    datasets.push((format!("rmat{scale}"), buf));
+    datasets.push((format!("rmat{scale}"), buf, Some(g)));
 
     let mut rows: Vec<Row> = Vec::new();
-    for (name, bytes) in &datasets {
-        let (serial_secs, (header, base)) = time_best(reps, || read_mtx(bytes.as_slice()).unwrap());
-        rows.push(Row {
-            dataset: name.clone(),
-            bytes: bytes.len(),
-            entries: header.stored_entries,
-            mode: "serial",
-            threads: 1,
-            seconds: serial_secs,
-            speedup: 1.0,
-        });
-        for &t in &threads {
-            let (secs, (_, par)) = time_best(reps, || read_mtx_bytes(bytes, t).unwrap());
+    for (name, bytes, written) in &datasets {
+        let (base_secs, (header, base)) = time_best(reps, || read_mtx_bytes(bytes, 1).unwrap());
+        if let Some(g) = written {
             assert_eq!(
-                par, base,
-                "{name}: parallel CSR diverged from serial at {t} threads"
+                &base, g,
+                "{name}: one-chunk parse is not the written matrix"
             );
+        }
+        let mut row = |threads, seconds: f64| {
             rows.push(Row {
                 dataset: name.clone(),
                 bytes: bytes.len(),
                 entries: header.stored_entries,
-                mode: "parallel",
-                threads: t,
-                seconds: secs,
-                speedup: serial_secs / secs.max(1e-12),
-            });
+                threads,
+                seconds,
+                speedup: base_secs / seconds.max(1e-12),
+            })
+        };
+        row(1, base_secs);
+        for &t in threads.iter().filter(|&&t| t != 1) {
+            let (secs, (_, par)) = time_best(reps, || read_mtx_bytes(bytes, t).unwrap());
+            assert_eq!(
+                par, base,
+                "{name}: CSR diverged from one chunk at fan-out {t}"
+            );
+            row(t, secs);
         }
     }
 
@@ -102,12 +104,11 @@ fn main() {
         "dataset",
         "bytes",
         "entries",
-        "mode",
         "threads",
         "seconds",
         "mb_per_s",
         "entries_per_s",
-        "speedup_vs_serial",
+        "speedup_vs_1",
     ];
     let mut table = Table::new(&headers);
     for r in &rows {
@@ -115,7 +116,6 @@ fn main() {
             r.dataset.clone(),
             r.bytes.to_string(),
             r.entries.to_string(),
-            r.mode.to_string(),
             r.threads.to_string(),
             format!("{:.6}", r.seconds),
             format!("{:.2}", mb_per_s(r.bytes as u64, r.seconds)),
@@ -134,18 +134,17 @@ fn main() {
 }
 
 /// The perf-trajectory artifact the CI benchmark-smoke lane uploads:
-/// one record per (dataset, mode, fan-out).
+/// one record per (dataset, fan-out).
 fn report_json(rows: &[Row]) -> String {
     let mut out = String::from("{\n  \"bench\": \"ingest\",\n  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"dataset\": \"{}\", \"bytes\": {}, \"entries\": {}, \
-             \"mode\": \"{}\", \"threads\": {}, \"seconds\": {:.9}, \
-             \"mb_per_s\": {:.3}, \"entries_per_s\": {:.1}, \"speedup_vs_serial\": {:.3}}}{}\n",
+             \"threads\": {}, \"seconds\": {:.9}, \
+             \"mb_per_s\": {:.3}, \"entries_per_s\": {:.1}, \"speedup_vs_1\": {:.3}}}{}\n",
             json_escape(&r.dataset),
             r.bytes,
             r.entries,
-            r.mode,
             r.threads,
             r.seconds,
             mb_per_s(r.bytes as u64, r.seconds),

@@ -76,7 +76,6 @@ fn bench_one(rows: &mut Vec<Row>, name: &str, path: &PathBuf, pattern: bool, rep
             policy: CachePolicy::Off,
             mmap: prefer_mmap,
             pattern,
-            ..LoadOpts::default()
         };
         let load = || load_matrix(path, &opts).unwrap();
         // Cold: a SINGLE timed load+touch, the first this process makes

@@ -41,15 +41,14 @@ fn cache_policy(p: &Parsed) -> CachePolicy {
 }
 
 /// The full load options one command invocation pins: cache policy,
-/// parse fan-out, the `--mmap` zero-copy preference, and the
-/// `--pattern` values-less loading mode.
-pub(crate) fn load_opts(p: &Parsed) -> Result<LoadOpts, String> {
-    Ok(LoadOpts {
+/// the `--mmap` zero-copy preference, and the `--pattern` values-less
+/// loading mode.
+pub(crate) fn load_opts(p: &Parsed) -> LoadOpts {
+    LoadOpts {
         policy: cache_policy(p),
-        parse_threads: p.flag_parse("parse-threads", 0usize)?,
         mmap: p.switch("mmap"),
         pattern: p.switch("pattern"),
-    })
+    }
 }
 
 /// The ingest-throughput report line: what moved, how fast, whether the
@@ -107,7 +106,7 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     let path = p
         .positional
         .first()
-        .ok_or("usage: mxm run [--algo A] [--mask normal|complement] [--phases 1|2] [--schedule guided|flops] [--threads N] [--parse-threads N] [--reps R] [--no-cache] [--mmap] [--pattern] [--trace out.json] <matrix.mtx|.msb>")?;
+        .ok_or("usage: mxm run [--algo A] [--mask normal|complement] [--phases 1|2] [--schedule guided|flops] [--threads N] [--reps R] [--no-cache] [--mmap] [--pattern] [--trace out.json] <matrix.mtx|.msb>")?;
     let algo: Algorithm = p.flag("algo").unwrap_or("auto").parse()?;
     let mode: MaskMode = p.flag("mask").unwrap_or("normal").parse()?;
     let phases: Phases = p.flag("phases").unwrap_or("1").parse()?;
@@ -127,7 +126,7 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
         TracerOff
     });
 
-    let (a, ingest) = load_matrix(path, &load_opts(p)?).map_err(|e| e.to_string())?;
+    let (a, ingest) = load_matrix(path, &load_opts(p)).map_err(|e| e.to_string())?;
     if a.nrows() != a.ncols() {
         return Err(format!(
             "mxm run squares its input (C = M ⊙ A·A); {path} is {}x{}",
@@ -312,7 +311,7 @@ pub fn cmd_suite(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     let batch = p.flag_parse("batch", 16usize)?;
     let tau_max = p.flag_parse("tau-max", 2.4f64)?;
 
-    let graphs = source.load(&load_opts(p)?).map_err(|e| e.to_string())?;
+    let graphs = source.load(&load_opts(p)).map_err(|e| e.to_string())?;
     let schemes = scheme_list(p, app)?;
     writeln!(
         out,
@@ -467,16 +466,12 @@ fn suite_report(
 /// unit values served from the process-wide arena.
 pub fn cmd_convert(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     let [src, dst] = p.positional.as_slice() else {
-        return Err(
-            "usage: mxm convert [--parse-threads N] [--pattern] <in.mtx|.msb> <out.mtx|.msb>"
-                .into(),
-        );
+        return Err("usage: mxm convert [--pattern] <in.mtx|.msb> <out.mtx|.msb>".into());
     };
     let pattern = p.switch("pattern");
     // A conversion reads the file it was given, never a sidecar of it.
     let opts = LoadOpts {
         policy: CachePolicy::Off,
-        parse_threads: p.flag_parse("parse-threads", 0usize)?,
         ..LoadOpts::default()
     };
     let (a, _) = load_matrix(src, &opts).map_err(|e| format!("{src}: {e}"))?;
@@ -618,7 +613,7 @@ mod tests {
     }
 
     #[test]
-    fn run_reports_ingest_throughput_with_parse_threads() {
+    fn run_reports_ingest_throughput() {
         let dir = tempdir("run_ingest");
         let mtx = dir.join("g.mtx");
         write_small_graph(&mtx);
@@ -628,12 +623,10 @@ mod tests {
                 "msa",
                 "--reps",
                 "1",
-                "--parse-threads",
-                "3",
                 "--no-cache",
                 mtx.to_str().unwrap(),
             ]),
-            &["algo", "mask", "phases", "threads", "parse-threads", "reps"],
+            &["algo", "mask", "phases", "threads", "reps"],
         )
         .unwrap();
         let mut out = Vec::new();

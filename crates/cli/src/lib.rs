@@ -30,8 +30,8 @@ USAGE:
     mxm run [--algo msa|hash|mca|heap|heapdot|inner|auto]
             [--mask normal|complement] [--phases 1|2]
             [--schedule guided|flops]
-            [--threads N] [--parse-threads N] [--reps R] [--no-cache]
-            [--mmap] [--pattern] [--trace out.json] <matrix.mtx|.msb>
+            [--threads N] [--reps R] [--no-cache] [--mmap] [--pattern]
+            [--trace out.json] <matrix.mtx|.msb>
         One masked product C = M (.*) A*A with M = pattern(A). The run
         report includes the ingest throughput (MB/s, entries/s), the
         load backend (heap vs zero-copy mmap), the row schedule, the
@@ -39,11 +39,12 @@ USAGE:
         scalar elsewhere), the per-thread busy-time spread (max/mean)
         and, under --algo auto, what it resolved to with the push
         products and pull probes it counted (the side that lost stops
-        counting once it cannot win, and is printed as a lower bound). --mmap memory-maps a v2 .msb input (or fresh
-        sidecar) instead of heap-copying it. --pattern drops values at
-        load: unit values come from a process-wide shared arena, and
-        the values range of an .msb input or sidecar is skipped (not
-        read, not mapped); the sidecar itself keeps the weights.
+        counting once it cannot win, and is printed as a lower bound).
+        --mmap memory-maps a v2 .msb input (or fresh sidecar) instead
+        of heap-copying it. --pattern drops values at load: unit values
+        come from a process-wide shared arena, and the values range of
+        an .msb input or sidecar is skipped (not read, not mapped); the
+        sidecar itself keeps the weights.
         --trace records phase-scoped spans (ingest, flop-prefix,
         symbolic, numeric, compaction, ...) to a chrome://tracing JSON
         file and appends a per-phase breakdown table to the report
@@ -52,7 +53,7 @@ USAGE:
     mxm suite [--app tc|ktruss|bc] [--source synthetic|synthetic-full|DIR|FILE]
               [--schemes msa-1p,hash-2p,...] [--no-baselines]
               [--schedule guided|flops]
-              [--reps R] [--threads N] [--parse-threads N] [--k K]
+              [--reps R] [--threads N] [--k K]
               [--batch B] [--tau-max X] [--json out.json] [--no-cache]
               [--mmap] [--pattern]
         Sweep an application over datasets x schemes; print the per-case
@@ -68,7 +69,7 @@ USAGE:
     across schedules. --threads N runs on a dedicated pool of N workers
     (0, the default, = the ambient pool; at most 256).
 
-    mxm convert [--parse-threads N] [--pattern] <in.mtx|.msb> <out.mtx|.msb>
+    mxm convert [--pattern] <in.mtx|.msb> <out.mtx|.msb>
         Convert between Matrix Market text and the .msb binary cache
         (v2: 8-byte-aligned sections, mmap-able; see docs/MSB_FORMAT.md).
         The output is written to a temp file and renamed atomically; a
@@ -81,7 +82,7 @@ USAGE:
         Generator/kernel self-check (used by CI).
 
     mxm serve [--listen ADDR] [--schedule guided|flops]
-              [--parse-threads N] [--max-inflight N] [--queue-depth N]
+              [--max-inflight N] [--queue-depth N]
               [--max-resident-bytes B] [--quarantine-after K]
               [--fail SPEC] [--no-cache] [--mmap] [--pattern]
               [preload.mtx ...]
@@ -148,43 +149,24 @@ USAGE:
         `metrics --format prometheus` prints the text exposition
         verbatim (pipe it to a scrape file; see docs/OBSERVABILITY.md).
 
-Text matrices parse with the chunked parallel reader (--parse-threads N
-pins the fan-out; 0 = all cores) and load through the .msb sidecar
-cache: parsing big.mtx writes big.msb next to it, and later runs
-deserialize the binary directly.
+Text matrices parse with the chunked parallel reader on every core and
+load through the .msb sidecar cache: parsing big.mtx writes big.msb
+next to it, and later runs deserialize the binary directly.
 ";
 
 /// Value-taking flags per subcommand.
 fn value_flags(cmd: &str) -> &'static [&'static str] {
     match cmd {
         "run" => &[
-            "algo",
-            "mask",
-            "phases",
-            "schedule",
-            "threads",
-            "parse-threads",
-            "reps",
-            "trace",
+            "algo", "mask", "phases", "schedule", "threads", "reps", "trace",
         ],
         "suite" => &[
-            "app",
-            "source",
-            "schemes",
-            "schedule",
-            "json",
-            "reps",
-            "threads",
-            "parse-threads",
-            "k",
-            "batch",
+            "app", "source", "schemes", "schedule", "json", "reps", "threads", "k", "batch",
             "tau-max",
         ],
-        "convert" => &["parse-threads"],
         "serve" => &[
             "listen",
             "schedule",
-            "parse-threads",
             "max-inflight",
             "queue-depth",
             "max-resident-bytes",
@@ -205,7 +187,6 @@ const QUERY_VALUE_FLAGS: &[&str] = &[
     "retry",
     "path",
     "name",
-    "parse-threads",
     "dataset",
     "algo",
     "mask",
@@ -345,7 +326,7 @@ mod tests {
     }
 
     #[test]
-    fn convert_accepts_parse_threads_via_dispatch() {
+    fn convert_via_dispatch() {
         let dir = std::env::temp_dir().join("mxm_cli_dispatch_convert");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
@@ -355,13 +336,7 @@ mod tests {
         mspgemm_io::mtx::write_mtx_file(&mtx, &g).unwrap();
         let mut out = Vec::new();
         dispatch(
-            &sv(&[
-                "convert",
-                "--parse-threads",
-                "2",
-                mtx.to_str().unwrap(),
-                msb.to_str().unwrap(),
-            ]),
+            &sv(&["convert", mtx.to_str().unwrap(), msb.to_str().unwrap()]),
             &mut out,
         )
         .unwrap();
@@ -398,6 +373,19 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.contains("unknown flag --json-out"), "{e}");
+        // The text-parse fan-out is not a knob: every command that loads
+        // a matrix refuses it by name.
+        for argv in [
+            &["run", "g.mtx"][..],
+            &["suite"],
+            &["convert", "g.mtx", "g.msb"],
+            &["serve"],
+            &["query", "load", "--path", "g.mtx"],
+        ] {
+            let argv = [argv, &["--parse-threads", "2"]].concat();
+            let e = dispatch(&sv(&argv), &mut Vec::new()).unwrap_err();
+            assert!(e.contains("unknown flag --parse-threads"), "{argv:?}: {e}");
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub fn cmd_serve(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
         listen,
         ServeConfig {
             schedule,
-            load: load_opts(p)?,
+            load: load_opts(p),
             max_inflight,
             queue_depth,
             max_resident_bytes,
@@ -69,7 +69,7 @@ pub fn cmd_serve(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
 const QUERY_USAGE: &str = "usage: mxm query [--connect ADDR] [--retry N] <op> [op flags]\n\
     ops: ping | list | stats | shutdown\n\
          metrics [--format json|prometheus]\n\
-         load --path FILE [--name N] [--parse-threads N] [--no-cache] [--mmap] [--pattern]\n\
+         load --path FILE [--name N] [--no-cache] [--mmap] [--pattern]\n\
          unload --name N\n\
          mxm --dataset D [--algo A] [--mask M] [--phases P] [--schedule S] [--threads T] [--reps R] [--deadline-ms MS]\n\
          app --dataset D [--app tc|ktruss|bc] [--scheme S] [--schedule S] [--threads T] [--k K] [--batch B] [--deadline-ms MS]\n\
@@ -185,7 +185,6 @@ fn build_request(op: &str, p: &Parsed) -> Result<Json, String> {
             let path = p.flag("path").ok_or("load needs --path FILE")?;
             req.push(("path", Json::str(path)));
             copy_str(p, "name", "name", &mut req);
-            copy_num(p, "parse-threads", "parse_threads", &mut req)?;
             if p.switch("no-cache") {
                 req.push(("cache", Json::str("off")));
             }
@@ -506,34 +505,7 @@ mod tests {
     }
 
     fn parsed(args: &[&str]) -> Parsed {
-        parse(
-            &sv(args),
-            &[
-                "connect",
-                "retry",
-                "path",
-                "name",
-                "parse-threads",
-                "dataset",
-                "algo",
-                "mask",
-                "phases",
-                "schedule",
-                "threads",
-                "reps",
-                "app",
-                "scheme",
-                "k",
-                "batch",
-                "deadline-ms",
-                "format",
-                "insert",
-                "delete",
-                "from-file",
-                "json",
-            ],
-        )
-        .unwrap()
+        parse(&sv(args), &[crate::QUERY_VALUE_FLAGS, &["json"]].concat()).unwrap()
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! entry tokenizers, header scanning over byte buffers, and
 //! newline-aligned chunk splitting for parallel ingest.
 //!
-//! This crate is a dependency-free leaf so every reader in the workspace
-//! drives exactly one tokenizer: `mspgemm_io::mtx::read_mtx` (streaming,
-//! any `Read`) and `mspgemm_io::mtx::read_mtx_bytes` (chunked parallel
-//! over a byte buffer) both tokenize and validate entries here, which is
-//! what guarantees their outputs and error positions are identical.
+//! This crate is a dependency-free leaf: the workspace's one reader,
+//! `mspgemm_io::mtx::read_mtx_bytes` (chunked parallel over a byte
+//! buffer), tokenizes and validates entries here, and the newline-aligned
+//! chunking is what keeps its output and error positions the same at
+//! every fan-out.
 //!
 //! Everything works on `&[u8]`: the parallel reader splits multi-GB
 //! buffers into byte ranges, and per-line UTF-8 conversion would be pure
@@ -157,7 +157,7 @@ fn parse_index(tok: &[u8]) -> Option<usize> {
 }
 
 /// Parse the `%%MatrixMarket ...` banner into field + symmetry.
-pub fn parse_banner(line: &[u8]) -> Result<(MtxField, MtxSymmetry), String> {
+fn parse_banner(line: &[u8]) -> Result<(MtxField, MtxSymmetry), String> {
     let toks: Vec<&[u8]> = tokens(line).collect();
     let bad = || format!("bad banner: {}", lossy(line));
     if toks.len() < 4
@@ -199,7 +199,7 @@ pub fn parse_banner(line: &[u8]) -> Result<(MtxField, MtxSymmetry), String> {
 }
 
 /// Parse the `nrows ncols nnz` size line.
-pub fn parse_size_line(line: &[u8]) -> Result<(usize, usize, usize), String> {
+fn parse_size_line(line: &[u8]) -> Result<(usize, usize, usize), String> {
     let toks: Vec<&[u8]> = tokens(line).collect();
     if toks.len() != 3 {
         return Err(format!(

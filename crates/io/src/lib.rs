@@ -7,9 +7,8 @@
 //!
 //! * [`mtx`] — Matrix Market reader/writer
 //!   (`general`/`symmetric` × `real`/`integer`/`pattern`), with
-//!   line-numbered errors: a serial streaming reader plus the chunked
-//!   parallel ingest path ([`read_mtx_bytes`]), both driving the single
-//!   tokenizer in `mspgemm-formats`.
+//!   line-numbered errors: one chunked parallel reader
+//!   ([`read_mtx_bytes`]) over the tokenizer in `mspgemm-formats`.
 //! * [`msb`] — the little-endian binary cache format (`.msb`): magic,
 //!   version, dims, nnz header + raw CSR sections, so repeat experiment
 //!   runs skip text parsing entirely.
@@ -38,7 +37,6 @@ pub use msb::{
     write_msb_pattern, write_msb_pattern_file, MsbBackend, MsbHeader,
 };
 pub use mtx::{
-    read_mtx, read_mtx_bytes, read_mtx_file, read_mtx_file_parallel, write_mtx, write_mtx_file,
-    MtxField, MtxHeader, MtxSymmetry,
+    read_mtx_bytes, read_mtx_file, write_mtx, write_mtx_file, MtxField, MtxHeader, MtxSymmetry,
 };
 pub use source::{dataset_name, matrix_files_in, DatasetSource};

@@ -4,7 +4,7 @@
 
 use crate::error::IoError;
 use crate::msb::{load_msb_file, write_msb_file, MsbBackend};
-use crate::mtx::{read_mtx_file_parallel, write_mtx_file};
+use crate::mtx::{read_mtx_file, write_mtx_file};
 use mspgemm_sparse::ops::ewise::ewise_add;
 use mspgemm_sparse::ops::select::remove_diagonal;
 use mspgemm_sparse::{transpose, Csr, Idx, Overlay};
@@ -91,8 +91,6 @@ pub enum CachePolicy {
     /// Read a fresh sidecar if present; write one after parsing text.
     #[default]
     ReadWrite,
-    /// Read a fresh sidecar if present; never write.
-    ReadOnly,
     /// Ignore sidecars entirely.
     Off,
 }
@@ -154,14 +152,13 @@ pub struct IngestReport {
 }
 
 /// Everything [`load_matrix`] lets a caller pin: the sidecar cache
-/// policy, the text-parse fan-out, and whether `.msb` inputs/sidecars
-/// should be memory-mapped zero-copy instead of heap-copied.
+/// policy, and whether `.msb` inputs/sidecars should be memory-mapped
+/// zero-copy instead of heap-copied. Text always parses at the automatic
+/// fan-out ([`crate::mtx::read_mtx_bytes`] with `0`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LoadOpts {
     /// Sidecar cache behaviour (default [`CachePolicy::ReadWrite`]).
     pub policy: CachePolicy,
-    /// Text parse fan-out (`0` = rayon default).
-    pub parse_threads: usize,
     /// Prefer the zero-copy mmap path for `.msb` files. Targets that
     /// cannot map fall back to heap copies — the report's `backend`
     /// field says what happened.
@@ -184,13 +181,13 @@ fn file_len(path: &Path) -> u64 {
 /// repeat runs.
 ///
 /// * `.msb` input: read directly (the cache *is* the input).
-/// * `.mtx` input: unless the policy is [`CachePolicy::Off`], if a
-///   sidecar exists and is at least as new as the text file, read it
-///   instead; otherwise parse the text (parallel, with
-///   `opts.parse_threads` fan-out; `0` = rayon default) and (under
-///   [`CachePolicy::ReadWrite`]) write the sidecar — atomically, so an
-///   interrupted run cannot plant a truncated cache. A stale or corrupt
-///   sidecar falls back to the text file rather than failing the load.
+/// * `.mtx` input: under [`CachePolicy::ReadWrite`], if a sidecar exists
+///   and is at least as new as the text file, read it instead; otherwise
+///   parse the text ([`read_mtx_file`]) and write the sidecar —
+///   atomically, so an interrupted run cannot plant a truncated cache. A
+///   stale or corrupt sidecar falls back to the text file rather than
+///   failing the load. [`CachePolicy::Off`] always parses and never
+///   writes.
 ///
 /// With `opts.mmap` set, a v2 `.msb` input (or fresh sidecar) backs the
 /// matrix directly by the mapped file, so residency costs no per-section
@@ -234,7 +231,8 @@ pub fn load_matrix(
         return load_msb_file(path, mmap, opts.pattern).map(hit);
     }
     let sidecar = sidecar_path(path);
-    if opts.policy != CachePolicy::Off
+    let cached = opts.policy == CachePolicy::ReadWrite;
+    if cached
         && is_fresh(path, &sidecar)
         // Failpoint `io.msb` on a *sidecar* behaves like the corrupt
         // cache it simulates: skip it and fall back to the text parse.
@@ -245,10 +243,9 @@ pub fn load_matrix(
         }
         // Corrupt sidecar: fall through to the text parse.
     }
-    let (h, mut a) = read_mtx_file_parallel(path, opts.parse_threads)?;
+    let (h, mut a) = read_mtx_file(path)?;
     // The sidecar keeps the weights whatever this load wants in memory.
-    let wrote = opts.policy == CachePolicy::ReadWrite
-        && persist_atomically(&sidecar, |tmp| write_msb_file(tmp, &a)).is_ok();
+    let wrote = cached && persist_atomically(&sidecar, |tmp| write_msb_file(tmp, &a)).is_ok();
     if opts.pattern {
         a.set_unit_values();
     }
@@ -498,10 +495,12 @@ mod tests {
         let msb = sidecar_path(&mtx);
         crate::mtx::write_mtx_file(&mtx, &directed_sample()).unwrap();
         std::fs::write(&msb, b"not an msb file").unwrap();
-        // Ensure the sidecar is "fresh" so the fallback path is what's
-        // exercised (not staleness).
-        let (a, _) = load_matrix(&mtx, &policy(CachePolicy::ReadOnly)).unwrap();
+        // The sidecar is newer than the text, so the fallback path is
+        // what's exercised (not staleness) — and the parse replaces it.
+        let (a, r) = load_matrix(&mtx, &policy(CachePolicy::ReadWrite)).unwrap();
         assert_eq!(a, directed_sample());
+        assert_eq!(r.outcome, CacheOutcome::Written);
+        assert_eq!(crate::msb::read_msb_file(&msb).unwrap(), a);
         std::fs::remove_file(&mtx).ok();
         std::fs::remove_file(&msb).ok();
     }
@@ -555,10 +554,7 @@ mod tests {
         std::fs::remove_file(&msb).ok();
         crate::mtx::write_mtx_file(&mtx, &directed_sample()).unwrap();
 
-        let opts = LoadOpts {
-            parse_threads: 2,
-            ..policy(CachePolicy::ReadWrite)
-        };
+        let opts = policy(CachePolicy::ReadWrite);
         let (_, r) = load_matrix(&mtx, &opts).unwrap();
         assert_eq!(r.outcome, CacheOutcome::Written);
         assert_eq!(r.bytes, std::fs::metadata(&mtx).unwrap().len());

@@ -2,45 +2,22 @@
 //!
 //! Supports `matrix coordinate {real | integer | pattern}
 //! {general | symmetric}` — the subset covering every SuiteSparse/GAP
-//! matrix the paper evaluates (§7). Two readers drive the single shared
-//! tokenizer in `mspgemm-formats` (this workspace's only `.mtx` lexical
-//! layer), so their outputs and error positions are identical:
-//!
-//! * [`read_mtx`] — serial streaming over any [`Read`], line by line.
-//! * [`read_mtx_bytes`] — the parallel ingest path: the entry section is
-//!   split into newline-aligned byte ranges, chunks are parsed
-//!   concurrently into per-chunk COO bags (line-numbered errors
-//!   preserved), and the bags merge in file order before the
-//!   row-parallel `Coo::to_csr` pass. On multi-GB inputs this turns the
-//!   cold-start text parse from a single-core bottleneck into a
-//!   near-linear-scaling one.
-//!
-//! Entries stream into a [`Coo`] (symmetric files mirror inline, so both
-//! readers produce the same triplet order), then canonicalize into
-//! [`Csr`]; no intermediate per-line allocations on the byte path.
+//! matrix the paper evaluates (§7). [`read_mtx_bytes`] is the one reader:
+//! it drives the shared tokenizer in `mspgemm-formats` (this workspace's
+//! only `.mtx` lexical layer) over newline-aligned byte ranges of the
+//! entry section, parsed concurrently into per-chunk COO bags
+//! (line-numbered errors preserved) that merge in file order before the
+//! row-parallel `Coo::to_csr` pass. Symmetric files mirror inline, so the
+//! triplet order — and with it the CSR, duplicates included — is the same
+//! at every fan-out.
 
 use crate::error::IoError;
 use mspgemm_formats as formats;
 use mspgemm_sparse::{Coo, Csr, Idx};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::Write;
 use std::path::Path;
 
 pub use mspgemm_formats::{MtxField, MtxHeader, MtxSymmetry};
-
-/// The size line is untrusted input: treat its nnz as a reservation hint
-/// only, capped so a corrupt header cannot force a huge or overflowing
-/// up-front allocation (entries still stream in fine past the cap; the
-/// Vec grows normally). Same hardening standard as the `.msb` reader.
-const CAP_LIMIT: usize = 1 << 24;
-
-fn reserve_hint(h: &MtxHeader) -> usize {
-    let cap = if h.symmetry == MtxSymmetry::Symmetric {
-        h.stored_entries.saturating_mul(2)
-    } else {
-        h.stored_entries
-    };
-    cap.min(CAP_LIMIT)
-}
 
 /// Column indices are `u32`; a header declaring more rows/columns than
 /// that would make `(idx - 1) as Idx` wrap silently on extreme entries.
@@ -55,86 +32,6 @@ fn check_idx_space(h: &MtxHeader, line: usize) -> Result<(), IoError> {
         ));
     }
     Ok(())
-}
-
-/// Canonicalize: duplicate general/symmetric entries are summed, pattern
-/// duplicates collapse to one entry.
-fn finish(header: &MtxHeader, coo: Coo<f64>) -> Csr<f64> {
-    if header.field == MtxField::Pattern {
-        coo.to_csr(|a, _| a)
-    } else {
-        coo.to_csr(|a, b| a + b)
-    }
-}
-
-fn entry_count_mismatch(lineno: usize, declared: usize, seen: usize) -> IoError {
-    IoError::parse(
-        lineno,
-        format!("size line declared {declared} entries, found {seen}"),
-    )
-}
-
-/// Read a Matrix Market stream into `(header, Csr<f64>)`, serially.
-///
-/// Symmetric files are expanded to both triangles (diagonal entries are
-/// not duplicated); pattern entries get value `1.0`; duplicate general
-/// entries are summed (pattern duplicates collapse to one entry). For
-/// seekable inputs already in memory, [`read_mtx_bytes`] parses the same
-/// grammar in parallel.
-pub fn read_mtx<R: Read>(reader: R) -> Result<(MtxHeader, Csr<f64>), IoError> {
-    let mut lines = BufReader::new(reader).lines();
-    let mut lineno = 1usize;
-    let banner = match lines.next() {
-        Some(l) => l?,
-        None => return Err(IoError::parse(1, "empty input")),
-    };
-    let (field, symmetry) =
-        formats::parse_banner(banner.as_bytes()).map_err(|m| IoError::parse(lineno, m))?;
-    let mut header = None;
-    for line in lines.by_ref() {
-        lineno += 1;
-        let line = line?;
-        if formats::is_skippable(line.as_bytes()) {
-            continue;
-        }
-        let (nrows, ncols, stored_entries) =
-            formats::parse_size_line(line.as_bytes()).map_err(|m| IoError::parse(lineno, m))?;
-        header = Some(MtxHeader {
-            field,
-            symmetry,
-            nrows,
-            ncols,
-            stored_entries,
-        });
-        break;
-    }
-    let Some(header) = header else {
-        return Err(IoError::parse(lineno, "missing size line"));
-    };
-    check_idx_space(&header, lineno)?;
-    let symmetric = header.symmetry == MtxSymmetry::Symmetric;
-    let mut coo: Coo<f64> = Coo::with_capacity(header.nrows, header.ncols, reserve_hint(&header));
-    let mut seen = 0usize;
-    for line in lines {
-        lineno += 1;
-        let line = line?;
-        let b = line.as_bytes();
-        if formats::is_skippable(b) {
-            continue;
-        }
-        let e = formats::parse_entry(b, header.field).map_err(|m| IoError::parse(lineno, m))?;
-        formats::validate_entry(&header, &e).map_err(|m| IoError::parse(lineno, m))?;
-        let (i0, j0) = ((e.i - 1) as Idx, (e.j - 1) as Idx);
-        coo.push(i0, j0, e.v);
-        if symmetric && i0 != j0 {
-            coo.push(j0, i0, e.v);
-        }
-        seen += 1;
-    }
-    if seen != header.stored_entries {
-        return Err(entry_count_mismatch(lineno, header.stored_entries, seen));
-    }
-    Ok((header, finish(&header, coo)))
 }
 
 /// One chunk's parse result: inline-mirrored 0-based triplets, the lines
@@ -183,22 +80,23 @@ const MIN_AUTO_CHUNK: usize = 1 << 16;
 
 /// Hard ceiling on the parse fan-out. The rayon shim maps each chunk to
 /// one OS thread (`std::thread::scope` spawns, which abort the process
-/// on thread-creation failure), so an absurd `--parse-threads` must not
+/// on thread-creation failure), so an absurd `threads` argument must not
 /// translate into an absurd thread count.
 const MAX_FANOUT: usize = 256;
 
 /// Read a Matrix Market byte buffer with chunked parallel entry parsing.
 ///
+/// Symmetric files are expanded to both triangles (diagonal entries are
+/// not duplicated); pattern entries get value `1.0`; duplicate general
+/// entries are summed (pattern duplicates collapse to one entry).
+///
 /// `threads` is the parse fan-out: `0` picks the rayon thread count
 /// (scaled down for small inputs); an explicit `N` forces exactly `N`
-/// chunks (clamped to 256). Output is identical to [`read_mtx`] for
-/// every input and every
-/// thread count — same CSR (entry order is preserved, so duplicate
-/// merging is bit-identical), same error line numbers and messages —
-/// because both drive the `mspgemm-formats` tokenizer and the chunk
-/// boundaries are newline-aligned. The one intentional difference: this
-/// path is byte-oriented, so non-UTF-8 bytes inside comments are
-/// tolerated rather than failing the stream read.
+/// chunks (clamped to 256). The output is identical at every fan-out —
+/// same CSR (entry order is preserved, so duplicate merging is
+/// bit-identical), same error line numbers and messages — because the
+/// chunk boundaries are newline-aligned. The path is byte-oriented, so
+/// non-UTF-8 bytes inside comments are tolerated.
 pub fn read_mtx_bytes(bytes: &[u8], threads: usize) -> Result<(MtxHeader, Csr<f64>), IoError> {
     let (header, body_off, header_lines) =
         formats::scan_header(bytes).map_err(|e| IoError::parse(e.line, e.msg))?;
@@ -244,7 +142,9 @@ pub fn read_mtx_bytes(bytes: &[u8], threads: usize) -> Result<(MtxHeader, Csr<f6
     }
     let seen: usize = bags.iter().map(|b| b.seen).sum();
     if seen != header.stored_entries {
-        return Err(entry_count_mismatch(lineno, header.stored_entries, seen));
+        let declared = header.stored_entries;
+        let msg = format!("size line declared {declared} entries, found {seen}");
+        return Err(IoError::parse(lineno, msg));
     }
     let total: usize = bags.iter().map(|b| b.entries.len()).sum();
     let mut entries = Vec::with_capacity(total);
@@ -252,34 +152,20 @@ pub fn read_mtx_bytes(bytes: &[u8], threads: usize) -> Result<(MtxHeader, Csr<f6
         entries.append(&mut b.entries);
     }
     let coo = Coo::from_entries(header.nrows, header.ncols, entries);
-    Ok((header, finish(&header, coo)))
-}
-
-/// Read a `.mtx` file from disk, serially (see [`read_mtx`]).
-pub fn read_mtx_file(path: impl AsRef<Path>) -> Result<(MtxHeader, Csr<f64>), IoError> {
-    read_mtx(std::fs::File::open(path)?)
-}
-
-/// Read a `.mtx` file from disk with chunked parallel parsing (see
-/// [`read_mtx_bytes`]); `threads == 0` picks the rayon thread count.
-///
-/// Parallel parsing needs the whole file in memory for byte-range
-/// chunking; when the fan-out resolves to 1 (explicit `--parse-threads
-/// 1`, or auto on a single-core box) this streams through [`read_mtx`]
-/// instead, keeping text memory bounded on multi-GB inputs.
-pub fn read_mtx_file_parallel(
-    path: impl AsRef<Path>,
-    threads: usize,
-) -> Result<(MtxHeader, Csr<f64>), IoError> {
-    let fanout = if threads == 0 {
-        rayon::current_num_threads()
+    // Duplicate general/symmetric entries are summed, pattern duplicates
+    // collapse to one entry.
+    let csr = if header.field == MtxField::Pattern {
+        coo.to_csr(|a, _| a)
     } else {
-        threads
+        coo.to_csr(|a, b| a + b)
     };
-    if fanout <= 1 {
-        return read_mtx_file(path);
-    }
-    read_mtx_bytes(&std::fs::read(path)?, threads)
+    Ok((header, csr))
+}
+
+/// Read a `.mtx` file from disk: the whole file is read into memory and
+/// parsed by [`read_mtx_bytes`] at the automatic fan-out.
+pub fn read_mtx_file(path: impl AsRef<Path>) -> Result<(MtxHeader, Csr<f64>), IoError> {
+    read_mtx_bytes(&std::fs::read(path)?, 0)
 }
 
 /// Write `a` as `matrix coordinate {field} general` with 1-based indices.
@@ -394,7 +280,7 @@ mod tests {
                     % mid-stream comment\n\
                     2 3 -2.0\n\
                     3 4 7\n";
-        let (h, m) = read_mtx(text.as_bytes()).unwrap();
+        let (h, m) = read_mtx_bytes(text.as_bytes(), 0).unwrap();
         assert_eq!(h.field, MtxField::Real);
         assert_eq!(h.symmetry, MtxSymmetry::General);
         assert_eq!((h.nrows, h.ncols, h.stored_entries), (3, 4, 3));
@@ -410,7 +296,7 @@ mod tests {
                     2 1 5\n\
                     3 1 6\n\
                     2 2 1\n";
-        let (h, m) = read_mtx(text.as_bytes()).unwrap();
+        let (h, m) = read_mtx_bytes(text.as_bytes(), 0).unwrap();
         assert_eq!(h.field, MtxField::Integer);
         assert_eq!(m.nnz(), 5);
         assert_eq!(m.get(0, 1), Some(&5.0));
@@ -423,7 +309,7 @@ mod tests {
         let text = "%%MatrixMarket matrix coordinate real symmetric\n\
                     3 3 1\n\
                     1 3 2.0\n";
-        let e = read_mtx(text.as_bytes()).unwrap_err();
+        let e = read_mtx_bytes(text.as_bytes(), 0).unwrap_err();
         assert!(matches!(e, IoError::Parse { line: 3, .. }), "{e}");
     }
 
@@ -434,7 +320,7 @@ mod tests {
                     1 2\n\
                     1 2\n\
                     2 1\n";
-        let (_, m) = read_mtx(text.as_bytes()).unwrap();
+        let (_, m) = read_mtx_bytes(text.as_bytes(), 0).unwrap();
         assert_eq!(m.get(0, 1), Some(&1.0), "pattern duplicates stay 1.0");
         assert_eq!(m.nnz(), 2);
     }
@@ -445,7 +331,7 @@ mod tests {
                     2 2 2\r\n\
                     1 1   1.0\r\n\
                     2\t2\t2.0\r\n";
-        let (_, m) = read_mtx(text.as_bytes()).unwrap();
+        let (_, m) = read_mtx_bytes(text.as_bytes(), 0).unwrap();
         assert_eq!(m.get(0, 0), Some(&1.0));
         assert_eq!(m.get(1, 1), Some(&2.0));
     }
@@ -478,21 +364,14 @@ mod tests {
                 2,
             ),
         ];
+        // The same position at every fan-out.
         for (text, want_line) in cases {
-            match read_mtx(text.as_bytes()) {
-                Err(IoError::Parse { line, .. }) => {
-                    assert_eq!(line, *want_line, "wrong line for: {text:?}")
-                }
-                other => panic!("expected parse error for {text:?}, got {other:?}"),
-            }
-            // The parallel reader reports the same position, at every
-            // fan-out.
-            for threads in [1usize, 2, 8] {
+            for threads in [0usize, 1, 2, 8] {
                 match read_mtx_bytes(text.as_bytes(), threads) {
                     Err(IoError::Parse { line, .. }) => {
-                        assert_eq!(line, *want_line, "parallel({threads}) for: {text:?}")
+                        assert_eq!(line, *want_line, "{threads} threads for: {text:?}")
                     }
-                    other => panic!("parallel({threads}) expected error for {text:?}: {other:?}"),
+                    other => panic!("{threads} threads: expected error for {text:?}: {other:?}"),
                 }
             }
         }
@@ -505,31 +384,29 @@ mod tests {
         for nnz in ["18446744073709551615", "1152921504606846976"] {
             let text =
                 format!("%%MatrixMarket matrix coordinate real general\n2 2 {nnz}\n1 1 1.0\n");
-            assert!(read_mtx(text.as_bytes()).is_err(), "accepted nnz={nnz}");
-            assert!(read_mtx_bytes(text.as_bytes(), 4).is_err());
+            assert!(
+                read_mtx_bytes(text.as_bytes(), 4).is_err(),
+                "accepted nnz={nnz}"
+            );
         }
         // Symmetric doubling must not overflow either.
         let text = format!(
             "%%MatrixMarket matrix coordinate real symmetric\n2 2 {}\n1 1 1.0\n",
             usize::MAX
         );
-        assert!(read_mtx(text.as_bytes()).is_err());
+        assert!(read_mtx_bytes(text.as_bytes(), 4).is_err());
     }
 
     #[test]
     fn huge_declared_shape_rejected() {
         // A shape past u32 would wrap `(idx - 1) as Idx` on extreme
-        // entries; both readers refuse at the size line.
+        // entries; the reader refuses at the size line.
         let text = format!(
             "%%MatrixMarket matrix coordinate real general\n{} 2 1\n1 1 1.0\n",
             (Idx::MAX as u64) + 1
         );
-        for r in [
-            read_mtx(text.as_bytes()),
-            read_mtx_bytes(text.as_bytes(), 2),
-        ] {
-            assert!(matches!(r, Err(IoError::Parse { line: 2, .. })), "{r:?}");
-        }
+        let r = read_mtx_bytes(text.as_bytes(), 2);
+        assert!(matches!(r, Err(IoError::Parse { line: 2, .. })), "{r:?}");
     }
 
     #[test]
@@ -545,10 +422,8 @@ mod tests {
     #[test]
     fn nnz_mismatch_detected() {
         let short = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n";
-        assert!(read_mtx(short.as_bytes()).is_err());
         assert!(read_mtx_bytes(short.as_bytes(), 4).is_err());
         let long = "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n2 2 1.0\n";
-        assert!(read_mtx(long.as_bytes()).is_err());
         assert!(read_mtx_bytes(long.as_bytes(), 4).is_err());
     }
 
@@ -561,8 +436,10 @@ mod tests {
             "%%MatrixMarket matrix coordinate real hermitian\n1 1 0\n",
             "",
         ] {
-            assert!(read_mtx(text.as_bytes()).is_err(), "accepted: {text:?}");
-            assert!(read_mtx_bytes(text.as_bytes(), 2).is_err());
+            assert!(
+                read_mtx_bytes(text.as_bytes(), 2).is_err(),
+                "accepted: {text:?}"
+            );
         }
     }
 
@@ -577,7 +454,7 @@ mod tests {
         );
         let mut buf = Vec::new();
         write_mtx(&mut buf, &a, MtxField::Real).unwrap();
-        let (_, b) = read_mtx(buf.as_slice()).unwrap();
+        let (_, b) = read_mtx_bytes(&buf, 0).unwrap();
         assert_eq!(a, b);
     }
 
@@ -598,7 +475,7 @@ mod tests {
             text.lines().nth(1).unwrap().ends_with(" 4"),
             "4 stored entries: {text}"
         );
-        let (h, b) = read_mtx(buf.as_slice()).unwrap();
+        let (h, b) = read_mtx_bytes(&buf, 0).unwrap();
         assert_eq!(h.symmetry, MtxSymmetry::Symmetric);
         assert_eq!(a, b);
     }
@@ -615,7 +492,7 @@ mod tests {
         let a = Csr::from_dense(&[vec![Some(1.0), None], vec![Some(1.0), Some(1.0)]], 2);
         let mut buf = Vec::new();
         write_mtx(&mut buf, &a, MtxField::Pattern).unwrap();
-        let (h, b) = read_mtx(buf.as_slice()).unwrap();
+        let (h, b) = read_mtx_bytes(&buf, 0).unwrap();
         assert_eq!(h.field, MtxField::Pattern);
         assert_eq!(a, b);
     }
@@ -641,18 +518,24 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_across_fanouts() {
-        let text = awkward_text(97);
-        let (hs, serial) = read_mtx(text.as_bytes()).unwrap();
+    fn every_fanout_matches_the_one_chunk_parse() {
+        let n = 97;
+        let text = awkward_text(n);
+        let (h1, one) = read_mtx_bytes(text.as_bytes(), 1).unwrap();
+        // Each diagonal entry is `k.5` plus its duplicate `1`.
+        assert_eq!(one.nnz(), n);
+        for k in 0..n {
+            assert_eq!(one.get(k, k as Idx), Some(&(k as f64 + 1.5)), "row {k}");
+        }
         // 1 << 20 exercises the MAX_FANOUT clamp: an absurd request must
         // neither spawn a thread per line nor change the output.
-        for threads in [0usize, 1, 2, 3, 8, 64, 1 << 20] {
-            let (hp, par) = read_mtx_bytes(text.as_bytes(), threads).unwrap();
-            assert_eq!((hp.nrows, hp.ncols), (hs.nrows, hs.ncols));
-            assert_eq!(par, serial, "{threads} threads");
+        for threads in [0usize, 2, 3, 8, 64, 1 << 20] {
+            let (h, par) = read_mtx_bytes(text.as_bytes(), threads).unwrap();
+            assert_eq!((h.nrows, h.ncols), (h1.nrows, h1.ncols));
+            assert_eq!(par, one, "{threads} threads");
             // Byte-identical, not merely value-equal.
             let bits = |m: &Csr<f64>| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&par), bits(&serial));
+            assert_eq!(bits(&par), bits(&one));
         }
     }
 
@@ -680,15 +563,10 @@ mod tests {
                 other => panic!("expected parse error, got {other:?}"),
             }
         }
-        // And the streaming reader agrees.
-        match read_mtx(s.as_bytes()) {
-            Err(IoError::Parse { line, .. }) => assert_eq!(line, want_line),
-            other => panic!("expected parse error, got {other:?}"),
-        }
     }
 
     #[test]
-    fn file_parallel_roundtrip() {
+    fn file_roundtrip() {
         let dir = std::env::temp_dir().join("mspgemm_io_mtx_par");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.mtx");
@@ -701,7 +579,7 @@ mod tests {
             3,
         );
         write_mtx_file(&path, &a).unwrap();
-        let (_, b) = read_mtx_file_parallel(&path, 3).unwrap();
+        let (_, b) = read_mtx_file(&path).unwrap();
         assert_eq!(a, b);
         std::fs::remove_file(&path).ok();
     }

@@ -41,8 +41,8 @@ impl DatasetSource {
     }
 
     /// Materialize the graphs: generate, or load + normalize every
-    /// dataset under `opts` (cache policy, parse fan-out, zero-copy mmap
-    /// preference for `.msb` datasets), returning them with their names.
+    /// dataset under `opts` (cache policy, zero-copy mmap preference for
+    /// `.msb` datasets), returning them with their names.
     pub fn load(&self, opts: &LoadOpts) -> Result<Vec<SuiteGraph>, IoError> {
         match self {
             DatasetSource::Synthetic(size) => Ok(build_suite(*size)),

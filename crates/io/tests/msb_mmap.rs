@@ -190,7 +190,6 @@ fn sidecar_cache_serves_mmap_and_rewrites_a_v1_sidecar() {
     mspgemm_io::mtx::write_mtx_file(&mtx, &g).unwrap();
     let opts = LoadOpts {
         policy: CachePolicy::ReadWrite,
-        parse_threads: 1,
         mmap: true,
         ..LoadOpts::default()
     };

@@ -1,15 +1,16 @@
 //! Property tests for the chunked parallel `.mtx` reader: at every parse
-//! fan-out it must produce byte-identical CSR to the serial streaming
-//! reader — general, symmetric, and pattern files alike — and malformed
-//! entries must surface the same line number and message.
+//! fan-out it must return exactly the matrix that was written — general,
+//! symmetric, and pattern files alike, by bits — and a malformed entry
+//! must surface at its own line, with the message fan-out 1 (one chunk,
+//! the reference partition) reports.
 
 use mspgemm_io::load::to_adjacency;
-use mspgemm_io::mtx::{read_mtx, read_mtx_bytes, write_mtx, write_mtx_symmetric, MtxField};
+use mspgemm_io::mtx::{read_mtx_bytes, write_mtx, write_mtx_symmetric, MtxField};
 use mspgemm_io::IoError;
 use mspgemm_sparse::Csr;
 use proptest::prelude::*;
 
-const FANOUTS: [usize; 3] = [1, 2, 8];
+const FANOUTS: [usize; 4] = [0, 1, 2, 8];
 
 fn csr_strategy(nrows: usize, ncols: usize, fill: f64) -> impl Strategy<Value = Csr<f64>> {
     proptest::collection::vec(
@@ -21,11 +22,26 @@ fn csr_strategy(nrows: usize, ncols: usize, fill: f64) -> impl Strategy<Value = 
 
 /// Byte-identical: same structure and bit-equal values, not merely
 /// `PartialEq` (which NaN-free f64 equality would also satisfy).
-fn assert_identical(serial: &Csr<f64>, parallel: &Csr<f64>, what: &str) -> TestCaseResult {
-    prop_assert_eq!(serial.rowptr(), parallel.rowptr(), "{} rowptr", what);
-    prop_assert_eq!(serial.colidx(), parallel.colidx(), "{} colidx", what);
+fn assert_identical(want: &Csr<f64>, got: &Csr<f64>, what: &str) -> TestCaseResult {
+    prop_assert_eq!(
+        (want.nrows(), want.ncols()),
+        (got.nrows(), got.ncols()),
+        "{} shape",
+        what
+    );
+    prop_assert_eq!(want.rowptr(), got.rowptr(), "{} rowptr", what);
+    prop_assert_eq!(want.colidx(), got.colidx(), "{} colidx", what);
     let bits = |m: &Csr<f64>| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    prop_assert_eq!(bits(serial), bits(parallel), "{} value bits", what);
+    prop_assert_eq!(bits(want), bits(got), "{} value bits", what);
+    Ok(())
+}
+
+/// Parse `buf` at every fan-out and compare each result with `want`.
+fn every_fanout_reads(buf: &[u8], want: &Csr<f64>, what: &str) -> TestCaseResult {
+    for t in FANOUTS {
+        let (_, got) = read_mtx_bytes(buf, t).unwrap();
+        assert_identical(want, &got, &format!("{what}@{t}"))?;
+    }
     Ok(())
 }
 
@@ -40,41 +56,29 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn general_real_identical_across_fanouts(a in csr_strategy(21, 17, 0.3)) {
+    fn general_real_reads_back_at_every_fanout(a in csr_strategy(21, 17, 0.3)) {
         let mut buf = Vec::new();
         write_mtx(&mut buf, &a, MtxField::Real).unwrap();
-        let (_, serial) = read_mtx(buf.as_slice()).unwrap();
-        for t in FANOUTS {
-            let (_, par) = read_mtx_bytes(&buf, t).unwrap();
-            assert_identical(&serial, &par, &format!("general@{t}"))?;
-        }
+        every_fanout_reads(&buf, &a, "general")?;
     }
 
     #[test]
-    fn pattern_identical_across_fanouts(a in csr_strategy(19, 19, 0.35)) {
+    fn pattern_reads_back_with_unit_values_at_every_fanout(a in csr_strategy(19, 19, 0.35)) {
         let mut buf = Vec::new();
         write_mtx(&mut buf, &a, MtxField::Pattern).unwrap();
-        let (_, serial) = read_mtx(buf.as_slice()).unwrap();
-        for t in FANOUTS {
-            let (h, par) = read_mtx_bytes(&buf, t).unwrap();
-            prop_assert_eq!(h.field, MtxField::Pattern);
-            assert_identical(&serial, &par, &format!("pattern@{t}"))?;
-        }
+        prop_assert_eq!(read_mtx_bytes(&buf, 0).unwrap().0.field, MtxField::Pattern);
+        every_fanout_reads(&buf, &a.pattern().map(|_| 1.0), "pattern")?;
     }
 
     #[test]
-    fn symmetric_identical_across_fanouts(raw in csr_strategy(16, 16, 0.3)) {
+    fn symmetric_reads_back_the_adjacency_at_every_fanout(raw in csr_strategy(16, 16, 0.3)) {
         // Adjacency normalization yields a genuinely symmetric matrix
-        // the lower-triangle writer accepts; the readers then do the
-        // mirror expansion themselves.
+        // the lower-triangle writer accepts; the reader then does the
+        // mirror expansion itself.
         let (adj, _) = to_adjacency(&raw);
         let mut buf = Vec::new();
         write_mtx_symmetric(&mut buf, &adj, MtxField::Real).unwrap();
-        let (_, serial) = read_mtx(buf.as_slice()).unwrap();
-        for t in FANOUTS {
-            let (_, par) = read_mtx_bytes(&buf, t).unwrap();
-            assert_identical(&serial, &par, &format!("symmetric@{t}"))?;
-        }
+        every_fanout_reads(&buf, &adj, "symmetric")?;
     }
 
     #[test]
@@ -107,12 +111,11 @@ proptest! {
         let corrupted = format!("{}\n", lines.join("\n"));
 
         let want_line = victim + 1; // 1-based
-        let (sline, smsg) = parse_err(read_mtx(corrupted.as_bytes()));
-        prop_assert_eq!(sline, want_line, "serial line for kind {}", kind);
+        let (_, one_msg) = parse_err(read_mtx_bytes(corrupted.as_bytes(), 1));
         for t in FANOUTS {
-            let (pline, pmsg) = parse_err(read_mtx_bytes(corrupted.as_bytes(), t));
-            prop_assert_eq!(pline, sline, "kind {} @ {} threads", kind, t);
-            prop_assert_eq!(&pmsg, &smsg, "kind {} @ {} threads", kind, t);
+            let (line, msg) = parse_err(read_mtx_bytes(corrupted.as_bytes(), t));
+            prop_assert_eq!(line, want_line, "kind {} @ {} threads", kind, t);
+            prop_assert_eq!(&msg, &one_msg, "kind {} @ {} threads", kind, t);
         }
     }
 }

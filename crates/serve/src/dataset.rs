@@ -585,7 +585,7 @@ mod tests {
             let (mtx, msb) = (dir.join("b.mtx"), dir.join("b.msb"));
             mspgemm_io::mtx::write_mtx_file(&mtx, &base).unwrap();
             mspgemm_io::write_msb_file(&msb, &base).unwrap();
-            let off = LoadOpts { policy: CachePolicy::Off, parse_threads: 1, ..LoadOpts::default() };
+            let off = LoadOpts { policy: CachePolicy::Off, ..LoadOpts::default() };
             let lanes = [
                 (&mtx, off),
                 (&msb, LoadOpts { mmap: true, ..off }),

@@ -122,7 +122,6 @@ pub(crate) fn load(state: &ServerState, p: &LoadParams) -> Result<(String, Json)
             p.name.as_deref(),
             &LoadOpts {
                 policy: p.cache.unwrap_or(default.policy),
-                parse_threads: p.parse_threads.unwrap_or(default.parse_threads),
                 mmap: p.mmap.unwrap_or(default.mmap),
                 pattern: p.pattern.unwrap_or(default.pattern),
             },

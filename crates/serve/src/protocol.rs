@@ -269,7 +269,6 @@ pub(crate) enum Request {
 pub(crate) struct LoadParams {
     pub path: String,
     pub name: Option<String>,
-    pub parse_threads: Option<usize>,
     pub cache: Option<CachePolicy>,
     pub mmap: Option<bool>,
     pub pattern: Option<bool>,
@@ -399,17 +398,12 @@ fn decode_load(req: &Json) -> Result<LoadParams, Reject> {
     Ok(LoadParams {
         path: req_str(req, "path")?.to_string(),
         name: opt_str(req, "name")?.map(str::to_string),
-        parse_threads: opt(req, "parse_threads", Json::as_u64, "a non-negative integer")?
-            .map(|n| n as usize),
         cache: match opt_str(req, "cache")? {
             None => None,
             Some("readwrite") => Some(CachePolicy::ReadWrite),
-            Some("readonly") => Some(CachePolicy::ReadOnly),
             Some("off") => Some(CachePolicy::Off),
             Some(other) => {
-                return Err(bad(format!(
-                    "'cache' must be readwrite|readonly|off, got '{other}'"
-                )))
+                return Err(bad(format!("'cache' must be readwrite|off, got '{other}'")))
             }
         },
         mmap: opt_bool(req, "mmap")?,

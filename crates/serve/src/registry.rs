@@ -462,7 +462,6 @@ mod tests {
     fn off_opts() -> LoadOpts {
         LoadOpts {
             policy: CachePolicy::Off,
-            parse_threads: 1,
             ..LoadOpts::default()
         }
     }

@@ -56,9 +56,9 @@ pub struct ServeConfig {
     pub schedule: RowSchedule,
     /// How `load` requests and preloads ingest when the request does not
     /// say otherwise — the same [`LoadOpts`] `mxm run` / `mxm suite`
-    /// build from `--parse-threads`, `--no-cache`, `--mmap` and
-    /// `--pattern`. The default reads and writes the sidecar cache, so
-    /// the first text load warms the `.msb` next to it.
+    /// build from `--no-cache`, `--mmap` and `--pattern`. The default
+    /// reads and writes the sidecar cache, so the first text load warms
+    /// the `.msb` next to it.
     pub load: LoadOpts,
     /// Executor workers draining the admission queue — the number of
     /// heavy requests executing concurrently (`mxm serve

@@ -164,6 +164,63 @@ fn malformed_requests_keep_the_connection_alive() {
     assert!(ok.get("nnz").unwrap().as_u64().unwrap() > 0);
 }
 
+/// The `load` fields that are gone: `"cache":"readonly"` is a typed
+/// `bad_request` naming the policies that remain, and a `parse_threads`
+/// key is ignored like any unknown one — the load is answered exactly as
+/// one without it, but for its wall-clock fields.
+#[test]
+fn load_rejects_readonly_and_ignores_parse_threads() {
+    let mtx = fixture("load_fields", 60);
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let load = |extra: Vec<(&str, Json)>| {
+        let path = Json::str(mtx.to_str().unwrap());
+        let pairs = [
+            ("op", Json::str("load")),
+            ("path", path),
+            ("name", Json::str("g")),
+        ];
+        req(pairs.into_iter().chain(extra).collect())
+    };
+    let off = || ("cache", Json::str("off"));
+
+    let resp = c
+        .request(&load(vec![("cache", Json::str("readonly"))]))
+        .unwrap();
+    assert_eq!(
+        resp.get("ok"),
+        Some(&Json::Bool(false)),
+        "{}",
+        resp.to_line()
+    );
+    let err = resp.get("error").unwrap();
+    assert_eq!(err.get("code").unwrap().as_str(), Some("bad_request"));
+    let msg = err.get("message").unwrap().as_str().unwrap();
+    assert!(msg.contains("readwrite|off"), "{msg}");
+
+    // Timing aside, a load's response is a function of the file and the
+    // options, so the two must match field for field.
+    let untimed = |resp: Json| {
+        let Json::Obj(mut fields) = client::expect_ok(resp).unwrap() else {
+            unreachable!("responses are objects")
+        };
+        for (key, value) in &mut fields {
+            if let (Json::Obj(ingest), "ingest") = (value, key.as_str()) {
+                ingest.retain(|(k, _)| k != "seconds" && k != "mb_per_s");
+            }
+        }
+        Json::Obj(fields)
+    };
+    let unload = r#"{"op":"unload","name":"g"}"#;
+    let with = untimed(
+        c.request(&load(vec![off(), ("parse_threads", 3u64.into())]))
+            .unwrap(),
+    );
+    client::expect_ok(c.request_line(unload).unwrap()).unwrap();
+    let without = untimed(c.request(&load(vec![off()])).unwrap());
+    assert_eq!(with, without);
+}
+
 #[test]
 fn oversized_payload_is_rejected_and_connection_closed() {
     let (_server, addr) = start_with("oversized", 60);

@@ -37,11 +37,7 @@ fn main() {
 
     // Graph-oriented loading: arbitrary square matrices normalize into
     // the simple undirected adjacency the applications expect.
-    let read_only = LoadOpts {
-        policy: CachePolicy::ReadOnly,
-        ..LoadOpts::default()
-    };
-    let (adj, stats) = load_graph(&mtx, &read_only).unwrap();
+    let (adj, stats) = load_graph(&mtx, &LoadOpts::default()).unwrap();
     println!("normalized : {stats:?}");
 
     let scheme = Scheme::Ours(Algorithm::Msa, Phases::One);

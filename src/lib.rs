@@ -32,11 +32,11 @@
 //! ## Datasets from disk
 //!
 //! ```
-//! use mspgemm::io::{read_mtx, to_adjacency};
+//! use mspgemm::io::{read_mtx_bytes, to_adjacency};
 //!
 //! let text = "%%MatrixMarket matrix coordinate pattern symmetric\n\
 //!             3 3 3\n2 1\n3 1\n3 2\n";
-//! let (_, m) = read_mtx(text.as_bytes()).unwrap();
+//! let (_, m) = read_mtx_bytes(text.as_bytes(), 0).unwrap(); // 0 = auto fan-out
 //! let (adj, _) = to_adjacency(&m); // symmetrize, strip self-loops
 //! assert_eq!(adj.nnz(), 6);        // K3: three undirected edges
 //! ```

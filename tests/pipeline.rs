@@ -108,13 +108,13 @@ fn pipeline_deterministic_across_thread_counts() {
 
 #[test]
 fn matrix_market_roundtrip_through_apps() {
-    // Write a generated graph to .mtx, read it back (serial stream AND
-    // chunked parallel), and get identical triangle counts — exercises
-    // the I/O substrate in the pipeline.
+    // Write a generated graph to .mtx, read it back (one chunk AND four),
+    // and get identical triangle counts — exercises the I/O substrate in
+    // the pipeline.
     let g = gen::er_symmetric(120, 6, 9);
     let mut buf = Vec::new();
     mspgemm::io::mtx::write_mtx(&mut buf, &g, mspgemm::io::MtxField::Real).unwrap();
-    let (_, g2) = mspgemm::io::read_mtx(buf.as_slice()).unwrap();
+    let (_, g2) = mspgemm::io::read_mtx_bytes(&buf, 1).unwrap();
     let (_, g3) = mspgemm::io::read_mtx_bytes(&buf, 4).unwrap();
     assert_eq!(g, g2);
     assert_eq!(g, g3);
