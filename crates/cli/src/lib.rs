@@ -138,8 +138,11 @@ USAGE:
         and bumps the version like any batch). Within one batch a
         delete of a position beats an insert of the same position.
         After an update, `app tc` patches only the
-        affected rows of its cached counts (the response says
-        \"incremental\": true); k-truss and BC recompute fully.
+        affected rows of its cached counts, and the first default `mxm`
+        (algo auto, normal mask, reps 1) patches the product an earlier
+        updated version kept, at the entries the edits can reach (both
+        responses say \"incremental\": true); k-truss and BC recompute
+        fully.
         --retry N retries failed connects (every 500 ms) AND typed
         'busy' overload responses, backing off exponentially from the
         server's retry_after_ms hint (capped at 5 s per wait).

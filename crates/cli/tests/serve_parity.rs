@@ -179,13 +179,15 @@ fn oriented_self_product_answers_what_run_answers() {
     };
     // The served fingerprint under `auto`, and whether it ran oriented —
     // on two executors whatever the host has: the plan's serial passes are
-    // charged per thread.
+    // charged per thread. `msa` goes first: it takes an updated snapshot's
+    // product seed, so `auto` runs its kernel instead of a patch.
     let served = |dataset: &str| {
         let q = ["query", "--connect", &addr, "mxm", "--threads", "2"];
         let q = [&q[..], &["--dataset", dataset]].concat();
-        let auto = dispatch(&[&q[..], &["--algo", "auto"]].concat()).unwrap();
-        let choice = server.state().exec_stats.auto_choice().expect("auto ran");
         let msa = dispatch(&[&q[..], &["--algo", "msa"]].concat()).unwrap();
+        let auto = dispatch(&[&q[..], &["--algo", "auto"]].concat()).unwrap();
+        assert!(auto.contains("\"incremental\":false"), "{auto}");
+        let choice = server.state().exec_stats.auto_choice().expect("auto ran");
         let fingerprint = query_field(&auto, "fingerprint").to_string();
         assert_eq!(fingerprint, query_field(&msa, "fingerprint"), "{dataset}");
         (fingerprint, choice.work.oriented.is_some())

@@ -44,21 +44,35 @@
 //! with its last in-flight reader. Counts are only ever stored in the
 //! snapshot they were computed against, so they cannot describe any
 //! other matrix — there is nothing to check at store time.
+//!
+//! ## The product seed
+//!
+//! The `mxm` verb's normal-mask product `pattern(A) ⊙ (A·A)` travels the
+//! same way. An updated snapshot (`version` ≥ 1) keeps the first such
+//! product computed against it, and hands it to its successor with the
+//! positions changed since. The successor's first `auto` product then
+//! recomputes only the entries those positions can reach
+//! (`affected_entries`) and merges them into the seed's product. The
+//! seed is single-use: the first normal-mask product takes it, so a
+//! snapshot holds at most one product. A loaded snapshot that is never
+//! updated keeps none.
 
-use masked_spgemm::ExecOpts;
+use masked_spgemm::{masked_mxm_with_bt, Algorithm, Error, ExecOpts, MaskMode, Phases};
 use mspgemm_graph::tricount::{self, TcOperands};
 use mspgemm_graph::Scheme;
 use mspgemm_io::{
     adjacency_delta, dataset_name, load_matrix, to_adjacency, IngestReport, LoadOpts, MsbBackend,
 };
-use mspgemm_sparse::{transpose, transpose_delta, Csr, Idx, StorageReport};
+use mspgemm_sparse::semiring::PlusTimesF64;
+use mspgemm_sparse::{transpose, transpose_delta, Csr, Idx, Overlay, StorageReport};
+use std::cmp::Ordering;
 use std::mem::size_of_val;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Cap on the changed positions a seed carries. Past it, patching would
 /// approach full-recompute cost anyway, so the seed is dropped and the
-/// next `app tc` recounts every row.
+/// next `app tc` recounts every row (the next `mxm` runs the kernel).
 pub(crate) const DELTA_LOG_CAP: usize = 1 << 16;
 
 /// One resident dataset: the loaded matrix plus every derived operand the
@@ -100,18 +114,59 @@ pub struct Dataset {
     /// Per-row triangle counts of this snapshot (rows as relabeled by
     /// `tc_ops`), written by the first `app tc` that ran against it.
     tc_counts: OnceLock<Arc<[u64]>>,
-    /// What an ancestor's counts can still say about this snapshot.
-    tc_seed: Option<TcSeed>,
+    /// What an ancestor's counts can still say about this snapshot (rows
+    /// as relabeled by `tc_ops`).
+    tc_seed: Option<Seed<[u64]>>,
+    /// The `mxm` verb's normal-mask product of this snapshot, written by
+    /// the first one computed against it — on an updated snapshot only.
+    product: OnceLock<Arc<Csr<f64>>>,
+    /// What an ancestor's product can still say about this snapshot;
+    /// taken by the first normal-mask product computed against it.
+    product_seed: Mutex<Option<Seed<Csr<f64>>>>,
 }
 
-/// The newest per-row triangle counts any ancestor of a snapshot had
-/// (rows as relabeled by the snapshot's own `tc_ops`), plus the positions
-/// to patch them across.
-struct TcSeed {
-    /// The ancestor's per-row counts.
-    counts: Arc<[u64]>,
+/// The newest state any ancestor of a snapshot computed, plus the
+/// positions to patch it across.
+struct Seed<T: ?Sized> {
+    /// The ancestor's state.
+    base: Arc<T>,
     /// Positions changed between that ancestor and this snapshot.
     changed: Vec<(Idx, Idx)>,
+}
+
+impl<T: ?Sized> Seed<T> {
+    /// The seed a successor inherits across `changed`: the predecessor's
+    /// `own` state if it has one (then `changed` is all that separates it
+    /// from the new matrix), else the predecessor's `seed` with `changed`
+    /// appended. A seed grown past [`DELTA_LOG_CAP`] is dropped.
+    fn carried(
+        own: Option<&Arc<T>>,
+        seed: Option<&Seed<T>>,
+        changed: &[(Idx, Idx)],
+    ) -> Option<Seed<T>> {
+        let seed = match (own, seed) {
+            (Some(base), _) => Seed {
+                base: base.clone(),
+                changed: changed.to_vec(),
+            },
+            (None, Some(seed)) => Seed {
+                base: seed.base.clone(),
+                changed: [&seed.changed, changed].concat(),
+            },
+            (None, None) => return None,
+        };
+        (seed.changed.len() <= DELTA_LOG_CAP).then_some(seed)
+    }
+}
+
+/// One normal-mask product of a snapshot, as the `mxm` verb answers it.
+pub(crate) struct Product {
+    /// `pattern(A) ⊙ (A·A)`.
+    pub csr: Arc<Csr<f64>>,
+    /// Wall-clock seconds: the kernel's best run, or the whole patch.
+    pub seconds: f64,
+    /// Whether the seed's product was patched instead of a kernel run.
+    pub incremental: bool,
 }
 
 /// What one `app tc` pass over a snapshot found and did.
@@ -194,6 +249,8 @@ impl Dataset {
             tc_ops: OnceLock::new(),
             tc_counts: OnceLock::new(),
             tc_seed: None,
+            product: OnceLock::new(),
+            product_seed: Mutex::new(None),
         }
     }
 
@@ -216,12 +273,12 @@ impl Dataset {
     /// symmetric successor, decided in `O(batch)` with no transpose built;
     /// otherwise the patched transpose is compared with the matrix once.
     ///
-    /// `changed` also extends the seed: `prev`'s own counts if it has any
-    /// (then `changed` is all that separates them from the new matrix),
-    /// else `prev`'s seed with `changed` appended. A seed grown past
-    /// `DELTA_LOG_CAP` (2¹⁶ positions) is dropped. A snapshot with counts
-    /// or a seed always has built operands, so a seeded successor gets
-    /// them patched too — same relabeling, the one the counts align with.
+    /// `changed` also extends both seeds (`Seed::carried`): `prev`'s own
+    /// counts and product if it has them, else `prev`'s seeds, each
+    /// dropped past `DELTA_LOG_CAP` (2¹⁶ positions). A snapshot with
+    /// counts or a seed always has built operands, so a seeded successor
+    /// gets them patched too — same relabeling, the one the counts align
+    /// with.
     pub fn rebuilt(prev: &Dataset, matrix: Csr<f64>, changed: &[(Idx, Idx)]) -> Dataset {
         debug_assert!(!matrix.has_shared_storage(), "rebuilds must be heap-owned");
         let matrix_t = if prev.symmetric() && mirrors_itself(&matrix, changed) {
@@ -232,18 +289,8 @@ impl Dataset {
         };
         let adj = adjacency_delta(&matrix, changed).merged(prev.adj.view());
         debug_assert!(adj == transpose(&adj), "adj must be its own transpose");
-        let tc_seed = match (prev.tc_counts.get(), &prev.tc_seed) {
-            (Some(counts), _) => Some(TcSeed {
-                counts: counts.clone(),
-                changed: changed.to_vec(),
-            }),
-            (None, Some(seed)) => Some(TcSeed {
-                counts: seed.counts.clone(),
-                changed: [&seed.changed, changed].concat(),
-            }),
-            (None, None) => None,
-        }
-        .filter(|seed| seed.changed.len() <= DELTA_LOG_CAP);
+        let tc_seed = Seed::carried(prev.tc_counts.get(), prev.tc_seed.as_ref(), changed);
+        let product_seed = Seed::carried(prev.product.get(), prev.product_seed().as_ref(), changed);
         let tc_ops = match &tc_seed {
             Some(_) => {
                 let ops = prev.tc_ops.get().expect("counts or a seed imply operands");
@@ -271,7 +318,17 @@ impl Dataset {
             tc_ops,
             tc_counts: OnceLock::new(),
             tc_seed,
+            product: OnceLock::new(),
+            product_seed: Mutex::new(product_seed),
         }
+    }
+
+    /// The product seed, under its lock (recovered from poison: a
+    /// panicking product must not wedge the snapshot).
+    fn product_seed(&self) -> MutexGuard<'_, Option<Seed<Csr<f64>>>> {
+        self.product_seed
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// `matrixᵀ` in CSR — the `Bᵀ` of the `mxm` verb. For a symmetric
@@ -312,7 +369,7 @@ impl Dataset {
             Some(seed) if self.tc_counts.get().is_none() => {
                 let rows = tricount::affected_rows(&ops, &seed.changed);
                 let (patch, secs) = tricount::recount_rows_with(&ops, &rows, scheme, opts);
-                let mut counts = seed.counts.to_vec();
+                let mut counts = seed.base.to_vec();
                 for &i in &rows {
                     counts[i] = patch[i];
                 }
@@ -337,6 +394,90 @@ impl Dataset {
     #[cfg(test)]
     pub(crate) fn tc_seed_changed(&self) -> Option<&[(Idx, Idx)]> {
         self.tc_seed.as_ref().map(|seed| seed.changed.as_slice())
+    }
+
+    /// The `mxm` verb's normal-mask product `pattern(A) ⊙ (A·A)`.
+    ///
+    /// With `patch` set, the first product of a seeded snapshot patches
+    /// the seed's ([`Self::patched_product`]); every other one is what
+    /// `kernel` computes (its product and seconds). Either way the first
+    /// normal-mask product takes the seed — a failed one drops it, and the
+    /// next runs the kernel — and, on an updated snapshot, is kept for the
+    /// successor's seed. A loaded snapshot keeps nothing, so a dataset that
+    /// is never updated holds what its operands hold.
+    pub(crate) fn normal_product(
+        &self,
+        patch: bool,
+        phases: Phases,
+        opts: &ExecOpts<'_>,
+        kernel: impl FnOnce() -> Result<(Csr<f64>, f64), Error>,
+    ) -> Result<Product, Error> {
+        let seed = self.product_seed().take();
+        let out = match seed {
+            Some(seed) if patch => {
+                let t0 = Instant::now();
+                let csr = self.patched_product(&seed, phases, opts)?;
+                Product {
+                    csr,
+                    seconds: t0.elapsed().as_secs_f64(),
+                    incremental: true,
+                }
+            }
+            _ => {
+                let (csr, seconds) = kernel()?;
+                Product {
+                    csr: Arc::new(csr),
+                    seconds,
+                    incremental: false,
+                }
+            }
+        };
+        if self.version > 0 {
+            // A concurrent first product may have landed already: the
+            // same bits, so either copy will do.
+            let _ = self.product.set(out.csr.clone());
+        }
+        Ok(out)
+    }
+
+    /// This snapshot's product, patched from `seed`'s. Only the entries
+    /// the changed positions can reach ([`affected_entries`]) are
+    /// recomputed, by one product masked to those the matrix stores; each
+    /// becomes an upsert where that product emitted it and a delete where
+    /// it did not, merged into the seed's product. Every other entry
+    /// keeps its mask bit and its terms, in the same order, so the result
+    /// equals a fresh product by bits.
+    fn patched_product(
+        &self,
+        seed: &Seed<Csr<f64>>,
+        phases: Phases,
+        opts: &ExecOpts<'_>,
+    ) -> Result<Arc<Csr<f64>>, Error> {
+        let a = &self.matrix;
+        let entries = affected_entries(a, self.bt(), &seed.changed);
+        if entries.is_empty() {
+            return Ok(seed.base.clone());
+        }
+        let stored: Vec<(Idx, Idx)> = entries
+            .iter()
+            .copied()
+            .filter(|&(i, j)| a.get(i as usize, j).is_some())
+            .collect();
+        let recomputed = masked_mxm_with_bt::<PlusTimesF64, ()>(
+            &pattern_at(a.nrows(), a.ncols(), &stored),
+            a,
+            a,
+            Some(self.bt()),
+            Algorithm::Auto,
+            MaskMode::Mask,
+            phases,
+            opts,
+        )?;
+        let mut delta = Overlay::new(a.nrows(), a.ncols());
+        for &(i, j) in &entries {
+            delta.set(i, j, recomputed.get(i as usize, j).copied());
+        }
+        Ok(Arc::new(delta.merged(seed.base.view())))
     }
 
     /// Whether the raw matrix is resident pattern-only: its value section
@@ -367,7 +508,7 @@ impl Dataset {
         // Beside the operand matrices the triangle state is plain heap
         // vectors: the relabeling, this snapshot's counts, and the seed
         // (counts shared with ancestors no entry retains, so counted
-        // here).
+        // here). The product and its seed count the same way.
         let mut vectors = 0;
         let mut total = f(&self.matrix.storage_report()) + f(&self.adj.storage_report());
         if let Some(t) = &self.matrix_t {
@@ -381,7 +522,14 @@ impl Dataset {
             vectors += size_of_val(&counts[..]);
         }
         if let Some(seed) = &self.tc_seed {
-            vectors += size_of_val(&seed.counts[..]) + size_of_val(seed.changed.as_slice());
+            vectors += size_of_val(&seed.base[..]) + size_of_val(seed.changed.as_slice());
+        }
+        if let Some(product) = self.product.get() {
+            total += f(&product.storage_report());
+        }
+        if let Some(seed) = self.product_seed().as_ref() {
+            total += f(&seed.base.storage_report());
+            vectors += size_of_val(seed.changed.as_slice());
         }
         total
             + f(&StorageReport {
@@ -407,14 +555,17 @@ impl Dataset {
 /// pattern, same values bit for bit (`-0.0` is not `0.0` here: the `mxm`
 /// verb's fingerprint hashes bits).
 fn distinct_transpose(matrix: &Csr<f64>, transposed: Csr<f64>) -> Option<Csr<f64>> {
-    let same = matrix.rowptr() == transposed.rowptr()
-        && matrix.colidx() == transposed.colidx()
-        && matrix
-            .values()
+    (!same_bits(matrix, &transposed)).then_some(transposed)
+}
+
+/// `a == b` with values compared by bits.
+fn same_bits(a: &Csr<f64>, b: &Csr<f64>) -> bool {
+    a.rowptr() == b.rowptr()
+        && a.colidx() == b.colidx()
+        && a.values()
             .iter()
             .map(|v| v.to_bits())
-            .eq(transposed.values().iter().map(|v| v.to_bits()));
-    (!same).then_some(transposed)
+            .eq(b.values().iter().map(|v| v.to_bits()))
 }
 
 /// Whether every position in `changed` now holds what its mirror image
@@ -425,12 +576,88 @@ fn mirrors_itself(matrix: &Csr<f64>, changed: &[(Idx, Idx)]) -> bool {
     changed.iter().all(|&(i, j)| bits(i, j) == bits(j, i))
 }
 
+/// The entries of `pattern(A) ⊙ (A·A)` that `changed` positions of `a`
+/// can have moved, sorted and deduplicated; `at` is `aᵀ`. With `P` the
+/// changed positions, they are `P` itself (mask bits) plus, for each
+/// `(i, k) ∈ P`:
+///
+/// * `(i, j)` for `j ∈ A[i,:] ∩ (A[k,:] ∪ P[k,:])` — the terms
+///   `A(i,k)·A(k,j)`;
+/// * `(r, k)` for `r ∈ Aᵀ[k,:] ∩ (Aᵀ[i,:] ∪ Pᵀ[i,:])` — the terms
+///   `A(r,i)·A(i,k)`.
+///
+/// `A` is the matrix after the change; a term that existed only before
+/// it has a changed factor, which `P[k,:]` / `Pᵀ[i,:]` cover. Any other
+/// entry keeps its mask bit and every one of its terms. No symmetry is
+/// assumed.
+fn affected_entries(a: &Csr<f64>, at: &Csr<f64>, changed: &[(Idx, Idx)]) -> Vec<(Idx, Idx)> {
+    let mut p = changed.to_vec();
+    p.sort_unstable();
+    p.dedup();
+    let mut pt: Vec<(Idx, Idx)> = p.iter().map(|&(i, j)| (j, i)).collect();
+    pt.sort_unstable();
+    let mut entries = p.clone();
+    for &(i, k) in &p {
+        let (iu, ku) = (i as usize, k as usize);
+        intersect(a.row_cols(iu), a.row_cols(ku), |j| entries.push((i, j)));
+        for j in row_of(&p, k).filter(|&j| a.get(iu, j).is_some()) {
+            entries.push((i, j));
+        }
+        intersect(at.row_cols(ku), at.row_cols(iu), |r| entries.push((r, k)));
+        for r in row_of(&pt, i).filter(|&r| a.get(r as usize, k).is_some()) {
+            entries.push((r, k));
+        }
+    }
+    entries.sort_unstable();
+    entries.dedup();
+    entries
+}
+
+/// Calls `hit` with every index both sorted slices hold.
+fn intersect(x: &[Idx], y: &[Idx], mut hit: impl FnMut(Idx)) {
+    let (mut p, mut q) = (0, 0);
+    while p < x.len() && q < y.len() {
+        match x[p].cmp(&y[q]) {
+            Ordering::Less => p += 1,
+            Ordering::Greater => q += 1,
+            Ordering::Equal => {
+                hit(x[p]);
+                (p, q) = (p + 1, q + 1);
+            }
+        }
+    }
+}
+
+/// The columns of row `r` in a sorted position list.
+fn row_of(sorted: &[(Idx, Idx)], r: Idx) -> impl Iterator<Item = Idx> + '_ {
+    let lo = sorted.partition_point(|&(i, _)| i < r);
+    sorted[lo..]
+        .iter()
+        .take_while(move |&&(i, _)| i == r)
+        .map(|&(_, j)| j)
+}
+
+/// The `nrows × ncols` pattern holding exactly the sorted, deduplicated
+/// `positions` — built directly, since `Coo::to_csr` sorts its rows on
+/// the thread pool, a wake-up a mask this small does not need.
+fn pattern_at(nrows: usize, ncols: usize, positions: &[(Idx, Idx)]) -> Csr<()> {
+    let mut rowptr = vec![0usize; nrows + 1];
+    for &(i, _) in positions {
+        rowptr[i as usize + 1] += 1;
+    }
+    for i in 0..nrows {
+        rowptr[i + 1] += rowptr[i];
+    }
+    let colidx = positions.iter().map(|&(_, j)| j).collect();
+    let values = vec![(); positions.len()];
+    Csr::from_parts_unchecked(nrows, ncols, rowptr, colidx, values)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use masked_spgemm::{Algorithm, Phases};
     use mspgemm_io::CachePolicy;
-    use mspgemm_sparse::{DeltaOp, Overlay};
+    use mspgemm_sparse::DeltaOp;
     use proptest::prelude::*;
 
     const SCHEME: Scheme = Scheme::Ours(Algorithm::Msa, Phases::One);
@@ -438,6 +665,60 @@ mod tests {
 
     fn count(ds: &Dataset) -> TcAnswer {
         ds.triangle_count(SCHEME, &ExecOpts::default())
+    }
+
+    /// A fresh `auto` product of `ds`'s matrix, as the `mxm` verb runs it.
+    fn fresh(ds: &Dataset) -> Csr<f64> {
+        let m = &ds.matrix;
+        masked_mxm_with_bt::<PlusTimesF64, f64>(
+            m,
+            m,
+            m,
+            Some(ds.bt()),
+            Algorithm::Auto,
+            MaskMode::Mask,
+            Phases::One,
+            &ExecOpts::default(),
+        )
+        .unwrap()
+    }
+
+    /// One default `mxm` against `ds`: a patch where it is seeded, else
+    /// [`fresh`].
+    fn product(ds: &Dataset) -> Product {
+        let kernel = || Ok((fresh(ds), 0.0));
+        ds.normal_product(true, Phases::One, &ExecOpts::default(), kernel)
+            .unwrap()
+    }
+
+    /// One default `mxm` landed on `ds`: patched exactly when `ds` was
+    /// seeded, equal to a fresh product by bits, and kept on an updated
+    /// snapshot only.
+    fn land(ds: &Dataset) -> Result<Product, TestCaseError> {
+        let seeded = ds.product_seed().is_some();
+        let got = product(ds);
+        prop_assert_eq!(got.incremental, seeded);
+        prop_assert!(same_bits(&got.csr, &fresh(ds)));
+        prop_assert!(ds.product_seed().is_none(), "the seed is single-use");
+        prop_assert_eq!(ds.product.get().is_some(), ds.version > 0);
+        Ok(got)
+    }
+
+    /// `ds`'s patched product checked against a fresh one, by bits,
+    /// leaving the seed in place.
+    fn check_seed(ds: &Dataset) -> Result<(), TestCaseError> {
+        if let Some(seed) = ds.product_seed().as_ref() {
+            let patched = ds
+                .patched_product(seed, Phases::One, &ExecOpts::default())
+                .unwrap();
+            let want = fresh(ds);
+            prop_assert!(
+                same_bits(&patched, &want),
+                "patched {patched:?} != fresh {want:?} across {:?}",
+                seed.changed
+            );
+        }
+        Ok(())
     }
 
     /// A directed, valued base with self-loops and one-way edges.
@@ -562,7 +843,10 @@ mod tests {
         /// equals what `derive` / `prepare_with_perm` build from the
         /// merged matrix — over a heap, an mmap and a unit-arena base,
         /// with `app tc` landing on some snapshots and not others so all
-        /// three seed arms of `rebuilt` carry operands forward.
+        /// three seed arms of `rebuilt` carry operands forward. `mxm`
+        /// lands the same way, so product seeds span one batch or
+        /// several, and every seeded successor's patch equals a fresh
+        /// product by bits.
         #[test]
         fn patched_sections_equal_derive(
             base in base_strategy(),
@@ -602,7 +886,11 @@ mod tests {
                     if !next(&mut s).is_multiple_of(3) {
                         count(&ds);
                     }
+                    if next(&mut s).is_multiple_of(2) {
+                        land(&ds)?;
+                    }
                     let next_ds = updated(&ds, &batch(&mut s, &ds.matrix));
+                    check_seed(&next_ds)?;
                     let want = Dataset::derive(
                         ds.name.clone(),
                         ds.path.clone(),
@@ -635,6 +923,7 @@ mod tests {
                     }
                     ds = next_ds;
                 }
+                land(&ds)?;
                 prop_assert_eq!(count(&ds).triangles, count(&Dataset::derive(
                     ds.name.clone(),
                     ds.path.clone(),
@@ -721,5 +1010,131 @@ mod tests {
         assert!(count(&v3).patched_rows.is_some());
         assert_eq!(relabels(), 0, "updates carry the operands forward");
         tracer.set_enabled(false);
+    }
+
+    /// A loaded 5-vertex undirected graph: the triangle {0, 1, 2} plus
+    /// the edges 1–3, 2–3, 3–4 and 0–4, so the product entry (1, 2) sums
+    /// a term through 0 and one through 3.
+    fn triangle_graph(tag: &str) -> Dataset {
+        let mut d = vec![vec![None; 5]; 5];
+        for (u, v) in [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (0, 4)] {
+            (d[u][v], d[v][u]) = (Some(1.0), Some(1.0));
+        }
+        let dir = std::env::temp_dir().join("mspgemm_serve_patch");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mtx = dir.join(format!("{tag}.mtx"));
+        mspgemm_io::mtx::write_mtx_file(&mtx, &Csr::from_dense(&d, 5)).unwrap();
+        let off = LoadOpts {
+            policy: CachePolicy::Off,
+            ..LoadOpts::default()
+        };
+        Dataset::load(mtx.to_str().unwrap(), None, &off).unwrap()
+    }
+
+    /// An updated snapshot of [`triangle_graph`] (an overwrite of 3–4
+    /// with its own value) holding its product, entry (1, 2) = 2.
+    fn kept_product(tag: &str) -> (Dataset, Product) {
+        let v0 = triangle_graph(tag);
+        let v1 = updated(&v0, &[upsert((3, 4), 1.0), upsert((4, 3), 1.0)]);
+        let kept = product(&v1);
+        assert!(!kept.incremental, "v0 keeps no product to seed from");
+        assert_eq!(kept.csr.get(1, 2), Some(&2.0));
+        (v1, kept)
+    }
+
+    const TRIANGLE_EDGES: [(Idx, Idx); 4] = [(0, 1), (1, 0), (0, 2), (2, 0)];
+
+    /// One batch deletes two edges of the triangle. In the new matrix 0
+    /// links neither 1 nor 2, so only the changed positions themselves
+    /// (`P[k,:]` / `Pᵀ[i,:]`) reach (1, 2), whose term through 0 is gone.
+    #[test]
+    fn one_batch_deleting_two_triangle_edges_patches_the_third() {
+        let (v1, _) = kept_product("tri_one");
+        let v2 = updated(&v1, &TRIANGLE_EDGES.map(delete));
+        let reach = affected_entries(&v2.matrix, v2.bt(), &TRIANGLE_EDGES);
+        assert!(
+            reach.contains(&(1, 2)) && reach.contains(&(2, 1)),
+            "{reach:?}"
+        );
+        let patched = product(&v2);
+        assert!(patched.incremental);
+        assert_eq!(patched.csr.get(1, 2), Some(&1.0));
+        assert!(same_bits(&patched.csr, &fresh(&v2)));
+    }
+
+    /// The same deletions in two batches with no product between them:
+    /// the second successor patches the first's seed across both.
+    #[test]
+    fn two_batches_deleting_two_triangle_edges_patch_across_both() {
+        let (v1, _) = kept_product("tri_two");
+        let ops = TRIANGLE_EDGES.map(delete);
+        let v2 = updated(&v1, &ops[..2]);
+        let v3 = updated(&v2, &ops[2..]);
+        let logged = v3.product_seed().as_ref().map(|seed| seed.changed.clone());
+        assert_eq!(logged.as_deref(), Some(&TRIANGLE_EDGES[..]));
+        let patched = product(&v3);
+        assert!(patched.incremental);
+        assert_eq!(patched.csr.get(1, 2), Some(&1.0));
+        assert!(same_bits(&patched.csr, &fresh(&v3)));
+    }
+
+    /// An op-free `compact` changes no position: its successor's patch
+    /// recomputes nothing and keeps the seed's product itself.
+    #[test]
+    fn op_free_successor_patches_nothing() {
+        let (v1, kept) = kept_product("tri_compact");
+        let v2 = updated(&v1, &[]);
+        let patched = product(&v2);
+        assert!(patched.incremental);
+        assert!(Arc::ptr_eq(&patched.csr, &kept.csr));
+        assert!(Arc::ptr_eq(v2.product.get().unwrap(), &kept.csr));
+    }
+
+    /// A loaded snapshot keeps no product, however many it computes. An
+    /// updated one keeps its first, and its successor holds that one (as
+    /// the seed, shared) until it holds its own — never two.
+    #[test]
+    fn products_are_resident_on_updated_snapshots_only() {
+        let dir = std::env::temp_dir().join("mspgemm_serve_patch");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mtx = dir.join("resident.mtx");
+        mspgemm_io::mtx::write_mtx_file(&mtx, &mspgemm_gen::er_symmetric(60, 6, 3)).unwrap();
+        let off = LoadOpts {
+            policy: CachePolicy::Off,
+            ..LoadOpts::default()
+        };
+        let v0 = Dataset::load(mtx.to_str().unwrap(), None, &off).unwrap();
+        let loaded = v0.mem_bytes();
+        for _ in 0..3 {
+            assert!(!product(&v0).incremental);
+            assert_eq!(v0.mem_bytes(), loaded);
+        }
+        // Overwrites of one stored edge, both orientations: every section
+        // keeps its size, and the matrix its symmetry.
+        let (i, j, _) = v0.matrix.iter().find(|&(i, j, _)| i != j as usize).unwrap();
+        let overwrite = |val| [upsert((i as Idx, j), val), upsert((j, i as Idx), val)];
+        let bytes = |c: &Csr<f64>| c.storage_report().heap_bytes as u64;
+
+        let v1 = updated(&v0, &overwrite(3.0));
+        let bare = v1.mem_bytes();
+        let first = product(&v1);
+        assert_eq!(v1.mem_bytes(), bare + bytes(&first.csr));
+        product(&v1);
+        assert_eq!(v1.mem_bytes(), bare + bytes(&first.csr), "written once");
+
+        let v2 = updated(&v1, &overwrite(4.0));
+        assert_eq!(
+            v2.mem_bytes(),
+            bare + bytes(&first.csr) + 16,
+            "seeded, not doubled"
+        );
+        let patched = product(&v2);
+        assert!(patched.incremental);
+        assert_eq!(
+            v2.mem_bytes(),
+            bare + bytes(&patched.csr),
+            "the seed is gone"
+        );
+        assert_eq!(bytes(&patched.csr), bytes(&first.csr));
     }
 }

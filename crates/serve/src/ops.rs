@@ -9,7 +9,7 @@
 //! only read the shared [`ServerState`] and render wire shapes, so a
 //! response field is spelled in exactly one place.
 
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, Product};
 use crate::json::Json;
 use crate::protocol::{
     ok_response, AppParams, ErrorCode, HeavyRequest, LoadParams, MetricsFormat, MxmParams, Reject,
@@ -17,13 +17,14 @@ use crate::protocol::{
 };
 use crate::registry::{DatasetInfo, RegistryError};
 use crate::server::ServerState;
-use masked_spgemm::{masked_mxm_with_bt, ExecOpts, MaskMode, Phases, RowSchedule};
+use masked_spgemm::{masked_mxm_with_bt, Algorithm, ExecOpts, MaskMode, Phases, RowSchedule};
 use mspgemm_graph::{bc, ktruss, App};
 use mspgemm_harness::{busy_spread, csr_fingerprint, gflops, mb_per_s, with_threads, BusySpread};
 use mspgemm_io::LoadOpts;
 use mspgemm_obs::{HistSnapshot, Series};
 use mspgemm_sparse::semiring::PlusTimesF64;
 use mspgemm_sparse::Csr;
+use std::sync::Arc;
 use std::time::Instant;
 
 pub(crate) type OpResult = Result<Json, Reject>;
@@ -252,7 +253,7 @@ fn mxm(
     };
     // Exactly `reps` kernel runs (decode clamps `reps >= 1`), no warm-up:
     // a request costs what it asked for, and reports its best run.
-    let (secs, c) = on_threads(p.threads, || {
+    let kernel = || {
         let mut best = f64::INFINITY;
         let mut out = None;
         for _ in 0..p.reps {
@@ -260,12 +261,30 @@ fn mxm(
             out = Some(run_one()?);
             best = best.min(t0.elapsed().as_secs_f64());
         }
-        Ok((best, out.expect("reps >= 1")))
+        Ok((out.expect("reps >= 1"), best))
+    };
+    // Only a default-shaped request may be answered by a patch: a named
+    // `algo` or `reps > 1` asks for the kernel itself.
+    let patch = p.algo == Algorithm::Auto && p.reps == 1;
+    let product = on_threads(p.threads, || match p.mode {
+        MaskMode::Mask => ds.normal_product(patch, p.phases, &opts, kernel),
+        MaskMode::Complement => kernel().map(|(c, seconds)| Product {
+            csr: Arc::new(c),
+            seconds,
+            incremental: false,
+        }),
     })
     .map_err(|e: masked_spgemm::Error| match e {
         masked_spgemm::Error::DeadlineExceeded => (ErrorCode::DeadlineExceeded, e.to_string()),
         other => (ErrorCode::ExecFailed, other.to_string()),
     })?;
+    let (c, secs) = (&*product.csr, product.seconds);
+    if product.incremental {
+        state
+            .metrics
+            .counter("incremental_total", &[("verb", "mxm")])
+            .add(fused_group as u64);
+    }
     Ok(ok_response(vec![
         ("op", Json::str("mxm")),
         ("dataset", Json::str(&ds.name)),
@@ -285,11 +304,20 @@ fn mxm(
         ("threads", p.threads.into()),
         ("reps", p.reps.into()),
         ("seconds", secs.into()),
-        ("gflops", gflops(ds.mxm_flops, secs).into()),
+        (
+            "gflops",
+            // A patch forms a sliver of the products: no honest FLOP
+            // denominator, as for an incremental `tc`.
+            match product.incremental {
+                true => Json::Null,
+                false => gflops(ds.mxm_flops, secs).into(),
+            },
+        ),
+        ("incremental", product.incremental.into()),
         ("nnz", c.nnz().into()),
         (
             "fingerprint",
-            Json::Str(format!("{:016x}", csr_fingerprint(&c))),
+            Json::Str(format!("{:016x}", csr_fingerprint(c))),
         ),
         // `fused_group` is how many requests shared the kernel pass;
         // `fused` is the flag a client can switch on without comparing
@@ -312,6 +340,12 @@ fn app(state: &ServerState, name: &str, p: &AppParams) -> OpResult {
         match p.app {
             App::Tc => {
                 let tc = ds.triangle_count(p.scheme, &opts);
+                if tc.patched_rows.is_some() {
+                    state
+                        .metrics
+                        .counter("incremental_total", &[("verb", "tc")])
+                        .inc();
+                }
                 let mut fields = vec![
                     ("triangles", tc.triangles.into()),
                     ("mxm_seconds", tc.mxm_seconds.into()),

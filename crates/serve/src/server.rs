@@ -153,6 +153,11 @@ impl ServerState {
         ] {
             let _ = state.metrics.counter(name, &[]);
         }
+        for verb in ["mxm", "tc"] {
+            let _ = state
+                .metrics
+                .counter("incremental_total", &[("verb", verb)]);
+        }
         Scheduler::spawn_workers(&state);
         state
     }

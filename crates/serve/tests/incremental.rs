@@ -5,8 +5,10 @@
 //! a live server — with `"compact": true` sent at two distinct points
 //! per schedule — and after **every** batch asserts fingerprint parity
 //! between (a) reads through the merged live dataset and (b) a freshly
-//! loaded dataset built from the final edge set, swept across four algorithms × both
-//! mask modes × both phase counts × both residency backends. The
+//! loaded dataset built from the final edge set, swept across five algorithms × both
+//! mask modes × both phase counts × both residency backends. `auto`
+//! leads the grid, so its normal-mask product after every batch but the
+//! first is the one patched from the predecessor's. The
 //! triangle-count application rides the same schedules: the incremental
 //! patched path must report exactly what a full recompute (and the
 //! fresh twin) reports. Between them the grid reads every operand an
@@ -193,6 +195,21 @@ fn total_counter(m: &Json, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
+/// The value of a counter labeled `verb` in a `metrics` response.
+fn verb_counter(m: &Json, name: &str, verb: &str) -> u64 {
+    m.get("counters")
+        .unwrap()
+        .as_arr()
+        .unwrap()
+        .iter()
+        .find(|e| {
+            e.get("name").unwrap().as_str() == Some(name)
+                && e.get("labels").unwrap().get("verb").and_then(Json::as_str) == Some(verb)
+        })
+        .map(|e| e.get("value").unwrap().as_u64().unwrap())
+        .unwrap_or_else(|| panic!("no {name}{{verb=\"{verb}\"}} in {}", m.to_line()))
+}
+
 fn xorshift(x: &mut u64) -> u64 {
     *x ^= *x << 13;
     *x ^= *x >> 7;
@@ -229,19 +246,27 @@ fn mirror_batch(model: &mut Model, ins: &[(Idx, Idx, f64)], del: &[(Idx, Idx)]) 
     }
 }
 
-/// The sweep grid: four algorithms (all complement-capable; `inner` is
+/// The sweep grid: five algorithms (all complement-capable; `inner` is
 /// the one that reads the resident `matrixᵀ`) × both mask modes × both
-/// phase counts.
-const ALGOS: [&str; 4] = ["hash", "msa", "heap", "inner"];
+/// phase counts. `auto` comes first: the first normal-mask product of a
+/// seeded snapshot takes the seed, so `auto/normal/1` is the patched one.
+const ALGOS: [&str; 5] = ["auto", "hash", "msa", "heap", "inner"];
 const MASKS: [&str; 2] = ["normal", "complement"];
 const PHASES: [&str; 2] = ["1", "2"];
 const TC_SCHEMES: [&str; 3] = ["hash-1p", "msa-2p", "heap-1p"];
+
+/// Incremental answers the live side of one [`assert_parity`] gave.
+#[derive(Default)]
+struct Incremental {
+    tc: usize,
+    mxm: usize,
+}
 
 /// Assert full differential parity between the live (overlay-built)
 /// dataset and a freshly loaded twin of `model`: every point on the
 /// mxm grid fingerprint-identical, every TC scheme count-identical, and
 /// the two adjacency-only apps (k-truss, BC) answering alike. Returns the
-/// number of incremental TC responses observed on the live side.
+/// number of incremental TC and `mxm` responses observed on the live side.
 fn assert_parity(
     c: &mut Client,
     dir: &Path,
@@ -249,7 +274,7 @@ fn assert_parity(
     fresh: &str,
     n: usize,
     model: &Model,
-) -> usize {
+) -> Incremental {
     let fresh_mtx = dir.join(format!("{fresh}.mtx"));
     write_model(&fresh_mtx, n, model);
     client::expect_ok(
@@ -257,6 +282,7 @@ fn assert_parity(
             .unwrap(),
     )
     .unwrap();
+    let mut incremental = Incremental::default();
     for algo in ALGOS {
         for mask in MASKS {
             for phases in PHASES {
@@ -269,10 +295,13 @@ fn assert_parity(
                     fingerprint(&b),
                     "live {live} diverged from rebuilt {fresh} at {algo}/{mask}/{phases}p"
                 );
+                assert!(!bool_field(&b, "incremental"), "a load has no seed");
+                if bool_field(&a, "incremental") {
+                    incremental.mxm += 1;
+                }
             }
         }
     }
-    let mut incremental = 0;
     for scheme in TC_SCHEMES {
         let a = client::expect_ok(c.request(&tc_req(live, scheme)).unwrap()).unwrap();
         let b = client::expect_ok(c.request(&tc_req(fresh, scheme)).unwrap()).unwrap();
@@ -284,7 +313,7 @@ fn assert_parity(
             b.to_line()
         );
         if bool_field(&a, "incremental") {
-            incremental += 1;
+            incremental.tc += 1;
         }
     }
     let [kt_live, kt_fresh] = [live, fresh]
@@ -342,13 +371,16 @@ fn differential_schedules_prove_incremental_equals_recompute() {
         ("heap", mtx.to_str().unwrap(), false, 0x5eed_0001u64, [2, 5]),
         ("mmap", msb.to_str().unwrap(), true, 0x5eed_0002u64, [1, 4]),
     ];
-    let mut incremental_seen = 0usize;
+    let (mut incremental_seen, mut patched_seen) = (0usize, 0usize);
     for (name, path, mmap, seed, compact_at) in lanes {
         client::expect_ok(c.request(&load_req(name, path, mmap)).unwrap()).unwrap();
         let mut model: Model = g.iter().map(|(i, j, &v)| ((i as Idx, j), v)).collect();
         // Prime the TC cache at version 0 so the first update's count
         // takes the incremental path.
         client::expect_ok(c.request(&tc_req(name, "hash-1p")).unwrap()).unwrap();
+        // A loaded snapshot keeps no product, so version 1's is computed;
+        // every later version patches its predecessor's.
+        let mut patched_products = 0usize;
         let mut rng = seed;
         for k in 1..=BATCHES {
             let count = 1 + (xorshift(&mut rng) % 8) as usize;
@@ -370,20 +402,35 @@ fn differential_schedules_prove_incremental_equals_recompute() {
             assert_eq!(u64_field(&resp, "nnz"), model.len() as u64);
             // (a)/(b) parity: live reads against the fresh rebuild — the
             // whole grid, every batch.
-            incremental_seen += assert_parity(&mut c, &dir, name, "fresh", n, &model);
+            let seen = assert_parity(&mut c, &dir, name, "fresh", n, &model);
+            incremental_seen += seen.tc;
+            patched_products += seen.mxm;
             let entry = list_entry(&mut c, name).unwrap();
             assert_eq!(entry.get("version").unwrap().as_u64(), Some(k as u64));
         }
+        assert!(
+            patched_products >= BATCHES - 1,
+            "{name}: the patched product must carry the schedule, got {patched_products}"
+        );
+        patched_seen += patched_products;
         client::expect_ok(c.request(&unload_req(name)).unwrap()).unwrap();
     }
     assert!(
         incremental_seen >= BATCHES,
         "the incremental TC path must carry the schedule, got {incremental_seen}"
     );
-    // The server counted every update.
+    // The server counted every update, and every incremental answer.
     let m =
         client::expect_ok(c.request(&req(vec![("op", Json::str("metrics"))])).unwrap()).unwrap();
     assert_eq!(total_counter(&m, "updates_total"), 2 * BATCHES as u64);
+    assert_eq!(
+        verb_counter(&m, "incremental_total", "mxm"),
+        patched_seen as u64
+    );
+    assert_eq!(
+        verb_counter(&m, "incremental_total", "tc"),
+        incremental_seen as u64
+    );
 }
 
 /// Typed protocol surface of the `update` verb: malformed batches are

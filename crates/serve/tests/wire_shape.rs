@@ -56,6 +56,7 @@ const MXM_KEYS: &[&str] = &[
     "reps",
     "seconds",
     "gflops",
+    "incremental",
     "nnz",
     "fingerprint",
     "fused",
