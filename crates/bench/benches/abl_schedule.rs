@@ -1,16 +1,15 @@
-//! Row-schedule ablation: guided vs flop-balanced row distribution on an
-//! adversarially skewed R-MAT, across a scale sweep and a thread sweep.
-//! This is the load-imbalance experiment behind the `--schedule` flag:
-//! power-law inputs concentrate the flops in a few hub rows, and after a
-//! degree-descending relabeling those hubs sit in the *first* contiguous
-//! block — the worst case for equal-row chunking, the intended case for
-//! guided/flop-balanced claiming.
+//! Row-distribution ablation: the guided row chunks on an adversarially
+//! skewed R-MAT, across a scale sweep, a thread sweep, and with and
+//! without a cross-call workspace pool. Power-law inputs concentrate the
+//! flops in a few hub rows, and after a degree-descending relabeling those
+//! hubs sit in the *first* contiguous block — the worst case for
+//! equal-row chunking, the case dynamic claiming is for.
 //!
 //! Every timed product is cross-checked for CSR equality against the
-//! one-thread single-chunk output (schedules must never change results).
-//! Per-run output includes the per-thread busy-time spread (max/mean) and
-//! the wall-clock speedup over the guided schedule at the same thread
-//! count.
+//! one-thread single-chunk output (the partition must never change
+//! results). Per-run output includes the per-thread busy-time spread
+//! (max/mean) and the wall-clock speedup over the unpooled one-thread
+//! product.
 //! Emits CSV on stdout, an aligned table on stderr, and — for the CI perf
 //! lane — a JSON report at `MSPGEMM_SCHED_JSON`.
 //!
@@ -24,11 +23,11 @@
 //! | `MSPGEMM_REPS` | timing repetitions (best-of) | 3 |
 
 use masked_spgemm::{
-    masked_mxm_with_opts, Algorithm, ExecOpts, ExecStats, MaskMode, Phases, RowSchedule, WsPool,
+    masked_mxm_with_opts, Algorithm, ExecOpts, ExecStats, MaskMode, Phases, WsPool,
 };
 use mspgemm_bench::banner;
 use mspgemm_gen::RmatParams;
-use mspgemm_harness::report::{json_escape, Table};
+use mspgemm_harness::report::Table;
 use mspgemm_harness::{busy_spread, env_usize, env_usize_list, time_best, with_threads};
 use mspgemm_sparse::ops::permute::{degree_descending_permutation, permute_symmetric};
 use mspgemm_sparse::semiring::PlusPairU64;
@@ -39,9 +38,9 @@ struct Row {
     nrows: usize,
     nnz: usize,
     threads: usize,
-    schedule: &'static str,
+    pooled: bool,
     seconds: f64,
-    speedup_vs_guided: f64,
+    speedup_vs_1t: f64,
     busy_ratio: f64,
     busy_threads: usize,
 }
@@ -64,7 +63,7 @@ fn skewed_rmat(scale: u32) -> Csr<()> {
 fn main() {
     banner(
         "abl_schedule",
-        "guided vs flop-balanced row scheduling on skewed R-MAT",
+        "guided row chunks x threads x workspace pool on skewed R-MAT",
     );
     let reps = env_usize("MSPGEMM_REPS", 3).max(1);
     let scales = env_usize_list("MSPGEMM_SCHED_SCALES", "11,12,13");
@@ -88,37 +87,31 @@ fn main() {
             )
             .expect("masked product failed")
         };
-        let reference = with_threads(1, || run(&ExecOpts::default()));
+        let (one_thread_secs, reference) =
+            with_threads(1, || time_best(reps, || run(&ExecOpts::default())));
         for &t in &threads_list {
-            let mut guided_secs = f64::NAN;
-            for sched in RowSchedule::ALL {
+            for pooled in [false, true] {
                 let pool = WsPool::new();
                 let stats = ExecStats::new();
                 let opts = ExecOpts {
-                    schedule: sched,
-                    ws_pool: Some(&pool),
+                    ws_pool: pooled.then_some(&pool),
                     stats: Some(&stats),
                     deadline: None,
                 };
                 let (secs, c) = with_threads(t, || time_best(reps, || run(&opts)));
                 assert_eq!(
-                    c,
-                    reference,
-                    "rmat{scale}@{t}t: {} CSR diverged from the single chunk",
-                    sched.name()
+                    c, reference,
+                    "rmat{scale}@{t}t pooled={pooled}: CSR diverged from the single chunk"
                 );
-                if sched == RowSchedule::Guided {
-                    guided_secs = secs;
-                }
                 let sp = busy_spread(&stats.busy_seconds());
                 rows.push(Row {
                     scale: scale as u32,
                     nrows: a.nrows(),
                     nnz: a.nnz(),
                     threads: t,
-                    schedule: sched.name(),
+                    pooled,
                     seconds: secs,
-                    speedup_vs_guided: guided_secs / secs.max(1e-12),
+                    speedup_vs_1t: one_thread_secs / secs.max(1e-12),
                     busy_ratio: sp.as_ref().map_or(1.0, |s| s.ratio()),
                     busy_threads: sp.as_ref().map_or(0, |s| s.threads),
                 });
@@ -131,9 +124,9 @@ fn main() {
         "nrows",
         "nnz",
         "threads",
-        "schedule",
+        "pooled",
         "seconds",
-        "speedup_vs_guided",
+        "speedup_vs_1t",
         "busy_max_over_mean",
         "busy_threads",
     ];
@@ -144,9 +137,9 @@ fn main() {
             r.nrows.to_string(),
             r.nnz.to_string(),
             r.threads.to_string(),
-            r.schedule.to_string(),
+            r.pooled.to_string(),
             format!("{:.6}", r.seconds),
-            format!("{:.2}", r.speedup_vs_guided),
+            format!("{:.2}", r.speedup_vs_1t),
             format!("{:.2}", r.busy_ratio),
             r.busy_threads.to_string(),
         ]);
@@ -157,7 +150,7 @@ fn main() {
     let obs = obs_overhead(scales[0] as u32, reps);
     eprintln!(
         "obs overhead: disabled span {:.1} ns, {} spans/product -> {:.5}% of the \
-         guided product ({:.6} s); traced/untraced wall ratio {:.3}",
+         product ({:.6} s); traced/untraced wall ratio {:.3}",
         obs.disabled_span_ns,
         obs.spans_per_product,
         obs.disabled_overhead_frac * 100.0,
@@ -173,7 +166,7 @@ fn main() {
     let fault = fault_overhead(scales[0] as u32, obs.product_seconds);
     eprintln!(
         "fault overhead: disarmed fire {:.1} ns, {} fires/product -> {:.5}% of the \
-         guided product",
+         product",
         fault.disabled_fire_ns,
         fault.fires_per_product,
         fault.disabled_overhead_frac * 100.0,
@@ -209,7 +202,7 @@ struct ObsOverhead {
 /// Quantify what the phase spans cost this bench when nobody is tracing:
 /// time the disabled `span()` call directly, count the spans one traced
 /// product actually emits, and charge their product against the untraced
-/// guided-schedule wall time. Also cross-checks that tracing does not
+/// wall time. Also cross-checks that tracing does not
 /// change the computed CSR.
 fn obs_overhead(scale: u32, reps: usize) -> ObsOverhead {
     use std::time::Instant;
@@ -238,7 +231,7 @@ fn obs_overhead(scale: u32, reps: usize) -> ObsOverhead {
         )
         .expect("masked product failed")
     };
-    let opts = ExecOpts::with_schedule(RowSchedule::Guided);
+    let opts = ExecOpts::default();
 
     // Interleave untraced/traced reps so drift hits both sides equally;
     // keep the best of each side (same convention as `time_best`).
@@ -280,7 +273,7 @@ struct FaultOverhead {
     /// `hits`, not assumed).
     fires_per_product: usize,
     /// fires_per_product × disabled_fire_ns as a fraction of the
-    /// untraced guided product — the whole disarmed cost of the
+    /// untraced product — the whole disarmed cost of the
     /// fault-injection hooks.
     disabled_overhead_frac: f64,
 }
@@ -288,7 +281,7 @@ struct FaultOverhead {
 /// Quantify what the kernel failpoints cost when nothing is armed: time
 /// the disarmed `fire()` call directly (one relaxed atomic load), count
 /// the sites one product crosses by arming benign zero-delay tasks, and
-/// charge their product against the same untraced guided wall time the
+/// charge their product against the same untraced wall time the
 /// obs bound uses. Also cross-checks that armed-but-benign failpoints
 /// do not change the computed CSR.
 fn fault_overhead(scale: u32, product_seconds: f64) -> FaultOverhead {
@@ -313,7 +306,7 @@ fn fault_overhead(scale: u32, product_seconds: f64) -> FaultOverhead {
             Algorithm::Hash,
             MaskMode::Mask,
             Phases::One,
-            &ExecOpts::with_schedule(RowSchedule::Guided),
+            &ExecOpts::default(),
         )
         .expect("masked product failed")
     };
@@ -340,7 +333,7 @@ fn fault_overhead(scale: u32, product_seconds: f64) -> FaultOverhead {
 }
 
 /// The perf-trajectory artifact the CI benchmark-smoke lane uploads:
-/// one record per (scale, threads, schedule), plus the observability
+/// one record per (scale, threads, pooled), plus the observability
 /// and fault-injection overhead blocks backing the <2% disabled-path
 /// acceptance bounds.
 fn report_json(rows: &[Row], obs: &ObsOverhead, fault: &FaultOverhead) -> String {
@@ -364,16 +357,16 @@ fn report_json(rows: &[Row], obs: &ObsOverhead, fault: &FaultOverhead) -> String
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"dataset\": \"rmat{}\", \"nrows\": {}, \"nnz\": {}, \
-             \"threads\": {}, \"schedule\": \"{}\", \"seconds\": {:.9}, \
-             \"speedup_vs_guided\": {:.3}, \"busy_max_over_mean\": {:.3}, \
+             \"threads\": {}, \"pooled\": {}, \"seconds\": {:.9}, \
+             \"speedup_vs_1t\": {:.3}, \"busy_max_over_mean\": {:.3}, \
              \"busy_threads\": {}}}{}\n",
             r.scale,
             r.nrows,
             r.nnz,
             r.threads,
-            json_escape(r.schedule),
+            r.pooled,
             r.seconds,
-            r.speedup_vs_guided,
+            r.speedup_vs_1t,
             r.busy_ratio,
             r.busy_threads,
             if i + 1 < rows.len() { "," } else { "" }

@@ -6,8 +6,7 @@
 
 use crate::args::Parsed;
 use masked_spgemm::{
-    masked_mxm_with_opts, Algorithm, AutoChoice, ExecOpts, ExecStats, MaskMode, Phases,
-    RowSchedule, WsPool,
+    masked_mxm_with_opts, Algorithm, AutoChoice, ExecOpts, ExecStats, MaskMode, Phases, WsPool,
 };
 use mspgemm_gen::SuiteGraph;
 use mspgemm_graph::scheme::Scheme;
@@ -106,11 +105,10 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     let path = p
         .positional
         .first()
-        .ok_or("usage: mxm run [--algo A] [--mask normal|complement] [--phases 1|2] [--schedule guided|flops] [--threads N] [--reps R] [--no-cache] [--mmap] [--pattern] [--trace out.json] <matrix.mtx|.msb>")?;
+        .ok_or("usage: mxm run [--algo A] [--mask normal|complement] [--phases 1|2] [--threads N] [--reps R] [--no-cache] [--mmap] [--pattern] [--trace out.json] <matrix.mtx|.msb>")?;
     let algo: Algorithm = p.flag("algo").unwrap_or("auto").parse()?;
     let mode: MaskMode = p.flag("mask").unwrap_or("normal").parse()?;
     let phases: Phases = p.flag("phases").unwrap_or("1").parse()?;
-    let schedule: RowSchedule = p.flag("schedule").unwrap_or("guided").parse()?;
     let threads = check_threads(p.flag_parse("threads", 0usize)?)?;
     let reps = p.flag_parse("reps", 3usize)?.max(1);
 
@@ -151,7 +149,6 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     let pool = WsPool::new();
     let stats = ExecStats::new();
     let opts = ExecOpts {
-        schedule,
         ws_pool: Some(&pool),
         stats: Some(&stats),
         deadline: None,
@@ -186,15 +183,14 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     match busy_spread(&stats.busy_seconds()) {
         Some(sp) => writeln!(
             out,
-            "schedule : {} (busy max/mean {:.2} over {} threads, pool hits {}/{} takes)",
-            schedule.name(),
+            "balance  : busy max/mean {:.2} over {} threads, pool hits {}/{} takes",
             sp.ratio(),
             sp.threads,
             pool.hits(),
             pool.hits() + pool.misses(),
         ),
         // Only a matrix with no rows times nothing.
-        None => writeln!(out, "schedule : {} (no row drives timed)", schedule.name()),
+        None => writeln!(out, "balance  : no row drives timed"),
     }
     .map_err(|e| e.to_string())?;
     // The paper's wasted-work figure, from the MSA row entry's own counts
@@ -304,7 +300,6 @@ fn scheme_list(p: &Parsed, app: App) -> Result<Vec<Scheme>, String> {
 pub fn cmd_suite(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     let app: App = p.flag("app").unwrap_or("tc").parse()?;
     let source = DatasetSource::parse(p.flag("source").unwrap_or("synthetic"));
-    let schedule: RowSchedule = p.flag("schedule").unwrap_or("guided").parse()?;
     let reps = p.flag_parse("reps", 1usize)?.max(1);
     let threads = check_threads(p.flag_parse("threads", 0usize)?)?;
     let k = p.flag_parse("k", 4usize)?;
@@ -315,11 +310,10 @@ pub fn cmd_suite(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     let schemes = scheme_list(p, app)?;
     writeln!(
         out,
-        "== mxm suite: app={} datasets={} schemes={} reps={reps} schedule={} ==",
+        "== mxm suite: app={} datasets={} schemes={} reps={reps} ==",
         app.name(),
         graphs.len(),
         schemes.len(),
-        schedule.name(),
     )
     .map_err(|e| e.to_string())?;
 
@@ -328,7 +322,6 @@ pub fn cmd_suite(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     let pool = WsPool::new();
     let stats = ExecStats::new();
     let opts = ExecOpts {
-        schedule,
         ws_pool: Some(&pool),
         stats: Some(&stats),
         deadline: None,
@@ -407,7 +400,7 @@ pub fn cmd_suite(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     .map_err(|e| e.to_string())?;
 
     if let Some(json_path) = p.flag("json") {
-        let report = suite_report(app, &graphs, &runs, exec, reps, threads, k, batch, schedule);
+        let report = suite_report(app, &graphs, &runs, exec, reps, threads, k, batch);
         std::fs::write(json_path, report.to_json())
             .map_err(|e| format!("writing {json_path}: {e}"))?;
         writeln!(out, "json report: {json_path}").map_err(|e| e.to_string())?;
@@ -425,12 +418,8 @@ fn suite_report(
     threads: usize,
     k: usize,
     batch: usize,
-    schedule: RowSchedule,
 ) -> SuiteReport {
-    let mut params = vec![
-        ("reps".to_string(), reps.to_string()),
-        ("schedule".to_string(), schedule.name().to_string()),
-    ];
+    let mut params = vec![("reps".to_string(), reps.to_string())];
     if threads > 0 {
         params.push(("threads".into(), threads.to_string()));
     }
@@ -706,32 +695,18 @@ mod tests {
     }
 
     #[test]
-    fn run_reports_schedule_and_balance() {
-        let dir = tempdir("run_sched");
+    fn run_reports_balance() {
+        let dir = tempdir("run_balance");
         let mtx = dir.join("g.mtx");
         write_small_graph(&mtx);
-        for sched in ["guided", "flops"] {
-            let p = parse(
-                &sv(&[
-                    "--algo",
-                    "hash",
-                    "--schedule",
-                    sched,
-                    "--reps",
-                    "1",
-                    "--no-cache",
-                    mtx.to_str().unwrap(),
-                ]),
-                &["algo", "mask", "phases", "schedule", "threads", "reps"],
-            )
-            .unwrap();
-            let mut out = Vec::new();
-            cmd_run(&p, &mut out).unwrap();
-            let text = String::from_utf8(out).unwrap();
-            assert!(text.contains(&format!("schedule : {sched}")), "{text}");
-            assert!(text.contains("busy max/mean"), "{text}");
-            assert!(text.contains("pool hits"), "{text}");
-        }
+        let path = mtx.to_str().unwrap();
+        let args = sv(&["--algo", "hash", "--reps", "1", "--no-cache", path]);
+        let p = parse(&args, &["algo", "reps"]).unwrap();
+        let mut out = Vec::new();
+        cmd_run(&p, &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.contains("balance  : busy max/mean"), "{text}");
+        assert!(text.contains("pool hits"), "{text}");
         // Hash records no product counts, so the line is absent above;
         // MSA reports what it formed and what the mask admitted, over the
         // warm-up and the one timed run.
@@ -763,14 +738,6 @@ mod tests {
         assert_eq!(hits, admitted);
         assert!(counted("inner", "probes   :", "(", " probes").unwrap() > hits.unwrap());
         assert_eq!(counted("msa", "probes   :", "(", " probes"), None);
-        // A typo'd schedule is rejected up front.
-        let p = parse(
-            &sv(&["--schedule", "dynamic", mtx.to_str().unwrap()]),
-            &["schedule"],
-        )
-        .unwrap();
-        let err = cmd_run(&p, &mut Vec::new()).unwrap_err();
-        assert!(err.contains("unknown schedule"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -833,42 +800,14 @@ mod tests {
             &["app", "source", "schemes", "json"],
         )
         .unwrap();
-        cmd_suite(&p, &mut Vec::new()).unwrap();
+        let mut out = Vec::new();
+        cmd_suite(&p, &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.contains("pool hits"), "{text}");
         let j = std::fs::read_to_string(&json).unwrap();
         assert!(j.contains("\"exec\""), "{j}");
         assert!(j.contains("\"busy_max_over_mean\""), "{j}");
         assert!(j.contains("\"hit_rate\""), "{j}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn suite_accepts_schedule_flag() {
-        let dir = tempdir("suite_sched");
-        write_small_graph(&dir.join("g.mtx"));
-        let json = dir.join("report.json");
-        let p = parse(
-            &sv(&[
-                "--app",
-                "tc",
-                "--source",
-                dir.to_str().unwrap(),
-                "--schemes",
-                "msa-1p",
-                "--schedule",
-                "flops",
-                "--json",
-                json.to_str().unwrap(),
-            ]),
-            &["app", "source", "schemes", "schedule", "json"],
-        )
-        .unwrap();
-        let mut out = Vec::new();
-        cmd_suite(&p, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("schedule=flops"), "{text}");
-        assert!(text.contains("pool hits"), "{text}");
-        let j = std::fs::read_to_string(&json).unwrap();
-        assert!(j.contains("\"schedule\": \"flops\""), "{j}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

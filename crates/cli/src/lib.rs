@@ -29,12 +29,11 @@ mxm — masked sparse matrix-matrix product experiment driver
 USAGE:
     mxm run [--algo msa|hash|mca|heap|heapdot|inner|auto]
             [--mask normal|complement] [--phases 1|2]
-            [--schedule guided|flops]
             [--threads N] [--reps R] [--no-cache] [--mmap] [--pattern]
             [--trace out.json] <matrix.mtx|.msb>
         One masked product C = M (.*) A*A with M = pattern(A). The run
         report includes the ingest throughput (MB/s, entries/s), the
-        load backend (heap vs zero-copy mmap), the row schedule, the
+        load backend (heap vs zero-copy mmap), the row balance, the
         hash-probe path the binary was compiled with (sse2 on x86_64,
         scalar elsewhere), the per-thread busy-time spread (max/mean)
         and, under --algo auto, what it resolved to with the push
@@ -52,7 +51,6 @@ USAGE:
 
     mxm suite [--app tc|ktruss|bc] [--source synthetic|synthetic-full|DIR|FILE]
               [--schemes msa-1p,hash-2p,...] [--no-baselines]
-              [--schedule guided|flops]
               [--reps R] [--threads N] [--k K]
               [--batch B] [--tau-max X] [--json out.json] [--no-cache]
               [--mmap] [--pattern]
@@ -62,12 +60,10 @@ USAGE:
         accumulator pool spans the whole sweep. --pattern loads on-disk
         datasets values-less (TC/k-truss/BC never read weights).
 
-    Row schedules (--schedule, default guided): 'guided' lets threads
-    claim decreasing chunks from a shared cursor; 'flops' places chunk
-    boundaries by a prefix sum of per-row flops so each chunk carries
-    near-equal work (best for power-law graphs). Output is identical
-    across schedules. --threads N runs on a dedicated pool of N workers
-    (0, the default, = the ambient pool; at most 256).
+    Rows are split into decreasing chunks that threads claim from a
+    shared cursor; output is identical across thread counts.
+    --threads N runs on a dedicated pool of N workers (0, the default,
+    = the ambient pool; at most 256).
 
     mxm convert [--pattern] <in.mtx|.msb> <out.mtx|.msb>
         Convert between Matrix Market text and the .msb binary cache
@@ -81,8 +77,7 @@ USAGE:
     mxm check
         Generator/kernel self-check (used by CI).
 
-    mxm serve [--listen ADDR] [--schedule guided|flops]
-              [--max-inflight N] [--queue-depth N]
+    mxm serve [--listen ADDR] [--max-inflight N] [--queue-depth N]
               [--max-resident-bytes B] [--quarantine-after K]
               [--fail SPEC] [--no-cache] [--mmap] [--pattern]
               [preload.mtx ...]
@@ -124,8 +119,7 @@ USAGE:
              | unload --name N
              | metrics [--format json|prometheus]
              | mxm --dataset D [--algo A] [--mask M] [--phases P]
-                   [--schedule S] [--threads T] [--reps R]
-                   [--deadline-ms MS]
+                   [--threads T] [--reps R] [--deadline-ms MS]
              | app --dataset D [--app tc|ktruss|bc] [--scheme S]
                    [--k K] [--batch B] [--threads T] [--deadline-ms MS]
              | update --dataset D [--insert 'i,j[,v];...']
@@ -160,16 +154,12 @@ next to it, and later runs deserialize the binary directly.
 /// Value-taking flags per subcommand.
 fn value_flags(cmd: &str) -> &'static [&'static str] {
     match cmd {
-        "run" => &[
-            "algo", "mask", "phases", "schedule", "threads", "reps", "trace",
-        ],
+        "run" => &["algo", "mask", "phases", "threads", "reps", "trace"],
         "suite" => &[
-            "app", "source", "schemes", "schedule", "json", "reps", "threads", "k", "batch",
-            "tau-max",
+            "app", "source", "schemes", "json", "reps", "threads", "k", "batch", "tau-max",
         ],
         "serve" => &[
             "listen",
-            "schedule",
             "max-inflight",
             "queue-depth",
             "max-resident-bytes",
@@ -194,7 +184,6 @@ const QUERY_VALUE_FLAGS: &[&str] = &[
     "algo",
     "mask",
     "phases",
-    "schedule",
     "threads",
     "reps",
     "app",
@@ -376,18 +365,36 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.contains("unknown flag --json-out"), "{e}");
-        // The text-parse fan-out is not a knob: every command that loads
-        // a matrix refuses it by name.
-        for argv in [
-            &["run", "g.mtx"][..],
-            &["suite"],
-            &["convert", "g.mtx", "g.msb"],
-            &["serve"],
-            &["query", "load", "--path", "g.mtx"],
+        // Neither the text-parse fan-out nor the row schedule is a knob:
+        // every command that took one refuses it by name.
+        for (flag, value, argvs) in [
+            (
+                "--parse-threads",
+                "2",
+                &[
+                    &["run", "g.mtx"][..],
+                    &["suite"],
+                    &["convert", "g.mtx", "g.msb"],
+                    &["serve"],
+                    &["query", "load", "--path", "g.mtx"],
+                ][..],
+            ),
+            (
+                "--schedule",
+                "flops",
+                &[
+                    &["run", "g.mtx"][..],
+                    &["suite"],
+                    &["serve"],
+                    &["query", "mxm", "--dataset", "g"],
+                ],
+            ),
         ] {
-            let argv = [argv, &["--parse-threads", "2"]].concat();
-            let e = dispatch(&sv(&argv), &mut Vec::new()).unwrap_err();
-            assert!(e.contains("unknown flag --parse-threads"), "{argv:?}: {e}");
+            for argv in argvs {
+                let argv = [argv, &[flag, value][..]].concat();
+                let e = dispatch(&sv(&argv), &mut Vec::new()).unwrap_err();
+                assert!(e.contains(&format!("unknown flag {flag}")), "{argv:?}: {e}");
+            }
         }
     }
 

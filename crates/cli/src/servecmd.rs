@@ -11,7 +11,6 @@
 
 use crate::args::Parsed;
 use crate::commands::load_opts;
-use masked_spgemm::RowSchedule;
 use mspgemm_harness::report::Table;
 use mspgemm_serve::{client, Client, Json, ServeConfig, Server};
 use std::io::Write;
@@ -20,7 +19,6 @@ use std::io::Write;
 /// `shutdown` request.
 pub fn cmd_serve(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     let listen = p.flag("listen").unwrap_or("127.0.0.1:7654");
-    let schedule: RowSchedule = p.flag("schedule").unwrap_or("guided").parse()?;
     let defaults = ServeConfig::default();
     let max_inflight = p.flag_parse("max-inflight", defaults.max_inflight)?;
     let queue_depth = p.flag_parse("queue-depth", defaults.queue_depth)?;
@@ -46,7 +44,6 @@ pub fn cmd_serve(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     let (server, names) = Server::start_preloaded(
         listen,
         ServeConfig {
-            schedule,
             load: load_opts(p),
             max_inflight,
             queue_depth,
@@ -71,8 +68,8 @@ const QUERY_USAGE: &str = "usage: mxm query [--connect ADDR] [--retry N] <op> [o
          metrics [--format json|prometheus]\n\
          load --path FILE [--name N] [--no-cache] [--mmap] [--pattern]\n\
          unload --name N\n\
-         mxm --dataset D [--algo A] [--mask M] [--phases P] [--schedule S] [--threads T] [--reps R] [--deadline-ms MS]\n\
-         app --dataset D [--app tc|ktruss|bc] [--scheme S] [--schedule S] [--threads T] [--k K] [--batch B] [--deadline-ms MS]\n\
+         mxm --dataset D [--algo A] [--mask M] [--phases P] [--threads T] [--reps R] [--deadline-ms MS]\n\
+         app --dataset D [--app tc|ktruss|bc] [--scheme S] [--threads T] [--k K] [--batch B] [--deadline-ms MS]\n\
          update --dataset D [--insert 'i,j[,v];...'] [--delete 'i,j;...'] [--from-file F] [--compact]\n\
          raw --json '{...}'\n\
     update edits a resident dataset: 0-based ;-separated edge lists, or\n\
@@ -207,7 +204,6 @@ fn build_request(op: &str, p: &Parsed) -> Result<Json, String> {
             copy_str(p, "algo", "algo", &mut req);
             copy_str(p, "mask", "mask", &mut req);
             copy_str(p, "phases", "phases", &mut req);
-            copy_str(p, "schedule", "schedule", &mut req);
             copy_num(p, "threads", "threads", &mut req)?;
             copy_num(p, "reps", "reps", &mut req)?;
             copy_num(p, "deadline-ms", "deadline_ms", &mut req)?;
@@ -218,7 +214,6 @@ fn build_request(op: &str, p: &Parsed) -> Result<Json, String> {
             req.push(("dataset", Json::str(ds)));
             copy_str(p, "app", "app", &mut req);
             copy_str(p, "scheme", "scheme", &mut req);
-            copy_str(p, "schedule", "schedule", &mut req);
             copy_num(p, "threads", "threads", &mut req)?;
             copy_num(p, "k", "k", &mut req)?;
             copy_num(p, "batch", "batch", &mut req)?;

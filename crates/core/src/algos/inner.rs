@@ -2,7 +2,7 @@
 //! unmasked output coordinate `(i, j)`, compute the sparse dot product
 //! `A_i* · B_*j`. Needs `B` in column-major order, carried by the kernel
 //! as `Bᵀ` stored in CSR. A row kernel like the push ones, so the
-//! [`crate::phases`] driver runs it one- or two-phase under any schedule.
+//! [`crate::phases`] driver runs it one- or two-phase on any thread count.
 //!
 //! A row **scatters** its `A` row once into a position array over the
 //! inner dimension ([`ScatterWs`]) and then walks each candidate `Bᵀ` row,

@@ -10,9 +10,7 @@ use crate::algos::heap::HeapKernel;
 use crate::algos::inner::InnerKernel;
 use crate::algos::mca::McaKernel;
 use crate::algos::msa::MsaKernel;
-use crate::phases::{
-    driven_flops, driven_row_flops, masked_out, needs_row_flops, run_kernel, Phases,
-};
+use crate::phases::{driven_flops, driven_row_flops, masked_out, run_kernel, Phases};
 use crate::schedule::{AutoChoice, ExecOpts};
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::util::exclusive_prefix_sum;
@@ -172,7 +170,7 @@ fn check_dims<S: Semiring, M>(
 }
 
 /// Masked SpGEMM: `C = M ⊙ (A·B)` (or `¬M ⊙ (A·B)`) on semiring `S`, under
-/// `opts` — row schedule, workspace pool, busy-time stats, deadline (see
+/// `opts` — workspace pool, busy-time stats, deadline (see
 /// [`crate::schedule`]; `&ExecOpts::default()` for a one-shot call).
 ///
 /// The mask is structural — its values are never read (§2). When
@@ -236,17 +234,18 @@ where
             "MCA does not support complemented masks (paper §8.4)",
         ));
     }
-    // Per-row flops `Auto` counted on the driver's behalf, if it needs them.
+    // Per-row flops `Auto` counted on the driver's behalf, when the
+    // complemented one-phase bound needs them.
     let mut row_flops = None;
     let algo = match algo {
         Algorithm::Auto => {
             let span = mspgemm_obs::span("auto-select");
             let symmetric =
                 bt.filter(|&bt| !complement && S::MUL_COMMUTES && is_self_product(mask, a, b, bt));
-            let keep = needs_row_flops(opts.schedule, phases, complement);
             let (work, half) = match symmetric {
-                Some(_) => self_product_plan(a, keep),
+                Some(_) => self_product_plan(a),
                 None => {
+                    let keep = phases == Phases::One && complement;
                     let (flops, work) = direction_work(mask, a, b, bt, complement, keep);
                     row_flops = flops;
                     (work, None)
@@ -467,9 +466,10 @@ fn sum_until<T>(
 /// the decision costs `O(min(nnz(A), nnz(M)))` plus a share of the pass
 /// the chosen product is about to repeat many times over — a sparse mask
 /// does not pay for walking `A`, a dense one is not walked for a product
-/// that pushes. Push is the full side whenever the driver needs the
-/// per-row flops anyway (`keep_row_flops`: they are returned) or no `bt`
-/// came with the call (pull then starts from the transpose's charge).
+/// that pushes. Push is the full side whenever the complemented one-phase
+/// bound needs the per-row flops anyway (`keep_row_flops`: they are
+/// returned) or no `bt` came with the call (pull then starts from the
+/// transpose's charge).
 fn direction_work<M, L, R>(
     mask: &Csr<M>,
     a: &Csr<L>,
@@ -557,11 +557,11 @@ fn is_self_product<M, L, R>(mask: &Csr<M>, a: &Csr<L>, b: &Csr<R>, bt: &Csr<R>) 
 /// When the oriented plan wins on those alone ([`oriented_is_cheaper`]),
 /// its half mask is built — one pass over the column indices, which also
 /// yields the exact `oriented` count.
-fn self_product_plan<T>(a: &Csr<T>, keep_row_probes: bool) -> (DirectionWork, Option<HalfMask>) {
+fn self_product_plan<T>(a: &Csr<T>) -> (DirectionWork, Option<HalfMask>) {
     // `A` is its own transpose: column `k` of it is row `k`.
     let push = a.transposed_flops_with(a);
     let mut work = DirectionWork::of(push, push + a.nnz() as u64);
-    let half = oriented_is_cheaper(push, a.nnz()).then(|| half_mask(a, keep_row_probes));
+    let half = oriented_is_cheaper(push, a.nnz()).then(|| half_mask(a));
     work.oriented = half.as_ref().map(|half| half.probes);
     (work, half)
 }
@@ -592,11 +592,10 @@ fn oriented_is_cheaper(push: u64, nnz: usize) -> bool {
 /// would not.
 ///
 /// The half product runs on [`run_kernel`] under the caller's `phases`
-/// and `opts` (schedule, pool, stats, deadline); a flop-balanced schedule
-/// weighs rows by the probes they make here, not by push flops. The two
-/// passes around it are serial and `O(nnz)`, under one span name,
-/// `oriented-mirror` (`Auto` builds the half mask inside `auto-select`:
-/// it is how the decision's third count is made).
+/// and `opts` (pool, stats, deadline). The two passes around it are
+/// serial and `O(nnz)`, under one span name, `oriented-mirror` (`Auto`
+/// builds the half mask inside `auto-select`: it is how the decision's
+/// third count is made).
 ///
 /// # Errors
 /// [`Error::DimensionMismatch`] unless both operands are square and of
@@ -618,7 +617,7 @@ pub fn oriented_self_product<S: Semiring>(
     }
     let half = {
         let _span = mspgemm_obs::span("oriented-mirror");
-        half_mask(a, needs_row_flops(opts.schedule, phases, false))
+        half_mask(a)
     };
     mirrored_half_product::<S>(half, a, at, phases, opts)
 }
@@ -631,11 +630,9 @@ fn mirrored_half_product<S: Semiring>(
     phases: Phases,
     opts: &ExecOpts<'_>,
 ) -> Result<Csr<S::Out>, Error> {
-    let HalfMask {
-        mask, row_probes, ..
-    } = half;
+    let HalfMask { mask, .. } = half;
     let kernel = InnerKernel::new(at.view(), false);
-    let lower = run_kernel::<S, _, ()>(&mask, a, at, false, phases, &kernel, row_probes, opts)?;
+    let lower = run_kernel::<S, _, ()>(&mask, a, at, false, phases, &kernel, None, opts)?;
     drop(mask);
     let _span = mspgemm_obs::span("oriented-mirror");
     Ok(mirror(&lower))
@@ -648,14 +645,11 @@ struct HalfMask {
     mask: Csr<()>,
     /// `Σ d_j` over the mask's entries: the probes its product makes.
     probes: u64,
-    /// Per row, the probes it makes plus the scatter of the row itself —
-    /// the weights a flop-balanced schedule is handed; `None` unless asked.
-    row_probes: Option<Vec<u64>>,
 }
 
-/// One serial pass over `a`'s column indices: the half mask, the probes
-/// its product will make, and (when `keep_row_probes`) each row's share.
-fn half_mask<T>(a: &Csr<T>, keep_row_probes: bool) -> HalfMask {
+/// One serial pass over `a`'s column indices: the half mask and the
+/// probes its product will make.
+fn half_mask<T>(a: &Csr<T>) -> HalfMask {
     let (n, rowptr, colidx) = (a.nrows(), a.rowptr(), a.colidx());
     // `(degree, index)` packed into one integer: one load and one
     // comparison order two rows.
@@ -667,11 +661,9 @@ fn half_mask<T>(a: &Csr<T>, keep_row_probes: bool) -> HalfMask {
     let mut half_ptr = Vec::with_capacity(n + 1);
     // Written branch-free at the full size, cut to what was kept.
     let mut half_cols = vec![0 as Idx; a.nnz()];
-    let mut row_probes = keep_row_probes.then(|| Vec::with_capacity(n));
     let (mut kept, mut probes) = (0usize, 0u64);
     half_ptr.push(0);
     for i in 0..n {
-        let before = probes;
         for &j in &colidx[rowptr[i]..rowptr[i + 1]] {
             let key = keys[j as usize];
             let below = key <= keys[i];
@@ -680,9 +672,6 @@ fn half_mask<T>(a: &Csr<T>, keep_row_probes: bool) -> HalfMask {
             probes += if below { key >> 32 } else { 0 };
         }
         half_ptr.push(kept);
-        if let Some(row_probes) = &mut row_probes {
-            row_probes.push(probes - before + (keys[i] >> 32));
-        }
     }
     // Give the unused half back before the product allocates its output.
     half_cols.truncate(kept);
@@ -691,7 +680,6 @@ fn half_mask<T>(a: &Csr<T>, keep_row_probes: bool) -> HalfMask {
     HalfMask {
         mask: Csr::from_parts_unchecked(n, a.ncols(), half_ptr, half_cols, values),
         probes,
-        row_probes,
     }
 }
 
@@ -774,7 +762,7 @@ pub(crate) fn auto_select(out_cols: usize, work: DirectionWork) -> Algorithm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{ExecStats, RowSchedule, WsPool};
+    use crate::schedule::{ExecStats, WsPool};
     use mspgemm_sparse::semiring::{PlusTimesF64, PlusTimesI64};
 
     /// A symmetric 640-vertex graph skewed enough for the oriented plan to
@@ -952,7 +940,7 @@ mod tests {
         // full product. The oriented count is what can beat both.
         let a = hubs_and_leaves();
         assert_eq!(a, transpose(&a));
-        let (work, half) = on_two_threads(|| self_product_plan(&a, true));
+        let (work, half) = on_two_threads(|| self_product_plan(&a));
         assert_eq!(work.push, a.flops_with(&a));
         assert_eq!(work.pull, work.push + a.nnz() as u64);
         // One dot per unordered edge (and per self-loop), `min(d_i, d_j)`
@@ -969,7 +957,7 @@ mod tests {
         );
         assert!(!pull_is_cheaper(work));
         // The plan that won comes with its half mask: each edge in the row
-        // of its higher `(degree, index)` end, and the rows' own weights.
+        // of its higher `(degree, index)` end.
         let half = half.expect("the oriented plan wins here");
         assert_eq!(half.probes, bound as u64);
         assert_eq!(
@@ -980,8 +968,6 @@ mod tests {
             .mask
             .iter()
             .all(|(i, j, _)| (degree[j as usize], j as usize) <= (degree[i], i)));
-        let weights = half.row_probes.expect("asked for");
-        assert_eq!(weights.iter().sum::<u64>(), half.probes + a.nnz() as u64);
         // The walked counts — what a distinct-but-equal `bt` gets — agree
         // on push, stop counting pull once it has lost, and do not know
         // the third.
@@ -1217,34 +1203,28 @@ mod tests {
                 .build()
                 .unwrap();
             for phases in [Phases::One, Phases::Two] {
-                for schedule in RowSchedule::ALL {
-                    for ws_pool in [None, Some(&pool)] {
-                        let opts = ExecOpts {
-                            schedule,
-                            ws_pool,
-                            ..ExecOpts::default()
-                        };
-                        let (c, choice) = workers.install(|| {
-                            product::<PlusTimesF64>(
-                                &a,
-                                &a,
-                                &a,
-                                &a,
-                                Algorithm::Auto,
-                                MaskMode::Mask,
-                                phases,
-                                &opts,
-                            )
-                        });
-                        let what = format!(
-                            "{threads} threads {phases:?} {schedule:?} pooled={}",
-                            ws_pool.is_some()
-                        );
-                        let choice = choice.expect("Auto ran");
-                        assert_eq!(choice.algo, Algorithm::Inner, "{what}");
-                        assert_eq!(choice.work, self_product_plan(&a, false).0, "{what}");
-                        assert_eq!(sections(&c), want, "{what}");
-                    }
+                for ws_pool in [None, Some(&pool)] {
+                    let opts = ExecOpts {
+                        ws_pool,
+                        ..ExecOpts::default()
+                    };
+                    let (c, choice) = workers.install(|| {
+                        product::<PlusTimesF64>(
+                            &a,
+                            &a,
+                            &a,
+                            &a,
+                            Algorithm::Auto,
+                            MaskMode::Mask,
+                            phases,
+                            &opts,
+                        )
+                    });
+                    let what = format!("{threads} threads {phases:?} pooled={}", ws_pool.is_some());
+                    let choice = choice.expect("Auto ran");
+                    assert_eq!(choice.algo, Algorithm::Inner, "{what}");
+                    assert_eq!(choice.work, self_product_plan(&a).0, "{what}");
+                    assert_eq!(sections(&c), want, "{what}");
                 }
             }
         }

@@ -21,7 +21,7 @@
 //! complemented structural masks — the full 14-variant matrix of the
 //! paper's §8 (MCA×complement excepted, as in the paper) — as a row
 //! kernel on the one [`phases::run_kernel`] driver, so [`ExecOpts`]
-//! (schedule, workspace pool, stats, deadline) govern all six alike.
+//! (workspace pool, stats, deadline) govern all six alike.
 //! [`Algorithm::Auto`] picks per product from counted work — push, pull,
 //! or, for a symmetric self-product `A ⊙ (A·A)`, the pull kernel over
 //! half the mask, mirrored ([`dispatch::oriented_self_product`]).
@@ -63,6 +63,4 @@ pub use dispatch::{
     masked_mxm_with_bt, masked_mxm_with_opts, Algorithm, DirectionWork, Error, MaskMode,
 };
 pub use phases::Phases;
-pub use schedule::{
-    AutoChoice, ExecOpts, ExecStats, ProbeCounts, ProductCounts, RowSchedule, WsPool,
-};
+pub use schedule::{AutoChoice, ExecOpts, ExecStats, ProbeCounts, ProductCounts, WsPool};

@@ -12,18 +12,17 @@
 //!   usually wins for Masked SpGEMM — the mask makes the bound tight enough
 //!   that the symbolic pass does not pay for itself.
 //!
-//! Rows are distributed per the [`crate::schedule::RowSchedule`] policy
-//! (§6 distributes rows
-//! dynamically for exactly the skewed-input reason): the chunk list built by
+//! Rows are distributed dynamically (§6 does so for exactly the
+//! skewed-input reason): the guided chunk list built by
 //! [`crate::schedule`] is claimed by executors of the persistent worker
 //! pool, with one reusable workspace per executor — leased from a
 //! [`WsPool`] when [`ExecOpts`] carries one, so iterative callers pay zero
 //! accumulator allocations in steady state. Every row writes into an
 //! index-addressed range from a prefix sum, so the output is bit-identical
-//! across schedules and thread counts.
+//! across thread counts.
 
 use crate::dispatch::Error;
-use crate::schedule::{row_chunks, ExecOpts, ProbeCounts, ProductCounts, RowSchedule, WsPool};
+use crate::schedule::{row_chunks, ExecOpts, ProbeCounts, ProductCounts, WsPool};
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::util::{par_exclusive_prefix_sum, UnsafeSlice};
 use mspgemm_sparse::{Csr, CsrRef, Idx};
@@ -224,10 +223,10 @@ impl<W: Any + Send> Drop for WsLease<'_, W> {
 }
 
 /// Drive `row` over every row of every chunk, one leased workspace per
-/// executor. `with_max_len(1)` pins every schedule chunk as its own claim
-/// unit — the drive must not re-group the work partition the policy
-/// computed. Records per-executor busy time (rank-folded at drive end)
-/// when `opts.stats` is set.
+/// executor. `with_max_len(1)` pins every chunk as its own claim unit —
+/// the drive must not re-group the partition [`row_chunks`] computed.
+/// Records per-executor busy time (rank-folded at drive end) when
+/// `opts.stats` is set.
 fn run_rows<S, K>(
     chunks: &[Range<usize>],
     opts: &ExecOpts<'_>,
@@ -274,9 +273,8 @@ fn run_rows<S, K>(
 /// Per-row output upper bounds for the one-phase pass.
 ///
 /// Normal mask: the output is a subset of the mask row. Complemented mask:
-/// at most one entry per product (`flops_i`, precomputed once in
-/// [`run_kernel`] and shared with the flop-balanced schedule) and at
-/// most the non-mask columns.
+/// at most one entry per product (`flops_i`, counted once per product,
+/// see [`run_kernel`]) and at most the non-mask columns.
 pub(crate) fn one_phase_bounds<M: Send + Sync>(
     mask: &Csr<M>,
     ncols: usize,
@@ -346,27 +344,20 @@ where
         .collect()
 }
 
-/// Whether a drive consumes per-row flops: the flop-balanced schedule
-/// places its chunk boundaries by them, and a complemented one-phase pass
-/// bounds its rows by them.
-pub(crate) fn needs_row_flops(schedule: RowSchedule, phases: Phases, complement: bool) -> bool {
-    schedule == RowSchedule::FlopBalanced || (phases == Phases::One && complement)
-}
-
 /// Whether the options' cancellation deadline has passed.
 fn expired(opts: &ExecOpts<'_>) -> bool {
     opts.deadline.is_some_and(|d| Instant::now() >= d)
 }
 
 /// Run a row kernel over all rows with the chosen phase strategy under
-/// the given execution options (row schedule, workspace pool, busy-time
-/// stats, deadline).
+/// the given execution options (workspace pool, busy-time stats,
+/// deadline).
 ///
 /// The per-row flop count `flops_i = Σ_{A_ik≠0} nnz(B_k*)` is computed at
 /// most once per product: `row_flops` hands it in when the caller already
 /// counted it (the dispatch's `Auto` decision does); otherwise it is
-/// counted here if one of its two consumers — the complemented one-phase
-/// bound, the flop-balanced chunk boundaries — needs it.
+/// counted here if its one consumer, the complemented one-phase bound,
+/// needs it.
 ///
 /// # Errors
 /// [`Error::DeadlineExceeded`] when [`ExecOpts::deadline`] has passed at a
@@ -393,24 +384,26 @@ where
         return Err(Error::DeadlineExceeded);
     }
     let threads = rayon::current_num_threads().max(1);
-    let flops = row_flops.or_else(|| {
-        needs_row_flops(opts.schedule, phases, complement).then(|| {
-            let _span = mspgemm_obs::span("flop-prefix");
-            driven_row_flops(mask, a, b, complement)
-        })
-    });
-    let chunks = row_chunks(opts.schedule, mask.nrows(), threads, flops.as_deref());
+    let chunks = row_chunks(mask.nrows(), threads);
     match phases {
-        Phases::One => run_one_phase(
-            mask,
-            a,
-            b,
-            complement,
-            kernel,
-            flops.as_deref(),
-            &chunks,
-            opts,
-        ),
+        Phases::One => {
+            let flops = row_flops.or_else(|| {
+                complement.then(|| {
+                    let _span = mspgemm_obs::span("flop-prefix");
+                    driven_row_flops(mask, a, b, complement)
+                })
+            });
+            run_one_phase(
+                mask,
+                a,
+                b,
+                complement,
+                kernel,
+                flops.as_deref(),
+                &chunks,
+                opts,
+            )
+        }
         Phases::Two => run_two_phase(mask, a, b, complement, kernel, &chunks, opts),
     }
 }

@@ -1,28 +1,19 @@
-//! Row-scheduling policy, cross-call workspace pooling, and per-thread
+//! Row partitioning, cross-call workspace pooling, and per-thread
 //! busy-time accounting for the row-parallel drives.
 //!
-//! ## Why scheduling is a policy
+//! ## Row chunks
 //!
 //! Power-law inputs (R-MAT, web/social graphs) concentrate most of the
-//! flops of `A·B` in a few heavy rows. How those rows are split across
-//! threads decides whether the paper's "plenty of coarse-grained
-//! parallelism across rows" (§3) actually materializes:
+//! flops of `A·B` in a few heavy rows. `row_chunks` splits the rows into
+//! contiguous chunks of geometrically decreasing size that executors claim
+//! from an atomic cursor (guided self-scheduling, the paper's dynamic row
+//! distribution, §6): heavy early chunks do not pin a whole thread's
+//! share, at the cost of one `fetch_add` per chunk, and no input analysis
+//! is needed.
 //!
-//! * [`RowSchedule::Guided`] — contiguous chunks of geometrically
-//!   decreasing size claimed from an atomic cursor (guided
-//!   self-scheduling). Heavy early chunks do not pin a whole thread's
-//!   share, at the cost of one `fetch_add` per chunk. Needs no input
-//!   analysis, so it is the default.
-//! * [`RowSchedule::FlopBalanced`] — chunk boundaries placed by a prefix
-//!   sum of per-row flops (`flops_i = Σ_{A_ik≠0} nnz(B_k*)`) so every
-//!   chunk carries near-equal *work* rather than near-equal *rows*. Costs
-//!   one O(nnz(A)) counting pass — which the complemented-mask one-phase
-//!   bound already needs, so the two share it — and is the strongest
-//!   policy when row costs vary by orders of magnitude.
-//!
-//! Scheduling never changes results: every row writes to an
+//! The partition never changes results: every row writes to an
 //! index-addressed output range derived from a prefix sum, so the output
-//! CSR is bit-identical across policies and thread counts.
+//! CSR is bit-identical across thread counts.
 //!
 //! ## Workspace pooling
 //!
@@ -47,69 +38,13 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// How the row loop distributes rows over threads.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum RowSchedule {
-    /// Decreasing-size chunks claimed dynamically from a shared cursor
-    /// (guided self-scheduling). Robust default for unknown inputs.
-    #[default]
-    Guided,
-    /// Chunks bounded by a prefix sum of per-row flops: near-equal work
-    /// per chunk, at the cost of an O(nnz(A)) counting pass (shared with
-    /// the complemented-mask one-phase bound when both are needed).
-    FlopBalanced,
-}
-
-impl RowSchedule {
-    /// The name the CLI and reports print.
-    pub fn name(&self) -> &'static str {
-        match self {
-            RowSchedule::Guided => "guided",
-            RowSchedule::FlopBalanced => "flops",
-        }
-    }
-
-    /// All policies, in sweep order.
-    pub const ALL: [RowSchedule; 2] = [RowSchedule::Guided, RowSchedule::FlopBalanced];
-}
-
-impl std::str::FromStr for RowSchedule {
-    type Err = String;
-
-    /// Parse a schedule as the CLI spells it (case-insensitive):
-    /// `guided` or `flops` (aliases `flop`, `flop-balanced`).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "guided" => Ok(RowSchedule::Guided),
-            "flops" | "flop" | "flop-balanced" | "flopbalanced" => Ok(RowSchedule::FlopBalanced),
-            other => Err(format!(
-                "unknown schedule '{other}' (expected guided|flops)"
-            )),
-        }
-    }
-}
-
-/// Smallest chunk the guided schedule will hand out: keeps the cursor
-/// traffic and per-chunk bookkeeping amortized over a useful batch of
-/// rows near the tail.
+/// Smallest chunk handed out: keeps the cursor traffic and per-chunk
+/// bookkeeping amortized over a useful batch of rows near the tail.
 const GUIDED_MIN_CHUNK: usize = 8;
 
-/// Chunk-count multiplier for the flop-balanced schedule: more chunks
-/// than threads gives the claiming cursor slack to absorb estimation
-/// error (flops ignore per-row mask/gather costs).
-const FLOP_OVERSUB: usize = 4;
-
-/// Build the row chunk list for a schedule.
-///
-/// `flops` must be `Some` for [`RowSchedule::FlopBalanced`] (one entry
-/// per row, multiplies of the push product). Chunks partition
-/// `0..nrows` exactly, in row order.
-pub(crate) fn row_chunks(
-    schedule: RowSchedule,
-    nrows: usize,
-    threads: usize,
-    flops: Option<&[u64]>,
-) -> Vec<Range<usize>> {
+/// The row chunk list: contiguous chunks partitioning `0..nrows` exactly,
+/// in row order, one chunk when `threads` is 1.
+pub(crate) fn row_chunks(nrows: usize, threads: usize) -> Vec<Range<usize>> {
     let threads = threads.max(1);
     if nrows == 0 {
         return Vec::new();
@@ -117,59 +52,26 @@ pub(crate) fn row_chunks(
     if threads == 1 {
         return std::iter::once(0..nrows).collect();
     }
-    match schedule {
-        RowSchedule::Guided => {
-            // Textbook guided self-scheduling hands out `remaining / 2T`
-            // rows per claim, but its biggest chunk comes *first* — the
-            // worst shape when heavy rows are front-loaded (degree-sorted
-            // graphs). Capping every chunk at `n / 8T` spreads such a hub
-            // prefix over several dynamically-claimed chunks while the
-            // tail still decays to keep cursor traffic low.
-            let cap = nrows.div_ceil(8 * threads).max(GUIDED_MIN_CHUNK);
-            let mut out = Vec::new();
-            let mut start = 0usize;
-            while start < nrows {
-                let rem = nrows - start;
-                let len = rem
-                    .div_ceil(2 * threads)
-                    .min(cap)
-                    .max(GUIDED_MIN_CHUNK)
-                    .min(rem);
-                out.push(start..start + len);
-                start += len;
-            }
-            out
-        }
-        RowSchedule::FlopBalanced => {
-            let flops = flops.expect("FlopBalanced schedule needs per-row flops");
-            debug_assert_eq!(flops.len(), nrows);
-            // Weight each row by flops + 1 so zero-flop rows still spread
-            // (their symbolic/gather work is not free) and progress is
-            // guaranteed.
-            let total: u64 = flops.iter().map(|&f| f + 1).sum();
-            let parts = (threads * FLOP_OVERSUB) as u64;
-            let target = total.div_ceil(parts).max(1);
-            let mut out = Vec::new();
-            let mut start = 0usize;
-            let mut acc = 0u64;
-            for (i, &f) in flops.iter().enumerate() {
-                let w = f + 1;
-                // Close the running chunk *before* a row that would push it
-                // past the target, so a hub row starts its own chunk
-                // instead of inflating its neighbours'.
-                if acc > 0 && acc + w > target {
-                    out.push(start..i);
-                    start = i;
-                    acc = 0;
-                }
-                acc += w;
-            }
-            if start < nrows {
-                out.push(start..nrows);
-            }
-            out
-        }
+    // Textbook guided self-scheduling hands out `remaining / 2T` rows per
+    // claim, but its biggest chunk comes *first* — the worst shape when
+    // heavy rows are front-loaded (degree-sorted graphs). Capping every
+    // chunk at `n / 8T` spreads such a hub prefix over several
+    // dynamically-claimed chunks while the tail still decays to keep
+    // cursor traffic low.
+    let cap = nrows.div_ceil(8 * threads).max(GUIDED_MIN_CHUNK);
+    let mut out = Vec::new();
+    let mut start = 0usize;
+    while start < nrows {
+        let rem = nrows - start;
+        let len = rem
+            .div_ceil(2 * threads)
+            .min(cap)
+            .max(GUIDED_MIN_CHUNK)
+            .min(rem);
+        out.push(start..start + len);
+        start += len;
     }
+    out
 }
 
 /// Shelf key: workspace type, kernel configuration tag, output width.
@@ -440,15 +342,13 @@ impl ExecStats {
     }
 }
 
-/// Execution options for the row-parallel drives: scheduling policy,
-/// optional cross-call workspace pool, optional busy-time recorder.
+/// Execution options for the row-parallel drives: optional cross-call
+/// workspace pool, optional busy-time recorder, optional deadline.
 ///
-/// `Default` is `Guided` scheduling with no pool and no stats — safe for
-/// one-shot calls; iterative callers should thread a [`WsPool`] through.
+/// `Default` has no pool, no stats and no deadline — safe for one-shot
+/// calls; iterative callers should thread a [`WsPool`] through.
 #[derive(Clone, Copy, Default)]
 pub struct ExecOpts<'a> {
-    /// Row-distribution policy.
-    pub schedule: RowSchedule,
     /// Cross-call accumulator cache; `None` allocates per drive.
     pub ws_pool: Option<&'a WsPool>,
     /// Busy-time recorder; `None` skips the timing instrumentation.
@@ -459,16 +359,6 @@ pub struct ExecOpts<'a> {
     /// of running to completion; the drive returns
     /// [`crate::Error::DeadlineExceeded`]. `None` never cancels.
     pub deadline: Option<std::time::Instant>,
-}
-
-impl<'a> ExecOpts<'a> {
-    /// Options with the given schedule and neither pool nor stats.
-    pub fn with_schedule(schedule: RowSchedule) -> Self {
-        Self {
-            schedule,
-            ..Self::default()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -487,9 +377,9 @@ mod tests {
 
     #[test]
     fn guided_chunks_decrease_and_partition() {
-        let chunks = row_chunks(RowSchedule::Guided, 10_000, 4, None);
+        let chunks = row_chunks(10_000, 4);
         assert_partition(&chunks, 10_000);
-        assert!(row_chunks(RowSchedule::Guided, 0, 4, None).is_empty());
+        assert!(row_chunks(0, 4).is_empty());
         assert!(chunks.len() > 4, "guided must oversubscribe");
         // Sizes are non-increasing until the minimum chunk floor.
         let sizes: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
@@ -502,47 +392,8 @@ mod tests {
     }
 
     #[test]
-    fn flop_chunks_isolate_heavy_rows() {
-        // One hub row carrying ~all the flops must land in its own chunk.
-        let mut flops = vec![1u64; 1000];
-        flops[500] = 1_000_000;
-        let chunks = row_chunks(RowSchedule::FlopBalanced, 1000, 4, Some(&flops));
-        assert_partition(&chunks, 1000);
-        let hub = chunks.iter().find(|c| c.contains(&500)).unwrap();
-        assert_eq!(hub.clone().count(), 1, "hub row must be isolated: {hub:?}");
-    }
-
-    #[test]
-    fn flop_chunks_handle_all_zero() {
-        let flops = vec![0u64; 64];
-        let chunks = row_chunks(RowSchedule::FlopBalanced, 64, 4, Some(&flops));
-        assert_partition(&chunks, 64);
-        assert!(chunks.len() > 1, "zero-flop rows must still spread");
-    }
-
-    #[test]
     fn single_thread_is_one_chunk() {
-        for sched in RowSchedule::ALL {
-            let flops = vec![3u64; 50];
-            let chunks = row_chunks(sched, 50, 1, Some(&flops));
-            assert_eq!(chunks, vec![0..50]);
-        }
-    }
-
-    #[test]
-    fn schedule_parses() {
-        assert_eq!("GUIDED".parse::<RowSchedule>(), Ok(RowSchedule::Guided));
-        assert_eq!(
-            "flops".parse::<RowSchedule>(),
-            Ok(RowSchedule::FlopBalanced)
-        );
-        assert_eq!(
-            "flop-balanced".parse::<RowSchedule>(),
-            Ok(RowSchedule::FlopBalanced)
-        );
-        assert!("dynamic".parse::<RowSchedule>().is_err());
-        assert!("static".parse::<RowSchedule>().is_err());
-        assert_eq!(RowSchedule::default(), RowSchedule::Guided);
+        assert_eq!(row_chunks(50, 1), vec![0..50]);
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Scheduling and workspace-pooling invariants: the row schedule and the
+//! Scheduling and workspace-pooling invariants: the row partition and the
 //! cross-call workspace pool are pure execution policies — the output CSR
-//! must be **byte-identical** to the single-chunk partition (what every
-//! schedule yields on one thread) for every algorithm, mask mode, phase
+//! must be **byte-identical** to the single-chunk partition (what the
+//! drive yields on one thread) for every algorithm, mask mode, phase
 //! strategy, thread count, and input skew; and a warm
 //! [`WsPool`] must serve steady-state drives without a single fresh
 //! accumulator allocation (every take a hit).
 
 use masked_spgemm::{
-    masked_mxm_with_opts, Algorithm, ExecOpts, ExecStats, MaskMode, Phases, RowSchedule, WsPool,
+    masked_mxm_with_opts, Algorithm, ExecOpts, ExecStats, MaskMode, Phases, WsPool,
 };
 use mspgemm_sparse::semiring::PlusTimesI64;
 use mspgemm_sparse::{Coo, Csr};
@@ -62,8 +62,8 @@ fn run_sched(
     masked_mxm_with_opts::<PlusTimesI64, ()>(mask, a, a, algo, mode, phases, opts).unwrap()
 }
 
-/// The reference partition: on a one-thread pool every schedule hands out
-/// all rows as one chunk.
+/// The reference partition: on a one-thread pool the drive hands out all
+/// rows as one chunk.
 fn single_chunk_pool() -> rayon::ThreadPool {
     rayon::ThreadPoolBuilder::new()
         .num_threads(1)
@@ -72,10 +72,10 @@ fn single_chunk_pool() -> rayon::ThreadPool {
 }
 
 #[test]
-fn schedules_identical_on_single_heavy_row() {
+fn partition_invisible_on_single_heavy_row() {
     let a = single_heavy_row(300);
     let mask = a.pattern();
-    // Pin a multi-thread pool so every schedule actually produces a
+    // Pin a multi-thread pool so the drive actually produces a
     // multi-chunk partition.
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(4)
@@ -84,21 +84,17 @@ fn schedules_identical_on_single_heavy_row() {
     let one = single_chunk_pool();
     for combo in all_combos() {
         let baseline = one.install(|| run_sched(&mask, &a, combo, &ExecOpts::default()));
-        pool.install(|| {
-            for sched in RowSchedule::ALL {
-                let got = run_sched(&mask, &a, combo, &ExecOpts::with_schedule(sched));
-                assert_eq!(got, baseline, "{combo:?} diverged under {}", sched.name());
-            }
-        });
+        let got = pool.install(|| run_sched(&mask, &a, combo, &ExecOpts::default()));
+        assert_eq!(got, baseline, "{combo:?} diverged on 4 threads");
     }
 }
 
 #[test]
-fn schedules_identical_across_thread_counts() {
+fn identical_across_thread_counts_and_pool() {
     let a = single_heavy_row(200);
     let mask = a.pattern();
     // One push combo, and the pull kernel in every mode × phases: it rides
-    // the same drive, so neither the schedule nor the pool may show.
+    // the same drive, so neither the partition nor the pool may show.
     let mut combos = vec![(Algorithm::Hash, MaskMode::Complement, Phases::One)];
     combos.extend(all_combos().into_iter().filter(|c| c.0 == Algorithm::Inner));
     let one = single_chunk_pool();
@@ -110,20 +106,15 @@ fn schedules_identical_across_thread_counts() {
                 .build()
                 .unwrap();
             let ws_pool = WsPool::new();
-            pool.install(|| {
-                for sched in RowSchedule::ALL {
-                    let unpooled = ExecOpts::with_schedule(sched);
-                    let pooled = ExecOpts {
-                        ws_pool: Some(&ws_pool),
-                        ..unpooled
-                    };
-                    for opts in [&unpooled, &pooled] {
-                        let got = run_sched(&mask, &a, combo, opts);
-                        let label = sched.name();
-                        assert_eq!(got, reference, "{combo:?} {label}@{threads} threads");
-                    }
-                }
-            });
+            let unpooled = ExecOpts::default();
+            let pooled = ExecOpts {
+                ws_pool: Some(&ws_pool),
+                ..unpooled
+            };
+            for (label, opts) in [("unpooled", &unpooled), ("pooled", &pooled)] {
+                let got = pool.install(|| run_sched(&mask, &a, combo, opts));
+                assert_eq!(got, reference, "{combo:?} {label}@{threads} threads");
+            }
         }
     }
 }
@@ -134,7 +125,6 @@ fn ws_pool_steady_state_allocates_nothing() {
     let mask = a.pattern();
     let pool = WsPool::new();
     let opts = ExecOpts {
-        schedule: RowSchedule::Guided,
         ws_pool: Some(&pool),
         stats: None,
         deadline: None,
@@ -180,7 +170,6 @@ fn ws_pool_is_safe_across_kernels_and_modes() {
     let mask = a.pattern();
     let pool = WsPool::new();
     let opts = ExecOpts {
-        schedule: RowSchedule::FlopBalanced,
         ws_pool: Some(&pool),
         stats: None,
         deadline: None,
@@ -203,7 +192,6 @@ fn row_adaptive_workspaces_shared_across_widths() {
     let big = single_heavy_row(200);
     let pool = WsPool::new();
     let opts = ExecOpts {
-        schedule: RowSchedule::Guided,
         ws_pool: Some(&pool),
         stats: None,
         deadline: None,
@@ -239,7 +227,6 @@ fn exec_stats_record_busy_time() {
     let mask = a.pattern();
     let stats = ExecStats::new();
     let opts = ExecOpts {
-        schedule: RowSchedule::Guided,
         ws_pool: None,
         stats: Some(&stats),
         deadline: None,
@@ -260,11 +247,11 @@ fn exec_stats_record_busy_time() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random rectangular inputs: every schedule must reproduce the
+    /// Random rectangular inputs: the default partition must reproduce the
     /// single-chunk CSR bit-for-bit across masks, modes, phases, and
     /// algorithms — with and without a shared workspace pool.
     #[test]
-    fn schedules_and_pool_are_result_invariant(
+    fn partition_and_pool_are_result_invariant(
         a in csr_strategy(18, 18, 0.3),
         mask in csr_strategy(18, 18, 0.4),
     ) {
@@ -273,13 +260,11 @@ proptest! {
         let one = single_chunk_pool();
         for combo in all_combos() {
             let baseline = one.install(|| run_sched(&mask, &a, combo, &ExecOpts::default()));
-            for sched in RowSchedule::ALL {
-                let unpooled = run_sched(&mask, &a, combo, &ExecOpts::with_schedule(sched));
-                prop_assert_eq!(&unpooled, &baseline, "{:?} under {}", combo, sched.name());
-                let opts = ExecOpts { schedule: sched, ws_pool: Some(&shared_pool), stats: None, deadline: None };
-                let pooled = run_sched(&mask, &a, combo, &opts);
-                prop_assert_eq!(&pooled, &baseline, "{:?} pooled under {}", combo, sched.name());
-            }
+            let unpooled = run_sched(&mask, &a, combo, &ExecOpts::default());
+            prop_assert_eq!(&unpooled, &baseline, "{:?}", combo);
+            let opts = ExecOpts { ws_pool: Some(&shared_pool), ..ExecOpts::default() };
+            let pooled = run_sched(&mask, &a, combo, &opts);
+            prop_assert_eq!(&pooled, &baseline, "{:?} pooled", combo);
         }
     }
 }

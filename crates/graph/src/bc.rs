@@ -223,7 +223,7 @@ fn union_disjoint<T: Send + Sync>(a: &Csr<()>, b: &Csr<T>) -> Csr<()> {
 /// `w2 = ⟨σ_{d−1}⟩ (W_d · Aᵀ)` — `1 + w2 .* prev` where `w2` has an
 /// entry, `1` elsewhere — returned aligned with `prev`'s entries, and the
 /// dependencies `BCU − 1` added into `scores`. Rows are walked in order,
-/// so the sums never depend on schedule or thread count.
+/// so the sums never depend on the thread count.
 fn fold_dependencies(prev: &Csr<f64>, w2: &Csr<f64>, scores: &mut [f64]) -> Vec<f64> {
     let mut bcu = vec![1.0f64; prev.nnz()];
     for q in 0..prev.nrows() {
@@ -404,31 +404,26 @@ mod tests {
     }
 
     #[test]
-    fn schedules_and_pool_leave_scores_unchanged() {
-        use masked_spgemm::RowSchedule;
+    fn pool_leaves_scores_unchanged() {
         let g = mspgemm_gen::er_symmetric(100, 7, 11);
         let sources: Vec<usize> = (0..12).collect();
         let want = brandes_reference(&g, &sources);
-        for sched in RowSchedule::ALL {
-            let pool = WsPool::new();
-            let opts = ExecOpts {
-                schedule: sched,
-                ws_pool: Some(&pool),
-                stats: None,
-                deadline: None,
-            };
-            let r = betweenness_with(
-                &g,
-                &sources,
-                Scheme::Ours(Algorithm::Msa, Phases::One),
-                &opts,
-            );
-            assert_close(&r.scores, &want, sched.name());
-            assert!(
-                pool.hits() > 0,
-                "BFS levels after the first must reuse workspaces"
-            );
-        }
+        let pool = WsPool::new();
+        let opts = ExecOpts {
+            ws_pool: Some(&pool),
+            ..ExecOpts::default()
+        };
+        let r = betweenness_with(
+            &g,
+            &sources,
+            Scheme::Ours(Algorithm::Msa, Phases::One),
+            &opts,
+        );
+        assert_close(&r.scores, &want, "pooled");
+        assert!(
+            pool.hits() > 0,
+            "BFS levels after the first must reuse workspaces"
+        );
     }
 
     #[test]
@@ -514,7 +509,6 @@ mod tests {
 
     #[test]
     fn scores_are_bit_reproducible() {
-        use masked_spgemm::RowSchedule;
         let g = mspgemm_gen::rmat_symmetric(8, mspgemm_gen::RmatParams::default(), 21);
         let sources: Vec<usize> = (0..16).collect();
         let bits = |r: BcResult| r.scores.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -525,21 +519,14 @@ mod tests {
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            for sched in RowSchedule::ALL {
-                for pooled in [false, true] {
-                    let pool = WsPool::new();
-                    let opts = ExecOpts {
-                        ws_pool: pooled.then_some(&pool),
-                        ..ExecOpts::with_schedule(sched)
-                    };
-                    let r = workers.install(|| betweenness_with(&g, &sources, MSA_1P, &opts));
-                    assert_eq!(
-                        bits(r),
-                        want,
-                        "{} @ {threads} threads, pooled = {pooled}",
-                        sched.name()
-                    );
-                }
+            for pooled in [false, true] {
+                let pool = WsPool::new();
+                let opts = ExecOpts {
+                    ws_pool: pooled.then_some(&pool),
+                    ..ExecOpts::default()
+                };
+                let r = workers.install(|| betweenness_with(&g, &sources, MSA_1P, &opts));
+                assert_eq!(bits(r), want, "{threads} threads, pooled = {pooled}");
             }
         }
     }
@@ -549,8 +536,7 @@ mod tests {
         // Every product is bit-identical across kernels and the fold is
         // serial, so all-push, all-pull and `Auto`'s per-level choice of
         // direction must produce the same score bits — whatever the
-        // schedule and thread count.
-        use masked_spgemm::RowSchedule;
+        // thread count.
         // The second graph is the one this test used to avoid: a backward
         // level of R-MAT 8 has inputs 8× sparser than its mask, which
         // `Auto` once handed to the heap — the one kernel that sums a
@@ -570,15 +556,13 @@ mod tests {
                     .num_threads(threads)
                     .build()
                     .unwrap();
-                for sched in RowSchedule::ALL {
-                    for algo in [Algorithm::Auto, Algorithm::Msa, Algorithm::Inner] {
-                        let scheme = Scheme::Ours(algo, Phases::One);
-                        let opts = ExecOpts::with_schedule(sched);
-                        let r = workers.install(|| betweenness_with(&g, &sources, scheme, &opts));
-                        let label = format!("{} {} @ {threads}", scheme.name(), sched.name());
-                        assert_eq!(bits(&r), bits(&want), "{label}");
-                        assert_eq!(r.depth, want.depth, "{label}");
-                    }
+                for algo in [Algorithm::Auto, Algorithm::Msa, Algorithm::Inner] {
+                    let scheme = Scheme::Ours(algo, Phases::One);
+                    let opts = ExecOpts::default();
+                    let r = workers.install(|| betweenness_with(&g, &sources, scheme, &opts));
+                    let label = format!("{} @ {threads}", scheme.name());
+                    assert_eq!(bits(&r), bits(&want), "{label}");
+                    assert_eq!(r.depth, want.depth, "{label}");
                 }
             }
         }

@@ -38,8 +38,8 @@ pub struct KtrussResult {
     pub restricted_flops: u64,
 }
 
-/// Compute the `k`-truss of a simple undirected graph; `opts` (row
-/// schedule, workspace pool, busy-time stats) apply to every round's
+/// Compute the `k`-truss of a simple undirected graph; `opts`
+/// (workspace pool, busy-time stats) apply to every round's
 /// masked product. Without a [`WsPool`] in `opts`, a local one is held
 /// across the rounds, so a later product reuses the scratch of an
 /// earlier one that ran the same kernel (`Auto` may switch to the pull
@@ -199,7 +199,7 @@ fn affected_edges(a: &Csr<u64>, threshold: u64) -> Csr<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use masked_spgemm::{Algorithm, Phases, RowSchedule};
+    use masked_spgemm::{Algorithm, Phases};
     use mspgemm_gen::structured::community_blocks;
     use mspgemm_gen::{er_symmetric, rmat_symmetric, RmatParams};
     use mspgemm_sparse::Coo;
@@ -320,24 +320,19 @@ mod tests {
     }
 
     #[test]
-    fn schedules_and_pool_leave_truss_unchanged() {
-        use masked_spgemm::RowSchedule;
+    fn pool_leaves_truss_unchanged() {
         let g = mspgemm_gen::er_symmetric(150, 14, 5);
         let reference = truss(&g, 5, Scheme::Ours(Algorithm::Hash, Phases::One));
-        for sched in RowSchedule::ALL {
-            let pool = WsPool::new();
-            let opts = ExecOpts {
-                schedule: sched,
-                ws_pool: Some(&pool),
-                stats: None,
-                deadline: None,
-            };
-            let r = k_truss_with(&g, 5, Scheme::Ours(Algorithm::Hash, Phases::One), &opts);
-            assert_eq!(r.truss, reference.truss, "{}", sched.name());
-            assert_eq!(r.iterations, reference.iterations, "{}", sched.name());
-            if r.iterations > 1 {
-                assert!(pool.hits() > 0, "later iterations must reuse workspaces");
-            }
+        let pool = WsPool::new();
+        let opts = ExecOpts {
+            ws_pool: Some(&pool),
+            ..ExecOpts::default()
+        };
+        let r = k_truss_with(&g, 5, Scheme::Ours(Algorithm::Hash, Phases::One), &opts);
+        assert_eq!(r.truss, reference.truss);
+        assert_eq!(r.iterations, reference.iterations);
+        if r.iterations > 1 {
+            assert!(pool.hits() > 0, "later iterations must reuse workspaces");
         }
     }
 
@@ -467,7 +462,7 @@ mod tests {
 
         /// The restricted driver against the full-recompute reference:
         /// bit-identical truss (pattern and support values) for every
-        /// scheme, schedule and thread count, and one round count for all.
+        /// scheme and thread count, and one round count for all.
         #[test]
         fn restricted_matches_full_recompute(
             family in 0usize..3,
@@ -486,17 +481,15 @@ mod tests {
                     .num_threads(threads)
                     .build()
                     .expect("failed to build rayon pool");
-                for schedule in RowSchedule::ALL {
-                    let opts = ExecOpts { schedule, ..ExecOpts::default() };
-                    for s in every_scheme() {
-                        let r = pool.install(|| k_truss_with(&g, k, s, &opts));
-                        let what = format!("{} {} t={threads}", s.name(), schedule.name());
-                        prop_assert_eq!(r.truss.rowptr(), want.rowptr(), "{}", what);
-                        prop_assert_eq!(r.truss.colidx(), want.colidx(), "{}", what);
-                        prop_assert_eq!(r.truss.values(), want.values(), "{}", what);
-                        prop_assert_eq!(*rounds.get_or_insert(r.iterations), r.iterations, "{}", what);
-                        prop_assert!(r.iterations <= full_products, "{}", what);
-                    }
+                let opts = ExecOpts::default();
+                for s in every_scheme() {
+                    let r = pool.install(|| k_truss_with(&g, k, s, &opts));
+                    let what = format!("{} t={threads}", s.name());
+                    prop_assert_eq!(r.truss.rowptr(), want.rowptr(), "{}", what);
+                    prop_assert_eq!(r.truss.colidx(), want.colidx(), "{}", what);
+                    prop_assert_eq!(r.truss.values(), want.values(), "{}", what);
+                    prop_assert_eq!(*rounds.get_or_insert(r.iterations), r.iterations, "{}", what);
+                    prop_assert!(r.iterations <= full_products, "{}", what);
                 }
             }
         }

@@ -57,8 +57,8 @@ impl Scheme {
         }
     }
 
-    /// Execute the masked product under `opts` (row schedule, workspace
-    /// pool, busy-time stats, deadline): they govern all of our schemes;
+    /// Execute the masked product under `opts` (workspace pool,
+    /// busy-time stats, deadline): they govern all of our schemes;
     /// the SuiteSparse-style baselines ignore them, mirroring what the
     /// libraries expose. `bt` (`Bᵀ` in CSR) amortizes the transpose
     /// whenever our pull kernel runs — named, or picked by `Auto` —

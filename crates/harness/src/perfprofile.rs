@@ -5,7 +5,7 @@
 //!
 //! Also home to the per-thread **busy-time spread** ([`BusySpread`]): the
 //! max/mean figure over per-thread busy seconds that quantifies how well a
-//! row schedule balanced the load (1.0 = perfect; one equal-row block per
+//! row partition balanced the load (1.0 = perfect; one equal-row block per
 //! thread on a skewed input approaches the thread count).
 
 /// One scheme's runtimes across a common set of test cases.

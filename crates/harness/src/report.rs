@@ -112,7 +112,7 @@ pub struct DatasetInfo {
     pub nnz: usize,
 }
 
-/// Execution-layer summary across a whole suite sweep: row-schedule
+/// Execution-layer summary across a whole suite sweep: row
 /// balance (busy-time spread over the worker threads) and workspace-pool
 /// effectiveness. `None` busy fields never occur here — a sweep that
 /// recorded no busy time simply omits the summary.

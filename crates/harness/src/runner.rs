@@ -133,28 +133,24 @@ mod tests {
     }
 
     #[test]
-    fn runs_identical_across_schedules_with_pool() {
-        use masked_spgemm::{RowSchedule, WsPool};
+    fn runs_identical_with_pool() {
+        use masked_spgemm::WsPool;
         let suite = tiny_suite();
         let schemes = [Scheme::Ours(Algorithm::Hash, Phases::One)];
         let k = 4;
         let baseline = ktruss_runs(&suite, &schemes, k, 1, &ExecOpts::default());
-        for sched in RowSchedule::ALL {
-            let pool = WsPool::new();
-            let opts = ExecOpts {
-                schedule: sched,
-                ws_pool: Some(&pool),
-                stats: None,
-                deadline: None,
-            };
-            let runs = ktruss_runs(&suite, &schemes, k, 1, &opts);
-            assert_eq!(runs.len(), baseline.len());
-            // Timing differs; shape and presence must not.
-            for (r, b) in runs.iter().zip(&baseline) {
-                assert_eq!(r.seconds.len(), b.seconds.len(), "{}", sched.name());
-            }
-            assert!(pool.hits() > 0, "iterative k-truss must reuse workspaces");
+        let pool = WsPool::new();
+        let opts = ExecOpts {
+            ws_pool: Some(&pool),
+            ..ExecOpts::default()
+        };
+        let runs = ktruss_runs(&suite, &schemes, k, 1, &opts);
+        assert_eq!(runs.len(), baseline.len());
+        // Timing differs; shape and presence must not.
+        for (r, b) in runs.iter().zip(&baseline) {
+            assert_eq!(r.seconds.len(), b.seconds.len());
         }
+        assert!(pool.hits() > 0, "iterative k-truss must reuse workspaces");
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::protocol::{
 };
 use crate::registry::{DatasetInfo, RegistryError};
 use crate::server::ServerState;
-use masked_spgemm::{masked_mxm_with_bt, Algorithm, ExecOpts, MaskMode, Phases, RowSchedule};
+use masked_spgemm::{masked_mxm_with_bt, Algorithm, ExecOpts, MaskMode, Phases};
 use mspgemm_graph::{bc, ktruss, App};
 use mspgemm_harness::{busy_spread, csr_fingerprint, gflops, mb_per_s, with_threads, BusySpread};
 use mspgemm_io::LoadOpts;
@@ -77,14 +77,9 @@ fn pool_since(state: &ServerState, mark: (u64, u64)) -> Json {
 }
 
 /// Kernel options of a served request: the server-wide workspace pool
-/// and busy-time recorder around the request's schedule and budget.
-fn exec_opts(
-    state: &ServerState,
-    schedule: RowSchedule,
-    deadline: Option<Instant>,
-) -> ExecOpts<'_> {
+/// and busy-time recorder around the request's budget.
+fn exec_opts(state: &ServerState, deadline: Option<Instant>) -> ExecOpts<'_> {
     ExecOpts {
-        schedule,
         ws_pool: Some(&state.ws_pool),
         stats: Some(&state.exec_stats),
         deadline,
@@ -233,7 +228,7 @@ fn mxm(
     fused_group: usize,
 ) -> OpResult {
     let ds = state.registry.get(name).map_err(reg_err)?;
-    let opts = exec_opts(state, p.schedule, deadline);
+    let opts = exec_opts(state, deadline);
     let pool_mark = (state.ws_pool.hits(), state.ws_pool.misses());
     // Masks are structural, so the matrix masks itself; the snapshot's
     // `Bᵀ` spares the pull kernel its transpose, named or `auto`-picked —
@@ -300,7 +295,6 @@ fn mxm(
             "phases",
             Json::str(if p.phases == Phases::One { "1" } else { "2" }),
         ),
-        ("schedule", Json::str(p.schedule.name())),
         ("threads", p.threads.into()),
         ("reps", p.reps.into()),
         ("seconds", secs.into()),
@@ -334,7 +328,7 @@ fn app(state: &ServerState, name: &str, p: &AppParams) -> OpResult {
     // (caught, like every executor panic, by the server's one
     // `catch_unwind`); their deadline is enforced at admission and
     // dequeue only.
-    let opts = exec_opts(state, p.schedule, None);
+    let opts = exec_opts(state, None);
     let pool_mark = (state.ws_pool.hits(), state.ws_pool.misses());
     let run = || -> Vec<(&'static str, Json)> {
         match p.app {
@@ -399,7 +393,6 @@ fn app(state: &ServerState, name: &str, p: &AppParams) -> OpResult {
         ("app", Json::str(p.app.name())),
         ("dataset", Json::str(&ds.name)),
         ("scheme", Json::Str(p.scheme.name())),
-        ("schedule", Json::str(p.schedule.name())),
     ];
     out.extend(fields);
     out.push(("pool", pool_since(state, pool_mark)));

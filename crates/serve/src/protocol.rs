@@ -18,7 +18,7 @@
 //! non-object request gets `bad_request` and the connection stays open.
 
 use crate::json::{self, Json};
-use masked_spgemm::{Algorithm, MaskMode, Phases, RowSchedule};
+use masked_spgemm::{Algorithm, MaskMode, Phases};
 use mspgemm_graph::{App, Scheme};
 use mspgemm_harness::check_threads;
 use mspgemm_io::CachePolicy;
@@ -300,7 +300,6 @@ pub(crate) struct MxmParams {
     pub algo: Algorithm,
     pub mode: MaskMode,
     pub phases: Phases,
-    pub schedule: RowSchedule,
     pub threads: usize,
     pub reps: usize,
 }
@@ -308,7 +307,6 @@ pub(crate) struct MxmParams {
 pub(crate) struct AppParams {
     pub app: App,
     pub scheme: Scheme,
-    pub schedule: RowSchedule,
     pub threads: usize,
     pub k: usize,
     pub batch: usize,
@@ -350,14 +348,11 @@ pub(crate) fn parse_object(line: &str) -> Result<Json, Reject> {
 }
 
 /// Decode a request object into its typed [`Request`], validating every
-/// field that can be judged without server state. `schedule` is the
-/// server's default row schedule: an omitted `"schedule"` decodes to it,
-/// so a request spelling the default out fuses with one that leaves it
-/// off. Returns the verb label for the metrics (`"invalid"` without a
-/// usable `op`, `"unknown"` for an unrecognized one) alongside the
-/// verdict, so rejected requests are still counted under the verb they
-/// named.
-pub(crate) fn decode(req: &Json, schedule: RowSchedule) -> (&'static str, Result<Request, Reject>) {
+/// field that can be judged without server state. Returns the verb label
+/// for the metrics (`"invalid"` without a usable `op`, `"unknown"` for an
+/// unrecognized one) alongside the verdict, so rejected requests are still
+/// counted under the verb they named.
+pub(crate) fn decode(req: &Json) -> (&'static str, Result<Request, Reject>) {
     let Some(op) = req.get("op").and_then(Json::as_str) else {
         return ("invalid", Err(bad("'op' must be a string".to_string())));
     };
@@ -376,8 +371,8 @@ pub(crate) fn decode(req: &Json, schedule: RowSchedule) -> (&'static str, Result
             "unload",
             req_str(req, "name").map(|name| Request::Unload(name.to_string())),
         ),
-        "mxm" => ("mxm", heavy(decode_mxm(req, schedule).map(Work::Mxm))),
-        "app" => ("app", heavy(decode_app(req, schedule).map(Work::App))),
+        "mxm" => ("mxm", heavy(decode_mxm(req).map(Work::Mxm))),
+        "app" => ("app", heavy(decode_app(req).map(Work::App))),
         "update" => ("update", heavy(decode_update(req).map(Work::Update))),
         "stats" => ("stats", Ok(Request::Stats)),
         "metrics" => ("metrics", decode_metrics(req).map(Request::Metrics)),
@@ -422,22 +417,20 @@ fn decode_metrics(req: &Json) -> Result<MetricsFormat, Reject> {
     }
 }
 
-fn decode_mxm(req: &Json, schedule: RowSchedule) -> Result<MxmParams, Reject> {
+fn decode_mxm(req: &Json) -> Result<MxmParams, Reject> {
     Ok(MxmParams {
         algo: opt_parse(req, "algo")?.unwrap_or(Algorithm::Auto),
         mode: opt_parse(req, "mask")?.unwrap_or(MaskMode::Mask),
         phases: opt_parse(req, "phases")?.unwrap_or(Phases::One),
-        schedule: opt_parse(req, "schedule")?.unwrap_or(schedule),
         threads: opt_threads(req)?,
         reps: opt_u64(req, "reps", 1)?.max(1) as usize,
     })
 }
 
-fn decode_app(req: &Json, schedule: RowSchedule) -> Result<AppParams, Reject> {
+fn decode_app(req: &Json) -> Result<AppParams, Reject> {
     let p = AppParams {
         app: opt_parse(req, "app")?.unwrap_or(App::Tc),
         scheme: opt_parse(req, "scheme")?.unwrap_or(Scheme::Ours(Algorithm::Auto, Phases::One)),
-        schedule: opt_parse(req, "schedule")?.unwrap_or(schedule),
         threads: opt_threads(req)?,
         k: opt_u64(req, "k", 4)? as usize,
         batch: opt_u64(req, "batch", 16)? as usize,
@@ -571,8 +564,7 @@ mod tests {
 
     #[test]
     fn fusion_needs_identical_mxm_requests() {
-        let default = RowSchedule::default();
-        let heavy = |line: &str| match decode(&parse_object(line).unwrap(), default).1 {
+        let heavy = |line: &str| match decode(&parse_object(line).unwrap()).1 {
             Ok(Request::Heavy(h)) => h,
             _ => panic!("{line} must decode as a heavy request"),
         };
@@ -583,12 +575,19 @@ mod tests {
         assert!(!normal.same_pass(&heavy(r#"{"op":"mxm","dataset":"h","algo":"hash"}"#)));
         assert!(!normal.same_pass(&heavy(r#"{"op":"mxm","dataset":"g","algo":"msa"}"#)));
         assert!(!normal.same_pass(&heavy(r#"{"op":"mxm","dataset":"g","reps":2}"#)));
-        // Spelling out the server default is the same pass as omitting it.
-        let spelled = format!(
-            r#"{{"op":"mxm","dataset":"g","algo":"hash","schedule":"{}"}}"#,
-            default.name()
-        );
-        assert!(normal.same_pass(&heavy(&spelled)));
+        // Clients may still send `schedule`: it is an unknown key like any
+        // other, ignored whatever its value, so the request decodes to and
+        // fuses with the one that leaves it off.
+        for schedule in ["flops", "dynamic"] {
+            let line =
+                format!(r#"{{"op":"mxm","dataset":"g","algo":"hash","schedule":"{schedule}"}}"#);
+            let with = heavy(&line);
+            assert!(matches!(
+                (&with.work, &normal.work),
+                (Work::Mxm(a), Work::Mxm(b)) if a == b
+            ));
+            assert!(normal.same_pass(&with), "{line}");
+        }
         let tc = heavy(r#"{"op":"app","dataset":"g"}"#);
         assert!(!tc.same_pass(&heavy(r#"{"op":"app","dataset":"g"}"#)));
     }

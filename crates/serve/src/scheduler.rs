@@ -14,7 +14,7 @@
 //!
 //! The waiting room is also where **fusion** happens: when a worker pops
 //! a `mxm` job it drains every queued job identical to it (same dataset,
-//! algorithm, mask mode, phases, schedule, threads, reps — see
+//! algorithm, mask mode, phases, threads, reps — see
 //! [`HeavyRequest::same_pass`]) and executes them as one batch: a single
 //! kernel pass answers every rider. The batch assembly lives here; the
 //! execution and fan-out live in [`crate::server`].
@@ -322,9 +322,7 @@ pub(crate) mod tests {
 
     /// The job of one heavy request line, and where its answer arrives.
     pub(crate) fn job(line: &str) -> (Job, mpsc::Receiver<Json>) {
-        let Ok(Request::Heavy(request)) =
-            decode(&parse_object(line).unwrap(), Default::default()).1
-        else {
+        let Ok(Request::Heavy(request)) = decode(&parse_object(line).unwrap()).1 else {
             panic!("{line} must decode as a heavy request");
         };
         let (tx, rx) = mpsc::channel();

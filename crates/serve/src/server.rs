@@ -37,7 +37,7 @@ use crate::protocol::{
 };
 use crate::registry::{Registry, RegistryError};
 use crate::scheduler::{Admission, Job, Scheduler};
-use masked_spgemm::{ExecStats, RowSchedule, WsPool};
+use masked_spgemm::{ExecStats, WsPool};
 use mspgemm_io::LoadOpts;
 use mspgemm_obs::MetricsRegistry;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -52,8 +52,6 @@ use std::time::{Duration, Instant};
 /// Server-wide defaults a request can override per call.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// Row schedule used when a request does not name one.
-    pub schedule: RowSchedule,
     /// How `load` requests and preloads ingest when the request does not
     /// say otherwise — the same [`LoadOpts`] `mxm run` / `mxm suite`
     /// build from `--no-cache`, `--mmap` and `--pattern`. The default
@@ -80,7 +78,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            schedule: RowSchedule::default(),
             load: LoadOpts::default(),
             // Two executor slots keep a second core busy while one
             // request fills the other; 64 queued jobs is roughly a
@@ -560,7 +557,7 @@ fn route_request(state: &ServerState, line: &str, received: Instant) -> Routed {
         Err(e) => return inline("invalid", None, Err(e)),
     };
     state.requests.fetch_add(1, Ordering::Relaxed);
-    let (verb, decoded) = protocol::decode(&object, state.config.schedule);
+    let (verb, decoded) = protocol::decode(&object);
     match decoded {
         Err(e) => inline(verb, None, Err(e)),
         Ok(Request::Ping) => inline(verb, None, ops::ping(state)),
@@ -836,17 +833,21 @@ mod tests {
     }
 
     #[test]
-    fn inner_reports_its_schedule_and_pool() {
+    fn inner_reports_its_pool_and_fingerprint() {
         let (state, path) = state_with("inner_real", 90);
         ok(
             &state,
             &format!(r#"{{"op":"load","path":"{path}","name":"g"}}"#),
         );
-        // Inner runs on the shared row drive: the schedule it names is the
-        // one it ran under, and its (empty) workspaces go through the pool.
-        let q = r#"{"op":"mxm","dataset":"g","algo":"inner","schedule":"flops","threads":1}"#;
+        // Inner runs on the shared row drive: its (empty) workspaces go
+        // through the pool, and its product is the push kernels'.
+        let q = r#"{"op":"mxm","dataset":"g","algo":"inner","threads":1}"#;
         let resp = ok(&state, q);
-        assert_eq!(resp.get("schedule").unwrap().as_str(), Some("flops"));
+        let hash = ok(
+            &state,
+            r#"{"op":"mxm","dataset":"g","algo":"hash","threads":1}"#,
+        );
+        assert_eq!(resp.get("fingerprint"), hash.get("fingerprint"));
         let pool = resp.get("pool").unwrap();
         assert_eq!(pool.get("misses").unwrap().as_u64(), Some(1));
         assert_eq!(pool.get("warm").unwrap().as_bool(), Some(false));

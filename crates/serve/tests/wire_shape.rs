@@ -51,7 +51,6 @@ const MXM_KEYS: &[&str] = &[
     "algo",
     "mask",
     "phases",
-    "schedule",
     "threads",
     "reps",
     "seconds",
@@ -250,7 +249,6 @@ fn every_verb_and_error_code_keeps_its_wire_shape() {
                     "app",
                     "dataset",
                     "scheme",
-                    "schedule",
                     "triangles",
                     "mxm_seconds",
                     "gflops",
@@ -291,7 +289,6 @@ fn every_verb_and_error_code_keeps_its_wire_shape() {
                     "app",
                     "dataset",
                     "scheme",
-                    "schedule",
                     "triangles",
                     "mxm_seconds",
                     "gflops",
@@ -312,7 +309,6 @@ fn every_verb_and_error_code_keeps_its_wire_shape() {
                     "app",
                     "dataset",
                     "scheme",
-                    "schedule",
                     "k",
                     "iterations",
                     "edges",
@@ -332,7 +328,6 @@ fn every_verb_and_error_code_keeps_its_wire_shape() {
                     "app",
                     "dataset",
                     "scheme",
-                    "schedule",
                     "batch",
                     "depth",
                     "mxm_seconds",

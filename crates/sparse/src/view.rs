@@ -222,7 +222,7 @@ impl<'a, T> CsrRef<'a, T> {
     }
 
     /// Per-row multiply counts of the push product `self·b` (no 2×
-    /// factor) — the input of the flop-balanced schedule's prefix sum.
+    /// factor) — the complemented one-phase bound's per-row input.
     pub fn row_flops_with<U>(&self, b: CsrRef<'_, U>) -> Vec<u64>
     where
         T: Sync,
