@@ -6,7 +6,7 @@
 
 use crate::args::Parsed;
 use masked_spgemm::{
-    masked_mxm_with_opts, Algorithm, AutoChoice, ExecOpts, ExecStats, MaskMode, Phases, WsPool,
+    masked_mxm_with_bt, Algorithm, AutoChoice, ExecOpts, ExecStats, MaskMode, Phases, WsPool,
 };
 use mspgemm_gen::SuiteGraph;
 use mspgemm_graph::scheme::Scheme;
@@ -18,10 +18,11 @@ use mspgemm_harness::{
     time_best, with_threads,
 };
 use mspgemm_io::{
-    load_matrix, save_matrix, save_matrix_pattern, CachePolicy, DatasetSource, Format,
-    IngestReport, LoadOpts,
+    distinct_transpose, load_matrix, save_matrix, save_matrix_pattern, CachePolicy, DatasetSource,
+    Format, IngestReport, LoadOpts,
 };
 use mspgemm_sparse::semiring::PlusTimesF64;
+use mspgemm_sparse::transpose;
 use std::io::Write;
 
 /// Parse a scheme label (`msa-1p`, `Hash-2P`, `ss:saxpy`, ...) as the
@@ -101,6 +102,12 @@ fn simd_line() -> String {
 
 /// `mxm run`: one masked product `C = M ⊙ (A·A)` (or `¬M ⊙ (A·A)`) where
 /// `M` is the pattern of `A` — the paper's single-input experiment shape.
+///
+/// The product gets the operands the server's `mxm` verb gets: where the
+/// pull kernel may run, a `Bᵀ` built once after the load — `A` itself
+/// when `A` equals its transpose by bits ([`distinct_transpose`]), so
+/// `auto` on a symmetric input takes the oriented plan. Symmetry is
+/// decided by content, whatever the file's banner says.
 pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     let path = p
         .positional
@@ -153,10 +160,18 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
         stats: Some(&stats),
         deadline: None,
     };
-    // Masks are structural: `A` is its own pattern.
+    // Masks are structural: `A` is its own pattern. `Bᵀ` is load-side
+    // work outside the timed calls, built only where the pull kernel that
+    // reads it can run; a transpose equal to `A` is dropped here, before
+    // the product, and `A` stands in for it.
     let work = || {
+        let pulls = matches!(algo, Algorithm::Auto | Algorithm::Inner);
+        let at = pulls
+            .then(|| distinct_transpose(&a, transpose(&a)))
+            .flatten();
+        let bt = pulls.then(|| at.as_ref().unwrap_or(&a));
         time_best(reps, || {
-            masked_mxm_with_opts::<PlusTimesF64, f64>(&a, &a, &a, algo, mode, phases, &opts)
+            masked_mxm_with_bt::<PlusTimesF64, f64>(&a, &a, &a, bt, algo, mode, phases, &opts)
         })
     };
     let (secs, c) = if threads > 0 {
@@ -645,9 +660,10 @@ mod tests {
             let line = text.lines().find(|l| l.starts_with("scheme   :"));
             line.expect("a scheme line").to_string()
         };
-        // The graph masks itself without being symmetric, so the two
-        // counts are whatever they are — but they are there, after the
-        // algorithm `auto` picked; a named algorithm prints neither.
+        // The graph is symmetric, so `run` hands it over as its own `Bᵀ`,
+        // but its products are too few for the oriented plan: the line
+        // names push and pull, after the algorithm `auto` picked; a named
+        // algorithm prints neither.
         let auto = scheme_line("auto");
         let (head, counts) = auto.split_once(" (push ").expect(&auto);
         assert!(head.starts_with("scheme   : Auto→"), "{auto}");

@@ -130,11 +130,13 @@ fn second_query_against_resident_dataset_reports_warm_pool() {
     assert!(second.contains("\"warm\":true"), "{second}");
 }
 
-/// `auto` on the resident path may run a symmetric dataset's self-product
-/// once per edge and mirrored; `mxm run` never does (it hands the dispatch
-/// no `Bᵀ`). Whatever the server picks, the fingerprints must agree — on
-/// a symmetric dataset, across an update that breaks the symmetry and
-/// one that restores it, and on a directed dataset.
+/// `auto` may run a symmetric self-product once per edge and mirrored,
+/// on the resident path and in `mxm run` alike: both hand the dispatch `A`
+/// itself as `Bᵀ` when `A` equals its transpose by bits. So both must
+/// agree on the plan as well as on the fingerprint — on a symmetric
+/// dataset, across an update that breaks the symmetry and one that
+/// restores it, on a directed dataset, and from a `.msb` on the heap or
+/// mapped.
 #[test]
 fn oriented_self_product_answers_what_run_answers() {
     let dir = std::env::temp_dir().join("mxm_parity_oriented");
@@ -162,6 +164,9 @@ fn oriented_self_product_answers_what_run_answers() {
         }
         coo.to_csr(|x, _| x)
     };
+    // `write_mtx_file` writes a `general` banner, so `g.mtx` and
+    // `both_ways.mtx` are general files with symmetric content: symmetry
+    // is read from the entries, never from the banner.
     let symmetric = write("g.mtx", &g);
     let one_way = write("one_way.mtx", &with(&[(u, v)]));
     let both_ways = write("both_ways.mtx", &with(&[(u, v), (v, u)]));
@@ -173,10 +178,18 @@ fn oriented_self_product_answers_what_run_answers() {
         .preload(&[symmetric.clone(), directed.clone()])
         .unwrap();
     let addr = server.addr().to_string();
-    let run = |path: &str, algo: &str| {
-        let text = dispatch(&["run", "--algo", algo, "--reps", "1", "--no-cache", path]).unwrap();
-        run_fingerprint(&text).to_string()
+    let msb = dir.join("g.msb").to_str().unwrap().to_string();
+    dispatch(&["convert", &symmetric, &msb]).unwrap();
+    // `mxm run`'s fingerprint, and whether it ran oriented — on two
+    // executors too, for the same reason as `served` below.
+    let run_with = |path: &str, algo: &str, load: &[&str]| {
+        let q = ["run", "--algo", algo, "--reps", "1", "--threads", "2"];
+        let text = dispatch(&[&q[..], load, &["--no-cache", path]].concat()).unwrap();
+        let scheme = text.lines().find(|l| l.starts_with("scheme   :"));
+        let oriented = scheme.expect(&text).contains("→oriented pull");
+        (run_fingerprint(&text).to_string(), oriented)
     };
+    let run = |path: &str, algo: &str| run_with(path, algo, &[]);
     // The served fingerprint under `auto`, and whether it ran oriented —
     // on two executors whatever the host has: the plan's serial passes are
     // charged per thread. `msa` goes first: it takes an updated snapshot's
@@ -198,11 +211,20 @@ fn oriented_self_product_answers_what_run_answers() {
         dispatch(&[&q[..], &["--insert", &insert]].concat()).unwrap();
     };
 
-    assert_eq!(served("g"), (run(&symmetric, "auto"), true));
+    // Both paths answer the same bits by the same plan, and the plan is
+    // the one expected.
+    let agree = |dataset: &str, path: &str, oriented: bool| {
+        let ran = run(path, "auto");
+        assert_eq!(served(dataset), ran, "{path}");
+        assert_eq!(ran.1, oriented, "{path}");
+    };
+    agree("g", &symmetric, true);
     update((u, v));
-    assert_eq!(served("g"), (run(&one_way, "auto"), false));
+    agree("g", &one_way, false);
     update((v, u));
-    assert_eq!(served("g"), (run(&both_ways, "auto"), true));
-    assert_eq!(served("d"), (run(&directed, "auto"), false));
-    assert_eq!(run(&symmetric, "auto"), run(&symmetric, "msa"));
+    agree("g", &both_ways, true);
+    agree("d", &directed, false);
+    assert_eq!(run(&msb, "auto"), run(&symmetric, "auto"));
+    assert_eq!(run_with(&msb, "auto", &["--mmap"]), run(&symmetric, "auto"));
+    assert_eq!(run(&symmetric, "auto").0, run(&symmetric, "msa").0);
 }

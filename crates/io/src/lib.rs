@@ -13,8 +13,10 @@
 //!   version, dims, nnz header + raw CSR sections, so repeat experiment
 //!   runs skip text parsing entirely.
 //! * [`load`] — extension dispatch, the transparent `.msb` sidecar cache,
-//!   and graph normalization (symmetrize, strip self-loops) matching the
-//!   synthetic suite's conventions.
+//!   graph normalization (symmetrize, strip self-loops) matching the
+//!   synthetic suite's conventions, and the one symmetry test by content
+//!   ([`distinct_transpose`]) that decides whether a loaded matrix is its
+//!   own `Bᵀ`.
 //! * [`source`] — [`DatasetSource`]: one abstraction over "the synthetic
 //!   suite" and "a directory of real matrices", feeding the harness
 //!   runners and the `mxm` CLI.
@@ -29,8 +31,9 @@ pub mod source;
 
 pub use error::IoError;
 pub use load::{
-    adjacency_delta, load_graph, load_matrix, save_matrix, save_matrix_pattern, sidecar_path,
-    to_adjacency, AdjacencyStats, CacheOutcome, CachePolicy, Format, IngestReport, LoadOpts,
+    adjacency_delta, distinct_transpose, load_graph, load_matrix, same_bits, save_matrix,
+    save_matrix_pattern, sidecar_path, to_adjacency, AdjacencyStats, CacheOutcome, CachePolicy,
+    Format, IngestReport, LoadOpts,
 };
 pub use msb::{
     read_msb, read_msb_file, read_msb_file_auto, read_msb_header, write_msb, write_msb_file,

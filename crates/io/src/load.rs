@@ -329,6 +329,33 @@ pub fn adjacency_delta(a: &Csr<f64>, changed: &[(Idx, Idx)]) -> Overlay<f64> {
     delta
 }
 
+/// `transposed` (= `matrixᵀ`) unless it is `matrix` over again — same
+/// pattern, same values bit for bit (`-0.0` is not `0.0` here: a
+/// product's fingerprint hashes bits). `None` says `matrix` is its own
+/// transpose, which is what lets a caller hand `matrix` itself to
+/// `masked_mxm_with_bt` as `Bᵀ` and so declare a symmetric self-product.
+/// A kept transpose of a pattern-loaded `matrix` is all-ones too, so its
+/// values are pointed at the process-wide unit arena.
+pub fn distinct_transpose(matrix: &Csr<f64>, mut transposed: Csr<f64>) -> Option<Csr<f64>> {
+    if same_bits(matrix, &transposed) {
+        return None;
+    }
+    if matrix.values_unit_shared() {
+        transposed.share_unit_values();
+    }
+    Some(transposed)
+}
+
+/// `a == b` with values compared by bits.
+pub fn same_bits(a: &Csr<f64>, b: &Csr<f64>) -> bool {
+    a.rowptr() == b.rowptr()
+        && a.colidx() == b.colidx()
+        && a.values()
+            .iter()
+            .map(|v| v.to_bits())
+            .eq(b.values().iter().map(|v| v.to_bits()))
+}
+
 /// [`load_matrix`] a file and normalize it with [`to_adjacency`]. The
 /// normalized adjacency is a derived (owned) matrix either way; the mmap
 /// preference still saves the intermediate heap copy of the raw operand
@@ -463,6 +490,56 @@ mod tests {
         let (adj, stats) = to_adjacency(&g);
         assert_eq!(stats, AdjacencyStats::default());
         assert_eq!(adj.pattern(), g.pattern());
+    }
+
+    /// `n × n` from `(row, col, value)` triples.
+    fn from_triples(n: usize, entries: &[(u32, u32, f64)]) -> Csr<f64> {
+        let mut coo = Coo::new(n, n);
+        for &(i, j, v) in entries {
+            coo.push(i, j, v);
+        }
+        coo.to_csr(|a, _| a)
+    }
+
+    fn own_transpose(a: &Csr<f64>) -> Option<Csr<f64>> {
+        distinct_transpose(a, transpose(a))
+    }
+
+    #[test]
+    fn distinct_transpose_keeps_only_a_transpose_that_differs_by_bits() {
+        let symmetric = mspgemm_gen::er_symmetric(60, 6, 3);
+        assert!(own_transpose(&symmetric).is_none());
+        // The same pattern both ways, but not the same values.
+        let valued = from_triples(2, &[(0, 1, 1.0), (1, 0, 2.0)]);
+        assert_eq!(own_transpose(&valued), Some(transpose(&valued)));
+        // Equal by `==`, not by bits.
+        let zeros = from_triples(2, &[(0, 1, 0.0), (1, 0, -0.0)]);
+        assert_eq!(zeros, transpose(&zeros));
+        assert!(!same_bits(&zeros, &transpose(&zeros)));
+        assert!(own_transpose(&zeros).is_some());
+    }
+
+    #[test]
+    fn distinct_transpose_of_a_pattern_load_reads_the_pattern() {
+        let dir = tempdir("distinct_transpose");
+        let pattern = LoadOpts {
+            pattern: true,
+            ..policy(CachePolicy::Off)
+        };
+        // Unit values are symmetric wherever the pattern is.
+        let valued = dir.join("valued.mtx");
+        crate::mtx::write_mtx_file(&valued, &from_triples(2, &[(0, 1, 1.0), (1, 0, 2.0)])).unwrap();
+        let (a, _) = load_matrix(&valued, &pattern).unwrap();
+        assert!(a.values_unit_shared());
+        assert!(own_transpose(&a).is_none());
+        // A transpose that differs is kept, its values on the unit arena.
+        let directed = dir.join("directed.mtx");
+        crate::mtx::write_mtx_file(&directed, &directed_sample()).unwrap();
+        let (a, _) = load_matrix(&directed, &pattern).unwrap();
+        let at = own_transpose(&a).expect("a directed cycle is not symmetric");
+        assert!(at.values_unit_shared());
+        assert_eq!(at, transpose(&a));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

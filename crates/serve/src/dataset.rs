@@ -10,7 +10,7 @@
 //!   pre-computed `Bᵀ` that the pull-based Inner scheme consumes) — which
 //!   a symmetric matrix is itself, so a symmetric snapshot stores none
 //!   and [`Dataset::bt`] hands out the matrix: the identity that lets
-//!   `Auto` compute the self-product once per edge;
+//!   `Auto` compute the self-product once per edge, as `mxm run` does;
 //! * the normalized undirected adjacency (what the TC / k-truss / BC
 //!   applications consume);
 //! * lazily, the relabeled triangle-counting operands and the per-row
@@ -61,7 +61,8 @@ use masked_spgemm::{masked_mxm_with_bt, Algorithm, Error, ExecOpts, MaskMode, Ph
 use mspgemm_graph::tricount::{self, TcOperands};
 use mspgemm_graph::Scheme;
 use mspgemm_io::{
-    adjacency_delta, dataset_name, load_matrix, to_adjacency, IngestReport, LoadOpts, MsbBackend,
+    adjacency_delta, dataset_name, distinct_transpose, load_matrix, to_adjacency, IngestReport,
+    LoadOpts, MsbBackend,
 };
 use mspgemm_sparse::semiring::PlusTimesF64;
 use mspgemm_sparse::{transpose, transpose_delta, Csr, Idx, Overlay, StorageReport};
@@ -214,7 +215,10 @@ impl Dataset {
 
     /// Derive every resident operand from a raw square matrix, as a
     /// version-0 snapshot with no seed — the disk loader's half; updates
-    /// patch these operands forward instead ([`Dataset::rebuilt`]).
+    /// patch these operands forward instead ([`Dataset::rebuilt`]). The
+    /// transpose is built once and kept only if it differs from the
+    /// matrix by bits ([`distinct_transpose`], the same test `mxm run`
+    /// makes before its product).
     fn derive(
         name: String,
         path: String,
@@ -222,16 +226,13 @@ impl Dataset {
         ingest: IngestReport,
         loaded_at: Instant,
     ) -> Dataset {
-        let mut matrix_t = distinct_transpose(&matrix, transpose(&matrix));
+        let matrix_t = distinct_transpose(&matrix, transpose(&matrix));
         let (mut adj, _) = to_adjacency(&matrix);
         if matrix.values_unit_shared() {
-            // Pattern-loaded base: the transpose and the normalized
-            // adjacency are all-ones too, so point their value sections at
-            // the process-wide unit arena instead of keeping nnz private
-            // copies of the literal 1.0 each.
-            if let Some(t) = &mut matrix_t {
-                t.share_unit_values();
-            }
+            // Pattern-loaded base: the normalized adjacency is all-ones
+            // too, so point its value section at the process-wide unit
+            // arena instead of keeping nnz private copies of the literal
+            // 1.0 (`distinct_transpose` does the same for the transpose).
             adj.share_unit_values();
         }
         debug_assert!(adj == transpose(&adj), "adj must be its own transpose");
@@ -551,23 +552,6 @@ impl Dataset {
     }
 }
 
-/// `transposed` (= `matrixᵀ`) unless it is `matrix` over again — same
-/// pattern, same values bit for bit (`-0.0` is not `0.0` here: the `mxm`
-/// verb's fingerprint hashes bits).
-fn distinct_transpose(matrix: &Csr<f64>, transposed: Csr<f64>) -> Option<Csr<f64>> {
-    (!same_bits(matrix, &transposed)).then_some(transposed)
-}
-
-/// `a == b` with values compared by bits.
-fn same_bits(a: &Csr<f64>, b: &Csr<f64>) -> bool {
-    a.rowptr() == b.rowptr()
-        && a.colidx() == b.colidx()
-        && a.values()
-            .iter()
-            .map(|v| v.to_bits())
-            .eq(b.values().iter().map(|v| v.to_bits()))
-}
-
 /// Whether every position in `changed` now holds what its mirror image
 /// holds — which keeps a matrix that was symmetric before the batch
 /// symmetric after it.
@@ -656,7 +640,7 @@ fn pattern_at(nrows: usize, ncols: usize, positions: &[(Idx, Idx)]) -> Csr<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mspgemm_io::CachePolicy;
+    use mspgemm_io::{same_bits, CachePolicy};
     use mspgemm_sparse::DeltaOp;
     use proptest::prelude::*;
 
