@@ -14,8 +14,8 @@ use mspgemm_graph::{tricount, App};
 use mspgemm_harness::report::{DatasetInfo, ExecSummary, SuiteReport, Table};
 use mspgemm_harness::runner::{bc_runs, ktruss_runs, tc_runs};
 use mspgemm_harness::{
-    busy_spread, check_threads, default_taus, entries_per_s, gflops, mb_per_s, performance_profile,
-    time_best, with_threads,
+    best_of, busy_spread, check_threads, default_taus, entries_per_s, gflops, mb_per_s,
+    performance_profile, with_threads,
 };
 use mspgemm_io::{
     distinct_transpose, load_matrix, save_matrix, save_matrix_pattern, CachePolicy, DatasetSource,
@@ -103,6 +103,10 @@ fn simd_line() -> String {
 /// `mxm run`: one masked product `C = M ⊙ (A·A)` (or `¬M ⊙ (A·A)`) where
 /// `M` is the pattern of `A` — the paper's single-input experiment shape.
 ///
+/// The product runs exactly `--reps` times, with no warm-up, and the best
+/// run is reported ([`best_of`]), as the server's `mxm` verb does; the
+/// `products :` and `probes :` counts sum over those runs.
+///
 /// The product gets the operands the server's `mxm` verb gets: where the
 /// pull kernel may run, a `Bᵀ` built once after the load — `A` itself
 /// when `A` equals its transpose by bits ([`distinct_transpose`]), so
@@ -170,7 +174,7 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
             .then(|| distinct_transpose(&a, transpose(&a)))
             .flatten();
         let bt = pulls.then(|| at.as_ref().unwrap_or(&a));
-        time_best(reps, || {
+        best_of(reps, || {
             masked_mxm_with_bt::<PlusTimesF64, f64>(&a, &a, &a, bt, algo, mode, phases, &opts)
         })
     };
@@ -178,8 +182,8 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
         with_threads(threads, work)
     } else {
         work()
-    };
-    let c = c.map_err(|e| e.to_string())?;
+    }
+    .map_err(|e| e.to_string())?;
 
     let (resolved, counted) = stats.auto_choice().map(auto_note).unwrap_or_default();
     writeln!(
@@ -679,35 +683,45 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Whether `mxm run --algo <algo> --reps 1` prints a well-formed
-    /// `products :` line (formed = twice the one-run flop count, since the
-    /// warm-up counts too).
-    fn run_prints_products_line(mtx: &std::path::Path, algo: &str) -> bool {
-        let p = parse(
-            &sv(&[
-                "--algo",
-                algo,
-                "--reps",
-                "1",
-                "--no-cache",
-                mtx.to_str().unwrap(),
-            ]),
-            &["algo", "reps"],
-        )
-        .unwrap();
-        let mut out = Vec::new();
-        cmd_run(&p, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
+    /// Whether `mxm run --algo <algo> --reps <reps>` prints a well-formed
+    /// `products :` line (formed = `reps` × the one-run flop count: the
+    /// product runs exactly `reps` times).
+    fn run_prints_products_line(mtx: &std::path::Path, algo: &str, reps: u64) -> bool {
+        let text = run_text(&["--algo", algo, "--reps", &reps.to_string()], mtx);
         let Some(line) = text.lines().find(|l| l.starts_with("products :")) else {
             return false;
         };
         let a = load_matrix(mtx.to_str().unwrap(), &LoadOpts::default())
             .unwrap()
             .0;
-        let formed = 2 * a.flops_with(&a);
+        let formed = reps * a.flops_with(&a);
         assert!(line.contains(&format!("({formed} formed, ")), "{line}");
         assert!(line.contains("% wasted"), "{line}");
         true
+    }
+
+    /// `mxm run <flags> --no-cache <mtx>`'s report.
+    fn run_text(flags: &[&str], mtx: &std::path::Path) -> String {
+        let mut args = sv(flags);
+        args.extend(sv(&["--no-cache", mtx.to_str().unwrap()]));
+        let p = parse(&args, &["algo", "reps"]).unwrap();
+        let mut out = Vec::new();
+        cmd_run(&p, &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
+    #[test]
+    fn run_counts_exactly_reps_products_on_karate() {
+        let karate = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../data/karate.mtx");
+        for (algo, reps, counts) in [
+            ("msa", "1", "(1212 formed, 270 admitted"),
+            ("msa", "3", "(3636 formed, 810 admitted"),
+            ("inner", "1", "(1212 probes, 270 hits"),
+        ] {
+            let text = run_text(&["--algo", algo, "--reps", reps], &karate);
+            assert!(text.contains(counts), "{algo} x {reps}: {text}");
+            assert!(text.contains("fingerprint ee08195915c25cff"), "{text}");
+        }
     }
 
     #[test]
@@ -715,29 +729,20 @@ mod tests {
         let dir = tempdir("run_balance");
         let mtx = dir.join("g.mtx");
         write_small_graph(&mtx);
-        let path = mtx.to_str().unwrap();
-        let args = sv(&["--algo", "hash", "--reps", "1", "--no-cache", path]);
-        let p = parse(&args, &["algo", "reps"]).unwrap();
-        let mut out = Vec::new();
-        cmd_run(&p, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = run_text(&["--algo", "hash", "--reps", "1"], &mtx);
         assert!(text.contains("balance  : busy max/mean"), "{text}");
         assert!(text.contains("pool hits"), "{text}");
         // Hash records no product counts, so the line is absent above;
-        // MSA reports what it formed and what the mask admitted, over the
-        // warm-up and the one timed run.
-        assert!(!run_prints_products_line(&mtx, "hash"));
-        assert!(run_prints_products_line(&mtx, "msa"));
+        // MSA reports what it formed and what the mask admitted, summed
+        // over its runs.
+        assert!(!run_prints_products_line(&mtx, "hash", 1));
+        assert!(run_prints_products_line(&mtx, "msa", 1));
+        assert!(run_prints_products_line(&mtx, "msa", 3));
         // The pull kernel reports its probes beside them: a hit is a
         // product whose coordinate the mask admits, so Inner's hits are
         // MSA's admitted products, and only Inner prints the line.
         let counted = |algo: &str, line: &str, after: &str, before: &str| {
-            let path = mtx.to_str().unwrap();
-            let args = sv(&["--algo", algo, "--reps", "1", "--no-cache", path]);
-            let p = parse(&args, &["algo", "reps"]).unwrap();
-            let mut out = Vec::new();
-            cmd_run(&p, &mut out).unwrap();
-            let text = String::from_utf8(out).unwrap();
+            let text = run_text(&["--algo", algo, "--reps", "1"], &mtx);
             let line = text.lines().find(|l| l.starts_with(line))?;
             let (_, tail) = line.split_once(after).expect(line);
             Some(

@@ -20,7 +20,8 @@ pub mod runner;
 pub mod threads;
 
 pub use metrics::{
-    csr_fingerprint, entries_per_s, env_usize, env_usize_list, gflops, mb_per_s, mteps, time_best,
+    best_of, csr_fingerprint, entries_per_s, env_usize, env_usize_list, gflops, mb_per_s, mteps,
+    time_best,
 };
 pub use perfprofile::{
     busy_spread, default_taus, performance_profile, BusySpread, PerfProfile, SchemeRuns,

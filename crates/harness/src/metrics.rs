@@ -73,19 +73,39 @@ pub fn entries_per_s(entries: usize, seconds: f64) -> f64 {
     entries as f64 / seconds
 }
 
-/// Run `f` once to warm up, then `reps` times, returning the minimum
-/// wall-clock seconds (the standard noise-robust estimator) and the last
-/// result.
-pub fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+/// Call `f` exactly `reps` times, returning the minimum wall-clock
+/// seconds (the standard noise-robust estimator) and the last result —
+/// what `mxm run --reps` and the server's `mxm` verb report. The first
+/// `Err` is returned at once, with the remaining reps not run. Each
+/// rep's output is dropped before the next call, so at most one is
+/// alive.
+///
+/// # Panics
+/// If `reps` is 0.
+pub fn best_of<T, E>(reps: usize, mut f: impl FnMut() -> Result<T, E>) -> Result<(f64, T), E> {
     assert!(reps >= 1);
-    let mut out = f(); // warm-up (also primes allocators/caches)
     let mut best = f64::INFINITY;
+    let mut out = None;
     for _ in 0..reps {
+        drop(out.take());
         let t0 = Instant::now();
-        out = f();
+        out = Some(f()?);
         best = best.min(t0.elapsed().as_secs_f64());
     }
-    (best, out)
+    Ok((best, out.expect("reps >= 1")))
+}
+
+/// One untimed call to warm up (it primes allocators, caches and
+/// workspace pools), then [`best_of`]`(reps)`: a steady-state time, as
+/// the benches, `mxm suite`'s runner and the examples compare schemes.
+///
+/// # Panics
+/// If `reps` is 0.
+pub fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    assert!(reps >= 1);
+    drop(f());
+    let Ok(timed) = best_of(reps, || Ok::<T, std::convert::Infallible>(f()));
+    timed
 }
 
 /// Read an environment variable as `usize` with a default — the knobs
@@ -152,6 +172,62 @@ mod tests {
         assert_eq!(val, 42);
         assert_eq!(calls, 4, "warmup + reps");
         assert!(secs >= 0.0);
+    }
+
+    #[test]
+    fn best_of_makes_exactly_reps_calls() {
+        for reps in [1, 3] {
+            let mut calls = 0;
+            let (secs, val) = best_of(reps, || {
+                calls += 1;
+                Ok::<_, ()>(calls)
+            })
+            .unwrap();
+            assert_eq!(calls, reps, "no warm-up");
+            assert_eq!(val, reps, "the last call's output");
+            assert!(secs >= 0.0);
+        }
+    }
+
+    #[test]
+    fn best_of_returns_the_minimum_time() {
+        // Only the second of three calls is fast.
+        let naps = [50, 1, 50];
+        let mut i = 0;
+        let (secs, ()) = best_of(3, || {
+            std::thread::sleep(std::time::Duration::from_millis(naps[i]));
+            i += 1;
+            Ok::<_, ()>(())
+        })
+        .unwrap();
+        assert!((0.001..0.05).contains(&secs), "{secs}");
+    }
+
+    #[test]
+    fn best_of_stops_at_the_first_err() {
+        let mut calls = 0;
+        let err = best_of(5, || {
+            calls += 1;
+            if calls == 2 {
+                Err(calls)
+            } else {
+                Ok(())
+            }
+        })
+        .unwrap_err();
+        assert_eq!((err, calls), (2, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "reps >= 1")]
+    fn best_of_refuses_zero_reps() {
+        let _ = best_of(0, || Ok::<_, ()>(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "reps >= 1")]
+    fn time_best_refuses_zero_reps() {
+        time_best(0, || ());
     }
 
     #[test]

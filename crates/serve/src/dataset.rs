@@ -411,7 +411,7 @@ impl Dataset {
         patch: bool,
         phases: Phases,
         opts: &ExecOpts<'_>,
-        kernel: impl FnOnce() -> Result<(Csr<f64>, f64), Error>,
+        kernel: impl FnOnce() -> Result<(f64, Csr<f64>), Error>,
     ) -> Result<Product, Error> {
         let seed = self.product_seed().take();
         let out = match seed {
@@ -425,7 +425,7 @@ impl Dataset {
                 }
             }
             _ => {
-                let (csr, seconds) = kernel()?;
+                let (seconds, csr) = kernel()?;
                 Product {
                     csr: Arc::new(csr),
                     seconds,
@@ -670,7 +670,7 @@ mod tests {
     /// One default `mxm` against `ds`: a patch where it is seeded, else
     /// [`fresh`].
     fn product(ds: &Dataset) -> Product {
-        let kernel = || Ok((fresh(ds), 0.0));
+        let kernel = || Ok((0.0, fresh(ds)));
         ds.normal_product(true, Phases::One, &ExecOpts::default(), kernel)
             .unwrap()
     }

@@ -19,7 +19,9 @@ use crate::registry::{DatasetInfo, RegistryError};
 use crate::server::ServerState;
 use masked_spgemm::{masked_mxm_with_bt, Algorithm, ExecOpts, MaskMode, Phases};
 use mspgemm_graph::{bc, ktruss, App};
-use mspgemm_harness::{busy_spread, csr_fingerprint, gflops, mb_per_s, with_threads, BusySpread};
+use mspgemm_harness::{
+    best_of, busy_spread, csr_fingerprint, gflops, mb_per_s, with_threads, BusySpread,
+};
 use mspgemm_io::LoadOpts;
 use mspgemm_obs::{HistSnapshot, Series};
 use mspgemm_sparse::semiring::PlusTimesF64;
@@ -248,22 +250,13 @@ fn mxm(
     };
     // Exactly `reps` kernel runs (decode clamps `reps >= 1`), no warm-up:
     // a request costs what it asked for, and reports its best run.
-    let kernel = || {
-        let mut best = f64::INFINITY;
-        let mut out = None;
-        for _ in 0..p.reps {
-            let t0 = Instant::now();
-            out = Some(run_one()?);
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        Ok((out.expect("reps >= 1"), best))
-    };
+    let kernel = || best_of(p.reps, run_one);
     // Only a default-shaped request may be answered by a patch: a named
     // `algo` or `reps > 1` asks for the kernel itself.
     let patch = p.algo == Algorithm::Auto && p.reps == 1;
     let product = on_threads(p.threads, || match p.mode {
         MaskMode::Mask => ds.normal_product(patch, p.phases, &opts, kernel),
-        MaskMode::Complement => kernel().map(|(c, seconds)| Product {
+        MaskMode::Complement => kernel().map(|(seconds, c)| Product {
             csr: Arc::new(c),
             seconds,
             incremental: false,
