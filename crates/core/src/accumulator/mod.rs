@@ -14,9 +14,11 @@
 //!
 //! Four implementations, one per §5.2–§5.5:
 //! [`msa::Msa`] (dense arrays), [`hash::HashAccum`] (open addressing),
-//! [`mca::Mca`] (mask-rank compressed, 2-state), and the multiway-merge
-//! [`heap::RowHeap`] (which does not fit the key-value interface and is
-//! driven directly by the Heap kernel).
+//! [`mca::Mca`] (mask-rank compressed, 2-state), and the multiway merge
+//! [`heap::LoserTree`], a tree of losers over the row's `B` cursors keyed
+//! by `(col, a_pos)` (it does not fit the key-value interface and is
+//! driven directly by the Heap kernel; its ties pop in `a_pos` order, so
+//! it sums each column in MSA's order).
 
 pub mod hash;
 pub mod heap;

@@ -1,15 +1,19 @@
 //! Heap push kernel (paper §5.5, Algorithms 4–5): a multiway merge over
 //! the contributing rows of `B` intersected with the mask row by a 2-way
 //! merge. The `NInspect` parameter controls how far each cursor peeks into
-//! the mask before being (re)inserted into the heap:
+//! the mask before it (re)enters the merge, a tree of losers
+//! ([`LoserTree`]):
 //!
 //! * `NInspect = 0` — plain merge (required for complemented masks);
 //! * `NInspect = 1` — the paper's `Heap` configuration: skip `B` elements
 //!   below the current mask head before pushing;
 //! * `NInspect = ∞` — the paper's `HeapDot`: advance until an exact mask
-//!   match, so only matching cursors ever enter the heap.
+//!   match, so only matching cursors ever enter the merge.
+//!
+//! Whatever `NInspect`, a column's products pop in `a_pos` order, so the
+//! sums are MSA's by bits.
 
-use crate::accumulator::heap::{Cursor, RowHeap};
+use crate::accumulator::heap::{Cursor, LoserTree};
 use crate::phases::{RowCtx, RowKernel};
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::Idx;
@@ -98,23 +102,23 @@ impl HeapKernel {
     #[inline]
     fn drive<S: Semiring>(
         &self,
-        heap: &mut RowHeap,
+        tree: &mut LoserTree,
         ctx: &RowCtx<'_, S>,
         mut emit: impl FnMut(Idx, usize, usize, bool),
     ) {
         let mask = ctx.mask_cols;
-        heap.clear();
+        tree.clear();
         for (apos, &k) in ctx.a_cols.iter().enumerate() {
             let bc = ctx.b.row_cols(k as usize);
             if let Some(c) = make_cursor(bc, apos as u32, 0, mask, 0, self.n_inspect) {
-                heap.push_raw(c);
+                tree.push_leaf(c);
             }
         }
-        heap.rebuild();
+        tree.build();
         let mut mpos = 0usize;
         let mut prev: Option<Idx> = None;
-        while let Some(&top) = heap.peek() {
-            // Advance the shared mask iterator (heap pops are monotone).
+        while let Some(top) = tree.peek() {
+            // Advance the shared mask iterator (pops are monotone).
             while mpos < mask.len() && mask[mpos] < top.col {
                 mpos += 1;
             }
@@ -139,22 +143,22 @@ impl HeapKernel {
                 mpos,
                 self.n_inspect,
             ) {
-                Some(c) => heap.replace_top(c),
-                None => heap.pop_top(),
+                Some(c) => tree.replace_top(c),
+                None => tree.drop_top(),
             }
         }
     }
 }
 
 impl<S: Semiring> RowKernel<S> for HeapKernel {
-    type Ws = RowHeap;
+    type Ws = LoserTree;
 
     fn make_ws(&self, _ncols: usize) -> Self::Ws {
-        RowHeap::new()
+        LoserTree::new()
     }
 
     fn ws_depends_on_ncols(&self) -> bool {
-        false // the heap grows per row's A-row length, not matrix width
+        false // the tree grows per row's A-row length, not matrix width
     }
 
     fn row_symbolic(&self, ws: &mut Self::Ws, ctx: RowCtx<'_, S>) -> usize {

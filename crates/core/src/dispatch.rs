@@ -745,8 +745,8 @@ fn mirror<T: Copy + Default>(lower: &Csr<T>) -> Csr<T> {
 ///
 /// No shape rule picks `Heap` any more: "inputs 8× sparser than a normal
 /// mask" cost 10–16 ms where MSA took 2.6–3.7 (`abl_push_pull`, `d_input
-/// 8`, `d_mask ≥ 128`) and summed BC's columns in heap order instead of
-/// `k` order — `docs/DECISIONS.md`. `heap` stays nameable.
+/// 8`, `d_mask ≥ 128`) — `docs/DECISIONS.md`. `heap` stays nameable, and
+/// sums in the same `k` order as every other scheme.
 pub(crate) fn auto_select(out_cols: usize, work: DirectionWork) -> Algorithm {
     /// Matrices narrower than this keep a dense MSA row resident in cache.
     const MSA_WIDTH_LIMIT: usize = 1 << 16;

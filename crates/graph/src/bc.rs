@@ -537,11 +537,10 @@ mod tests {
         // serial, so all-push, all-pull and `Auto`'s per-level choice of
         // direction must produce the same score bits — whatever the
         // thread count.
-        // The second graph is the one this test used to avoid: a backward
-        // level of R-MAT 8 has inputs 8× sparser than its mask, which
-        // `Auto` once handed to the heap — the one kernel that sums a
-        // column's products in heap order, not `k` order. No shape rule
-        // picks the heap any more.
+        // On the second graph a backward level of R-MAT 8 has inputs 8×
+        // sparser than its mask, the heap schemes' home ground; their
+        // merge pops a column's products in `k` order, so they must
+        // match too.
         let rmat = mspgemm_gen::rmat_symmetric(8, mspgemm_gen::RmatParams::default(), 1);
         for g in [mspgemm_gen::er_symmetric(64, 10, 21), rmat] {
             let sources: Vec<usize> = (0..16).collect();
@@ -556,7 +555,13 @@ mod tests {
                     .num_threads(threads)
                     .build()
                     .unwrap();
-                for algo in [Algorithm::Auto, Algorithm::Msa, Algorithm::Inner] {
+                for algo in [
+                    Algorithm::Auto,
+                    Algorithm::Msa,
+                    Algorithm::Inner,
+                    Algorithm::Heap,
+                    Algorithm::HeapDot,
+                ] {
                     let scheme = Scheme::Ours(algo, Phases::One);
                     let opts = ExecOpts::default();
                     let r = workers.install(|| betweenness_with(&g, &sources, scheme, &opts));
