@@ -14,11 +14,13 @@
 //!    at mid ratios and free at the extremes, so the sweep records where
 //!    it stops paying: on this L1-resident random mask MSA's split reads
 //!    0.8–0.9× of the per-product loop at 1 % admitted and 0.6× at 100 %,
-//!    1.4–1.5× at 13 % and 2.8–3.0× at 50 %; Hash never loses. No
-//!    benchmark workload follows the losing ends end to end
-//!    (`docs/ARCHITECTURE.md`, "kernel hot path"), so the row entry
-//!    always filters. Both drives must gather the same row before a
-//!    timing counts.
+//!    1.4–1.5× at 13 % and 2.8–3.0× at 50 %. Hash never loses: 1.3–1.4×
+//!    at 1 %, 1.8–1.9× at 13 %, 2.6–3.1× at 50 % and 1.1–1.2× at 100 %
+//!    (three runs at 200000 products, over the no-wrap `(slot, found)`
+//!    probe both drives share). No benchmark workload follows the losing
+//!    ends end to end (`docs/ARCHITECTURE.md`, "kernel hot path"), so the
+//!    row entry always filters. Both drives must gather the same row
+//!    before a timing counts.
 //!
 //! The sweep emits CSV on stdout, an aligned table on stderr, and — for
 //! the CI perf lane — a JSON report at `MSPGEMM_ACCUM_JSON`.

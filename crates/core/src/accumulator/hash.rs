@@ -6,6 +6,12 @@
 //! Per the paper: state and value live in the same table, there is **no
 //! resizing** (the row's key population is known up front), and the load
 //! factor is 0.25.
+//!
+//! A table that never grows carries its own overflow slack: keys home in
+//! `0..cap`, and `K` keys can fill at most `K` slots from any home, so
+//! `cap + K + 3` slots hold an EMPTY within `K` of every home plus the
+//! 3 slots a 4-key cluster reads past it. Probes never wrap, and the
+//! cluster probe needs no scalar tail ([`crate::simd`]).
 
 use super::{Accumulator, State};
 use crate::simd;
@@ -25,12 +31,13 @@ fn home_slot(key: Idx, cap: usize, shift: u32) -> usize {
     (key.wrapping_mul(2654435761) >> shift) as usize & (cap - 1)
 }
 
-/// Cluster-probe `keys[..cap]` for `key` (see [`crate::simd`]). A free
-/// function over the table fields so the row entry can probe while it
-/// holds its scratch mutably.
+/// Cluster-probe the table `keys` for `key` (see [`crate::simd`]):
+/// `key`'s slot and `true`, or the EMPTY slot where it would go and
+/// `false`. A free function over the table fields so the row entries can
+/// probe while they hold their scratch mutably.
 #[inline(always)]
-fn probe_table(keys: &[Idx], cap: usize, shift: u32, key: Idx) -> usize {
-    simd::hash_probe(keys, cap, home_slot(key, cap, shift), key)
+fn probe_table(keys: &[Idx], cap: usize, shift: u32, key: Idx) -> (usize, bool) {
+    simd::hash_probe(keys, home_slot(key, cap, shift), key)
 }
 
 /// Open-addressing hash accumulator with linear probing.
@@ -38,8 +45,10 @@ pub struct HashAccum<V> {
     keys: Vec<Idx>,
     states: Vec<State>,
     values: Vec<V>,
-    /// Active table size for the current row (power of two).
+    /// Home slots of the current row's keys (power of two).
     cap: usize,
+    /// Slots of the current row's table: `cap` plus its overflow slack.
+    len: usize,
     shift: u32,
     /// Keys inserted this row, for complemented gathers.
     inserted: Vec<Idx>,
@@ -56,6 +65,7 @@ impl<V: Copy + Default> HashAccum<V> {
             states: Vec::new(),
             values: Vec::new(),
             cap: 0,
+            len: 0,
             shift: 32,
             inserted: Vec::new(),
             admitted: Vec::new(),
@@ -63,49 +73,52 @@ impl<V: Copy + Default> HashAccum<V> {
     }
 
     /// Prepare the table for a row expecting at most `expected_keys`
-    /// distinct keys. Reuses the allocation; wipes only `cap` slots.
+    /// distinct keys. Reuses the allocation; wipes only this row's slots.
     pub fn begin_row(&mut self, expected_keys: usize) {
+        let expected_keys = expected_keys.max(1);
         // `+ 1` rounds an exact power of two up to the next one: the load
-        // factor stays strictly under 0.25, so probes for absent keys
-        // always reach an EMPTY slot.
-        let want = (CAPACITY_FACTOR * expected_keys.max(1) + 1)
+        // factor stays strictly under 0.25.
+        let cap = (CAPACITY_FACTOR * expected_keys + 1)
             .next_power_of_two()
             .max(8);
-        if self.keys.len() < want {
-            self.keys.resize(want, EMPTY);
-            self.states.resize(want, State::NotAllowed);
-            self.values.resize(want, V::default());
+        let len = cap + expected_keys + 3;
+        if self.keys.len() < len {
+            self.keys.resize(len, EMPTY);
+            self.states.resize(len, State::NotAllowed);
+            self.values.resize(len, V::default());
         }
-        // `accumulate_row` parks slots as `u32` (`Idx`-keyed tables are
-        // far below this; the check keeps the narrowing honest).
-        assert!(u32::try_from(want - 1).is_ok(), "hash table too large");
-        self.cap = want;
-        self.shift = 32 - want.trailing_zeros();
-        self.keys[..want].fill(EMPTY);
+        // The row entries park slots as `u32` (`Idx`-keyed tables are far
+        // below this; the check keeps the narrowing honest).
+        assert!(u32::try_from(len - 1).is_ok(), "hash table too large");
+        self.cap = cap;
+        self.len = len;
+        self.shift = 32 - cap.trailing_zeros();
+        self.keys[..len].fill(EMPTY);
         self.inserted.clear();
     }
 
-    /// Find `key`'s slot, or the empty slot where it would be inserted.
+    /// Find `key`'s slot, or the empty slot where it would be inserted;
+    /// `true` when the key is there.
     #[inline(always)]
-    fn probe(&self, key: Idx) -> usize {
-        probe_table(&self.keys, self.cap, self.shift, key)
+    fn probe(&self, key: Idx) -> (usize, bool) {
+        probe_table(&self.keys[..self.len], self.cap, self.shift, key)
     }
 
-    /// [`HashAccum::probe`] for the complement-mode methods: the same
-    /// slot by the one-slot-per-step walk, which measured faster on
-    /// complement tables (`docs/DECISIONS.md`).
+    /// [`HashAccum::probe`]'s slot for the complement-mode methods, by
+    /// the one-slot-per-step walk, which measured faster on complement
+    /// tables (`docs/DECISIONS.md`).
     #[inline(always)]
     fn probe_complement(&self, key: Idx) -> usize {
         let start = home_slot(key, self.cap, self.shift);
-        simd::hash_probe_scalar(&self.keys, self.cap, start, key)
+        simd::hash_probe_scalar(&self.keys[..self.len], start, key)
     }
 
     /// Mark `key` allowed (normal-mode mask load). Inserts the key with
     /// state ALLOWED.
     #[inline(always)]
     pub fn mark_allowed(&mut self, key: Idx) {
-        let s = self.probe(key);
-        if self.keys[s] == EMPTY {
+        let (s, found) = self.probe(key);
+        if !found {
             self.keys[s] = key;
             self.states[s] = State::Allowed;
         }
@@ -121,13 +134,36 @@ impl<V: Copy + Default> HashAccum<V> {
         }
     }
 
+    /// The row entries' filter stage: probe every key of the B row
+    /// `cols`, writing `(slot, position)` into the `admitted` scratch and
+    /// advancing the cursor by the probe's `found`, so "is this column in
+    /// the mask" never reaches the branch predictor. Returns how many
+    /// entries of `admitted` it kept. The table slice, `cap` and `shift`
+    /// are locals so the loop reloads nothing from `self` per product.
+    #[inline(always)]
+    fn filter(&mut self, cols: &[Idx]) -> usize {
+        debug_assert!(u32::try_from(cols.len()).is_ok(), "positions fit u32");
+        // Sized by the B row, not by the table: a pooled table that served
+        // a narrow product grows here when a wider one reuses it.
+        if self.admitted.len() < cols.len() {
+            self.admitted.resize(cols.len(), (0, 0));
+        }
+        let admitted = &mut self.admitted[..cols.len()];
+        let keys = &self.keys[..self.len];
+        let (cap, shift) = (self.cap, self.shift);
+        let mut n = 0;
+        for (p, &j) in cols.iter().enumerate() {
+            let (s, found) = probe_table(keys, cap, shift, j);
+            admitted[n] = (s as u32, p as u32);
+            n += found as usize;
+        }
+        n
+    }
+
     /// Numeric row entry for normal-mode tables — the filter-then-accumulate
-    /// split of `Msa::accumulate_row` over the probe: **(1)** probe every
-    /// key of the B row (`cols`, `vals`), writing `(slot, position)` into
-    /// the `admitted` scratch and advancing the cursor by
-    /// `(keys[slot] != EMPTY) as usize`, so "is this column in the mask"
-    /// never reaches the branch predictor; **(2)** run `mul` and `add`
-    /// over the kept products only, in B-row order.
+    /// split of `Msa::accumulate_row` over the probe: **(1)** filter the
+    /// B row (`cols`, `vals`) into the `admitted` scratch; **(2)** run
+    /// `mul` and `add` over the kept products only, in B-row order.
     ///
     /// Product for product, and in the same order, this is
     /// [`Accumulator::insert_with`] on each `(cols[p], || mul(vals[p]))`.
@@ -143,20 +179,8 @@ impl<V: Copy + Default> HashAccum<V> {
         add: impl Fn(V, V) -> V,
     ) {
         assert_eq!(cols.len(), vals.len(), "one value per column index");
-        debug_assert!(u32::try_from(cols.len()).is_ok(), "positions fit u32");
-        // Sized by the B row, not by the table: a pooled table that served
-        // a narrow product grows here when a wider one reuses it.
-        if self.admitted.len() < cols.len() {
-            self.admitted.resize(cols.len(), (0, 0));
-        }
-        let admitted = &mut self.admitted[..cols.len()];
-        let mut n = 0;
-        for (p, &j) in cols.iter().enumerate() {
-            let s = probe_table(&self.keys, self.cap, self.shift, j);
-            admitted[n] = (s as u32, p as u32);
-            n += (self.keys[s] != EMPTY) as usize;
-        }
-        for &(s, p) in &admitted[..n] {
+        let n = self.filter(cols);
+        for &(s, p) in &self.admitted[..n] {
             let s = s as usize;
             match self.states[s] {
                 // Only a complement-marked key; never taken on the
@@ -171,6 +195,24 @@ impl<V: Copy + Default> HashAccum<V> {
                 }
             }
         }
+    }
+
+    /// Symbolic row entry for normal-mode tables: filter the B row `cols`
+    /// like [`HashAccum::accumulate_row`], then mark every kept slot SET.
+    /// Returns how many turned SET for the first time, so the sum over a
+    /// row's B rows is the length [`HashAccum::gather_into`] would emit.
+    #[inline]
+    pub fn accumulate_row_symbolic(&mut self, cols: &[Idx]) -> usize {
+        let n = self.filter(cols);
+        let mut first = 0;
+        for &(s, _) in &self.admitted[..n] {
+            let state = &mut self.states[s as usize];
+            let allowed = *state == State::Allowed;
+            first += allowed as usize;
+            // NOTALLOWED (a complement mark, never on these tables) stays.
+            *state = if allowed { State::Set } else { *state };
+        }
+        first
     }
 
     /// Lazy complement-mode accumulate: the value closure runs only when
@@ -200,22 +242,6 @@ impl<V: Copy + Default> HashAccum<V> {
         }
     }
 
-    /// Symbolic accumulate (normal mode): returns `true` when `key` turns
-    /// SET for the first time.
-    #[inline(always)]
-    pub fn accumulate_symbolic(&mut self, key: Idx) -> bool {
-        let s = self.probe(key);
-        if self.keys[s] == EMPTY {
-            return false;
-        }
-        if self.states[s] == State::Allowed {
-            self.states[s] = State::Set;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Symbolic accumulate (complement mode).
     #[inline(always)]
     pub fn accumulate_symbolic_complement(&mut self, key: Idx) -> bool {
@@ -241,26 +267,14 @@ impl<V: Copy + Default> HashAccum<V> {
     ) -> usize {
         let mut w = 0;
         for &j in mask_cols {
-            let s = self.probe(j);
-            if self.keys[s] != EMPTY && self.states[s] == State::Set {
+            let (s, found) = self.probe(j);
+            if found && self.states[s] == State::Set {
                 out_cols[w] = j;
                 out_vals[w] = self.values[s];
                 w += 1;
             }
         }
         w
-    }
-
-    /// Normal-mode symbolic gather.
-    pub fn count(&mut self, mask_cols: &[Idx]) -> usize {
-        let mut n = 0;
-        for &j in mask_cols {
-            let s = self.probe(j);
-            if self.keys[s] != EMPTY && self.states[s] == State::Set {
-                n += 1;
-            }
-        }
-        n
     }
 
     /// Complement-mode gather: sort the inserted keys and emit them.
@@ -298,8 +312,8 @@ impl<V: Copy + Default> Accumulator<V> for HashAccum<V> {
         value: impl FnOnce() -> V,
         add: impl FnOnce(V, V) -> V,
     ) -> bool {
-        let s = self.probe(key);
-        if self.keys[s] == EMPTY {
+        let (s, found) = self.probe(key);
+        if !found {
             return false;
         }
         match self.states[s] {
@@ -318,8 +332,8 @@ impl<V: Copy + Default> Accumulator<V> for HashAccum<V> {
     }
 
     fn remove(&mut self, key: Idx) -> Option<V> {
-        let s = self.probe(key);
-        if self.keys[s] != EMPTY && self.states[s] == State::Set {
+        let (s, found) = self.probe(key);
+        if found && self.states[s] == State::Set {
             self.states[s] = State::Allowed;
             Some(self.values[s])
         } else {
@@ -421,7 +435,8 @@ mod tests {
     /// One normal-mode output row both ways — B rows through the row
     /// entry, the same products one at a time through the §5.1 reference
     /// `insert_with` — compared on the gathered row (bit for bit) and on
-    /// how often `mul` ran.
+    /// how often `mul` ran; and the symbolic row entry on the same B rows,
+    /// whose summed count must be the gathered row's length.
     fn assert_row_entry_matches_reference(mask: &[Idx], b_rows: &[BRow]) {
         let make = || {
             let mut h: HashAccum<f64> = HashAccum::new();
@@ -456,7 +471,85 @@ mod tests {
             let bits: Vec<u64> = vals[..n].iter().map(|v| v.to_bits()).collect();
             (cols[..n].to_vec(), bits)
         };
-        assert_eq!(gather(&mut got), gather(&mut want));
+        let row = gather(&mut got);
+        assert_eq!(row, gather(&mut want));
+        let mut symbolic = make();
+        let first: usize = b_rows
+            .iter()
+            .map(|(cols, _)| symbolic.accumulate_row_symbolic(cols))
+            .sum();
+        assert_eq!(first, row.0.len(), "symbolic count = gathered length");
+        assert_eq!(gather(&mut symbolic).0, row.0, "the same keys turned SET");
+    }
+
+    /// The first `n` keys whose home slot in a `cap`-slot table is `slot`.
+    fn keys_homing_to(cap: usize, slot: usize, n: usize) -> Vec<Idx> {
+        let shift = 32 - cap.trailing_zeros();
+        (0..)
+            .filter(|&k| home_slot(k, cap, shift) == slot)
+            .take(n)
+            .collect()
+    }
+
+    #[test]
+    fn keys_homing_to_the_last_slot_spill_into_the_slack() {
+        // Every key homes to `cap - 1`, so probes run up to `K` slots
+        // past `cap`, into the slack: 8 slots for one key (the home slots
+        // the cluster probe once walked through a wrap-around tail), 32
+        // for 4 (the EMPTY past the full run opens the table's last
+        // cluster), and tables at the full quarter load.
+        for (cap, k) in [(8usize, 1usize), (16, 3), (32, 4), (64, 15)] {
+            let pool = keys_homing_to(cap, cap - 1, 2 * k + 1);
+            let value = |r: usize, j: Idx| (j as f64 + r as f64) / 7.0;
+            // Three B rows over every pool key, so each admitted column
+            // sums three inexact terms in row order.
+            let b_rows: Vec<BRow> = (0..3)
+                .map(|r| (pool.clone(), pool.iter().map(|&j| value(r, j)).collect()))
+                .collect();
+
+            // Normal mode: the first `k` keys are the mask.
+            let mask = &pool[..k];
+            let mut h: HashAccum<f64> = HashAccum::new();
+            h.begin_row(mask.len());
+            assert_eq!((h.cap, h.len), (cap, cap + k + 3), "table shape");
+            assert_row_entry_matches_reference(mask, &b_rows);
+
+            // Complement mode, `k` keys in all: the first `k / 2` are
+            // masked out, the next `k - k / 2` admitted. The reference is
+            // `insert_with` on a table allowing exactly the admitted keys.
+            let blocked = &pool[..k / 2];
+            let keys = &pool[..k];
+            let admitted = &pool[k / 2..k];
+            let mut numeric: HashAccum<f64> = HashAccum::new();
+            let mut symbolic: HashAccum<f64> = HashAccum::new();
+            let mut want: HashAccum<f64> = HashAccum::new();
+            for h in [&mut numeric, &mut symbolic] {
+                h.begin_row(k);
+                for &j in blocked {
+                    h.mark_not_allowed(j);
+                }
+            }
+            want.begin_row(admitted.len());
+            for &j in admitted {
+                want.mark_allowed(j);
+            }
+            for (r, _) in b_rows.iter().enumerate() {
+                for &j in keys {
+                    let v = value(r, j);
+                    numeric.insert_complement_with(j, || v, |a, b| a + b);
+                    symbolic.accumulate_symbolic_complement(j);
+                    want.insert_with(j, || v, |a, b| a + b);
+                }
+            }
+            let (mut cols, mut vals) = (vec![0 as Idx; k], vec![0f64; k]);
+            let n = numeric.gather_complement_into(&mut cols, &mut vals);
+            let (mut want_cols, mut want_vals) = (vec![0 as Idx; k], vec![0f64; k]);
+            let w = want.gather_into(admitted, &mut want_cols, &mut want_vals);
+            assert_eq!(cols[..n], want_cols[..w], "cap {cap}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&vals[..n]), bits(&want_vals[..w]), "cap {cap}");
+            assert_eq!(symbolic.count_complement(), n, "cap {cap}");
+        }
     }
 
     proptest! {

@@ -20,15 +20,19 @@
 use mspgemm_sparse::Idx;
 
 /// A cursor into one row of `B`, tagged with the position of the `A`-row
-/// nonzero that selected it (so the kernel can recover `a_ik`).
+/// nonzero that selected it (so the kernel can recover `a_ik`). It
+/// carries its row's absolute range in `B`'s `colidx` / `values`, so
+/// advancing it never looks the row up again.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Cursor {
     /// Column id the cursor currently points at (the merge key).
     pub col: Idx,
-    /// Index into the `A` row's nonzeros (identifies `a_ik` and `B_k*`).
+    /// Index into the `A` row's nonzeros (identifies `a_ik`).
     pub a_pos: u32,
-    /// Offset of the *next* element within the `B` row.
-    pub b_next: u32,
+    /// Position of the *next* element of the row in `B`'s arrays.
+    pub b_next: usize,
+    /// One past the row's last position in `B`'s arrays.
+    pub b_end: usize,
 }
 
 /// The key of a dropped leaf: it loses every match, and a tree whose
@@ -169,6 +173,7 @@ mod tests {
             col,
             a_pos,
             b_next: 0,
+            b_end: 0,
         }
     }
 
@@ -201,6 +206,7 @@ mod tests {
                     col: first,
                     a_pos: r as u32,
                     b_next: 1,
+                    b_end: row.len(),
                 });
             }
         }
@@ -209,7 +215,7 @@ mod tests {
         while let Some(top) = t.peek() {
             out.push((top.col, top.a_pos));
             let row = rows[top.a_pos as usize];
-            match row.get(top.b_next as usize) {
+            match row.get(top.b_next) {
                 Some(&col) => t.replace_top(Cursor {
                     col,
                     b_next: top.b_next + 1,

@@ -55,13 +55,12 @@ impl<S: Semiring> RowKernel<S> for HashKernel {
             for &j in ctx.mask_cols {
                 ws.mark_allowed(j);
             }
+            let mut n = 0;
             for (i, &k) in ctx.a_cols.iter().enumerate() {
                 ctx.prefetch_ahead(i);
-                for &j in ctx.b.row_cols(k as usize) {
-                    ws.accumulate_symbolic(j);
-                }
+                n += ws.accumulate_row_symbolic(ctx.b.row_cols(k as usize));
             }
-            ws.count(ctx.mask_cols)
+            n
         }
     }
 

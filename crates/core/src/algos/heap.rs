@@ -48,48 +48,46 @@ impl HeapKernel {
     }
 }
 
-/// Algorithm 5: build (or advance) a cursor for `bc` starting at `pos`,
-/// inspecting up to `n_inspect` mask entries from `mpos`. Returns `None`
-/// when the cursor can be dropped (row exhausted, or — during inspection —
-/// the mask is exhausted so no further match is possible).
+/// Algorithm 5: build (or advance) a cursor over the `B` row that
+/// occupies `colidx[..end]` from `pos` on, inspecting up to `n_inspect`
+/// mask entries from `mpos`. `colidx` is all of `B`'s column indices, so
+/// positions are absolute. Returns `None` when the cursor can be dropped
+/// (row exhausted, or — during inspection — the mask is exhausted so no
+/// further match is possible).
 #[inline]
 fn make_cursor(
-    bc: &[Idx],
+    colidx: &[Idx],
     a_pos: u32,
     mut pos: usize,
+    end: usize,
     mask: &[Idx],
     mut mpos: usize,
     n_inspect: u32,
 ) -> Option<Cursor> {
-    if pos >= bc.len() {
+    let bc = &colidx[..end];
+    let at = |pos: usize| Cursor {
+        col: bc[pos],
+        a_pos,
+        b_next: pos + 1,
+        b_end: end,
+    };
+    if pos >= end {
         return None;
     }
     if n_inspect == 0 {
-        return Some(Cursor {
-            col: bc[pos],
-            a_pos,
-            b_next: pos as u32 + 1,
-        });
+        return Some(at(pos));
     }
     let mut to_inspect = n_inspect;
-    while pos < bc.len() && mpos < mask.len() {
+    while pos < end && mpos < mask.len() {
         if bc[pos] == mask[mpos] {
-            return Some(Cursor {
-                col: bc[pos],
-                a_pos,
-                b_next: pos as u32 + 1,
-            });
+            return Some(at(pos));
         } else if bc[pos] < mask[mpos] {
             pos += 1;
         } else {
             mpos += 1;
             to_inspect -= 1;
             if to_inspect == 0 {
-                return Some(Cursor {
-                    col: bc[pos],
-                    a_pos,
-                    b_next: pos as u32 + 1,
-                });
+                return Some(at(pos));
             }
         }
     }
@@ -98,7 +96,8 @@ fn make_cursor(
 
 impl HeapKernel {
     /// Shared driver for symbolic/numeric × mask/complement. `emit` fires
-    /// once per surviving product with `(col, a_pos, b_pos, is_new_col)`.
+    /// once per surviving product with `(col, a_pos, b_pos, is_new_col)`,
+    /// `b_pos` indexing `B`'s `values`.
     #[inline]
     fn drive<S: Semiring>(
         &self,
@@ -107,10 +106,12 @@ impl HeapKernel {
         mut emit: impl FnMut(Idx, usize, usize, bool),
     ) {
         let mask = ctx.mask_cols;
+        let (rowptr, colidx) = (ctx.b.rowptr(), ctx.b.colidx());
         tree.clear();
         for (apos, &k) in ctx.a_cols.iter().enumerate() {
-            let bc = ctx.b.row_cols(k as usize);
-            if let Some(c) = make_cursor(bc, apos as u32, 0, mask, 0, self.n_inspect) {
+            let (start, end) = (rowptr[k as usize], rowptr[k as usize + 1]);
+            let leaf = make_cursor(colidx, apos as u32, start, end, mask, 0, self.n_inspect);
+            if let Some(c) = leaf {
                 tree.push_leaf(c);
             }
         }
@@ -127,18 +128,15 @@ impl HeapKernel {
                 break; // no mask entries left: nothing more can match
             }
             if in_mask != self.complement {
-                let a_pos = top.a_pos as usize;
-                let b_pos = top.b_next as usize - 1;
                 let is_new = prev != Some(top.col);
-                emit(top.col, a_pos, b_pos, is_new);
+                emit(top.col, top.a_pos as usize, top.b_next - 1, is_new);
                 prev = Some(top.col);
             }
-            let k = ctx.a_cols[top.a_pos as usize] as usize;
-            let bc = ctx.b.row_cols(k);
             match make_cursor(
-                bc,
+                colidx,
                 top.a_pos,
-                top.b_next as usize,
+                top.b_next,
+                top.b_end,
                 mask,
                 mpos,
                 self.n_inspect,
@@ -180,12 +178,9 @@ impl<S: Semiring> RowKernel<S> for HeapKernel {
     ) -> usize {
         let mut w = 0usize;
         let a_vals = ctx.a_vals;
-        let b = ctx.b;
-        let a_cols = ctx.a_cols;
+        let b_vals = ctx.b.values();
         self.drive::<S>(ws, &ctx, |col, a_pos, b_pos, is_new| {
-            let av = a_vals[a_pos];
-            let bv = b.row_vals(a_cols[a_pos] as usize)[b_pos];
-            let prod = S::mul(av, bv);
+            let prod = S::mul(a_vals[a_pos], b_vals[b_pos]);
             if is_new {
                 out_cols[w] = col;
                 out_vals[w] = prod;
@@ -202,46 +197,64 @@ impl<S: Semiring> RowKernel<S> for HeapKernel {
 mod tests {
     use super::*;
 
+    /// `B`'s column indices with the row under test, `ROW`, at positions
+    /// `3..7`: other rows around it hold columns that would match the
+    /// masks below, so a cursor that strays out of its range shows.
+    const COLIDX: [Idx; 10] = [8, 20, 21, 3, 8, 10, 21, 30, 40, 50];
+    const ROW: (usize, usize) = (3, 7);
+
+    /// [`make_cursor`] on `ROW`, from its `skip`-th entry.
+    fn cursor(skip: usize, mask: &[Idx], n_inspect: u32) -> Option<Cursor> {
+        make_cursor(&COLIDX, 5, ROW.0 + skip, ROW.1, mask, 0, n_inspect)
+    }
+
     #[test]
     fn cursor_ninspect_zero_is_plain() {
-        let bc: &[Idx] = &[3, 8, 10];
-        let c = make_cursor(bc, 0, 0, &[9], 0, 0).unwrap();
-        assert_eq!(c.col, 3);
-        assert_eq!(c.b_next, 1);
-        assert!(make_cursor(bc, 0, 3, &[9], 0, 0).is_none(), "exhausted row");
+        let c = cursor(0, &[9], 0).unwrap();
+        assert_eq!(
+            c,
+            Cursor {
+                col: 3,
+                a_pos: 5,
+                b_next: 4,
+                b_end: 7,
+            }
+        );
+        assert!(cursor(4, &[9], 0).is_none(), "exhausted row");
+        // A row ends at its own range: the next row's 30 is not reached.
+        let last = cursor(3, &[30], 0).unwrap();
+        assert_eq!((last.col, last.b_next), (21, 7));
     }
 
     #[test]
     fn cursor_ninspect_one_skips_below_mask_head() {
-        // Mask head is 8: elements 3 and 5 can never match at or beyond the
-        // current mask position, so NInspect=1 skips them.
-        let bc: &[Idx] = &[3, 5, 8, 10];
-        let c = make_cursor(bc, 0, 0, &[8, 20], 0, 1).unwrap();
-        assert_eq!(c.col, 8, "skipped 3 and 5, found the match");
+        // Mask head is 8: element 3 can never match at or beyond the
+        // current mask position, so NInspect=1 skips it.
+        let c = cursor(0, &[8, 20], 1).unwrap();
+        assert_eq!((c.col, c.b_next), (8, 5), "skipped 3, found the match");
     }
 
     #[test]
     fn cursor_ninspect_one_stops_after_one_mask_step() {
-        // bc head 9 > mask[0]=8: inspect consumes the one allowed mask
-        // step and pushes at 9 without checking mask[1].
-        let bc: &[Idx] = &[9, 21];
-        let c = make_cursor(bc, 0, 0, &[8, 20], 0, 1).unwrap();
-        assert_eq!(c.col, 9);
+        // Row head 10 > mask[0]=9: inspect consumes the one allowed mask
+        // step and pushes at 10 without checking mask[1].
+        let c = cursor(2, &[9, 20], 1).unwrap();
+        assert_eq!((c.col, c.b_next), (10, 6));
     }
 
     #[test]
     fn cursor_full_inspection_finds_match_or_drops() {
-        let bc: &[Idx] = &[3, 5, 9, 21];
         // Only 21 is in the mask; full inspection lands exactly there.
-        let c = make_cursor(bc, 0, 0, &[8, 20, 21], 0, INSPECT_FULL).unwrap();
-        assert_eq!(c.col, 21);
-        // No intersection at all -> cursor dropped.
-        assert!(make_cursor(&[3, 5], 0, 0, &[8, 20], 0, INSPECT_FULL).is_none());
+        let c = cursor(0, &[9, 20, 21], INSPECT_FULL).unwrap();
+        assert_eq!((c.col, c.b_next, c.b_end), (21, 7, 7));
+        // No intersection inside the row -> cursor dropped, though the
+        // rows before and after it hold 20 and 40.
+        assert!(cursor(0, &[9, 20], INSPECT_FULL).is_none());
+        assert!(cursor(0, &[9, 20, 40], INSPECT_FULL).is_none());
     }
 
     #[test]
     fn cursor_drops_when_mask_exhausted() {
-        let bc: &[Idx] = &[30, 40];
-        assert!(make_cursor(bc, 0, 0, &[10], 0, INSPECT_FULL).is_none());
+        assert!(cursor(0, &[1], INSPECT_FULL).is_none());
     }
 }
