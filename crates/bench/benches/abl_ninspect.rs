@@ -5,8 +5,8 @@
 //! outputs must be equal by bits (`csr_fingerprint`).
 
 use masked_spgemm::algos::heap::{HeapKernel, INSPECT_FULL};
-use masked_spgemm::phases::{run_kernel, Phases};
-use masked_spgemm::ExecOpts;
+use masked_spgemm::phases::run_kernel;
+use masked_spgemm::{ExecOpts, Product};
 use mspgemm_bench::{banner, reps};
 use mspgemm_gen::{er, er_pattern};
 use mspgemm_harness::report::{fmt_secs, Table};
@@ -23,6 +23,7 @@ fn main() {
     let mut table = Table::new(&["d_mask", "ninspect_0", "ninspect_1", "ninspect_inf"]);
     for d_mask in [1usize, 4, 16, 64, 256] {
         let mask = er_pattern(n, n, d_mask, 6);
+        let product = Product::new(&mask, &a, &b, None);
         let mut row = vec![d_mask.to_string()];
         let mut outputs = Vec::new();
         for n_inspect in [0u32, 1, INSPECT_FULL] {
@@ -32,17 +33,7 @@ fn main() {
             };
             let (secs, c) = time_best(reps, || {
                 let opts = ExecOpts::default();
-                run_kernel::<PlusTimesF64, _, ()>(
-                    &mask,
-                    &a,
-                    &b,
-                    false,
-                    Phases::One,
-                    &kernel,
-                    None,
-                    &opts,
-                )
-                .unwrap()
+                run_kernel::<PlusTimesF64, _, ()>(&product, &kernel, None, &opts).unwrap()
             });
             row.push(fmt_secs(secs));
             outputs.push(c);

@@ -14,15 +14,15 @@
 //! A second section times the symmetric self-product `A ⊙ (A·A)` — the
 //! `mxm` verb, k-truss's support product — three ways: push, pull, and
 //! the oriented pull over half the mask, mirrored, which `Auto` may pick
-//! when all four operands are one object. `Auto` must sit within
+//! for a product declared with `Product::self_product`, and which is
+//! timed as a forced `Plan` where `Auto` would not. `Auto` must sit within
 //! [`AUTO_SLACK`] of the fastest of the three on every row: the grid that
 //! fixes `dispatch::{MIRROR_COST, ORIENTED_FIXED_COST}`. On the larger
 //! R-MAT rows, where ≈ 40 % of the oriented plan's probes hit, it must also
 //! beat push by [`ORIENTED_OVER_PUSH`] — what the pull kernel's
 //! branch-free probe pass is for.
 
-use masked_spgemm::dispatch::oriented_self_product;
-use masked_spgemm::{masked_mxm_with_bt, Algorithm, ExecOpts, ExecStats, MaskMode, Phases};
+use masked_spgemm::{masked_mxm, run_plan, Algorithm, ExecOpts, Plan, Product};
 use mspgemm_bench::{banner, reps};
 use mspgemm_gen::{er, er_pattern, er_symmetric, rmat_symmetric, RmatParams};
 use mspgemm_harness::report::{fmt_secs, Table};
@@ -114,8 +114,8 @@ fn sections(c: &Csr<f64>) -> (&[usize], &[u32], Vec<u64>) {
     (c.rowptr(), c.colidx(), bits)
 }
 
-/// `A ⊙ (A·A)` on symmetric graphs, every operand the same object:
-/// push / pull / oriented / what `Auto` makes of the three counts.
+/// `A ⊙ (A·A)` on symmetric graphs, declared a self-product: push / pull
+/// / oriented / what `Auto` makes of the three counts.
 fn symmetric_self_products(rounds: usize) -> Vec<String> {
     let opts = ExecOpts::default();
     let mut table = Table::new(&[
@@ -149,26 +149,19 @@ fn symmetric_self_products(rounds: usize) -> Vec<String> {
     ];
     let mut misses = Vec::new();
     for (name, a) in &graphs {
-        let run = |algo, opts: &ExecOpts<'_>| {
-            let (mode, phases) = (MaskMode::Mask, Phases::One);
-            masked_mxm_with_bt::<PlusTimesF64, f64>(a, a, a, Some(a), algo, mode, phases, opts)
-                .unwrap()
-        };
-        let oriented = || oriented_self_product::<PlusTimesF64>(a, a, Phases::One, &opts).unwrap();
-        let stats = ExecStats::new();
-        let recorded = ExecOpts {
-            stats: Some(&stats),
-            ..opts
-        };
-        let want = run(Algorithm::Msa, &opts);
+        let declared = Product::self_product(a);
+        let run = |algo| masked_mxm::<PlusTimesF64, f64>(&declared, algo, &opts).unwrap();
+        let oriented = || run_plan::<PlusTimesF64, f64>(&declared, Plan::Oriented(None), &opts);
+        let (want, _) = run(Algorithm::Msa);
+        let (auto, plan) = run(Algorithm::Auto);
         for (label, got) in [
-            ("pull", run(Algorithm::Inner, &opts)),
-            ("oriented", oriented()),
-            ("auto", run(Algorithm::Auto, &recorded)),
+            ("pull", run(Algorithm::Inner).0),
+            ("oriented", oriented().unwrap()),
+            ("auto", auto),
         ] {
             assert!(sections(&got) == sections(&want), "{name}: {label} != push");
         }
-        let choice = stats.auto_choice().expect("Auto ran");
+        let work = plan.work().expect("Auto counted");
         let dense_hits = DENSE_HIT_ROWS.contains(&name.as_str());
         let missed = |[push_s, pull_s, oriented_s, auto_s]: [f64; 4]| {
             auto_s > AUTO_SLACK * push_s.min(pull_s).min(oriented_s)
@@ -176,18 +169,18 @@ fn symmetric_self_products(rounds: usize) -> Vec<String> {
         };
         let best = fastest(&race(
             [
-                &|| drop(run(Algorithm::Msa, &opts)),
-                &|| drop(run(Algorithm::Inner, &opts)),
+                &|| drop(run(Algorithm::Msa)),
+                &|| drop(run(Algorithm::Inner)),
                 &|| drop(oriented()),
-                &|| drop(run(Algorithm::Auto, &opts)),
+                &|| drop(run(Algorithm::Auto)),
             ],
             rounds,
             missed,
         ));
-        let probes = choice.work.oriented;
-        let ran = match probes {
-            Some(_) => "oriented",
-            None => choice.algo.name(),
+        let probes = work.oriented;
+        let ran = match plan {
+            Plan::Oriented(_) => "oriented",
+            Plan::Kernel(algo, _) => algo.name(),
         };
         if missed(best) {
             misses.push(format!(
@@ -197,7 +190,7 @@ fn symmetric_self_products(rounds: usize) -> Vec<String> {
         table.row(&[
             name.clone(),
             a.nnz().to_string(),
-            choice.work.push.to_string(),
+            work.push.to_string(),
             probes.map_or("-".to_string(), |p| p.to_string()),
             fmt_secs(best[0]),
             fmt_secs(best[1]),
@@ -235,18 +228,11 @@ fn main() {
         let bt = transpose(&b);
         for d_mask in [1usize, 2, 4, 8, 16, 32, 64, 128, 256] {
             let mask = er_pattern(n, n, d_mask, 3);
+            let product = Product::new(&mask, &a, &b, Some(&bt));
             let run = |algo| {
-                masked_mxm_with_bt::<PlusTimesF64, ()>(
-                    &mask,
-                    &a,
-                    &b,
-                    Some(&bt),
-                    algo,
-                    MaskMode::Mask,
-                    Phases::One,
-                    &opts,
-                )
-                .unwrap()
+                masked_mxm::<PlusTimesF64, ()>(&product, algo, &opts)
+                    .unwrap()
+                    .0
             };
             let algos = [Algorithm::Msa, Algorithm::Inner, Algorithm::Auto];
             let [push_c, pull_c, auto_c] = algos.map(run);

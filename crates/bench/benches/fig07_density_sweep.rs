@@ -6,7 +6,7 @@
 //! Dimensions default to 2^12 (paper: 2^12–2^22; set `MSPGEMM_FIG7_DIMS`,
 //! e.g. `12,14,16`).
 
-use masked_spgemm::{masked_mxm_with_bt, Algorithm, ExecOpts, MaskMode, Phases};
+use masked_spgemm::{masked_mxm, Algorithm, ExecOpts, Product};
 use mspgemm_bench::{banner, reps};
 use mspgemm_gen::{er, er_pattern};
 use mspgemm_harness::ascii::{render_winner_grid, GridCell};
@@ -57,19 +57,11 @@ fn main() {
                 let mask = er_pattern(n, n, dm, 30 + dm as u64);
                 let mut row = vec![format!("2^{lg}"), di.to_string(), dm.to_string()];
                 let mut best = (f64::INFINITY, "-");
+                let product = Product::new(&mask, &a, &b, Some(&bt));
                 for &algo in &algos {
                     let (secs, _) = time_best(reps, || {
-                        masked_mxm_with_bt::<PlusTimesF64, ()>(
-                            &mask,
-                            &a,
-                            &b,
-                            Some(&bt),
-                            algo,
-                            MaskMode::Mask,
-                            Phases::One,
-                            &ExecOpts::default(),
-                        )
-                        .unwrap()
+                        let opts = ExecOpts::default();
+                        masked_mxm::<PlusTimesF64, ()>(&product, algo, &opts).unwrap()
                     });
                     row.push(fmt_secs(secs));
                     if secs < best.0 {

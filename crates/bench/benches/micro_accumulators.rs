@@ -2,9 +2,10 @@
 //! product accumulation, gather: the §5 cost centers, isolated from the
 //! row driver — in two parts:
 //!
-//! 1. the criterion group `accumulator_row` (MSA / Hash / MCA on two row
-//!    shapes), driving MSA and Hash through `accumulate_row`, the row
-//!    entry the numeric kernels call;
+//! 1. the `accumulator_row` table (MSA / Hash / MCA on two row shapes,
+//!    nanoseconds per row, best of `MSPGEMM_REPS` samples of
+//!    [`ROW_DRIVES`] rows each), driving MSA and Hash through
+//!    `accumulate_row`, the row entry the numeric kernels call;
 //! 2. the **admitted-ratio sweep** (runs only when `MSPGEMM_ACCUM_PRODUCTS`
 //!    or `MSPGEMM_ACCUM_JSON` is set): `accumulate_row`'s two-stage
 //!    filter-then-accumulate loop against the §5.1 per-product reference
@@ -22,8 +23,9 @@
 //!    row entry always filters. Both drives must gather the same row
 //!    before a timing counts.
 //!
-//! The sweep emits CSV on stdout, an aligned table on stderr, and — for
-//! the CI perf lane — a JSON report at `MSPGEMM_ACCUM_JSON`.
+//! Each part emits CSV on stdout and an aligned table on stderr; the sweep
+//! also writes — for the CI perf lane — a JSON report at
+//! `MSPGEMM_ACCUM_JSON`.
 //!
 //! | Variable | Meaning | Default |
 //! |---|---|---|
@@ -31,7 +33,6 @@
 //! | `MSPGEMM_ACCUM_JSON` | write the JSON report to this path | (none) |
 //! | `MSPGEMM_REPS` | timing repetitions (best-of) | 5 |
 
-use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use masked_spgemm::accumulator::hash::HashAccum;
 use masked_spgemm::accumulator::mca::Mca;
 use masked_spgemm::accumulator::msa::Msa;
@@ -41,6 +42,7 @@ use mspgemm_harness::{env_usize, time_best};
 use mspgemm_sparse::Idx;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::hint::black_box;
 
 const NCOLS: usize = 1 << 16;
 
@@ -66,64 +68,75 @@ fn make_work(mask_len: usize, hits: usize, misses: usize) -> RowWork {
     RowWork { mask, products }
 }
 
-fn bench_accumulators(c: &mut Criterion) {
-    let mut group = c.benchmark_group("accumulator_row");
-    for &(mask_len, hits, misses) in &[(64usize, 256usize, 256usize), (1024, 4096, 4096)] {
-        let work = make_work(mask_len, hits, misses);
-        let label = format!("m{mask_len}_h{hits}_x{misses}");
-        let ones = vec![1.0f64; work.products.len()];
+/// Rows per timed sample of the `accumulator_row` table: one row takes a
+/// few microseconds, too little for the clock to time alone.
+const ROW_DRIVES: usize = 1000;
 
-        group.bench_with_input(BenchmarkId::new("msa", &label), &work, |b, w| {
-            let mut acc: Msa<f64> = Msa::new(NCOLS);
-            let mut out_c = vec![0 as Idx; w.mask.len()];
-            let mut out_v = vec![0.0f64; w.mask.len()];
-            b.iter(|| {
-                acc.begin_row();
-                acc.load_mask(&w.mask);
-                acc.accumulate_row(&w.products, &ones, |v| v, |a, b| a + b);
-                black_box(acc.gather_into(&w.mask, &mut out_c, &mut out_v))
-            });
-        });
-
-        group.bench_with_input(BenchmarkId::new("hash", &label), &work, |b, w| {
-            let mut acc: HashAccum<f64> = HashAccum::new();
-            let mut out_c = vec![0 as Idx; w.mask.len()];
-            let mut out_v = vec![0.0f64; w.mask.len()];
-            b.iter(|| {
-                acc.begin_row(w.mask.len());
-                for &j in &w.mask {
-                    acc.mark_allowed(j);
-                }
-                acc.accumulate_row(&w.products, &ones, |v| v, |a, b| a + b);
-                black_box(acc.gather_into(&w.mask, &mut out_c, &mut out_v))
-            });
-        });
-
-        group.bench_with_input(BenchmarkId::new("mca", &label), &work, |b, w| {
-            // MCA is rank-indexed: precompute each product's mask rank
-            // (the row kernel gets this from its merge; here we isolate
-            // the accumulator cost).
-            let ranks: Vec<Option<usize>> = w
-                .products
-                .iter()
-                .map(|j| w.mask.binary_search(j).ok())
-                .collect();
-            let mut acc: Mca<f64> = Mca::new();
-            let mut out_c = vec![0 as Idx; w.mask.len()];
-            let mut out_v = vec![0.0f64; w.mask.len()];
-            b.iter(|| {
-                acc.begin_row(w.mask.len());
-                for r in ranks.iter().flatten() {
-                    acc.accumulate(*r, 1.0, |a, b| a + b);
-                }
-                black_box(acc.gather_into(&w.mask, &mut out_c, &mut out_v))
-            });
-        });
-    }
-    group.finish();
+/// Nanoseconds per call of `row`: the best of `reps` samples of
+/// [`ROW_DRIVES`] calls, after one untimed sample.
+fn ns_per_row<R>(reps: usize, mut row: impl FnMut() -> R) -> f64 {
+    let (secs, ()) = time_best(reps, || {
+        for _ in 0..ROW_DRIVES {
+            black_box(row());
+        }
+    });
+    secs * 1e9 / ROW_DRIVES as f64
 }
 
-criterion_group!(benches, bench_accumulators);
+/// One output row per accumulator — mask load, products, gather — on two
+/// row shapes.
+fn accumulator_rows(reps: usize) {
+    eprintln!("=== accumulator_row: ns per row, best of {reps} x {ROW_DRIVES} rows ===");
+    let mut table = Table::new(&["accumulator", "row", "ns_per_row"]);
+    for &(mask_len, hits, misses) in &[(64usize, 256usize, 256usize), (1024, 4096, 4096)] {
+        let w = make_work(mask_len, hits, misses);
+        let ones = vec![1.0f64; w.products.len()];
+        let mut out_c = vec![0 as Idx; w.mask.len()];
+        let mut out_v = vec![0.0f64; w.mask.len()];
+
+        let mut msa: Msa<f64> = Msa::new(NCOLS);
+        let msa_ns = ns_per_row(reps, || {
+            msa.begin_row();
+            msa.load_mask(&w.mask);
+            msa.accumulate_row(&w.products, &ones, |v| v, |a, b| a + b);
+            msa.gather_into(&w.mask, &mut out_c, &mut out_v)
+        });
+
+        let mut hash: HashAccum<f64> = HashAccum::new();
+        let hash_ns = ns_per_row(reps, || {
+            hash.begin_row(w.mask.len());
+            for &j in &w.mask {
+                hash.mark_allowed(j);
+            }
+            hash.accumulate_row(&w.products, &ones, |v| v, |a, b| a + b);
+            hash.gather_into(&w.mask, &mut out_c, &mut out_v)
+        });
+
+        // MCA is rank-indexed: precompute each product's mask rank (the
+        // row kernel gets this from its merge; here we isolate the
+        // accumulator cost).
+        let ranks: Vec<Option<usize>> = w
+            .products
+            .iter()
+            .map(|j| w.mask.binary_search(j).ok())
+            .collect();
+        let mut mca: Mca<f64> = Mca::new();
+        let mca_ns = ns_per_row(reps, || {
+            mca.begin_row(w.mask.len());
+            for r in ranks.iter().flatten() {
+                mca.accumulate(*r, 1.0, |a, b| a + b);
+            }
+            mca.gather_into(&w.mask, &mut out_c, &mut out_v)
+        });
+
+        let label = format!("m{mask_len}_h{hits}_x{misses}");
+        for (name, ns) in [("msa", msa_ns), ("hash", hash_ns), ("mca", mca_ns)] {
+            table.row(&[name.to_string(), label.clone(), format!("{ns:.1}")]);
+        }
+    }
+    println!("{}", table.to_csv());
+    eprintln!("{}", table.to_text());
+}
 
 /// Matrix width of the sweep: the benchmark's R-MAT 13, whose state bytes
 /// fit L1 — the regime where the mask-test branch, not a cache miss, is
@@ -365,10 +378,10 @@ fn report_json(rows: &[SweepRow]) -> String {
 }
 
 fn main() {
-    benches();
+    accumulator_rows(env_usize("MSPGEMM_REPS", 5).max(1));
     // The sweep is a million products per drive: opt in, as CI's
-    // bench-smoke lane does, so a filtered run of the group above does
-    // not pay for it.
+    // bench-smoke lane does, so a run of the table above alone does not
+    // pay for it.
     if ["MSPGEMM_ACCUM_PRODUCTS", "MSPGEMM_ACCUM_JSON"]
         .iter()
         .any(|v| std::env::var_os(v).is_some())

@@ -1,66 +1,47 @@
-//! Criterion microbenchmarks for the end-to-end masked SpGEMM kernels on
-//! a fixed ER workload — quick per-algorithm regressions tracking.
+//! Microbenchmarks for the end-to-end masked SpGEMM kernels on a fixed ER
+//! workload — quick per-algorithm regression tracking: every scheme
+//! one-phase under a normal mask, MSA and Hash under a complemented one
+//! (MCA excluded, per the paper), each the best of `MSPGEMM_REPS` calls
+//! after one untimed call. CSV on stdout, an aligned table on stderr.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use masked_spgemm::{masked_mxm_with_opts, Algorithm, ExecOpts, MaskMode, Phases};
+use mspgemm_bench::{banner, reps};
 use mspgemm_gen::{er, er_pattern};
+use mspgemm_harness::report::{fmt_secs, Table};
+use mspgemm_harness::time_best;
 use mspgemm_sparse::semiring::PlusTimesF64;
+use std::hint::black_box;
 
-fn bench_kernels(c: &mut Criterion) {
+fn main() {
+    banner("Microbench", "masked_mxm on ER n = 4096, degree 16");
     let n = 1usize << 12;
     let a = er(n, n, 16, 1);
     let b = er(n, n, 16, 2);
     let mask = er_pattern(n, n, 16, 3);
-
-    let mut group = c.benchmark_group("masked_mxm_4k_d16");
-    group.sample_size(20);
-    for algo in Algorithm::ALL {
-        group.bench_with_input(
-            BenchmarkId::new(algo.name(), "1P"),
-            &algo,
-            |bench, &algo| {
-                bench.iter(|| {
-                    black_box(
-                        masked_mxm_with_opts::<PlusTimesF64, ()>(
-                            &mask,
-                            &a,
-                            &b,
-                            algo,
-                            MaskMode::Mask,
-                            Phases::One,
-                            &ExecOpts::default(),
-                        )
-                        .unwrap(),
-                    )
-                });
-            },
-        );
+    let (reps, opts) = (reps(), ExecOpts::default());
+    let normal = Algorithm::ALL.map(|algo| (algo, MaskMode::Mask));
+    let complement = [Algorithm::Msa, Algorithm::Hash].map(|algo| (algo, MaskMode::Complement));
+    let mut table = Table::new(&["scheme", "mask", "seconds"]);
+    for (algo, mode) in normal.into_iter().chain(complement) {
+        let (secs, _) = time_best(reps, || {
+            let c = masked_mxm_with_opts::<PlusTimesF64, ()>(
+                &mask,
+                &a,
+                &b,
+                algo,
+                mode,
+                Phases::One,
+                &opts,
+            );
+            black_box(c.unwrap())
+        });
+        let row = [
+            format!("{}-1P", algo.name()),
+            format!("{mode:?}"),
+            fmt_secs(secs),
+        ];
+        table.row(&row);
     }
-    // Complement variants (MCA excluded per the paper).
-    for algo in [Algorithm::Msa, Algorithm::Hash] {
-        group.bench_with_input(
-            BenchmarkId::new(algo.name(), "1P-compl"),
-            &algo,
-            |bench, &algo| {
-                bench.iter(|| {
-                    black_box(
-                        masked_mxm_with_opts::<PlusTimesF64, ()>(
-                            &mask,
-                            &a,
-                            &b,
-                            algo,
-                            MaskMode::Complement,
-                            Phases::One,
-                            &ExecOpts::default(),
-                        )
-                        .unwrap(),
-                    )
-                });
-            },
-        );
-    }
-    group.finish();
+    println!("{}", table.to_csv());
+    eprintln!("{}", table.to_text());
 }
-
-criterion_group!(benches, bench_kernels);
-criterion_main!(benches);

@@ -6,7 +6,7 @@
 
 use crate::args::Parsed;
 use masked_spgemm::{
-    masked_mxm_with_bt, Algorithm, AutoChoice, ExecOpts, ExecStats, MaskMode, Phases, WsPool,
+    masked_mxm, Algorithm, ExecOpts, ExecStats, MaskMode, Phases, Plan, Product, WsPool,
 };
 use mspgemm_gen::SuiteGraph;
 use mspgemm_graph::scheme::Scheme;
@@ -69,24 +69,22 @@ fn ingest_line(r: &IngestReport) -> String {
 }
 
 /// What `auto` resolved to and the counted work it compared, as the two
-/// inserts of the `scheme   :` line. Of push and pull the side that lost
-/// stops counting once it cannot win — a lower bound; a symmetric
-/// self-product that ran oriented names that count in pull's place.
-fn auto_note(c: AutoChoice) -> (String, String) {
-    if let Some(probes) = c.work.oriented {
-        let counted = format!(" (push {} products, oriented {probes} probes)", c.work.push);
-        return ("→oriented pull".to_string(), counted);
-    }
-    let (push, pull) = match c.algo {
-        Algorithm::Inner => ("≥ ", ""),
-        _ => ("", "≥ "),
+/// inserts of the `scheme   :` line (both empty for a plan `auto` did not
+/// choose). Of push and pull the side that lost stops counting once it
+/// cannot win — a lower bound; a self-product that ran oriented names that
+/// count in pull's place.
+fn auto_note(plan: Plan) -> (String, String) {
+    let Some(work) = plan.work() else {
+        return Default::default();
+    };
+    let (push, counted) = match (plan, work.oriented) {
+        (Plan::Oriented(_), Some(probes)) => ("", format!("oriented {probes} probes")),
+        (Plan::Kernel(Algorithm::Inner, _), _) => ("≥ ", format!("pull {} probes", work.pull)),
+        _ => ("", format!("pull ≥ {} probes", work.pull)),
     };
     (
-        format!("→{}", c.algo.name()),
-        format!(
-            " (push {push}{} products, pull {pull}{} probes)",
-            c.work.push, c.work.pull
-        ),
+        format!("→{}", plan.name()),
+        format!(" (push {push}{} products, {counted})", work.push),
     )
 }
 
@@ -108,10 +106,11 @@ fn simd_line() -> String {
 /// `products :` and `probes :` counts sum over those runs.
 ///
 /// The product gets the operands the server's `mxm` verb gets: where the
-/// pull kernel may run, a `Bᵀ` built once after the load — `A` itself
-/// when `A` equals its transpose by bits ([`distinct_transpose`]), so
-/// `auto` on a symmetric input takes the oriented plan. Symmetry is
-/// decided by content, whatever the file's banner says.
+/// pull kernel may run, a `Bᵀ` built once after the load — and when `A`
+/// equals its transpose by bits ([`distinct_transpose`]), no `Bᵀ` but a
+/// declared [`Product::self_product`], so `auto` on a symmetric input
+/// may take the oriented plan. Symmetry is decided by content, whatever
+/// the file's banner says.
 pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     let path = p
         .positional
@@ -167,25 +166,27 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     // Masks are structural: `A` is its own pattern. `Bᵀ` is load-side
     // work outside the timed calls, built only where the pull kernel that
     // reads it can run; a transpose equal to `A` is dropped here, before
-    // the product, and `A` stands in for it.
+    // the product, which is declared a self-product instead.
     let work = || {
         let pulls = matches!(algo, Algorithm::Auto | Algorithm::Inner);
-        let at = pulls
-            .then(|| distinct_transpose(&a, transpose(&a)))
-            .flatten();
-        let bt = pulls.then(|| at.as_ref().unwrap_or(&a));
+        let at = pulls.then(|| distinct_transpose(&a, transpose(&a)));
+        let product = match &at {
+            Some(None) => Product::self_product(&a),
+            _ => Product::new(&a, &a, &a, at.as_ref().and_then(Option::as_ref)),
+        };
+        let product = product.with_mode(mode).with_phases(phases);
         best_of(reps, || {
-            masked_mxm_with_bt::<PlusTimesF64, f64>(&a, &a, &a, bt, algo, mode, phases, &opts)
+            masked_mxm::<PlusTimesF64, f64>(&product, algo, &opts)
         })
     };
-    let (secs, c) = if threads > 0 {
+    let (secs, (c, plan)) = if threads > 0 {
         with_threads(threads, work)
     } else {
         work()
     }
     .map_err(|e| e.to_string())?;
 
-    let (resolved, counted) = stats.auto_choice().map(auto_note).unwrap_or_default();
+    let (resolved, counted) = auto_note(plan);
     writeln!(
         out,
         "scheme   : {}{resolved} / {:?} / {:?}{}{counted}",
@@ -573,23 +574,30 @@ mod tests {
     #[test]
     fn scheme_line_names_the_count_that_decided() {
         use masked_spgemm::DirectionWork;
-        let choice = |algo, probes| AutoChoice {
-            algo,
-            work: DirectionWork {
+        let work = |oriented| {
+            Some(DirectionWork {
                 push: 54_271_744,
                 pull: 54_476_034,
-                oriented: probes,
-            },
+                oriented,
+            })
         };
-        let (resolved, counted) = auto_note(choice(Algorithm::Inner, Some(8_989_020)));
+        let (resolved, counted) = auto_note(Plan::Oriented(work(Some(8_989_020))));
         assert_eq!(
             format!("Auto{resolved} / Mask / One{counted}"),
             "Auto→oriented pull / Mask / One (push 54271744 products, oriented 8989020 probes)"
         );
         // Any other product reads as it always did.
-        let (resolved, counted) = auto_note(choice(Algorithm::Msa, None));
+        let (resolved, counted) = auto_note(Plan::Kernel(Algorithm::Msa, work(None)));
         assert_eq!(resolved, "→MSA");
         assert_eq!(counted, " (push 54271744 products, pull ≥ 54476034 probes)");
+        let (resolved, counted) = auto_note(Plan::Kernel(Algorithm::Inner, work(None)));
+        assert_eq!(resolved, "→Inner");
+        assert_eq!(counted, " (push ≥ 54271744 products, pull 54476034 probes)");
+        // A named algorithm prints no verdict.
+        assert_eq!(
+            auto_note(Plan::Kernel(Algorithm::Hash, None)),
+            Default::default()
+        );
     }
 
     #[test]

@@ -180,30 +180,32 @@ fn oriented_self_product_answers_what_run_answers() {
     let addr = server.addr().to_string();
     let msb = dir.join("g.msb").to_str().unwrap().to_string();
     dispatch(&["convert", &symmetric, &msb]).unwrap();
-    // `mxm run`'s fingerprint, and whether it ran oriented — on two
-    // executors too, for the same reason as `served` below.
+    // `mxm run`'s fingerprint, and the plan its `scheme` line names after
+    // `→` (none for a named algorithm) — on two executors too, for the
+    // same reason as `served` below.
     let run_with = |path: &str, algo: &str, load: &[&str]| {
         let q = ["run", "--algo", algo, "--reps", "1", "--threads", "2"];
         let text = dispatch(&[&q[..], load, &["--no-cache", path]].concat()).unwrap();
         let scheme = text.lines().find(|l| l.starts_with("scheme   :"));
-        let oriented = scheme.expect(&text).contains("→oriented pull");
-        (run_fingerprint(&text).to_string(), oriented)
+        let resolved = scheme.expect(&text).split('→').nth(1).unwrap_or_default();
+        let plan = resolved.split(" / ").next().unwrap().to_string();
+        (run_fingerprint(&text).to_string(), plan)
     };
     let run = |path: &str, algo: &str| run_with(path, algo, &[]);
-    // The served fingerprint under `auto`, and whether it ran oriented —
-    // on two executors whatever the host has: the plan's serial passes are
-    // charged per thread. `msa` goes first: it takes an updated snapshot's
-    // product seed, so `auto` runs its kernel instead of a patch.
+    // The served fingerprint and `"plan"` under `auto` — on two executors
+    // whatever the host has: the oriented plan's serial passes are charged
+    // per thread. `msa` goes first: it takes an updated snapshot's product
+    // seed, so `auto` runs its kernel instead of a patch.
     let served = |dataset: &str| {
         let q = ["query", "--connect", &addr, "mxm", "--threads", "2"];
         let q = [&q[..], &["--dataset", dataset]].concat();
         let msa = dispatch(&[&q[..], &["--algo", "msa"]].concat()).unwrap();
         let auto = dispatch(&[&q[..], &["--algo", "auto"]].concat()).unwrap();
         assert!(auto.contains("\"incremental\":false"), "{auto}");
-        let choice = server.state().exec_stats.auto_choice().expect("auto ran");
+        assert_eq!(query_field(&msa, "plan"), "MSA", "{msa}");
         let fingerprint = query_field(&auto, "fingerprint").to_string();
         assert_eq!(fingerprint, query_field(&msa, "fingerprint"), "{dataset}");
-        (fingerprint, choice.work.oriented.is_some())
+        (fingerprint, query_field(&auto, "plan").to_string())
     };
     let update = |edge: (u32, u32)| {
         let insert = format!("{},{}", edge.0, edge.1);
@@ -216,7 +218,7 @@ fn oriented_self_product_answers_what_run_answers() {
     let agree = |dataset: &str, path: &str, oriented: bool| {
         let ran = run(path, "auto");
         assert_eq!(served(dataset), ran, "{path}");
-        assert_eq!(ran.1, oriented, "{path}");
+        assert_eq!(ran.1 == "oriented pull", oriented, "{path}: {}", ran.1);
     };
     agree("g", &symmetric, true);
     update((u, v));

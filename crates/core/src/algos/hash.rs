@@ -102,6 +102,7 @@ impl<S: Semiring> RowKernel<S> for HashKernel {
 mod tests {
     use super::*;
     use crate::algos::test_grid as grid;
+    use crate::algos::test_product as product;
     use crate::phases::{run_kernel, Phases};
     use crate::schedule::{ExecOpts, WsPool};
     use mspgemm_sparse::semiring::PlusTimesI64;
@@ -126,7 +127,10 @@ mod tests {
             for phases in [Phases::One, Phases::Two] {
                 let run = |opts: &ExecOpts<'_>| {
                     run_kernel::<PlusTimesI64, _, ()>(
-                        &mask, &a, &a, false, phases, &kernel, None, opts,
+                        &product(&mask, &a, &a, false, phases),
+                        &kernel,
+                        None,
+                        opts,
                     )
                     .unwrap()
                 };

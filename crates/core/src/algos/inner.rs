@@ -323,6 +323,7 @@ impl<S: Semiring> RowKernel<S> for InnerKernel<'_, S::Right> {
 mod tests {
     use super::*;
     use crate::accumulator::test_rows::order_sensitive_rows;
+    use crate::algos::test_product as product;
     use crate::phases::{run_kernel, Phases};
     use crate::schedule::{ExecOpts, ExecStats, WsPool};
     use mspgemm_sparse::semiring::{PlusPairU64, PlusTimesF64, PlusTimesI64};
@@ -374,7 +375,10 @@ mod tests {
             let kernel = InnerKernel::new(bt.view(), complement);
             for phases in [Phases::One, Phases::Two] {
                 let got = run_kernel::<PlusTimesI64, _, ()>(
-                    mask, a, b, complement, phases, &kernel, None, opts,
+                    &product(mask, a, b, complement, phases),
+                    &kernel,
+                    None,
+                    opts,
                 )
                 .unwrap();
                 assert_eq!(got, want, "complement={complement} {phases:?}");
@@ -446,11 +450,7 @@ mod tests {
             let kernel = InnerKernel::new(bt.view(), complement);
             for phases in [Phases::One, Phases::Two] {
                 let c = run_kernel::<PlusTimesF64, _, ()>(
-                    &mask,
-                    &a,
-                    &b,
-                    complement,
-                    phases,
+                    &product(&mask, &a, &b, complement, phases),
                     &kernel,
                     None,
                     &ExecOpts::default(),
@@ -625,11 +625,7 @@ mod tests {
             for phases in [Phases::One, Phases::Two] {
                 let got = one_thread.install(|| {
                     run_kernel::<PlusTimesI64, _, ()>(
-                        &mask,
-                        &a,
-                        &b,
-                        complement,
-                        phases,
+                        &product(&mask, &a, &b, complement, phases),
                         &kernel,
                         None,
                         &ExecOpts::default(),
@@ -668,7 +664,10 @@ mod tests {
                     ..ExecOpts::default()
                 };
                 run_kernel::<PlusTimesI64, _, ()>(
-                    &mask, &a, &b, complement, phases, &kernel, None, &opts,
+                    &product(&mask, &a, &b, complement, phases),
+                    &kernel,
+                    None,
+                    &opts,
                 )
                 .unwrap();
                 // The symbolic pass of a two-phase run counts nothing.

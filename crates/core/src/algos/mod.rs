@@ -21,3 +21,20 @@ pub(crate) fn test_grid(n: usize, keep: impl Fn(usize, usize) -> bool) -> mspgem
         .collect();
     mspgemm_sparse::Csr::from_dense(&d, n)
 }
+
+/// `mask ⊙ (a·b)`, or `¬mask ⊙ (a·b)`, under `phases`: what the kernel
+/// unit tests drive [`crate::phases::run_kernel`] over.
+#[cfg(test)]
+pub(crate) fn test_product<'a, M, L, R>(
+    mask: &'a mspgemm_sparse::Csr<M>,
+    a: &'a mspgemm_sparse::Csr<L>,
+    b: &'a mspgemm_sparse::Csr<R>,
+    complement: bool,
+    phases: crate::Phases,
+) -> crate::Product<'a, M, L, R> {
+    use crate::MaskMode::{Complement, Mask};
+    let mode = if complement { Complement } else { Mask };
+    crate::Product::new(mask, a, b, None)
+        .with_mode(mode)
+        .with_phases(phases)
+}

@@ -80,6 +80,7 @@ impl<S: Semiring> RowKernel<S> for MsaKernel {
 mod tests {
     use super::*;
     use crate::algos::test_grid as grid;
+    use crate::algos::test_product as product;
     use crate::phases::{run_kernel, Phases};
     use crate::schedule::{ExecOpts, ExecStats, WsPool};
     use mspgemm_sparse::semiring::PlusTimesI64;
@@ -106,11 +107,7 @@ mod tests {
                 ..ExecOpts::default()
             };
             run_kernel::<PlusTimesI64, _, ()>(
-                &mask,
-                &a,
-                &a,
-                complement,
-                Phases::One,
+                &product(&mask, &a, &a, complement, Phases::One),
                 &kernel,
                 None,
                 &quiet,
@@ -123,7 +120,10 @@ mod tests {
                     ..quiet
                 };
                 run_kernel::<PlusTimesI64, _, ()>(
-                    &mask, &a, &a, complement, phases, &kernel, None, &opts,
+                    &product(&mask, &a, &a, complement, phases),
+                    &kernel,
+                    None,
+                    &opts,
                 )
                 .unwrap();
                 // The symbolic pass of a two-phase run forms no products.
@@ -151,11 +151,7 @@ mod tests {
         let even: u64 = row_flops.iter().step_by(2).sum();
         assert!(0 < even && even < a.flops_with(&a));
         let want = run_kernel::<PlusTimesI64, _, ()>(
-            &mask,
-            &a,
-            &a,
-            false,
-            Phases::One,
+            &product(&mask, &a, &a, false, Phases::One),
             &MsaKernel { complement: false },
             None,
             &ExecOpts::default(),
@@ -170,7 +166,10 @@ mod tests {
                 };
                 let kernel = MsaKernel { complement };
                 let c = run_kernel::<PlusTimesI64, _, ()>(
-                    &mask, &a, &a, complement, phases, &kernel, None, &opts,
+                    &product(&mask, &a, &a, complement, phases),
+                    &kernel,
+                    None,
+                    &opts,
                 )
                 .unwrap();
                 assert_eq!(stats.products().formed, formed, "{complement} {phases:?}");

@@ -1,9 +1,10 @@
-//! Public entry point: algorithm / mask-mode / phase selection and
-//! validation, plus `Auto`: the direction decided per product from counted
-//! work (§4.3's argument, evaluated instead of assumed) — push, pull, or,
-//! for a symmetric self-product `A ⊙ (A·A)`, the pull over half the mask
-//! mirrored ([`oriented_self_product`]) — and the push accumulator by the
-//! output width (§8.1).
+//! Public entry point: a masked product as one [`Product`] value, its
+//! validation, and the one planning function behind `Auto` — the direction
+//! decided per product from counted work (§4.3's argument, evaluated
+//! instead of assumed): push, pull, or, for a declared symmetric
+//! self-product `A ⊙ (A·A)`, the pull over half the mask mirrored
+//! ([`Plan::Oriented`]) — and the push accumulator by the output width
+//! (§8.1). The verdict comes back as the [`Plan`] that ran.
 
 use crate::algos::hash::HashKernel;
 use crate::algos::heap::HeapKernel;
@@ -11,7 +12,7 @@ use crate::algos::inner::InnerKernel;
 use crate::algos::mca::McaKernel;
 use crate::algos::msa::MsaKernel;
 use crate::phases::{driven_flops, driven_row_flops, masked_out, run_kernel, Phases};
-use crate::schedule::{AutoChoice, ExecOpts};
+use crate::schedule::ExecOpts;
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::util::exclusive_prefix_sum;
 use mspgemm_sparse::{transpose, Csr, Idx};
@@ -33,13 +34,12 @@ pub enum Algorithm {
     /// Multiway-merge heap with `NInspect = ∞` (§5.5, `HeapDot`).
     HeapDot,
     /// Pull-based dot products (§4.1). Transposes `B` internally unless
-    /// [`masked_mxm_with_bt`] is handed a `Bᵀ`.
+    /// the [`Product`] carries a `Bᵀ`.
     Inner,
     /// Pick once for the whole call: the cheapest direction by counted
     /// work (push products vs pull probes, see [`DirectionWork`]; a
-    /// symmetric self-product may also run as
-    /// [`oriented_self_product`]), then — when push it is — the
-    /// accumulator by the output width.
+    /// declared self-product may also run as [`Plan::Oriented`]), then —
+    /// when push it is — the accumulator by the output width.
     Auto,
 }
 
@@ -144,21 +144,126 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-fn check_dims<S: Semiring, M>(
-    mask: &Csr<M>,
-    a: &Csr<S::Left>,
-    b: &Csr<S::Right>,
-    bt: Option<&Csr<S::Right>>,
-) -> Result<(), Error> {
+/// One masked product `C = M ⊙ (A·B)` (or `¬M ⊙ (A·B)`) as a value: the
+/// structural mask, the operands, an optional `Bᵀ` (`B` in CSC, read by
+/// the pull kernel instead of transposing `B`, so applications amortize
+/// the transpose across calls — SuiteSparse's per-call transpose is an
+/// overhead of `SS:DOT`, §8.4; its shape is checked, its values trusted),
+/// the mask mode and the phase strategy. A symmetric self-product is
+/// declared, never inferred: only [`Product::self_product`] lets `Auto`
+/// run [`Plan::Oriented`].
+pub struct Product<'a, M, L, R> {
+    pub(crate) mask: &'a Csr<M>,
+    pub(crate) a: &'a Csr<L>,
+    pub(crate) b: &'a Csr<R>,
+    pub(crate) bt: Option<&'a Csr<R>>,
+    pub(crate) mode: MaskMode,
+    pub(crate) phases: Phases,
+    /// Set by [`Product::self_product`] alone.
+    symmetric: bool,
+}
+
+impl<'a, M, L, R> Product<'a, M, L, R> {
+    /// `M ⊙ (A·B)` under a normal mask and one phase, with the caller's
+    /// `Bᵀ` if it has one.
+    pub fn new(mask: &'a Csr<M>, a: &'a Csr<L>, b: &'a Csr<R>, bt: Option<&'a Csr<R>>) -> Self {
+        Product {
+            mask,
+            a,
+            b,
+            bt,
+            mode: MaskMode::Mask,
+            phases: Phases::One,
+            symmetric: false,
+        }
+    }
+
+    /// This product under mask mode `mode`.
+    pub fn with_mode(&self, mode: MaskMode) -> Self {
+        Product { mode, ..*self }
+    }
+
+    /// This product under phase strategy `phases`.
+    pub fn with_phases(&self, phases: Phases) -> Self {
+        Product { phases, ..*self }
+    }
+
+    /// The mask, `A`, `B` and the mask mode: what a baseline reads.
+    pub fn operands(&self) -> (&'a Csr<M>, &'a Csr<L>, &'a Csr<R>, MaskMode) {
+        (self.mask, self.a, self.b, self.mode)
+    }
+
+    pub(crate) fn complement(&self) -> bool {
+        self.mode == MaskMode::Complement
+    }
+
+    /// Whether [`Plan::Oriented`] computes this product on `S`: declared,
+    /// under a normal mask (the half mask has no complemented reading), on
+    /// a [`Semiring::MUL_COMMUTES`] multiply.
+    fn orientable<S: Semiring>(&self) -> bool {
+        self.symmetric && !self.complement() && S::MUL_COMMUTES
+    }
+}
+
+impl<'a, T: Copy + PartialEq + Send + Sync> Product<'a, T, T, T> {
+    /// `A ⊙ (A·A)` for an `A` equal to its transpose: mask, `A`, `B` and
+    /// `Bᵀ` are all `a`. The one way to declare `A = Aᵀ` — checked in
+    /// debug builds, trusted otherwise.
+    pub fn self_product(a: &'a Csr<T>) -> Self {
+        debug_assert!(*a == transpose(a), "a self-product needs A = Aᵀ");
+        Product {
+            symmetric: true,
+            ..Self::new(a, a, a, Some(a))
+        }
+    }
+}
+
+/// How one product runs: the verdict [`masked_mxm`] returns, with the work
+/// `Auto` counted when it chose it, or a caller's choice for [`run_plan`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Plan {
+    /// One concrete kernel (never `Auto`) over the whole mask.
+    Kernel(Algorithm, Option<DirectionWork>),
+    /// A declared self-product once per unordered edge: the pull kernel
+    /// over the half mask `{(i, j) ∈ A : (d_j, j) ≤ (d_i, i)}` — the longer
+    /// row scattered, the shorter probed — on [`run_kernel`], then
+    /// `C[j, i] := C[i, j]`. Bit-identical to every other plan: both
+    /// kernels sum in ascending `k`, and `a_ik · a_kj`, `a_jk · a_ki` are
+    /// the same two numbers. The serial passes around the half product run
+    /// under the span `oriented-mirror` (`Auto` builds the half mask inside
+    /// `auto-select`: it makes the decision's third count).
+    Oriented(Option<DirectionWork>),
+}
+
+impl Plan {
+    /// What `Auto` counted to choose this plan; `None` for a plan it did
+    /// not choose.
+    pub fn work(&self) -> Option<DirectionWork> {
+        match *self {
+            Plan::Kernel(_, work) | Plan::Oriented(work) => work,
+        }
+    }
+
+    /// The kernel's scheme name, or `oriented pull`: what `mxm run` prints
+    /// after `Auto→` and the `mxm` verb answers as `"plan"`.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Plan::Kernel(algo, _) => algo.name(),
+            Plan::Oriented(_) => "oriented pull",
+        }
+    }
+}
+
+fn check_dims<S: Semiring, M>(p: &Product<'_, M, S::Left, S::Right>) -> Result<(), Error> {
     let show = |(rows, cols): (usize, usize)| format!("{rows}x{cols}");
-    let (am, ak) = (a.nrows(), a.ncols());
-    let (bk, bn) = (b.nrows(), b.ncols());
-    let mask = (mask.nrows(), mask.ncols());
+    let (am, ak) = (p.a.nrows(), p.a.ncols());
+    let (bk, bn) = (p.b.nrows(), p.b.ncols());
+    let mask = (p.mask.nrows(), p.mask.ncols());
     let bad = if ak != bk {
         format!("A is {} but B is {}", show((am, ak)), show((bk, bn)))
     } else if mask != (am, bn) {
         format!("mask is {} but A·B is {}", show(mask), show((am, bn)))
-    } else if let Some(bt) = bt.filter(|bt| (bt.nrows(), bt.ncols()) != (bn, bk)) {
+    } else if let Some(bt) = p.bt.filter(|bt| (bt.nrows(), bt.ncols()) != (bn, bk)) {
         // The pull kernel indexes `bt` by output column and its column
         // ids by `A`'s: any other shape would be read out of bounds.
         let bt = show((bt.nrows(), bt.ncols()));
@@ -169,18 +274,55 @@ fn check_dims<S: Semiring, M>(
     Err(Error::DimensionMismatch(bad))
 }
 
-/// Masked SpGEMM: `C = M ⊙ (A·B)` (or `¬M ⊙ (A·B)`) on semiring `S`, under
-/// `opts` — workspace pool, busy-time stats, deadline (see
-/// [`crate::schedule`]; `&ExecOpts::default()` for a one-shot call).
-///
-/// The mask is structural — its values are never read (§2). When
-/// [`Algorithm::Inner`] runs, `B` is transposed inside this call; use
-/// [`masked_mxm_with_bt`] to amortize a precomputed `Bᵀ`.
+/// Masked SpGEMM of one [`Product`] on semiring `S`, under `opts` —
+/// workspace pool, busy-time stats, deadline (see [`crate::schedule`];
+/// `&ExecOpts::default()` for a one-shot call). Returns the product and
+/// the [`Plan`] that ran: `algo` itself, or what [`Algorithm::Auto`]
+/// chose. The mask is structural — its values are never read (§2).
 ///
 /// # Errors
 /// [`Error::DimensionMismatch`] for incompatible shapes,
 /// [`Error::Unsupported`] for MCA with a complemented mask,
 /// [`Error::DeadlineExceeded`] for a deadline passed at a phase boundary.
+pub fn masked_mxm<S, M>(
+    p: &Product<'_, M, S::Left, S::Right>,
+    algo: Algorithm,
+    opts: &ExecOpts<'_>,
+) -> Result<(Csr<S::Out>, Plan), Error>
+where
+    S: Semiring,
+    M: Send + Sync,
+{
+    check_dims::<S, M>(p)?;
+    let (plan, row_flops, half) = plan::<S, M>(p, algo);
+    Ok((execute::<S, M>(p, plan, row_flops, half, opts)?, plan))
+}
+
+/// [`masked_mxm`] under a plan the caller chose, such as [`Plan::Oriented`]
+/// where `Auto` would not pick it. The plan's counted work is not read.
+///
+/// # Errors
+/// As [`masked_mxm`]; also [`Error::Unsupported`] for `Auto`, which is no
+/// plan, and for [`Plan::Oriented`] of a product it cannot compute.
+pub fn run_plan<S, M>(
+    p: &Product<'_, M, S::Left, S::Right>,
+    plan: Plan,
+    opts: &ExecOpts<'_>,
+) -> Result<Csr<S::Out>, Error>
+where
+    S: Semiring,
+    M: Send + Sync,
+{
+    check_dims::<S, M>(p)?;
+    execute::<S, M>(p, plan, None, None, opts)
+}
+
+/// [`masked_mxm`] of `mode(mask) ⊙ (a·b)` under `phases`, the product
+/// alone: the one-call form. It carries no `Bᵀ` and declares nothing, so
+/// it never runs [`Plan::Oriented`].
+///
+/// # Errors
+/// As [`masked_mxm`].
 pub fn masked_mxm_with_opts<S, M>(
     mask: &Csr<M>,
     a: &Csr<S::Left>,
@@ -194,137 +336,109 @@ where
     S: Semiring,
     M: Send + Sync,
 {
-    masked_mxm_with_bt::<S, M>(mask, a, b, None, algo, mode, phases, opts)
+    let p = Product::new(mask, a, b, None).with_mode(mode);
+    masked_mxm::<S, M>(&p.with_phases(phases), algo, opts).map(|(c, _)| c)
 }
 
-/// [`masked_mxm_with_opts`] with an optional caller-provided `bt = Bᵀ`
-/// (`B` in CSC) — the one implementation behind every masked product.
-/// The pull kernel reads `bt` whenever it runs (named, or picked by
-/// [`Algorithm::Auto`]) instead of transposing `B`, so applications
-/// amortize the transpose across calls (the paper notes SuiteSparse's
-/// per-call transpose as an overhead of `SS:DOT`, §8.4); the push kernels
-/// ignore it. Its shape is checked; its values are trusted to be `B`'s.
-///
-/// **Identity is load-bearing.** Handing `b` itself as `bt` declares
-/// `B = Bᵀ`. When `mask`, `a`, `b` and `bt` are all one object (compared
-/// by address, never by content), the mask is normal and
-/// [`Semiring::MUL_COMMUTES`], the product is `A ⊙ (A·A)` of a symmetric
-/// `A` and so symmetric itself, and `Auto` may compute each unordered
-/// edge once ([`oriented_self_product`]). An equal but distinct object
-/// never takes that path: pass the same reference to opt in.
-#[allow(clippy::too_many_arguments)]
-pub fn masked_mxm_with_bt<S, M>(
-    mask: &Csr<M>,
-    a: &Csr<S::Left>,
-    b: &Csr<S::Right>,
-    bt: Option<&Csr<S::Right>>,
+/// The one planning function: a named `algo` as it is; `Auto` by counted
+/// work — a declared self-product's three directions off its row pointers
+/// ([`self_product_plan`]), any other product's two by
+/// [`direction_work`] — then [`auto_select`]. A cheaper estimate of the
+/// same verdict replaces this function and nothing else. Also returns what
+/// the count built that the run reuses: the per-row flops of a
+/// complemented one-phase product, or the oriented plan's half mask.
+fn plan<S, M>(
+    p: &Product<'_, M, S::Left, S::Right>,
     algo: Algorithm,
-    mode: MaskMode,
-    phases: Phases,
+) -> (Plan, Option<Vec<u64>>, Option<HalfMask>)
+where
+    S: Semiring,
+    M: Send + Sync,
+{
+    if algo != Algorithm::Auto {
+        return (Plan::Kernel(algo, None), None, None);
+    }
+    let _span = mspgemm_obs::span("auto-select");
+    let (complement, ncols) = (p.complement(), p.b.ncols());
+    if p.orientable::<S>() {
+        let (work, half) = self_product_plan(p.a);
+        let plan = match half {
+            Some(_) => Plan::Oriented(Some(work)),
+            None => Plan::Kernel(auto_select(ncols, work), Some(work)),
+        };
+        return (plan, None, half);
+    }
+    let keep = p.phases == Phases::One && complement;
+    let (row_flops, work) = direction_work(p.mask, p.a, p.b, p.bt, complement, keep);
+    (
+        Plan::Kernel(auto_select(ncols, work), Some(work)),
+        row_flops,
+        None,
+    )
+}
+
+/// Run `plan` on a checked `p`, with what planning counted.
+fn execute<S, M>(
+    p: &Product<'_, M, S::Left, S::Right>,
+    plan: Plan,
+    row_flops: Option<Vec<u64>>,
+    half: Option<HalfMask>,
     opts: &ExecOpts<'_>,
 ) -> Result<Csr<S::Out>, Error>
 where
     S: Semiring,
     M: Send + Sync,
 {
-    check_dims::<S, M>(mask, a, b, bt)?;
-    let complement = mode == MaskMode::Complement;
+    let complement = p.complement();
+    let algo = match plan {
+        Plan::Kernel(algo, _) => algo,
+        Plan::Oriented(_) if !p.orientable::<S>() => {
+            return Err(Error::Unsupported(
+                "the oriented plan needs a declared self-product under a normal mask",
+            ));
+        }
+        Plan::Oriented(_) => {
+            let HalfMask { mask, .. } = half.unwrap_or_else(|| {
+                let _span = mspgemm_obs::span("oriented-mirror");
+                half_mask(p.a)
+            });
+            // A declared self-product's `B` is its own transpose.
+            let kernel = InnerKernel::new(p.b.view(), false);
+            let lower = Product::new(&mask, p.a, p.b, None).with_phases(p.phases);
+            let lower = run_kernel::<S, _, ()>(&lower, &kernel, None, opts)?;
+            drop(mask);
+            let _span = mspgemm_obs::span("oriented-mirror");
+            return Ok(mirror(&lower));
+        }
+    };
     if complement && !algo.supports_complement() {
         return Err(Error::Unsupported(
             "MCA does not support complemented masks (paper §8.4)",
         ));
     }
-    // Per-row flops `Auto` counted on the driver's behalf, when the
-    // complemented one-phase bound needs them.
-    let mut row_flops = None;
-    let algo = match algo {
-        Algorithm::Auto => {
-            let span = mspgemm_obs::span("auto-select");
-            let symmetric =
-                bt.filter(|&bt| !complement && S::MUL_COMMUTES && is_self_product(mask, a, b, bt));
-            let (work, half) = match symmetric {
-                Some(_) => self_product_plan(a),
-                None => {
-                    let keep = phases == Phases::One && complement;
-                    let (flops, work) = direction_work(mask, a, b, bt, complement, keep);
-                    row_flops = flops;
-                    (work, None)
-                }
-            };
-            let algo = match half {
-                Some(_) => Algorithm::Inner,
-                None => auto_select(b.ncols(), work),
-            };
-            if let Some(stats) = opts.stats {
-                stats.record_auto(AutoChoice { algo, work });
-            }
-            drop(span);
-            if let (Some(at), Some(half)) = (symmetric, half) {
-                return mirrored_half_product::<S>(half, a, at, phases, opts);
-            }
-            algo
-        }
-        other => other,
-    };
-    warm_gather_stream(a, b);
+    warm_gather_stream(p.a, p.b);
     match algo {
-        Algorithm::Msa => run_kernel::<S, _, M>(
-            mask,
-            a,
-            b,
-            complement,
-            phases,
-            &MsaKernel { complement },
-            row_flops,
-            opts,
-        ),
-        Algorithm::Hash => run_kernel::<S, _, M>(
-            mask,
-            a,
-            b,
-            complement,
-            phases,
-            &HashKernel { complement },
-            row_flops,
-            opts,
-        ),
-        Algorithm::Mca => {
-            run_kernel::<S, _, M>(mask, a, b, complement, phases, &McaKernel, row_flops, opts)
+        Algorithm::Msa => run_kernel::<S, _, M>(p, &MsaKernel { complement }, row_flops, opts),
+        Algorithm::Hash => run_kernel::<S, _, M>(p, &HashKernel { complement }, row_flops, opts),
+        Algorithm::Mca => run_kernel::<S, _, M>(p, &McaKernel, row_flops, opts),
+        Algorithm::Heap => run_kernel::<S, _, M>(p, &HeapKernel::heap(complement), row_flops, opts),
+        Algorithm::HeapDot => {
+            run_kernel::<S, _, M>(p, &HeapKernel::heap_dot(complement), row_flops, opts)
         }
-        Algorithm::Heap => run_kernel::<S, _, M>(
-            mask,
-            a,
-            b,
-            complement,
-            phases,
-            &HeapKernel::heap(complement),
-            row_flops,
-            opts,
-        ),
-        Algorithm::HeapDot => run_kernel::<S, _, M>(
-            mask,
-            a,
-            b,
-            complement,
-            phases,
-            &HeapKernel::heap_dot(complement),
-            row_flops,
-            opts,
-        ),
         Algorithm::Inner => {
             let transposed;
-            let bt = match bt {
+            let bt = match p.bt {
                 Some(bt) => bt,
                 None => {
                     let _span = mspgemm_obs::span("transpose");
-                    transposed = transpose(b);
+                    transposed = transpose(p.b);
                     &transposed
                 }
             };
             let kernel = InnerKernel::new(bt.view(), complement);
-            run_kernel::<S, _, M>(mask, a, b, complement, phases, &kernel, row_flops, opts)
+            run_kernel::<S, _, M>(p, &kernel, row_flops, opts)
         }
-        Algorithm::Auto => unreachable!("Auto resolved above"),
+        Algorithm::Auto => Err(Error::Unsupported("Auto is no plan: masked_mxm plans it")),
     }
 }
 
@@ -358,18 +472,18 @@ pub struct DirectionWork {
     /// mask — plus [`TRANSPOSE_PROBES_PER_ENTRY`]` · nnz(B)` for the
     /// transpose when no `Bᵀ` was supplied.
     pub pull: u64,
-    /// Probes [`oriented_self_product`] makes, `Σ d_j` over the entries
-    /// `(i, j)` of `A` with `(d_j, j) ≤ (d_i, i)`: one dot per unordered
-    /// edge, the shorter row probed into the longer one —
-    /// `Σ_{edges} min(d_i, d_j)`, the orientation bound of Chiba &
-    /// Nishizeki. Counted while the half mask is built, so `Some` exactly
-    /// when the product ran that way; for any symmetric self-product (see
-    /// [`masked_mxm_with_bt`]) `push` and `pull` are exact and cost `O(n)`.
+    /// Probes [`Plan::Oriented`] makes, `Σ d_j` over the entries `(i, j)`
+    /// of `A` with `(d_j, j) ≤ (d_i, i)`: one dot per unordered edge, the
+    /// shorter row probed into the longer one — `Σ_{edges} min(d_i, d_j)`,
+    /// the orientation bound of Chiba & Nishizeki. Counted while the half
+    /// mask is built, so `Some` exactly when `Auto` planned that way; for
+    /// any declared self-product ([`Product::self_product`]) `push` and
+    /// `pull` are exact and cost `O(n)`.
     pub oriented: Option<u64>,
 }
 
 impl DirectionWork {
-    /// The two counts of a product that is not a symmetric self-product.
+    /// The two counts of a product that does not run oriented.
     fn of(push: u64, pull: u64) -> Self {
         DirectionWork {
             push,
@@ -545,14 +659,7 @@ fn pull_is_cheaper(work: DirectionWork) -> bool {
     work.pull as f64 * PULL_PROBE_COST < work.push as f64
 }
 
-/// Whether `mask`, `a`, `b` and the supplied `bt` are one object — the
-/// caller's declaration that the product is `A ⊙ (A·A)` with `A = Aᵀ`.
-/// Addresses only: equal contents in distinct objects say nothing here.
-fn is_self_product<M, L, R>(mask: &Csr<M>, a: &Csr<L>, b: &Csr<R>, bt: &Csr<R>) -> bool {
-    std::ptr::addr_eq(mask, a) && std::ptr::addr_eq(b, a) && std::ptr::addr_eq(bt, a)
-}
-
-/// The counts of a symmetric self-product, none of them by walking a
+/// The counts of a declared self-product, none of them by walking a
 /// product: `push = Σ d_i²` and `pull = push + nnz` off the row pointers.
 /// When the oriented plan wins on those alone ([`oriented_is_cheaper`]),
 /// its half mask is built — one pass over the column indices, which also
@@ -579,66 +686,7 @@ fn oriented_is_cheaper(push: u64, nnz: usize) -> bool {
     at_most + passes + (ORIENTED_FIXED_COST as f64) < push as f64
 }
 
-/// `A ⊙ (A·A)` for a symmetric `A` (`at` is `A` again, as its own
-/// transpose — [`masked_mxm_with_bt`] passes the same object twice) on a
-/// semiring whose `mul` commutes, computed once per unordered edge: the
-/// existing pull kernel over the half mask `{(i, j) ∈ A : (d_j, j) ≤
-/// (d_i, i)}` — each edge's dot taken where the longer row is the
-/// scattered one and the shorter the probed — then `C[j, i] := C[i, j]`.
-/// Bit-identical to every other scheme: both kernels sum a coordinate's
-/// products in ascending `k`, and `a_ik · a_kj`, `a_jk · a_ki` are the
-/// same two numbers. `Auto` runs it when its worst case undercuts push
-/// ([`MIRROR_COST`]); it is public so a benchmark can time it where `Auto`
-/// would not.
-///
-/// The half product runs on [`run_kernel`] under the caller's `phases`
-/// and `opts` (pool, stats, deadline). The two passes around it are
-/// serial and `O(nnz)`, under one span name, `oriented-mirror` (`Auto`
-/// builds the half mask inside `auto-select`: it is how the decision's
-/// third count is made).
-///
-/// # Errors
-/// [`Error::DimensionMismatch`] unless both operands are square and of
-/// one size; [`Error::DeadlineExceeded`] as [`masked_mxm_with_opts`].
-pub fn oriented_self_product<S: Semiring>(
-    a: &Csr<S::Left>,
-    at: &Csr<S::Right>,
-    phases: Phases,
-    opts: &ExecOpts<'_>,
-) -> Result<Csr<S::Out>, Error> {
-    let n = a.nrows();
-    if (a.ncols(), at.nrows(), at.ncols()) != (n, n, n) {
-        return Err(Error::DimensionMismatch(format!(
-            "a symmetric self-product needs one square size; A is {n}x{}, Aᵀ is {}x{}",
-            a.ncols(),
-            at.nrows(),
-            at.ncols()
-        )));
-    }
-    let half = {
-        let _span = mspgemm_obs::span("oriented-mirror");
-        half_mask(a)
-    };
-    mirrored_half_product::<S>(half, a, at, phases, opts)
-}
-
-/// [`oriented_self_product`] once its half mask is built.
-fn mirrored_half_product<S: Semiring>(
-    half: HalfMask,
-    a: &Csr<S::Left>,
-    at: &Csr<S::Right>,
-    phases: Phases,
-    opts: &ExecOpts<'_>,
-) -> Result<Csr<S::Out>, Error> {
-    let HalfMask { mask, .. } = half;
-    let kernel = InnerKernel::new(at.view(), false);
-    let lower = run_kernel::<S, _, ()>(&mask, a, at, false, phases, &kernel, None, opts)?;
-    drop(mask);
-    let _span = mspgemm_obs::span("oriented-mirror");
-    Ok(mirror(&lower))
-}
-
-/// What [`oriented_self_product`] drives the pull kernel over.
+/// What [`Plan::Oriented`] drives the pull kernel over.
 struct HalfMask {
     /// `{(i, j) ∈ A : (d_j, j) ≤ (d_i, i)}`: every unordered edge once, in
     /// the row with the longer — scattered — side, and the diagonal.
@@ -762,7 +810,7 @@ pub(crate) fn auto_select(out_cols: usize, work: DirectionWork) -> Algorithm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{ExecStats, WsPool};
+    use crate::schedule::WsPool;
     use mspgemm_sparse::semiring::{PlusTimesF64, PlusTimesI64};
 
     /// A symmetric 640-vertex graph skewed enough for the oriented plan to
@@ -809,7 +857,9 @@ mod tests {
     }
 
     /// A CSR's three sections, the values by bits.
-    fn sections(c: &Csr<f64>) -> (Vec<usize>, Vec<Idx>, Vec<u64>) {
+    type Sections = (Vec<usize>, Vec<Idx>, Vec<u64>);
+
+    fn sections(c: &Csr<f64>) -> Sections {
         let bits = c.values().iter().map(|v| v.to_bits()).collect();
         (c.rowptr().to_vec(), c.colidx().to_vec(), bits)
     }
@@ -854,16 +904,8 @@ mod tests {
         let m = Csr::from_dense(&vec![vec![Some(()); 5]; 3], 5);
         let opts = ExecOpts::default();
         let run = |bt: &Csr<i64>, algo| {
-            masked_mxm_with_bt::<PlusTimesI64, ()>(
-                &m,
-                &a,
-                &b,
-                Some(bt),
-                algo,
-                MaskMode::Mask,
-                Phases::One,
-                &opts,
-            )
+            let p = Product::new(&m, &a, &b, Some(bt));
+            masked_mxm::<PlusTimesI64, ()>(&p, algo, &opts).map(|(c, _)| c)
         };
         for algo in [Algorithm::Inner, Algorithm::Msa, Algorithm::Auto] {
             for bad in [&b, &dense(3, 1), &dense(5, 1)] {
@@ -934,10 +976,11 @@ mod tests {
 
     #[test]
     fn symmetric_self_mask_counts_three_directions_off_the_row_pointers() {
-        // M = A = B = Bᵀ, one object: every product `a_ik·b_kj` has its
-        // probe, so push and pull differ by the scatter of the `A` rows
-        // alone and stay a tie that push wins — the `mxm` verb, k-truss's
-        // full product. The oriented count is what can beat both.
+        // A declared self-product, M = A = B = Bᵀ: every product
+        // `a_ik·b_kj` has its probe, so push and pull differ by the scatter
+        // of the `A` rows alone and stay a tie that push wins — the `mxm`
+        // verb, k-truss's full product. The oriented count is what can
+        // beat both.
         let a = hubs_and_leaves();
         assert_eq!(a, transpose(&a));
         let (work, half) = on_two_threads(|| self_product_plan(&a));
@@ -968,9 +1011,9 @@ mod tests {
             .mask
             .iter()
             .all(|(i, j, _)| (degree[j as usize], j as usize) <= (degree[i], i)));
-        // The walked counts — what a distinct-but-equal `bt` gets — agree
-        // on push, stop counting pull once it has lost, and do not know
-        // the third.
+        // The walked counts — what an undeclared product gets — agree on
+        // push, stop counting pull once it has lost, and do not know the
+        // third.
         let (_, walked) = direction_work(&a, &a, &a, Some(&a.clone()), false, true);
         assert_eq!((walked.push, walked.oriented), (work.push, None));
         assert!(walked.pull <= work.pull && !pull_is_cheaper(walked));
@@ -1083,39 +1126,21 @@ mod tests {
     }
 
     #[test]
-    fn auto_choice_rides_in_exec_stats() {
+    fn the_plan_that_ran_comes_back() {
         let (visited, frontier, adj) = bc_level(64, 48, 2);
-        let stats = crate::schedule::ExecStats::new();
-        assert_eq!(stats.auto_choice(), None);
-        let opts = ExecOpts {
-            stats: Some(&stats),
-            ..ExecOpts::default()
-        };
-        let run = |algo| {
-            masked_mxm_with_bt::<PlusTimesI64, ()>(
-                &visited,
-                &frontier,
-                &adj,
-                Some(&adj),
-                algo,
-                MaskMode::Complement,
-                Phases::One,
-                &opts,
-            )
-            .unwrap()
-        };
-        // A named algorithm records nothing; `Auto` what it resolved to.
-        run(Algorithm::Msa);
-        assert_eq!(stats.auto_choice(), None);
-        run(Algorithm::Auto);
-        let choice = stats.auto_choice().expect("Auto ran");
-        assert_eq!(
-            (choice.algo, choice.work.oriented),
-            (Algorithm::Inner, None)
-        );
-        assert_eq!(choice.work.push, 4 * 48 * 64);
-        stats.reset();
-        assert_eq!(stats.auto_choice(), None);
+        let opts = ExecOpts::default();
+        let p = Product::new(&visited, &frontier, &adj, Some(&adj)).with_mode(MaskMode::Complement);
+        let run = |algo| masked_mxm::<PlusTimesI64, ()>(&p, algo, &opts).unwrap();
+        // A named algorithm is its own plan, counted by nobody; `Auto`'s
+        // is what it resolved to, with what it counted.
+        let (want, named) = run(Algorithm::Msa);
+        assert_eq!(named, Plan::Kernel(Algorithm::Msa, None));
+        let (got, plan) = run(Algorithm::Auto);
+        assert_eq!(got, want);
+        let work = plan.work().expect("Auto counted");
+        assert_eq!(plan, Plan::Kernel(Algorithm::Inner, Some(work)));
+        assert_eq!((work.push, work.oriented), (4 * 48 * 64, None));
+        assert_eq!(plan.name(), "Inner");
     }
 
     #[test]
@@ -1126,26 +1151,13 @@ mod tests {
         assert_eq!(names.len(), Algorithm::ALL.len());
     }
 
-    /// `mode(mask) ⊙ (a·b)` on `S` with `bt` supplied, and what `Auto`
-    /// recorded for it (`None` for a named algorithm).
-    #[allow(clippy::too_many_arguments)]
+    /// `p` on `S` under `opts`, and the plan that ran.
     fn product<S: Semiring<Left = f64, Right = f64, Out = f64>>(
-        mask: &Csr<f64>,
-        a: &Csr<f64>,
-        b: &Csr<f64>,
-        bt: &Csr<f64>,
+        p: &Product<'_, f64, f64, f64>,
         algo: Algorithm,
-        mode: MaskMode,
-        phases: Phases,
         opts: &ExecOpts<'_>,
-    ) -> (Csr<f64>, Option<AutoChoice>) {
-        let stats = ExecStats::new();
-        let opts = ExecOpts {
-            stats: Some(&stats),
-            ..*opts
-        };
-        let c = masked_mxm_with_bt::<S, f64>(mask, a, b, Some(bt), algo, mode, phases, &opts);
-        (c.unwrap(), stats.auto_choice())
+    ) -> (Csr<f64>, Plan) {
+        masked_mxm::<S, f64>(p, algo, opts).unwrap()
     }
 
     #[test]
@@ -1155,18 +1167,10 @@ mod tests {
         assert!((0..8).all(|hub| a.row_nnz(hub) >= 630) && a.row_nnz(13) == 0);
         assert!(a.get(41, 41).is_some(), "a self-loop");
         let default = ExecOpts::default();
+        let declared = Product::self_product(&a);
         let named = |algo| {
-            let (c, choice) = product::<PlusTimesF64>(
-                &a,
-                &a,
-                &a,
-                &a,
-                algo,
-                MaskMode::Mask,
-                Phases::One,
-                &default,
-            );
-            assert_eq!(choice, None);
+            let (c, plan) = product::<PlusTimesF64>(&declared, algo, &default);
+            assert_eq!(plan, Plan::Kernel(algo, None));
             sections(&c)
         };
         let want = named(Algorithm::Msa);
@@ -1208,22 +1212,13 @@ mod tests {
                         ws_pool,
                         ..ExecOpts::default()
                     };
-                    let (c, choice) = workers.install(|| {
-                        product::<PlusTimesF64>(
-                            &a,
-                            &a,
-                            &a,
-                            &a,
-                            Algorithm::Auto,
-                            MaskMode::Mask,
-                            phases,
-                            &opts,
-                        )
-                    });
+                    let p = declared.with_phases(phases);
+                    let (c, plan) =
+                        workers.install(|| product::<PlusTimesF64>(&p, Algorithm::Auto, &opts));
                     let what = format!("{threads} threads {phases:?} pooled={}", ws_pool.is_some());
-                    let choice = choice.expect("Auto ran");
-                    assert_eq!(choice.algo, Algorithm::Inner, "{what}");
-                    assert_eq!(choice.work, self_product_plan(&a).0, "{what}");
+                    let work = self_product_plan(&a).0;
+                    assert_eq!(plan, Plan::Oriented(Some(work)), "{what}");
+                    assert_eq!(plan.name(), "oriented pull", "{what}");
                     assert_eq!(sections(&c), want, "{what}");
                 }
             }
@@ -1252,38 +1247,39 @@ mod tests {
     fn every_guard_keeps_a_product_off_the_oriented_path() {
         on_two_threads(|| {
             let a = order_sensitive();
-            let twin = a.clone();
             let opts = ExecOpts::default();
-            // What `Auto` did with one product, checked against MSA's answer.
+            // `Auto`'s plan for `p`, and its answer checked against MSA's.
             fn judged<S: Semiring<Left = f64, Right = f64, Out = f64>>(
-                mask: &Csr<f64>,
-                a: &Csr<f64>,
-                bt: &Csr<f64>,
-                mode: MaskMode,
+                p: &Product<'_, f64, f64, f64>,
                 opts: &ExecOpts<'_>,
-            ) -> AutoChoice {
-                let run = |algo| product::<S>(mask, a, a, bt, algo, mode, Phases::One, opts);
-                let (got, choice) = run(Algorithm::Auto);
-                assert_eq!(sections(&got), sections(&run(Algorithm::Msa).0));
-                choice.expect("Auto ran")
+            ) -> (Plan, Sections) {
+                let (got, plan) = product::<S>(p, Algorithm::Auto, opts);
+                let (want, _) = product::<S>(p, Algorithm::Msa, opts);
+                assert_eq!(sections(&got), sections(&want));
+                (plan, sections(&got))
             }
-            let taken = judged::<PlusTimesF64>(&a, &a, &a, MaskMode::Mask, &opts);
-            assert!(taken.work.oriented.is_some());
-            // An equal `bt`, or an equal mask, that is another object.
-            for choice in [
-                judged::<PlusTimesF64>(&a, &a, &twin, MaskMode::Mask, &opts),
-                judged::<PlusTimesF64>(&twin, &a, &a, MaskMode::Mask, &opts),
-            ] {
-                assert!(choice.work.oriented.is_none());
-                assert_eq!(choice.work.push, taken.work.push);
-            }
+            let (taken, want) = judged::<PlusTimesF64>(&Product::self_product(&a), &opts);
+            let work = taken.work().expect("Auto counted");
+            assert_eq!(taken, Plan::Oriented(Some(work)));
+            // The declaration is what counts, not the object: an equal
+            // but distinct matrix declared runs oriented to the same bits…
+            let twin = a.clone();
+            let declared = judged::<PlusTimesF64>(&Product::self_product(&twin), &opts);
+            assert_eq!(declared, (taken, want));
+            // …and one object handed over four times, undeclared, does not.
+            let undeclared = Product::new(&a, &a, &a, Some(&a));
+            let (plan, _) = judged::<PlusTimesF64>(&undeclared, &opts);
+            let counted = plan.work().expect("Auto counted");
+            assert!(matches!(plan, Plan::Kernel(Algorithm::Msa, _)), "{plan:?}");
+            assert_eq!((counted.push, counted.oriented), (work.push, None));
             // The complement of a symmetric mask is symmetric too, but the
             // half mask has no complemented reading.
-            let choice = judged::<PlusTimesF64>(&a, &a, &a, MaskMode::Complement, &opts);
-            assert!(choice.work.oriented.is_none());
+            let complemented = Product::self_product(&a).with_mode(MaskMode::Complement);
+            let (plan, _) = judged::<PlusTimesF64>(&complemented, &opts);
+            assert!(matches!(plan, Plan::Kernel(..)), "{plan:?}");
             // `a_ik − a_kj` is not `a_jk − a_ki`.
-            let choice = judged::<PlusMinusF64>(&a, &a, &a, MaskMode::Mask, &opts);
-            assert!(choice.work.oriented.is_none());
+            let (plan, _) = judged::<PlusMinusF64>(&Product::self_product(&a), &opts);
+            assert!(matches!(plan, Plan::Kernel(..)), "{plan:?}");
             // A karate-sized product sits under the fixed charge, a long thin
             // ring under the per-entry one: neither is walked, both push.
             let circulant = |n: usize, steps: &[usize]| {
@@ -1300,32 +1296,54 @@ mod tests {
                 (circulant(34, &[1, 2, 5]), true),
                 (circulant(30_000, &[1]), false),
             ] {
-                let choice = judged::<PlusTimesF64>(&graph, &graph, &graph, MaskMode::Mask, &opts);
-                assert_eq!(choice.work.push / 4 < ORIENTED_FIXED_COST, under_fixed);
-                assert_eq!((choice.algo, choice.work.oriented), (Algorithm::Msa, None));
+                let (plan, _) = judged::<PlusTimesF64>(&Product::self_product(&graph), &opts);
+                let work = plan.work().expect("Auto counted");
+                assert_eq!(work.push / 4 < ORIENTED_FIXED_COST, under_fixed);
+                assert_eq!(plan, Plan::Kernel(Algorithm::Msa, Some(work)));
             }
         })
     }
 
     #[test]
-    fn oriented_self_product_checks_its_shapes_and_deadline() {
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a self-product needs A = Aᵀ")]
+    fn declaring_a_one_way_edge_a_self_product_panics() {
+        let one_way = Csr::from_dense(&[vec![None, Some(1i64)], vec![None, None]], 2);
+        let _ = Product::self_product(&one_way);
+    }
+
+    #[test]
+    fn a_forced_oriented_plan_checks_its_declaration_and_deadline() {
         let a = hubs_and_leaves();
-        let wide = Csr::<i64>::empty(640, 641);
         let opts = ExecOpts::default();
-        for (x, y) in [(&a, &wide), (&wide, &a), (&wide, &wide)] {
-            let r = oriented_self_product::<PlusTimesI64>(x, y, Phases::One, &opts);
-            assert!(matches!(r, Err(Error::DimensionMismatch(_))));
-        }
-        let forced = oriented_self_product::<PlusTimesI64>(&a, &a, Phases::Two, &opts);
+        let run = |p: &Product<'_, i64, i64, i64>, plan, opts: &ExecOpts<'_>| {
+            run_plan::<PlusTimesI64, i64>(p, plan, opts)
+        };
+        let declared = Product::self_product(&a).with_phases(Phases::Two);
         assert_eq!(
-            forced,
+            run(&declared, Plan::Oriented(None), &opts),
             mxm(&a.pattern(), &a, &a, Algorithm::Msa, MaskMode::Mask)
         );
+        for refused in [
+            run(
+                &Product::new(&a, &a, &a, Some(&a)),
+                Plan::Oriented(None),
+                &opts,
+            ),
+            run(
+                &declared.with_mode(MaskMode::Complement),
+                Plan::Oriented(None),
+                &opts,
+            ),
+            run(&declared, Plan::Kernel(Algorithm::Auto, None), &opts),
+        ] {
+            assert!(matches!(refused, Err(Error::Unsupported(_))), "{refused:?}");
+        }
         let late = ExecOpts {
             deadline: std::time::Instant::now().checked_sub(std::time::Duration::from_secs(1)),
             ..opts
         };
-        let r = oriented_self_product::<PlusTimesI64>(&a, &a, Phases::One, &late);
+        let r = run(&declared, Plan::Oriented(None), &late);
         assert_eq!(r.unwrap_err(), Error::DeadlineExceeded);
     }
 

@@ -22,9 +22,10 @@
 //! paper's §8 (MCA×complement excepted, as in the paper) — as a row
 //! kernel on the one [`phases::run_kernel`] driver, so [`ExecOpts`]
 //! (workspace pool, stats, deadline) govern all six alike.
-//! [`Algorithm::Auto`] picks per product from counted work — push, pull,
-//! or, for a symmetric self-product `A ⊙ (A·A)`, the pull kernel over
-//! half the mask, mirrored ([`dispatch::oriented_self_product`]).
+//! [`Algorithm::Auto`] picks per [`Product`] from counted work — push,
+//! pull, or, for a declared [`Product::self_product`], the pull kernel
+//! over half the mask, mirrored ([`Plan::Oriented`]) — and [`masked_mxm`]
+//! returns the [`Plan`] that ran.
 //!
 //! ## Quick start
 //!
@@ -60,7 +61,8 @@ pub mod schedule;
 pub mod simd;
 
 pub use dispatch::{
-    masked_mxm_with_bt, masked_mxm_with_opts, Algorithm, DirectionWork, Error, MaskMode,
+    masked_mxm, masked_mxm_with_opts, run_plan, Algorithm, DirectionWork, Error, MaskMode, Plan,
+    Product,
 };
 pub use phases::Phases;
-pub use schedule::{AutoChoice, ExecOpts, ExecStats, ProbeCounts, ProductCounts, WsPool};
+pub use schedule::{ExecOpts, ExecStats, ProbeCounts, ProductCounts, WsPool};

@@ -21,7 +21,7 @@
 //! index-addressed range from a prefix sum, so the output is bit-identical
 //! across thread counts.
 
-use crate::dispatch::Error;
+use crate::dispatch::{Error, Product};
 use crate::schedule::{row_chunks, ExecOpts, ProbeCounts, ProductCounts, WsPool};
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::util::{par_exclusive_prefix_sum, UnsafeSlice};
@@ -344,14 +344,31 @@ where
         .collect()
 }
 
+/// Row `i` of `p` as its kernel sees it; `None` for a row the drive
+/// skips ([`masked_out`]).
+fn row_ctx<'a, S: Semiring, M>(
+    p: &Product<'a, M, S::Left, S::Right>,
+    b: CsrRef<'a, S::Right>,
+    i: usize,
+) -> Option<RowCtx<'a, S>> {
+    let (mask, a) = (p.mask, p.a);
+    (!masked_out(mask, p.complement(), i)).then(|| RowCtx {
+        mask_cols: mask.row_cols(i),
+        a_cols: a.row_cols(i),
+        a_vals: a.row_vals(i),
+        b,
+    })
+}
+
 /// Whether the options' cancellation deadline has passed.
 fn expired(opts: &ExecOpts<'_>) -> bool {
     opts.deadline.is_some_and(|d| Instant::now() >= d)
 }
 
-/// Run a row kernel over all rows with the chosen phase strategy under
-/// the given execution options (workspace pool, busy-time stats,
-/// deadline).
+/// Run a row kernel over all rows of `p` — its mask mode and phase
+/// strategy — under the given execution options (workspace pool,
+/// busy-time stats, deadline). `p`'s `Bᵀ` is not read here: a pull
+/// kernel carries the one it reads.
 ///
 /// The per-row flop count `flops_i = Σ_{A_ik≠0} nnz(B_k*)` is computed at
 /// most once per product: `row_flops` hands it in when the caller already
@@ -364,13 +381,8 @@ fn expired(opts: &ExecOpts<'_>) -> bool {
 /// phase boundary — before any pass starts, or between the symbolic and
 /// numeric passes of a two-phase run. A drive never aborts mid-pass; the
 /// output, when produced, is always complete.
-#[allow(clippy::too_many_arguments)]
 pub fn run_kernel<S, K, M>(
-    mask: &Csr<M>,
-    a: &Csr<S::Left>,
-    b: &Csr<S::Right>,
-    complement: bool,
-    phases: Phases,
+    p: &Product<'_, M, S::Left, S::Right>,
     kernel: &K,
     row_flops: Option<Vec<u64>>,
     opts: &ExecOpts<'_>,
@@ -384,36 +396,23 @@ where
         return Err(Error::DeadlineExceeded);
     }
     let threads = rayon::current_num_threads().max(1);
-    let chunks = row_chunks(mask.nrows(), threads);
-    match phases {
+    let chunks = row_chunks(p.mask.nrows(), threads);
+    match p.phases {
         Phases::One => {
             let flops = row_flops.or_else(|| {
-                complement.then(|| {
+                p.complement().then(|| {
                     let _span = mspgemm_obs::span("flop-prefix");
-                    driven_row_flops(mask, a, b, complement)
+                    driven_row_flops(p.mask, p.a, p.b, true)
                 })
             });
-            run_one_phase(
-                mask,
-                a,
-                b,
-                complement,
-                kernel,
-                flops.as_deref(),
-                &chunks,
-                opts,
-            )
+            run_one_phase(p, kernel, flops.as_deref(), &chunks, opts)
         }
-        Phases::Two => run_two_phase(mask, a, b, complement, kernel, &chunks, opts),
+        Phases::Two => run_two_phase(p, kernel, &chunks, opts),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_one_phase<S, K, M>(
-    mask: &Csr<M>,
-    a: &Csr<S::Left>,
-    b: &Csr<S::Right>,
-    complement: bool,
+    p: &Product<'_, M, S::Left, S::Right>,
     kernel: &K,
     flops: Option<&[u64]>,
     chunks: &[Range<usize>],
@@ -424,10 +423,8 @@ where
     K: RowKernel<S>,
     M: Send + Sync,
 {
-    let nrows = mask.nrows();
-    let ncols = b.ncols();
-    let bv = b.view();
-    let bounds = one_phase_bounds(mask, ncols, complement, flops);
+    let (nrows, ncols, bv) = (p.mask.nrows(), p.b.ncols(), p.b.view());
+    let bounds = one_phase_bounds(p.mask, ncols, p.complement(), flops);
     // Last boundary before the (only) numeric pass: the bound/prefix work
     // above is cheap, the pass below is not.
     if expired(opts) {
@@ -450,14 +447,8 @@ where
         let vw = UnsafeSlice::new(&mut tmp_vals);
         let sw = UnsafeSlice::new(&mut sizes);
         run_rows::<S, K>(chunks, opts, kernel, ncols, |ws, i| {
-            if masked_out(mask, complement, i) {
+            let Some(ctx) = row_ctx(p, bv, i) else {
                 return; // `sizes[i]` stays 0
-            }
-            let ctx = RowCtx::<S> {
-                mask_cols: mask.row_cols(i),
-                a_cols: a.row_cols(i),
-                a_vals: a.row_vals(i),
-                b: bv,
             };
             // SAFETY: prefix-sum offsets make row ranges disjoint, and
             // each row index is claimed by exactly one chunk.
@@ -481,10 +472,7 @@ where
 }
 
 fn run_two_phase<S, K, M>(
-    mask: &Csr<M>,
-    a: &Csr<S::Left>,
-    b: &Csr<S::Right>,
-    complement: bool,
+    p: &Product<'_, M, S::Left, S::Right>,
     kernel: &K,
     chunks: &[Range<usize>],
     opts: &ExecOpts<'_>,
@@ -494,9 +482,7 @@ where
     K: RowKernel<S>,
     M: Send + Sync,
 {
-    let nrows = mask.nrows();
-    let ncols = b.ncols();
-    let bv = b.view();
+    let (nrows, ncols, bv) = (p.mask.nrows(), p.b.ncols(), p.b.view());
     // Symbolic phase: exact per-row sizes.
     let mut sizes = vec![0usize; nrows];
     {
@@ -507,14 +493,8 @@ where
         let _span = mspgemm_obs::span("symbolic");
         let sw = UnsafeSlice::new(&mut sizes);
         run_rows::<S, K>(chunks, opts, kernel, ncols, |ws, i| {
-            if masked_out(mask, complement, i) {
+            let Some(ctx) = row_ctx(p, bv, i) else {
                 return; // `sizes[i]` stays 0
-            }
-            let ctx = RowCtx::<S> {
-                mask_cols: mask.row_cols(i),
-                a_cols: a.row_cols(i),
-                a_vals: a.row_vals(i),
-                b: bv,
             };
             let n = kernel.row_symbolic(ws, ctx);
             // SAFETY: each row index is claimed by exactly one chunk.
@@ -540,14 +520,8 @@ where
         let cw = UnsafeSlice::new(&mut colidx);
         let vw = UnsafeSlice::new(&mut values);
         run_rows::<S, K>(chunks, opts, kernel, ncols, |ws, i| {
-            if masked_out(mask, complement, i) {
+            let Some(ctx) = row_ctx(p, bv, i) else {
                 return;
-            }
-            let ctx = RowCtx::<S> {
-                mask_cols: mask.row_cols(i),
-                a_cols: a.row_cols(i),
-                a_vals: a.row_vals(i),
-                b: bv,
             };
             let len = sizes[i];
             // SAFETY: rowptr ranges are disjoint.

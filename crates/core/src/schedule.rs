@@ -31,7 +31,6 @@
 //! admitted by the mask — the paper's wasted-work figure) beside the
 //! [`ProbeCounts`] the pull kernel keeps (probes made vs. hit).
 
-use crate::dispatch::{Algorithm, DirectionWork};
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -214,20 +213,6 @@ impl ProbeCounts {
     }
 }
 
-/// What [`Algorithm::Auto`] resolved to for one product, with the counted
-/// work it compared.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AutoChoice {
-    /// The concrete algorithm that ran.
-    pub algo: Algorithm,
-    /// Push products against pull probes, as counted for the decision. A
-    /// product that ran as
-    /// [`oriented_self_product`](crate::dispatch::oriented_self_product)
-    /// — `algo` is then the pull kernel, over half the mask — carries its
-    /// third count, [`DirectionWork::oriented`]; no other product does.
-    pub work: DirectionWork,
-}
-
 /// Per-executor busy-time accounting for the row loops.
 ///
 /// Each executor workspace lease accumulates the wall-clock seconds its
@@ -251,8 +236,6 @@ pub struct ExecStats {
     /// Pull probes made / hit, summed over every lease reported.
     probes: AtomicU64,
     hits: AtomicU64,
-    /// The latest `Auto` resolution recorded.
-    auto: Mutex<Option<AutoChoice>>,
 }
 
 impl ExecStats {
@@ -295,17 +278,6 @@ impl ExecStats {
         }
     }
 
-    /// Report what `Auto` resolved to for the product about to run.
-    pub(crate) fn record_auto(&self, choice: AutoChoice) {
-        *relock(&self.auto) = Some(choice);
-    }
-
-    /// The most recent product's `Auto` resolution; `None` when no
-    /// recorded product asked for [`Algorithm::Auto`].
-    pub fn auto_choice(&self) -> Option<AutoChoice> {
-        *relock(&self.auto)
-    }
-
     /// Close the drive in flight: rank-fold its per-lease spans into the
     /// cross-drive buckets.
     pub(crate) fn fold_drive(&self) {
@@ -338,7 +310,6 @@ impl ExecStats {
         self.admitted.store(0, Ordering::Relaxed);
         self.probes.store(0, Ordering::Relaxed);
         self.hits.store(0, Ordering::Relaxed);
-        *relock(&self.auto) = None;
     }
 }
 

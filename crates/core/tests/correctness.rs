@@ -380,7 +380,7 @@ fn baselines_match_reference() {
 }
 
 #[test]
-fn masked_mxm_with_bt_matches() {
+fn a_supplied_bt_matches() {
     let mut rng = StdRng::seed_from_u64(23);
     let a = random_csr(20, 14, 0.3, &mut rng);
     let b = random_csr(14, 17, 0.3, &mut rng);
@@ -389,17 +389,12 @@ fn masked_mxm_with_bt_matches() {
     for mode in [MaskMode::Mask, MaskMode::Complement] {
         let want = reference::<PlusTimesI64>(&mask, &a, &b, mode == MaskMode::Complement);
         for phases in [Phases::One, Phases::Two] {
-            let via_bt = masked_spgemm::masked_mxm_with_bt::<PlusTimesI64, ()>(
-                &mask,
-                &a,
-                &b,
-                Some(&bt),
-                Algorithm::Inner,
-                mode,
-                phases,
-                &ExecOpts::default(),
-            )
-            .unwrap();
+            let p = masked_spgemm::Product::new(&mask, &a, &b, Some(&bt))
+                .with_mode(mode)
+                .with_phases(phases);
+            let opts = ExecOpts::default();
+            let (via_bt, _) =
+                masked_spgemm::masked_mxm::<PlusTimesI64, ()>(&p, Algorithm::Inner, &opts).unwrap();
             assert_eq!(via_bt, want, "{mode:?} {phases:?}");
         }
     }

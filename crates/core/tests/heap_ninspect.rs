@@ -7,7 +7,7 @@
 use masked_spgemm::algos::heap::HeapKernel;
 use masked_spgemm::algos::msa::MsaKernel;
 use masked_spgemm::phases::{run_kernel, Phases, RowKernel};
-use masked_spgemm::ExecOpts;
+use masked_spgemm::{ExecOpts, MaskMode, Product};
 use mspgemm_harness::csr_fingerprint;
 use mspgemm_sparse::semiring::PlusTimesF64;
 use mspgemm_sparse::Csr;
@@ -46,17 +46,14 @@ fn product<K: RowKernel<PlusTimesF64>>(
     phases: Phases,
     kernel: &K,
 ) -> Csr<f64> {
-    run_kernel::<PlusTimesF64, _, ()>(
-        mask,
-        a,
-        b,
-        complement,
-        phases,
-        kernel,
-        None,
-        &ExecOpts::default(),
-    )
-    .unwrap()
+    let mode = match complement {
+        true => MaskMode::Complement,
+        false => MaskMode::Mask,
+    };
+    let p = Product::new(mask, a, b, None)
+        .with_mode(mode)
+        .with_phases(phases);
+    run_kernel::<PlusTimesF64, _, ()>(&p, kernel, None, &ExecOpts::default()).unwrap()
 }
 
 /// The plain merge (`NInspect` 0), Heap (1) and HeapDot (∞) × normal /

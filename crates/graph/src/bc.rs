@@ -45,7 +45,7 @@
 //! would be discarded.
 
 use crate::scheme::Scheme;
-use masked_spgemm::{ExecOpts, MaskMode, WsPool};
+use masked_spgemm::{ExecOpts, MaskMode, Product, WsPool};
 use mspgemm_sparse::semiring::PlusTimesF64;
 use mspgemm_sparse::{transpose, Csr, Idx};
 use std::time::Instant;
@@ -140,14 +140,10 @@ pub fn betweenness_with_transpose(
     loop {
         let _span = mspgemm_obs::span("bc-forward-level");
         let t0 = Instant::now();
-        let next: Csr<f64> = scheme.run_with::<PlusTimesF64, ()>(
-            &visited,
-            &levels[levels.len() - 1],
-            adj,
-            Some(adj_t), // a pull level reads Bᵀ = Aᵀ
-            MaskMode::Complement,
-            opts,
-        );
+        // A pull level reads Bᵀ = Aᵀ.
+        let frontier = Product::new(&visited, &levels[levels.len() - 1], adj, Some(adj_t));
+        let next: Csr<f64> =
+            scheme.run_with::<PlusTimesF64, ()>(&frontier.with_mode(MaskMode::Complement), opts);
         mxm_seconds += t0.elapsed().as_secs_f64();
         if next.nnz() == 0 {
             break;
@@ -171,14 +167,8 @@ pub fn betweenness_with_transpose(
         }
         // W' = ⟨σ_{d-1}⟩ (W_d · Aᵀ) — plain masked SpGEMM.
         let t0 = Instant::now();
-        let w2: Csr<f64> = scheme.run_with::<PlusTimesF64, f64>(
-            &levels[d - 1],
-            &levels[d],
-            adj_t,
-            Some(adj), // (Aᵀ)ᵀ
-            MaskMode::Mask,
-            opts,
-        );
+        let product = Product::new(&levels[d - 1], &levels[d], adj_t, Some(adj)); // (Aᵀ)ᵀ
+        let w2: Csr<f64> = scheme.run_with::<PlusTimesF64, f64>(&product, opts);
         mxm_seconds += t0.elapsed().as_secs_f64();
         bcu = fold_dependencies(&levels[d - 1], &w2, &mut scores);
     }

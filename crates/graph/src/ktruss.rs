@@ -10,7 +10,7 @@
 //! closed no triangle.
 
 use crate::scheme::Scheme;
-use masked_spgemm::{ExecOpts, MaskMode, WsPool};
+use masked_spgemm::{ExecOpts, Product, WsPool};
 use mspgemm_sparse::ops::select::{restrict_rows, select};
 use mspgemm_sparse::semiring::PlusPairU64;
 use mspgemm_sparse::{Csr, Idx};
@@ -78,7 +78,13 @@ pub fn k_truss_with(adj: &Csr<f64>, k: usize, scheme: Scheme, opts: &ExecOpts<'_
     let (mut flops, mut restricted_flops) = (0u64, 0u64);
     let truss = loop {
         let _span = mspgemm_obs::span("ktruss-iter");
-        let mask = kept.as_ref().map_or(&a, |(_, recount)| recount);
+        // The full count is `A ⊙ (A·A)` of a symmetric `A`, declared so;
+        // a recount's mask is the edges the last prune touched.
+        let product = match &kept {
+            None => Product::self_product(&a),
+            Some((_, recount)) => Product::new(recount, &a, &a, Some(&a)),
+        };
+        let mask = product.operands().0;
         iterations += 1;
         let row_flops = a.row_flops_with(&a);
         let round_flops = 2
@@ -91,8 +97,7 @@ pub fn k_truss_with(adj: &Csr<f64>, k: usize, scheme: Scheme, opts: &ExecOpts<'_
             restricted_flops += round_flops;
         }
         let t0 = Instant::now();
-        let counted: Csr<u64> =
-            scheme.run_with::<PlusPairU64, ()>(mask, &a, &a, Some(&a), MaskMode::Mask, opts);
+        let counted: Csr<u64> = scheme.run_with::<PlusPairU64, ()>(&product, opts);
         mxm_seconds += t0.elapsed().as_secs_f64();
         // An edge the first count leaves out closes no triangle: dropping
         // it moves no support, so the count itself is the first state.
@@ -220,14 +225,9 @@ mod tests {
         let mut products = 0;
         loop {
             products += 1;
-            let support: Csr<u64> = scheme.run_with::<PlusPairU64, ()>(
-                &a,
-                &a,
-                &a,
-                None,
-                MaskMode::Mask,
-                &ExecOpts::default(),
-            );
+            let product = Product::new(&a, &a, &a, None);
+            let support: Csr<u64> =
+                scheme.run_with::<PlusPairU64, ()>(&product, &ExecOpts::default());
             let kept = select(&support, |_, _, s| *s >= threshold);
             if kept.nnz() == a.nnz() || kept.nnz() == 0 {
                 return (kept, products);
@@ -427,14 +427,8 @@ mod tests {
         edges.push((1, 4));
         let g = graph_from_edges(7, &edges);
         let a = g.pattern();
-        let first = msa_1p().run_with::<PlusPairU64, ()>(
-            &a,
-            &a,
-            &a,
-            None,
-            MaskMode::Mask,
-            &ExecOpts::default(),
-        );
+        let product = Product::new(&a, &a, &a, None);
+        let first = msa_1p().run_with::<PlusPairU64, ()>(&product, &ExecOpts::default());
         assert_eq!(first.row_vals(0), [3, 2, 2, 3, 2, 2], "before the prune");
         let mask = affected_edges(&first, 2);
         assert_eq!(mask.rowptr(), &[0, 2, 3, 3, 3, 4, 4, 4]);

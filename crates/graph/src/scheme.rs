@@ -1,7 +1,7 @@
 //! The evaluation "schemes" of §8: our 12 algorithm variants
 //! (6 algorithms × 1P/2P) plus the two SuiteSparse-modelled baselines.
 
-use masked_spgemm::{baseline, masked_mxm_with_bt, Algorithm, ExecOpts, MaskMode, Phases};
+use masked_spgemm::{baseline, masked_mxm, Algorithm, ExecOpts, Phases, Product};
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::Csr;
 
@@ -57,12 +57,13 @@ impl Scheme {
         }
     }
 
-    /// Execute the masked product under `opts` (workspace pool,
-    /// busy-time stats, deadline): they govern all of our schemes;
-    /// the SuiteSparse-style baselines ignore them, mirroring what the
-    /// libraries expose. `bt` (`Bᵀ` in CSR) amortizes the transpose
-    /// whenever our pull kernel runs — named, or picked by `Auto` —
-    /// mirroring the paper's Inner setup; `SS:DOT` ignores it and
+    /// Execute the masked product `p` under this scheme's phase strategy
+    /// (`p`'s own is not read) and `opts` (workspace pool, busy-time
+    /// stats, deadline): they govern all of our schemes; the
+    /// SuiteSparse-style baselines read `p`'s mask, operands and mode and
+    /// ignore the rest, mirroring what the libraries expose. `p`'s `Bᵀ`
+    /// amortizes the transpose whenever our pull kernel runs — named, or
+    /// picked by `Auto` — mirroring the paper's Inner setup; `SS:DOT`
     /// re-transposes internally, the library behaviour §8.4 calls out.
     ///
     /// # Panics
@@ -70,21 +71,19 @@ impl Scheme {
     /// complemented mask, an expired [`ExecOpts::deadline`].
     pub fn run_with<S, M>(
         &self,
-        mask: &Csr<M>,
-        a: &Csr<S::Left>,
-        b: &Csr<S::Right>,
-        bt: Option<&Csr<S::Right>>,
-        mode: MaskMode,
+        p: &Product<'_, M, S::Left, S::Right>,
         opts: &ExecOpts<'_>,
     ) -> Csr<S::Out>
     where
         S: Semiring,
         M: Send + Sync,
     {
+        let (mask, a, b, mode) = p.operands();
         match *self {
             Scheme::Ours(algo, phases) => {
-                masked_mxm_with_bt::<S, M>(mask, a, b, bt, algo, mode, phases, opts)
+                masked_mxm::<S, M>(&p.with_phases(phases), algo, opts)
                     .expect("masked mxm failed")
+                    .0
             }
             Scheme::SsSaxpy => baseline::ss_saxpy_like::<S, M>(mask, a, b, mode),
             Scheme::SsDot => baseline::ss_dot_like::<S, M>(mask, a, b, mode),
@@ -171,30 +170,15 @@ mod tests {
         let mask = Csr::from_dense(&md, n);
         let auto = Scheme::Ours(Algorithm::Auto, Phases::One);
         let opts = ExecOpts::default();
-        let with_bt = auto.run_with::<PlusTimesI64, ()>(
-            &mask,
-            &ones,
-            &ones,
-            Some(&twos),
-            MaskMode::Mask,
-            &opts,
-        );
-        let want = masked_mxm_with_bt::<PlusTimesI64, ()>(
-            &mask,
-            &ones,
-            &ones,
-            Some(&twos),
-            Algorithm::Inner,
-            MaskMode::Mask,
-            Phases::One,
-            &opts,
-        )
-        .unwrap();
+        let p = Product::new(&mask, &ones, &ones, Some(&twos));
+        let with_bt = auto.run_with::<PlusTimesI64, ()>(&p, &opts);
+        let (want, plan) = masked_mxm::<PlusTimesI64, ()>(&p, Algorithm::Inner, &opts).unwrap();
+        assert_eq!(plan, masked_spgemm::Plan::Kernel(Algorithm::Inner, None));
         assert_eq!(with_bt, want);
         assert_eq!(with_bt.get(3, 5), Some(&(2 * n as i64)));
         // Without a `bt` the same call is the product with `b`.
-        let without =
-            auto.run_with::<PlusTimesI64, ()>(&mask, &ones, &ones, None, MaskMode::Mask, &opts);
+        let p = Product::new(&mask, &ones, &ones, None);
+        let without = auto.run_with::<PlusTimesI64, ()>(&p, &opts);
         assert_eq!(without.get(3, 5), Some(&(n as i64)));
     }
 

@@ -4,7 +4,7 @@
 //! plus a reduction, on the `plus_pair` semiring.
 
 use crate::scheme::Scheme;
-use masked_spgemm::{ExecOpts, MaskMode};
+use masked_spgemm::{ExecOpts, Product};
 use mspgemm_sparse::ops::permute::{degree_descending_permutation, permute_symmetric};
 use mspgemm_sparse::ops::reduce::reduce_rows;
 use mspgemm_sparse::ops::select::{restrict_rows, tril_strict};
@@ -115,14 +115,8 @@ fn masked_rows(
     opts: &ExecOpts<'_>,
 ) -> (Vec<u64>, f64) {
     let t0 = Instant::now();
-    let c = scheme.run_with::<PlusPairU64, ()>(
-        mask,
-        &ops.l,
-        &ops.l,
-        Some(&ops.lt),
-        MaskMode::Mask,
-        opts,
-    );
+    let product = Product::new(mask, &ops.l, &ops.l, Some(&ops.lt));
+    let c = scheme.run_with::<PlusPairU64, ()>(&product, opts);
     let secs = t0.elapsed().as_secs_f64();
     (reduce_rows(&c, 0u64, |acc, v| acc + v), secs)
 }

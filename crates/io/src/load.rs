@@ -332,8 +332,8 @@ pub fn adjacency_delta(a: &Csr<f64>, changed: &[(Idx, Idx)]) -> Overlay<f64> {
 /// `transposed` (= `matrixᵀ`) unless it is `matrix` over again — same
 /// pattern, same values bit for bit (`-0.0` is not `0.0` here: a
 /// product's fingerprint hashes bits). `None` says `matrix` is its own
-/// transpose, which is what lets a caller hand `matrix` itself to
-/// `masked_mxm_with_bt` as `Bᵀ` and so declare a symmetric self-product.
+/// transpose, which is what lets a caller declare its square a
+/// self-product (`masked_spgemm::Product::self_product`).
 /// A kept transpose of a pattern-loaded `matrix` is all-ones too, so its
 /// values are pointed at the process-wide unit arena.
 pub fn distinct_transpose(matrix: &Csr<f64>, mut transposed: Csr<f64>) -> Option<Csr<f64>> {

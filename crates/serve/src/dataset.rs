@@ -8,9 +8,10 @@
 //! * the raw matrix as loaded (the `mxm` verb squares it under its own
 //!   pattern as the mask, mirroring `mxm run`) and its transpose (the
 //!   pre-computed `Bᵀ` that the pull-based Inner scheme consumes) — which
-//!   a symmetric matrix is itself, so a symmetric snapshot stores none
-//!   and [`Dataset::bt`] hands out the matrix: the identity that lets
-//!   `Auto` compute the self-product once per edge, as `mxm run` does;
+//!   a symmetric matrix is itself, so a symmetric snapshot stores none,
+//!   [`Dataset::bt`] hands out the matrix, and the `mxm` verb declares
+//!   its product a self-product (`Dataset::mxm_product`) so `Auto` may
+//!   compute it once per edge, as `mxm run` does;
 //! * the normalized undirected adjacency (what the TC / k-truss / BC
 //!   applications consume);
 //! * lazily, the relabeled triangle-counting operands and the per-row
@@ -57,7 +58,7 @@
 //! snapshot holds at most one product. A loaded snapshot that is never
 //! updated keeps none.
 
-use masked_spgemm::{masked_mxm_with_bt, Algorithm, Error, ExecOpts, MaskMode, Phases};
+use masked_spgemm::{masked_mxm, Algorithm, Error, ExecOpts, Phases, Plan, Product};
 use mspgemm_graph::tricount::{self, TcOperands};
 use mspgemm_graph::Scheme;
 use mspgemm_io::{
@@ -160,14 +161,22 @@ impl<T: ?Sized> Seed<T> {
     }
 }
 
-/// One normal-mask product of a snapshot, as the `mxm` verb answers it.
-pub(crate) struct Product {
-    /// `pattern(A) ⊙ (A·A)`.
+/// One product of a snapshot, as the `mxm` verb answers it.
+pub(crate) struct MxmAnswer {
+    /// `pattern(A) ⊙ (A·A)`, or its complement.
     pub csr: Arc<Csr<f64>>,
     /// Wall-clock seconds: the kernel's best run, or the whole patch.
     pub seconds: f64,
+    /// The plan the kernel ran; `None` when the seed's product was
+    /// patched instead.
+    pub plan: Option<Plan>,
+}
+
+impl MxmAnswer {
     /// Whether the seed's product was patched instead of a kernel run.
-    pub incremental: bool,
+    pub fn incremental(&self) -> bool {
+        self.plan.is_none()
+    }
 }
 
 /// What one `app tc` pass over a snapshot found and did.
@@ -332,11 +341,23 @@ impl Dataset {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// `matrixᵀ` in CSR — the `Bᵀ` of the `mxm` verb. For a symmetric
-    /// snapshot this *is* [`Self::matrix`], the same object: the identity
-    /// `masked_mxm_with_bt` reads as `A = Aᵀ`.
+    /// `matrixᵀ` in CSR — the `Bᵀ` of the `mxm` verb. A symmetric
+    /// snapshot stores no second copy: this is [`Self::matrix`] itself.
     pub fn bt(&self) -> &Csr<f64> {
         self.matrix_t.as_ref().unwrap_or(&self.matrix)
+    }
+
+    /// The `mxm` verb's product `pattern(A) ⊙ (A·A)` under a normal mask
+    /// and one phase. Masks are structural, so the matrix masks itself,
+    /// and [`Self::bt`] spares the pull kernel its transpose. A symmetric
+    /// snapshot declares it a self-product, which is how `auto` learns it
+    /// may compute each edge of the product once.
+    pub(crate) fn mxm_product(&self) -> Product<'_, f64, f64, f64> {
+        let m = &self.matrix;
+        match self.symmetric() {
+            true => Product::self_product(m),
+            false => Product::new(m, m, m, Some(self.bt())),
+        }
     }
 
     /// Whether the matrix equals its transpose, pattern and values (by
@@ -401,7 +422,7 @@ impl Dataset {
     ///
     /// With `patch` set, the first product of a seeded snapshot patches
     /// the seed's ([`Self::patched_product`]); every other one is what
-    /// `kernel` computes (its product and seconds). Either way the first
+    /// `kernel` computes (its seconds, product and plan). Either way the first
     /// normal-mask product takes the seed — a failed one drops it, and the
     /// next runs the kernel — and, on an updated snapshot, is kept for the
     /// successor's seed. A loaded snapshot keeps nothing, so a dataset that
@@ -411,25 +432,25 @@ impl Dataset {
         patch: bool,
         phases: Phases,
         opts: &ExecOpts<'_>,
-        kernel: impl FnOnce() -> Result<(f64, Csr<f64>), Error>,
-    ) -> Result<Product, Error> {
+        kernel: impl FnOnce() -> Result<(f64, (Csr<f64>, Plan)), Error>,
+    ) -> Result<MxmAnswer, Error> {
         let seed = self.product_seed().take();
         let out = match seed {
             Some(seed) if patch => {
                 let t0 = Instant::now();
                 let csr = self.patched_product(&seed, phases, opts)?;
-                Product {
+                MxmAnswer {
                     csr,
                     seconds: t0.elapsed().as_secs_f64(),
-                    incremental: true,
+                    plan: None,
                 }
             }
             _ => {
-                let (seconds, csr) = kernel()?;
-                Product {
+                let (seconds, (csr, plan)) = kernel()?;
+                MxmAnswer {
                     csr: Arc::new(csr),
                     seconds,
-                    incremental: false,
+                    plan: Some(plan),
                 }
             }
         };
@@ -464,16 +485,9 @@ impl Dataset {
             .copied()
             .filter(|&(i, j)| a.get(i as usize, j).is_some())
             .collect();
-        let recomputed = masked_mxm_with_bt::<PlusTimesF64, ()>(
-            &pattern_at(a.nrows(), a.ncols(), &stored),
-            a,
-            a,
-            Some(self.bt()),
-            Algorithm::Auto,
-            MaskMode::Mask,
-            phases,
-            opts,
-        )?;
+        let mask = pattern_at(a.nrows(), a.ncols(), &stored);
+        let product = Product::new(&mask, a, a, Some(self.bt())).with_phases(phases);
+        let (recomputed, _) = masked_mxm::<PlusTimesF64, ()>(&product, Algorithm::Auto, opts)?;
         let mut delta = Overlay::new(a.nrows(), a.ncols());
         for &(i, j) in &entries {
             delta.set(i, j, recomputed.get(i as usize, j).copied());
@@ -651,26 +665,21 @@ mod tests {
         ds.triangle_count(SCHEME, &ExecOpts::default())
     }
 
-    /// A fresh `auto` product of `ds`'s matrix, as the `mxm` verb runs it.
+    /// A fresh `auto` product of `ds`'s matrix, as the `mxm` verb runs
+    /// it, and its plan.
+    fn fresh_run(ds: &Dataset) -> (Csr<f64>, Plan) {
+        let opts = ExecOpts::default();
+        masked_mxm::<PlusTimesF64, f64>(&ds.mxm_product(), Algorithm::Auto, &opts).unwrap()
+    }
+
     fn fresh(ds: &Dataset) -> Csr<f64> {
-        let m = &ds.matrix;
-        masked_mxm_with_bt::<PlusTimesF64, f64>(
-            m,
-            m,
-            m,
-            Some(ds.bt()),
-            Algorithm::Auto,
-            MaskMode::Mask,
-            Phases::One,
-            &ExecOpts::default(),
-        )
-        .unwrap()
+        fresh_run(ds).0
     }
 
     /// One default `mxm` against `ds`: a patch where it is seeded, else
-    /// [`fresh`].
-    fn product(ds: &Dataset) -> Product {
-        let kernel = || Ok((0.0, fresh(ds)));
+    /// [`fresh_run`].
+    fn product(ds: &Dataset) -> MxmAnswer {
+        let kernel = || Ok((0.0, fresh_run(ds)));
         ds.normal_product(true, Phases::One, &ExecOpts::default(), kernel)
             .unwrap()
     }
@@ -678,10 +687,10 @@ mod tests {
     /// One default `mxm` landed on `ds`: patched exactly when `ds` was
     /// seeded, equal to a fresh product by bits, and kept on an updated
     /// snapshot only.
-    fn land(ds: &Dataset) -> Result<Product, TestCaseError> {
+    fn land(ds: &Dataset) -> Result<MxmAnswer, TestCaseError> {
         let seeded = ds.product_seed().is_some();
         let got = product(ds);
-        prop_assert_eq!(got.incremental, seeded);
+        prop_assert_eq!(got.incremental(), seeded);
         prop_assert!(same_bits(&got.csr, &fresh(ds)));
         prop_assert!(ds.product_seed().is_none(), "the seed is single-use");
         prop_assert_eq!(ds.product.get().is_some(), ds.version > 0);
@@ -1017,11 +1026,11 @@ mod tests {
 
     /// An updated snapshot of [`triangle_graph`] (an overwrite of 3–4
     /// with its own value) holding its product, entry (1, 2) = 2.
-    fn kept_product(tag: &str) -> (Dataset, Product) {
+    fn kept_product(tag: &str) -> (Dataset, MxmAnswer) {
         let v0 = triangle_graph(tag);
         let v1 = updated(&v0, &[upsert((3, 4), 1.0), upsert((4, 3), 1.0)]);
         let kept = product(&v1);
-        assert!(!kept.incremental, "v0 keeps no product to seed from");
+        assert!(!kept.incremental(), "v0 keeps no product to seed from");
         assert_eq!(kept.csr.get(1, 2), Some(&2.0));
         (v1, kept)
     }
@@ -1041,7 +1050,7 @@ mod tests {
             "{reach:?}"
         );
         let patched = product(&v2);
-        assert!(patched.incremental);
+        assert!(patched.incremental());
         assert_eq!(patched.csr.get(1, 2), Some(&1.0));
         assert!(same_bits(&patched.csr, &fresh(&v2)));
     }
@@ -1057,7 +1066,7 @@ mod tests {
         let logged = v3.product_seed().as_ref().map(|seed| seed.changed.clone());
         assert_eq!(logged.as_deref(), Some(&TRIANGLE_EDGES[..]));
         let patched = product(&v3);
-        assert!(patched.incremental);
+        assert!(patched.incremental());
         assert_eq!(patched.csr.get(1, 2), Some(&1.0));
         assert!(same_bits(&patched.csr, &fresh(&v3)));
     }
@@ -1069,7 +1078,7 @@ mod tests {
         let (v1, kept) = kept_product("tri_compact");
         let v2 = updated(&v1, &[]);
         let patched = product(&v2);
-        assert!(patched.incremental);
+        assert!(patched.incremental());
         assert!(Arc::ptr_eq(&patched.csr, &kept.csr));
         assert!(Arc::ptr_eq(v2.product.get().unwrap(), &kept.csr));
     }
@@ -1090,7 +1099,7 @@ mod tests {
         let v0 = Dataset::load(mtx.to_str().unwrap(), None, &off).unwrap();
         let loaded = v0.mem_bytes();
         for _ in 0..3 {
-            assert!(!product(&v0).incremental);
+            assert!(!product(&v0).incremental());
             assert_eq!(v0.mem_bytes(), loaded);
         }
         // Overwrites of one stored edge, both orientations: every section
@@ -1113,7 +1122,7 @@ mod tests {
             "seeded, not doubled"
         );
         let patched = product(&v2);
-        assert!(patched.incremental);
+        assert!(patched.incremental());
         assert_eq!(
             v2.mem_bytes(),
             bare + bytes(&patched.csr),

@@ -9,7 +9,7 @@
 //! only read the shared [`ServerState`] and render wire shapes, so a
 //! response field is spelled in exactly one place.
 
-use crate::dataset::{Dataset, Product};
+use crate::dataset::{Dataset, MxmAnswer};
 use crate::json::Json;
 use crate::protocol::{
     ok_response, AppParams, ErrorCode, HeavyRequest, LoadParams, MetricsFormat, MxmParams, Reject,
@@ -17,7 +17,7 @@ use crate::protocol::{
 };
 use crate::registry::{DatasetInfo, RegistryError};
 use crate::server::ServerState;
-use masked_spgemm::{masked_mxm_with_bt, Algorithm, ExecOpts, MaskMode, Phases};
+use masked_spgemm::{masked_mxm, Algorithm, ExecOpts, MaskMode, Phases};
 use mspgemm_graph::{bc, ktruss, App};
 use mspgemm_harness::{
     best_of, busy_spread, csr_fingerprint, gflops, mb_per_s, with_threads, BusySpread,
@@ -25,7 +25,6 @@ use mspgemm_harness::{
 use mspgemm_io::LoadOpts;
 use mspgemm_obs::{HistSnapshot, Series};
 use mspgemm_sparse::semiring::PlusTimesF64;
-use mspgemm_sparse::Csr;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -232,42 +231,28 @@ fn mxm(
     let ds = state.registry.get(name).map_err(reg_err)?;
     let opts = exec_opts(state, deadline);
     let pool_mark = (state.ws_pool.hits(), state.ws_pool.misses());
-    // Masks are structural, so the matrix masks itself; the snapshot's
-    // `Bᵀ` spares the pull kernel its transpose, named or `auto`-picked —
-    // and is `ds.matrix` itself when that is symmetric, which is how
-    // `auto` learns it may compute each edge of the product once.
-    let run_one = || -> Result<Csr<f64>, masked_spgemm::Error> {
-        masked_mxm_with_bt::<PlusTimesF64, f64>(
-            &ds.matrix,
-            &ds.matrix,
-            &ds.matrix,
-            Some(ds.bt()),
-            p.algo,
-            p.mode,
-            p.phases,
-            &opts,
-        )
-    };
+    let product = ds.mxm_product().with_mode(p.mode).with_phases(p.phases);
+    let run_one = || masked_mxm::<PlusTimesF64, f64>(&product, p.algo, &opts);
     // Exactly `reps` kernel runs (decode clamps `reps >= 1`), no warm-up:
     // a request costs what it asked for, and reports its best run.
     let kernel = || best_of(p.reps, run_one);
     // Only a default-shaped request may be answered by a patch: a named
     // `algo` or `reps > 1` asks for the kernel itself.
     let patch = p.algo == Algorithm::Auto && p.reps == 1;
-    let product = on_threads(p.threads, || match p.mode {
+    let answer = on_threads(p.threads, || match p.mode {
         MaskMode::Mask => ds.normal_product(patch, p.phases, &opts, kernel),
-        MaskMode::Complement => kernel().map(|(seconds, c)| Product {
+        MaskMode::Complement => kernel().map(|(seconds, (c, plan))| MxmAnswer {
             csr: Arc::new(c),
             seconds,
-            incremental: false,
+            plan: Some(plan),
         }),
     })
     .map_err(|e: masked_spgemm::Error| match e {
         masked_spgemm::Error::DeadlineExceeded => (ErrorCode::DeadlineExceeded, e.to_string()),
         other => (ErrorCode::ExecFailed, other.to_string()),
     })?;
-    let (c, secs) = (&*product.csr, product.seconds);
-    if product.incremental {
+    let (c, secs) = (&*answer.csr, answer.seconds);
+    if answer.incremental() {
         state
             .metrics
             .counter("incremental_total", &[("verb", "mxm")])
@@ -277,6 +262,14 @@ fn mxm(
         ("op", Json::str("mxm")),
         ("dataset", Json::str(&ds.name)),
         ("algo", Json::str(p.algo.name())),
+        // What ran: `algo` itself, or what `auto` chose; `null` for a
+        // patch.
+        (
+            "plan",
+            answer
+                .plan
+                .map_or(Json::Null, |plan| Json::str(plan.name())),
+        ),
         (
             "mask",
             Json::str(match p.mode {
@@ -295,12 +288,12 @@ fn mxm(
             "gflops",
             // A patch forms a sliver of the products: no honest FLOP
             // denominator, as for an incremental `tc`.
-            match product.incremental {
+            match answer.incremental() {
                 true => Json::Null,
                 false => gflops(ds.mxm_flops, secs).into(),
             },
         ),
-        ("incremental", product.incremental.into()),
+        ("incremental", answer.incremental().into()),
         ("nnz", c.nnz().into()),
         (
             "fingerprint",

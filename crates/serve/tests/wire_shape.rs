@@ -49,6 +49,7 @@ const MXM_KEYS: &[&str] = &[
     "op",
     "dataset",
     "algo",
+    "plan",
     "mask",
     "phases",
     "threads",

@@ -25,19 +25,13 @@ fn main() {
     let mut push_won_somewhere = false;
     for mask_degree in [1usize, 2, 4, 8, 16, 32, 64, 128] {
         let mask = mspgemm::gen::er_pattern(n, n, mask_degree, 3);
+        let product = Product::new(&mask, &a, &b, Some(&bt));
         let run = |algo| {
             time_best(2, || {
-                masked_mxm_with_bt::<PlusTimesF64, ()>(
-                    &mask,
-                    &a,
-                    &b,
-                    Some(&bt),
-                    algo,
-                    MaskMode::Mask,
-                    Phases::One,
-                    &ExecOpts::default(),
-                )
-                .unwrap()
+                let opts = ExecOpts::default();
+                masked_mxm::<PlusTimesF64, ()>(&product, algo, &opts)
+                    .unwrap()
+                    .0
             })
         };
         let (push_s, push_c) = run(Algorithm::Msa);
