@@ -241,11 +241,14 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     }
     writeln!(out, "{}", simd_line()).map_err(|e| e.to_string())?;
+    let fingerprint = {
+        let _span = mspgemm_obs::span("fingerprint");
+        mspgemm_harness::csr_fingerprint(&c)
+    };
     writeln!(
         out,
-        "output   : nnz {}, fingerprint {:016x}",
+        "output   : nnz {}, fingerprint {fingerprint:016x}",
         c.nnz(),
-        mspgemm_harness::csr_fingerprint(&c)
     )
     .map_err(|e| e.to_string())?;
     writeln!(out, "time     : {:.6} s (best of {reps})", secs).map_err(|e| e.to_string())?;
@@ -804,6 +807,7 @@ mod tests {
         assert!(j.starts_with("{\"traceEvents\":["), "{j}");
         assert!(j.contains("\"ingest\""), "ingest span must be covered: {j}");
         assert!(j.contains("\"numeric\""), "{j}");
+        assert!(j.contains("\"fingerprint\""), "{j}");
         assert!(j.contains("\"ph\":\"X\""), "{j}");
         // Tracing is off again after the traced run.
         assert!(!mspgemm_obs::trace::global().is_enabled());

@@ -39,29 +39,115 @@ pub fn mb_per_s(bytes: u64, seconds: f64) -> f64 {
 /// serve protocol both report it and parity is checkable end to end
 /// without shipping the matrix over the wire. Accepts `&Csr<f64>` or a
 /// [`CsrRef`](mspgemm_sparse::CsrRef) view.
+///
+/// The byte stream is the shape as two `u64`, every row pointer as a
+/// `u64`, every column index as a `u32` and every value's `f64` bits, all
+/// little-endian (`docs/SERVE_PROTOCOL.md` defines it). The value is
+/// byte-at-a-time FNV-1a over that stream, but an element's run of zero
+/// bytes costs one multiply (the private `Fnv` below).
 pub fn csr_fingerprint<'a>(a: impl Into<mspgemm_sparse::CsrRef<'a, f64>>) -> u64 {
     let a = a.into();
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(&(a.nrows() as u64).to_le_bytes());
-    eat(&(a.ncols() as u64).to_le_bytes());
+    let mut h = Fnv::new();
+    h.word(a.nrows() as u64);
+    h.word(a.ncols() as u64);
     for &p in a.rowptr() {
-        eat(&(p as u64).to_le_bytes());
+        h.word(p as u64);
     }
     for &c in a.colidx() {
-        eat(&c.to_le_bytes());
+        h.col(c);
     }
     for &v in a.values() {
-        eat(&v.to_bits().to_le_bytes());
+        h.value(v);
     }
-    h
+    h.finish()
+}
+
+/// FNV-1a's 64-bit offset basis and prime.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME^k` for `k < 16`.
+const FNV_POW: [u64; 16] = {
+    let mut t = [1u64; 16];
+    let mut k = 1;
+    while k < 16 {
+        t[k] = t[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    t
+};
+
+/// FNV-1a (`h = (h ^ byte) · P` per byte) that skips zero bytes. XOR
+/// with zero does nothing, so a run of `z` zero bytes is one multiply by
+/// `P^z`: the state is `h · P^zeros`, and the pending power is folded
+/// into the next nonzero byte's multiply. Each element picks its shape
+/// with one branch — a small word or column id walks only its low bytes
+/// and leaves its high zero bytes pending; a value whose low five bytes
+/// are zero (±0.0 and every integer below 2¹³) leaves them pending and
+/// walks its top three. Anything else walks all its bytes. Every
+/// element ends on a walk, so at most 5 + 5 zero bytes are ever
+/// pending.
+struct Fnv {
+    h: u64,
+    zeros: usize,
+}
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv {
+            h: FNV_OFFSET,
+            zeros: 0,
+        }
+    }
+
+    /// Hash the low `N` bytes of `x`, least significant first.
+    #[inline(always)]
+    fn walk<const N: usize>(&mut self, x: u64) {
+        let mut h = self.h.wrapping_mul(FNV_POW[self.zeros]) ^ (x & 0xff);
+        for i in 1..N {
+            h = h.wrapping_mul(FNV_PRIME) ^ ((x >> (8 * i)) & 0xff);
+        }
+        self.h = h;
+        self.zeros = 1;
+    }
+
+    /// One `u64`, little-endian.
+    #[inline(always)]
+    fn word(&mut self, w: u64) {
+        if w >> 32 == 0 {
+            self.walk::<4>(w);
+            self.zeros += 4;
+        } else {
+            self.walk::<8>(w);
+        }
+    }
+
+    /// One `u32`, little-endian.
+    #[inline(always)]
+    fn col(&mut self, c: u32) {
+        if c >> 16 == 0 {
+            self.walk::<2>(c.into());
+            self.zeros += 2;
+        } else {
+            self.walk::<4>(c.into());
+        }
+    }
+
+    /// One `f64`'s bits, little-endian.
+    #[inline(always)]
+    fn value(&mut self, v: f64) {
+        let bits = v.to_bits();
+        if bits & 0xff_ffff_ffff == 0 {
+            self.zeros += 5;
+            self.walk::<3>(bits >> 40);
+        } else {
+            self.walk::<8>(bits);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.h.wrapping_mul(FNV_POW[self.zeros])
+    }
 }
 
 /// Ingest throughput in parsed entries per second (one coordinate line
@@ -139,6 +225,7 @@ pub fn env_usize_list(name: &str, default: &str) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mspgemm_sparse::CsrRef;
 
     #[test]
     fn gflops_math() {
@@ -246,6 +333,175 @@ mod tests {
         let e = Csr::<f64>::empty(2, 3);
         let f = Csr::<f64>::empty(3, 2);
         assert_ne!(csr_fingerprint(&e), csr_fingerprint(&f));
+    }
+
+    /// The plain byte-at-a-time FNV-1a over the fingerprint's byte
+    /// stream: the oracle `csr_fingerprint` must equal.
+    fn fnv1a_bytes(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        let mut h = FNV_OFFSET;
+        for b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+        h
+    }
+
+    fn fnv1a_reference(a: CsrRef<'_, f64>) -> u64 {
+        let mut s = Vec::new();
+        s.extend((a.nrows() as u64).to_le_bytes());
+        s.extend((a.ncols() as u64).to_le_bytes());
+        for &p in a.rowptr() {
+            s.extend((p as u64).to_le_bytes());
+        }
+        for &c in a.colidx() {
+            s.extend(c.to_le_bytes());
+        }
+        for &v in a.values() {
+            s.extend(v.to_bits().to_le_bytes());
+        }
+        fnv1a_bytes(s)
+    }
+
+    fn assert_matches_reference(
+        nrows: usize,
+        ncols: usize,
+        rowptr: &[usize],
+        colidx: &[u32],
+        values: &[f64],
+    ) {
+        let a = CsrRef::try_from_parts(nrows, ncols, rowptr, colidx, values).expect("valid CSR");
+        assert_eq!(
+            csr_fingerprint(a),
+            fnv1a_reference(a),
+            "{nrows}x{ncols} rowptr {rowptr:?} colidx {colidx:?} values {values:?}"
+        );
+    }
+
+    /// Values on both sides of the "low five bytes zero" shape.
+    const SPECIAL_VALUES: [f64; 14] = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        8191.0,
+        8192.0,
+        8193.0,
+        0.5,
+        0.1,
+        f64::MIN_POSITIVE,
+        5e-324,
+        f64::MAX,
+        f64::INFINITY,
+        // A NaN with a payload in its low bytes.
+        f64::from_bits(0x7ff8_0000_dead_beef),
+    ];
+
+    #[test]
+    fn fingerprint_equals_bytewise_fnv1a_on_every_value_shape() {
+        // One row holding every special value, then each value alone in
+        // a row so it also follows a row pointer's pending zero bytes.
+        let n = SPECIAL_VALUES.len();
+        let colidx: Vec<u32> = (0..n as u32).collect();
+        assert_matches_reference(1, n, &[0, n], &colidx, &SPECIAL_VALUES);
+        for v in SPECIAL_VALUES {
+            assert_matches_reference(2, 3, &[0, 1, 2], &[2, 0], &[v, v]);
+        }
+        // Every ordered pair, back to back in one row.
+        for v in SPECIAL_VALUES {
+            for w in SPECIAL_VALUES {
+                assert_matches_reference(1, 2, &[0, 2], &[0, 1], &[v, w]);
+            }
+        }
+    }
+
+    #[test]
+    fn fingerprint_equals_bytewise_fnv1a_on_every_column_shape() {
+        let wide = 1usize << 33;
+        for c in [0, 1, 255, 256, 65_535, 65_536, 65_537, 1 << 24, u32::MAX] {
+            assert_matches_reference(1, wide, &[0, 1], &[c], &[1.0]);
+            assert_matches_reference(1, wide, &[0, 1], &[c], &[0.1]);
+            assert_matches_reference(2, wide, &[0, 0, 1], &[c], &[0.0]);
+        }
+        // Both column shapes alternating within one row.
+        let colidx = [0, 65_535, 65_536, 70_000, u32::MAX - 1, u32::MAX];
+        let values = [1.0, 0.1, 2.0, -0.0, 8192.0, f64::NAN];
+        assert_matches_reference(1, wide, &[0, 6], &colidx, &values);
+    }
+
+    #[test]
+    fn fingerprint_equals_bytewise_fnv1a_on_edge_shapes() {
+        assert_matches_reference(0, 0, &[0], &[], &[]);
+        assert_matches_reference(3, 0, &[0, 0, 0, 0], &[], &[]);
+        assert_matches_reference(0, 3, &[0], &[], &[]);
+        // A row over 70 000 columns: row pointers and column ids on
+        // both sides of their thresholds.
+        let colidx: Vec<u32> = (0..70_000).collect();
+        let values: Vec<f64> = (0..70_000).map(|i| f64::from(i) * 0.25).collect();
+        assert_matches_reference(2, 70_000, &[0, 0, 70_000], &colidx, &values);
+        assert_matches_reference(2, 70_000, &[0, 70_000, 70_000], &colidx, &values);
+    }
+
+    #[test]
+    fn word_equals_bytewise_fnv1a_on_both_sides_of_its_shape() {
+        let words = [0, 1, 255, 256, (1 << 32) - 1, 1 << 32, u64::MAX];
+        for w in words {
+            let mut h = Fnv::new();
+            h.word(w);
+            assert_eq!(h.finish(), fnv1a_bytes(w.to_le_bytes()), "{w:#x}");
+            // Followed by each other shape, so the pending zeros carry.
+            for x in words {
+                let mut h = Fnv::new();
+                h.word(w);
+                h.word(x);
+                h.col(x as u32);
+                h.value(f64::from_bits(x));
+                let stream = w
+                    .to_le_bytes()
+                    .into_iter()
+                    .chain(x.to_le_bytes())
+                    .chain((x as u32).to_le_bytes())
+                    .chain(x.to_le_bytes());
+                assert_eq!(h.finish(), fnv1a_bytes(stream), "{w:#x}, {x:#x}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+        #[test]
+        fn fingerprint_equals_bytewise_fnv1a_on_random_csrs(
+            dense in proptest::collection::vec(
+                proptest::collection::vec(
+                    proptest::option::weighted(0.4, 0u64..u64::MAX),
+                    0usize..6,
+                ),
+                0usize..6,
+            ),
+            wide in 0u32..=1,
+        ) {
+            // Each draw picks a special value, a small integer or raw
+            // random bits; half the matrices spread their six columns
+            // past 2^16 (0, 21 845, 43 690, 65 535, 87 380, 109 225).
+            let ncols = if wide == 1 { 1usize << 17 } else { 6 };
+            let step = ncols / 6;
+            let (mut rowptr, mut colidx, mut values) = (vec![0], vec![], vec![]);
+            for row in &dense {
+                for (j, draw) in row.iter().enumerate() {
+                    if let Some(bits) = *draw {
+                        colidx.push((j * step) as u32);
+                        values.push(match bits % 3 {
+                            0 => SPECIAL_VALUES[(bits >> 8) as usize % SPECIAL_VALUES.len()],
+                            1 => ((bits >> 40) % 16_384) as f64,
+                            _ => f64::from_bits(bits),
+                        });
+                    }
+                }
+                rowptr.push(colidx.len());
+            }
+            let a = CsrRef::try_from_parts(dense.len(), ncols, &rowptr, &colidx, &values)
+                .expect("valid CSR");
+            proptest::prop_assert_eq!(csr_fingerprint(a), fnv1a_reference(a));
+        }
     }
 
     #[test]

@@ -252,6 +252,10 @@ fn mxm(
         other => (ErrorCode::ExecFailed, other.to_string()),
     })?;
     let (c, secs) = (&*answer.csr, answer.seconds);
+    let fingerprint = {
+        let _span = mspgemm_obs::span("fingerprint");
+        csr_fingerprint(c)
+    };
     if answer.incremental() {
         state
             .metrics
@@ -295,10 +299,7 @@ fn mxm(
         ),
         ("incremental", answer.incremental().into()),
         ("nnz", c.nnz().into()),
-        (
-            "fingerprint",
-            Json::Str(format!("{:016x}", csr_fingerprint(c))),
-        ),
+        ("fingerprint", Json::Str(format!("{fingerprint:016x}"))),
         // `fused_group` is how many requests shared the kernel pass;
         // `fused` is the flag a client can switch on without comparing
         // counts.
