@@ -13,6 +13,11 @@
 //! Emits CSV on stdout, an aligned table on stderr, and — for the CI perf
 //! lane — a JSON report at `MSPGEMM_SCHED_JSON`.
 //!
+//! It also reports what one parallel drive costs when it does no work
+//! (`drive_us`): the median of an empty 64-item `for_each` on the ambient
+//! pool, back-to-back and after a 2 ms idle. That is the floor every
+//! per-request `par_iter` pays on top of its work.
+//!
 //! Environment knobs (defaults keep the run CI-sized):
 //!
 //! | Variable | Meaning | Default |
@@ -177,8 +182,15 @@ fn main() {
         fault.disabled_overhead_frac
     );
 
+    let drive = drive_cost();
+    eprintln!(
+        "drive cost: empty 64-item drive, median {:.1} us back-to-back, \
+         {:.1} us after a 2 ms idle",
+        drive.back_to_back_us, drive.after_idle_us,
+    );
+
     if let Ok(json_path) = std::env::var("MSPGEMM_SCHED_JSON") {
-        std::fs::write(&json_path, report_json(&rows, &obs, &fault))
+        std::fs::write(&json_path, report_json(&rows, &obs, &fault, &drive))
             .unwrap_or_else(|e| panic!("writing {json_path}: {e}"));
         eprintln!("json report: {json_path}");
     }
@@ -332,11 +344,55 @@ fn fault_overhead(scale: u32, product_seconds: f64) -> FaultOverhead {
     }
 }
 
+struct DriveCost {
+    /// Median wall time of an empty drive issued right after another.
+    back_to_back_us: f64,
+    /// Median wall time of an empty drive issued after a 2 ms sleep, when
+    /// the workers have parked.
+    after_idle_us: f64,
+}
+
+/// Time an empty 64-item drive on the ambient pool (no `install`, as a
+/// served request with no `"threads"` runs): the fixed cost of fanning
+/// out, publishing the job and joining, with no work to hide it.
+fn drive_cost() -> DriveCost {
+    use rayon::prelude::*;
+    use std::time::{Duration, Instant};
+    let drive = || {
+        let t0 = Instant::now();
+        (0..64usize).into_par_iter().for_each(|i| {
+            std::hint::black_box(i);
+        });
+        t0.elapsed().as_secs_f64() * 1e6
+    };
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    drive(); // spawn the workers outside the timed runs
+    let back_to_back = (0..401).map(|_| drive()).collect();
+    let after_idle = (0..51)
+        .map(|_| {
+            std::thread::sleep(Duration::from_millis(2));
+            drive()
+        })
+        .collect();
+    DriveCost {
+        back_to_back_us: median(back_to_back),
+        after_idle_us: median(after_idle),
+    }
+}
+
 /// The perf-trajectory artifact the CI benchmark-smoke lane uploads:
 /// one record per (scale, threads, pooled), plus the observability
 /// and fault-injection overhead blocks backing the <2% disabled-path
-/// acceptance bounds.
-fn report_json(rows: &[Row], obs: &ObsOverhead, fault: &FaultOverhead) -> String {
+/// acceptance bounds, and the empty-drive cost.
+fn report_json(
+    rows: &[Row],
+    obs: &ObsOverhead,
+    fault: &FaultOverhead,
+    drive: &DriveCost,
+) -> String {
     let mut out = String::from("{\n  \"bench\": \"abl_schedule\",\n");
     out.push_str(&format!(
         "  \"obs_overhead\": {{\"disabled_span_ns\": {:.2}, \"spans_per_product\": {}, \
@@ -352,6 +408,10 @@ fn report_json(rows: &[Row], obs: &ObsOverhead, fault: &FaultOverhead) -> String
         "  \"fault_overhead\": {{\"disabled_fire_ns\": {:.2}, \"fires_per_product\": {}, \
          \"disabled_overhead_frac\": {:.8}, \"bound_frac\": 0.02}},\n",
         fault.disabled_fire_ns, fault.fires_per_product, fault.disabled_overhead_frac,
+    ));
+    out.push_str(&format!(
+        "  \"drive_us\": {{\"back_to_back\": {:.2}, \"after_idle\": {:.2}}},\n",
+        drive.back_to_back_us, drive.after_idle_us,
     ));
     out.push_str("  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {

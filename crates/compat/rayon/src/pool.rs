@@ -117,10 +117,7 @@ pub(crate) fn is_pool_worker() -> bool {
 /// `--threads N > cores` experiments still get N-way fan-out, without
 /// letting a pathological request spawn unbounded threads.
 fn worker_cap() -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    (cores * 4).max(32)
+    (crate::machine_threads() * 4).max(32)
 }
 
 /// Spawn detached workers until at least `wanted` exist (capped).

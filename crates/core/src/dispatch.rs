@@ -517,8 +517,12 @@ pub const PULL_PROBE_COST: f64 = 1.5;
 pub const MIRROR_COST: f64 = 0.5;
 
 /// Push products the oriented plan must save before anything else, which
-/// keeps karate-sized products — ≈ 100 µs either way, most of it waking
-/// the pool — on the path they have always run.
+/// keeps karate-sized products on the path they have always run. Fitted
+/// while every drive also re-read the machine's CPU count, which held a
+/// karate product at ≈ 100 µs on two threads either way; without that
+/// tax it takes ≈ 8–13 µs, push or oriented, and `er_symmetric(256, 8)`
+/// runs oriented 1.7–1.9× faster than the push this keeps it on — a
+/// value to re-fit (`docs/DECISIONS.md`, "Symmetric self-product").
 pub const ORIENTED_FIXED_COST: u64 = 1 << 12;
 
 /// What transposing one entry of `B` costs in pull probes, charged to the
@@ -534,12 +538,16 @@ pub const TRANSPOSE_PROBES_PER_ENTRY: u64 = 10;
 /// of where it could have and one that never settles runs in few blocks.
 const COUNT_BLOCK: usize = 1 << 14;
 
-/// Entries below which a counting pass stays on the calling thread: a
-/// lookup per entry is cheaper than waking the pool for them.
+/// Entries below which a counting pass stays on the calling thread, at
+/// 1–2 ns a lookup against a drive's fixed cost of publishing a job to the
+/// parked workers and joining it (≈ 1–5 µs back-to-back, ≈ 8–12 µs after
+/// an idle, on two threads: `abl_schedule`'s `drive_us`). Fitted while a
+/// drive also re-read the machine's CPU count (2–3 × 18 µs), so it is
+/// conservative — a value to re-fit.
 const PAR_COUNT_MIN: usize = 1 << 17;
 
 /// `Σ per_row(i)` over `rows`, which hold `entries` stored entries — on the
-/// pool when those repay waking it.
+/// pool when those repay a drive's fixed cost.
 fn sum_rows(rows: Range<usize>, entries: usize, per_row: impl Fn(usize) -> u64 + Sync) -> u64 {
     if entries < PAR_COUNT_MIN {
         rows.map(per_row).sum()

@@ -636,8 +636,9 @@ fn row_of(sorted: &[(Idx, Idx)], r: Idx) -> impl Iterator<Item = Idx> + '_ {
 }
 
 /// The `nrows × ncols` pattern holding exactly the sorted, deduplicated
-/// `positions` — built directly, since `Coo::to_csr` sorts its rows on
-/// the thread pool, a wake-up a mask this small does not need.
+/// `positions` — built directly in one counting pass, since `Coo::to_csr`
+/// would bucket them again and sort rows that are already sorted, in a
+/// parallel drive (a fixed ≈ 1–12 µs on two threads).
 fn pattern_at(nrows: usize, ncols: usize, positions: &[(Idx, Idx)]) -> Csr<()> {
     let mut rowptr = vec![0usize; nrows + 1];
     for &(i, _) in positions {
