@@ -106,11 +106,11 @@ fn simd_line() -> String {
 /// `products :` and `probes :` counts sum over those runs.
 ///
 /// The product gets the operands the server's `mxm` verb gets: where the
-/// pull kernel may run, a `Bᵀ` built once after the load — and when `A`
-/// equals its transpose by bits ([`distinct_transpose`]), no `Bᵀ` but a
-/// declared [`Product::self_product`], so `auto` on a symmetric input
-/// may take the oriented plan. Symmetry is decided by content, whatever
-/// the file's banner says.
+/// pull kernel may run, a `Bᵀ` built once after the load — unless `A`
+/// equals its transpose by bits ([`distinct_transpose`] walks `A` first),
+/// when it builds no `Bᵀ` and declares a [`Product::self_product`], so
+/// `auto` on a symmetric input may take the oriented plan. Symmetry is
+/// decided by content, whatever the file's banner says.
 pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     let path = p
         .positional
@@ -165,11 +165,11 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     };
     // Masks are structural: `A` is its own pattern. `Bᵀ` is load-side
     // work outside the timed calls, built only where the pull kernel that
-    // reads it can run; a transpose equal to `A` is dropped here, before
-    // the product, which is declared a self-product instead.
+    // reads it can run and only if it differs from `A`; a symmetric `A`
+    // declares its product a self-product instead.
     let work = || {
         let pulls = matches!(algo, Algorithm::Auto | Algorithm::Inner);
-        let at = pulls.then(|| distinct_transpose(&a, transpose(&a)));
+        let at = pulls.then(|| distinct_transpose(&a, || transpose(&a)));
         let product = match &at {
             Some(None) => Product::self_product(&a),
             _ => Product::new(&a, &a, &a, at.as_ref().and_then(Option::as_ref)),

@@ -210,7 +210,7 @@ impl<'a, T: Copy + PartialEq + Send + Sync> Product<'a, T, T, T> {
     /// `Bᵀ` are all `a`. The one way to declare `A = Aᵀ` — checked in
     /// debug builds, trusted otherwise.
     pub fn self_product(a: &'a Csr<T>) -> Self {
-        debug_assert!(*a == transpose(a), "a self-product needs A = Aᵀ");
+        debug_assert!(a.is_symmetric_by(T::eq), "a self-product needs A = Aᵀ");
         Product {
             symmetric: true,
             ..Self::new(a, a, a, Some(a))

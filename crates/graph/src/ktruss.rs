@@ -65,8 +65,8 @@ pub fn k_truss_with(adj: &Csr<f64>, k: usize, scheme: Scheme, opts: &ExecOpts<'_
     assert!(k >= 3, "k-truss needs k >= 3");
     assert_eq!(adj.nrows(), adj.ncols(), "adjacency must be square");
     debug_assert!(
-        adj.iter()
-            .all(|(i, j, _)| i != j as usize && adj.get(j as usize, i as Idx).is_some()),
+        adj.is_symmetric_by(|_, _| true)
+            && (0..adj.nrows()).all(|i| adj.get(i, i as Idx).is_none()),
         "k-truss needs a symmetric adjacency pattern with an empty diagonal"
     );
     let threshold = (k - 2) as u64;

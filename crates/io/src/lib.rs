@@ -14,9 +14,12 @@
 //!   runs skip text parsing entirely.
 //! * [`load`] — extension dispatch, the transparent `.msb` sidecar cache,
 //!   graph normalization (symmetrize, strip self-loops) matching the
-//!   synthetic suite's conventions, and the one symmetry test by content
-//!   ([`distinct_transpose`]) that decides whether a loaded matrix is its
-//!   own `Bᵀ`.
+//!   synthetic suite's conventions, the one symmetry test by content
+//!   ([`distinct_transpose`]: a walk over the matrix, and a transpose
+//!   built only when it differs) that decides whether a loaded matrix is
+//!   its own `Bᵀ`, and [`is_simple`], which decides from that whether it
+//!   is already its own normalized adjacency — [`load_graph`] then hands
+//!   it back as loaded.
 //! * [`source`] — [`DatasetSource`]: one abstraction over "the synthetic
 //!   suite" and "a directory of real matrices", feeding the harness
 //!   runners and the `mxm` CLI.
@@ -31,9 +34,9 @@ pub mod source;
 
 pub use error::IoError;
 pub use load::{
-    adjacency_delta, distinct_transpose, load_graph, load_matrix, same_bits, save_matrix,
-    save_matrix_pattern, sidecar_path, to_adjacency, AdjacencyStats, CacheOutcome, CachePolicy,
-    Format, IngestReport, LoadOpts,
+    adjacency_delta, distinct_transpose, is_simple, load_graph, load_matrix, same_bits,
+    save_matrix, save_matrix_pattern, sidecar_path, to_adjacency, AdjacencyStats, CacheOutcome,
+    CachePolicy, Format, IngestReport, LoadOpts,
 };
 pub use msb::{
     read_msb, read_msb_file, read_msb_file_auto, read_msb_header, write_msb, write_msb_file,

@@ -329,21 +329,35 @@ pub fn adjacency_delta(a: &Csr<f64>, changed: &[(Idx, Idx)]) -> Overlay<f64> {
     delta
 }
 
-/// `transposed` (= `matrixᵀ`) unless it is `matrix` over again — same
-/// pattern, same values bit for bit (`-0.0` is not `0.0` here: a
-/// product's fingerprint hashes bits). `None` says `matrix` is its own
-/// transpose, which is what lets a caller declare its square a
-/// self-product (`masked_spgemm::Product::self_product`).
+/// `matrixᵀ`, built by `build`, unless `matrix` is its own transpose
+/// — same pattern, same values bit for bit (`-0.0` is not `0.0` here: a
+/// product's fingerprint hashes bits). That is decided first, by one walk
+/// over `matrix` ([`Csr::is_symmetric_by`]), so a symmetric matrix never
+/// has a transpose built. `None` says `matrix` is its own transpose,
+/// which is what lets a caller declare its square a self-product
+/// (`masked_spgemm::Product::self_product`).
 /// A kept transpose of a pattern-loaded `matrix` is all-ones too, so its
 /// values are pointed at the process-wide unit arena.
-pub fn distinct_transpose(matrix: &Csr<f64>, mut transposed: Csr<f64>) -> Option<Csr<f64>> {
-    if same_bits(matrix, &transposed) {
+pub fn distinct_transpose(matrix: &Csr<f64>, build: impl FnOnce() -> Csr<f64>) -> Option<Csr<f64>> {
+    if matrix.is_symmetric_by(bits_equal) {
         return None;
     }
+    let mut transposed = build();
     if matrix.values_unit_shared() {
         transposed.share_unit_values();
     }
     Some(transposed)
+}
+
+/// Whether [`to_adjacency`] of `a` would return `a` itself: `a` is its
+/// own transpose by bits (`symmetric`, which the caller has decided, e.g.
+/// by [`distinct_transpose`]), stores no self-loop, and every value is
+/// `1.0`. Such a matrix is the simple undirected graph already, and a
+/// caller can hold it once.
+pub fn is_simple(a: &Csr<f64>, symmetric: bool) -> bool {
+    symmetric
+        && (0..a.nrows()).all(|i| a.get(i, i as Idx).is_none())
+        && (a.values_unit_shared() || a.values().iter().all(|&v| v == 1.0))
 }
 
 /// `a == b` with values compared by bits.
@@ -356,10 +370,16 @@ pub fn same_bits(a: &Csr<f64>, b: &Csr<f64>) -> bool {
             .eq(b.values().iter().map(|v| v.to_bits()))
 }
 
-/// [`load_matrix`] a file and normalize it with [`to_adjacency`]. The
-/// normalized adjacency is a derived (owned) matrix either way; the mmap
-/// preference still saves the intermediate heap copy of the raw operand
-/// while normalizing.
+fn bits_equal(x: &f64, y: &f64) -> bool {
+    x.to_bits() == y.to_bits()
+}
+
+/// [`load_matrix`] a file and normalize it with [`to_adjacency`]. A matrix
+/// that is already simple ([`is_simple`]) comes back as loaded, with
+/// [`AdjacencyStats::default`]: no copy is made, so an mmap'd or pattern
+/// load stays mapped or on the unit arena. Any other input is normalized
+/// into a derived (owned) matrix; the mmap preference still saves the
+/// intermediate heap copy of the raw operand while normalizing.
 pub fn load_graph(
     path: impl AsRef<Path>,
     opts: &LoadOpts,
@@ -371,6 +391,9 @@ pub fn load_graph(
             a.nrows(),
             a.ncols()
         )));
+    }
+    if is_simple(&a, a.is_symmetric_by(bits_equal)) {
+        return Ok((a, AdjacencyStats::default()));
     }
     Ok(to_adjacency(&a))
 }
@@ -502,13 +525,14 @@ mod tests {
     }
 
     fn own_transpose(a: &Csr<f64>) -> Option<Csr<f64>> {
-        distinct_transpose(a, transpose(a))
+        distinct_transpose(a, || transpose(a))
     }
 
     #[test]
     fn distinct_transpose_keeps_only_a_transpose_that_differs_by_bits() {
         let symmetric = mspgemm_gen::er_symmetric(60, 6, 3);
-        assert!(own_transpose(&symmetric).is_none());
+        let unbuilt = || unreachable!("a symmetric matrix has no transpose built");
+        assert!(distinct_transpose(&symmetric, unbuilt).is_none());
         // The same pattern both ways, but not the same values.
         let valued = from_triples(2, &[(0, 1, 1.0), (1, 0, 2.0)]);
         assert_eq!(own_transpose(&valued), Some(transpose(&valued)));
@@ -725,6 +749,56 @@ mod tests {
             "the on-disk values are untouched"
         );
         std::fs::remove_file(&msb).ok();
+    }
+
+    /// `is_simple` holds exactly where `to_adjacency` hands the matrix
+    /// back unchanged, by bits.
+    #[test]
+    fn is_simple_is_to_adjacency_returning_its_input() {
+        let simple = mspgemm_gen::er_symmetric(40, 5, 2);
+        let cases = [
+            simple.clone(),
+            directed_sample(),
+            from_triples(3, &[(0, 1, 1.0), (1, 0, 1.0), (2, 2, 1.0)]),
+            from_triples(3, &[(0, 1, 1.0)]),
+            from_triples(3, &[(0, 1, 2.0), (1, 0, 2.0)]),
+            from_triples(2, &[(0, 1, 0.0), (1, 0, -0.0)]),
+            Csr::empty(4, 4),
+        ];
+        for a in cases {
+            let symmetric = own_transpose(&a).is_none();
+            let unchanged = same_bits(&to_adjacency(&a).0, &a);
+            assert_eq!(is_simple(&a, symmetric), unchanged, "{a:?}");
+        }
+        assert!(is_simple(&simple, true));
+    }
+
+    /// A simple input comes back as loaded — nothing to report, and an
+    /// mmap'd `.msb` stays mapped — while any other is normalized.
+    #[test]
+    fn load_graph_keeps_a_simple_input_as_loaded() {
+        let dir = tempdir("load_graph_simple");
+        let karate = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../data/karate.mtx");
+        let (g, stats) = load_graph(&karate, &policy(CachePolicy::Off)).unwrap();
+        assert_eq!(stats, AdjacencyStats::default());
+        let (raw, _) = load_matrix(&karate, &policy(CachePolicy::Off)).unwrap();
+        assert!(same_bits(&g, &raw));
+        let msb = dir.join("karate.msb");
+        save_matrix(&msb, &raw).unwrap();
+        let mmap = LoadOpts {
+            mmap: true,
+            ..policy(CachePolicy::Off)
+        };
+        let (mapped, _) = load_graph(&msb, &mmap).unwrap();
+        assert_eq!(mapped, raw);
+        if cfg!(all(target_endian = "little", target_pointer_width = "64")) {
+            assert!(mapped.has_shared_storage(), "the mapped sections are kept");
+        }
+        let directed = dir.join("directed.mtx");
+        crate::mtx::write_mtx_file(&directed, &directed_sample()).unwrap();
+        let (adj, stats) = load_graph(&directed, &policy(CachePolicy::Off)).unwrap();
+        assert_eq!((adj, stats), to_adjacency(&directed_sample()));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

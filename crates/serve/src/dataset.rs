@@ -12,8 +12,11 @@
 //!   [`Dataset::bt`] hands out the matrix, and the `mxm` verb declares
 //!   its product a self-product (`Dataset::mxm_product`) so `Auto` may
 //!   compute it once per edge, as `mxm run` does;
-//! * the normalized undirected adjacency (what the TC / k-truss / BC
-//!   applications consume);
+//! * the normalized simple undirected adjacency (what the TC / k-truss /
+//!   BC applications consume) — which a matrix that is already simple
+//!   (symmetric by bits, no self-loop, unit values: `mspgemm_io::is_simple`)
+//!   is itself, so such a snapshot stores none and [`Dataset::adj`]
+//!   hands out the matrix (an undirected unweighted graph is held once);
 //! * lazily, the relabeled triangle-counting operands and the per-row
 //!   counts — both written once, by the first `app tc` that ran against
 //!   this snapshot.
@@ -30,9 +33,10 @@
 //! its entry set, which makes a batch of changed positions in the matrix
 //! a batch of changed positions in each operand. [`Dataset::rebuilt`]
 //! maps the batch (`transpose_delta`, `adjacency_delta`,
-//! `TcOperands::patched`) and merges it into the predecessor's sections,
-//! so the successor (`version + 1`) costs the rows it touched plus one
-//! copy of each section; the registry then swaps it in. Snapshots share
+//! `TcOperands::patched`) and merges it into the predecessor's sections —
+//! the predecessor's matrix, where it held no section of its own — so the
+//! successor (`version + 1`) costs the rows it touched plus one copy of
+//! each section it holds; the registry then swaps it in. Snapshots share
 //! no matrix storage with each other.
 //!
 //! What makes the successor's first `app tc` incremental travels with it
@@ -62,8 +66,8 @@ use masked_spgemm::{masked_mxm, Algorithm, Error, ExecOpts, Phases, Plan, Produc
 use mspgemm_graph::tricount::{self, TcOperands};
 use mspgemm_graph::Scheme;
 use mspgemm_io::{
-    adjacency_delta, dataset_name, distinct_transpose, load_matrix, to_adjacency, IngestReport,
-    LoadOpts, MsbBackend,
+    adjacency_delta, dataset_name, distinct_transpose, is_simple, load_matrix, to_adjacency,
+    IngestReport, LoadOpts, MsbBackend,
 };
 use mspgemm_sparse::semiring::PlusTimesF64;
 use mspgemm_sparse::{transpose, transpose_delta, Csr, Idx, Overlay, StorageReport};
@@ -92,11 +96,12 @@ pub struct Dataset {
     /// transpose the paper charges to `SS:DOT` (§8.4). `None` for a
     /// symmetric matrix — read it through [`Dataset::bt`].
     matrix_t: Option<Csr<f64>>,
-    /// Normalized simple undirected adjacency (symmetric pattern, no
-    /// self-loops, unit weights) — the application operand, and its own
-    /// transpose: checked (debug builds) where a snapshot is built, relied
-    /// on by every `app bc` request.
-    pub adj: Csr<f64>,
+    /// `to_adjacency(matrix)` where it differs from `matrix`: the
+    /// normalized simple undirected adjacency (symmetric pattern, no
+    /// self-loops, unit weights), the application operand. `None` for a
+    /// matrix that is already simple (`mspgemm_io::is_simple`) — read it
+    /// through [`Dataset::adj`].
+    adj: Option<Csr<f64>>,
     /// FLOP count (2 × multiplies) of the unmasked `matrix·matrix`
     /// product — the `mxm` verb's GFLOPS denominator, computed once here
     /// rather than per request (it is a constant of the dataset).
@@ -224,10 +229,11 @@ impl Dataset {
 
     /// Derive every resident operand from a raw square matrix, as a
     /// version-0 snapshot with no seed — the disk loader's half; updates
-    /// patch these operands forward instead ([`Dataset::rebuilt`]). The
-    /// transpose is built once and kept only if it differs from the
-    /// matrix by bits ([`distinct_transpose`], the same test `mxm run`
-    /// makes before its product).
+    /// patch these operands forward instead ([`Dataset::rebuilt`]). One
+    /// walk decides whether the matrix is its own transpose by bits
+    /// ([`distinct_transpose`], the same test `mxm run` makes before its
+    /// product); only a matrix that is not has its transpose built, and
+    /// only one that is not simple ([`is_simple`]) its adjacency.
     fn derive(
         name: String,
         path: String,
@@ -235,16 +241,22 @@ impl Dataset {
         ingest: IngestReport,
         loaded_at: Instant,
     ) -> Dataset {
-        let matrix_t = distinct_transpose(&matrix, transpose(&matrix));
-        let (mut adj, _) = to_adjacency(&matrix);
-        if matrix.values_unit_shared() {
-            // Pattern-loaded base: the normalized adjacency is all-ones
-            // too, so point its value section at the process-wide unit
-            // arena instead of keeping nnz private copies of the literal
-            // 1.0 (`distinct_transpose` does the same for the transpose).
-            adj.share_unit_values();
-        }
-        debug_assert!(adj == transpose(&adj), "adj must be its own transpose");
+        let matrix_t = distinct_transpose(&matrix, || transpose(&matrix));
+        let adj = (!is_simple(&matrix, matrix_t.is_none())).then(|| {
+            let (mut adj, _) = to_adjacency(&matrix);
+            if matrix.values_unit_shared() {
+                // Pattern-loaded base: the normalized adjacency is all-ones
+                // too, so point its value section at the process-wide unit
+                // arena instead of keeping nnz private copies of the literal
+                // 1.0 (`distinct_transpose` does the same for the transpose).
+                adj.share_unit_values();
+            }
+            debug_assert!(
+                adj.is_symmetric_by(f64::eq),
+                "adj must be its own transpose"
+            );
+            adj
+        });
         let mxm_flops = 2 * matrix.flops_with(&matrix);
         Dataset {
             name,
@@ -280,8 +292,13 @@ impl Dataset {
     ///
     /// Symmetry is carried forward the same way: a symmetric `prev` whose
     /// every changed position ends up equal to its mirror image has a
-    /// symmetric successor, decided in `O(batch)` with no transpose built;
-    /// otherwise the patched transpose is compared with the matrix once.
+    /// symmetric successor, decided in `O(batch)`; otherwise one walk
+    /// decides it, and only a successor that is not symmetric has its
+    /// transpose patched. Whether the successor is simple follows from
+    /// that, by the test `derive` makes ([`is_simple`]), so a load and an
+    /// update of the same matrix hold the same sections. A successor that
+    /// is not simple merges the batch into `prev`'s adjacency — `prev`'s
+    /// matrix, where `prev` was simple.
     ///
     /// `changed` also extends both seeds (`Seed::carried`): `prev`'s own
     /// counts and product if it has them, else `prev`'s seeds, each
@@ -294,17 +311,24 @@ impl Dataset {
         let matrix_t = if prev.symmetric() && mirrors_itself(&matrix, changed) {
             None
         } else {
-            let patched = transpose_delta(&matrix, changed).merged(prev.bt().view());
-            distinct_transpose(&matrix, patched)
+            distinct_transpose(&matrix, || {
+                transpose_delta(&matrix, changed).merged(prev.bt().view())
+            })
         };
-        let adj = adjacency_delta(&matrix, changed).merged(prev.adj.view());
-        debug_assert!(adj == transpose(&adj), "adj must be its own transpose");
+        let adj = (!is_simple(&matrix, matrix_t.is_none()))
+            .then(|| adjacency_delta(&matrix, changed).merged(prev.adj().view()));
+        debug_assert!(
+            adj.iter().all(|adj| adj.is_symmetric_by(f64::eq)),
+            "adj must be its own transpose"
+        );
         let tc_seed = Seed::carried(prev.tc_counts.get(), prev.tc_seed.as_ref(), changed);
         let product_seed = Seed::carried(prev.product.get(), prev.product_seed().as_ref(), changed);
         let tc_ops = match &tc_seed {
             Some(_) => {
                 let ops = prev.tc_ops.get().expect("counts or a seed imply operands");
-                OnceLock::from(Arc::new(ops.patched(&adj, changed)))
+                OnceLock::from(Arc::new(
+                    ops.patched(adj.as_ref().unwrap_or(&matrix), changed),
+                ))
             }
             None => OnceLock::new(),
         };
@@ -347,6 +371,14 @@ impl Dataset {
         self.matrix_t.as_ref().unwrap_or(&self.matrix)
     }
 
+    /// The simple undirected graph of the matrix — symmetric pattern, no
+    /// self-loops, unit weights, so its own transpose — that `app tc`,
+    /// `ktruss` and `bc` read. A simple snapshot stores no second copy:
+    /// this is [`Self::matrix`] itself.
+    pub fn adj(&self) -> &Csr<f64> {
+        self.adj.as_ref().unwrap_or(&self.matrix)
+    }
+
     /// The `mxm` verb's product `pattern(A) ⊙ (A·A)` under a normal mask
     /// and one phase. Masks are structural, so the matrix masks itself,
     /// and [`Self::bt`] spares the pull kernel its transpose. A symmetric
@@ -372,7 +404,7 @@ impl Dataset {
     /// ranks degrees afresh on first use.
     pub fn tc_operands(&self) -> Arc<TcOperands> {
         self.tc_ops
-            .get_or_init(|| Arc::new(tricount::prepare(&self.adj)))
+            .get_or_init(|| Arc::new(tricount::prepare(self.adj())))
             .clone()
     }
 
@@ -503,9 +535,11 @@ impl Dataset {
     }
 
     /// Approximate resident bytes across all held operands and the
-    /// triangle-counting state. Unit-arena value sections are excluded —
-    /// they are one process-wide allocation shared by every pattern
-    /// dataset, disclosed via [`Self::unit_bytes`].
+    /// triangle-counting state. A transpose or adjacency that is the
+    /// matrix itself is not held, so a simple snapshot counts one graph.
+    /// Unit-arena value sections are excluded — they are one process-wide
+    /// allocation shared by every pattern dataset, disclosed via
+    /// [`Self::unit_bytes`].
     pub fn mem_bytes(&self) -> u64 {
         self.sum_reports(|r| (r.heap_bytes + r.shared_bytes) as u64)
     }
@@ -525,9 +559,9 @@ impl Dataset {
         // (counts shared with ancestors no entry retains, so counted
         // here). The product and its seed count the same way.
         let mut vectors = 0;
-        let mut total = f(&self.matrix.storage_report()) + f(&self.adj.storage_report());
-        if let Some(t) = &self.matrix_t {
-            total += f(&t.storage_report());
+        let mut total = f(&self.matrix.storage_report());
+        for held in [&self.matrix_t, &self.adj].into_iter().flatten() {
+            total += f(&held.storage_report());
         }
         if let Some(ops) = self.tc_ops.get() {
             total += f(&ops.l.storage_report()) + f(&ops.lt.storage_report());
@@ -848,13 +882,18 @@ mod tests {
             nbatches in 2usize..9,
         ) {
             // Every other case starts symmetric (the upper triangle
-            // mirrored), so the snapshots that store no transpose and the
-            // batches that keep or break that are walked too.
+            // mirrored), and every fourth simple (that graph normalized),
+            // so the snapshots that store no transpose or no adjacency and
+            // the batches that keep or break that are walked too.
             let base = if seed % 2 == 0 {
                 let d = base.to_dense();
                 let cell = |i: usize, j: usize| d[i.min(j)][i.max(j)];
                 let dd: Vec<Vec<_>> = (0..N).map(|i| (0..N).map(|j| cell(i, j)).collect()).collect();
-                Csr::from_dense(&dd, N)
+                let symmetric = Csr::from_dense(&dd, N);
+                match seed % 4 {
+                    0 => to_adjacency(&symmetric).0,
+                    _ => symmetric,
+                }
             } else {
                 base
             };
@@ -897,11 +936,12 @@ mod tests {
                     if let (Some(t), Some(want_t)) = (&next_ds.matrix_t, &want.matrix_t) {
                         assert_section("matrix_t", t, want_t)?;
                     }
-                    assert_section("adj", &next_ds.adj, &want.adj)?;
+                    prop_assert_eq!(next_ds.adj.is_some(), want.adj.is_some(), "held adj");
+                    assert_section("adj", next_ds.adj(), want.adj())?;
                     prop_assert_eq!(next_ds.mxm_flops, want.mxm_flops);
                     match (&next_ds.tc_seed, next_ds.tc_ops.get()) {
                         (Some(_), Some(ops)) => {
-                            let fresh = tricount::prepare_with_perm(&want.adj, ops.perm.clone());
+                            let fresh = tricount::prepare_with_perm(want.adj(), ops.perm.clone());
                             assert_section("L", &ops.l, &fresh.l)?;
                             assert_section("Lt", &ops.lt, &fresh.lt)?;
                             prop_assert_eq!(ops.flops, fresh.flops);
@@ -948,27 +988,115 @@ mod tests {
         };
         let v0 = Dataset::load(mtx.to_str().unwrap(), None, &off).unwrap();
         assert!(own_transpose(&v0));
-        let held = v0.mem_bytes();
-        // One direction of a new edge: the transpose has to be stored.
+        // The graph is simple: one section, the matrix.
+        let graph = matrix_bytes(&v0);
+        assert_eq!(v0.mem_bytes(), graph);
+        // One direction of a new edge: the transpose and the adjacency
+        // have to be stored, each about the size of the matrix.
         let v1 = updated(&v0, &[upsert((3, 40), 1.0)]);
         assert!(!own_transpose(&v1));
-        assert!(v1.mem_bytes() > held + 8 * v0.matrix.nnz() as u64);
+        let sections = [&v1.matrix, v1.bt(), v1.adj()].map(section_bytes);
+        assert_eq!(v1.mem_bytes(), sections.iter().sum::<u64>());
+        assert!(sections.iter().all(|&b| b > graph));
         // The other direction with another value: still not symmetric.
         let v2 = updated(&v1, &[upsert((40, 3), 2.0)]);
         assert!(!own_transpose(&v2));
-        // Equal values restore it, and the stored transpose goes.
+        // Equal values restore it, and both stored sections go.
         let v3 = updated(&v2, &[upsert((40, 3), 1.0)]);
         assert!(own_transpose(&v3));
-        assert!(v3.mem_bytes() < v2.mem_bytes() - 8 * v0.matrix.nnz() as u64);
-        // A batch that mirrors itself keeps it; -0.0 is not 0.0.
+        assert_eq!(v3.mem_bytes(), matrix_bytes(&v3));
+        // A batch that mirrors itself keeps it (the self-loop splits the
+        // adjacency off); -0.0 is not 0.0.
         let v4 = updated(
             &v3,
             &[delete((3, 40)), delete((40, 3)), upsert((7, 7), 5.0)],
         );
         assert!(own_transpose(&v4));
+        assert!(!shares_adj(&v4));
+        assert_eq!(v4.mem_bytes(), matrix_bytes(&v4) + section_bytes(v4.adj()));
         let v5 = updated(&v4, &[upsert((1, 2), 0.0), upsert((2, 1), -0.0)]);
         assert!(!own_transpose(&v5));
         assert_eq!(v5.matrix, transpose(&v5.matrix), "equal by ==, not by bits");
+    }
+
+    /// Resident bytes of one section, mapped or not.
+    fn section_bytes(c: &Csr<f64>) -> u64 {
+        let r = c.storage_report();
+        (r.heap_bytes + r.shared_bytes) as u64
+    }
+
+    /// Resident bytes of `ds`'s matrix alone.
+    fn matrix_bytes(ds: &Dataset) -> u64 {
+        section_bytes(&ds.matrix)
+    }
+
+    /// Whether `ds` holds no adjacency of its own — [`Dataset::adj`] is
+    /// the matrix itself — checking that `adj()` is the normalized
+    /// matrix either way.
+    fn shares_adj(ds: &Dataset) -> bool {
+        assert_eq!(ds.adj(), &to_adjacency(&ds.matrix).0);
+        std::ptr::eq(ds.adj(), &ds.matrix)
+    }
+
+    /// A simple graph is held once on every load lane: the adjacency is
+    /// the matrix, and the snapshot's bytes are the matrix's. A self-loop,
+    /// a one-way edge and a non-unit weight each split the adjacency off;
+    /// the batch that undoes them shares it again.
+    #[test]
+    fn a_simple_graph_is_held_once() {
+        let dir = std::env::temp_dir().join("mspgemm_serve_patch");
+        std::fs::create_dir_all(&dir).unwrap();
+        let graph = mspgemm_gen::er_symmetric(60, 6, 3);
+        let (mtx, msb) = (dir.join("simple.mtx"), dir.join("simple.msb"));
+        mspgemm_io::mtx::write_mtx_file(&mtx, &graph).unwrap();
+        mspgemm_io::write_msb_file(&msb, &graph).unwrap();
+        let off = LoadOpts {
+            policy: CachePolicy::Off,
+            ..LoadOpts::default()
+        };
+        let lanes = [
+            (&mtx, off),
+            (&msb, LoadOpts { mmap: true, ..off }),
+            (
+                &mtx,
+                LoadOpts {
+                    pattern: true,
+                    ..off
+                },
+            ),
+        ];
+        for (path, opts) in lanes {
+            let ds = Dataset::load(path.to_str().unwrap(), None, &opts).unwrap();
+            assert!(shares_adj(&ds), "{opts:?}");
+            assert_eq!(ds.mem_bytes(), matrix_bytes(&ds), "{opts:?}");
+            if opts.mmap && cfg!(all(target_endian = "little", target_pointer_width = "64")) {
+                assert_eq!(ds.mem_bytes(), ds.mapped_bytes());
+            }
+        }
+        let v0 = Dataset::load(mtx.to_str().unwrap(), None, &off).unwrap();
+        let (i, j, _) = v0.matrix.iter().find(|&(i, j, _)| i < j as usize).unwrap();
+        let (i, j) = (i as Idx, j);
+        let split_and_share = |what: &str, apply: &[DeltaOp<f64>], undo: &[DeltaOp<f64>]| {
+            let v1 = updated(&v0, apply);
+            assert!(!shares_adj(&v1), "{what} splits the adjacency off");
+            let transpose = if v1.symmetric() {
+                0
+            } else {
+                section_bytes(v1.bt())
+            };
+            let held = matrix_bytes(&v1) + transpose + section_bytes(v1.adj());
+            assert_eq!(v1.mem_bytes(), held, "{what}");
+            let v2 = updated(&v1, undo);
+            assert!(shares_adj(&v2), "undoing the {what} shares it again");
+            assert_eq!(v2.mem_bytes(), matrix_bytes(&v2), "{what}");
+        };
+        split_and_share("self-loop", &[upsert((5, 5), 1.0)], &[delete((5, 5))]);
+        split_and_share("one-way edge", &[delete((i, j))], &[upsert((i, j), 1.0)]);
+        split_and_share(
+            "weight",
+            &[upsert((i, j), 2.0), upsert((j, i), 2.0)],
+            &[upsert((i, j), 1.0), upsert((j, i), 1.0)],
+        );
     }
 
     /// The warm path of an update → `app tc` pair never ranks or relabels

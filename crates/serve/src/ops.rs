@@ -143,7 +143,7 @@ pub(crate) fn load(state: &ServerState, p: &LoadParams) -> Result<(String, Json)
         ("nrows", ds.matrix.nrows().into()),
         ("ncols", ds.matrix.ncols().into()),
         ("nnz", ds.matrix.nnz().into()),
-        ("adj_nnz", ds.adj.nnz().into()),
+        ("adj_nnz", ds.adj().nnz().into()),
     ];
     fields.extend(residency(ds));
     fields.extend([
@@ -181,7 +181,7 @@ pub(crate) fn list(state: &ServerState) -> OpResult {
                 ("path", Json::str(&ds.path)),
                 ("nrows", ds.matrix.nrows().into()),
                 ("nnz", ds.matrix.nnz().into()),
-                ("adj_nnz", ds.adj.nnz().into()),
+                ("adj_nnz", ds.adj().nnz().into()),
             ];
             row.extend(residency(ds));
             row.push(("age_seconds", ds.loaded_at.elapsed().as_secs_f64().into()));
@@ -346,7 +346,7 @@ fn app(state: &ServerState, name: &str, p: &AppParams) -> OpResult {
                 fields
             }
             App::Ktruss => {
-                let r = ktruss::k_truss_with(&ds.adj, p.k, p.scheme, &opts);
+                let r = ktruss::k_truss_with(ds.adj(), p.k, p.scheme, &opts);
                 vec![
                     ("k", p.k.into()),
                     ("iterations", r.iterations.into()),
@@ -359,9 +359,10 @@ fn app(state: &ServerState, name: &str, p: &AppParams) -> OpResult {
                 ]
             }
             App::Bc => {
-                let sources: Vec<usize> = (0..p.batch.min(ds.adj.nrows())).collect();
-                // `ds.adj` is symmetric with unit weights: its own transpose.
-                let r = bc::betweenness_with_transpose(&ds.adj, &ds.adj, &sources, p.scheme, &opts);
+                let adj = ds.adj();
+                let sources: Vec<usize> = (0..p.batch.min(adj.nrows())).collect();
+                // `adj` is symmetric with unit weights: its own transpose.
+                let r = bc::betweenness_with_transpose(adj, adj, &sources, p.scheme, &opts);
                 vec![
                     ("batch", sources.len().into()),
                     ("depth", r.depth.into()),

@@ -486,7 +486,7 @@ mod tests {
 
     /// Triangles of a snapshot's graph, counted from scratch outside it.
     fn fresh_total(ds: &Dataset) -> u64 {
-        tricount::triangle_count(&ds.adj, SCHEME).triangles
+        tricount::triangle_count(ds.adj(), SCHEME).triangles
     }
 
     /// Both directions of an undirected edge, as one update batch.

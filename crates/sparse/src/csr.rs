@@ -286,6 +286,33 @@ impl<T> Csr<T> {
         cols.binary_search(&j).ok().map(|p| &vals[p])
     }
 
+    /// Whether `self` equals its transpose, with stored values compared by
+    /// `same` — `self == transpose(self)` without building the transpose.
+    ///
+    /// One walk in row order with a cursor per row: the entries of row `j`
+    /// at columns `i` are met in increasing `i`, so each `(i, j)` must find
+    /// `(j, i)` exactly where row `j`'s cursor stands. Every entry consumes
+    /// one distinct position, so a walk that never misses has matched all
+    /// `nnz` of them. `O(nnz)` time, `n` cursors.
+    pub fn is_symmetric_by(&self, mut same: impl FnMut(&T, &T) -> bool) -> bool {
+        if self.nrows != self.ncols {
+            return false;
+        }
+        let (rowptr, colidx, values) = (self.rowptr(), self.colidx(), self.values());
+        let mut cursor = rowptr[..self.nrows].to_vec();
+        for i in 0..self.nrows {
+            for p in rowptr[i]..rowptr[i + 1] {
+                let j = colidx[p] as usize;
+                let q = cursor[j];
+                if q == rowptr[j + 1] || colidx[q] as usize != i || !same(&values[p], &values[q]) {
+                    return false;
+                }
+                cursor[j] = q + 1;
+            }
+        }
+        true
+    }
+
     /// `true` iff no entries are stored.
     pub fn is_empty(&self) -> bool {
         self.colidx.is_empty()

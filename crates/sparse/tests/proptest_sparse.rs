@@ -118,4 +118,98 @@ proptest! {
     // the lax legacy `mm_io` reader was deleted: the canonical hardened
     // reader (shared tokenizer in `mspgemm-formats`) covers them,
     // serially and chunk-parallel, in crates/io/tests/.
+
+    /// The symmetry walk answers what comparing with a built transpose
+    /// answers: on random square and rectangular matrices, on their
+    /// mirrored (symmetric) halves, and on those with one cell disturbed.
+    #[test]
+    fn symmetry_walk_equals_transpose_compare(
+        a in csr_strategy(9, 9, 0.3),
+        r in csr_strategy(6, 9, 0.4),
+        seed in 0u64..1_000_000,
+    ) {
+        let d = a.to_dense();
+        let mirrored: Vec<Vec<_>> = (0..9)
+            .map(|i| (0..9).map(|j| d[i.min(j)][i.max(j)]).collect())
+            .collect();
+        let mut disturbed = mirrored.clone();
+        let (i, j) = ((seed % 9) as usize, ((seed / 9) % 9) as usize);
+        disturbed[i][j] = match disturbed[i][j] {
+            Some(v) if seed % 2 == 0 => Some(v + 1),
+            Some(_) => None,
+            None => Some(3),
+        };
+        for m in [a, Csr::from_dense(&mirrored, 9), Csr::from_dense(&disturbed, 9), r] {
+            let m = m.map(|&v| v as f64);
+            walk_matches_transpose(&m)?;
+        }
+    }
+}
+
+/// `a == transpose(a)` with values compared by `same` — the oracle the
+/// symmetry walk must agree with.
+fn equals_transpose_by(a: &Csr<f64>, same: impl Fn(&f64, &f64) -> bool) -> bool {
+    let t = transpose(a);
+    (a.nrows(), a.ncols()) == (t.nrows(), t.ncols())
+        && a.rowptr() == t.rowptr()
+        && a.colidx() == t.colidx()
+        && a.values().iter().zip(t.values()).all(|(x, y)| same(x, y))
+}
+
+/// `a.is_symmetric_by` against [`equals_transpose_by`] under the three
+/// comparisons the workspace makes — pattern only, `==`, and bits —
+/// returning the walk's verdicts in that order.
+fn walk_matches_transpose(a: &Csr<f64>) -> Result<[bool; 3], TestCaseError> {
+    let pattern = |_: &f64, _: &f64| true;
+    let eq = |x: &f64, y: &f64| x == y;
+    let bits = |x: &f64, y: &f64| x.to_bits() == y.to_bits();
+    let walked = [
+        a.is_symmetric_by(pattern),
+        a.is_symmetric_by(eq),
+        a.is_symmetric_by(bits),
+    ];
+    let built = [
+        equals_transpose_by(a, pattern),
+        equals_transpose_by(a, eq),
+        equals_transpose_by(a, bits),
+    ];
+    prop_assert_eq!(walked, built, "{:?}", a);
+    Ok(walked)
+}
+
+/// The shapes the walk's two bounds exist for, each checked against the
+/// transpose oracle: the row-end bound (a one-way edge, empty rows, an
+/// entry in the last column whose row is empty) and the value compare
+/// (value asymmetry, `-0.0` against `0.0`).
+#[test]
+fn symmetry_walk_edge_cases() {
+    let csr = |n: usize, m: usize, entries: &[(usize, usize, f64)]| {
+        let mut d = vec![vec![None; m]; n];
+        for &(i, j, v) in entries {
+            d[i][j] = Some(v);
+        }
+        Csr::from_dense(&d, m)
+    };
+    let verdicts = |a: &Csr<f64>| walk_matches_transpose(a).unwrap();
+    // [pattern, ==, bits]
+    let one_way = csr(3, 3, &[(0, 1, 1.0)]);
+    assert_eq!(verdicts(&one_way), [false; 3]);
+    let last_column = csr(4, 4, &[(0, 3, 1.0), (1, 2, 1.0), (2, 1, 1.0)]);
+    assert_eq!(verdicts(&last_column), [false; 3]);
+    let skips_a_row = csr(3, 3, &[(0, 1, 1.0), (0, 2, 1.0), (2, 0, 1.0)]);
+    assert_eq!(verdicts(&skips_a_row), [false; 3]);
+    let values = csr(3, 3, &[(0, 2, 1.0), (2, 0, 2.0)]);
+    assert_eq!(verdicts(&values), [true, false, false]);
+    let zeros = csr(2, 2, &[(0, 1, 0.0), (1, 0, -0.0)]);
+    assert_eq!(verdicts(&zeros), [true, true, false]);
+    let diagonal = csr(4, 4, &[(0, 0, 5.0), (2, 2, -0.0), (3, 3, 7.0)]);
+    assert_eq!(verdicts(&diagonal), [true; 3]);
+    let empty_rows = csr(5, 5, &[(0, 4, 2.0), (4, 0, 2.0), (2, 2, 1.0)]);
+    assert_eq!(verdicts(&empty_rows), [true; 3]);
+    let corner = csr(4, 4, &[(3, 3, 1.0), (0, 3, 1.0), (3, 0, 1.0)]);
+    assert_eq!(verdicts(&corner), [true; 3]);
+    assert_eq!(verdicts(&Csr::empty(0, 0)), [true; 3]);
+    assert_eq!(verdicts(&Csr::empty(3, 3)), [true; 3]);
+    assert_eq!(verdicts(&Csr::empty(2, 3)), [false; 3]);
+    assert_eq!(verdicts(&csr(1, 2, &[(0, 0, 1.0)])), [false; 3]);
 }
