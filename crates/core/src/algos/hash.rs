@@ -44,8 +44,7 @@ impl<S: Semiring> RowKernel<S> for HashKernel {
             for &j in ctx.mask_cols {
                 ws.mark_not_allowed(j);
             }
-            for (i, &k) in ctx.a_cols.iter().enumerate() {
-                ctx.prefetch_ahead(i);
+            for &k in ctx.a_cols {
                 for &j in ctx.b.row_cols(k as usize) {
                     ws.accumulate_symbolic_complement(j);
                 }
@@ -56,8 +55,7 @@ impl<S: Semiring> RowKernel<S> for HashKernel {
                 ws.mark_allowed(j);
             }
             let mut n = 0;
-            for (i, &k) in ctx.a_cols.iter().enumerate() {
-                ctx.prefetch_ahead(i);
+            for &k in ctx.a_cols {
                 n += ws.accumulate_row_symbolic(ctx.b.row_cols(k as usize));
             }
             n
@@ -76,8 +74,7 @@ impl<S: Semiring> RowKernel<S> for HashKernel {
             for &j in ctx.mask_cols {
                 ws.mark_not_allowed(j);
             }
-            for (i, (&k, &av)) in ctx.a_cols.iter().zip(ctx.a_vals).enumerate() {
-                ctx.prefetch_ahead(i);
+            for (&k, &av) in ctx.a_cols.iter().zip(ctx.a_vals) {
                 let (bc, bv) = ctx.b.row(k as usize);
                 for (&j, &bvv) in bc.iter().zip(bv) {
                     ws.insert_complement_with(j, || S::mul(av, bvv), S::add);
@@ -88,8 +85,7 @@ impl<S: Semiring> RowKernel<S> for HashKernel {
             for &j in ctx.mask_cols {
                 ws.mark_allowed(j);
             }
-            for (i, (&k, &av)) in ctx.a_cols.iter().zip(ctx.a_vals).enumerate() {
-                ctx.prefetch_ahead(i);
+            for (&k, &av) in ctx.a_cols.iter().zip(ctx.a_vals) {
                 let (bc, bv) = ctx.b.row(k as usize);
                 ws.accumulate_row(bc, bv, |bvv| S::mul(av, bvv), S::add);
             }

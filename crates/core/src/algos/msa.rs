@@ -39,8 +39,7 @@ impl<S: Semiring> RowKernel<S> for MsaKernel {
     fn row_symbolic(&self, ws: &mut Self::Ws, ctx: RowCtx<'_, S>) -> usize {
         ws.begin_row();
         ws.load_mask(ctx.mask_cols);
-        for (i, &k) in ctx.a_cols.iter().enumerate() {
-            ctx.prefetch_ahead(i);
+        for &k in ctx.a_cols {
             for &j in ctx.b.row_cols(k as usize) {
                 ws.accumulate_symbolic(j);
             }
@@ -61,8 +60,7 @@ impl<S: Semiring> RowKernel<S> for MsaKernel {
     ) -> usize {
         ws.begin_row();
         ws.load_mask(ctx.mask_cols);
-        for (i, (&k, &av)) in ctx.a_cols.iter().zip(ctx.a_vals).enumerate() {
-            ctx.prefetch_ahead(i);
+        for (&k, &av) in ctx.a_cols.iter().zip(ctx.a_vals) {
             let (bc, bv) = ctx.b.row(k as usize);
             // Filter, then accumulate: `S::mul` runs only for the
             // products the mask admits.

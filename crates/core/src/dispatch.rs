@@ -416,7 +416,6 @@ where
             "MCA does not support complemented masks (paper §8.4)",
         ));
     }
-    warm_gather_stream(p.a, p.b);
     match algo {
         Algorithm::Msa => run_kernel::<S, _, M>(p, &MsaKernel { complement }, row_flops, opts),
         Algorithm::Hash => run_kernel::<S, _, M>(p, &HashKernel { complement }, row_flops, opts),
@@ -439,21 +438,6 @@ where
             run_kernel::<S, _, M>(p, &kernel, row_flops, opts)
         }
         Algorithm::Auto => Err(Error::Unsupported("Auto is no plan: masked_mxm plans it")),
-    }
-}
-
-/// Prime the head of the push kernels' B-row gather stream: the first
-/// rows of `B` that row 0 of `A` will fetch are known before any kernel
-/// runs, so their rowptr entries are prefetched here while the executor
-/// pool spins up. The per-iteration prefetches inside the kernels
-/// ([`crate::phases::RowCtx::prefetch_ahead`]) take over from there.
-fn warm_gather_stream<L, R>(a: &Csr<L>, b: &Csr<R>) {
-    if a.nrows() == 0 || !crate::simd::PREFETCH {
-        return;
-    }
-    let bv = b.view();
-    for &k in a.view().row_cols(0).iter().take(8) {
-        crate::simd::prefetch_b_rowptr(&bv, k as usize);
     }
 }
 
@@ -1234,23 +1218,6 @@ mod tests {
         assert!(pool.hits() > 0, "the half products share the pull scratch");
     }
 
-    /// `mul(x, y) = x − y`: one operand type, but not symmetric in them.
-    #[derive(Clone, Copy)]
-    struct PlusMinusF64;
-
-    impl Semiring for PlusMinusF64 {
-        type Left = f64;
-        type Right = f64;
-        type Out = f64;
-        const ZERO: f64 = 0.0;
-        fn mul(x: f64, y: f64) -> f64 {
-            x - y
-        }
-        fn add(x: f64, y: f64) -> f64 {
-            x + y
-        }
-    }
-
     #[test]
     fn every_guard_keeps_a_product_off_the_oriented_path() {
         on_two_threads(|| {
@@ -1285,9 +1252,6 @@ mod tests {
             let complemented = Product::self_product(&a).with_mode(MaskMode::Complement);
             let (plan, _) = judged::<PlusTimesF64>(&complemented, &opts);
             assert!(matches!(plan, Plan::Kernel(..)), "{plan:?}");
-            // `a_ik − a_kj` is not `a_jk − a_ki`.
-            let (plan, _) = judged::<PlusMinusF64>(&Product::self_product(&a), &opts);
-            assert!(matches!(plan, Plan::Kernel(..)), "{plan:?}");
             // A karate-sized product sits under the fixed charge, a long thin
             // ring under the per-entry one: neither is walked, both push.
             let circulant = |n: usize, steps: &[usize]| {
@@ -1309,6 +1273,44 @@ mod tests {
                 assert_eq!(work.push / 4 < ORIENTED_FIXED_COST, under_fixed);
                 assert_eq!(plan, Plan::Kernel(Algorithm::Msa, Some(work)));
             }
+        })
+    }
+
+    /// `mul(x, y) = x`: one operand type, but `a_ik · a_kj` is `a_ik`
+    /// where the mirrored term `a_jk · a_ki` is `a_jk`.
+    #[derive(Clone, Copy)]
+    struct PlusFirstI64;
+
+    impl Semiring for PlusFirstI64 {
+        type Left = i64;
+        type Right = i64;
+        type Out = i64;
+        const ZERO: i64 = 0;
+        fn mul(x: i64, _: i64) -> i64 {
+            x
+        }
+        fn add(x: i64, y: i64) -> i64 {
+            x + y
+        }
+    }
+
+    #[test]
+    fn a_multiply_that_does_not_commute_never_runs_oriented() {
+        on_two_threads(|| {
+            let a = hubs_and_leaves();
+            let declared = Product::self_product(&a);
+            let opts = ExecOpts::default();
+            let (_, plan) =
+                masked_mxm::<PlusTimesI64, i64>(&declared, Algorithm::Auto, &opts).unwrap();
+            assert!(matches!(plan, Plan::Oriented(_)), "{plan:?}");
+            // The same declared product on a multiply that does not commute:
+            // `Auto` runs a kernel, and a forced oriented plan is refused.
+            let first = |algo| masked_mxm::<PlusFirstI64, i64>(&declared, algo, &opts).unwrap();
+            let ((got, plan), (want, _)) = (first(Algorithm::Auto), first(Algorithm::Msa));
+            assert!(matches!(plan, Plan::Kernel(..)), "{plan:?}");
+            assert_eq!(got, want);
+            let forced = run_plan::<PlusFirstI64, i64>(&declared, Plan::Oriented(None), &opts);
+            assert!(matches!(forced, Err(Error::Unsupported(_))), "{forced:?}");
         })
     }
 

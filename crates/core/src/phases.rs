@@ -69,27 +69,6 @@ pub struct RowCtx<'a, S: Semiring> {
     pub b: CsrRef<'a, S::Right>,
 }
 
-impl<'a, S: Semiring> RowCtx<'a, S> {
-    /// Software-prefetch the B rows a few `A`-entries ahead of position
-    /// `i` in the gather stream: the row pointer at
-    /// [`crate::simd::PREFETCH_PTR_DIST`] and the column/value data at
-    /// [`crate::simd::PREFETCH_ROW_DIST`] (whose rowptr entry the
-    /// earlier prefetch already pulled in). Compiles to nothing where
-    /// [`crate::simd::PREFETCH`] is off.
-    #[inline(always)]
-    pub fn prefetch_ahead(&self, i: usize) {
-        if !crate::simd::PREFETCH {
-            return;
-        }
-        if let Some(&kf) = self.a_cols.get(i + crate::simd::PREFETCH_PTR_DIST) {
-            crate::simd::prefetch_b_rowptr(&self.b, kf as usize);
-        }
-        if let Some(&kn) = self.a_cols.get(i + crate::simd::PREFETCH_ROW_DIST) {
-            crate::simd::prefetch_b_row(&self.b, kn as usize);
-        }
-    }
-}
-
 /// A Masked SpGEVM kernel: computes one output row given one mask row and
 /// one `A` row (§5's row-by-row formulation, `c_i = m_i ⊙ Σ_k a_ik · B_k*`).
 /// The push kernels gather rows of [`RowCtx::b`]; the pull kernel

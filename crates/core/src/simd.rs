@@ -1,20 +1,17 @@
-//! The hash accumulator's cluster probe and the push drives' software
-//! prefetch — the two places the kernels step below plain Rust loops.
+//! The hash accumulator's cluster probe — the one place the kernels step
+//! below plain Rust loops.
 //!
-//! * **Hash probing** — `hash_probe` compares 4 consecutive table keys
-//!   per step against the probe key and EMPTY (paper §5.3's linear probe,
-//!   one movemask per cluster instead of one branch per slot) and keeps
-//!   probe order, so it returns the slot `hash_probe_scalar` returns,
-//!   together with whether that slot holds the key — read off the key
-//!   lanes the compare already made. Neither walk wraps: a
-//!   `HashAccum` table carries its overflow slack past `cap`, so every
-//!   cluster is whole and there is no scalar tail. The compare is SSE2,
-//!   the x86_64 baseline: compiled there, the scalar walk elsewhere,
-//!   nothing to detect or dispatch. Complement-mode tables, where it
-//!   measured slower, use the scalar walk (`docs/DECISIONS.md`).
-//! * **Software prefetch** — [`prefetch_read`] for the push drives' B-row
-//!   gather stream: the rows ahead are known from `A`'s row, so the
-//!   misses of row `k+d` hide behind the arithmetic of row `k`.
+//! `hash_probe` compares 4 consecutive table keys per step against the
+//! probe key and EMPTY (paper §5.3's linear probe, one movemask per
+//! cluster instead of one branch per slot) and keeps probe order, so it
+//! returns the slot `hash_probe_scalar` returns, together with whether
+//! that slot holds the key — read off the key lanes the compare already
+//! made. Neither walk wraps: a `HashAccum` table carries its overflow
+//! slack past `cap`, so every cluster is whole and there is no scalar
+//! tail. The compare is SSE2, the x86_64 baseline: compiled there, the
+//! scalar walk elsewhere, nothing to detect or dispatch. Complement-mode
+//! tables, where it measured slower, use the scalar walk
+//! (`docs/DECISIONS.md`).
 
 use mspgemm_sparse::Idx;
 
@@ -27,52 +24,6 @@ const EMPTY: Idx = Idx::MAX;
 pub const COMPILED_PATH: &str = "sse2";
 #[cfg(not(target_arch = "x86_64"))]
 pub const COMPILED_PATH: &str = "scalar";
-
-/// Whether the push drives emit software prefetches: where
-/// [`prefetch_read`] is an instruction rather than a no-op.
-pub const PREFETCH: bool = cfg!(target_arch = "x86_64");
-
-/// Prefetch the cache line holding `p` for reading (T0 hint; no-op off
-/// x86_64). The address need not be dereferenceable — prefetch never
-/// faults — but callers keep it in-bounds so the hint is useful.
-#[inline(always)]
-pub fn prefetch_read<T>(p: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: `_mm_prefetch` is architecturally a hint; it cannot fault
-    // and has no observable effect on program state.
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>(p as *const i8);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
-}
-
-/// How many `A`-row entries ahead the push kernels prefetch the *row
-/// pointer* of the upcoming B row (the first-level miss).
-pub const PREFETCH_PTR_DIST: usize = 8;
-/// How many entries ahead they prefetch the B row's *column/value data*
-/// (its rowptr entry is resident thanks to [`PREFETCH_PTR_DIST`]).
-pub const PREFETCH_ROW_DIST: usize = 2;
-
-/// Prefetch `b`'s rowptr entry for row `k` — issued
-/// [`PREFETCH_PTR_DIST`] iterations ahead of use.
-#[inline(always)]
-pub fn prefetch_b_rowptr<T>(b: &mspgemm_sparse::CsrRef<'_, T>, k: usize) {
-    prefetch_read(&b.rowptr()[k]);
-}
-
-/// Prefetch the head of `b`'s row `k` data (column indices and values) —
-/// issued [`PREFETCH_ROW_DIST`] iterations ahead, after the rowptr
-/// prefetch has landed.
-#[inline(always)]
-pub fn prefetch_b_row<T>(b: &mspgemm_sparse::CsrRef<'_, T>, k: usize) {
-    let start = b.rowptr()[k];
-    if start < b.colidx().len() {
-        prefetch_read(&b.colidx()[start]);
-        prefetch_read(&b.values()[start]);
-    }
-}
 
 /// The reference probe, one slot per step: the first slot at or after
 /// `start` whose key is `key` or EMPTY. The walk does not wrap: `keys`
@@ -213,14 +164,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn prefetch_is_harmless() {
-        // Prefetch has no observable semantics; just exercise the paths.
-        prefetch_read([1u32, 2, 3].as_ptr());
-        let a = mspgemm_sparse::Csr::<f64>::diagonal(4, 1.0);
-        prefetch_b_rowptr(&a.view(), 2);
-        prefetch_b_row(&a.view(), 2);
     }
 }

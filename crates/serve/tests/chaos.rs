@@ -520,6 +520,64 @@ fn unload_races_an_in_flight_fused_group() {
     assert_eq!(after, reference);
 }
 
+/// A request whose deadline expires while it waits behind a slow one is
+/// answered `deadline_exceeded` instead of running stale work. The slow
+/// request is a delayed executor, not a large product, so the worker is
+/// held as long in a release build as in a debug one.
+#[test]
+fn queued_deadline_expires_behind_a_slow_request() {
+    let _g = guard();
+    mspgemm_fault::clear();
+    let mtx = fixture("deadline", "g.mtx", 120, 17);
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServeConfig {
+            max_inflight: 1,
+            queue_depth: 8,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    server
+        .preload(&[mtx.to_str().unwrap().to_string()])
+        .unwrap();
+    let addr = server.addr().to_string();
+
+    // The only worker sleeps 500ms before the first batch it claims.
+    mspgemm_fault::configure("serve.exec.delay=1*delay(500)").unwrap();
+    std::thread::scope(|scope| {
+        // A slow request occupies the only worker...
+        let slow =
+            scope.spawn(|| client::query_once(&addr, &mxm_req("g", "msa", "normal")).unwrap());
+        // ...and once the worker has claimed it and sleeps, a
+        // tightly-budgeted one queues behind it.
+        let t0 = Instant::now();
+        while mspgemm_fault::hits("serve.exec.delay") == 0 {
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "the worker never claimed the slow request"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let mut c = Client::connect(&addr).unwrap();
+        let resp = c
+            .request(&req(vec![
+                ("op", Json::str("mxm")),
+                ("dataset", Json::str("g")),
+                ("deadline_ms", 5u64.into()),
+            ]))
+            .unwrap();
+        assert_eq!(
+            resp.get("error").unwrap().get("code").unwrap().as_str(),
+            Some("deadline_exceeded"),
+            "{}",
+            resp.to_line()
+        );
+        slow.join().unwrap();
+    });
+    mspgemm_fault::clear();
+}
+
 const STORM_CLIENTS: usize = 8;
 const STORM_REQUESTS: usize = 14;
 

@@ -515,61 +515,6 @@ fn busy_rejections_happen_under_a_tiny_queue() {
     );
 }
 
-/// A request whose deadline expires while it waits behind a slow one is
-/// answered `deadline_exceeded` instead of running stale work.
-#[test]
-fn queued_deadline_expires_behind_a_slow_request() {
-    let mtx = fixture("deadline", 120);
-    let server = Server::start(
-        "127.0.0.1:0",
-        ServeConfig {
-            max_inflight: 1,
-            queue_depth: 8,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-    server
-        .preload(&[mtx.to_str().unwrap().to_string()])
-        .unwrap();
-    let addr = server.addr().to_string();
-
-    std::thread::scope(|scope| {
-        // A long-running request occupies the only worker...
-        let slow = scope.spawn(|| {
-            client::query_once(
-                &addr,
-                &req(vec![
-                    ("op", Json::str("mxm")),
-                    ("dataset", Json::str("g")),
-                    ("algo", Json::str("msa")),
-                    ("reps", 400u64.into()),
-                ]),
-            )
-            .unwrap()
-        });
-        // ...while a tightly-budgeted one queues behind it. The sleep
-        // only needs the slow request admitted first; its hundreds of
-        // reps keep the worker busy far beyond this budget.
-        std::thread::sleep(Duration::from_millis(50));
-        let mut c = Client::connect(&addr).unwrap();
-        let resp = c
-            .request(&req(vec![
-                ("op", Json::str("mxm")),
-                ("dataset", Json::str("g")),
-                ("deadline_ms", 5u64.into()),
-            ]))
-            .unwrap();
-        assert_eq!(
-            resp.get("error").unwrap().get("code").unwrap().as_str(),
-            Some("deadline_exceeded"),
-            "{}",
-            resp.to_line()
-        );
-        slow.join().unwrap();
-    });
-}
-
 #[test]
 fn shutdown_verb_stops_the_server() {
     let (server, addr) = start_with("shutdown", 60);
