@@ -14,14 +14,27 @@ fn dispatch(args: &[&str]) -> Result<String, String> {
     Ok(String::from_utf8(out).unwrap())
 }
 
-fn fixture(tag: &str) -> PathBuf {
+/// The two fixtures in `tag`'s directory: `unit.mtx`, a unit-valued
+/// symmetric R-MAT 8 with no self-loop (a simple graph, whose `mxm` the
+/// server counts), and `weighted.mtx`, the same pattern with symmetric
+/// non-unit values (which it multiplies).
+fn fixtures(tag: &str) -> [PathBuf; 2] {
     let dir = std::env::temp_dir().join(format!("mxm_parity_{tag}"));
     std::fs::create_dir_all(&dir).unwrap();
-    let mtx = dir.join("g.mtx");
     // Skewed enough that algorithms/phases disagree if anything is off.
-    let g = mspgemm_gen::rmat_symmetric(8, mspgemm_gen::RmatParams::default(), 5);
-    mspgemm_io::mtx::write_mtx_file(&mtx, &g).unwrap();
-    mtx
+    let unit = mspgemm_gen::rmat_symmetric(8, mspgemm_gen::RmatParams::default(), 5);
+    assert!(mspgemm_io::is_simple(&unit, true));
+    let mut weighted = mspgemm_sparse::Coo::new(unit.nrows(), unit.ncols());
+    for (i, j, _) in unit.iter() {
+        weighted.push(i as u32, j, 0.5 + ((i as u32 + j) % 7) as f64 * 0.375);
+    }
+    let weighted = weighted.to_csr(|x, _| x);
+    assert!(weighted.is_symmetric_by(f64::eq) && !mspgemm_io::is_simple(&weighted, true));
+    [("unit", unit), ("weighted", weighted)].map(|(name, g)| {
+        let mtx = dir.join(format!("{name}.mtx"));
+        mspgemm_io::mtx::write_mtx_file(&mtx, &g).unwrap();
+        mtx
+    })
 }
 
 fn run_fingerprint(text: &str) -> &str {
@@ -38,62 +51,104 @@ fn query_field<'a>(json: &'a str, key: &str) -> &'a str {
     rest.split(['"', ',', '}']).next().unwrap()
 }
 
+/// Every `algo` × mask × phases cell, on a simple fixture (which the
+/// server counts) and a weighted one (which it multiplies). MCA has no
+/// complemented form: both paths answer the typed error instead.
 #[test]
 fn query_matches_run_bit_for_bit_and_second_query_is_warm() {
-    let mtx = fixture("fp");
+    let mtxs = fixtures("fp");
     let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
-    server
-        .preload(&[mtx.to_str().unwrap().to_string()])
-        .unwrap();
+    let paths = mtxs.iter().map(|p| p.to_str().unwrap().to_string());
+    server.preload(&paths.collect::<Vec<_>>()).unwrap();
     let addr = server.addr().to_string();
 
-    for (algo, mask, phases) in [
-        ("hash", "normal", "2"),
-        ("msa", "normal", "1"),
-        ("hash", "complement", "1"),
-        ("inner", "normal", "2"),
-        ("auto", "normal", "1"),
-    ] {
-        let run_text = dispatch(&[
-            "run",
-            "--algo",
-            algo,
-            "--mask",
-            mask,
-            "--phases",
-            phases,
-            "--reps",
-            "1",
-            "--no-cache",
-            mtx.to_str().unwrap(),
-        ])
-        .unwrap();
-        let query_text = dispatch(&[
-            "query",
-            "--connect",
-            &addr,
-            "mxm",
-            "--dataset",
-            "g",
-            "--algo",
-            algo,
-            "--mask",
-            mask,
-            "--phases",
-            phases,
-        ])
-        .unwrap();
+    for mtx in &mtxs {
+        let dataset = mtx.file_stem().unwrap().to_str().unwrap();
+        for algo in ["msa", "hash", "mca", "heap", "heapdot", "inner", "auto"] {
+            for mask in ["normal", "complement"] {
+                for phases in ["1", "2"] {
+                    let cell = format!("{dataset} algo={algo} mask={mask} phases={phases}");
+                    let options = ["--algo", algo, "--mask", mask, "--phases", phases];
+                    let run_args = ["run", "--reps", "1", "--no-cache", mtx.to_str().unwrap()];
+                    let run = dispatch(&[&run_args[..], &options].concat());
+                    let query_args = ["query", "--connect", &addr, "mxm", "--dataset", dataset];
+                    let query = dispatch(&[&query_args[..], &options].concat());
+                    if algo == "mca" && mask == "complement" {
+                        let query = query.expect_err(&cell);
+                        assert!(query.contains("unsupported"), "{cell}: {query}");
+                        assert!(run.expect_err(&cell).contains("complement"), "{cell}");
+                        continue;
+                    }
+                    let (run_text, query_text) = (run.expect(&cell), query.expect(&cell));
+                    assert_eq!(
+                        run_fingerprint(&run_text),
+                        query_field(&query_text, "fingerprint"),
+                        "{cell}:\nrun:\n{run_text}\nquery:\n{query_text}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// An updated snapshot's first default `mxm` patches its predecessor's
+/// product; on either fixture the patch must answer what a fresh load of
+/// the updated graph answers. The edits keep the unit fixture simple, so
+/// its patch is counted, and the weighted one weighted.
+#[test]
+fn a_patched_product_answers_what_a_fresh_load_answers() {
+    let mtxs = fixtures("patch");
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let paths = mtxs.iter().map(|p| p.to_str().unwrap().to_string());
+    server.preload(&paths.collect::<Vec<_>>()).unwrap();
+    let addr = server.addr().to_string();
+    let query = |args: &[&str]| dispatch(&[&["query", "--connect", &addr][..], args].concat());
+    for mtx in &mtxs {
+        let dataset = mtx.file_stem().unwrap().to_str().unwrap();
+        let g = mspgemm_io::load_matrix(mtx.to_str().unwrap(), &Default::default())
+            .unwrap()
+            .0;
+        // Drop the first row's first edge, then add an edge between two
+        // vertices with neighbours, each both ways.
+        let (i, j) = g.iter().next().map(|(i, j, _)| (i as u32, j)).unwrap();
+        let (u, v) = (0..g.nrows() as u32)
+            .flat_map(|u| (0..u).map(move |v| (u, v)))
+            .find(|&(u, v)| {
+                g.get(u as usize, v).is_none()
+                    && g.row_nnz(u as usize) > 2
+                    && g.row_nnz(v as usize) > 2
+            })
+            .expect("R-MAT 8 is not complete");
+        let update = ["update", "--dataset", dataset];
+        query(&[&update[..], &["--delete", &format!("{i},{j};{j},{i}")]].concat()).unwrap();
+        // The first normal-mask product of an updated snapshot is kept.
+        query(&["mxm", "--dataset", dataset, "--algo", "hash"]).unwrap();
+        query(&[&update[..], &["--insert", &format!("{u},{v};{v},{u}")]].concat()).unwrap();
+        let patched = query(&["mxm", "--dataset", dataset]).unwrap();
+        assert!(patched.contains("\"incremental\":true"), "{patched}");
+
+        let mut edited = mspgemm_sparse::Coo::new(g.nrows(), g.ncols());
+        for (r, c, &x) in g.iter() {
+            if ![(i, j), (j, i)].contains(&(r as u32, c)) {
+                edited.push(r as u32, c, x);
+            }
+        }
+        edited.push(u, v, 1.0);
+        edited.push(v, u, 1.0);
+        let fresh = mtx.with_file_name(format!("{dataset}_edited.mtx"));
+        mspgemm_io::mtx::write_mtx_file(&fresh, &edited.to_csr(|x, _| x)).unwrap();
+        let run = dispatch(&["run", "--reps", "1", "--no-cache", fresh.to_str().unwrap()]).unwrap();
         assert_eq!(
-            run_fingerprint(&run_text),
-            query_field(&query_text, "fingerprint"),
-            "algo={algo} mask={mask} phases={phases}:\nrun:\n{run_text}\nquery:\n{query_text}"
+            query_field(&patched, "fingerprint"),
+            run_fingerprint(&run),
+            "{dataset}"
         );
     }
 }
 
 #[test]
 fn second_query_against_resident_dataset_reports_warm_pool() {
-    let mtx = fixture("warm");
+    let [mtx, _] = fixtures("warm");
     let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
     server
         .preload(&[mtx.to_str().unwrap().to_string()])
@@ -106,7 +161,7 @@ fn second_query_against_resident_dataset_reports_warm_pool() {
         &addr,
         "mxm",
         "--dataset",
-        "g",
+        "unit",
         "--algo",
         "hash",
         "--phases",

@@ -32,6 +32,13 @@
 //! ascending `k`, so both loops emit the same bits. Each executor picks
 //! per row, by the hit rate of the rows it has computed so far in the
 //! drive (`DENSE_HITS`).
+//!
+//! A semiring whose `mul` ignores its operands (`plus_pair`:
+//! [`Semiring::MUL_IGNORES_OPERANDS`]) takes a third loop whatever the hit
+//! rate: a dot is the size of the intersection, so one branch-free pass
+//! counts the probes that hit, and [`Semiring::count`] turns the count
+//! into the sum. No hit is recorded, no value is read, and no sum pass
+//! runs.
 
 use crate::phases::{RowCtx, RowKernel};
 use crate::schedule::ProbeCounts;
@@ -86,11 +93,17 @@ impl ScatterWs {
         }
     }
 
-    /// Scatter the `A` row and choose the loop its dots take.
-    fn begin_row<'a, L>(&'a mut self, a_cols: &[Idx], av: &'a [L], inner: usize) -> RowDots<'a, L> {
+    /// Scatter the `A` row and choose the loop its dots take: a counting
+    /// semiring's count, or by the hit rate seen so far.
+    fn begin_row<'a, S: Semiring>(
+        &'a mut self,
+        a_cols: &[Idx],
+        av: &'a [S::Left],
+        inner: usize,
+    ) -> RowDots<'a, S::Left> {
         self.scatter(a_cols, inner);
         let seen = self.counts;
-        let branch_free = seen.hits * DENSE_HITS > seen.probes;
+        let branch_free = !S::MUL_IGNORES_OPERANDS && seen.hits * DENSE_HITS > seen.probes;
         if branch_free && self.hits.len() < self.pos.len() {
             self.hits.resize(self.pos.len(), 0);
         }
@@ -121,7 +134,11 @@ impl<L: Copy> RowDots<'_, L> {
     #[inline(always)]
     fn dot<S: Semiring<Left = L>>(&mut self, bc: &[Idx], bv: &[S::Right]) -> Option<S::Out> {
         self.counts.probes += bc.len() as u64;
-        if self.branch_free {
+        if S::MUL_IGNORES_OPERANDS {
+            let n = count_hits(self.pos, bc);
+            self.counts.hits += n;
+            (n > 0).then(|| S::count(n))
+        } else if self.branch_free {
             let n = record_hits(self.pos, bc, self.hits);
             self.counts.hits += n as u64;
             sum_hits::<S>(self.pos, self.av, bc, bv, &self.hits[..n])
@@ -158,6 +175,12 @@ fn probe_dot<S: Semiring>(
         }
     }
     Some(acc)
+}
+
+/// The counting dot: how many probes hit, in one branch-free pass.
+#[inline(always)]
+fn count_hits(pos: &[u32], bc: &[Idx]) -> u64 {
+    bc.iter().map(|&k| u64::from(pos[k as usize] != 0)).sum()
 }
 
 /// The branch-free probe pass: the position in `bc` of every probe that
@@ -291,7 +314,7 @@ impl<S: Semiring> RowKernel<S> for InnerKernel<'_, S::Right> {
         if ac.is_empty() {
             return 0;
         }
-        let mut dots = ws.begin_row(ac, av, self.bt.ncols());
+        let mut dots = ws.begin_row::<S>(ac, av, self.bt.ncols());
         let mut w = 0usize;
         // One straight loop per mask mode: sharing the emit step through
         // a closure measured slower (`docs/DECISIONS.md`).
@@ -512,6 +535,77 @@ mod tests {
         assert_eq!(got, [(None, 0); 2]);
     }
 
+    /// `|x ∩ y|` of two sorted index lists, by a two-pointer merge.
+    fn intersection_size(x: &[Idx], y: &[Idx]) -> u64 {
+        let (mut p, mut q, mut n) = (0, 0, 0);
+        while p < x.len() && q < y.len() {
+            match x[p].cmp(&y[q]) {
+                std::cmp::Ordering::Less => p += 1,
+                std::cmp::Ordering::Greater => q += 1,
+                std::cmp::Ordering::Equal => (p, q, n) = (p + 1, q + 1, n + 1),
+            }
+        }
+        n
+    }
+
+    #[test]
+    fn the_counting_dot_counts_the_intersection_at_every_hit_density() {
+        // `A` row `i` holds `HITS[i]` of the 64 even columns, spread so a
+        // row's first probe may miss, and every odd column (never probed);
+        // `Bᵀ` row `j` holds four in five even columns. Row by row, 0 % to
+        // 100 % of the probes hit.
+        const HITS: [usize; 10] = [0, 1, 2, 4, 8, 16, 32, 48, 63, 64];
+        let inner = 128;
+        let a = rect(HITS.len(), inner, |i, k| {
+            k % 2 == 1 || (k / 2 * 37 + i) % 64 < HITS[i]
+        });
+        let a = a.pattern();
+        let bt = rect(12, inner, |j, k| k % 2 == 0 && (k / 2 + j) % 5 != 0).pattern();
+        let b = transpose(&bt);
+        let mask = rect(HITS.len(), 12, |i, j| (i + j) % 3 == 0).pattern();
+        for complement in [false, true] {
+            // The naive count per candidate, and what the two-pass loop's
+            // probe pass records over the same candidates.
+            let mut want = vec![vec![None; 12]; a.nrows()];
+            let mut recorded = ProbeCounts::default();
+            let mut ws = ScatterWs::new(inner);
+            let mut buffer = vec![0; inner];
+            for (i, row) in want.iter_mut().enumerate() {
+                ws.scatter(a.row_cols(i), inner);
+                for j in (0..12).filter(|&j| mask.get(i, j as Idx).is_some() != complement) {
+                    let bc = bt.row_cols(j);
+                    let n = intersection_size(a.row_cols(i), bc);
+                    row[j] = (n > 0).then_some(n);
+                    recorded.probes += bc.len() as u64;
+                    recorded.hits += record_hits(&ws.pos, bc, &mut buffer) as u64;
+                }
+                ws.clear(a.row_cols(i));
+            }
+            let want = Csr::from_dense(&want, 12);
+            assert!(0 < recorded.hits && recorded.hits < recorded.probes);
+            let kernel = InnerKernel::new(bt.view(), complement);
+            for phases in [Phases::One, Phases::Two] {
+                let stats = ExecStats::new();
+                let opts = ExecOpts {
+                    stats: Some(&stats),
+                    ..ExecOpts::default()
+                };
+                let got = run_kernel::<PlusPairU64, _, ()>(
+                    &product(&mask, &a, &b, complement, phases),
+                    &kernel,
+                    None,
+                    &opts,
+                );
+                assert_eq!(got.unwrap(), want, "complement={complement} {phases:?}");
+                assert_eq!(
+                    stats.probes(),
+                    recorded,
+                    "complement={complement} {phases:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn the_two_loops_sum_in_the_same_order() {
         // `A = [1 1 1]` against the order-sensitive B rows' columns 3 and 5
@@ -601,7 +695,7 @@ mod tests {
             let mut loops = Vec::new();
             for i in 0..a.nrows() {
                 let (ac, av) = a.row(i);
-                let mut dots = ws.begin_row(ac, av, inner);
+                let mut dots = ws.begin_row::<PlusTimesI64>(ac, av, inner);
                 loops.push(dots.branch_free);
                 let cands: Vec<Idx> = if complement {
                     non_mask(&kernel.nonempty, mask.row_cols(i)).collect()

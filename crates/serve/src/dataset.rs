@@ -69,7 +69,7 @@ use mspgemm_io::{
     adjacency_delta, dataset_name, distinct_transpose, is_simple, load_matrix, to_adjacency,
     IngestReport, LoadOpts, MsbBackend,
 };
-use mspgemm_sparse::semiring::PlusTimesF64;
+use mspgemm_sparse::semiring::{PlusPairF64, PlusTimesF64};
 use mspgemm_sparse::{transpose, transpose_delta, Csr, Idx, Overlay, StorageReport};
 use std::cmp::Ordering;
 use std::mem::size_of_val;
@@ -294,8 +294,11 @@ impl Dataset {
     /// every changed position ends up equal to its mirror image has a
     /// symmetric successor, decided in `O(batch)`; otherwise one walk
     /// decides it, and only a successor that is not symmetric has its
-    /// transpose patched. Whether the successor is simple follows from
-    /// that, by the test `derive` makes ([`is_simple`]), so a load and an
+    /// transpose patched. So is simplicity: a simple `prev`'s successor is
+    /// simple iff it is symmetric and every changed position holds nothing,
+    /// or `1.0` off the diagonal, decided in `O(batch)`;
+    /// only a successor of a `prev` that is not simple is scanned by the
+    /// test `derive` makes ([`is_simple`]). Either way a load and an
     /// update of the same matrix hold the same sections. A successor that
     /// is not simple merges the batch into `prev`'s adjacency — `prev`'s
     /// matrix, where `prev` was simple.
@@ -315,8 +318,13 @@ impl Dataset {
                 transpose_delta(&matrix, changed).merged(prev.bt().view())
             })
         };
-        let adj = (!is_simple(&matrix, matrix_t.is_none()))
-            .then(|| adjacency_delta(&matrix, changed).merged(prev.adj().view()));
+        let symmetric = matrix_t.is_none();
+        let simple = match prev.simple() {
+            true => symmetric && changed.iter().all(|&(i, j)| stays_simple(&matrix, i, j)),
+            false => is_simple(&matrix, symmetric),
+        };
+        debug_assert_eq!(simple, is_simple(&matrix, symmetric));
+        let adj = (!simple).then(|| adjacency_delta(&matrix, changed).merged(prev.adj().view()));
         debug_assert!(
             adj.iter().all(|adj| adj.is_symmetric_by(f64::eq)),
             "adj must be its own transpose"
@@ -396,6 +404,29 @@ impl Dataset {
     /// bits) — known since the snapshot was built.
     pub fn symmetric(&self) -> bool {
         self.matrix_t.is_none()
+    }
+
+    /// Whether the matrix is its own simple adjacency (symmetric, no
+    /// self-loop, every value `1.0`) — known since the snapshot was built.
+    pub fn simple(&self) -> bool {
+        self.adj.is_none()
+    }
+
+    /// A product of the `mxm` verb over this snapshot's operands. On a
+    /// simple snapshot every product is `1.0 × 1.0`, so each entry is the
+    /// count of its terms, and [`PlusPairF64`] counts them without
+    /// reading a value (the pull kernel's counting dot), equal by bits to
+    /// [`PlusTimesF64`], which multiplies on every other snapshot.
+    pub(crate) fn mxm(
+        &self,
+        product: &Product<'_, f64, f64, f64>,
+        algo: Algorithm,
+        opts: &ExecOpts<'_>,
+    ) -> Result<(Csr<f64>, Plan), Error> {
+        match self.simple() {
+            true => masked_mxm::<PlusPairF64, f64>(product, algo, opts),
+            false => masked_mxm::<PlusTimesF64, f64>(product, algo, opts),
+        }
     }
 
     /// The triangle-counting operands (degree-relabeled `L` and `Lᵀ`),
@@ -517,9 +548,9 @@ impl Dataset {
             .copied()
             .filter(|&(i, j)| a.get(i as usize, j).is_some())
             .collect();
-        let mask = pattern_at(a.nrows(), a.ncols(), &stored);
+        let mask = mask_at(a.nrows(), a.ncols(), &stored);
         let product = Product::new(&mask, a, a, Some(self.bt())).with_phases(phases);
-        let (recomputed, _) = masked_mxm::<PlusTimesF64, ()>(&product, Algorithm::Auto, opts)?;
+        let (recomputed, _) = self.mxm(&product, Algorithm::Auto, opts)?;
         let mut delta = Overlay::new(a.nrows(), a.ncols());
         for &(i, j) in &entries {
             delta.set(i, j, recomputed.get(i as usize, j).copied());
@@ -608,6 +639,14 @@ fn mirrors_itself(matrix: &Csr<f64>, changed: &[(Idx, Idx)]) -> bool {
     changed.iter().all(|&(i, j)| bits(i, j) == bits(j, i))
 }
 
+/// Whether changed position `(i, j)` keeps a simple matrix simple, its
+/// mirror aside: it holds nothing, or `1.0` off the diagonal.
+fn stays_simple(matrix: &Csr<f64>, i: Idx, j: Idx) -> bool {
+    matrix
+        .get(i as usize, j)
+        .is_none_or(|&v| i != j && v == 1.0)
+}
+
 /// The entries of `pattern(A) ⊙ (A·A)` that `changed` positions of `a`
 /// can have moved, sorted and deduplicated; `at` is `aᵀ`. With `P` the
 /// changed positions, they are `P` itself (mask bits) plus, for each
@@ -669,11 +708,14 @@ fn row_of(sorted: &[(Idx, Idx)], r: Idx) -> impl Iterator<Item = Idx> + '_ {
         .map(|&(_, j)| j)
 }
 
-/// The `nrows × ncols` pattern holding exactly the sorted, deduplicated
+/// The `nrows × ncols` mask holding exactly the sorted, deduplicated
 /// `positions` — built directly in one counting pass, since `Coo::to_csr`
 /// would bucket them again and sort rows that are already sorted, in a
-/// parallel drive (a fixed ≈ 1–12 µs on two threads).
-fn pattern_at(nrows: usize, ncols: usize, positions: &[(Idx, Idx)]) -> Csr<()> {
+/// parallel drive (a fixed ≈ 1–12 µs on two threads). A mask's values
+/// are never read; these are `f64`, like the matrix that masks the full
+/// product, so a patch runs the kernels the full product runs instead of
+/// a second copy of each compiled for a `()` mask.
+fn mask_at(nrows: usize, ncols: usize, positions: &[(Idx, Idx)]) -> Csr<f64> {
     let mut rowptr = vec![0usize; nrows + 1];
     for &(i, _) in positions {
         rowptr[i as usize + 1] += 1;
@@ -682,7 +724,7 @@ fn pattern_at(nrows: usize, ncols: usize, positions: &[(Idx, Idx)]) -> Csr<()> {
         rowptr[i + 1] += rowptr[i];
     }
     let colidx = positions.iter().map(|&(_, j)| j).collect();
-    let values = vec![(); positions.len()];
+    let values = vec![1.0; positions.len()];
     Csr::from_parts_unchecked(nrows, ncols, rowptr, colidx, values)
 }
 
@@ -1097,6 +1139,18 @@ mod tests {
             &[upsert((i, j), 2.0), upsert((j, i), 2.0)],
             &[upsert((i, j), 1.0), upsert((j, i), 1.0)],
         );
+        // Batches a simple graph stays simple across, decided from the
+        // batch alone: an absent self-loop deleted, and an edge dropped or
+        // added both ways.
+        let k = (0..60).find(|&k| k != i && v0.matrix.get(i as usize, k).is_none());
+        let k = k.unwrap();
+        for batch in [
+            vec![delete((5, 5))],
+            vec![delete((i, j)), delete((j, i))],
+            vec![upsert((i, k), 1.0), upsert((k, i), 1.0)],
+        ] {
+            assert!(shares_adj(&updated(&v0, &batch)), "{batch:?}");
+        }
     }
 
     /// The warm path of an update → `app tc` pair never ranks or relabels

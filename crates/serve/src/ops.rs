@@ -17,14 +17,13 @@ use crate::protocol::{
 };
 use crate::registry::{DatasetInfo, RegistryError};
 use crate::server::ServerState;
-use masked_spgemm::{masked_mxm, Algorithm, ExecOpts, MaskMode, Phases};
+use masked_spgemm::{Algorithm, ExecOpts, MaskMode, Phases};
 use mspgemm_graph::{bc, ktruss, App};
 use mspgemm_harness::{
     best_of, busy_spread, csr_fingerprint, gflops, mb_per_s, with_threads, BusySpread,
 };
 use mspgemm_io::LoadOpts;
 use mspgemm_obs::{HistSnapshot, Series};
-use mspgemm_sparse::semiring::PlusTimesF64;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -232,7 +231,7 @@ fn mxm(
     let opts = exec_opts(state, deadline);
     let pool_mark = (state.ws_pool.hits(), state.ws_pool.misses());
     let product = ds.mxm_product().with_mode(p.mode).with_phases(p.phases);
-    let run_one = || masked_mxm::<PlusTimesF64, f64>(&product, p.algo, &opts);
+    let run_one = || ds.mxm(&product, p.algo, &opts);
     // Exactly `reps` kernel runs (decode clamps `reps >= 1`), no warm-up:
     // a request costs what it asked for, and reports its best run.
     let kernel = || best_of(p.reps, run_one);

@@ -33,11 +33,25 @@ pub trait Semiring: Copy + Send + Sync + 'static {
     /// once per edge. `false` unless an implementation says otherwise.
     const MUL_COMMUTES: bool = false;
 
+    /// Whether `mul` ignores its operands: every product is the same value,
+    /// so a sum of products depends only on how many there are, which
+    /// [`Semiring::count`] gives. This lets the pull kernel count a dot's
+    /// intersection instead of multiplying it. `false` unless an
+    /// implementation says otherwise, and one that does implements `count`.
+    const MUL_IGNORES_OPERANDS: bool = false;
+
     /// The multiplicative combine.
     fn mul(a: Self::Left, b: Self::Right) -> Self::Out;
 
     /// The additive monoid.
     fn add(x: Self::Out, y: Self::Out) -> Self::Out;
+
+    /// The sum of `n ≥ 1` products, for a semiring whose `mul` ignores its
+    /// operands ([`Semiring::MUL_IGNORES_OPERANDS`]); never called on any
+    /// other.
+    fn count(n: u64) -> Self::Out {
+        unreachable!("count({n}) on a semiring whose mul reads its operands")
+    }
 }
 
 /// The arithmetic semiring `(+, ×)` over `f64` — the paper's running
@@ -114,6 +128,7 @@ impl Semiring for PlusPairU64 {
     type Out = u64;
     const ZERO: u64 = 0;
     const MUL_COMMUTES: bool = true;
+    const MUL_IGNORES_OPERANDS: bool = true;
     #[inline(always)]
     fn mul(_: (), _: ()) -> u64 {
         1
@@ -121,6 +136,39 @@ impl Semiring for PlusPairU64 {
     #[inline(always)]
     fn add(x: u64, y: u64) -> u64 {
         x + y
+    }
+    #[inline(always)]
+    fn count(n: u64) -> u64 {
+        n
+    }
+}
+
+/// `plus_pair` over `f64` operands, counting in `f64`: what a unit-valued
+/// matrix's `plus_times` product is, read off its pattern alone. Every
+/// sum of `1.0`s below 2⁵³ is the exact integer in any order, so on such
+/// a matrix it equals [`PlusTimesF64`] by bits, and its values are never
+/// read.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PlusPairF64;
+
+impl Semiring for PlusPairF64 {
+    type Left = f64;
+    type Right = f64;
+    type Out = f64;
+    const ZERO: f64 = 0.0;
+    const MUL_COMMUTES: bool = true;
+    const MUL_IGNORES_OPERANDS: bool = true;
+    #[inline(always)]
+    fn mul(_: f64, _: f64) -> f64 {
+        1.0
+    }
+    #[inline(always)]
+    fn add(x: f64, y: f64) -> f64 {
+        x + y
+    }
+    #[inline(always)]
+    fn count(n: u64) -> f64 {
+        n as f64
     }
 }
 
@@ -257,6 +305,7 @@ mod tests {
         check::<PlusTimesI64>(&[0, -1, 17, -(1 << 31)]);
         check::<OrAndBool>(&[false, true]);
         check::<PlusPairU64>(&[()]);
+        check::<PlusPairF64>(&floats);
         // The projections are not symmetric in their operands.
         const { assert!(!PlusFirstF64::MUL_COMMUTES && !PlusSecondF64::MUL_COMMUTES) };
     }
@@ -269,6 +318,22 @@ mod tests {
             acc = PlusPairU64::add(acc, PlusPairU64::mul((), ()));
         }
         assert_eq!(acc, 5);
+    }
+
+    #[test]
+    fn counts_are_sums_of_products() {
+        /// `count(n)` against `n` products added one by one, by bits.
+        fn check<S: Semiring>(x: S::Left, y: S::Right, same: impl Fn(S::Out, S::Out) -> bool) {
+            const { assert!(S::MUL_IGNORES_OPERANDS) };
+            let mut acc = S::mul(x, y);
+            for n in 1..=1000 {
+                assert!(same(S::count(n), acc), "n = {n}");
+                acc = S::add(acc, S::mul(x, y));
+            }
+        }
+        check::<PlusPairU64>((), (), |a, b| a == b);
+        check::<PlusPairF64>(-3.5, 1e300, |a, b| a.to_bits() == b.to_bits());
+        const { assert!(!PlusTimesF64::MUL_IGNORES_OPERANDS && !PlusFirstF64::MUL_IGNORES_OPERANDS) };
     }
 
     #[test]
