@@ -33,7 +33,7 @@ fn main() {
             };
             let (secs, c) = time_best(reps, || {
                 let opts = ExecOpts::default();
-                run_kernel::<PlusTimesF64, _, ()>(&product, &kernel, None, &opts).unwrap()
+                run_kernel::<PlusTimesF64, _>(&product, &kernel, None, &opts).unwrap()
             });
             row.push(fmt_secs(secs));
             outputs.push(c);

@@ -150,8 +150,8 @@ fn symmetric_self_products(rounds: usize) -> Vec<String> {
     let mut misses = Vec::new();
     for (name, a) in &graphs {
         let declared = Product::self_product(a);
-        let run = |algo| masked_mxm::<PlusTimesF64, f64>(&declared, algo, &opts).unwrap();
-        let oriented = || run_plan::<PlusTimesF64, f64>(&declared, Plan::Oriented(None), &opts);
+        let run = |algo| masked_mxm::<PlusTimesF64>(&declared, algo, &opts).unwrap();
+        let oriented = || run_plan::<PlusTimesF64>(&declared, Plan::Oriented(None), &opts);
         let (want, _) = run(Algorithm::Msa);
         let (auto, plan) = run(Algorithm::Auto);
         for (label, got) in [
@@ -229,11 +229,7 @@ fn main() {
         for d_mask in [1usize, 2, 4, 8, 16, 32, 64, 128, 256] {
             let mask = er_pattern(n, n, d_mask, 3);
             let product = Product::new(&mask, &a, &b, Some(&bt));
-            let run = |algo| {
-                masked_mxm::<PlusTimesF64, ()>(&product, algo, &opts)
-                    .unwrap()
-                    .0
-            };
+            let run = |algo| masked_mxm::<PlusTimesF64>(&product, algo, &opts).unwrap().0;
             let algos = [Algorithm::Msa, Algorithm::Inner, Algorithm::Auto];
             let [push_c, pull_c, auto_c] = algos.map(run);
             let auto_missed = |[push_s, pull_s, auto_s]: [f64; 3]| {

@@ -61,7 +61,7 @@ fn main() {
                 for &algo in &algos {
                     let (secs, _) = time_best(reps, || {
                         let opts = ExecOpts::default();
-                        masked_mxm::<PlusTimesF64, ()>(&product, algo, &opts).unwrap()
+                        masked_mxm::<PlusTimesF64>(&product, algo, &opts).unwrap()
                     });
                     row.push(fmt_secs(secs));
                     if secs < best.0 {

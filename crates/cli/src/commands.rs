@@ -175,9 +175,7 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
             _ => Product::new(&a, &a, &a, at.as_ref().and_then(Option::as_ref)),
         };
         let product = product.with_mode(mode).with_phases(phases);
-        best_of(reps, || {
-            masked_mxm::<PlusTimesF64, f64>(&product, algo, &opts)
-        })
+        best_of(reps, || masked_mxm::<PlusTimesF64>(&product, algo, &opts))
     };
     let (secs, (c, plan)) = if threads > 0 {
         with_threads(threads, work)

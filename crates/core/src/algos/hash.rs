@@ -122,7 +122,7 @@ mod tests {
             let mask = grid(n, |i, j| (i + j) % 5 == 0).pattern();
             for phases in [Phases::One, Phases::Two] {
                 let run = |opts: &ExecOpts<'_>| {
-                    run_kernel::<PlusTimesI64, _, ()>(
+                    run_kernel::<PlusTimesI64, _>(
                         &product(&mask, &a, &a, false, phases),
                         &kernel,
                         None,

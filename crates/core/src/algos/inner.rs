@@ -397,7 +397,7 @@ mod tests {
             let want = reference(mask, a, b, complement);
             let kernel = InnerKernel::new(bt.view(), complement);
             for phases in [Phases::One, Phases::Two] {
-                let got = run_kernel::<PlusTimesI64, _, ()>(
+                let got = run_kernel::<PlusTimesI64, _>(
                     &product(mask, a, b, complement, phases),
                     &kernel,
                     None,
@@ -472,7 +472,7 @@ mod tests {
         ] {
             let kernel = InnerKernel::new(bt.view(), complement);
             for phases in [Phases::One, Phases::Two] {
-                let c = run_kernel::<PlusTimesF64, _, ()>(
+                let c = run_kernel::<PlusTimesF64, _>(
                     &product(&mask, &a, &b, complement, phases),
                     &kernel,
                     None,
@@ -590,7 +590,7 @@ mod tests {
                     stats: Some(&stats),
                     ..ExecOpts::default()
                 };
-                let got = run_kernel::<PlusPairU64, _, ()>(
+                let got = run_kernel::<PlusPairU64, _>(
                     &product(&mask, &a, &b, complement, phases),
                     &kernel,
                     None,
@@ -718,7 +718,7 @@ mod tests {
             let want = reference(&mask, &a, &b, complement);
             for phases in [Phases::One, Phases::Two] {
                 let got = one_thread.install(|| {
-                    run_kernel::<PlusTimesI64, _, ()>(
+                    run_kernel::<PlusTimesI64, _>(
                         &product(&mask, &a, &b, complement, phases),
                         &kernel,
                         None,
@@ -757,7 +757,7 @@ mod tests {
                     stats: Some(&stats),
                     ..ExecOpts::default()
                 };
-                run_kernel::<PlusTimesI64, _, ()>(
+                run_kernel::<PlusTimesI64, _>(
                     &product(&mask, &a, &b, complement, phases),
                     &kernel,
                     None,

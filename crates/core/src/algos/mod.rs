@@ -25,13 +25,13 @@ pub(crate) fn test_grid(n: usize, keep: impl Fn(usize, usize) -> bool) -> mspgem
 /// `mask ⊙ (a·b)`, or `¬mask ⊙ (a·b)`, under `phases`: what the kernel
 /// unit tests drive [`crate::phases::run_kernel`] over.
 #[cfg(test)]
-pub(crate) fn test_product<'a, M, L, R>(
-    mask: &'a mspgemm_sparse::Csr<M>,
+pub(crate) fn test_product<'a, L, R>(
+    mask: &'a mspgemm_sparse::Csr<()>,
     a: &'a mspgemm_sparse::Csr<L>,
     b: &'a mspgemm_sparse::Csr<R>,
     complement: bool,
     phases: crate::Phases,
-) -> crate::Product<'a, M, L, R> {
+) -> crate::Product<'a, L, R> {
     use crate::MaskMode::{Complement, Mask};
     let mode = if complement { Complement } else { Mask };
     crate::Product::new(mask, a, b, None)

@@ -104,7 +104,7 @@ mod tests {
                 ws_pool: Some(&pool),
                 ..ExecOpts::default()
             };
-            run_kernel::<PlusTimesI64, _, ()>(
+            run_kernel::<PlusTimesI64, _>(
                 &product(&mask, &a, &a, complement, Phases::One),
                 &kernel,
                 None,
@@ -117,7 +117,7 @@ mod tests {
                     stats: Some(&stats),
                     ..quiet
                 };
-                run_kernel::<PlusTimesI64, _, ()>(
+                run_kernel::<PlusTimesI64, _>(
                     &product(&mask, &a, &a, complement, phases),
                     &kernel,
                     None,
@@ -148,7 +148,7 @@ mod tests {
         let row_flops = a.row_flops_with(&a);
         let even: u64 = row_flops.iter().step_by(2).sum();
         assert!(0 < even && even < a.flops_with(&a));
-        let want = run_kernel::<PlusTimesI64, _, ()>(
+        let want = run_kernel::<PlusTimesI64, _>(
             &product(&mask, &a, &a, false, Phases::One),
             &MsaKernel { complement: false },
             None,
@@ -163,7 +163,7 @@ mod tests {
                     ..ExecOpts::default()
                 };
                 let kernel = MsaKernel { complement };
-                let c = run_kernel::<PlusTimesI64, _, ()>(
+                let c = run_kernel::<PlusTimesI64, _>(
                     &product(&mask, &a, &a, complement, phases),
                     &kernel,
                     None,

@@ -3,17 +3,21 @@
 //! * [`spgemm`] / [`spgemm_then_mask`] — the Fig 1 strawman: a plain
 //!   (unmasked) Gustavson SpGEMM, optionally followed by applying the mask
 //!   to the finished product. Every masked-out flop is wasted.
-//! * [`ss_saxpy_like`] — models SuiteSparse:GraphBLAS's SAXPY path as the
+//! * [`ss_saxpy`] — models SuiteSparse:GraphBLAS's SAXPY path as the
 //!   paper characterizes it: push-based accumulation that does **not**
 //!   consult the mask while accumulating (late masking at the gather).
-//! * [`ss_dot_like`] — models `SS:DOT`: pull-based dot products, but — as
+//! * [`ss_dot`] — models `SS:DOT`: pull-based dot products, but — as
 //!   §8.4 observes of the library — `B` is transposed *inside every call*,
 //!   and the transpose cost is attributed to the multiplication.
+//!
+//! Both read a [`Product`]'s mask structure, operands and mode;
+//! [`ss_saxpy_like`] / [`ss_dot_like`] are their one-call forms over a
+//! mask of any value type, whose structure alone is kept.
 //!
 //! These are algorithmic stand-ins, not bindings: see DESIGN.md §2.
 
 use crate::schedule::ExecOpts;
-use crate::{masked_mxm_with_opts, Algorithm, MaskMode, Phases};
+use crate::{masked_mxm, Algorithm, MaskMode, Phases, Product};
 use mspgemm_sparse::ops::ewise::{mask_drop, mask_keep};
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::util::UnsafeSlice;
@@ -75,16 +79,12 @@ pub fn spgemm<S: Semiring>(a: &Csr<S::Left>, b: &Csr<S::Right>) -> Csr<S::Out> {
 }
 
 /// The Fig 1 strawman: full product, then apply the mask.
-pub fn spgemm_then_mask<S, M>(
-    mask: &Csr<M>,
+pub fn spgemm_then_mask<S: Semiring>(
+    mask: &Csr<()>,
     a: &Csr<S::Left>,
     b: &Csr<S::Right>,
     mode: MaskMode,
-) -> Csr<S::Out>
-where
-    S: Semiring,
-    M: Copy + Send + Sync,
-{
+) -> Csr<S::Out> {
     let full = spgemm::<S>(a, b);
     match mode {
         MaskMode::Mask => mask_keep(&full, mask),
@@ -97,23 +97,12 @@ where
 /// computed); the mask filters only at the per-row gather. This captures
 /// the algorithmic difference the paper attributes to `SS:SAXPY` while
 /// avoiding the full-output materialization of [`spgemm_then_mask`].
-pub fn ss_saxpy_like<S, M>(
-    mask: &Csr<M>,
-    a: &Csr<S::Left>,
-    b: &Csr<S::Right>,
-    mode: MaskMode,
-) -> Csr<S::Out>
-where
-    S: Semiring,
-    M: Send + Sync,
-{
-    assert_eq!(
-        a.ncols(),
-        b.nrows(),
-        "ss_saxpy_like: inner dimensions differ"
-    );
-    assert_eq!(mask.nrows(), a.nrows(), "ss_saxpy_like: mask rows");
-    assert_eq!(mask.ncols(), b.ncols(), "ss_saxpy_like: mask cols");
+/// `p`'s `Bᵀ` and phase strategy are not read.
+pub fn ss_saxpy<S: Semiring>(p: &Product<'_, S::Left, S::Right>) -> Csr<S::Out> {
+    let (mask, a, b, mode) = p.operands();
+    assert_eq!(a.ncols(), b.nrows(), "ss_saxpy: inner dimensions differ");
+    assert_eq!(mask.nrows(), a.nrows(), "ss_saxpy: mask rows");
+    assert_eq!(mask.ncols(), b.ncols(), "ss_saxpy: mask cols");
     let nrows = a.nrows();
     let ncols = b.ncols();
     let complement = mode == MaskMode::Complement;
@@ -172,9 +161,32 @@ where
     )
 }
 
+/// [`ss_saxpy`] of `mode(mask) ⊙ (a·b)`.
+pub fn ss_saxpy_like<S, M>(
+    mask: &Csr<M>,
+    a: &Csr<S::Left>,
+    b: &Csr<S::Right>,
+    mode: MaskMode,
+) -> Csr<S::Out>
+where
+    S: Semiring,
+    M: Send + Sync,
+{
+    ss_saxpy::<S>(&Product::new(mask, a, b, None).with_mode(mode))
+}
+
 /// Dot-product baseline with a per-call transpose of `B`, charging the
-/// transpose to the multiplication the way `SS:DOT` does (§8.4). Always
-/// two-phase, like the library's symbolic/numeric dot path.
+/// transpose to the multiplication the way `SS:DOT` does (§8.4): `p`'s
+/// `Bᵀ` is not read. Always two-phase, like the library's
+/// symbolic/numeric dot path.
+pub fn ss_dot<S: Semiring>(p: &Product<'_, S::Left, S::Right>) -> Csr<S::Out> {
+    let p = Product { bt: None, ..*p }.with_phases(Phases::Two);
+    masked_mxm::<S>(&p, Algorithm::Inner, &ExecOpts::default())
+        .unwrap_or_else(|e| panic!("ss_dot: {e}"))
+        .0
+}
+
+/// [`ss_dot`] of `mode(mask) ⊙ (a·b)`.
 pub fn ss_dot_like<S, M>(
     mask: &Csr<M>,
     a: &Csr<S::Left>,
@@ -185,16 +197,7 @@ where
     S: Semiring,
     M: Send + Sync,
 {
-    masked_mxm_with_opts::<S, M>(
-        mask,
-        a,
-        b,
-        Algorithm::Inner,
-        mode,
-        Phases::Two,
-        &ExecOpts::default(),
-    )
-    .unwrap_or_else(|e| panic!("ss_dot_like: {e}"))
+    ss_dot::<S>(&Product::new(mask, a, b, None).with_mode(mode))
 }
 
 /// Plain dense sparse accumulator (Gilbert et al.) for the unmasked
@@ -356,7 +359,7 @@ mod tests {
         )
         .pattern();
         for mode in [MaskMode::Mask, MaskMode::Complement] {
-            let x = spgemm_then_mask::<PlusTimesI64, ()>(&m, &a, &a, mode);
+            let x = spgemm_then_mask::<PlusTimesI64>(&m, &a, &a, mode);
             let y = ss_saxpy_like::<PlusTimesI64, ()>(&m, &a, &a, mode);
             assert_eq!(x, y, "mode {mode:?}");
         }
@@ -373,7 +376,7 @@ mod tests {
             3,
         );
         let m = a.pattern();
-        let x = spgemm_then_mask::<PlusTimesI64, ()>(&m, &a, &a, MaskMode::Mask);
+        let x = spgemm_then_mask::<PlusTimesI64>(&m, &a, &a, MaskMode::Mask);
         let y = ss_dot_like::<PlusTimesI64, ()>(&m, &a, &a, MaskMode::Mask);
         assert_eq!(x, y);
     }

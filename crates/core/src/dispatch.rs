@@ -15,7 +15,7 @@ use crate::phases::{driven_flops, driven_row_flops, masked_out, run_kernel, Phas
 use crate::schedule::ExecOpts;
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::util::exclusive_prefix_sum;
-use mspgemm_sparse::{transpose, Csr, Idx};
+use mspgemm_sparse::{transpose, Csr, CsrRef, Idx};
 use rayon::prelude::*;
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -145,30 +145,32 @@ impl std::fmt::Display for Error {
 impl std::error::Error for Error {}
 
 /// One masked product `C = M ⊙ (A·B)` (or `¬M ⊙ (A·B)`) as a value: the
-/// structural mask, the operands, an optional `Bᵀ` (`B` in CSC, read by
+/// mask's structure, the operands, an optional `Bᵀ` (`B` in CSC, read by
 /// the pull kernel instead of transposing `B`, so applications amortize
 /// the transpose across calls — SuiteSparse's per-call transpose is an
 /// overhead of `SS:DOT`, §8.4; its shape is checked, its values trusted),
-/// the mask mode and the phase strategy. A symmetric self-product is
-/// declared, never inferred: only [`Product::self_product`] lets `Auto`
-/// run [`Plan::Oriented`].
-pub struct Product<'a, M, L, R> {
-    pub(crate) mask: &'a Csr<M>,
+/// the mask mode and the phase strategy. The mask is held as a structural
+/// view ([`CsrRef::structure`]: its own `rowptr` / `colidx`, no values),
+/// so whatever its value type, every product runs one compiled kernel set
+/// per semiring. A symmetric self-product is declared, never inferred:
+/// only [`Product::self_product`] lets `Auto` run [`Plan::Oriented`].
+pub struct Product<'a, L, R> {
+    pub(crate) mask: CsrRef<'a, ()>,
     pub(crate) a: &'a Csr<L>,
     pub(crate) b: &'a Csr<R>,
     pub(crate) bt: Option<&'a Csr<R>>,
     pub(crate) mode: MaskMode,
     pub(crate) phases: Phases,
     /// Set by [`Product::self_product`] alone.
-    symmetric: bool,
+    pub(crate) symmetric: bool,
 }
 
-impl<'a, M, L, R> Product<'a, M, L, R> {
+impl<'a, L, R> Product<'a, L, R> {
     /// `M ⊙ (A·B)` under a normal mask and one phase, with the caller's
-    /// `Bᵀ` if it has one.
-    pub fn new(mask: &'a Csr<M>, a: &'a Csr<L>, b: &'a Csr<R>, bt: Option<&'a Csr<R>>) -> Self {
+    /// `Bᵀ` if it has one. Of `mask` only the structure is kept, in O(1).
+    pub fn new<M>(mask: &'a Csr<M>, a: &'a Csr<L>, b: &'a Csr<R>, bt: Option<&'a Csr<R>>) -> Self {
         Product {
-            mask,
+            mask: mask.view().structure(),
             a,
             b,
             bt,
@@ -188,8 +190,9 @@ impl<'a, M, L, R> Product<'a, M, L, R> {
         Product { phases, ..*self }
     }
 
-    /// The mask, `A`, `B` and the mask mode: what a baseline reads.
-    pub fn operands(&self) -> (&'a Csr<M>, &'a Csr<L>, &'a Csr<R>, MaskMode) {
+    /// The mask's structure, `A`, `B` and the mask mode: what a baseline
+    /// reads.
+    pub fn operands(&self) -> (CsrRef<'a, ()>, &'a Csr<L>, &'a Csr<R>, MaskMode) {
         (self.mask, self.a, self.b, self.mode)
     }
 
@@ -205,12 +208,14 @@ impl<'a, M, L, R> Product<'a, M, L, R> {
     }
 }
 
-impl<'a, T: Copy + PartialEq + Send + Sync> Product<'a, T, T, T> {
+impl<'a, T: Copy + PartialEq + Send + Sync> Product<'a, T, T> {
     /// `A ⊙ (A·A)` for an `A` equal to its transpose: mask, `A`, `B` and
     /// `Bᵀ` are all `a`. The one way to declare `A = Aᵀ` — checked in
-    /// debug builds, trusted otherwise.
+    /// debug builds (a value unequal to itself, a NaN, mirrors its like),
+    /// trusted otherwise.
     pub fn self_product(a: &'a Csr<T>) -> Self {
-        debug_assert!(a.is_symmetric_by(T::eq), "a self-product needs A = Aᵀ");
+        let mirrors = |x: &T, y: &T| x == y || (x.ne(x) && y.ne(y));
+        debug_assert!(a.is_symmetric_by(mirrors), "a self-product needs A = Aᵀ");
         Product {
             symmetric: true,
             ..Self::new(a, a, a, Some(a))
@@ -254,7 +259,7 @@ impl Plan {
     }
 }
 
-fn check_dims<S: Semiring, M>(p: &Product<'_, M, S::Left, S::Right>) -> Result<(), Error> {
+fn check_dims<S: Semiring>(p: &Product<'_, S::Left, S::Right>) -> Result<(), Error> {
     let show = |(rows, cols): (usize, usize)| format!("{rows}x{cols}");
     let (am, ak) = (p.a.nrows(), p.a.ncols());
     let (bk, bn) = (p.b.nrows(), p.b.ncols());
@@ -278,24 +283,21 @@ fn check_dims<S: Semiring, M>(p: &Product<'_, M, S::Left, S::Right>) -> Result<(
 /// workspace pool, busy-time stats, deadline (see [`crate::schedule`];
 /// `&ExecOpts::default()` for a one-shot call). Returns the product and
 /// the [`Plan`] that ran: `algo` itself, or what [`Algorithm::Auto`]
-/// chose. The mask is structural — its values are never read (§2).
+/// chose. The mask is structural — its values are never read (§2), and
+/// the type enforces it: a [`Product`] holds no mask values to read.
 ///
 /// # Errors
 /// [`Error::DimensionMismatch`] for incompatible shapes,
 /// [`Error::Unsupported`] for MCA with a complemented mask,
 /// [`Error::DeadlineExceeded`] for a deadline passed at a phase boundary.
-pub fn masked_mxm<S, M>(
-    p: &Product<'_, M, S::Left, S::Right>,
+pub fn masked_mxm<S: Semiring>(
+    p: &Product<'_, S::Left, S::Right>,
     algo: Algorithm,
     opts: &ExecOpts<'_>,
-) -> Result<(Csr<S::Out>, Plan), Error>
-where
-    S: Semiring,
-    M: Send + Sync,
-{
-    check_dims::<S, M>(p)?;
-    let (plan, row_flops, half) = plan::<S, M>(p, algo);
-    Ok((execute::<S, M>(p, plan, row_flops, half, opts)?, plan))
+) -> Result<(Csr<S::Out>, Plan), Error> {
+    check_dims::<S>(p)?;
+    let (plan, row_flops, half) = plan::<S>(p, algo);
+    Ok((execute::<S>(p, plan, row_flops, half, opts)?, plan))
 }
 
 /// [`masked_mxm`] under a plan the caller chose, such as [`Plan::Oriented`]
@@ -304,22 +306,19 @@ where
 /// # Errors
 /// As [`masked_mxm`]; also [`Error::Unsupported`] for `Auto`, which is no
 /// plan, and for [`Plan::Oriented`] of a product it cannot compute.
-pub fn run_plan<S, M>(
-    p: &Product<'_, M, S::Left, S::Right>,
+pub fn run_plan<S: Semiring>(
+    p: &Product<'_, S::Left, S::Right>,
     plan: Plan,
     opts: &ExecOpts<'_>,
-) -> Result<Csr<S::Out>, Error>
-where
-    S: Semiring,
-    M: Send + Sync,
-{
-    check_dims::<S, M>(p)?;
-    execute::<S, M>(p, plan, None, None, opts)
+) -> Result<Csr<S::Out>, Error> {
+    check_dims::<S>(p)?;
+    execute::<S>(p, plan, None, None, opts)
 }
 
 /// [`masked_mxm`] of `mode(mask) ⊙ (a·b)` under `phases`, the product
 /// alone: the one-call form. It carries no `Bᵀ` and declares nothing, so
-/// it never runs [`Plan::Oriented`].
+/// it never runs [`Plan::Oriented`]. Generic in the mask's value type for
+/// its callers alone: [`Product::new`] keeps the structure.
 ///
 /// # Errors
 /// As [`masked_mxm`].
@@ -337,7 +336,7 @@ where
     M: Send + Sync,
 {
     let p = Product::new(mask, a, b, None).with_mode(mode);
-    masked_mxm::<S, M>(&p.with_phases(phases), algo, opts).map(|(c, _)| c)
+    masked_mxm::<S>(&p.with_phases(phases), algo, opts).map(|(c, _)| c)
 }
 
 /// The one planning function: a named `algo` as it is; `Auto` by counted
@@ -347,14 +346,10 @@ where
 /// same verdict replaces this function and nothing else. Also returns what
 /// the count built that the run reuses: the per-row flops of a
 /// complemented one-phase product, or the oriented plan's half mask.
-fn plan<S, M>(
-    p: &Product<'_, M, S::Left, S::Right>,
+fn plan<S: Semiring>(
+    p: &Product<'_, S::Left, S::Right>,
     algo: Algorithm,
-) -> (Plan, Option<Vec<u64>>, Option<HalfMask>)
-where
-    S: Semiring,
-    M: Send + Sync,
-{
+) -> (Plan, Option<Vec<u64>>, Option<HalfMask>) {
     if algo != Algorithm::Auto {
         return (Plan::Kernel(algo, None), None, None);
     }
@@ -378,17 +373,13 @@ where
 }
 
 /// Run `plan` on a checked `p`, with what planning counted.
-fn execute<S, M>(
-    p: &Product<'_, M, S::Left, S::Right>,
+fn execute<S: Semiring>(
+    p: &Product<'_, S::Left, S::Right>,
     plan: Plan,
     row_flops: Option<Vec<u64>>,
     half: Option<HalfMask>,
     opts: &ExecOpts<'_>,
-) -> Result<Csr<S::Out>, Error>
-where
-    S: Semiring,
-    M: Send + Sync,
-{
+) -> Result<Csr<S::Out>, Error> {
     let complement = p.complement();
     let algo = match plan {
         Plan::Kernel(algo, _) => algo,
@@ -405,7 +396,7 @@ where
             // A declared self-product's `B` is its own transpose.
             let kernel = InnerKernel::new(p.b.view(), false);
             let lower = Product::new(&mask, p.a, p.b, None).with_phases(p.phases);
-            let lower = run_kernel::<S, _, ()>(&lower, &kernel, None, opts)?;
+            let lower = run_kernel::<S, _>(&lower, &kernel, None, opts)?;
             drop(mask);
             let _span = mspgemm_obs::span("oriented-mirror");
             return Ok(mirror(&lower));
@@ -417,12 +408,12 @@ where
         ));
     }
     match algo {
-        Algorithm::Msa => run_kernel::<S, _, M>(p, &MsaKernel { complement }, row_flops, opts),
-        Algorithm::Hash => run_kernel::<S, _, M>(p, &HashKernel { complement }, row_flops, opts),
-        Algorithm::Mca => run_kernel::<S, _, M>(p, &McaKernel, row_flops, opts),
-        Algorithm::Heap => run_kernel::<S, _, M>(p, &HeapKernel::heap(complement), row_flops, opts),
+        Algorithm::Msa => run_kernel::<S, _>(p, &MsaKernel { complement }, row_flops, opts),
+        Algorithm::Hash => run_kernel::<S, _>(p, &HashKernel { complement }, row_flops, opts),
+        Algorithm::Mca => run_kernel::<S, _>(p, &McaKernel, row_flops, opts),
+        Algorithm::Heap => run_kernel::<S, _>(p, &HeapKernel::heap(complement), row_flops, opts),
         Algorithm::HeapDot => {
-            run_kernel::<S, _, M>(p, &HeapKernel::heap_dot(complement), row_flops, opts)
+            run_kernel::<S, _>(p, &HeapKernel::heap_dot(complement), row_flops, opts)
         }
         Algorithm::Inner => {
             let transposed;
@@ -435,7 +426,7 @@ where
                 }
             };
             let kernel = InnerKernel::new(bt.view(), complement);
-            run_kernel::<S, _, M>(p, &kernel, row_flops, opts)
+            run_kernel::<S, _>(p, &kernel, row_flops, opts)
         }
         Algorithm::Auto => Err(Error::Unsupported("Auto is no plan: masked_mxm plans it")),
     }
@@ -540,21 +531,22 @@ fn sum_rows(rows: Range<usize>, entries: usize, per_row: impl Fn(usize) -> u64 +
     }
 }
 
-/// `init + Σ per_row(i)` over the rows of `m` (whose entries `per_row`
-/// walks), looked at before every block and abandoned once `settled`.
-fn sum_until<T>(
-    m: &Csr<T>,
+/// `init + Σ per_row(i)` over the rows `rowptr` delimits (the entries
+/// `per_row` walks), looked at before every block and abandoned once
+/// `settled`.
+fn sum_until(
+    rowptr: &[usize],
     init: u64,
     per_row: impl Fn(usize) -> u64 + Sync,
     settled: impl Fn(u64) -> bool,
 ) -> u64 {
-    let rowptr = m.rowptr();
+    let nrows = rowptr.len() - 1;
     let mut total = init;
     let (mut start, mut block) = (0usize, COUNT_BLOCK);
-    while start < m.nrows() && !settled(total) {
+    while start < nrows && !settled(total) {
         let goal = rowptr[start] + start + block;
         let mut end = start + 1;
-        while end < m.nrows() && rowptr[end] + end < goal {
+        while end < nrows && rowptr[end] + end < goal {
             end += 1;
         }
         total += sum_rows(start..end, rowptr[end] - rowptr[start], &per_row);
@@ -576,8 +568,8 @@ fn sum_until<T>(
 /// bound needs the per-row flops anyway (`keep_row_flops`: they are
 /// returned) or no `bt` came with the call (pull then starts from the
 /// transpose's charge).
-fn direction_work<M, L, R>(
-    mask: &Csr<M>,
+fn direction_work<L, R>(
+    mask: CsrRef<'_, ()>,
     a: &Csr<L>,
     b: &Csr<R>,
     bt: Option<&Csr<R>>,
@@ -585,7 +577,6 @@ fn direction_work<M, L, R>(
     keep_row_flops: bool,
 ) -> (Option<Vec<u64>>, DirectionWork)
 where
-    M: Send + Sync,
     L: Send + Sync,
     R: Send + Sync,
 {
@@ -632,13 +623,13 @@ where
         } else {
             (None, sum_rows(0..a.nrows(), a.nnz(), push_row))
         };
-        let pull = sum_until(mask, transpose_cost, pull_row, |pull| {
+        let pull = sum_until(mask.rowptr(), transpose_cost, pull_row, |pull| {
             !pull_is_cheaper(DirectionWork::of(push, pull))
         });
         (flops, DirectionWork::of(push, pull))
     } else {
         let pull = transpose_cost + sum_rows(0..mask.nrows(), mask.nnz(), pull_row);
-        let push = sum_until(a, 0, push_row, |push| {
+        let push = sum_until(a.rowptr(), 0, push_row, |push| {
             pull_is_cheaper(DirectionWork::of(push, pull))
         });
         (None, DirectionWork::of(push, pull))
@@ -897,7 +888,7 @@ mod tests {
         let opts = ExecOpts::default();
         let run = |bt: &Csr<i64>, algo| {
             let p = Product::new(&m, &a, &b, Some(bt));
-            masked_mxm::<PlusTimesI64, ()>(&p, algo, &opts).map(|(c, _)| c)
+            masked_mxm::<PlusTimesI64>(&p, algo, &opts).map(|(c, _)| c)
         };
         for algo in [Algorithm::Inner, Algorithm::Msa, Algorithm::Auto] {
             for bad in [&b, &dense(3, 1), &dense(5, 1)] {
@@ -923,14 +914,14 @@ mod tests {
     }
 
     /// What `Auto` resolves to, and the work it counted.
-    fn auto<M: Send + Sync>(
-        m: &Csr<M>,
+    fn auto(
+        m: &Csr<()>,
         a: &Csr<i64>,
         b: &Csr<i64>,
         bt: Option<&Csr<i64>>,
         complement: bool,
     ) -> (Algorithm, DirectionWork) {
-        let (_, work) = direction_work(m, a, b, bt, complement, true);
+        let (_, work) = direction_work(m.view(), a, b, bt, complement, true);
         (auto_select(b.ncols(), work), work)
     }
 
@@ -1006,7 +997,8 @@ mod tests {
         // The walked counts — what an undeclared product gets — agree on
         // push, stop counting pull once it has lost, and do not know the
         // third.
-        let (_, walked) = direction_work(&a, &a, &a, Some(&a.clone()), false, true);
+        let (_, walked) =
+            direction_work(a.view().structure(), &a, &a, Some(&a.clone()), false, true);
         assert_eq!((walked.push, walked.oriented), (work.push, None));
         assert!(walked.pull <= work.pull && !pull_is_cheaper(walked));
         assert_eq!(auto_select(a.ncols(), walked), Algorithm::Msa);
@@ -1095,12 +1087,12 @@ mod tests {
         // past 48 000 · 1.5 within its first block of rows, so the rest
         // are never counted — unless the driver wants every row's flops.
         let (a, m) = (rows(8), rows(1).pattern());
-        let (flops, cut) = direction_work(&m, &a, &b, Some(&b), false, false);
+        let (flops, cut) = direction_work(m.view(), &a, &b, Some(&b), false, false);
         assert_eq!(flops, None);
         assert_eq!(cut.pull, 3000 * 16);
         assert!(72_000 < cut.push && cut.push < 3000 * 64, "{cut:?}");
         assert_eq!(cut.push % 64, 0, "whole rows");
-        let (flops, full) = direction_work(&m, &a, &b, Some(&b), false, true);
+        let (flops, full) = direction_work(m.view(), &a, &b, Some(&b), false, true);
         assert_eq!(flops, Some(vec![64; 3000]));
         assert_eq!((full.push, full.pull), (3000 * 64, cut.pull));
         for work in [cut, full] {
@@ -1110,7 +1102,7 @@ mod tests {
         // one — 8 products a row — and pull's 1 + 8 · 8 probes a row are
         // out of the race after one block.
         let (a, m) = (rows(1), rows(8).pattern());
-        let (_, cut) = direction_work(&m, &a, &b, Some(&b), false, false);
+        let (_, cut) = direction_work(m.view(), &a, &b, Some(&b), false, false);
         assert_eq!(cut.push, 3000 * 8);
         assert!(16_000 < cut.pull && cut.pull < 3000 * 65, "{cut:?}");
         assert_eq!(cut.pull % 65, 0, "whole rows");
@@ -1122,7 +1114,7 @@ mod tests {
         let (visited, frontier, adj) = bc_level(64, 48, 2);
         let opts = ExecOpts::default();
         let p = Product::new(&visited, &frontier, &adj, Some(&adj)).with_mode(MaskMode::Complement);
-        let run = |algo| masked_mxm::<PlusTimesI64, ()>(&p, algo, &opts).unwrap();
+        let run = |algo| masked_mxm::<PlusTimesI64>(&p, algo, &opts).unwrap();
         // A named algorithm is its own plan, counted by nobody; `Auto`'s
         // is what it resolved to, with what it counted.
         let (want, named) = run(Algorithm::Msa);
@@ -1145,11 +1137,11 @@ mod tests {
 
     /// `p` on `S` under `opts`, and the plan that ran.
     fn product<S: Semiring<Left = f64, Right = f64, Out = f64>>(
-        p: &Product<'_, f64, f64, f64>,
+        p: &Product<'_, f64, f64>,
         algo: Algorithm,
         opts: &ExecOpts<'_>,
     ) -> (Csr<f64>, Plan) {
-        masked_mxm::<S, f64>(p, algo, opts).unwrap()
+        masked_mxm::<S>(p, algo, opts).unwrap()
     }
 
     #[test]
@@ -1225,7 +1217,7 @@ mod tests {
             let opts = ExecOpts::default();
             // `Auto`'s plan for `p`, and its answer checked against MSA's.
             fn judged<S: Semiring<Left = f64, Right = f64, Out = f64>>(
-                p: &Product<'_, f64, f64, f64>,
+                p: &Product<'_, f64, f64>,
                 opts: &ExecOpts<'_>,
             ) -> (Plan, Sections) {
                 let (got, plan) = product::<S>(p, Algorithm::Auto, opts);
@@ -1300,17 +1292,59 @@ mod tests {
             let a = hubs_and_leaves();
             let declared = Product::self_product(&a);
             let opts = ExecOpts::default();
-            let (_, plan) =
-                masked_mxm::<PlusTimesI64, i64>(&declared, Algorithm::Auto, &opts).unwrap();
+            let (_, plan) = masked_mxm::<PlusTimesI64>(&declared, Algorithm::Auto, &opts).unwrap();
             assert!(matches!(plan, Plan::Oriented(_)), "{plan:?}");
             // The same declared product on a multiply that does not commute:
             // `Auto` runs a kernel, and a forced oriented plan is refused.
-            let first = |algo| masked_mxm::<PlusFirstI64, i64>(&declared, algo, &opts).unwrap();
+            let first = |algo| masked_mxm::<PlusFirstI64>(&declared, algo, &opts).unwrap();
             let ((got, plan), (want, _)) = (first(Algorithm::Auto), first(Algorithm::Msa));
             assert!(matches!(plan, Plan::Kernel(..)), "{plan:?}");
             assert_eq!(got, want);
-            let forced = run_plan::<PlusFirstI64, i64>(&declared, Plan::Oriented(None), &opts);
+            let forced = run_plan::<PlusFirstI64>(&declared, Plan::Oriented(None), &opts);
             assert!(matches!(forced, Err(Error::Unsupported(_))), "{forced:?}");
+        })
+    }
+
+    #[test]
+    fn a_mask_is_read_for_its_structure_alone() {
+        on_two_threads(|| {
+            // Mask values no structural mask may read, on a graph whose
+            // declared self-product runs oriented.
+            const VALUES: [f64; 4] = [0.0, -0.0, f64::NAN, 2.0];
+            let a = skewed(|u, v| VALUES[(u + 3 * v) % VALUES.len()]);
+            let pattern = a.pattern();
+            let opts = ExecOpts::default();
+            let run = |p: &Product<'_, f64, f64>, plan| {
+                let c = run_plan::<PlusTimesF64>(p, plan, &opts).unwrap();
+                mspgemm_harness::csr_fingerprint(&c)
+            };
+            // Whatever the mask's value type, a product has one type.
+            let products = [
+                Product::new(&a, &a, &a, Some(&a)),
+                Product::new(&pattern, &a, &a, Some(&a)),
+            ];
+            for algo in Algorithm::ALL {
+                for mode in [MaskMode::Mask, MaskMode::Complement] {
+                    if mode == MaskMode::Complement && !algo.supports_complement() {
+                        continue;
+                    }
+                    for phases in [Phases::One, Phases::Two] {
+                        let [valued, structural] = products.each_ref().map(|p| {
+                            run(
+                                &p.with_mode(mode).with_phases(phases),
+                                Plan::Kernel(algo, None),
+                            )
+                        });
+                        assert_eq!(valued, structural, "{algo:?} {mode:?} {phases:?}");
+                    }
+                }
+            }
+            // The declared self-product is masked by `a`, values and all.
+            let want = run(&products[1], Plan::Kernel(Algorithm::Msa, None));
+            for phases in [Phases::One, Phases::Two] {
+                let declared = Product::self_product(&a).with_phases(phases);
+                assert_eq!(run(&declared, Plan::Oriented(None)), want, "{phases:?}");
+            }
         })
     }
 
@@ -1326,8 +1360,8 @@ mod tests {
     fn a_forced_oriented_plan_checks_its_declaration_and_deadline() {
         let a = hubs_and_leaves();
         let opts = ExecOpts::default();
-        let run = |p: &Product<'_, i64, i64, i64>, plan, opts: &ExecOpts<'_>| {
-            run_plan::<PlusTimesI64, i64>(p, plan, opts)
+        let run = |p: &Product<'_, i64, i64>, plan, opts: &ExecOpts<'_>| {
+            run_plan::<PlusTimesI64>(p, plan, opts)
         };
         let declared = Product::self_product(&a).with_phases(Phases::Two);
         assert_eq!(

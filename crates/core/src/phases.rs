@@ -254,8 +254,8 @@ fn run_rows<S, K>(
 /// Normal mask: the output is a subset of the mask row. Complemented mask:
 /// at most one entry per product (`flops_i`, counted once per product,
 /// see [`run_kernel`]) and at most the non-mask columns.
-pub(crate) fn one_phase_bounds<M: Send + Sync>(
-    mask: &Csr<M>,
+pub(crate) fn one_phase_bounds(
+    mask: CsrRef<'_, ()>,
     ncols: usize,
     complement: bool,
     flops: Option<&[u64]>,
@@ -282,7 +282,7 @@ pub(crate) fn one_phase_bounds<M: Send + Sync>(
 /// forming a product, so a sparse mask (the recount passes of incremental
 /// triangle counting and k-truss) pays for the rows it touches only.
 #[inline]
-pub(crate) fn masked_out<M>(mask: &Csr<M>, complement: bool, i: usize) -> bool {
+pub(crate) fn masked_out(mask: CsrRef<'_, ()>, complement: bool, i: usize) -> bool {
     !complement && mask.row_nnz(i) == 0
 }
 
@@ -290,8 +290,8 @@ pub(crate) fn masked_out<M>(mask: &Csr<M>, complement: bool, i: usize) -> bool {
 /// `0` for a row it skips ([`masked_out`]), whose `A` row is not even
 /// walked.
 #[inline]
-pub(crate) fn driven_flops<M, L, R>(
-    mask: &Csr<M>,
+pub(crate) fn driven_flops<L, R>(
+    mask: CsrRef<'_, ()>,
     a: &Csr<L>,
     b: &Csr<R>,
     complement: bool,
@@ -306,14 +306,13 @@ pub(crate) fn driven_flops<M, L, R>(
 
 /// [`driven_flops`] of every row; their sum is the products a push kernel
 /// forms.
-pub(crate) fn driven_row_flops<M, L, R>(
-    mask: &Csr<M>,
+pub(crate) fn driven_row_flops<L, R>(
+    mask: CsrRef<'_, ()>,
     a: &Csr<L>,
     b: &Csr<R>,
     complement: bool,
 ) -> Vec<u64>
 where
-    M: Send + Sync,
     L: Send + Sync,
     R: Send + Sync,
 {
@@ -325,8 +324,8 @@ where
 
 /// Row `i` of `p` as its kernel sees it; `None` for a row the drive
 /// skips ([`masked_out`]).
-fn row_ctx<'a, S: Semiring, M>(
-    p: &Product<'a, M, S::Left, S::Right>,
+fn row_ctx<'a, S: Semiring>(
+    p: &Product<'a, S::Left, S::Right>,
     b: CsrRef<'a, S::Right>,
     i: usize,
 ) -> Option<RowCtx<'a, S>> {
@@ -360,8 +359,8 @@ fn expired(opts: &ExecOpts<'_>) -> bool {
 /// phase boundary — before any pass starts, or between the symbolic and
 /// numeric passes of a two-phase run. A drive never aborts mid-pass; the
 /// output, when produced, is always complete.
-pub fn run_kernel<S, K, M>(
-    p: &Product<'_, M, S::Left, S::Right>,
+pub fn run_kernel<S, K>(
+    p: &Product<'_, S::Left, S::Right>,
     kernel: &K,
     row_flops: Option<Vec<u64>>,
     opts: &ExecOpts<'_>,
@@ -369,7 +368,6 @@ pub fn run_kernel<S, K, M>(
 where
     S: Semiring,
     K: RowKernel<S>,
-    M: Send + Sync,
 {
     if expired(opts) {
         return Err(Error::DeadlineExceeded);
@@ -390,8 +388,8 @@ where
     }
 }
 
-fn run_one_phase<S, K, M>(
-    p: &Product<'_, M, S::Left, S::Right>,
+fn run_one_phase<S, K>(
+    p: &Product<'_, S::Left, S::Right>,
     kernel: &K,
     flops: Option<&[u64]>,
     chunks: &[Range<usize>],
@@ -400,7 +398,6 @@ fn run_one_phase<S, K, M>(
 where
     S: Semiring,
     K: RowKernel<S>,
-    M: Send + Sync,
 {
     let (nrows, ncols, bv) = (p.mask.nrows(), p.b.ncols(), p.b.view());
     let bounds = one_phase_bounds(p.mask, ncols, p.complement(), flops);
@@ -450,8 +447,8 @@ where
     ))
 }
 
-fn run_two_phase<S, K, M>(
-    p: &Product<'_, M, S::Left, S::Right>,
+fn run_two_phase<S, K>(
+    p: &Product<'_, S::Left, S::Right>,
     kernel: &K,
     chunks: &[Range<usize>],
     opts: &ExecOpts<'_>,
@@ -459,7 +456,6 @@ fn run_two_phase<S, K, M>(
 where
     S: Semiring,
     K: RowKernel<S>,
-    M: Send + Sync,
 {
     let (nrows, ncols, bv) = (p.mask.nrows(), p.b.ncols(), p.b.view());
     // Symbolic phase: exact per-row sizes.

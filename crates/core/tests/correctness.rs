@@ -4,6 +4,7 @@
 
 use masked_spgemm::baseline;
 use masked_spgemm::{masked_mxm_with_opts, Algorithm, ExecOpts, MaskMode, Phases};
+use mspgemm_harness::csr_fingerprint;
 use mspgemm_sparse::semiring::{PlusPairU64, PlusTimesI64, Semiring};
 use mspgemm_sparse::{Csr, Idx};
 use rand::rngs::StdRng;
@@ -71,22 +72,39 @@ fn all_variants() -> Vec<(Algorithm, MaskMode, Phases)> {
     v
 }
 
-fn check_all(mask: &Csr<()>, a: &Csr<i64>, b: &Csr<i64>, label: &str) {
+/// `mask`'s pattern with real values — `0.0`, `-0.0` and `NaN` in turn —
+/// none of which a structural mask may read.
+fn valued(mask: &Csr<()>) -> Csr<f64> {
+    const VALUES: [f64; 3] = [0.0, -0.0, f64::NAN];
+    let mut k = 0;
+    mask.map(|_| {
+        k += 1;
+        VALUES[k % VALUES.len()]
+    })
+}
+
+/// Every variant of `mode(mask) ⊙ (a·b)` against the dense reference, and
+/// the same product under `valued` — `mask` as a `Csr<f64>` — equal to it
+/// by fingerprint.
+fn check_all(mask: &Csr<()>, valued: &Csr<f64>, a: &Csr<i64>, b: &Csr<i64>, label: &str) {
+    assert_eq!(&valued.pattern(), mask, "{label}: one pattern");
+    let fingerprint = |c: &Csr<i64>| csr_fingerprint(&c.map(|&v| v as f64));
     for (algo, mode, phases) in all_variants() {
         let want = reference::<PlusTimesI64>(mask, a, b, mode == MaskMode::Complement);
-        let got = masked_mxm_with_opts::<PlusTimesI64, ()>(
-            mask,
-            a,
-            b,
-            algo,
-            mode,
-            phases,
-            &ExecOpts::default(),
-        )
-        .unwrap_or_else(|e| panic!("{label}: {algo:?}/{mode:?}/{phases:?} errored: {e}"));
+        let opts = ExecOpts::default();
+        let got = masked_mxm_with_opts::<PlusTimesI64, ()>(mask, a, b, algo, mode, phases, &opts)
+            .unwrap_or_else(|e| panic!("{label}: {algo:?}/{mode:?}/{phases:?} errored: {e}"));
         assert_eq!(
             got, want,
             "{label}: {algo:?}/{mode:?}/{phases:?} diverges from dense reference"
+        );
+        let by_values =
+            masked_mxm_with_opts::<PlusTimesI64, f64>(valued, a, b, algo, mode, phases, &opts)
+                .unwrap();
+        assert_eq!(
+            fingerprint(&by_values),
+            fingerprint(&got),
+            "{label}: {algo:?}/{mode:?}/{phases:?} reads the mask's values"
         );
     }
 }
@@ -119,7 +137,7 @@ fn tiny_handcrafted_case() {
         ],
         3,
     );
-    check_all(&mask, &a, &b, "tiny");
+    check_all(&mask, &valued(&mask), &a, &b, "tiny");
 }
 
 #[test]
@@ -212,7 +230,8 @@ fn random_square_sweep() {
         let a = random_csr(n, n, da, &mut rng);
         let b = random_csr(n, n, da, &mut rng);
         let mask = random_csr(n, n, dm, &mut rng).pattern();
-        check_all(&mask, &a, &b, &format!("square n={n} da={da} dm={dm}"));
+        let label = format!("square n={n} da={da} dm={dm}");
+        check_all(&mask, &valued(&mask), &a, &b, &label);
     }
 }
 
@@ -230,7 +249,7 @@ fn random_rectangular_sweep() {
         let a = random_csr(m, k, 0.35, &mut rng);
         let b = random_csr(k, n, 0.35, &mut rng);
         let mask = random_csr(m, n, 0.4, &mut rng).pattern();
-        check_all(&mask, &a, &b, &format!("rect {m}x{k}x{n}"));
+        check_all(&mask, &valued(&mask), &a, &b, &format!("rect {m}x{k}x{n}"));
     }
 }
 
@@ -362,7 +381,7 @@ fn baselines_match_reference() {
     for mode in [MaskMode::Mask, MaskMode::Complement] {
         let want = reference::<PlusTimesI64>(&mask, &a, &b, mode == MaskMode::Complement);
         assert_eq!(
-            baseline::spgemm_then_mask::<PlusTimesI64, ()>(&mask, &a, &b, mode),
+            baseline::spgemm_then_mask::<PlusTimesI64>(&mask, &a, &b, mode),
             want
         );
         assert_eq!(
@@ -394,7 +413,7 @@ fn a_supplied_bt_matches() {
                 .with_phases(phases);
             let opts = ExecOpts::default();
             let (via_bt, _) =
-                masked_spgemm::masked_mxm::<PlusTimesI64, ()>(&p, Algorithm::Inner, &opts).unwrap();
+                masked_spgemm::masked_mxm::<PlusTimesI64>(&p, Algorithm::Inner, &opts).unwrap();
             assert_eq!(via_bt, want, "{mode:?} {phases:?}");
         }
     }
@@ -414,5 +433,5 @@ fn skewed_rows_one_dense_row() {
     let a = Csr::from_dense(&d, n);
     let mut rng = StdRng::seed_from_u64(29);
     let mask = random_csr(n, n, 0.3, &mut rng).pattern();
-    check_all(&mask, &a, &a, "hub");
+    check_all(&mask, &valued(&mask), &a, &a, "hub");
 }

@@ -53,7 +53,7 @@ fn product<K: RowKernel<PlusTimesF64>>(
     let p = Product::new(mask, a, b, None)
         .with_mode(mode)
         .with_phases(phases);
-    run_kernel::<PlusTimesF64, _, ()>(&p, kernel, None, &ExecOpts::default()).unwrap()
+    run_kernel::<PlusTimesF64, _>(&p, kernel, None, &ExecOpts::default()).unwrap()
 }
 
 /// The plain merge (`NInspect` 0), Heap (1) and HeapDot (∞) × normal /

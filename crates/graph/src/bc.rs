@@ -143,7 +143,7 @@ pub fn betweenness_with_transpose(
         // A pull level reads Bᵀ = Aᵀ.
         let frontier = Product::new(&visited, &levels[levels.len() - 1], adj, Some(adj_t));
         let next: Csr<f64> =
-            scheme.run_with::<PlusTimesF64, ()>(&frontier.with_mode(MaskMode::Complement), opts);
+            scheme.run_with::<PlusTimesF64>(&frontier.with_mode(MaskMode::Complement), opts);
         mxm_seconds += t0.elapsed().as_secs_f64();
         if next.nnz() == 0 {
             break;
@@ -168,7 +168,7 @@ pub fn betweenness_with_transpose(
         // W' = ⟨σ_{d-1}⟩ (W_d · Aᵀ) — plain masked SpGEMM.
         let t0 = Instant::now();
         let product = Product::new(&levels[d - 1], &levels[d], adj_t, Some(adj)); // (Aᵀ)ᵀ
-        let w2: Csr<f64> = scheme.run_with::<PlusTimesF64, f64>(&product, opts);
+        let w2: Csr<f64> = scheme.run_with::<PlusTimesF64>(&product, opts);
         mxm_seconds += t0.elapsed().as_secs_f64();
         bcu = fold_dependencies(&levels[d - 1], &w2, &mut scores);
     }

@@ -69,24 +69,19 @@ impl Scheme {
     /// # Panics
     /// On what the dispatch rejects: mismatched shapes, MCA under a
     /// complemented mask, an expired [`ExecOpts::deadline`].
-    pub fn run_with<S, M>(
+    pub fn run_with<S: Semiring>(
         &self,
-        p: &Product<'_, M, S::Left, S::Right>,
+        p: &Product<'_, S::Left, S::Right>,
         opts: &ExecOpts<'_>,
-    ) -> Csr<S::Out>
-    where
-        S: Semiring,
-        M: Send + Sync,
-    {
-        let (mask, a, b, mode) = p.operands();
+    ) -> Csr<S::Out> {
         match *self {
             Scheme::Ours(algo, phases) => {
-                masked_mxm::<S, M>(&p.with_phases(phases), algo, opts)
+                masked_mxm::<S>(&p.with_phases(phases), algo, opts)
                     .expect("masked mxm failed")
                     .0
             }
-            Scheme::SsSaxpy => baseline::ss_saxpy_like::<S, M>(mask, a, b, mode),
-            Scheme::SsDot => baseline::ss_dot_like::<S, M>(mask, a, b, mode),
+            Scheme::SsSaxpy => baseline::ss_saxpy::<S>(p),
+            Scheme::SsDot => baseline::ss_dot::<S>(p),
         }
     }
 }
@@ -171,14 +166,14 @@ mod tests {
         let auto = Scheme::Ours(Algorithm::Auto, Phases::One);
         let opts = ExecOpts::default();
         let p = Product::new(&mask, &ones, &ones, Some(&twos));
-        let with_bt = auto.run_with::<PlusTimesI64, ()>(&p, &opts);
-        let (want, plan) = masked_mxm::<PlusTimesI64, ()>(&p, Algorithm::Inner, &opts).unwrap();
+        let with_bt = auto.run_with::<PlusTimesI64>(&p, &opts);
+        let (want, plan) = masked_mxm::<PlusTimesI64>(&p, Algorithm::Inner, &opts).unwrap();
         assert_eq!(plan, masked_spgemm::Plan::Kernel(Algorithm::Inner, None));
         assert_eq!(with_bt, want);
         assert_eq!(with_bt.get(3, 5), Some(&(2 * n as i64)));
         // Without a `bt` the same call is the product with `b`.
         let p = Product::new(&mask, &ones, &ones, None);
-        let without = auto.run_with::<PlusTimesI64, ()>(&p, &opts);
+        let without = auto.run_with::<PlusTimesI64>(&p, &opts);
         assert_eq!(without.get(3, 5), Some(&(n as i64)));
     }
 

@@ -116,7 +116,7 @@ fn masked_rows(
 ) -> (Vec<u64>, f64) {
     let t0 = Instant::now();
     let product = Product::new(mask, &ops.l, &ops.l, Some(&ops.lt));
-    let c = scheme.run_with::<PlusPairU64, ()>(&product, opts);
+    let c = scheme.run_with::<PlusPairU64>(&product, opts);
     let secs = t0.elapsed().as_secs_f64();
     (reduce_rows(&c, 0u64, |acc, v| acc + v), secs)
 }

@@ -392,7 +392,7 @@ impl Dataset {
     /// and [`Self::bt`] spares the pull kernel its transpose. A symmetric
     /// snapshot declares it a self-product, which is how `auto` learns it
     /// may compute each edge of the product once.
-    pub(crate) fn mxm_product(&self) -> Product<'_, f64, f64, f64> {
+    pub(crate) fn mxm_product(&self) -> Product<'_, f64, f64> {
         let m = &self.matrix;
         match self.symmetric() {
             true => Product::self_product(m),
@@ -419,13 +419,13 @@ impl Dataset {
     /// [`PlusTimesF64`], which multiplies on every other snapshot.
     pub(crate) fn mxm(
         &self,
-        product: &Product<'_, f64, f64, f64>,
+        product: &Product<'_, f64, f64>,
         algo: Algorithm,
         opts: &ExecOpts<'_>,
     ) -> Result<(Csr<f64>, Plan), Error> {
         match self.simple() {
-            true => masked_mxm::<PlusPairF64, f64>(product, algo, opts),
-            false => masked_mxm::<PlusTimesF64, f64>(product, algo, opts),
+            true => masked_mxm::<PlusPairF64>(product, algo, opts),
+            false => masked_mxm::<PlusTimesF64>(product, algo, opts),
         }
     }
 
@@ -711,11 +711,8 @@ fn row_of(sorted: &[(Idx, Idx)], r: Idx) -> impl Iterator<Item = Idx> + '_ {
 /// The `nrows × ncols` mask holding exactly the sorted, deduplicated
 /// `positions` — built directly in one counting pass, since `Coo::to_csr`
 /// would bucket them again and sort rows that are already sorted, in a
-/// parallel drive (a fixed ≈ 1–12 µs on two threads). A mask's values
-/// are never read; these are `f64`, like the matrix that masks the full
-/// product, so a patch runs the kernels the full product runs instead of
-/// a second copy of each compiled for a `()` mask.
-fn mask_at(nrows: usize, ncols: usize, positions: &[(Idx, Idx)]) -> Csr<f64> {
+/// parallel drive (a fixed ≈ 1–12 µs on two threads).
+fn mask_at(nrows: usize, ncols: usize, positions: &[(Idx, Idx)]) -> Csr<()> {
     let mut rowptr = vec![0usize; nrows + 1];
     for &(i, _) in positions {
         rowptr[i as usize + 1] += 1;
@@ -724,7 +721,7 @@ fn mask_at(nrows: usize, ncols: usize, positions: &[(Idx, Idx)]) -> Csr<f64> {
         rowptr[i + 1] += rowptr[i];
     }
     let colidx = positions.iter().map(|&(_, j)| j).collect();
-    let values = vec![1.0; positions.len()];
+    let values = vec![(); positions.len()];
     Csr::from_parts_unchecked(nrows, ncols, rowptr, colidx, values)
 }
 
@@ -746,7 +743,7 @@ mod tests {
     /// it, and its plan.
     fn fresh_run(ds: &Dataset) -> (Csr<f64>, Plan) {
         let opts = ExecOpts::default();
-        masked_mxm::<PlusTimesF64, f64>(&ds.mxm_product(), Algorithm::Auto, &opts).unwrap()
+        masked_mxm::<PlusTimesF64>(&ds.mxm_product(), Algorithm::Auto, &opts).unwrap()
     }
 
     fn fresh(ds: &Dataset) -> Csr<f64> {

@@ -188,6 +188,13 @@ impl<'a, T> CsrRef<'a, T> {
         self.colidx.is_empty()
     }
 
+    /// The view's structure: its own `rowptr` / `colidx` beside a `&[()]`
+    /// of its length, which owns no memory at any length — O(1), no copy.
+    pub fn structure(&self) -> CsrRef<'a, ()> {
+        let units: &'a [()] = Vec::leak(vec![(); self.nnz()]);
+        CsrRef::new_trusted(self.nrows, self.ncols, self.rowptr, self.colidx, units)
+    }
+
     /// Copy the view into an owned heap-backed [`Csr`].
     pub fn to_csr(&self) -> Csr<T>
     where
@@ -305,6 +312,15 @@ mod tests {
             entries,
             vec![(0, 0, 1.0), (0, 2, 2.0), (2, 0, 3.0), (2, 1, 4.0)]
         );
+    }
+
+    #[test]
+    fn structure_shares_the_pattern_sections() {
+        let a = small();
+        let s = a.view().structure();
+        assert_eq!(s.to_csr(), a.pattern());
+        assert!(std::ptr::eq(s.rowptr(), a.rowptr()));
+        assert!(std::ptr::eq(s.colidx(), a.colidx()));
     }
 
     #[test]
