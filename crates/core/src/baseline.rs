@@ -2,7 +2,8 @@
 //!
 //! * [`spgemm`] / [`spgemm_then_mask`] — the Fig 1 strawman: a plain
 //!   (unmasked) Gustavson SpGEMM, optionally followed by applying the mask
-//!   to the finished product. Every masked-out flop is wasted.
+//!   to the finished product. Every masked-out flop is wasted. The tests'
+//!   reference, so it keeps a driver of its own.
 //! * [`ss_saxpy`] — models SuiteSparse:GraphBLAS's SAXPY path as the
 //!   paper characterizes it: push-based accumulation that does **not**
 //!   consult the mask while accumulating (late masking at the gather).
@@ -10,18 +11,23 @@
 //!   §8.4 observes of the library — `B` is transposed *inside every call*,
 //!   and the transpose cost is attributed to the multiplication.
 //!
-//! Both read a [`Product`]'s mask structure, operands and mode;
-//! [`ss_saxpy_like`] / [`ss_dot_like`] are their one-call forms over a
-//! mask of any value type, whose structure alone is kept.
+//! Both run on [`run_kernel`], the driver of our six schemes, so a figure
+//! compares algorithms, not drivers. Both read a [`Product`]'s mask
+//! structure, operands and mode; [`ss_saxpy_like`] / [`ss_dot_like`] are
+//! their one-call forms over a mask of any value type, whose structure
+//! alone is kept.
 //!
-//! These are algorithmic stand-ins, not bindings: see DESIGN.md §2.
+//! These are algorithmic stand-ins, not bindings: SuiteSparse:GraphBLAS is
+//! a C library this workspace does not link.
 
-use crate::schedule::ExecOpts;
+use crate::dispatch::check_dims;
+use crate::phases::{run_kernel, RowCtx, RowKernel};
+use crate::schedule::{row_chunks, ExecOpts};
 use crate::{masked_mxm, Algorithm, MaskMode, Phases, Product};
 use mspgemm_sparse::ops::ewise::{mask_drop, mask_keep};
 use mspgemm_sparse::semiring::Semiring;
-use mspgemm_sparse::util::UnsafeSlice;
-use mspgemm_sparse::{Csr, Idx};
+use mspgemm_sparse::util::SlackRows;
+use mspgemm_sparse::{Csr, CsrRef, Idx};
 use rayon::prelude::*;
 
 /// Plain (unmasked) row-parallel Gustavson SpGEMM with a dense sparse
@@ -38,44 +44,20 @@ pub fn spgemm<S: Semiring>(a: &Csr<S::Left>, b: &Csr<S::Right>) -> Csr<S::Out> {
             flops.min(ncols)
         })
         .collect();
-    let offsets = mspgemm_sparse::util::par_exclusive_prefix_sum(&bounds);
-    let mut tmp_cols = vec![0 as Idx; offsets[nrows]];
-    let mut tmp_vals = vec![S::Out::default(); offsets[nrows]];
-    let mut sizes = vec![0usize; nrows];
-    {
-        let cw = UnsafeSlice::new(&mut tmp_cols);
-        let vw = UnsafeSlice::new(&mut tmp_vals);
-        sizes
-            .par_iter_mut()
-            .enumerate()
-            .with_min_len(16)
-            .for_each_init(
-                || Spa::<S::Out>::new(ncols),
-                |spa, (i, size)| {
-                    spa.clear();
-                    let (ac, av) = a.row(i);
-                    for (&k, &avv) in ac.iter().zip(av) {
-                        let (bc, bv) = b.row(k as usize);
-                        for (&j, &bvv) in bc.iter().zip(bv) {
-                            spa.accumulate::<S>(j, S::mul(avv, bvv));
-                        }
-                    }
-                    // SAFETY: prefix-sum ranges are disjoint.
-                    let oc = unsafe { cw.slice_mut(offsets[i], bounds[i]) };
-                    let ov = unsafe { vw.slice_mut(offsets[i], bounds[i]) };
-                    *size = spa.gather_sorted(oc, ov);
-                },
-            );
-    }
-    Csr::compact(
-        nrows,
-        ncols,
-        &offsets,
-        &sizes,
-        tmp_cols,
-        tmp_vals,
-        S::Out::default(),
-    )
+    let mut out = SlackRows::new(&bounds, S::Out::default());
+    out.windows(&row_chunks(nrows, rayon::current_num_threads()))
+        .par_iter_mut()
+        .with_max_len(1)
+        .for_each_init(
+            || Spa::<S::Out>::new(ncols),
+            |spa, window| {
+                for (i, oc, ov, size) in window.rows_mut() {
+                    spa.accumulate_row::<S>(a.row_cols(i), a.row_vals(i), b.view());
+                    *size = spa.gather_sorted_excluding(&[], oc, ov);
+                }
+            },
+        );
+    out.into_csr(ncols)
 }
 
 /// The Fig 1 strawman: full product, then apply the mask.
@@ -96,69 +78,50 @@ pub fn spgemm_then_mask<S: Semiring>(
 /// identical to plain SpGEMM (mask never consulted, every product
 /// computed); the mask filters only at the per-row gather. This captures
 /// the algorithmic difference the paper attributes to `SS:SAXPY` while
-/// avoiding the full-output materialization of [`spgemm_then_mask`].
-/// `p`'s `Bᵀ` and phase strategy are not read.
+/// avoiding the full-output materialization of [`spgemm_then_mask`]. One
+/// phase, like the library's saxpy3; `p`'s `Bᵀ` and phase strategy are
+/// not read.
 pub fn ss_saxpy<S: Semiring>(p: &Product<'_, S::Left, S::Right>) -> Csr<S::Out> {
-    let (mask, a, b, mode) = p.operands();
-    assert_eq!(a.ncols(), b.nrows(), "ss_saxpy: inner dimensions differ");
-    assert_eq!(mask.nrows(), a.nrows(), "ss_saxpy: mask rows");
-    assert_eq!(mask.ncols(), b.ncols(), "ss_saxpy: mask cols");
-    let nrows = a.nrows();
-    let ncols = b.ncols();
-    let complement = mode == MaskMode::Complement;
-    let bounds: Vec<usize> = (0..nrows)
-        .into_par_iter()
-        .map(|i| {
-            if complement {
-                let flops: usize = a.row_cols(i).iter().map(|&k| b.row_nnz(k as usize)).sum();
-                flops.min(ncols - mask.row_nnz(i))
-            } else {
-                mask.row_nnz(i)
-            }
-        })
-        .collect();
-    let offsets = mspgemm_sparse::util::par_exclusive_prefix_sum(&bounds);
-    let mut tmp_cols = vec![0 as Idx; offsets[nrows]];
-    let mut tmp_vals = vec![S::Out::default(); offsets[nrows]];
-    let mut sizes = vec![0usize; nrows];
-    {
-        let cw = UnsafeSlice::new(&mut tmp_cols);
-        let vw = UnsafeSlice::new(&mut tmp_vals);
-        sizes
-            .par_iter_mut()
-            .enumerate()
-            .with_min_len(16)
-            .for_each_init(
-                || Spa::<S::Out>::new(ncols),
-                |spa, (i, size)| {
-                    spa.clear();
-                    let (ac, av) = a.row(i);
-                    // Accumulate with no mask awareness (the defining trait).
-                    for (&k, &avv) in ac.iter().zip(av) {
-                        let (bc, bv) = b.row(k as usize);
-                        for (&j, &bvv) in bc.iter().zip(bv) {
-                            spa.accumulate::<S>(j, S::mul(avv, bvv));
-                        }
-                    }
-                    let oc = unsafe { cw.slice_mut(offsets[i], bounds[i]) };
-                    let ov = unsafe { vw.slice_mut(offsets[i], bounds[i]) };
-                    *size = if complement {
-                        spa.gather_sorted_excluding(mask.row_cols(i), oc, ov)
-                    } else {
-                        spa.gather_mask_order(mask.row_cols(i), oc, ov)
-                    };
-                },
-            );
+    let p = Product { bt: None, ..*p }.with_phases(Phases::One);
+    let kernel = SaxpyKernel {
+        complement: p.complement(),
+    };
+    check_dims::<S>(&p)
+        .and_then(|()| run_kernel::<S, _>(&p, &kernel, None, &ExecOpts::default()))
+        .unwrap_or_else(|e| panic!("ss_saxpy: {e}"))
+}
+
+/// [`ss_saxpy`]'s row: the full unmasked row `Σ_k a_ik · B_k*` in a
+/// [`Spa`], gathered by mask mode.
+struct SaxpyKernel {
+    complement: bool,
+}
+
+impl<S: Semiring> RowKernel<S> for SaxpyKernel {
+    type Ws = Spa<S::Out>;
+
+    fn make_ws(&self, ncols: usize) -> Self::Ws {
+        Spa::new(ncols)
     }
-    Csr::compact(
-        nrows,
-        ncols,
-        &offsets,
-        &sizes,
-        tmp_cols,
-        tmp_vals,
-        S::Out::default(),
-    )
+
+    fn row_symbolic(&self, _: &mut Self::Ws, _: RowCtx<'_, S>) -> usize {
+        unreachable!("SS:SAXPY runs one phase")
+    }
+
+    fn row_numeric(
+        &self,
+        spa: &mut Self::Ws,
+        ctx: RowCtx<'_, S>,
+        out_cols: &mut [Idx],
+        out_vals: &mut [S::Out],
+    ) -> usize {
+        spa.accumulate_row::<S>(ctx.a_cols, ctx.a_vals, ctx.b);
+        if self.complement {
+            spa.gather_sorted_excluding(ctx.mask_cols, out_cols, out_vals)
+        } else {
+            spa.gather_mask_order(ctx.mask_cols, out_cols, out_vals)
+        }
+    }
 }
 
 /// [`ss_saxpy`] of `mode(mask) ⊙ (a·b)`.
@@ -217,33 +180,30 @@ impl<V: Copy + Default> Spa<V> {
         }
     }
 
-    fn clear(&mut self) {
+    /// Clear the previous row, then accumulate `Σ_k a_ik · B_k*` with no
+    /// mask awareness (the defining trait of the unmasked baselines).
+    fn accumulate_row<S: Semiring<Out = V>>(
+        &mut self,
+        a_cols: &[Idx],
+        a_vals: &[S::Left],
+        b: CsrRef<'_, S::Right>,
+    ) {
         for &j in &self.touched {
             self.occupied[j as usize] = false;
         }
         self.touched.clear();
-    }
-
-    #[inline(always)]
-    fn accumulate<S: Semiring<Out = V>>(&mut self, j: Idx, v: V) {
-        let k = j as usize;
-        if self.occupied[k] {
-            self.values[k] = S::add(self.values[k], v);
-        } else {
-            self.occupied[k] = true;
-            self.values[k] = v;
-            self.touched.push(j);
+        for (&k, &av) in a_cols.iter().zip(a_vals) {
+            for (&j, &bv) in b.row_cols(k as usize).iter().zip(b.row_vals(k as usize)) {
+                let (j, v) = (j as usize, S::mul(av, bv));
+                if self.occupied[j] {
+                    self.values[j] = S::add(self.values[j], v);
+                } else {
+                    self.occupied[j] = true;
+                    self.values[j] = v;
+                    self.touched.push(j as Idx);
+                }
+            }
         }
-    }
-
-    /// Emit all touched entries in sorted order.
-    fn gather_sorted(&mut self, out_cols: &mut [Idx], out_vals: &mut [V]) -> usize {
-        self.touched.sort_unstable();
-        for (w, &j) in self.touched.iter().enumerate() {
-            out_cols[w] = j;
-            out_vals[w] = self.values[j as usize];
-        }
-        self.touched.len()
     }
 
     /// Emit entries present in the (sorted) mask row, in mask order.

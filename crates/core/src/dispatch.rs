@@ -259,7 +259,7 @@ impl Plan {
     }
 }
 
-fn check_dims<S: Semiring>(p: &Product<'_, S::Left, S::Right>) -> Result<(), Error> {
+pub(crate) fn check_dims<S: Semiring>(p: &Product<'_, S::Left, S::Right>) -> Result<(), Error> {
     let show = |(rows, cols): (usize, usize)| format!("{rows}x{cols}");
     let (am, ak) = (p.a.nrows(), p.a.ncols());
     let (bk, bn) = (p.b.nrows(), p.b.ncols());

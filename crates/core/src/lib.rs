@@ -51,6 +51,7 @@
 //! thread count because each row accumulates in a fixed order.
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod accumulator;
 pub mod algos;

@@ -24,7 +24,7 @@
 use crate::dispatch::{Error, Product};
 use crate::schedule::{row_chunks, ExecOpts, ProbeCounts, ProductCounts, WsPool};
 use mspgemm_sparse::semiring::Semiring;
-use mspgemm_sparse::util::{par_exclusive_prefix_sum, UnsafeSlice};
+use mspgemm_sparse::util::{split_rows, RowWindow, SlackRows};
 use mspgemm_sparse::{Csr, CsrRef, Idx};
 use rayon::prelude::*;
 use std::any::Any;
@@ -201,17 +201,18 @@ impl<W: Any + Send> Drop for WsLease<'_, W> {
     }
 }
 
-/// Drive `row` over every row of every chunk, one leased workspace per
-/// executor. `with_max_len(1)` pins every chunk as its own claim unit —
-/// the drive must not re-group the partition [`row_chunks`] computed.
-/// Records per-executor busy time (rank-folded at drive end) when
-/// `opts.stats` is set.
-fn run_rows<S, K>(
-    chunks: &[Range<usize>],
+/// Drive `chunk` over every part — one per chunk of the [`row_chunks`]
+/// list, holding that chunk's rows and output windows — with one leased
+/// workspace per executor. `with_max_len(1)` pins every part as its own
+/// claim unit: the drive must not re-group the partition. Records
+/// per-executor busy time (rank-folded at drive end) when `opts.stats` is
+/// set.
+fn run_rows<S, K, P: Send>(
+    parts: &mut [P],
     opts: &ExecOpts<'_>,
     kernel: &K,
     ncols: usize,
-    row: impl Fn(&mut K::Ws, usize) + Sync,
+    chunk: impl Fn(&mut K::Ws, &mut P) + Sync,
 ) where
     S: Semiring,
     K: RowKernel<S>,
@@ -222,7 +223,7 @@ fn run_rows<S, K>(
     } else {
         0
     };
-    chunks.par_iter().with_max_len(1).for_each_init(
+    parts.par_iter_mut().with_max_len(1).for_each_init(
         || {
             WsLease::new(
                 opts.ws_pool,
@@ -233,12 +234,9 @@ fn run_rows<S, K>(
                 || kernel.make_ws(ncols),
             )
         },
-        |lease, range| {
+        |lease, part| {
             let t0 = lease.stats.map(|_| Instant::now());
-            let ws = lease.get();
-            for i in range.clone() {
-                row(ws, i);
-            }
+            chunk(lease.get(), part);
             if let Some(t0) = t0 {
                 lease.busy += t0.elapsed().as_secs_f64();
             }
@@ -399,52 +397,17 @@ where
     S: Semiring,
     K: RowKernel<S>,
 {
-    let (nrows, ncols, bv) = (p.mask.nrows(), p.b.ncols(), p.b.view());
+    let ncols = p.b.ncols();
     let bounds = one_phase_bounds(p.mask, ncols, p.complement(), flops);
     // Last boundary before the (only) numeric pass: the bound/prefix work
     // above is cheap, the pass below is not.
     if expired(opts) {
         return Err(Error::DeadlineExceeded);
     }
-    let offsets = par_exclusive_prefix_sum(&bounds);
-    let cap = offsets[nrows];
-    let mut tmp_cols = vec![0 as Idx; cap];
-    let mut tmp_vals = vec![S::Out::default(); cap];
-    let mut sizes = vec![0usize; nrows];
-    {
-        // Failpoint `kernel.numeric`: an injected panic or stall at the
-        // top of the pass. An `err` task panics too — the kernel error
-        // enum is closed, and the serve layer catches panics anyway.
-        if let Some(msg) = mspgemm_fault::fire("kernel.numeric") {
-            panic!("failpoint kernel.numeric: {msg}");
-        }
-        let _span = mspgemm_obs::span("numeric");
-        let cw = UnsafeSlice::new(&mut tmp_cols);
-        let vw = UnsafeSlice::new(&mut tmp_vals);
-        let sw = UnsafeSlice::new(&mut sizes);
-        run_rows::<S, K>(chunks, opts, kernel, ncols, |ws, i| {
-            let Some(ctx) = row_ctx(p, bv, i) else {
-                return; // `sizes[i]` stays 0
-            };
-            // SAFETY: prefix-sum offsets make row ranges disjoint, and
-            // each row index is claimed by exactly one chunk.
-            let oc = unsafe { cw.slice_mut(offsets[i], bounds[i]) };
-            let ov = unsafe { vw.slice_mut(offsets[i], bounds[i]) };
-            let n = kernel.row_numeric(ws, ctx, oc, ov);
-            debug_assert!(n <= bounds[i], "row {i} overflowed its bound");
-            unsafe { sw.write(i, n) };
-        });
-    }
+    let mut out = SlackRows::new(&bounds, S::Out::default());
+    numeric_pass(p, kernel, out.windows(chunks), opts);
     let _span = mspgemm_obs::span("compaction");
-    Ok(Csr::compact(
-        nrows,
-        ncols,
-        &offsets,
-        &sizes,
-        tmp_cols,
-        tmp_vals,
-        S::Out::default(),
-    ))
+    Ok(out.into_csr(ncols))
 }
 
 fn run_two_phase<S, K>(
@@ -461,19 +424,19 @@ where
     // Symbolic phase: exact per-row sizes.
     let mut sizes = vec![0usize; nrows];
     {
-        // Failpoint `kernel.symbolic` — see `kernel.numeric` above.
+        // Failpoint `kernel.symbolic` — see `kernel.numeric` in
+        // `numeric_pass`.
         if let Some(msg) = mspgemm_fault::fire("kernel.symbolic") {
             panic!("failpoint kernel.symbolic: {msg}");
         }
         let _span = mspgemm_obs::span("symbolic");
-        let sw = UnsafeSlice::new(&mut sizes);
-        run_rows::<S, K>(chunks, opts, kernel, ncols, |ws, i| {
-            let Some(ctx) = row_ctx(p, bv, i) else {
-                return; // `sizes[i]` stays 0
-            };
-            let n = kernel.row_symbolic(ws, ctx);
-            // SAFETY: each row index is claimed by exactly one chunk.
-            unsafe { sw.write(i, n) };
+        let mut parts: Vec<_> = chunks.iter().zip(split_rows(&mut sizes, chunks)).collect();
+        run_rows::<S, K, _>(&mut parts, opts, kernel, ncols, |ws, (rows, sizes)| {
+            for (i, size) in (*rows).clone().zip(sizes.iter_mut()) {
+                if let Some(ctx) = row_ctx(p, bv, i) {
+                    *size = kernel.row_symbolic(ws, ctx);
+                }
+            }
         });
     }
     // The boundary this strategy exists for: the symbolic pass sized the
@@ -481,35 +444,37 @@ where
     if expired(opts) {
         return Err(Error::DeadlineExceeded);
     }
-    let rowptr = par_exclusive_prefix_sum(&sizes);
-    let nnz = rowptr[nrows];
     // Numeric phase into the exact allocation, over the same chunk list.
-    let mut colidx = vec![0 as Idx; nnz];
-    let mut values = vec![S::Out::default(); nnz];
-    {
-        // Failpoint `kernel.numeric` — see the one-phase drive.
-        if let Some(msg) = mspgemm_fault::fire("kernel.numeric") {
-            panic!("failpoint kernel.numeric: {msg}");
-        }
-        let _span = mspgemm_obs::span("numeric");
-        let cw = UnsafeSlice::new(&mut colidx);
-        let vw = UnsafeSlice::new(&mut values);
-        run_rows::<S, K>(chunks, opts, kernel, ncols, |ws, i| {
-            let Some(ctx) = row_ctx(p, bv, i) else {
-                return;
-            };
-            let len = sizes[i];
-            // SAFETY: rowptr ranges are disjoint.
-            let oc = unsafe { cw.slice_mut(rowptr[i], len) };
-            let ov = unsafe { vw.slice_mut(rowptr[i], len) };
-            let n = kernel.row_numeric(ws, ctx, oc, ov);
-            debug_assert_eq!(
-                n, len,
-                "row {i}: symbolic phase predicted {len} entries, numeric produced {n}"
-            );
-        });
+    let mut out = SlackRows::new(&sizes, S::Out::default());
+    numeric_pass(p, kernel, out.windows(chunks), opts);
+    Ok(out.into_csr(ncols))
+}
+
+/// The numeric pass of either strategy: every row the drive does not
+/// skip ([`masked_out`]) writes into its window's range and its entry
+/// count into its size slot.
+fn numeric_pass<S, K>(
+    p: &Product<'_, S::Left, S::Right>,
+    kernel: &K,
+    mut windows: Vec<RowWindow<'_, S::Out>>,
+    opts: &ExecOpts<'_>,
+) where
+    S: Semiring,
+    K: RowKernel<S>,
+{
+    // Failpoint `kernel.numeric`: an injected panic or stall at the top of
+    // the pass. An `err` task panics too — the kernel error enum is
+    // closed, and the serve layer catches panics anyway.
+    if let Some(msg) = mspgemm_fault::fire("kernel.numeric") {
+        panic!("failpoint kernel.numeric: {msg}");
     }
-    Ok(Csr::from_parts_unchecked(
-        nrows, ncols, rowptr, colidx, values,
-    ))
+    let _span = mspgemm_obs::span("numeric");
+    let (ncols, bv) = (p.b.ncols(), p.b.view());
+    run_rows::<S, K, _>(&mut windows, opts, kernel, ncols, |ws, window| {
+        for (i, oc, ov, size) in window.rows_mut() {
+            if let Some(ctx) = row_ctx(p, bv, i) {
+                *size = kernel.row_numeric(ws, ctx, oc, ov);
+            }
+        }
+    });
 }

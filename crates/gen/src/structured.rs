@@ -1,6 +1,7 @@
 //! Structured graph generators: meshes and small-world rings. These stand
-//! in for the high-locality / high-clustering members of the paper's
-//! SuiteSparse test set (see DESIGN.md §2 on substitutions).
+//! in, offline, for the high-locality / high-clustering members of the
+//! paper's SuiteSparse test set, whose real matrices need a network
+//! download (`tools/fetch_suitesparse.sh`).
 
 use crate::rng::chunk_rng;
 use mspgemm_sparse::{Coo, Csr, Idx};

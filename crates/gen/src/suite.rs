@@ -1,7 +1,8 @@
 //! The benchmark suite: deterministic synthetic stand-ins for the 26
 //! SuiteSparse real-world graphs the paper uses for its performance
-//! profiles (§7, Nagasaka et al.'s set). See DESIGN.md §2 for the
-//! substitution rationale; the suite spans skewed (R-MAT), uniform (ER),
+//! profiles (§7, Nagasaka et al.'s set). The real matrices need a network
+//! download (`tools/fetch_suitesparse.sh`, run by hand), so the suite
+//! generates substitutes offline; it spans skewed (R-MAT), uniform (ER),
 //! banded (grids) and clustered (small-world, communities) regimes.
 
 use crate::rmat::RmatParams;

@@ -25,6 +25,7 @@
 //!   runners and the `mxm` CLI.
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod error;
 pub mod load;

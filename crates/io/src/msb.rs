@@ -306,8 +306,9 @@ fn map_msb(file: &File, skip_values: bool) -> Result<(Csr<f64>, u64), IoError> {
             "zero-copy .msb mapping requires a little-endian 64-bit target",
         )));
     }
-    // SAFETY (Mmap::map contract): the mapping is read-only and every
-    // byte is validated below before use. `.msb` files are written via
+    // SAFETY: `Mmap::map` requires that the file not be modified while
+    // mapped. The mapping is read-only and every byte is validated below
+    // before use. `.msb` files are written via
     // temp-file + atomic rename (load.rs / `mxm convert`), so the
     // mapped inode is never rewritten in place by this toolchain;
     // external truncation while mapped is outside the contract, as

@@ -4,7 +4,7 @@
 //! workspace preserves it.
 
 use crate::storage::Storage;
-use crate::util::UnsafeSlice;
+use crate::util::{row_split, SlackRows};
 use crate::view::CsrRef;
 use crate::Idx;
 use rayon::prelude::*;
@@ -464,8 +464,8 @@ impl<T: Copy + Send + Sync> Csr<T> {
     /// `fill(i, cols, vals)` writes row `i` into the provided scratch slices
     /// (of length `count(i)`) and returns how many entries it produced.
     /// Rows are then compacted into a tight CSR. Rows must be produced
-    /// sorted. This is the shared machinery behind most row-parallel
-    /// kernels, including the one-phase masked SpGEMM driver (§6).
+    /// sorted. This is the shared machinery behind the row-parallel
+    /// structural ops (masking, selection, eWise).
     pub fn from_row_fill<C, F>(nrows: usize, ncols: usize, count: C, fill: F, default: T) -> Self
     where
         C: Fn(usize) -> usize + Sync,
@@ -473,77 +473,16 @@ impl<T: Copy + Send + Sync> Csr<T> {
         T: Send,
     {
         let bounds: Vec<usize> = (0..nrows).into_par_iter().map(&count).collect();
-        let offsets = crate::util::par_exclusive_prefix_sum(&bounds);
-        let cap = offsets[nrows];
-        let mut tmp_cols = vec![0 as Idx; cap];
-        let mut tmp_vals = vec![default; cap];
-        let mut sizes = vec![0usize; nrows];
-        {
-            let cols_w = UnsafeSlice::new(&mut tmp_cols);
-            let vals_w = UnsafeSlice::new(&mut tmp_vals);
-            sizes.par_iter_mut().enumerate().for_each(|(i, size)| {
-                let (start, len) = (offsets[i], bounds[i]);
-                // SAFETY: offsets come from a prefix sum of bounds, so the
-                // per-row ranges are pairwise disjoint.
-                let c = unsafe { cols_w.slice_mut(start, len) };
-                let v = unsafe { vals_w.slice_mut(start, len) };
-                let n = fill(i, c, v);
-                debug_assert!(n <= len, "row {i} overflowed its bound");
-                *size = n;
+        let mut out = SlackRows::new(&bounds, default);
+        out.windows(&row_split(nrows))
+            .par_iter_mut()
+            .with_max_len(1)
+            .for_each(|w| {
+                for (i, c, v, size) in w.rows_mut() {
+                    *size = fill(i, c, v);
+                }
             });
-        }
-        Self::compact(nrows, ncols, &offsets, &sizes, tmp_cols, tmp_vals, default)
-    }
-
-    /// Compact slack per-row buffers (row `i` at `offsets[i]`, `sizes[i]`
-    /// valid entries) into a tight CSR. Parallel copy into disjoint ranges.
-    /// `fill` initializes the destination before the copy (cheap memset-like
-    /// pass; avoids unsound uninitialized vectors).
-    #[allow(clippy::too_many_arguments)]
-    pub fn compact(
-        nrows: usize,
-        ncols: usize,
-        offsets: &[usize],
-        sizes: &[usize],
-        tmp_cols: Vec<Idx>,
-        tmp_vals: Vec<T>,
-        fill: T,
-    ) -> Self {
-        let rowptr = crate::util::par_exclusive_prefix_sum(sizes);
-        let nnz = rowptr[nrows];
-        // Fast path: bounds were exact, buffers are already tight.
-        if nnz == tmp_cols.len() {
-            return Self {
-                nrows,
-                ncols,
-                rowptr: rowptr.into(),
-                colidx: tmp_cols.into(),
-                values: tmp_vals.into(),
-            };
-        }
-        let mut colidx = vec![0 as Idx; nnz];
-        let mut values = vec![fill; nnz];
-        {
-            let cw = UnsafeSlice::new(&mut colidx);
-            let vw = UnsafeSlice::new(&mut values);
-            (0..nrows).into_par_iter().for_each(|i| {
-                let n = sizes[i];
-                let src = offsets[i];
-                let dst = rowptr[i];
-                // SAFETY: destination ranges disjoint by prefix sum.
-                let c = unsafe { cw.slice_mut(dst, n) };
-                let v = unsafe { vw.slice_mut(dst, n) };
-                c.copy_from_slice(&tmp_cols[src..src + n]);
-                v.copy_from_slice(&tmp_vals[src..src + n]);
-            });
-        }
-        Self {
-            nrows,
-            ncols,
-            rowptr: rowptr.into(),
-            colidx: colidx.into(),
-            values: values.into(),
-        }
+        out.into_csr(ncols)
     }
 }
 

@@ -24,14 +24,16 @@
 //! * [`ops`] — eWiseAdd, masking, reductions, selection
 //!   (tril/triu), symmetric permutation, degree relabeling.
 //! * [`semiring`] — `plus_times`, `plus_pair`, `or_and`, `min_plus`, …
-//! * [`util`] — parallel prefix sums and the disjoint-write slice used by
-//!   the row-parallel drivers.
+//! * [`util`] — parallel prefix sums, [`util::SlackRows`] (the
+//!   row-partitioned output every row-parallel writer fills) and
+//!   transpose's disjoint-write slice.
 //!
 //! Matrix Market I/O lives in the `mspgemm-io` crate (tokenizer shared
 //! via the leaf `mspgemm-formats` crate); the lax legacy reader this
 //! crate used to carry is gone.
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod coo;
 pub mod csr;

@@ -3,7 +3,7 @@
 //! extracting `L` (§8.2, citing \[29\]); this module implements that step.
 
 use crate::csr::Csr;
-use crate::util::{par_exclusive_prefix_sum, UnsafeSlice};
+use crate::util::{row_split, SlackRows};
 use crate::Idx;
 use rayon::prelude::*;
 
@@ -11,8 +11,8 @@ use rayon::prelude::*;
 /// `C[new_of_old[i]][new_of_old[j]] = A[i][j]`.
 ///
 /// `new_of_old` must be a permutation of `0..nrows` (checked in debug).
-/// Rows are scattered in parallel and re-sorted (a permutation destroys
-/// column order within rows).
+/// New rows are filled in parallel, each from its old row, and re-sorted
+/// (a permutation destroys column order within rows).
 pub fn permute_symmetric<T>(a: &Csr<T>, new_of_old: &[Idx]) -> Csr<T>
 where
     T: Copy + Send + Sync,
@@ -25,43 +25,39 @@ where
     assert_eq!(new_of_old.len(), a.nrows(), "permutation length mismatch");
     debug_assert!(is_permutation(new_of_old));
     let n = a.nrows();
-    // new row new_of_old[i] has the size of old row i.
-    let mut sizes = vec![0usize; n];
+    // Walk the new rows in order, each through the old row it came from,
+    // so every destination row is one contiguous range of the output.
+    let mut old_of_new = vec![0 as Idx; n];
     for (i, &ni) in new_of_old.iter().enumerate() {
-        sizes[ni as usize] = a.row_nnz(i);
+        old_of_new[ni as usize] = i as Idx;
     }
-    let rowptr = par_exclusive_prefix_sum(&sizes);
-    let nnz = a.nnz();
-    let mut colidx = vec![0 as Idx; nnz];
-    let mut values = if nnz > 0 {
-        vec![a.values()[0]; nnz]
-    } else {
-        Vec::new()
+    let sizes: Vec<usize> = old_of_new.iter().map(|&i| a.row_nnz(i as usize)).collect();
+    let Some(&fill) = a.values().first() else {
+        return Csr::empty(n, n);
     };
-    {
-        let cw = UnsafeSlice::new(&mut colidx);
-        let vw = UnsafeSlice::new(&mut values);
-        (0..n).into_par_iter().for_each(|i| {
-            let ni = new_of_old[i] as usize;
-            let (cols, vals) = a.row(i);
-            let start = rowptr[ni];
-            // SAFETY: each new row ni is produced by exactly one old row i.
-            let dst_c = unsafe { cw.slice_mut(start, cols.len()) };
-            let dst_v = unsafe { vw.slice_mut(start, cols.len()) };
-            // Scatter with relabeled columns, then sort the row.
-            let mut pairs: Vec<(Idx, T)> = cols
-                .iter()
-                .zip(vals)
-                .map(|(&j, &v)| (new_of_old[j as usize], v))
-                .collect();
-            pairs.sort_unstable_by_key(|&(j, _)| j);
-            for (k, (j, v)) in pairs.into_iter().enumerate() {
-                dst_c[k] = j;
-                dst_v[k] = v;
+    let mut out = SlackRows::new(&sizes, fill);
+    out.windows(&row_split(n))
+        .par_iter_mut()
+        .with_max_len(1)
+        .for_each(|w| {
+            let mut pairs = Vec::new();
+            for (ni, dst_c, dst_v, size) in w.rows_mut() {
+                let (cols, vals) = a.row(old_of_new[ni] as usize);
+                // Relabel the columns, then sort the row.
+                pairs.clear();
+                pairs.extend(
+                    cols.iter()
+                        .zip(vals)
+                        .map(|(&j, &v)| (new_of_old[j as usize], v)),
+                );
+                pairs.sort_unstable_by_key(|&(j, _)| j);
+                for ((c, v), &(j, x)) in dst_c.iter_mut().zip(dst_v.iter_mut()).zip(&pairs) {
+                    (*c, *v) = (j, x);
+                }
+                *size = pairs.len();
             }
         });
-    }
-    Csr::from_parts_unchecked(n, n, rowptr, colidx, values)
+    out.into_csr(n)
 }
 
 /// Permutation sending each vertex to its rank in non-increasing degree

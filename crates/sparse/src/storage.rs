@@ -32,8 +32,13 @@ pub struct SharedSlice<T> {
 }
 
 // SAFETY: a SharedSlice is semantically an `Arc<[T]>` — immutable shared
-// data plus a reference count — so it is Send/Sync whenever `&[T]` is.
+// data plus a reference count — so it may move to another thread whenever
+// `&[T]` may: the raw pointer is only ever read through `as_slice`, and the
+// owner keeping the memory alive is itself `Send + Sync`.
 unsafe impl<T: Send + Sync> Send for SharedSlice<T> {}
+// SAFETY: every method takes `&self` and only reads: `as_slice` hands out
+// `&[T]` (sound to share when `T: Sync`), and clones bump the owner's
+// atomic reference count. No interior mutation exists to race on.
 unsafe impl<T: Send + Sync> Sync for SharedSlice<T> {}
 
 impl<T> SharedSlice<T> {
@@ -65,10 +70,20 @@ impl<T> SharedSlice<T> {
     where
         T: Send + Sync + 'static,
     {
-        let owner: Arc<Vec<T>> = Arc::new(v);
-        let (ptr, len) = (owner.as_ptr(), owner.len());
-        // SAFETY: the buffer is owned by `owner`, aligned, initialized,
-        // and immutable behind the Arc.
+        Self::from_vec_owner(v, Arc::new)
+    }
+
+    /// [`from_vec`](Self::from_vec) with the owner `wrap` builds around
+    /// the vector (the unit arena tags its allocation this way); `wrap`
+    /// keeps the vector, unmodified, inside the owner.
+    fn from_vec_owner<W: Any + Send + Sync>(
+        v: Vec<T>,
+        wrap: impl FnOnce(Vec<T>) -> Arc<W>,
+    ) -> Self {
+        let (ptr, len) = (v.as_ptr(), v.len());
+        let owner = wrap(v);
+        // SAFETY: the buffer moved into the owner Arc without its heap
+        // allocation moving; it is aligned, initialized, and immutable.
         unsafe { Self::from_raw_parts(ptr, len, owner) }
     }
 
@@ -286,18 +301,6 @@ pub fn is_unit_owner(owner: &SectionOwner) -> bool {
     owner.as_ref().is::<UnitOnes>()
 }
 
-impl SharedSlice<f64> {
-    /// Like [`SharedSlice::from_vec`] but with a caller-chosen owner
-    /// wrapper (used to tag the unit arena's allocation).
-    fn from_vec_owner(v: Vec<f64>, wrap: impl FnOnce(Vec<f64>) -> Arc<UnitOnes>) -> Self {
-        let (ptr, len) = (v.as_ptr(), v.len());
-        let owner = wrap(v);
-        // SAFETY: the buffer moved into the owner Arc without its heap
-        // allocation moving; it is aligned, initialized, and immutable.
-        unsafe { Self::from_raw_parts(ptr, len, owner as SectionOwner) }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,6 +328,8 @@ mod tests {
         // The canonical mmap shape: an owner holding raw bytes, sections
         // cast into it.
         let bytes: Arc<Vec<u64>> = Arc::new(vec![7, 8, 9]);
+        // SAFETY: the pointer and length are the Arc'd vector's own, which
+        // is aligned, initialized and never mutated; its clone is the owner.
         let s = unsafe {
             SharedSlice::from_raw_parts(bytes.as_ptr(), bytes.len(), bytes.clone() as SectionOwner)
         };

@@ -2,9 +2,9 @@
 //! in column-major order (§4.1), which we represent as `Bᵀ` in CSR.
 //!
 //! The parallel path is a scan-based scatter: contiguous row chunks build
-//! per-chunk column histograms; a per-column exclusive scan over chunks
-//! assigns each chunk disjoint write cursors; each chunk then scatters its
-//! own rows. Because chunk `c` holds strictly smaller source-row indices
+//! per-chunk column histograms; an exclusive scan over the chunks turns
+//! each histogram into that chunk's disjoint write cursors; each chunk
+//! then scatters its own rows. Because chunk `c` holds strictly smaller source-row indices
 //! than chunk `c+1` and scatters them in order, every output row ends up
 //! sorted by (source) row index — i.e. the transposed rows are sorted, and
 //! the CSR invariant is preserved without a sort pass.
@@ -80,10 +80,9 @@ fn transpose_par<T: Copy + Send + Sync>(a: &Csr<T>, chunks: usize) -> Csr<T> {
     let (m, n) = (a.nrows(), a.ncols());
     let nnz = a.nnz();
     let ranges = split_ranges(m, chunks);
-    let nchunks = ranges.len();
 
     // Pass 1: per-chunk column histograms.
-    let hists: Vec<Vec<usize>> = ranges
+    let mut cursors: Vec<Vec<usize>> = ranges
         .par_iter()
         .map(|r| {
             let mut h = vec![0usize; n];
@@ -96,28 +95,17 @@ fn transpose_par<T: Copy + Send + Sync>(a: &Csr<T>, chunks: usize) -> Csr<T> {
         })
         .collect();
 
-    // Global column counts -> output rowptr.
+    // An exclusive scan over the chunks turns each histogram into the
+    // chunk's offsets inside every output row; what it leaves in `counts`
+    // is the row lengths.
     let mut counts = vec![0usize; n];
-    counts.par_iter_mut().enumerate().for_each(|(j, c)| {
-        *c = hists.iter().map(|h| h[j]).sum();
-    });
-    let rowptr = crate::util::par_exclusive_prefix_sum(&counts);
-
-    // Per-chunk starting cursors, flat layout: cursor[(c, j)] at c*n + j =
-    // rowptr[j] + Σ_{c' < c} hists[c'][j]. Scanned per column in parallel;
-    // each column j touches only its own cells across all chunk rows.
-    let mut cursor_flat = vec![0usize; nchunks * n];
-    {
-        let shared = UnsafeSlice::new(&mut cursor_flat);
-        (0..n).into_par_iter().for_each(|j| {
-            let mut acc = rowptr[j];
-            for (c, h) in hists.iter().enumerate() {
-                // SAFETY: cell (c, j) is written only by column task j.
-                unsafe { shared.write(c * n + j, acc) };
-                acc += h[j];
-            }
-        });
+    for h in &mut cursors {
+        counts
+            .par_iter_mut()
+            .zip(h.par_iter_mut())
+            .for_each(|(acc, cell)| (*acc, *cell) = (*acc + *cell, *acc));
     }
+    let rowptr = crate::util::par_exclusive_prefix_sum(&counts);
 
     let mut colidx = vec![0 as Idx; nnz];
     let mut values = if nnz > 0 {
@@ -130,14 +118,19 @@ fn transpose_par<T: Copy + Send + Sync>(a: &Csr<T>, chunks: usize) -> Csr<T> {
         let vw = UnsafeSlice::new(&mut values);
         ranges
             .par_iter()
-            .zip(cursor_flat.par_chunks_mut(n))
+            .zip(cursors.par_iter_mut())
             .for_each(|(r, cursor)| {
+                for (c, &start) in cursor.iter_mut().zip(&rowptr) {
+                    *c += start;
+                }
                 for i in r.clone() {
                     let (cols, vals) = a.row(i);
                     for (&j, &v) in cols.iter().zip(vals) {
                         let p = cursor[j as usize];
-                        // SAFETY: cursor ranges are disjoint across chunks by
-                        // construction of the per-chunk scan.
+                        // SAFETY: chunk `c` writes output row `j` only in the
+                        // `hist[c][j]` slots from its starting cursor, which
+                        // end where chunk `c + 1`'s begin (row `j + 1`'s, for
+                        // the last chunk): no two chunks share an index.
                         unsafe {
                             cw.write(p, i as Idx);
                             vw.write(p, v);
