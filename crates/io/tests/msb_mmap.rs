@@ -4,6 +4,9 @@
 //! checked by `csr_fingerprint`), and rejection of corrupt, truncated,
 //! or misaligned v2 files without UB.
 
+mod common;
+
+use common::csr_strategy;
 use masked_spgemm::{masked_mxm_with_opts, Algorithm, ExecOpts, MaskMode, Phases};
 use mspgemm_harness::csr_fingerprint;
 use mspgemm_io::msb::{read_msb_file_auto, write_msb, MsbBackend, MSB_HEADER_LEN};
@@ -11,14 +14,6 @@ use mspgemm_sparse::semiring::PlusTimesF64;
 use mspgemm_sparse::Csr;
 use proptest::prelude::*;
 use std::path::PathBuf;
-
-fn csr_strategy(nrows: usize, ncols: usize, fill: f64) -> impl Strategy<Value = Csr<f64>> {
-    proptest::collection::vec(
-        proptest::collection::vec(proptest::option::weighted(fill, -1.0e9f64..1.0e9), ncols),
-        nrows,
-    )
-    .prop_map(move |d| Csr::from_dense(&d, ncols))
-}
 
 /// Write `bytes` to a fresh temp `.msb` path (tests run concurrently, so
 /// every case gets its own file).

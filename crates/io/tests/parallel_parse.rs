@@ -4,6 +4,9 @@
 //! must surface at its own line, with the message fan-out 1 (one chunk,
 //! the reference partition) reports.
 
+mod common;
+
+use common::csr_strategy;
 use mspgemm_io::load::to_adjacency;
 use mspgemm_io::mtx::{read_mtx_bytes, write_mtx, write_mtx_symmetric, MtxField};
 use mspgemm_io::IoError;
@@ -11,14 +14,6 @@ use mspgemm_sparse::Csr;
 use proptest::prelude::*;
 
 const FANOUTS: [usize; 4] = [0, 1, 2, 8];
-
-fn csr_strategy(nrows: usize, ncols: usize, fill: f64) -> impl Strategy<Value = Csr<f64>> {
-    proptest::collection::vec(
-        proptest::collection::vec(proptest::option::weighted(fill, -1.0e9f64..1.0e9), ncols),
-        nrows,
-    )
-    .prop_map(move |d| Csr::from_dense(&d, ncols))
-}
 
 /// Byte-identical: same structure and bit-equal values, not merely
 /// `PartialEq` (which NaN-free f64 equality would also satisfy).

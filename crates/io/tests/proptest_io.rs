@@ -3,21 +3,14 @@
 //! value-equal (`.mtx` text), and the graph normalizer must produce
 //! simple symmetric adjacencies from any square input.
 
+mod common;
+
+use common::csr_strategy;
 use mspgemm_io::load::to_adjacency;
 use mspgemm_io::msb::{read_msb, write_msb, write_msb_pattern};
 use mspgemm_io::mtx::{read_mtx_bytes, write_mtx, write_mtx_symmetric, MtxField};
-use mspgemm_sparse::{Csr, Idx};
+use mspgemm_sparse::Idx;
 use proptest::prelude::*;
-
-/// An arbitrary `nrows × ncols` matrix with the given fill probability
-/// and values spanning sign, fractions, and magnitude extremes.
-fn csr_strategy(nrows: usize, ncols: usize, fill: f64) -> impl Strategy<Value = Csr<f64>> {
-    proptest::collection::vec(
-        proptest::collection::vec(proptest::option::weighted(fill, -1.0e9f64..1.0e9), ncols),
-        nrows,
-    )
-    .prop_map(move |d| Csr::from_dense(&d, ncols))
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
