@@ -5,24 +5,21 @@
 //! processes; `main` only maps errors to exit codes.
 
 use crate::args::Parsed;
-use masked_spgemm::{
-    masked_mxm, Algorithm, ExecOpts, ExecStats, MaskMode, Phases, Plan, Product, WsPool,
-};
+use masked_spgemm::{Algorithm, ExecOpts, ExecStats, MaskMode, Phases, Plan, WsPool};
 use mspgemm_gen::SuiteGraph;
 use mspgemm_graph::scheme::Scheme;
 use mspgemm_graph::{tricount, App};
 use mspgemm_harness::report::{DatasetInfo, ExecSummary, SuiteReport, Table};
 use mspgemm_harness::runner::{bc_runs, ktruss_runs, tc_runs};
 use mspgemm_harness::{
-    best_of, busy_spread, check_threads, default_taus, entries_per_s, gflops, mb_per_s,
-    performance_profile, with_threads,
+    best_of, busy_spread, check_threads, default_taus, entries_per_s, gflops, mb_per_s, on_threads,
+    performance_profile,
 };
 use mspgemm_io::{
-    distinct_transpose, load_matrix, save_matrix, save_matrix_pattern, CachePolicy, DatasetSource,
-    Format, IngestReport, LoadOpts,
+    load_matrix, save_matrix, save_matrix_pattern, CachePolicy, DatasetSource, Format,
+    IngestReport, LoadOpts,
 };
-use mspgemm_sparse::semiring::PlusTimesF64;
-use mspgemm_sparse::transpose;
+use mspgemm_serve::dataset::Square;
 use std::io::Write;
 
 /// Parse a scheme label (`msa-1p`, `Hash-2P`, `ss:saxpy`, ...) as the
@@ -105,12 +102,11 @@ fn simd_line() -> String {
 /// run is reported ([`best_of`]), as the server's `mxm` verb does; the
 /// `products :` and `probes :` counts sum over those runs.
 ///
-/// The product gets the operands the server's `mxm` verb gets: where the
-/// pull kernel may run, a `Bᵀ` built once after the load — unless `A`
-/// equals its transpose by bits ([`distinct_transpose`] walks `A` first),
-/// when it builds no `Bᵀ` and declares a [`Product::self_product`], so
-/// `auto` on a symmetric input may take the oriented plan. Symmetry is
-/// decided by content, whatever the file's banner says.
+/// The product is the server's `mxm` verb's: the loaded matrix becomes a
+/// [`Square`] — its `Bᵀ` built once, untimed, unless `A` equals its
+/// transpose by bits, and its product counted on a simple graph — so both
+/// answer the same plan and bits. Symmetry is decided by content,
+/// whatever the file's banner says.
 pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     let path = p
         .positional
@@ -135,24 +131,6 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     });
 
     let (a, ingest) = load_matrix(path, &load_opts(p)).map_err(|e| e.to_string())?;
-    if a.nrows() != a.ncols() {
-        return Err(format!(
-            "mxm run squares its input (C = M ⊙ A·A); {path} is {}x{}",
-            a.nrows(),
-            a.ncols()
-        ));
-    }
-    writeln!(out, "matrix   : {path} ({:?})", ingest.outcome).map_err(|e| e.to_string())?;
-    writeln!(
-        out,
-        "shape    : {}x{}, nnz {}",
-        a.nrows(),
-        a.ncols(),
-        a.nnz()
-    )
-    .map_err(|e| e.to_string())?;
-    writeln!(out, "{}", ingest_line(&ingest)).map_err(|e| e.to_string())?;
-    let flops = 2 * a.flops_with(&a);
 
     // Warm accumulator pool + busy-time recorder: steady-state reps reuse
     // scratch, and the recorder feeds the load-balance report line.
@@ -163,26 +141,19 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
         stats: Some(&stats),
         deadline: None,
     };
-    // Masks are structural: `A` is its own pattern. `Bᵀ` is load-side
-    // work outside the timed calls, built only where the pull kernel that
-    // reads it can run and only if it differs from `A`; a symmetric `A`
-    // declares its product a self-product instead.
-    let work = || {
-        let pulls = matches!(algo, Algorithm::Auto | Algorithm::Inner);
-        let at = pulls.then(|| distinct_transpose(&a, || transpose(&a)));
-        let product = match &at {
-            Some(None) => Product::self_product(&a),
-            _ => Product::new(&a, &a, &a, at.as_ref().and_then(Option::as_ref)),
-        };
-        let product = product.with_mode(mode).with_phases(phases);
-        best_of(reps, || masked_mxm::<PlusTimesF64>(&product, algo, &opts))
+    // The operands are load-side work outside the timed calls.
+    let work = || -> Result<_, String> {
+        let square = Square::derive(a).map_err(|e| format!("{path}: {e}"))?;
+        let product = square.product(mode, phases);
+        let run = best_of(reps, || square.mxm(&product, algo, &opts));
+        Ok((run.map_err(|e| e.to_string())?, square))
     };
-    let (secs, (c, plan)) = if threads > 0 {
-        with_threads(threads, work)
-    } else {
-        work()
-    }
-    .map_err(|e| e.to_string())?;
+    let ((secs, (c, plan)), square) = on_threads(threads, work)?;
+    let a = square.matrix();
+    writeln!(out, "matrix   : {path} ({:?})", ingest.outcome).map_err(|e| e.to_string())?;
+    let (rows, cols, nnz) = (a.nrows(), a.ncols(), a.nnz());
+    writeln!(out, "shape    : {rows}x{cols}, nnz {nnz}").map_err(|e| e.to_string())?;
+    writeln!(out, "{}", ingest_line(&ingest)).map_err(|e| e.to_string())?;
 
     let (resolved, counted) = auto_note(plan);
     writeln!(
@@ -253,7 +224,7 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
     writeln!(
         out,
         "gflops   : {:.3} (unmasked-product convention)",
-        gflops(flops, secs)
+        gflops(square.flops(), secs)
     )
     .map_err(|e| e.to_string())?;
     if let Some(path) = trace_path {
@@ -352,11 +323,7 @@ pub fn cmd_suite(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
         App::Ktruss => ktruss_runs(&graphs, &schemes, k, reps, &opts),
         App::Bc => bc_runs(&graphs, &schemes, batch, reps, &opts),
     };
-    let runs = if threads > 0 {
-        with_threads(threads, sweep)
-    } else {
-        sweep()
-    };
+    let runs = on_threads(threads, sweep);
     // The same balance/pool summary feeds both the console line and the
     // JSON report's `exec` block.
     let exec = busy_spread(&stats.busy_seconds()).map(|sp| ExecSummary {

@@ -1,8 +1,8 @@
 //! Result parity between the offline and serving paths: `mxm query mxm`
 //! against a preloaded dataset must return the **byte-identical** output
-//! matrix (same fingerprint) as `mxm run` with the same options — and the
-//! second query against a resident dataset must report a warm workspace
-//! pool (zero misses).
+//! matrix (same fingerprint) by the same plan as `mxm run` with the same
+//! options — and the second query against a resident dataset must report
+//! a warm workspace pool (zero misses).
 
 use mspgemm_serve::{ServeConfig, Server};
 use std::path::PathBuf;
@@ -14,11 +14,12 @@ fn dispatch(args: &[&str]) -> Result<String, String> {
     Ok(String::from_utf8(out).unwrap())
 }
 
-/// The two fixtures in `tag`'s directory: `unit.mtx`, a unit-valued
+/// The three fixtures in `tag`'s directory: `unit.mtx`, a unit-valued
 /// symmetric R-MAT 8 with no self-loop (a simple graph, whose `mxm` the
-/// server counts), and `weighted.mtx`, the same pattern with symmetric
-/// non-unit values (which it multiplies).
-fn fixtures(tag: &str) -> [PathBuf; 2] {
+/// server counts), `weighted.mtx`, the same pattern with symmetric
+/// non-unit values (which it multiplies), and `directed.mtx`, a directed
+/// R-MAT 8 with non-unit values (which it multiplies with a stored `Bᵀ`).
+fn fixtures(tag: &str) -> [PathBuf; 3] {
     let dir = std::env::temp_dir().join(format!("mxm_parity_{tag}"));
     std::fs::create_dir_all(&dir).unwrap();
     // Skewed enough that algorithms/phases disagree if anything is off.
@@ -30,11 +31,31 @@ fn fixtures(tag: &str) -> [PathBuf; 2] {
     }
     let weighted = weighted.to_csr(|x, _| x);
     assert!(weighted.is_symmetric_by(f64::eq) && !mspgemm_io::is_simple(&weighted, true));
-    [("unit", unit), ("weighted", weighted)].map(|(name, g)| {
+    let graph = mspgemm_gen::rmat_directed(8, mspgemm_gen::RmatParams::default(), 5);
+    let mut directed = mspgemm_sparse::Coo::new(graph.nrows(), graph.ncols());
+    for (i, j, _) in graph.iter() {
+        directed.push(i as u32, j, 0.5 + ((3 * i as u32 + j) % 7) as f64 * 0.375);
+    }
+    let directed = directed.to_csr(|x, _| x);
+    assert!(!directed.is_symmetric_by(|_, _| true), "one-way edges");
+    let named = [
+        ("unit", unit),
+        ("weighted", weighted),
+        ("directed", directed),
+    ];
+    named.map(|(name, g)| {
         let mtx = dir.join(format!("{name}.mtx"));
         mspgemm_io::mtx::write_mtx_file(&mtx, &g).unwrap();
         mtx
     })
+}
+
+/// The plan `mxm run` reports: what its `scheme` line names after `→`,
+/// else the named algorithm itself — what the verb answers as `"plan"`.
+fn run_plan(text: &str) -> &str {
+    let scheme = text.lines().find_map(|l| l.strip_prefix("scheme   : "));
+    let ran = scheme.expect(text).split(" / ").next().unwrap();
+    ran.rsplit('→').next().unwrap()
 }
 
 fn run_fingerprint(text: &str) -> &str {
@@ -52,8 +73,11 @@ fn query_field<'a>(json: &'a str, key: &str) -> &'a str {
 }
 
 /// Every `algo` × mask × phases cell, on a simple fixture (which the
-/// server counts) and a weighted one (which it multiplies). MCA has no
-/// complemented form: both paths answer the typed error instead.
+/// server counts), a weighted one and a directed one (which it
+/// multiplies): the same fingerprint by the same plan, on two executors
+/// whatever the host has (the oriented plan's serial passes are charged
+/// per thread). MCA has no complemented form: both paths answer the typed
+/// error instead.
 #[test]
 fn query_matches_run_bit_for_bit_and_second_query_is_warm() {
     let mtxs = fixtures("fp");
@@ -69,6 +93,7 @@ fn query_matches_run_bit_for_bit_and_second_query_is_warm() {
                 for phases in ["1", "2"] {
                     let cell = format!("{dataset} algo={algo} mask={mask} phases={phases}");
                     let options = ["--algo", algo, "--mask", mask, "--phases", phases];
+                    let options = [&options[..], &["--threads", "2"]].concat();
                     let run_args = ["run", "--reps", "1", "--no-cache", mtx.to_str().unwrap()];
                     let run = dispatch(&[&run_args[..], &options].concat());
                     let query_args = ["query", "--connect", &addr, "mxm", "--dataset", dataset];
@@ -80,9 +105,13 @@ fn query_matches_run_bit_for_bit_and_second_query_is_warm() {
                         continue;
                     }
                     let (run_text, query_text) = (run.expect(&cell), query.expect(&cell));
+                    let answer = |text| (run_fingerprint(text), run_plan(text));
                     assert_eq!(
-                        run_fingerprint(&run_text),
-                        query_field(&query_text, "fingerprint"),
+                        answer(&run_text),
+                        (
+                            query_field(&query_text, "fingerprint"),
+                            query_field(&query_text, "plan")
+                        ),
                         "{cell}:\nrun:\n{run_text}\nquery:\n{query_text}"
                     );
                 }
@@ -94,7 +123,7 @@ fn query_matches_run_bit_for_bit_and_second_query_is_warm() {
 /// An updated snapshot's first default `mxm` patches its predecessor's
 /// product; on either fixture the patch must answer what a fresh load of
 /// the updated graph answers. The edits keep the unit fixture simple, so
-/// its patch is counted, and the weighted one weighted.
+/// its patch is counted, and the others weighted.
 #[test]
 fn a_patched_product_answers_what_a_fresh_load_answers() {
     let mtxs = fixtures("patch");
@@ -115,6 +144,7 @@ fn a_patched_product_answers_what_a_fresh_load_answers() {
             .flat_map(|u| (0..u).map(move |v| (u, v)))
             .find(|&(u, v)| {
                 g.get(u as usize, v).is_none()
+                    && g.get(v as usize, u).is_none()
                     && g.row_nnz(u as usize) > 2
                     && g.row_nnz(v as usize) > 2
             })
@@ -148,7 +178,7 @@ fn a_patched_product_answers_what_a_fresh_load_answers() {
 
 #[test]
 fn second_query_against_resident_dataset_reports_warm_pool() {
-    let [mtx, _] = fixtures("warm");
+    let [mtx, ..] = fixtures("warm");
     let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
     server
         .preload(&[mtx.to_str().unwrap().to_string()])

@@ -14,7 +14,7 @@ use crate::algos::msa::MsaKernel;
 use crate::phases::{driven_flops, driven_row_flops, masked_out, run_kernel, Phases};
 use crate::schedule::ExecOpts;
 use mspgemm_sparse::semiring::Semiring;
-use mspgemm_sparse::util::exclusive_prefix_sum;
+use mspgemm_sparse::util::{exclusive_prefix_sum, PAR_COUNT_MIN};
 use mspgemm_sparse::{transpose, Csr, CsrRef, Idx};
 use rayon::prelude::*;
 use std::ops::Range;
@@ -512,14 +512,6 @@ pub const TRANSPOSE_PROBES_PER_ENTRY: u64 = 10;
 /// later block doubles it, so a count that settles early stops within 2×
 /// of where it could have and one that never settles runs in few blocks.
 const COUNT_BLOCK: usize = 1 << 14;
-
-/// Entries below which a counting pass stays on the calling thread, at
-/// 1–2 ns a lookup against a drive's fixed cost of publishing a job to the
-/// parked workers and joining it (≈ 1–5 µs back-to-back, ≈ 8–12 µs after
-/// an idle, on two threads: `abl_schedule`'s `drive_us`). Fitted while a
-/// drive also re-read the machine's CPU count (2–3 × 18 µs), so it is
-/// conservative — a value to re-fit.
-const PAR_COUNT_MIN: usize = 1 << 17;
 
 /// `Σ per_row(i)` over `rows`, which hold `entries` stored entries — on the
 /// pool when those repay a drive's fixed cost.

@@ -26,4 +26,4 @@ pub use metrics::{
 pub use perfprofile::{
     busy_spread, default_taus, performance_profile, BusySpread, PerfProfile, SchemeRuns,
 };
-pub use threads::{check_threads, scaling_thread_counts, with_threads, MAX_THREADS};
+pub use threads::{check_threads, on_threads, scaling_thread_counts, with_threads, MAX_THREADS};

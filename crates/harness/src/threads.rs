@@ -29,6 +29,16 @@ pub fn with_threads<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T 
     pool.install(f)
 }
 
+/// Run `f` on a dedicated pool of `threads` workers, or — for `0`, the
+/// default of `mxm run`/`suite --threads` and a serve request's
+/// `"threads"` — on the process-wide pool.
+pub fn on_threads<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
+    match threads {
+        0 => f(),
+        n => with_threads(n, f),
+    }
+}
+
 /// The thread counts to sweep for strong scaling: 1, 2, 4, … up to the
 /// machine (or `MSPGEMM_THREADS`), always including the maximum.
 pub fn scaling_thread_counts() -> Vec<usize> {

@@ -5,13 +5,14 @@
 //! A [`Dataset`] holds everything a request needs so that no per-request
 //! ingest, normalization, or transposition happens on the hot path:
 //!
-//! * the raw matrix as loaded (the `mxm` verb squares it under its own
-//!   pattern as the mask, mirroring `mxm run`) and its transpose (the
-//!   pre-computed `Bᵀ` that the pull-based Inner scheme consumes) — which
-//!   a symmetric matrix is itself, so a symmetric snapshot stores none,
-//!   [`Dataset::bt`] hands out the matrix, and the `mxm` verb declares
-//!   its product a self-product (`Dataset::mxm_product`) so `Auto` may
-//!   compute it once per edge, as `mxm run` does;
+//! * the raw matrix as loaded, as a [`Square`]: the one type that decides
+//!   a graph product's operands, for the `mxm` verb and `mxm run` alike.
+//!   It squares the matrix under its own pattern as the mask, holds the
+//!   transpose (the pre-computed `Bᵀ` that the pull-based Inner scheme
+//!   consumes) only where it differs from the matrix, declares a
+//!   symmetric matrix's product a self-product so `Auto` may compute it
+//!   once per edge, and counts a simple matrix's product instead of
+//!   multiplying it;
 //! * the normalized simple undirected adjacency (what the TC / k-truss /
 //!   BC applications consume) — which a matrix that is already simple
 //!   (symmetric by bits, no self-loop, unit values: `mspgemm_io::is_simple`)
@@ -62,7 +63,7 @@
 //! snapshot holds at most one product. A loaded snapshot that is never
 //! updated keeps none.
 
-use masked_spgemm::{masked_mxm, Algorithm, Error, ExecOpts, Phases, Plan, Product};
+use masked_spgemm::{masked_mxm, Algorithm, Error, ExecOpts, MaskMode, Phases, Plan, Product};
 use mspgemm_graph::tricount::{self, TcOperands};
 use mspgemm_graph::Scheme;
 use mspgemm_io::{
@@ -81,6 +82,130 @@ use std::time::Instant;
 /// next `app tc` recounts every row (the next `mxm` runs the kernel).
 pub(crate) const DELTA_LOG_CAP: usize = 1 << 16;
 
+/// A square matrix and what its graph product `pattern(A) ⊙ (A·A)`
+/// depends on: its transpose, held only where it differs from the matrix
+/// by bits, and whether the matrix is simple. The `mxm` verb and
+/// `mxm run` both build their product here, so they hand the dispatch the
+/// same operands under the same semiring, and answer the same plan and
+/// bits.
+pub struct Square {
+    matrix: Csr<f64>,
+    /// `matrixᵀ` where it differs from `matrix` (pattern, or values by
+    /// bits); `None` for a symmetric matrix — read it through
+    /// [`Square::bt`].
+    matrix_t: Option<Csr<f64>>,
+    /// Whether `matrix` is its own simple adjacency ([`is_simple`]).
+    simple: bool,
+}
+
+impl Square {
+    /// The operands of `matrix`, from the whole of it: one walk decides
+    /// whether it is its own transpose by bits ([`distinct_transpose`]),
+    /// only a matrix that is not has its transpose built, and one scan
+    /// decides whether it is simple ([`is_simple`]).
+    ///
+    /// # Errors
+    /// If `matrix` is not square.
+    pub fn derive(matrix: Csr<f64>) -> Result<Square, String> {
+        let (rows, cols) = (matrix.nrows(), matrix.ncols());
+        if rows != cols {
+            return Err(format!("C = M ⊙ A·A needs a square A; got {rows}x{cols}"));
+        }
+        let matrix_t = distinct_transpose(&matrix, || transpose(&matrix));
+        let simple = is_simple(&matrix, matrix_t.is_none());
+        Ok(Square {
+            matrix,
+            matrix_t,
+            simple,
+        })
+    }
+
+    /// `prev`'s operands carried to `matrix`, which is `prev`'s changed
+    /// at `changed`: symmetry and simplicity are kept in `O(batch)` where
+    /// `prev` had them (`mirrors_itself`, `stays_simple`), else decided as
+    /// [`Square::derive`] decides them, and a transpose that differs is
+    /// patched from `prev`'s (`transpose_delta`), to the same operands.
+    fn rebuilt(prev: &Square, matrix: Csr<f64>, changed: &[(Idx, Idx)]) -> Square {
+        let matrix_t = if prev.symmetric() && mirrors_itself(&matrix, changed) {
+            None
+        } else {
+            distinct_transpose(&matrix, || {
+                transpose_delta(&matrix, changed).merged(prev.bt().view())
+            })
+        };
+        let symmetric = matrix_t.is_none();
+        let simple = match prev.simple {
+            true => symmetric && changed.iter().all(|&(i, j)| stays_simple(&matrix, i, j)),
+            false => is_simple(&matrix, symmetric),
+        };
+        debug_assert_eq!(simple, is_simple(&matrix, symmetric));
+        Square {
+            matrix,
+            matrix_t,
+            simple,
+        }
+    }
+
+    /// The matrix `A`.
+    pub fn matrix(&self) -> &Csr<f64> {
+        &self.matrix
+    }
+
+    /// `Aᵀ` in CSR — the product's `Bᵀ`. A symmetric matrix stores no
+    /// second copy: this is [`Self::matrix`] itself.
+    pub fn bt(&self) -> &Csr<f64> {
+        self.matrix_t.as_ref().unwrap_or(&self.matrix)
+    }
+
+    /// Whether `A` equals its transpose, pattern and values (by bits).
+    pub fn symmetric(&self) -> bool {
+        self.matrix_t.is_none()
+    }
+
+    /// Whether `A` is its own simple adjacency (symmetric, no self-loop,
+    /// every value `1.0`).
+    pub fn simple(&self) -> bool {
+        self.simple
+    }
+
+    /// FLOP count (2 × multiplies) of the unmasked `A·A`, the GFLOPS
+    /// denominator: `O(rows)` over `Aᵀ`'s and `A`'s row pointers.
+    pub fn flops(&self) -> u64 {
+        2 * self.bt().transposed_flops_with(&self.matrix)
+    }
+
+    /// The product `pattern(A) ⊙ (A·A)` (or its complement). Masks are
+    /// structural, so `A` masks itself, and [`Self::bt`] spares the pull
+    /// kernel its transpose. A symmetric `A` declares it a self-product,
+    /// which is how `Auto` learns it may compute each edge once.
+    pub fn product(&self, mode: MaskMode, phases: Phases) -> Product<'_, f64, f64> {
+        let a = &self.matrix;
+        let product = match self.symmetric() {
+            true => Product::self_product(a),
+            false => Product::new(a, a, a, Some(self.bt())),
+        };
+        product.with_mode(mode).with_phases(phases)
+    }
+
+    /// Run a product of `A`'s operands ([`Self::product`], or one masked
+    /// to fewer entries). On a simple `A` every product is `1.0 × 1.0`, so
+    /// each entry is the count of its terms, and [`PlusPairF64`] counts
+    /// them without reading a value (the pull kernel's counting dot),
+    /// equal by bits to [`PlusTimesF64`], which multiplies on every other
+    /// matrix.
+    pub fn mxm(
+        &self,
+        product: &Product<'_, f64, f64>,
+        algo: Algorithm,
+        opts: &ExecOpts<'_>,
+    ) -> Result<(Csr<f64>, Plan), Error> {
+        match self.simple {
+            true => masked_mxm::<PlusPairF64>(product, algo, opts),
+            false => masked_mxm::<PlusTimesF64>(product, algo, opts),
+        }
+    }
+}
+
 /// One resident dataset: the loaded matrix plus every derived operand the
 /// request handlers reuse across calls.
 pub struct Dataset {
@@ -88,24 +213,15 @@ pub struct Dataset {
     pub name: String,
     /// Path the matrix was loaded from.
     pub path: String,
-    /// The matrix as loaded from disk (square — the server rejects
-    /// rectangular inputs at `load`, like `mxm run` does).
-    pub matrix: Csr<f64>,
-    /// `matrixᵀ` where it differs from `matrix` (pattern, or values by
-    /// bits), pre-computed once so Inner-scheme requests skip the per-call
-    /// transpose the paper charges to `SS:DOT` (§8.4). `None` for a
-    /// symmetric matrix — read it through [`Dataset::bt`].
-    matrix_t: Option<Csr<f64>>,
-    /// `to_adjacency(matrix)` where it differs from `matrix`: the
+    /// The matrix as loaded from disk and its product's operands, its
+    /// transpose pre-computed once so Inner-scheme requests skip the
+    /// per-call transpose the paper charges to `SS:DOT` (§8.4).
+    pub square: Square,
+    /// `to_adjacency(matrix)` where the matrix is not simple: the
     /// normalized simple undirected adjacency (symmetric pattern, no
-    /// self-loops, unit weights), the application operand. `None` for a
-    /// matrix that is already simple (`mspgemm_io::is_simple`) — read it
+    /// self-loops, unit weights), the application operand. Read it
     /// through [`Dataset::adj`].
     adj: Option<Csr<f64>>,
-    /// FLOP count (2 × multiplies) of the unmasked `matrix·matrix`
-    /// product — the `mxm` verb's GFLOPS denominator, computed once here
-    /// rather than per request (it is a constant of the dataset).
-    pub mxm_flops: u64,
     /// Ingest throughput of the original load.
     pub ingest: IngestReport,
     /// When the dataset was loaded (for `stats` uptime-style reporting).
@@ -205,13 +321,7 @@ impl Dataset {
     /// matrix zero-copy by the mapped file.
     pub fn load(path: &str, name: Option<&str>, opts: &LoadOpts) -> Result<Dataset, String> {
         let (matrix, ingest) = load_matrix(path, opts).map_err(|e| format!("{path}: {e}"))?;
-        if matrix.nrows() != matrix.ncols() {
-            return Err(format!(
-                "{path}: the server holds square matrices (graphs); got {}x{}",
-                matrix.nrows(),
-                matrix.ncols()
-            ));
-        }
+        let square = Square::derive(matrix).map_err(|e| format!("{path}: {e}"))?;
         let name = name
             .map(str::to_string)
             .unwrap_or_else(|| dataset_name(std::path::Path::new(path)));
@@ -221,29 +331,26 @@ impl Dataset {
         Ok(Self::derive(
             name,
             path.to_string(),
-            matrix,
+            square,
             ingest,
             Instant::now(),
         ))
     }
 
-    /// Derive every resident operand from a raw square matrix, as a
-    /// version-0 snapshot with no seed — the disk loader's half; updates
-    /// patch these operands forward instead ([`Dataset::rebuilt`]). One
-    /// walk decides whether the matrix is its own transpose by bits
-    /// ([`distinct_transpose`], the same test `mxm run` makes before its
-    /// product); only a matrix that is not has its transpose built, and
-    /// only one that is not simple ([`is_simple`]) its adjacency.
+    /// A version-0 snapshot with no seed around operands derived from the
+    /// whole matrix ([`Square::derive`]) — the disk loader's half;
+    /// updates patch the operands forward instead ([`Dataset::rebuilt`]).
+    /// Only a matrix that is not simple has its adjacency built.
     fn derive(
         name: String,
         path: String,
-        matrix: Csr<f64>,
+        square: Square,
         ingest: IngestReport,
         loaded_at: Instant,
     ) -> Dataset {
-        let matrix_t = distinct_transpose(&matrix, || transpose(&matrix));
-        let adj = (!is_simple(&matrix, matrix_t.is_none())).then(|| {
-            let (mut adj, _) = to_adjacency(&matrix);
+        let matrix = square.matrix();
+        let adj = (!square.simple()).then(|| {
+            let (mut adj, _) = to_adjacency(matrix);
             if matrix.values_unit_shared() {
                 // Pattern-loaded base: the normalized adjacency is all-ones
                 // too, so point its value section at the process-wide unit
@@ -257,14 +364,11 @@ impl Dataset {
             );
             adj
         });
-        let mxm_flops = 2 * matrix.flops_with(&matrix);
         Dataset {
             name,
             path,
-            matrix,
-            matrix_t,
+            square,
             adj,
-            mxm_flops,
             ingest,
             loaded_at,
             version: 0,
@@ -288,20 +392,9 @@ impl Dataset {
     /// the derived operands are charged for: each is `prev`'s section with
     /// the batch's image merged in, the states read back from `matrix`
     /// (so last-write-wins, overwrites and deletes of absent entries need
-    /// no second rule), and the flop count follows from two row pointers.
-    ///
-    /// Symmetry is carried forward the same way: a symmetric `prev` whose
-    /// every changed position ends up equal to its mirror image has a
-    /// symmetric successor, decided in `O(batch)`; otherwise one walk
-    /// decides it, and only a successor that is not symmetric has its
-    /// transpose patched. So is simplicity: a simple `prev`'s successor is
-    /// simple iff it is symmetric and every changed position holds nothing,
-    /// or `1.0` off the diagonal, decided in `O(batch)`;
-    /// only a successor of a `prev` that is not simple is scanned by the
-    /// test `derive` makes ([`is_simple`]). Either way a load and an
-    /// update of the same matrix hold the same sections. A successor that
-    /// is not simple merges the batch into `prev`'s adjacency — `prev`'s
-    /// matrix, where `prev` was simple.
+    /// no second rule), and a load and an update of the same matrix hold
+    /// the same sections. A successor that is not simple merges the batch
+    /// into `prev`'s adjacency — `prev`'s matrix, where `prev` was simple.
     ///
     /// `changed` also extends both seeds (`Seed::carried`): `prev`'s own
     /// counts and product if it has them, else `prev`'s seeds, each
@@ -311,20 +404,10 @@ impl Dataset {
     /// with.
     pub fn rebuilt(prev: &Dataset, matrix: Csr<f64>, changed: &[(Idx, Idx)]) -> Dataset {
         debug_assert!(!matrix.has_shared_storage(), "rebuilds must be heap-owned");
-        let matrix_t = if prev.symmetric() && mirrors_itself(&matrix, changed) {
-            None
-        } else {
-            distinct_transpose(&matrix, || {
-                transpose_delta(&matrix, changed).merged(prev.bt().view())
-            })
-        };
-        let symmetric = matrix_t.is_none();
-        let simple = match prev.simple() {
-            true => symmetric && changed.iter().all(|&(i, j)| stays_simple(&matrix, i, j)),
-            false => is_simple(&matrix, symmetric),
-        };
-        debug_assert_eq!(simple, is_simple(&matrix, symmetric));
-        let adj = (!simple).then(|| adjacency_delta(&matrix, changed).merged(prev.adj().view()));
+        let square = Square::rebuilt(&prev.square, matrix, changed);
+        let matrix = square.matrix();
+        let adj =
+            (!square.simple()).then(|| adjacency_delta(matrix, changed).merged(prev.adj().view()));
         debug_assert!(
             adj.iter().all(|adj| adj.is_symmetric_by(f64::eq)),
             "adj must be its own transpose"
@@ -335,7 +418,7 @@ impl Dataset {
             Some(_) => {
                 let ops = prev.tc_ops.get().expect("counts or a seed imply operands");
                 OnceLock::from(Arc::new(
-                    ops.patched(adj.as_ref().unwrap_or(&matrix), changed),
+                    ops.patched(adj.as_ref().unwrap_or(matrix), changed),
                 ))
             }
             None => OnceLock::new(),
@@ -343,17 +426,12 @@ impl Dataset {
         Dataset {
             name: prev.name.clone(),
             path: prev.path.clone(),
-            mxm_flops: 2 * matrix_t
-                .as_ref()
-                .unwrap_or(&matrix)
-                .transposed_flops_with(&matrix),
             ingest: IngestReport {
                 backend: MsbBackend::Heap,
                 entries: matrix.nnz(),
                 ..prev.ingest
             },
-            matrix,
-            matrix_t,
+            square,
             adj,
             loaded_at: prev.loaded_at,
             version: prev.version + 1,
@@ -373,60 +451,12 @@ impl Dataset {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// `matrixᵀ` in CSR — the `Bᵀ` of the `mxm` verb. A symmetric
-    /// snapshot stores no second copy: this is [`Self::matrix`] itself.
-    pub fn bt(&self) -> &Csr<f64> {
-        self.matrix_t.as_ref().unwrap_or(&self.matrix)
-    }
-
     /// The simple undirected graph of the matrix — symmetric pattern, no
     /// self-loops, unit weights, so its own transpose — that `app tc`,
     /// `ktruss` and `bc` read. A simple snapshot stores no second copy:
-    /// this is [`Self::matrix`] itself.
+    /// this is the matrix itself.
     pub fn adj(&self) -> &Csr<f64> {
-        self.adj.as_ref().unwrap_or(&self.matrix)
-    }
-
-    /// The `mxm` verb's product `pattern(A) ⊙ (A·A)` under a normal mask
-    /// and one phase. Masks are structural, so the matrix masks itself,
-    /// and [`Self::bt`] spares the pull kernel its transpose. A symmetric
-    /// snapshot declares it a self-product, which is how `auto` learns it
-    /// may compute each edge of the product once.
-    pub(crate) fn mxm_product(&self) -> Product<'_, f64, f64> {
-        let m = &self.matrix;
-        match self.symmetric() {
-            true => Product::self_product(m),
-            false => Product::new(m, m, m, Some(self.bt())),
-        }
-    }
-
-    /// Whether the matrix equals its transpose, pattern and values (by
-    /// bits) — known since the snapshot was built.
-    pub fn symmetric(&self) -> bool {
-        self.matrix_t.is_none()
-    }
-
-    /// Whether the matrix is its own simple adjacency (symmetric, no
-    /// self-loop, every value `1.0`) — known since the snapshot was built.
-    pub fn simple(&self) -> bool {
-        self.adj.is_none()
-    }
-
-    /// A product of the `mxm` verb over this snapshot's operands. On a
-    /// simple snapshot every product is `1.0 × 1.0`, so each entry is the
-    /// count of its terms, and [`PlusPairF64`] counts them without
-    /// reading a value (the pull kernel's counting dot), equal by bits to
-    /// [`PlusTimesF64`], which multiplies on every other snapshot.
-    pub(crate) fn mxm(
-        &self,
-        product: &Product<'_, f64, f64>,
-        algo: Algorithm,
-        opts: &ExecOpts<'_>,
-    ) -> Result<(Csr<f64>, Plan), Error> {
-        match self.simple() {
-            true => masked_mxm::<PlusPairF64>(product, algo, opts),
-            false => masked_mxm::<PlusTimesF64>(product, algo, opts),
-        }
+        self.adj.as_ref().unwrap_or(&self.square.matrix)
     }
 
     /// The triangle-counting operands (degree-relabeled `L` and `Lᵀ`),
@@ -538,8 +568,9 @@ impl Dataset {
         phases: Phases,
         opts: &ExecOpts<'_>,
     ) -> Result<Arc<Csr<f64>>, Error> {
-        let a = &self.matrix;
-        let entries = affected_entries(a, self.bt(), &seed.changed);
+        let square = &self.square;
+        let (a, bt) = (square.matrix(), square.bt());
+        let entries = affected_entries(a, bt, &seed.changed);
         if entries.is_empty() {
             return Ok(seed.base.clone());
         }
@@ -549,8 +580,8 @@ impl Dataset {
             .filter(|&(i, j)| a.get(i as usize, j).is_some())
             .collect();
         let mask = mask_at(a.nrows(), a.ncols(), &stored);
-        let product = Product::new(&mask, a, a, Some(self.bt())).with_phases(phases);
-        let (recomputed, _) = self.mxm(&product, Algorithm::Auto, opts)?;
+        let product = Product::new(&mask, a, a, Some(bt)).with_phases(phases);
+        let (recomputed, _) = square.mxm(&product, Algorithm::Auto, opts)?;
         let mut delta = Overlay::new(a.nrows(), a.ncols());
         for &(i, j) in &entries {
             delta.set(i, j, recomputed.get(i as usize, j).copied());
@@ -562,7 +593,7 @@ impl Dataset {
     /// is a view of the process-wide unit arena rather than per-dataset
     /// storage (`load` with `"pattern": true`, or a pattern `.msb`).
     pub fn pattern(&self) -> bool {
-        self.matrix.values_unit_shared()
+        self.square.matrix.values_unit_shared()
     }
 
     /// Approximate resident bytes across all held operands and the
@@ -590,8 +621,8 @@ impl Dataset {
         // (counts shared with ancestors no entry retains, so counted
         // here). The product and its seed count the same way.
         let mut vectors = 0;
-        let mut total = f(&self.matrix.storage_report());
-        for held in [&self.matrix_t, &self.adj].into_iter().flatten() {
+        let mut total = f(&self.square.matrix.storage_report());
+        for held in [&self.square.matrix_t, &self.adj].into_iter().flatten() {
             total += f(&held.storage_report());
         }
         if let Some(ops) = self.tc_ops.get() {
@@ -743,7 +774,8 @@ mod tests {
     /// it, and its plan.
     fn fresh_run(ds: &Dataset) -> (Csr<f64>, Plan) {
         let opts = ExecOpts::default();
-        masked_mxm::<PlusTimesF64>(&ds.mxm_product(), Algorithm::Auto, &opts).unwrap()
+        let product = ds.square.product(MaskMode::Mask, Phases::One);
+        masked_mxm::<PlusTimesF64>(&product, Algorithm::Auto, &opts).unwrap()
     }
 
     fn fresh(ds: &Dataset) -> Csr<f64> {
@@ -885,11 +917,11 @@ mod tests {
     /// `prev`'s successor under `ops`, built the way `Registry::update`
     /// builds it.
     fn updated(prev: &Dataset, ops: &[DeltaOp<f64>]) -> Dataset {
-        let n = prev.matrix.nrows();
+        let n = prev.square.matrix().nrows();
         let mut overlay = Overlay::new(n, n);
         overlay.apply_batch(ops).unwrap();
         let changed: Vec<(Idx, Idx)> = ops.iter().map(DeltaOp::key).collect();
-        Dataset::rebuilt(prev, overlay.merged(prev.matrix.view()), &changed)
+        Dataset::rebuilt(prev, overlay.merged(prev.square.matrix().view()), &changed)
     }
 
     /// `a == b` section by section, and `a` owns its storage.
@@ -952,7 +984,7 @@ mod tests {
                 let mut ds = Dataset::load(path.to_str().unwrap(), Some("p"), &opts).unwrap();
                 prop_assert_eq!(ds.pattern(), opts.pattern);
                 if cfg!(all(target_endian = "little", target_pointer_width = "64")) {
-                    prop_assert_eq!(ds.matrix.has_shared_storage(), opts.mmap || opts.pattern);
+                    prop_assert_eq!(ds.square.matrix().has_shared_storage(), opts.mmap || opts.pattern);
                 }
                 for _ in 0..nbatches {
                     if !next(&mut s).is_multiple_of(3) {
@@ -961,23 +993,24 @@ mod tests {
                     if next(&mut s).is_multiple_of(2) {
                         land(&ds)?;
                     }
-                    let next_ds = updated(&ds, &batch(&mut s, &ds.matrix));
+                    let next_ds = updated(&ds, &batch(&mut s, ds.square.matrix()));
                     check_seed(&next_ds)?;
                     let want = Dataset::derive(
                         ds.name.clone(),
                         ds.path.clone(),
-                        next_ds.matrix.clone(),
+                        Square::derive(next_ds.square.matrix().clone()).unwrap(),
                         ds.ingest,
                         ds.loaded_at,
                     );
-                    prop_assert_eq!(next_ds.symmetric(), want.symmetric());
-                    prop_assert_eq!(next_ds.symmetric(), next_ds.matrix == transpose(&next_ds.matrix));
-                    if let (Some(t), Some(want_t)) = (&next_ds.matrix_t, &want.matrix_t) {
+                    prop_assert_eq!(next_ds.square.symmetric(), want.square.symmetric());
+                    prop_assert_eq!(next_ds.square.symmetric(), *next_ds.square.matrix() == transpose(next_ds.square.matrix()));
+                    if let (Some(t), Some(want_t)) = (&next_ds.square.matrix_t, &want.square.matrix_t) {
                         assert_section("matrix_t", t, want_t)?;
                     }
                     prop_assert_eq!(next_ds.adj.is_some(), want.adj.is_some(), "held adj");
                     assert_section("adj", next_ds.adj(), want.adj())?;
-                    prop_assert_eq!(next_ds.mxm_flops, want.mxm_flops);
+                    let a = next_ds.square.matrix();
+                    prop_assert_eq!(next_ds.square.flops(), 2 * a.flops_with(a));
                     match (&next_ds.tc_seed, next_ds.tc_ops.get()) {
                         (Some(_), Some(ops)) => {
                             let fresh = tricount::prepare_with_perm(want.adj(), ops.perm.clone());
@@ -1000,7 +1033,7 @@ mod tests {
                 prop_assert_eq!(count(&ds).triangles, count(&Dataset::derive(
                     ds.name.clone(),
                     ds.path.clone(),
-                    ds.matrix.clone(),
+                    Square::derive(ds.square.matrix().clone()).unwrap(),
                     ds.ingest,
                     ds.loaded_at,
                 )).triangles);
@@ -1021,9 +1054,12 @@ mod tests {
             ..LoadOpts::default()
         };
         let own_transpose = |ds: &Dataset| {
-            assert_eq!(ds.bt(), &transpose(&ds.matrix));
-            assert_eq!(ds.symmetric(), std::ptr::eq(ds.bt(), &ds.matrix));
-            ds.symmetric()
+            assert_eq!(ds.square.bt(), &transpose(ds.square.matrix()));
+            assert_eq!(
+                ds.square.symmetric(),
+                std::ptr::eq(ds.square.bt(), ds.square.matrix())
+            );
+            ds.square.symmetric()
         };
         let v0 = Dataset::load(mtx.to_str().unwrap(), None, &off).unwrap();
         assert!(own_transpose(&v0));
@@ -1034,7 +1070,7 @@ mod tests {
         // have to be stored, each about the size of the matrix.
         let v1 = updated(&v0, &[upsert((3, 40), 1.0)]);
         assert!(!own_transpose(&v1));
-        let sections = [&v1.matrix, v1.bt(), v1.adj()].map(section_bytes);
+        let sections = [v1.square.matrix(), v1.square.bt(), v1.adj()].map(section_bytes);
         assert_eq!(v1.mem_bytes(), sections.iter().sum::<u64>());
         assert!(sections.iter().all(|&b| b > graph));
         // The other direction with another value: still not symmetric.
@@ -1055,7 +1091,11 @@ mod tests {
         assert_eq!(v4.mem_bytes(), matrix_bytes(&v4) + section_bytes(v4.adj()));
         let v5 = updated(&v4, &[upsert((1, 2), 0.0), upsert((2, 1), -0.0)]);
         assert!(!own_transpose(&v5));
-        assert_eq!(v5.matrix, transpose(&v5.matrix), "equal by ==, not by bits");
+        assert_eq!(
+            v5.square.matrix(),
+            &transpose(v5.square.matrix()),
+            "equal by ==, not by bits"
+        );
     }
 
     /// Resident bytes of one section, mapped or not.
@@ -1066,15 +1106,15 @@ mod tests {
 
     /// Resident bytes of `ds`'s matrix alone.
     fn matrix_bytes(ds: &Dataset) -> u64 {
-        section_bytes(&ds.matrix)
+        section_bytes(ds.square.matrix())
     }
 
     /// Whether `ds` holds no adjacency of its own — [`Dataset::adj`] is
     /// the matrix itself — checking that `adj()` is the normalized
     /// matrix either way.
     fn shares_adj(ds: &Dataset) -> bool {
-        assert_eq!(ds.adj(), &to_adjacency(&ds.matrix).0);
-        std::ptr::eq(ds.adj(), &ds.matrix)
+        assert_eq!(ds.adj(), &to_adjacency(ds.square.matrix()).0);
+        std::ptr::eq(ds.adj(), ds.square.matrix())
     }
 
     /// A simple graph is held once on every load lane: the adjacency is
@@ -1113,15 +1153,20 @@ mod tests {
             }
         }
         let v0 = Dataset::load(mtx.to_str().unwrap(), None, &off).unwrap();
-        let (i, j, _) = v0.matrix.iter().find(|&(i, j, _)| i < j as usize).unwrap();
+        let (i, j, _) = v0
+            .square
+            .matrix()
+            .iter()
+            .find(|&(i, j, _)| i < j as usize)
+            .unwrap();
         let (i, j) = (i as Idx, j);
         let split_and_share = |what: &str, apply: &[DeltaOp<f64>], undo: &[DeltaOp<f64>]| {
             let v1 = updated(&v0, apply);
             assert!(!shares_adj(&v1), "{what} splits the adjacency off");
-            let transpose = if v1.symmetric() {
+            let transpose = if v1.square.symmetric() {
                 0
             } else {
-                section_bytes(v1.bt())
+                section_bytes(v1.square.bt())
             };
             let held = matrix_bytes(&v1) + transpose + section_bytes(v1.adj());
             assert_eq!(v1.mem_bytes(), held, "{what}");
@@ -1139,7 +1184,7 @@ mod tests {
         // Batches a simple graph stays simple across, decided from the
         // batch alone: an absent self-loop deleted, and an edge dropped or
         // added both ways.
-        let k = (0..60).find(|&k| k != i && v0.matrix.get(i as usize, k).is_none());
+        let k = (0..60).find(|&k| k != i && v0.square.matrix().get(i as usize, k).is_none());
         let k = k.unwrap();
         for batch in [
             vec![delete((5, 5))],
@@ -1224,7 +1269,7 @@ mod tests {
     fn one_batch_deleting_two_triangle_edges_patches_the_third() {
         let (v1, _) = kept_product("tri_one");
         let v2 = updated(&v1, &TRIANGLE_EDGES.map(delete));
-        let reach = affected_entries(&v2.matrix, v2.bt(), &TRIANGLE_EDGES);
+        let reach = affected_entries(v2.square.matrix(), v2.square.bt(), &TRIANGLE_EDGES);
         assert!(
             reach.contains(&(1, 2)) && reach.contains(&(2, 1)),
             "{reach:?}"
@@ -1284,7 +1329,12 @@ mod tests {
         }
         // Overwrites of one stored edge, both orientations: every section
         // keeps its size, and the matrix its symmetry.
-        let (i, j, _) = v0.matrix.iter().find(|&(i, j, _)| i != j as usize).unwrap();
+        let (i, j, _) = v0
+            .square
+            .matrix()
+            .iter()
+            .find(|&(i, j, _)| i != j as usize)
+            .unwrap();
         let overwrite = |val| [upsert((i as Idx, j), val), upsert((j, i as Idx), val)];
         let bytes = |c: &Csr<f64>| c.storage_report().heap_bytes as u64;
 

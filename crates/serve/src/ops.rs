@@ -20,7 +20,7 @@ use crate::server::ServerState;
 use masked_spgemm::{Algorithm, ExecOpts, MaskMode, Phases};
 use mspgemm_graph::{bc, ktruss, App};
 use mspgemm_harness::{
-    best_of, busy_spread, csr_fingerprint, gflops, mb_per_s, with_threads, BusySpread,
+    best_of, busy_spread, csr_fingerprint, gflops, mb_per_s, on_threads, BusySpread,
 };
 use mspgemm_io::LoadOpts;
 use mspgemm_obs::{HistSnapshot, Series};
@@ -86,16 +86,6 @@ fn exec_opts(state: &ServerState, deadline: Option<Instant>) -> ExecOpts<'_> {
     }
 }
 
-/// Run `f` on a dedicated pool of `threads` workers, or — for `0`, the
-/// requests' default — on the process-wide pool.
-fn on_threads<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
-    if threads > 0 {
-        with_threads(threads, f)
-    } else {
-        f()
-    }
-}
-
 pub(crate) fn ping(state: &ServerState) -> OpResult {
     Ok(ok_response(vec![
         ("op", Json::str("ping")),
@@ -139,9 +129,9 @@ pub(crate) fn load(state: &ServerState, p: &LoadParams) -> Result<(String, Json)
         ("op", Json::str("load")),
         ("name", Json::str(&ds.name)),
         ("path", Json::str(&ds.path)),
-        ("nrows", ds.matrix.nrows().into()),
-        ("ncols", ds.matrix.ncols().into()),
-        ("nnz", ds.matrix.nnz().into()),
+        ("nrows", ds.square.matrix().nrows().into()),
+        ("ncols", ds.square.matrix().ncols().into()),
+        ("nnz", ds.square.matrix().nnz().into()),
         ("adj_nnz", ds.adj().nnz().into()),
     ];
     fields.extend(residency(ds));
@@ -178,8 +168,8 @@ pub(crate) fn list(state: &ServerState) -> OpResult {
             let mut row = vec![
                 ("name", Json::str(&ds.name)),
                 ("path", Json::str(&ds.path)),
-                ("nrows", ds.matrix.nrows().into()),
-                ("nnz", ds.matrix.nnz().into()),
+                ("nrows", ds.square.matrix().nrows().into()),
+                ("nnz", ds.square.matrix().nnz().into()),
                 ("adj_nnz", ds.adj().nnz().into()),
             ];
             row.extend(residency(ds));
@@ -230,8 +220,8 @@ fn mxm(
     let ds = state.registry.get(name).map_err(reg_err)?;
     let opts = exec_opts(state, deadline);
     let pool_mark = (state.ws_pool.hits(), state.ws_pool.misses());
-    let product = ds.mxm_product().with_mode(p.mode).with_phases(p.phases);
-    let run_one = || ds.mxm(&product, p.algo, &opts);
+    let product = ds.square.product(p.mode, p.phases);
+    let run_one = || ds.square.mxm(&product, p.algo, &opts);
     // Exactly `reps` kernel runs (decode clamps `reps >= 1`), no warm-up:
     // a request costs what it asked for, and reports its best run.
     let kernel = || best_of(p.reps, run_one);
@@ -293,7 +283,7 @@ fn mxm(
             // denominator, as for an incremental `tc`.
             match answer.incremental() {
                 true => Json::Null,
-                false => gflops(ds.mxm_flops, secs).into(),
+                false => gflops(ds.square.flops(), secs).into(),
             },
         ),
         ("incremental", answer.incremental().into()),
@@ -404,8 +394,8 @@ fn update(state: &ServerState, name: &str, p: &UpdateParams) -> OpResult {
         // stay for clients that read them and are constants.
         ("delta_nnz", 0u64.into()),
         ("compacted", true.into()),
-        ("nrows", ds.matrix.nrows().into()),
-        ("nnz", ds.matrix.nnz().into()),
+        ("nrows", ds.square.matrix().nrows().into()),
+        ("nnz", ds.square.matrix().nnz().into()),
         ("backend", Json::str(ds.backend().name())),
         ("mapped_bytes", ds.mapped_bytes().into()),
         ("seconds", secs.into()),

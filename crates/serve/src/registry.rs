@@ -345,7 +345,7 @@ impl Registry {
         // Read the live snapshot only now: no other update can replace it
         // before this one's swap.
         let live = self.get(name)?;
-        let n = live.matrix.nrows();
+        let n = live.square.matrix().nrows();
         let mut batch = Overlay::new(n, n);
         batch.apply_batch(ops).map_err(RegistryError::OutOfBounds)?;
         let changed: Vec<(Idx, Idx)> = ops.iter().map(DeltaOp::key).collect();
@@ -353,7 +353,7 @@ impl Registry {
         // dataset wait; readers and other verbs proceed on the old Arc.
         let next = Arc::new(Dataset::rebuilt(
             &live,
-            batch.merged(live.matrix.view()),
+            batch.merged(live.square.matrix().view()),
             &changed,
         ));
         // Failpoint `serve.update.swap`: widen (or fail) the window
@@ -506,8 +506,8 @@ mod tests {
         let ds = out.ds;
         assert!(out.evicted.is_empty(), "no budget, no eviction");
         assert_eq!(ds.name, "cycle");
-        assert_eq!(ds.matrix.nrows(), 80);
-        assert_eq!(ds.bt().nnz(), ds.matrix.nnz());
+        assert_eq!(ds.square.matrix().nrows(), 80);
+        assert_eq!(ds.square.bt().nnz(), ds.square.matrix().nnz());
         assert!(ds.mem_bytes() > 0);
 
         assert!(matches!(
@@ -671,18 +671,18 @@ mod tests {
         let live = reg.get("u").unwrap();
         assert!(Arc::ptr_eq(&out, &live), "update returns the live snapshot");
         assert!(!Arc::ptr_eq(&before, &live), "live Arc swapped");
-        assert_eq!(live.matrix.get(3, 4), Some(&1.0));
-        assert_eq!(live.matrix.get(0, 79), None);
+        assert_eq!(live.square.matrix().get(3, 4), Some(&1.0));
+        assert_eq!(live.square.matrix().get(0, 79), None);
         // In-flight readers keep their old view.
-        assert_eq!(before.matrix.get(3, 4), None);
+        assert_eq!(before.square.matrix().get(3, 4), None);
         // Derived operands track the merged matrix.
-        assert_eq!(live.bt().get(4, 3), Some(&1.0));
+        assert_eq!(live.square.bt().get(4, 3), Some(&1.0));
 
         let out = reg
             .update("u", &[DeltaOp::Delete { row: 3, col: 4 }])
             .unwrap();
         assert_eq!(out.version, 2);
-        assert_eq!(reg.get("u").unwrap().matrix.get(3, 4), None);
+        assert_eq!(reg.get("u").unwrap().square.matrix().get(3, 4), None);
         assert_eq!(reg.list()[0].ds.version, 2);
 
         // Out-of-bounds ops reject the batch atomically.
@@ -710,7 +710,7 @@ mod tests {
             2,
             "rejected batch bumps nothing"
         );
-        assert_eq!(reg.get("u").unwrap().matrix.get(1, 1), None);
+        assert_eq!(reg.get("u").unwrap().square.matrix().get(1, 1), None);
 
         assert!(matches!(
             reg.update("ghost", &[]),
@@ -885,7 +885,7 @@ mod tests {
         reg.load(mtx.to_str().unwrap(), Some("m"), &off_opts(), false)
             .unwrap();
         let v0 = reg.get("m").unwrap();
-        let n = v0.matrix.nrows() as u64;
+        let n = v0.square.matrix().nrows() as u64;
         let loaded = v0.mem_bytes();
         let operands = {
             let ops = v0.tc_operands();
@@ -904,7 +904,11 @@ mod tests {
         let v1 = reg
             .update("m", &[DeltaOp::Delete { row: 0, col: 0 }])
             .unwrap();
-        assert_eq!(v1.matrix, v0.matrix, "deleting an absent entry is a no-op");
+        assert_eq!(
+            v1.square.matrix(),
+            v0.square.matrix(),
+            "deleting an absent entry is a no-op"
+        );
         assert_eq!(v1.mem_bytes(), loaded + operands + 4 * n + (8 * n + 8));
         assert_eq!(reg.resident_bytes(), v1.mem_bytes());
         std::fs::remove_file(&mtx).ok();
@@ -920,7 +924,11 @@ mod tests {
         reg.load(mtx.to_str().unwrap(), Some("f"), &off_opts(), false)
             .unwrap();
         let loaded = reg.get("f").unwrap();
-        assert_eq!(loaded.matrix.get(7, 70), None, "fixture has no (7,70)");
+        assert_eq!(
+            loaded.square.matrix().get(7, 70),
+            None,
+            "fixture has no (7,70)"
+        );
         count(&loaded);
 
         mspgemm_fault::configure("serve.update.swap=1*err(boom)").unwrap();
@@ -960,8 +968,11 @@ mod tests {
         let mut only_accepted = Overlay::new(80, 80);
         only_accepted.apply_batch(&accepted).unwrap();
         let live = reg.get("f").unwrap();
-        assert_eq!(live.matrix.get(7, 70), None);
-        assert_eq!(live.matrix, only_accepted.merged(loaded.matrix.view()));
+        assert_eq!(live.square.matrix().get(7, 70), None);
+        assert_eq!(
+            live.square.matrix(),
+            &only_accepted.merged(loaded.square.matrix().view())
+        );
         std::fs::remove_file(&mtx).ok();
     }
 

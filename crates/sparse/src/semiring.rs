@@ -75,26 +75,6 @@ impl Semiring for PlusTimesF64 {
     }
 }
 
-/// `(+, ×)` over `u64`: exact counting (triangle counting, k-truss support).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PlusTimesU64;
-
-impl Semiring for PlusTimesU64 {
-    type Left = u64;
-    type Right = u64;
-    type Out = u64;
-    const ZERO: u64 = 0;
-    const MUL_COMMUTES: bool = true;
-    #[inline(always)]
-    fn mul(a: u64, b: u64) -> u64 {
-        a * b
-    }
-    #[inline(always)]
-    fn add(x: u64, y: u64) -> u64 {
-        x + y
-    }
-}
-
 /// `(+, ×)` over `i64` (signed integer tests).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PlusTimesI64;
@@ -172,45 +152,6 @@ impl Semiring for PlusPairF64 {
     }
 }
 
-/// `plus_first`: `mul(a, b) = a`. Betweenness-centrality style traversals
-/// where the frontier value propagates and B is purely structural.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PlusFirstF64;
-
-impl Semiring for PlusFirstF64 {
-    type Left = f64;
-    type Right = ();
-    type Out = f64;
-    const ZERO: f64 = 0.0;
-    #[inline(always)]
-    fn mul(a: f64, _: ()) -> f64 {
-        a
-    }
-    #[inline(always)]
-    fn add(x: f64, y: f64) -> f64 {
-        x + y
-    }
-}
-
-/// `plus_second`: `mul(a, b) = b`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PlusSecondF64;
-
-impl Semiring for PlusSecondF64 {
-    type Left = ();
-    type Right = f64;
-    type Out = f64;
-    const ZERO: f64 = 0.0;
-    #[inline(always)]
-    fn mul(_: (), b: f64) -> f64 {
-        b
-    }
-    #[inline(always)]
-    fn add(x: f64, y: f64) -> f64 {
-        x + y
-    }
-}
-
 /// The boolean `(∨, ∧)` semiring: reachability / BFS frontiers.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OrAndBool;
@@ -228,27 +169,6 @@ impl Semiring for OrAndBool {
     #[inline(always)]
     fn add(x: bool, y: bool) -> bool {
         x || y
-    }
-}
-
-/// The tropical `(min, +)` semiring over `f64`: shortest paths. `ZERO` is
-/// `+∞` (the identity of `min`).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MinPlusF64;
-
-impl Semiring for MinPlusF64 {
-    type Left = f64;
-    type Right = f64;
-    type Out = f64;
-    const ZERO: f64 = f64::INFINITY;
-    const MUL_COMMUTES: bool = true;
-    #[inline(always)]
-    fn mul(a: f64, b: f64) -> f64 {
-        a + b
-    }
-    #[inline(always)]
-    fn add(x: f64, y: f64) -> f64 {
-        x.min(y)
     }
 }
 
@@ -274,18 +194,13 @@ mod tests {
     }
 
     #[test]
-    fn plus_times_u64_monoid_laws() {
-        check_monoid::<PlusTimesU64>(&[0, 1, 2, 17, 1000]);
+    fn plus_times_i64_monoid_laws() {
+        check_monoid::<PlusTimesI64>(&[0, 1, -2, 17, -1000]);
     }
 
     #[test]
     fn or_and_monoid_laws() {
         check_monoid::<OrAndBool>(&[false, true]);
-    }
-
-    #[test]
-    fn min_plus_monoid_laws() {
-        check_monoid::<MinPlusF64>(&[0.0, 1.5, 7.0, f64::INFINITY]);
     }
 
     #[test]
@@ -300,14 +215,34 @@ mod tests {
         }
         let floats = [0.0, -0.0, 1.5, -7.0, 1e16, 1e-300, f64::INFINITY];
         check::<PlusTimesF64>(&floats[..6]); // 0 · ∞ is NaN, equal to nothing
-        check::<MinPlusF64>(&floats);
-        check::<PlusTimesU64>(&[0, 1, 17, 1 << 31]);
         check::<PlusTimesI64>(&[0, -1, 17, -(1 << 31)]);
         check::<OrAndBool>(&[false, true]);
         check::<PlusPairU64>(&[()]);
         check::<PlusPairF64>(&floats);
-        // The projections are not symmetric in their operands.
-        const { assert!(!PlusFirstF64::MUL_COMMUTES && !PlusSecondF64::MUL_COMMUTES) };
+    }
+
+    /// `plus_first` (`mul(a, b) = a`), which overrides no default: its mul
+    /// is not symmetric in its operands, and it reads one of them.
+    #[derive(Clone, Copy)]
+    struct PlusFirst;
+
+    impl Semiring for PlusFirst {
+        type Left = f64;
+        type Right = ();
+        type Out = f64;
+        const ZERO: f64 = 0.0;
+        fn mul(a: f64, _: ()) -> f64 {
+            a
+        }
+        fn add(x: f64, y: f64) -> f64 {
+            x + y
+        }
+    }
+
+    #[test]
+    fn flags_default_to_false() {
+        assert_eq!(PlusFirst::mul(3.5, ()), 3.5);
+        const { assert!(!PlusFirst::MUL_COMMUTES && !PlusFirst::MUL_IGNORES_OPERANDS) };
     }
 
     #[test]
@@ -333,20 +268,6 @@ mod tests {
         }
         check::<PlusPairU64>((), (), |a, b| a == b);
         check::<PlusPairF64>(-3.5, 1e300, |a, b| a.to_bits() == b.to_bits());
-        const { assert!(!PlusTimesF64::MUL_IGNORES_OPERANDS && !PlusFirstF64::MUL_IGNORES_OPERANDS) };
-    }
-
-    #[test]
-    fn first_second_project() {
-        assert_eq!(PlusFirstF64::mul(3.5, ()), 3.5);
-        assert_eq!(PlusSecondF64::mul((), 4.5), 4.5);
-    }
-
-    #[test]
-    fn min_plus_relaxation() {
-        // d(i->j) via k: min over k of d(i->k) + w(k->j)
-        let via_a = MinPlusF64::mul(2.0, 3.0);
-        let via_b = MinPlusF64::mul(1.0, 5.0);
-        assert_eq!(MinPlusF64::add(via_a, via_b), 5.0);
+        const { assert!(!PlusTimesF64::MUL_IGNORES_OPERANDS) };
     }
 }

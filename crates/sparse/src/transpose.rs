@@ -11,13 +11,17 @@
 
 use crate::csr::Csr;
 use crate::overlay::Overlay;
-use crate::util::{exclusive_prefix_sum, split_ranges, UnsafeSlice};
+use crate::util::{exclusive_prefix_sum, split_ranges, UnsafeSlice, PAR_COUNT_MIN};
 use crate::Idx;
 use rayon::prelude::*;
 
-/// Transpose `a`. Chooses the parallel scan-based scatter when the
-/// histogram memory is worth it, otherwise a sequential scatter.
+/// Transpose `a`. Chooses the parallel scan-based scatter when `a` holds
+/// at least [`PAR_COUNT_MIN`] entries and the histogram memory is worth
+/// it, otherwise a sequential scatter.
 pub fn transpose<T: Copy + Send + Sync>(a: &Csr<T>) -> Csr<T> {
+    if a.nnz() < PAR_COUNT_MIN {
+        return transpose_seq(a);
+    }
     let threads = rayon::current_num_threads().max(1);
     // Per-chunk histograms cost `chunks × ncols` words; cap that at ~2× nnz
     // so pathological shapes (hypersparse wide matrices) fall back.

@@ -14,6 +14,18 @@ use rayon::prelude::*;
 use std::cell::Cell;
 use std::ops::Range;
 
+/// Entries below which a pass over a matrix stays on the calling thread.
+/// `masked_spgemm`'s counting passes make 1–2 ns lookups against a
+/// drive's fixed cost of publishing a job to the parked workers and
+/// joining it (≈ 1–5 µs back-to-back, ≈ 8–12 µs after an idle, on two
+/// threads: `abl_schedule`'s `drive_us`); fitted while a drive also
+/// re-read the machine's CPU count (2–3 × 18 µs), so conservative there.
+/// [`crate::transpose()`]'s parallel scatter takes 1.6–28× the
+/// sequential one's time under 65 k entries on two threads, 0.7–1.6×
+/// (unresolved) from 2¹⁷ to 2¹⁸, and 0.5–0.7× from 5 × 10⁵ up
+/// (`docs/DECISIONS.md`, "Transpose floor").
+pub const PAR_COUNT_MIN: usize = 1 << 17;
+
 /// Sequential exclusive prefix sum. Returns a vector of length
 /// `counts.len() + 1` where `out[i] = sum(counts[..i])`; `out[len]` is the
 /// total.

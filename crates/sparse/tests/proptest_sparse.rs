@@ -6,6 +6,7 @@ use mspgemm_sparse::ops::permute::{degree_descending_permutation, permute_symmet
 use mspgemm_sparse::ops::reduce::{col_nnz, reduce_all, reduce_rows};
 use mspgemm_sparse::ops::select::{tril_strict, triu_strict};
 use mspgemm_sparse::transpose::{transpose, transpose_seq};
+use mspgemm_sparse::util::PAR_COUNT_MIN;
 use mspgemm_sparse::{Coo, Csr, Idx};
 use proptest::prelude::*;
 
@@ -17,17 +18,73 @@ fn csr_strategy(nrows: usize, ncols: usize, fill: f64) -> impl Strategy<Value = 
     .prop_map(move |d| Csr::from_dense(&d, ncols))
 }
 
+/// A matrix of `shape` (0: square with empty rows and columns, 1: one
+/// row, 2: one column, 3: hypersparse wide) holding about `target`
+/// entries, each valued by its position so a misplaced one shows.
+fn shaped(shape: u8, target: usize, seed: u64) -> Csr<i64> {
+    let (nrows, ncols, rows_used, cols_used) = match shape {
+        0 => {
+            let n = (target / 6).max(4);
+            (n, n, n * 2 / 3, n * 3 / 4)
+        }
+        1 => (1, target.max(1) * 2, 1, target.max(1) * 2),
+        2 => (target.max(1) * 2, 1, target.max(1) * 2, 1),
+        _ => (64, 1 << 20, 64, 1 << 20),
+    };
+    let mut s = seed | 1;
+    let mut next = |bound: usize| {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        (s % bound.max(1) as u64) as usize
+    };
+    // Every used row takes entries at random strides across the used
+    // columns; shape 0 leaves its last third of rows and quarter of
+    // columns empty.
+    let stride = (cols_used * rows_used / target.max(1)).max(1);
+    let (mut rowptr, mut colidx) = (vec![0], Vec::new());
+    for i in 0..nrows {
+        if i < rows_used {
+            let mut j = next(stride);
+            while j < cols_used {
+                colidx.push(j as Idx);
+                j += 1 + next(2 * stride - 1);
+            }
+        }
+        rowptr.push(colidx.len());
+    }
+    let values = (0..colidx.len() as i64).collect();
+    Csr::try_from_parts(nrows, ncols, rowptr, colidx, values).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The parallel scatter equals the sequential one on every shape, on
+    /// a tiny input and on one either side of the sequential floor, under
+    /// 1, 2 and 3 threads.
+    #[test]
+    fn transpose_par_matches_seq(seed in 0u64..1_000_000) {
+        let straddling = PAR_COUNT_MIN / 2 + seed as usize % PAR_COUNT_MIN;
+        let targets = [seed as usize % 64, straddling];
+        for (shape, target) in (0..4).flat_map(|shape| targets.map(|t| (shape, t))) {
+            let a = shaped(shape, target, seed);
+            let want = transpose_seq(&a);
+            for threads in [1, 2, 3] {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+                let got = pool.install(|| transpose(&a));
+                prop_assert!(got == want, "shape {shape}, {} entries, {threads} threads", a.nnz());
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn transpose_involution(a in csr_strategy(17, 23, 0.25)) {
         prop_assert_eq!(transpose(&transpose(&a)), a);
-    }
-
-    #[test]
-    fn transpose_par_matches_seq(a in csr_strategy(31, 19, 0.3)) {
-        prop_assert_eq!(transpose(&a), transpose_seq(&a));
     }
 
     #[test]

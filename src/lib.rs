@@ -88,7 +88,7 @@ pub mod prelude {
     pub use mspgemm_graph::{betweenness_with, k_truss_with, triangle_count, App};
     pub use mspgemm_io::{load_graph, load_matrix, CachePolicy, DatasetSource, LoadOpts};
     pub use mspgemm_sparse::semiring::{
-        OrAndBool, PlusPairU64, PlusTimesF64, PlusTimesI64, PlusTimesU64, Semiring,
+        OrAndBool, PlusPairU64, PlusTimesF64, PlusTimesI64, Semiring,
     };
     pub use mspgemm_sparse::{Coo, Csr, Idx};
 }
