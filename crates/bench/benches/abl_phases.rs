@@ -1,13 +1,16 @@
 //! **Ablation (§6)**: one-phase vs two-phase per algorithm on Triangle
 //! Counting over the suite. The paper's headline finding: with a mask,
 //! 1P usually beats 2P — the mask bounds the output tightly enough that
-//! the symbolic pass doesn't pay for itself.
+//! the symbolic pass doesn't pay for itself. Each run builds the CSR
+//! product and sums it ([`tc_csr_count`]): on the mask, the form
+//! `tricount` itself uses, 1P and 2P are one pass.
 
 use masked_spgemm::{Algorithm, ExecOpts, Phases};
 use mspgemm_bench::{banner, reps, suite};
 use mspgemm_graph::scheme::Scheme;
 use mspgemm_graph::tricount;
 use mspgemm_harness::report::{fmt_secs, Table};
+use mspgemm_harness::runner::tc_csr_count;
 use mspgemm_harness::time_best;
 
 fn main() {
@@ -22,10 +25,10 @@ fn main() {
         let ops = tricount::prepare(&g.adj);
         for algo in Algorithm::ALL {
             let (s1, _) = time_best(reps, || {
-                tricount::count_prepared_rows_with(&ops, Scheme::Ours(algo, Phases::One), &opts)
+                tc_csr_count(&ops, Scheme::Ours(algo, Phases::One), &opts)
             });
             let (s2, _) = time_best(reps, || {
-                tricount::count_prepared_rows_with(&ops, Scheme::Ours(algo, Phases::Two), &opts)
+                tc_csr_count(&ops, Scheme::Ours(algo, Phases::Two), &opts)
             });
             table.row(&[
                 g.name.to_string(),

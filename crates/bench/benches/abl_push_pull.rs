@@ -22,7 +22,7 @@
 //! beat push by [`ORIENTED_OVER_PUSH`] — what the pull kernel's
 //! branch-free probe pass is for.
 
-use masked_spgemm::{masked_mxm, run_plan, Algorithm, ExecOpts, Plan, Product};
+use masked_spgemm::{masked_mxm, run_plan, Algorithm, AsCsr, ExecOpts, Plan, Product};
 use mspgemm_bench::{banner, reps};
 use mspgemm_gen::{er, er_pattern, er_symmetric, rmat_symmetric, RmatParams};
 use mspgemm_harness::report::{fmt_secs, Table};
@@ -150,7 +150,7 @@ fn symmetric_self_products(rounds: usize) -> Vec<String> {
     let mut misses = Vec::new();
     for (name, a) in &graphs {
         let declared = Product::self_product(a);
-        let run = |algo| masked_mxm::<PlusTimesF64>(&declared, algo, &opts).unwrap();
+        let run = |algo| masked_mxm::<PlusTimesF64, _>(&declared, algo, AsCsr, &opts).unwrap();
         let oriented = || run_plan::<PlusTimesF64>(&declared, Plan::Oriented(None), &opts);
         let (want, _) = run(Algorithm::Msa);
         let (auto, plan) = run(Algorithm::Auto);
@@ -229,7 +229,11 @@ fn main() {
         for d_mask in [1usize, 2, 4, 8, 16, 32, 64, 128, 256] {
             let mask = er_pattern(n, n, d_mask, 3);
             let product = Product::new(&mask, &a, &b, Some(&bt));
-            let run = |algo| masked_mxm::<PlusTimesF64>(&product, algo, &opts).unwrap().0;
+            let run = |algo| {
+                masked_mxm::<PlusTimesF64, _>(&product, algo, AsCsr, &opts)
+                    .unwrap()
+                    .0
+            };
             let algos = [Algorithm::Msa, Algorithm::Inner, Algorithm::Auto];
             let [push_c, pull_c, auto_c] = algos.map(run);
             let auto_missed = |[push_s, pull_s, auto_s]: [f64; 3]| {

@@ -6,7 +6,7 @@
 //! Dimensions default to 2^12 (paper: 2^12–2^22; set `MSPGEMM_FIG7_DIMS`,
 //! e.g. `12,14,16`).
 
-use masked_spgemm::{masked_mxm, Algorithm, ExecOpts, Product};
+use masked_spgemm::{masked_mxm, Algorithm, AsCsr, ExecOpts, Product};
 use mspgemm_bench::{banner, reps};
 use mspgemm_gen::{er, er_pattern};
 use mspgemm_harness::ascii::{render_winner_grid, GridCell};
@@ -61,7 +61,7 @@ fn main() {
                 for &algo in &algos {
                     let (secs, _) = time_best(reps, || {
                         let opts = ExecOpts::default();
-                        masked_mxm::<PlusTimesF64>(&product, algo, &opts).unwrap()
+                        masked_mxm::<PlusTimesF64, _>(&product, algo, AsCsr, &opts).unwrap()
                     });
                     row.push(fmt_secs(secs));
                     if secs < best.0 {

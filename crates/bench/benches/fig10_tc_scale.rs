@@ -8,6 +8,7 @@ use mspgemm_bench::{banner, max_scale, reps, tc_vs_ssgb_schemes};
 use mspgemm_gen::{rmat_symmetric, RmatParams};
 use mspgemm_graph::tricount;
 use mspgemm_harness::report::{fmt_metric, Table};
+use mspgemm_harness::runner::tc_csr_count;
 use mspgemm_harness::{gflops, time_best};
 
 fn main() {
@@ -25,7 +26,7 @@ fn main() {
         let ops = tricount::prepare(&g);
         let mut row = vec![scale.to_string()];
         for &s in &schemes {
-            let (secs, _) = time_best(reps, || tricount::count_prepared_rows_with(&ops, s, &opts));
+            let (secs, _) = time_best(reps, || tc_csr_count(&ops, s, &opts));
             row.push(fmt_metric(gflops(ops.flops, secs)));
         }
         table.row(&row);

@@ -7,6 +7,7 @@ use mspgemm_bench::{banner, max_scale, reps, tc_vs_ssgb_schemes};
 use mspgemm_gen::{rmat_symmetric, RmatParams};
 use mspgemm_graph::tricount;
 use mspgemm_harness::report::{fmt_metric, Table};
+use mspgemm_harness::runner::tc_csr_count;
 use mspgemm_harness::{gflops, scaling_thread_counts, time_best, with_threads};
 
 fn main() {
@@ -27,9 +28,7 @@ fn main() {
     for t in scaling_thread_counts() {
         let mut row = vec![t.to_string()];
         for &s in &schemes {
-            let (secs, _) = with_threads(t, || {
-                time_best(reps, || tricount::count_prepared_rows_with(&ops, s, &opts))
-            });
+            let (secs, _) = with_threads(t, || time_best(reps, || tc_csr_count(&ops, s, &opts)));
             row.push(fmt_metric(gflops(ops.flops, secs)));
         }
         table.row(&row);

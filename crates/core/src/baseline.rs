@@ -11,19 +11,19 @@
 //!   §8.4 observes of the library — `B` is transposed *inside every call*,
 //!   and the transpose cost is attributed to the multiplication.
 //!
-//! Both run on [`run_kernel`], the driver of our six schemes, so a figure
-//! compares algorithms, not drivers. Both read a [`Product`]'s mask
-//! structure, operands and mode; [`ss_saxpy_like`] / [`ss_dot_like`] are
-//! their one-call forms over a mask of any value type, whose structure
-//! alone is kept.
+//! Both run on [`run_kernel`](crate::phases::run_kernel), the driver of
+//! our six schemes, so a figure compares algorithms, not drivers, and both
+//! deliver its two output forms. Both read a [`Product`]'s mask structure, operands and mode;
+//! [`ss_saxpy_like`] / [`ss_dot_like`] are their one-call CSR forms over a
+//! mask of any value type, whose structure alone is kept.
 //!
 //! These are algorithmic stand-ins, not bindings: SuiteSparse:GraphBLAS is
 //! a C library this workspace does not link.
 
 use crate::dispatch::check_dims;
-use crate::phases::{run_kernel, RowCtx, RowKernel};
+use crate::phases::{deliver, AsCsr, OutputForm, RowCtx, RowKernel};
 use crate::schedule::{row_chunks, ExecOpts};
-use crate::{masked_mxm, Algorithm, MaskMode, Phases, Product};
+use crate::{masked_mxm, Algorithm, Error, MaskMode, Phases, Product};
 use mspgemm_sparse::ops::ewise::{mask_drop, mask_keep};
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::util::SlackRows;
@@ -81,14 +81,19 @@ pub fn spgemm_then_mask<S: Semiring>(
 /// avoiding the full-output materialization of [`spgemm_then_mask`]. One
 /// phase, like the library's saxpy3; `p`'s `Bᵀ` and phase strategy are
 /// not read.
-pub fn ss_saxpy<S: Semiring>(p: &Product<'_, S::Left, S::Right>) -> Csr<S::Out> {
+///
+/// # Errors
+/// As [`masked_mxm`].
+pub fn ss_saxpy<S: Semiring, F: OutputForm>(
+    p: &Product<'_, S::Left, S::Right>,
+    _form: F,
+) -> Result<F::Of<S::Out>, Error> {
     let p = Product { bt: None, ..*p }.with_phases(Phases::One);
     let kernel = SaxpyKernel {
         complement: p.complement(),
     };
-    check_dims::<S>(&p)
-        .and_then(|()| run_kernel::<S, _>(&p, &kernel, None, &ExecOpts::default()))
-        .unwrap_or_else(|e| panic!("ss_saxpy: {e}"))
+    check_dims::<S>(&p)?;
+    deliver::<S, _, F>(&p, &kernel, None, &ExecOpts::default())
 }
 
 /// [`ss_saxpy`]'s row: the full unmasked row `Σ_k a_ik · B_k*` in a
@@ -124,7 +129,10 @@ impl<S: Semiring> RowKernel<S> for SaxpyKernel {
     }
 }
 
-/// [`ss_saxpy`] of `mode(mask) ⊙ (a·b)`.
+/// [`ss_saxpy`] of `mode(mask) ⊙ (a·b)`, as a CSR.
+///
+/// # Panics
+/// On what [`ss_saxpy`] rejects.
 pub fn ss_saxpy_like<S, M>(
     mask: &Csr<M>,
     a: &Csr<S::Left>,
@@ -135,21 +143,30 @@ where
     S: Semiring,
     M: Send + Sync,
 {
-    ss_saxpy::<S>(&Product::new(mask, a, b, None).with_mode(mode))
+    let p = Product::new(mask, a, b, None).with_mode(mode);
+    ss_saxpy::<S, _>(&p, AsCsr).unwrap_or_else(|e| panic!("ss_saxpy: {e}"))
 }
 
 /// Dot-product baseline with a per-call transpose of `B`, charging the
 /// transpose to the multiplication the way `SS:DOT` does (§8.4): `p`'s
-/// `Bᵀ` is not read. Always two-phase, like the library's
-/// symbolic/numeric dot path.
-pub fn ss_dot<S: Semiring>(p: &Product<'_, S::Left, S::Right>) -> Csr<S::Out> {
+/// `Bᵀ` is not read. As a CSR, always two-phase, like the library's
+/// symbolic/numeric dot path; on the mask, one pass, as every scheme
+/// there: the mask sizes the output, so there is nothing to count.
+///
+/// # Errors
+/// As [`masked_mxm`].
+pub fn ss_dot<S: Semiring, F: OutputForm>(
+    p: &Product<'_, S::Left, S::Right>,
+    form: F,
+) -> Result<F::Of<S::Out>, Error> {
     let p = Product { bt: None, ..*p }.with_phases(Phases::Two);
-    masked_mxm::<S>(&p, Algorithm::Inner, &ExecOpts::default())
-        .unwrap_or_else(|e| panic!("ss_dot: {e}"))
-        .0
+    masked_mxm::<S, F>(&p, Algorithm::Inner, form, &ExecOpts::default()).map(|(c, _)| c)
 }
 
-/// [`ss_dot`] of `mode(mask) ⊙ (a·b)`.
+/// [`ss_dot`] of `mode(mask) ⊙ (a·b)`, as a CSR.
+///
+/// # Panics
+/// On what [`ss_dot`] rejects.
 pub fn ss_dot_like<S, M>(
     mask: &Csr<M>,
     a: &Csr<S::Left>,
@@ -160,7 +177,8 @@ where
     S: Semiring,
     M: Send + Sync,
 {
-    ss_dot::<S>(&Product::new(mask, a, b, None).with_mode(mode))
+    let p = Product::new(mask, a, b, None).with_mode(mode);
+    ss_dot::<S, _>(&p, AsCsr).unwrap_or_else(|e| panic!("ss_dot: {e}"))
 }
 
 /// Plain dense sparse accumulator (Gilbert et al.) for the unmasked

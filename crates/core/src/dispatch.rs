@@ -11,7 +11,8 @@ use crate::algos::heap::HeapKernel;
 use crate::algos::inner::InnerKernel;
 use crate::algos::mca::McaKernel;
 use crate::algos::msa::MsaKernel;
-use crate::phases::{driven_flops, driven_row_flops, masked_out, run_kernel, Phases};
+use crate::phases::{deliver, driven_flops, driven_row_flops, masked_out, run_kernel};
+use crate::phases::{AsCsr, OutputForm, Phases};
 use crate::schedule::ExecOpts;
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::util::{exclusive_prefix_sum, PAR_COUNT_MIN};
@@ -279,25 +280,30 @@ pub(crate) fn check_dims<S: Semiring>(p: &Product<'_, S::Left, S::Right>) -> Res
     Err(Error::DimensionMismatch(bad))
 }
 
-/// Masked SpGEMM of one [`Product`] on semiring `S`, under `opts` —
-/// workspace pool, busy-time stats, deadline (see [`crate::schedule`];
-/// `&ExecOpts::default()` for a one-shot call). Returns the product and
-/// the [`Plan`] that ran: `algo` itself, or what [`Algorithm::Auto`]
-/// chose. The mask is structural — its values are never read (§2), and
-/// the type enforces it: a [`Product`] holds no mask values to read.
+/// Masked SpGEMM of one [`Product`] on semiring `S` into `form`
+/// ([`AsCsr`] or [`OnMask`]), under `opts` — workspace pool, busy-time
+/// stats, deadline (see [`crate::schedule`]; `&ExecOpts::default()` for a
+/// one-shot call). Returns the product and the [`Plan`] that ran: `algo`
+/// itself, or what [`Algorithm::Auto`] chose. The mask is structural —
+/// its values are never read (§2), and the type enforces it: a
+/// [`Product`] holds no mask values to read.
 ///
 /// # Errors
 /// [`Error::DimensionMismatch`] for incompatible shapes,
-/// [`Error::Unsupported`] for MCA with a complemented mask,
+/// [`Error::Unsupported`] for MCA with a complemented mask and for
+/// [`OnMask`] under one,
 /// [`Error::DeadlineExceeded`] for a deadline passed at a phase boundary.
-pub fn masked_mxm<S: Semiring>(
+///
+/// [`OnMask`]: crate::OnMask
+pub fn masked_mxm<S: Semiring, F: OutputForm>(
     p: &Product<'_, S::Left, S::Right>,
     algo: Algorithm,
+    _form: F,
     opts: &ExecOpts<'_>,
-) -> Result<(Csr<S::Out>, Plan), Error> {
+) -> Result<(F::Of<S::Out>, Plan), Error> {
     check_dims::<S>(p)?;
-    let (plan, row_flops, half) = plan::<S>(p, algo);
-    Ok((execute::<S>(p, plan, row_flops, half, opts)?, plan))
+    let (plan, row_flops, half) = plan::<S, F>(p, algo);
+    Ok((execute::<S, F>(p, plan, row_flops, half, opts)?, plan))
 }
 
 /// [`masked_mxm`] under a plan the caller chose, such as [`Plan::Oriented`]
@@ -312,7 +318,7 @@ pub fn run_plan<S: Semiring>(
     opts: &ExecOpts<'_>,
 ) -> Result<Csr<S::Out>, Error> {
     check_dims::<S>(p)?;
-    execute::<S>(p, plan, None, None, opts)
+    execute::<S, AsCsr>(p, plan, None, None, opts)
 }
 
 /// [`masked_mxm`] of `mode(mask) ⊙ (a·b)` under `phases`, the product
@@ -336,7 +342,7 @@ where
     M: Send + Sync,
 {
     let p = Product::new(mask, a, b, None).with_mode(mode);
-    masked_mxm::<S>(&p.with_phases(phases), algo, opts).map(|(c, _)| c)
+    masked_mxm::<S, _>(&p.with_phases(phases), algo, AsCsr, opts).map(|(c, _)| c)
 }
 
 /// The one planning function: a named `algo` as it is; `Auto` by counted
@@ -346,7 +352,7 @@ where
 /// same verdict replaces this function and nothing else. Also returns what
 /// the count built that the run reuses: the per-row flops of a
 /// complemented one-phase product, or the oriented plan's half mask.
-fn plan<S: Semiring>(
+fn plan<S: Semiring, F: OutputForm>(
     p: &Product<'_, S::Left, S::Right>,
     algo: Algorithm,
 ) -> (Plan, Option<Vec<u64>>, Option<HalfMask>) {
@@ -355,7 +361,9 @@ fn plan<S: Semiring>(
     }
     let _span = mspgemm_obs::span("auto-select");
     let (complement, ncols) = (p.complement(), p.b.ncols());
-    if p.orientable::<S>() {
+    // The mirror writes a CSR: it would have to find each entry's mirror
+    // slot to fill the mask's.
+    if p.orientable::<S>() && !F::ON_MASK {
         let (work, half) = self_product_plan(p.a);
         let plan = match half {
             Some(_) => Plan::Oriented(Some(work)),
@@ -372,14 +380,15 @@ fn plan<S: Semiring>(
     )
 }
 
-/// Run `plan` on a checked `p`, with what planning counted.
-fn execute<S: Semiring>(
+/// Run `plan` on a checked `p` into the form `F`, with what planning
+/// counted.
+fn execute<S: Semiring, F: OutputForm>(
     p: &Product<'_, S::Left, S::Right>,
     plan: Plan,
     row_flops: Option<Vec<u64>>,
     half: Option<HalfMask>,
     opts: &ExecOpts<'_>,
-) -> Result<Csr<S::Out>, Error> {
+) -> Result<F::Of<S::Out>, Error> {
     let complement = p.complement();
     let algo = match plan {
         Plan::Kernel(algo, _) => algo,
@@ -399,7 +408,8 @@ fn execute<S: Semiring>(
             let lower = run_kernel::<S, _>(&lower, &kernel, None, opts)?;
             drop(mask);
             let _span = mspgemm_obs::span("oriented-mirror");
-            return Ok(mirror(&lower));
+            let c = F::from_csr(mirror(&lower));
+            return c.ok_or(Error::Unsupported("the oriented plan delivers a CSR"));
         }
     };
     if complement && !algo.supports_complement() {
@@ -408,12 +418,12 @@ fn execute<S: Semiring>(
         ));
     }
     match algo {
-        Algorithm::Msa => run_kernel::<S, _>(p, &MsaKernel { complement }, row_flops, opts),
-        Algorithm::Hash => run_kernel::<S, _>(p, &HashKernel { complement }, row_flops, opts),
-        Algorithm::Mca => run_kernel::<S, _>(p, &McaKernel, row_flops, opts),
-        Algorithm::Heap => run_kernel::<S, _>(p, &HeapKernel::heap(complement), row_flops, opts),
+        Algorithm::Msa => deliver::<S, _, F>(p, &MsaKernel { complement }, row_flops, opts),
+        Algorithm::Hash => deliver::<S, _, F>(p, &HashKernel { complement }, row_flops, opts),
+        Algorithm::Mca => deliver::<S, _, F>(p, &McaKernel, row_flops, opts),
+        Algorithm::Heap => deliver::<S, _, F>(p, &HeapKernel::heap(complement), row_flops, opts),
         Algorithm::HeapDot => {
-            run_kernel::<S, _>(p, &HeapKernel::heap_dot(complement), row_flops, opts)
+            deliver::<S, _, F>(p, &HeapKernel::heap_dot(complement), row_flops, opts)
         }
         Algorithm::Inner => {
             let transposed;
@@ -426,7 +436,7 @@ fn execute<S: Semiring>(
                 }
             };
             let kernel = InnerKernel::new(bt.view(), complement);
-            run_kernel::<S, _>(p, &kernel, row_flops, opts)
+            deliver::<S, _, F>(p, &kernel, row_flops, opts)
         }
         Algorithm::Auto => Err(Error::Unsupported("Auto is no plan: masked_mxm plans it")),
     }
@@ -880,7 +890,7 @@ mod tests {
         let opts = ExecOpts::default();
         let run = |bt: &Csr<i64>, algo| {
             let p = Product::new(&m, &a, &b, Some(bt));
-            masked_mxm::<PlusTimesI64>(&p, algo, &opts).map(|(c, _)| c)
+            masked_mxm::<PlusTimesI64, _>(&p, algo, AsCsr, &opts).map(|(c, _)| c)
         };
         for algo in [Algorithm::Inner, Algorithm::Msa, Algorithm::Auto] {
             for bad in [&b, &dense(3, 1), &dense(5, 1)] {
@@ -1106,7 +1116,7 @@ mod tests {
         let (visited, frontier, adj) = bc_level(64, 48, 2);
         let opts = ExecOpts::default();
         let p = Product::new(&visited, &frontier, &adj, Some(&adj)).with_mode(MaskMode::Complement);
-        let run = |algo| masked_mxm::<PlusTimesI64>(&p, algo, &opts).unwrap();
+        let run = |algo| masked_mxm::<PlusTimesI64, _>(&p, algo, AsCsr, &opts).unwrap();
         // A named algorithm is its own plan, counted by nobody; `Auto`'s
         // is what it resolved to, with what it counted.
         let (want, named) = run(Algorithm::Msa);
@@ -1133,7 +1143,7 @@ mod tests {
         algo: Algorithm,
         opts: &ExecOpts<'_>,
     ) -> (Csr<f64>, Plan) {
-        masked_mxm::<S>(p, algo, opts).unwrap()
+        masked_mxm::<S, _>(p, algo, AsCsr, opts).unwrap()
     }
 
     #[test]
@@ -1284,11 +1294,13 @@ mod tests {
             let a = hubs_and_leaves();
             let declared = Product::self_product(&a);
             let opts = ExecOpts::default();
-            let (_, plan) = masked_mxm::<PlusTimesI64>(&declared, Algorithm::Auto, &opts).unwrap();
+            let (_, plan) =
+                masked_mxm::<PlusTimesI64, _>(&declared, Algorithm::Auto, AsCsr, &opts).unwrap();
             assert!(matches!(plan, Plan::Oriented(_)), "{plan:?}");
             // The same declared product on a multiply that does not commute:
             // `Auto` runs a kernel, and a forced oriented plan is refused.
-            let first = |algo| masked_mxm::<PlusFirstI64>(&declared, algo, &opts).unwrap();
+            let first =
+                |algo| masked_mxm::<PlusFirstI64, _>(&declared, algo, AsCsr, &opts).unwrap();
             let ((got, plan), (want, _)) = (first(Algorithm::Auto), first(Algorithm::Msa));
             assert!(matches!(plan, Plan::Kernel(..)), "{plan:?}");
             assert_eq!(got, want);

@@ -25,7 +25,9 @@
 //! [`Algorithm::Auto`] picks per [`Product`] from counted work — push,
 //! pull, or, for a declared [`Product::self_product`], the pull kernel
 //! over half the mask, mirrored ([`Plan::Oriented`]) — and [`masked_mxm`]
-//! returns the [`Plan`] that ran.
+//! returns the [`Plan`] that ran. A product comes out as a CSR or, for
+//! a caller that only folds it, as one value per mask entry: the
+//! [`OutputForm`] argument, [`AsCsr`] or [`OnMask`], decides which.
 //!
 //! ## Quick start
 //!
@@ -65,5 +67,5 @@ pub use dispatch::{
     masked_mxm, masked_mxm_with_opts, run_plan, Algorithm, DirectionWork, Error, MaskMode, Plan,
     Product,
 };
-pub use phases::Phases;
+pub use phases::{AsCsr, OnMask, OutputForm, Phases};
 pub use schedule::{ExecOpts, ExecStats, ProbeCounts, ProductCounts, WsPool};

@@ -12,6 +12,16 @@
 //!   usually wins for Masked SpGEMM — the mask makes the bound tight enough
 //!   that the symbolic pass does not pay for itself.
 //!
+//! The product comes out in one of two [`OutputForm`]s: a tight CSR, or
+//! — for a caller that only folds it — **on-mask values**, one slot per
+//! mask entry in the mask's own storage order. Under a normal mask the
+//! output is a subset of the mask (§5.4 sizes MCA's accumulator by
+//! `nnz(m_i)` for that reason), so the on-mask form needs no symbolic
+//! pass and no compaction: each row's kernel writes into its mask row's
+//! slots, and the driver spreads the entries to their columns' slots while
+//! the row is in cache. SuiteSparse:GraphBLAS's dot3 method delivers
+//! `C⟨M⟩ = AᵀB` in the mask's pattern the same way.
+//!
 //! Rows are distributed dynamically (§6 does so for exactly the
 //! skewed-input reason): the guided chunk list built by
 //! [`crate::schedule`] is claimed by executors of the persistent worker
@@ -24,7 +34,7 @@
 use crate::dispatch::{Error, Product};
 use crate::schedule::{row_chunks, ExecOpts, ProbeCounts, ProductCounts, WsPool};
 use mspgemm_sparse::semiring::Semiring;
-use mspgemm_sparse::util::{split_rows, RowWindow, SlackRows};
+use mspgemm_sparse::util::{split_entries, split_rows, SlackRows};
 use mspgemm_sparse::{Csr, CsrRef, Idx};
 use rayon::prelude::*;
 use std::any::Any;
@@ -52,6 +62,91 @@ impl std::str::FromStr for Phases {
             "2" | "two" | "2p" => Ok(Phases::Two),
             other => Err(format!("unknown phase strategy '{other}' (expected 1|2)")),
         }
+    }
+}
+
+/// What a product is delivered as: [`AsCsr`] or [`OnMask`]. The form is
+/// a type, so a call returns the one it asked for, [`OutputForm::Of`].
+pub trait OutputForm: Copy {
+    /// A product of `T` values in this form.
+    type Of<T>;
+    /// Whether the form holds one slot per mask entry, which only a
+    /// normal mask bounds.
+    const ON_MASK: bool;
+    /// Drive `kernel` over the rows of a checked `p`, partitioned into
+    /// `chunks` (see [`run_kernel`]).
+    ///
+    /// # Errors
+    /// [`Error::DeadlineExceeded`] between the passes of a two-phase run.
+    fn drive<S: Semiring, K: RowKernel<S>>(
+        p: &Product<'_, S::Left, S::Right>,
+        kernel: &K,
+        row_flops: Option<Vec<u64>>,
+        chunks: &[Range<usize>],
+        opts: &ExecOpts<'_>,
+    ) -> Result<Self::Of<S::Out>, Error>;
+    /// A CSR product in this form, where the form takes one: the oriented
+    /// plan mirrors a CSR.
+    fn from_csr<T>(c: Csr<T>) -> Option<Self::Of<T>>;
+}
+
+/// A tight CSR: the entries the product holds, row by row.
+#[derive(Clone, Copy, Debug)]
+pub struct AsCsr;
+
+/// One value per mask entry, in the mask's storage order; an entry the
+/// product does not hold is `Out::default()`. A normal mask and a kernel
+/// plan only: the mask must bound the output. Its size is the mask's, so
+/// it has no symbolic pass under either [`Phases`].
+#[derive(Clone, Copy, Debug)]
+pub struct OnMask;
+
+impl OutputForm for AsCsr {
+    type Of<T> = Csr<T>;
+    const ON_MASK: bool = false;
+
+    fn drive<S: Semiring, K: RowKernel<S>>(
+        p: &Product<'_, S::Left, S::Right>,
+        kernel: &K,
+        row_flops: Option<Vec<u64>>,
+        chunks: &[Range<usize>],
+        opts: &ExecOpts<'_>,
+    ) -> Result<Csr<S::Out>, Error> {
+        match p.phases {
+            Phases::One => {
+                let flops = row_flops.or_else(|| {
+                    p.complement().then(|| {
+                        let _span = mspgemm_obs::span("flop-prefix");
+                        driven_row_flops(p.mask, p.a, p.b, true)
+                    })
+                });
+                run_one_phase(p, kernel, flops.as_deref(), chunks, opts)
+            }
+            Phases::Two => run_two_phase(p, kernel, chunks, opts),
+        }
+    }
+
+    fn from_csr<T>(c: Csr<T>) -> Option<Csr<T>> {
+        Some(c)
+    }
+}
+
+impl OutputForm for OnMask {
+    type Of<T> = Vec<T>;
+    const ON_MASK: bool = true;
+
+    fn drive<S: Semiring, K: RowKernel<S>>(
+        p: &Product<'_, S::Left, S::Right>,
+        kernel: &K,
+        _: Option<Vec<u64>>,
+        chunks: &[Range<usize>],
+        opts: &ExecOpts<'_>,
+    ) -> Result<Vec<S::Out>, Error> {
+        Ok(run_on_mask(p, kernel, chunks, opts))
+    }
+
+    fn from_csr<T>(_: Csr<T>) -> Option<Vec<T>> {
+        None
     }
 }
 
@@ -367,23 +462,36 @@ where
     S: Semiring,
     K: RowKernel<S>,
 {
+    deliver::<S, K, AsCsr>(p, kernel, row_flops, opts)
+}
+
+/// [`run_kernel`] into the form `F`.
+///
+/// # Errors
+/// As [`run_kernel`]; also [`Error::Unsupported`] for [`OnMask`] under a
+/// complemented mask.
+pub(crate) fn deliver<S, K, F>(
+    p: &Product<'_, S::Left, S::Right>,
+    kernel: &K,
+    row_flops: Option<Vec<u64>>,
+    opts: &ExecOpts<'_>,
+) -> Result<F::Of<S::Out>, Error>
+where
+    S: Semiring,
+    K: RowKernel<S>,
+    F: OutputForm,
+{
+    if F::ON_MASK && p.complement() {
+        return Err(Error::Unsupported(
+            "on-mask output needs a normal mask: a complemented one does not bound the output",
+        ));
+    }
     if expired(opts) {
         return Err(Error::DeadlineExceeded);
     }
     let threads = rayon::current_num_threads().max(1);
     let chunks = row_chunks(p.mask.nrows(), threads);
-    match p.phases {
-        Phases::One => {
-            let flops = row_flops.or_else(|| {
-                p.complement().then(|| {
-                    let _span = mspgemm_obs::span("flop-prefix");
-                    driven_row_flops(p.mask, p.a, p.b, true)
-                })
-            });
-            run_one_phase(p, kernel, flops.as_deref(), &chunks, opts)
-        }
-        Phases::Two => run_two_phase(p, kernel, &chunks, opts),
-    }
+    F::drive::<S, K>(p, kernel, row_flops, &chunks, opts)
 }
 
 fn run_one_phase<S, K>(
@@ -404,8 +512,7 @@ where
     if expired(opts) {
         return Err(Error::DeadlineExceeded);
     }
-    let mut out = SlackRows::new(&bounds, S::Out::default());
-    numeric_pass(p, kernel, out.windows(chunks), opts);
+    let out = numeric_rows(p, kernel, &bounds, chunks, opts);
     let _span = mspgemm_obs::span("compaction");
     Ok(out.into_csr(ncols))
 }
@@ -445,19 +552,102 @@ where
         return Err(Error::DeadlineExceeded);
     }
     // Numeric phase into the exact allocation, over the same chunk list.
-    let mut out = SlackRows::new(&sizes, S::Out::default());
-    numeric_pass(p, kernel, out.windows(chunks), opts);
-    Ok(out.into_csr(ncols))
+    Ok(numeric_rows(p, kernel, &sizes, chunks, opts).into_csr(ncols))
 }
 
-/// The numeric pass of either strategy: every row the drive does not
-/// skip ([`masked_out`]) writes into its window's range and its entry
-/// count into its size slot.
-fn numeric_pass<S, K>(
+/// The CSR form's numeric pass: every row the drive does not skip
+/// ([`masked_out`]) writes into its room of `rooms[i]` entries and its
+/// entry count into its size slot.
+fn numeric_rows<S, K>(
     p: &Product<'_, S::Left, S::Right>,
     kernel: &K,
-    mut windows: Vec<RowWindow<'_, S::Out>>,
+    rooms: &[usize],
+    chunks: &[Range<usize>],
     opts: &ExecOpts<'_>,
+) -> SlackRows<S::Out>
+where
+    S: Semiring,
+    K: RowKernel<S>,
+{
+    let mut out = SlackRows::new(rooms, S::Out::default());
+    let bv = p.b.view();
+    numeric_pass(p, kernel, &mut out.windows(chunks), opts, |ws, window| {
+        for (i, oc, ov, size) in window.rows_mut() {
+            if let Some(ctx) = row_ctx(p, bv, i) {
+                *size = kernel.row_numeric(ws, ctx, oc, ov);
+            }
+        }
+    });
+    out
+}
+
+/// The on-mask form's one pass: row `i`'s kernel writes its entries into
+/// the front of the mask row's own slots, their columns into a scratch
+/// of the row's length, and [`spread`] moves each value to its column's
+/// slot. A row the drive skips ([`masked_out`]) has no slots.
+fn run_on_mask<S, K>(
+    p: &Product<'_, S::Left, S::Right>,
+    kernel: &K,
+    chunks: &[Range<usize>],
+    opts: &ExecOpts<'_>,
+) -> Vec<S::Out>
+where
+    S: Semiring,
+    K: RowKernel<S>,
+{
+    let (ptr, bv) = (p.mask.rowptr(), p.b.view());
+    let mut vals = vec![S::Out::default(); p.mask.nnz()];
+    let mut parts: Vec<_> = (chunks.iter())
+        .zip(split_entries(&mut vals, ptr, chunks))
+        .collect();
+    numeric_pass(p, kernel, &mut parts, opts, |ws, (rows, slots)| {
+        let (base, mut cols) = (ptr[rows.start], Vec::new());
+        for i in (*rows).clone() {
+            let Some(ctx) = row_ctx(p, bv, i) else {
+                continue;
+            };
+            let mask_cols = ctx.mask_cols;
+            let row = &mut slots[ptr[i] - base..ptr[i + 1] - base];
+            cols.resize(row.len(), 0);
+            let n = kernel.row_numeric(ws, ctx, &mut cols, row);
+            spread(mask_cols, &cols[..n], row);
+        }
+    });
+    vals
+}
+
+/// Move the values a kernel wrote to the front of `slots`, at columns
+/// `cols` (sorted, a subset of the sorted `mask_cols`), to their columns'
+/// slots, and set every other slot to the default. It walks from the back,
+/// so a value moves before anything overwrites it: the `t`-th value's
+/// column is at least the `t`-th mask column.
+///
+/// # Panics
+/// If a column of `cols` is not in `mask_cols`.
+fn spread<T: Copy + Default>(mask_cols: &[Idx], cols: &[Idx], slots: &mut [T]) {
+    let mut t = cols.len();
+    if t == slots.len() {
+        return;
+    }
+    for (s, &j) in mask_cols.iter().enumerate().rev() {
+        slots[s] = if t > 0 && cols[t - 1] == j {
+            t -= 1;
+            slots[t]
+        } else {
+            T::default()
+        };
+    }
+    assert_eq!(t, 0, "a kernel emitted a column outside its mask row");
+}
+
+/// The numeric pass of either form and strategy: `chunk` over every part,
+/// one per chunk of the row partition.
+fn numeric_pass<S, K, P: Send>(
+    p: &Product<'_, S::Left, S::Right>,
+    kernel: &K,
+    parts: &mut [P],
+    opts: &ExecOpts<'_>,
+    chunk: impl Fn(&mut K::Ws, &mut P) + Sync,
 ) where
     S: Semiring,
     K: RowKernel<S>,
@@ -469,12 +659,5 @@ fn numeric_pass<S, K>(
         panic!("failpoint kernel.numeric: {msg}");
     }
     let _span = mspgemm_obs::span("numeric");
-    let (ncols, bv) = (p.b.ncols(), p.b.view());
-    run_rows::<S, K, _>(&mut windows, opts, kernel, ncols, |ws, window| {
-        for (i, oc, ov, size) in window.rows_mut() {
-            if let Some(ctx) = row_ctx(p, bv, i) {
-                *size = kernel.row_numeric(ws, ctx, oc, ov);
-            }
-        }
-    });
+    run_rows::<S, K, _>(parts, opts, kernel, p.b.ncols(), chunk);
 }

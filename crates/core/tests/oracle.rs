@@ -1,20 +1,23 @@
 //! The differential oracle of the masked product: every cell — runner ×
-//! mask mode × phases × threads × workspace pool × form × value storage —
-//! of every case in [`cases`] against one dense reference by bits. The
-//! reference sums each coordinate in ascending `k`, as every kernel does,
-//! over values spanning seven orders of magnitude, so a sum in any other
-//! order shows. Every output must also be a valid CSR on its side of the
-//! mask, 1P must equal 2P, and `nnz(M ⊙ AB) + nnz(¬M ⊙ AB) = nnz(AB)`; a
-//! cell the paper leaves undefined returns its typed error. A case is one
-//! line, an axis value one line of its array. The pool's accounting is
-//! tested at the end.
+//! output form × mask mode × phases × threads × workspace pool × form ×
+//! value storage — of every case in [`cases`] against one dense reference
+//! by bits. The reference sums each coordinate in ascending `k`, as every
+//! kernel does, over values spanning seven orders of magnitude, so a sum
+//! in any other order shows. Every CSR output must also be a valid CSR on
+//! its side of the mask, 1P must equal 2P, and
+//! `nnz(M ⊙ AB) + nnz(¬M ⊙ AB) = nnz(AB)`; every on-mask output, scattered
+//! back onto the mask, must hold the reference's bits where it has an
+//! entry and `Out::default()`'s elsewhere. A cell the paper leaves
+//! undefined, or an on-mask one under a complemented mask, returns its
+//! typed error. A case is one line, an axis value one line of its array.
+//! The pool's accounting is tested at the end.
 
 use masked_spgemm::algos::heap::HeapKernel;
 use masked_spgemm::phases::run_kernel;
 use masked_spgemm::{baseline, masked_mxm, run_plan, Algorithm, Error, ExecOpts, ExecStats};
-use masked_spgemm::{MaskMode, Phases, Plan, Product, WsPool};
+use masked_spgemm::{AsCsr, MaskMode, OnMask, Phases, Plan, Product, WsPool};
 use mspgemm_sparse::semiring::{PlusPairU64, PlusTimesF64, Semiring};
-use mspgemm_sparse::{transpose, Csr, Idx};
+use mspgemm_sparse::{transpose, Csr, CsrRef, Idx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::{ThreadPool, ThreadPoolBuilder};
@@ -48,14 +51,37 @@ impl Runner {
         !matches!(self, Runner::SsSaxpy | Runner::SsDot | Runner::Strawman)
     }
 
-    /// Whether it reads `form`, rather than running another form's cell.
-    fn takes(self, form: Form) -> bool {
+    /// Whether it reads `form`, rather than running another form's cell,
+    /// and delivers `output`: the on-mask form is reached through
+    /// `masked_mxm` and the SS stand-ins; `run_plan`, `run_kernel` and the
+    /// strawman make CSRs.
+    fn takes(self, form: Form, output: Delivery) -> bool {
         match (self, form) {
+            (Runner::Oriented | Runner::Merge | Runner::Strawman, _)
+                if output == Delivery::OnMask =>
+            {
+                false
+            }
             (Runner::Strawman, Form::New { valued, bt }) => !valued && !bt,
             (Runner::SsSaxpy | Runner::SsDot, Form::New { bt, .. }) => !bt,
             _ => true,
         }
     }
+}
+
+/// The driver's output forms, `AsCsr` and `OnMask`, as an axis.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Delivery {
+    Csr,
+    OnMask,
+}
+
+const OUTPUTS: [Delivery; 2] = [Delivery::Csr, Delivery::OnMask];
+
+/// A cell's product in the form it asked for.
+enum Output<T> {
+    Csr(Csr<T>),
+    OnMask(Vec<T>),
 }
 
 const MODES: [MaskMode; 2] = [MaskMode::Mask, MaskMode::Complement];
@@ -128,7 +154,7 @@ impl Semiring for PlusFirst {
 
 /// One input: `mode(mask) ⊙ (A·B)`, or, declared, `A ⊙ (A·A)` of a
 /// symmetric `A`. `auto` is the plan `Auto` must choose under a normal
-/// mask on one thread, by [`Plan::name`].
+/// mask on one thread, as a CSR, by [`Plan::name`].
 struct Case {
     name: String,
     a: Csr<f64>,
@@ -399,10 +425,12 @@ fn shared_pool() -> &'static WsPool {
     POOL.get_or_init(WsPool::new)
 }
 
-/// One runner's cells under one form, thread count and pool setting.
+/// One runner's cells under one form, output form, thread count and pool
+/// setting.
 #[derive(Clone, Copy, Debug)]
 struct Group {
     form: Form,
+    output: Delivery,
     runner: Runner,
     threads: usize,
     pooled: bool,
@@ -415,11 +443,14 @@ impl Group {
     }
 
     /// Whether the cell must return [`Error::Unsupported`]: MCA under a
-    /// complemented mask (§8.4), or an oriented plan it cannot run.
+    /// complemented mask (§8.4), on-mask output under one, or an oriented
+    /// plan it cannot run.
     fn refused<S: Semiring>(self, mode: MaskMode) -> bool {
+        let complement = mode == MaskMode::Complement;
         match self.runner {
-            Runner::Algo(algo) => mode == MaskMode::Complement && !algo.supports_complement(),
             Runner::Oriented => !self.orientable::<S>(mode),
+            _ if complement && self.output == Delivery::OnMask => true,
+            Runner::Algo(algo) => complement && !algo.supports_complement(),
             _ => false,
         }
     }
@@ -430,21 +461,32 @@ impl Group {
         p: &Product<'_, T, T>,
         mask: &Csr<()>,
         opts: &ExecOpts<'_>,
-    ) -> Result<(Csr<S::Out>, Option<Plan>), Error> {
+    ) -> Result<(Output<S::Out>, Option<Plan>), Error> {
         let (_, a, b, mode) = p.operands();
         let merge = HeapKernel {
             n_inspect: 0,
             ..HeapKernel::heap(mode == MaskMode::Complement)
         };
-        let c = match self.runner {
-            Runner::Algo(algo) => {
-                return masked_mxm::<S>(p, algo, opts).map(|(c, plan)| (c, Some(plan)))
+        let c = match (self.runner, self.output) {
+            (Runner::Algo(algo), Delivery::Csr) => {
+                let c = masked_mxm::<S, _>(p, algo, AsCsr, opts)?;
+                return Ok((Output::Csr(c.0), Some(c.1)));
             }
-            Runner::Oriented => run_plan::<S>(p, Plan::Oriented(None), opts)?,
-            Runner::Merge => run_kernel::<S, _>(p, &merge, None, opts)?,
-            Runner::SsSaxpy => baseline::ss_saxpy::<S>(p),
-            Runner::SsDot => baseline::ss_dot::<S>(p),
-            Runner::Strawman => baseline::spgemm_then_mask::<S>(mask, a, b, mode),
+            (Runner::Algo(algo), Delivery::OnMask) => {
+                let c = masked_mxm::<S, _>(p, algo, OnMask, opts)?;
+                return Ok((Output::OnMask(c.0), Some(c.1)));
+            }
+            (Runner::SsSaxpy, Delivery::Csr) => Output::Csr(baseline::ss_saxpy::<S, _>(p, AsCsr)?),
+            (Runner::SsSaxpy, Delivery::OnMask) => {
+                Output::OnMask(baseline::ss_saxpy::<S, _>(p, OnMask)?)
+            }
+            (Runner::SsDot, Delivery::Csr) => Output::Csr(baseline::ss_dot::<S, _>(p, AsCsr)?),
+            (Runner::SsDot, Delivery::OnMask) => {
+                Output::OnMask(baseline::ss_dot::<S, _>(p, OnMask)?)
+            }
+            (Runner::Oriented, _) => Output::Csr(run_plan::<S>(p, Plan::Oriented(None), opts)?),
+            (Runner::Merge, _) => Output::Csr(run_kernel::<S, _>(p, &merge, None, opts)?),
+            (Runner::Strawman, _) => Output::Csr(baseline::spgemm_then_mask::<S>(mask, a, b, mode)),
         };
         Ok((c, None))
     }
@@ -454,7 +496,7 @@ impl Group {
     fn judge<S: Ring<T>, T>(
         self,
         (case, mode): (&Case, MaskMode),
-        answer: Result<(Csr<S::Out>, Option<Plan>), Error>,
+        answer: Result<(Output<S::Out>, Option<Plan>), Error>,
         want: &Csr<u64>,
     ) -> Result<Option<Csr<u64>>, String> {
         let (c, plan) = match (answer, self.refused::<S>(mode)) {
@@ -464,7 +506,8 @@ impl Group {
             (Ok(answer), false) => answer,
         };
         let auto = matches!(self.runner, Runner::Algo(Algorithm::Auto));
-        let normal = mode == MaskMode::Mask && S::MUL_COMMUTES;
+        let csr = self.output == Delivery::Csr;
+        let normal = mode == MaskMode::Mask && S::MUL_COMMUTES && csr;
         let pinned = case.auto.filter(|_| auto && normal && self.threads == 1);
         let legal = match (self.runner, plan) {
             (_, Some(Plan::Kernel(algo, Some(_)))) if auto => algo != Algorithm::Auto,
@@ -475,14 +518,24 @@ impl Group {
         if !legal || pinned.is_some_and(|name| Some(name) != plan.map(|p| p.name())) {
             return Err(format!("reported {plan:?}, pinned {pinned:?}"));
         }
-        let (rowptr, colidx) = (c.rowptr().to_vec(), c.colidx().to_vec());
-        let bits = c.values().iter().map(|&v| S::bits(v)).collect();
-        let got = Csr::try_from_parts(c.nrows(), c.ncols(), rowptr, colidx, bits);
-        let got = got.map_err(|e| format!("no CSR: {e}"))?;
-        let astray = |i, j| case.mask.get(i, j).is_some() != (mode == MaskMode::Mask);
-        if let Some((i, j, _)) = got.iter().find(|&(i, j, _)| astray(i, j)) {
-            return Err(format!("({i}, {j}) is on the wrong side of the mask"));
-        }
+        let slots_wanted;
+        let (got, want) = match c {
+            Output::Csr(c) => {
+                let got = bits_of::<S, T>(c.view().structure(), c.values())?;
+                let astray = |i, j| case.mask.get(i, j).is_some() != (mode == MaskMode::Mask);
+                if let Some((i, j, _)) = got.iter().find(|&(i, j, _)| astray(i, j)) {
+                    return Err(format!("({i}, {j}) is on the wrong side of the mask"));
+                }
+                (got, want)
+            }
+            // Scattered back onto the mask: the reference's bits where it
+            // holds an entry, the default's in every other slot.
+            Output::OnMask(slots) => {
+                let got = bits_of::<S, T>(case.mask.view(), &slots)?;
+                slots_wanted = on_mask(&case.mask, want, S::bits(S::Out::default()));
+                (got, &slots_wanted)
+            }
+        };
         if &got != want {
             return Err(format!(
                 "differs from the reference\n got {got:?}\nwant {want:?}"
@@ -536,6 +589,20 @@ impl Group {
     }
 }
 
+/// `values`' bits on `pattern`, or why they make no CSR.
+fn bits_of<S: Ring<T>, T>(pattern: CsrRef<'_, ()>, values: &[S::Out]) -> Result<Csr<u64>, String> {
+    let bits = values.iter().map(|&v| S::bits(v)).collect();
+    let (rowptr, colidx) = (pattern.rowptr().to_vec(), pattern.colidx().to_vec());
+    let (m, n) = (pattern.nrows(), pattern.ncols());
+    Csr::try_from_parts(m, n, rowptr, colidx, bits).map_err(|e| format!("no CSR: {e}"))
+}
+
+/// `mask`'s entries holding `c`'s where it has one, `absent` elsewhere.
+fn on_mask(mask: &Csr<()>, c: &Csr<u64>, absent: u64) -> Csr<u64> {
+    let mut slots = mask.iter().map(|(i, j, _)| c.get(i, j).copied());
+    mask.map(|_| slots.next().flatten().unwrap_or(absent))
+}
+
 /// Every cell of `cases` on semiring `S`; panics listing failed cells.
 fn oracle<S: Ring<T>, T: Copy + PartialEq + Send + Sync>(cases: impl Iterator<Item = Case>) {
     let (mut cells, mut failures) = (0, Vec::new());
@@ -547,14 +614,17 @@ fn oracle<S: Ring<T>, T: Copy + PartialEq + Send + Sync>(cases: impl Iterator<It
             let want = reference::<S, T>(&case.mask, &input.a, &input.b);
             for (&form, runner) in forms.iter().flat_map(|f| runners().map(move |r| (f, r))) {
                 for (threads, pooled) in THREADS.into_iter().flat_map(|t| POOLED.map(|p| (t, p))) {
-                    if runner.takes(form) && (!pooled || runner.kernel()) {
-                        let group = Group {
-                            form,
-                            runner,
-                            threads,
-                            pooled,
-                        };
-                        cells += group.check::<S, T>((&case, &input), &want, &mut failures);
+                    for output in OUTPUTS {
+                        if runner.takes(form, output) && (!pooled || runner.kernel()) {
+                            let group = Group {
+                                form,
+                                output,
+                                runner,
+                                threads,
+                                pooled,
+                            };
+                            cells += group.check::<S, T>((&case, &input), &want, &mut failures);
+                        }
                     }
                 }
             }
@@ -594,7 +664,9 @@ fn plus_first_does_not_commute() {
 fn mxm(a: &Csr<f64>, algo: Algorithm, phases: Phases, opts: &ExecOpts<'_>) -> Csr<f64> {
     let mask = a.pattern();
     let p = Product::new(&mask, a, a, None).with_phases(phases);
-    masked_mxm::<PlusTimesF64>(&p, algo, opts).unwrap().0
+    masked_mxm::<PlusTimesF64, _>(&p, algo, AsCsr, opts)
+        .unwrap()
+        .0
 }
 
 #[test]

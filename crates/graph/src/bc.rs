@@ -18,21 +18,31 @@
 //!    only on `σ_d` and writes it only on `σ_{d−1}`.
 //!
 //! So the driver keeps `levels[d] = F_d`, one pattern `visited = ∪ σ_d`
-//! for the complemented mask, and one vector `bcu` aligned with the
-//! entries of the level being read:
+//! for the complemented mask (forward sweep only), and one vector `bcu`
+//! aligned with the entries of the level being read:
 //!
 //! * **Forward** (BFS wave counting shortest paths):
 //!   `F_{d+1} ← ⟨¬visited⟩ (F_d · A)` — a **complemented** masked SpGEMM
-//!   — then `visited ← visited ∪ σ_{d+1}`, one merge pass over two
-//!   row-wise disjoint patterns (the output row length is the sum of the
-//!   input row lengths; no values).
+//!   — then `visited ← visited ∪ σ_{d+1}`, merged in place
+//!   ([`Csr::union_disjoint`]: the two patterns are row-wise disjoint, so
+//!   each row grows by exactly the new frontier's row; no values).
 //! * **Backward** (dependency accumulation), deepest level first with
 //!   `BCU = 1` there: `W_d = BCU_d ./ F_d` overwrites `F_d`'s values in
 //!   place (invariant 2 — `F_d` is dead afterwards), then
 //!   `W' ← ⟨F_{d−1}⟩ (W_d · Aᵀ)` — a **plain** masked SpGEMM whose
-//!   structural mask is the previous frontier itself — then, on the
-//!   entries `e` of `W' ⊆ σ_{d−1}`, `BCU_{d−1}[e] = 1 + W'[e] · F_{d−1}[e]`
-//!   and `scores[col(e)] += W'[e] · F_{d−1}[e]`, one subset walk per row.
+//!   structural mask is the previous frontier itself, delivered **on the
+//!   mask** ([`OnMask`]): one value per entry of `F_{d−1}`, in its
+//!   order, `0` where `W'` has none. Then, per entry `e`,
+//!   `scores[col(e)] += W'[e] · F_{d−1}[e]` and
+//!   `BCU_{d−1}[e] = 1 + W'[e] · F_{d−1}[e]`, one element-wise pass that
+//!   turns the product's own vector into the next `bcu`. An entry `W'`
+//!   lacks adds `0` to its score and leaves `BCU = 1`, as Brandes has it.
+//!
+//! Every array is dropped as soon as no later step reads it: `visited`
+//! when the forward sweep ends, the old `bcu` once `W_d` is formed, and
+//! `F_d` after its backward product. The backward products compact
+//! nothing and size nothing, so they run the same under 1P and 2P; only
+//! the forward sweep's products differ between the two.
 //!
 //! The glue is O(|visited|) per request plus one O(|visited|) union per
 //! level; everything else is the masked products.
@@ -45,7 +55,7 @@
 //! would be discarded.
 
 use crate::scheme::Scheme;
-use masked_spgemm::{ExecOpts, MaskMode, Product, WsPool};
+use masked_spgemm::{AsCsr, ExecOpts, MaskMode, OnMask, Product, WsPool};
 use mspgemm_sparse::semiring::PlusTimesF64;
 use mspgemm_sparse::{transpose, Csr, Idx};
 use std::time::Instant;
@@ -142,15 +152,16 @@ pub fn betweenness_with_transpose(
         let t0 = Instant::now();
         // A pull level reads Bᵀ = Aᵀ.
         let frontier = Product::new(&visited, &levels[levels.len() - 1], adj, Some(adj_t));
-        let next: Csr<f64> =
-            scheme.run_with::<PlusTimesF64>(&frontier.with_mode(MaskMode::Complement), opts);
+        let frontier = frontier.with_mode(MaskMode::Complement);
+        let next = scheme.run_with::<PlusTimesF64, _>(&frontier, AsCsr, opts);
         mxm_seconds += t0.elapsed().as_secs_f64();
         if next.nnz() == 0 {
             break;
         }
-        visited = union_disjoint(&visited, &next);
+        visited.union_disjoint(&next);
         levels.push(next);
     }
+    drop(visited);
     let depth = levels.len();
 
     // Backward sweep, deepest level first. `bcu` is BCU = 1 + δ on σ_d,
@@ -165,12 +176,14 @@ pub fn betweenness_with_transpose(
         for (f, b) in levels[d].values_mut().iter_mut().zip(&bcu) {
             *f = b / *f;
         }
-        // W' = ⟨σ_{d-1}⟩ (W_d · Aᵀ) — plain masked SpGEMM.
+        drop(bcu);
+        // W' = ⟨σ_{d-1}⟩ (W_d · Aᵀ) — plain masked SpGEMM, on σ_{d-1}.
         let t0 = Instant::now();
         let product = Product::new(&levels[d - 1], &levels[d], adj_t, Some(adj)); // (Aᵀ)ᵀ
-        let w2: Csr<f64> = scheme.run_with::<PlusTimesF64>(&product, opts);
+        bcu = scheme.run_with::<PlusTimesF64, _>(&product, OnMask, opts);
         mxm_seconds += t0.elapsed().as_secs_f64();
-        bcu = fold_dependencies(&levels[d - 1], &w2, &mut scores);
+        levels.pop();
+        fold_dependencies(&levels[d - 1], &mut bcu, &mut scores);
     }
 
     BcResult {
@@ -181,58 +194,18 @@ pub fn betweenness_with_transpose(
     }
 }
 
-/// Row-wise union of two patterns that share no coordinate (a new
-/// frontier joining the visited set). Disjointness makes every output
-/// row exactly as long as its two input rows together, so rows merge
-/// straight into their final place: no intersection count, no compaction.
-fn union_disjoint<T: Send + Sync>(a: &Csr<()>, b: &Csr<T>) -> Csr<()> {
-    Csr::from_row_fill(
-        a.nrows(),
-        a.ncols(),
-        |i| a.row_nnz(i) + b.row_nnz(i),
-        |i, cols, _| {
-            let (ac, bc) = (a.row_cols(i), b.row_cols(i));
-            let (mut x, mut y, mut w) = (0usize, 0usize, 0usize);
-            while x < ac.len() && y < bc.len() {
-                debug_assert_ne!(ac[x], bc[y], "row {i}: column in both patterns");
-                let take_a = ac[x] < bc[y];
-                cols[w] = if take_a { ac[x] } else { bc[y] };
-                x += usize::from(take_a);
-                y += usize::from(!take_a);
-                w += 1;
-            }
-            let tail = if x < ac.len() { &ac[x..] } else { &bc[y..] };
-            cols[w..].copy_from_slice(tail);
-            cols.len()
-        },
-        (),
-    )
-}
-
-/// One backward step's fold: `BCU` on `prev`'s pattern (`σ_{d−1}`) from
-/// `w2 = ⟨σ_{d−1}⟩ (W_d · Aᵀ)` — `1 + w2 .* prev` where `w2` has an
-/// entry, `1` elsewhere — returned aligned with `prev`'s entries, and the
-/// dependencies `BCU − 1` added into `scores`. Rows are walked in order,
-/// so the sums never depend on the thread count.
-fn fold_dependencies(prev: &Csr<f64>, w2: &Csr<f64>, scores: &mut [f64]) -> Vec<f64> {
-    let mut bcu = vec![1.0f64; prev.nnz()];
-    for q in 0..prev.nrows() {
-        let (pc, pv) = prev.row(q);
-        let out = &mut bcu[prev.rowptr()[q]..prev.rowptr()[q + 1]];
-        let (wc, wv) = w2.row(q);
-        let mut e = 0usize;
-        for (&j, &w) in wc.iter().zip(wv) {
-            // w2 ⊆ σ_{d-1} (it was computed under that mask): j is ahead.
-            while pc[e] != j {
-                e += 1;
-            }
-            let delta = w * pv[e];
-            out[e] = 1.0 + delta;
-            scores[j as usize] += delta;
-            e += 1;
-        }
+/// One backward step's fold, in place: `w2 = ⟨σ_{d−1}⟩ (W_d · Aᵀ)` on
+/// `prev`'s entries (`σ_{d−1}`, `0` where the product has none) becomes
+/// `BCU = 1 + w2 .* prev`, and the dependencies `BCU − 1` are added into
+/// `scores`. An absent entry adds `+0.0`, which leaves every score's bits
+/// as they were (no score is `-0.0`). Entries are walked in order, so the
+/// sums never depend on the thread count.
+fn fold_dependencies(prev: &Csr<f64>, w2: &mut [f64], scores: &mut [f64]) {
+    for ((&j, &f), w) in prev.colidx().iter().zip(prev.values()).zip(w2) {
+        let delta = *w * f;
+        scores[j as usize] += delta;
+        *w = 1.0 + delta;
     }
-    bcu
 }
 
 #[cfg(test)]
@@ -572,49 +545,5 @@ mod tests {
         let got = betweenness_with_transpose(&g, &g, &sources, MSA_1P, &opts);
         assert_eq!(got.scores, want.scores);
         assert_eq!(got.depth, want.depth);
-    }
-
-    fn pattern_of_rows(rows: &[&[Idx]], ncols: usize) -> Csr<()> {
-        let mut rowptr = vec![0usize];
-        for r in rows {
-            rowptr.push(rowptr[rowptr.len() - 1] + r.len());
-        }
-        let colidx = rows.concat();
-        let nnz = colidx.len();
-        Csr::try_from_parts(rows.len(), ncols, rowptr, colidx, vec![(); nnz]).unwrap()
-    }
-
-    #[test]
-    fn union_of_disjoint_patterns() {
-        // Rows: interleaved, a only, b only, both empty, b entirely
-        // before a, a entirely before b.
-        let a = pattern_of_rows(&[&[0, 4, 5, 9], &[2, 3], &[], &[], &[7, 8], &[0]], 10);
-        let b = pattern_of_rows(&[&[1, 6, 7], &[], &[1, 9], &[], &[0, 6], &[5, 9]], 10);
-        let want = pattern_of_rows(
-            &[
-                &[0, 1, 4, 5, 6, 7, 9],
-                &[2, 3],
-                &[1, 9],
-                &[],
-                &[0, 6, 7, 8],
-                &[0, 5, 9],
-            ],
-            10,
-        );
-        assert_eq!(union_disjoint(&a, &b), want);
-        assert_eq!(union_disjoint(&b, &a), want);
-        let empty = Csr::<()>::empty(6, 10);
-        assert_eq!(union_disjoint(&a, &empty), a);
-        assert_eq!(union_disjoint(&empty, &a), a);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "column in both patterns")]
-    fn union_rejects_a_shared_column() {
-        union_disjoint(
-            &pattern_of_rows(&[&[1, 3]], 4),
-            &pattern_of_rows(&[&[0, 3]], 4),
-        );
     }
 }

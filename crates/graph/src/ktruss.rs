@@ -10,7 +10,7 @@
 //! closed no triangle.
 
 use crate::scheme::Scheme;
-use masked_spgemm::{ExecOpts, Product, WsPool};
+use masked_spgemm::{AsCsr, ExecOpts, Product, WsPool};
 use mspgemm_sparse::ops::select::{restrict_rows, select};
 use mspgemm_sparse::semiring::PlusPairU64;
 use mspgemm_sparse::{Csr, Idx};
@@ -97,7 +97,7 @@ pub fn k_truss_with(adj: &Csr<f64>, k: usize, scheme: Scheme, opts: &ExecOpts<'_
             restricted_flops += round_flops;
         }
         let t0 = Instant::now();
-        let counted: Csr<u64> = scheme.run_with::<PlusPairU64>(&product, opts);
+        let counted: Csr<u64> = scheme.run_with::<PlusPairU64, _>(&product, AsCsr, opts);
         mxm_seconds += t0.elapsed().as_secs_f64();
         // An edge the first count leaves out closes no triangle: dropping
         // it moves no support, so the count itself is the first state.
@@ -226,7 +226,8 @@ mod tests {
         loop {
             products += 1;
             let product = Product::new(&a, &a, &a, None);
-            let support: Csr<u64> = scheme.run_with::<PlusPairU64>(&product, &ExecOpts::default());
+            let support: Csr<u64> =
+                scheme.run_with::<PlusPairU64, _>(&product, AsCsr, &ExecOpts::default());
             let kept = select(&support, |_, _, s| *s >= threshold);
             if kept.nnz() == a.nnz() || kept.nnz() == 0 {
                 return (kept, products);
@@ -427,7 +428,7 @@ mod tests {
         let g = graph_from_edges(7, &edges);
         let a = g.pattern();
         let product = Product::new(&a, &a, &a, None);
-        let first = msa_1p().run_with::<PlusPairU64>(&product, &ExecOpts::default());
+        let first = msa_1p().run_with::<PlusPairU64, _>(&product, AsCsr, &ExecOpts::default());
         assert_eq!(first.row_vals(0), [3, 2, 2, 3, 2, 2], "before the prune");
         let mask = affected_edges(&first, 2);
         assert_eq!(mask.rowptr(), &[0, 2, 3, 3, 3, 4, 4, 4]);

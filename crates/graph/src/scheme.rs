@@ -1,9 +1,8 @@
 //! The evaluation "schemes" of §8: our 12 algorithm variants
 //! (6 algorithms × 1P/2P) plus the two SuiteSparse-modelled baselines.
 
-use masked_spgemm::{baseline, masked_mxm, Algorithm, ExecOpts, Phases, Product};
+use masked_spgemm::{baseline, masked_mxm, Algorithm, ExecOpts, OutputForm, Phases, Product};
 use mspgemm_sparse::semiring::Semiring;
-use mspgemm_sparse::Csr;
 
 /// One scheme from the paper's evaluation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,9 +56,10 @@ impl Scheme {
         }
     }
 
-    /// Execute the masked product `p` under this scheme's phase strategy
-    /// (`p`'s own is not read) and `opts` (workspace pool, busy-time
-    /// stats, deadline): they govern all of our schemes; the
+    /// Execute the masked product `p` into `form` ([`AsCsr`] or
+    /// [`OnMask`]) under this scheme's phase strategy (`p`'s own is not
+    /// read) and `opts` (workspace pool,
+    /// busy-time stats, deadline): they govern all of our schemes; the
     /// SuiteSparse-style baselines read `p`'s mask, operands and mode and
     /// ignore the rest, mirroring what the libraries expose. `p`'s `Bᵀ`
     /// amortizes the transpose whenever our pull kernel runs — named, or
@@ -67,22 +67,26 @@ impl Scheme {
     /// re-transposes internally, the library behaviour §8.4 calls out.
     ///
     /// # Panics
-    /// On what the dispatch rejects: mismatched shapes, MCA under a
-    /// complemented mask, an expired [`ExecOpts::deadline`].
-    pub fn run_with<S: Semiring>(
+    /// On what the dispatch rejects: mismatched shapes, MCA or
+    /// [`OnMask`] under a complemented mask, an expired
+    /// [`ExecOpts::deadline`].
+    ///
+    /// [`AsCsr`]: masked_spgemm::AsCsr
+    /// [`OnMask`]: masked_spgemm::OnMask
+    pub fn run_with<S: Semiring, F: OutputForm>(
         &self,
         p: &Product<'_, S::Left, S::Right>,
+        form: F,
         opts: &ExecOpts<'_>,
-    ) -> Csr<S::Out> {
-        match *self {
+    ) -> F::Of<S::Out> {
+        let out = match *self {
             Scheme::Ours(algo, phases) => {
-                masked_mxm::<S>(&p.with_phases(phases), algo, opts)
-                    .expect("masked mxm failed")
-                    .0
+                masked_mxm::<S, F>(&p.with_phases(phases), algo, form, opts).map(|(c, _)| c)
             }
-            Scheme::SsSaxpy => baseline::ss_saxpy::<S>(p),
-            Scheme::SsDot => baseline::ss_dot::<S>(p),
-        }
+            Scheme::SsSaxpy => baseline::ss_saxpy::<S, F>(p, form),
+            Scheme::SsDot => baseline::ss_dot::<S, F>(p, form),
+        };
+        out.expect("masked mxm failed")
     }
 }
 
@@ -153,7 +157,9 @@ mod tests {
 
     #[test]
     fn auto_resolving_to_inner_uses_the_supplied_bt() {
+        use masked_spgemm::AsCsr;
         use mspgemm_sparse::semiring::PlusTimesI64;
+        use mspgemm_sparse::Csr;
         // Dense inputs under a one-entry mask: Auto picks Inner. The
         // supplied `bt` is deliberately *not* `bᵀ` (its values are
         // doubled), so the result shows which operand the pull kernel read.
@@ -166,14 +172,15 @@ mod tests {
         let auto = Scheme::Ours(Algorithm::Auto, Phases::One);
         let opts = ExecOpts::default();
         let p = Product::new(&mask, &ones, &ones, Some(&twos));
-        let with_bt = auto.run_with::<PlusTimesI64>(&p, &opts);
-        let (want, plan) = masked_mxm::<PlusTimesI64>(&p, Algorithm::Inner, &opts).unwrap();
+        let with_bt = auto.run_with::<PlusTimesI64, _>(&p, AsCsr, &opts);
+        let inner = masked_mxm::<PlusTimesI64, _>(&p, Algorithm::Inner, AsCsr, &opts);
+        let (want, plan) = inner.unwrap();
         assert_eq!(plan, masked_spgemm::Plan::Kernel(Algorithm::Inner, None));
         assert_eq!(with_bt, want);
         assert_eq!(with_bt.get(3, 5), Some(&(2 * n as i64)));
         // Without a `bt` the same call is the product with `b`.
         let p = Product::new(&mask, &ones, &ones, None);
-        let without = auto.run_with::<PlusTimesI64>(&p, &opts);
+        let without = auto.run_with::<PlusTimesI64, _>(&p, AsCsr, &opts);
         assert_eq!(without.get(3, 5), Some(&(n as i64)));
     }
 

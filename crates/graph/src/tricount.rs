@@ -2,11 +2,18 @@
 //! degree order \[29\], take the strictly lower triangular part `L`, and
 //! compute `triangles = sum(L ⊙ (L·L))` — one masked SpGEMM (mask = `L`)
 //! plus a reduction, on the `plus_pair` semiring.
+//!
+//! The product is only summed, so it is delivered on the mask
+//! ([`OnMask`]): one count per entry of the mask, in its order, `0` where
+//! no wedge closes. Row `i`'s count is the sum of the mask row's slots —
+//! no output CSR is sized, filled or compacted. So a scheme's 2P variant
+//! runs its 1P twin's one pass here, and SS:DOT no symbolic pass; the
+//! paper's TC figures time the CSR product and its sum instead
+//! (`mspgemm_harness::runner::tc_csr_count`), where the phases differ.
 
 use crate::scheme::Scheme;
-use masked_spgemm::{ExecOpts, Product};
+use masked_spgemm::{ExecOpts, OnMask, Product};
 use mspgemm_sparse::ops::permute::{degree_descending_permutation, permute_symmetric};
-use mspgemm_sparse::ops::reduce::reduce_rows;
 use mspgemm_sparse::ops::select::{restrict_rows, tril_strict};
 use mspgemm_sparse::semiring::PlusPairU64;
 use mspgemm_sparse::{transpose, Csr, Idx, Overlay};
@@ -116,9 +123,11 @@ fn masked_rows(
 ) -> (Vec<u64>, f64) {
     let t0 = Instant::now();
     let product = Product::new(mask, &ops.l, &ops.l, Some(&ops.lt));
-    let c = scheme.run_with::<PlusPairU64>(&product, opts);
+    let counts = scheme.run_with::<PlusPairU64, _>(&product, OnMask, opts);
     let secs = t0.elapsed().as_secs_f64();
-    (reduce_rows(&c, 0u64, |acc, v| acc + v), secs)
+    let ptr = mask.rowptr();
+    let rows = ptr.windows(2).map(|r| counts[r[0]..r[1]].iter().sum());
+    (rows.collect(), secs)
 }
 
 /// Per-row triangle counts (row `i` = triangles whose largest-labeled

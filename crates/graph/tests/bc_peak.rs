@@ -1,0 +1,117 @@
+//! BC's transient heap peak, counted by a global allocator around one BC
+//! run the way the server runs it: 64 sources on an R-MAT 13 adjacency
+//! that is its own transpose, Auto-1P, on two threads, leasing from a warm
+//! workspace pool.
+//!
+//! The bound is what the sweep must hold and little more: 8.3 MB on this
+//! input. The forward sweep holds its levels, the visited pattern (twice
+//! while a frontier joins it, as a growing `realloc` is counted) and one
+//! complemented product's slack; the backward sweep holds the levels not
+//! yet read and one `f64` per entry of the level its product lands on.
+//! A compaction that copies out instead of moving in place reads 9.8 MB,
+//! and `visited` kept into the backward sweep 9.2 MB; with CSR backward
+//! products, a copying compaction and every array kept to the end, BC
+//! read 12.0 MB.
+//!
+//! One test in its own binary: the counters are process-wide, and another
+//! test's allocations would land in them.
+
+use masked_spgemm::{Algorithm, ExecOpts, Phases, WsPool};
+use mspgemm_graph::bc::betweenness_with_transpose;
+use mspgemm_graph::Scheme;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+/// Bytes live on the heap, and the most that were live since the last
+/// reset. The counts publish no other data, so `Relaxed` suffices.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// [`System`], counting what is live.
+struct Counting;
+
+impl Counting {
+    fn grew(by: usize) {
+        let live = LIVE.fetch_add(by, Relaxed) + by;
+        PEAK.fetch_max(live, Relaxed);
+    }
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// `GlobalAlloc`'s contract; the counters do not touch the memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's `layout` has a non-zero size, as `alloc` requires.
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            Self::grew(layout.size());
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with `layout`.
+        unsafe { System.dealloc(ptr, layout) };
+        LIVE.fetch_sub(layout.size(), Relaxed);
+    }
+
+    /// Counted as `System` behaves: a shrink gives its tail back in place,
+    /// a growth may hold the old block and the new one at once.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: `ptr` came from `System` with `layout`, and the caller
+        // vouches for `new_size` as `realloc` requires.
+        let new = unsafe { System.realloc(ptr, layout, new_size) };
+        if !new.is_null() {
+            let old = layout.size();
+            if new_size > old {
+                Self::grew(new_size);
+                LIVE.fetch_sub(old, Relaxed);
+            } else {
+                LIVE.fetch_sub(old - new_size, Relaxed);
+            }
+        }
+        new
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// What one BC may hold at its peak beyond what was live before it.
+const PEAK_BOUND: usize = 8_500_000;
+
+#[test]
+fn bc_transient_peak_stays_under_its_bound() {
+    let params = mspgemm_gen::RmatParams::default();
+    let adj = mspgemm_gen::rmat_symmetric(13, params, 1);
+    let sources: Vec<usize> = (0..64).collect();
+    let scheme = Scheme::Ours(Algorithm::Auto, Phases::One);
+    let workers = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .expect("a two-thread pool");
+    // The server's pool outlives its requests: the accumulators a BC
+    // leases are parked before it starts.
+    let pool = WsPool::new();
+    let opts = ExecOpts {
+        ws_pool: Some(&pool),
+        ..ExecOpts::default()
+    };
+    let peak = workers.install(|| {
+        betweenness_with_transpose(&adj, &adj, &sources, scheme, &opts);
+        let before = LIVE.load(Relaxed);
+        PEAK.store(before, Relaxed);
+        let r = betweenness_with_transpose(&adj, &adj, &sources, scheme, &opts);
+        assert!(
+            r.depth > 3,
+            "a sweep with backward products: depth {}",
+            r.depth
+        );
+        PEAK.load(Relaxed) - before
+    });
+    eprintln!("BC transient heap peak: {peak} B (bound {PEAK_BOUND} B)");
+    assert!(
+        peak <= PEAK_BOUND,
+        "BC's transient heap peak is {peak} B, over its bound of {PEAK_BOUND} B"
+    );
+}

@@ -63,7 +63,8 @@
 //! snapshot holds at most one product. A loaded snapshot that is never
 //! updated keeps none.
 
-use masked_spgemm::{masked_mxm, Algorithm, Error, ExecOpts, MaskMode, Phases, Plan, Product};
+use masked_spgemm::Product;
+use masked_spgemm::{masked_mxm, Algorithm, AsCsr, Error, ExecOpts, MaskMode, Phases, Plan};
 use mspgemm_graph::tricount::{self, TcOperands};
 use mspgemm_graph::Scheme;
 use mspgemm_io::{
@@ -200,8 +201,8 @@ impl Square {
         opts: &ExecOpts<'_>,
     ) -> Result<(Csr<f64>, Plan), Error> {
         match self.simple {
-            true => masked_mxm::<PlusPairF64>(product, algo, opts),
-            false => masked_mxm::<PlusTimesF64>(product, algo, opts),
+            true => masked_mxm::<PlusPairF64, _>(product, algo, AsCsr, opts),
+            false => masked_mxm::<PlusTimesF64, _>(product, algo, AsCsr, opts),
         }
     }
 }
@@ -775,7 +776,7 @@ mod tests {
     fn fresh_run(ds: &Dataset) -> (Csr<f64>, Plan) {
         let opts = ExecOpts::default();
         let product = ds.square.product(MaskMode::Mask, Phases::One);
-        masked_mxm::<PlusTimesF64>(&product, Algorithm::Auto, &opts).unwrap()
+        masked_mxm::<PlusTimesF64, _>(&product, Algorithm::Auto, AsCsr, &opts).unwrap()
     }
 
     fn fresh(ds: &Dataset) -> Csr<f64> {

@@ -1,20 +1,7 @@
-//! Reductions over stored entries: per-row, per-column and whole-matrix.
+//! Reductions over stored entries: per-column and whole-matrix.
 
 use crate::csr::Csr;
 use rayon::prelude::*;
-
-/// Reduce each row with monoid `(zero, f)`; returns one value per row
-/// (rows with no entries give `zero`). Parallel over rows.
-pub fn reduce_rows<T, A>(a: &Csr<T>, zero: A, f: impl Fn(A, &T) -> A + Sync) -> Vec<A>
-where
-    T: Send + Sync,
-    A: Copy + Send + Sync,
-{
-    (0..a.nrows())
-        .into_par_iter()
-        .map(|i| a.row_vals(i).iter().fold(zero, &f))
-        .collect()
-}
 
 /// Reduce every stored entry to a single value (monoid must be commutative
 /// and associative — chunks are combined in arbitrary order).
@@ -72,11 +59,6 @@ mod tests {
     }
 
     #[test]
-    fn row_sums() {
-        assert_eq!(reduce_rows(&m(), 0i64, |a, v| a + v), vec![4, 0, 7]);
-    }
-
-    #[test]
     fn total_sum_and_max() {
         assert_eq!(reduce_all(&m(), 0i64, |a, v| a + v, |x, y| x + y), 11);
         assert_eq!(
@@ -95,7 +77,6 @@ mod tests {
     fn empty_reductions() {
         let e: Csr<i64> = Csr::empty(2, 2);
         assert_eq!(reduce_all(&e, 0i64, |a, v| a + v, |x, y| x + y), 0);
-        assert_eq!(reduce_rows(&e, 0i64, |a, v| a + v), vec![0, 0]);
     }
 
     #[test]

@@ -82,13 +82,11 @@ pub struct SlackRows<T> {
     cols: Vec<Idx>,
     vals: Vec<T>,
     sizes: Vec<usize>,
-    /// What fresh slots hold, kept for the compacted copy: a zero `fill`
-    /// allocates zeroed pages instead of writing every slot.
-    fill: T,
 }
 
 impl<T: Copy + Send + Sync> SlackRows<T> {
-    /// Room for `bounds[i]` entries in row `i`, every slot `fill`.
+    /// Room for `bounds[i]` entries in row `i`, every slot `fill` (a zero
+    /// `fill` allocates zeroed pages instead of writing every slot).
     pub fn new(bounds: &[usize], fill: T) -> Self {
         let offsets = par_exclusive_prefix_sum(bounds);
         let cap = offsets[bounds.len()];
@@ -98,7 +96,6 @@ impl<T: Copy + Send + Sync> SlackRows<T> {
             cols,
             vals,
             sizes,
-            fill,
         }
     }
 
@@ -109,10 +106,9 @@ impl<T: Copy + Send + Sync> SlackRows<T> {
     /// If `chunks` do not tile the rows in order.
     pub fn windows(&mut self, chunks: &[Range<usize>]) -> Vec<RowWindow<'_, T>> {
         let offsets = &self.offsets;
-        let ends = || chunks.iter().map(|r| offsets[r.end]);
         let sizes = split_rows(&mut self.sizes, chunks);
-        let out = split_at_ends(&mut self.cols, ends()).into_iter();
-        let out = out.zip(split_at_ends(&mut self.vals, ends()));
+        let out = split_entries(&mut self.cols, offsets, chunks).into_iter();
+        let out = out.zip(split_entries(&mut self.vals, offsets, chunks));
         (chunks.iter().zip(out).zip(sizes))
             .map(|((r, (cols, vals)), sizes)| RowWindow {
                 rows: r.clone(),
@@ -125,35 +121,44 @@ impl<T: Copy + Send + Sync> SlackRows<T> {
     }
 
     /// The first `sizes[i]` entries of every row, as a tight CSR with
-    /// `ncols` columns; rows must be sorted.
+    /// `ncols` columns; rows must be sorted. Compacts in place: each row
+    /// moves left into the room the rows before it left over, and the
+    /// buffers are then cut to the entries, so the output costs no memory
+    /// beyond the slack it was written into.
     ///
     /// # Panics
     /// If a row's size exceeds its room.
     pub fn into_csr(self, ncols: usize) -> Csr<T> {
-        let nrows = self.sizes.len();
-        let rooms = self.offsets.windows(2).map(|o| o[1] - o[0]);
-        let nnz = rooms.zip(&self.sizes).fold(0, |nnz, (room, &n)| {
+        let Self {
+            mut offsets,
+            mut cols,
+            mut vals,
+            sizes,
+        } = self;
+        let nrows = sizes.len();
+        // Row `i` lands at `at ≤ offsets[i]`, past every row already moved
+        // and before every row still to move; `copy_within` handles its
+        // overlap with its own old place. `offsets[i]` becomes its start.
+        let mut at = 0;
+        for (i, &n) in sizes.iter().enumerate() {
+            let (start, room) = (offsets[i], offsets[i + 1] - offsets[i]);
             assert!(n <= room, "a row wrote {n} entries into room for {room}");
-            nnz + n
-        });
-        // Every row filled its room: the buffers are already tight.
-        if nnz == self.cols.len() {
-            return Csr::from_parts_unchecked(nrows, ncols, self.offsets, self.cols, self.vals);
+            if at != start {
+                cols.copy_within(start..start + n, at);
+                vals.copy_within(start..start + n, at);
+            }
+            offsets[i] = at;
+            at += n;
         }
-        let mut tight = SlackRows::new(&self.sizes, self.fill);
-        tight
-            .windows(&row_split(nrows))
-            .par_iter_mut()
-            .with_max_len(1)
-            .for_each(|w| {
-                for (i, c, v, size) in w.rows_mut() {
-                    let src = self.offsets[i]..self.offsets[i] + c.len();
-                    c.copy_from_slice(&self.cols[src.clone()]);
-                    v.copy_from_slice(&self.vals[src]);
-                    *size = c.len();
-                }
-            });
-        tight.into_csr(ncols)
+        offsets[nrows] = at;
+        // Every row filled its room: the buffers are already tight.
+        if at < cols.len() {
+            cols.truncate(at);
+            cols.shrink_to_fit();
+            vals.truncate(at);
+            vals.shrink_to_fit();
+        }
+        Csr::from_parts_unchecked(nrows, ncols, offsets, cols, vals)
     }
 }
 
@@ -195,6 +200,28 @@ impl<T> RowWindow<'_, T> {
 /// # Panics
 /// If `chunks` do not tile `0..data.len()` in order.
 pub fn split_rows<'a, T>(data: &'a mut [T], chunks: &[Range<usize>]) -> Vec<&'a mut [T]> {
+    check_tiling(chunks);
+    split_at_ends(data, chunks.iter().map(|r| r.end))
+}
+
+/// Split the entries of rows stored at `offsets` (row `i` holds
+/// `data[offsets[i]..offsets[i + 1]]`) among `chunks`: piece `k` holds the
+/// entries of rows `chunks[k]`.
+///
+/// # Panics
+/// If `chunks` do not tile the rows in order, or `offsets` decrease.
+pub fn split_entries<'a, T>(
+    data: &'a mut [T],
+    offsets: &[usize],
+    chunks: &[Range<usize>],
+) -> Vec<&'a mut [T]> {
+    check_tiling(chunks);
+    split_at_ends(data, chunks.iter().map(|r| offsets[r.end]))
+}
+
+/// Asserts that `chunks` follow each other from row 0, each starting where
+/// the last ended.
+fn check_tiling(chunks: &[Range<usize>]) {
     let mut at = 0;
     for r in chunks {
         assert!(
@@ -203,7 +230,6 @@ pub fn split_rows<'a, T>(data: &'a mut [T], chunks: &[Range<usize>]) -> Vec<&'a 
         );
         at = r.end;
     }
-    split_at_ends(data, chunks.iter().map(|r| r.end))
 }
 
 /// Consecutive windows of `data` ending at `ends`; the last must end at
@@ -311,7 +337,6 @@ mod tests {
             cols: vec![Idx::MAX; offsets[nrows]],
             vals: vec![(); offsets[nrows]],
             sizes: vec![usize::MAX; nrows],
-            fill: (),
         };
         let mut windows = out.windows(chunks);
         assert_eq!(windows.len(), chunks.len());

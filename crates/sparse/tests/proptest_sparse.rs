@@ -3,12 +3,13 @@
 
 use mspgemm_sparse::ops::ewise::{ewise_add, mask_drop, mask_keep};
 use mspgemm_sparse::ops::permute::{degree_descending_permutation, permute_symmetric};
-use mspgemm_sparse::ops::reduce::{col_nnz, reduce_all, reduce_rows};
+use mspgemm_sparse::ops::reduce::col_nnz;
 use mspgemm_sparse::ops::select::{tril_strict, triu_strict};
 use mspgemm_sparse::transpose::{transpose, transpose_seq};
-use mspgemm_sparse::util::PAR_COUNT_MIN;
+use mspgemm_sparse::util::{split_ranges, SlackRows, PAR_COUNT_MIN};
 use mspgemm_sparse::{Coo, Csr, Idx};
 use proptest::prelude::*;
+use rayon::prelude::*;
 
 fn csr_strategy(nrows: usize, ncols: usize, fill: f64) -> impl Strategy<Value = Csr<i64>> {
     proptest::collection::vec(
@@ -55,6 +56,62 @@ fn shaped(shape: u8, target: usize, seed: u64) -> Csr<i64> {
     }
     let values = (0..colidx.len() as i64).collect();
     Csr::try_from_parts(nrows, ncols, rowptr, colidx, values).unwrap()
+}
+
+/// Row `i`'s `k`-th entry as [`SlackRows`] is filled in the compaction
+/// test: sorted columns, a value naming its row and place.
+fn slack_entry(i: usize, k: usize) -> (Idx, i64) {
+    ((3 * k + i % 3) as Idx, (100 * i + k) as i64)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The in-place compaction equals copying every row's entries out,
+    /// on rows of random room that wrote nothing, part of it, or all of it
+    /// (every row full takes the tight shortcut), with the slack past
+    /// each row's size written over, filled by 1, 2 and 3 threads.
+    #[test]
+    fn slack_rows_compact_in_place_like_a_copy(
+        rooms in proptest::collection::vec(0usize..6, 0..40),
+        picks in proptest::collection::vec(0usize..8, 40),
+        tight in 0u8..4,
+    ) {
+        // One case in four fills every room.
+        let sizes: Vec<usize> = (rooms.iter().zip(&picks))
+            .map(|(&room, &pick)| if tight == 0 { room } else { pick.min(room) })
+            .collect();
+        let (nrows, ncols) = (rooms.len(), 3 * 6);
+        let mut rowptr = vec![0];
+        let (mut colidx, mut values) = (Vec::new(), Vec::new());
+        for (i, &size) in sizes.iter().enumerate() {
+            let (cols, vals): (Vec<Idx>, Vec<i64>) = (0..size).map(|k| slack_entry(i, k)).unzip();
+            colidx.extend(cols);
+            values.extend(vals);
+            rowptr.push(colidx.len());
+        }
+        let want = Csr::try_from_parts(nrows, ncols, rowptr, colidx, values).unwrap();
+        for threads in [1, 2, 3] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let got = pool.install(|| {
+                let mut out = SlackRows::new(&rooms, -1i64);
+                let chunks = split_ranges(nrows, 2 * threads);
+                out.windows(&chunks).par_iter_mut().for_each(|w| {
+                    for (i, cols, vals, size) in w.rows_mut() {
+                        cols.fill(Idx::MAX);
+                        vals.fill(-2);
+                        let row = cols.iter_mut().zip(vals.iter_mut()).take(sizes[i]);
+                        for (k, (c, v)) in row.enumerate() {
+                            (*c, *v) = slack_entry(i, k);
+                        }
+                        *size = sizes[i];
+                    }
+                });
+                out.into_csr(ncols)
+            });
+            prop_assert!(got == want, "{threads} threads: rooms {rooms:?}, sizes {sizes:?}");
+        }
+    }
 }
 
 proptest! {
@@ -119,13 +176,6 @@ proptest! {
         let u = triu_strict(&a);
         let diag_count = (0..10).filter(|&i| a.get(i, i as Idx).is_some()).count();
         prop_assert_eq!(l.nnz() + u.nnz() + diag_count, a.nnz());
-    }
-
-    #[test]
-    fn row_sums_total_matches_reduce_all(a in csr_strategy(8, 14, 0.4)) {
-        let rows = reduce_rows(&a, 0i64, |acc, v| acc + v);
-        let total = reduce_all(&a, 0i64, |acc, v| acc + v, |x, y| x + y);
-        prop_assert_eq!(rows.iter().sum::<i64>(), total);
     }
 
     #[test]

@@ -29,7 +29,9 @@ fn main() {
         let run = |algo| {
             time_best(2, || {
                 let opts = ExecOpts::default();
-                masked_mxm::<PlusTimesF64>(&product, algo, &opts).unwrap().0
+                masked_mxm::<PlusTimesF64, _>(&product, algo, AsCsr, &opts)
+                    .unwrap()
+                    .0
             })
         };
         let (push_s, push_c) = run(Algorithm::Msa);

@@ -82,7 +82,8 @@ pub use mspgemm_sparse as sparse;
 /// One-stop imports for examples and quick experiments.
 pub mod prelude {
     pub use masked_spgemm::{
-        masked_mxm, masked_mxm_with_opts, Algorithm, ExecOpts, MaskMode, Phases, Plan, Product,
+        masked_mxm, masked_mxm_with_opts, Algorithm, AsCsr, ExecOpts, MaskMode, OnMask, Phases,
+        Plan, Product,
     };
     pub use mspgemm_graph::scheme::Scheme;
     pub use mspgemm_graph::{betweenness_with, k_truss_with, triangle_count, App};
