@@ -11,7 +11,7 @@
 
 use crate::scheme::Scheme;
 use masked_spgemm::{AsCsr, ExecOpts, Product, WsPool};
-use mspgemm_sparse::ops::select::{restrict_rows, select};
+use mspgemm_sparse::ops::select::restrict_rows;
 use mspgemm_sparse::semiring::PlusPairU64;
 use mspgemm_sparse::{Csr, Idx};
 use std::cmp::Ordering;
@@ -101,25 +101,32 @@ pub fn k_truss_with(adj: &Csr<f64>, k: usize, scheme: Scheme, opts: &ExecOpts<'_
         mxm_seconds += t0.elapsed().as_secs_f64();
         // An edge the first count leaves out closes no triangle: dropping
         // it moves no support, so the count itself is the first state.
-        let support = match kept.take() {
+        let mut support = match kept.take() {
             None => counted,
             Some((mut support, recount)) => {
                 patch_supports(support.values_mut(), &a, &recount, &counted);
                 support
             }
         };
-        let survivors = select(&support, |_, _, s| *s >= threshold);
+        // The supports carry `a`'s structure: a round holds one copy of
+        // its edges, the supports, which the prune compacts in place.
+        drop(a);
+        let survive = |_, _, s: &u64| *s >= threshold;
+        let left = support.values().iter().filter(|&&s| s >= threshold).count();
         // Converged: nothing was pruned, or nothing is left.
-        if survivors.nnz() == support.nnz() || survivors.nnz() == 0 {
-            break survivors;
+        if left == support.nnz() || left == 0 {
+            support.retain(survive);
+            break support;
         }
+        // Marked before the prune: it reads the pruned edges' supports.
         let recount = affected_edges(&support, threshold);
+        support.retain(survive);
         // Only support-0 edges went: every kept support still stands.
         if recount.nnz() == 0 {
-            break survivors;
+            break support;
         }
-        a = survivors.pattern();
-        kept = Some((survivors, recount));
+        a = support.pattern();
+        kept = Some((support, recount));
     };
     KtrussResult {
         truss,
@@ -207,6 +214,7 @@ mod tests {
     use masked_spgemm::{Algorithm, Phases};
     use mspgemm_gen::structured::community_blocks;
     use mspgemm_gen::{er_symmetric, rmat_symmetric, RmatParams};
+    use mspgemm_sparse::ops::select::select;
     use mspgemm_sparse::Coo;
     use proptest::prelude::*;
 

@@ -13,69 +13,15 @@
 //! products, a copying compaction and every array kept to the end, BC
 //! read 12.0 MB.
 //!
-//! One test in its own binary: the counters are process-wide, and another
-//! test's allocations would land in them.
+//! One test in its own binary: the counting allocator (`common`) keeps
+//! process-wide counters, and another test's allocations would land in
+//! them.
+
+mod common;
 
 use masked_spgemm::{Algorithm, ExecOpts, Phases, WsPool};
 use mspgemm_graph::bc::betweenness_with_transpose;
 use mspgemm_graph::Scheme;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
-/// Bytes live on the heap, and the most that were live since the last
-/// reset. The counts publish no other data, so `Relaxed` suffices.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-/// [`System`], counting what is live.
-struct Counting;
-
-impl Counting {
-    fn grew(by: usize) {
-        let live = LIVE.fetch_add(by, Relaxed) + by;
-        PEAK.fetch_max(live, Relaxed);
-    }
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// `GlobalAlloc`'s contract; the counters do not touch the memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's `layout` has a non-zero size, as `alloc` requires.
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            Self::grew(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator with `layout`.
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-
-    /// Counted as `System` behaves: a shrink gives its tail back in place,
-    /// a growth may hold the old block and the new one at once.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: `ptr` came from `System` with `layout`, and the caller
-        // vouches for `new_size` as `realloc` requires.
-        let new = unsafe { System.realloc(ptr, layout, new_size) };
-        if !new.is_null() {
-            let old = layout.size();
-            if new_size > old {
-                Self::grew(new_size);
-                LIVE.fetch_sub(old, Relaxed);
-            } else {
-                LIVE.fetch_sub(old - new_size, Relaxed);
-            }
-        }
-        new
-    }
-}
-
-#[global_allocator]
-static COUNTING: Counting = Counting;
 
 /// What one BC may hold at its peak beyond what was live before it.
 const PEAK_BOUND: usize = 8_500_000;
@@ -97,18 +43,15 @@ fn bc_transient_peak_stays_under_its_bound() {
         ws_pool: Some(&pool),
         ..ExecOpts::default()
     };
-    let peak = workers.install(|| {
+    let (r, peak) = workers.install(|| {
         betweenness_with_transpose(&adj, &adj, &sources, scheme, &opts);
-        let before = LIVE.load(Relaxed);
-        PEAK.store(before, Relaxed);
-        let r = betweenness_with_transpose(&adj, &adj, &sources, scheme, &opts);
-        assert!(
-            r.depth > 3,
-            "a sweep with backward products: depth {}",
-            r.depth
-        );
-        PEAK.load(Relaxed) - before
+        common::transient_peak(|| betweenness_with_transpose(&adj, &adj, &sources, scheme, &opts))
     });
+    assert!(
+        r.depth > 3,
+        "a sweep with backward products: depth {}",
+        r.depth
+    );
     eprintln!("BC transient heap peak: {peak} B (bound {PEAK_BOUND} B)");
     assert!(
         peak <= PEAK_BOUND,

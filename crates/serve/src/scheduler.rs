@@ -12,6 +12,18 @@
 //! protocol error — under overload the server sheds load in microseconds
 //! instead of stacking unbounded work behind a shared thread pool.
 //!
+//! Each admitted job wakes one executor, the **most recently idle**
+//! one (LIFO). Parked executors wait on a stack of slot indices, each on
+//! its own `Condvar`, and [`Scheduler::submit`] pops the top slot and
+//! wakes only that worker; an executor goes on the stack as its last
+//! reply goes out, before it is back in `next_batch`. So a client that
+//! sends each request after the last answer stays on one executor thread.
+//! That is a memory choice: glibc gives each thread its own malloc arena,
+//! an arena keeps the heap a request freed, and a sequential client
+//! handed to the longest-idle executor would take turns across all of
+//! them and leave a freed request heap in each. Under concurrent load
+//! every executor still runs.
+//!
 //! The waiting room is also where **fusion** happens: when a worker pops
 //! a `mxm` job it drains every queued job identical to it (same dataset,
 //! algorithm, mask mode, phases, threads, reps — see
@@ -29,9 +41,9 @@
 //! Workers are also **supervised**: each carries a [`Sentinel`] whose
 //! `Drop` runs when the worker thread unwinds from a panic. As long as
 //! the queue is still open, the sentinel respawns a replacement worker
-//! under the same name and bumps the `worker_restarts_total` counter —
-//! one poisoned request costs one thread spawn, not an executor slot
-//! for the rest of the process lifetime.
+//! under the same name and slot and bumps the `worker_restarts_total`
+//! counter — one poisoned request costs one thread spawn, not an
+//! executor slot for the rest of the process lifetime.
 
 use crate::json::Json;
 use crate::protocol::{err_response, shutting_down, HeavyRequest};
@@ -99,19 +111,24 @@ pub(crate) enum Admission {
 struct QueueState {
     jobs: VecDeque<Job>,
     closed: bool,
+    /// Idle executor slots (parked, or sending their last replies), the
+    /// most recently idle on top: `submit` wakes the top one, so a
+    /// sequential client stays on one executor.
+    idle: Vec<usize>,
 }
 
 /// Lock the queue, recovering from poison: a worker that panicked while
 /// holding the guard must not wedge admission for every connection. The
-/// queue's invariants (a `VecDeque` plus a flag) survive any partial
-/// mutation our code can perform.
+/// queue's invariants (a `VecDeque`, a flag and a stack) survive any
+/// partial mutation our code can perform.
 fn lock_queue(shared: &Shared) -> MutexGuard<'_, QueueState> {
     shared.queue.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 struct Shared {
     queue: Mutex<QueueState>,
-    cv: Condvar,
+    /// One wake-up per executor slot: only the slot `submit` pops is woken.
+    wake: Vec<Condvar>,
     max_inflight: usize,
     queue_depth: usize,
     /// EWMA of recent batch execution time in microseconds, feeding the
@@ -127,6 +144,16 @@ impl Shared {
         let ewma_ms = self.ewma_exec_us.load(Ordering::Relaxed) / 1_000;
         let turns = (queued / self.max_inflight + 1) as u64;
         (turns * ewma_ms.max(1)).clamp(RETRY_AFTER_MS.0, RETRY_AFTER_MS.1)
+    }
+
+    /// Stack executor `slot` as idle while it still sends its last
+    /// replies. A reply can wake the client, and the client's next
+    /// request can arrive, before the executor is back in [`next_batch`]:
+    /// that request must find this slot on top, not the other one. The
+    /// slot checks the queue before it parks, so a `submit` that pops it
+    /// early loses no job.
+    fn idle_ahead(&self, slot: usize) {
+        lock_queue(self).idle.push(slot);
     }
 
     fn observe_exec(&self, elapsed: Duration) {
@@ -155,8 +182,9 @@ impl Scheduler {
                 queue: Mutex::new(QueueState {
                     jobs: VecDeque::new(),
                     closed: false,
+                    idle: Vec::new(),
                 }),
-                cv: Condvar::new(),
+                wake: (0..max_inflight.max(1)).map(|_| Condvar::new()).collect(),
                 max_inflight: max_inflight.max(1),
                 queue_depth: queue_depth.max(1),
                 // A fresh server has no execution history; the retry hint
@@ -189,8 +217,11 @@ impl Scheduler {
             };
         }
         q.jobs.push_back(job);
+        let slot = q.idle.pop();
         drop(q);
-        self.shared.cv.notify_one();
+        if let Some(slot) = slot {
+            self.shared.wake[slot].notify_one();
+        }
         Admission::Enqueued
     }
 
@@ -217,17 +248,22 @@ impl Drop for Scheduler {
             q.closed = true;
             q.jobs.drain(..).collect()
         };
-        self.shared.cv.notify_all();
+        self.shared.wake.iter().for_each(Condvar::notify_all);
         leftovers.into_iter().for_each(Job::refuse);
     }
 }
 
 /// Claim the next batch: the queue's front job plus every queued job
 /// the same kernel pass answers (capped at [`MAX_FUSE`]). Returns `None`
-/// when the queue closed.
-fn next_batch(shared: &Shared) -> Option<Vec<Job>> {
+/// when the queue closed. With nothing queued, executor `slot` parks on
+/// top of the idle stack until `submit` pops it (or `Drop` wakes all).
+fn next_batch(shared: &Shared, slot: usize) -> Option<Vec<Job>> {
     let mut q = lock_queue(shared);
     loop {
+        // Stacked ahead by `idle_ahead`, or woken spuriously, the slot is
+        // still on the stack: take it off before the check, so it is
+        // never stacked twice.
+        q.idle.retain(|&s| s != slot);
         if let Some(first) = q.jobs.pop_front() {
             let mut batch = vec![first];
             let mut i = 0;
@@ -243,7 +279,10 @@ fn next_batch(shared: &Shared) -> Option<Vec<Job>> {
         if q.closed {
             return None;
         }
-        q = shared.cv.wait(q).unwrap_or_else(PoisonError::into_inner);
+        q.idle.push(slot);
+        q = shared.wake[slot]
+            .wait(q)
+            .unwrap_or_else(PoisonError::into_inner);
     }
 }
 
@@ -257,7 +296,7 @@ fn spawn_worker(shared: Arc<Shared>, state: Weak<ServerState>, i: usize) {
                 state: state.clone(),
                 index: i,
             };
-            worker_loop(shared, state);
+            worker_loop(shared, state, i);
         })
         .expect("spawn executor worker");
 }
@@ -288,8 +327,9 @@ impl Drop for Sentinel {
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, state: Weak<ServerState>) {
-    while let Some(batch) = next_batch(&shared) {
+fn worker_loop(shared: Arc<Shared>, state: Weak<ServerState>, slot: usize) {
+    let label = slot.to_string();
+    while let Some(batch) = next_batch(&shared, slot) {
         let Some(st) = state.upgrade() else {
             // The server is gone mid-teardown; answer rather than drop.
             batch.into_iter().for_each(Job::refuse);
@@ -298,8 +338,11 @@ fn worker_loop(shared: Arc<Shared>, state: Weak<ServerState>) {
         // Failpoint `serve.exec.delay`: a slow executor (chaos suites
         // stretch queue waits and deadline pressure with it).
         mspgemm_fault::fire("serve.exec.delay");
+        st.metrics
+            .counter("executor_batches_total", &[("slot", &label)])
+            .inc();
         let t0 = Instant::now();
-        crate::server::execute_batch(&st, batch);
+        crate::server::execute_batch(&st, batch, || shared.idle_ahead(slot));
         shared.observe_exec(t0.elapsed());
     }
 }
@@ -313,7 +356,7 @@ pub(crate) mod tests {
         /// Claim the next batch as a worker would — for tests (here and in
         /// `server`) that drive a worker-less queue by hand.
         pub(crate) fn claim(&self) -> Option<Vec<Job>> {
-            next_batch(&self.shared)
+            next_batch(&self.shared, 0)
         }
     }
 
@@ -379,16 +422,16 @@ pub(crate) mod tests {
                 rx
             })
             .collect();
-        let batch = next_batch(&s.shared).unwrap();
+        let batch = next_batch(&s.shared, 0).unwrap();
         assert_eq!(batch.len(), 2, "the two identical k1 jobs fuse");
         assert!(batch.iter().all(|j| j.request.same_pass(&batch[0].request)));
-        let batch = next_batch(&s.shared).unwrap();
+        let batch = next_batch(&s.shared, 0).unwrap();
         assert_eq!(batch[0].request.dataset, "k2");
         assert_eq!(batch.len(), 1, "k2 stays alone");
-        let batch = next_batch(&s.shared).unwrap();
+        let batch = next_batch(&s.shared, 0).unwrap();
         assert_eq!(batch[0].request.dataset, "k1");
         assert_eq!(batch.len(), 1, "another mask mode is another pass");
-        let batch = next_batch(&s.shared).unwrap();
+        let batch = next_batch(&s.shared, 0).unwrap();
         assert_eq!(batch.len(), 1, "apps never fuse");
         assert!(matches!(batch[0].request.work, Work::App(_)));
     }
@@ -404,6 +447,90 @@ pub(crate) mod tests {
             resp.get("error").unwrap().get("code").unwrap().as_str(),
             Some("shutting_down")
         );
+    }
+
+    /// Spawn executor threads that run `next_batch` on slots `0..n` the
+    /// way `worker_loop` does: each claims a batch, stacks itself idle and
+    /// answers every job at once with `null`, recording which slot
+    /// claimed it. Each thread returns once the queue closes.
+    fn bare_workers(
+        s: &Scheduler,
+        n: usize,
+        claims: &Arc<Mutex<Vec<usize>>>,
+    ) -> Vec<std::thread::JoinHandle<()>> {
+        (0..n)
+            .map(|slot| {
+                let (shared, claims) = (s.shared.clone(), claims.clone());
+                std::thread::spawn(move || {
+                    while let Some(batch) = next_batch(&shared, slot) {
+                        shared.idle_ahead(slot);
+                        for j in batch {
+                            claims.lock().unwrap().push(slot);
+                            let _ = j.reply.send(Json::Null);
+                        }
+                    }
+                })
+            })
+            .collect()
+    }
+
+    /// Block until `n` executors are parked on the idle stack.
+    fn await_parked(s: &Scheduler, n: usize) {
+        let t0 = Instant::now();
+        while lock_queue(&s.shared).idle.len() < n {
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "executors never parked"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    /// Join executor threads once the queue closed under them: each
+    /// leaves its loop only when `next_batch` returns `None`.
+    fn await_exit(workers: Vec<std::thread::JoinHandle<()>>) {
+        let t0 = Instant::now();
+        while !workers.iter().all(|w| w.is_finished()) {
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "a parked executor was never released"
+            );
+            std::thread::yield_now();
+        }
+        workers.into_iter().for_each(|w| w.join().unwrap());
+    }
+
+    #[test]
+    fn a_sequential_submitter_stays_on_one_executor() {
+        let s = Scheduler::new(2, 4);
+        let claims = Arc::new(Mutex::new(Vec::new()));
+        let workers = bare_workers(&s, 2, &claims);
+        await_parked(&s, 2);
+        for _ in 0..50 {
+            let (j, rx) = job(APP);
+            assert!(matches!(s.submit(j), Admission::Enqueued));
+            rx.recv().expect("an answer");
+        }
+        drop(s);
+        await_exit(workers);
+        let claims = claims.lock().unwrap();
+        let on_zero = claims.iter().filter(|&&slot| slot == 0).count();
+        assert_eq!(claims.len(), 50);
+        assert!(
+            on_zero.max(50 - on_zero) >= 45,
+            "slot 0 ran {on_zero} of 50 sequential jobs: the most recently idle executor must take them"
+        );
+    }
+
+    #[test]
+    fn drop_releases_every_parked_executor() {
+        let s = Scheduler::new(2, 4);
+        let claims = Arc::new(Mutex::new(Vec::new()));
+        let workers = bare_workers(&s, 2, &claims);
+        await_parked(&s, 2);
+        drop(s);
+        await_exit(workers);
+        assert!(claims.lock().unwrap().is_empty());
     }
 
     #[test]

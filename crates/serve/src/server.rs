@@ -155,6 +155,11 @@ impl ServerState {
                 .metrics
                 .counter("incremental_total", &[("verb", verb)]);
         }
+        for slot in 0..state.scheduler.workers() {
+            let _ = state
+                .metrics
+                .counter("executor_batches_total", &[("slot", &slot.to_string())]);
+        }
         Scheduler::spawn_workers(&state);
         state
     }
@@ -656,8 +661,11 @@ fn admit(state: &ServerState, request: HeavyRequest, received: Instant) -> Route
 /// deadline expired while queued are answered without running; the rest
 /// (identical `mxm` riders, or a single job of any verb — see
 /// [`HeavyRequest::same_pass`]) share one kernel pass: execute → record →
-/// reply, under the crate's single panic policy.
-pub(crate) fn execute_batch(state: &Arc<ServerState>, batch: Vec<Job>) {
+/// reply, under the crate's single panic policy. `done` runs once the
+/// pass is over, just before its replies go out: the executor counts as
+/// idle from then on, since a reply can wake the client (and its next
+/// request) before the executor thread is scheduled again.
+pub(crate) fn execute_batch(state: &Arc<ServerState>, batch: Vec<Job>, done: impl FnOnce()) {
     let exec_start = Instant::now();
     let (expired, riders): (Vec<Job>, Vec<Job>) = batch.into_iter().partition(Job::expired);
     for job in expired {
@@ -724,6 +732,7 @@ pub(crate) fn execute_batch(state: &Arc<ServerState>, batch: Vec<Job>) {
             std::panic::resume_unwind(Box::new(msg));
         }
     };
+    done();
     for job in riders {
         finish_job(state, job, resp.clone(), exec_start);
     }
@@ -1080,7 +1089,7 @@ mod tests {
                 })
                 .collect();
             while queue.queued() > 0 {
-                execute_batch(&state, queue.claim().unwrap());
+                execute_batch(&state, queue.claim().unwrap(), || ());
             }
             replies.iter().map(|rx| rx.recv().unwrap()).collect()
         };

@@ -323,6 +323,64 @@ fn metrics_counts_match_issued_requests() {
     assert!(text.contains("request_latency_us_count{verb=\"mxm\"} 3"));
 }
 
+/// A closed-loop client on a two-executor server: each request is sent
+/// after the previous answer, so the executor that answered is the most
+/// recently idle one and takes the next request too. The affinity shows
+/// in `executor_batches_total`, whose two series exist from startup.
+#[test]
+fn a_sequential_client_stays_on_one_executor() {
+    let mtx = fixture("affinity", 120);
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServeConfig {
+            max_inflight: 2,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    server
+        .preload(&[mtx.to_str().unwrap().to_string()])
+        .unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let batches = |c: &mut Client| -> Vec<u64> {
+        let m = client::expect_ok(c.request(&req(vec![("op", Json::str("metrics"))])).unwrap())
+            .unwrap();
+        let counters = m.get("counters").unwrap().as_arr().unwrap();
+        ["0", "1"]
+            .iter()
+            .map(|slot| {
+                counters
+                    .iter()
+                    .find(|e| {
+                        e.get("name").unwrap().as_str() == Some("executor_batches_total")
+                            && e.get("labels").unwrap().get("slot").and_then(Json::as_str)
+                                == Some(*slot)
+                    })
+                    .unwrap_or_else(|| panic!("missing series executor_batches_total slot={slot}"))
+                    .get("value")
+                    .unwrap()
+                    .as_u64()
+                    .unwrap()
+            })
+            .collect()
+    };
+    assert_eq!(batches(&mut c), [0, 0], "both slots are registered at 0");
+    let tc = req(vec![
+        ("op", Json::str("app")),
+        ("dataset", Json::str("g")),
+        ("app", Json::str("tc")),
+    ]);
+    for _ in 0..20 {
+        client::expect_ok(c.request(&tc).unwrap()).unwrap();
+    }
+    let per_slot = batches(&mut c);
+    assert_eq!(per_slot.iter().sum::<u64>(), 20);
+    assert!(
+        per_slot.iter().any(|&n| n >= 18),
+        "a sequential client's requests spread over executors: {per_slot:?}"
+    );
+}
+
 /// Send one request on a fresh connection, retrying typed `busy`
 /// responses the way a well-behaved client would: sleep about the
 /// hinted backoff, resend. Every busy response along the way is checked

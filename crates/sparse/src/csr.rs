@@ -374,6 +374,36 @@ impl<T> Csr<T> {
     {
         self.view().row_flops_with(b.view())
     }
+
+    /// Keep the entries `(i, j, v)` for which `keep(i, j, &v)` holds, in
+    /// place: what [`crate::ops::select::select`] returns, without a
+    /// second copy of the matrix. Each kept entry moves down over the
+    /// dropped ones before it, and the sections shrink to the kept count.
+    /// Serial.
+    pub fn retain(&mut self, mut keep: impl FnMut(usize, Idx, &T) -> bool)
+    where
+        T: Clone,
+    {
+        let (cols, vals) = (self.colidx.make_mut(), self.values.make_mut());
+        let ptr = self.rowptr.make_mut();
+        let mut w = 0;
+        for i in 0..self.nrows {
+            let (start, end) = (ptr[i], ptr[i + 1]);
+            ptr[i] = w;
+            for p in start..end {
+                if keep(i, cols[p], &vals[p]) {
+                    cols[w] = cols[p];
+                    vals.swap(w, p);
+                    w += 1;
+                }
+            }
+        }
+        ptr[self.nrows] = w;
+        cols.truncate(w);
+        cols.shrink_to_fit();
+        vals.truncate(w);
+        vals.shrink_to_fit();
+    }
 }
 
 impl Csr<()> {
@@ -858,6 +888,23 @@ mod tests {
     #[should_panic(expected = "column in both patterns")]
     fn union_rejects_a_shared_column() {
         pattern_of_rows(&[&[1, 3]], 4).union_disjoint(&pattern_of_rows(&[&[0, 3]], 4));
+    }
+
+    #[test]
+    fn retain_in_place_is_select() {
+        let a = small();
+        let cases: [fn(usize, Idx, &f64) -> bool; 4] = [
+            |_, _, _| true,
+            |_, _, _| false,
+            |i, j, _| i as Idx != j,
+            |_, _, v| *v != 2.0 && *v != 3.0,
+        ];
+        for keep in cases {
+            let mut b = a.clone();
+            b.retain(keep);
+            assert_eq!(b, crate::ops::select::select(&a, keep));
+            assert_eq!((b.colidx().len(), b.values().len()), (b.nnz(), b.nnz()));
+        }
     }
 
     #[test]
