@@ -389,24 +389,6 @@ impl<S: Source> ParIter<S> {
         .into_iter()
         .sum()
     }
-
-    /// Reduce with an identity-producing closure and an associative op.
-    pub fn reduce<ID, OP>(self, identity: ID, op: OP) -> S::Item
-    where
-        ID: Fn() -> S::Item + Sync,
-        OP: Fn(S::Item, S::Item) -> S::Item + Sync,
-    {
-        self.drive(|range, src| {
-            let mut acc = identity();
-            for i in range {
-                // SAFETY: disjoint ranges.
-                acc = op(acc, unsafe { src.get(i) });
-            }
-            acc
-        })
-        .into_iter()
-        .fold(identity(), &op)
-    }
 }
 
 /// `flat_map_iter` pipeline; terminal-only (supports `collect`).
@@ -496,11 +478,5 @@ mod tests {
                 .for_each(|(i, slot)| *slot = i + 1);
         }
         assert!(out.iter().enumerate().all(|(i, &x)| x == i + 1));
-    }
-
-    #[test]
-    fn reduce_folds_every_chunk() {
-        let m = (0..100usize).into_par_iter().reduce(|| 0, |a, b| a.max(b));
-        assert_eq!(m, 99);
     }
 }

@@ -32,8 +32,8 @@
 //!   `par_iter_mut`, `par_chunks`, `par_chunks_mut`;
 //! * combinators `map`, `flat_map_iter`, `enumerate`, `zip`,
 //!   `with_min_len`, `with_max_len`;
-//! * terminals `for_each`, `for_each_init`, `collect` (into `Vec`), `sum`,
-//!   `reduce`;
+//! * terminals `for_each`, `for_each_init`, `collect` (into `Vec`) and
+//!   `sum`;
 //! * [`scope`] with `Scope::spawn`;
 //! * [`ThreadPoolBuilder`] / [`ThreadPool::install`] /
 //!   [`current_num_threads`].

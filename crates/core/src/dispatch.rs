@@ -14,6 +14,7 @@ use crate::algos::msa::MsaKernel;
 use crate::phases::{deliver, driven_flops, driven_row_flops, masked_out, run_kernel};
 use crate::phases::{AsCsr, OutputForm, Phases};
 use crate::schedule::ExecOpts;
+use mspgemm_sparse::ops::reduce::col_nnz;
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::util::{exclusive_prefix_sum, PAR_COUNT_MIN};
 use mspgemm_sparse::{transpose, Csr, CsrRef, Idx};
@@ -585,13 +586,6 @@ where
     // `|Bᵀ_j|` without a `bt`: `B`'s column counts, built on first use —
     // the transpose's own charge often settles the comparison before it.
     let b_col_len = OnceLock::new();
-    let count_b_cols = || {
-        let mut len = vec![0usize; b.ncols()];
-        for &j in b.colidx() {
-            len[j as usize] += 1;
-        }
-        len
-    };
     let transpose_cost = match bt {
         Some(_) => 0,
         None => TRANSPOSE_PROBES_PER_ENTRY * b.nnz() as u64,
@@ -605,7 +599,7 @@ where
         let in_mask: usize = match bt {
             Some(bt) => m_i.map(|&j| bt.row_nnz(j as usize)).sum(),
             None => {
-                let len = b_col_len.get_or_init(count_b_cols);
+                let len = b_col_len.get_or_init(|| col_nnz(b));
                 m_i.map(|&j| len[j as usize]).sum()
             }
         };

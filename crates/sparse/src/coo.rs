@@ -82,11 +82,6 @@ impl<T: Copy + Send + Sync> Coo<T> {
         &self.entries
     }
 
-    /// Mutable access to the raw triplets (e.g. to symmetrize).
-    pub fn entries_mut(&mut self) -> &mut Vec<(Idx, Idx, T)> {
-        &mut self.entries
-    }
-
     /// Canonicalize to CSR: bucket by row, sort each row by column, merge
     /// duplicates with `combine`. Row-parallel.
     pub fn to_csr(mut self, combine: impl Fn(T, T) -> T + Sync) -> Csr<T> {

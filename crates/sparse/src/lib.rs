@@ -19,20 +19,24 @@
 //! * [`Coo`] — triplet assembly format with canonicalization.
 //! * [`overlay`] — delta-COO overlay for dynamic updates: pending
 //!   upserts/deletes over an immutable base with a merged read path.
-//! * [`transpose()`] — parallel scan-based transpose (CSC is represented as
-//!   the transpose stored in CSR).
+//! * [`transpose()`] — parallel transpose split by output rows (CSC is
+//!   represented as the transpose stored in CSR).
 //! * [`ops`] — eWiseAdd, masking, reductions, selection
-//!   (tril/triu), symmetric permutation, degree relabeling.
+//!   (strict lower triangle), symmetric permutation, degree relabeling.
 //! * [`semiring`] — `plus_times`, `plus_pair`, `or_and`, `min_plus`, …
-//! * [`util`] — parallel prefix sums, [`util::SlackRows`] (the
-//!   row-partitioned output every row-parallel writer fills) and
-//!   transpose's disjoint-write slice.
+//! * [`util`] — parallel prefix sums and [`util::SlackRows`] (the
+//!   row-partitioned output every row-parallel writer fills).
+//!
+//! Every parallel writer here owns a disjoint `&mut` piece of its output,
+//! so the lint below admits raw-pointer code in [`storage`] alone, whose
+//! [`SharedSlice`] borrows memory another object owns.
 //!
 //! Matrix Market I/O lives in the `mspgemm-io` crate (tokenizer shared
 //! via the leaf `mspgemm-formats` crate); the lax legacy reader this
 //! crate used to carry is gone.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod coo;
@@ -40,6 +44,7 @@ pub mod csr;
 pub mod ops;
 pub mod overlay;
 pub mod semiring;
+#[allow(unsafe_code)]
 pub mod storage;
 pub mod transpose;
 pub mod util;

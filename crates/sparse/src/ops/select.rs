@@ -57,11 +57,6 @@ pub fn tril_strict<T: Copy + Send + Sync + Default>(a: &Csr<T>) -> Csr<T> {
     select(a, |i, j, _| (j as usize) < i)
 }
 
-/// Strictly upper triangular part (`j > i`).
-pub fn triu_strict<T: Copy + Send + Sync + Default>(a: &Csr<T>) -> Csr<T> {
-    select(a, |i, j, _| (j as usize) > i)
-}
-
 /// Drop diagonal entries.
 pub fn remove_diagonal<T: Copy + Send + Sync + Default>(a: &Csr<T>) -> Csr<T> {
     select(a, |i, j, _| (j as usize) != i)
@@ -82,18 +77,13 @@ mod tests {
     fn tril_triu_diag_partition() {
         let a = full3();
         let l = tril_strict(&a);
-        let u = triu_strict(&a);
-        let no_diag = remove_diagonal(&a);
-        assert_eq!(l.nnz(), 3);
-        assert_eq!(u.nnz(), 3);
-        assert_eq!(no_diag.nnz(), 6);
-        assert_eq!(l.nnz() + u.nnz(), no_diag.nnz());
-        for (i, j, _) in l.iter() {
+        let below = a.iter().filter(|&(i, j, _)| (j as usize) < i).count();
+        assert_eq!((l.nnz(), below), (3, 3));
+        for (i, j, v) in l.iter() {
             assert!((j as usize) < i);
+            assert_eq!(a.get(i, j), Some(v));
         }
-        for (i, j, _) in u.iter() {
-            assert!((j as usize) > i);
-        }
+        assert_eq!(remove_diagonal(&a).nnz(), 6);
     }
 
     #[test]

@@ -1,35 +1,39 @@
 //! Parallel CSR transpose (`Aᵀ`). The pull-based Inner algorithm needs `B`
 //! in column-major order (§4.1), which we represent as `Bᵀ` in CSR.
 //!
-//! The parallel path is a scan-based scatter: contiguous row chunks build
-//! per-chunk column histograms; an exclusive scan over the chunks turns
-//! each histogram into that chunk's disjoint write cursors; each chunk
-//! then scatters its own rows. Because chunk `c` holds strictly smaller source-row indices
-//! than chunk `c+1` and scatters them in order, every output row ends up
-//! sorted by (source) row index — i.e. the transposed rows are sorted, and
-//! the CSR invariant is preserved without a sort pass.
+//! The parallel path splits the output by rows: contiguous blocks of
+//! source rows count their columns, the counts summed give the output row
+//! lengths, and the output rows (columns of `A`) are cut into contiguous
+//! ranges holding about equal entries. Each task owns one range's slice
+//! of the output and walks every source row in order, taking the entries
+//! that fall in its columns, so every output row ends up sorted by
+//! (source) row index and no two tasks write the same memory.
 
 use crate::csr::Csr;
+use crate::ops::reduce::col_nnz;
 use crate::overlay::Overlay;
-use crate::util::{exclusive_prefix_sum, split_ranges, UnsafeSlice, PAR_COUNT_MIN};
+use crate::util::{
+    exclusive_prefix_sum, par_exclusive_prefix_sum, split_entries, split_ranges, PAR_COUNT_MIN,
+};
 use crate::Idx;
 use rayon::prelude::*;
+use std::ops::Range;
 
-/// Transpose `a`. Chooses the parallel scan-based scatter when `a` holds
-/// at least [`PAR_COUNT_MIN`] entries and the histogram memory is worth
-/// it, otherwise a sequential scatter.
+/// Transpose `a`. Takes the parallel path when `a` holds at least
+/// [`PAR_COUNT_MIN`] entries, no more rows than entries (every task walks
+/// every row) and histograms worth their memory; otherwise a sequential
+/// counting sort.
 pub fn transpose<T: Copy + Send + Sync>(a: &Csr<T>) -> Csr<T> {
-    if a.nnz() < PAR_COUNT_MIN {
+    if a.nnz() < PAR_COUNT_MIN || a.nrows() > a.nnz() {
         return transpose_seq(a);
     }
-    let threads = rayon::current_num_threads().max(1);
-    // Per-chunk histograms cost `chunks × ncols` words; cap that at ~2× nnz
+    // Per-block histograms cost `chunks × ncols` words; cap that at ~2× nnz
     // so pathological shapes (hypersparse wide matrices) fall back.
-    let mut chunks = threads;
-    while chunks > 1 && chunks * a.ncols() > 2 * a.nnz().max(1) {
+    let mut chunks = rayon::current_num_threads().max(1);
+    while chunks > 1 && chunks * a.ncols() > 2 * a.nnz() {
         chunks /= 2;
     }
-    if chunks <= 1 || a.nrows() < 2 * chunks {
+    if chunks <= 1 {
         transpose_seq(a)
     } else {
         transpose_par(a, chunks)
@@ -56,11 +60,7 @@ pub fn transpose_delta<T: Copy>(a: &Csr<T>, changed: &[(Idx, Idx)]) -> Overlay<T
 /// Sequential transpose: counting sort by column. O(nnz + nrows + ncols).
 pub fn transpose_seq<T: Copy>(a: &Csr<T>) -> Csr<T> {
     let (m, n) = (a.nrows(), a.ncols());
-    let mut counts = vec![0usize; n];
-    for &j in a.colidx() {
-        counts[j as usize] += 1;
-    }
-    let rowptr = exclusive_prefix_sum(&counts);
+    let rowptr = exclusive_prefix_sum(&col_nnz(a));
     let nnz = a.nnz();
     let mut colidx = vec![0 as Idx; nnz];
     let mut values = Vec::with_capacity(nnz);
@@ -68,8 +68,7 @@ pub fn transpose_seq<T: Copy>(a: &Csr<T>) -> Csr<T> {
         values = vec![a.values()[0]; nnz];
     }
     let mut cursor = rowptr.clone();
-    for i in 0..m {
-        let (cols, vals) = a.row(i);
+    for (i, (cols, vals)) in rows(a) {
         for (&j, &v) in cols.iter().zip(vals) {
             let p = cursor[j as usize];
             colidx[p] = i as Idx;
@@ -83,33 +82,32 @@ pub fn transpose_seq<T: Copy>(a: &Csr<T>) -> Csr<T> {
 fn transpose_par<T: Copy + Send + Sync>(a: &Csr<T>, chunks: usize) -> Csr<T> {
     let (m, n) = (a.nrows(), a.ncols());
     let nnz = a.nnz();
-    let ranges = split_ranges(m, chunks);
 
-    // Pass 1: per-chunk column histograms.
-    let mut cursors: Vec<Vec<usize>> = ranges
+    // Pass 1: per-block column histograms, summed into the row lengths.
+    let hists: Vec<Vec<usize>> = split_ranges(m, chunks)
         .par_iter()
         .map(|r| {
             let mut h = vec![0usize; n];
-            for i in r.clone() {
-                for &j in a.row_cols(i) {
-                    h[j as usize] += 1;
-                }
+            for &j in &a.colidx()[a.rowptr()[r.start]..a.rowptr()[r.end]] {
+                h[j as usize] += 1;
             }
             h
         })
         .collect();
-
-    // An exclusive scan over the chunks turns each histogram into the
-    // chunk's offsets inside every output row; what it leaves in `counts`
-    // is the row lengths.
     let mut counts = vec![0usize; n];
-    for h in &mut cursors {
-        counts
-            .par_iter_mut()
-            .zip(h.par_iter_mut())
-            .for_each(|(acc, cell)| (*acc, *cell) = (*acc + *cell, *acc));
-    }
-    let rowptr = crate::util::par_exclusive_prefix_sum(&counts);
+    counts.par_iter_mut().enumerate().for_each(|(j, c)| {
+        *c = hists.iter().map(|h| h[j]).sum();
+    });
+    drop(hists);
+    let rowptr = par_exclusive_prefix_sum(&counts);
+
+    // Output rows cut where the entries before them first reach `k / chunks`
+    // of the total; a column holding more than a share empties a range.
+    let mut cuts: Vec<usize> = (0..chunks)
+        .map(|k| rowptr.partition_point(|&p| p < k * nnz / chunks))
+        .collect();
+    cuts.push(n);
+    let ranges: Vec<Range<usize>> = cuts.windows(2).map(|w| w[0]..w[1]).collect();
 
     let mut colidx = vec![0 as Idx; nnz];
     let mut values = if nnz > 0 {
@@ -117,34 +115,35 @@ fn transpose_par<T: Copy + Send + Sync>(a: &Csr<T>, chunks: usize) -> Csr<T> {
     } else {
         Vec::new()
     };
-    {
-        let cw = UnsafeSlice::new(&mut colidx);
-        let vw = UnsafeSlice::new(&mut values);
-        ranges
-            .par_iter()
-            .zip(cursors.par_iter_mut())
-            .for_each(|(r, cursor)| {
-                for (c, &start) in cursor.iter_mut().zip(&rowptr) {
-                    *c += start;
-                }
-                for i in r.clone() {
-                    let (cols, vals) = a.row(i);
-                    for (&j, &v) in cols.iter().zip(vals) {
-                        let p = cursor[j as usize];
-                        // SAFETY: chunk `c` writes output row `j` only in the
-                        // `hist[c][j]` slots from its starting cursor, which
-                        // end where chunk `c + 1`'s begin (row `j + 1`'s, for
-                        // the last chunk): no two chunks share an index.
-                        unsafe {
-                            cw.write(p, i as Idx);
-                            vw.write(p, v);
-                        }
-                        cursor[j as usize] += 1;
-                    }
-                }
-            });
-    }
+    // Pass 2: each task walks every source row in order and writes the
+    // entries in its own columns through cursors it alone holds.
+    let outs = split_entries(&mut colidx, &rowptr, &ranges).into_iter();
+    let outs = outs.zip(split_entries(&mut values, &rowptr, &ranges));
+    let mut tasks: Vec<_> = ranges.iter().zip(outs).collect();
+    tasks.par_iter_mut().for_each(|(cr, (out_cols, out_vals))| {
+        let base = rowptr[cr.start];
+        let mut cursor: Vec<usize> = rowptr[cr.clone()].iter().map(|&p| p - base).collect();
+        for (i, (cols, vals)) in rows(a) {
+            let s = cols.partition_point(|&j| (j as usize) < cr.start);
+            let e = s + cols[s..].partition_point(|&j| (j as usize) < cr.end);
+            for (&j, &v) in cols[s..e].iter().zip(&vals[s..e]) {
+                let c = &mut cursor[j as usize - cr.start];
+                out_cols[*c] = i as Idx;
+                out_vals[*c] = v;
+                *c += 1;
+            }
+        }
+    });
     Csr::from_parts_unchecked(n, m, rowptr, colidx, values)
+}
+
+/// Every row of `a` with its index, its columns and its values. Reads the
+/// three sections once, not once per row as [`Csr::row`] does: on a tall
+/// hypersparse matrix the walk is nearly all empty rows.
+fn rows<T>(a: &Csr<T>) -> impl Iterator<Item = (usize, (&[Idx], &[T]))> {
+    let (rowptr, colidx, values) = (a.rowptr(), a.colidx(), a.values());
+    let row = |w: &[usize]| (&colidx[w[0]..w[1]], &values[w[0]..w[1]]);
+    rowptr.windows(2).map(row).enumerate()
 }
 
 #[cfg(test)]

@@ -1,17 +1,17 @@
-//! Small parallel utilities shared by the sparse kernels: prefix sums,
-//! row-partitioned output and a disjoint-write slice.
+//! Small parallel utilities shared by the sparse kernels: prefix sums and
+//! row-partitioned output.
 //!
 //! A row-parallel pass writes row `i` into the range a prefix sum gives
 //! it and drives the rows in contiguous chunks, so each chunk owns one
 //! contiguous piece of the output. [`SlackRows::windows`] hands every
 //! chunk its piece through `split_at_mut`: a chunk cannot reach another's
 //! rows, and a chunk list that does not tile the rows panics at the split
-//! instead of overlapping writes. Only transpose's scatter, whose chunks
-//! all write into every output row, keeps [`UnsafeSlice`].
+//! instead of overlapping writes. [`crate::transpose()`] splits its output
+//! rows the same way, by [`split_entries`], so no pass in this crate
+//! shares a buffer between writers.
 
 use crate::{Csr, Idx};
 use rayon::prelude::*;
-use std::cell::Cell;
 use std::ops::Range;
 
 /// Entries below which a pass over a matrix stays on the calling thread.
@@ -20,10 +20,10 @@ use std::ops::Range;
 /// joining it (≈ 1–5 µs back-to-back, ≈ 8–12 µs after an idle, on two
 /// threads: `abl_schedule`'s `drive_us`); fitted while a drive also
 /// re-read the machine's CPU count (2–3 × 18 µs), so conservative there.
-/// [`crate::transpose()`]'s parallel scatter takes 1.6–28× the
-/// sequential one's time under 65 k entries on two threads, 0.7–1.6×
-/// (unresolved) from 2¹⁷ to 2¹⁸, and 0.5–0.7× from 5 × 10⁵ up
-/// (`docs/DECISIONS.md`, "Transpose floor").
+/// [`crate::transpose()`]'s parallel path takes 1.2–4× the sequential
+/// one's time under 2¹⁶ entries on two threads (0.8× and 1.3× at
+/// 65 k), 0.7–0.9× at 2¹⁷, and 0.5–0.7× from 2.6 × 10⁵ up
+/// (`docs/DECISIONS.md`, "Transpose floor" and "Transpose by output rows").
 pub const PAR_COUNT_MIN: usize = 1 << 17;
 
 /// Sequential exclusive prefix sum. Returns a vector of length
@@ -254,36 +254,6 @@ pub(crate) fn row_split(nrows: usize) -> Vec<Range<usize>> {
     split_ranges(nrows, rayon::current_num_threads().max(1) * 4)
 }
 
-/// A shared slice for concurrent writes to *disjoint* indices in an
-/// order no contiguous split can express — transpose's scatter, where
-/// every chunk of source rows writes into every output row.
-pub struct UnsafeSlice<'a, T> {
-    data: &'a [Cell<T>],
-}
-
-// SAFETY: the only access through a shared `UnsafeSlice` is `write`, whose
-// contract forbids two threads touching one index; writes to distinct
-// `Cell`s touch disjoint memory, so sharing the wrapper races on nothing.
-unsafe impl<T: Send> Sync for UnsafeSlice<'_, T> {}
-
-impl<'a, T> UnsafeSlice<'a, T> {
-    /// Wrap a mutable slice for disjoint concurrent writes.
-    pub fn new(slice: &'a mut [T]) -> Self {
-        Self {
-            data: Cell::from_mut(slice).as_slice_of_cells(),
-        }
-    }
-
-    /// Write `value` at `idx`.
-    ///
-    /// # Safety
-    /// No other thread may access `idx` while the slice is shared.
-    #[inline]
-    pub unsafe fn write(&self, idx: usize, value: T) {
-        self.data[idx].set(value);
-    }
-}
-
 /// Splits `0..n` into at most `max_parts` contiguous ranges of near-equal
 /// length. Used for chunked parallel passes that need per-chunk scratch.
 pub fn split_ranges(n: usize, max_parts: usize) -> Vec<Range<usize>> {
@@ -380,21 +350,6 @@ mod tests {
     #[should_panic(expected = "row offsets decrease")]
     fn row_windows_reject_offsets_decreasing_inside_a_window() {
         fill_through_windows(&[0, 3, 2, 4, 6], &[0..3, 3..4]);
-    }
-
-    #[test]
-    fn unsafe_slice_disjoint_writes() {
-        // Interleaved like transpose's scatter: part `t` writes every
-        // index `i ≡ t (mod 7)`.
-        let mut buf = vec![0u64; 1000];
-        let shared = UnsafeSlice::new(&mut buf);
-        (0..7usize).into_par_iter().for_each(|t| {
-            for i in (t..1000).step_by(7) {
-                // SAFETY: index `i` belongs to part `i % 7` alone.
-                unsafe { shared.write(i, i as u64 * 2) };
-            }
-        });
-        assert!(buf.iter().enumerate().all(|(i, &v)| v == i as u64 * 2));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use mspgemm_sparse::ops::ewise::{ewise_add, mask_drop, mask_keep};
 use mspgemm_sparse::ops::permute::{degree_descending_permutation, permute_symmetric};
 use mspgemm_sparse::ops::reduce::col_nnz;
-use mspgemm_sparse::ops::select::{tril_strict, triu_strict};
+use mspgemm_sparse::ops::select::tril_strict;
 use mspgemm_sparse::transpose::{transpose, transpose_seq};
 use mspgemm_sparse::util::{split_ranges, SlackRows, PAR_COUNT_MIN};
 use mspgemm_sparse::{Coo, Csr, Idx};
@@ -20,17 +20,25 @@ fn csr_strategy(nrows: usize, ncols: usize, fill: f64) -> impl Strategy<Value = 
 }
 
 /// A matrix of `shape` (0: square with empty rows and columns, 1: one
-/// row, 2: one column, 3: hypersparse wide) holding about `target`
-/// entries, each valued by its position so a misplaced one shows.
+/// row, 2: one column, 3: hypersparse wide, 4: a hub column 0 in every
+/// row holding three quarters of the entries, 5: tall hypersparse, more
+/// rows than entries) holding about `target` entries, each valued by its
+/// position so a misplaced one shows.
 fn shaped(shape: u8, target: usize, seed: u64) -> Csr<i64> {
+    let t = target.max(1);
     let (nrows, ncols, rows_used, cols_used) = match shape {
         0 => {
             let n = (target / 6).max(4);
             (n, n, n * 2 / 3, n * 3 / 4)
         }
-        1 => (1, target.max(1) * 2, 1, target.max(1) * 2),
-        2 => (target.max(1) * 2, 1, target.max(1) * 2, 1),
-        _ => (64, 1 << 20, 64, 1 << 20),
+        1 => (1, t * 2, 1, t * 2),
+        2 => (t * 2, 1, t * 2, 1),
+        3 => (64, 1 << 20, 64, 1 << 20),
+        4 => {
+            let (m, n) = ((t * 3 / 4).max(4), (t / 4).max(4));
+            (m, n, m, n)
+        }
+        _ => (t * 4, 256, t * 4, 256),
     };
     let mut s = seed | 1;
     let mut next = |bound: usize| {
@@ -40,13 +48,18 @@ fn shaped(shape: u8, target: usize, seed: u64) -> Csr<i64> {
         (s % bound.max(1) as u64) as usize
     };
     // Every used row takes entries at random strides across the used
-    // columns; shape 0 leaves its last third of rows and quarter of
-    // columns empty.
-    let stride = (cols_used * rows_used / target.max(1)).max(1);
+    // columns (past the hub, which shape 4 puts first in every used row);
+    // shape 0 leaves its last third of rows and quarter of columns empty.
+    let hub = usize::from(shape == 4);
+    let spread = t.saturating_sub(hub * rows_used).max(1);
+    let stride = (cols_used * rows_used / spread).max(1);
     let (mut rowptr, mut colidx) = (vec![0], Vec::new());
     for i in 0..nrows {
         if i < rows_used {
-            let mut j = next(stride);
+            if hub == 1 {
+                colidx.push(0);
+            }
+            let mut j = hub + next(stride);
             while j < cols_used {
                 colidx.push(j as Idx);
                 j += 1 + next(2 * stride - 1);
@@ -117,15 +130,24 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The parallel scatter equals the sequential one on every shape, on
-    /// a tiny input and on one either side of the sequential floor, under
-    /// 1, 2 and 3 threads.
+    /// The parallel transpose equals the sequential one on every shape,
+    /// on a tiny input and on one either side of the sequential floor,
+    /// under 1, 2 and 3 threads. Near the floor, shape 4's hub leaves the
+    /// middle one of three entry-balanced output ranges empty, and
+    /// shape 5 has more rows than entries, so it stays sequential.
     #[test]
     fn transpose_par_matches_seq(seed in 0u64..1_000_000) {
         let straddling = PAR_COUNT_MIN / 2 + seed as usize % PAR_COUNT_MIN;
         let targets = [seed as usize % 64, straddling];
-        for (shape, target) in (0..4).flat_map(|shape| targets.map(|t| (shape, t))) {
+        for (shape, target) in (0..6).flat_map(|shape| targets.map(|t| (shape, t))) {
             let a = shaped(shape, target, seed);
+            if target == straddling {
+                match shape {
+                    4 => prop_assert!(col_nnz(&a)[0] * 3 > a.nnz() * 2, "hub {}", a.nnz()),
+                    5 => prop_assert!(a.nrows() > a.nnz(), "tall {}", a.nnz()),
+                    _ => {}
+                }
+            }
             let want = transpose_seq(&a);
             for threads in [1, 2, 3] {
                 let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
@@ -173,9 +195,12 @@ proptest! {
     #[test]
     fn tril_triu_partition_offdiagonal(a in csr_strategy(10, 10, 0.5)) {
         let l = tril_strict(&a);
-        let u = triu_strict(&a);
-        let diag_count = (0..10).filter(|&i| a.get(i, i as Idx).is_some()).count();
-        prop_assert_eq!(l.nnz() + u.nnz() + diag_count, a.nnz());
+        let below = a.iter().filter(|&(i, j, _)| (j as usize) < i).count();
+        prop_assert_eq!(l.nnz(), below);
+        for (i, j, v) in l.iter() {
+            prop_assert!((j as usize) < i);
+            prop_assert_eq!(a.get(i, j), Some(v));
+        }
     }
 
     #[test]
