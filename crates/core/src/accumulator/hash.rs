@@ -40,7 +40,10 @@ fn probe_table(keys: &[Idx], cap: usize, shift: u32, key: Idx) -> (usize, bool) 
     simd::hash_probe(keys, home_slot(key, cap, shift), key)
 }
 
-/// Open-addressing hash accumulator with linear probing.
+/// Open-addressing hash accumulator with linear probing. A normal-mode
+/// row loads its mask keys ALLOWED; a complemented-mode row holds only
+/// the keys it inserted, each SET by being there (its caller tests the
+/// mask's bits before inserting), so it writes no states.
 pub struct HashAccum<V> {
     keys: Vec<Idx>,
     states: Vec<State>,
@@ -124,16 +127,6 @@ impl<V: Copy + Default> HashAccum<V> {
         }
     }
 
-    /// Mark `key` not-allowed (complement-mode mask load).
-    #[inline(always)]
-    pub fn mark_not_allowed(&mut self, key: Idx) {
-        let s = self.probe_complement(key);
-        if self.keys[s] == EMPTY {
-            self.keys[s] = key;
-            self.states[s] = State::NotAllowed;
-        }
-    }
-
     /// The row entries' filter stage: probe every key of the B row
     /// `cols`, writing `(slot, position)` into the `admitted` scratch and
     /// advancing the cursor by the probe's `found`, so "is this column in
@@ -167,7 +160,7 @@ impl<V: Copy + Default> HashAccum<V> {
     ///
     /// Product for product, and in the same order, this is
     /// [`Accumulator::insert_with`] on each `(cols[p], || mul(vals[p]))`.
-    /// Complement-mode rows keep [`HashAccum::insert_complement_with`]:
+    /// Complement-mode rows keep [`HashAccum::insert_complement`]:
     /// there an admitted product *claims* its slot, so probes cannot run
     /// ahead of inserts.
     #[inline]
@@ -182,17 +175,12 @@ impl<V: Copy + Default> HashAccum<V> {
         let n = self.filter(cols);
         for &(s, p) in &self.admitted[..n] {
             let s = s as usize;
-            match self.states[s] {
-                // Only a complement-marked key; never taken on the
-                // normal-mode tables the Hash kernel drives through here.
-                State::NotAllowed => {}
-                State::Allowed => {
-                    self.values[s] = mul(vals[p as usize]);
-                    self.states[s] = State::Set;
-                }
-                State::Set => {
-                    self.values[s] = add(self.values[s], mul(vals[p as usize]));
-                }
+            // A normal-mode table holds ALLOWED and SET keys only.
+            if self.states[s] == State::Set {
+                self.values[s] = add(self.values[s], mul(vals[p as usize]));
+            } else {
+                self.values[s] = mul(vals[p as usize]);
+                self.states[s] = State::Set;
             }
         }
     }
@@ -207,53 +195,38 @@ impl<V: Copy + Default> HashAccum<V> {
         let mut first = 0;
         for &(s, _) in &self.admitted[..n] {
             let state = &mut self.states[s as usize];
-            let allowed = *state == State::Allowed;
-            first += allowed as usize;
-            // NOTALLOWED (a complement mark, never on these tables) stays.
-            *state = if allowed { State::Set } else { *state };
+            first += (*state == State::Allowed) as usize;
+            *state = State::Set;
         }
         first
     }
 
-    /// Lazy complement-mode accumulate: the value closure runs only when
-    /// the key is admitted (not masked out).
+    /// Complement-mode accumulate of an admitted product — one whose key
+    /// the caller found clear in the mask's bits: it claims the key's
+    /// slot, or adds to the value there.
     #[inline(always)]
-    pub fn insert_complement_with(
-        &mut self,
-        key: Idx,
-        value: impl FnOnce() -> V,
-        add: impl FnOnce(V, V) -> V,
-    ) {
+    pub fn insert_complement(&mut self, key: Idx, v: V, add: impl FnOnce(V, V) -> V) {
         let s = self.probe_complement(key);
         if self.keys[s] == EMPTY {
             self.keys[s] = key;
-            self.states[s] = State::Set;
-            self.values[s] = value();
+            self.values[s] = v;
             self.inserted.push(key);
-            return;
-        }
-        match self.states[s] {
-            State::NotAllowed => {}
-            State::Allowed => unreachable!("complement mode never marks ALLOWED"),
-            State::Set => {
-                let v = value();
-                self.values[s] = add(self.values[s], v);
-            }
+        } else {
+            self.values[s] = add(self.values[s], v);
         }
     }
 
-    /// Symbolic accumulate (complement mode).
+    /// Symbolic accumulate of an admitted key (complement mode): whether
+    /// it is new to the row.
     #[inline(always)]
     pub fn accumulate_symbolic_complement(&mut self, key: Idx) -> bool {
         let s = self.probe_complement(key);
-        if self.keys[s] == EMPTY {
+        let new = self.keys[s] == EMPTY;
+        if new {
             self.keys[s] = key;
-            self.states[s] = State::Set;
             self.inserted.push(key);
-            true
-        } else {
-            false
         }
+        new
     }
 
     /// Normal-mode gather: walk the mask row in column order (stable,
@@ -282,7 +255,6 @@ impl<V: Copy + Default> HashAccum<V> {
         self.inserted.sort_unstable();
         for (w, &j) in self.inserted.iter().enumerate() {
             let s = self.probe_complement(j);
-            debug_assert_eq!(self.states[s], State::Set);
             out_cols[w] = j;
             out_vals[w] = self.values[s];
         }
@@ -378,15 +350,12 @@ mod tests {
 
     #[test]
     fn complement_flow() {
+        // The caller keeps masked-out keys (3 and 6 here) away.
         let mut h: HashAccum<i64> = HashAccum::new();
         h.begin_row(8);
-        for &j in &[3, 6] {
-            h.mark_not_allowed(j);
-        }
-        h.insert_complement_with(3, || 5, |a, b| a + b); // masked out
-        h.insert_complement_with(9, || 1, |a, b| a + b);
-        h.insert_complement_with(2, || 4, |a, b| a + b);
-        h.insert_complement_with(9, || 2, |a, b| a + b);
+        h.insert_complement(9, 1, |a, b| a + b);
+        h.insert_complement(2, 4, |a, b| a + b);
+        h.insert_complement(9, 2, |a, b| a + b);
         let mut cols = [0 as Idx; 8];
         let mut vals = [0i64; 8];
         let n = h.gather_complement_into(&mut cols, &mut vals);
@@ -514,29 +483,25 @@ mod tests {
             assert_eq!((h.cap, h.len), (cap, cap + k + 3), "table shape");
             assert_row_entry_matches_reference(mask, &b_rows);
 
-            // Complement mode, `k` keys in all: the first `k / 2` are
-            // masked out, the next `k - k / 2` admitted. The reference is
-            // `insert_with` on a table allowing exactly the admitted keys.
-            let blocked = &pool[..k / 2];
-            let keys = &pool[..k];
+            // Complement mode, `k - k / 2` admitted keys (the masked-out
+            // ones never reach the table) crowding one home on a table of
+            // the same shape. The reference is `insert_with` on a table
+            // allowing exactly the admitted keys.
             let admitted = &pool[k / 2..k];
             let mut numeric: HashAccum<f64> = HashAccum::new();
             let mut symbolic: HashAccum<f64> = HashAccum::new();
             let mut want: HashAccum<f64> = HashAccum::new();
             for h in [&mut numeric, &mut symbolic] {
                 h.begin_row(k);
-                for &j in blocked {
-                    h.mark_not_allowed(j);
-                }
             }
             want.begin_row(admitted.len());
             for &j in admitted {
                 want.mark_allowed(j);
             }
             for (r, _) in b_rows.iter().enumerate() {
-                for &j in keys {
+                for &j in admitted {
                     let v = value(r, j);
-                    numeric.insert_complement_with(j, || v, |a, b| a + b);
+                    numeric.insert_complement(j, v, |a, b| a + b);
                     symbolic.accumulate_symbolic_complement(j);
                     want.insert_with(j, || v, |a, b| a + b);
                 }

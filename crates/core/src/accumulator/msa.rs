@@ -3,17 +3,21 @@
 //! inserted keys so the gather need not scan the whole array.
 //!
 //! The arrays are allocated once per worker thread and reused across rows;
-//! each row resets exactly the entries it touched (the mask entries and,
-//! for complement, the inserted entries), so the amortized per-row init is
-//! `O(nnz(m_i))`, not `O(ncols)`.
+//! each row resets exactly the entries it touched (the mask entries in
+//! normal mode, the inserted entries in complemented mode), so the
+//! amortized per-row init is `O(nnz(m_i))`, not `O(ncols)`. A
+//! complemented row marks nothing: its mask arrives as bits
+//! ([`crate::mask`]), which the filter reads instead of the states.
 
 use super::{Accumulator, State};
+use crate::mask::outside;
 use crate::schedule::ProductCounts;
 use mspgemm_sparse::Idx;
 
 /// Dense masked sparse accumulator. `default_state` distinguishes the
 /// normal mode (default `NotAllowed`, mask marks `Allowed`) from the
-/// complemented mode (default `Allowed`, mask marks `NotAllowed`).
+/// complemented mode (default `Allowed`; the mask's bits, not the states,
+/// keep its columns out).
 pub struct Msa<V> {
     states: Vec<State>,
     values: Vec<V>,
@@ -47,10 +51,10 @@ impl<V: Copy + Default> Msa<V> {
         }
     }
 
-    /// A complemented-mode MSA: every key starts ALLOWED, `load_mask`
-    /// marks mask entries NOTALLOWED, and inserted keys are tracked for the
-    /// gather (§5.2 "an additional array to keep track of the elements that
-    /// were inserted").
+    /// A complemented-mode MSA: every key starts ALLOWED, the row entries
+    /// test the mask's bits, and inserted keys are tracked for the gather
+    /// (§5.2 "an additional array to keep track of the elements that were
+    /// inserted").
     pub fn new_complement(ncols: usize) -> Self {
         Self {
             states: vec![State::Allowed; ncols],
@@ -70,16 +74,12 @@ impl<V: Copy + Default> Msa<V> {
         self.inserted.clear();
     }
 
-    /// Mark the mask row: ALLOWED in normal mode, NOTALLOWED in
-    /// complemented mode.
+    /// Mark the mask row ALLOWED (normal mode).
     #[inline]
     pub fn load_mask(&mut self, mask_cols: &[Idx]) {
-        let mark = match self.default_state {
-            State::NotAllowed => State::Allowed,
-            _ => State::NotAllowed,
-        };
+        debug_assert_eq!(self.default_state, State::NotAllowed);
         for &j in mask_cols {
-            self.states[j as usize] = mark;
+            self.states[j as usize] = State::Allowed;
         }
     }
 
@@ -110,6 +110,36 @@ impl<V: Copy + Default> Msa<V> {
         mul: impl Fn(R) -> V,
         add: impl Fn(V, V) -> V,
     ) {
+        let admit = |states: &[State], j: Idx| (states[j as usize] != State::NotAllowed) as usize;
+        self.accumulate_filtered(cols, vals, admit, mul, add);
+    }
+
+    /// [`Msa::accumulate_row`] of a complemented-mode row, whose filter
+    /// admits the columns whose bit is clear in the mask row `bits`.
+    #[inline]
+    pub fn accumulate_row_outside<R: Copy>(
+        &mut self,
+        cols: &[Idx],
+        vals: &[R],
+        bits: &[u64],
+        mul: impl Fn(R) -> V,
+        add: impl Fn(V, V) -> V,
+    ) {
+        debug_assert_eq!(self.default_state, State::Allowed);
+        self.accumulate_filtered(cols, vals, |_, j| outside(bits, j), mul, add);
+    }
+
+    /// The row entries' two stages, `admit(states, cols[p])` (`0` or `1`)
+    /// deciding the filter.
+    #[inline(always)]
+    fn accumulate_filtered<R: Copy>(
+        &mut self,
+        cols: &[Idx],
+        vals: &[R],
+        admit: impl Fn(&[State], Idx) -> usize,
+        mul: impl Fn(R) -> V,
+        add: impl Fn(V, V) -> V,
+    ) {
         assert_eq!(cols.len(), vals.len(), "one value per column index");
         debug_assert!(u32::try_from(cols.len()).is_ok(), "positions fit u32");
         if self.admitted.len() < cols.len() {
@@ -119,7 +149,7 @@ impl<V: Copy + Default> Msa<V> {
         let mut n = 0;
         for (p, &j) in cols.iter().enumerate() {
             admitted[n] = p as u32;
-            n += (self.states[j as usize] != State::NotAllowed) as usize;
+            n += admit(&self.states, j);
         }
         for &p in &admitted[..n] {
             let key = cols[p as usize];
@@ -203,14 +233,8 @@ impl<V: Copy + Default> Msa<V> {
     }
 
     /// Complemented-mode gather: sort the inserted keys (insertion order is
-    /// not column order), emit them, and restore all touched entries —
-    /// inserted keys and mask marks — to ALLOWED.
-    pub fn gather_complement_into(
-        &mut self,
-        mask_cols: &[Idx],
-        out_cols: &mut [Idx],
-        out_vals: &mut [V],
-    ) -> usize {
+    /// not column order), emit them, and restore them to ALLOWED.
+    pub fn gather_complement_into(&mut self, out_cols: &mut [Idx], out_vals: &mut [V]) -> usize {
         debug_assert_eq!(self.default_state, State::Allowed);
         self.inserted.sort_unstable();
         let n = self.inserted.len();
@@ -221,21 +245,15 @@ impl<V: Copy + Default> Msa<V> {
             out_vals[w] = self.values[k];
             self.states[k] = State::Allowed;
         }
-        for &j in mask_cols {
-            self.states[j as usize] = State::Allowed;
-        }
         self.inserted.clear();
         n
     }
 
     /// Complemented-mode symbolic gather: count inserted keys and reset.
-    pub fn count_and_reset_complement(&mut self, mask_cols: &[Idx]) -> usize {
+    pub fn count_and_reset_complement(&mut self) -> usize {
         debug_assert_eq!(self.default_state, State::Allowed);
         let n = self.inserted.len();
         for &j in &self.inserted {
-            self.states[j as usize] = State::Allowed;
-        }
-        for &j in mask_cols {
             self.states[j as usize] = State::Allowed;
         }
         self.inserted.clear();
@@ -295,6 +313,7 @@ impl<V: Copy + Default> Accumulator<V> for Msa<V> {
 mod tests {
     use super::*;
     use crate::accumulator::test_rows::*;
+    use crate::mask::bit;
     use proptest::prelude::*;
 
     /// One single-product B row per call: the row entry as a per-product
@@ -328,14 +347,16 @@ mod tests {
     fn complement_mode_blocks_mask_entries() {
         let mut m: Msa<i64> = Msa::new_complement(8);
         m.begin_row();
-        m.load_mask(&[1, 4]);
-        put(&mut m, 1, 5); // masked out in complement mode
-        put(&mut m, 0, 7);
-        put(&mut m, 6, 2);
-        put(&mut m, 0, 3);
+        let bits = row_bits(&[1, 4], 8);
+        let mut put =
+            |key, value| m.accumulate_row_outside(&[key], &[value], &bits, |v| v, |a, b| a + b);
+        put(1, 5); // masked out in complement mode
+        put(0, 7);
+        put(6, 2);
+        put(0, 3);
         let mut cols = [0 as Idx; 8];
         let mut vals = [0i64; 8];
-        let n = m.gather_complement_into(&[1, 4], &mut cols, &mut vals);
+        let n = m.gather_complement_into(&mut cols, &mut vals);
         assert_eq!(n, 2);
         assert_eq!(&cols[..2], &[0, 6], "gather must sort inserted keys");
         assert_eq!(&vals[..2], &[10, 2]);
@@ -371,17 +392,28 @@ mod tests {
         }
     }
 
+    /// A mask row over `ncols` columns as bits.
+    fn row_bits(mask: &[Idx], ncols: usize) -> Vec<u64> {
+        let mut bits = vec![0u64; ncols.div_ceil(64)];
+        for &j in mask {
+            bits[j as usize / 64] |= 1 << (j % 64);
+        }
+        bits
+    }
+
     /// One output row both ways — B rows through the row entry, the same
-    /// products one at a time through the §5.1 reference `insert_with` —
-    /// compared on everything observable: the gathered row bit for bit,
-    /// the complement `inserted` order, the count of `mul` evaluations,
-    /// and the formed/admitted counters.
+    /// products one at a time through the §5.1 reference `insert_with`
+    /// (behind the mask test, under a complemented mask) — compared on
+    /// everything observable: the gathered row bit for bit, the
+    /// complement `inserted` order, the count of `mul` evaluations, and
+    /// the formed/admitted counters.
     fn assert_row_entry_matches_reference(
         ncols: usize,
         complement: bool,
         mask: &[Idx],
         b_rows: &[BRow],
     ) {
+        let bits = row_bits(mask, ncols);
         let make = || -> Msa<f64> {
             let mut m = if complement {
                 Msa::new_complement(ncols)
@@ -389,14 +421,16 @@ mod tests {
                 Msa::new(ncols)
             };
             m.begin_row();
-            m.load_mask(mask);
+            if !complement {
+                m.load_mask(mask);
+            }
             m
         };
         let gather = |m: &mut Msa<f64>| {
             let mut cols = vec![0 as Idx; ncols];
             let mut vals = vec![0f64; ncols];
             let n = if complement {
-                m.gather_complement_into(mask, &mut cols, &mut vals)
+                m.gather_complement_into(&mut cols, &mut vals)
             } else {
                 m.gather_into(mask, &mut cols, &mut vals)
             };
@@ -414,7 +448,9 @@ mod tests {
         let mut admitted = 0u64;
         for (cols, vals) in b_rows {
             for (&j, &v) in cols.iter().zip(vals) {
-                admitted += want.insert_with(j, || mul(v), add) as u64;
+                if !(complement && bit(&bits, j)) {
+                    admitted += want.insert_with(j, || mul(v), add) as u64;
+                }
             }
         }
         assert_eq!(muls.get(), admitted, "reference evaluates lazily");
@@ -423,7 +459,11 @@ mod tests {
         muls.set(0);
         let mut got = make();
         for (cols, vals) in b_rows {
-            got.accumulate_row(cols, vals, mul, add);
+            if complement {
+                got.accumulate_row_outside(cols, vals, &bits, mul, add);
+            } else {
+                got.accumulate_row(cols, vals, mul, add);
+            }
         }
         assert_eq!(muls.get(), admitted, "`mul` must run for admitted only");
         assert_eq!(
@@ -472,13 +512,20 @@ mod tests {
                 Msa::new(8)
             };
             m.begin_row();
-            m.load_mask(mask);
+            let bits = row_bits(mask, 8);
+            if !complement {
+                m.load_mask(mask);
+            }
             for (cols, vals) in &b_rows {
-                m.accumulate_row(cols, vals, |v| v, |a, b| a + b);
+                if complement {
+                    m.accumulate_row_outside(cols, vals, &bits, |v| v, |a, b| a + b);
+                } else {
+                    m.accumulate_row(cols, vals, |v| v, |a, b| a + b);
+                }
             }
             let (mut cols, mut vals) = ([0 as Idx; 8], [0f64; 8]);
             let n = if complement {
-                m.gather_complement_into(mask, &mut cols, &mut vals)
+                m.gather_complement_into(&mut cols, &mut vals)
             } else {
                 m.gather_into(mask, &mut cols, &mut vals)
             };

@@ -3,6 +3,7 @@
 //! cost per access.
 
 use crate::accumulator::hash::HashAccum;
+use crate::mask::bit;
 use crate::phases::{RowCtx, RowKernel};
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::Idx;
@@ -15,14 +16,14 @@ pub struct HashKernel {
 
 impl HashKernel {
     /// Expected distinct keys this row: the mask row size in normal mode;
-    /// mask + admissible products in complement mode.
+    /// the admissible products in complement mode, whose mask stays in its
+    /// bits.
     fn row_capacity<S: Semiring>(&self, ctx: &RowCtx<'_, S>) -> usize {
         if !self.complement {
             ctx.mask_cols.len()
         } else {
             let flops: usize = ctx.a_cols.iter().map(|&k| ctx.b.row_nnz(k as usize)).sum();
-            let ncols = ctx.b.ncols();
-            ctx.mask_cols.len() + flops.min(ncols - ctx.mask_cols.len())
+            flops.min(ctx.b.ncols() - ctx.mask_nnz)
         }
     }
 }
@@ -41,12 +42,11 @@ impl<S: Semiring> RowKernel<S> for HashKernel {
     fn row_symbolic(&self, ws: &mut Self::Ws, ctx: RowCtx<'_, S>) -> usize {
         ws.begin_row(self.row_capacity(&ctx));
         if self.complement {
-            for &j in ctx.mask_cols {
-                ws.mark_not_allowed(j);
-            }
             for &k in ctx.a_cols {
                 for &j in ctx.b.row_cols(k as usize) {
-                    ws.accumulate_symbolic_complement(j);
+                    if !bit(ctx.mask_bits, j) {
+                        ws.accumulate_symbolic_complement(j);
+                    }
                 }
             }
             ws.count_complement()
@@ -71,13 +71,14 @@ impl<S: Semiring> RowKernel<S> for HashKernel {
     ) -> usize {
         ws.begin_row(self.row_capacity(&ctx));
         if self.complement {
-            for &j in ctx.mask_cols {
-                ws.mark_not_allowed(j);
-            }
+            // The admission test: `S::mul` runs only for the products
+            // outside the mask.
             for (&k, &av) in ctx.a_cols.iter().zip(ctx.a_vals) {
                 let (bc, bv) = ctx.b.row(k as usize);
                 for (&j, &bvv) in bc.iter().zip(bv) {
-                    ws.insert_complement_with(j, || S::mul(av, bvv), S::add);
+                    if !bit(ctx.mask_bits, j) {
+                        ws.insert_complement(j, S::mul(av, bvv), S::add);
+                    }
                 }
             }
             ws.gather_complement_into(out_cols, out_vals)

@@ -4,7 +4,8 @@
 //! the mask before it (re)enters the merge, a tree of losers
 //! ([`LoserTree`]):
 //!
-//! * `NInspect = 0` — plain merge (required for complemented masks);
+//! * `NInspect = 0` — plain merge (required for complemented masks, whose
+//!   row arrives as bits and is tested per popped column);
 //! * `NInspect = 1` — the paper's `Heap` configuration: skip `B` elements
 //!   below the current mask head before pushing;
 //! * `NInspect = ∞` — the paper's `HeapDot`: advance until an exact mask
@@ -14,6 +15,7 @@
 //! sums are MSA's by bits.
 
 use crate::accumulator::heap::{Cursor, LoserTree};
+use crate::mask::bit;
 use crate::phases::{RowCtx, RowKernel};
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::Idx;
@@ -119,15 +121,19 @@ impl HeapKernel {
         let mut mpos = 0usize;
         let mut prev: Option<Idx> = None;
         while let Some(top) = tree.peek() {
-            // Advance the shared mask iterator (pops are monotone).
-            while mpos < mask.len() && mask[mpos] < top.col {
-                mpos += 1;
-            }
-            let in_mask = mpos < mask.len() && mask[mpos] == top.col;
-            if !self.complement && mpos == mask.len() {
-                break; // no mask entries left: nothing more can match
-            }
-            if in_mask != self.complement {
+            let admitted = if self.complement {
+                !bit(ctx.mask_bits, top.col)
+            } else {
+                // Advance the shared mask iterator (pops are monotone).
+                while mpos < mask.len() && mask[mpos] < top.col {
+                    mpos += 1;
+                }
+                if mpos == mask.len() {
+                    break; // no mask entries left: nothing more can match
+                }
+                mask[mpos] == top.col
+            };
+            if admitted {
                 let is_new = prev != Some(top.col);
                 emit(top.col, top.a_pos as usize, top.b_next - 1, is_new);
                 prev = Some(top.col);

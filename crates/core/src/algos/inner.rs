@@ -14,7 +14,8 @@
 //! inner dimension is.
 //!
 //! Candidates are the mask row's columns, or — complemented — every
-//! *non*-mask column whose `Bᵀ` row is nonempty. Which direction is
+//! *non*-mask column whose `Bᵀ` row is nonempty, found a word of 64
+//! columns at a time as `!mask & nonempty` over the row's bits. Which direction is
 //! cheaper depends on the product, not on the mask mode: late BFS levels
 //! of BC leave few unvisited columns under long `A` rows, and pulling them
 //! beats forming every product ([`crate::dispatch`] counts both sides).
@@ -224,24 +225,25 @@ fn sum_hits<S: Semiring>(
 pub struct InnerKernel<'a, R> {
     bt: CsrRef<'a, R>,
     complement: bool,
-    /// Columns whose `Bᵀ` row is nonempty, sorted: the complemented
-    /// variant's candidates, computed once per product. Empty in normal
-    /// mode, where the mask row itself lists the candidates.
-    nonempty: Vec<Idx>,
+    /// Columns whose `Bᵀ` row is nonempty, as bits (a row of
+    /// [`crate::mask::BitRows`]): the complemented variant's candidates
+    /// before the mask takes its own out, computed once per product.
+    /// Empty in normal mode, where the mask row itself lists the
+    /// candidates.
+    nonempty: Vec<u64>,
 }
 
 impl<'a, R> InnerKernel<'a, R> {
     /// The kernel over `bt = Bᵀ` (a borrowed view — storage-agnostic like
     /// every operand), reading the mask as its complement or not.
     pub fn new(bt: CsrRef<'a, R>, complement: bool) -> Self {
-        let nonempty = if complement {
-            (0..bt.nrows())
-                .filter(|&j| bt.row_nnz(j) > 0)
-                .map(|j| j as Idx)
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let mut nonempty = Vec::new();
+        if complement {
+            nonempty.resize(bt.nrows().div_ceil(64), 0u64);
+            for j in (0..bt.nrows()).filter(|&j| bt.row_nnz(j) > 0) {
+                nonempty[j / 64] |= 1 << (j % 64);
+            }
+        }
         Self {
             bt,
             complement,
@@ -250,15 +252,18 @@ impl<'a, R> InnerKernel<'a, R> {
     }
 }
 
-/// `cand \ mask`, both sorted — the columns a complemented row may emit —
-/// by one merge pass.
-fn non_mask<'a>(cand: &'a [Idx], mask: &'a [Idx]) -> impl Iterator<Item = Idx> + 'a {
-    let mut y = 0usize;
-    cand.iter().copied().filter(move |&j| {
-        while y < mask.len() && mask[y] < j {
-            y += 1;
-        }
-        mask.get(y) != Some(&j)
+/// The columns set in `cand` and clear in `mask`, ascending — the columns
+/// a complemented row may emit — a word of both at a time.
+fn non_mask<'a>(cand: &'a [u64], mask: &'a [u64]) -> impl Iterator<Item = Idx> + 'a {
+    cand.iter().zip(mask).enumerate().flat_map(|(x, (&c, &m))| {
+        let mut w = c & !m;
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let j = 64 * x as Idx + w.trailing_zeros();
+                w &= w - 1;
+                j
+            })
+        })
     })
 }
 
@@ -293,7 +298,7 @@ impl<S: Semiring> RowKernel<S> for InnerKernel<'_, S::Right> {
             bc.iter().any(|&k| pos[k as usize] != 0)
         };
         let n = if self.complement {
-            non_mask(&self.nonempty, ctx.mask_cols)
+            non_mask(&self.nonempty, ctx.mask_bits)
                 .filter(|&j| hit(j))
                 .count()
         } else {
@@ -319,7 +324,7 @@ impl<S: Semiring> RowKernel<S> for InnerKernel<'_, S::Right> {
         // One straight loop per mask mode: sharing the emit step through
         // a closure measured slower (`docs/DECISIONS.md`).
         if self.complement {
-            for j in non_mask(&self.nonempty, ctx.mask_cols) {
+            for j in non_mask(&self.nonempty, ctx.mask_bits) {
                 let (bc, bv) = self.bt.row(j as usize);
                 if let Some(v) = dots.dot::<S>(bc, bv) {
                     out_cols[w] = j;
@@ -347,6 +352,7 @@ mod tests {
     use super::*;
     use crate::accumulator::test_rows::order_sensitive_rows;
     use crate::algos::test_product as product;
+    use crate::mask::BitRows;
     use crate::phases::{run_kernel, Phases};
     use crate::schedule::{ExecOpts, ExecStats, WsPool};
     use mspgemm_sparse::semiring::{PlusPairU64, PlusTimesF64, PlusTimesI64};
@@ -690,6 +696,8 @@ mod tests {
             let candidate = |i: usize, j: usize| !dense(i) || j % 32 == i;
             let mask = rect(14, 256, |i, j| candidate(i, j) != complement).pattern();
             let kernel = InnerKernel::new(bt.view(), complement);
+            let mut mask_bits = BitRows::new(14, 256);
+            mask_bits.insert(&mask);
             // Replay the one executor's rows, noting each row's loop.
             let mut ws = ScatterWs::new(inner);
             let mut loops = Vec::new();
@@ -698,7 +706,7 @@ mod tests {
                 let mut dots = ws.begin_row::<PlusTimesI64>(ac, av, inner);
                 loops.push(dots.branch_free);
                 let cands: Vec<Idx> = if complement {
-                    non_mask(&kernel.nonempty, mask.row_cols(i)).collect()
+                    non_mask(&kernel.nonempty, mask_bits.row(i)).collect()
                 } else {
                     mask.row_cols(i).to_vec()
                 };
@@ -774,9 +782,10 @@ mod tests {
 
     #[test]
     fn nonmask_iterator_subtracts() {
-        let cand: &[Idx] = &[0, 2, 4, 6, 8];
-        let mask: &[Idx] = &[2, 3, 8];
-        let got: Vec<Idx> = non_mask(cand, mask).collect();
-        assert_eq!(got, vec![0, 4, 6]);
+        // Two words: candidates 0, 2, 4, 6, 8, 70, 127; mask 2, 3, 8, 127.
+        let cand = [0b1_0101_0101, 1 << 6 | 1 << 63];
+        let mask = [0b1_0000_1100, 1 << 63];
+        let got: Vec<Idx> = non_mask(&cand, &mask).collect();
+        assert_eq!(got, vec![0, 4, 6, 70]);
     }
 }

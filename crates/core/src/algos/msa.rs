@@ -3,13 +3,14 @@
 //! gather in mask order.
 
 use crate::accumulator::msa::Msa;
+use crate::mask::bit;
 use crate::phases::{RowCtx, RowKernel};
 use crate::schedule::ProductCounts;
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::Idx;
 
 /// Kernel configuration: normal or complemented mask (§5.2's
-/// `setNotAllowed` variant).
+/// `setNotAllowed` variant, whose marks are the mask row's bits here).
 pub struct MsaKernel {
     /// Interpret the mask as its complement.
     pub complement: bool,
@@ -38,15 +39,22 @@ impl<S: Semiring> RowKernel<S> for MsaKernel {
 
     fn row_symbolic(&self, ws: &mut Self::Ws, ctx: RowCtx<'_, S>) -> usize {
         ws.begin_row();
-        ws.load_mask(ctx.mask_cols);
-        for &k in ctx.a_cols {
-            for &j in ctx.b.row_cols(k as usize) {
-                ws.accumulate_symbolic(j);
-            }
-        }
         if self.complement {
-            ws.count_and_reset_complement(ctx.mask_cols)
+            for &k in ctx.a_cols {
+                for &j in ctx.b.row_cols(k as usize) {
+                    if !bit(ctx.mask_bits, j) {
+                        ws.accumulate_symbolic(j);
+                    }
+                }
+            }
+            ws.count_and_reset_complement()
         } else {
+            ws.load_mask(ctx.mask_cols);
+            for &k in ctx.a_cols {
+                for &j in ctx.b.row_cols(k as usize) {
+                    ws.accumulate_symbolic(j);
+                }
+            }
             ws.count_and_reset(ctx.mask_cols)
         }
     }
@@ -59,16 +67,21 @@ impl<S: Semiring> RowKernel<S> for MsaKernel {
         out_vals: &mut [S::Out],
     ) -> usize {
         ws.begin_row();
-        ws.load_mask(ctx.mask_cols);
-        for (&k, &av) in ctx.a_cols.iter().zip(ctx.a_vals) {
-            let (bc, bv) = ctx.b.row(k as usize);
-            // Filter, then accumulate: `S::mul` runs only for the
-            // products the mask admits.
-            ws.accumulate_row(bc, bv, |bvv| S::mul(av, bvv), S::add);
-        }
+        // Filter, then accumulate: `S::mul` runs only for the products
+        // the mask admits.
         if self.complement {
-            ws.gather_complement_into(ctx.mask_cols, out_cols, out_vals)
+            for (&k, &av) in ctx.a_cols.iter().zip(ctx.a_vals) {
+                let (bc, bv) = ctx.b.row(k as usize);
+                let bits = ctx.mask_bits;
+                ws.accumulate_row_outside(bc, bv, bits, |bvv| S::mul(av, bvv), S::add);
+            }
+            ws.gather_complement_into(out_cols, out_vals)
         } else {
+            ws.load_mask(ctx.mask_cols);
+            for (&k, &av) in ctx.a_cols.iter().zip(ctx.a_vals) {
+                let (bc, bv) = ctx.b.row(k as usize);
+                ws.accumulate_row(bc, bv, |bvv| S::mul(av, bvv), S::add);
+            }
             ws.gather_into(ctx.mask_cols, out_cols, out_vals)
         }
     }

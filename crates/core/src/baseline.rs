@@ -21,6 +21,7 @@
 //! a C library this workspace does not link.
 
 use crate::dispatch::check_dims;
+use crate::mask::bit;
 use crate::phases::{deliver, AsCsr, OutputForm, RowCtx, RowKernel};
 use crate::schedule::{row_chunks, ExecOpts};
 use crate::{masked_mxm, Algorithm, Error, MaskMode, Phases, Product};
@@ -45,6 +46,7 @@ pub fn spgemm<S: Semiring>(a: &Csr<S::Left>, b: &Csr<S::Right>) -> Csr<S::Out> {
         })
         .collect();
     let mut out = SlackRows::new(&bounds, S::Out::default());
+    let no_bits = vec![0u64; ncols.div_ceil(64)];
     out.windows(&row_chunks(nrows, rayon::current_num_threads()))
         .par_iter_mut()
         .with_max_len(1)
@@ -53,7 +55,7 @@ pub fn spgemm<S: Semiring>(a: &Csr<S::Left>, b: &Csr<S::Right>) -> Csr<S::Out> {
             |spa, window| {
                 for (i, oc, ov, size) in window.rows_mut() {
                     spa.accumulate_row::<S>(a.row_cols(i), a.row_vals(i), b.view());
-                    *size = spa.gather_sorted_excluding(&[], oc, ov);
+                    *size = spa.gather_sorted_outside(&no_bits, oc, ov);
                 }
             },
         );
@@ -122,7 +124,7 @@ impl<S: Semiring> RowKernel<S> for SaxpyKernel {
     ) -> usize {
         spa.accumulate_row::<S>(ctx.a_cols, ctx.a_vals, ctx.b);
         if self.complement {
-            spa.gather_sorted_excluding(ctx.mask_cols, out_cols, out_vals)
+            spa.gather_sorted_outside(ctx.mask_bits, out_cols, out_vals)
         } else {
             spa.gather_mask_order(ctx.mask_cols, out_cols, out_vals)
         }
@@ -242,23 +244,17 @@ impl<V: Copy + Default> Spa<V> {
         w
     }
 
-    /// Emit touched entries *not* in the (sorted) mask row, sorted.
-    fn gather_sorted_excluding(
+    /// Emit the touched entries whose bit is clear in the mask row
+    /// `bits`, sorted.
+    fn gather_sorted_outside(
         &mut self,
-        mask_cols: &[Idx],
+        bits: &[u64],
         out_cols: &mut [Idx],
         out_vals: &mut [V],
     ) -> usize {
         self.touched.sort_unstable();
         let mut w = 0usize;
-        let mut y = 0usize;
-        for &j in &self.touched {
-            while y < mask_cols.len() && mask_cols[y] < j {
-                y += 1;
-            }
-            if y < mask_cols.len() && mask_cols[y] == j {
-                continue;
-            }
+        for &j in self.touched.iter().filter(|&&j| !bit(bits, j)) {
             out_cols[w] = j;
             out_vals[w] = self.values[j as usize];
             w += 1;

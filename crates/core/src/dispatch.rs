@@ -11,13 +11,14 @@ use crate::algos::heap::HeapKernel;
 use crate::algos::inner::InnerKernel;
 use crate::algos::mca::McaKernel;
 use crate::algos::msa::MsaKernel;
+use crate::mask::{BitRows, MaskRef};
 use crate::phases::{deliver, driven_flops, driven_row_flops, masked_out, run_kernel};
 use crate::phases::{AsCsr, OutputForm, Phases};
 use crate::schedule::ExecOpts;
 use mspgemm_sparse::ops::reduce::col_nnz;
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::util::{exclusive_prefix_sum, PAR_COUNT_MIN};
-use mspgemm_sparse::{transpose, Csr, CsrRef, Idx};
+use mspgemm_sparse::{transpose, Csr, Idx};
 use rayon::prelude::*;
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -152,12 +153,14 @@ impl std::error::Error for Error {}
 /// the transpose across calls — SuiteSparse's per-call transpose is an
 /// overhead of `SS:DOT`, §8.4; its shape is checked, its values trusted),
 /// the mask mode and the phase strategy. The mask is held as a structural
-/// view ([`CsrRef::structure`]: its own `rowptr` / `colidx`, no values),
-/// so whatever its value type, every product runs one compiled kernel set
-/// per semiring. A symmetric self-product is declared, never inferred:
-/// only [`Product::self_product`] lets `Auto` run [`Plan::Oriented`].
+/// view ([`CsrRef::structure`](mspgemm_sparse::CsrRef::structure): its
+/// own `rowptr` / `colidx`, no values), so whatever its value type, every
+/// product runs one compiled kernel set per semiring — or, complemented
+/// only, as [`BitRows`] ([`Product::complement_of`]). A symmetric
+/// self-product is declared, never inferred: only
+/// [`Product::self_product`] lets `Auto` run [`Plan::Oriented`].
 pub struct Product<'a, L, R> {
-    pub(crate) mask: CsrRef<'a, ()>,
+    pub(crate) mask: MaskRef<'a>,
     pub(crate) a: &'a Csr<L>,
     pub(crate) b: &'a Csr<R>,
     pub(crate) bt: Option<&'a Csr<R>>,
@@ -172,11 +175,31 @@ impl<'a, L, R> Product<'a, L, R> {
     /// `Bᵀ` if it has one. Of `mask` only the structure is kept, in O(1).
     pub fn new<M>(mask: &'a Csr<M>, a: &'a Csr<L>, b: &'a Csr<R>, bt: Option<&'a Csr<R>>) -> Self {
         Product {
-            mask: mask.view().structure(),
+            mask: MaskRef::Csr(mask.view().structure()),
             a,
             b,
             bt,
             mode: MaskMode::Mask,
+            phases: Phases::One,
+            symmetric: false,
+        }
+    }
+
+    /// `¬mask ⊙ (A·B)` over bit rows, one phase, with the caller's `Bᵀ`
+    /// if it has one. A bit-row mask is read complemented only: under
+    /// [`MaskMode::Mask`] the product is [`Error::Unsupported`].
+    pub fn complement_of(
+        mask: &'a BitRows,
+        a: &'a Csr<L>,
+        b: &'a Csr<R>,
+        bt: Option<&'a Csr<R>>,
+    ) -> Self {
+        Product {
+            mask: MaskRef::Bits(mask),
+            a,
+            b,
+            bt,
+            mode: MaskMode::Complement,
             phases: Phases::One,
             symmetric: false,
         }
@@ -192,9 +215,8 @@ impl<'a, L, R> Product<'a, L, R> {
         Product { phases, ..*self }
     }
 
-    /// The mask's structure, `A`, `B` and the mask mode: what a baseline
-    /// reads.
-    pub fn operands(&self) -> (CsrRef<'a, ()>, &'a Csr<L>, &'a Csr<R>, MaskMode) {
+    /// The mask, `A`, `B` and the mask mode: what a baseline reads.
+    pub fn operands(&self) -> (MaskRef<'a>, &'a Csr<L>, &'a Csr<R>, MaskMode) {
         (self.mask, self.a, self.b, self.mode)
     }
 
@@ -291,8 +313,8 @@ pub(crate) fn check_dims<S: Semiring>(p: &Product<'_, S::Left, S::Right>) -> Res
 ///
 /// # Errors
 /// [`Error::DimensionMismatch`] for incompatible shapes,
-/// [`Error::Unsupported`] for MCA with a complemented mask and for
-/// [`OnMask`] under one,
+/// [`Error::Unsupported`] for MCA with a complemented mask, for
+/// [`OnMask`] under one, and for a bit-row mask read as a normal one,
 /// [`Error::DeadlineExceeded`] for a deadline passed at a phase boundary.
 ///
 /// [`OnMask`]: crate::OnMask
@@ -534,25 +556,25 @@ fn sum_rows(rows: Range<usize>, entries: usize, per_row: impl Fn(usize) -> u64 +
     }
 }
 
-/// `init + Σ per_row(i)` over the rows `rowptr` delimits (the entries
-/// `per_row` walks), looked at before every block and abandoned once
-/// `settled`.
+/// `init + Σ per_row(i)` over rows `0..nrows`, of which rows `0..i`
+/// walk `walked(i)` entries (or words), looked at before every block and
+/// abandoned once `settled`.
 fn sum_until(
-    rowptr: &[usize],
+    nrows: usize,
+    walked: impl Fn(usize) -> usize,
     init: u64,
     per_row: impl Fn(usize) -> u64 + Sync,
     settled: impl Fn(u64) -> bool,
 ) -> u64 {
-    let nrows = rowptr.len() - 1;
     let mut total = init;
     let (mut start, mut block) = (0usize, COUNT_BLOCK);
     while start < nrows && !settled(total) {
-        let goal = rowptr[start] + start + block;
+        let goal = walked(start) + start + block;
         let mut end = start + 1;
-        while end < nrows && rowptr[end] + end < goal {
+        while end < nrows && walked(end) + end < goal {
             end += 1;
         }
-        total += sum_rows(start..end, rowptr[end] - rowptr[start], &per_row);
+        total += sum_rows(start..end, walked(end) - walked(start), &per_row);
         (start, block) = (end, 2 * block);
     }
     total
@@ -560,19 +582,20 @@ fn sum_until(
 
 /// Count both directions' work: push off `B`'s row pointers, pull off
 /// `bt`'s — or off `B`'s column counts, with the transpose charged, when
-/// no `bt` was supplied.
+/// no `bt` was supplied. A bit-row mask's row is summed by its set or its
+/// clear columns, whichever a word holds fewer of ([`BitRows`]).
 ///
-/// The side whose pass is shorter (`nnz(A)` lookups for push, `nnz(M)` for
-/// pull) is counted in full; the other only until it can no longer win, so
-/// the decision costs `O(min(nnz(A), nnz(M)))` plus a share of the pass
-/// the chosen product is about to repeat many times over — a sparse mask
-/// does not pay for walking `A`, a dense one is not walked for a product
-/// that pushes. Push is the full side whenever the complemented one-phase
-/// bound needs the per-row flops anyway (`keep_row_flops`: they are
-/// returned) or no `bt` came with the call (pull then starts from the
-/// transpose's charge).
+/// The side whose pass is shorter (`nnz(A)` lookups for push, the mask's
+/// entries — or words — for pull) is counted in full; the other only
+/// until it can no longer win, so the decision costs `O(min(nnz(A),
+/// nnz(M)))` plus a share of the pass the chosen product is about to
+/// repeat many times over — a sparse mask does not pay for walking `A`, a
+/// dense one is not walked for a product that pushes. Push is the full
+/// side whenever the complemented one-phase bound needs the per-row flops
+/// anyway (`keep_row_flops`: they are returned) or no `bt` came with the
+/// call (pull then starts from the transpose's charge).
 fn direction_work<L, R>(
-    mask: CsrRef<'_, ()>,
+    mask: MaskRef<'_>,
     a: &Csr<L>,
     b: &Csr<R>,
     bt: Option<&Csr<R>>,
@@ -586,6 +609,13 @@ where
     // `|Bᵀ_j|` without a `bt`: `B`'s column counts, built on first use —
     // the transpose's own charge often settles the comparison before it.
     let b_col_len = OnceLock::new();
+    let col_len = |j: usize| -> u64 {
+        match bt {
+            Some(bt) => bt.row_nnz(j) as u64,
+            None => b_col_len.get_or_init(|| col_nnz(b))[j] as u64,
+        }
+    };
+    let word_weights = OnceLock::new();
     let transpose_cost = match bt {
         Some(_) => 0,
         None => TRANSPOSE_PROBES_PER_ENTRY * b.nnz() as u64,
@@ -595,23 +625,20 @@ where
         if a.row_nnz(i) == 0 || masked_out(mask, complement, i) {
             return 0;
         }
-        let m_i = mask.row_cols(i).iter();
-        let in_mask: usize = match bt {
-            Some(bt) => m_i.map(|&j| bt.row_nnz(j as usize)).sum(),
-            None => {
-                let len = b_col_len.get_or_init(|| col_nnz(b));
-                m_i.map(|&j| len[j as usize]).sum()
-            }
+        let in_mask = match mask {
+            MaskRef::Csr(m) => m.row_cols(i).iter().map(|&j| col_len(j as usize)).sum(),
+            MaskRef::Bits(m) => m.row_weight(i, col_len, &word_weights),
         };
         let candidates = if complement {
-            b.nnz() - in_mask
+            b.nnz() as u64 - in_mask
         } else {
             in_mask
         };
-        (a.row_nnz(i) + candidates) as u64
+        a.row_nnz(i) as u64 + candidates
     };
     let push_row = |i: usize| driven_flops(mask, a, b, complement, i);
-    if keep_row_flops || bt.is_none() || a.nnz() <= mask.nnz() {
+    let (nrows, mask_walked) = (mask.nrows(), |i| mask.walked(i));
+    if keep_row_flops || bt.is_none() || a.nnz() <= mask_walked(nrows) {
         let (flops, push) = if keep_row_flops {
             let flops = driven_row_flops(mask, a, b, complement);
             let push = flops.iter().sum();
@@ -619,13 +646,14 @@ where
         } else {
             (None, sum_rows(0..a.nrows(), a.nnz(), push_row))
         };
-        let pull = sum_until(mask.rowptr(), transpose_cost, pull_row, |pull| {
+        let pull = sum_until(nrows, mask_walked, transpose_cost, pull_row, |pull| {
             !pull_is_cheaper(DirectionWork::of(push, pull))
         });
         (flops, DirectionWork::of(push, pull))
     } else {
-        let pull = transpose_cost + sum_rows(0..mask.nrows(), mask.nnz(), pull_row);
-        let push = sum_until(a.rowptr(), 0, push_row, |push| {
+        let pull = transpose_cost + sum_rows(0..nrows, mask_walked(nrows), pull_row);
+        let a_walked = |i| a.rowptr()[i];
+        let push = sum_until(a.nrows(), a_walked, 0, push_row, |push| {
             pull_is_cheaper(DirectionWork::of(push, pull))
         });
         (None, DirectionWork::of(push, pull))
@@ -917,7 +945,14 @@ mod tests {
         bt: Option<&Csr<i64>>,
         complement: bool,
     ) -> (Algorithm, DirectionWork) {
-        let (_, work) = direction_work(m.view(), a, b, bt, complement, true);
+        let (_, work) = direction_work(MaskRef::Csr(m.view()), a, b, bt, complement, true);
+        if complement {
+            // The same mask as bit rows counts the same work.
+            let mut bits = BitRows::new(m.nrows(), m.ncols());
+            bits.insert(m);
+            let (_, by_bits) = direction_work(MaskRef::Bits(&bits), a, b, bt, true, true);
+            assert_eq!(by_bits, work);
+        }
         (auto_select(b.ncols(), work), work)
     }
 
@@ -993,8 +1028,14 @@ mod tests {
         // The walked counts — what an undeclared product gets — agree on
         // push, stop counting pull once it has lost, and do not know the
         // third.
-        let (_, walked) =
-            direction_work(a.view().structure(), &a, &a, Some(&a.clone()), false, true);
+        let (_, walked) = direction_work(
+            MaskRef::Csr(a.view().structure()),
+            &a,
+            &a,
+            Some(&a.clone()),
+            false,
+            true,
+        );
         assert_eq!((walked.push, walked.oriented), (work.push, None));
         assert!(walked.pull <= work.pull && !pull_is_cheaper(walked));
         assert_eq!(auto_select(a.ncols(), walked), Algorithm::Msa);
@@ -1083,12 +1124,12 @@ mod tests {
         // past 48 000 · 1.5 within its first block of rows, so the rest
         // are never counted — unless the driver wants every row's flops.
         let (a, m) = (rows(8), rows(1).pattern());
-        let (flops, cut) = direction_work(m.view(), &a, &b, Some(&b), false, false);
+        let (flops, cut) = direction_work(MaskRef::Csr(m.view()), &a, &b, Some(&b), false, false);
         assert_eq!(flops, None);
         assert_eq!(cut.pull, 3000 * 16);
         assert!(72_000 < cut.push && cut.push < 3000 * 64, "{cut:?}");
         assert_eq!(cut.push % 64, 0, "whole rows");
-        let (flops, full) = direction_work(m.view(), &a, &b, Some(&b), false, true);
+        let (flops, full) = direction_work(MaskRef::Csr(m.view()), &a, &b, Some(&b), false, true);
         assert_eq!(flops, Some(vec![64; 3000]));
         assert_eq!((full.push, full.pull), (3000 * 64, cut.pull));
         for work in [cut, full] {
@@ -1098,7 +1139,7 @@ mod tests {
         // one — 8 products a row — and pull's 1 + 8 · 8 probes a row are
         // out of the race after one block.
         let (a, m) = (rows(1), rows(8).pattern());
-        let (_, cut) = direction_work(m.view(), &a, &b, Some(&b), false, false);
+        let (_, cut) = direction_work(MaskRef::Csr(m.view()), &a, &b, Some(&b), false, false);
         assert_eq!(cut.push, 3000 * 8);
         assert!(16_000 < cut.pull && cut.pull < 3000 * 65, "{cut:?}");
         assert_eq!(cut.pull % 65, 0, "whole rows");

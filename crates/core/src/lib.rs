@@ -59,6 +59,7 @@ pub mod accumulator;
 pub mod algos;
 pub mod baseline;
 pub mod dispatch;
+pub mod mask;
 pub mod phases;
 pub mod schedule;
 pub mod simd;
@@ -67,5 +68,6 @@ pub use dispatch::{
     masked_mxm, masked_mxm_with_opts, run_plan, Algorithm, DirectionWork, Error, MaskMode, Plan,
     Product,
 };
+pub use mask::{BitRows, MaskRef};
 pub use phases::{AsCsr, OnMask, OutputForm, Phases};
 pub use schedule::{ExecOpts, ExecStats, ProbeCounts, ProductCounts, WsPool};

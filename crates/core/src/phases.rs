@@ -12,6 +12,11 @@
 //!   usually wins for Masked SpGEMM — the mask makes the bound tight enough
 //!   that the symbolic pass does not pay for itself.
 //!
+//! A kernel reads a normal mask row as its sorted columns and a
+//! complemented one as bits ([`crate::mask`]): a
+//! [`BitRows`](crate::BitRows) mask's row as it is, a CSR row set into the executor's own bit row before the row
+//! and cleared after it.
+//!
 //! The product comes out in one of two [`OutputForm`]s: a tight CSR, or
 //! — for a caller that only folds it — **on-mask values**, one slot per
 //! mask entry in the mask's own storage order. Under a normal mask the
@@ -32,6 +37,7 @@
 //! across thread counts.
 
 use crate::dispatch::{Error, Product};
+use crate::mask::MaskRef;
 use crate::schedule::{row_chunks, ExecOpts, ProbeCounts, ProductCounts, WsPool};
 use mspgemm_sparse::semiring::Semiring;
 use mspgemm_sparse::util::{split_entries, split_rows, SlackRows};
@@ -152,8 +158,15 @@ impl OutputForm for OnMask {
 
 /// Everything a kernel needs to produce one output row.
 pub struct RowCtx<'a, S: Semiring> {
-    /// Sorted mask columns of this row.
+    /// Sorted mask columns of this row under a normal mask; empty under a
+    /// complemented one, which the kernel reads as [`RowCtx::mask_bits`].
     pub mask_cols: &'a [Idx],
+    /// A complemented mask's row as bits, `⌈ncols/64⌉` words: column `j`
+    /// is masked out when [`bit`](crate::mask::bit)`(mask_bits, j)`.
+    /// Empty under a normal mask.
+    pub mask_bits: &'a [u64],
+    /// Entries of the mask row, in either form.
+    pub mask_nnz: usize,
     /// Sorted column indices of the `A` row.
     pub a_cols: &'a [Idx],
     /// Values of the `A` row.
@@ -229,6 +242,9 @@ pub trait RowKernel<S: Semiring>: Sync {
 /// end so no shared state sits inside the timed region.
 struct WsLease<'a, W: Any + Send> {
     ws: Option<W>,
+    /// The executor's bit row for a complemented CSR mask ([`with_row`]):
+    /// all clear between rows, allocated by the first row that needs it.
+    bits: Vec<u64>,
     pool: Option<&'a WsPool>,
     stats: Option<&'a crate::schedule::ExecStats>,
     busy: f64,
@@ -256,6 +272,7 @@ impl<'a, W: Any + Send> WsLease<'a, W> {
         };
         Self {
             ws: Some(ws),
+            bits: Vec::new(),
             pool,
             stats,
             busy: 0.0,
@@ -265,8 +282,10 @@ impl<'a, W: Any + Send> WsLease<'a, W> {
         }
     }
 
-    fn get(&mut self) -> &mut W {
-        self.ws.as_mut().expect("workspace leased out")
+    /// The workspace and the bit row.
+    fn get(&mut self) -> (&mut W, &mut Vec<u64>) {
+        let ws = self.ws.as_mut().expect("workspace leased out");
+        (ws, &mut self.bits)
     }
 }
 
@@ -298,16 +317,16 @@ impl<W: Any + Send> Drop for WsLease<'_, W> {
 
 /// Drive `chunk` over every part — one per chunk of the [`row_chunks`]
 /// list, holding that chunk's rows and output windows — with one leased
-/// workspace per executor. `with_max_len(1)` pins every part as its own
-/// claim unit: the drive must not re-group the partition. Records
-/// per-executor busy time (rank-folded at drive end) when `opts.stats` is
-/// set.
+/// workspace and one bit row ([`with_row`]) per executor.
+/// `with_max_len(1)` pins every part as its own claim unit: the drive
+/// must not re-group the partition. Records per-executor busy time
+/// (rank-folded at drive end) when `opts.stats` is set.
 fn run_rows<S, K, P: Send>(
     parts: &mut [P],
     opts: &ExecOpts<'_>,
     kernel: &K,
     ncols: usize,
-    chunk: impl Fn(&mut K::Ws, &mut P) + Sync,
+    chunk: impl Fn(&mut K::Ws, &mut Vec<u64>, &mut P) + Sync,
 ) where
     S: Semiring,
     K: RowKernel<S>,
@@ -331,7 +350,8 @@ fn run_rows<S, K, P: Send>(
         },
         |lease, part| {
             let t0 = lease.stats.map(|_| Instant::now());
-            chunk(lease.get(), part);
+            let (ws, bits) = lease.get();
+            chunk(ws, bits, part);
             if let Some(t0) = t0 {
                 lease.busy += t0.elapsed().as_secs_f64();
             }
@@ -348,7 +368,7 @@ fn run_rows<S, K, P: Send>(
 /// at most one entry per product (`flops_i`, counted once per product,
 /// see [`run_kernel`]) and at most the non-mask columns.
 pub(crate) fn one_phase_bounds(
-    mask: CsrRef<'_, ()>,
+    mask: MaskRef<'_>,
     ncols: usize,
     complement: bool,
     flops: Option<&[u64]>,
@@ -375,7 +395,7 @@ pub(crate) fn one_phase_bounds(
 /// forming a product, so a sparse mask (the recount passes of incremental
 /// triangle counting and k-truss) pays for the rows it touches only.
 #[inline]
-pub(crate) fn masked_out(mask: CsrRef<'_, ()>, complement: bool, i: usize) -> bool {
+pub(crate) fn masked_out(mask: MaskRef<'_>, complement: bool, i: usize) -> bool {
     !complement && mask.row_nnz(i) == 0
 }
 
@@ -384,7 +404,7 @@ pub(crate) fn masked_out(mask: CsrRef<'_, ()>, complement: bool, i: usize) -> bo
 /// walked.
 #[inline]
 pub(crate) fn driven_flops<L, R>(
-    mask: CsrRef<'_, ()>,
+    mask: MaskRef<'_>,
     a: &Csr<L>,
     b: &Csr<R>,
     complement: bool,
@@ -400,7 +420,7 @@ pub(crate) fn driven_flops<L, R>(
 /// [`driven_flops`] of every row; their sum is the products a push kernel
 /// forms.
 pub(crate) fn driven_row_flops<L, R>(
-    mask: CsrRef<'_, ()>,
+    mask: MaskRef<'_>,
     a: &Csr<L>,
     b: &Csr<R>,
     complement: bool,
@@ -415,20 +435,47 @@ where
         .collect()
 }
 
-/// Row `i` of `p` as its kernel sees it; `None` for a row the drive
-/// skips ([`masked_out`]).
-fn row_ctx<'a, S: Semiring>(
+/// `f` of row `i` of `p` as its kernel sees it; `None`, without calling
+/// `f`, for a row the drive skips ([`masked_out`]). A complemented CSR
+/// mask row is set into the executor's `bits` for the call and cleared
+/// after it, `O(|m_i|)`, so every complemented row reaches a kernel as
+/// bits.
+fn with_row<'a, S: Semiring, T>(
     p: &Product<'a, S::Left, S::Right>,
     b: CsrRef<'a, S::Right>,
+    bits: &mut Vec<u64>,
     i: usize,
-) -> Option<RowCtx<'a, S>> {
-    let (mask, a) = (p.mask, p.a);
-    (!masked_out(mask, p.complement(), i)).then(|| RowCtx {
-        mask_cols: mask.row_cols(i),
-        a_cols: a.row_cols(i),
-        a_vals: a.row_vals(i),
+    f: impl FnOnce(RowCtx<'_, S>) -> T,
+) -> Option<T> {
+    let (a_cols, a_vals) = (p.a.row_cols(i), p.a.row_vals(i));
+    let ctx = |mask_cols, mask_bits, mask_nnz| RowCtx {
+        mask_cols,
+        mask_bits,
+        mask_nnz,
+        a_cols,
+        a_vals,
         b,
-    })
+    };
+    match p.mask {
+        _ if masked_out(p.mask, p.complement(), i) => None,
+        MaskRef::Bits(m) => Some(f(ctx(&[], m.row(i), m.row_ones(i)))),
+        MaskRef::Csr(m) if !p.complement() => Some(f(ctx(m.row_cols(i), &[], m.row_nnz(i)))),
+        MaskRef::Csr(m) => {
+            let cols = m.row_cols(i);
+            if bits.is_empty() {
+                bits.resize(m.ncols().div_ceil(64), 0);
+            }
+            for &j in cols {
+                bits[j as usize / 64] |= 1 << (j % 64);
+            }
+            let out = f(ctx(&[], bits, cols.len()));
+            // The bit row holds this row's bits alone.
+            for &j in cols {
+                bits[j as usize / 64] = 0;
+            }
+            Some(out)
+        }
+    }
 }
 
 /// Whether the options' cancellation deadline has passed.
@@ -451,7 +498,8 @@ fn expired(opts: &ExecOpts<'_>) -> bool {
 /// [`Error::DeadlineExceeded`] when [`ExecOpts::deadline`] has passed at a
 /// phase boundary — before any pass starts, or between the symbolic and
 /// numeric passes of a two-phase run. A drive never aborts mid-pass; the
-/// output, when produced, is always complete.
+/// output, when produced, is always complete. [`Error::Unsupported`] for
+/// a bit-row mask under [`MaskMode::Mask`](crate::MaskMode::Mask).
 pub fn run_kernel<S, K>(
     p: &Product<'_, S::Left, S::Right>,
     kernel: &K,
@@ -481,6 +529,12 @@ where
     K: RowKernel<S>,
     F: OutputForm,
 {
+    if matches!(p.mask, MaskRef::Bits(_)) && !p.complement() {
+        // A kernel walks a normal mask row's columns, which bits do not list.
+        return Err(Error::Unsupported(
+            "a bit-row mask is read complemented only",
+        ));
+    }
     if F::ON_MASK && p.complement() {
         return Err(Error::Unsupported(
             "on-mask output needs a normal mask: a complemented one does not bound the output",
@@ -538,13 +592,19 @@ where
         }
         let _span = mspgemm_obs::span("symbolic");
         let mut parts: Vec<_> = chunks.iter().zip(split_rows(&mut sizes, chunks)).collect();
-        run_rows::<S, K, _>(&mut parts, opts, kernel, ncols, |ws, (rows, sizes)| {
-            for (i, size) in (*rows).clone().zip(sizes.iter_mut()) {
-                if let Some(ctx) = row_ctx(p, bv, i) {
-                    *size = kernel.row_symbolic(ws, ctx);
+        run_rows::<S, K, _>(
+            &mut parts,
+            opts,
+            kernel,
+            ncols,
+            |ws, bits, (rows, sizes)| {
+                for (i, size) in (*rows).clone().zip(sizes.iter_mut()) {
+                    if let Some(n) = with_row(p, bv, bits, i, |ctx| kernel.row_symbolic(ws, ctx)) {
+                        *size = n;
+                    }
                 }
-            }
-        });
+            },
+        );
     }
     // The boundary this strategy exists for: the symbolic pass sized the
     // output, the numeric pass pays for it — drop expired work here.
@@ -571,13 +631,20 @@ where
 {
     let mut out = SlackRows::new(rooms, S::Out::default());
     let bv = p.b.view();
-    numeric_pass(p, kernel, &mut out.windows(chunks), opts, |ws, window| {
-        for (i, oc, ov, size) in window.rows_mut() {
-            if let Some(ctx) = row_ctx(p, bv, i) {
-                *size = kernel.row_numeric(ws, ctx, oc, ov);
+    numeric_pass(
+        p,
+        kernel,
+        &mut out.windows(chunks),
+        opts,
+        |ws, bits, window| {
+            for (i, oc, ov, size) in window.rows_mut() {
+                if let Some(n) = with_row(p, bv, bits, i, |ctx| kernel.row_numeric(ws, ctx, oc, ov))
+                {
+                    *size = n;
+                }
             }
-        }
-    });
+        },
+    );
     out
 }
 
@@ -595,22 +662,25 @@ where
     S: Semiring,
     K: RowKernel<S>,
 {
-    let (ptr, bv) = (p.mask.rowptr(), p.b.view());
-    let mut vals = vec![S::Out::default(); p.mask.nnz()];
+    let MaskRef::Csr(mask) = p.mask else {
+        unreachable!("a normal mask is a CSR")
+    };
+    let (ptr, bv) = (mask.rowptr(), p.b.view());
+    let mut vals = vec![S::Out::default(); mask.nnz()];
     let mut parts: Vec<_> = (chunks.iter())
         .zip(split_entries(&mut vals, ptr, chunks))
         .collect();
-    numeric_pass(p, kernel, &mut parts, opts, |ws, (rows, slots)| {
+    numeric_pass(p, kernel, &mut parts, opts, |ws, bits, (rows, slots)| {
         let (base, mut cols) = (ptr[rows.start], Vec::new());
         for i in (*rows).clone() {
-            let Some(ctx) = row_ctx(p, bv, i) else {
-                continue;
-            };
-            let mask_cols = ctx.mask_cols;
             let row = &mut slots[ptr[i] - base..ptr[i + 1] - base];
             cols.resize(row.len(), 0);
-            let n = kernel.row_numeric(ws, ctx, &mut cols, row);
-            spread(mask_cols, &cols[..n], row);
+            let numeric = with_row(p, bv, bits, i, |ctx| {
+                kernel.row_numeric(ws, ctx, &mut cols, row)
+            });
+            if let Some(n) = numeric {
+                spread(mask.row_cols(i), &cols[..n], row);
+            }
         }
     });
     vals
@@ -647,7 +717,7 @@ fn numeric_pass<S, K, P: Send>(
     kernel: &K,
     parts: &mut [P],
     opts: &ExecOpts<'_>,
-    chunk: impl Fn(&mut K::Ws, &mut P) + Sync,
+    chunk: impl Fn(&mut K::Ws, &mut Vec<u64>, &mut P) + Sync,
 ) where
     S: Semiring,
     K: RowKernel<S>,

@@ -37,10 +37,6 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Smallest chunk handed out: keeps the cursor traffic and per-chunk
-/// bookkeeping amortized over a useful batch of rows near the tail.
-const GUIDED_MIN_CHUNK: usize = 8;
-
 /// The row chunk list: contiguous chunks partitioning `0..nrows` exactly,
 /// in row order, one chunk when `threads` is 1.
 pub(crate) fn row_chunks(nrows: usize, threads: usize) -> Vec<Range<usize>> {
@@ -56,17 +52,15 @@ pub(crate) fn row_chunks(nrows: usize, threads: usize) -> Vec<Range<usize>> {
     // heavy rows are front-loaded (degree-sorted graphs). Capping every
     // chunk at `n / 8T` spreads such a hub prefix over several
     // dynamically-claimed chunks while the tail still decays to keep
-    // cursor traffic low.
-    let cap = nrows.div_ceil(8 * threads).max(GUIDED_MIN_CHUNK);
+    // cursor traffic low. The tail decays to single rows: a product of a
+    // few dozen heavy rows (BC's 64 sources) balances to the row, where a
+    // floor of 8 rows let one chunk decide the drive.
+    let cap = nrows.div_ceil(8 * threads);
     let mut out = Vec::new();
     let mut start = 0usize;
     while start < nrows {
         let rem = nrows - start;
-        let len = rem
-            .div_ceil(2 * threads)
-            .min(cap)
-            .max(GUIDED_MIN_CHUNK)
-            .min(rem);
+        let len = rem.div_ceil(2 * threads).min(cap);
         out.push(start..start + len);
         start += len;
     }
@@ -352,14 +346,18 @@ mod tests {
         assert_partition(&chunks, 10_000);
         assert!(row_chunks(0, 4).is_empty());
         assert!(chunks.len() > 4, "guided must oversubscribe");
-        // Sizes are non-increasing until the minimum chunk floor.
+        // Sizes never grow, and the tail ends in single rows.
         let sizes: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
         for w in sizes.windows(2) {
-            assert!(
-                w[1] <= w[0] || w[0] <= GUIDED_MIN_CHUNK,
-                "guided sizes must decrease: {sizes:?}"
-            );
+            assert!(w[1] <= w[0], "guided sizes must decrease: {sizes:?}");
         }
+        assert_eq!(sizes.last(), Some(&1));
+        // 64 rows on two threads: `n / 8T` = 4 rows a chunk, then 3, 2,
+        // and four single rows.
+        let sizes: Vec<usize> = row_chunks(64, 2).iter().map(|c| c.len()).collect();
+        let tail = [4, 3, 3, 2, 1, 1, 1, 1];
+        assert_eq!(sizes[..sizes.len() - tail.len()], [4; 12]);
+        assert_eq!(sizes[sizes.len() - tail.len()..], tail);
     }
 
     #[test]

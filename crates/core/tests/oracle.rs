@@ -3,8 +3,10 @@
 //! value storage — of every case in [`cases`] against one dense reference
 //! by bits. The reference sums each coordinate in ascending `k`, as every
 //! kernel does, over values spanning seven orders of magnitude, so a sum
-//! in any other order shows. Every CSR output must also be a valid CSR on
-//! its side of the mask, 1P must equal 2P, and
+//! in any other order shows. Every complemented cell also runs with its
+//! mask given as bit rows ([`BitRows`]), which a normal cell must refuse.
+//! Every CSR output must also be a valid CSR on its side of the mask, 1P
+//! must equal 2P, and
 //! `nnz(M ⊙ AB) + nnz(¬M ⊙ AB) = nnz(AB)`; every on-mask output, scattered
 //! back onto the mask, must hold the reference's bits where it has an
 //! entry and `Out::default()`'s elsewhere. A cell the paper leaves
@@ -15,7 +17,7 @@
 use masked_spgemm::algos::heap::HeapKernel;
 use masked_spgemm::phases::run_kernel;
 use masked_spgemm::{baseline, masked_mxm, run_plan, Algorithm, Error, ExecOpts, ExecStats};
-use masked_spgemm::{AsCsr, MaskMode, OnMask, Phases, Plan, Product, WsPool};
+use masked_spgemm::{AsCsr, BitRows, MaskMode, OnMask, Phases, Plan, Product, WsPool};
 use mspgemm_sparse::semiring::{PlusPairU64, PlusTimesF64, Semiring};
 use mspgemm_sparse::{transpose, Csr, CsrRef, Idx};
 use rand::rngs::StdRng;
@@ -63,7 +65,8 @@ impl Runner {
                 false
             }
             (Runner::Strawman, Form::New { valued, bt }) => !valued && !bt,
-            (Runner::SsSaxpy | Runner::SsDot, Form::New { bt, .. }) => !bt,
+            (Runner::Strawman, Form::Bits { .. }) => false,
+            (Runner::SsSaxpy | Runner::SsDot, Form::New { bt, .. } | Form::Bits { bt }) => !bt,
             _ => true,
         }
     }
@@ -94,15 +97,36 @@ const THREADS: [usize; 4] = [1, 2, 3, 7];
 const POOLED: [bool; 2] = [false, true];
 
 /// How a case reaches its [`Product`]: `new` over a `()` mask or one valued
-/// `0.0` / `-0.0` / `NaN`, with or without `Bᵀ`; or, declared, `self_product`.
+/// `0.0` / `-0.0` / `NaN`, or `complement_of` the mask's bit rows, with or
+/// without `Bᵀ`; or, declared, `self_product`.
 #[derive(Clone, Copy, Debug)]
 enum Form {
     New { valued: bool, bt: bool },
+    Bits { bt: bool },
     Declared,
 }
 
-/// `(valued, bt)` of the forms of an undeclared case.
-const FORMS: [(bool, bool); 4] = [(false, false), (false, true), (true, false), (true, true)];
+/// The forms of an undeclared case.
+const FORMS: [Form; 6] = [
+    Form::New {
+        valued: false,
+        bt: false,
+    },
+    Form::New {
+        valued: false,
+        bt: true,
+    },
+    Form::New {
+        valued: true,
+        bt: false,
+    },
+    Form::New {
+        valued: true,
+        bt: true,
+    },
+    Form::Bits { bt: false },
+    Form::Bits { bt: true },
+];
 
 /// Whether the operand values are `1.0`s in the shared unit arena, or owned.
 const UNIT_ARENA: [bool; 2] = [false, true];
@@ -323,6 +347,8 @@ fn cases() -> Vec<Case> {
         random(rng, (1, 7, 7), (0.35, 0.35, 0.4)),
         random(rng, (7, 1, 7), (0.35, 0.35, 0.4)),
         random(rng, (7, 7, 1), (0.35, 0.35, 0.4)),
+        // Three words a bit row, the last one holding 2 columns.
+        random(rng, (6, 20, 130), (0.3, 0.3, 0.4)),
         edge_rows(rng, (12, 10, 14), 0.15),
         edge_rows(rng, (9, 30, 11), 0.15),
     ];
@@ -332,7 +358,7 @@ fn cases() -> Vec<Case> {
 }
 
 /// A case's operands under one value storage, read by semiring `S`; its
-/// mask as a `Csr<()>` and valued.
+/// mask as a `Csr<()>`, valued, and as bit rows.
 struct Input<T> {
     unit_arena: bool,
     a: Csr<T>,
@@ -340,6 +366,7 @@ struct Input<T> {
     bt: Csr<T>,
     mask: Csr<()>,
     valued: Csr<f64>,
+    bits: BitRows,
 }
 
 impl<T: Copy + PartialEq + Send + Sync> Input<T> {
@@ -354,6 +381,8 @@ impl<T: Copy + PartialEq + Send + Sync> Input<T> {
         // Values no structural mask may read.
         let mut k = 0usize..;
         let valued = mask.map(|_| [0.0, -0.0, f64::NAN][k.next().unwrap() % 3]);
+        let mut bits = BitRows::new(mask.nrows(), mask.ncols());
+        bits.insert(&mask);
         Input {
             unit_arena,
             a,
@@ -361,6 +390,7 @@ impl<T: Copy + PartialEq + Send + Sync> Input<T> {
             bt,
             mask,
             valued,
+            bits,
         }
     }
 
@@ -369,6 +399,7 @@ impl<T: Copy + PartialEq + Send + Sync> Input<T> {
         match form {
             Form::New { valued, bt } if valued => Product::new(&self.valued, a, b, bt_if(bt)),
             Form::New { bt, .. } => Product::new(&self.mask, a, b, bt_if(bt)),
+            Form::Bits { bt } => Product::complement_of(&self.bits, a, b, bt_if(bt)),
             Form::Declared => Product::self_product(a),
         }
     }
@@ -442,12 +473,13 @@ impl Group {
         matches!(self.form, Form::Declared) && mode == MaskMode::Mask && S::MUL_COMMUTES
     }
 
-    /// Whether the cell must return [`Error::Unsupported`]: MCA under a
-    /// complemented mask (§8.4), on-mask output under one, or an oriented
-    /// plan it cannot run.
+    /// Whether the cell must return [`Error::Unsupported`]: bit rows read
+    /// as a normal mask, MCA under a complemented mask (§8.4), on-mask
+    /// output under one, or an oriented plan it cannot run.
     fn refused<S: Semiring>(self, mode: MaskMode) -> bool {
         let complement = mode == MaskMode::Complement;
         match self.runner {
+            _ if matches!(self.form, Form::Bits { .. }) && !complement => true,
             Runner::Oriented => !self.orientable::<S>(mode),
             _ if complement && self.output == Delivery::OnMask => true,
             Runner::Algo(algo) => complement && !algo.supports_complement(),
@@ -607,8 +639,7 @@ fn on_mask(mask: &Csr<()>, c: &Csr<u64>, absent: u64) -> Csr<u64> {
 fn oracle<S: Ring<T>, T: Copy + PartialEq + Send + Sync>(cases: impl Iterator<Item = Case>) {
     let (mut cells, mut failures) = (0, Vec::new());
     for case in cases {
-        let undeclared = FORMS.map(|(valued, bt)| Form::New { valued, bt });
-        let forms = [&undeclared[..], &[Form::Declared]][usize::from(case.declared)];
+        let forms = [&FORMS[..], &[Form::Declared]][usize::from(case.declared)];
         for &unit_arena in &UNIT_ARENA[..if S::VALUED { 2 } else { 1 }] {
             let input = Input::new::<S>(&case, unit_arena);
             let want = reference::<S, T>(&case.mask, &input.a, &input.b);

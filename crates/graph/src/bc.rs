@@ -17,15 +17,17 @@
 //! 3. **`BCU`'s pattern never changes**, and backward step `d` reads it
 //!    only on `σ_d` and writes it only on `σ_{d−1}`.
 //!
-//! So the driver keeps `levels[d] = F_d`, one pattern `visited = ∪ σ_d`
-//! for the complemented mask (forward sweep only), and one vector `bcu`
-//! aligned with the entries of the level being read:
+//! So the driver keeps `levels[d] = F_d`, the visited set `∪ σ_d` for the
+//! complemented mask (forward sweep only) as `s × n` bits ([`BitRows`],
+//! `⌈n/64⌉` words a source — a direction-optimizing BFS's visited
+//! bitmap), and one vector `bcu` aligned with the entries of the level
+//! being read:
 //!
 //! * **Forward** (BFS wave counting shortest paths):
 //!   `F_{d+1} ← ⟨¬visited⟩ (F_d · A)` — a **complemented** masked SpGEMM
-//!   — then `visited ← visited ∪ σ_{d+1}`, merged in place
-//!   ([`Csr::union_disjoint`]: the two patterns are row-wise disjoint, so
-//!   each row grows by exactly the new frontier's row; no values).
+//!   whose kernels test the visited bits — then `visited ← visited ∪
+//!   σ_{d+1}` by setting the new frontier's bits: `O(|F_{d+1}|)`, the
+//!   visited set is never walked or copied.
 //! * **Backward** (dependency accumulation), deepest level first with
 //!   `BCU = 1` there: `W_d = BCU_d ./ F_d` overwrites `F_d`'s values in
 //!   place (invariant 2 — `F_d` is dead afterwards), then
@@ -44,8 +46,9 @@
 //! nothing and size nothing, so they run the same under 1P and 2P; only
 //! the forward sweep's products differ between the two.
 //!
-//! The glue is O(|visited|) per request plus one O(|visited|) union per
-//! level; everything else is the masked products.
+//! The glue is O(|visited|) per request, `s · ⌈n/64⌉` words for the bits
+//! plus one pass over each frontier's entries; everything else is the
+//! masked products.
 //!
 //! **One deliberate deviation from the C API listing:** the backward loop
 //! stops at `d = 2`. The `d = 1` product (mask `σ_0`, one entry per row)
@@ -55,7 +58,7 @@
 //! would be discarded.
 
 use crate::scheme::Scheme;
-use masked_spgemm::{AsCsr, ExecOpts, MaskMode, OnMask, Product, WsPool};
+use masked_spgemm::{AsCsr, BitRows, ExecOpts, OnMask, Product, WsPool};
 use mspgemm_sparse::semiring::PlusTimesF64;
 use mspgemm_sparse::{transpose, Csr, Idx};
 use std::time::Instant;
@@ -127,40 +130,11 @@ pub fn betweenness_with_transpose(
         "BC needs complemented masks (MCA unsupported)"
     );
     let n = adj.nrows();
-    let s = sources.len();
     if let Some(bad) = sources.iter().find(|&&v| v >= n) {
         panic!("BC source {bad} is out of range: the graph has {n} vertices");
     }
     let t_total = Instant::now();
-    let mut mxm_seconds = 0.0f64;
-
-    // Level 0: s×n, row q holds source q with one (empty) path.
-    let level0 = Csr::from_parts_unchecked(
-        s,
-        n,
-        (0..=s).collect(),
-        sources.iter().map(|&v| v as Idx).collect(),
-        vec![1.0f64; s],
-    );
-    let mut visited = level0.pattern();
-    let mut levels = vec![level0];
-
-    // Forward sweep: each new frontier is kept as its level and joins the
-    // complemented mask.
-    loop {
-        let _span = mspgemm_obs::span("bc-forward-level");
-        let t0 = Instant::now();
-        // A pull level reads Bᵀ = Aᵀ.
-        let frontier = Product::new(&visited, &levels[levels.len() - 1], adj, Some(adj_t));
-        let frontier = frontier.with_mode(MaskMode::Complement);
-        let next = scheme.run_with::<PlusTimesF64, _>(&frontier, AsCsr, opts);
-        mxm_seconds += t0.elapsed().as_secs_f64();
-        if next.nnz() == 0 {
-            break;
-        }
-        visited.union_disjoint(&next);
-        levels.push(next);
-    }
+    let (mut levels, visited, mut mxm_seconds) = forward(adj, adj_t, sources, scheme, opts);
     drop(visited);
     let depth = levels.len();
 
@@ -191,6 +165,51 @@ pub fn betweenness_with_transpose(
         mxm_seconds,
         total_seconds: t_total.elapsed().as_secs_f64(),
         depth,
+    }
+}
+
+/// The forward sweep from checked `sources`: the levels `F_0 … F_{D−1}`
+/// (row `q` of `F_0` holds source `q` with one path), the visited bits
+/// they set, and the seconds spent in the masked products. Each new
+/// frontier is kept as its level and sets its bits in the complemented
+/// mask.
+fn forward(
+    adj: &Csr<f64>,
+    adj_t: &Csr<f64>,
+    sources: &[usize],
+    scheme: Scheme,
+    opts: &ExecOpts<'_>,
+) -> (Vec<Csr<f64>>, BitRows, f64) {
+    let (s, n) = (sources.len(), adj.nrows());
+    let level0 = Csr::from_parts_unchecked(
+        s,
+        n,
+        (0..=s).collect(),
+        sources.iter().map(|&v| v as Idx).collect(),
+        vec![1.0f64; s],
+    );
+    let mut visited = BitRows::new(s, n);
+    visited.insert(&level0);
+    let (mut levels, mut mxm_seconds) = (vec![level0], 0.0f64);
+    loop {
+        let _span = mspgemm_obs::span("bc-forward-level");
+        let t0 = Instant::now();
+        // A pull level reads Bᵀ = Aᵀ.
+        let last = &levels[levels.len() - 1];
+        let frontier = Product::complement_of(&visited, last, adj, Some(adj_t));
+        let next = scheme.run_with::<PlusTimesF64, _>(&frontier, AsCsr, opts);
+        mxm_seconds += t0.elapsed().as_secs_f64();
+        if next.nnz() == 0 {
+            return (levels, visited, mxm_seconds);
+        }
+        // A shortest path visits each vertex once: n levels at most.
+        assert!(
+            levels.len() < n,
+            "BFS level {} of {n} vertices",
+            levels.len()
+        );
+        visited.insert(&next);
+        levels.push(next);
     }
 }
 
@@ -532,6 +551,38 @@ mod tests {
                     assert_eq!(bits(&r), bits(&want), "{label}");
                     assert_eq!(r.depth, want.depth, "{label}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn visited_bits_are_the_union_of_the_levels() {
+        // Directed, so a level's pattern is not its predecessor's mirror;
+        // 70 sources over 130 vertices: three words a row, the last one
+        // partly past the columns.
+        let g = mspgemm_gen::rmat_directed(7, mspgemm_gen::RmatParams::default(), 9);
+        let g = Csr::from_parts_unchecked(
+            130,
+            130,
+            (0..=130).map(|i| g.rowptr()[i.min(128)]).collect(),
+            g.colidx().to_vec(),
+            g.values().to_vec(),
+        );
+        let sources: Vec<usize> = (0..70).map(|i| i * 37 % 130).collect();
+        let scheme = Scheme::Ours(Algorithm::Auto, Phases::One);
+        let (levels, visited, _) =
+            forward(&g, &transpose(&g), &sources, scheme, &Default::default());
+        assert!(levels.len() > 3, "depth {}", levels.len());
+        for q in 0..sources.len() {
+            let mut want = [false; 130];
+            for level in &levels {
+                for &v in level.row_cols(q) {
+                    assert!(!want[v as usize], "levels overlap at ({q}, {v})");
+                    want[v as usize] = true;
+                }
+            }
+            for (v, &w) in want.iter().enumerate() {
+                assert_eq!(visited.contains(q, v as Idx), w, "({q}, {v})");
             }
         }
     }

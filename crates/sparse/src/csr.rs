@@ -406,53 +406,6 @@ impl<T> Csr<T> {
     }
 }
 
-impl Csr<()> {
-    /// Add `other`'s pattern, of this shape and sharing no coordinate with
-    /// this one, in place. Disjointness makes every row exactly as long as
-    /// its two input rows together, so the columns grow once by
-    /// `other.nnz()` and each row merges from its back into its final
-    /// place, last row first: a row moves only right, into room no row
-    /// still to merge occupies. No second copy of the pattern is built.
-    ///
-    /// # Panics
-    /// If the shapes differ; in debug builds, if a coordinate is in both.
-    pub fn union_disjoint<U>(&mut self, other: &Csr<U>) {
-        assert_eq!(
-            (self.nrows, self.ncols),
-            (other.nrows, other.ncols),
-            "a union needs patterns of one shape"
-        );
-        let (nnz, add) = (self.nnz(), other.nnz());
-        let cols = self.colidx.make_mut();
-        cols.reserve_exact(add);
-        cols.resize(nnz + add, 0);
-        let (ptr, optr) = (self.rowptr.make_mut(), other.rowptr());
-        for i in (0..self.nrows).rev() {
-            let (start, b) = (ptr[i], other.row_cols(i));
-            let (mut x, mut y) = (ptr[i + 1], b.len());
-            let mut w = x + optr[i + 1];
-            ptr[i + 1] = w;
-            while y > 0 {
-                debug_assert!(
-                    x == start || cols[x - 1] != b[y - 1],
-                    "row {i}: column in both patterns"
-                );
-                w -= 1;
-                if x > start && cols[x - 1] > b[y - 1] {
-                    x -= 1;
-                    cols[w] = cols[x];
-                } else {
-                    y -= 1;
-                    cols[w] = b[y];
-                }
-            }
-            // What is left of this row moves right past the rows before it.
-            cols.copy_within(start..x, start + optr[i]);
-        }
-        self.values.make_mut().resize(nnz + add, ());
-    }
-}
-
 impl Csr<f64> {
     /// `true` iff the values section is a view of the process-wide unit
     /// arena ([`crate::storage::shared_ones`]) — the signature of a
@@ -842,52 +795,6 @@ mod tests {
         // rowptr/colidx stay shared; only values detached.
         assert!(shared.has_shared_storage());
         assert_eq!(shared.storage_report().heap_bytes, 2 * 8);
-    }
-
-    fn pattern_of_rows(rows: &[&[Idx]], ncols: usize) -> Csr<()> {
-        let mut rowptr = vec![0usize];
-        for r in rows {
-            rowptr.push(rowptr[rowptr.len() - 1] + r.len());
-        }
-        let colidx = rows.concat();
-        let nnz = colidx.len();
-        Csr::try_from_parts(rows.len(), ncols, rowptr, colidx, vec![(); nnz]).unwrap()
-    }
-
-    #[test]
-    fn union_of_disjoint_patterns_in_place() {
-        // Rows: interleaved, a only, b only, both empty, b entirely
-        // before a, a entirely before b.
-        let a = pattern_of_rows(&[&[0, 4, 5, 9], &[2, 3], &[], &[], &[7, 8], &[0]], 10);
-        let b = pattern_of_rows(&[&[1, 6, 7], &[], &[1, 9], &[], &[0, 6], &[5, 9]], 10);
-        let want = pattern_of_rows(
-            &[
-                &[0, 1, 4, 5, 6, 7, 9],
-                &[2, 3],
-                &[1, 9],
-                &[],
-                &[0, 6, 7, 8],
-                &[0, 5, 9],
-            ],
-            10,
-        );
-        let union = |x: &Csr<()>, y: &Csr<()>| {
-            let mut x = x.clone();
-            x.union_disjoint(y);
-            x
-        };
-        assert_eq!(union(&a, &b), want);
-        assert_eq!(union(&b, &a), want);
-        let empty = Csr::<()>::empty(6, 10);
-        assert_eq!(union(&a, &empty), a);
-        assert_eq!(union(&empty, &a), a);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "column in both patterns")]
-    fn union_rejects_a_shared_column() {
-        pattern_of_rows(&[&[1, 3]], 4).union_disjoint(&pattern_of_rows(&[&[0, 3]], 4));
     }
 
     #[test]
